@@ -16,7 +16,8 @@ use aeon_net::{
 };
 use aeon_ownership::{ClassGraph, Dominator, DominatorMode, OwnershipGraph};
 use aeon_runtime::{
-    AnalysisMode, ContextFactory, ContextObject, ExecutorConfig, ExecutorStats, Placement, Snapshot,
+    AnalysisMode, CertifiedReads, ContextFactory, ContextObject, ExecutorConfig, ExecutorStats,
+    Footprint, Placement, Snapshot,
 };
 use aeon_types::{
     AccessMode, AeonError, Args, ClientId, ContextId, EventId, Result, ServerId, ServerMetrics,
@@ -24,7 +25,7 @@ use aeon_types::{
 };
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -148,8 +149,8 @@ impl ClusterBuilder {
     /// Enables or disables the analyzer-certified read-only fast path at
     /// the gateway (default: enabled).  Certified events (`ro` with an
     /// empty `calls []` summary) are routed straight to their target's
-    /// server as pre-sequenced executions, skipping the dominator
-    /// activation round trip.
+    /// server as [`ClusterMessage::ExecCertified`], skipping the dominator
+    /// activation round trip; the node holds them to their target.
     pub fn readonly_fast_path(mut self, enabled: bool) -> Self {
         self.readonly_fast_path = enabled;
         self
@@ -210,16 +211,7 @@ impl ClusterBuilder {
             classes.check()?;
             aeon_analyzer::enforce(classes, self.analysis)?;
         }
-        // Fixed at build time: the `ro` methods whose declared call summary
-        // the analyzer certifies as empty (the fast-path admission set).
-        let mut certified: HashMap<String, HashSet<String>> = HashMap::new();
-        if self.readonly_fast_path {
-            if let Some(classes) = &self.class_graph {
-                for m in aeon_analyzer::certified_readonly(classes) {
-                    certified.entry(m.class).or_default().insert(m.method);
-                }
-            }
-        }
+        let certified = CertifiedReads::new(self.class_graph.as_ref(), self.readonly_fast_path);
         let directory = Arc::new(Directory::new(self.dominator_mode, self.class_graph));
         let (mode, network, mesh_peers): (Mode, Network<ClusterMessage>, Vec<ServerId>) =
             match &self.transport {
@@ -299,6 +291,10 @@ impl ClusterBuilder {
     }
 }
 
+/// A routed event awaiting its `Done`: the issuing client (inherited by the
+/// event's sub-events) and the handle's completion channel.
+type PendingEvent = (Option<ClientId>, Sender<Result<Value>>);
+
 struct ClusterInner {
     directory: Arc<Directory>,
     network: Network<ClusterMessage>,
@@ -314,19 +310,16 @@ struct ClusterInner {
     /// Worker-pool configuration applied to every node (including ones
     /// added later by scale-out).
     executor_config: ExecutorConfig,
-    /// Methods admitted to the read-only fast path, keyed by class name:
-    /// `ro` methods whose declared call summary the analyzer certified as
-    /// empty.  Empty when no class graph is installed or the fast path is
-    /// disabled.
-    certified: HashMap<String, HashSet<String>>,
-    /// Events the gateway routed as pre-sequenced read-only executions.
+    /// Methods admitted to the read-only fast path.
+    certified: CertifiedReads,
+    /// Events the gateway routed as certified, unsequenced executions.
     fast_path: AtomicU64,
     /// Test-only: member-at-a-time snapshots instead of the coordinated
     /// freeze (see `ClusterBuilder::torn_snapshot_for_tests`).
     torn_snapshot: bool,
     nodes: Mutex<BTreeMap<ServerId, NodeHandle>>,
     /// Event completions waiting to be routed back to client handles.
-    pending_events: Mutex<HashMap<u64, Sender<Result<Value>>>>,
+    pending_events: Mutex<HashMap<u64, PendingEvent>>,
     /// Control acknowledgements (host, prepare, stop, install).
     pending_control: Mutex<HashMap<u64, Sender<ClusterMessage>>>,
     corr: AtomicU64,
@@ -536,7 +529,7 @@ impl ClusterInner {
         let event = EventId::new(self.directory.next_raw());
         let corr = self.next_corr();
         let (tx, rx) = bounded(1);
-        self.pending_events.lock().insert(corr, tx);
+        self.pending_events.lock().insert(corr, (client, tx));
         let descriptor = EventDescriptor {
             id: event,
             client,
@@ -559,18 +552,16 @@ impl ClusterInner {
         Ok(ClusterEventHandle { event, rx })
     }
 
-    /// Whether the event targets a method the analyzer certified for the
-    /// read-only fast path (`ro` with an empty `calls []` summary).
-    fn is_certified_readonly(&self, event: &EventDescriptor) -> bool {
-        if self.certified.is_empty() {
-            return false;
+    /// How the gateway admits `event`: certified when it is a read of a
+    /// method the analyzer certified (`ro` with an empty `calls []`
+    /// summary), sequenced otherwise.
+    fn admit(&self, event: &EventDescriptor) -> Footprint {
+        if self.certified.is_empty() || !event.mode.is_read_only() {
+            return Footprint::Sequenced;
         }
         match self.directory.class_of(event.target) {
-            Ok(class) => self
-                .certified
-                .get(&class)
-                .is_some_and(|methods| methods.contains(&event.method)),
-            Err(_) => false,
+            Ok(class) => self.certified.admit(&class, &event.method, event.mode),
+            Err(_) => Footprint::Sequenced,
         }
     }
 
@@ -578,19 +569,13 @@ impl ClusterInner {
         let target_server = self.directory.placement_of(event.target)?;
         // Certified read-only fast path: the event's lock footprint is
         // provably the single target context, so no dominator sequencing
-        // is needed — route it straight to the target's server as a
-        // pre-sequenced execution, skipping the Act round trip.  The node
-        // still takes the target's activation in shared mode, so the read
-        // serializes against writers exactly as before.
-        if event.mode.is_read_only() && self.is_certified_readonly(&event) {
+        // is needed — route it straight to the target's server, skipping
+        // the Act round trip.  The node still takes the target's activation
+        // in shared mode, so the read serializes against writers exactly as
+        // before, and holds the event to that footprint.
+        if self.admit(&event) == Footprint::Certified {
             self.fast_path.fetch_add(1, Ordering::Relaxed);
-            return self.send(
-                target_server,
-                ClusterMessage::Exec {
-                    event,
-                    sequencer: None,
-                },
-            );
+            return self.send(target_server, ClusterMessage::ExecCertified { event });
         }
         match self.directory.dominator_of(event.target)? {
             Dominator::Context(dom) if dom != event.target => {
@@ -655,12 +640,17 @@ fn gateway_loop(inner: Arc<ClusterInner>, endpoint: Endpoint<ClusterMessage>) {
                 if let Some(sink) = inner.directory.history_sink() {
                     sink.responded(event);
                 }
-                if let Some(tx) = inner.pending_events.lock().remove(&corr) {
-                    let _ = tx.send(result);
-                }
-                // Sub-events start after their creator terminated (§3).
+                let client = match inner.pending_events.lock().remove(&corr) {
+                    Some((client, tx)) => {
+                        let _ = tx.send(result);
+                        client
+                    }
+                    None => None,
+                };
+                // Sub-events start after their creator terminated (§3), on
+                // behalf of the same client.
                 for sub in sub_events {
-                    let _ = inner.submit(None, sub.target, &sub.method, sub.args, sub.mode);
+                    let _ = inner.submit(client, sub.target, &sub.method, sub.args, sub.mode);
                 }
             }
             ClusterMessage::DirReq { corr, from, op } => {

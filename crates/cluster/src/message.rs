@@ -211,6 +211,16 @@ pub enum ClusterMessage {
         /// Where the sequencer lock is held, if a separate one was taken.
         sequencer: Option<(ServerId, ContextId)>,
     },
+    /// Gateway → target server: execute a read the gateway admitted on the
+    /// analyzer's certificate (`ro`, empty `calls []`) without sequencing
+    /// it.  A distinct message, not an [`ClusterMessage::Exec`] flag: the
+    /// node has no class graph of its own, so the admission must travel
+    /// with the event for the node to hold it to its single-context
+    /// footprint.
+    ExecCertified {
+        /// The event to execute.
+        event: EventDescriptor,
+    },
     /// Server → server: synchronous method call on a remotely hosted
     /// context, performed on behalf of a running event.
     Call {
@@ -417,6 +427,13 @@ impl fmt::Debug for ClusterMessage {
             }
             ClusterMessage::Exec { event, .. } => {
                 write!(f, "Exec(event={}, target={})", event.id, event.target)
+            }
+            ClusterMessage::ExecCertified { event } => {
+                write!(
+                    f,
+                    "ExecCertified(event={}, target={})",
+                    event.id, event.target
+                )
             }
             ClusterMessage::Call {
                 event,

@@ -9,6 +9,12 @@
 //! pool's spill escape hatch keeps the node live when every resident
 //! worker is parked on a remote call or a lock held by a yet-unscheduled
 //! message (see `aeon_runtime::executor`).
+//!
+//! What an event may do while it executes is not decided here: `Exec` and
+//! `Call` handlers run the shared interpreter (`aeon_runtime::EventBody`)
+//! over [`NodeHost`], which only answers where a context lives (`locate`,
+//! with its wait for an in-flight `Install`), takes and records its
+//! activation, and carries a call to another server and back.
 
 use crate::directory::Directory;
 use crate::message::{
@@ -16,15 +22,15 @@ use crate::message::{
 };
 use aeon_net::{Endpoint, Network};
 use aeon_runtime::{
-    ContextLock, ContextObject, ExecutorConfig, ExecutorStats, Invocation, InvocationHost,
-    ShardedExecutor, SubEvent,
+    ContextHost, ContextLock, ContextObject, Entered, EventBody, EventMeta, ExecutorConfig,
+    ExecutorStats, Footprint, HostedObject, ShardedExecutor, SubEvent,
 };
 use aeon_types::{
     codec, AccessMode, AeonError, Args, ClientId, ContextId, EventId, Result, ServerId, Value,
 };
 use crossbeam::channel::{bounded, Sender};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -43,6 +49,12 @@ pub(crate) struct HostedContext {
     pub(crate) class: String,
     pub(crate) lock: ContextLock,
     pub(crate) object: Mutex<Box<dyn ContextObject>>,
+}
+
+impl HostedObject for HostedContext {
+    fn object(&self) -> &Mutex<Box<dyn ContextObject>> {
+        &self.object
+    }
 }
 
 impl HostedContext {
@@ -105,7 +117,7 @@ pub(crate) struct NodeShared {
     /// columns of the per-server metric report).
     exec_latency: Mutex<aeon_types::LatencyHistogram>,
     /// Times a worker slept waiting for a migrated-in context to be
-    /// installed (the wait-for-install retry loop in [`RemoteExecution`]).
+    /// installed (the wait-for-install retry loop in [`NodeShared::locate`]).
     install_wait_retries: AtomicU64,
     running: AtomicBool,
 }
@@ -215,6 +227,48 @@ impl NodeShared {
 
     fn local(&self, context: ContextId) -> Option<Arc<HostedContext>> {
         self.contexts.read().get(&context).cloned()
+    }
+
+    /// The local entry of `target`, or `None` when it lives on another
+    /// server.  A context mapped here but not installed yet (migration in
+    /// flight) is waited for up to [`INSTALL_GRACE`].
+    fn locate(&self, target: ContextId) -> Result<Option<Arc<HostedContext>>> {
+        if let Some(hosted) = self.local(target) {
+            return Ok(Some(hosted));
+        }
+        // Not local: where does the mapping say it lives?
+        let deadline = std::time::Instant::now() + INSTALL_GRACE;
+        loop {
+            if let Some(server) = self.forwarding.read().get(&target) {
+                if *server != self.id {
+                    return Ok(None);
+                }
+            }
+            if !self.running.load(Ordering::SeqCst) {
+                return Err(AeonError::RuntimeShutdown);
+            }
+            match self.directory.placement_of(target) {
+                Ok(server) if server == self.id => {
+                    // Mapped here but not installed yet (migration in
+                    // flight); wait briefly for the Install to land.
+                    if let Some(hosted) = self.local(target) {
+                        return Ok(Some(hosted));
+                    }
+                    let now = std::time::Instant::now();
+                    if now >= deadline {
+                        return Err(AeonError::MigrationInProgress(target));
+                    }
+                    // Never sleep past the deadline: a full fixed-interval
+                    // nap could overshoot it and stall the worker longer
+                    // than the configured grace period.
+                    let nap = (deadline - now).min(Duration::from_millis(10));
+                    self.install_wait_retries.fetch_add(1, Ordering::Relaxed);
+                    std::thread::sleep(nap);
+                }
+                Ok(_) => return Ok(None),
+                Err(e) => return Err(e),
+            }
+        }
     }
 
     /// Hands a potentially blocking message handler to the worker pool,
@@ -367,7 +421,26 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
             }
             let worker = Arc::clone(shared);
             let key = event.target;
-            shared.offload(key, move || handle_exec(&worker, event, sequencer));
+            shared.offload(key, move || {
+                handle_exec(&worker, event, sequencer, Footprint::Sequenced)
+            });
+        }
+        ClusterMessage::ExecCertified { event } => {
+            if shared.local(event.target).is_none()
+                && shared.reroute_if_needed(
+                    event.target,
+                    ClusterMessage::ExecCertified {
+                        event: event.clone(),
+                    },
+                )
+            {
+                return;
+            }
+            let worker = Arc::clone(shared);
+            let key = event.target;
+            shared.offload(key, move || {
+                handle_exec(&worker, event, None, Footprint::Certified)
+            });
         }
         ClusterMessage::Call {
             event,
@@ -592,24 +665,32 @@ fn handle_act(shared: &Arc<NodeShared>, event: EventDescriptor, sequencer: Conte
     }
 }
 
-/// Executes the event at its target context and completes it.
+/// Executes the event at its target context and completes it.  `footprint`
+/// is how the gateway admitted the event: a certified read arrives without
+/// a sequencer and must not leave its target.
 fn handle_exec(
     shared: &Arc<NodeShared>,
     event: EventDescriptor,
     sequencer: Option<(ServerId, ContextId)>,
+    footprint: Footprint,
 ) {
     let started = std::time::Instant::now();
-    let mut exec = RemoteExecution::new(Arc::clone(shared), event.id, event.client, event.mode);
-    let result = exec.run(&event);
-    let RemoteExecution {
-        participants,
-        sub_events,
-        ..
-    } = exec;
+    let meta = EventMeta {
+        id: event.id,
+        client: event.client,
+        mode: event.mode,
+    };
+    let mut host = NodeHost::new(shared);
+    let outcome = EventBody::new(&mut host, meta, footprint).run(
+        None,
+        event.target,
+        &event.method,
+        &event.args,
+    );
 
     // Release locks everywhere the event touched, then locally, then at the
     // sequencer (reverse of acquisition order across the cluster).
-    for server in &participants {
+    for server in &host.participants {
         if *server != shared.id {
             shared.send(*server, ClusterMessage::Release { event: event.id });
         }
@@ -631,8 +712,8 @@ fn handle_exec(
         ClusterMessage::Done {
             corr: event.corr,
             event: event.id,
-            result,
-            sub_events,
+            result: outcome.result,
+            sub_events: outcome.sub_events,
         },
     );
 }
@@ -652,20 +733,25 @@ fn handle_call(
     reply_to: ServerId,
     corr: u64,
 ) {
-    let mut exec = RemoteExecution::new(Arc::clone(shared), event, client, mode);
+    let meta = EventMeta {
+        id: event,
+        client,
+        mode,
+    };
+    let mut host = NodeHost::new(shared);
     // A caller equal to the target marks a top-level invocation that was
     // forwarded after a migration; there is no ownership edge to check.
     let caller = if caller == target { None } else { Some(caller) };
-    let result = exec.invoke_caught(caller, target, &method, &args);
-    let mut participants = exec.participants.clone();
-    participants.insert(shared.id);
+    let outcome =
+        EventBody::new(&mut host, meta, Footprint::Sequenced).run(caller, target, &method, &args);
+    host.participants.insert(shared.id);
     shared.send(
         reply_to,
         ClusterMessage::CallReply {
             corr,
-            result,
-            participants: participants.into_iter().collect(),
-            sub_events: exec.sub_events,
+            result: outcome.result,
+            participants: host.participants.into_iter().collect(),
+            sub_events: outcome.sub_events,
         },
     );
 }
@@ -864,277 +950,102 @@ fn handle_install(
     );
 }
 
-/// The distributed implementation of [`InvocationHost`]: a call to an owned
-/// context either recurses locally or travels to the hosting server as a
-/// [`ClusterMessage::Call`].
-pub(crate) struct RemoteExecution {
-    node: Arc<NodeShared>,
-    event: EventId,
-    client: Option<ClientId>,
-    mode: AccessMode,
-    call_stack: Vec<ContextId>,
-    pending_async: VecDeque<(ContextId, ContextId, String, Args)>,
+/// The cluster node's host of the event interpreter: a context installed
+/// here is entered under its [`ContextLock`]; any other travels to the
+/// hosting server as a [`ClusterMessage::Call`].  Holds are recorded on the
+/// node (released by `Release` fan-out), not here.
+struct NodeHost<'a> {
+    node: &'a NodeShared,
     /// Servers (other than this one) holding locks for the event because of
     /// calls issued here.
     participants: BTreeSet<ServerId>,
-    sub_events: Vec<SubEvent>,
 }
 
-impl RemoteExecution {
-    fn new(
-        node: Arc<NodeShared>,
-        event: EventId,
-        client: Option<ClientId>,
-        mode: AccessMode,
-    ) -> Self {
+impl<'a> NodeHost<'a> {
+    fn new(node: &'a NodeShared) -> Self {
         Self {
             node,
-            event,
-            client,
-            mode,
-            call_stack: Vec::new(),
-            pending_async: VecDeque::new(),
             participants: BTreeSet::new(),
-            sub_events: Vec::new(),
         }
     }
+}
 
-    /// Runs the top-level method of the event, then drains `async` calls.
-    /// A panic anywhere in the application code fails the event instead of
-    /// killing the worker (the caller still releases every lock and sends
-    /// the completion).
-    fn run(&mut self, event: &EventDescriptor) -> Result<Value> {
-        let exec = &mut *self;
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || exec.run_inner(event)))
-            .unwrap_or_else(|payload| Err(AeonError::from_panic(payload)))
+impl ContextHost for NodeHost<'_> {
+    fn may_call(&self, caller: ContextId, target: ContextId) -> bool {
+        self.node.directory.may_call(caller, target)
     }
 
-    fn run_inner(&mut self, event: &EventDescriptor) -> Result<Value> {
-        let mut result = self.invoke(None, event.target, &event.method, &event.args);
-        while let Some((caller, target, method, args)) = self.pending_async.pop_front() {
-            let r = self.invoke(Some(caller), target, &method, &args);
-            if result.is_ok() {
-                if let Err(e) = r {
-                    result = Err(e);
-                }
-            }
-        }
-        result
-    }
-
-    /// Like [`RemoteExecution::invoke`], but converts an application panic
-    /// into a failed call (used for calls served on behalf of a remote
-    /// event, where the unwind would otherwise leak the worker).
-    fn invoke_caught(
-        &mut self,
-        caller: Option<ContextId>,
-        target: ContextId,
-        method: &str,
-        args: &Args,
-    ) -> Result<Value> {
-        let exec = &mut *self;
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            exec.invoke(caller, target, method, args)
-        }))
-        .unwrap_or_else(|payload| Err(AeonError::from_panic(payload)))
-    }
-
-    fn locate(&self, target: ContextId) -> Result<Option<Arc<HostedContext>>> {
-        if let Some(hosted) = self.node.local(target) {
-            return Ok(Some(hosted));
-        }
-        // Not local: where does the mapping say it lives?
-        let deadline = std::time::Instant::now() + INSTALL_GRACE;
-        loop {
-            if let Some(server) = self.node.forwarding.read().get(&target) {
-                if *server != self.node.id {
-                    return Ok(None);
-                }
-            }
-            if !self.node.running.load(Ordering::SeqCst) {
-                return Err(AeonError::RuntimeShutdown);
-            }
-            match self.node.directory.placement_of(target) {
-                Ok(server) if server == self.node.id => {
-                    // Mapped here but not installed yet (migration in
-                    // flight); wait briefly for the Install to land.
-                    if let Some(hosted) = self.node.local(target) {
-                        return Ok(Some(hosted));
-                    }
-                    let now = std::time::Instant::now();
-                    if now >= deadline {
-                        return Err(AeonError::MigrationInProgress(target));
-                    }
-                    // Never sleep past the deadline: a full fixed-interval
-                    // nap could overshoot it and stall the worker longer
-                    // than the configured grace period.
-                    let nap = (deadline - now).min(Duration::from_millis(10));
-                    self.node
-                        .install_wait_retries
-                        .fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(nap);
-                }
-                Ok(_) => return Ok(None),
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Invokes `method` on `target`, locally or remotely.
-    fn invoke(
-        &mut self,
-        caller: Option<ContextId>,
-        target: ContextId,
-        method: &str,
-        args: &Args,
-    ) -> Result<Value> {
-        if let Some(caller) = caller {
-            if !self.node.directory.may_call(caller, target) {
-                return Err(AeonError::ownership(caller, target));
-            }
-        }
-        if self.call_stack.contains(&target) {
-            return Err(AeonError::internal(format!(
-                "re-entrant call into context {target} within event {}",
-                self.event
-            )));
-        }
-        match self.locate(target)? {
+    fn enter(&mut self, event: &EventMeta, target: ContextId) -> Result<Entered> {
+        match self.node.locate(target)? {
             Some(hosted) => {
-                hosted.lock.activate(self.event, self.mode)?;
-                self.node.record_hold(self.event, target);
-                self.call_stack.push(target);
-                let outcome = {
-                    let mut object = hosted.object.lock();
-                    // Recorded under the object lock, so the per-context
-                    // record order equals the observed access order.
-                    self.node.record_access(self.event, target, self.mode);
-                    if self.mode.is_read_only() && !object.is_readonly(method) {
-                        Err(AeonError::ReadOnlyViolation {
-                            context: target,
-                            method: method.to_string(),
-                        })
-                    } else {
-                        let mut invocation = Invocation::new(self, target);
-                        object.handle(method, args, &mut invocation)
-                    }
-                };
-                self.call_stack.pop();
-                outcome
+                hosted.lock.activate(event.id, event.mode)?;
+                self.node.record_hold(event.id, target);
+                Ok(Entered::Local(hosted))
             }
-            None => self.remote_call(caller, target, method, args),
+            None => Ok(Entered::Remote),
         }
     }
 
     fn remote_call(
         &mut self,
+        event: &EventMeta,
         caller: Option<ContextId>,
         target: ContextId,
         method: &str,
         args: &Args,
-    ) -> Result<Value> {
-        let server = self
-            .node
+    ) -> Result<(Value, Vec<SubEvent>)> {
+        let node = self.node;
+        let server = node
             .forwarding
             .read()
             .get(&target)
             .copied()
             .map(Ok)
-            .unwrap_or_else(|| self.node.directory.placement_of(target))?;
-        let corr = self.node.corr.fetch_add(1, Ordering::Relaxed);
+            .unwrap_or_else(|| node.directory.placement_of(target))?;
+        let corr = node.corr.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = bounded(1);
-        self.node.pending_calls.lock().insert(corr, tx);
+        node.pending_calls.lock().insert(corr, tx);
         // Re-check liveness after registering: a crash/shutdown drains
         // `pending_calls` to wake blocked workers, and an insert that
         // races past that drain would otherwise park this worker for the
         // full call timeout (stalling the pool join).
-        if !self.node.running.load(Ordering::SeqCst) {
-            self.node.pending_calls.lock().remove(&corr);
+        if !node.running.load(Ordering::SeqCst) {
+            node.pending_calls.lock().remove(&corr);
             return Err(AeonError::RuntimeShutdown);
         }
-        self.node.send(
+        node.send(
             server,
             ClusterMessage::Call {
-                event: self.event,
-                mode: self.mode,
-                client: self.client,
+                event: event.id,
+                mode: event.mode,
+                client: event.client,
                 caller: caller.unwrap_or(target),
                 target,
                 method: method.to_string(),
                 args: args.clone(),
-                reply_to: self.node.id,
+                reply_to: node.id,
                 corr,
             },
         );
         match rx.recv_timeout(CALL_TIMEOUT) {
             Ok(outcome) => {
+                // Locks taken while serving the call are held whatever it
+                // returned.
                 self.participants.extend(outcome.participants);
-                self.sub_events.extend(outcome.sub_events);
-                outcome.result
+                outcome.result.map(|value| (value, outcome.sub_events))
             }
             Err(_) => {
-                self.node.pending_calls.lock().remove(&corr);
+                node.pending_calls.lock().remove(&corr);
                 Err(AeonError::EventAborted {
-                    event: self.event,
+                    event: event.id,
                     reason: format!("remote call to context {target} on {server} timed out"),
                 })
             }
         }
     }
-}
 
-impl InvocationHost for RemoteExecution {
-    fn event_id(&self) -> EventId {
-        self.event
-    }
-
-    fn client(&self) -> Option<ClientId> {
-        self.client
-    }
-
-    fn mode(&self) -> AccessMode {
-        self.mode
-    }
-
-    fn call(
-        &mut self,
-        caller: ContextId,
-        target: ContextId,
-        method: &str,
-        args: Args,
-    ) -> Result<Value> {
-        self.invoke(Some(caller), target, method, &args)
-    }
-
-    fn call_async(
-        &mut self,
-        caller: ContextId,
-        target: ContextId,
-        method: &str,
-        args: Args,
-    ) -> Result<()> {
-        if !self.node.directory.may_call(caller, target) {
-            return Err(AeonError::ownership(caller, target));
-        }
-        self.pending_async
-            .push_back((caller, target, method.to_string(), args));
-        Ok(())
-    }
-
-    fn dispatch_event(
-        &mut self,
-        target: ContextId,
-        method: &str,
-        args: Args,
-        mode: AccessMode,
-    ) -> Result<()> {
-        self.sub_events.push(SubEvent {
-            target,
-            method: method.to_string(),
-            args,
-            mode,
-        });
-        Ok(())
+    fn record_access(&self, event: &EventMeta, context: ContextId) {
+        self.node.record_access(event.id, context, event.mode);
     }
 
     fn create_child(

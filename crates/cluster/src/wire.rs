@@ -284,6 +284,7 @@ fn to_value(message: &ClusterMessage) -> Value {
                 vopt(sequencer.map(|(s, c)| Value::List(vec![vsrv(s), vctx(c)]))),
             ],
         ),
+        ClusterMessage::ExecCertified { event } => tagged("ExecCertified", vec![vdesc(event)]),
         ClusterMessage::Call {
             event,
             mode,
@@ -819,6 +820,9 @@ fn from_value(value: Value) -> Result<ClusterMessage> {
                 }
             },
         },
+        "ExecCertified" => ClusterMessage::ExecCertified {
+            event: ddesc(f.next()?)?,
+        },
         "Call" => ClusterMessage::Call {
             event: f.evt()?,
             mode: f.mode()?,
@@ -1043,6 +1047,7 @@ mod tests {
                 event: desc(),
                 sequencer: None,
             },
+            ClusterMessage::ExecCertified { event: desc() },
             ClusterMessage::Call {
                 event: evt(9),
                 mode: AccessMode::ReadOnly,
@@ -1300,11 +1305,25 @@ mod tests {
                 caller: cx(1),
                 target: ContextId::new(ctx_raw),
                 method: "m".into(),
-                args: Args::new(args),
+                args: Args::new(args.clone()),
                 reply_to: gateway_id(),
                 corr,
             };
             roundtrip(&call);
+            // The certified admission is its own tag, which `roundtrip`
+            // compares: it must never decay into a plain `Exec`.
+            let certified = ClusterMessage::ExecCertified {
+                event: EventDescriptor {
+                    id: evt(corr),
+                    client: Some(ClientId::new(corr)),
+                    corr,
+                    target: ContextId::new(ctx_raw),
+                    method: "m".into(),
+                    args: Args::new(args),
+                    mode: AccessMode::ReadOnly,
+                },
+            };
+            roundtrip(&certified);
         }
     }
 }

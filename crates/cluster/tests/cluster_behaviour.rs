@@ -51,6 +51,8 @@ impl ContextObject for Aggregator {
                 inv.dispatch_event(second, "incr", args!["count", 10i64])?;
                 Ok(Value::Null)
             }
+            // Calls `bump_all` on the aggregator given as argument.
+            "relay_bump_all" => inv.call(args.get_context(0)?, "bump_all", args![]),
             _ => Err(AeonError::UnknownMethod {
                 class: "Aggregator".into(),
                 method: method.into(),
@@ -188,6 +190,36 @@ fn async_calls_and_sub_events_work_across_servers() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
+    cluster.shutdown();
+}
+
+#[test]
+fn async_calls_scheduled_while_serving_a_remote_call_run() {
+    // The inner aggregator lives on another server than the event's target,
+    // so its `bump_all` is served as a remote call; the async calls it
+    // schedules must still complete within the event.
+    let cluster = Cluster::builder().servers(2).build().unwrap();
+    let servers = cluster.servers();
+    let outer = cluster
+        .create_context(Box::new(Aggregator), Placement::Server(servers[0]))
+        .unwrap();
+    let inner = cluster
+        .create_context(Box::new(Aggregator), Placement::Server(servers[1]))
+        .unwrap();
+    let item = cluster
+        .create_context(
+            Box::new(KvContext::new("Item")),
+            Placement::Server(servers[1]),
+        )
+        .unwrap();
+    cluster.add_ownership(outer, inner).unwrap();
+    cluster.add_ownership(inner, item).unwrap();
+    let client = cluster.client();
+    client.call(outer, "relay_bump_all", args![inner]).unwrap();
+    assert_eq!(
+        client.call_readonly(item, "get", args!["count"]).unwrap(),
+        Value::from(1i64)
+    );
     cluster.shutdown();
 }
 

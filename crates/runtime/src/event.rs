@@ -22,6 +22,17 @@ pub struct EventRequest {
     pub mode: AccessMode,
 }
 
+impl EventRequest {
+    /// The identity the event interpreter runs this request under.
+    pub(crate) fn meta(&self) -> crate::invocation::EventMeta {
+        crate::invocation::EventMeta {
+            id: self.id,
+            client: self.client,
+            mode: self.mode,
+        }
+    }
+}
+
 /// The result of an event's execution, delivered to the [`EventHandle`].
 #[derive(Debug, Clone)]
 pub struct EventOutcome {

@@ -64,7 +64,10 @@ pub use aeon_analyzer::AnalysisMode;
 pub use context::{ContextFactory, ContextObject, KvContext};
 pub use event::{EventHandle, EventOutcome, EventRequest};
 pub use executor::{ExecutorConfig, ExecutorStats, ShardedExecutor};
-pub use invocation::{Invocation, InvocationHost, SubEvent};
+pub use invocation::{
+    BodyOutcome, CertifiedReads, ContextHost, Entered, EventBody, EventMeta, Footprint,
+    HostedObject, Invocation, InvocationHost, SubEvent,
+};
 pub use locks::ContextLock;
 pub use method_table::{
     macro_support, ContextClass, Handler, MethodEntry, MethodTable, MethodTableBuilder,

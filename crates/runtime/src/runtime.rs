@@ -4,7 +4,10 @@
 use crate::context::{ContextFactory, ContextObject, ContextSlot};
 use crate::event::{EventHandle, EventOutcome, EventRequest};
 use crate::executor::{ExecutorConfig, ExecutorStats, ShardedExecutor};
-use crate::invocation::{EventExecution, FastPathExecution, Invocation};
+use crate::invocation::{
+    BodyOutcome, CertifiedReads, ContextHost, Entered, EventBody, EventMeta, Footprint,
+    HostedObject, SubEvent,
+};
 use crate::locks::ContextLock;
 use crate::snapshot::Snapshot;
 use crate::stats::RuntimeStats;
@@ -16,7 +19,7 @@ use aeon_types::{
 };
 use crossbeam::channel::Sender;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -172,16 +175,10 @@ impl RuntimeBuilder {
             classes.check()?;
             aeon_analyzer::enforce(classes, self.config.analysis)?;
         }
-        // The fast-path admission set is fixed at build time: `ro` methods
-        // whose declared call summary the analyzer certifies as empty.
-        let mut certified: HashMap<String, HashSet<String>> = HashMap::new();
-        if self.config.readonly_fast_path {
-            if let Some(classes) = &self.config.class_graph {
-                for m in aeon_analyzer::certified_readonly(classes) {
-                    certified.entry(m.class).or_default().insert(m.method);
-                }
-            }
-        }
+        let certified = CertifiedReads::new(
+            self.config.class_graph.as_ref(),
+            self.config.readonly_fast_path,
+        );
         let executor = ShardedExecutor::new("aeon-runtime", self.config.executor.clone());
         let inner = Arc::new(RuntimeInner {
             executor,
@@ -224,11 +221,8 @@ pub(crate) struct RuntimeInner {
     /// The sharded worker pool that executes events (no thread is spawned
     /// per event; see `crate::executor`).
     executor: ShardedExecutor,
-    /// Methods admitted to the read-only fast path, keyed by class name:
-    /// `ro` methods whose declared call summary the analyzer certified as
-    /// empty (see [`aeon_analyzer::certified_readonly`]).  Empty when no
-    /// class graph is installed or the fast path is disabled.
-    certified: HashMap<String, HashSet<String>>,
+    /// Methods admitted to the read-only fast path.
+    certified: CertifiedReads,
     pub(crate) config: RuntimeConfig,
     pub(crate) graph: RwLock<OwnershipGraph>,
     pub(crate) resolver: DominatorResolver,
@@ -467,22 +461,61 @@ impl RuntimeInner {
         // decisions reading the gauge must not see a transient zero while
         // the chain is still executing.  The guard is also panic-safe.
         let _in_flight = InFlightGuard::enter(&self.events_in_flight);
-        let (result, sub_events) = EventExecution::run(Arc::clone(self), &request);
+        let event = request.meta();
+        let mut host = RuntimeHost::new(self);
+        // Sequence the event at the dominator of its target (Algorithm 2,
+        // `to execute` + `dispatchEvent`), then execute at the target
+        // (`scheduleNext` / `execute`).
+        let outcome = match host.sequence(&event, request.target) {
+            Ok(()) => EventBody::new(&mut host, event, Footprint::Sequenced).run(
+                None,
+                request.target,
+                &request.method,
+                &request.args,
+            ),
+            Err(e) => BodyOutcome::failed(e),
+        };
+        host.release_all(event.id);
+        for _ in 0..outcome.async_calls {
+            self.stats.record_method_call(true);
+        }
         let latency = started.elapsed();
+        self.complete_event(
+            &request,
+            outcome.result.is_ok(),
+            latency,
+            outcome.sub_events,
+        );
+        EventOutcome {
+            event: request.id,
+            result: outcome.result,
+            latency,
+        }
+    }
+
+    /// The completion tail of every executed event, after its locks are
+    /// released: statistics, the response point (the completion becomes
+    /// observable no earlier than this), then the sub-events it dispatched,
+    /// which run after their creator terminates.
+    fn complete_event(
+        self: &Arc<Self>,
+        request: &EventRequest,
+        ok: bool,
+        latency: Duration,
+        sub_events: Vec<SubEvent>,
+    ) {
         self.stats
-            .record_event(result.is_ok(), request.mode.is_read_only(), latency);
+            .record_event(ok, request.mode.is_read_only(), latency);
         if let Some(server) = self.placement.read().get(&request.target) {
             if let Some(info) = self.servers.write().get_mut(server) {
                 info.events_executed += 1;
             }
         }
-        // The event terminated (locks released); its completion becomes
-        // observable no earlier than this point.
         if let Some(sink) = self.sink() {
             sink.responded(request.id);
         }
-        // Sub-events run after their creator terminates.
         for sub in sub_events {
+            self.stats.record_sub_event();
             let sub_request = EventRequest {
                 id: EventId::new(self.ids.next_raw()),
                 client: request.client,
@@ -495,11 +528,6 @@ impl RuntimeInner {
                 sink.invoked(sub_request.id);
             }
             let _ = self.run_event(sub_request);
-        }
-        EventOutcome {
-            event: request.id,
-            result,
-            latency,
         }
     }
 
@@ -514,13 +542,6 @@ impl RuntimeInner {
             let _ = tx.send(outcome);
         });
         handle
-    }
-
-    /// Whether `method` of `class` is admitted to the read-only fast path.
-    pub(crate) fn is_certified_readonly(&self, class: &str, method: &str) -> bool {
-        self.certified
-            .get(class)
-            .is_some_and(|methods| methods.contains(method))
     }
 
     /// Enqueues a certified read-only event on its target's fast queue and
@@ -587,10 +608,11 @@ impl RuntimeInner {
     ///
     /// Skipping dominator sequencing is sound because every event in the
     /// batch was certified to touch only this context (empty `calls []`
-    /// summary): a single-lock footprint cannot participate in a
-    /// hold-and-wait cycle.  Sharing the lead event's activation across the
-    /// batch is indistinguishable from activating each event separately —
-    /// read-only events never conflict with one another.
+    /// summary, enforced by [`Footprint::Certified`]): a single-lock
+    /// footprint cannot participate in a hold-and-wait cycle.  Sharing the
+    /// lead event's activation across the batch is indistinguishable from
+    /// activating each event separately — read-only events never conflict
+    /// with one another.
     fn run_fast_batch(
         self: &Arc<Self>,
         slot: &Arc<ContextSlot>,
@@ -600,10 +622,7 @@ impl RuntimeInner {
         let lead = batch[0].0.id;
         if let Err(e) = slot.lock.activate(lead, AccessMode::ReadOnly) {
             for (request, tx) in batch {
-                self.stats.record_event(false, true, Duration::ZERO);
-                if let Some(sink) = self.sink() {
-                    sink.responded(request.id);
-                }
+                self.complete_event(&request, false, Duration::ZERO, Vec::new());
                 let _ = tx.send(EventOutcome {
                     event: request.id,
                     result: Err(e.clone()),
@@ -614,79 +633,157 @@ impl RuntimeInner {
         }
         let mut done = Vec::with_capacity(batch.len());
         {
+            // A certified body never enters a second context, so the host
+            // acquires nothing that would need releasing.
+            let mut host = RuntimeHost::new(self);
             let mut object = slot.object.lock();
             for (request, tx) in batch {
                 let started = Instant::now();
-                // Recorded under the object lock, matching the slow path's
-                // per-context access-ordering contract.
-                if let Some(sink) = self.sink() {
-                    sink.accessed(request.id, request.target, AccessMode::ReadOnly);
-                }
-                let mut host = FastPathExecution {
-                    inner: self.as_ref(),
-                    event: request.id,
-                    client: request.client,
-                    sub_events: Vec::new(),
-                };
-                let result = if !object.is_readonly(&request.method) {
-                    Err(AeonError::ReadOnlyViolation {
-                        context: request.target,
-                        method: request.method.clone(),
-                    })
-                } else {
-                    let object = &mut *object;
-                    let host_ref = &mut host;
-                    let req = &request;
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                        let mut invocation = Invocation::new(host_ref, req.target);
-                        object.handle(&req.method, &req.args, &mut invocation)
-                    }))
-                    .unwrap_or_else(|payload| Err(AeonError::from_panic(payload)))
-                };
+                let outcome = EventBody::new(&mut host, request.meta(), Footprint::Certified)
+                    .run_entered(
+                        &mut **object,
+                        request.target,
+                        &request.method,
+                        &request.args,
+                    );
                 self.stats.record_method_call(false);
-                let subs = if result.is_ok() {
-                    host.sub_events
-                } else {
-                    Vec::new()
-                };
-                done.push((request, tx, result, started.elapsed(), subs));
+                done.push((request, tx, outcome, started.elapsed()));
             }
         }
         slot.lock.release(lead);
-        // Per-event completion bookkeeping mirrors `run_event`: stats and
-        // the response point after release, then the sub-events, then the
-        // handle resolution.
-        for (request, tx, result, latency, subs) in done {
-            self.stats.record_event(result.is_ok(), true, latency);
+        for (request, tx, outcome, latency) in done {
             self.executor.note_fast_path();
-            if let Some(server) = self.placement.read().get(&request.target) {
-                if let Some(info) = self.servers.write().get_mut(server) {
-                    info.events_executed += 1;
-                }
-            }
-            if let Some(sink) = self.sink() {
-                sink.responded(request.id);
-            }
-            for sub in subs {
-                let sub_request = EventRequest {
-                    id: EventId::new(self.ids.next_raw()),
-                    client: request.client,
-                    target: sub.target,
-                    method: sub.method,
-                    args: sub.args,
-                    mode: sub.mode,
-                };
-                if let Some(sink) = self.sink() {
-                    sink.invoked(sub_request.id);
-                }
-                let _ = self.run_event(sub_request);
-            }
+            self.complete_event(
+                &request,
+                outcome.result.is_ok(),
+                latency,
+                outcome.sub_events,
+            );
             let _ = tx.send(EventOutcome {
                 event: request.id,
-                result,
+                result: outcome.result,
                 latency,
             });
         }
+    }
+}
+
+/// The in-process host of the event interpreter: every context is a local
+/// slot behind a [`ContextLock`], and an event with no concrete dominator is
+/// sequenced at the global root.
+struct RuntimeHost<'a> {
+    inner: &'a RuntimeInner,
+    /// Context locks held, in acquisition order (released in reverse).
+    held: Vec<Arc<ContextSlot>>,
+    /// Whether the event holds the global-root sequencer.
+    holds_global_root: bool,
+}
+
+impl<'a> RuntimeHost<'a> {
+    fn new(inner: &'a RuntimeInner) -> Self {
+        Self {
+            inner,
+            held: Vec::new(),
+            holds_global_root: false,
+        }
+    }
+
+    /// Takes the sequencer of an event targeting `target`: the lock of its
+    /// dominator, or the global root when it has none.
+    fn sequence(&mut self, event: &EventMeta, target: ContextId) -> Result<()> {
+        match self.inner.dominator_of(target)? {
+            Dominator::Context(dom) => {
+                if dom != target {
+                    let slot = self.inner.context_slot(dom)?;
+                    self.activate(event, slot)?;
+                }
+            }
+            Dominator::GlobalRoot => {
+                self.inner.global_root.activate(event.id, event.mode)?;
+                self.holds_global_root = true;
+            }
+        }
+        Ok(())
+    }
+
+    /// Activates (locks) the slot for `event` unless already held.
+    fn activate(&mut self, event: &EventMeta, slot: Arc<ContextSlot>) -> Result<()> {
+        if self.held.iter().any(|s| s.id == slot.id) {
+            return Ok(());
+        }
+        slot.lock.activate(event.id, event.mode)?;
+        self.held.push(slot);
+        Ok(())
+    }
+
+    /// Releases every held lock in reverse acquisition order ("locks on the
+    /// contexts accessed during an event are released in the reverse order
+    /// on which they are locked", §4).
+    fn release_all(&mut self, event: EventId) {
+        while let Some(slot) = self.held.pop() {
+            slot.lock.release(event);
+        }
+        if self.holds_global_root {
+            self.inner.global_root.release(event);
+            self.holds_global_root = false;
+        }
+    }
+}
+
+impl HostedObject for ContextSlot {
+    fn object(&self) -> &Mutex<Box<dyn ContextObject>> {
+        &self.object
+    }
+}
+
+impl ContextHost for RuntimeHost<'_> {
+    fn may_call(&self, caller: ContextId, target: ContextId) -> bool {
+        self.inner.may_call(caller, target)
+    }
+
+    fn enter(&mut self, event: &EventMeta, target: ContextId) -> Result<Entered> {
+        let slot = self.inner.context_slot(target)?;
+        self.activate(event, Arc::clone(&slot))?;
+        self.inner.stats.record_method_call(false);
+        Ok(Entered::Local(slot))
+    }
+
+    fn record_access(&self, event: &EventMeta, context: ContextId) {
+        if let Some(sink) = self.inner.sink() {
+            sink.accessed(event.id, context, event.mode);
+        }
+    }
+
+    fn create_child(
+        &mut self,
+        owner: ContextId,
+        object: Box<dyn ContextObject>,
+    ) -> Result<ContextId> {
+        self.inner
+            .create_context_owned_by(object, &[owner], Some(owner))
+    }
+
+    fn add_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()> {
+        self.inner.add_ownership(owner, owned)
+    }
+
+    fn remove_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()> {
+        self.inner.remove_ownership(owner, owned)
+    }
+
+    fn children(&self, parent: ContextId, class: Option<&str>) -> Result<Vec<ContextId>> {
+        self.inner.children_of(parent, class)
+    }
+
+    fn record_call_edge(
+        &self,
+        caller: ContextId,
+        caller_method: &str,
+        target: ContextId,
+        target_method: &str,
+    ) {
+        self.inner
+            .record_call_edge(caller, caller_method, target, target_method);
     }
 }
 
@@ -1371,7 +1468,7 @@ impl AeonClient {
         if let Some(sink) = self.inner.sink() {
             sink.invoked(request.id);
         }
-        if mode.is_read_only() && self.inner.is_certified_readonly(&slot.class, method) {
+        if self.inner.certified.admit(&slot.class, method, mode) == Footprint::Certified {
             return Ok(self.inner.spawn_fast_event(slot, request));
         }
         Ok(self.inner.spawn_event(request))

@@ -9,7 +9,11 @@
 //! a per-method service time), so workload drivers written against the
 //! unified API can read the same kind of latency/throughput signals the
 //! timeline simulator ([`crate::Simulator`]) produces, while executing the
-//! *real* contextclass code.
+//! *real* contextclass code under the *real* event rules: events run
+//! through the shared interpreter (`aeon_runtime::EventBody`), and the
+//! engine's [`SimHost`] only charges the hop/service cost of each context
+//! entered and keeps the `(context, server)` trace the contention timeline
+//! replays.
 //!
 //! The deterministic engine and the distributed cluster thereby bracket the
 //! in-process runtime: same applications, same API, three execution
@@ -19,15 +23,15 @@ use crate::resources::{CpuTimeline, LockTimeline};
 use aeon_api::{Deployment, EventHandle, Session};
 use aeon_ownership::{ClassGraph, Dominator, DominatorMode, DominatorResolver, OwnershipGraph};
 use aeon_runtime::{
-    AnalysisMode, ContextFactory, ContextObject, Invocation, InvocationHost, Placement, Snapshot,
-    SubEvent,
+    AnalysisMode, ContextFactory, ContextHost, ContextObject, Entered, EventBody, EventMeta,
+    Footprint, Placement, Snapshot,
 };
 use aeon_types::{
     codec, AccessMode, AeonError, Args, ClientId, ContextId, EventId, IdGenerator, Result,
     ServerId, ServerMetrics, SharedHistorySink, SimDuration, SimTime, Value,
 };
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Builder for [`SimDeployment`].
@@ -302,6 +306,56 @@ impl SimState {
         }
     }
 
+    /// Creates a context owned by `owners`, placed next to the first.
+    fn create_owned(
+        &mut self,
+        object: Box<dyn ContextObject>,
+        owners: &[ContextId],
+    ) -> Result<ContextId> {
+        let class = object.class_name().to_string();
+        for owner in owners {
+            self.check_constraint(*owner, &class)?;
+        }
+        let server = self.pick_server(Placement::WithContext(owners[0]))?;
+        let id = ContextId::new(self.ids.next_raw());
+        self.graph.add_context(id, &class)?;
+        for owner in owners {
+            if let Err(e) = self.graph.add_edge(*owner, id) {
+                let _ = self.graph.remove_context(id);
+                return Err(e);
+            }
+        }
+        self.contexts.insert(
+            id,
+            SimSlot {
+                class,
+                object: Arc::new(Mutex::new(object)),
+            },
+        );
+        self.placement.insert(id, server);
+        self.invalidate_dominators();
+        Ok(id)
+    }
+
+    fn add_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()> {
+        if let Some(classes) = &self.class_graph {
+            let owner_class = self.graph.class_of(owner)?;
+            let owned_class = self.graph.class_of(owned)?;
+            if !classes.allows(owner_class, owned_class) {
+                return Err(AeonError::ownership(owner, owned));
+            }
+        }
+        self.graph.add_edge(owner, owned)?;
+        self.invalidate_dominators();
+        Ok(())
+    }
+
+    fn remove_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()> {
+        self.graph.remove_edge(owner, owned)?;
+        self.invalidate_dominators();
+        Ok(())
+    }
+
     /// Charges one event's virtual time through the contended resources:
     /// client hop, sequencer acquisition at the target's dominator
     /// (shared for read-only events), then per touched context a server
@@ -410,32 +464,21 @@ impl SimState {
             .get(&target)
             .copied()
             .unwrap_or(ServerId::new(0));
-        let mut execution = SimExecution {
+        let mut host = SimHost {
             state: self,
-            event,
-            client,
-            mode,
-            call_stack: Vec::new(),
-            pending_async: VecDeque::new(),
-            sub_events: Vec::new(),
             current_server: entry_server,
             cost: SimDuration::ZERO,
             trace: Vec::new(),
         };
-        let mut result = execution.invoke(None, target, method, args);
-        while let Some((caller, async_target, async_method, async_args)) =
-            execution.pending_async.pop_front()
-        {
-            let r = execution.invoke(Some(caller), async_target, &async_method, &async_args);
-            if result.is_ok() {
-                if let Err(e) = r {
-                    result = Err(e);
-                }
-            }
-        }
-        let sub_events = std::mem::take(&mut execution.sub_events);
-        let cost = execution.cost;
-        let trace = std::mem::take(&mut execution.trace);
+        let meta = EventMeta {
+            id: event,
+            client,
+            mode,
+        };
+        let outcome =
+            EventBody::new(&mut host, meta, Footprint::Sequenced).run(None, target, method, args);
+        let SimHost { cost, trace, .. } = host;
+        let result = outcome.result;
         let latency = if self.timeline.is_some() {
             self.charge_timeline(target, mode, entry_server, &trace)
         } else {
@@ -455,52 +498,32 @@ impl SimState {
         if let Some(sink) = &self.history {
             sink.responded(event);
         }
-        if result.is_ok() {
-            for sub in sub_events {
-                let _ = self.run_event(client, sub.target, &sub.method, &sub.args, sub.mode);
-            }
+        for sub in outcome.sub_events {
+            let _ = self.run_event(client, sub.target, &sub.method, &sub.args, sub.mode);
         }
         (event, result)
     }
 }
 
-/// The in-flight state of one simulated event; implements the same
-/// [`InvocationHost`] contract as the concurrent and distributed engines,
-/// so contextclass code cannot tell the backends apart.
-struct SimExecution<'a> {
+/// The simulator's host of the event interpreter: every context is local
+/// and nothing blocks, so entering one only charges virtual time.
+struct SimHost<'a> {
     state: &'a mut SimState,
-    event: EventId,
-    client: Option<ClientId>,
-    mode: AccessMode,
-    call_stack: Vec<ContextId>,
-    pending_async: VecDeque<(ContextId, ContextId, String, Args)>,
-    sub_events: Vec<SubEvent>,
     current_server: ServerId,
+    /// Serial-mode cost so far: a hop per server crossing plus a service
+    /// time per context entered.
     cost: SimDuration,
     /// Contexts entered, in order, with their hosting servers — the step
     /// list the contention timeline replays.
     trace: Vec<(ContextId, ServerId)>,
 }
 
-impl SimExecution<'_> {
-    fn invoke(
-        &mut self,
-        caller: Option<ContextId>,
-        target: ContextId,
-        method: &str,
-        args: &Args,
-    ) -> Result<Value> {
-        if let Some(caller) = caller {
-            if !self.state.graph.may_call(caller, target) {
-                return Err(AeonError::ownership(caller, target));
-            }
-        }
-        if self.call_stack.contains(&target) {
-            return Err(AeonError::internal(format!(
-                "re-entrant call into context {target} within event {}",
-                self.event
-            )));
-        }
+impl ContextHost for SimHost<'_> {
+    fn may_call(&self, caller: ContextId, target: ContextId) -> bool {
+        self.state.graph.may_call(caller, target)
+    }
+
+    fn enter(&mut self, _event: &EventMeta, target: ContextId) -> Result<Entered> {
         let (object, server) = self.state.slot(target)?;
         if server != self.current_server {
             self.cost += self.state.hop;
@@ -508,79 +531,13 @@ impl SimExecution<'_> {
         }
         self.cost += self.state.service;
         self.trace.push((target, server));
-        self.call_stack.push(target);
-        let outcome = {
-            let mut object = object.lock();
-            if let Some(sink) = &self.state.history {
-                sink.accessed(self.event, target, self.mode);
-            }
-            if self.mode.is_read_only() && !object.is_readonly(method) {
-                Err(AeonError::ReadOnlyViolation {
-                    context: target,
-                    method: method.to_string(),
-                })
-            } else {
-                let mut invocation = Invocation::new(self, target);
-                object.handle(method, args, &mut invocation)
-            }
-        };
-        self.call_stack.pop();
-        outcome
-    }
-}
-
-impl InvocationHost for SimExecution<'_> {
-    fn event_id(&self) -> EventId {
-        self.event
+        Ok(Entered::Local(object))
     }
 
-    fn client(&self) -> Option<ClientId> {
-        self.client
-    }
-
-    fn mode(&self) -> AccessMode {
-        self.mode
-    }
-
-    fn call(
-        &mut self,
-        caller: ContextId,
-        target: ContextId,
-        method: &str,
-        args: Args,
-    ) -> Result<Value> {
-        self.invoke(Some(caller), target, method, &args)
-    }
-
-    fn call_async(
-        &mut self,
-        caller: ContextId,
-        target: ContextId,
-        method: &str,
-        args: Args,
-    ) -> Result<()> {
-        if !self.state.graph.may_call(caller, target) {
-            return Err(AeonError::ownership(caller, target));
+    fn record_access(&self, event: &EventMeta, context: ContextId) {
+        if let Some(sink) = &self.state.history {
+            sink.accessed(event.id, context, event.mode);
         }
-        self.pending_async
-            .push_back((caller, target, method.to_string(), args));
-        Ok(())
-    }
-
-    fn dispatch_event(
-        &mut self,
-        target: ContextId,
-        method: &str,
-        args: Args,
-        mode: AccessMode,
-    ) -> Result<()> {
-        self.sub_events.push(SubEvent {
-            target,
-            method: method.to_string(),
-            args,
-            mode,
-        });
-        Ok(())
     }
 
     fn create_child(
@@ -588,59 +545,23 @@ impl InvocationHost for SimExecution<'_> {
         owner: ContextId,
         object: Box<dyn ContextObject>,
     ) -> Result<ContextId> {
-        let class = object.class_name().to_string();
-        self.state.check_constraint(owner, &class)?;
-        let id = ContextId::new(self.state.ids.next_raw());
-        self.state.graph.add_context(id, &class)?;
-        self.state.graph.add_edge(owner, id)?;
-        let server = self
-            .state
-            .placement
-            .get(&owner)
-            .copied()
-            .unwrap_or(ServerId::new(0));
-        self.state.contexts.insert(
-            id,
-            SimSlot {
-                class,
-                object: Arc::new(Mutex::new(object)),
-            },
-        );
-        self.state.placement.insert(id, server);
-        self.state.invalidate_dominators();
-        Ok(id)
+        self.state.create_owned(object, &[owner])
     }
 
     fn add_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()> {
-        if let Some(classes) = &self.state.class_graph {
-            let owner_class = self.state.graph.class_of(owner)?;
-            let owned_class = self.state.graph.class_of(owned)?;
-            if !classes.allows(owner_class, owned_class) {
-                return Err(AeonError::ownership(owner, owned));
-            }
-        }
-        self.state.graph.add_edge(owner, owned)?;
-        self.state.invalidate_dominators();
-        Ok(())
+        self.state.add_ownership(owner, owned)
     }
 
     fn remove_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.state.graph.remove_edge(owner, owned)?;
-        self.state.invalidate_dominators();
-        Ok(())
+        self.state.remove_ownership(owner, owned)
     }
 
     fn children(&self, parent: ContextId, class: Option<&str>) -> Result<Vec<ContextId>> {
-        let children = self.state.graph.children(parent)?;
+        let graph = &self.state.graph;
+        let children = graph.children(parent)?;
         let mut out = Vec::with_capacity(children.len());
         for &child in children {
-            if class.is_none_or(|cls| {
-                self.state
-                    .graph
-                    .class_of(child)
-                    .map(|k| k == cls)
-                    .unwrap_or(false)
-            }) {
+            if class.is_none_or(|cls| graph.class_of(child).map(|k| k == cls).unwrap_or(false)) {
                 out.push(child);
             }
         }
@@ -850,30 +771,7 @@ impl Deployment for SimDeployment {
                 "create_owned_context requires at least one owner".into(),
             ));
         }
-        let mut state = self.inner.lock();
-        let class = object.class_name().to_string();
-        for owner in owners {
-            state.check_constraint(*owner, &class)?;
-        }
-        let server = state.pick_server(Placement::WithContext(owners[0]))?;
-        let id = ContextId::new(state.ids.next_raw());
-        state.graph.add_context(id, &class)?;
-        for owner in owners {
-            if let Err(e) = state.graph.add_edge(*owner, id) {
-                let _ = state.graph.remove_context(id);
-                return Err(e);
-            }
-        }
-        state.contexts.insert(
-            id,
-            SimSlot {
-                class,
-                object: Arc::new(Mutex::new(object)),
-            },
-        );
-        state.placement.insert(id, server);
-        state.invalidate_dominators();
-        Ok(id)
+        self.inner.lock().create_owned(object, owners)
     }
 
     fn register_class_factory(&self, class: &str, factory: ContextFactory) {
@@ -888,24 +786,11 @@ impl Deployment for SimDeployment {
     }
 
     fn add_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        let mut state = self.inner.lock();
-        if let Some(classes) = &state.class_graph {
-            let owner_class = state.graph.class_of(owner)?;
-            let owned_class = state.graph.class_of(owned)?;
-            if !classes.allows(owner_class, owned_class) {
-                return Err(AeonError::ownership(owner, owned));
-            }
-        }
-        state.graph.add_edge(owner, owned)?;
-        state.invalidate_dominators();
-        Ok(())
+        self.inner.lock().add_ownership(owner, owned)
     }
 
     fn remove_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        let mut state = self.inner.lock();
-        state.graph.remove_edge(owner, owned)?;
-        state.invalidate_dominators();
-        Ok(())
+        self.inner.lock().remove_ownership(owner, owned)
     }
 
     fn ownership_graph(&self) -> OwnershipGraph {

@@ -464,6 +464,165 @@ fn elasticity_scale_out_works_on_every_backend() {
 }
 
 // ---------------------------------------------------------------------------
+// Event-interpreter rules: one `EventBody` runs every backend's events, so
+// what an event may do cannot depend on where it runs.
+// ---------------------------------------------------------------------------
+
+/// A scripted contextclass for the interpreter-rule scenarios; `peer` is the
+/// context its sub-events target.
+#[derive(Default)]
+struct Probe {
+    peer: Option<ContextId>,
+    /// Raw id of the client the last `whoami` event ran on behalf of
+    /// (`-1`: none).
+    seen_client: Option<i64>,
+}
+
+impl ContextObject for Probe {
+    fn class_name(&self) -> &str {
+        "Probe"
+    }
+
+    fn is_readonly(&self, method: &str) -> bool {
+        method == "seen_client"
+    }
+
+    fn handle(&mut self, method: &str, args: &Args, inv: &mut Invocation<'_>) -> Result<Value> {
+        let peer = || self.peer.ok_or_else(|| AeonError::app("no peer adopted"));
+        match method {
+            "adopt" => {
+                self.peer = Some(args.get_context(0)?);
+                Ok(Value::Null)
+            }
+            "dispatch" => {
+                inv.dispatch_event(peer()?, "incr", args![args.get_str(0)?, 1])?;
+                Ok(Value::Null)
+            }
+            "dispatch_then_fail" => {
+                inv.dispatch_event(peer()?, "incr", args![args.get_str(0)?, 1])?;
+                Err(AeonError::app("failed after dispatching"))
+            }
+            "panic" => panic!("probe panicked on purpose"),
+            "dispatch_whoami" => {
+                inv.dispatch_event(peer()?, "whoami", args![])?;
+                Ok(Value::Null)
+            }
+            "whoami" => {
+                self.seen_client = Some(inv.client().map_or(-1, |c| c.raw() as i64));
+                Ok(Value::Null)
+            }
+            "seen_client" => Ok(self.seen_client.map_or(Value::Null, Value::from)),
+            other => Err(AeonError::UnknownMethod {
+                class: "Probe".into(),
+                method: other.into(),
+            }),
+        }
+    }
+}
+
+/// Polls `read` until it returns a non-null value (sub-events complete
+/// asynchronously on the live backends).
+fn eventually(read: impl Fn() -> Value, what: &str) -> Value {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        let value = read();
+        if !value.is_null() {
+            return value;
+        }
+        assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn a_failed_event_dispatches_nothing_on_every_backend() {
+    on_every_backend_shared(|deployment| {
+        let backend = deployment.backend_name();
+        let probe = deployment
+            .create_context(Box::new(Probe::default()), Placement::Auto)
+            .unwrap();
+        let item = deployment
+            .create_owned_context(Box::new(KvContext::new("Item")), &[probe])
+            .unwrap();
+        let session = deployment.session();
+        session.call(probe, "adopt", args![item]).unwrap();
+        let err = session
+            .call(probe, "dispatch_then_fail", args!["from_failed"])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            AeonError::app("failed after dispatching"),
+            "backend {backend}"
+        );
+        // A later, successful event's sub-event is submitted after anything
+        // the failed one could have dispatched; once it has run, the failed
+        // event's sub-event would have run too.
+        session.call(probe, "dispatch", args!["from_ok"]).unwrap();
+        let read = |key: &str| session.call_readonly(item, "get", args![key]).unwrap();
+        assert_eq!(
+            eventually(|| read("from_ok"), "the successful event's sub-event"),
+            Value::from(1i64),
+            "backend {backend}"
+        );
+        assert_eq!(read("from_failed"), Value::Null, "backend {backend}");
+    });
+}
+
+#[test]
+fn a_panicking_method_fails_its_event_and_nothing_else_on_every_backend() {
+    on_every_backend_shared(|deployment| {
+        let backend = deployment.backend_name();
+        let probe = deployment
+            .create_context(Box::new(Probe::default()), Placement::Auto)
+            .unwrap();
+        let session = deployment.session();
+        let err = session.call(probe, "panic", args![]).unwrap_err();
+        assert!(
+            matches!(&err, AeonError::Panicked { reason } if reason.contains("on purpose")),
+            "backend {backend}: {err}"
+        );
+        // The deployment, and the very context that panicked, stay usable.
+        session.call(probe, "adopt", args![probe]).unwrap();
+        assert_eq!(
+            session
+                .call_readonly(probe, "seen_client", args![])
+                .unwrap(),
+            Value::Null,
+            "backend {backend}"
+        );
+    });
+}
+
+#[test]
+fn sub_events_inherit_their_creators_client_on_every_backend() {
+    on_every_backend_shared(|deployment| {
+        let backend = deployment.backend_name();
+        let probe = deployment
+            .create_context(Box::new(Probe::default()), Placement::Auto)
+            .unwrap();
+        let witness = deployment
+            .create_owned_context(Box::new(Probe::default()), &[probe])
+            .unwrap();
+        let session = deployment.session();
+        session.call(probe, "adopt", args![witness]).unwrap();
+        session.call(probe, "dispatch_whoami", args![]).unwrap();
+        let seen = eventually(
+            || {
+                session
+                    .call_readonly(witness, "seen_client", args![])
+                    .unwrap()
+            },
+            "the whoami sub-event",
+        );
+        assert_eq!(
+            seen,
+            Value::from(session.client_id().raw() as i64),
+            "backend {backend}"
+        );
+    });
+}
+
+// ---------------------------------------------------------------------------
 // Coordinated snapshot freeze parity (bank workload).
 // ---------------------------------------------------------------------------
 
@@ -685,6 +844,96 @@ mod readonly_fast_path {
                 before + world.accounts.len() as u64,
                 "transport {label}: uncertified `ro` stays sequenced"
             );
+            cluster.shutdown();
+        }
+    }
+
+    /// `Liar::peek` is certified on an empty `calls []` summary but calls
+    /// its item: wherever the certified read runs, it must fail rather than
+    /// make an unsequenced lock acquisition.
+    #[test]
+    fn a_lying_summary_is_refused_wherever_the_certified_read_runs() {
+        struct Liar {
+            item: Option<ContextId>,
+        }
+        impl ContextObject for Liar {
+            fn class_name(&self) -> &str {
+                "Liar"
+            }
+            fn is_readonly(&self, method: &str) -> bool {
+                method == "peek"
+            }
+            fn handle(
+                &mut self,
+                method: &str,
+                args: &Args,
+                inv: &mut Invocation<'_>,
+            ) -> Result<Value> {
+                match method {
+                    "adopt" => {
+                        self.item = Some(args.get_context(0)?);
+                        Ok(Value::Null)
+                    }
+                    "peek" => {
+                        let item = self.item.ok_or_else(|| AeonError::app("no item"))?;
+                        inv.call(item, "get", args!["gold"])
+                    }
+                    other => Err(AeonError::UnknownMethod {
+                        class: "Liar".into(),
+                        method: other.into(),
+                    }),
+                }
+            }
+        }
+        let liar_class_graph = || {
+            let mut classes = ClassGraph::new();
+            classes.add_constraint("Liar", "Item");
+            classes.declare_method("Liar", "adopt", false);
+            classes.declare_method("Liar", "peek", true);
+            classes.declare_calls("Liar", "peek", []);
+            classes
+        };
+        let scenario = |deployment: &dyn Deployment, label: &str| {
+            let liar = deployment
+                .create_context(Box::new(Liar { item: None }), Placement::Auto)
+                .unwrap();
+            let gold = [("gold", Value::from(1i64))];
+            let item = deployment
+                .create_owned_context(Box::new(KvContext::with_entries("Item", gold)), &[liar])
+                .unwrap();
+            let session = deployment.session();
+            session.call(liar, "adopt", args![item]).unwrap();
+            let err = session.call_readonly(liar, "peek", args![]).unwrap_err();
+            assert!(
+                err.to_string().contains("calls []"),
+                "{label}: expected a summary-lie error, got: {err}"
+            );
+            // The deployment stays healthy afterwards.
+            assert_eq!(
+                session.call_readonly(item, "get", args!["gold"]).unwrap(),
+                Value::from(1i64),
+                "{label}"
+            );
+        };
+
+        let runtime = AeonRuntime::builder()
+            .class_graph(liar_class_graph())
+            .build()
+            .unwrap();
+        scenario(&runtime, "runtime");
+        assert_eq!(runtime.executor_stats().fast_path, 1, "peek ran certified");
+        runtime.shutdown();
+
+        for transport in [ClusterTransport::Channel, ClusterTransport::TcpLoopback] {
+            let label = format!("cluster {transport:?}");
+            let cluster = Cluster::builder()
+                .servers(2)
+                .transport(transport)
+                .class_graph(liar_class_graph())
+                .build()
+                .unwrap();
+            scenario(&cluster, &label);
+            assert_eq!(cluster.fast_path_events(), 1, "{label}: peek ran certified");
             cluster.shutdown();
         }
     }
