@@ -277,8 +277,16 @@ impl OwnershipGraph {
     /// Returns `true` if `ancestor` transitively owns `descendant`
     /// (strictly: a context is not its own ancestor).
     pub fn is_ancestor(&self, ancestor: ContextId, descendant: ContextId) -> bool {
-        if ancestor == descendant || !self.contains(ancestor) || !self.contains(descendant) {
+        if ancestor == descendant || !self.contains(ancestor) {
             return false;
+        }
+        // Contextclasses overwhelmingly call their direct children: answer
+        // that from the parent set before allocating anything.
+        let Some(node) = self.nodes.get(&descendant) else {
+            return false;
+        };
+        if node.parents.contains(&ancestor) {
+            return true;
         }
         // BFS from `descendant` upwards; ownership chains are short in
         // practice (the class DAG bounds their length).

@@ -298,14 +298,6 @@ impl SimState {
         Ok(())
     }
 
-    /// Drops stale dominator cache entries after an ownership-graph
-    /// mutation (new context, new or removed edge).
-    fn invalidate_dominators(&mut self) {
-        if let Some(timeline) = &mut self.timeline {
-            timeline.resolver = DominatorResolver::new(timeline.resolver.mode());
-        }
-    }
-
     /// Creates a context owned by `owners`, placed next to the first.
     fn create_owned(
         &mut self,
@@ -333,7 +325,6 @@ impl SimState {
             },
         );
         self.placement.insert(id, server);
-        self.invalidate_dominators();
         Ok(id)
     }
 
@@ -345,15 +336,11 @@ impl SimState {
                 return Err(AeonError::ownership(owner, owned));
             }
         }
-        self.graph.add_edge(owner, owned)?;
-        self.invalidate_dominators();
-        Ok(())
+        self.graph.add_edge(owner, owned)
     }
 
     fn remove_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.graph.remove_edge(owner, owned)?;
-        self.invalidate_dominators();
-        Ok(())
+        self.graph.remove_edge(owner, owned)
     }
 
     /// Charges one event's virtual time through the contended resources:
@@ -757,7 +744,6 @@ impl Deployment for SimDeployment {
             },
         );
         state.placement.insert(id, server);
-        state.invalidate_dominators();
         Ok(id)
     }
 
