@@ -14,7 +14,7 @@ use aeon_net::{
     ChannelTransport, Endpoint, MessageSizer, Network, NetworkStats, TcpTransport,
     TcpTransportConfig,
 };
-use aeon_ownership::{ClassGraph, Dominator, DominatorMode, OwnershipGraph};
+use aeon_ownership::{ClassGraph, ControlPlane, Dominator, DominatorMode, OwnershipGraph};
 use aeon_runtime::{
     AnalysisMode, CertifiedReads, ContextFactory, ContextObject, ExecutorConfig, ExecutorStats,
     Footprint, Placement, Snapshot,
@@ -24,10 +24,10 @@ use aeon_types::{
     SharedHistorySink, Value,
 };
 use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -251,7 +251,6 @@ impl ClusterBuilder {
             };
         let shared_stats = network.stats_handle();
         let gateway_endpoint = network.register(gateway_id());
-        let next_server = mesh_peers.iter().map(|s| s.raw() + 1).max().unwrap_or(0);
         let inner = Arc::new(ClusterInner {
             directory,
             network,
@@ -266,7 +265,6 @@ impl ClusterBuilder {
             pending_events: Mutex::new(HashMap::new()),
             pending_control: Mutex::new(HashMap::new()),
             corr: AtomicU64::new(1),
-            next_server: AtomicU32::new(next_server),
             shutdown: AtomicBool::new(false),
             gateway_thread: Mutex::new(None),
         });
@@ -274,7 +272,7 @@ impl ClusterBuilder {
             // The server set is the external process mesh; the directory
             // only needs to know the roster.
             for server in mesh_peers {
-                inner.directory.register_server(server);
+                inner.plane().write().register_server(server);
             }
         } else {
             for _ in 0..self.servers {
@@ -323,7 +321,6 @@ struct ClusterInner {
     /// Control acknowledgements (host, prepare, stop, install).
     pending_control: Mutex<HashMap<u64, Sender<ClusterMessage>>>,
     corr: AtomicU64,
-    next_server: AtomicU32,
     shutdown: AtomicBool,
     gateway_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
@@ -332,14 +329,23 @@ impl std::fmt::Debug for ClusterInner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterInner")
             .field("servers", &self.nodes.lock().len())
-            .field("contexts", &self.directory.context_count())
+            .field("contexts", &self.plane().read().context_count())
             .finish_non_exhaustive()
     }
 }
 
 impl ClusterInner {
+    /// The control plane (the directory authority's), which the gateway
+    /// reads and changes directly.  No guard on it is held across a round
+    /// trip to a node.
+    fn plane(&self) -> &RwLock<ControlPlane> {
+        self.directory.plane()
+    }
+
     fn spawn_server(&self) -> ServerId {
-        let id = ServerId::new(self.next_server.fetch_add(1, Ordering::Relaxed));
+        // Known but offline until the node runs: nothing is placed on it
+        // before it can answer a `Host`.
+        let id = self.plane().write().reserve_server();
         let network = self.node_network_for(id);
         let handle = spawn_node(
             id,
@@ -347,7 +353,7 @@ impl ClusterInner {
             &network,
             self.executor_config.clone(),
         );
-        self.directory.register_server(id);
+        self.plane().write().register_server(id);
         self.nodes.lock().insert(id, handle);
         id
     }
@@ -469,7 +475,7 @@ impl ClusterInner {
         let mut run: Vec<FreezeMember> = Vec::new();
         let mut run_server: Option<ServerId> = None;
         for member in members {
-            let server = self.directory.placement_of(member.context)?;
+            let server = self.plane().read().placement_of(member.context)?;
             if run_server != Some(server) {
                 if let Some(prev) = run_server {
                     entries.extend(self.freeze_round_trip(
@@ -488,29 +494,6 @@ impl ClusterInner {
             entries.extend(self.freeze_round_trip(server, freeze, run, capture, frozen)?);
         }
         Ok(entries)
-    }
-
-    /// Where the sequencer lock for a freeze of `root`'s subtree lives, if
-    /// a separate sequencer is required: the server hosting `root`'s
-    /// dominator, or the virtual root on the lowest-id online server when
-    /// no concrete dominator exists.  `None` when `root` is its own
-    /// dominator (its lock is the first member frozen anyway).
-    fn freeze_sequencer(&self, root: ContextId) -> Result<Option<(ServerId, ContextId)>> {
-        match self.directory.dominator_of(root)? {
-            Dominator::Context(dom) if dom != root => {
-                Ok(Some((self.directory.placement_of(dom)?, dom)))
-            }
-            Dominator::GlobalRoot => {
-                let server = self
-                    .directory
-                    .online_servers()
-                    .into_iter()
-                    .next()
-                    .ok_or_else(|| AeonError::Config("no online servers".into()))?;
-                Ok(Some((server, virtual_root())))
-            }
-            _ => Ok(None),
-        }
     }
 
     /// Routes an event to the server hosting the dominator of its target
@@ -555,62 +538,65 @@ impl ClusterInner {
     /// How the gateway admits `event`: certified when it is a read of a
     /// method the analyzer certified (`ro` with an empty `calls []`
     /// summary), sequenced otherwise.
-    fn admit(&self, event: &EventDescriptor) -> Footprint {
+    fn admit(&self, plane: &ControlPlane, event: &EventDescriptor) -> Footprint {
         if self.certified.is_empty() || !event.mode.is_read_only() {
             return Footprint::Sequenced;
         }
-        match self.directory.class_of(event.target) {
-            Ok(class) => self.certified.admit(&class, &event.method, event.mode),
+        match plane.class_of(event.target) {
+            Ok(class) => self.certified.admit(class, &event.method, event.mode),
             Err(_) => Footprint::Sequenced,
         }
     }
 
     fn route(&self, event: EventDescriptor) -> Result<()> {
-        let target_server = self.directory.placement_of(event.target)?;
-        // Certified read-only fast path: the event's lock footprint is
-        // provably the single target context, so no dominator sequencing
-        // is needed — route it straight to the target's server, skipping
-        // the Act round trip.  The node still takes the target's activation
-        // in shared mode, so the read serializes against writers exactly as
-        // before, and holds the event to that footprint.
-        if self.admit(&event) == Footprint::Certified {
-            self.fast_path.fetch_add(1, Ordering::Relaxed);
-            return self.send(target_server, ClusterMessage::ExecCertified { event });
-        }
-        match self.directory.dominator_of(event.target)? {
-            Dominator::Context(dom) if dom != event.target => {
-                let dom_server = self.directory.placement_of(dom)?;
-                self.send(
-                    dom_server,
-                    ClusterMessage::Act {
-                        event,
-                        sequencer: dom,
-                    },
-                )
+        // The routing decision is made under one read guard, released
+        // before anything is sent.
+        let (server, message) = {
+            let plane = self.plane().read();
+            let target_server = plane.placement_of(event.target)?;
+            if self.admit(&plane, &event) == Footprint::Certified {
+                // Certified read-only fast path: the event's lock footprint
+                // is provably the single target context, so no dominator
+                // sequencing is needed — route it straight to the target's
+                // server, skipping the Act round trip.  The node still takes
+                // the target's activation in shared mode, so the read
+                // serializes against writers exactly as before, and holds
+                // the event to that footprint.
+                self.fast_path.fetch_add(1, Ordering::Relaxed);
+                (target_server, ClusterMessage::ExecCertified { event })
+            } else {
+                match sequencer_of(&plane, event.target)? {
+                    Some((server, sequencer)) => (server, ClusterMessage::Act { event, sequencer }),
+                    None => (
+                        target_server,
+                        ClusterMessage::Exec {
+                            event,
+                            sequencer: None,
+                        },
+                    ),
+                }
             }
-            Dominator::GlobalRoot => {
-                // The virtual root lives on the lowest-id online server.
-                let seq_server = self
-                    .directory
-                    .online_servers()
-                    .into_iter()
-                    .next()
-                    .ok_or_else(|| AeonError::Config("no online servers".into()))?;
-                self.send(
-                    seq_server,
-                    ClusterMessage::Act {
-                        event,
-                        sequencer: virtual_root(),
-                    },
-                )
-            }
-            _ => self.send(
-                target_server,
-                ClusterMessage::Exec {
-                    event,
-                    sequencer: None,
-                },
-            ),
+        };
+        self.send(server, message)
+    }
+}
+
+/// Where an event (or a subtree freeze) targeting `target` is sequenced, if
+/// that is not `target`'s own lock: its dominator on the server hosting it,
+/// or — when no concrete dominator exists — the virtual root, which lives
+/// on the lowest-id online server.  `None` when `target` is its own
+/// dominator.
+fn sequencer_of(plane: &ControlPlane, target: ContextId) -> Result<Option<(ServerId, ContextId)>> {
+    match plane.dominator_of(target)? {
+        Dominator::Context(dom) if dom != target => Ok(Some((plane.placement_of(dom)?, dom))),
+        Dominator::Context(_) => Ok(None),
+        Dominator::GlobalRoot => {
+            let server = plane
+                .online_servers()
+                .into_iter()
+                .next()
+                .ok_or_else(|| AeonError::Config("no online servers".into()))?;
+            Ok(Some((server, virtual_root())))
         }
     }
 }
@@ -847,12 +833,9 @@ impl Cluster {
         object: Box<dyn ContextObject>,
         placement: Placement,
     ) -> Result<ContextId> {
-        let server = match placement {
-            Placement::Auto => None,
-            Placement::Server(server) => Some(server),
-            Placement::WithContext(other) => Some(self.inner.directory.placement_of(other)?),
-        };
-        self.create_context_with_owners(object, &[], server)
+        self.host_new_context(object, |plane, id, class| {
+            plane.declare_root(id, class, placement)
+        })
     }
 
     /// Creates a context owned by `owners` (at least one), hosted next to
@@ -860,7 +843,8 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// * [`AeonError::Config`] when `owners` is empty.
+    /// * [`AeonError::Config`] when `owners` is empty or the class is not
+    ///   declared.
     /// * [`AeonError::OwnershipViolation`] when the class constraints forbid
     ///   the ownership.
     pub fn create_owned_context(
@@ -868,42 +852,23 @@ impl Cluster {
         object: Box<dyn ContextObject>,
         owners: &[ContextId],
     ) -> Result<ContextId> {
-        if owners.is_empty() {
-            return Err(AeonError::Config(
-                "create_owned_context requires at least one owner".into(),
-            ));
-        }
-        self.create_context_with_owners(object, owners, None)
+        self.host_new_context(object, |plane, id, class| {
+            plane.declare_owned(id, class, owners)
+        })
     }
 
-    fn create_context_with_owners(
+    /// Creates a context: `declare` enters it into the control plane under
+    /// the id it is handed (validating everything first) and names the
+    /// server, which is then asked to host the object; if that fails the
+    /// context is forgotten again.
+    fn host_new_context(
         &self,
         object: Box<dyn ContextObject>,
-        owners: &[ContextId],
-        server: Option<ServerId>,
+        declare: impl FnOnce(&mut ControlPlane, ContextId, &str) -> Result<ServerId>,
     ) -> Result<ContextId> {
         let class = object.class_name().to_string();
-        let server = match server {
-            Some(s) => s,
-            None => match owners.first() {
-                // The owner may sit on a crashed server; the online check
-                // below rejects that placement.
-                Some(owner) => self.inner.directory.placement_of(*owner)?,
-                None => self.inner.directory.least_loaded_server()?,
-            },
-        };
-        if !self.inner.directory.is_online(server) {
-            return Err(AeonError::ServerNotFound(server));
-        }
         let id = self.inner.directory.next_context_id();
-        self.inner.directory.add_context(id, &class)?;
-        for owner in owners {
-            if let Err(e) = self.inner.directory.add_edge(*owner, id) {
-                let _ = self.inner.directory.remove_context(id);
-                return Err(e);
-            }
-        }
-        self.inner.directory.set_placement(id, server);
+        let server = declare(&mut self.inner.plane().write(), id, &class)?;
         // The snapshot travels on the wire (a node in another process
         // rebuilds from it); the object itself is parked in escrow so a
         // same-process node can move it in without a factory.
@@ -932,7 +897,7 @@ impl Cluster {
         // escrow entry either way so nothing leaks.
         let _ = self.inner.directory.escrow_take(escrow);
         if outcome.is_err() {
-            let _ = self.inner.directory.remove_context(id);
+            let _ = self.inner.plane().write().forget(id);
         }
         outcome
     }
@@ -947,14 +912,17 @@ impl Cluster {
     /// * [`AeonError::MigrationFailed`] when no factory is registered for
     ///   the context's class or a protocol step times out.
     pub fn migrate_context(&self, context: ContextId, to: ServerId) -> Result<u64> {
-        if !self.inner.directory.is_online(to) {
-            return Err(AeonError::ServerNotFound(to));
-        }
-        let from = self.inner.directory.placement_of(context)?;
-        if from == to {
-            return Ok(0);
-        }
-        let class = self.inner.directory.class_of(context)?;
+        let (from, class) = {
+            let plane = self.inner.plane().read();
+            if !plane.is_online(to) {
+                return Err(AeonError::ServerNotFound(to));
+            }
+            let from = plane.placement_of(context)?;
+            if from == to {
+                return Ok(0);
+            }
+            (from, plane.class_of(context)?.to_string())
+        };
         if self.inner.directory.factory_for(&class).is_none() {
             return Err(AeonError::MigrationFailed {
                 context,
@@ -970,7 +938,7 @@ impl Cluster {
         self.inner
             .control_round_trip(from, corr, ClusterMessage::Stop { corr, context, to })?;
         // Step III: update the mapping; new requests now route to `to`.
-        self.inner.directory.set_placement(context, to);
+        self.inner.plane().write().set_placement(context, to)?;
         // Steps IV/V: ship the state and wait for the installation ack.
         let corr = self.inner.next_corr();
         let ack = self.inner.control_round_trip(
@@ -1002,10 +970,13 @@ impl Cluster {
         state: &Value,
         server: ServerId,
     ) -> Result<()> {
-        if !self.inner.directory.is_online(server) {
-            return Err(AeonError::ServerNotFound(server));
-        }
-        let class = self.inner.directory.class_of(context)?;
+        let class = {
+            let plane = self.inner.plane().read();
+            if !plane.is_online(server) {
+                return Err(AeonError::ServerNotFound(server));
+            }
+            plane.class_of(context)?.to_string()
+        };
         let factory =
             self.inner
                 .directory
@@ -1015,7 +986,7 @@ impl Cluster {
                     reason: format!("no factory registered for class {class}"),
                 })?;
         let object = factory(state);
-        self.inner.directory.set_placement(context, server);
+        self.inner.plane().write().set_placement(context, server)?;
         let escrow = self.inner.directory.escrow_put(object);
         let corr = self.inner.next_corr();
         let ack = self.inner.control_round_trip(
@@ -1077,8 +1048,7 @@ impl Cluster {
     ///   its server crashed mid-freeze); already-frozen members have been
     ///   thawed.
     pub fn snapshot_context(&self, context: ContextId) -> Result<Snapshot> {
-        let graph = self.inner.directory.graph_snapshot();
-        let members = graph.subtree_topological(context)?;
+        let members = self.subtree_members(context)?;
         if self.inner.torn_snapshot {
             return self.snapshot_member_at_a_time(context, &members);
         }
@@ -1090,6 +1060,11 @@ impl Cluster {
             }
         }
         Ok(snapshot)
+    }
+
+    /// `root` and all its descendants, owner before owned.
+    fn subtree_members(&self, root: ContextId) -> Result<Vec<ContextId>> {
+        self.inner.plane().read().graph().subtree_topological(root)
     }
 
     /// The legacy member-at-a-time capture (each member under its own
@@ -1109,7 +1084,7 @@ impl Cluster {
         let mut snapshot = Snapshot::new(context);
         let result = (|| -> Result<()> {
             for member in members {
-                let server = self.inner.directory.placement_of(*member)?;
+                let server = self.placement_of(*member)?;
                 let corr = self.inner.next_corr();
                 let ack = self.inner.control_round_trip(
                     server,
@@ -1166,7 +1141,10 @@ impl Cluster {
         }
         let mut frozen: Vec<ServerId> = Vec::new();
         let result = (|| -> Result<Vec<(ContextId, String, Value)>> {
-            if let Some((server, sequencer)) = self.inner.freeze_sequencer(root)? {
+            // The freeze is sequenced exactly like an exclusive event
+            // targeting `root` (whose own lock is the first member frozen).
+            let sequencer = sequencer_of(&self.inner.plane().read(), root)?;
+            if let Some((server, sequencer)) = sequencer {
                 self.inner.freeze_round_trip(
                     server,
                     freeze,
@@ -1238,11 +1216,10 @@ impl Cluster {
         for (id, _) in snapshot.entries() {
             // Fail with the documented error before freezing anything when
             // an entry vanished.
-            self.inner.directory.placement_of(*id)?;
+            self.placement_of(*id)?;
         }
         let root = snapshot.root();
-        let graph = self.inner.directory.graph_snapshot();
-        let mut members = graph.subtree_topological(root)?;
+        let mut members = self.subtree_members(root)?;
         // Entries that left the subtree since the capture (ownership
         // edits) are frozen after the subtree members and restored with
         // them.
@@ -1285,20 +1262,7 @@ impl Cluster {
     /// * [`AeonError::Config`] when the mapping still places contexts on it
     ///   — migrate them away first.
     pub fn remove_server(&self, server: ServerId) -> Result<()> {
-        if !self.inner.directory.is_online(server) {
-            return Err(AeonError::ServerNotFound(server));
-        }
-        // Go offline first so concurrent placements stop choosing this
-        // server, then check it is empty; checking before flipping the flag
-        // would let a racing create_context strand a context on it.
-        self.inner.directory.set_offline(server);
-        let hosted = self.contexts_on(server).len();
-        if hosted > 0 {
-            self.inner.directory.register_server(server);
-            return Err(AeonError::Config(format!(
-                "server {server} still hosts {hosted} contexts"
-            )));
-        }
+        self.inner.plane().write().retire_server(server)?;
         let mut nodes = self.inner.nodes.lock();
         let Some(mut node) = nodes.remove(&server) else {
             drop(nodes);
@@ -1378,14 +1342,16 @@ impl Cluster {
             .ok_or(AeonError::ServerNotFound(server))?;
         node.crash();
         drop(nodes);
-        self.inner.directory.set_offline(server);
+        // The node dropped its objects with the crash; the plane keeps the
+        // contexts' identities for a later re-host.
+        self.inner.plane().write().mark_crashed(server)?;
         self.inner.network.deregister(server);
         Ok(())
     }
 
     /// Ids of all online servers.
     pub fn servers(&self) -> Vec<ServerId> {
-        self.inner.directory.online_servers()
+        self.inner.plane().read().online_servers()
     }
 
     /// The server currently hosting `context` according to the mapping.
@@ -1394,22 +1360,23 @@ impl Cluster {
     ///
     /// Returns [`AeonError::ContextNotFound`] for unknown contexts.
     pub fn placement_of(&self, context: ContextId) -> Result<ServerId> {
-        self.inner.directory.placement_of(context)
+        self.inner.plane().read().placement_of(context)
     }
 
     /// Contexts mapped to `server`.
     pub fn contexts_on(&self, server: ServerId) -> Vec<ContextId> {
-        self.inner.directory.contexts_on(server)
+        self.inner.plane().read().contexts_on(server)
     }
 
-    /// Number of contexts known to the cluster.
+    /// Number of contexts mapped to online servers (contexts lost to a
+    /// crash do not count until they are re-hosted).
     pub fn context_count(&self) -> usize {
-        self.inner.directory.context_count()
+        self.inner.plane().read().context_count()
     }
 
     /// A snapshot of the ownership network.
     pub fn ownership_graph(&self) -> OwnershipGraph {
-        self.inner.directory.graph_snapshot()
+        self.inner.plane().read().graph().clone()
     }
 
     /// Adds an ownership edge between existing contexts.
@@ -1418,7 +1385,7 @@ impl Cluster {
     ///
     /// Same conditions as the runtime's `add_ownership`.
     pub fn add_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.inner.directory.add_edge(owner, owned)
+        self.inner.plane().write().add_edge(owner, owned)
     }
 
     /// Removes an ownership edge.
@@ -1428,7 +1395,7 @@ impl Cluster {
     /// Returns [`AeonError::ContextNotFound`] when either context is
     /// unknown.
     pub fn remove_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.inner.directory.remove_edge(owner, owned)
+        self.inner.plane().write().remove_edge(owner, owned)
     }
 
     /// Network traffic statistics (local vs. remote messages).
@@ -1495,7 +1462,7 @@ impl Cluster {
         if self.inner.mode == Mode::Mesh {
             // The nodes are other OS processes: ask each to exit; their
             // receive loops stop themselves.
-            for server in self.inner.directory.online_servers() {
+            for server in self.servers() {
                 let _ = self.inner.send(server, ClusterMessage::Shutdown);
             }
         }

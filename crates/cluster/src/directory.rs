@@ -5,34 +5,41 @@
 //! every host and client can read (§5.1).  The [`Directory`] plays that
 //! role, in one of two flavours:
 //!
-//! * the **authority** (created by [`Directory::new`]) owns the real
-//!   ownership graph, placement map, and server roster.  When the whole
-//!   cluster runs in one process it is shared (by `Arc`) between the
-//!   gateway and every server node, standing in for "query the eManager /
-//!   read the mapping from cloud storage";
+//! * the **authority** (created by [`Directory::new`]) *is* a
+//!   [`ControlPlane`] — the same type the in-process runtime and the
+//!   simulator hold — behind one `RwLock`.  When the whole cluster runs in
+//!   one process it is shared (by `Arc`) between the gateway and every
+//!   server node, standing in for "query the eManager / read the mapping
+//!   from cloud storage".  The gateway works on the plane directly
+//!   ([`Directory::plane`]); what a *node* may ask is the [`DirOp`]
+//!   vocabulary, answered from the plane by [`Directory::serve_dir_op`];
 //! * a **remote** handle (created by [`Directory::remote`]) lives inside an
-//!   `aeon-node` OS process and forwards each control-plane query to the
-//!   authority as a synchronous [`DirReq`]/[`DirAck`](ClusterMessage::DirAck)
-//!   RPC over the network.
+//!   `aeon-node` OS process and proxies the plane: the same
+//!   [`Directory::serve_dir_op`] forwards each [`DirOp`] to the authority as
+//!   a synchronous [`DirReq`]/[`DirAck`](ClusterMessage::DirAck) RPC over
+//!   the network.
 //!
-//! Both flavours expose the same API, so node code is oblivious to which
-//! one it holds.  Context *state* is never stored here — it lives only on
-//! the server currently hosting the context and moves exclusively through
-//! the migration protocol.  Class factories and the history sink are
-//! process-local concerns and stay local on both flavours.
+//! The node-facing methods ([`Directory::placement_of`],
+//! [`Directory::may_call`], [`Directory::create_owned`], …) are thin
+//! wrappers that build the op and unpack the reply, so node code is
+//! oblivious to which flavour it holds and neither flavour has a rule of
+//! its own.  Context *state* is never stored here — it lives only on the
+//! server currently hosting the context and moves exclusively through the
+//! migration protocol.  Class factories, the escrow, id generation and the
+//! history sink are process-local concerns and stay local on both flavours.
 //!
 //! [`DirReq`]: ClusterMessage::DirReq
 
 use crate::message::{gateway_id, ClusterMessage, DirOp, DirReply};
 use aeon_net::Network;
-use aeon_ownership::{ClassGraph, Dominator, DominatorMode, DominatorResolver, OwnershipGraph};
+use aeon_ownership::{ClassGraph, ControlPlane, DominatorMode};
 use aeon_runtime::{ContextFactory, ContextObject};
 use aeon_types::{
-    AeonError, ClassName, ContextId, EventId, IdGenerator, Result, ServerId, SharedHistorySink,
+    AeonError, ClassName, ContextId, IdGenerator, Result, ServerId, SharedHistorySink,
 };
 use crossbeam::channel::{self, Sender};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// How long a remote directory handle waits for the authority's answer.
@@ -42,15 +49,6 @@ const DIR_RPC_TIMEOUT: Duration = Duration::from_secs(10);
 /// authority's: bit 63 set, node id in bits 40..63, local counter below.
 const REMOTE_ID_BASE: u64 = 1 << 63;
 
-/// The authoritative control-plane state (eManager + cloud storage).
-struct Authority {
-    graph: RwLock<OwnershipGraph>,
-    placement: RwLock<HashMap<ContextId, ServerId>>,
-    servers: RwLock<BTreeMap<ServerId, bool>>,
-    resolver: DominatorResolver,
-    class_graph: Option<ClassGraph>,
-}
-
 /// A node-process proxy that answers queries by RPC to the authority.
 struct Remote {
     node: ServerId,
@@ -59,7 +57,8 @@ struct Remote {
 }
 
 enum Backend {
-    Authority(Authority),
+    /// The authoritative control-plane state (eManager + cloud storage).
+    Authority(RwLock<ControlPlane>),
     Remote(Remote),
 }
 
@@ -81,10 +80,9 @@ pub struct Directory {
 impl std::fmt::Debug for Directory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.backend {
-            Backend::Authority(auth) => f
+            Backend::Authority(plane) => f
                 .debug_struct("Directory")
-                .field("contexts", &auth.graph.read().len())
-                .field("servers", &auth.servers.read().len())
+                .field("contexts", &plane.read().graph().len())
                 .finish_non_exhaustive(),
             Backend::Remote(remote) => f
                 .debug_struct("Directory")
@@ -97,43 +95,46 @@ impl std::fmt::Debug for Directory {
 impl Directory {
     /// Creates an empty directory authority.
     pub fn new(mode: DominatorMode, class_graph: Option<ClassGraph>) -> Self {
-        Self {
-            backend: Backend::Authority(Authority {
-                graph: RwLock::new(OwnershipGraph::new()),
-                placement: RwLock::new(HashMap::new()),
-                servers: RwLock::new(BTreeMap::new()),
-                resolver: DominatorResolver::new(mode),
-                class_graph,
-            }),
-            factories: RwLock::new(HashMap::new()),
-            ids: IdGenerator::starting_at(1),
-            escrow: Mutex::new(HashMap::new()),
-            history: RwLock::new(None),
-        }
+        Self::with_backend(
+            Backend::Authority(RwLock::new(ControlPlane::new(mode, class_graph))),
+            1,
+        )
     }
 
     /// Creates a remote directory handle for node `node`, forwarding
     /// control-plane queries to the authority over `network`.
     pub fn remote(node: ServerId, network: Network<ClusterMessage>) -> Self {
-        Self {
-            backend: Backend::Remote(Remote {
+        Self::with_backend(
+            Backend::Remote(Remote {
                 node,
                 network,
                 pending: Mutex::new(HashMap::new()),
             }),
+            REMOTE_ID_BASE | (u64::from(node.raw()) << 40),
+        )
+    }
+
+    fn with_backend(backend: Backend, first_id: u64) -> Self {
+        Self {
+            backend,
             factories: RwLock::new(HashMap::new()),
-            ids: IdGenerator::starting_at(REMOTE_ID_BASE | (u64::from(node.raw()) << 40)),
+            ids: IdGenerator::starting_at(first_id),
             escrow: Mutex::new(HashMap::new()),
             history: RwLock::new(None),
         }
     }
 
-    fn authority(&self) -> Result<&Authority> {
+    /// The authority's control plane, for the gateway: it reads and changes
+    /// the plane directly, holding no guard across a round trip to a node.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a remote handle — only node processes hold one, and they
+    /// never run gateway code.
+    pub(crate) fn plane(&self) -> &RwLock<ControlPlane> {
         match &self.backend {
-            Backend::Authority(auth) => Ok(auth),
-            Backend::Remote(_) => Err(AeonError::Internal(
-                "operation is only available at the directory authority".into(),
-            )),
+            Backend::Authority(plane) => plane,
+            Backend::Remote(_) => panic!("the gateway's directory is the authority"),
         }
     }
 
@@ -173,30 +174,49 @@ impl Directory {
         }
     }
 
-    /// Serves one [`DirOp`] at the authority (the gateway loop calls this
-    /// for every [`ClusterMessage::DirReq`] a node sends).
+    /// Answers one [`DirOp`]: from the plane at the authority (the gateway
+    /// loop calls this for every [`ClusterMessage::DirReq`] a node sends,
+    /// and in-process nodes reach it through the wrappers below), by RPC to
+    /// the authority on a remote handle.  Queries take a read guard on the
+    /// plane, changes a write guard, each for the one plane call only.
     ///
     /// # Errors
     ///
-    /// Propagates the error of the underlying directory operation.
+    /// Propagates the error of the control-plane operation or of the RPC.
     pub(crate) fn serve_dir_op(&self, op: DirOp) -> Result<DirReply> {
+        let plane = match &self.backend {
+            Backend::Authority(plane) => plane,
+            Backend::Remote(remote) => return self.rpc(remote, op),
+        };
         match op {
-            DirOp::PlacementOf(context) => self.placement_of(context).map(DirReply::Server),
-            DirOp::SetPlacement(context, server) => {
-                self.set_placement(context, server);
-                Ok(DirReply::Unit)
+            DirOp::PlacementOf(context) => plane.read().placement_of(context).map(DirReply::Server),
+            DirOp::SetPlacement(context, server) => plane
+                .write()
+                .set_placement(context, server)
+                .map(|()| DirReply::Unit),
+            DirOp::MayCall(caller, callee) => {
+                Ok(DirReply::Flag(plane.read().may_call(caller, callee)))
             }
-            DirOp::MayCall(caller, callee) => Ok(DirReply::Flag(self.may_call(caller, callee))),
-            DirOp::ClassOf(context) => self.class_of(context).map(DirReply::Class),
-            DirOp::ChildrenOf { parent, class } => self
+            DirOp::ClassOf(context) => plane
+                .read()
+                .class_of(context)
+                .map(|class| DirReply::Class(class.to_string())),
+            DirOp::ChildrenOf { parent, class } => plane
+                .read()
                 .children_of(parent, class.as_deref())
                 .map(DirReply::Contexts),
-            DirOp::AddEdge(owner, owned) => self.add_edge(owner, owned).map(|()| DirReply::Unit),
-            DirOp::RemoveEdge(owner, owned) => {
-                self.remove_edge(owner, owned).map(|()| DirReply::Unit)
-            }
+            DirOp::AddEdge(owner, owned) => plane
+                .write()
+                .add_edge(owner, owned)
+                .map(|()| DirReply::Unit),
+            DirOp::RemoveEdge(owner, owned) => plane
+                .write()
+                .remove_edge(owner, owned)
+                .map(|()| DirReply::Unit),
             DirOp::CreateOwned { owner, class } => {
-                self.create_owned(owner, &class).map(DirReply::Context)
+                let id = self.next_context_id();
+                plane.write().declare_owned(id, &class, &[owner])?;
+                Ok(DirReply::Context(id))
             }
         }
     }
@@ -211,17 +231,13 @@ impl Directory {
         self.history.read().clone()
     }
 
-    /// Allocates a fresh event id.
-    pub fn next_event_id(&self) -> EventId {
-        EventId::new(self.ids.next_raw())
-    }
-
     /// Allocates a fresh context id.
     pub fn next_context_id(&self) -> ContextId {
         ContextId::new(self.ids.next_raw())
     }
 
-    /// Allocates a fresh raw id (used for correlation tokens and clients).
+    /// Allocates a fresh raw id (used for events, correlation tokens and
+    /// clients).
     pub fn next_raw(&self) -> u64 {
         self.ids.next_raw()
     }
@@ -240,74 +256,7 @@ impl Directory {
         self.escrow.lock().remove(&token)
     }
 
-    // -- servers ------------------------------------------------------------
-
-    /// Registers a server as online.  No-op on remote handles (the roster
-    /// lives at the authority).
-    pub fn register_server(&self, server: ServerId) {
-        if let Backend::Authority(auth) = &self.backend {
-            auth.servers.write().insert(server, true);
-        }
-    }
-
-    /// Marks a server offline (crashed or drained).  No-op on remote
-    /// handles.
-    pub fn set_offline(&self, server: ServerId) {
-        if let Backend::Authority(auth) = &self.backend {
-            if let Some(flag) = auth.servers.write().get_mut(&server) {
-                *flag = false;
-            }
-        }
-    }
-
-    /// Returns whether a server is known and online (always `false` on
-    /// remote handles).
-    pub fn is_online(&self, server: ServerId) -> bool {
-        match &self.backend {
-            Backend::Authority(auth) => auth.servers.read().get(&server).copied().unwrap_or(false),
-            Backend::Remote(_) => false,
-        }
-    }
-
-    /// All online servers, in id order (empty on remote handles).
-    pub fn online_servers(&self) -> Vec<ServerId> {
-        match &self.backend {
-            Backend::Authority(auth) => auth
-                .servers
-                .read()
-                .iter()
-                .filter(|(_, online)| **online)
-                .map(|(id, _)| *id)
-                .collect(),
-            Backend::Remote(_) => Vec::new(),
-        }
-    }
-
-    /// The online server hosting the fewest contexts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AeonError::Config`] when no server is online (or on a
-    /// remote handle, which does not place contexts).
-    pub fn least_loaded_server(&self) -> Result<ServerId> {
-        let auth = self
-            .authority()
-            .map_err(|_| AeonError::Config("no online servers".into()))?;
-        let placement = auth.placement.read();
-        let mut load: BTreeMap<ServerId, usize> =
-            self.online_servers().into_iter().map(|s| (s, 0)).collect();
-        for server in placement.values() {
-            if let Some(count) = load.get_mut(server) {
-                *count += 1;
-            }
-        }
-        load.into_iter()
-            .min_by_key(|(id, count)| (*count, id.raw()))
-            .map(|(id, _)| id)
-            .ok_or_else(|| AeonError::Config("no online servers".into()))
-    }
-
-    // -- placement ----------------------------------------------------------
+    // -- what a node may ask (one `DirOp` each) -----------------------------
 
     /// The server currently recorded as hosting `context`.
     ///
@@ -315,155 +264,76 @@ impl Directory {
     ///
     /// Returns [`AeonError::ContextNotFound`] for unknown contexts.
     pub fn placement_of(&self, context: ContextId) -> Result<ServerId> {
-        match &self.backend {
-            Backend::Authority(auth) => auth
-                .placement
-                .read()
-                .get(&context)
-                .copied()
-                .ok_or(AeonError::ContextNotFound(context)),
-            Backend::Remote(remote) => match self.rpc(remote, DirOp::PlacementOf(context))? {
-                DirReply::Server(server) => Ok(server),
-                other => Err(reply_mismatch("PlacementOf", &other)),
-            },
+        match self.serve_dir_op(DirOp::PlacementOf(context))? {
+            DirReply::Server(server) => Ok(server),
+            other => Err(reply_mismatch("PlacementOf", &other)),
         }
     }
 
-    /// Records (or updates) the placement of a context.
-    pub fn set_placement(&self, context: ContextId, server: ServerId) {
-        match &self.backend {
-            Backend::Authority(auth) => {
-                auth.placement.write().insert(context, server);
-            }
-            Backend::Remote(remote) => {
-                let _ = self.rpc(remote, DirOp::SetPlacement(context, server));
-            }
-        }
-    }
-
-    /// Removes the placement entry of a context (authority only; remote
-    /// handles never unhost contexts directly).
-    pub fn remove_placement(&self, context: ContextId) {
-        if let Backend::Authority(auth) = &self.backend {
-            auth.placement.write().remove(&context);
-        }
-    }
-
-    /// All contexts currently mapped to `server`, in id order (empty on
-    /// remote handles).
-    pub fn contexts_on(&self, server: ServerId) -> Vec<ContextId> {
-        match &self.backend {
-            Backend::Authority(auth) => {
-                let mut out: Vec<ContextId> = auth
-                    .placement
-                    .read()
-                    .iter()
-                    .filter(|(_, s)| **s == server)
-                    .map(|(c, _)| *c)
-                    .collect();
-                out.sort();
-                out
-            }
-            Backend::Remote(_) => Vec::new(),
-        }
-    }
-
-    /// Number of contexts known to the directory (0 on remote handles).
-    pub fn context_count(&self) -> usize {
-        match &self.backend {
-            Backend::Authority(auth) => auth.placement.read().len(),
-            Backend::Remote(_) => 0,
-        }
-    }
-
-    // -- ownership network --------------------------------------------------
-
-    /// A snapshot of the ownership graph (empty on remote handles).
-    pub fn graph_snapshot(&self) -> OwnershipGraph {
-        match &self.backend {
-            Backend::Authority(auth) => auth.graph.read().clone(),
-            Backend::Remote(_) => OwnershipGraph::new(),
-        }
-    }
-
-    /// Declares a new context of class `class`.
+    /// Moves the placement of a context to an online server.
     ///
     /// # Errors
     ///
-    /// * [`AeonError::Config`] when a class graph is installed and does not
-    ///   declare `class`.
-    /// * Propagates graph errors (duplicate id).
-    pub fn add_context(&self, id: ContextId, class: &str) -> Result<()> {
-        let auth = self.authority()?;
-        if let Some(classes) = &auth.class_graph {
-            if !classes.contains(class) {
-                return Err(AeonError::Config(format!(
-                    "contextclass {class} is not declared in the class graph"
-                )));
-            }
+    /// [`AeonError::ContextNotFound`] / [`AeonError::ServerNotFound`] for an
+    /// unknown context or an unknown or offline server.
+    pub fn set_placement(&self, context: ContextId, server: ServerId) -> Result<()> {
+        self.unit_op("SetPlacement", DirOp::SetPlacement(context, server))
+    }
+
+    /// Whether `caller` may (transitively) call `callee` (`false` when the
+    /// authority cannot be reached).
+    pub fn may_call(&self, caller: ContextId, callee: ContextId) -> bool {
+        matches!(
+            self.serve_dir_op(DirOp::MayCall(caller, callee)),
+            Ok(DirReply::Flag(true))
+        )
+    }
+
+    /// The class of a context.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AeonError::ContextNotFound`] for unknown contexts.
+    pub fn class_of(&self, context: ContextId) -> Result<String> {
+        match self.serve_dir_op(DirOp::ClassOf(context))? {
+            DirReply::Class(class) => Ok(class),
+            other => Err(reply_mismatch("ClassOf", &other)),
         }
-        auth.graph.write().add_context(id, class)
     }
 
-    /// Removes a context from the graph and the placement map.
+    /// Direct children of `parent`, optionally filtered by class.
     ///
     /// # Errors
     ///
-    /// Returns [`AeonError::ContextNotFound`] when the context is unknown.
-    pub fn remove_context(&self, id: ContextId) -> Result<()> {
-        let auth = self.authority()?;
-        auth.graph.write().remove_context(id)?;
-        auth.placement.write().remove(&id);
-        Ok(())
+    /// Returns [`AeonError::ContextNotFound`] when `parent` is unknown.
+    pub fn children_of(&self, parent: ContextId, class: Option<&str>) -> Result<Vec<ContextId>> {
+        let op = DirOp::ChildrenOf {
+            parent,
+            class: class.map(str::to_string),
+        };
+        match self.serve_dir_op(op)? {
+            DirReply::Contexts(ids) => Ok(ids),
+            other => Err(reply_mismatch("ChildrenOf", &other)),
+        }
     }
 
-    /// Atomically validates class constraints, allocates an id, declares
-    /// the context, and links it under `owner` — the control-plane half of
-    /// creating an owned child.  The caller installs the object and records
-    /// placement afterwards, preserving install-before-placement ordering.
+    /// Declares a new context of class `class` owned by `owner`, under a
+    /// freshly allocated id, placed next to `owner` — the control-plane half
+    /// of creating an owned child at event time.  The caller installs the
+    /// object and then confirms where with [`Directory::set_placement`].
     ///
     /// # Errors
     ///
-    /// * [`AeonError::OwnershipViolation`] when the class constraints
-    ///   forbid `owner`'s class from owning `class` (the callee id in the
-    ///   error is a placeholder — the child was never created).
-    /// * Propagates graph errors; on edge failure the context is removed
-    ///   again so no orphan is left behind.
+    /// The errors of [`ControlPlane::declare_owned`]; nothing is declared
+    /// when it refuses.
     pub fn create_owned(&self, owner: ContextId, class: &str) -> Result<ContextId> {
-        match &self.backend {
-            Backend::Authority(auth) => {
-                if let Some(classes) = &auth.class_graph {
-                    let owner_class = auth.graph.read().class_of(owner)?.to_string();
-                    if !classes.allows(&owner_class, class) {
-                        return Err(AeonError::ownership(owner, ContextId::new(u64::MAX)));
-                    }
-                }
-                // Skip ids already taken by manually registered contexts
-                // (e.g. roots added through `add_context` with caller-chosen
-                // ids) rather than failing the allocation.
-                let id = loop {
-                    let candidate = self.next_context_id();
-                    if auth.graph.read().class_of(candidate).is_err() {
-                        break candidate;
-                    }
-                };
-                self.add_context(id, class)?;
-                if let Err(err) = self.add_edge(owner, id) {
-                    let _ = self.remove_context(id);
-                    return Err(err);
-                }
-                Ok(id)
-            }
-            Backend::Remote(remote) => {
-                let op = DirOp::CreateOwned {
-                    owner,
-                    class: class.to_string(),
-                };
-                match self.rpc(remote, op)? {
-                    DirReply::Context(id) => Ok(id),
-                    other => Err(reply_mismatch("CreateOwned", &other)),
-                }
-            }
+        let op = DirOp::CreateOwned {
+            owner,
+            class: class.to_string(),
+        };
+        match self.serve_dir_op(op)? {
+            DirReply::Context(id) => Ok(id),
+            other => Err(reply_mismatch("CreateOwned", &other)),
         }
     }
 
@@ -475,23 +345,7 @@ impl Directory {
     ///   the pair.
     /// * [`AeonError::CycleDetected`] when the edge would create a cycle.
     pub fn add_edge(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        match &self.backend {
-            Backend::Authority(auth) => {
-                if let Some(classes) = &auth.class_graph {
-                    let graph = auth.graph.read();
-                    let owner_class = graph.class_of(owner)?.to_string();
-                    let owned_class = graph.class_of(owned)?.to_string();
-                    if !classes.allows(&owner_class, &owned_class) {
-                        return Err(AeonError::ownership(owner, owned));
-                    }
-                }
-                auth.graph.write().add_edge(owner, owned)
-            }
-            Backend::Remote(remote) => match self.rpc(remote, DirOp::AddEdge(owner, owned))? {
-                DirReply::Unit => Ok(()),
-                other => Err(reply_mismatch("AddEdge", &other)),
-            },
-        }
+        self.unit_op("AddEdge", DirOp::AddEdge(owner, owned))
     }
 
     /// Removes an ownership edge.
@@ -501,91 +355,13 @@ impl Directory {
     /// Returns [`AeonError::ContextNotFound`] when either endpoint is
     /// unknown.
     pub fn remove_edge(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        match &self.backend {
-            Backend::Authority(auth) => auth.graph.write().remove_edge(owner, owned),
-            Backend::Remote(remote) => match self.rpc(remote, DirOp::RemoveEdge(owner, owned))? {
-                DirReply::Unit => Ok(()),
-                other => Err(reply_mismatch("RemoveEdge", &other)),
-            },
-        }
+        self.unit_op("RemoveEdge", DirOp::RemoveEdge(owner, owned))
     }
 
-    /// The dominator of `target` (authority only — sequencing decisions are
-    /// made at the gateway).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AeonError::ContextNotFound`] for unknown targets.
-    pub fn dominator_of(&self, target: ContextId) -> Result<Dominator> {
-        let auth = self.authority()?;
-        let graph = auth.graph.read();
-        auth.resolver.dominator(&graph, target)
-    }
-
-    /// Whether `caller` may (transitively) call `callee`.
-    pub fn may_call(&self, caller: ContextId, callee: ContextId) -> bool {
-        match &self.backend {
-            Backend::Authority(auth) => auth.graph.read().may_call(caller, callee),
-            Backend::Remote(remote) => matches!(
-                self.rpc(remote, DirOp::MayCall(caller, callee)),
-                Ok(DirReply::Flag(true))
-            ),
-        }
-    }
-
-    /// The class of a context.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AeonError::ContextNotFound`] for unknown contexts.
-    pub fn class_of(&self, context: ContextId) -> Result<String> {
-        match &self.backend {
-            Backend::Authority(auth) => Ok(auth.graph.read().class_of(context)?.to_string()),
-            Backend::Remote(remote) => match self.rpc(remote, DirOp::ClassOf(context))? {
-                DirReply::Class(class) => Ok(class),
-                other => Err(reply_mismatch("ClassOf", &other)),
-            },
-        }
-    }
-
-    /// Direct children of `parent`, optionally filtered by class.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AeonError::ContextNotFound`] when `parent` is unknown.
-    pub fn children_of(&self, parent: ContextId, class: Option<&str>) -> Result<Vec<ContextId>> {
-        match &self.backend {
-            Backend::Authority(auth) => {
-                let graph = auth.graph.read();
-                let children = graph.children(parent)?;
-                let mut out = Vec::with_capacity(children.len());
-                for &c in children {
-                    if class.is_none_or(|cls| graph.class_of(c).map(|k| k == cls).unwrap_or(false))
-                    {
-                        out.push(c);
-                    }
-                }
-                Ok(out)
-            }
-            Backend::Remote(remote) => {
-                let op = DirOp::ChildrenOf {
-                    parent,
-                    class: class.map(str::to_string),
-                };
-                match self.rpc(remote, op)? {
-                    DirReply::Contexts(ids) => Ok(ids),
-                    other => Err(reply_mismatch("ChildrenOf", &other)),
-                }
-            }
-        }
-    }
-
-    /// The class-constraint graph, when one was installed (`None` on remote
-    /// handles — constraints are enforced at the authority).
-    pub fn class_graph(&self) -> Option<&ClassGraph> {
-        match &self.backend {
-            Backend::Authority(auth) => auth.class_graph.as_ref(),
-            Backend::Remote(_) => None,
+    fn unit_op(&self, name: &str, op: DirOp) -> Result<()> {
+        match self.serve_dir_op(op)? {
+            DirReply::Unit => Ok(()),
+            other => Err(reply_mismatch(name, &other)),
         }
     }
 
@@ -612,80 +388,21 @@ fn reply_mismatch(op: &str, got: &DirReply) -> AeonError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aeon_ownership::Placement;
     use aeon_runtime::KvContext;
     use aeon_types::Value;
     use std::sync::Arc;
 
-    fn cx(n: u64) -> ContextId {
-        ContextId::new(n)
-    }
-
-    fn srv(n: u32) -> ServerId {
-        ServerId::new(n)
-    }
-
-    #[test]
-    fn least_loaded_balances_by_context_count() {
-        let dir = Directory::new(DominatorMode::default(), None);
-        dir.register_server(srv(0));
-        dir.register_server(srv(1));
-        dir.add_context(cx(1), "Room").unwrap();
-        dir.set_placement(cx(1), srv(0));
-        assert_eq!(dir.least_loaded_server().unwrap(), srv(1));
-        dir.add_context(cx(2), "Room").unwrap();
-        dir.set_placement(cx(2), srv(1));
-        // Tie: lowest id wins.
-        assert_eq!(dir.least_loaded_server().unwrap(), srv(0));
-        assert_eq!(dir.contexts_on(srv(0)), vec![cx(1)]);
-        assert_eq!(dir.context_count(), 2);
-    }
-
-    #[test]
-    fn offline_servers_are_not_candidates() {
-        let dir = Directory::new(DominatorMode::default(), None);
-        dir.register_server(srv(0));
-        dir.register_server(srv(1));
-        dir.set_offline(srv(1));
-        assert!(dir.is_online(srv(0)));
-        assert!(!dir.is_online(srv(1)));
-        assert_eq!(dir.online_servers(), vec![srv(0)]);
-    }
-
-    #[test]
-    fn class_constraints_are_enforced_on_edges() {
-        let mut classes = ClassGraph::new();
-        classes.add_constraint("Room", "Item");
-        let dir = Directory::new(DominatorMode::default(), Some(classes));
-        dir.add_context(cx(1), "Room").unwrap();
-        dir.add_context(cx(2), "Item").unwrap();
-        dir.add_edge(cx(1), cx(2)).unwrap();
-        assert!(matches!(
-            dir.add_edge(cx(2), cx(1)),
-            Err(AeonError::OwnershipViolation { .. }) | Err(AeonError::CycleDetected { .. })
-        ));
-        assert!(matches!(
-            dir.add_context(cx(3), "Unknown"),
-            Err(AeonError::Config(_))
-        ));
-    }
-
-    #[test]
-    fn dominator_of_shared_child_is_the_common_owner() {
-        let dir = Directory::new(DominatorMode::default(), None);
-        dir.add_context(cx(1), "Room").unwrap();
-        dir.add_context(cx(2), "Player").unwrap();
-        dir.add_context(cx(3), "Player").unwrap();
-        dir.add_context(cx(4), "Item").unwrap();
-        dir.add_edge(cx(1), cx(2)).unwrap();
-        dir.add_edge(cx(1), cx(3)).unwrap();
-        dir.add_edge(cx(2), cx(4)).unwrap();
-        dir.add_edge(cx(3), cx(4)).unwrap();
-        assert_eq!(dir.dominator_of(cx(2)).unwrap(), Dominator::Context(cx(1)));
-        assert_eq!(dir.dominator_of(cx(1)).unwrap(), Dominator::Context(cx(1)));
-        assert!(dir.may_call(cx(1), cx(4)));
-        assert!(!dir.may_call(cx(4), cx(1)));
-        assert_eq!(dir.children_of(cx(1), Some("Player")).unwrap().len(), 2);
-        assert_eq!(dir.class_of(cx(4)).unwrap(), "Item");
+    /// An authority with one online server hosting one `Room` root.
+    fn authority_with_room(class_graph: Option<ClassGraph>) -> (Directory, ServerId, ContextId) {
+        let dir = Directory::new(DominatorMode::default(), class_graph);
+        let room = dir.next_context_id();
+        let server = {
+            let mut plane = dir.plane().write();
+            plane.add_server();
+            plane.declare_root(room, "Room", Placement::Auto).unwrap()
+        };
+        (dir, server, room)
     }
 
     #[test]
@@ -704,19 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_context_clears_placement() {
-        let dir = Directory::new(DominatorMode::default(), None);
-        dir.register_server(srv(0));
-        dir.add_context(cx(1), "Room").unwrap();
-        dir.set_placement(cx(1), srv(0));
-        dir.remove_context(cx(1)).unwrap();
-        assert!(matches!(
-            dir.placement_of(cx(1)),
-            Err(AeonError::ContextNotFound(_))
-        ));
-    }
-
-    #[test]
     fn escrow_moves_objects_by_token() {
         let dir = Directory::new(DominatorMode::default(), None);
         let token = dir.escrow_put(Box::new(KvContext::new("Item")));
@@ -727,44 +431,19 @@ mod tests {
     }
 
     #[test]
-    fn create_owned_allocates_links_and_rolls_back() {
-        let mut classes = ClassGraph::new();
-        classes.add_constraint("Room", "Item");
-        let dir = Directory::new(DominatorMode::default(), Some(classes));
-        dir.add_context(cx(1), "Room").unwrap();
-        let child = dir.create_owned(cx(1), "Item").unwrap();
-        assert_eq!(dir.class_of(child).unwrap(), "Item");
-        assert_eq!(dir.children_of(cx(1), Some("Item")).unwrap(), vec![child]);
-        // Constraint violation surfaces before any context is created.
-        let count = dir.graph_snapshot().len();
-        assert!(matches!(
-            dir.create_owned(child, "Room"),
-            Err(AeonError::OwnershipViolation { .. })
-        ));
-        assert_eq!(dir.graph_snapshot().len(), count);
-    }
-
-    #[test]
     fn serve_dir_op_answers_control_plane_queries() {
-        let dir = Directory::new(DominatorMode::default(), None);
-        dir.add_context(cx(1), "Room").unwrap();
-        dir.register_server(srv(0));
+        let (dir, server, room) = authority_with_room(None);
         assert_eq!(
-            dir.serve_dir_op(DirOp::SetPlacement(cx(1), srv(0)))
-                .unwrap(),
-            DirReply::Unit
+            dir.serve_dir_op(DirOp::PlacementOf(room)).unwrap(),
+            DirReply::Server(server)
         );
         assert_eq!(
-            dir.serve_dir_op(DirOp::PlacementOf(cx(1))).unwrap(),
-            DirReply::Server(srv(0))
-        );
-        assert_eq!(
-            dir.serve_dir_op(DirOp::ClassOf(cx(1))).unwrap(),
+            dir.serve_dir_op(DirOp::ClassOf(room)).unwrap(),
             DirReply::Class("Room".into())
         );
         let created = dir
             .serve_dir_op(DirOp::CreateOwned {
-                owner: cx(1),
+                owner: room,
                 class: "Item".into(),
             })
             .unwrap();
@@ -772,17 +451,47 @@ mod tests {
             panic!("expected Context reply, got {created:?}");
         };
         assert_eq!(
-            dir.serve_dir_op(DirOp::MayCall(cx(1), child)).unwrap(),
+            dir.serve_dir_op(DirOp::SetPlacement(child, server))
+                .unwrap(),
+            DirReply::Unit
+        );
+        assert_eq!(
+            dir.serve_dir_op(DirOp::MayCall(room, child)).unwrap(),
             DirReply::Flag(true)
         );
         assert_eq!(
             dir.serve_dir_op(DirOp::ChildrenOf {
-                parent: cx(1),
+                parent: room,
                 class: None
             })
             .unwrap(),
             DirReply::Contexts(vec![child])
         );
-        assert!(dir.serve_dir_op(DirOp::RemoveEdge(cx(1), child)).is_ok());
+        assert!(dir.serve_dir_op(DirOp::RemoveEdge(room, child)).is_ok());
+    }
+
+    #[test]
+    fn node_facing_wrappers_unpack_the_authoritys_replies() {
+        let mut classes = ClassGraph::new();
+        classes.add_constraint("Room", "Item");
+        let (dir, server, room) = authority_with_room(Some(classes));
+        let child = dir.create_owned(room, "Item").unwrap();
+        assert_eq!(dir.class_of(child).unwrap(), "Item");
+        assert_eq!(dir.placement_of(child).unwrap(), server);
+        assert_eq!(dir.children_of(room, Some("Item")).unwrap(), vec![child]);
+        assert!(dir.may_call(room, child) && !dir.may_call(child, room));
+        dir.remove_edge(room, child).unwrap();
+        dir.add_edge(room, child).unwrap();
+        // A refusal travels back as the plane's error, and declares nothing.
+        let contexts = dir.plane().read().graph().len();
+        assert!(matches!(
+            dir.create_owned(child, "Room"),
+            Err(AeonError::OwnershipViolation { .. })
+        ));
+        assert!(matches!(
+            dir.set_placement(child, ServerId::new(9)),
+            Err(AeonError::ServerNotFound(_))
+        ));
+        assert_eq!(dir.plane().read().graph().len(), contexts);
     }
 }

@@ -1059,10 +1059,11 @@ impl ContextHost for NodeHost<'_> {
         // this node is a separate OS process.
         let id = self.node.directory.create_owned(owner, &class)?;
         // Locality: the child is hosted next to the (local) context that
-        // created it, exactly like the in-process runtime; placement is
-        // published only after the state is installed.
+        // created it, exactly like the in-process runtime.  The plane
+        // placed it with its owner; say where it actually landed, which
+        // differs while the owner is mid-migration.
         self.node.install(id, class, object);
-        self.node.directory.set_placement(id, self.node.id);
+        self.node.directory.set_placement(id, self.node.id)?;
         Ok(id)
     }
 

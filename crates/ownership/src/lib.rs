@@ -15,6 +15,9 @@
 //!   mutation, traversal helpers and persistence to/from [`Value`]s;
 //! * [`dominator`] — the `share`/`dom` computation of §3 plus a cached
 //!   resolver;
+//! * [`control`] — the [`ControlPlane`]: graph, context→server mapping and
+//!   server roster with every rule over them, the one copy all three
+//!   execution backends hold;
 //! * [`analysis`] — the static, contextclass-level acyclicity analysis that
 //!   the AEON compiler performs before admitting a program;
 //! * [`path`] — top-down path discovery used by `activatePath` in the
@@ -41,11 +44,13 @@
 //! ```
 
 pub mod analysis;
+pub mod control;
 pub mod dominator;
 pub mod graph;
 pub mod path;
 
 pub use analysis::{ClassGraph, MethodInfo, MethodRef};
+pub use control::{ControlPlane, Placement};
 pub use dominator::{dominator_of, share_set, Dominator, DominatorMode, DominatorResolver};
 pub use graph::OwnershipGraph;
 pub use path::{all_on_paths, find_path};

@@ -1,5 +1,13 @@
 //! The public runtime: context hosting, event submission, elasticity
 //! primitives (server management and context migration), and snapshots.
+//!
+//! The ownership network, the context→server mapping and the server roster
+//! are one [`ControlPlane`] behind one `RwLock`; this module adds what is
+//! the runtime's own — the object table (`ContextSlot`s and their locks),
+//! class factories, the worker pool, statistics and history recording.
+//! Executing an event takes only read guards on the plane (dominator,
+//! `may_call`), each dropped before the event waits on a context lock or
+//! runs contextclass code.
 
 use crate::context::{ContextFactory, ContextObject, ContextSlot};
 use crate::event::{EventHandle, EventOutcome, EventRequest};
@@ -12,7 +20,7 @@ use crate::locks::ContextLock;
 use crate::snapshot::Snapshot;
 use crate::stats::RuntimeStats;
 use aeon_analyzer::AnalysisMode;
-use aeon_ownership::{ClassGraph, Dominator, DominatorMode, DominatorResolver, OwnershipGraph};
+use aeon_ownership::{ClassGraph, ControlPlane, Dominator, DominatorMode, OwnershipGraph};
 use aeon_types::{
     codec, AccessMode, AeonError, Args, ClientId, ContextId, EventId, IdGenerator, Result,
     ServerId, ServerMetrics, SharedHistorySink, Value,
@@ -20,23 +28,11 @@ use aeon_types::{
 use crossbeam::channel::Sender;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Placement policy for newly created contexts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Placement {
-    /// Place the context on the least-loaded server (fewest contexts).
-    #[default]
-    Auto,
-    /// Place the context on the given server.
-    Server(ServerId),
-    /// Co-locate the context with another context (e.g. its owner) for
-    /// locality, mirroring the paper's placement of Players/Items next to
-    /// their Room.
-    WithContext(ContextId),
-}
+pub use aeon_ownership::Placement;
 
 /// Configuration of the runtime.
 #[derive(Debug, Clone)]
@@ -183,16 +179,15 @@ impl RuntimeBuilder {
         let inner = Arc::new(RuntimeInner {
             executor,
             certified,
-            resolver: DominatorResolver::new(self.config.dominator_mode),
+            plane: RwLock::new(ControlPlane::new(
+                self.config.dominator_mode,
+                self.config.class_graph.clone(),
+            )),
             config: self.config,
-            graph: RwLock::new(OwnershipGraph::new()),
             contexts: RwLock::new(HashMap::new()),
-            placement: RwLock::new(HashMap::new()),
-            servers: RwLock::new(BTreeMap::new()),
             factories: RwLock::new(HashMap::new()),
             global_root: ContextLock::new(ContextId::new(u64::MAX)),
             ids: IdGenerator::starting_at(1),
-            next_server: AtomicU32::new(0),
             events_in_flight: AtomicU64::new(0),
             stats: RuntimeStats::default(),
             shutdown: AtomicBool::new(false),
@@ -201,19 +196,10 @@ impl RuntimeBuilder {
             summary_violations: Mutex::new(std::collections::BTreeSet::new()),
         });
         for _ in 0..inner.config.initial_servers {
-            inner.add_server();
+            inner.plane.write().add_server();
         }
         Ok(AeonRuntime { inner })
     }
-}
-
-/// Per-server bookkeeping.
-#[derive(Debug, Clone, Default)]
-pub struct ServerInfo {
-    /// Whether the server is accepting contexts.
-    pub online: bool,
-    /// Events whose target context was placed on this server.
-    pub events_executed: u64,
 }
 
 /// Shared interior of the runtime.
@@ -224,17 +210,17 @@ pub(crate) struct RuntimeInner {
     /// Methods admitted to the read-only fast path.
     certified: CertifiedReads,
     pub(crate) config: RuntimeConfig,
-    pub(crate) graph: RwLock<OwnershipGraph>,
-    pub(crate) resolver: DominatorResolver,
+    /// Ownership network, placement and roster.  The per-event path only
+    /// ever takes read guards, and no guard is held across contextclass
+    /// code or a wait on a context lock.
+    pub(crate) plane: RwLock<ControlPlane>,
+    /// The context objects (the plane knows contexts only by id).
     pub(crate) contexts: RwLock<HashMap<ContextId, Arc<ContextSlot>>>,
-    pub(crate) placement: RwLock<HashMap<ContextId, ServerId>>,
-    pub(crate) servers: RwLock<BTreeMap<ServerId, ServerInfo>>,
     pub(crate) factories: RwLock<HashMap<String, ContextFactory>>,
     /// Sequencer used when a target has no concrete dominator
     /// ([`Dominator::GlobalRoot`]).
     pub(crate) global_root: ContextLock,
     pub(crate) ids: IdGenerator,
-    next_server: AtomicU32,
     events_in_flight: AtomicU64,
     pub(crate) stats: RuntimeStats,
     shutdown: AtomicBool,
@@ -256,7 +242,7 @@ impl std::fmt::Debug for RuntimeInner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RuntimeInner")
             .field("contexts", &self.contexts.read().len())
-            .field("servers", &self.servers.read().len())
+            .field("servers", &self.plane.read().online_servers().len())
             .finish_non_exhaustive()
     }
 }
@@ -276,15 +262,6 @@ impl RuntimeInner {
             .ok_or(AeonError::ContextNotFound(id))
     }
 
-    pub(crate) fn dominator_of(&self, target: ContextId) -> Result<Dominator> {
-        let graph = self.graph.read();
-        self.resolver.dominator(&graph, target)
-    }
-
-    pub(crate) fn may_call(&self, caller: ContextId, callee: ContextId) -> bool {
-        self.graph.read().may_call(caller, callee)
-    }
-
     /// Debug-build backstop of the static analysis: checks one actual
     /// invoke edge against the caller method's declared `calls [...]`
     /// summary and records a violation when the summary exists but does
@@ -300,8 +277,8 @@ impl RuntimeInner {
             return;
         };
         let (caller_class, target_class) = {
-            let graph = self.graph.read();
-            match (graph.class_of(caller), graph.class_of(target)) {
+            let plane = self.plane.read();
+            match (plane.class_of(caller), plane.class_of(target)) {
                 (Ok(a), Ok(b)) => (a.to_string(), b.to_string()),
                 _ => return,
             }
@@ -320,132 +297,21 @@ impl RuntimeInner {
         }
     }
 
-    pub(crate) fn children_of(
-        &self,
-        parent: ContextId,
-        class: Option<&str>,
-    ) -> Result<Vec<ContextId>> {
-        let graph = self.graph.read();
-        let children = graph.children(parent)?;
-        let mut out = Vec::with_capacity(children.len());
-        for &c in children {
-            if class.is_none_or(|cls| graph.class_of(c).map(|k| k == cls).unwrap_or(false)) {
-                out.push(c);
-            }
-        }
-        Ok(out)
-    }
-
-    fn pick_server(&self, placement: Placement) -> Result<ServerId> {
-        match placement {
-            Placement::Server(id) => {
-                let servers = self.servers.read();
-                match servers.get(&id) {
-                    Some(info) if info.online => Ok(id),
-                    _ => Err(AeonError::ServerNotFound(id)),
-                }
-            }
-            Placement::WithContext(other) => {
-                let server = self
-                    .placement
-                    .read()
-                    .get(&other)
-                    .copied()
-                    .ok_or(AeonError::ContextNotFound(other))?;
-                // The co-location target may sit on a crashed server; never
-                // place new contexts there.
-                match self.servers.read().get(&server) {
-                    Some(info) if info.online => Ok(server),
-                    _ => Err(AeonError::ServerNotFound(server)),
-                }
-            }
-            Placement::Auto => {
-                let servers = self.servers.read();
-                let placement = self.placement.read();
-                let mut load: BTreeMap<ServerId, usize> = servers
-                    .iter()
-                    .filter(|(_, info)| info.online)
-                    .map(|(id, _)| (*id, 0))
-                    .collect();
-                for server in placement.values() {
-                    if let Some(count) = load.get_mut(server) {
-                        *count += 1;
-                    }
-                }
-                load.into_iter()
-                    .min_by_key(|(id, count)| (*count, id.raw()))
-                    .map(|(id, _)| id)
-                    .ok_or_else(|| AeonError::Config("no online servers".into()))
-            }
-        }
-    }
-
-    pub(crate) fn create_context_owned_by(
+    /// Creates a context: `declare` enters it into the control plane under
+    /// the id it is handed (validating everything first), then the object
+    /// is installed.
+    fn create_context(
         &self,
         object: Box<dyn ContextObject>,
-        owners: &[ContextId],
-        colocate_with: Option<ContextId>,
+        declare: impl FnOnce(&mut ControlPlane, ContextId, &str) -> Result<ServerId>,
     ) -> Result<ContextId> {
-        let class = object.class_name().to_string();
-        // Validate class constraints against every owner before mutating.
-        if let Some(classes) = &self.config.class_graph {
-            let graph = self.graph.read();
-            for owner in owners {
-                let owner_class = graph.class_of(*owner)?;
-                if !classes.allows(owner_class, &class) {
-                    return Err(AeonError::ownership(*owner, ContextId::new(u64::MAX)));
-                }
-            }
-        }
         let id = ContextId::new(self.ids.next_raw());
-        let placement = match colocate_with.or_else(|| owners.first().copied()) {
-            Some(other) => Placement::WithContext(other),
-            None => Placement::Auto,
-        };
-        let server = self.pick_server(placement)?;
-        {
-            let mut graph = self.graph.write();
-            graph.add_context(id, class)?;
-            for owner in owners {
-                if let Err(e) = graph.add_edge(*owner, id) {
-                    let _ = graph.remove_context(id);
-                    return Err(e);
-                }
-            }
-        }
+        let class = object.class_name();
+        declare(&mut self.plane.write(), id, class)?;
         self.contexts
             .write()
             .insert(id, ContextSlot::new(id, object));
-        self.placement.write().insert(id, server);
         Ok(id)
-    }
-
-    pub(crate) fn add_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        if let Some(classes) = &self.config.class_graph {
-            let graph = self.graph.read();
-            let owner_class = graph.class_of(owner)?;
-            let owned_class = graph.class_of(owned)?;
-            if !classes.allows(owner_class, owned_class) {
-                return Err(AeonError::ownership(owner, owned));
-            }
-        }
-        self.graph.write().add_edge(owner, owned)
-    }
-
-    pub(crate) fn remove_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.graph.write().remove_edge(owner, owned)
-    }
-
-    fn add_server(&self) -> ServerId {
-        let id = ServerId::new(self.next_server.fetch_add(1, Ordering::Relaxed));
-        self.servers.write().insert(
-            id,
-            ServerInfo {
-                online: true,
-                events_executed: 0,
-            },
-        );
-        id
     }
 
     fn is_shutdown(&self) -> bool {
@@ -506,11 +372,6 @@ impl RuntimeInner {
     ) {
         self.stats
             .record_event(ok, request.mode.is_read_only(), latency);
-        if let Some(server) = self.placement.read().get(&request.target) {
-            if let Some(info) = self.servers.write().get_mut(server) {
-                info.events_executed += 1;
-            }
-        }
         if let Some(sink) = self.sink() {
             sink.responded(request.id);
         }
@@ -691,7 +552,8 @@ impl<'a> RuntimeHost<'a> {
     /// Takes the sequencer of an event targeting `target`: the lock of its
     /// dominator, or the global root when it has none.
     fn sequence(&mut self, event: &EventMeta, target: ContextId) -> Result<()> {
-        match self.inner.dominator_of(target)? {
+        let dominator = self.inner.plane.read().dominator_of(target)?;
+        match dominator {
             Dominator::Context(dom) => {
                 if dom != target {
                     let slot = self.inner.context_slot(dom)?;
@@ -738,7 +600,7 @@ impl HostedObject for ContextSlot {
 
 impl ContextHost for RuntimeHost<'_> {
     fn may_call(&self, caller: ContextId, target: ContextId) -> bool {
-        self.inner.may_call(caller, target)
+        self.inner.plane.read().may_call(caller, target)
     }
 
     fn enter(&mut self, event: &EventMeta, target: ContextId) -> Result<Entered> {
@@ -759,20 +621,21 @@ impl ContextHost for RuntimeHost<'_> {
         owner: ContextId,
         object: Box<dyn ContextObject>,
     ) -> Result<ContextId> {
-        self.inner
-            .create_context_owned_by(object, &[owner], Some(owner))
+        self.inner.create_context(object, |plane, id, class| {
+            plane.declare_owned(id, class, &[owner])
+        })
     }
 
     fn add_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.inner.add_ownership(owner, owned)
+        self.inner.plane.write().add_edge(owner, owned)
     }
 
     fn remove_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.inner.remove_ownership(owner, owned)
+        self.inner.plane.write().remove_edge(owner, owned)
     }
 
     fn children(&self, parent: ContextId, class: Option<&str>) -> Result<Vec<ContextId>> {
-        self.inner.children_of(parent, class)
+        self.inner.plane.read().children_of(parent, class)
     }
 
     fn record_call_edge(
@@ -845,30 +708,18 @@ impl AeonRuntime {
     ///
     /// # Errors
     ///
-    /// Returns [`AeonError::ServerNotFound`] / [`AeonError::Config`] when
-    /// the requested placement is not satisfiable.
+    /// * [`AeonError::Config`] when the class is not declared in the class
+    ///   graph.
+    /// * [`AeonError::ServerNotFound`] / [`AeonError::Config`] when the
+    ///   requested placement is not satisfiable.
     pub fn create_context(
         &self,
         object: Box<dyn ContextObject>,
         placement: Placement,
     ) -> Result<ContextId> {
-        let class = object.class_name().to_string();
-        if let Some(classes) = &self.inner.config.class_graph {
-            if !classes.contains(&class) {
-                return Err(AeonError::Config(format!(
-                    "contextclass {class} is not declared in the class graph"
-                )));
-            }
-        }
-        let id = ContextId::new(self.inner.ids.next_raw());
-        let server = self.inner.pick_server(placement)?;
-        self.inner.graph.write().add_context(id, class)?;
-        self.inner
-            .contexts
-            .write()
-            .insert(id, ContextSlot::new(id, object));
-        self.inner.placement.write().insert(id, server);
-        Ok(id)
+        self.inner.create_context(object, |plane, id, class| {
+            plane.declare_root(id, class, placement)
+        })
     }
 
     /// Creates a context owned by `owners` (at least one), co-located with
@@ -876,7 +727,8 @@ impl AeonRuntime {
     ///
     /// # Errors
     ///
-    /// * [`AeonError::Config`] when `owners` is empty.
+    /// * [`AeonError::Config`] when `owners` is empty or the class is not
+    ///   declared in the class graph.
     /// * [`AeonError::OwnershipViolation`] when the class constraints forbid
     ///   the ownership.
     pub fn create_owned_context(
@@ -884,12 +736,9 @@ impl AeonRuntime {
         object: Box<dyn ContextObject>,
         owners: &[ContextId],
     ) -> Result<ContextId> {
-        if owners.is_empty() {
-            return Err(AeonError::Config(
-                "create_owned_context requires at least one owner".into(),
-            ));
-        }
-        self.inner.create_context_owned_by(object, owners, None)
+        self.inner.create_context(object, |plane, id, class| {
+            plane.declare_owned(id, class, owners)
+        })
     }
 
     /// Adds `owner` to the owners of `owned`.
@@ -900,7 +749,7 @@ impl AeonRuntime {
     /// * [`AeonError::OwnershipViolation`] when the class constraints forbid
     ///   the edge.
     pub fn add_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.inner.add_ownership(owner, owned)
+        self.inner.plane.write().add_edge(owner, owned)
     }
 
     /// Removes `owner` from the owners of `owned`.
@@ -910,12 +759,12 @@ impl AeonRuntime {
     /// Returns [`AeonError::ContextNotFound`] when either context is
     /// unknown.
     pub fn remove_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.inner.remove_ownership(owner, owned)
+        self.inner.plane.write().remove_edge(owner, owned)
     }
 
     /// A snapshot of the current ownership network.
     pub fn ownership_graph(&self) -> OwnershipGraph {
-        self.inner.graph.read().clone()
+        self.inner.plane.read().graph().clone()
     }
 
     /// The dominator of `target` under the configured mode.
@@ -924,12 +773,12 @@ impl AeonRuntime {
     ///
     /// Returns [`AeonError::ContextNotFound`] when `target` is unknown.
     pub fn dominator_of(&self, target: ContextId) -> Result<Dominator> {
-        self.inner.dominator_of(target)
+        self.inner.plane.read().dominator_of(target)
     }
 
     /// Adds a new (logical) server and returns its id.
     pub fn add_server(&self) -> ServerId {
-        self.inner.add_server()
+        self.inner.plane.write().add_server()
     }
 
     /// Marks a server offline.  The server must not host any contexts —
@@ -941,32 +790,7 @@ impl AeonRuntime {
     /// * [`AeonError::ServerNotFound`] for unknown servers.
     /// * [`AeonError::Config`] when contexts are still placed on it.
     pub fn remove_server(&self, server: ServerId) -> Result<()> {
-        // Go offline first so concurrent placements stop choosing this
-        // server, then check it is empty; checking before flipping the flag
-        // would let a racing create_context strand a context on it.
-        {
-            let mut servers = self.inner.servers.write();
-            let info = servers
-                .get_mut(&server)
-                .ok_or(AeonError::ServerNotFound(server))?;
-            // Removing an already offline server is an error on every
-            // backend (the cluster and simulator have no entry left to
-            // stop).
-            if !info.online {
-                return Err(AeonError::ServerNotFound(server));
-            }
-            info.online = false;
-        }
-        let hosted = self.contexts_on(server).len();
-        if hosted > 0 {
-            if let Some(info) = self.inner.servers.write().get_mut(&server) {
-                info.online = true;
-            }
-            return Err(AeonError::Config(format!(
-                "server {server} still hosts {hosted} contexts"
-            )));
-        }
-        Ok(())
+        self.inner.plane.write().retire_server(server)
     }
 
     /// Simulates a server crash: the server goes offline immediately and
@@ -980,14 +804,7 @@ impl AeonRuntime {
     ///
     /// Returns [`AeonError::ServerNotFound`] for unknown servers.
     pub fn crash_server(&self, server: ServerId) -> Result<()> {
-        {
-            let mut servers = self.inner.servers.write();
-            let info = servers
-                .get_mut(&server)
-                .ok_or(AeonError::ServerNotFound(server))?;
-            info.online = false;
-        }
-        let hosted = self.contexts_on(server);
+        let hosted = self.inner.plane.write().mark_crashed(server)?;
         let mut contexts = self.inner.contexts.write();
         for context in hosted {
             if let Some(slot) = contexts.remove(&context) {
@@ -1013,11 +830,13 @@ impl AeonRuntime {
         state: &Value,
         server: ServerId,
     ) -> Result<()> {
-        match self.inner.servers.read().get(&server) {
-            Some(info) if info.online => {}
-            _ => return Err(AeonError::ServerNotFound(server)),
-        }
-        let class = self.inner.graph.read().class_of(context)?.to_string();
+        let class = {
+            let plane = self.inner.plane.read();
+            if !plane.is_online(server) {
+                return Err(AeonError::ServerNotFound(server));
+            }
+            plane.class_of(context)?.to_string()
+        };
         let factory = self
             .inner
             .factories
@@ -1044,24 +863,12 @@ impl AeonRuntime {
         if let Some(sink) = &sink {
             sink.responded(event);
         }
-        self.inner.placement.write().insert(context, server);
-        Ok(())
+        self.inner.plane.write().set_placement(context, server)
     }
 
     /// Ids of all online servers.
     pub fn servers(&self) -> Vec<ServerId> {
-        self.inner
-            .servers
-            .read()
-            .iter()
-            .filter(|(_, info)| info.online)
-            .map(|(id, _)| *id)
-            .collect()
-    }
-
-    /// Per-server info (including offline servers).
-    pub fn server_info(&self) -> BTreeMap<ServerId, ServerInfo> {
-        self.inner.servers.read().clone()
+        self.inner.plane.read().online_servers()
     }
 
     /// Current per-server load metrics (the elasticity control-plane feed).
@@ -1077,22 +884,22 @@ impl AeonRuntime {
     /// (racing a create/migrate) are spread round-robin so the fleet-wide
     /// sum stays meaningful.
     pub fn server_metrics(&self) -> Vec<ServerMetrics> {
-        let servers = self.servers();
-        let total_contexts = self.context_count();
         let latency = self.stats().latency_summary();
         let histogram = self.stats().latency_histogram();
+        let queued = self.inner.executor.queued_by_key();
+        let plane = self.inner.plane.read();
+        let servers = plane.online_servers();
+        let total_contexts = plane.context_count();
         let mut depth: BTreeMap<ServerId, usize> = servers.iter().map(|s| (*s, 0usize)).collect();
         let mut unplaced = 0usize;
-        {
-            let placement = self.inner.placement.read();
-            for (key, count) in self.inner.executor.queued_by_key() {
-                match placement
-                    .get(&ContextId::new(key))
-                    .and_then(|server| depth.get_mut(server))
-                {
-                    Some(d) => *d += count as usize,
-                    None => unplaced += count as usize,
-                }
+        for (key, count) in queued {
+            match plane
+                .placement_of(ContextId::new(key))
+                .ok()
+                .and_then(|server| depth.get_mut(&server))
+            {
+                Some(d) => *d += count as usize,
+                None => unplaced += count as usize,
             }
         }
         let fleet = servers.len().max(1);
@@ -1100,7 +907,7 @@ impl AeonRuntime {
             .into_iter()
             .enumerate()
             .map(|(i, server)| {
-                let hosted = self.contexts_on(server).len();
+                let hosted = plane.contexts_on(server).len();
                 let queue_depth = depth.get(&server).copied().unwrap_or(0)
                     + unplaced / fleet
                     + usize::from(i < unplaced % fleet);
@@ -1122,31 +929,17 @@ impl AeonRuntime {
     ///
     /// Returns [`AeonError::ContextNotFound`] for unknown contexts.
     pub fn placement_of(&self, context: ContextId) -> Result<ServerId> {
-        self.inner
-            .placement
-            .read()
-            .get(&context)
-            .copied()
-            .ok_or(AeonError::ContextNotFound(context))
+        self.inner.plane.read().placement_of(context)
     }
 
     /// All contexts currently placed on `server`.
     pub fn contexts_on(&self, server: ServerId) -> Vec<ContextId> {
-        let mut out: Vec<ContextId> = self
-            .inner
-            .placement
-            .read()
-            .iter()
-            .filter(|(_, s)| **s == server)
-            .map(|(c, _)| *c)
-            .collect();
-        out.sort();
-        out
+        self.inner.plane.read().contexts_on(server)
     }
 
-    /// Number of contexts hosted by the runtime.
+    /// Number of contexts placed on online servers.
     pub fn context_count(&self) -> usize {
-        self.inner.contexts.read().len()
+        self.inner.plane.read().context_count()
     }
 
     /// Migrates `context` to `to_server` without violating consistency: the
@@ -1164,12 +957,8 @@ impl AeonRuntime {
     /// * [`AeonError::EventAborted`] if the runtime shuts down while the
     ///   migration waits for the context.
     pub fn migrate_context(&self, context: ContextId, to_server: ServerId) -> Result<u64> {
-        {
-            let servers = self.inner.servers.read();
-            match servers.get(&to_server) {
-                Some(info) if info.online => {}
-                _ => return Err(AeonError::ServerNotFound(to_server)),
-            }
+        if !self.inner.plane.read().is_online(to_server) {
+            return Err(AeonError::ServerNotFound(to_server));
         }
         let slot = self.inner.context_slot(context)?;
         // Step II/IV of the protocol: the migration event waits its turn in
@@ -1189,9 +978,12 @@ impl AeonRuntime {
             }
             bytes
         };
-        self.inner.placement.write().insert(context, to_server);
+        // Refused only if the destination went offline while the migration
+        // waited for the context.
+        let placed = self.inner.plane.write().set_placement(context, to_server);
         slot.lock.release(migration_event);
         self.inner.paused.lock().retain(|c| *c != context);
+        placed?;
         self.inner.stats.record_migration(moved);
         Ok(moved)
     }
@@ -1294,7 +1086,7 @@ impl AeonRuntime {
         if let Some(sink) = &sink {
             sink.invoked(event);
         }
-        let dominator = self.inner.dominator_of(root)?;
+        let dominator = self.inner.plane.read().dominator_of(root)?;
         let mut held: Vec<Arc<ContextSlot>> = Vec::new();
         let mut holds_root = false;
         match dominator {
@@ -1311,7 +1103,7 @@ impl AeonRuntime {
             }
             _ => {}
         }
-        let members = self.inner.graph.read().subtree_topological(root)?;
+        let members = self.inner.plane.read().graph().subtree_topological(root)?;
         let result = (|| -> Result<()> {
             for id in members {
                 let slot = self.inner.context_slot(id)?;

@@ -15,13 +15,21 @@
 //! entered and keeps the `(context, server)` trace the contention timeline
 //! replays.
 //!
+//! The ownership network, placement map and server roster are a
+//! [`ControlPlane`] embedded by value in the engine state — the same type,
+//! and so the same rules and errors, as the runtime and the cluster's
+//! directory authority; the engine adds only its object table, factories
+//! and the virtual clock.  Dominators (the contention timeline's
+//! sequencers) come from the plane's resolver in the default
+//! [`DominatorMode`].
+//!
 //! The deterministic engine and the distributed cluster thereby bracket the
 //! in-process runtime: same applications, same API, three execution
 //! substrates.
 
 use crate::resources::{CpuTimeline, LockTimeline};
 use aeon_api::{Deployment, EventHandle, Session};
-use aeon_ownership::{ClassGraph, Dominator, DominatorMode, DominatorResolver, OwnershipGraph};
+use aeon_ownership::{ClassGraph, ControlPlane, Dominator, DominatorMode, OwnershipGraph};
 use aeon_runtime::{
     AnalysisMode, ContextFactory, ContextHost, ContextObject, Entered, EventBody, EventMeta,
     Footprint, Placement, Snapshot,
@@ -31,7 +39,7 @@ use aeon_types::{
     ServerId, ServerMetrics, SharedHistorySink, SimDuration, SimTime, Value,
 };
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Builder for [`SimDeployment`].
@@ -141,17 +149,13 @@ impl SimDeploymentBuilder {
             classes.check()?;
             aeon_analyzer::enforce(classes, self.analysis)?;
         }
-        let mut servers = BTreeMap::new();
-        for raw in 0..self.servers {
-            servers.insert(ServerId::new(raw as u32), true);
+        let mut plane = ControlPlane::new(DominatorMode::default(), self.class_graph);
+        for _ in 0..self.servers {
+            plane.add_server();
         }
         let state = SimState {
-            graph: OwnershipGraph::new(),
-            class_graph: self.class_graph,
+            plane,
             contexts: HashMap::new(),
-            placement: HashMap::new(),
-            servers,
-            next_server: self.servers as u32,
             factories: HashMap::new(),
             ids: IdGenerator::starting_at(1),
             clock: SimTime::ZERO,
@@ -170,7 +174,6 @@ impl SimDeploymentBuilder {
                 locks: HashMap::new(),
                 global_lock: LockTimeline::new(),
                 cpus: HashMap::new(),
-                resolver: DominatorResolver::new(DominatorMode::Closure),
             }),
         };
         Ok(SimDeployment {
@@ -193,7 +196,6 @@ struct Timeline {
     /// (footnote 1, §3): the paper's per-application global sequencer.
     global_lock: LockTimeline,
     cpus: HashMap<ServerId, CpuTimeline>,
-    resolver: DominatorResolver,
 }
 
 /// A context object behind its own lock, so handlers can borrow the engine
@@ -210,12 +212,11 @@ struct SimSlot {
 /// lock: execution is single-threaded by construction, which is what makes
 /// it deterministic.
 struct SimState {
-    graph: OwnershipGraph,
-    class_graph: Option<ClassGraph>,
+    /// Ownership network, placement and roster — the same type the
+    /// runtime and the cluster's directory authority hold.
+    plane: ControlPlane,
+    /// The context objects (the plane knows contexts only by id).
     contexts: HashMap<ContextId, SimSlot>,
-    placement: HashMap<ContextId, ServerId>,
-    servers: BTreeMap<ServerId, bool>,
-    next_server: u32,
     factories: HashMap<String, ContextFactory>,
     ids: IdGenerator,
     clock: SimTime,
@@ -242,105 +243,33 @@ impl SimState {
             .contexts
             .get(&id)
             .ok_or(AeonError::ContextNotFound(id))?;
-        let server = self.placement.get(&id).copied().unwrap_or(ServerId::new(0));
-        Ok((Arc::clone(&slot.object), server))
+        Ok((Arc::clone(&slot.object), self.server_of(id)))
     }
 
-    fn online(&self, server: ServerId) -> bool {
-        self.servers.get(&server).copied().unwrap_or(false)
+    /// The server `id` is placed on (server 0 for a context the plane does
+    /// not know, whose event fails on entry anyway).
+    fn server_of(&self, id: ContextId) -> ServerId {
+        self.plane.placement_of(id).unwrap_or(ServerId::new(0))
     }
 
-    fn pick_server(&self, placement: Placement) -> Result<ServerId> {
-        match placement {
-            Placement::Server(server) if self.online(server) => Ok(server),
-            Placement::Server(server) => Err(AeonError::ServerNotFound(server)),
-            Placement::WithContext(other) => {
-                let server = self
-                    .placement
-                    .get(&other)
-                    .copied()
-                    .ok_or(AeonError::ContextNotFound(other))?;
-                // The co-location target may sit on a crashed server; never
-                // place new contexts there.
-                if self.online(server) {
-                    Ok(server)
-                } else {
-                    Err(AeonError::ServerNotFound(server))
-                }
-            }
-            Placement::Auto => {
-                let mut load: BTreeMap<ServerId, usize> = self
-                    .servers
-                    .iter()
-                    .filter(|(_, online)| **online)
-                    .map(|(id, _)| (*id, 0))
-                    .collect();
-                for server in self.placement.values() {
-                    if let Some(count) = load.get_mut(server) {
-                        *count += 1;
-                    }
-                }
-                load.into_iter()
-                    .min_by_key(|(id, count)| (*count, id.raw()))
-                    .map(|(id, _)| id)
-                    .ok_or_else(|| AeonError::Config("no online servers".into()))
-            }
-        }
-    }
-
-    fn check_constraint(&self, owner: ContextId, owned_class: &str) -> Result<()> {
-        if let Some(classes) = &self.class_graph {
-            let owner_class = self.graph.class_of(owner)?;
-            if !classes.allows(owner_class, owned_class) {
-                return Err(AeonError::ownership(owner, ContextId::new(u64::MAX)));
-            }
-        }
-        Ok(())
-    }
-
-    /// Creates a context owned by `owners`, placed next to the first.
-    fn create_owned(
+    /// Creates a context: `declare` enters it into the control plane under
+    /// the id it is handed (validating everything first), then the object
+    /// is installed.
+    fn create_context(
         &mut self,
         object: Box<dyn ContextObject>,
-        owners: &[ContextId],
+        declare: impl FnOnce(&mut ControlPlane, ContextId, &str) -> Result<ServerId>,
     ) -> Result<ContextId> {
         let class = object.class_name().to_string();
-        for owner in owners {
-            self.check_constraint(*owner, &class)?;
-        }
-        let server = self.pick_server(Placement::WithContext(owners[0]))?;
         let id = ContextId::new(self.ids.next_raw());
-        self.graph.add_context(id, &class)?;
-        for owner in owners {
-            if let Err(e) = self.graph.add_edge(*owner, id) {
-                let _ = self.graph.remove_context(id);
-                return Err(e);
-            }
-        }
-        self.contexts.insert(
-            id,
-            SimSlot {
-                class,
-                object: Arc::new(Mutex::new(object)),
-            },
-        );
-        self.placement.insert(id, server);
+        declare(&mut self.plane, id, &class)?;
+        self.install(id, class, object);
         Ok(id)
     }
 
-    fn add_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()> {
-        if let Some(classes) = &self.class_graph {
-            let owner_class = self.graph.class_of(owner)?;
-            let owned_class = self.graph.class_of(owned)?;
-            if !classes.allows(owner_class, owned_class) {
-                return Err(AeonError::ownership(owner, owned));
-            }
-        }
-        self.graph.add_edge(owner, owned)
-    }
-
-    fn remove_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.graph.remove_edge(owner, owned)
+    fn install(&mut self, id: ContextId, class: String, object: Box<dyn ContextObject>) {
+        let object = Arc::new(Mutex::new(object));
+        self.contexts.insert(id, SimSlot { class, object });
     }
 
     /// Charges one event's virtual time through the contended resources:
@@ -365,7 +294,7 @@ impl SimState {
         let mut now = arrival + hop;
         // Dominator sequencing; an unresolvable dominator (e.g. the target
         // vanished mid-run) falls back to the target's own lock.
-        let sequencer = match timeline.resolver.dominator(&self.graph, target) {
+        let sequencer = match self.plane.dominator_of(target) {
             Ok(Dominator::Context(context)) => Some(context),
             Ok(Dominator::GlobalRoot) => None,
             Err(_) => Some(target),
@@ -446,11 +375,7 @@ impl SimState {
         if let Some(sink) = &self.history {
             sink.invoked(event);
         }
-        let entry_server = self
-            .placement
-            .get(&target)
-            .copied()
-            .unwrap_or(ServerId::new(0));
+        let entry_server = self.server_of(target);
         let mut host = SimHost {
             state: self,
             current_server: entry_server,
@@ -507,7 +432,7 @@ struct SimHost<'a> {
 
 impl ContextHost for SimHost<'_> {
     fn may_call(&self, caller: ContextId, target: ContextId) -> bool {
-        self.state.graph.may_call(caller, target)
+        self.state.plane.may_call(caller, target)
     }
 
     fn enter(&mut self, _event: &EventMeta, target: ContextId) -> Result<Entered> {
@@ -532,27 +457,21 @@ impl ContextHost for SimHost<'_> {
         owner: ContextId,
         object: Box<dyn ContextObject>,
     ) -> Result<ContextId> {
-        self.state.create_owned(object, &[owner])
+        self.state.create_context(object, |plane, id, class| {
+            plane.declare_owned(id, class, &[owner])
+        })
     }
 
     fn add_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.state.add_ownership(owner, owned)
+        self.state.plane.add_edge(owner, owned)
     }
 
     fn remove_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.state.remove_ownership(owner, owned)
+        self.state.plane.remove_edge(owner, owned)
     }
 
     fn children(&self, parent: ContextId, class: Option<&str>) -> Result<Vec<ContextId>> {
-        let graph = &self.state.graph;
-        let children = graph.children(parent)?;
-        let mut out = Vec::with_capacity(children.len());
-        for &child in children {
-            if class.is_none_or(|cls| graph.class_of(child).map(|k| k == cls).unwrap_or(false)) {
-                out.push(child);
-            }
-        }
-        Ok(out)
+        self.state.plane.children_of(parent, class)
     }
 }
 
@@ -724,27 +643,11 @@ impl Deployment for SimDeployment {
         object: Box<dyn ContextObject>,
         placement: Placement,
     ) -> Result<ContextId> {
-        let mut state = self.inner.lock();
-        let class = object.class_name().to_string();
-        if let Some(classes) = &state.class_graph {
-            if !classes.contains(&class) {
-                return Err(AeonError::Config(format!(
-                    "contextclass {class} is not declared in the class graph"
-                )));
-            }
-        }
-        let server = state.pick_server(placement)?;
-        let id = ContextId::new(state.ids.next_raw());
-        state.graph.add_context(id, &class)?;
-        state.contexts.insert(
-            id,
-            SimSlot {
-                class,
-                object: Arc::new(Mutex::new(object)),
-            },
-        );
-        state.placement.insert(id, server);
-        Ok(id)
+        self.inner
+            .lock()
+            .create_context(object, |plane, id, class| {
+                plane.declare_root(id, class, placement)
+            })
     }
 
     fn create_owned_context(
@@ -752,12 +655,11 @@ impl Deployment for SimDeployment {
         object: Box<dyn ContextObject>,
         owners: &[ContextId],
     ) -> Result<ContextId> {
-        if owners.is_empty() {
-            return Err(AeonError::Config(
-                "create_owned_context requires at least one owner".into(),
-            ));
-        }
-        self.inner.lock().create_owned(object, owners)
+        self.inner
+            .lock()
+            .create_context(object, |plane, id, class| {
+                plane.declare_owned(id, class, owners)
+            })
     }
 
     fn register_class_factory(&self, class: &str, factory: ContextFactory) {
@@ -772,15 +674,15 @@ impl Deployment for SimDeployment {
     }
 
     fn add_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.inner.lock().add_ownership(owner, owned)
+        self.inner.lock().plane.add_edge(owner, owned)
     }
 
     fn remove_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.inner.lock().remove_ownership(owner, owned)
+        self.inner.lock().plane.remove_edge(owner, owned)
     }
 
     fn ownership_graph(&self) -> OwnershipGraph {
-        self.inner.lock().graph.clone()
+        self.inner.lock().plane.graph().clone()
     }
 
     fn session(&self) -> Box<dyn Session> {
@@ -789,7 +691,7 @@ impl Deployment for SimDeployment {
 
     fn migrate_context(&self, context: ContextId, to_server: ServerId) -> Result<u64> {
         let mut state = self.inner.lock();
-        if !state.online(to_server) {
+        if !state.plane.is_online(to_server) {
             return Err(AeonError::ServerNotFound(to_server));
         }
         let slot = state
@@ -807,7 +709,7 @@ impl Deployment for SimDeployment {
             }
             bytes
         };
-        state.placement.insert(context, to_server);
+        state.plane.set_placement(context, to_server)?;
         // A migration costs one network round trip of virtual time; in
         // contention mode the context is additionally unavailable for that
         // round trip, so in-flight load queues behind the move.
@@ -825,26 +727,11 @@ impl Deployment for SimDeployment {
     }
 
     fn add_server(&self) -> ServerId {
-        let mut state = self.inner.lock();
-        let id = ServerId::new(state.next_server);
-        state.next_server += 1;
-        state.servers.insert(id, true);
-        id
+        self.inner.lock().plane.add_server()
     }
 
     fn remove_server(&self, server: ServerId) -> Result<()> {
-        let mut state = self.inner.lock();
-        if !state.online(server) {
-            return Err(AeonError::ServerNotFound(server));
-        }
-        let hosted = state.placement.values().filter(|s| **s == server).count();
-        if hosted > 0 {
-            return Err(AeonError::Config(format!(
-                "server {server} still hosts {hosted} contexts"
-            )));
-        }
-        state.servers.insert(server, false);
-        Ok(())
+        self.inner.lock().plane.retire_server(server)
     }
 
     fn server_metrics(&self) -> Vec<ServerMetrics> {
@@ -852,7 +739,7 @@ impl Deployment for SimDeployment {
         // latency charged to events so far, and the queue depth is zero
         // because the deterministic engine executes events inline.
         let state = self.inner.lock();
-        let total_contexts = state.contexts.len();
+        let total_contexts = state.plane.context_count();
         let events = state.events_completed + state.events_failed;
         let avg_latency_ms = if events == 0 {
             0.0
@@ -860,11 +747,11 @@ impl Deployment for SimDeployment {
             state.total_latency.as_micros() as f64 / events as f64 / 1_000.0
         };
         state
-            .servers
-            .iter()
-            .filter(|(_, online)| **online)
-            .map(|(&server, _)| {
-                let hosted = state.placement.values().filter(|s| **s == server).count();
+            .plane
+            .online_servers()
+            .into_iter()
+            .map(|server| {
+                let hosted = state.plane.contexts_on(server).len();
                 ServerMetrics::from_load_with_latency(
                     server,
                     hosted,
@@ -878,56 +765,27 @@ impl Deployment for SimDeployment {
     }
 
     fn context_count(&self) -> usize {
-        self.inner.lock().contexts.len()
+        self.inner.lock().plane.context_count()
     }
 
     fn crash_server(&self, server: ServerId) -> Result<()> {
         let mut state = self.inner.lock();
-        match state.servers.get_mut(&server) {
-            Some(online) => *online = false,
-            None => return Err(AeonError::ServerNotFound(server)),
-        }
-        let hosted: Vec<ContextId> = state
-            .placement
-            .iter()
-            .filter(|(_, s)| **s == server)
-            .map(|(c, _)| *c)
-            .collect();
-        for context in hosted {
+        for context in state.plane.mark_crashed(server)? {
             state.contexts.remove(&context);
         }
         Ok(())
     }
 
     fn servers(&self) -> Vec<ServerId> {
-        self.inner
-            .lock()
-            .servers
-            .iter()
-            .filter(|(_, online)| **online)
-            .map(|(id, _)| *id)
-            .collect()
+        self.inner.lock().plane.online_servers()
     }
 
     fn placement_of(&self, context: ContextId) -> Result<ServerId> {
-        self.inner
-            .lock()
-            .placement
-            .get(&context)
-            .copied()
-            .ok_or(AeonError::ContextNotFound(context))
+        self.inner.lock().plane.placement_of(context)
     }
 
     fn contexts_on(&self, server: ServerId) -> Vec<ContextId> {
-        let state = self.inner.lock();
-        let mut out: Vec<ContextId> = state
-            .placement
-            .iter()
-            .filter(|(_, s)| **s == server)
-            .map(|(c, _)| *c)
-            .collect();
-        out.sort();
-        out
+        self.inner.lock().plane.contexts_on(server)
     }
 
     fn snapshot_context(&self, root: ContextId) -> Result<Snapshot> {
@@ -935,7 +793,7 @@ impl Deployment for SimDeployment {
         // The engine lock makes any capture a frozen cut; the members are
         // still visited owner-before-owned and recorded as one read set,
         // matching the other backends' snapshot semantics.
-        let members = state.graph.subtree_topological(root)?;
+        let members = state.plane.graph().subtree_topological(root)?;
         let event = EventId::new(state.ids.next_raw());
         if let Some(sink) = &state.history {
             sink.invoked(event);
@@ -1004,10 +862,10 @@ impl Deployment for SimDeployment {
         server: ServerId,
     ) -> Result<()> {
         let mut state = self.inner.lock();
-        if !state.online(server) {
+        if !state.plane.is_online(server) {
             return Err(AeonError::ServerNotFound(server));
         }
-        let class = state.graph.class_of(context)?.to_string();
+        let class = state.plane.class_of(context)?.to_string();
         let factory =
             state
                 .factories
@@ -1026,15 +884,8 @@ impl Deployment for SimDeployment {
             sink.accessed(event, context, AccessMode::Exclusive);
             sink.responded(event);
         }
-        state.contexts.insert(
-            context,
-            SimSlot {
-                class,
-                object: Arc::new(Mutex::new(object)),
-            },
-        );
-        state.placement.insert(context, server);
-        Ok(())
+        state.install(context, class, object);
+        state.plane.set_placement(context, server)
     }
 
     fn shutdown(&self) {

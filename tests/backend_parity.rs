@@ -239,6 +239,182 @@ fn colocation_with_contexts_on_crashed_servers_is_rejected_on_every_backend() {
 }
 
 // ---------------------------------------------------------------------------
+// Control-plane parity: all three backends hold the same `ControlPlane`,
+// so what is counted, what is refused and with which error cannot differ.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn context_count_skips_contexts_lost_to_a_crash_on_every_backend() {
+    on_every_backend(|deployment| {
+        let backend = deployment.backend_name();
+        let spare = deployment.add_server();
+        let survivor = deployment.servers()[0];
+        for server in [spare, survivor] {
+            deployment
+                .create_context(Box::new(Room::default()), Placement::Server(server))
+                .unwrap();
+        }
+        assert_eq!(deployment.context_count(), 2, "backend {backend}");
+        deployment.crash_server(spare).unwrap();
+        // "Across all online servers": the count is what the rosters sum to.
+        let placed: usize = deployment
+            .servers()
+            .into_iter()
+            .map(|server| deployment.contexts_on(server).len())
+            .sum();
+        assert_eq!(placed, 1, "backend {backend}");
+        assert_eq!(deployment.context_count(), 1, "backend {backend}");
+    });
+}
+
+/// A `Player` that creates a child of whatever class it is told to — the
+/// event-time path into context creation.
+struct Spawner;
+
+impl ContextObject for Spawner {
+    fn class_name(&self) -> &str {
+        "Player"
+    }
+
+    fn handle(&mut self, method: &str, args: &Args, inv: &mut Invocation<'_>) -> Result<Value> {
+        match method {
+            "spawn" => inv
+                .create_child(Box::new(KvContext::new(args.get_str(0)?)))
+                .map(Value::from),
+            other => Err(AeonError::UnknownMethod {
+                class: "Player".into(),
+                method: other.into(),
+            }),
+        }
+    }
+}
+
+/// A `Room` owning a [`Spawner`] `Player`.
+fn room_with_spawner(deployment: &dyn Deployment) -> (ContextId, ContextId) {
+    let room = deployment
+        .create_context(Box::new(Room::default()), Placement::Auto)
+        .unwrap();
+    let player = deployment
+        .create_owned_context(Box::new(Spawner), &[room])
+        .unwrap();
+    (room, player)
+}
+
+/// Why a creation is refused.
+#[derive(Debug, Clone, Copy)]
+enum Refusal {
+    /// The owner's class may not own the new context's class.
+    ForbiddenPair,
+    /// The new context's class is not in the class graph.
+    Undeclared,
+    /// An owned context without an owner.
+    NoOwner,
+}
+
+/// Every way a creation can be refused under the game class graph, through
+/// the deployment API and from inside an event (`spawn`).
+fn refused_creations(
+    deployment: &dyn Deployment,
+    room: ContextId,
+    player: ContextId,
+) -> Vec<(Refusal, &'static str, AeonError)> {
+    let session = deployment.session();
+    let dragon = || Box::new(KvContext::new("Dragon"));
+    vec![
+        (
+            Refusal::ForbiddenPair,
+            "create_owned_context",
+            deployment
+                .create_owned_context(Box::new(Room::default()), &[player])
+                .unwrap_err(),
+        ),
+        (
+            Refusal::ForbiddenPair,
+            "create_child in an event",
+            session.call(player, "spawn", args!["Room"]).unwrap_err(),
+        ),
+        (
+            Refusal::Undeclared,
+            "create_context",
+            deployment
+                .create_context(dragon(), Placement::Auto)
+                .unwrap_err(),
+        ),
+        (
+            Refusal::Undeclared,
+            "create_owned_context",
+            deployment
+                .create_owned_context(dragon(), &[room])
+                .unwrap_err(),
+        ),
+        (
+            Refusal::Undeclared,
+            "create_child in an event",
+            session.call(player, "spawn", args!["Dragon"]).unwrap_err(),
+        ),
+        (
+            Refusal::NoOwner,
+            "create_owned_context",
+            deployment
+                .create_owned_context(Box::new(Room::default()), &[])
+                .unwrap_err(),
+        ),
+    ]
+}
+
+#[test]
+fn refused_creations_have_one_error_per_cause_on_every_backend() {
+    on_every_backend(|deployment| {
+        let backend = deployment.backend_name();
+        let (room, player) = room_with_spawner(deployment);
+        for (cause, path, err) in refused_creations(deployment, room, player) {
+            let as_specified = match cause {
+                // The child never existed: the callee is a placeholder.
+                Refusal::ForbiddenPair => {
+                    err == AeonError::ownership(player, ContextId::new(u64::MAX))
+                }
+                Refusal::Undeclared => {
+                    matches!(&err, AeonError::Config(why) if why.contains("not declared"))
+                }
+                Refusal::NoOwner => matches!(err, AeonError::Config(_)),
+            };
+            assert!(
+                as_specified,
+                "backend {backend}, {cause:?} via {path}: {err:?}"
+            );
+        }
+    });
+}
+
+#[test]
+fn refused_creations_leave_the_ownership_graph_untouched_on_every_backend() {
+    on_every_backend(|deployment| {
+        let backend = deployment.backend_name();
+        let (room, player) = room_with_spawner(deployment);
+        let before = deployment.ownership_graph();
+        refused_creations(deployment, room, player);
+        let after = deployment.ownership_graph();
+        // Not "rolled back": never touched, so not even the version moved.
+        assert_eq!(
+            (after.len(), after.version()),
+            (before.len(), before.version()),
+            "backend {backend}"
+        );
+        // The same paths still create what the class graph allows.
+        let item = deployment
+            .session()
+            .call(player, "spawn", args!["Item"])
+            .unwrap();
+        let graph = deployment.ownership_graph();
+        assert_eq!(graph.len(), before.len() + 1, "backend {backend}");
+        assert!(
+            graph.may_call(room, item.as_context().unwrap()),
+            "backend {backend}"
+        );
+    });
+}
+
+// ---------------------------------------------------------------------------
 // Elasticity parity: the eManager holds an `Arc<dyn Deployment>`, so every
 // elasticity scenario (policy-driven scale-out, drain, pins, crash
 // recovery) must behave identically on all three backends.  The backends
