@@ -393,6 +393,17 @@ impl ClusterInner {
         }
     }
 
+    /// Takes a stopped in-process node off the network: its id no longer
+    /// routes, and (loopback mode) its own listener, sockets and transport
+    /// threads are gone when this returns.
+    fn detach_server(&self, server: ServerId) {
+        self.network.deregister(server);
+        let node_network = self.node_networks.lock().remove(&server);
+        if let Some(network) = node_network {
+            network.shutdown_transport();
+        }
+    }
+
     fn next_corr(&self) -> u64 {
         self.corr.fetch_add(1, Ordering::Relaxed)
     }
@@ -603,14 +614,16 @@ fn sequencer_of(plane: &ControlPlane, target: ContextId) -> Result<Option<(Serve
 
 fn gateway_loop(inner: Arc<ClusterInner>, endpoint: Endpoint<ClusterMessage>) {
     loop {
-        let message = match endpoint.recv_timeout(POLL_INTERVAL) {
+        let received = endpoint.recv_timeout(POLL_INTERVAL);
+        // Looked at after every wake-up, not only the idle ones: `shutdown`
+        // raises the flag and then sends the gateway a message, so neither
+        // an idle nor a busy loop outlives it by a poll interval.
+        if inner.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        let message = match received {
             Ok(Some(m)) => m,
-            Ok(None) => {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
+            Ok(None) => continue,
             Err(_) => break,
         };
         match message {
@@ -1276,15 +1289,11 @@ impl Cluster {
             return Err(AeonError::ServerNotFound(server));
         };
         drop(nodes);
-        let _ = self.inner.send(server, ClusterMessage::Shutdown);
         node.crash();
         if let Some(thread) = node.thread.take() {
             let _ = thread.join();
         }
-        self.inner.network.deregister(server);
-        if let Some(network) = self.inner.node_networks.lock().remove(&server) {
-            network.shutdown_transport();
-        }
+        self.inner.detach_server(server);
         Ok(())
     }
 
@@ -1345,7 +1354,7 @@ impl Cluster {
         // The node dropped its objects with the crash; the plane keeps the
         // contexts' identities for a later re-host.
         self.inner.plane().write().mark_crashed(server)?;
-        self.inner.network.deregister(server);
+        self.inner.detach_server(server);
         Ok(())
     }
 
@@ -1467,8 +1476,7 @@ impl Cluster {
             }
         }
         let mut nodes = self.inner.nodes.lock();
-        for (id, node) in nodes.iter() {
-            let _ = self.inner.send(*id, ClusterMessage::Shutdown);
+        for node in nodes.values() {
             node.crash();
         }
         for (_, node) in nodes.iter_mut() {
@@ -1477,6 +1485,8 @@ impl Cluster {
             }
         }
         drop(nodes);
+        // Any message wakes the gateway loop, which then sees the flag.
+        let _ = self.inner.send(gateway_id(), ClusterMessage::Shutdown);
         if let Some(thread) = self.inner.gateway_thread.lock().take() {
             let _ = thread.join();
         }
@@ -1493,5 +1503,61 @@ impl Drop for ClusterInner {
         for (_, node) in self.nodes.lock().iter() {
             node.crash();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpStream;
+    use std::time::Instant;
+
+    /// Regression test: the gateway loop looked at the shutdown flag only
+    /// when its 50 ms poll timed out, so every shutdown took that long.
+    #[test]
+    fn an_idle_cluster_shuts_down_without_waiting_out_a_poll_interval() {
+        for transport in [ClusterTransport::Channel, ClusterTransport::TcpLoopback] {
+            let mut took: Vec<Duration> = (0..10)
+                .map(|_| {
+                    let cluster = Cluster::builder()
+                        .servers(4)
+                        .transport(transport.clone())
+                        .build()
+                        .unwrap();
+                    let from = Instant::now();
+                    cluster.shutdown();
+                    from.elapsed()
+                })
+                .collect();
+            took.sort();
+            let median = took[took.len() / 2];
+            assert!(
+                median < Duration::from_millis(10),
+                "{transport:?}: median idle shutdown took {median:?} ({took:?})"
+            );
+        }
+    }
+
+    /// Regression test: a crashed loopback node kept its listener, readers
+    /// and sockets until the whole cluster shut down.
+    #[test]
+    fn a_crashed_loopback_node_stops_listening() {
+        let cluster = Cluster::builder()
+            .servers(2)
+            .transport(ClusterTransport::TcpLoopback)
+            .build()
+            .unwrap();
+        let server = cluster.servers()[0];
+        let addr = cluster.inner.node_networks.lock()[&server]
+            .local_addr()
+            .unwrap();
+        TcpStream::connect(addr).expect("a live node accepts connections");
+        cluster.crash_server(server).unwrap();
+        assert!(
+            TcpStream::connect(addr).is_err(),
+            "the crashed node's listener at {addr} still accepts"
+        );
+        assert!(!cluster.inner.node_networks.lock().contains_key(&server));
+        cluster.shutdown();
     }
 }

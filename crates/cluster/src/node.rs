@@ -162,6 +162,13 @@ impl NodeHandle {
     /// Stops the node immediately without draining (models a crash).
     pub(crate) fn crash(&self) {
         self.shared.running.store(false, Ordering::SeqCst);
+        // The receive loop looks at `running` whenever a message wakes it;
+        // a self-send is delivered in-process on every transport.
+        let id = self.shared.id;
+        let _ = self
+            .shared
+            .network
+            .send_from(id, id, ClusterMessage::Shutdown);
         // Wake everything that could keep a pool worker parked (lock
         // waiters, remote-call waiters) before joining the pool.
         self.shared.poison_all();

@@ -28,7 +28,14 @@ pub(crate) fn message_wire_len(message: &ClusterMessage) -> u64 {
 
 impl WireMessage for ClusterMessage {
     fn encode_wire(&self) -> Result<Vec<u8>> {
-        Ok(codec::encode(&to_value(self)).to_vec())
+        let mut out = Vec::with_capacity(64);
+        self.encode_wire_into(&mut out)?;
+        Ok(out)
+    }
+
+    fn encode_wire_into(&self, out: &mut Vec<u8>) -> Result<()> {
+        codec::encode_into(&to_value(self), out);
+        Ok(())
     }
 
     fn decode_wire(bytes: &[u8]) -> Result<Self> {

@@ -205,8 +205,8 @@ impl<M: Send + 'static> Network<M> {
         self.shared.transport.local_addr()
     }
 
-    /// Asks the transport's background threads to wind down (no-op for
-    /// in-process transports).
+    /// Stops and joins the transport's background threads and closes its
+    /// sockets (no-op for in-process transports).
     pub fn shutdown_transport(&self) {
         self.shared.transport.shutdown();
     }
@@ -528,6 +528,136 @@ mod tests {
             assert!(err.is_transient(), "queue-full is retryable backpressure");
             assert_eq!(net.stats().frames_dropped(), 1);
             net.shutdown_transport();
+        }
+
+        /// Two transports that know each other as `srv(0)` and `srv(1)`.
+        fn tcp_pair() -> (Network<Ping>, Network<Ping>) {
+            let (net_a, net_b) = (tcp_network(), tcp_network());
+            net_a.add_peer(srv(1), net_b.local_addr().unwrap());
+            net_b.add_peer(srv(0), net_a.local_addr().unwrap());
+            (net_a, net_b)
+        }
+
+        /// Writes one raw frame the way a peer's writer would.
+        fn write_frame(socket: &mut std::net::TcpStream, to: ServerId, payload: &[u8]) {
+            use std::io::Write;
+            let mut frame = ((payload.len() + 8) as u32).to_be_bytes().to_vec();
+            frame.extend_from_slice(&srv(0).raw().to_be_bytes());
+            frame.extend_from_slice(&to.raw().to_be_bytes());
+            frame.extend_from_slice(payload);
+            socket.write_all(&frame).unwrap();
+        }
+
+        #[test]
+        fn first_message_on_a_fresh_connection_does_not_wait_for_a_poll() {
+            // Regression test: the acceptor used to look at its listener
+            // every 20 ms, so the first frame on a new connection waited
+            // ~10 ms on average for a reader to exist.
+            let mut took: Vec<Duration> = (0..20)
+                .map(|_| {
+                    let (net_a, net_b) = tcp_pair();
+                    let a = net_a.register(srv(0));
+                    let b = net_b.register(srv(1));
+                    let from = std::time::Instant::now();
+                    a.send(srv(1), Ping(1, Vec::new())).unwrap();
+                    b.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
+                    let took = from.elapsed();
+                    net_a.shutdown_transport();
+                    net_b.shutdown_transport();
+                    took
+                })
+                .collect();
+            took.sort();
+            let median = took[took.len() / 2];
+            assert!(
+                median < Duration::from_millis(5),
+                "median first-message latency {median:?} ({took:?})"
+            );
+        }
+
+        #[test]
+        fn frames_the_reader_throws_away_are_counted() {
+            // Regression test: an undecodable payload and a frame for an id
+            // with no inbox here were skipped without touching a counter.
+            let net = tcp_network();
+            let inbox = net.register(srv(1));
+            let mut socket = std::net::TcpStream::connect(net.local_addr().unwrap()).unwrap();
+
+            write_frame(&mut socket, srv(1), b"short"); // `Ping` needs 8 bytes
+            write_frame(
+                &mut socket,
+                srv(1),
+                &Ping(7, vec![1]).encode_wire().unwrap(),
+            );
+            assert_eq!(
+                inbox.recv_timeout(Duration::from_secs(5)).unwrap(),
+                Some(Ping(7, vec![1]))
+            );
+            assert_eq!(net.stats().frames_dropped(), 1);
+
+            write_frame(
+                &mut socket,
+                srv(9),
+                &Ping(8, Vec::new()).encode_wire().unwrap(),
+            );
+            // The connection survives both: a later frame still arrives, and
+            // frames are handled in order, so the drop is counted by then.
+            write_frame(
+                &mut socket,
+                srv(1),
+                &Ping(9, Vec::new()).encode_wire().unwrap(),
+            );
+            assert_eq!(
+                inbox.recv_timeout(Duration::from_secs(5)).unwrap(),
+                Some(Ping(9, Vec::new()))
+            );
+            assert_eq!(net.stats().frames_dropped(), 2);
+            net.shutdown_transport();
+        }
+
+        #[test]
+        fn an_out_of_range_length_kills_the_connection() {
+            use std::io::{Read, Write};
+            let net = tcp_network();
+            let _inbox = net.register(srv(1));
+            let mut socket = std::net::TcpStream::connect(net.local_addr().unwrap()).unwrap();
+            socket
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            socket.write_all(&u32::MAX.to_be_bytes()).unwrap();
+            // The reader hangs up: end of stream, not a time-out.
+            assert_eq!(socket.read(&mut [0; 1]).unwrap(), 0);
+            net.shutdown_transport();
+        }
+
+        #[test]
+        fn a_burst_to_one_peer_arrives_whole_and_in_order() {
+            const MESSAGES: u64 = 20_000;
+            let (net_a, net_b) = tcp_pair();
+            let a = net_a.register(srv(0));
+            let b = net_b.register(srv(1));
+            let receiver = std::thread::spawn(move || {
+                for expected in 0..MESSAGES {
+                    let got = b.recv_timeout(Duration::from_secs(20)).unwrap();
+                    assert_eq!(got, Some(Ping(expected, vec![expected as u8; 24])));
+                }
+            });
+            let mut refused = 0u64;
+            for i in 0..MESSAGES {
+                // A full queue is back-pressure: the frame was not taken, so
+                // retrying cannot duplicate it.
+                while let Err(e) = a.send(srv(1), Ping(i, vec![i as u8; 24])) {
+                    assert_eq!(e, AeonError::SendQueueFull { peer: srv(1) });
+                    refused += 1;
+                    std::thread::yield_now();
+                }
+            }
+            receiver.join().unwrap();
+            // Refused sends are the only drops; nothing accepted was lost.
+            assert_eq!(net_a.stats().frames_dropped(), refused);
+            assert_eq!(net_b.stats().frames_dropped(), 0);
+            net_a.shutdown_transport();
+            net_b.shutdown_transport();
         }
 
         #[test]

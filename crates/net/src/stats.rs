@@ -49,8 +49,9 @@ impl NetworkStats {
     }
 
     /// Records an encoded frame the transport itself failed to deliver:
-    /// bounded send-queue overflow, or frames stranded in a retiring
-    /// writer's queue.  Distinct from [`record_dropped`](Self::record_dropped),
+    /// bounded send-queue overflow, frames a retiring writer still held,
+    /// or a received frame the reader had to throw away (payload that does
+    /// not decode, destination with no inbox here).  Distinct from [`record_dropped`](Self::record_dropped),
     /// which counts *injected* drops (faults, severed links) — a nonzero
     /// frame-drop counter on a healthy deployment signals backpressure or
     /// connection churn, not chaos testing.
@@ -74,7 +75,7 @@ impl NetworkStats {
     }
 
     /// Encoded frames dropped by the transport itself (queue overflow,
-    /// writer retirement).
+    /// writer retirement, frames a reader could not deliver).
     pub fn frames_dropped(&self) -> u64 {
         self.frames_dropped.load(Ordering::Relaxed)
     }

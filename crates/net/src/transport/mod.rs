@@ -81,8 +81,9 @@ pub trait Transport<M: Send + 'static>: Send + Sync + fmt::Debug {
         None
     }
 
-    /// Asks background threads (acceptors, readers, writers) to wind down.
-    /// Default: no-op.
+    /// Stops the transport's background threads (acceptor, readers,
+    /// writers) and closes its sockets; when it returns none of them is
+    /// left.  Default: no-op.
     fn shutdown(&self) {}
 }
 
@@ -99,6 +100,20 @@ pub trait WireMessage: Send + Sized + 'static {
     /// Returns [`AeonError::Codec`](aeon_types::AeonError) when the message
     /// cannot be represented on the wire.
     fn encode_wire(&self) -> Result<Vec<u8>>;
+
+    /// Appends the payload [`WireMessage::encode_wire`] would produce to
+    /// `out`, so a transport can encode straight into the frame it sends.
+    /// Implement it when the payload can be written without first building
+    /// it elsewhere; the default goes through `encode_wire`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`WireMessage::encode_wire`]; `out` may then hold a partial
+    /// payload.
+    fn encode_wire_into(&self, out: &mut Vec<u8>) -> Result<()> {
+        out.extend_from_slice(&self.encode_wire()?);
+        Ok(())
+    }
 
     /// Decodes a payload previously produced by [`WireMessage::encode_wire`].
     ///

@@ -9,7 +9,7 @@
 use crate::error::{AeonError, Result};
 use crate::ids::ContextId;
 use crate::value::Value;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use std::collections::BTreeMap;
 
 /// Current encoding version.
@@ -40,10 +40,26 @@ mod tag {
 /// assert_eq!(codec::decode(&bytes).unwrap(), v);
 /// ```
 pub fn encode(value: &Value) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
-    buf.put_u8(VERSION);
+    let mut buf = Vec::with_capacity(64);
     encode_into(value, &mut buf);
-    buf.freeze()
+    Bytes::from(buf)
+}
+
+/// Appends the bytes [`encode`] would produce to `out`, so a caller that
+/// frames the value (the TCP transport) encodes it where it is sent from.
+///
+/// # Examples
+///
+/// ```
+/// use aeon_types::{codec, Value};
+/// let v = Value::from("framed");
+/// let mut out = vec![0xAA];
+/// codec::encode_into(&v, &mut out);
+/// assert_eq!(out[1..], codec::encode(&v)[..]);
+/// ```
+pub fn encode_into(value: &Value, out: &mut Vec<u8>) {
+    out.put_u8(VERSION);
+    encode_one(value, out);
 }
 
 /// Decodes a [`Value`] previously produced by [`encode`].
@@ -106,7 +122,7 @@ fn body_len(value: &Value) -> usize {
     }
 }
 
-fn encode_into(value: &Value, buf: &mut BytesMut) {
+fn encode_one(value: &Value, buf: &mut Vec<u8>) {
     match value {
         Value::Null => buf.put_u8(tag::NULL),
         Value::Bool(false) => buf.put_u8(tag::BOOL_FALSE),
@@ -137,7 +153,7 @@ fn encode_into(value: &Value, buf: &mut BytesMut) {
             buf.put_u8(tag::LIST);
             put_len(buf, items.len());
             for item in items {
-                encode_into(item, buf);
+                encode_one(item, buf);
             }
         }
         Value::Map(map) => {
@@ -146,7 +162,7 @@ fn encode_into(value: &Value, buf: &mut BytesMut) {
             for (k, v) in map {
                 put_len(buf, k.len());
                 buf.put_slice(k.as_bytes());
-                encode_into(v, buf);
+                encode_one(v, buf);
             }
         }
     }
@@ -214,7 +230,7 @@ fn decode_one(buf: &mut &[u8]) -> Result<Value> {
     Ok(value)
 }
 
-fn put_len(buf: &mut BytesMut, len: usize) {
+fn put_len(buf: &mut Vec<u8>, len: usize) {
     buf.put_u32(len as u32);
 }
 
