@@ -3,23 +3,18 @@
 //! Structure (Figure 3): a `Building` owns `Room`s; each `Room` owns its
 //! `Player`s and a pool of `Item`s; with multi-ownership, `Player`s also own
 //! the `Item`s they interact with (sharing them with the `Room` and other
-//! `Player`s).  Under single ownership (AEON_SO / EventWave), `Item`s are
-//! owned by their `Room` only, so any item interaction must go through the
-//! `Room`.
+//! `Player`s).  (The paper's single-ownership baselines, AEON_SO and
+//! EventWave, own `Item`s by their `Room` only; they are not modelled here.)
 //!
 //! The contextclasses are declared with [`aeon_runtime::context_class!`]
 //! method tables and the deployment driver is generic over
 //! [`aeon_api::Deployment`], so the same game runs unchanged on the
-//! in-process runtime, the distributed cluster, and the deterministic
-//! simulator.
+//! in-process runtime, the distributed cluster, and the virtual-time sim.
 
 use aeon_api::Deployment;
-use aeon_ownership::{ClassGraph, Dominator, DominatorMode, DominatorResolver, OwnershipGraph};
+use aeon_ownership::ClassGraph;
 use aeon_runtime::{context_class, ContextClass, Invocation, KvContext};
-use aeon_sim::{RequestSpec, SimCluster, Step, SystemKind};
-use aeon_types::{args, AeonError, Args, ContextId, Result, ServerId, SimDuration, SimTime, Value};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use aeon_types::{args, AeonError, Args, ContextId, Result, Value};
 
 /// Class constraints of the game (Figure 3, left), with the contextclass
 /// method metadata declared from the method tables.
@@ -36,7 +31,7 @@ pub fn game_class_graph() -> ClassGraph {
 }
 
 // ---------------------------------------------------------------------------
-// Runtime implementation (real contextclasses).
+// Contextclasses.
 // ---------------------------------------------------------------------------
 
 /// The `Building` contextclass of Listing 1: owns rooms, can update the time
@@ -244,280 +239,12 @@ pub fn deploy_game(
     Ok(world)
 }
 
-// ---------------------------------------------------------------------------
-// Simulator workload.
-// ---------------------------------------------------------------------------
-
-/// Parameters of the simulated game workload (Figures 5a/5b).
-#[derive(Debug, Clone)]
-pub struct GameWorkloadConfig {
-    /// Number of servers; one room per server, as in §6.1.1.
-    pub servers: usize,
-    /// Players per room.
-    pub players_per_room: usize,
-    /// Items per room (fixed, shared among the room's players).
-    pub items_per_room: usize,
-    /// Aggregate request rate offered to the whole cluster (requests/s).
-    pub request_rate: f64,
-    /// Experiment duration.
-    pub duration: SimDuration,
-    /// Fraction of requests that touch a shared room item.
-    pub shared_fraction: f64,
-    /// Fraction of requests that touch only the player's private items.
-    pub private_item_fraction: f64,
-    /// Fraction of read-only requests (e.g. `nr_players`).
-    pub readonly_fraction: f64,
-    /// CPU time of the player-side work.
-    pub player_service: SimDuration,
-    /// CPU time of an item access.
-    pub item_service: SimDuration,
-    /// Ordering cost per event at the EventWave root.
-    pub root_ordering: SimDuration,
-    /// Random seed.
-    pub seed: u64,
-}
-
-impl Default for GameWorkloadConfig {
-    fn default() -> Self {
-        Self {
-            servers: 8,
-            players_per_room: 16,
-            items_per_room: 8,
-            request_rate: 8_000.0,
-            duration: SimDuration::from_secs(10),
-            shared_fraction: 0.25,
-            private_item_fraction: 0.45,
-            readonly_fraction: 0.10,
-            player_service: SimDuration::from_micros(1_000),
-            item_service: SimDuration::from_micros(500),
-            root_ordering: SimDuration::from_micros(200),
-            seed: 11,
-        }
-    }
-}
-
-impl GameWorkloadConfig {
-    /// Scales the offered load with the cluster size (used for the
-    /// scale-out experiment of Figure 5a).
-    pub fn for_servers(servers: usize) -> Self {
-        Self {
-            servers,
-            request_rate: 1_500.0 * servers as f64,
-            ..Self::default()
-        }
-    }
-}
-
-/// A generated game workload: the cluster and its requests for one system.
-#[derive(Debug)]
-pub struct GameWorkload {
-    /// The cluster (placement already decided for the system).
-    pub cluster: SimCluster,
-    /// The requests to simulate.
-    pub requests: Vec<RequestSpec>,
-    /// The ownership network underlying the workload (for inspection).
-    pub graph: OwnershipGraph,
-}
-
-impl GameWorkload {
-    /// Generates the workload for `system` under `config`.
-    pub fn generate(system: SystemKind, config: &GameWorkloadConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let servers = config.servers.max(1);
-        let mut graph = OwnershipGraph::new();
-        let mut next_id = 0u64;
-        let mut fresh = |graph: &mut OwnershipGraph, class: &str| {
-            let id = ContextId::new(next_id);
-            next_id += 1;
-            graph.add_context(id, class).expect("fresh id");
-            id
-        };
-
-        let building = fresh(&mut graph, "Building");
-        let mut rooms = Vec::with_capacity(servers);
-        let mut players: Vec<Vec<ContextId>> = Vec::with_capacity(servers);
-        let mut shared_items: Vec<Vec<ContextId>> = Vec::with_capacity(servers);
-        let mut private_items: Vec<Vec<ContextId>> = Vec::with_capacity(servers);
-        for _ in 0..servers {
-            let room = fresh(&mut graph, "Room");
-            graph.add_edge(building, room).unwrap();
-            let items: Vec<ContextId> = (0..config.items_per_room)
-                .map(|_| {
-                    let item = fresh(&mut graph, "Item");
-                    graph.add_edge(room, item).unwrap();
-                    item
-                })
-                .collect();
-            let mut room_players = Vec::new();
-            let mut room_private = Vec::new();
-            for _ in 0..config.players_per_room {
-                let player = fresh(&mut graph, "Player");
-                graph.add_edge(room, player).unwrap();
-                if system.multi_ownership() {
-                    // Every player shares the room's items.
-                    for item in &items {
-                        graph.add_edge(player, *item).unwrap();
-                    }
-                }
-                // A private item per player (owned by the room only under
-                // single ownership).
-                let private = fresh(&mut graph, "Item");
-                if system.multi_ownership() {
-                    graph.add_edge(player, private).unwrap();
-                } else {
-                    graph.add_edge(room, private).unwrap();
-                }
-                room_players.push(player);
-                room_private.push(private);
-            }
-            rooms.push(room);
-            players.push(room_players);
-            shared_items.push(items);
-            private_items.push(room_private);
-        }
-
-        // Placement.
-        let mut cluster = SimCluster::new(servers, 2)
-            .with_cpu_overhead(system.cpu_overhead())
-            .with_seed(config.seed);
-        let place_random = !system.locality_placement();
-        for ctx in graph.contexts() {
-            let server = if place_random {
-                ServerId::new(rng.gen_range(0..servers) as u32)
-            } else {
-                // Locality: everything under room r goes to server r.
-                ServerId::new(0)
-            };
-            cluster.place(ctx, server);
-        }
-        if !place_random {
-            cluster.place(building, ServerId::new(0));
-            for (r, room) in rooms.iter().enumerate() {
-                let server = ServerId::new((r % servers) as u32);
-                cluster.place(*room, server);
-                for p in &players[r] {
-                    cluster.place(*p, server);
-                }
-                for i in &shared_items[r] {
-                    cluster.place(*i, server);
-                }
-                for i in &private_items[r] {
-                    cluster.place(*i, server);
-                }
-            }
-        }
-
-        // Dominators for the AEON variants come from the real resolver.
-        let resolver = DominatorResolver::new(DominatorMode::Closure);
-        let dominator_of = |graph: &OwnershipGraph, target: ContextId| -> ContextId {
-            match resolver.dominator(graph, target).expect("known context") {
-                Dominator::Context(c) => c,
-                Dominator::GlobalRoot => building,
-            }
-        };
-
-        // Requests.
-        let total = (config.request_rate * config.duration.as_secs_f64()) as usize;
-        let mut requests = Vec::with_capacity(total);
-        for k in 0..total {
-            let arrival = SimTime::from_micros((k as f64 / config.request_rate * 1e6) as u64);
-            let room_idx = rng.gen_range(0..servers);
-            let player_idx = rng.gen_range(0..config.players_per_room);
-            let room = rooms[room_idx];
-            let player = players[room_idx][player_idx];
-            let private = private_items[room_idx][player_idx];
-            let shared = shared_items[room_idx][rng.gen_range(0..config.items_per_room.max(1))];
-
-            let roll: f64 = rng.gen();
-            let readonly = rng.gen::<f64>() < config.readonly_fraction;
-            let (kind, touched_item) = if roll < config.shared_fraction {
-                ("shared", Some(shared))
-            } else if roll < config.shared_fraction + config.private_item_fraction {
-                ("private", Some(private))
-            } else {
-                ("player", None)
-            };
-
-            // Steps: the player-side work plus the item access (if any).  In
-            // single-ownership systems item work happens in the room.
-            let mut steps = Vec::new();
-            let mut sequencers = Vec::new();
-            match system {
-                SystemKind::Aeon => {
-                    // Events touching a shared item are sequenced at the
-                    // dominator of their target (the Room); events on
-                    // player-private state keep their own sequencer and run
-                    // in parallel — the parallelism multi-ownership buys.
-                    if kind == "shared" {
-                        let dom = dominator_of(&graph, player);
-                        if dom != player {
-                            sequencers.push(dom);
-                        }
-                    }
-                    sequencers.push(player);
-                    if let Some(item) = touched_item {
-                        sequencers.push(item);
-                    }
-                    steps.push(Step::new(player, config.player_service));
-                    if let Some(item) = touched_item {
-                        steps.push(Step::new(item, config.item_service));
-                    }
-                }
-                SystemKind::AeonSo | SystemKind::EventWave => {
-                    if kind == "player" {
-                        sequencers.push(player);
-                        steps.push(Step::new(player, config.player_service));
-                    } else {
-                        // Item access must go through the room.
-                        sequencers.push(room);
-                        steps.push(Step::new(room, config.player_service));
-                        if let Some(item) = touched_item {
-                            steps.push(Step::new(item, config.item_service));
-                        }
-                    }
-                    if system.orders_at_root() {
-                        // Total order at the tree root: a brief, contended
-                        // sequencing step at the root context.
-                        steps.insert(0, Step::new(building, config.root_ordering));
-                    }
-                }
-                SystemKind::OrleansStrict => {
-                    // Strict serializability by locking the whole room.
-                    sequencers.push(room);
-                    steps.push(Step::new(player, config.player_service));
-                    if let Some(item) = touched_item {
-                        steps.push(Step::new(item, config.item_service));
-                    }
-                }
-                SystemKind::OrleansStar => {
-                    // No cross-grain synchronisation: per-grain mailboxes
-                    // only.
-                    steps.push(Step::new(player, config.player_service));
-                    if let Some(item) = touched_item {
-                        steps.push(Step::new(item, config.item_service));
-                    }
-                }
-            }
-            let mut request = RequestSpec::new(arrival, sequencers, steps).labelled("game");
-            if readonly {
-                request = request.readonly();
-            }
-            requests.push(request);
-        }
-        Self {
-            cluster,
-            requests,
-            graph,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use aeon_api::Session;
+    use aeon_ownership::Dominator;
     use aeon_runtime::AeonRuntime;
-    use aeon_sim::Simulator;
 
     #[test]
     fn runtime_game_listing1_scenario() {
@@ -605,57 +332,5 @@ mod tests {
         assert!(matches!(err, AeonError::UnknownMethod { class, method }
             if class == "Building" && method == "no_such_method"));
         runtime.shutdown();
-    }
-
-    #[test]
-    fn workload_generation_respects_system_structure() {
-        let config = GameWorkloadConfig {
-            servers: 2,
-            players_per_room: 2,
-            items_per_room: 2,
-            request_rate: 100.0,
-            duration: SimDuration::from_secs(1),
-            ..GameWorkloadConfig::default()
-        };
-        let aeon = GameWorkload::generate(SystemKind::Aeon, &config);
-        let so = GameWorkload::generate(SystemKind::AeonSo, &config);
-        assert_eq!(aeon.requests.len(), 100);
-        assert_eq!(so.requests.len(), 100);
-        // Multi-ownership graph has player->item edges; single ownership
-        // does not.
-        let aeon_edges = aeon.graph.edges().count();
-        let so_edges = so.graph.edges().count();
-        assert!(aeon_edges > so_edges);
-        // Orleans* requests never carry sequencers.
-        let star = GameWorkload::generate(SystemKind::OrleansStar, &config);
-        assert!(star.requests.iter().all(|r| r.sequencers.is_empty()));
-        // EventWave requests all pass through the root ordering step.
-        let ew = GameWorkload::generate(SystemKind::EventWave, &config);
-        let building = ew.graph.roots()[0];
-        assert!(ew
-            .requests
-            .iter()
-            .all(|r| r.steps.first().map(|s| s.context) == Some(building)));
-    }
-
-    #[test]
-    fn simulated_throughput_ordering_matches_figure_5a() {
-        // At 8 servers the paper's ordering is
-        // AEON > AEON_SO > Orleans* > {Orleans, EventWave}.
-        let config = GameWorkloadConfig::for_servers(8);
-        let mut throughput = std::collections::HashMap::new();
-        for system in SystemKind::ALL {
-            let mut workload = GameWorkload::generate(system, &config);
-            let metrics = Simulator::new().run(&mut workload.cluster, &workload.requests);
-            throughput.insert(
-                system,
-                metrics.throughput(Some(SimTime::ZERO + config.duration)),
-            );
-        }
-        let get = |s: SystemKind| throughput[&s];
-        assert!(get(SystemKind::Aeon) >= get(SystemKind::AeonSo) * 0.99);
-        assert!(get(SystemKind::AeonSo) > get(SystemKind::OrleansStar));
-        assert!(get(SystemKind::OrleansStar) > get(SystemKind::OrleansStrict));
-        assert!(get(SystemKind::Aeon) > get(SystemKind::EventWave));
     }
 }

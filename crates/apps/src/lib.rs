@@ -1,13 +1,10 @@
 //! The applications used by the paper: the massively multiplayer online
 //! game of §2, the TPC-C benchmark of §6.1.2, and the inductive context
-//! data structures of §3 (`collections`).  Game and TPC-C are available in
-//! two forms:
-//!
-//! * as real [`aeon_runtime::ContextObject`] implementations that run on the
-//!   concurrent AEON runtime (used by the examples and integration tests);
-//! * as workload generators for the cluster simulator (`aeon-sim`), in the
-//!   multi-ownership (AEON), single-ownership (AEON_SO / EventWave) and
-//!   Orleans variants the paper compares.
+//! data structures of §3 (`collections`), plus the bank and the Zipfian
+//! social network the test and benchmark suites add.  Each is a set of real
+//! [`aeon_runtime::ContextObject`] implementations and a deployment driver
+//! over `&dyn` [`aeon_api::Deployment`], so one copy of an application runs
+//! unchanged on the runtime, the cluster and the virtual-time sim.
 
 pub mod bank;
 pub mod collections;
@@ -17,13 +14,12 @@ pub mod tpcc;
 
 pub use bank::{deploy_bank, register_bank_factories, BankWorld, BankWorldConfig};
 pub use collections::{ListSet, SearchTree};
-pub use game::{GameWorkload, GameWorkloadConfig};
 pub use social::{
     deploy_social, deploy_social_plan, generate_plan, register_social_factories, run_social_stream,
     social_class_graph, SocialConfig, SocialOp, SocialPlan, SocialStreamReport, SocialWorld,
     ZipfSampler,
 };
-pub use tpcc::{TpccWorkload, TpccWorkloadConfig, TransactionKind};
+pub use tpcc::TransactionKind;
 
 /// Class graph of a plain key/value deployment: the single `Kv` class
 /// ([`aeon_runtime::KvContext`]'s method table) with no ownership

@@ -7,20 +7,15 @@
 //!                     └──────────────── Order      (shared with Customer)
 //! ```
 //!
-//! Under single ownership the `Order` contexts are owned by their `Customer`
-//! only.
-//!
 //! The contextclasses are declared with [`aeon_runtime::context_class!`]
 //! method tables and the transaction drivers are generic over
 //! [`aeon_api::Deployment`]/[`aeon_api::Session`].
 
 use aeon_api::{Deployment, Placement, Session};
-use aeon_ownership::{ClassGraph, Dominator, DominatorMode, DominatorResolver, OwnershipGraph};
+use aeon_ownership::ClassGraph;
 use aeon_runtime::{context_class, ContextClass, Invocation};
-use aeon_sim::{RequestSpec, SimCluster, Step, SystemKind};
-use aeon_types::{args, AeonError, Args, ContextId, Result, ServerId, SimDuration, SimTime, Value};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use aeon_types::{args, AeonError, Args, ContextId, Result, Value};
+use rand::Rng;
 
 /// Class constraints of the TPC-C application (§6.1.2 listing), with the
 /// contextclass method metadata declared from the method tables.
@@ -82,7 +77,7 @@ impl TransactionKind {
 }
 
 // ---------------------------------------------------------------------------
-// Runtime implementation (real contextclasses).
+// Contextclasses.
 // ---------------------------------------------------------------------------
 
 /// The warehouse context: year-to-date totals and the (fixed) item/stock
@@ -363,249 +358,12 @@ pub fn run_payment(
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Simulator workload.
-// ---------------------------------------------------------------------------
-
-/// Parameters of the simulated TPC-C workload (Figures 6a/6b).
-#[derive(Debug, Clone)]
-pub struct TpccWorkloadConfig {
-    /// Number of servers; one district per server (partitioned by district,
-    /// following Rococo as the paper does).
-    pub servers: usize,
-    /// Customers modelled per district.
-    pub customers_per_district: usize,
-    /// Aggregate transaction rate offered to the cluster (transactions/s).
-    pub request_rate: f64,
-    /// Experiment duration.
-    pub duration: SimDuration,
-    /// CPU time spent in the warehouse context per transaction.
-    pub warehouse_service: SimDuration,
-    /// CPU time spent in the district context.
-    pub district_service: SimDuration,
-    /// CPU time spent in the customer/order contexts.
-    pub customer_service: SimDuration,
-    /// Ordering cost per event at the EventWave root (the warehouse).
-    pub root_ordering: SimDuration,
-    /// Random seed.
-    pub seed: u64,
-}
-
-impl Default for TpccWorkloadConfig {
-    fn default() -> Self {
-        Self {
-            servers: 8,
-            customers_per_district: 30,
-            request_rate: 400.0,
-            duration: SimDuration::from_secs(20),
-            warehouse_service: SimDuration::from_millis(1),
-            district_service: SimDuration::from_millis(5),
-            customer_service: SimDuration::from_millis(10),
-            root_ordering: SimDuration::from_millis(2),
-            seed: 23,
-        }
-    }
-}
-
-impl TpccWorkloadConfig {
-    /// Scales the offered load with the cluster size (Figure 6a).
-    pub fn for_servers(servers: usize) -> Self {
-        Self {
-            servers,
-            request_rate: 50.0 * servers as f64,
-            ..Self::default()
-        }
-    }
-}
-
-/// A generated TPC-C workload for one system.
-#[derive(Debug)]
-pub struct TpccWorkload {
-    /// The cluster with placement decided.
-    pub cluster: SimCluster,
-    /// The transactions to simulate.
-    pub requests: Vec<RequestSpec>,
-    /// The ownership network underlying the workload.
-    pub graph: OwnershipGraph,
-}
-
-impl TpccWorkload {
-    /// Generates the workload for `system` under `config`.
-    pub fn generate(system: SystemKind, config: &TpccWorkloadConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let servers = config.servers.max(1);
-        let mut graph = OwnershipGraph::new();
-        let mut next_id = 0u64;
-        let mut fresh = |graph: &mut OwnershipGraph, class: &str| {
-            let id = ContextId::new(next_id);
-            next_id += 1;
-            graph.add_context(id, class).expect("fresh id");
-            id
-        };
-        let warehouse = fresh(&mut graph, "WareHouse");
-        let mut districts = Vec::new();
-        let mut customers: Vec<Vec<ContextId>> = Vec::new();
-        let mut orders: Vec<Vec<ContextId>> = Vec::new();
-        for _ in 0..servers {
-            let district = fresh(&mut graph, "District");
-            graph.add_edge(warehouse, district).unwrap();
-            let mut district_customers = Vec::new();
-            let mut district_orders = Vec::new();
-            for _ in 0..config.customers_per_district {
-                let customer = fresh(&mut graph, "Customer");
-                graph.add_edge(district, customer).unwrap();
-                let order = fresh(&mut graph, "Order");
-                graph.add_edge(customer, order).unwrap();
-                if system.multi_ownership() {
-                    // Orders are shared between the customer and the
-                    // district (the paper's multi-ownership structure).
-                    graph.add_edge(district, order).unwrap();
-                }
-                district_customers.push(customer);
-                district_orders.push(order);
-            }
-            districts.push(district);
-            customers.push(district_customers);
-            orders.push(district_orders);
-        }
-
-        // Placement: the warehouse on server 0, each district (and its
-        // customers/orders) on its own server; random for Orleans.
-        let mut cluster = SimCluster::new(servers, 2)
-            .with_cpu_overhead(system.cpu_overhead())
-            .with_seed(config.seed);
-        for ctx in graph.contexts() {
-            let server = if system.locality_placement() {
-                ServerId::new(0)
-            } else {
-                ServerId::new(rng.gen_range(0..servers) as u32)
-            };
-            cluster.place(ctx, server);
-        }
-        if system.locality_placement() {
-            cluster.place(warehouse, ServerId::new(0));
-            for d in 0..servers {
-                let server = ServerId::new((d % servers) as u32);
-                cluster.place(districts[d], server);
-                for c in &customers[d] {
-                    cluster.place(*c, server);
-                }
-                for o in &orders[d] {
-                    cluster.place(*o, server);
-                }
-            }
-        }
-
-        let resolver = DominatorResolver::new(DominatorMode::Closure);
-        let dominator_of = |target: ContextId| -> ContextId {
-            match resolver.dominator(&graph, target).expect("known context") {
-                Dominator::Context(c) => c,
-                Dominator::GlobalRoot => warehouse,
-            }
-        };
-
-        let total = (config.request_rate * config.duration.as_secs_f64()) as usize;
-        let mut requests = Vec::with_capacity(total);
-        for k in 0..total {
-            let arrival = SimTime::from_micros((k as f64 / config.request_rate * 1e6) as u64);
-            let kind = TransactionKind::sample(&mut rng);
-            let d = rng.gen_range(0..servers);
-            let c = rng.gen_range(0..config.customers_per_district);
-            let district = districts[d];
-            let customer = customers[d][c];
-            let order = orders[d][c];
-
-            // The contexts each transaction touches.
-            let mut steps = Vec::new();
-            match kind {
-                TransactionKind::NewOrder => {
-                    steps.push(Step::new(warehouse, config.warehouse_service));
-                    steps.push(Step::new(district, config.district_service));
-                    steps.push(Step::new(customer, config.customer_service));
-                    steps.push(Step::new(order, config.customer_service));
-                }
-                TransactionKind::Payment => {
-                    steps.push(Step::new(warehouse, config.warehouse_service));
-                    steps.push(Step::new(district, config.district_service));
-                    steps.push(Step::new(customer, config.customer_service));
-                }
-                TransactionKind::OrderStatus => {
-                    steps.push(Step::new(customer, config.customer_service));
-                    steps.push(Step::new(order, config.customer_service));
-                }
-                TransactionKind::Delivery => {
-                    steps.push(Step::new(district, config.district_service));
-                    steps.push(Step::new(order, config.customer_service));
-                }
-                TransactionKind::StockLevel => {
-                    steps.push(Step::new(district, config.district_service));
-                    steps.push(Step::new(warehouse, config.warehouse_service));
-                }
-            }
-
-            // The sequencer(s) the event holds for its whole duration.
-            let mut sequencers = Vec::new();
-            match system {
-                SystemKind::Aeon => {
-                    // Multi-ownership: orders shared by district and
-                    // customer, so customer-targeted events are sequenced at
-                    // the district (its dominator).
-                    sequencers.push(dominator_of(customer));
-                }
-                SystemKind::AeonSo => {
-                    // Single ownership: the customer is its own dominator;
-                    // district-targeted transactions sequence at the
-                    // district.
-                    match kind {
-                        TransactionKind::Delivery | TransactionKind::StockLevel => {
-                            sequencers.push(district)
-                        }
-                        _ => sequencers.push(customer),
-                    }
-                }
-                SystemKind::EventWave => {
-                    // The tree root is the warehouse, which almost every
-                    // transaction writes; without AEON's async early release
-                    // the in-order execution at the root serialises whole
-                    // transactions (this is the paper's explanation for
-                    // EventWave's flat TPC-C curve).
-                    sequencers.push(warehouse);
-                    steps.insert(0, Step::new(warehouse, config.root_ordering));
-                }
-                SystemKind::OrleansStrict => {
-                    // Grains orchestrated in a tree a la EventWave: the
-                    // warehouse-rooted tree is locked for serializability.
-                    sequencers.push(warehouse);
-                }
-                SystemKind::OrleansStar => {
-                    // No cross-grain synchronisation at all.
-                }
-            }
-            let mut request = RequestSpec::new(arrival, sequencers, steps).labelled(match kind {
-                TransactionKind::NewOrder => "new_order",
-                TransactionKind::Payment => "payment",
-                TransactionKind::OrderStatus => "order_status",
-                TransactionKind::Delivery => "delivery",
-                TransactionKind::StockLevel => "stock_level",
-            });
-            if kind.readonly() {
-                request = request.readonly();
-            }
-            requests.push(request);
-        }
-        Self {
-            cluster,
-            requests,
-            graph,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use aeon_runtime::AeonRuntime;
-    use aeon_sim::Simulator;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn runtime_tpcc_consistency_invariant() {
@@ -678,72 +436,5 @@ mod tests {
         assert!((frac(TransactionKind::OrderStatus) - 0.04).abs() < 0.01);
         assert!(TransactionKind::OrderStatus.readonly());
         assert!(!TransactionKind::NewOrder.readonly());
-    }
-
-    #[test]
-    fn workload_structure_differs_between_ownership_modes() {
-        let config = TpccWorkloadConfig {
-            servers: 2,
-            customers_per_district: 4,
-            request_rate: 50.0,
-            duration: SimDuration::from_secs(2),
-            ..TpccWorkloadConfig::default()
-        };
-        let aeon = TpccWorkload::generate(SystemKind::Aeon, &config);
-        let so = TpccWorkload::generate(SystemKind::AeonSo, &config);
-        assert!(aeon.graph.edges().count() > so.graph.edges().count());
-        // In the multi-ownership variant, customer events are sequenced at
-        // their district; in the single-ownership variant customers
-        // sequence at themselves (that is the paper's explanation for the
-        // AEON_SO advantage at 16 servers).
-        let district_seqs = |w: &TpccWorkload| {
-            w.requests
-                .iter()
-                .filter(|r| {
-                    r.sequencers
-                        .iter()
-                        .any(|s| w.graph.class_of(*s).unwrap() == "District")
-                })
-                .count()
-        };
-        assert!(district_seqs(&aeon) > district_seqs(&so));
-    }
-
-    #[test]
-    fn simulated_tpcc_ordering_matches_figure_6a() {
-        // Robust shape claims from Figure 6a:
-        //  (a) AEON and AEON_SO clearly beat EventWave and Orleans(strict);
-        //  (b) EventWave and Orleans barely scale from 2 to 16 servers;
-        //  (c) at 16 servers the single-ownership variant and Orleans* are
-        //      at least as good as AEON (multi-ownership does not pay off).
-        let run = |system: SystemKind, servers: usize| {
-            let config = TpccWorkloadConfig::for_servers(servers);
-            let mut w = TpccWorkload::generate(system, &config);
-            let m = Simulator::new().run(&mut w.cluster, &w.requests);
-            m.throughput(Some(SimTime::ZERO + config.duration))
-        };
-        let aeon16 = run(SystemKind::Aeon, 16);
-        let so16 = run(SystemKind::AeonSo, 16);
-        let star16 = run(SystemKind::OrleansStar, 16);
-        let ew16 = run(SystemKind::EventWave, 16);
-        let orleans16 = run(SystemKind::OrleansStrict, 16);
-        assert!(aeon16 > ew16, "AEON {aeon16} vs EventWave {ew16}");
-        assert!(aeon16 > orleans16, "AEON {aeon16} vs Orleans {orleans16}");
-        assert!(so16 >= aeon16 * 0.95, "AEON_SO {so16} vs AEON {aeon16}");
-        assert!(
-            star16 >= aeon16 * 0.95,
-            "Orleans* {star16} vs AEON {aeon16}"
-        );
-        // EventWave and Orleans stay roughly flat as servers grow.
-        let ew2 = run(SystemKind::EventWave, 2);
-        let orleans2 = run(SystemKind::OrleansStrict, 2);
-        assert!(
-            ew16 < ew2 * 2.5,
-            "EventWave does not scale: {ew2} -> {ew16}"
-        );
-        assert!(
-            orleans16 < orleans2 * 2.5,
-            "Orleans does not scale: {orleans2} -> {orleans16}"
-        );
     }
 }

@@ -23,9 +23,8 @@
 //! of `aeon_types::codec`).
 //!
 //! Latency is *not* simulated here (the concurrent runtime is about
-//! correctness and real parallelism); the discrete-event simulator in
-//! `aeon-sim` models latency explicitly with the [`LatencyModel`] defined in
-//! this crate.
+//! correctness and real parallelism); `aeon-sim` charges network hops in
+//! virtual time.
 //!
 //! # Examples
 //!
@@ -42,11 +41,9 @@
 //! assert_eq!(b.recv().unwrap(), "hello");
 //! ```
 
-pub mod latency;
 pub mod stats;
 pub mod transport;
 
-pub use latency::LatencyModel;
 pub use stats::NetworkStats;
 pub use transport::{
     ChannelTransport, MessageSizer, SendReceipt, TcpTransport, TcpTransportConfig, Transport,

@@ -7,11 +7,10 @@
 //! property the evaluation harness needs.  Each event is charged virtual
 //! time (network hops between the client and the servers it traverses plus
 //! a per-method service time), so workload drivers written against the
-//! unified API can read the same kind of latency/throughput signals the
-//! timeline simulator ([`crate::Simulator`]) produces, while executing the
+//! unified API can read virtual latency and throughput while executing the
 //! *real* contextclass code under the *real* event rules: events run
 //! through the shared interpreter (`aeon_runtime::EventBody`), and the
-//! engine's [`SimHost`] only charges the hop/service cost of each context
+//! engine's host of it only charges the hop/service cost of each context
 //! entered and keeps the `(context, server)` trace the contention timeline
 //! replays.
 //!
@@ -109,8 +108,8 @@ impl SimDeploymentBuilder {
     }
 
     /// Enables the contention timeline: instead of charging every event the
-    /// serial `hop + cost + hop`, virtual time flows through the same
-    /// [`LockTimeline`]/[`CpuTimeline`] resources as [`crate::Simulator`].
+    /// serial `hop + cost + hop`, virtual time flows through contended
+    /// resources: one lock per context and FIFO CPU cores per server.
     /// Each event is sequenced at its target's dominator (shared for
     /// read-only events), every context it touches takes its per-context
     /// lock, and CPU service queues on `cores` FIFO cores per server — so
@@ -186,7 +185,7 @@ impl SimDeploymentBuilder {
 /// lock per context, one FIFO multi-core CPU per server, and an open-loop
 /// arrival cursor.  Events still execute inline (real state, serial
 /// histories); only their virtual-time accounting runs through these
-/// resources, mirroring [`crate::Simulator::run`].
+/// resources.
 struct Timeline {
     cores: usize,
     interval: SimDuration,
@@ -276,8 +275,8 @@ impl SimState {
     /// client hop, sequencer acquisition at the target's dominator
     /// (shared for read-only events), then per touched context a server
     /// hop when crossing servers, the per-context lock, and FIFO CPU
-    /// service — the same timeline as [`crate::Simulator::run`], driven by
-    /// the trace of the *real* execution.  Returns the event latency.
+    /// service — driven by the trace of the *real* execution.  Returns the
+    /// event latency.
     fn charge_timeline(
         &mut self,
         target: ContextId,
@@ -528,8 +527,10 @@ impl SimDeployment {
         }
     }
 
-    /// The current virtual time: the sum of the virtual latencies of every
-    /// event executed so far.
+    /// The current virtual time.  In the default serial accounting events
+    /// run back to back, so it is the sum of the virtual latencies of every
+    /// event (and migration) so far; in contention mode events overlap and
+    /// it is the makespan, the latest completion time.
     pub fn virtual_now(&self) -> SimTime {
         self.inner.lock().clock
     }

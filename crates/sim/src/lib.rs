@@ -1,51 +1,29 @@
-//! Deterministic cluster simulator used by the evaluation harness.
+//! The deterministic virtual-time backend of the unified `Deployment` API.
 //!
-//! The paper evaluates AEON against EventWave and Orleans on EC2.  This
-//! crate provides the substitute substrate: a virtual-time simulation of a
-//! cluster of servers executing multi-context events under different
-//! coordination protocols.  It reproduces the *shapes* of the paper's
-//! figures (who wins, where bottlenecks saturate, where crossovers fall) —
-//! not the absolute EC2 numbers.
+//! The paper evaluates AEON on EC2.  This crate is the substitute
+//! substrate: [`SimDeployment`] executes the *real* contextclass code,
+//! single-threaded and inline, through the same event interpreter as the
+//! runtime and the cluster, and charges every event virtual time.  Runs are
+//! strictly serializable by construction and exact for a fixed input, so
+//! they reproduce the *shapes* of the paper's figures (where a sequencer
+//! saturates, how throughput follows the servers) — not the absolute EC2
+//! numbers.
 //!
-//! The model is a greedy timeline simulation: requests are processed in
-//! arrival order; every contended resource (a context's sequencer lock, a
-//! server CPU core) tracks the virtual time at which it next becomes free.
-//! A request's latency is the sum of the queueing delays it experiences at
-//! the resources it visits plus its own service and network times.  This
-//! captures saturation and contention effects while remaining exact enough
-//! for FIFO resources and fully deterministic for a fixed seed.
+//! Two accounting modes:
 //!
-//! Systems modelled (see [`SystemKind`]):
-//!
-//! * **AEON** — events are sequenced at their target's dominator; placement
-//!   is locality-aware (contexts co-located with their owners).
-//! * **AEON_SO** — same runtime, single-ownership application structure.
-//! * **EventWave** — every event is additionally ordered at the single tree
-//!   root, which becomes the scalability bottleneck.
-//! * **Orleans** (strict) — single-threaded grains with a coarse per-room /
-//!   per-tree lock to obtain serializability, random placement, and a
-//!   constant per-call overhead factor (managed runtime).
-//! * **Orleans\*** — the non-serializable variant: no coarse lock, only
-//!   per-grain mailbox serialization.
+//! * **serial** (the default) — each event costs `hop + Σ service + hop`
+//!   and the clock is the sum over events;
+//! * **contention** ([`SimDeploymentBuilder::contention`]) — a greedy
+//!   timeline: events arrive open-loop, are sequenced at their target's
+//!   dominator (shared for read-only events), take the per-context lock of
+//!   every context they enter and queue for CPU on FIFO cores per server.
+//!   Every contended resource tracks the virtual time at which it next
+//!   becomes free; an event's latency is the queueing it meets plus its own
+//!   service and network time, and the clock is the makespan.  This
+//!   captures saturation and contention while staying exact for FIFO
+//!   resources.
 
-pub mod cluster;
 pub mod deployment;
-pub mod elastic;
-pub mod engine;
-pub mod metrics;
-pub mod migration;
-pub mod request;
-pub mod resources;
-pub mod system;
+mod resources;
 
-pub use cluster::SimCluster;
 pub use deployment::{SimDeployment, SimDeploymentBuilder, SimSession};
-pub use elastic::{ElasticConfig, ElasticOutcome, ElasticSetup};
-pub use engine::Simulator;
-pub use metrics::{Metrics, TimeSeries};
-pub use migration::{
-    migration_impact, EManagerThroughputModel, InstanceType, MigrationImpactConfig,
-};
-pub use request::{RequestSpec, Step};
-pub use resources::{CpuTimeline, LockTimeline};
-pub use system::SystemKind;

@@ -1,4 +1,4 @@
-//! Contended resources of the greedy timeline simulation.
+//! Contended resources of the deployment's contention timeline.
 
 use aeon_types::{SimDuration, SimTime};
 
@@ -6,7 +6,7 @@ use aeon_types::{SimDuration, SimTime};
 ///
 /// Exclusive holders serialize; read-only holders may overlap each other but
 /// not writers.  Requests are granted in the order they are offered to the
-/// lock (the engine offers them in arrival order), which mirrors the FIFO
+/// lock (the deployment offers them in arrival order), which mirrors the FIFO
 /// activation queues of the runtime.
 #[derive(Debug, Clone, Default)]
 pub struct LockTimeline {
@@ -52,23 +52,6 @@ impl LockTimeline {
         }
     }
 
-    /// Acquires the lock exclusively at or after `now`, holding it for
-    /// `hold`.  Returns the acquisition time.
-    pub fn acquire_exclusive(&mut self, now: SimTime, hold: SimDuration) -> SimTime {
-        let start = self.next_exclusive_start(now);
-        self.hold_exclusive_until(start + hold);
-        start
-    }
-
-    /// Acquires the lock in shared (read-only) mode at or after `now`,
-    /// holding it for `hold`.  Readers wait for the last writer but not for
-    /// each other.  Returns the acquisition time.
-    pub fn acquire_shared(&mut self, now: SimTime, hold: SimDuration) -> SimTime {
-        let start = self.next_shared_start(now);
-        self.hold_shared_until(start + hold);
-        start
-    }
-
     /// Delays the next acquisition until at least `until` (used to model a
     /// context being unavailable during migration).
     pub fn block_until(&mut self, until: SimTime) {
@@ -79,18 +62,12 @@ impl LockTimeline {
             self.readers_free_at = until;
         }
     }
-
-    /// Time at which the lock next becomes free for a writer.
-    pub fn free_at(&self) -> SimTime {
-        self.writer_free_at.max(self.readers_free_at)
-    }
 }
 
 /// A server's CPU: `cores` independent execution units, each FIFO.
 #[derive(Debug, Clone)]
 pub struct CpuTimeline {
     cores: Vec<SimTime>,
-    busy: SimDuration,
 }
 
 impl CpuTimeline {
@@ -98,7 +75,6 @@ impl CpuTimeline {
     pub fn new(cores: usize) -> Self {
         Self {
             cores: vec![SimTime::ZERO; cores.max(1)],
-            busy: SimDuration::ZERO,
         }
     }
 
@@ -115,27 +91,7 @@ impl CpuTimeline {
         let start = now.max(free_at);
         let end = start + service;
         self.cores[idx] = end;
-        self.busy += service;
         end
-    }
-
-    /// Total CPU time consumed so far.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
-    /// Utilisation over the interval `[0, horizon]`.
-    pub fn utilisation(&self, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            return 0.0;
-        }
-        let capacity = horizon.as_secs_f64() * self.cores.len() as f64;
-        (self.busy.as_secs_f64() / capacity).min(1.0)
-    }
-
-    /// Number of cores.
-    pub fn cores(&self) -> usize {
-        self.cores.len()
     }
 }
 
@@ -150,31 +106,46 @@ mod tests {
         SimTime::from_millis(v)
     }
 
+    /// Takes the lock exclusively at or after `now` for `hold`, the way the
+    /// deployment's timeline does; returns the acquisition time.
+    fn write(lock: &mut LockTimeline, now: SimTime, hold: SimDuration) -> SimTime {
+        let start = lock.next_exclusive_start(now);
+        lock.hold_exclusive_until(start + hold);
+        start
+    }
+
+    /// The shared counterpart of [`write`].
+    fn read(lock: &mut LockTimeline, now: SimTime, hold: SimDuration) -> SimTime {
+        let start = lock.next_shared_start(now);
+        lock.hold_shared_until(start + hold);
+        start
+    }
+
     #[test]
     fn exclusive_acquisitions_serialize() {
         let mut lock = LockTimeline::new();
-        assert_eq!(lock.acquire_exclusive(at(0), ms(10)), at(0));
+        assert_eq!(write(&mut lock, at(0), ms(10)), at(0));
         // Second request arriving at t=2 must wait until t=10.
-        assert_eq!(lock.acquire_exclusive(at(2), ms(5)), at(10));
-        assert_eq!(lock.free_at(), at(15));
+        assert_eq!(write(&mut lock, at(2), ms(5)), at(10));
+        assert_eq!(lock.next_exclusive_start(at(0)), at(15));
     }
 
     #[test]
     fn readers_overlap_but_respect_writers() {
         let mut lock = LockTimeline::new();
-        lock.acquire_exclusive(at(0), ms(10));
+        write(&mut lock, at(0), ms(10));
         // Two readers arriving during the write both start at t=10.
-        assert_eq!(lock.acquire_shared(at(3), ms(5)), at(10));
-        assert_eq!(lock.acquire_shared(at(4), ms(7)), at(10));
+        assert_eq!(read(&mut lock, at(3), ms(5)), at(10));
+        assert_eq!(read(&mut lock, at(4), ms(7)), at(10));
         // A writer then waits for the slowest reader.
-        assert_eq!(lock.acquire_exclusive(at(5), ms(1)), at(17));
+        assert_eq!(write(&mut lock, at(5), ms(1)), at(17));
     }
 
     #[test]
     fn block_until_delays_next_acquisition() {
         let mut lock = LockTimeline::new();
         lock.block_until(at(50));
-        assert_eq!(lock.acquire_exclusive(at(0), ms(1)), at(50));
+        assert_eq!(write(&mut lock, at(0), ms(1)), at(50));
     }
 
     #[test]
@@ -183,9 +154,6 @@ mod tests {
         assert_eq!(cpu.run(at(0), ms(10)), at(10));
         assert_eq!(cpu.run(at(0), ms(10)), at(10)); // second core
         assert_eq!(cpu.run(at(0), ms(10)), at(20)); // queues behind first
-        assert_eq!(cpu.cores(), 2);
-        assert_eq!(cpu.busy_time(), ms(30));
-        assert!((cpu.utilisation(at(20)) - 0.75).abs() < 1e-9);
     }
 
     #[test]

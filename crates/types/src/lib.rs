@@ -3,8 +3,8 @@
 //! The crate is intentionally dependency-light: identifiers, access modes,
 //! the dynamic [`Value`]/[`Args`] representation used for method dispatch,
 //! a small self-contained binary codec used for snapshots and migration
-//! payloads, error types, and virtual-time primitives used by the
-//! discrete-event simulator.
+//! payloads, error types, and the time primitives of the virtual-time
+//! backend (`aeon-sim`).
 //!
 //! # Examples
 //!

@@ -1,5 +1,5 @@
-//! Virtual time primitives used by the discrete-event simulator and by the
-//! metric collectors.
+//! Virtual time primitives used by the virtual-time backend (`aeon-sim`)
+//! and by the metric collectors.
 //!
 //! Time is represented in integer microseconds so that simulations are
 //! deterministic and hashable.  [`SimTime`] is a point in time,

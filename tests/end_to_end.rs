@@ -1,11 +1,11 @@
 //! Cross-crate integration tests: the full stack (runtime + ownership +
-//! eManager + storage) exercised through the public facade, plus shape
-//! checks of the evaluation harness.
+//! eManager + storage) exercised through the public facade, plus the
+//! scale-out and latency-knee shape checks of the game on the virtual-time
+//! sim.
 
 use aeon::prelude::*;
-use aeon_apps::game::{deploy_game, game_class_graph, GameWorkload, GameWorkloadConfig};
+use aeon_apps::game::{deploy_game, game_class_graph};
 use aeon_apps::tpcc::{deploy_tpcc, run_payment, tpcc_class_graph};
-use aeon_sim::{Simulator, SystemKind};
 use aeon_types::SimDuration;
 
 #[test]
@@ -120,45 +120,88 @@ fn ownership_network_is_recoverable_from_storage() {
     runtime.shutdown();
 }
 
-#[test]
-fn simulator_reproduces_game_figure_headline() {
-    // Headline result of Figure 5a at 16 servers: AEON beats EventWave by a
-    // large factor (the paper reports ~5x) and beats the strict Orleans
-    // variant, while the non-serializable Orleans* sits in between.
-    let config = GameWorkloadConfig::for_servers(16);
-    let throughput = |system: SystemKind| {
-        let mut w = GameWorkload::generate(system, &config);
-        let m = Simulator::new().run(&mut w.cluster, &w.requests);
-        m.throughput(Some(aeon_types::SimTime::ZERO + config.duration))
-    };
-    let aeon = throughput(SystemKind::Aeon);
-    let eventwave = throughput(SystemKind::EventWave);
-    let orleans = throughput(SystemKind::OrleansStrict);
-    assert!(
-        aeon > 2.0 * eventwave,
-        "AEON {aeon} vs EventWave {eventwave}"
-    );
-    assert!(aeon > orleans, "AEON {aeon} vs Orleans {orleans}");
+const ROOMS: usize = 8;
+const PLAYERS: usize = 4;
+const EVENTS_PER_ROOM: usize = 40;
+
+/// Runs the game's `get_gold` stream on the contention-mode sim (one core
+/// per server) and returns the deployment for its virtual-time readings.
+///
+/// The world is `ROOMS` rooms of `PLAYERS` players.  `deploy_game`
+/// co-locates every owned context with its first owner, so it starts out on
+/// the building's server; room `i`'s whole subtree (room, treasure, players,
+/// mines) is then moved to server `i % servers` and virtual time rewound,
+/// so the set-up traffic does not contend with the stream.  The stream is
+/// `EVENTS_PER_ROOM` events per room, round robin over the rooms and over
+/// each room's players; every event is sequenced at its room (the players
+/// share the room's treasure) and enters four contexts: the player, its
+/// mine twice, the treasure.
+fn game_stream_on_sim(servers: usize, arrival_interval: SimDuration) -> SimDeployment {
+    let sim = SimDeployment::builder()
+        .servers(servers)
+        .class_graph(game_class_graph())
+        .contention(1)
+        .arrival_interval(arrival_interval)
+        .build()
+        .unwrap();
+    let world = deploy_game(&sim, ROOMS, PLAYERS).unwrap();
+    let graph = sim.ownership_graph();
+    let online = sim.servers();
+    for (i, room) in world.rooms.iter().enumerate() {
+        for member in graph.subtree_topological(*room).unwrap() {
+            sim.migrate_context(member, online[i % online.len()])
+                .unwrap();
+        }
+    }
+    sim.reset_virtual_time();
+
+    let session = sim.client();
+    for k in 0..EVENTS_PER_ROOM * ROOMS {
+        let player = world.players[k % ROOMS][(k / ROOMS) % PLAYERS];
+        assert_eq!(
+            session.call(player, "get_gold", args![1]).unwrap(),
+            Value::from(true)
+        );
+    }
+    assert_eq!(sim.events_failed(), 0);
+    sim
 }
 
 #[test]
-fn simulator_latency_grows_with_offered_load() {
-    // Figure 5b shape: latency stays flat until the knee, then rises.
-    let low = GameWorkloadConfig {
-        servers: 4,
-        request_rate: 1_000.0,
-        duration: SimDuration::from_secs(5),
-        ..GameWorkloadConfig::default()
+fn sim_game_throughput_scales_out_with_servers() {
+    // The shape of Figure 5a: all events offered at once, one room per
+    // server.  Rooms are independent sequencers, so eight one-core servers
+    // work through them in parallel while one server queues them all on its
+    // single core.
+    let one = game_stream_on_sim(1, SimDuration::ZERO).virtual_throughput();
+    let eight = game_stream_on_sim(8, SimDuration::ZERO).virtual_throughput();
+    assert!(
+        eight >= 3.0 * one,
+        "8 servers {eight} events/s vs 1 server {one} events/s"
+    );
+}
+
+#[test]
+fn sim_game_latency_rises_past_the_knee() {
+    // The shape of Figure 5b.  An event costs four service times (400 us) at
+    // its room's sequencer and each room sees every eighth arrival: at one
+    // arrival per millisecond no event waits, at one per 10 us each room is
+    // offered five times what it can serve and the queue grows.
+    let low_rate = game_stream_on_sim(ROOMS, SimDuration::from_millis(1)).mean_virtual_latency();
+    let high_rate = game_stream_on_sim(ROOMS, SimDuration::from_micros(10)).mean_virtual_latency();
+    assert!(
+        high_rate.as_micros() > 2 * low_rate.as_micros(),
+        "past the knee {high_rate:?} vs below it {low_rate:?}"
+    );
+}
+
+#[test]
+fn sim_game_scale_out_run_is_exact() {
+    // Virtual time is a function of the input alone: the same world and
+    // stream give the same makespan and mean latency, to the microsecond.
+    let run = || {
+        let sim = game_stream_on_sim(ROOMS, SimDuration::ZERO);
+        (sim.virtual_now(), sim.mean_virtual_latency())
     };
-    let high = GameWorkloadConfig {
-        request_rate: 20_000.0,
-        ..low.clone()
-    };
-    let latency = |config: &GameWorkloadConfig| {
-        let mut w = GameWorkload::generate(SystemKind::Aeon, config);
-        Simulator::new()
-            .run(&mut w.cluster, &w.requests)
-            .mean_latency_ms()
-    };
-    assert!(latency(&high) > 2.0 * latency(&low));
+    assert_eq!(run(), run());
 }
