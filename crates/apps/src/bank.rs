@@ -9,12 +9,10 @@
 //! is the backbone of the chaos-serializability suite and the
 //! backend-parity snapshot tests.
 //!
-//! Unlike `aeon_checker::bank` (which instruments its own contexts and is
-//! tied to the in-process runtime), these contextclasses are plain
-//! [`context_class!`] tables deployed through `&dyn Deployment`, so the
-//! same bank runs on the runtime, the cluster, and the simulator; history
-//! recording comes from the backend's installed history sink, not from the
-//! application.
+//! These contextclasses are plain [`context_class!`] tables deployed through
+//! `&dyn Deployment`, so the same bank runs on the runtime, the cluster, and
+//! the simulator; history recording comes from the backend's installed
+//! history sink, not from the application.
 //!
 //! The key invariant: `transfer` moves money between two accounts inside
 //! one event, so *any* consistent cut of the system conserves the total
@@ -100,6 +98,17 @@ impl Branch {
         Ok(Value::Null)
     }
 
+    // transfer_async(from_account, to_account, amount): the deposit leg is
+    // an `async` call, which still completes inside the event.
+    fn transfer_async(&mut self, args: &Args, inv: &mut Invocation<'_>) -> Result<Value> {
+        let from = args.get_context(0)?;
+        let to = args.get_context(1)?;
+        let amount = args.get_i64(2)?;
+        inv.call(from, "add", args![-amount])?;
+        inv.call_async(to, "add", args![amount])?;
+        Ok(Value::Null)
+    }
+
     fn total(&mut self, _args: &Args, inv: &mut Invocation<'_>) -> Result<Value> {
         let mut total = 0i64;
         for account in inv.children(Some("Account"))? {
@@ -124,6 +133,7 @@ impl Branch {
 context_class! {
     Branch: "Branch" {
         method "transfer" calls ["Account::add"] => Branch::transfer,
+        method "transfer_async" calls ["Account::add"] => Branch::transfer_async,
         ro method "total" calls ["Account::read"] => Branch::total,
         ro method "account_ids" calls [] => Branch::account_ids,
     }

@@ -143,13 +143,6 @@ impl History {
     }
 }
 
-/// A pending invocation token: carries the invocation timestamp taken before
-/// the runtime assigned an [`EventId`] to the submission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InvocationToken {
-    invoked_at: u64,
-}
-
 #[derive(Debug, Default)]
 struct RecorderInner {
     clock: AtomicU64,
@@ -157,9 +150,8 @@ struct RecorderInner {
     operations: Mutex<BTreeMap<ContextId, Vec<Operation>>>,
 }
 
-/// Thread-safe recorder shared between the workload driver (which records
-/// event spans) and the instrumented contexts (which record per-context
-/// reads and writes).
+/// Thread-safe recorder of event spans and per-context reads and writes,
+/// fed by a backend through [`HistorySink`] (or, in tests, by hand).
 ///
 /// Cloning the recorder is cheap; all clones feed the same history.
 ///
@@ -170,9 +162,8 @@ struct RecorderInner {
 /// use aeon_types::{ContextId, EventId};
 ///
 /// let recorder = HistoryRecorder::new();
-/// let token = recorder.invocation_started();
 /// let event = EventId::new(1);
-/// recorder.bind(token, event);
+/// recorder.begin(event);
 /// recorder.record(event, ContextId::new(7), OpKind::Write);
 /// recorder.completed(event);
 /// let history = recorder.history();
@@ -194,32 +185,18 @@ impl HistoryRecorder {
         self.inner.clock.fetch_add(1, Ordering::SeqCst)
     }
 
-    /// Takes an invocation timestamp.  Call this *before* submitting the
-    /// event so the recorded span covers the true one.
-    pub fn invocation_started(&self) -> InvocationToken {
-        InvocationToken {
-            invoked_at: self.tick(),
-        }
-    }
-
-    /// Binds a previously taken invocation token to the event id the runtime
-    /// assigned to the submission.
-    pub fn bind(&self, token: InvocationToken, event: EventId) {
+    /// Records the invocation timestamp of an event.  Call this *before*
+    /// the event can start executing so the recorded span covers the true
+    /// one.
+    pub fn begin(&self, event: EventId) {
+        let invoked_at = self.tick();
         self.inner.spans.lock().insert(
             event,
             EventSpan {
-                invoked_at: token.invoked_at,
+                invoked_at,
                 responded_at: None,
             },
         );
-    }
-
-    /// Convenience for tests and synchronous drivers: takes the invocation
-    /// timestamp and binds it in one step (only correct when the event has
-    /// not started executing yet).
-    pub fn begin(&self, event: EventId) {
-        let token = self.invocation_started();
-        self.bind(token, event);
     }
 
     /// Records the response timestamp of an event.  Call this *after* the
@@ -241,9 +218,8 @@ impl HistoryRecorder {
         }
     }
 
-    /// Records a read or write of `context` by `event`.  Instrumented
-    /// contexts call this from inside their method handlers, i.e. while the
-    /// event holds the context's activation lock.
+    /// Records a read or write of `context` by `event`.  Backends call this
+    /// while the event holds the context's activation lock.
     pub fn record(&self, event: EventId, context: ContextId, kind: OpKind) {
         let at = self.tick();
         self.inner
@@ -282,29 +258,8 @@ impl HistoryRecorder {
 /// The recorder is the canonical [`HistorySink`]: install a clone on any
 /// `aeon_api::Deployment` (`install_history_sink`) and every backend feeds
 /// it live invoke/respond/access records, ready for
-/// [`crate::check_strict_serializability`].
-///
-/// # Examples
-///
-/// ```
-/// use aeon_api::Deployment;
-/// use aeon_checker::{check_strict_serializability, HistoryRecorder};
-/// use aeon_runtime::{AeonRuntime, KvContext, Placement};
-/// use aeon_types::args;
-/// use std::sync::Arc;
-///
-/// # fn main() -> aeon_types::Result<()> {
-/// let recorder = HistoryRecorder::new();
-/// let runtime = AeonRuntime::builder().build()?;
-/// runtime.install_history_sink(Arc::new(recorder.clone()));
-/// let item = runtime.create_context(Box::new(KvContext::new("Item")), Placement::Auto)?;
-/// let session = Deployment::session(&runtime);
-/// session.call(item, "set", args!["gold", 3])?;
-/// assert!(check_strict_serializability(&recorder.history()).is_ok());
-/// runtime.shutdown();
-/// # Ok(())
-/// # }
-/// ```
+/// [`crate::check_strict_serializability`] (the crate-level example does
+/// exactly that).
 impl HistorySink for HistoryRecorder {
     fn invoked(&self, event: EventId) {
         self.begin(event);
@@ -339,11 +294,9 @@ mod tests {
     #[test]
     fn spans_capture_invocation_and_response_order() {
         let rec = HistoryRecorder::new();
-        let t1 = rec.invocation_started();
-        rec.bind(t1, ev(1));
+        rec.begin(ev(1));
         rec.completed(ev(1));
-        let t2 = rec.invocation_started();
-        rec.bind(t2, ev(2));
+        rec.begin(ev(2));
         rec.completed(ev(2));
         let h = rec.history();
         assert!(h.spans[&ev(1)].precedes(&h.spans[&ev(2)]));

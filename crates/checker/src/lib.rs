@@ -13,12 +13,6 @@
 //! * [`check_strict_serializability`] builds the precedence graph (conflict
 //!   edges + real-time edges) and either produces an equivalent serial
 //!   order or a witnessed cycle;
-//! * [`RecordingRegister`] / [`RecordingKv`] are instrumented context
-//!   objects that feed the recorder from inside event handlers;
-//! * [`bank`] is a ready-made concurrent workload (transfers over a bank of
-//!   shared accounts) that exercises multi-ownership, read-only events and
-//!   `async` calls, and checks both a value-level invariant (money is
-//!   conserved) and the order-level property;
 //! * [`generator`] produces synthetic correct and incorrect histories (and
 //!   the [`generator::inject_lost_update`] cyclic mutation) for property
 //!   tests and benchmarks of the checker itself.
@@ -53,20 +47,30 @@
 //! crash mid-freeze leaves no stranded locks.  The chaos suite
 //! (`tests/chaos_serializability.rs`) drives randomized workloads with
 //! snapshot/crash/restore/migration injected mid-run, feeds the recorded
-//! history to [`check_strict_serializability`], and demonstrates that the
-//! legacy member-at-a-time capture (test-only
-//! `ClusterBuilder::torn_snapshot_for_tests`) is rejected by the same
-//! machinery.
+//! history to [`check_strict_serializability`], and demonstrates that a
+//! member-at-a-time capture (one read-only event per account, recorded by
+//! the test as a single event) is rejected by the same machinery.
 //!
 //! # Examples
 //!
 //! ```
-//! use aeon_checker::{bank, check_strict_serializability};
+//! use aeon_api::Deployment;
+//! use aeon_checker::{check_strict_serializability, HistoryRecorder};
+//! use aeon_runtime::{AeonRuntime, KvContext, Placement};
+//! use aeon_types::args;
+//! use std::sync::Arc;
 //!
 //! # fn main() -> aeon_types::Result<()> {
-//! let config = bank::BankConfig { clients: 2, transfers_per_client: 10, ..Default::default() };
-//! let report = bank::run_bank_workload(&config)?;
-//! assert!(report.is_correct());
+//! let recorder = HistoryRecorder::new();
+//! let runtime = AeonRuntime::builder().build()?;
+//! runtime.install_history_sink(Arc::new(recorder.clone()));
+//! let item = runtime.create_context(Box::new(KvContext::new("Item")), Placement::Auto)?;
+//! let session = Deployment::session(&runtime);
+//! session.call(item, "set", args!["gold", 3])?;
+//! let history = recorder.history();
+//! let order = check_strict_serializability(&history).expect("serializable");
+//! assert_eq!(order.order.len(), history.event_count());
+//! runtime.shutdown();
 //! # Ok(())
 //! # }
 //! ```
@@ -74,16 +78,13 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod bank;
 pub mod checker;
 pub mod generator;
 pub mod history;
-pub mod recording;
 
 pub use checker::{
     check_serializability, check_strict_serializability, EdgeReason, PrecedenceEdge,
     PrecedenceGraph, SerializationOrder, Violation,
 };
 pub use generator::{inject_lost_update, GeneratorConfig};
-pub use history::{EventSpan, History, HistoryRecorder, InvocationToken, OpKind, Operation};
-pub use recording::{RecordingKv, RecordingRegister};
+pub use history::{EventSpan, History, HistoryRecorder, OpKind, Operation};

@@ -1,168 +1,12 @@
-//! Integration tests: the real AEON runtime, exercised concurrently, must
-//! produce strictly serializable histories (the paper's §4 claim), and the
-//! checker must reject executions produced without AEON's synchronisation.
+//! Property tests of the checker over generated histories: serial and
+//! lock-disciplined histories are always accepted, lost updates always
+//! rejected, and an accepted order respects every write-write conflict.
+//! (Live runs are checked where the backends are: `tests/backend_parity.rs`
+//! and `tests/chaos_serializability.rs` at the workspace root.)
 
-use aeon_api::Session;
-use aeon_checker::bank::{bank_class_graph, deploy_bank, run_bank_workload, BankConfig};
 use aeon_checker::generator::{locked_history, racy_history, serial_history, GeneratorConfig};
-use aeon_checker::{
-    check_serializability, check_strict_serializability, HistoryRecorder, OpKind, RecordingRegister,
-};
-use aeon_runtime::{AeonRuntime, Placement};
-use aeon_types::{args, Value};
+use aeon_checker::{check_serializability, check_strict_serializability, OpKind};
 use proptest::prelude::*;
-use std::sync::Arc;
-
-#[test]
-fn concurrent_bank_run_is_strictly_serializable_and_conserves_money() {
-    let config = BankConfig {
-        branches: 4,
-        accounts_per_branch: 3,
-        shared_accounts: 1,
-        clients: 6,
-        transfers_per_client: 30,
-        audit_every: 7,
-        async_percent: 40,
-        servers: 4,
-        ..BankConfig::default()
-    };
-    let report = run_bank_workload(&config).expect("workload runs");
-    assert!(report.transfers > 0 && report.audits > 0);
-    assert_eq!(
-        report.final_total, report.expected_total,
-        "money is conserved"
-    );
-    match &report.serializability {
-        Ok(order) => assert_eq!(order.order.len(), report.history.event_count()),
-        Err(violation) => panic!("history not strictly serializable: {violation}"),
-    }
-}
-
-#[test]
-fn single_ownership_bank_is_also_serializable() {
-    // Without shared accounts every branch is its own dominator, so events
-    // on different branches run fully in parallel; the checker must still
-    // find a serial order.
-    let config = BankConfig {
-        branches: 6,
-        accounts_per_branch: 3,
-        shared_accounts: 0,
-        clients: 6,
-        transfers_per_client: 25,
-        audit_every: 9,
-        async_percent: 20,
-        servers: 3,
-        ..BankConfig::default()
-    };
-    let report = run_bank_workload(&config).expect("workload runs");
-    assert!(report.is_correct(), "single-ownership run must be correct");
-}
-
-#[test]
-fn concurrent_increments_on_one_register_never_lose_updates() {
-    let recorder = HistoryRecorder::new();
-    let runtime = AeonRuntime::builder().servers(2).build().unwrap();
-    let register = runtime
-        .create_context(
-            Box::new(RecordingRegister::new("Counter", 0, recorder.clone())),
-            Placement::Auto,
-        )
-        .unwrap();
-    let runtime = Arc::new(runtime);
-    let threads = 8;
-    let increments_per_thread = 50;
-    let mut handles = Vec::new();
-    for _ in 0..threads {
-        let runtime = Arc::clone(&runtime);
-        let recorder = recorder.clone();
-        handles.push(std::thread::spawn(move || {
-            let client = runtime.client();
-            for _ in 0..increments_per_thread {
-                let token = recorder.invocation_started();
-                let handle = client.submit_event(register, "add", args![1i64]).unwrap();
-                recorder.bind(token, handle.event_id());
-                let event = handle.event_id();
-                handle.wait().unwrap();
-                recorder.completed(event);
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    let history = recorder.history();
-    let client = runtime.client();
-    let value = client.call_readonly(register, "read", args![]).unwrap();
-    assert_eq!(value, Value::from((threads * increments_per_thread) as i64));
-    assert_eq!(
-        history.operation_count() as i64,
-        (threads * increments_per_thread) as i64
-    );
-    check_strict_serializability(&history).expect("increment history is strictly serializable");
-}
-
-#[test]
-fn deployment_audit_is_consistent_under_concurrent_transfers() {
-    // Audits running concurrently with transfers must never observe a
-    // partially applied transfer (that would break the conservation total in
-    // the audit snapshot *and* show up as a precedence cycle).
-    let recorder = HistoryRecorder::new();
-    let config = BankConfig {
-        branches: 3,
-        accounts_per_branch: 2,
-        shared_accounts: 1,
-        initial_balance: 100,
-        ..BankConfig::default()
-    };
-    let runtime = AeonRuntime::builder()
-        .servers(3)
-        .class_graph(bank_class_graph())
-        .build()
-        .unwrap();
-    let deployment = deploy_bank(&runtime, &config, &recorder).unwrap();
-    let expected = deployment.expected_total(&config);
-    let runtime = Arc::new(runtime);
-    let deployment = Arc::new(deployment);
-
-    let transferer = {
-        let runtime = Arc::clone(&runtime);
-        let deployment = Arc::clone(&deployment);
-        std::thread::spawn(move || {
-            let client = runtime.client();
-            for i in 0..60usize {
-                let b = i % deployment.branches.len();
-                let accounts = &deployment.accounts_of[b];
-                let from = accounts[i % accounts.len()];
-                let to = accounts[(i + 1) % accounts.len()];
-                client
-                    .call(deployment.branches[b], "transfer", args![from, to, 5i64])
-                    .unwrap();
-            }
-        })
-    };
-    let auditor = {
-        let runtime = Arc::clone(&runtime);
-        let deployment = Arc::clone(&deployment);
-        std::thread::spawn(move || {
-            let client = runtime.client();
-            let mut observed = Vec::new();
-            for _ in 0..20usize {
-                let total = client
-                    .call_readonly(deployment.bank, "audit", args![])
-                    .unwrap()
-                    .as_i64()
-                    .unwrap();
-                observed.push(total);
-            }
-            observed
-        })
-    };
-    transferer.join().unwrap();
-    let observed = auditor.join().unwrap();
-    for total in observed {
-        assert_eq!(total, expected, "audit observed a torn transfer");
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]

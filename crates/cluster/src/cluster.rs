@@ -14,7 +14,7 @@ use aeon_net::{
     ChannelTransport, Endpoint, MessageSizer, Network, NetworkStats, TcpTransport,
     TcpTransportConfig,
 };
-use aeon_ownership::{ClassGraph, ControlPlane, Dominator, DominatorMode, OwnershipGraph};
+use aeon_ownership::{ClassGraph, ControlPlane, Dominator, OwnershipGraph};
 use aeon_runtime::{
     AnalysisMode, CertifiedReads, ContextFactory, ContextObject, ExecutorConfig, ExecutorStats,
     Footprint, Placement, Snapshot,
@@ -79,11 +79,9 @@ enum Mode {
 #[derive(Debug)]
 pub struct ClusterBuilder {
     servers: usize,
-    dominator_mode: DominatorMode,
     class_graph: Option<ClassGraph>,
     analysis: AnalysisMode,
     executor: ExecutorConfig,
-    torn_snapshot: bool,
     transport: ClusterTransport,
     readonly_fast_path: bool,
 }
@@ -99,11 +97,9 @@ impl ClusterBuilder {
     pub fn new() -> Self {
         Self {
             servers: 1,
-            dominator_mode: DominatorMode::default(),
             class_graph: None,
             analysis: AnalysisMode::default(),
             executor: ExecutorConfig::default(),
-            torn_snapshot: false,
             transport: ClusterTransport::default(),
             readonly_fast_path: true,
         }
@@ -156,23 +152,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Sets how dominators are derived from the ownership network.
-    pub fn dominator_mode(mut self, mode: DominatorMode) -> Self {
-        self.dominator_mode = mode;
-        self
-    }
-
-    /// **Test-only.** Reverts [`Cluster::snapshot_context`] to the legacy
-    /// member-at-a-time capture (each member under its own brief exclusive
-    /// activation, nothing held across members), which is *not*
-    /// crash-consistent under load.  The chaos suite uses this to prove
-    /// the serializability checker catches exactly the torn cuts the
-    /// coordinated freeze prevents; production code must never enable it.
-    pub fn torn_snapshot_for_tests(mut self, torn: bool) -> Self {
-        self.torn_snapshot = torn;
-        self
-    }
-
     /// Installs a contextclass constraint graph; the static analysis runs at
     /// build time.
     pub fn class_graph(mut self, classes: ClassGraph) -> Self {
@@ -212,7 +191,7 @@ impl ClusterBuilder {
             aeon_analyzer::enforce(classes, self.analysis)?;
         }
         let certified = CertifiedReads::new(self.class_graph.as_ref(), self.readonly_fast_path);
-        let directory = Arc::new(Directory::new(self.dominator_mode, self.class_graph));
+        let directory = Arc::new(Directory::new(self.class_graph));
         let (mode, network, mesh_peers): (Mode, Network<ClusterMessage>, Vec<ServerId>) =
             match &self.transport {
                 ClusterTransport::Channel => {
@@ -260,7 +239,6 @@ impl ClusterBuilder {
             executor_config: self.executor,
             certified,
             fast_path: AtomicU64::new(0),
-            torn_snapshot: self.torn_snapshot,
             nodes: Mutex::new(BTreeMap::new()),
             pending_events: Mutex::new(HashMap::new()),
             pending_control: Mutex::new(HashMap::new()),
@@ -312,9 +290,6 @@ struct ClusterInner {
     certified: CertifiedReads,
     /// Events the gateway routed as certified, unsequenced executions.
     fast_path: AtomicU64,
-    /// Test-only: member-at-a-time snapshots instead of the coordinated
-    /// freeze (see `ClusterBuilder::torn_snapshot_for_tests`).
-    torn_snapshot: bool,
     nodes: Mutex<BTreeMap<ServerId, NodeHandle>>,
     /// Event completions waiting to be routed back to client handles.
     pending_events: Mutex<HashMap<u64, PendingEvent>>,
@@ -662,7 +637,6 @@ fn gateway_loop(inner: Arc<ClusterInner>, endpoint: Endpoint<ClusterMessage>) {
             | ClusterMessage::PrepareAck { corr, .. }
             | ClusterMessage::StopAck { corr, .. }
             | ClusterMessage::InstallAck { corr, .. }
-            | ClusterMessage::SnapshotAck { corr, .. }
             | ClusterMessage::FreezeAck { corr, .. }
             | ClusterMessage::MetricsAck { corr, .. } => {
                 let entry = inner.pending_control.lock().remove(&corr);
@@ -1062,9 +1036,6 @@ impl Cluster {
     ///   thawed.
     pub fn snapshot_context(&self, context: ContextId) -> Result<Snapshot> {
         let members = self.subtree_members(context)?;
-        if self.inner.torn_snapshot {
-            return self.snapshot_member_at_a_time(context, &members);
-        }
         let entries = self.freeze_subtree(context, &members, true, &[])?;
         let mut snapshot = Snapshot::new(context);
         for (id, class, state) in entries {
@@ -1078,57 +1049,6 @@ impl Cluster {
     /// `root` and all its descendants, owner before owned.
     fn subtree_members(&self, root: ContextId) -> Result<Vec<ContextId>> {
         self.inner.plane().read().graph().subtree_topological(root)
-    }
-
-    /// The legacy member-at-a-time capture (each member under its own
-    /// brief exclusive activation, nothing held across members).  Not
-    /// crash-consistent under load; reachable only through
-    /// `ClusterBuilder::torn_snapshot_for_tests`.
-    fn snapshot_member_at_a_time(
-        &self,
-        context: ContextId,
-        members: &[ContextId],
-    ) -> Result<Snapshot> {
-        let event = EventId::new(self.inner.directory.next_raw());
-        let sink = self.inner.directory.history_sink();
-        if let Some(sink) = &sink {
-            sink.invoked(event);
-        }
-        let mut snapshot = Snapshot::new(context);
-        let result = (|| -> Result<()> {
-            for member in members {
-                let server = self.placement_of(*member)?;
-                let corr = self.inner.next_corr();
-                let ack = self.inner.control_round_trip(
-                    server,
-                    corr,
-                    ClusterMessage::SnapshotReq {
-                        corr,
-                        context: *member,
-                        event,
-                    },
-                )?;
-                match ack {
-                    ClusterMessage::SnapshotAck { result, .. } => {
-                        let (class, state) = result?;
-                        if !state.is_null() {
-                            snapshot.insert(*member, class, state);
-                        }
-                    }
-                    _ => {
-                        return Err(AeonError::MigrationFailed {
-                            context: *member,
-                            reason: "unexpected acknowledgement to a snapshot request".into(),
-                        })
-                    }
-                }
-            }
-            Ok(())
-        })();
-        if let Some(sink) = &sink {
-            sink.responded(event);
-        }
-        result.map(|()| snapshot)
     }
 
     /// Establishes a coordinated freeze of `root`'s subtree — sequencer

@@ -94,9 +94,12 @@ impl std::fmt::Debug for Directory {
 
 impl Directory {
     /// Creates an empty directory authority.
-    pub fn new(mode: DominatorMode, class_graph: Option<ClassGraph>) -> Self {
+    pub fn new(class_graph: Option<ClassGraph>) -> Self {
         Self::with_backend(
-            Backend::Authority(RwLock::new(ControlPlane::new(mode, class_graph))),
+            Backend::Authority(RwLock::new(ControlPlane::new(
+                DominatorMode::default(),
+                class_graph,
+            ))),
             1,
         )
     }
@@ -395,7 +398,7 @@ mod tests {
 
     /// An authority with one online server hosting one `Room` root.
     fn authority_with_room(class_graph: Option<ClassGraph>) -> (Directory, ServerId, ContextId) {
-        let dir = Directory::new(DominatorMode::default(), class_graph);
+        let dir = Directory::new(class_graph);
         let room = dir.next_context_id();
         let server = {
             let mut plane = dir.plane().write();
@@ -407,7 +410,7 @@ mod tests {
 
     #[test]
     fn factories_round_trip() {
-        let dir = Directory::new(DominatorMode::default(), None);
+        let dir = Directory::new(None);
         assert!(dir.factory_for("Item").is_none());
         dir.register_factory(
             "Item",
@@ -422,7 +425,7 @@ mod tests {
 
     #[test]
     fn escrow_moves_objects_by_token() {
-        let dir = Directory::new(DominatorMode::default(), None);
+        let dir = Directory::new(None);
         let token = dir.escrow_put(Box::new(KvContext::new("Item")));
         assert!(dir.escrow_take(token + 1).is_none());
         let object = dir.escrow_take(token).expect("escrowed object");

@@ -335,27 +335,6 @@ pub enum ClusterMessage {
         /// Number of bytes of serialised state moved, or the failure.
         result: Result<u64>,
     },
-    /// Gateway → hosting server: serialise the state of `context` under a
-    /// brief exclusive activation of `event` (the legacy member-at-a-time
-    /// capture, kept as the test-only torn-snapshot mode).
-    SnapshotReq {
-        /// Correlation token.
-        corr: u64,
-        /// The context to snapshot.
-        context: ContextId,
-        /// The snapshot event all member captures are attributed to.
-        event: EventId,
-    },
-    /// Hosting server → gateway: the serialised state (class name plus the
-    /// context's snapshot value), or the failure.
-    SnapshotAck {
-        /// Correlation token.
-        corr: u64,
-        /// The snapshotted context.
-        context: ContextId,
-        /// Class name and snapshot state.
-        result: Result<(String, Value)>,
-    },
     /// Gateway → server: exclusively activate `freeze` on each member in
     /// order, optionally capturing or replacing its state, and keep every
     /// lock held until the matching [`ClusterMessage::ThawReq`].  The
@@ -405,6 +384,25 @@ pub enum ClusterMessage {
     },
     /// Gateway → server: stop the receive loop and poison every local lock.
     Shutdown,
+}
+
+impl ClusterMessage {
+    /// The context whose hosting decides which node handles this message,
+    /// for the messages a node forwards or buffers while that context
+    /// migrates (`None` for an `Act` on the virtual root, which every node
+    /// sequences locally).
+    pub(crate) fn routed_context(&self) -> Option<ContextId> {
+        match self {
+            ClusterMessage::Act { sequencer, .. } => {
+                (*sequencer != virtual_root()).then_some(*sequencer)
+            }
+            ClusterMessage::Exec { event, .. } | ClusterMessage::ExecCertified { event } => {
+                Some(event.target)
+            }
+            ClusterMessage::Call { target, .. } => Some(*target),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Debug for ClusterMessage {
@@ -464,12 +462,6 @@ impl fmt::Debug for ClusterMessage {
                 context, result, ..
             } => {
                 write!(f, "InstallAck({context}, ok={})", result.is_ok())
-            }
-            ClusterMessage::SnapshotReq { context, .. } => write!(f, "SnapshotReq({context})"),
-            ClusterMessage::SnapshotAck {
-                context, result, ..
-            } => {
-                write!(f, "SnapshotAck({context}, ok={})", result.is_ok())
             }
             ClusterMessage::MetricsReq { corr } => write!(f, "MetricsReq(corr={corr})"),
             ClusterMessage::MetricsAck { metrics, .. } => {

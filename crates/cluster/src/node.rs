@@ -286,28 +286,32 @@ impl NodeShared {
     }
 
     /// Routing decision for messages that name a context this node may no
-    /// longer (or not yet) host.  Returns `true` when the message was
+    /// longer (or not yet) host.  Hands the message back unless it was
     /// consumed (buffered or forwarded).
-    fn reroute_if_needed(&self, context: ContextId, message: ClusterMessage) -> bool {
+    fn reroute_if_needed(
+        &self,
+        context: ContextId,
+        message: ClusterMessage,
+    ) -> Option<ClusterMessage> {
         if let Some(next) = self.forwarding.read().get(&context) {
             self.send(*next, message);
-            return true;
+            return None;
         }
         {
             let mut stopped = self.stopped.lock();
             if let Some(buffer) = stopped.get_mut(&context) {
                 buffer.push(message);
-                return true;
+                return None;
             }
         }
         {
             let mut installing = self.installing.lock();
             if let Some(buffer) = installing.get_mut(&context) {
                 buffer.push(message);
-                return true;
+                return None;
             }
         }
-        false
+        Some(message)
     }
 }
 
@@ -364,6 +368,15 @@ fn receive_loop(shared: Arc<NodeShared>, endpoint: Endpoint<ClusterMessage>) {
 }
 
 fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
+    let message = match message.routed_context() {
+        Some(context) if shared.local(context).is_none() => {
+            let Some(message) = shared.reroute_if_needed(context, message) else {
+                return;
+            };
+            message
+        }
+        _ => message,
+    };
     match message {
         ClusterMessage::Host {
             corr,
@@ -399,33 +412,10 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
             shared.directory.complete_dir_reply(corr, reply);
         }
         ClusterMessage::Act { event, sequencer } => {
-            if sequencer != virtual_root()
-                && shared.local(sequencer).is_none()
-                && shared.reroute_if_needed(
-                    sequencer,
-                    ClusterMessage::Act {
-                        event: event.clone(),
-                        sequencer,
-                    },
-                )
-            {
-                return;
-            }
             let worker = Arc::clone(shared);
             shared.offload(sequencer, move || handle_act(&worker, event, sequencer));
         }
         ClusterMessage::Exec { event, sequencer } => {
-            if shared.local(event.target).is_none()
-                && shared.reroute_if_needed(
-                    event.target,
-                    ClusterMessage::Exec {
-                        event: event.clone(),
-                        sequencer,
-                    },
-                )
-            {
-                return;
-            }
             let worker = Arc::clone(shared);
             let key = event.target;
             shared.offload(key, move || {
@@ -433,16 +423,6 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
             });
         }
         ClusterMessage::ExecCertified { event } => {
-            if shared.local(event.target).is_none()
-                && shared.reroute_if_needed(
-                    event.target,
-                    ClusterMessage::ExecCertified {
-                        event: event.clone(),
-                    },
-                )
-            {
-                return;
-            }
             let worker = Arc::clone(shared);
             let key = event.target;
             shared.offload(key, move || {
@@ -460,24 +440,6 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
             reply_to,
             corr,
         } => {
-            if shared.local(target).is_none()
-                && shared.reroute_if_needed(
-                    target,
-                    ClusterMessage::Call {
-                        event,
-                        mode,
-                        client,
-                        caller,
-                        target,
-                        method: method.clone(),
-                        args: args.clone(),
-                        reply_to,
-                        corr,
-                    },
-                )
-            {
-                return;
-            }
             let worker = Arc::clone(shared);
             shared.offload(target, move || {
                 handle_call(
@@ -526,28 +488,6 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
             let worker = Arc::clone(shared);
             shared.offload(context, move || {
                 handle_install(&worker, corr, context, class, state)
-            });
-        }
-        ClusterMessage::SnapshotReq {
-            corr,
-            context,
-            event,
-        } => {
-            if shared.local(context).is_none()
-                && shared.reroute_if_needed(
-                    context,
-                    ClusterMessage::SnapshotReq {
-                        corr,
-                        context,
-                        event,
-                    },
-                )
-            {
-                return;
-            }
-            let worker = Arc::clone(shared);
-            shared.offload(context, move || {
-                handle_snapshot(&worker, corr, context, event)
             });
         }
         ClusterMessage::FreezeReq {
@@ -608,7 +548,6 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
         | ClusterMessage::PrepareAck { .. }
         | ClusterMessage::StopAck { .. }
         | ClusterMessage::InstallAck { .. }
-        | ClusterMessage::SnapshotAck { .. }
         | ClusterMessage::FreezeAck { .. }
         | ClusterMessage::MetricsAck { .. }
         | ClusterMessage::Done { .. } => {}
@@ -759,38 +698,6 @@ fn handle_call(
             result: outcome.result,
             participants: host.participants.into_iter().collect(),
             sub_events: outcome.sub_events,
-        },
-    );
-}
-
-/// Serves a legacy member-at-a-time snapshot request: behaves like a brief
-/// exclusive event on the context (draining in-flight events) and ships the
-/// serialised state back to the gateway.  All member captures of one
-/// snapshot share `event`, so an installed history sink sees them as one
-/// logical read set — which is exactly how the chaos suite catches this
-/// mode's torn cuts.
-fn handle_snapshot(shared: &Arc<NodeShared>, corr: u64, context: ContextId, event: EventId) {
-    let result = match shared.local(context) {
-        Some(hosted) => match hosted.lock.activate(event, AccessMode::Exclusive) {
-            Ok(()) => {
-                let state = {
-                    let object = hosted.object.lock();
-                    shared.record_access(event, context, AccessMode::ReadOnly);
-                    object.snapshot()
-                };
-                hosted.lock.release(event);
-                Ok((hosted.class.clone(), state))
-            }
-            Err(error) => Err(error),
-        },
-        None => Err(AeonError::ContextNotFound(context)),
-    };
-    shared.send(
-        gateway_id(),
-        ClusterMessage::SnapshotAck {
-            corr,
-            context,
-            result,
         },
     );
 }

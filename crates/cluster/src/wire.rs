@@ -384,28 +384,6 @@ fn to_value(message: &ClusterMessage) -> Value {
             "InstallAck",
             vec![vu64(*corr), vctx(*context), vresult(result, |n| vu64(*n))],
         ),
-        ClusterMessage::SnapshotReq {
-            corr,
-            context,
-            event,
-        } => tagged(
-            "SnapshotReq",
-            vec![vu64(*corr), vctx(*context), vevt(*event)],
-        ),
-        ClusterMessage::SnapshotAck {
-            corr,
-            context,
-            result,
-        } => tagged(
-            "SnapshotAck",
-            vec![
-                vu64(*corr),
-                vctx(*context),
-                vresult(result, |(class, state)| {
-                    Value::List(vec![Value::Str(class.clone()), state.clone()])
-                }),
-            ],
-        ),
         ClusterMessage::FreezeReq {
             corr,
             freeze,
@@ -891,22 +869,6 @@ fn from_value(value: Value) -> Result<ClusterMessage> {
                 other => Err(bad(format!("expected byte count, got {other:?}"))),
             })?,
         },
-        "SnapshotReq" => ClusterMessage::SnapshotReq {
-            corr: f.u64()?,
-            context: f.ctx()?,
-            event: f.evt()?,
-        },
-        "SnapshotAck" => ClusterMessage::SnapshotAck {
-            corr: f.u64()?,
-            context: f.ctx()?,
-            result: dresult(f.next()?, |v| {
-                let mut pair = Fields::of(v)?;
-                let class = pair.string()?;
-                let state = pair.next()?;
-                pair.done()?;
-                Ok((class, state))
-            })?,
-        },
         "FreezeReq" => ClusterMessage::FreezeReq {
             corr: f.u64()?,
             freeze: f.evt()?,
@@ -1128,16 +1090,6 @@ mod tests {
                     context: cx(4),
                     reason: "no factory".into(),
                 }),
-            },
-            ClusterMessage::SnapshotReq {
-                corr: 16,
-                context: cx(4),
-                event: evt(77),
-            },
-            ClusterMessage::SnapshotAck {
-                corr: 16,
-                context: cx(4),
-                result: Ok(("Room".into(), Value::map([("n", Value::from(1i64))]))),
             },
             ClusterMessage::FreezeReq {
                 corr: 17,

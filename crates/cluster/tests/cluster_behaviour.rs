@@ -1,11 +1,10 @@
 //! Integration tests of the distributed deployment: event routing across
-//! servers, remote method calls, migration under load, fault injection, and
-//! strict serializability of concurrent executions (checked with
-//! `aeon-checker`).
+//! servers, remote method calls, migration under load and fault injection.
+//! (Strict serializability of concurrent executions is checked across
+//! backends in `tests/backend_parity.rs` and `tests/chaos_serializability.rs`
+//! at the workspace root.)
 
 use aeon_api::Session;
-use aeon_checker::bank::{bank_class_graph, Bank, BranchWithDirectory};
-use aeon_checker::{check_strict_serializability, HistoryRecorder, RecordingRegister};
 use aeon_cluster::Cluster;
 use aeon_runtime::{ContextObject, Invocation, KvContext, Placement};
 use aeon_types::{args, AeonError, Args, ContextId, Result, Value};
@@ -400,112 +399,5 @@ fn scale_out_places_new_contexts_on_new_servers() {
         .unwrap();
     assert_eq!(cluster.placement_of(fresh).unwrap(), new_server);
     assert_eq!(cluster.servers().len(), 2);
-    cluster.shutdown();
-}
-
-#[test]
-fn distributed_bank_run_is_strictly_serializable() {
-    // The same bank application used against the in-process runtime in
-    // aeon-checker, deployed across 3 servers of the distributed cluster:
-    // shared accounts force cross-branch sequencing at the Bank dominator,
-    // and account accesses cross server boundaries.
-    let recorder = HistoryRecorder::new();
-    let cluster = Cluster::builder()
-        .servers(3)
-        .class_graph(bank_class_graph())
-        .build()
-        .unwrap();
-    let servers = cluster.servers();
-    let bank = cluster
-        .create_context(Box::new(Bank), Placement::Server(servers[0]))
-        .unwrap();
-    let mut branches = Vec::new();
-    let mut accounts_of: Vec<Vec<ContextId>> = Vec::new();
-    for i in 0..3usize {
-        let branch = cluster
-            .create_context(
-                Box::new(BranchWithDirectory::new()),
-                Placement::Server(servers[i % servers.len()]),
-            )
-            .unwrap();
-        cluster.add_ownership(bank, branch).unwrap();
-        branches.push(branch);
-        accounts_of.push(Vec::new());
-    }
-    for (i, branch) in branches.iter().enumerate() {
-        for _ in 0..2 {
-            let account = cluster
-                .create_owned_context(
-                    Box::new(RecordingRegister::new("Account", 100, recorder.clone())),
-                    &[*branch],
-                )
-                .unwrap();
-            accounts_of[i].push(account);
-        }
-    }
-    // One shared account between branches 0 and 1 (multi-ownership).
-    let shared = cluster
-        .create_owned_context(
-            Box::new(RecordingRegister::new("Account", 100, recorder.clone())),
-            &[branches[0], branches[1]],
-        )
-        .unwrap();
-    accounts_of[0].push(shared);
-    accounts_of[1].push(shared);
-    let expected_total = (3 * 2 + 1) * 100i64;
-
-    let client = cluster.client();
-    for (i, branch) in branches.iter().enumerate() {
-        for account in &accounts_of[i] {
-            client
-                .call(*branch, "attach_account", args![*account])
-                .unwrap();
-        }
-    }
-    recorder.reset();
-
-    let cluster = Arc::new(cluster);
-    let accounts_of = Arc::new(accounts_of);
-    let branches = Arc::new(branches);
-    let mut workers = Vec::new();
-    for w in 0..4usize {
-        let cluster = Arc::clone(&cluster);
-        let accounts_of = Arc::clone(&accounts_of);
-        let branches = Arc::clone(&branches);
-        let recorder = recorder.clone();
-        workers.push(std::thread::spawn(move || {
-            let client = cluster.client();
-            for i in 0..20usize {
-                let b = (w + i) % branches.len();
-                let accounts = &accounts_of[b];
-                let from = accounts[i % accounts.len()];
-                let to = accounts[(i + 1) % accounts.len()];
-                if from == to {
-                    continue;
-                }
-                let token = recorder.invocation_started();
-                let handle = client
-                    .submit_event(branches[b], "transfer", args![from, to, 3i64])
-                    .unwrap();
-                recorder.bind(token, handle.event_id());
-                let event = handle.event_id();
-                handle.wait().unwrap();
-                recorder.completed(event);
-            }
-        }));
-    }
-    for w in workers {
-        w.join().unwrap();
-    }
-
-    let total = client.call_readonly(bank, "audit", args![]).unwrap();
-    assert_eq!(
-        total,
-        Value::from(expected_total),
-        "money is conserved across servers"
-    );
-    let history = recorder.history();
-    assert!(history.operation_count() > 0);
-    check_strict_serializability(&history).expect("distributed execution is strictly serializable");
     cluster.shutdown();
 }

@@ -39,8 +39,6 @@ pub use aeon_ownership::Placement;
 pub struct RuntimeConfig {
     /// Number of logical servers to create at startup.
     pub initial_servers: usize,
-    /// How dominators are derived from the ownership network.
-    pub dominator_mode: DominatorMode,
     /// Optional contextclass constraint graph; when present, context
     /// creation and ownership changes are validated against it.
     pub class_graph: Option<ClassGraph>,
@@ -62,7 +60,6 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         Self {
             initial_servers: 1,
-            dominator_mode: DominatorMode::default(),
             class_graph: None,
             analysis: AnalysisMode::default(),
             executor: ExecutorConfig::default(),
@@ -84,12 +81,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Sets the dominator derivation mode.
-    pub fn dominator_mode(mut self, mode: DominatorMode) -> Self {
-        self.config.dominator_mode = mode;
-        self
-    }
-
     /// Installs a contextclass constraint graph; the static analysis
     /// pipeline is run by [`RuntimeBuilder::build`] (see
     /// [`RuntimeBuilder::analysis`]).
@@ -108,18 +99,9 @@ impl RuntimeBuilder {
     }
 
     /// Sets the number of resident event-executor workers (default: the
-    /// machine's available parallelism).  The shard count scales with it
-    /// unless set explicitly with [`RuntimeBuilder::executor_shards`].
+    /// machine's available parallelism); the shard count scales with it.
     pub fn worker_threads(mut self, n: usize) -> Self {
         self.config.executor.workers = n;
-        self
-    }
-
-    /// Sets the number of executor injection shards (events are routed by
-    /// target context id, so same-context events keep FIFO affinity).
-    /// Zero restores the default of four shards per worker.
-    pub fn executor_shards(mut self, n: usize) -> Self {
-        self.config.executor.shards = n;
         self
     }
 
@@ -180,7 +162,7 @@ impl RuntimeBuilder {
             executor,
             certified,
             plane: RwLock::new(ControlPlane::new(
-                self.config.dominator_mode,
+                DominatorMode::default(),
                 self.config.class_graph.clone(),
             )),
             config: self.config,

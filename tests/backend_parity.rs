@@ -936,6 +936,104 @@ mod snapshot_freeze {
             );
         });
     }
+
+    /// The §4 contract on a live run of every backend, with and without
+    /// shared accounts (bank-level vs branch-level dominators): concurrent
+    /// transfers — some with an `async` deposit leg — beside read-only
+    /// audits that must never see a torn transfer, then concurrent
+    /// increments of one hot account that must lose no update; the history
+    /// the backend's sink recorded must be strictly serializable.
+    #[test]
+    fn concurrent_bank_history_is_strictly_serializable_on_every_backend() {
+        for shared_pairs in [1, 0] {
+            on_every_bank_backend(|deployment| {
+                let backend = deployment.backend_name();
+                let recorder = HistoryRecorder::new();
+                deployment.install_history_sink(Arc::new(recorder.clone()));
+                let config = BankWorldConfig {
+                    branches: 4,
+                    accounts_per_branch: 3,
+                    shared_pairs,
+                    shared_accounts: 1,
+                    initial_balance: 100,
+                };
+                let world = deploy_bank(&*deployment, &config).unwrap();
+                let expected = world.expected_total(&config);
+
+                let clients: Vec<_> = (0..6usize)
+                    .map(|c| {
+                        let session = deployment.session();
+                        let world = world.clone();
+                        std::thread::spawn(move || {
+                            for i in 0..30usize {
+                                if i % 7 == 6 {
+                                    assert_eq!(
+                                        session
+                                            .call_readonly(world.bank, "audit", args![])
+                                            .unwrap(),
+                                        Value::from(expected),
+                                        "an audit observed a torn transfer"
+                                    );
+                                    continue;
+                                }
+                                let b = (c + i) % world.branches.len();
+                                let accounts = &world.accounts_of[b];
+                                let from = accounts[i % accounts.len()];
+                                let to = accounts[(i + 1) % accounts.len()];
+                                let method = if i % 5 == 4 {
+                                    "transfer_async"
+                                } else {
+                                    "transfer"
+                                };
+                                let amount = 1 + (i % 9) as i64;
+                                session
+                                    .call(world.branches[b], method, args![from, to, amount])
+                                    .unwrap();
+                            }
+                        })
+                    })
+                    .collect();
+                for client in clients {
+                    client.join().unwrap();
+                }
+
+                let session = deployment.session();
+                assert_eq!(
+                    session.call_readonly(world.bank, "audit", args![]).unwrap(),
+                    Value::from(expected),
+                    "backend {backend}: money is conserved"
+                );
+                let hot = world.accounts[0];
+                let before = session.call_readonly(hot, "read", args![]).unwrap();
+                let adders: Vec<_> = (0..8)
+                    .map(|_| {
+                        let session = deployment.session();
+                        std::thread::spawn(move || {
+                            for _ in 0..50 {
+                                session.call(hot, "add", args![1i64]).unwrap();
+                            }
+                        })
+                    })
+                    .collect();
+                for adder in adders {
+                    adder.join().unwrap();
+                }
+                assert_eq!(
+                    session.call_readonly(hot, "read", args![]).unwrap(),
+                    Value::from(before.as_i64().unwrap() + 400),
+                    "backend {backend}: an increment was lost"
+                );
+
+                let history = recorder.history();
+                match check_strict_serializability(&history) {
+                    Ok(order) => assert_eq!(order.order.len(), history.event_count()),
+                    Err(violation) => {
+                        panic!("backend {backend}, shared_pairs {shared_pairs}: {violation}")
+                    }
+                }
+            });
+        }
+    }
 }
 
 /// The analyzer-certified read-only fast path: certified methods

@@ -9,16 +9,20 @@
 //! history sink (`aeon_checker::HistoryRecorder`), and the recorded history
 //! must pass `check_strict_serializability`.
 //!
-//! The suite also proves its own teeth: with the test-only
-//! `ClusterBuilder::torn_snapshot_for_tests` toggle (reverting
-//! `snapshot_context` to the legacy member-at-a-time capture), the same
-//! workload produces a snapshot event whose member reads interleave with a
-//! transfer — a conflict cycle the checker rejects.
+//! The suite also proves its own teeth without any product code: under the
+//! same client load, the test itself "captures" the accounts one read-only
+//! event at a time and records those reads as *one* event through the
+//! recorder's public `begin` / `record` / `completed`.  Over every account
+//! that member-at-a-time capture interleaves with a transfer — a conflict
+//! cycle the checker rejects; over a single account it is an ordinary read
+//! and must be accepted.
 //!
 //! Runs are seeded (`AEON_CHAOS_SEED`) so failures are reproducible; CI
 //! runs this file in release mode under a timeout.
 
+use aeon::checker::OpKind;
 use aeon::prelude::*;
+use aeon::EventId;
 use aeon_apps::bank::{
     bank_class_graph, captured_account_total, deploy_bank, register_bank_factories, BankWorld,
     BankWorldConfig,
@@ -34,6 +38,8 @@ const DEFAULT_SEED: u64 = 20260729;
 /// Transfers/audits submitted by each client thread per run.
 const OPS_PER_CLIENT: usize = 150;
 const CLIENTS: usize = 4;
+/// Passes of the test-side member-at-a-time capture per negative-control run.
+const CAPTURES: u64 = 4;
 
 fn chaos_seed() -> u64 {
     std::env::var("AEON_CHAOS_SEED")
@@ -142,12 +148,11 @@ fn crash_and_recover(cluster: &Cluster, checkpoint: &Snapshot, pause: &Arc<Atomi
 }
 
 /// One full chaos run; returns the recorded history.
-fn run_chaos(seed: u64, torn: bool, transport: ClusterTransport) -> History {
+fn run_chaos(seed: u64, transport: ClusterTransport) -> History {
     let cluster = Cluster::builder()
         .servers(3)
         .class_graph(bank_class_graph())
         .transport(transport)
-        .torn_snapshot_for_tests(torn)
         .build()
         .unwrap();
     register_bank_factories(&cluster);
@@ -166,16 +171,15 @@ fn run_chaos(seed: u64, torn: bool, transport: ClusterTransport) -> History {
     let mut crashed = false;
     while clients.iter().any(|c| !c.is_finished()) {
         thread::sleep(Duration::from_millis(20));
-        let action = if torn { 0 } else { rng.gen_range(0..8) };
-        match action {
-            // Coordinated snapshot mid-load: in freeze mode the captured
-            // cut must conserve the total balance — the crash-consistency
+        match rng.gen_range(0..8) {
+            // Coordinated snapshot mid-load: the captured cut must
+            // conserve the total balance — the crash-consistency
             // claim itself.  (Snapshots may fail transiently when they race
             // a migration; that is fine, consistency of successful cuts is
             // what is asserted.)
             0..=3 => {
                 if let Ok(snapshot) = cluster.snapshot_context(world.bank) {
-                    if !torn && !crashed {
+                    if !crashed {
                         assert_eq!(
                             captured_account_total(&snapshot),
                             expected,
@@ -220,7 +224,7 @@ fn run_chaos(seed: u64, torn: bool, transport: ClusterTransport) -> History {
 fn chaos_cluster_history_is_strictly_serializable() {
     let seed = chaos_seed();
     for round in 0..2u64 {
-        let history = run_chaos(seed.wrapping_add(round), false, ClusterTransport::default());
+        let history = run_chaos(seed.wrapping_add(round), ClusterTransport::default());
         assert!(
             history.operation_count() >= 1_000,
             "expected a >=1k-op history, got {} (seed {seed}, round {round})",
@@ -239,7 +243,7 @@ fn chaos_cluster_history_is_strictly_serializable() {
 #[test]
 fn chaos_cluster_history_is_strictly_serializable_over_tcp_loopback() {
     let seed = chaos_seed().wrapping_add(0x7c9);
-    let history = run_chaos(seed, false, ClusterTransport::TcpLoopback);
+    let history = run_chaos(seed, ClusterTransport::TcpLoopback);
     assert!(
         history.operation_count() >= 1_000,
         "expected a >=1k-op history, got {} (seed {seed})",
@@ -250,20 +254,67 @@ fn chaos_cluster_history_is_strictly_serializable_over_tcp_loopback() {
     }
 }
 
+/// The negative control's driver.  Under the chaos client load (no faults),
+/// the test repeatedly reads the first `members` accounts one read-only
+/// event at a time and records each pass as a *single* event reading all of
+/// them — what a snapshot without the coordinated freeze would amount to.
+/// Its ids come from the top of the `u64` range, clear of the backend's.
+/// The load is stopped after [`CAPTURES`] passes: a rejected history costs
+/// the checker a cycle search from every event left unordered, so the
+/// negative control keeps its history small.
+fn run_member_at_a_time_capture(seed: u64, members: usize) -> History {
+    let cluster = Cluster::builder()
+        .servers(3)
+        .class_graph(bank_class_graph())
+        .build()
+        .unwrap();
+    let recorder = HistoryRecorder::new();
+    cluster.install_history_sink(Arc::new(recorder.clone()));
+    let world = deploy_bank(&cluster, &chaos_config()).unwrap();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let pause = Arc::new(AtomicBool::new(false));
+    let clients = spawn_clients(&cluster, &world, seed, &stop, &pause);
+    let session = cluster.client();
+    for n in 1..=CAPTURES {
+        let capture = EventId::new(u64::MAX - n);
+        recorder.begin(capture);
+        for account in world.accounts.iter().take(members) {
+            session.call_readonly(*account, "read", args![]).unwrap();
+            recorder.record(capture, *account, OpKind::Read);
+        }
+        recorder.completed(capture);
+    }
+    stop.store(true, Ordering::SeqCst);
+    for client in clients {
+        client.join().unwrap();
+    }
+    cluster.shutdown();
+    recorder.history()
+}
+
 #[test]
 fn torn_member_at_a_time_snapshot_is_caught_by_the_checker() {
     let seed = chaos_seed().wrapping_add(0x7021);
     for attempt in 0..3u64 {
-        let history = run_chaos(
-            seed.wrapping_add(attempt),
-            true,
-            ClusterTransport::default(),
-        );
+        let history = run_member_at_a_time_capture(seed.wrapping_add(attempt), usize::MAX);
         if check_strict_serializability(&history).is_err() {
             return;
         }
     }
-    panic!("the member-at-a-time snapshot mode was never caught by the checker");
+    panic!("the member-at-a-time capture was never caught by the checker");
+}
+
+/// The control of the control: the same driver over a single account is an
+/// ordinary atomic read, so a rejection above is due to the tearing and not
+/// to recording a capture from the test side.
+#[test]
+fn single_member_capture_passes_the_checker() {
+    let seed = chaos_seed().wrapping_add(0x7021);
+    let history = run_member_at_a_time_capture(seed, 1);
+    if let Err(violation) = check_strict_serializability(&history) {
+        panic!("seed {seed}: {violation}");
+    }
 }
 
 /// Satellite regression: a snapshot whose member's owner node crashed
