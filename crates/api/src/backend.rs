@@ -32,6 +32,16 @@ impl Session for AeonClient {
             native.wait()
         }))
     }
+
+    // A blocked caller is served on its own thread: no hand-off to the
+    // worker pool and back.
+    fn call(&self, target: ContextId, method: &str, args: Args) -> Result<Value> {
+        self.call_with_mode(target, method, args, AccessMode::Exclusive)
+    }
+
+    fn call_readonly(&self, target: ContextId, method: &str, args: Args) -> Result<Value> {
+        self.call_with_mode(target, method, args, AccessMode::ReadOnly)
+    }
 }
 
 impl Deployment for AeonRuntime {

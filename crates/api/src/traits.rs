@@ -13,8 +13,12 @@ use aeon_types::{
 ///
 /// Implementations provide only [`Session::submit_with_mode`]; the
 /// `submit_event` / `submit_readonly_event` / `call` / `call_readonly`
-/// convenience wrappers are default methods expressed through it, so no
-/// backend reimplements them.
+/// convenience wrappers are default methods expressed through it.  A
+/// backend may override `call` / `call_readonly` when it can serve a caller
+/// that blocks anyway more cheaply than `submit` + `wait` — the in-process
+/// runtime executes the event on the calling thread instead of handing it
+/// to its worker pool — but results and errors must equal the default's
+/// (`backend_parity` holds every backend to that).
 pub trait Session: Send + Sync {
     /// The id the backend assigned to this client.
     fn client_id(&self) -> ClientId;

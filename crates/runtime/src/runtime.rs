@@ -8,6 +8,14 @@
 //! Executing an event takes only read guards on the plane (dominator,
 //! `may_call`), each dropped before the event waits on a context lock or
 //! runs contextclass code.
+//!
+//! An event executes in one place — `RuntimeInner::run_event`, or
+//! `run_fast_batch` for certified reads — on whichever thread brings it
+//! there: a pool worker for a submitted event (`AeonClient::submit`), the
+//! client's own thread for a blocking call (`AeonClient::call_with_mode`),
+//! the creator's thread for a sub-event.  Order is never decided by the
+//! thread or the pool's queues, only by the FIFO queues of the context
+//! locks.
 
 use crate::context::{ContextFactory, ContextObject, ContextSlot};
 use crate::event::{EventHandle, EventOutcome, EventRequest};
@@ -100,6 +108,9 @@ impl RuntimeBuilder {
 
     /// Sets the number of resident event-executor workers (default: the
     /// machine's available parallelism); the shard count scales with it.
+    /// The pool executes the events clients *submit*; a blocking
+    /// [`AeonClient::call_with_mode`] executes its event on the caller's
+    /// own thread, so this bounds pool events, not callers.
     pub fn worker_threads(mut self, n: usize) -> Self {
         self.config.executor.workers = n;
         self
@@ -424,16 +435,18 @@ impl RuntimeInner {
                 Self::fail_fast_queue(slot);
                 return;
             }
-            let batch: Vec<(EventRequest, Sender<EventOutcome>)> = {
+            let (batch, senders): (Vec<EventRequest>, Vec<Sender<EventOutcome>>) = {
                 let mut fast = slot.fast.lock();
                 if fast.queue.is_empty() {
                     fast.draining = false;
                     return;
                 }
                 let n = fast.queue.len().min(batch_max);
-                fast.queue.drain(..n).collect()
+                fast.queue.drain(..n).unzip()
             };
-            self.run_fast_batch(slot, batch);
+            for (tx, outcome) in senders.into_iter().zip(self.run_fast_batch(slot, batch)) {
+                let _ = tx.send(outcome);
+            }
         }
     }
 
@@ -456,58 +469,62 @@ impl RuntimeInner {
     /// lead event's activation across the batch is indistinguishable from
     /// activating each event separately — read-only events never conflict
     /// with one another.
+    ///
+    /// Returns one outcome per request, in order; the caller is whichever
+    /// thread has the batch in hand — the drain task for submitted events,
+    /// the client's own thread for a blocking call (a batch of one).
     fn run_fast_batch(
         self: &Arc<Self>,
-        slot: &Arc<ContextSlot>,
-        batch: Vec<(EventRequest, Sender<EventOutcome>)>,
-    ) {
+        slot: &ContextSlot,
+        batch: Vec<EventRequest>,
+    ) -> Vec<EventOutcome> {
         let _in_flight = InFlightGuard::enter(&self.events_in_flight);
-        let lead = batch[0].0.id;
-        if let Err(e) = slot.lock.activate(lead, AccessMode::ReadOnly) {
-            for (request, tx) in batch {
-                self.complete_event(&request, false, Duration::ZERO, Vec::new());
-                let _ = tx.send(EventOutcome {
+        let lead = batch[0].id;
+        let executed: Vec<(BodyOutcome, Duration)> =
+            match slot.lock.activate(lead, AccessMode::ReadOnly) {
+                Err(e) => batch
+                    .iter()
+                    .map(|_| (BodyOutcome::failed(e.clone()), Duration::ZERO))
+                    .collect(),
+                Ok(()) => {
+                    // A certified body never enters a second context, so the
+                    // host acquires nothing that would need releasing.
+                    let mut host = RuntimeHost::new(self);
+                    let mut object = slot.object.lock();
+                    let executed = batch
+                        .iter()
+                        .map(|request| {
+                            let started = Instant::now();
+                            let outcome =
+                                EventBody::new(&mut host, request.meta(), Footprint::Certified)
+                                    .run_entered(
+                                        &mut **object,
+                                        request.target,
+                                        &request.method,
+                                        &request.args,
+                                    );
+                            self.stats.record_method_call(false);
+                            self.executor.note_fast_path();
+                            (outcome, started.elapsed())
+                        })
+                        .collect();
+                    drop(object);
+                    slot.lock.release(lead);
+                    executed
+                }
+            };
+        batch
+            .iter()
+            .zip(executed)
+            .map(|(request, (outcome, latency))| {
+                self.complete_event(request, outcome.result.is_ok(), latency, outcome.sub_events);
+                EventOutcome {
                     event: request.id,
-                    result: Err(e.clone()),
-                    latency: Duration::ZERO,
-                });
-            }
-            return;
-        }
-        let mut done = Vec::with_capacity(batch.len());
-        {
-            // A certified body never enters a second context, so the host
-            // acquires nothing that would need releasing.
-            let mut host = RuntimeHost::new(self);
-            let mut object = slot.object.lock();
-            for (request, tx) in batch {
-                let started = Instant::now();
-                let outcome = EventBody::new(&mut host, request.meta(), Footprint::Certified)
-                    .run_entered(
-                        &mut **object,
-                        request.target,
-                        &request.method,
-                        &request.args,
-                    );
-                self.stats.record_method_call(false);
-                done.push((request, tx, outcome, started.elapsed()));
-            }
-        }
-        slot.lock.release(lead);
-        for (request, tx, outcome, latency) in done {
-            self.executor.note_fast_path();
-            self.complete_event(
-                &request,
-                outcome.result.is_ok(),
-                latency,
-                outcome.sub_events,
-            );
-            let _ = tx.send(EventOutcome {
-                event: request.id,
-                result: outcome.result,
-                latency,
-            });
-        }
+                    result: outcome.result,
+                    latency,
+                }
+            })
+            .collect()
     }
 }
 
@@ -1145,8 +1162,11 @@ impl AeonRuntime {
     }
 
     /// Shuts the runtime down: subsequent submissions fail, events blocked
-    /// on context locks are aborted, and the worker pool is stopped
-    /// (queued events resolve their handles as disconnected).
+    /// on context locks are aborted, the worker pool is stopped (queued
+    /// events resolve their handles as disconnected), and no event is
+    /// executing any more when this returns — wherever it ran: on a pool
+    /// worker, a spill worker, or the thread of a blocking caller
+    /// ([`AeonClient::call_with_mode`]).
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         for slot in self.inner.contexts.read().values() {
@@ -1161,6 +1181,16 @@ impl AeonRuntime {
         // disconnected too.
         for slot in self.inner.contexts.read().values() {
             RuntimeInner::fail_fast_queue(slot);
+        }
+        // Events the pool's join does not cover run on threads the runtime
+        // does not own (blocking callers, detached spill workers).  Each
+        // holds the in-flight gauge; none can be waiting on a context any
+        // more, so what is left is method bodies running to their end.  A
+        // caller that passed the shutdown check a moment ago and enters
+        // now finds every lock poisoned and leaves without running a
+        // method.
+        while self.events_in_flight() > 0 {
+            std::thread::sleep(Duration::from_micros(100));
         }
     }
 }
@@ -1211,8 +1241,9 @@ impl AeonClient {
 
     /// Submits an event with an explicit access mode: the primitive behind
     /// [`AeonClient::submit_event`] and the `aeon-api` `Session`
-    /// implementation.  The `call`/`call_readonly` convenience wrappers live
-    /// on the `Session` trait, not here.
+    /// implementation.  The event runs on the worker pool; a caller that
+    /// would only `wait()` on the handle should use
+    /// [`AeonClient::call_with_mode`] instead.
     ///
     /// # Errors
     ///
@@ -1225,6 +1256,57 @@ impl AeonClient {
         args: Args,
         mode: AccessMode,
     ) -> Result<EventHandle> {
+        let (slot, request, footprint) = self.admit(target, method, args, mode)?;
+        Ok(match footprint {
+            Footprint::Certified => self.inner.spawn_fast_event(slot, request),
+            Footprint::Sequenced => self.inner.spawn_event(request),
+        })
+    }
+
+    /// Executes an event **on the calling thread** and returns its result:
+    /// what `submit(..)?.wait()` returns, without the hand-off to the worker
+    /// pool and back (the `aeon-api` `Session::call` / `call_readonly` of
+    /// this backend).  The event is the same event — sequenced at its
+    /// dominator or admitted to the certified read-only fast path, recorded,
+    /// counted in the statistics and in [`AeonRuntime::events_in_flight`] —
+    /// and it takes its turn in the same context-lock queues; only the
+    /// thread that waits there and then runs the method differs.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`AeonClient::submit`], then the event's own:
+    /// [`AeonError::EventAborted`] when the runtime shuts down while it
+    /// waits for a context, and whatever the method returns.
+    pub fn call_with_mode(
+        &self,
+        target: ContextId,
+        method: &str,
+        args: Args,
+        mode: AccessMode,
+    ) -> Result<Value> {
+        let (slot, request, footprint) = self.admit(target, method, args, mode)?;
+        match footprint {
+            Footprint::Certified => {
+                let mut outcomes = self.inner.run_fast_batch(&slot, vec![request]);
+                outcomes
+                    .pop()
+                    .expect("a batch of one yields one outcome")
+                    .result
+            }
+            Footprint::Sequenced => self.inner.run_event(request).result,
+        }
+    }
+
+    /// What happens to every client event before anything executes it: the
+    /// shutdown check, the target lookup, the request under a fresh id, its
+    /// invocation point, and the choice of path.
+    fn admit(
+        &self,
+        target: ContextId,
+        method: &str,
+        args: Args,
+        mode: AccessMode,
+    ) -> Result<(Arc<ContextSlot>, EventRequest, Footprint)> {
         if self.inner.is_shutdown() {
             return Err(AeonError::RuntimeShutdown);
         }
@@ -1237,15 +1319,13 @@ impl AeonClient {
             args,
             mode,
         };
-        // Recorded before the event is enqueued, so the invocation
+        // Recorded before the event is enqueued or run, so the invocation
         // timestamp can never be later than the true submission point.
         if let Some(sink) = self.inner.sink() {
             sink.invoked(request.id);
         }
-        if self.inner.certified.admit(&slot.class, method, mode) == Footprint::Certified {
-            return Ok(self.inner.spawn_fast_event(slot, request));
-        }
-        Ok(self.inner.spawn_event(request))
+        let footprint = self.inner.certified.admit(&slot.class, method, mode);
+        Ok((slot, request, footprint))
     }
 }
 

@@ -7,7 +7,7 @@ use aeon_ownership::{ClassGraph, Dominator};
 use aeon_runtime::{AeonRuntime, ContextObject, Invocation, KvContext, Placement};
 use aeon_types::{args, AeonError, Args, ContextId, Result, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// A player that owns a gold mine and a treasure item, mirroring Listing 1.
@@ -110,6 +110,73 @@ fn build_room(runtime: &AeonRuntime, players: usize) -> (ContextId, Vec<ContextI
         ids.push(player);
     }
     (room, ids, treasure)
+}
+
+/// A context whose `wedge` method announces that it is running and then
+/// blocks until the test releases it; `noop` returns at once.
+struct Gate {
+    started: mpsc::Sender<()>,
+    release: std::sync::Mutex<mpsc::Receiver<()>>,
+}
+
+impl ContextObject for Gate {
+    fn class_name(&self) -> &str {
+        "Item"
+    }
+
+    fn handle(&mut self, method: &str, _args: &Args, _inv: &mut Invocation<'_>) -> Result<Value> {
+        match method {
+            "wedge" => {
+                let _ = self.started.send(());
+                let _ = self
+                    .release
+                    .lock()
+                    .unwrap()
+                    .recv_timeout(Duration::from_secs(10));
+                Ok(Value::from("unwedged"))
+            }
+            "noop" => Ok(Value::Null),
+            _ => Err(AeonError::app("unknown")),
+        }
+    }
+}
+
+/// A runtime hosting one [`Gate`], with a thread blocked inside its `wedge`
+/// method through a blocking `call`.  Returns the runtime, the gate, the
+/// sender that releases the method, and the wedged caller.
+fn runtime_with_a_wedged_caller() -> (
+    AeonRuntime,
+    ContextId,
+    mpsc::Sender<()>,
+    std::thread::JoinHandle<Result<Value>>,
+) {
+    let runtime = AeonRuntime::builder().worker_threads(1).build().unwrap();
+    let (started_tx, started_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel();
+    let gate = runtime
+        .create_context(
+            Box::new(Gate {
+                started: started_tx,
+                release: std::sync::Mutex::new(release_rx),
+            }),
+            Placement::Auto,
+        )
+        .unwrap();
+    let client = runtime.client();
+    let wedged = std::thread::spawn(move || client.call(gate, "wedge", args![]));
+    started_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the wedge event reaches its method");
+    (runtime, gate, release_tx, wedged)
+}
+
+/// Polls `condition` until it holds or ten seconds pass.
+fn eventually(what: &str, mut condition: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !condition() {
+        assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+        std::thread::yield_now();
+    }
 }
 
 #[test]
@@ -657,6 +724,78 @@ fn shutdown_rejects_new_events() {
         client.call(kv, "get", args!["k"]),
         Err(AeonError::RuntimeShutdown)
     ));
+    assert!(matches!(
+        client.call_readonly(kv, "get", args!["k"]),
+        Err(AeonError::RuntimeShutdown)
+    ));
+    assert!(matches!(
+        client.submit_event(kv, "get", args!["k"]),
+        Err(AeonError::RuntimeShutdown)
+    ));
+}
+
+/// A blocking caller executes its event on its own thread, so the pool's
+/// join no longer covers it: a caller queued behind an exclusive event must
+/// leave with `EventAborted` when the runtime shuts down, not hang.
+#[test]
+fn shutdown_aborts_a_caller_blocked_behind_an_exclusive_event() {
+    let (runtime, gate, release, wedged) = runtime_with_a_wedged_caller();
+    let client = runtime.client();
+    let blocked = std::thread::spawn(move || client.call(gate, "noop", args![]));
+    // The second caller holds the gauge from before it queues on the
+    // gate's lock; whether it is already parked there or about to be, the
+    // poisoned lock turns it away.
+    eventually("the second caller is in flight", || {
+        runtime.events_in_flight() == 2
+    });
+    let stopper = {
+        let runtime = runtime.clone();
+        std::thread::spawn(move || runtime.shutdown())
+    };
+    let err = blocked.join().unwrap().unwrap_err();
+    assert!(
+        matches!(err, AeonError::EventAborted { .. }),
+        "expected EventAborted, got {err:?}"
+    );
+    release.send(()).unwrap();
+    stopper.join().unwrap();
+    assert_eq!(wedged.join().unwrap().unwrap(), Value::from("unwedged"));
+}
+
+/// `shutdown()` returning means nothing executes any more — also for an
+/// event that runs on a caller's thread: it waits for a caller inside a
+/// slow method to finish it.
+#[test]
+fn shutdown_waits_for_a_caller_inside_a_method() {
+    let (runtime, _gate, release, wedged) = runtime_with_a_wedged_caller();
+    let stopper = {
+        let runtime = runtime.clone();
+        std::thread::spawn(move || {
+            runtime.shutdown();
+            runtime.events_in_flight()
+        })
+    };
+    // New events are refused from the moment the flag is up, while the
+    // method that was already running is waited for.
+    let client = runtime.client();
+    eventually("shutdown has begun", || {
+        matches!(
+            client.call(ContextId::new(4242), "noop", args![]),
+            Err(AeonError::RuntimeShutdown)
+        )
+    });
+    assert_eq!(runtime.events_in_flight(), 1);
+    assert!(
+        !stopper.is_finished(),
+        "shutdown returned while a caller was still inside a method"
+    );
+    release.send(()).unwrap();
+    assert_eq!(
+        stopper.join().unwrap(),
+        0,
+        "an event was in flight when shutdown returned"
+    );
+    assert_eq!(wedged.join().unwrap().unwrap(), Value::from("unwedged"));
 }
 
 #[test]
@@ -1000,34 +1139,6 @@ fn server_metrics_attribute_queue_depth_to_the_hosting_server() {
     // uniform fleet load.  Pin a context per server, wedge the single
     // worker on one of them, pile events onto it, and check the backlog
     // lands on the hosting server only.
-    use std::sync::mpsc;
-
-    struct Gate {
-        started: mpsc::Sender<()>,
-        release: std::sync::Mutex<mpsc::Receiver<()>>,
-    }
-    impl ContextObject for Gate {
-        fn class_name(&self) -> &str {
-            "Item"
-        }
-        fn handle(
-            &mut self,
-            method: &str,
-            _args: &Args,
-            _inv: &mut Invocation<'_>,
-        ) -> Result<Value> {
-            match method {
-                "wedge" => {
-                    let _ = self.started.send(());
-                    let _ = self.release.lock().unwrap().recv();
-                    Ok(Value::Null)
-                }
-                "noop" => Ok(Value::Null),
-                _ => Err(AeonError::app("unknown")),
-            }
-        }
-    }
-
     let runtime = AeonRuntime::builder()
         .servers(2)
         .worker_threads(1)

@@ -146,6 +146,155 @@ fn writes_from_readonly_events_are_rejected_on_every_backend() {
     });
 }
 
+/// To a client `call` / `call_readonly` are `submit_*().wait()`.  A backend
+/// may serve a blocked caller more cheaply (the runtime executes the event
+/// on the caller's own thread); values and errors must not tell the two
+/// apart.
+#[test]
+fn call_equals_submit_then_wait_on_every_backend() {
+    /// An `Item` whose every method panics.
+    struct Fuse;
+    impl ContextObject for Fuse {
+        fn class_name(&self) -> &str {
+            "Item"
+        }
+        fn handle(&mut self, _: &str, _: &Args, _: &mut Invocation<'_>) -> Result<Value> {
+            panic!("the fuse blew")
+        }
+    }
+
+    on_every_backend(|deployment| {
+        let backend = deployment.backend_name();
+        let world = deploy_game(deployment, 1, 2).unwrap();
+        let player = world.players[0][0];
+        let fuse = deployment
+            .create_owned_context(Box::new(Fuse), &[world.rooms[0]])
+            .unwrap();
+        let session = deployment.session();
+        // Runs the event both ways and returns the one outcome.
+        let both = |target: ContextId, method: &str, args: Args, readonly: bool| {
+            let (called, submitted) = if readonly {
+                (
+                    session.call_readonly(target, method, args.clone()),
+                    session
+                        .submit_readonly_event(target, method, args)
+                        .and_then(EventHandle::wait),
+                )
+            } else {
+                (
+                    session.call(target, method, args.clone()),
+                    session
+                        .submit_event(target, method, args)
+                        .and_then(EventHandle::wait),
+                )
+            };
+            let show = |r: &Result<Value>| match r {
+                Ok(value) => format!("ok: {value:?}"),
+                Err(error) => format!("error: {error}"),
+            };
+            assert_eq!(
+                show(&called),
+                show(&submitted),
+                "backend {backend}: {method}"
+            );
+            called
+        };
+
+        assert_eq!(
+            both(player, "get_gold", args![7], false),
+            Ok(Value::Bool(true)),
+            "backend {backend}"
+        );
+        assert_eq!(
+            both(world.building, "count_players", args![], true),
+            Ok(Value::from(2i64)),
+            "backend {backend}"
+        );
+        assert!(
+            matches!(
+                both(world.building, "no_such_method", args![], false),
+                Err(AeonError::UnknownMethod { .. })
+            ),
+            "backend {backend}"
+        );
+        assert!(
+            matches!(
+                both(ContextId::new(999_999), "get_gold", args![7], false),
+                Err(AeonError::ContextNotFound(_))
+            ),
+            "backend {backend}"
+        );
+        assert!(
+            matches!(
+                both(world.rooms[0], "update_time_of_day", args![], true),
+                Err(AeonError::ReadOnlyViolation { .. })
+            ),
+            "backend {backend}"
+        );
+        assert!(
+            matches!(
+                both(fuse, "light", args![], false),
+                Err(AeonError::Panicked { .. })
+            ),
+            "backend {backend}"
+        );
+        deployment.shutdown();
+        assert_eq!(
+            both(player, "get_gold", args![7], false),
+            Err(AeonError::RuntimeShutdown),
+            "backend {backend}"
+        );
+    });
+}
+
+/// An event run through `call` is recorded like a submitted one: the same
+/// accesses, the invocation before all of them and the response after.
+#[test]
+fn a_called_event_is_recorded_like_a_submitted_one_on_every_backend() {
+    on_every_backend(|deployment| {
+        let backend = deployment.backend_name();
+        let recorder = HistoryRecorder::new();
+        deployment.install_history_sink(std::sync::Arc::new(recorder.clone()));
+        let world = deploy_game(deployment, 1, 1).unwrap();
+        let player = world.players[0][0];
+        let session = deployment.session();
+        // The accesses of the one event `run` executes, in recorded order.
+        let record_of = |run: &dyn Fn() -> Value| {
+            recorder.reset();
+            assert_eq!(run(), Value::Bool(true), "backend {backend}");
+            let history = recorder.history();
+            assert_eq!(history.spans.len(), 1, "backend {backend}: one event");
+            let (event, span) = history.spans.iter().next().unwrap();
+            let responded_at = span.responded_at.expect("the response is recorded");
+            let mut accesses: Vec<_> = history.operations.values().flatten().collect();
+            accesses.sort_by_key(|op| op.at);
+            for op in &accesses {
+                assert_eq!(op.event, *event, "backend {backend}");
+                assert!(
+                    span.invoked_at < op.at && op.at < responded_at,
+                    "backend {backend}: access outside the recorded span"
+                );
+            }
+            accesses
+                .iter()
+                .map(|op| (op.context, op.kind))
+                .collect::<Vec<_>>()
+        };
+        let called = record_of(&|| session.call(player, "get_gold", args![7]).unwrap());
+        let submitted = record_of(&|| {
+            session
+                .submit_event(player, "get_gold", args![7])
+                .and_then(EventHandle::wait)
+                .unwrap()
+        });
+        assert!(
+            called.len() >= 3,
+            "backend {backend}: player, mine, treasure"
+        );
+        assert_eq!(called, submitted, "backend {backend}");
+    });
+}
+
 #[test]
 fn snapshot_restore_round_trips_on_every_backend() {
     on_every_backend(|deployment| {
