@@ -25,7 +25,7 @@ pub fn virtual_root() -> ContextId {
 }
 
 /// Everything a server needs to execute one event.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventDescriptor {
     /// Unique event id.
     pub id: EventId,
@@ -65,7 +65,7 @@ pub struct NodeMetrics {
 
 /// One member of a coordinated subtree freeze
 /// ([`ClusterMessage::FreezeReq`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FreezeMember {
     /// The context (or [`virtual_root`]) to freeze.
     pub context: ContextId,
@@ -150,6 +150,7 @@ pub enum DirReply {
 }
 
 /// A message of the cluster protocol.
+#[derive(PartialEq)]
 pub enum ClusterMessage {
     /// Gateway → server: host a newly created context.
     Host {

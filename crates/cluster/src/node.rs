@@ -833,7 +833,7 @@ fn handle_install(
     class: String,
     state: Value,
 ) {
-    let bytes = codec::encode(&state).len() as u64;
+    let bytes = codec::encoded_len(&state) as u64;
     let result = match shared.directory.factory_for(&class) {
         Some(factory) => {
             let object = factory(&state);

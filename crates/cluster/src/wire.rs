@@ -1,914 +1,160 @@
-//! Byte representation of [`ClusterMessage`] for socket transports.
+//! Byte representation of [`ClusterMessage`] for socket transports: the
+//! format's specification.
 //!
-//! Every protocol message is lowered to an [`aeon_types::Value`] (a tagged
-//! positional list per variant) and encoded with the workspace codec
-//! (`aeon_types::codec`), so the TCP transport ships exactly the same data
-//! model that snapshots and migration payloads already use.  The lowering
-//! is total: every variant — including structured [`AeonError`]s inside
-//! `Result` fields — survives a round trip bit-for-bit, which is what lets
-//! a cluster run as N OS processes with no semantic drift from the
-//! in-process channel deployment.
+//! A message is written in one pass, straight from the struct to the frame
+//! and back, with the vocabulary of `aeon_types::codec`.  This module only
+//! *lists*: each type's fields appear once, in wire order, and that list
+//! drives both directions.
+//!
+//! # Frame
+//!
+//! ```text
+//! [u8 version = 2][u8 message tag][fields of that variant, in listed order]
+//! ```
+//!
+//! Version 1 was a tagged `Value` tree; nothing persists it and no decoder
+//! for it remains.  The transport's own header (`u32` length, `u32` from,
+//! `u32` to — [`FRAME_OVERHEAD`] bytes) goes in front and is not part of
+//! the payload.
+//!
+//! # Tags
+//!
+//! The tag table is the three `wire! { enum … }` lists at the end of this
+//! module ([`ClusterMessage`], [`DirOp`], [`DirReply`]) and the one beside
+//! `AeonError`'s `Wire` impl in `aeon_types::codec`: `tag => Variant`, one
+//! byte each.  Tags are part of the format: a new variant takes a fresh
+//! tag, a retired tag is not reused, and declaration order in `message.rs`
+//! means nothing here.
+//!
+//! # Fields
+//!
+//! | field type | bytes |
+//! |---|---|
+//! | `u64`, `ContextId`, `EventId`, `ClientId` | 8, big-endian |
+//! | `ServerId` | 4, big-endian |
+//! | `usize` | as `u64`; refused on read if it does not fit the host |
+//! | `bool`, `AccessMode` (1 = read-only) | 1 byte, 0 or 1 |
+//! | `String` | `u32` length, UTF-8 bytes |
+//! | `Value` (a state, a result) | tag-length-value as in `aeon_types::codec`, no version byte |
+//! | `Args`, `Vec<T>` | `u32` count, the elements |
+//! | `Option<T>` | 1 byte (1 = present), then `T` if present |
+//! | `Result<T>` | 1 byte (1 = `Ok`), then `T` or the `AeonError` |
+//! | `Box<T>`, tuples, the structs listed below | their parts in order, nothing added |
+//! | `SubEvent` | likewise; listed beside the type in `aeon-runtime` (the orphan rule puts the impl there) |
+//! | `LatencyHistogram` | four `u64` scalars, then `u32` count of `(usize bucket, u64 n)` for the non-empty buckets |
+//!
+//! # What `decode_wire` refuses
+//!
+//! Another version byte, an unknown tag (of a message, a directory
+//! operation or reply, an error, a value), a buffer that ends early, a
+//! flag byte other than 0 or 1, a string that is not UTF-8, a histogram
+//! bucket out of range, a `usize` too wide for the host, an element count
+//! larger than the bytes that remain (checked before anything is reserved),
+//! a `Value` nested deeper than `codec::MAX_DEPTH`, and bytes left over
+//! after the message — each as `AeonError::Codec`, never a panic.  Every
+//! variant, including structured errors inside `Result` fields, survives
+//! a round trip exactly, which is what lets a cluster run as N OS
+//! processes with no semantic drift from the in-process channel
+//! deployment.
 
 use crate::message::{ClusterMessage, DirOp, DirReply, EventDescriptor, FreezeMember, NodeMetrics};
 use aeon_net::WireMessage;
-use aeon_runtime::SubEvent;
-use aeon_types::{
-    codec, AccessMode, AeonError, Args, ClientId, ContextId, EventId, Result, ServerId, Value,
-};
+use aeon_types::{codec, wire, Result};
 
 /// Bytes of the TCP frame header (`u32` length + `u32` from + `u32` to).
 const FRAME_OVERHEAD: u64 = 12;
 
-/// Encoded size of `message` on the wire, including the frame header.  The
-/// channel transport uses this as its sizer so `NetworkStats` byte counters
-/// agree between channel and TCP runs of the same workload.
+/// First byte of every payload.
+const WIRE_VERSION: u8 = 2;
+
+/// Encoded size of `message` on the wire, including the frame header: the
+/// encoder run against a counter.  The channel transport uses this as its
+/// sizer so `NetworkStats` byte counters agree between channel and TCP runs
+/// of the same workload.
 pub(crate) fn message_wire_len(message: &ClusterMessage) -> u64 {
-    FRAME_OVERHEAD + codec::encoded_len(&to_value(message)) as u64
+    FRAME_OVERHEAD + codec::framed_len(WIRE_VERSION, message) as u64
 }
 
 impl WireMessage for ClusterMessage {
     fn encode_wire(&self) -> Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(64);
+        // An `Exec` with a short method name and three arguments is 80 bytes.
+        let mut out = Vec::with_capacity(128);
         self.encode_wire_into(&mut out)?;
         Ok(out)
     }
 
     fn encode_wire_into(&self, out: &mut Vec<u8>) -> Result<()> {
-        codec::encode_into(&to_value(self), out);
+        codec::put_framed(WIRE_VERSION, self, out);
         Ok(())
     }
 
     fn decode_wire(bytes: &[u8]) -> Result<Self> {
-        from_value(codec::decode(bytes)?)
+        codec::get_framed(WIRE_VERSION, bytes)
     }
 }
 
-// -- encoding ---------------------------------------------------------------
+wire! { struct EventDescriptor { id, client, corr, target, method, args, mode } }
+wire! { struct FreezeMember { context, restore } }
+wire! { struct NodeMetrics {
+    server, context_count, queue_depth, events_executed, exec_micros, latency,
+} }
 
-fn tagged(tag: &str, mut fields: Vec<Value>) -> Value {
-    let mut items = Vec::with_capacity(fields.len() + 1);
-    items.push(Value::Str(tag.to_string()));
-    items.append(&mut fields);
-    Value::List(items)
-}
+wire! { enum DirOp {
+    0 => PlacementOf(context),
+    1 => SetPlacement(context, server),
+    2 => MayCall(caller, callee),
+    3 => ClassOf(context),
+    4 => ChildrenOf { parent, class },
+    5 => AddEdge(owner, owned),
+    6 => RemoveEdge(owner, owned),
+    7 => CreateOwned { owner, class },
+} }
 
-fn vu64(x: u64) -> Value {
-    // Bit-exact through i64: ids and correlation tokens may use bit 63.
-    Value::Int(x as i64)
-}
+wire! { enum DirReply {
+    0 => Unit,
+    1 => Flag(flag),
+    2 => Server(server),
+    3 => Context(context),
+    4 => Contexts(contexts),
+    5 => Class(class),
+} }
 
-fn vsrv(s: ServerId) -> Value {
-    vu64(u64::from(s.raw()))
-}
-
-fn vctx(c: ContextId) -> Value {
-    Value::ContextRef(c)
-}
-
-fn vevt(e: EventId) -> Value {
-    vu64(e.raw())
-}
-
-fn vmode(m: AccessMode) -> Value {
-    Value::Bool(m.is_read_only())
-}
-
-fn vargs(a: &Args) -> Value {
-    Value::List(a.iter().cloned().collect())
-}
-
-fn vopt(inner: Option<Value>) -> Value {
-    Value::List(inner.into_iter().collect())
-}
-
-fn vclient(c: Option<ClientId>) -> Value {
-    vopt(c.map(|c| vu64(c.raw())))
-}
-
-fn vresult<T>(r: &Result<T>, enc: impl FnOnce(&T) -> Value) -> Value {
-    match r {
-        Ok(v) => Value::List(vec![Value::Bool(true), enc(v)]),
-        Err(e) => Value::List(vec![Value::Bool(false), verr(e)]),
-    }
-}
-
-fn verr(e: &AeonError) -> Value {
-    match e {
-        AeonError::ContextNotFound(c) => tagged("ContextNotFound", vec![vctx(*c)]),
-        AeonError::ServerNotFound(s) => tagged("ServerNotFound", vec![vsrv(*s)]),
-        AeonError::EventNotFound(ev) => tagged("EventNotFound", vec![vevt(*ev)]),
-        AeonError::CycleDetected { from, to } => {
-            tagged("CycleDetected", vec![vctx(*from), vctx(*to)])
-        }
-        AeonError::ClassCycleDetected { description } => {
-            tagged("ClassCycleDetected", vec![Value::Str(description.clone())])
-        }
-        AeonError::OwnershipViolation {
-            caller,
-            callee,
-            detail,
-        } => tagged(
-            "OwnershipViolation",
-            vec![
-                vctx(*caller),
-                vctx(*callee),
-                vopt(detail.clone().map(Value::Str)),
-            ],
-        ),
-        AeonError::AnalysisRejected { errors, report } => tagged(
-            "AnalysisRejected",
-            vec![vu64(*errors as u64), Value::Str(report.clone())],
-        ),
-        AeonError::ReadOnlyViolation { context, method } => tagged(
-            "ReadOnlyViolation",
-            vec![vctx(*context), Value::Str(method.clone())],
-        ),
-        AeonError::UnknownMethod { class, method } => tagged(
-            "UnknownMethod",
-            vec![Value::Str(class.clone()), Value::Str(method.clone())],
-        ),
-        AeonError::BadArguments { method, reason } => tagged(
-            "BadArguments",
-            vec![Value::Str(method.clone()), Value::Str(reason.clone())],
-        ),
-        AeonError::Application(msg) => tagged("Application", vec![Value::Str(msg.clone())]),
-        AeonError::Panicked { reason } => tagged("Panicked", vec![Value::Str(reason.clone())]),
-        AeonError::MigrationInProgress(c) => tagged("MigrationInProgress", vec![vctx(*c)]),
-        AeonError::MigrationFailed { context, reason } => tagged(
-            "MigrationFailed",
-            vec![vctx(*context), Value::Str(reason.clone())],
-        ),
-        AeonError::SnapshotFailed { context, reason } => tagged(
-            "SnapshotFailed",
-            vec![vctx(*context), Value::Str(reason.clone())],
-        ),
-        AeonError::RuntimeShutdown => tagged("RuntimeShutdown", vec![]),
-        AeonError::Storage(msg) => tagged("Storage", vec![Value::Str(msg.clone())]),
-        AeonError::EventAborted { event, reason } => tagged(
-            "EventAborted",
-            vec![vevt(*event), Value::Str(reason.clone())],
-        ),
-        AeonError::SendQueueFull { peer } => tagged("SendQueueFull", vec![vsrv(*peer)]),
-        AeonError::Codec(msg) => tagged("Codec", vec![Value::Str(msg.clone())]),
-        AeonError::Config(msg) => tagged("Config", vec![Value::Str(msg.clone())]),
-        AeonError::Internal(msg) => tagged("Internal", vec![Value::Str(msg.clone())]),
-        // `AeonError` is non_exhaustive: lower unknown future variants to a
-        // displayable Internal rather than failing the whole message.
-        other => tagged("Internal", vec![Value::Str(other.to_string())]),
-    }
-}
-
-fn vdesc(e: &EventDescriptor) -> Value {
-    Value::List(vec![
-        vevt(e.id),
-        vclient(e.client),
-        vu64(e.corr),
-        vctx(e.target),
-        Value::Str(e.method.clone()),
-        vargs(&e.args),
-        vmode(e.mode),
-    ])
-}
-
-fn vsub(s: &SubEvent) -> Value {
-    Value::List(vec![
-        vctx(s.target),
-        Value::Str(s.method.clone()),
-        vargs(&s.args),
-        vmode(s.mode),
-    ])
-}
-
-fn vmember(m: &FreezeMember) -> Value {
-    Value::List(vec![vctx(m.context), vopt(m.restore.clone())])
-}
-
-fn vmetrics(m: &NodeMetrics) -> Value {
-    Value::List(vec![
-        vsrv(m.server),
-        vu64(m.context_count as u64),
-        vu64(m.queue_depth),
-        vu64(m.events_executed),
-        vu64(m.exec_micros),
-        vhist(&m.latency),
-    ])
-}
-
-/// Histograms ship sparsely: summary scalars plus `(bucket, count)` pairs
-/// for the non-empty buckets only, so an idle node's report stays small.
-fn vhist(h: &aeon_types::LatencyHistogram) -> Value {
-    let buckets: Vec<Value> = h
-        .buckets
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| **n > 0)
-        .map(|(i, n)| Value::List(vec![vu64(i as u64), vu64(*n)]))
-        .collect();
-    Value::List(vec![
-        vu64(h.count),
-        vu64(h.total_micros),
-        vu64(h.min_micros),
-        vu64(h.max_micros),
-        Value::List(buckets),
-    ])
-}
-
-fn vdirop(op: &DirOp) -> Value {
-    match op {
-        DirOp::PlacementOf(c) => tagged("PlacementOf", vec![vctx(*c)]),
-        DirOp::SetPlacement(c, s) => tagged("SetPlacement", vec![vctx(*c), vsrv(*s)]),
-        DirOp::MayCall(a, b) => tagged("MayCall", vec![vctx(*a), vctx(*b)]),
-        DirOp::ClassOf(c) => tagged("ClassOf", vec![vctx(*c)]),
-        DirOp::ChildrenOf { parent, class } => tagged(
-            "ChildrenOf",
-            vec![vctx(*parent), vopt(class.clone().map(Value::Str))],
-        ),
-        DirOp::AddEdge(a, b) => tagged("AddEdge", vec![vctx(*a), vctx(*b)]),
-        DirOp::RemoveEdge(a, b) => tagged("RemoveEdge", vec![vctx(*a), vctx(*b)]),
-        DirOp::CreateOwned { owner, class } => {
-            tagged("CreateOwned", vec![vctx(*owner), Value::Str(class.clone())])
-        }
-    }
-}
-
-fn vdirreply(r: &DirReply) -> Value {
-    match r {
-        DirReply::Unit => tagged("Unit", vec![]),
-        DirReply::Flag(b) => tagged("Flag", vec![Value::Bool(*b)]),
-        DirReply::Server(s) => tagged("Server", vec![vsrv(*s)]),
-        DirReply::Context(c) => tagged("Context", vec![vctx(*c)]),
-        DirReply::Contexts(cs) => tagged(
-            "Contexts",
-            vec![Value::List(cs.iter().copied().map(vctx).collect())],
-        ),
-        DirReply::Class(s) => tagged("Class", vec![Value::Str(s.clone())]),
-    }
-}
-
-fn to_value(message: &ClusterMessage) -> Value {
-    match message {
-        ClusterMessage::Host {
-            corr,
-            context,
-            class,
-            state,
-            escrow,
-        } => tagged(
-            "Host",
-            vec![
-                vu64(*corr),
-                vctx(*context),
-                Value::Str(class.clone()),
-                state.clone(),
-                vu64(*escrow),
-            ],
-        ),
-        ClusterMessage::HostAck {
-            corr,
-            context,
-            result,
-        } => tagged(
-            "HostAck",
-            vec![
-                vu64(*corr),
-                vctx(*context),
-                vresult(result, |()| Value::Null),
-            ],
-        ),
-        ClusterMessage::DirReq { corr, from, op } => {
-            tagged("DirReq", vec![vu64(*corr), vsrv(*from), vdirop(op)])
-        }
-        ClusterMessage::DirAck { corr, reply } => {
-            tagged("DirAck", vec![vu64(*corr), vresult(reply, vdirreply)])
-        }
-        ClusterMessage::Act { event, sequencer } => {
-            tagged("Act", vec![vdesc(event), vctx(*sequencer)])
-        }
-        ClusterMessage::Exec { event, sequencer } => tagged(
-            "Exec",
-            vec![
-                vdesc(event),
-                vopt(sequencer.map(|(s, c)| Value::List(vec![vsrv(s), vctx(c)]))),
-            ],
-        ),
-        ClusterMessage::ExecCertified { event } => tagged("ExecCertified", vec![vdesc(event)]),
-        ClusterMessage::Call {
-            event,
-            mode,
-            client,
-            caller,
-            target,
-            method,
-            args,
-            reply_to,
-            corr,
-        } => tagged(
-            "Call",
-            vec![
-                vevt(*event),
-                vmode(*mode),
-                vclient(*client),
-                vctx(*caller),
-                vctx(*target),
-                Value::Str(method.clone()),
-                vargs(args),
-                vsrv(*reply_to),
-                vu64(*corr),
-            ],
-        ),
-        ClusterMessage::CallReply {
-            corr,
-            result,
-            participants,
-            sub_events,
-        } => tagged(
-            "CallReply",
-            vec![
-                vu64(*corr),
-                vresult(result, Clone::clone),
-                Value::List(participants.iter().copied().map(vsrv).collect()),
-                Value::List(sub_events.iter().map(vsub).collect()),
-            ],
-        ),
-        ClusterMessage::Release { event } => tagged("Release", vec![vevt(*event)]),
-        ClusterMessage::Done {
-            corr,
-            event,
-            result,
-            sub_events,
-        } => tagged(
-            "Done",
-            vec![
-                vu64(*corr),
-                vevt(*event),
-                vresult(result, Clone::clone),
-                Value::List(sub_events.iter().map(vsub).collect()),
-            ],
-        ),
-        ClusterMessage::Prepare { corr, context } => {
-            tagged("Prepare", vec![vu64(*corr), vctx(*context)])
-        }
-        ClusterMessage::PrepareAck { corr, context } => {
-            tagged("PrepareAck", vec![vu64(*corr), vctx(*context)])
-        }
-        ClusterMessage::Stop { corr, context, to } => {
-            tagged("Stop", vec![vu64(*corr), vctx(*context), vsrv(*to)])
-        }
-        ClusterMessage::StopAck { corr, context } => {
-            tagged("StopAck", vec![vu64(*corr), vctx(*context)])
-        }
-        ClusterMessage::Migrate { corr, context, to } => {
-            tagged("Migrate", vec![vu64(*corr), vctx(*context), vsrv(*to)])
-        }
-        ClusterMessage::Install {
-            corr,
-            context,
-            class,
-            state,
-            from,
-        } => tagged(
-            "Install",
-            vec![
-                vu64(*corr),
-                vctx(*context),
-                Value::Str(class.clone()),
-                state.clone(),
-                vsrv(*from),
-            ],
-        ),
-        ClusterMessage::InstallAck {
-            corr,
-            context,
-            result,
-        } => tagged(
-            "InstallAck",
-            vec![vu64(*corr), vctx(*context), vresult(result, |n| vu64(*n))],
-        ),
-        ClusterMessage::FreezeReq {
-            corr,
-            freeze,
-            members,
-            capture,
-        } => tagged(
-            "FreezeReq",
-            vec![
-                vu64(*corr),
-                vevt(*freeze),
-                Value::List(members.iter().map(vmember).collect()),
-                Value::Bool(*capture),
-            ],
-        ),
-        ClusterMessage::FreezeAck { corr, result } => tagged(
-            "FreezeAck",
-            vec![
-                vu64(*corr),
-                vresult(result, |triples| {
-                    Value::List(
-                        triples
-                            .iter()
-                            .map(|(c, class, state)| {
-                                Value::List(vec![
-                                    vctx(*c),
-                                    Value::Str(class.clone()),
-                                    state.clone(),
-                                ])
-                            })
-                            .collect(),
-                    )
-                }),
-            ],
-        ),
-        ClusterMessage::ThawReq { freeze } => tagged("ThawReq", vec![vevt(*freeze)]),
-        ClusterMessage::MetricsReq { corr } => tagged("MetricsReq", vec![vu64(*corr)]),
-        ClusterMessage::MetricsAck { corr, metrics } => {
-            tagged("MetricsAck", vec![vu64(*corr), vmetrics(metrics)])
-        }
-        ClusterMessage::Shutdown => tagged("Shutdown", vec![]),
-    }
-}
-
-// -- decoding ---------------------------------------------------------------
-
-fn bad(msg: impl std::fmt::Display) -> AeonError {
-    AeonError::Codec(format!("wire: {msg}"))
-}
-
-/// Positional cursor over an encoded variant's field list.
-struct Fields {
-    items: std::vec::IntoIter<Value>,
-}
-
-impl Fields {
-    fn of(value: Value) -> Result<Self> {
-        match value {
-            Value::List(items) => Ok(Self {
-                items: items.into_iter(),
-            }),
-            other => Err(bad(format!("expected list, got {other:?}"))),
-        }
-    }
-
-    fn next(&mut self) -> Result<Value> {
-        self.items.next().ok_or_else(|| bad("truncated field list"))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        match self.next()? {
-            Value::Int(i) => Ok(i as u64),
-            other => Err(bad(format!("expected int, got {other:?}"))),
-        }
-    }
-
-    fn string(&mut self) -> Result<String> {
-        match self.next()? {
-            Value::Str(s) => Ok(s),
-            other => Err(bad(format!("expected string, got {other:?}"))),
-        }
-    }
-
-    fn bool(&mut self) -> Result<bool> {
-        match self.next()? {
-            Value::Bool(b) => Ok(b),
-            other => Err(bad(format!("expected bool, got {other:?}"))),
-        }
-    }
-
-    fn ctx(&mut self) -> Result<ContextId> {
-        match self.next()? {
-            Value::ContextRef(c) => Ok(c),
-            other => Err(bad(format!("expected context ref, got {other:?}"))),
-        }
-    }
-
-    fn srv(&mut self) -> Result<ServerId> {
-        Ok(ServerId::new(self.u64()? as u32))
-    }
-
-    fn evt(&mut self) -> Result<EventId> {
-        Ok(EventId::new(self.u64()?))
-    }
-
-    fn mode(&mut self) -> Result<AccessMode> {
-        Ok(if self.bool()? {
-            AccessMode::ReadOnly
-        } else {
-            AccessMode::Exclusive
-        })
-    }
-
-    fn args(&mut self) -> Result<Args> {
-        match self.next()? {
-            Value::List(items) => Ok(Args::new(items)),
-            other => Err(bad(format!("expected args list, got {other:?}"))),
-        }
-    }
-
-    fn opt(&mut self) -> Result<Option<Value>> {
-        match self.next()? {
-            Value::List(mut items) => match items.len() {
-                0 => Ok(None),
-                1 => Ok(items.pop()),
-                n => Err(bad(format!("option cell with {n} items"))),
-            },
-            other => Err(bad(format!("expected option cell, got {other:?}"))),
-        }
-    }
-
-    fn list(&mut self) -> Result<Vec<Value>> {
-        match self.next()? {
-            Value::List(items) => Ok(items),
-            other => Err(bad(format!("expected list, got {other:?}"))),
-        }
-    }
-
-    fn done(mut self) -> Result<()> {
-        match self.items.next() {
-            None => Ok(()),
-            Some(extra) => Err(bad(format!("trailing field {extra:?}"))),
-        }
-    }
-}
-
-/// Splits a tagged list into its tag and remaining fields.
-fn untag(value: Value) -> Result<(String, Fields)> {
-    let mut fields = Fields::of(value)?;
-    let tag = fields.string()?;
-    Ok((tag, fields))
-}
-
-fn dresult<T>(value: Value, dec: impl FnOnce(Value) -> Result<T>) -> Result<Result<T>> {
-    let mut fields = Fields::of(value)?;
-    let ok = fields.bool()?;
-    let payload = fields.next()?;
-    fields.done()?;
-    if ok {
-        Ok(Ok(dec(payload)?))
-    } else {
-        Ok(Err(derr(payload)?))
-    }
-}
-
-fn derr(value: Value) -> Result<AeonError> {
-    let (tag, mut f) = untag(value)?;
-    let err = match tag.as_str() {
-        "ContextNotFound" => AeonError::ContextNotFound(f.ctx()?),
-        "ServerNotFound" => AeonError::ServerNotFound(f.srv()?),
-        "EventNotFound" => AeonError::EventNotFound(f.evt()?),
-        "CycleDetected" => AeonError::CycleDetected {
-            from: f.ctx()?,
-            to: f.ctx()?,
-        },
-        "ClassCycleDetected" => AeonError::ClassCycleDetected {
-            description: f.string()?,
-        },
-        "OwnershipViolation" => AeonError::OwnershipViolation {
-            caller: f.ctx()?,
-            callee: f.ctx()?,
-            detail: match f.opt()? {
-                None => None,
-                Some(Value::Str(s)) => Some(s),
-                Some(other) => return Err(bad(format!("expected detail string, got {other:?}"))),
-            },
-        },
-        "AnalysisRejected" => AeonError::AnalysisRejected {
-            errors: f.u64()? as usize,
-            report: f.string()?,
-        },
-        "ReadOnlyViolation" => AeonError::ReadOnlyViolation {
-            context: f.ctx()?,
-            method: f.string()?,
-        },
-        "UnknownMethod" => AeonError::UnknownMethod {
-            class: f.string()?,
-            method: f.string()?,
-        },
-        "BadArguments" => AeonError::BadArguments {
-            method: f.string()?,
-            reason: f.string()?,
-        },
-        "Application" => AeonError::Application(f.string()?),
-        "Panicked" => AeonError::Panicked {
-            reason: f.string()?,
-        },
-        "MigrationInProgress" => AeonError::MigrationInProgress(f.ctx()?),
-        "MigrationFailed" => AeonError::MigrationFailed {
-            context: f.ctx()?,
-            reason: f.string()?,
-        },
-        "SnapshotFailed" => AeonError::SnapshotFailed {
-            context: f.ctx()?,
-            reason: f.string()?,
-        },
-        "RuntimeShutdown" => AeonError::RuntimeShutdown,
-        "Storage" => AeonError::Storage(f.string()?),
-        "EventAborted" => AeonError::EventAborted {
-            event: f.evt()?,
-            reason: f.string()?,
-        },
-        "SendQueueFull" => AeonError::SendQueueFull { peer: f.srv()? },
-        "Codec" => AeonError::Codec(f.string()?),
-        "Config" => AeonError::Config(f.string()?),
-        "Internal" => AeonError::Internal(f.string()?),
-        other => return Err(bad(format!("unknown error kind {other}"))),
-    };
-    f.done()?;
-    Ok(err)
-}
-
-fn dclient(value: Option<Value>) -> Result<Option<ClientId>> {
-    match value {
-        None => Ok(None),
-        Some(Value::Int(i)) => Ok(Some(ClientId::new(i as u64))),
-        Some(other) => Err(bad(format!("expected client id, got {other:?}"))),
-    }
-}
-
-fn ddesc(value: Value) -> Result<EventDescriptor> {
-    let mut f = Fields::of(value)?;
-    let desc = EventDescriptor {
-        id: f.evt()?,
-        client: dclient(f.opt()?)?,
-        corr: f.u64()?,
-        target: f.ctx()?,
-        method: f.string()?,
-        args: f.args()?,
-        mode: f.mode()?,
-    };
-    f.done()?;
-    Ok(desc)
-}
-
-fn dsub(value: Value) -> Result<SubEvent> {
-    let mut f = Fields::of(value)?;
-    let sub = SubEvent {
-        target: f.ctx()?,
-        method: f.string()?,
-        args: f.args()?,
-        mode: f.mode()?,
-    };
-    f.done()?;
-    Ok(sub)
-}
-
-fn dmember(value: Value) -> Result<FreezeMember> {
-    let mut f = Fields::of(value)?;
-    let member = FreezeMember {
-        context: f.ctx()?,
-        restore: f.opt()?,
-    };
-    f.done()?;
-    Ok(member)
-}
-
-fn dmetrics(value: Value) -> Result<NodeMetrics> {
-    let mut f = Fields::of(value)?;
-    let metrics = NodeMetrics {
-        server: f.srv()?,
-        context_count: f.u64()? as usize,
-        queue_depth: f.u64()?,
-        events_executed: f.u64()?,
-        exec_micros: f.u64()?,
-        latency: dhist(f.next()?)?,
-    };
-    f.done()?;
-    Ok(metrics)
-}
-
-fn dhist(value: Value) -> Result<aeon_types::LatencyHistogram> {
-    let mut f = Fields::of(value)?;
-    let mut hist = aeon_types::LatencyHistogram {
-        count: f.u64()?,
-        total_micros: f.u64()?,
-        min_micros: f.u64()?,
-        max_micros: f.u64()?,
-        ..Default::default()
-    };
-    match f.next()? {
-        Value::List(pairs) => {
-            for pair in pairs {
-                let mut p = Fields::of(pair)?;
-                let bucket = p.u64()? as usize;
-                let n = p.u64()?;
-                p.done()?;
-                if bucket >= hist.buckets.len() {
-                    return Err(bad(format!("latency bucket {bucket} out of range")));
-                }
-                hist.buckets[bucket] = n;
-            }
-        }
-        other => return Err(bad(format!("expected bucket list, got {other:?}"))),
-    }
-    f.done()?;
-    Ok(hist)
-}
-
-fn ddirop(value: Value) -> Result<DirOp> {
-    let (tag, mut f) = untag(value)?;
-    let op = match tag.as_str() {
-        "PlacementOf" => DirOp::PlacementOf(f.ctx()?),
-        "SetPlacement" => DirOp::SetPlacement(f.ctx()?, f.srv()?),
-        "MayCall" => DirOp::MayCall(f.ctx()?, f.ctx()?),
-        "ClassOf" => DirOp::ClassOf(f.ctx()?),
-        "ChildrenOf" => DirOp::ChildrenOf {
-            parent: f.ctx()?,
-            class: match f.opt()? {
-                None => None,
-                Some(Value::Str(s)) => Some(s),
-                Some(other) => return Err(bad(format!("expected class name, got {other:?}"))),
-            },
-        },
-        "AddEdge" => DirOp::AddEdge(f.ctx()?, f.ctx()?),
-        "RemoveEdge" => DirOp::RemoveEdge(f.ctx()?, f.ctx()?),
-        "CreateOwned" => DirOp::CreateOwned {
-            owner: f.ctx()?,
-            class: f.string()?,
-        },
-        other => return Err(bad(format!("unknown dir op {other}"))),
-    };
-    f.done()?;
-    Ok(op)
-}
-
-fn ddirreply(value: Value) -> Result<DirReply> {
-    let (tag, mut f) = untag(value)?;
-    let reply = match tag.as_str() {
-        "Unit" => DirReply::Unit,
-        "Flag" => DirReply::Flag(f.bool()?),
-        "Server" => DirReply::Server(f.srv()?),
-        "Context" => DirReply::Context(f.ctx()?),
-        "Contexts" => {
-            let items = f.list()?;
-            let mut out = Vec::with_capacity(items.len());
-            for item in items {
-                match item {
-                    Value::ContextRef(c) => out.push(c),
-                    other => return Err(bad(format!("expected context ref, got {other:?}"))),
-                }
-            }
-            DirReply::Contexts(out)
-        }
-        "Class" => DirReply::Class(f.string()?),
-        other => return Err(bad(format!("unknown dir reply {other}"))),
-    };
-    f.done()?;
-    Ok(reply)
-}
-
-fn dsrv_list(items: Vec<Value>) -> Result<Vec<ServerId>> {
-    let mut out = Vec::with_capacity(items.len());
-    for item in items {
-        match item {
-            Value::Int(i) => out.push(ServerId::new(i as u32)),
-            other => return Err(bad(format!("expected server id, got {other:?}"))),
-        }
-    }
-    Ok(out)
-}
-
-fn from_value(value: Value) -> Result<ClusterMessage> {
-    let (tag, mut f) = untag(value)?;
-    let message = match tag.as_str() {
-        "Host" => ClusterMessage::Host {
-            corr: f.u64()?,
-            context: f.ctx()?,
-            class: f.string()?,
-            state: f.next()?,
-            escrow: f.u64()?,
-        },
-        "HostAck" => ClusterMessage::HostAck {
-            corr: f.u64()?,
-            context: f.ctx()?,
-            result: dresult(f.next()?, |_| Ok(()))?,
-        },
-        "DirReq" => ClusterMessage::DirReq {
-            corr: f.u64()?,
-            from: f.srv()?,
-            op: ddirop(f.next()?)?,
-        },
-        "DirAck" => ClusterMessage::DirAck {
-            corr: f.u64()?,
-            reply: dresult(f.next()?, ddirreply)?,
-        },
-        "Act" => ClusterMessage::Act {
-            event: ddesc(f.next()?)?,
-            sequencer: f.ctx()?,
-        },
-        "Exec" => ClusterMessage::Exec {
-            event: ddesc(f.next()?)?,
-            sequencer: match f.opt()? {
-                None => None,
-                Some(cell) => {
-                    let mut pair = Fields::of(cell)?;
-                    let sequencer = (pair.srv()?, pair.ctx()?);
-                    pair.done()?;
-                    Some(sequencer)
-                }
-            },
-        },
-        "ExecCertified" => ClusterMessage::ExecCertified {
-            event: ddesc(f.next()?)?,
-        },
-        "Call" => ClusterMessage::Call {
-            event: f.evt()?,
-            mode: f.mode()?,
-            client: dclient(f.opt()?)?,
-            caller: f.ctx()?,
-            target: f.ctx()?,
-            method: f.string()?,
-            args: f.args()?,
-            reply_to: f.srv()?,
-            corr: f.u64()?,
-        },
-        "CallReply" => ClusterMessage::CallReply {
-            corr: f.u64()?,
-            result: dresult(f.next()?, Ok)?,
-            participants: dsrv_list(f.list()?)?,
-            sub_events: f.list()?.into_iter().map(dsub).collect::<Result<_>>()?,
-        },
-        "Release" => ClusterMessage::Release { event: f.evt()? },
-        "Done" => ClusterMessage::Done {
-            corr: f.u64()?,
-            event: f.evt()?,
-            result: dresult(f.next()?, Ok)?,
-            sub_events: f.list()?.into_iter().map(dsub).collect::<Result<_>>()?,
-        },
-        "Prepare" => ClusterMessage::Prepare {
-            corr: f.u64()?,
-            context: f.ctx()?,
-        },
-        "PrepareAck" => ClusterMessage::PrepareAck {
-            corr: f.u64()?,
-            context: f.ctx()?,
-        },
-        "Stop" => ClusterMessage::Stop {
-            corr: f.u64()?,
-            context: f.ctx()?,
-            to: f.srv()?,
-        },
-        "StopAck" => ClusterMessage::StopAck {
-            corr: f.u64()?,
-            context: f.ctx()?,
-        },
-        "Migrate" => ClusterMessage::Migrate {
-            corr: f.u64()?,
-            context: f.ctx()?,
-            to: f.srv()?,
-        },
-        "Install" => ClusterMessage::Install {
-            corr: f.u64()?,
-            context: f.ctx()?,
-            class: f.string()?,
-            state: f.next()?,
-            from: f.srv()?,
-        },
-        "InstallAck" => ClusterMessage::InstallAck {
-            corr: f.u64()?,
-            context: f.ctx()?,
-            result: dresult(f.next()?, |v| match v {
-                Value::Int(i) => Ok(i as u64),
-                other => Err(bad(format!("expected byte count, got {other:?}"))),
-            })?,
-        },
-        "FreezeReq" => ClusterMessage::FreezeReq {
-            corr: f.u64()?,
-            freeze: f.evt()?,
-            members: f.list()?.into_iter().map(dmember).collect::<Result<_>>()?,
-            capture: f.bool()?,
-        },
-        "FreezeAck" => ClusterMessage::FreezeAck {
-            corr: f.u64()?,
-            result: dresult(f.next()?, |v| {
-                let Value::List(items) = v else {
-                    return Err(bad("expected capture list"));
-                };
-                items
-                    .into_iter()
-                    .map(|item| {
-                        let mut triple = Fields::of(item)?;
-                        let out = (triple.ctx()?, triple.string()?, triple.next()?);
-                        triple.done()?;
-                        Ok(out)
-                    })
-                    .collect::<Result<_>>()
-            })?,
-        },
-        "ThawReq" => ClusterMessage::ThawReq { freeze: f.evt()? },
-        "MetricsReq" => ClusterMessage::MetricsReq { corr: f.u64()? },
-        "MetricsAck" => ClusterMessage::MetricsAck {
-            corr: f.u64()?,
-            metrics: Box::new(dmetrics(f.next()?)?),
-        },
-        "Shutdown" => ClusterMessage::Shutdown,
-        other => return Err(bad(format!("unknown message tag {other}"))),
-    };
-    f.done()?;
-    Ok(message)
-}
+wire! { enum ClusterMessage {
+    0 => Host { corr, context, class, state, escrow },
+    1 => HostAck { corr, context, result },
+    2 => DirReq { corr, from, op },
+    3 => DirAck { corr, reply },
+    4 => Act { event, sequencer },
+    5 => Exec { event, sequencer },
+    6 => ExecCertified { event },
+    7 => Call { event, mode, client, caller, target, method, args, reply_to, corr },
+    8 => CallReply { corr, result, participants, sub_events },
+    9 => Release { event },
+    10 => Done { corr, event, result, sub_events },
+    11 => Prepare { corr, context },
+    12 => PrepareAck { corr, context },
+    13 => Stop { corr, context, to },
+    14 => StopAck { corr, context },
+    15 => Migrate { corr, context, to },
+    16 => Install { corr, context, class, state, from },
+    17 => InstallAck { corr, context, result },
+    18 => FreezeReq { corr, freeze, members, capture },
+    19 => FreezeAck { corr, result },
+    20 => ThawReq { freeze },
+    21 => MetricsReq { corr },
+    22 => MetricsAck { corr, metrics },
+    23 => Shutdown,
+} }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::message::{gateway_id, virtual_root};
+    use aeon_runtime::SubEvent;
+    use aeon_types::{
+        AccessMode, AeonError, Args, ClientId, ContextId, EventId, LatencyHistogram, ServerId,
+        Value,
+    };
     use proptest::prelude::*;
 
     fn cx(n: u64) -> ContextId {
@@ -947,8 +193,7 @@ mod tests {
     fn roundtrip(message: &ClusterMessage) {
         let bytes = message.encode_wire().expect("encode");
         let back = ClusterMessage::decode_wire(&bytes).expect("decode");
-        // Field-exact comparison through the (total) Value lowering.
-        assert_eq!(to_value(&back), to_value(message), "{message:?}");
+        assert_eq!(&back, message);
         assert_eq!(
             message_wire_len(message),
             bytes.len() as u64 + FRAME_OVERHEAD,
@@ -956,13 +201,14 @@ mod tests {
         );
     }
 
-    #[test]
-    fn every_variant_round_trips() {
+    /// At least one message of every variant, the `Result` fields of the
+    /// acknowledgements in both arms.
+    fn samples() -> Vec<ClusterMessage> {
         let state = Value::map([
             ("balance", Value::from(10i64)),
             ("tags", Value::List(vec![Value::Bytes(vec![0xff, 0x00])])),
         ]);
-        let messages = vec![
+        vec![
             ClusterMessage::Host {
                 corr: 1,
                 context: cx(2),
@@ -1122,7 +368,7 @@ mod tests {
                     events_executed: 40,
                     exec_micros: 12345,
                     latency: {
-                        let mut h = aeon_types::LatencyHistogram::new();
+                        let mut h = LatencyHistogram::new();
                         h.record(120);
                         h.record(90_000);
                         h
@@ -1130,15 +376,18 @@ mod tests {
                 }),
             },
             ClusterMessage::Shutdown,
-        ];
-        for message in &messages {
+        ]
+    }
+
+    #[test]
+    fn every_variant_round_trips() {
+        for message in &samples() {
             roundtrip(message);
         }
     }
 
-    #[test]
-    fn every_error_variant_survives_the_wire() {
-        let errors = vec![
+    fn errors() -> Vec<AeonError> {
+        vec![
             AeonError::ContextNotFound(cx(1)),
             AeonError::ServerNotFound(srv(2)),
             AeonError::EventNotFound(evt(3)),
@@ -1194,33 +443,91 @@ mod tests {
             AeonError::Codec("short".into()),
             AeonError::Config("bad".into()),
             AeonError::Internal("bug".into()),
-        ];
-        for err in errors {
-            let message = ClusterMessage::Done {
+        ]
+    }
+
+    #[test]
+    fn every_error_variant_survives_the_wire() {
+        for err in errors() {
+            roundtrip(&ClusterMessage::Done {
                 corr: 1,
                 event: evt(1),
-                result: Err(err.clone()),
+                result: Err(err),
                 sub_events: vec![],
-            };
-            let bytes = message.encode_wire().unwrap();
-            let ClusterMessage::Done { result, .. } = ClusterMessage::decode_wire(&bytes).unwrap()
-            else {
-                panic!("tag changed in flight");
-            };
-            assert_eq!(result.unwrap_err(), err);
+            });
+        }
+    }
+
+    /// `payload` behind the version byte.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        [&[WIRE_VERSION][..], payload].concat()
+    }
+
+    fn refusal(bytes: &[u8]) -> String {
+        match ClusterMessage::decode_wire(bytes) {
+            Err(AeonError::Codec(why)) => why,
+            other => panic!("expected a codec error for {bytes:?}, got {other:?}"),
         }
     }
 
     #[test]
     fn corrupt_payloads_are_rejected_not_panicked() {
-        assert!(ClusterMessage::decode_wire(&[]).is_err());
-        assert!(ClusterMessage::decode_wire(&[0xde, 0xad, 0xbe, 0xef]).is_err());
-        // A well-formed Value that is not a tagged message.
-        let bytes = codec::encode(&Value::from(5i64)).to_vec();
-        assert!(ClusterMessage::decode_wire(&bytes).is_err());
-        // Unknown tag.
-        let bytes = codec::encode(&Value::List(vec![Value::Str("Nope".into())])).to_vec();
-        assert!(ClusterMessage::decode_wire(&bytes).is_err());
+        refusal(&[]);
+        refusal(&[0xde, 0xad, 0xbe, 0xef]);
+        // A well-formed `Value` is not a message, and it starts with the
+        // version byte the old tree format used: the refusal names it.
+        let old = codec::encode(&Value::List(vec![Value::Str("Shutdown".into())]));
+        assert!(refusal(&old).contains("version 1"), "{}", refusal(&old));
+        assert!(refusal(&framed(&[200])).contains("unknown ClusterMessage tag 200"));
+        // `Shutdown` has no fields: one more byte is trailing.
+        assert!(refusal(&framed(&[23, 0])).contains("trailing"));
+        // `ThawReq` needs eight bytes of event id.
+        refusal(&framed(&[20, 0, 0, 0]));
+        // `Exec`'s `client` flag must be 0 or 1.
+        let exec = [&[5][..], &9u64.to_be_bytes(), &[7]].concat();
+        assert!(refusal(&framed(&exec)).contains("flag byte 7"));
+        // `DirAck { corr, reply: Ok(<tag 9>) }`: no such directory reply.
+        let ack = [&[3][..], &1u64.to_be_bytes(), &[1, 9]].concat();
+        assert!(refusal(&framed(&ack)).contains("unknown DirReply tag 9"));
+    }
+
+    #[test]
+    fn every_truncation_of_every_frame_is_refused() {
+        for message in &samples() {
+            let bytes = message.encode_wire().unwrap();
+            for len in 0..bytes.len() {
+                refusal(&bytes[..len]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_count_of_u32_max_with_nothing_behind_it_is_refused() {
+        let corr = 1u64.to_be_bytes();
+        let max = [0xff; 4];
+        // `Done { corr, event, result: Ok(Null), sub_events: <u32::MAX> }`.
+        let sub_events = [&[10][..], &corr, &corr, &[1, 0], &max].concat();
+        // `CallReply { corr, result: Ok(Null), participants: <u32::MAX> }`.
+        let participants = [&[8][..], &corr, &[1, 0], &max].concat();
+        // `FreezeReq { corr, freeze, members: <u32::MAX> }`.
+        let members = [&[18][..], &corr, &corr, &max].concat();
+        // `ExecCertified { id, client: None, corr, target, method: "", args: <u32::MAX> }`.
+        let args = [&[6][..], &corr, &[0], &corr, &corr, &[0; 4], &max].concat();
+        for payload in [sub_events, participants, members, args] {
+            let why = refusal(&framed(&payload));
+            assert!(why.contains("4294967295 elements announced"), "{why}");
+        }
+    }
+
+    #[test]
+    fn a_nested_value_bomb_in_a_state_is_refused_not_a_stack_overflow() {
+        // `Install { corr, context, class: "", state: [[[[… }`: 200 000 list
+        // headers, about 1 MB, far below the transport's frame limit.
+        let mut payload = [&[16][..], &[0; 8], &[0; 8], &[0; 4]].concat();
+        for _ in 0..200_000 {
+            payload.extend_from_slice(&[8, 0, 0, 0, 1]);
+        }
+        assert!(refusal(&framed(&payload)).contains("nested deeper"));
     }
 
     fn arb_value() -> impl Strategy<Value = Value> {
@@ -1241,7 +548,38 @@ mod tests {
         })
     }
 
+    fn arb_result() -> impl Strategy<Value = Result<Value>> {
+        prop_oneof![
+            arb_value().prop_map(Ok),
+            (0..errors().len()).prop_map(|i| Err(errors().swap_remove(i))),
+        ]
+    }
+
+    fn arb_sub_events() -> impl Strategy<Value = Vec<SubEvent>> {
+        let sub_event = (
+            any::<u64>(),
+            "[a-z]{0,8}",
+            proptest::collection::vec(arb_value(), 0..3),
+            any::<bool>(),
+        )
+            .prop_map(|(target, method, args, read_only)| SubEvent {
+                target: cx(target),
+                method,
+                args: Args::new(args),
+                mode: if read_only {
+                    AccessMode::ReadOnly
+                } else {
+                    AccessMode::Exclusive
+                },
+            });
+        proptest::collection::vec(sub_event, 0..3)
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 64 } else { 5_000 }
+        ))]
+
         #[test]
         fn random_states_and_args_round_trip(
             state in arb_value(),
@@ -1269,8 +607,8 @@ mod tests {
                 corr,
             };
             roundtrip(&call);
-            // The certified admission is its own tag, which `roundtrip`
-            // compares: it must never decay into a plain `Exec`.
+            // The certified admission is its own tag: it must never decay
+            // into a plain `Exec`.
             let certified = ClusterMessage::ExecCertified {
                 event: EventDescriptor {
                     id: evt(corr),
@@ -1283,6 +621,51 @@ mod tests {
                 },
             };
             roundtrip(&certified);
+        }
+
+        #[test]
+        fn random_results_and_sub_events_round_trip(
+            result in arb_result(),
+            sub_events in arb_sub_events(),
+            participants in proptest::collection::vec(any::<u32>(), 0..4),
+            corr in any::<u64>(),
+        ) {
+            roundtrip(&ClusterMessage::Done {
+                corr,
+                event: evt(corr),
+                result: result.clone(),
+                sub_events: sub_events.clone(),
+            });
+            roundtrip(&ClusterMessage::CallReply {
+                corr,
+                result,
+                participants: participants.into_iter().map(srv).collect(),
+                sub_events,
+            });
+        }
+
+        #[test]
+        fn decode_returns_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        ) {
+            let _ = ClusterMessage::decode_wire(&bytes);
+            // Past the version check, where every byte reaches a reader.
+            let _ = ClusterMessage::decode_wire(&framed(&bytes));
+        }
+
+        #[test]
+        fn decode_returns_on_any_single_replaced_byte(
+            which in any::<usize>(),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            let samples = samples();
+            let mut bytes = samples[which % samples.len()].encode_wire().unwrap();
+            let at = at % bytes.len();
+            bytes[at] = byte;
+            // `Ok` or `Err`: a replaced map key may legitimately reorder or
+            // collapse a `Value::Map`, so no re-encode equality is asked.
+            let _ = ClusterMessage::decode_wire(&bytes);
         }
     }
 }

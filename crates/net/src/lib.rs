@@ -19,8 +19,8 @@
 //!   timed / non-blocking receive.
 //!
 //! Messages that cross a byte-oriented transport implement [`WireMessage`]
-//! (`aeon-cluster` provides the implementation for its message enum on top
-//! of `aeon_types::codec`).
+//! (`aeon-cluster` provides the implementation for its message enum with
+//! the `Wire` vocabulary of `aeon_types::codec`).
 //!
 //! Latency is *not* simulated here (the concurrent runtime is about
 //! correctness and real parallelism); `aeon-sim` charges network hops in

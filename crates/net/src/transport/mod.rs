@@ -89,9 +89,11 @@ pub trait Transport<M: Send + 'static>: Send + Sync + fmt::Debug {
 
 /// A message type that can cross a byte-oriented transport.
 ///
-/// Implemented by `aeon-cluster` for `ClusterMessage` on top of
-/// `aeon_types::codec`; any transport generic over `M: WireMessage` (such
-/// as [`TcpTransport`]) uses it to frame and recover messages.
+/// Implemented by `aeon-cluster` for `ClusterMessage`, which writes each
+/// message straight into the buffer with the `Wire` vocabulary of
+/// `aeon_types::codec` (its `wire` module is the format's specification);
+/// any transport generic over `M: WireMessage` (such as [`TcpTransport`])
+/// uses it to frame and recover messages.
 pub trait WireMessage: Send + Sized + 'static {
     /// Encodes `self` into a self-contained byte payload.
     ///

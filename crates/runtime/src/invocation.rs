@@ -38,7 +38,7 @@ struct AsyncCall {
 /// A sub-event dispatched from within an event; it becomes a fresh event
 /// once its creator terminates (§3: "an event that is dispatched within
 /// another event ... will execute after its creator event finishes").
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubEvent {
     /// Target context of the new event.
     pub target: ContextId,
@@ -49,6 +49,9 @@ pub struct SubEvent {
     /// Access mode of the new event.
     pub mode: AccessMode,
 }
+
+// Sub-events travel in the cluster's `Done` and `CallReply` messages.
+aeon_types::wire! { struct SubEvent { target, method, args, mode } }
 
 /// The capability an [`Invocation`] delegates to; implemented once, by
 /// [`EventBody`].

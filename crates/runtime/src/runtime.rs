@@ -969,7 +969,7 @@ impl AeonRuntime {
         let moved = {
             let mut object = slot.object.lock();
             let state = object.snapshot();
-            let bytes = codec::encode(&state).len() as u64;
+            let bytes = codec::encoded_len(&state) as u64;
             // Re-instantiate through the factory when one is registered:
             // this is what actually happens when the state crosses servers.
             if let Some(factory) = self.inner.factories.read().get(&slot.class) {

@@ -704,7 +704,7 @@ impl Deployment for SimDeployment {
         let moved = {
             let mut object = object.lock();
             let snapshot = object.snapshot();
-            let bytes = codec::encode(&snapshot).len() as u64;
+            let bytes = codec::encoded_len(&snapshot) as u64;
             if let Some(factory) = state.factories.get(&class) {
                 *object = factory(&snapshot);
             }

@@ -1,19 +1,44 @@
-//! A small, self-contained binary codec for [`Value`]s.
+//! The workspace's binary codec: one vocabulary for [`Value`]s and for the
+//! messages that carry them.
 //!
-//! Context snapshots (fault tolerance, §5.3) and migration payloads (§5.2)
-//! need a stable byte representation.  Rather than pulling in a full
-//! serialisation framework we encode the [`Value`] data model directly with
-//! a tag-length-value scheme.  The format is versioned with a single leading
-//! byte so it can evolve.
+//! Two things need a stable byte representation: context snapshots and
+//! migration payloads (§5.2, §5.3), which are [`Value`]s, and the steps of
+//! the event and migration protocols (§4, §5), which are `aeon-cluster`'s
+//! messages.  Both are written in one pass by the same three pieces:
+//!
+//! * a [`Sink`] takes bytes — a `Vec<u8>` keeps them, a [`ByteCount`] only
+//!   counts them, so every length this module reports is the encoder run
+//!   against the counter;
+//! * a [`WireReader`] hands bytes back out of a borrowed frame and is the
+//!   one place that refuses hostile input: a short buffer, an element count
+//!   larger than the bytes behind it, a value nested deeper than
+//!   [`MAX_DEPTH`], trailing bytes — each an [`AeonError::Codec`], never a
+//!   panic and never an allocation sized by the sender;
+//! * [`Wire`] says how one type is written and read.  It is implemented
+//!   here for the leaves the protocol uses, and the [`wire!`](crate::wire)
+//!   macro derives it for a struct or an enum from a single field list.
+//!
+//! Integers and ids are fixed-width big-endian (`usize` travels as `u64`),
+//! `bool` and the `Option` / `Result` / [`AccessMode`] discriminants are one
+//! byte that must be 0 or 1, strings and sequences carry a `u32` length or
+//! count.  A [`Value`] is tag-length-value (the tags are private to this
+//! module); [`encode`] puts one version byte in front of it.
 
+use crate::access::AccessMode;
 use crate::error::{AeonError, Result};
-use crate::ids::ContextId;
-use crate::value::Value;
-use bytes::{Buf, BufMut, Bytes};
+use crate::ids::{ClientId, ContextId, EventId, ServerId};
+use crate::metrics::LatencyHistogram;
+use crate::value::{Args, Value};
+use bytes::Bytes;
 use std::collections::BTreeMap;
 
-/// Current encoding version.
+/// Version byte in front of an [`encode`]d value.
 const VERSION: u8 = 1;
+
+/// How deep lists and maps may nest inside a decoded [`Value`].  The
+/// decoder recurses once per level, so without a bound a small frame of
+/// nested list headers overflows the stack of the thread that reads it.
+pub const MAX_DEPTH: usize = 512;
 
 /// Type tags.
 mod tag {
@@ -58,8 +83,7 @@ pub fn encode(value: &Value) -> Bytes {
 /// assert_eq!(out[1..], codec::encode(&v)[..]);
 /// ```
 pub fn encode_into(value: &Value, out: &mut Vec<u8>) {
-    out.put_u8(VERSION);
-    encode_one(value, out);
+    put_framed(VERSION, value, out);
 }
 
 /// Decodes a [`Value`] previously produced by [`encode`].
@@ -67,31 +91,15 @@ pub fn encode_into(value: &Value, out: &mut Vec<u8>) {
 /// # Errors
 ///
 /// Returns [`AeonError::Codec`] when the buffer is truncated, has an unknown
-/// version, or contains an unknown tag.
+/// version, contains an unknown tag, nests deeper than [`MAX_DEPTH`], or
+/// continues past the value.
 pub fn decode(bytes: &[u8]) -> Result<Value> {
-    let mut buf = bytes;
-    if buf.remaining() < 1 {
-        return Err(AeonError::Codec("empty buffer".into()));
-    }
-    let version = buf.get_u8();
-    if version != VERSION {
-        return Err(AeonError::Codec(format!("unknown codec version {version}")));
-    }
-    let value = decode_one(&mut buf)?;
-    if buf.has_remaining() {
-        return Err(AeonError::Codec(format!(
-            "{} trailing bytes after value",
-            buf.remaining()
-        )));
-    }
-    Ok(value)
+    get_framed(VERSION, bytes)
 }
 
-/// Computes the exact size in bytes that [`encode`] would produce, without
-/// allocating or encoding.
-///
-/// The channel transport uses this to report honest byte counters for
-/// messages that never actually cross a wire.
+/// The exact size in bytes of what [`encode`] would produce: the encoder
+/// run against a [`ByteCount`], so nothing is allocated and the two cannot
+/// disagree.
 ///
 /// # Examples
 ///
@@ -101,159 +109,551 @@ pub fn decode(bytes: &[u8]) -> Result<Value> {
 /// assert_eq!(codec::encoded_len(&v), codec::encode(&v).len());
 /// ```
 pub fn encoded_len(value: &Value) -> usize {
-    1 + body_len(value)
+    framed_len(VERSION, value)
 }
 
-/// Size of one encoded value, excluding the version byte.
-fn body_len(value: &Value) -> usize {
-    match value {
-        Value::Null | Value::Bool(_) => 1,
-        Value::Int(_) | Value::Float(_) | Value::ContextRef(_) => 1 + 8,
-        Value::Str(s) => 1 + 4 + s.len(),
-        Value::Bytes(b) => 1 + 4 + b.len(),
-        Value::List(items) => 1 + 4 + items.iter().map(body_len).sum::<usize>(),
-        Value::Map(map) => {
-            1 + 4
-                + map
-                    .iter()
-                    .map(|(k, v)| 4 + k.len() + body_len(v))
-                    .sum::<usize>()
+/// Writes `[version][value]`: the framing of an [`encode`]d [`Value`] and
+/// of a cluster message.
+pub fn put_framed<T: Wire>(version: u8, value: &T, w: &mut impl Sink) {
+    w.put_u8(version);
+    value.put(w);
+}
+
+/// The number of bytes [`put_framed`] writes.
+pub fn framed_len<T: Wire>(version: u8, value: &T) -> usize {
+    let mut count = ByteCount::default();
+    put_framed(version, value, &mut count);
+    count.0
+}
+
+/// Reads what [`put_framed`] wrote; `bytes` must hold exactly that.
+///
+/// # Errors
+///
+/// Returns [`AeonError::Codec`] for an empty buffer, another version byte,
+/// anything `T` refuses, and bytes left over after it.
+pub fn get_framed<T: Wire>(version: u8, bytes: &[u8]) -> Result<T> {
+    let mut r = WireReader::new(bytes);
+    let found = u8::get(&mut r)?;
+    if found != version {
+        return Err(AeonError::Codec(format!(
+            "unknown codec version {found}, expected {version}"
+        )));
+    }
+    let value = T::get(&mut r)?;
+    match r.remaining() {
+        0 => Ok(value),
+        extra => Err(AeonError::Codec(format!("{extra} trailing bytes"))),
+    }
+}
+
+/// Where an encoder writes.
+pub trait Sink {
+    /// Appends `src`.
+    fn put_slice(&mut self, src: &[u8]);
+
+    /// Appends one byte.
+    fn put_u8(&mut self, byte: u8) {
+        self.put_slice(&[byte]);
+    }
+}
+
+impl Sink for Vec<u8> {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.extend_from_slice(src);
+    }
+
+    fn put_u8(&mut self, byte: u8) {
+        self.push(byte);
+    }
+}
+
+/// A [`Sink`] that keeps only the number of bytes written to it.
+#[derive(Debug, Default)]
+pub struct ByteCount(pub usize);
+
+impl Sink for ByteCount {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.0 += src.len();
+    }
+}
+
+/// A cursor over a received frame.  Everything a decoder takes from the
+/// frame goes through `take`, which is where a short buffer is refused.
+#[derive(Debug)]
+pub struct WireReader<'a> {
+    buf: &'a [u8],
+    depth: usize,
+}
+
+impl<'a> WireReader<'a> {
+    /// A reader at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        Self { buf, depth: 0 }
+    }
+
+    /// Bytes not yet read.
+    fn remaining(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// The next `n` bytes, or [`AeonError::Codec`] when fewer remain.
+    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        if n > self.buf.len() {
+            return Err(AeonError::Codec(format!(
+                "need {n} bytes, only {} remaining",
+                self.buf.len()
+            )));
+        }
+        let (head, tail) = self.buf.split_at(n);
+        self.buf = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
+    }
+
+    /// A `u32` element count.  Every element occupies at least one byte, so
+    /// a count larger than what remains is a lie and is refused before
+    /// anything is reserved for it: the one allocation rule of the decoder.
+    fn count(&mut self) -> Result<usize> {
+        let count = u32::get(self)? as usize;
+        if count > self.remaining() {
+            return Err(AeonError::Codec(format!(
+                "{count} elements announced, only {} bytes remaining",
+                self.remaining()
+            )));
+        }
+        Ok(count)
+    }
+
+    /// A `u32` length and that many bytes.
+    fn run(&mut self) -> Result<&'a [u8]> {
+        let len = u32::get(self)? as usize;
+        self.take(len)
+    }
+
+    /// Runs `body` one nesting level down.
+    fn nested<T>(&mut self, body: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_DEPTH {
+            return Err(AeonError::Codec(format!(
+                "value nested deeper than {MAX_DEPTH}"
+            )));
+        }
+        self.depth += 1;
+        let out = body(self);
+        self.depth -= 1;
+        out
+    }
+}
+
+/// A type with a byte representation: `get` reads back what `put` wrote.
+pub trait Wire: Sized {
+    /// Writes `self`.
+    fn put(&self, w: &mut impl Sink);
+
+    /// Reads one `Self`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AeonError::Codec`] on malformed input.
+    fn get(r: &mut WireReader<'_>) -> Result<Self>;
+}
+
+fn put_len(w: &mut impl Sink, len: usize) {
+    (len as u32).put(w);
+}
+
+/// What [`WireReader::run`] reads: a `u32` length and the bytes.
+fn put_run(w: &mut impl Sink, bytes: &[u8]) {
+    put_len(w, bytes.len());
+    w.put_slice(bytes);
+}
+
+/// What `Vec<T>` reads: a `u32` count and the elements.
+fn put_all<T: Wire>(w: &mut impl Sink, items: &[T]) {
+    put_len(w, items.len());
+    items.iter().for_each(|item| item.put(w));
+}
+
+impl Wire for Value {
+    fn put(&self, w: &mut impl Sink) {
+        match self {
+            Value::Null => w.put_u8(tag::NULL),
+            Value::Bool(false) => w.put_u8(tag::BOOL_FALSE),
+            Value::Bool(true) => w.put_u8(tag::BOOL_TRUE),
+            Value::Int(i) => {
+                w.put_u8(tag::INT);
+                i.put(w);
+            }
+            Value::Float(x) => {
+                w.put_u8(tag::FLOAT);
+                x.put(w);
+            }
+            Value::Str(s) => {
+                w.put_u8(tag::STR);
+                s.put(w);
+            }
+            Value::Bytes(b) => {
+                w.put_u8(tag::BYTES);
+                put_run(w, b);
+            }
+            Value::ContextRef(c) => {
+                w.put_u8(tag::CONTEXT_REF);
+                c.put(w);
+            }
+            Value::List(items) => {
+                w.put_u8(tag::LIST);
+                items.put(w);
+            }
+            Value::Map(map) => {
+                w.put_u8(tag::MAP);
+                put_len(w, map.len());
+                for (k, v) in map {
+                    k.put(w);
+                    v.put(w);
+                }
+            }
+        }
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        Ok(match u8::get(r)? {
+            tag::NULL => Value::Null,
+            tag::BOOL_FALSE => Value::Bool(false),
+            tag::BOOL_TRUE => Value::Bool(true),
+            tag::INT => Value::Int(Wire::get(r)?),
+            tag::FLOAT => Value::Float(Wire::get(r)?),
+            tag::STR => Value::Str(Wire::get(r)?),
+            tag::BYTES => Value::Bytes(r.run()?.to_vec()),
+            tag::CONTEXT_REF => Value::ContextRef(Wire::get(r)?),
+            tag::LIST => Value::List(r.nested(Wire::get)?),
+            tag::MAP => r.nested(|r| {
+                let mut map = BTreeMap::new();
+                for _ in 0..r.count()? {
+                    let key = String::get(r)?;
+                    map.insert(key, Wire::get(r)?);
+                }
+                Ok(Value::Map(map))
+            })?,
+            other => return Err(AeonError::Codec(format!("unknown tag {other}"))),
+        })
+    }
+}
+
+macro_rules! wire_numbers {
+    ($($number:ty),*) => {$(
+        impl Wire for $number {
+            fn put(&self, w: &mut impl Sink) {
+                w.put_slice(&self.to_be_bytes());
+            }
+
+            fn get(r: &mut WireReader<'_>) -> Result<Self> {
+                Ok(Self::from_be_bytes(r.array()?))
+            }
+        }
+    )*};
+}
+wire_numbers!(u8, u32, u64, i64, f64);
+
+impl Wire for usize {
+    fn put(&self, w: &mut impl Sink) {
+        (*self as u64).put(w);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        let wide = u64::get(r)?;
+        usize::try_from(wide)
+            .map_err(|_| AeonError::Codec(format!("size {wide} does not fit this host")))
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, w: &mut impl Sink) {
+        w.put_u8(u8::from(*self));
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        match u8::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(AeonError::Codec(format!("bad flag byte {other}"))),
         }
     }
 }
 
-fn encode_one(value: &Value, buf: &mut Vec<u8>) {
-    match value {
-        Value::Null => buf.put_u8(tag::NULL),
-        Value::Bool(false) => buf.put_u8(tag::BOOL_FALSE),
-        Value::Bool(true) => buf.put_u8(tag::BOOL_TRUE),
-        Value::Int(i) => {
-            buf.put_u8(tag::INT);
-            buf.put_i64(*i);
-        }
-        Value::Float(x) => {
-            buf.put_u8(tag::FLOAT);
-            buf.put_f64(*x);
-        }
-        Value::Str(s) => {
-            buf.put_u8(tag::STR);
-            put_len(buf, s.len());
-            buf.put_slice(s.as_bytes());
-        }
-        Value::Bytes(b) => {
-            buf.put_u8(tag::BYTES);
-            put_len(buf, b.len());
-            buf.put_slice(b);
-        }
-        Value::ContextRef(c) => {
-            buf.put_u8(tag::CONTEXT_REF);
-            buf.put_u64(c.raw());
-        }
-        Value::List(items) => {
-            buf.put_u8(tag::LIST);
-            put_len(buf, items.len());
-            for item in items {
-                encode_one(item, buf);
-            }
-        }
-        Value::Map(map) => {
-            buf.put_u8(tag::MAP);
-            put_len(buf, map.len());
-            for (k, v) in map {
-                put_len(buf, k.len());
-                buf.put_slice(k.as_bytes());
-                encode_one(v, buf);
-            }
-        }
-    }
-}
+impl Wire for () {
+    fn put(&self, _: &mut impl Sink) {}
 
-fn decode_one(buf: &mut &[u8]) -> Result<Value> {
-    if !buf.has_remaining() {
-        return Err(AeonError::Codec("unexpected end of buffer".into()));
-    }
-    let tag = buf.get_u8();
-    let value = match tag {
-        tag::NULL => Value::Null,
-        tag::BOOL_FALSE => Value::Bool(false),
-        tag::BOOL_TRUE => Value::Bool(true),
-        tag::INT => {
-            ensure(buf, 8)?;
-            Value::Int(buf.get_i64())
-        }
-        tag::FLOAT => {
-            ensure(buf, 8)?;
-            Value::Float(buf.get_f64())
-        }
-        tag::STR => {
-            let len = get_len(buf)?;
-            ensure(buf, len)?;
-            let raw = buf[..len].to_vec();
-            buf.advance(len);
-            Value::Str(String::from_utf8(raw).map_err(|e| AeonError::Codec(e.to_string()))?)
-        }
-        tag::BYTES => {
-            let len = get_len(buf)?;
-            ensure(buf, len)?;
-            let raw = buf[..len].to_vec();
-            buf.advance(len);
-            Value::Bytes(raw)
-        }
-        tag::CONTEXT_REF => {
-            ensure(buf, 8)?;
-            Value::ContextRef(ContextId::new(buf.get_u64()))
-        }
-        tag::LIST => {
-            let len = get_len(buf)?;
-            let mut items = Vec::with_capacity(len.min(1024));
-            for _ in 0..len {
-                items.push(decode_one(buf)?);
-            }
-            Value::List(items)
-        }
-        tag::MAP => {
-            let len = get_len(buf)?;
-            let mut map = BTreeMap::new();
-            for _ in 0..len {
-                let klen = get_len(buf)?;
-                ensure(buf, klen)?;
-                let kraw = buf[..klen].to_vec();
-                buf.advance(klen);
-                let key = String::from_utf8(kraw).map_err(|e| AeonError::Codec(e.to_string()))?;
-                let v = decode_one(buf)?;
-                map.insert(key, v);
-            }
-            Value::Map(map)
-        }
-        other => return Err(AeonError::Codec(format!("unknown tag {other}"))),
-    };
-    Ok(value)
-}
-
-fn put_len(buf: &mut Vec<u8>, len: usize) {
-    buf.put_u32(len as u32);
-}
-
-fn get_len(buf: &mut &[u8]) -> Result<usize> {
-    ensure(buf, 4)?;
-    Ok(buf.get_u32() as usize)
-}
-
-fn ensure(buf: &&[u8], needed: usize) -> Result<()> {
-    if buf.remaining() < needed {
-        Err(AeonError::Codec(format!(
-            "need {needed} bytes, only {} remaining",
-            buf.remaining()
-        )))
-    } else {
+    fn get(_: &mut WireReader<'_>) -> Result<Self> {
         Ok(())
     }
 }
 
+impl Wire for String {
+    fn put(&self, w: &mut impl Sink) {
+        put_run(w, self.as_bytes());
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        match std::str::from_utf8(r.run()?) {
+            Ok(s) => Ok(s.to_owned()),
+            Err(e) => Err(AeonError::Codec(e.to_string())),
+        }
+    }
+}
+
+macro_rules! wire_ids {
+    ($($id:ident),*) => {$(
+        impl Wire for $id {
+            fn put(&self, w: &mut impl Sink) {
+                self.raw().put(w);
+            }
+
+            fn get(r: &mut WireReader<'_>) -> Result<Self> {
+                Wire::get(r).map(Self::new)
+            }
+        }
+    )*};
+}
+wire_ids!(ContextId, EventId, ServerId, ClientId);
+
+impl Wire for AccessMode {
+    fn put(&self, w: &mut impl Sink) {
+        self.is_read_only().put(w);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        Ok(if bool::get(r)? {
+            AccessMode::ReadOnly
+        } else {
+            AccessMode::Exclusive
+        })
+    }
+}
+
+impl Wire for Args {
+    fn put(&self, w: &mut impl Sink) {
+        put_all(w, self.iter().as_slice());
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        Wire::get(r).map(Args::new)
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut impl Sink) {
+        put_all(w, self);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        let count = r.count()?;
+        let mut items = Vec::with_capacity(count);
+        for _ in 0..count {
+            items.push(T::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut impl Sink) {
+        self.is_some().put(w);
+        if let Some(inner) = self {
+            inner.put(w);
+        }
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        Ok(if bool::get(r)? {
+            Some(T::get(r)?)
+        } else {
+            None
+        })
+    }
+}
+
+impl<T: Wire> Wire for Result<T> {
+    fn put(&self, w: &mut impl Sink) {
+        self.is_ok().put(w);
+        match self {
+            Ok(value) => value.put(w),
+            Err(error) => error.put(w),
+        }
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        Ok(if bool::get(r)? {
+            Ok(T::get(r)?)
+        } else {
+            Err(AeonError::get(r)?)
+        })
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    fn put(&self, w: &mut impl Sink) {
+        (**self).put(w);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        T::get(r).map(Box::new)
+    }
+}
+
+macro_rules! wire_tuples {
+    ($(($($item:ident . $index:tt),+))*) => {$(
+        impl<$($item: Wire),+> Wire for ($($item,)+) {
+            fn put(&self, w: &mut impl Sink) {
+                $(self.$index.put(w);)+
+            }
+
+            fn get(r: &mut WireReader<'_>) -> Result<Self> {
+                Ok(($($item::get(r)?,)+))
+            }
+        }
+    )*};
+}
+wire_tuples!((A.0, B.1)(A.0, B.1, C.2));
+
+/// Histograms ship sparsely: the summary scalars, then `(bucket, count)`
+/// for the non-empty buckets only, so an idle node's report stays small.
+impl Wire for LatencyHistogram {
+    fn put(&self, w: &mut impl Sink) {
+        self.count.put(w);
+        self.total_micros.put(w);
+        self.min_micros.put(w);
+        self.max_micros.put(w);
+        let filled = || self.buckets.iter().enumerate().filter(|(_, n)| **n > 0);
+        put_len(w, filled().count());
+        filled().for_each(|(bucket, n)| (bucket, *n).put(w));
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        let mut histogram = LatencyHistogram {
+            count: Wire::get(r)?,
+            total_micros: Wire::get(r)?,
+            min_micros: Wire::get(r)?,
+            max_micros: Wire::get(r)?,
+            ..Default::default()
+        };
+        for (bucket, n) in Vec::<(usize, u64)>::get(r)? {
+            *histogram.buckets.get_mut(bucket).ok_or_else(|| {
+                AeonError::Codec(format!("latency bucket {bucket} out of range"))
+            })? = n;
+        }
+        Ok(histogram)
+    }
+}
+
+/// Implements [`Wire`](crate::codec::Wire) for a struct or an enum from one
+/// list of its fields, which drives both directions: `put` writes them in
+/// the order listed and `get` reads them back in that order.
+///
+/// An enum variant is written as the `u8` tag stated beside it, then its
+/// fields.  Tags are part of the format: they are explicit so that adding
+/// or reordering variants cannot renumber the others, and a tag that is
+/// retired must not be reused.  Leaving a field or a variant out does not
+/// compile.
+///
+/// ```
+/// use aeon_types::codec::{self, Wire};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Shape {
+///     Dot,
+///     Circle(u32),
+///     Rect { w: u32, h: u32 },
+/// }
+/// aeon_types::wire! { enum Shape { 0 => Dot, 1 => Circle(radius), 2 => Rect { w, h } } }
+///
+/// let mut bytes = Vec::new();
+/// Shape::Rect { w: 3, h: 4 }.put(&mut bytes);
+/// assert_eq!(bytes, [2, 0, 0, 0, 3, 0, 0, 0, 4]);
+/// let back = Shape::get(&mut codec::WireReader::new(&bytes)).unwrap();
+/// assert_eq!(back, Shape::Rect { w: 3, h: 4 });
+/// assert!(Shape::get(&mut codec::WireReader::new(&[9])).is_err());
+/// ```
+#[macro_export]
+macro_rules! wire {
+    (@get $r:ident $field:ident) => {
+        $crate::codec::Wire::get($r)?
+    };
+    (struct $name:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::codec::Wire for $name {
+            fn put(&self, w: &mut impl $crate::codec::Sink) {
+                $($crate::codec::Wire::put(&self.$field, w);)*
+            }
+
+            fn get(r: &mut $crate::codec::WireReader<'_>) -> $crate::Result<Self> {
+                Ok(Self { $($field: $crate::wire!(@get r $field)),* })
+            }
+        }
+    };
+    (enum $name:ident {
+        $($tag:literal => $variant:ident $({ $($field:ident),* })? $(( $($item:ident),* ))?),* $(,)?
+    }) => {
+        impl $crate::codec::Wire for $name {
+            fn put(&self, w: &mut impl $crate::codec::Sink) {
+                match self {
+                    $(Self::$variant $({ $($field),* })? $(( $($item),* ))? => {
+                        $crate::codec::Sink::put_u8(w, $tag);
+                        $($($crate::codec::Wire::put($field, w);)*)?
+                        $($($crate::codec::Wire::put($item, w);)*)?
+                    })*
+                }
+            }
+
+            fn get(r: &mut $crate::codec::WireReader<'_>) -> $crate::Result<Self> {
+                Ok(match <u8 as $crate::codec::Wire>::get(r)? {
+                    $($tag => Self::$variant
+                        $({ $($field: $crate::wire!(@get r $field)),* })?
+                        $(( $($crate::wire!(@get r $item)),* ))?,)*
+                    other => {
+                        return Err($crate::AeonError::Codec(format!(
+                            concat!("unknown ", stringify!($name), " tag {}"),
+                            other
+                        )))
+                    }
+                })
+            }
+        }
+    };
+}
+
+// The match in `put` is exhaustive here, in the defining crate, so a new
+// error variant has to be given a tag before this compiles.
+wire! { enum AeonError {
+    0 => ContextNotFound(context),
+    1 => ServerNotFound(server),
+    2 => EventNotFound(event),
+    3 => CycleDetected { from, to },
+    4 => ClassCycleDetected { description },
+    5 => OwnershipViolation { caller, callee, detail },
+    6 => AnalysisRejected { errors, report },
+    7 => ReadOnlyViolation { context, method },
+    8 => UnknownMethod { class, method },
+    9 => BadArguments { method, reason },
+    10 => Application(message),
+    11 => Panicked { reason },
+    12 => MigrationInProgress(context),
+    13 => MigrationFailed { context, reason },
+    14 => SnapshotFailed { context, reason },
+    15 => RuntimeShutdown,
+    16 => Storage(message),
+    17 => EventAborted { event, reason },
+    18 => SendQueueFull { peer },
+    19 => Codec(message),
+    20 => Config(message),
+    21 => Internal(message),
+} }
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Value;
+    use crate::metrics::LATENCY_BUCKETS;
     use proptest::prelude::*;
 
     fn roundtrip(v: &Value) {
@@ -353,6 +753,68 @@ mod tests {
         roundtrip(&v);
     }
 
+    /// `depth` one-element list headers around a null.
+    fn nested_lists(depth: usize) -> Vec<u8> {
+        let mut bytes = vec![VERSION];
+        for _ in 0..depth {
+            bytes.extend_from_slice(&[tag::LIST, 0, 0, 0, 1]);
+        }
+        bytes.push(tag::NULL);
+        bytes
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        // Runs on a default 2 MiB test thread, the stack a TCP reader
+        // thread also gets; unbounded, the first frame aborts the process.
+        assert!(decode(&nested_lists(MAX_DEPTH)).is_ok());
+        for depth in [MAX_DEPTH + 1, 200_000] {
+            let err = decode(&nested_lists(depth)).unwrap_err();
+            assert!(err.to_string().contains("nested deeper"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_count_larger_than_the_frame_is_refused_before_reserving() {
+        for container in [tag::LIST, tag::MAP] {
+            let err = decode(&[VERSION, container, 0xff, 0xff, 0xff, 0xff, 0]).unwrap_err();
+            assert!(err.to_string().contains("announced"), "{err}");
+        }
+        // The largest count the bytes behind it can back is accepted.
+        let two_nulls = [VERSION, tag::LIST, 0, 0, 0, 2, tag::NULL, tag::NULL];
+        assert_eq!(
+            decode(&two_nulls).unwrap(),
+            Value::List(vec![Value::Null; 2])
+        );
+    }
+
+    #[test]
+    fn flag_bytes_sizes_and_buckets_are_range_checked() {
+        fn get<T: Wire>(bytes: &[u8]) -> Result<T> {
+            T::get(&mut WireReader::new(bytes))
+        }
+        assert_eq!(get::<Option<u8>>(&[1, 7]).unwrap(), Some(7));
+        assert!(get::<Option<u8>>(&[2, 7]).is_err());
+        assert!(get::<bool>(&[0xff]).is_err());
+        assert!(get::<AccessMode>(&[2]).is_err());
+        assert!(get::<Result<u8>>(&[3, 0]).is_err());
+        assert!(get::<String>(&[0, 0, 0, 2, 0xc3, 0x28]).is_err());
+        assert!(get::<AeonError>(&[200]).is_err());
+        assert!(get::<u64>(&[0; 7]).is_err());
+
+        let mut histogram = LatencyHistogram::new();
+        histogram.record(120);
+        histogram.record(90_000);
+        let mut bytes = Vec::new();
+        histogram.put(&mut bytes);
+        assert_eq!(get::<LatencyHistogram>(&bytes).unwrap(), histogram);
+        // The first bucket index sits after four u64 scalars and the count.
+        let index = 4 * 8 + 4;
+        bytes[index..index + 8].copy_from_slice(&(LATENCY_BUCKETS as u64).to_be_bytes());
+        let err = get::<LatencyHistogram>(&bytes).unwrap_err();
+        assert!(err.to_string().contains("out of range"), "{err}");
+    }
+
     #[test]
     fn encoded_len_matches_encode_for_edge_cases() {
         for v in [
@@ -392,6 +854,10 @@ mod tests {
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 64 } else { 5_000 }
+        ))]
+
         #[test]
         fn any_value_round_trips(v in arb_value()) {
             let bytes = encode(&v);

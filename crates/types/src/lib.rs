@@ -2,8 +2,8 @@
 //!
 //! The crate is intentionally dependency-light: identifiers, access modes,
 //! the dynamic [`Value`]/[`Args`] representation used for method dispatch,
-//! a small self-contained binary codec used for snapshots and migration
-//! payloads, error types, and the time primitives of the virtual-time
+//! a small self-contained binary codec used for snapshots, migration
+//! payloads and the cluster's messages, error types, and the time primitives of the virtual-time
 //! backend (`aeon-sim`).
 //!
 //! # Examples
