@@ -57,8 +57,9 @@ struct Remote {
 }
 
 enum Backend {
-    /// The authoritative control-plane state (eManager + cloud storage).
-    Authority(RwLock<ControlPlane>),
+    /// The authoritative control-plane state (eManager + cloud storage);
+    /// boxed so that the handles, of which there is one per node, stay small.
+    Authority(Box<RwLock<ControlPlane>>),
     Remote(Remote),
 }
 
@@ -96,10 +97,10 @@ impl Directory {
     /// Creates an empty directory authority.
     pub fn new(class_graph: Option<ClassGraph>) -> Self {
         Self::with_backend(
-            Backend::Authority(RwLock::new(ControlPlane::new(
+            Backend::Authority(Box::new(RwLock::new(ControlPlane::new(
                 DominatorMode::default(),
                 class_graph,
-            ))),
+            )))),
             1,
         )
     }

@@ -10,7 +10,11 @@
 //! dominator cache is interior-mutable), mutations take `&mut self`, and
 //! every mutation validates *before* it touches anything: a refused
 //! operation leaves the graph (and its `version()`), the placement map and
-//! the roster exactly as they were, and each cause of refusal has one error:
+//! the roster exactly as they were, and each cause of refusal has one error
+//! (table below).  The roster keeps, per server, the number of contexts
+//! placed on it, adjusted wherever a placement changes, so choosing the
+//! least-loaded server, counting the hosted contexts and retiring a server
+//! cost the number of servers, not the number of contexts.
 //!
 //! | cause | error |
 //! |---|---|
@@ -40,6 +44,14 @@ pub enum Placement {
     WithContext(ContextId),
 }
 
+/// One server of the roster.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Server {
+    online: bool,
+    /// Contexts placed on it, online or not.
+    hosted: usize,
+}
+
 /// Ownership network + placement map + server roster, and the rules over
 /// them (see the module docs).
 #[derive(Debug)]
@@ -47,8 +59,8 @@ pub struct ControlPlane {
     graph: OwnershipGraph,
     classes: Option<ClassGraph>,
     placement: HashMap<ContextId, ServerId>,
-    /// Every server ever known, with whether it is online.
-    servers: BTreeMap<ServerId, bool>,
+    /// Every server ever known.
+    servers: BTreeMap<ServerId, Server>,
     next_server: u32,
     resolver: DominatorResolver,
 }
@@ -84,8 +96,8 @@ impl ControlPlane {
         self.graph.class_of(context)
     }
 
-    /// The dominator of `target` under the plane's mode (cached until the
-    /// graph changes).
+    /// The dominator of `target` under the plane's mode (cached until a
+    /// mutation touches the target's sharing component).
     ///
     /// # Errors
     ///
@@ -105,12 +117,7 @@ impl ControlPlane {
     ///
     /// Returns [`AeonError::ContextNotFound`] when `parent` is unknown.
     pub fn children_of(&self, parent: ContextId, class: Option<&str>) -> Result<Vec<ContextId>> {
-        let children = self.graph.children(parent)?;
-        Ok(children
-            .iter()
-            .copied()
-            .filter(|c| class.is_none_or(|cls| self.graph.class_of(*c) == Ok(cls)))
-            .collect())
+        self.graph.children_of(parent, class)
     }
 
     fn check_declared(&self, class: &str) -> Result<()> {
@@ -147,7 +154,7 @@ impl ControlPlane {
         self.check_declared(class)?;
         let server = self.pick_server(placement)?;
         self.graph.add_context(id, class)?;
-        self.placement.insert(id, server);
+        self.place(id, server);
         Ok(server)
     }
 
@@ -189,7 +196,7 @@ impl ControlPlane {
                 .add_edge(*owner, id)
                 .expect("every owner exists and a context without descendants closes no cycle");
         }
-        self.placement.insert(id, server);
+        self.place(id, server);
         Ok(server)
     }
 
@@ -227,7 +234,9 @@ impl ControlPlane {
     /// Returns [`AeonError::ContextNotFound`] when the context is unknown.
     pub fn forget(&mut self, context: ContextId) -> Result<()> {
         self.graph.remove_context(context)?;
-        self.placement.remove(&context);
+        if let Some(server) = self.placement.remove(&context) {
+            self.server_mut(server).hosted -= 1;
+        }
         Ok(())
     }
 
@@ -239,13 +248,13 @@ impl ControlPlane {
     pub fn reserve_server(&mut self) -> ServerId {
         let id = ServerId::new(self.next_server);
         self.next_server += 1;
-        self.servers.insert(id, false);
+        self.servers.insert(id, Server::default());
         id
     }
 
     /// Records `server` as online; ids allocated later stay above it.
     pub fn register_server(&mut self, server: ServerId) {
-        self.servers.insert(server, true);
+        self.servers.entry(server).or_default().online = true;
         self.next_server = self.next_server.max(server.raw() + 1);
     }
 
@@ -268,13 +277,13 @@ impl ControlPlane {
         if !self.is_online(server) {
             return Err(AeonError::ServerNotFound(server));
         }
-        let hosted = self.placement.values().filter(|s| **s == server).count();
+        let hosted = self.server_mut(server).hosted;
         if hosted > 0 {
             return Err(AeonError::Config(format!(
                 "server {server} still hosts {hosted} contexts"
             )));
         }
-        self.servers.insert(server, false);
+        self.server_mut(server).online = false;
         Ok(())
     }
 
@@ -287,7 +296,7 @@ impl ControlPlane {
     /// Returns [`AeonError::ServerNotFound`] for unknown servers.
     pub fn mark_crashed(&mut self, server: ServerId) -> Result<Vec<ContextId>> {
         match self.servers.get_mut(&server) {
-            Some(online) => *online = false,
+            Some(known) => known.online = false,
             None => return Err(AeonError::ServerNotFound(server)),
         }
         Ok(self.contexts_on(server))
@@ -295,16 +304,13 @@ impl ControlPlane {
 
     /// Whether `server` is known and online.
     pub fn is_online(&self, server: ServerId) -> bool {
-        self.servers.get(&server).copied().unwrap_or(false)
+        self.servers.get(&server).is_some_and(|known| known.online)
     }
 
     /// All online servers, in id order.
     pub fn online_servers(&self) -> Vec<ServerId> {
-        self.servers
-            .iter()
-            .filter(|(_, online)| **online)
-            .map(|(id, _)| *id)
-            .collect()
+        let online = self.servers.iter().filter(|(_, server)| server.online);
+        online.map(|(id, _)| *id).collect()
     }
 
     // -- placement -----------------------------------------------------------
@@ -326,20 +332,10 @@ impl ControlPlane {
             Placement::Server(server) => server,
             Placement::WithContext(other) => self.placement_of(other)?,
             Placement::Auto => {
-                let mut load: BTreeMap<ServerId, usize> = self
-                    .online_servers()
-                    .into_iter()
-                    .map(|server| (server, 0))
-                    .collect();
-                for server in self.placement.values() {
-                    if let Some(count) = load.get_mut(server) {
-                        *count += 1;
-                    }
-                }
-                return load
-                    .into_iter()
-                    .min_by_key(|(id, count)| (*count, id.raw()))
-                    .map(|(id, _)| id)
+                let online = self.servers.iter().filter(|(_, server)| server.online);
+                return online
+                    .min_by_key(|(id, server)| (server.hosted, id.raw()))
+                    .map(|(id, _)| *id)
                     .ok_or_else(|| AeonError::Config("no online servers".into()));
             }
         };
@@ -378,8 +374,21 @@ impl ControlPlane {
         if !self.is_online(server) {
             return Err(AeonError::ServerNotFound(server));
         }
-        self.placement.insert(context, server);
+        self.place(context, server);
         Ok(())
+    }
+
+    /// Records `context` on `server`, moving its count along.
+    fn place(&mut self, context: ContextId, server: ServerId) {
+        if let Some(old) = self.placement.insert(context, server) {
+            self.server_mut(old).hosted -= 1;
+        }
+        self.server_mut(server).hosted += 1;
+    }
+
+    fn server_mut(&mut self, server: ServerId) -> &mut Server {
+        let known = self.servers.get_mut(&server);
+        known.expect("placements and callers name servers of the roster")
     }
 
     /// All contexts placed on `server`, in id order.
@@ -397,10 +406,8 @@ impl ControlPlane {
     /// Number of contexts placed on online servers (contexts lost to a
     /// crash do not count until they are re-hosted).
     pub fn context_count(&self) -> usize {
-        self.placement
-            .values()
-            .filter(|server| self.is_online(**server))
-            .count()
+        let online = self.servers.values().filter(|server| server.online);
+        online.map(|server| server.hosted).sum()
     }
 }
 
@@ -439,7 +446,7 @@ mod tests {
     type Fingerprint = (
         u64,
         BTreeMap<ContextId, ServerId>,
-        BTreeMap<ServerId, bool>,
+        BTreeMap<ServerId, Server>,
         u32,
     );
 
@@ -779,9 +786,21 @@ mod tests {
                     prop_assert!(plane.servers.contains_key(server));
                     prop_assert!(plane.graph.contains(*context));
                 }
-                if let Ok(picked) = plane.pick_server(Placement::Auto) {
-                    prop_assert!(plane.is_online(picked));
+                // The kept counts are what a recount gives, and the three
+                // rules that read them answer as the scans they replaced.
+                let recount = |server: &ServerId| {
+                    plane.placement.values().filter(|s| *s == server).count()
+                };
+                for (id, known) in &plane.servers {
+                    prop_assert_eq!(known.hosted, recount(id), "count of {}", id);
                 }
+                let online = plane.online_servers();
+                prop_assert_eq!(
+                    plane.context_count(),
+                    online.iter().map(recount).sum::<usize>()
+                );
+                let least = online.iter().copied().min_by_key(|s| (recount(s), s.raw()));
+                prop_assert_eq!(plane.pick_server(Placement::Auto).ok(), least);
                 prop_assert!(plane.graph.is_acyclic());
                 for context in plane.graph.contexts() {
                     prop_assert_eq!(

@@ -45,24 +45,27 @@
 //! the set.
 //!
 //! **Cost model.**  A leaf — what most events target — shares nothing and is
-//! answered from its empty child set.  Any other query owns one arena
-//! (`Walk`): each context it touches is interned once to a dense local id
-//! (one hash lookup per incident edge and direction), after which every
-//! walk is index arithmetic over epoch-stamped marks — no per-walk set or
-//! queue is allocated.  Expanding `m` visits `desc(m)`, `anc(m)` and the
-//! contexts above `desc(m)` once each; a deferred member costs the ancestor
-//! steps up to the first member, usually one.  The least upper bound is one
-//! upward pass per member that was not deferred, counting how many passes
-//! reach each context.  For `k` owner chains of depth `d` over one shared
-//! context that is `k + 1` expansions where the unpruned closure makes
-//! `k·d`.  Nothing is indexed beyond what the walks reach, so a query on a
-//! chain inside a large network stays proportional to the chain.
+//! answered from its empty child set.  Any other query runs on the graph
+//! itself: contexts are the graph's slots, adjacency is a slice of slots,
+//! and the marks of every walk sit in a `Scratch` indexed by slot and
+//! stamped with the walk's epoch — nothing is interned, copied, cleared or
+//! allocated per query; the scratch comes from the graph's pool, which
+//! holds as many as queries ever ran at once.  Expanding `m` visits
+//! `desc(m)`, `anc(m)` and the contexts above `desc(m)` once each; a
+//! deferred member costs the ancestor steps up to the first member, usually
+//! one.  The least upper bound is one upward pass per member that was not
+//! deferred, counting how many passes reach each context.  For `k` owner
+//! chains of depth `d` over one shared context that is `k + 1` expansions
+//! where the unpruned closure makes `k·d`.  No mark is touched beyond what
+//! the walks reach, so a query on a chain inside a large network stays
+//! proportional to the chain.  Through a [`DominatorResolver`] a leaf costs
+//! one id lookup, and a *cached* answer for any other context one id lookup,
+//! one union-find `find` and one array read.
 
-use crate::graph::OwnershipGraph;
+use crate::graph::{Dir, OwnershipGraph, Scratch};
 use aeon_types::{ContextId, Result};
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::ops::Range;
+use std::collections::BTreeSet;
 
 /// The result of a dominator query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -102,132 +105,21 @@ pub enum DominatorMode {
     Closure,
 }
 
-/// Direction of a walk along ownership edges.
-#[derive(Debug, Clone, Copy)]
-enum Dir {
-    /// Towards the owners.
-    Up = 0,
-    /// Towards the owned.
-    Down = 1,
-}
-
-/// What a query knows about one context it touched.
-#[derive(Debug, Default)]
-struct Slot {
-    id: ContextId,
-    /// Where [`Walk::links`] holds the local ids of the context's direct
-    /// owners (`Dir::Up`) and directly owned contexts (`Dir::Down`), once a
-    /// walk has needed them.
-    links: [Option<Range<u32>>; 2],
-    /// In `share ∪ {target}` (or its closure) so far.
-    member: bool,
-    /// Epoch of the last expansion that found the context strictly below
-    /// the expanded member.  Non-zero for good afterwards, which is all a
-    /// later coverage check needs.
-    below: u32,
-    /// Epoch of the last ancestor walk that reached the context.
-    above: u32,
-    /// Epoch of the last upward walk that reached the context.
-    seen: u32,
-    /// Least-upper-bound passes that reached the context.
-    hits: u32,
-}
-
-/// The arena of one query: dense local ids for the contexts it touches,
-/// their adjacency in local ids, and the marks of every walk.  A mark is
-/// set when it equals [`Walk::epoch`], so starting the next walk is one
-/// increment.
-#[derive(Debug)]
-struct Walk<'g> {
-    graph: &'g OwnershipGraph,
-    local: HashMap<ContextId, u32>,
-    slots: Vec<Slot>,
-    links: Vec<u32>,
-    epoch: u32,
-    /// The target (local id 0), then the share members in the order found;
-    /// doubles as the closure's worklist.
-    members: Vec<u32>,
-    /// Breadth-first queue of the walk in progress.
-    region: Vec<u32>,
-    /// Calls of [`Walk::expand`], for the tests of the cost model.
-    expansions: usize,
-}
-
-/// Initial capacity of a [`Walk`]: the sharing regions of the paper's
-/// applications are tens of contexts, and growing the arena step by step
-/// from nothing doubles the cost of a query that small.
-const REGION_HINT: usize = 64;
-
-impl<'g> Walk<'g> {
+/// The walks of a query, on the slots of `graph`.
+impl Scratch {
     /// Starts a query by expanding `target`: `members` is then `{target} ∪
-    /// share(target)`.  `None` for a leaf — what most events target — which
-    /// shares nothing and so dominates itself.
-    fn new(graph: &'g OwnershipGraph, target: ContextId) -> Result<Option<Self>> {
-        if graph.children(target)?.is_empty() {
-            return Ok(None);
-        }
-        let mut walk = Walk {
-            graph,
-            local: HashMap::with_capacity(REGION_HINT),
-            slots: Vec::with_capacity(REGION_HINT),
-            links: Vec::with_capacity(2 * REGION_HINT),
-            epoch: 0,
-            members: Vec::new(),
-            region: Vec::with_capacity(REGION_HINT),
-            expansions: 0,
-        };
-        let target = walk.intern(target);
-        walk.add_member(target);
-        let alone = walk.is_maximal(target);
+    /// share(target)`.
+    fn start(&mut self, graph: &OwnershipGraph, target: u32) {
+        self.add_member(target);
+        let alone = self.is_maximal(graph, target);
         debug_assert!(alone, "nothing covers the only member");
-        walk.expand(target);
-        Ok(Some(walk))
-    }
-
-    fn intern(&mut self, id: ContextId) -> u32 {
-        let next = u32::try_from(self.slots.len()).expect("fewer than 2^32 contexts");
-        *self.local.entry(id).or_insert_with(|| {
-            self.slots.push(Slot {
-                id,
-                ..Slot::default()
-            });
-            next
-        })
-    }
-
-    fn id(&self, v: u32) -> ContextId {
-        self.slots[v as usize].id
-    }
-
-    /// The range of `links` holding `v`'s neighbours in direction `dir`.
-    fn neighbours(&mut self, v: u32, dir: Dir) -> Range<usize> {
-        let range = match &self.slots[v as usize].links[dir as usize] {
-            Some(range) => range.clone(),
-            None => {
-                let graph = self.graph;
-                let id = self.id(v);
-                let adjacent = match dir {
-                    Dir::Up => graph.parents(id),
-                    Dir::Down => graph.children(id),
-                }
-                .expect("interned contexts are in the graph");
-                let start = self.links.len() as u32;
-                for n in adjacent {
-                    let n = self.intern(*n);
-                    self.links.push(n);
-                }
-                let range = start..self.links.len() as u32;
-                self.slots[v as usize].links[dir as usize] = Some(range.clone());
-                range
-            }
-        };
-        range.start as usize..range.end as usize
+        self.expand(graph, target);
     }
 
     fn add_member(&mut self, v: u32) {
-        let slot = &mut self.slots[v as usize];
-        if !slot.member {
-            slot.member = true;
+        let mark = &mut self.marks[v as usize];
+        if mark.member <= self.base {
+            mark.member = self.epoch;
             self.members.push(v);
         }
     }
@@ -235,9 +127,9 @@ impl<'g> Walk<'g> {
     /// Starts a new epoch and marks the strict ancestors of `m` in it.
     /// Returns `false` as soon as one of them is a member or lies below an
     /// expanded member: `m` is then covered, and the marks are partial.
-    fn is_maximal(&mut self, m: u32) -> bool {
-        self.epoch += 1;
-        if self.slots[m as usize].below != 0 {
+    fn is_maximal(&mut self, graph: &OwnershipGraph, m: u32) -> bool {
+        let epoch = self.next_epoch();
+        if self.marks[m as usize].below > self.base {
             return false;
         }
         self.region.clear();
@@ -245,14 +137,13 @@ impl<'g> Walk<'g> {
         let mut next = 0;
         while let Some(&v) = self.region.get(next) {
             next += 1;
-            for i in self.neighbours(v, Dir::Up) {
-                let p = self.links[i];
-                let slot = &mut self.slots[p as usize];
-                if slot.member || slot.below != 0 {
+            for &p in graph.adjacent(v, Dir::Up) {
+                let mark = &mut self.marks[p as usize];
+                if mark.member > self.base || mark.below > self.base {
                     return false;
                 }
-                if slot.above != self.epoch {
-                    slot.above = self.epoch;
+                if mark.above != epoch {
+                    mark.above = epoch;
                     self.region.push(p);
                 }
             }
@@ -263,7 +154,7 @@ impl<'g> Walk<'g> {
     /// Adds `share(m)` to the members.  Classifies against the ancestor
     /// marks of the current epoch, so `is_maximal(m)` must have just
     /// returned `true`.
-    fn expand(&mut self, m: u32) {
+    fn expand(&mut self, graph: &OwnershipGraph, m: u32) {
         self.expansions += 1;
         let epoch = self.epoch;
         // Down: `region` becomes `desc(m)`.
@@ -272,11 +163,10 @@ impl<'g> Walk<'g> {
         let mut next = 0;
         while let Some(&v) = self.region.get(next) {
             next += 1;
-            for i in self.neighbours(v, Dir::Down) {
-                let c = self.links[i];
-                let slot = &mut self.slots[c as usize];
-                if slot.below != epoch {
-                    slot.below = epoch;
+            for &c in graph.adjacent(v, Dir::Down) {
+                let mark = &mut self.marks[c as usize];
+                if mark.below != epoch {
+                    mark.below = epoch;
                     self.region.push(c);
                 }
             }
@@ -288,16 +178,15 @@ impl<'g> Walk<'g> {
         let mut next = 1;
         while let Some(&v) = self.region.get(next) {
             next += 1;
-            let descendant = self.slots[v as usize].below == epoch;
-            for i in self.neighbours(v, Dir::Up) {
-                let p = self.links[i];
+            let descendant = self.marks[v as usize].below == epoch;
+            for &p in graph.adjacent(v, Dir::Up) {
                 if p == m {
                     continue;
                 }
-                let slot = &mut self.slots[p as usize];
-                let comparable = slot.below == epoch || slot.above == epoch;
-                if !comparable && slot.seen != epoch {
-                    slot.seen = epoch;
+                let mark = &mut self.marks[p as usize];
+                let comparable = mark.below == epoch || mark.above == epoch;
+                if !comparable && mark.seen != epoch {
+                    mark.seen = epoch;
                     self.region.push(p);
                 }
                 if descendant || !comparable {
@@ -310,51 +199,39 @@ impl<'g> Walk<'g> {
     /// The least context that is an ancestor-or-self of every one of
     /// `tops`, by counting: one upward pass per top, and the common upper
     /// bounds are the contexts every pass reached.
-    fn least_upper_bound(&mut self, tops: &[u32]) -> Dominator {
-        if let [only] = tops {
-            return Dominator::Context(self.id(*only));
+    fn least_upper_bound(&mut self, graph: &OwnershipGraph) -> Dominator {
+        if let [only] = self.tops[..] {
+            return Dominator::Context(graph.id_of(only));
         }
-        for &top in tops {
-            self.epoch += 1;
-            let epoch = self.epoch;
-            self.region.clear();
-            self.region.push(top);
-            self.slots[top as usize].seen = epoch;
-            let mut next = 0;
-            while let Some(&v) = self.region.get(next) {
-                next += 1;
-                self.slots[v as usize].hits += 1;
-                for i in self.neighbours(v, Dir::Up) {
-                    let p = self.links[i];
-                    let slot = &mut self.slots[p as usize];
-                    if slot.seen != epoch {
-                        slot.seen = epoch;
-                        self.region.push(p);
-                    }
-                }
+        // A count is kept relative to `zero`, so whatever an earlier query
+        // left in `hits` reads as no pass at all.
+        let zero = self.epoch;
+        for i in 0..self.tops.len() {
+            let top = self.tops[i];
+            graph.reach(self, top, Dir::Up);
+            for v in &self.region {
+                let mark = &mut self.marks[*v as usize];
+                mark.hits = mark.hits.max(zero) + 1;
             }
         }
         // `region` is what the last pass reached, a superset of the common
         // bounds.  Those are closed upwards, so the least one is the only
         // one that owns no other; several such, or none, mean no least.
-        self.epoch += 1;
-        let epoch = self.epoch;
-        let all = tops.len() as u32;
-        for j in 0..self.region.len() {
-            let v = self.region[j];
-            if self.slots[v as usize].hits == all {
-                for i in self.neighbours(v, Dir::Up) {
-                    let p = self.links[i];
-                    self.slots[p as usize].seen = epoch;
+        let all = self.epoch;
+        let epoch = self.next_epoch();
+        for v in &self.region {
+            if self.marks[*v as usize].hits == all {
+                for p in graph.adjacent(*v, Dir::Up) {
+                    self.marks[*p as usize].seen = epoch;
                 }
             }
         }
         let mut least = self.region.iter().filter(|v| {
-            let slot = &self.slots[**v as usize];
-            slot.hits == all && slot.seen != epoch
+            let mark = &self.marks[**v as usize];
+            mark.hits == all && mark.seen != epoch
         });
         match (least.next(), least.next()) {
-            (Some(v), None) => Dominator::Context(self.id(*v)),
+            (Some(v), None) => Dominator::Context(graph.id_of(*v)),
             _ => Dominator::GlobalRoot,
         }
     }
@@ -367,9 +244,15 @@ impl<'g> Walk<'g> {
 /// Returns [`ContextNotFound`](aeon_types::AeonError::ContextNotFound) if
 /// `target` is unknown.
 pub fn share_set(graph: &OwnershipGraph, target: ContextId) -> Result<BTreeSet<ContextId>> {
-    Ok(Walk::new(graph, target)?
-        .map(|walk| walk.members[1..].iter().map(|m| walk.id(*m)).collect())
-        .unwrap_or_default())
+    let target = graph.slot_of(target)?;
+    if graph.adjacent(target, Dir::Down).is_empty() {
+        return Ok(BTreeSet::new());
+    }
+    Ok(graph.with_scratch(|scratch| {
+        scratch.start(graph, target);
+        let share = scratch.members[1..].iter();
+        share.map(|m| graph.id_of(*m)).collect()
+    }))
 }
 
 /// Computes the dominator of `target` using the requested [`DominatorMode`].
@@ -383,50 +266,64 @@ pub fn dominator_of(
     target: ContextId,
     mode: DominatorMode,
 ) -> Result<Dominator> {
-    resolve(graph, target, mode).map(|(dominator, _)| dominator)
+    Ok(resolve(graph, graph.slot_of(target)?, mode).0)
 }
 
-/// The dominator of `target` and the number of expansions it took.
-fn resolve(
-    graph: &OwnershipGraph,
-    target: ContextId,
-    mode: DominatorMode,
-) -> Result<(Dominator, usize)> {
-    let Some(mut walk) = Walk::new(graph, target)? else {
-        return Ok((Dominator::Context(target), 0));
-    };
-    // The members no other member covered when their turn came: the only
-    // ones expanded, and a superset of the maxima of the final set.
-    let mut tops = vec![walk.members[0]];
-    let mut next = 1;
-    while let Some(&m) = walk.members.get(next) {
-        next += 1;
-        if walk.is_maximal(m) {
-            tops.push(m);
-            if mode == DominatorMode::Closure {
-                walk.expand(m);
+/// The dominator of the context in slot `target` and the number of
+/// expansions it took.  A leaf shares nothing and so dominates itself.
+fn resolve(graph: &OwnershipGraph, target: u32, mode: DominatorMode) -> (Dominator, usize) {
+    if graph.adjacent(target, Dir::Down).is_empty() {
+        return (Dominator::Context(graph.id_of(target)), 0);
+    }
+    graph.with_scratch(|scratch| {
+        scratch.start(graph, target);
+        // The members no other member covered when their turn came: the
+        // only ones expanded, and a superset of the maxima of the final set.
+        scratch.tops.push(target);
+        let mut next = 1;
+        while let Some(&m) = scratch.members.get(next) {
+            next += 1;
+            if scratch.is_maximal(graph, m) {
+                scratch.tops.push(m);
+                if mode == DominatorMode::Closure {
+                    scratch.expand(graph, m);
+                }
             }
         }
-    }
-    Ok((walk.least_upper_bound(&tops), walk.expansions))
+        (scratch.least_upper_bound(graph), scratch.expansions)
+    })
 }
 
 /// A caching dominator resolver.
 ///
-/// Dominators are queried on every event dispatch, so the resolver caches
-/// results and invalidates the cache whenever the ownership graph version
-/// changes (i.e. after any mutation such as a context creation or an
-/// ownership change).
+/// Dominators are queried on every event dispatch, so the resolver keeps
+/// the answers that took a walk, by slot, with the stamp the target's sharing component had
+/// when each was computed, and serves one exactly as long as that stamp is
+/// still the component's.  A dominator depends only on what its target
+/// reaches along ownership edges in either direction; every mutation stamps
+/// the component it touched and components only ever merge, so they are
+/// supersets of those regions and an unchanged stamp means an unchanged
+/// region — while a mutation elsewhere in the network costs this target
+/// nothing.  (A long-lived graph whose components have all merged is back
+/// to one stamp for everything.)  A resolver follows the history of *one*
+/// graph: the stamps of two graphs that were mutated apart, or of a graph
+/// and an older checkpoint of it, are not comparable.
 #[derive(Debug)]
 pub struct DominatorResolver {
     mode: DominatorMode,
-    cache: RwLock<Cache>,
+    cache: RwLock<Vec<Entry>>,
+    /// Queries the cache could not answer.
+    #[cfg(test)]
+    misses: std::sync::atomic::AtomicUsize,
 }
 
-#[derive(Debug, Default)]
-struct Cache {
-    version: u64,
-    map: BTreeMap<ContextId, Dominator>,
+/// The answer for the context `target`, valid while `stamp` is the stamp of
+/// its component.  Stamp 0 is no graph's: the entry is empty.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    stamp: u64,
+    target: ContextId,
+    dominator: Dominator,
 }
 
 impl Default for DominatorResolver {
@@ -440,7 +337,9 @@ impl DominatorResolver {
     pub fn new(mode: DominatorMode) -> Self {
         Self {
             mode,
-            cache: RwLock::new(Cache::default()),
+            cache: RwLock::default(),
+            #[cfg(test)]
+            misses: Default::default(),
         }
     }
 
@@ -456,27 +355,47 @@ impl DominatorResolver {
     /// Returns [`ContextNotFound`](aeon_types::AeonError::ContextNotFound) if
     /// `target` is unknown.
     pub fn dominator(&self, graph: &OwnershipGraph, target: ContextId) -> Result<Dominator> {
-        {
-            let cache = self.cache.read();
-            if cache.version == graph.version() {
-                if let Some(dom) = cache.map.get(&target) {
-                    return Ok(*dom);
-                }
+        let slot = graph.slot_of(target)?;
+        // A leaf — what most events target — shares nothing and dominates
+        // itself, which is cheaper to see than to look up.
+        if graph.adjacent(slot, Dir::Down).is_empty() {
+            return Ok(Dominator::Context(target));
+        }
+        let stamp = graph.stamp_of(slot);
+        if let Some(entry) = self.cache.read().get(slot as usize) {
+            if entry.stamp == stamp && entry.target == target {
+                return Ok(entry.dominator);
             }
         }
-        let dom = dominator_of(graph, target, self.mode)?;
+        #[cfg(test)]
+        self.misses
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dominator = resolve(graph, slot, self.mode).0;
+        let entry = Entry {
+            stamp,
+            target,
+            dominator,
+        };
         let mut cache = self.cache.write();
-        if cache.version != graph.version() {
-            cache.map.clear();
-            cache.version = graph.version();
+        if cache.len() <= slot as usize {
+            let empty = Entry { stamp: 0, ..entry };
+            cache.resize(slot as usize + 1, empty);
         }
-        cache.map.insert(target, dom);
-        Ok(dom)
+        cache[slot as usize] = entry;
+        Ok(dominator)
     }
 
-    /// Number of cached entries (diagnostics / tests).
-    pub fn cached_entries(&self) -> usize {
-        self.cache.read().map.len()
+    /// Number of cached entries that still answer for `graph` (diagnostics /
+    /// tests).
+    pub fn cached_entries(&self, graph: &OwnershipGraph) -> usize {
+        let cache = self.cache.read();
+        (0..graph.slot_count().min(cache.len()))
+            .filter(|slot| {
+                let entry = &cache[*slot];
+                let slot = *slot as u32;
+                entry.stamp == graph.stamp_of(slot) && entry.target == graph.id_of(slot)
+            })
+            .count()
     }
 }
 
@@ -488,6 +407,12 @@ mod tests {
 
     fn ctx(n: u64) -> ContextId {
         ContextId::new(n)
+    }
+
+    impl DominatorResolver {
+        fn misses(&self) -> usize {
+            self.misses.load(std::sync::atomic::Ordering::Relaxed)
+        }
     }
 
     #[test]
@@ -606,27 +531,124 @@ mod tests {
     }
 
     #[test]
-    fn resolver_caches_until_graph_changes() {
+    fn resolver_caches_until_the_component_changes() {
         let (mut g, ids) = game_graph();
         let resolver = DominatorResolver::default();
         assert_eq!(
             resolver.dominator(&g, ids.player1).unwrap(),
             Dominator::Context(ids.kings_room)
         );
-        assert_eq!(resolver.cached_entries(), 1);
+        assert_eq!(resolver.cached_entries(&g), 1);
         resolver.dominator(&g, ids.player3).unwrap();
-        assert_eq!(resolver.cached_entries(), 2);
-        // Mutating the graph invalidates the cache on next query.
+        assert_eq!((resolver.cached_entries(&g), resolver.misses()), (2, 2));
+        resolver.dominator(&g, ids.player3).unwrap();
+        assert_eq!(resolver.misses(), 2, "a repeated query is a hit");
+        // The game is one component: a mutation anywhere in it leaves no
+        // entry valid.
         g.remove_edge(ids.player1, ids.treasure).unwrap();
+        assert_eq!(resolver.cached_entries(&g), 0);
         resolver.dominator(&g, ids.player3).unwrap();
-        assert_eq!(resolver.cached_entries(), 1);
-        // With the Player1 -> Treasure edge gone, Player1 still shares the
-        // Treasure's owner set?  No: Player1 no longer reaches Treasure, so
-        // it only dominates itself.
+        assert_eq!((resolver.cached_entries(&g), resolver.misses()), (1, 3));
+        // Player1 no longer reaches the Treasure, so it only dominates
+        // itself.
         assert_eq!(
             resolver.dominator(&g, ids.player1).unwrap(),
             Dominator::Context(ids.player1)
         );
+    }
+
+    /// Two rooms of two players sharing an item each, not connected: ids
+    /// `base..base + 4` are room, player, player, item.
+    fn add_room(g: &mut OwnershipGraph, base: u64) {
+        for (i, class) in ["Room", "Player", "Player", "Item"].iter().enumerate() {
+            g.add_context(ctx(base + i as u64), *class).unwrap();
+        }
+        for (owner, owned) in [(0, 1), (0, 2), (1, 3), (2, 3)] {
+            g.add_edge(ctx(base + owner), ctx(base + owned)).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_mutation_invalidates_its_own_component_only() {
+        let mut g = OwnershipGraph::new();
+        add_room(&mut g, 10);
+        add_room(&mut g, 20);
+        let resolver = DominatorResolver::default();
+        let query_all = |g: &OwnershipGraph| {
+            let before = resolver.misses();
+            for target in g.contexts() {
+                let cached = resolver.dominator(g, target).unwrap();
+                assert_eq!(cached, dominator_of(g, target, resolver.mode()).unwrap());
+            }
+            resolver.misses() - before
+        };
+        // The items are leaves: answered from their empty child sets,
+        // neither missed nor kept.
+        assert_eq!(query_all(&g), 6);
+        assert_eq!((query_all(&g), resolver.cached_entries(&g)), (0, 6));
+        // Unsharing room A's item: A's three entries miss (one of its
+        // players is a leaf from now on), B's three hit.
+        g.remove_edge(ctx(12), ctx(13)).unwrap();
+        assert_eq!(resolver.cached_entries(&g), 3);
+        assert_eq!(query_all(&g), 2);
+        assert_eq!(
+            resolver.dominator(&g, ctx(11)).unwrap(),
+            Dominator::Context(ctx(11))
+        );
+        // A room created on its own, with an item, touches neither.
+        add_room(&mut g, 30);
+        assert_eq!((query_all(&g), resolver.cached_entries(&g)), (3, 8));
+        // Removing B's item and creating a context in the freed slot: B
+        // misses (stamped at both), A and the new room do not.
+        g.remove_context(ctx(23)).unwrap();
+        g.add_context(ctx(40), "Item").unwrap();
+        assert_eq!(resolver.cached_entries(&g), 5);
+        g.add_edge(ctx(21), ctx(40)).unwrap();
+        assert_eq!((query_all(&g), resolver.cached_entries(&g)), (2, 7));
+        // An edge between rooms A and B merges them: both miss, the third
+        // room still hits.
+        g.add_edge(ctx(10), ctx(20)).unwrap();
+        assert_eq!(resolver.cached_entries(&g), 3);
+        assert_eq!(query_all(&g), 4);
+        // Components do not split: cutting the edge again restamps both.
+        g.remove_edge(ctx(10), ctx(20)).unwrap();
+        assert_eq!((query_all(&g), resolver.cached_entries(&g)), (4, 7));
+    }
+
+    #[test]
+    fn a_restored_graph_never_reuses_a_stamp() {
+        // Built out of id order, so the restored copy (rebuilt ascending)
+        // lays its slots out differently.
+        let mut g = OwnershipGraph::new();
+        add_room(&mut g, 20);
+        add_room(&mut g, 10);
+        g.remove_edge(ctx(21), ctx(23)).unwrap();
+        let resolver = DominatorResolver::default();
+        for target in g.contexts() {
+            resolver.dominator(&g, target).unwrap();
+        }
+        let mut restored = OwnershipGraph::from_value(&g.to_value()).unwrap();
+        assert_eq!(restored, g);
+        let check = |restored: &OwnershipGraph| {
+            let fresh = DominatorResolver::default();
+            for target in restored.contexts() {
+                assert_eq!(
+                    resolver.dominator(restored, target).unwrap(),
+                    fresh.dominator(restored, target).unwrap(),
+                    "stale dominator for {target}"
+                );
+            }
+        };
+        check(&restored);
+        restored.add_edge(ctx(21), ctx(23)).unwrap();
+        check(&restored);
+        restored.add_edge(ctx(13), ctx(20)).unwrap();
+        check(&restored);
+        restored.remove_context(ctx(10)).unwrap();
+        check(&restored);
+        restored.add_context(ctx(40), "Room").unwrap();
+        restored.add_edge(ctx(40), ctx(11)).unwrap();
+        check(&restored);
     }
 
     /// Builds a random DAG by only adding edges from lower ids to higher ids
@@ -820,7 +842,7 @@ mod tests {
         }
         for mode in MODES {
             for user in g.contexts() {
-                let (dom, expansions) = resolve(&g, user, mode).unwrap();
+                let (dom, expansions) = resolve(&g, g.slot_of(user).unwrap(), mode);
                 assert_eq!(dom, Dominator::Context(user));
                 assert!(expansions <= 1);
             }
@@ -834,7 +856,8 @@ mod tests {
             for d in [2, 5, 20] {
                 let (g, roots, chains, _) = celebrity(1, k, d);
                 for target in [chains[0][0], *chains[0].last().unwrap()] {
-                    let (dom, expansions) = resolve(&g, target, DominatorMode::Closure).unwrap();
+                    let target = g.slot_of(target).unwrap();
+                    let (dom, expansions) = resolve(&g, target, DominatorMode::Closure);
                     assert_eq!(dom, Dominator::Context(roots[0]));
                     assert!(
                         expansions as u64 <= k + 1,
@@ -880,27 +903,41 @@ mod tests {
             }
         }
 
-        /// One resolver, queried between arbitrary mutations, always
-        /// answers for the graph as it is now.
+        /// Resolvers queried between arbitrary mutations — contexts removed
+        /// and re-created in recycled slots, edges joining components, edges
+        /// and contexts leaving one — always answer for the graph as it is
+        /// now: `eager` for every context after every step (against a fresh
+        /// walk, itself pinned to the oracle above), `lazy` only when an op
+        /// asks, so its entries are of every age (against the oracle).
         #[test]
         fn resolver_follows_interleaved_mutations(
             closure in any::<bool>(),
-            ops in proptest::collection::vec((0u8..6, 0u64..12, 0u64..12), 1..120),
+            ops in proptest::collection::vec((0u8..8, 0u64..12, 0u64..12), 1..120),
         ) {
             let mode = MODES[closure as usize];
-            let resolver = DominatorResolver::new(mode);
+            let (eager, lazy) = (DominatorResolver::new(mode), DominatorResolver::new(mode));
             let mut g = OwnershipGraph::new();
             for (op, a, b) in ops {
                 let (a, b) = (ctx(a), ctx(b));
                 match op {
-                    0 => { let _ = g.add_context(a, "C"); }
-                    1 | 2 => { let _ = g.add_edge(a, b); }
-                    3 => { let _ = g.remove_edge(a, b); }
-                    _ => match resolver.dominator(&g, a) {
+                    0 | 1 => { let _ = g.add_context(a, "C"); }
+                    2 | 3 => { let _ = g.add_edge(a, b); }
+                    4 => { let _ = g.remove_edge(a, b); }
+                    5 => { let _ = g.remove_context(a); }
+                    _ => match lazy.dominator(&g, a) {
                         Ok(dom) => prop_assert_eq!(dom, dominator_oracle(&g, a, mode)),
                         Err(_) => prop_assert!(!g.contains(a)),
                     },
                 }
+                for target in g.contexts() {
+                    prop_assert_eq!(
+                        eager.dominator(&g, target),
+                        dominator_of(&g, target, mode),
+                        "stale dominator for {} after op {}", target, op
+                    );
+                }
+                let walked = g.contexts().filter(|c| !g.children(*c).unwrap().is_empty());
+                prop_assert_eq!(eager.cached_entries(&g), walked.count());
             }
         }
     }

@@ -36,7 +36,7 @@ pub fn find_path(graph: &OwnershipGraph, from: ContextId, to: ContextId) -> Resu
     let mut visited: BTreeSet<ContextId> = BTreeSet::from([from]);
     let mut queue = VecDeque::from([from]);
     while let Some(cur) = queue.pop_front() {
-        for &child in graph.children(cur)? {
+        for child in graph.children(cur)? {
             if visited.insert(child) {
                 predecessor.insert(child, cur);
                 if child == to {

@@ -8,11 +8,15 @@
 //!
 //! The full-scale leg deploys ≥ 10⁶ contexts on the runtime backend and is
 //! gated behind `AEON_SOCIAL_SCALE=1` (it allocates roughly a million
-//! live contexts; CI runs smoke only):
+//! live contexts; CI runs it as a step of its own after the smoke one):
 //!
 //! ```text
-//! AEON_SOCIAL_SCALE=1 cargo test --release --test social_scale -- --ignored
+//! AEON_SOCIAL_SCALE=1 cargo test --release --test social_scale social_full_scale -- --nocapture
 //! ```
+//!
+//! It prints how long the deployment took and the process's peak resident
+//! set, which is what shows working memory that grows per query or per
+//! thread instead of per deployment.
 //!
 //! The deterministic-replay regression at the bottom runs the same seeded
 //! stream twice through the virtual-time simulator and requires bitwise
@@ -178,7 +182,13 @@ fn social_full_scale_million_contexts() {
         .class_graph(social_class_graph())
         .build()
         .unwrap();
+    let started = std::time::Instant::now();
     let world = deploy_social(&runtime, &config).unwrap();
+    eprintln!(
+        "social_full_scale_million_contexts: {} contexts deployed in {:.1} s",
+        config.total_contexts(),
+        started.elapsed().as_secs_f64()
+    );
     assert_deployment_sane(&runtime, &config);
 
     // A bounded skewed stream over the million-context graph; the feeds it
@@ -197,6 +207,17 @@ fn social_full_scale_million_contexts() {
     }
     assert_deployment_sane(&runtime, &config);
     runtime.shutdown();
+    eprintln!(
+        "social_full_scale_million_contexts: peak resident set {}",
+        peak_resident_set().as_deref().unwrap_or("unknown")
+    );
+}
+
+/// The `VmHWM` line of `/proc/self/status` (Linux only, best effort).
+fn peak_resident_set() -> Option<String> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|line| line.starts_with("VmHWM:"))?;
+    Some(line["VmHWM:".len()..].trim().to_string())
 }
 
 /// Deterministic-replay regression: the same seed must produce bitwise
