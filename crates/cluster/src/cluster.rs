@@ -5,14 +5,27 @@
 //! (it knows the context mapping and routes each event to the server hosting
 //! the dominator of its target, §5.1) and the *eManager driver* for
 //! migrations (§5.2).  It never touches context state.
+//!
+//! The gateway has no thread of its own either.  It serves its id on the
+//! network with [`gateway_handle`], which therefore runs on whichever thread
+//! delivers a message (see `node.rs` for the delivery rules, which are the
+//! same here): a node's pool worker completing an event (`Done`), the
+//! caller of a control operation whose acknowledgement came back before it
+//! could park, a transport reader over TCP.  Every arm completes a waiting
+//! caller through its channel or sends; none waits.  The `Done` arm submits
+//! the event's sub-events, i.e. routes and sends from inside a handler —
+//! which is why [`ClusterInner::send`] must never run under a guard.  The
+//! handler holds the cluster weakly: a cluster is owned by its `Cluster` /
+//! `ClusterClient` handles alone, and `shutdown` (or dropping the last of
+//! them) deregisters every handler, joins every pool and transport thread,
+//! and leaves nothing behind.
 
 use crate::directory::Directory;
 use crate::message::{gateway_id, virtual_root, ClusterMessage, EventDescriptor, FreezeMember};
-use crate::node::{spawn_node, NodeHandle};
+use crate::node::{spawn_node, NodeShared};
 use crate::wire::message_wire_len;
 use aeon_net::{
-    ChannelTransport, Endpoint, MessageSizer, Network, NetworkStats, TcpTransport,
-    TcpTransportConfig,
+    ChannelTransport, MessageSizer, Network, NetworkStats, TcpTransport, TcpTransportConfig,
 };
 use aeon_ownership::{ClassGraph, ControlPlane, Dominator, OwnershipGraph};
 use aeon_runtime::{
@@ -36,8 +49,6 @@ use std::time::Duration;
 const CONTROL_TIMEOUT: Duration = Duration::from_secs(10);
 /// Default time a client waits for an event to complete.
 const EVENT_TIMEOUT: Duration = Duration::from_secs(60);
-/// Poll interval of the gateway receive loop.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// How the cluster's servers exchange messages.
 #[derive(Debug, Clone, Default)]
@@ -229,7 +240,6 @@ impl ClusterBuilder {
                 }
             };
         let shared_stats = network.stats_handle();
-        let gateway_endpoint = network.register(gateway_id());
         let inner = Arc::new(ClusterInner {
             directory,
             network,
@@ -244,7 +254,19 @@ impl ClusterBuilder {
             pending_control: Mutex::new(HashMap::new()),
             corr: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
-            gateway_thread: Mutex::new(None),
+        });
+        let gateway = Arc::downgrade(&inner);
+        inner.network.serve(gateway_id(), move |message| {
+            let Some(inner) = gateway.upgrade() else {
+                return false;
+            };
+            gateway_handle(&inner, message);
+            // Should every handle have gone meanwhile, the cluster's
+            // destructor joins pool and transport threads — this may be one.
+            if let Some(last) = Arc::into_inner(inner) {
+                std::thread::spawn(move || drop(last));
+            }
+            true
         });
         if inner.mode == Mode::Mesh {
             // The server set is the external process mesh; the directory
@@ -257,12 +279,6 @@ impl ClusterBuilder {
                 inner.spawn_server();
             }
         }
-        let loop_inner = Arc::clone(&inner);
-        let thread = std::thread::Builder::new()
-            .name("aeon-gateway".into())
-            .spawn(move || gateway_loop(loop_inner, gateway_endpoint))
-            .expect("spawning the gateway thread succeeds");
-        *inner.gateway_thread.lock() = Some(thread);
         Ok(Cluster { inner })
     }
 }
@@ -290,14 +306,13 @@ struct ClusterInner {
     certified: CertifiedReads,
     /// Events the gateway routed as certified, unsequenced executions.
     fast_path: AtomicU64,
-    nodes: Mutex<BTreeMap<ServerId, NodeHandle>>,
+    nodes: Mutex<BTreeMap<ServerId, Arc<NodeShared>>>,
     /// Event completions waiting to be routed back to client handles.
     pending_events: Mutex<HashMap<u64, PendingEvent>>,
     /// Control acknowledgements (host, prepare, stop, install).
     pending_control: Mutex<HashMap<u64, Sender<ClusterMessage>>>,
     corr: AtomicU64,
     shutdown: AtomicBool,
-    gateway_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for ClusterInner {
@@ -369,31 +384,61 @@ impl ClusterInner {
     }
 
     /// Takes a stopped in-process node off the network: its id no longer
-    /// routes, and (loopback mode) its own listener, sockets and transport
-    /// threads are gone when this returns.
+    /// routes, its handler — which owned the node — is dropped, and
+    /// (loopback mode) its own listener, sockets and transport threads are
+    /// gone when this returns.
     fn detach_server(&self, server: ServerId) {
         self.network.deregister(server);
         let node_network = self.node_networks.lock().remove(&server);
         if let Some(network) = node_network {
+            network.deregister(server);
             network.shutdown_transport();
         }
+    }
+
+    /// Stops every in-process node and the gateway and joins every thread
+    /// they started.  Runs once, from `shutdown` or from the destructor.
+    fn teardown(&self) {
+        // Collected first: `crash` joins a pool, which is no time to hold
+        // the map.
+        let nodes: Vec<Arc<NodeShared>> = self.nodes.lock().values().cloned().collect();
+        for node in nodes {
+            node.crash();
+            self.detach_server(node.id);
+        }
+        self.network.deregister(gateway_id());
+        self.network.shutdown_transport();
     }
 
     fn next_corr(&self) -> u64 {
         self.corr.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// Sends `message` to `to`.  The node's handler may run inside this
+    /// call, on this thread, and answer the gateway before it returns:
+    /// **never call it with a guard held** (the plane's, `pending_*`,
+    /// `nodes`).
     fn send(&self, to: ServerId, message: ClusterMessage) -> Result<()> {
         self.network.send_from(gateway_id(), to, message)
     }
 
-    /// Sends a control message and waits for its acknowledgement.
+    /// Sends a control message and waits for its acknowledgement, which may
+    /// already be there when the send returns.
     fn control_round_trip(
         &self,
         to: ServerId,
         corr: u64,
         message: ClusterMessage,
     ) -> Result<ClusterMessage> {
+        // What a time-out is reported about: the context the message
+        // concerns, or the server when it concerns none (freeze, metrics).
+        let context = match &message {
+            ClusterMessage::Host { context, .. }
+            | ClusterMessage::Prepare { context, .. }
+            | ClusterMessage::Stop { context, .. }
+            | ClusterMessage::Migrate { context, .. } => Some(*context),
+            _ => None,
+        };
         let (tx, rx) = bounded(1);
         self.pending_control.lock().insert(corr, tx);
         if let Err(e) = self.send(to, message) {
@@ -404,9 +449,12 @@ impl ClusterInner {
             Ok(ack) => Ok(ack),
             Err(_) => {
                 self.pending_control.lock().remove(&corr);
-                Err(AeonError::MigrationFailed {
-                    context: ContextId::new(0),
-                    reason: format!("server {to} did not acknowledge a control message"),
+                Err(match context {
+                    Some(context) => AeonError::MigrationFailed {
+                        context,
+                        reason: format!("server {to} did not acknowledge a control message"),
+                    },
+                    None => AeonError::ServerNotFound(to),
                 })
             }
         }
@@ -587,65 +635,51 @@ fn sequencer_of(plane: &ControlPlane, target: ContextId) -> Result<Option<(Serve
     }
 }
 
-fn gateway_loop(inner: Arc<ClusterInner>, endpoint: Endpoint<ClusterMessage>) {
-    loop {
-        let received = endpoint.recv_timeout(POLL_INTERVAL);
-        // Looked at after every wake-up, not only the idle ones: `shutdown`
-        // raises the flag and then sends the gateway a message, so neither
-        // an idle nor a busy loop outlives it by a poll interval.
-        if inner.shutdown.load(Ordering::SeqCst) {
-            break;
+/// Handles one message addressed to the gateway, on the thread that
+/// delivered it; no arm waits (see the module docs).
+fn gateway_handle(inner: &ClusterInner, message: ClusterMessage) {
+    match message {
+        ClusterMessage::Done {
+            corr,
+            event,
+            result,
+            sub_events,
+        } => {
+            // Recorded before the completion is handed to the client,
+            // so anything submitted after the client observes the
+            // result is ordered after this event in real time.
+            if let Some(sink) = inner.directory.history_sink() {
+                sink.responded(event);
+            }
+            let pending = inner.pending_events.lock().remove(&corr);
+            let client = pending.and_then(|(client, tx)| {
+                let _ = tx.send(result);
+                client
+            });
+            // Sub-events start after their creator terminated (§3), on
+            // behalf of the same client.
+            for sub in sub_events {
+                let _ = inner.submit(client, sub.target, &sub.method, sub.args, sub.mode);
+            }
         }
-        let message = match received {
-            Ok(Some(m)) => m,
-            Ok(None) => continue,
-            Err(_) => break,
-        };
-        match message {
-            ClusterMessage::Done {
-                corr,
-                event,
-                result,
-                sub_events,
-            } => {
-                // Recorded before the completion is handed to the client,
-                // so anything submitted after the client observes the
-                // result is ordered after this event in real time.
-                if let Some(sink) = inner.directory.history_sink() {
-                    sink.responded(event);
-                }
-                let client = match inner.pending_events.lock().remove(&corr) {
-                    Some((client, tx)) => {
-                        let _ = tx.send(result);
-                        client
-                    }
-                    None => None,
-                };
-                // Sub-events start after their creator terminated (§3), on
-                // behalf of the same client.
-                for sub in sub_events {
-                    let _ = inner.submit(client, sub.target, &sub.method, sub.args, sub.mode);
-                }
-            }
-            ClusterMessage::DirReq { corr, from, op } => {
-                // Control-plane RPC from a node process: serve it at the
-                // directory authority and send the answer straight back.
-                let reply = inner.directory.serve_dir_op(op);
-                let _ = inner.send(from, ClusterMessage::DirAck { corr, reply });
-            }
-            ClusterMessage::HostAck { corr, .. }
-            | ClusterMessage::PrepareAck { corr, .. }
-            | ClusterMessage::StopAck { corr, .. }
-            | ClusterMessage::InstallAck { corr, .. }
-            | ClusterMessage::FreezeAck { corr, .. }
-            | ClusterMessage::MetricsAck { corr, .. } => {
-                let entry = inner.pending_control.lock().remove(&corr);
-                if let Some(tx) = entry {
-                    let _ = tx.send(message);
-                }
-            }
-            _ => {}
+        ClusterMessage::DirReq { corr, from, op } => {
+            // Control-plane RPC from a node process: serve it at the
+            // directory authority and send the answer straight back.
+            let reply = inner.directory.serve_dir_op(op);
+            let _ = inner.send(from, ClusterMessage::DirAck { corr, reply });
         }
+        ClusterMessage::HostAck { corr, .. }
+        | ClusterMessage::PrepareAck { corr, .. }
+        | ClusterMessage::StopAck { corr, .. }
+        | ClusterMessage::InstallAck { corr, .. }
+        | ClusterMessage::FreezeAck { corr, .. }
+        | ClusterMessage::MetricsAck { corr, .. } => {
+            let entry = inner.pending_control.lock().remove(&corr);
+            if let Some(tx) = entry {
+                let _ = tx.send(message);
+            }
+        }
+        _ => {}
     }
 }
 
@@ -1185,8 +1219,8 @@ impl Cluster {
     }
 
     /// Releases a drained server (scale-in): the node is taken offline, its
-    /// receive loop and worker pool are stopped and joined, and it is
-    /// removed from the network.
+    /// worker pool is stopped and joined, and it is removed from the
+    /// network.
     ///
     /// # Errors
     ///
@@ -1196,23 +1230,17 @@ impl Cluster {
     ///   — migrate them away first.
     pub fn remove_server(&self, server: ServerId) -> Result<()> {
         self.inner.plane().write().retire_server(server)?;
-        let mut nodes = self.inner.nodes.lock();
-        let Some(mut node) = nodes.remove(&server) else {
-            drop(nodes);
+        let node = self.inner.nodes.lock().remove(&server);
+        let Some(node) = node else {
             if self.inner.mode == Mode::Mesh {
-                // External process: ask it to exit and forget the peer; the
-                // process joins on its own receive loop.
+                // External process: ask it to exit and forget the peer.
                 let _ = self.inner.send(server, ClusterMessage::Shutdown);
                 self.inner.network.deregister(server);
                 return Ok(());
             }
             return Err(AeonError::ServerNotFound(server));
         };
-        drop(nodes);
         node.crash();
-        if let Some(thread) = node.thread.take() {
-            let _ = thread.join();
-        }
         self.inner.detach_server(server);
         Ok(())
     }
@@ -1265,12 +1293,8 @@ impl Cluster {
                 "crash injection is not available for external node processes".into(),
             ));
         }
-        let nodes = self.inner.nodes.lock();
-        let node = nodes
-            .get(&server)
-            .ok_or(AeonError::ServerNotFound(server))?;
-        node.crash();
-        drop(nodes);
+        let node = self.inner.nodes.lock().get(&server).cloned();
+        node.ok_or(AeonError::ServerNotFound(server))?.crash();
         // The node dropped its objects with the crash; the plane keeps the
         // contexts' identities for a later re-host.
         self.inner.plane().write().mark_crashed(server)?;
@@ -1383,45 +1407,25 @@ impl Cluster {
     }
 
     /// Shuts the cluster down: nodes stop accepting messages, blocked events
-    /// are aborted, and every node thread is joined.
+    /// are aborted, and every pool and transport thread is joined.
     pub fn shutdown(&self) {
         if self.inner.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
         if self.inner.mode == Mode::Mesh {
-            // The nodes are other OS processes: ask each to exit; their
-            // receive loops stop themselves.
+            // The nodes are other OS processes: ask each to exit.
             for server in self.servers() {
                 let _ = self.inner.send(server, ClusterMessage::Shutdown);
             }
         }
-        let mut nodes = self.inner.nodes.lock();
-        for node in nodes.values() {
-            node.crash();
-        }
-        for (_, node) in nodes.iter_mut() {
-            if let Some(thread) = node.thread.take() {
-                let _ = thread.join();
-            }
-        }
-        drop(nodes);
-        // Any message wakes the gateway loop, which then sees the flag.
-        let _ = self.inner.send(gateway_id(), ClusterMessage::Shutdown);
-        if let Some(thread) = self.inner.gateway_thread.lock().take() {
-            let _ = thread.join();
-        }
-        for (_, network) in self.inner.node_networks.lock().iter() {
-            network.shutdown_transport();
-        }
-        self.inner.network.shutdown_transport();
+        self.inner.teardown();
     }
 }
 
 impl Drop for ClusterInner {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        for (_, node) in self.nodes.lock().iter() {
-            node.crash();
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            self.teardown();
         }
     }
 }
@@ -1432,8 +1436,9 @@ mod tests {
     use std::net::TcpStream;
     use std::time::Instant;
 
-    /// Regression test: the gateway loop looked at the shutdown flag only
-    /// when its 50 ms poll timed out, so every shutdown took that long.
+    /// Regression test: the gateway loop of the time looked at the shutdown
+    /// flag only when its 50 ms poll timed out, so every shutdown took that
+    /// long.
     #[test]
     fn an_idle_cluster_shuts_down_without_waiting_out_a_poll_interval() {
         for transport in [ClusterTransport::Channel, ClusterTransport::TcpLoopback] {
@@ -1456,6 +1461,66 @@ mod tests {
                 "{transport:?}: median idle shutdown took {median:?} ({took:?})"
             );
         }
+    }
+
+    /// The handler that owns a node and the network the node holds form a
+    /// cycle; `shutdown`, `crash_server` and `remove_server` break it.
+    #[test]
+    fn no_node_outlives_its_cluster() {
+        for transport in [ClusterTransport::Channel, ClusterTransport::TcpLoopback] {
+            let cluster = Cluster::builder()
+                .servers(4)
+                .transport(transport.clone())
+                .build()
+                .unwrap();
+            let servers = cluster.servers();
+            let nodes: Vec<_> = cluster
+                .inner
+                .nodes
+                .lock()
+                .values()
+                .map(Arc::downgrade)
+                .collect();
+            cluster.crash_server(servers[0]).unwrap();
+            cluster.remove_server(servers[1]).unwrap();
+            assert!(nodes[1].upgrade().is_none(), "{transport:?}: removed");
+            cluster.shutdown();
+            drop(cluster);
+            for (node, server) in nodes.iter().zip(servers) {
+                assert!(node.upgrade().is_none(), "{transport:?}: {server}");
+            }
+        }
+    }
+
+    /// A class factory is application code reached from a handler that runs
+    /// on the sender's thread: its panic is the `HostAck`, not an unwind
+    /// into whoever sent the `Host`.
+    #[test]
+    fn a_factory_that_panics_in_the_host_arm_is_answered_not_unwound() {
+        let cluster = Cluster::builder().servers(1).build().unwrap();
+        cluster.register_class_factory("Item", Arc::new(|_: &Value| panic!("no such item")));
+        let inner = &cluster.inner;
+        let corr = inner.next_corr();
+        // An escrow token nothing was parked under, as a node in another
+        // process sees every `Host`.
+        let host = ClusterMessage::Host {
+            corr,
+            context: ContextId::new(77),
+            class: "Item".into(),
+            state: Value::Null,
+            escrow: u64::MAX,
+        };
+        let ack = inner.control_round_trip(cluster.servers()[0], corr, host);
+        let Ok(ClusterMessage::HostAck { result, .. }) = ack else {
+            panic!("no HostAck: {ack:?}");
+        };
+        assert_eq!(
+            result,
+            Err(AeonError::Panicked {
+                reason: "no such item".into()
+            })
+        );
+        cluster.shutdown();
     }
 
     /// Regression test: a crashed loopback node kept its listener, readers

@@ -178,8 +178,8 @@ impl Directory {
         }
     }
 
-    /// Answers one [`DirOp`]: from the plane at the authority (the gateway
-    /// loop calls this for every [`ClusterMessage::DirReq`] a node sends,
+    /// Answers one [`DirOp`]: from the plane at the authority (the gateway's
+    /// handler calls this for every [`ClusterMessage::DirReq`] a node sends,
     /// and in-process nodes reach it through the wrappers below), by RPC to
     /// the authority on a remote handle.  Queries take a read guard on the
     /// plane, changes a write guard, each for the one plane call only.

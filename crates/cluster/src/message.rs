@@ -383,7 +383,7 @@ pub enum ClusterMessage {
         /// message).
         metrics: Box<NodeMetrics>,
     },
-    /// Gateway → server: stop the receive loop and poison every local lock.
+    /// Gateway → server: take no further message and poison every local lock.
     Shutdown,
 }
 

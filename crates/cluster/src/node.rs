@@ -1,14 +1,47 @@
 //! A cluster server node: hosts context state, executes its share of every
 //! event, and participates in the migration protocol.
 //!
-//! Each node runs a receive loop on its own thread.  Messages that may block
-//! (activating a lock, executing a method, migrating a context) are handed
-//! to the node's sharded worker pool so the receive loop always stays
-//! responsive.  The pool is fixed-size (a thread per blocking message does
-//! not scale); tasks are sharded by the context they concern, and the
-//! pool's spill escape hatch keeps the node live when every resident
-//! worker is parked on a remote call or a lock held by a yet-unscheduled
-//! message (see `aeon_runtime::executor`).
+//! A node has no thread of its own that receives.  It *serves* its id on the
+//! network ([`aeon_net::Network::serve`]): [`dispatch`] is called with each
+//! message on whichever thread delivers it — the sender's (a client in
+//! `submit`, the gateway's caller in a control round trip, a pool worker of
+//! this or another node) on the channel transport, a connection's reader
+//! thread over TCP.  What makes that safe:
+//!
+//! * **`dispatch` never waits.**  Every arm that can — `Act` (the sequencer
+//!   lock), `Exec` / `ExecCertified` / `Call` (activation locks, the method
+//!   body, remote calls), `Migrate` (exclusive access), `Install` (the class
+//!   factory, the replay), `FreezeReq` (one activation per member) — goes to
+//!   the node's sharded worker pool through `offload`, an unbounded push
+//!   that does not block.  The pool is fixed-size (a thread per blocking
+//!   message does not scale); tasks are sharded by the context they
+//!   concern, and the pool's spill escape hatch keeps the node live when
+//!   every resident worker is parked on a remote call or a lock held by a
+//!   yet-unscheduled message (see `aeon_runtime::executor`).  The arms that
+//!   run in line only flip a map and send an acknowledgement: `Host`
+//!   (insert the object; its class factory, the one piece of application
+//!   code reached from here, runs under the panic boundary), `Prepare` /
+//!   `Stop` (open a buffer), `Release` / `ThawReq` (releasing a lock never
+//!   blocks), `CallReply` / `DirAck` (complete a waiting caller),
+//!   `FreezeReq`'s registration, `MetricsReq` (read counters), `Shutdown`.
+//! * **No guard is held across a send** ([`NodeShared::send`]): the
+//!   receiver's handler runs inside the send and may come straight back
+//!   here.
+//! * **`dispatch` is entered from many threads at once** — it always was,
+//!   from pool workers (`handle_act` for a local target, `handle_install`'s
+//!   replay) beside the receive loop this design removed: everything it
+//!   touches is a lock-protected map or an atomic.
+//! * **Recursion is bounded by the protocol**, not by load.  The longest
+//!   chain is a worker's `Done` → the gateway's arm → a sub-event's `submit`
+//!   → `route` → this `dispatch` → `offload`, where it ends.  A forwarded
+//!   request is a nested `dispatch` per hop; the hops follow the context's
+//!   moves forward in time and `Prepare` drops the pointer of a context
+//!   that returns, so a chain visits a server at most once.
+//!
+//! A node is owned by whoever spawned it: its handler holds the only
+//! long-lived `Arc` besides the spawner's, so the node is gone once it is
+//! deregistered from the network and the spawner's handle dropped; there is
+//! nothing to join but the pool, which [`NodeShared::crash`] does.
 //!
 //! What an event may do while it executes is not decided here: `Exec` and
 //! `Call` handlers run the shared interpreter (`aeon_runtime::EventBody`)
@@ -20,7 +53,7 @@ use crate::directory::Directory;
 use crate::message::{
     gateway_id, virtual_root, ClusterMessage, EventDescriptor, FreezeMember, NodeMetrics,
 };
-use aeon_net::{Endpoint, Network};
+use aeon_net::Network;
 use aeon_runtime::{
     ContextHost, ContextLock, ContextObject, Entered, EventBody, EventMeta, ExecutorConfig,
     ExecutorStats, Footprint, HostedObject, ShardedExecutor, SubEvent,
@@ -29,7 +62,7 @@ use aeon_types::{
     codec, AccessMode, AeonError, Args, ClientId, ContextId, EventId, Result, ServerId, Value,
 };
 use crossbeam::channel::{bounded, Sender};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,8 +71,6 @@ use std::time::Duration;
 /// How long a node waits for the reply to a remote synchronous call before
 /// aborting the event.
 const CALL_TIMEOUT: Duration = Duration::from_secs(30);
-/// Poll interval of the receive loop (lets the loop notice shutdown).
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
 /// How long a node retries locating a context that the mapping says is local
 /// but has not been installed yet (it may be in flight from a migration).
 const INSTALL_GRACE: Duration = Duration::from_millis(2_000);
@@ -74,7 +105,7 @@ struct CallOutcome {
     sub_events: Vec<SubEvent>,
 }
 
-/// State shared between a node's receive loop and its worker threads.
+/// A node: the state its message handler and its worker threads share.
 pub(crate) struct NodeShared {
     pub(crate) id: ServerId,
     /// The node's worker pool: every potentially blocking message is
@@ -120,6 +151,8 @@ pub(crate) struct NodeShared {
     /// installed (the wait-for-install retry loop in [`NodeShared::locate`]).
     install_wait_retries: AtomicU64,
     running: AtomicBool,
+    /// Set, and announced, when the node stops; `wait_stopped` blocks on it.
+    halted: (Mutex<bool>, Condvar),
 }
 
 impl std::fmt::Debug for NodeShared {
@@ -131,52 +164,51 @@ impl std::fmt::Debug for NodeShared {
     }
 }
 
-/// Handle to a spawned node kept by the cluster gateway.
-#[derive(Debug)]
-pub(crate) struct NodeHandle {
-    pub(crate) shared: Arc<NodeShared>,
-    pub(crate) thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl NodeHandle {
+impl NodeShared {
     /// Number of events whose target executed on this node.
     pub(crate) fn events_executed(&self) -> u64 {
-        self.shared.events_executed.load(Ordering::Relaxed)
+        self.events_executed.load(Ordering::Relaxed)
     }
 
     /// Number of contexts currently installed on this node.
     pub(crate) fn hosted_contexts(&self) -> usize {
-        self.shared.contexts.read().len()
+        self.contexts.read().len()
     }
 
     /// Times a worker slept waiting for a migrated-in context.
     pub(crate) fn install_wait_retries(&self) -> u64 {
-        self.shared.install_wait_retries.load(Ordering::Relaxed)
+        self.install_wait_retries.load(Ordering::Relaxed)
     }
 
     /// Counters of this node's worker pool.
     pub(crate) fn executor_stats(&self) -> ExecutorStats {
-        self.shared.executor.stats()
+        self.executor.stats()
     }
 
-    /// Stops the node immediately without draining (models a crash).
+    /// Stops the node immediately without draining (models a crash) and
+    /// joins its pool — so never call it from a pool worker.
     pub(crate) fn crash(&self) {
-        self.shared.running.store(false, Ordering::SeqCst);
-        // The receive loop looks at `running` whenever a message wakes it;
-        // a self-send is delivered in-process on every transport.
-        let id = self.shared.id;
-        let _ = self
-            .shared
-            .network
-            .send_from(id, id, ClusterMessage::Shutdown);
-        // Wake everything that could keep a pool worker parked (lock
-        // waiters, remote-call waiters) before joining the pool.
-        self.shared.poison_all();
-        self.shared.executor.shutdown();
+        self.stop();
+        self.executor.shutdown();
     }
-}
 
-impl NodeShared {
+    /// Blocks until the node was told to stop (`Shutdown`, or a crash).
+    pub(crate) fn wait_stopped(&self) {
+        let mut halted = self.halted.0.lock();
+        while !*halted {
+            self.halted.1.wait(&mut halted);
+        }
+    }
+
+    /// Refuses every later message and wakes everything that could keep a
+    /// pool worker parked (lock waiters, remote-call waiters).
+    fn stop(&self) {
+        self.running.store(false, Ordering::SeqCst);
+        self.poison_all();
+        *self.halted.0.lock() = true;
+        self.halted.1.notify_all();
+    }
+
     fn poison_all(&self) {
         for hosted in self.contexts.read().values() {
             hosted.lock.poison();
@@ -194,6 +226,13 @@ impl NodeShared {
         }
     }
 
+    /// Sends `message` to `to`.  The receiver's handler may run inside this
+    /// call, on this thread, and send back here: **never call it with a
+    /// guard on one of this node's maps held** — copy what the message
+    /// needs out first, in a statement of its own (a guard taken inside the
+    /// argument list lives until the send returns).  The one lock a send
+    /// does run under is the object mutex of a method frame making a remote
+    /// call, which no handler touches.
     fn send(&self, to: ServerId, message: ClusterMessage) {
         // A failed send means the destination crashed or was removed; the
         // waiting party times out and surfaces an EventAborted error, which
@@ -232,8 +271,24 @@ impl NodeShared {
             .insert(context, HostedContext::new(context, class, object));
     }
 
+    /// Rebuilds an object of `class` from `state` with the registered
+    /// factory (`None` without one).  The factory is application code: a
+    /// panic in it becomes the error the waiting party is answered with,
+    /// instead of unwinding into whoever delivered the message.
+    fn rebuild(&self, class: &str, state: &Value) -> Option<Result<Box<dyn ContextObject>>> {
+        let factory = self.directory.factory_for(class)?;
+        let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| factory(state)));
+        Some(built.map_err(AeonError::from_panic))
+    }
+
     fn local(&self, context: ContextId) -> Option<Arc<HostedContext>> {
         self.contexts.read().get(&context).cloned()
+    }
+
+    /// Where `context` went when it was migrated away from here, copied
+    /// out so that no guard outlives the look-up.
+    fn forwarded(&self, context: ContextId) -> Option<ServerId> {
+        self.forwarding.read().get(&context).copied()
     }
 
     /// The local entry of `target`, or `None` when it lives on another
@@ -246,10 +301,11 @@ impl NodeShared {
         // Not local: where does the mapping say it lives?
         let deadline = std::time::Instant::now() + INSTALL_GRACE;
         loop {
-            if let Some(server) = self.forwarding.read().get(&target) {
-                if *server != self.id {
-                    return Ok(None);
-                }
+            if self
+                .forwarded(target)
+                .is_some_and(|server| server != self.id)
+            {
+                return Ok(None);
             }
             if !self.running.load(Ordering::SeqCst) {
                 return Err(AeonError::RuntimeShutdown);
@@ -293,8 +349,8 @@ impl NodeShared {
         context: ContextId,
         message: ClusterMessage,
     ) -> Option<ClusterMessage> {
-        if let Some(next) = self.forwarding.read().get(&context) {
-            self.send(*next, message);
+        if let Some(next) = self.forwarded(context) {
+            self.send(next, message);
             return None;
         }
         {
@@ -315,15 +371,15 @@ impl NodeShared {
     }
 }
 
-/// Spawns a node: registers it on the network, starts its worker pool and
-/// its receive loop.
+/// Spawns a node: starts its worker pool and serves its id on the network
+/// with [`dispatch`].  The handler owns the node; deregistering the id is
+/// what lets go of it.
 pub(crate) fn spawn_node(
     id: ServerId,
     directory: Arc<Directory>,
     network: &Network<ClusterMessage>,
     executor: ExecutorConfig,
-) -> NodeHandle {
-    let endpoint = network.register(id);
+) -> Arc<NodeShared> {
     let shared = Arc::new(NodeShared {
         id,
         executor: ShardedExecutor::new(format!("aeon-node-{id}-pool"), executor),
@@ -343,30 +399,22 @@ pub(crate) fn spawn_node(
         exec_latency: Mutex::new(aeon_types::LatencyHistogram::new()),
         install_wait_retries: AtomicU64::new(0),
         running: AtomicBool::new(true),
+        halted: (Mutex::new(false), Condvar::new()),
     });
-    let loop_shared = Arc::clone(&shared);
-    let thread = std::thread::Builder::new()
-        .name(format!("aeon-node-{id}"))
-        .spawn(move || receive_loop(loop_shared, endpoint))
-        .expect("spawning a node thread succeeds");
-    NodeHandle {
-        shared,
-        thread: Some(thread),
-    }
+    let node = Arc::clone(&shared);
+    network.serve(id, move |message| {
+        // A stopped node takes nothing: its senders see it as gone.
+        let running = node.running.load(Ordering::SeqCst);
+        if running {
+            dispatch(&node, message);
+        }
+        running
+    });
+    shared
 }
 
-fn receive_loop(shared: Arc<NodeShared>, endpoint: Endpoint<ClusterMessage>) {
-    while shared.running.load(Ordering::SeqCst) {
-        let message = match endpoint.recv_timeout(POLL_INTERVAL) {
-            Ok(Some(m)) => m,
-            Ok(None) => continue,
-            Err(_) => break,
-        };
-        dispatch(&shared, message);
-    }
-    shared.poison_all();
-}
-
+/// Handles one message on the thread that delivered it; see the module docs
+/// for why no arm may wait.
 fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
     let message = match message.routed_context() {
         Some(context) if shared.local(context).is_none() => {
@@ -391,12 +439,11 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
             // from its snapshotted state with the class factory.
             let object = match shared.directory.escrow_take(escrow) {
                 Some(object) => Ok(object),
-                None => match shared.directory.factory_for(&class) {
-                    Some(factory) => Ok(factory(&state)),
-                    None => Err(AeonError::Config(format!(
+                None => shared.rebuild(&class, &state).unwrap_or_else(|| {
+                    Err(AeonError::Config(format!(
                         "no factory registered for contextclass {class} on this node"
-                    ))),
-                },
+                    )))
+                }),
             };
             let result = object.map(|object| shared.install(context, class, object));
             shared.send(
@@ -464,6 +511,11 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
         ClusterMessage::Release { event } => shared.release_event(event),
         ClusterMessage::Prepare { corr, context } => {
             shared.installing.lock().entry(context).or_default();
+            // The context is coming (back) here: a pointer left from an
+            // earlier move away is stale, and following it would bounce a
+            // request between this node and the source until the install
+            // lands — without end, now that a forward is a nested call.
+            shared.forwarding.write().remove(&context);
             shared.send(gateway_id(), ClusterMessage::PrepareAck { corr, context });
         }
         ClusterMessage::Stop {
@@ -522,26 +574,19 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
         ClusterMessage::MetricsReq { corr } => {
             // Answered inline: the report only reads counters, it cannot
             // block, so it never competes with event execution for the pool.
-            let stats = shared.executor.stats();
-            shared.send(
-                gateway_id(),
-                ClusterMessage::MetricsAck {
-                    corr,
-                    metrics: Box::new(NodeMetrics {
-                        server: shared.id,
-                        context_count: shared.contexts.read().len(),
-                        queue_depth: stats.queued,
-                        events_executed: shared.events_executed.load(Ordering::Relaxed),
-                        exec_micros: shared.exec_micros.load(Ordering::Relaxed),
-                        latency: *shared.exec_latency.lock(),
-                    }),
-                },
-            );
+            // Built before the send, so that no guard it reads under is
+            // held across it.
+            let metrics = Box::new(NodeMetrics {
+                server: shared.id,
+                context_count: shared.contexts.read().len(),
+                queue_depth: shared.executor.stats().queued,
+                events_executed: shared.events_executed.load(Ordering::Relaxed),
+                exec_micros: shared.exec_micros.load(Ordering::Relaxed),
+                latency: *shared.exec_latency.lock(),
+            });
+            shared.send(gateway_id(), ClusterMessage::MetricsAck { corr, metrics });
         }
-        ClusterMessage::Shutdown => {
-            shared.running.store(false, Ordering::SeqCst);
-            shared.poison_all();
-        }
+        ClusterMessage::Shutdown => shared.stop(),
         // Gateway-only messages are ignored by nodes.
         ClusterMessage::HostAck { .. }
         | ClusterMessage::DirReq { .. }
@@ -579,10 +624,7 @@ fn handle_act(shared: &Arc<NodeShared>, event: EventDescriptor, sequencer: Conte
     }
     shared.record_hold(event.id, sequencer);
     let target_server = shared
-        .forwarding
-        .read()
-        .get(&event.target)
-        .copied()
+        .forwarded(event.target)
         .or_else(|| shared.directory.placement_of(event.target).ok());
     match target_server {
         Some(server) => {
@@ -834,12 +876,11 @@ fn handle_install(
     state: Value,
 ) {
     let bytes = codec::encoded_len(&state) as u64;
-    let result = match shared.directory.factory_for(&class) {
-        Some(factory) => {
-            let object = factory(&state);
+    let result = match shared.rebuild(&class, &state) {
+        Some(object) => object.map(|object| {
             shared.install(context, class, object);
-            Ok(bytes)
-        }
+            bytes
+        }),
         None => Err(AeonError::MigrationFailed {
             context,
             reason: format!("no factory registered for class {class}"),
@@ -909,13 +950,10 @@ impl ContextHost for NodeHost<'_> {
         args: &Args,
     ) -> Result<(Value, Vec<SubEvent>)> {
         let node = self.node;
-        let server = node
-            .forwarding
-            .read()
-            .get(&target)
-            .copied()
-            .map(Ok)
-            .unwrap_or_else(|| node.directory.placement_of(target))?;
+        let server = match node.forwarded(target) {
+            Some(server) => server,
+            None => node.directory.placement_of(target)?,
+        };
         let corr = node.corr.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = bounded(1);
         node.pending_calls.lock().insert(corr, tx);

@@ -5,8 +5,9 @@
 //! nodes.  The function builds a TCP-backed [`Network`], attaches a
 //! *remote* [`Directory`] handle (control-plane queries become
 //! `DirReq`/`DirAck` RPCs to the gateway, see [`crate::Directory`]), spawns
-//! the ordinary node machinery — the same receive loop and sharded worker
-//! pool used in-process — and blocks until the gateway sends `Shutdown`.
+//! the ordinary node machinery — the same message handler (here called by
+//! the transport's reader threads) and sharded worker pool used in-process —
+//! and blocks until the gateway sends `Shutdown`.
 
 use crate::directory::Directory;
 use crate::message::{gateway_id, ClusterMessage};
@@ -76,10 +77,12 @@ where
     let network: Network<ClusterMessage> = Network::with_transport(Arc::new(transport));
     let directory = Arc::new(Directory::remote(config.id, network.clone()));
     register(&directory);
-    let mut handle = spawn_node(config.id, directory, &network, config.executor);
-    if let Some(thread) = handle.thread.take() {
-        let _ = thread.join();
-    }
+    let node = spawn_node(config.id, directory, &network, config.executor);
+    node.wait_stopped();
+    // Joins the pool from this thread, then lets go of the handler (which
+    // owns the node) and of the transport's threads.
+    node.crash();
+    network.deregister(config.id);
     network.shutdown_transport();
     Ok(())
 }

@@ -8,8 +8,9 @@ use aeon_api::Session;
 use aeon_cluster::Cluster;
 use aeon_runtime::{ContextObject, Invocation, KvContext, Placement};
 use aeon_types::{args, AeonError, Args, ContextId, Result, Value};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A parent context that aggregates over its children — used to force
 /// cross-server synchronous calls.
@@ -321,6 +322,107 @@ fn migration_without_factory_is_refused_up_front() {
     // The context is untouched and still usable.
     let client = cluster.client();
     client.call(item, "set", args!["k", 1i64]).unwrap();
+    cluster.shutdown();
+}
+
+#[test]
+fn a_panicking_class_factory_fails_the_migration_at_once() {
+    // Regression test: the panic was swallowed by the destination's pool, no
+    // `InstallAck` was ever sent, and `migrate_context` sat out the 10 s
+    // control timeout to report a failure about "context 0".
+    let cluster = Cluster::builder().servers(2).build().unwrap();
+    cluster.register_class_factory("Item", Arc::new(|_: &Value| panic!("factory exploded")));
+    let servers = cluster.servers();
+    let item = cluster
+        .create_context(
+            Box::new(KvContext::new("Item")),
+            Placement::Server(servers[0]),
+        )
+        .unwrap();
+    let from = Instant::now();
+    let err = cluster.migrate_context(item, servers[1]).unwrap_err();
+    assert!(
+        from.elapsed() < Duration::from_secs(1),
+        "the failure took {:?} to be reported",
+        from.elapsed()
+    );
+    assert_eq!(
+        err,
+        AeonError::Panicked {
+            reason: "factory exploded".into()
+        }
+    );
+    // By then the source has shipped the state and dropped the object, so
+    // the context is lost rather than still usable: a migration that can
+    // be undone is ROADMAP item 2's, not pretended here.
+    cluster.shutdown();
+}
+
+#[test]
+fn a_request_for_a_context_on_its_way_back_is_buffered_not_bounced() {
+    // Regression test: a context that went s0 -> s1 left a forwarding
+    // pointer on s0; on its way back (s1 already forwarding to s0, s0 not
+    // yet installed) a request was bounced between the two along the stale
+    // pointer until the install landed — a storm of messages with a
+    // receive loop per node, a stack overflow with nested delivery.
+    let hold = Arc::new(AtomicBool::new(false));
+    let entered = Arc::new(AtomicBool::new(false));
+    let cluster = Cluster::builder().servers(2).build().unwrap();
+    {
+        let (hold, entered) = (Arc::clone(&hold), Arc::clone(&entered));
+        cluster.register_class_factory(
+            "Item",
+            Arc::new(move |state: &Value| {
+                // Keeps the install window open for as long as the test says.
+                entered.store(true, Ordering::SeqCst);
+                while hold.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                kv_factory()(state)
+            }),
+        );
+    }
+    let servers = cluster.servers();
+    let item = cluster
+        .create_context(
+            Box::new(KvContext::new("Item")),
+            Placement::Server(servers[0]),
+        )
+        .unwrap();
+    cluster.migrate_context(item, servers[1]).unwrap();
+
+    hold.store(true, Ordering::SeqCst);
+    entered.store(false, Ordering::SeqCst);
+    let cluster = Arc::new(cluster);
+    let back = {
+        let cluster = Arc::clone(&cluster);
+        std::thread::spawn(move || cluster.migrate_context(item, servers[0]))
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !entered.load(Ordering::SeqCst) {
+        assert!(Instant::now() < deadline, "the install never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let stats = cluster.network_stats();
+    let before = stats.local_messages() + stats.remote_messages();
+    let pending = cluster
+        .client()
+        .submit_event(item, "incr", args!["count", 1i64])
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    let sent = stats.local_messages() + stats.remote_messages() - before;
+    assert!(sent <= 2, "{sent} messages for one buffered request");
+
+    hold.store(false, Ordering::SeqCst);
+    back.join().unwrap().unwrap();
+    pending.wait().unwrap();
+    assert_eq!(
+        cluster
+            .client()
+            .call_readonly(item, "get", args!["count"])
+            .unwrap(),
+        Value::from(1i64)
+    );
     cluster.shutdown();
 }
 

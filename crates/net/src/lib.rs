@@ -5,18 +5,24 @@
 //!
 //! * [`Transport`] — how typed messages physically move between servers.
 //!   Two implementations ship with the crate: [`ChannelTransport`] (the
-//!   original in-process crossbeam-channel delivery used by the concurrent
-//!   runtime and all single-process clusters) and [`TcpTransport`]
-//!   (length-prefixed frames over `std::net` sockets with per-peer writer
-//!   threads and reconnect-on-send, used when a cluster runs as N real OS
-//!   processes via the `aeon-node` binary).
+//!   in-process delivery used by all single-process clusters) and
+//!   [`TcpTransport`] (length-prefixed frames over `std::net` sockets with
+//!   per-peer writer threads and reconnect-on-send, used when a cluster
+//!   runs as N real OS processes via the `aeon-node` binary).
 //! * [`Network`] — the façade every component talks to.  It layers fault
 //!   injection (administratively severed links) and [`NetworkStats`]
 //!   (message and byte counters) on top of whichever transport it wraps,
 //!   so the semantics above the wire are identical for channels and
 //!   sockets.
-//! * [`Endpoint`] — a server's attachment point: `send`, blocking /
-//!   timed / non-blocking receive.
+//! * A server attaches with [`Network::serve`]: it gives the network a
+//!   handler, and each message addressed to it is *delivered to the
+//!   handler* — called on the sender's thread by the channel transport, on
+//!   the connection's reader thread by the TCP transport — with no mailbox
+//!   and no receiving thread in between.  A handler must not wait and may
+//!   itself send; [`transport`] states the contract.
+//! * [`Endpoint`] — for a receiver that wants a mailbox instead
+//!   ([`Network::register`]): the handler pushes into an unbounded channel
+//!   and the endpoint offers blocking / timed / non-blocking receive.
 //!
 //! Messages that cross a byte-oriented transport implement [`WireMessage`]
 //! (`aeon-cluster` provides the implementation for its message enum with
@@ -46,7 +52,7 @@ pub mod transport;
 
 pub use stats::NetworkStats;
 pub use transport::{
-    ChannelTransport, MessageSizer, SendReceipt, TcpTransport, TcpTransportConfig, Transport,
+    ChannelTransport, MessageSizer, SendReceipt, Sink, TcpTransport, TcpTransportConfig, Transport,
     WireMessage,
 };
 
@@ -121,10 +127,21 @@ impl<M: Send + 'static> Network<M> {
         }
     }
 
-    /// Registers a server and returns its endpoint.  Re-registering an id
-    /// replaces the previous inbox (used when a crashed server restarts).
+    /// Registers a server whose messages are delivered to `handler`, on the
+    /// thread the transport delivers on (see [`transport`]): the handler
+    /// must not wait.  It returns whether it took the message; a refusal is
+    /// reported like a send to an unregistered id.  Re-registering an id
+    /// replaces its previous handler or mailbox (used when a crashed server
+    /// restarts).
+    pub fn serve(&self, id: ServerId, handler: impl Fn(M) -> bool + Send + Sync + 'static) {
+        self.shared.transport.register(id, Arc::new(handler));
+    }
+
+    /// Registers a server that receives through a mailbox and returns its
+    /// endpoint: [`Network::serve`] with a handler that queues the message.
     pub fn register(&self, id: ServerId) -> Endpoint<M> {
-        let rx = self.shared.transport.register(id);
+        let (tx, rx) = channel::unbounded();
+        self.serve(id, move |message| tx.send(message).is_ok());
         Endpoint {
             id,
             network: self.clone(),
@@ -132,7 +149,8 @@ impl<M: Send + 'static> Network<M> {
         }
     }
 
-    /// Removes a server from the routing table; subsequent sends to it fail
+    /// Removes a server from the routing table and drops its handler;
+    /// subsequent sends to it fail
     /// with [`AeonError::ServerNotFound`].  Any severed-link entries that
     /// mention the server are cleaned up too, so a later re-registration
     /// (a restarted server) does not inherit stale fault injection.
@@ -149,12 +167,16 @@ impl<M: Send + 'static> Network<M> {
         self.shared.transport.servers()
     }
 
-    /// Sends `message` from `from` to `to`.
+    /// Sends `message` from `from` to `to`.  When `to` is served in this
+    /// process over the channel transport (or is `from` itself), its handler
+    /// has run, on this thread, by the time the call returns — so do not
+    /// call it with a lock held that the handler, or anything the handler
+    /// sends to, may take.
     ///
     /// # Errors
     ///
     /// Returns [`AeonError::ServerNotFound`] when the destination is not
-    /// registered (or has been deregistered).
+    /// registered (or has been deregistered, or its mailbox was dropped).
     pub fn send_from(&self, from: ServerId, to: ServerId, message: M) -> Result<()> {
         if self.shared.severed.read().contains(&(from, to)) {
             // Fault injection: the message is lost on the wire.
@@ -209,7 +231,7 @@ impl<M: Send + 'static> Network<M> {
     }
 }
 
-/// A server's attachment point to the [`Network`].
+/// A server's mailbox on the [`Network`] (see [`Network::register`]).
 #[derive(Debug)]
 pub struct Endpoint<M: Send + 'static> {
     id: ServerId,
@@ -237,8 +259,9 @@ impl<M: Send + 'static> Endpoint<M> {
     ///
     /// # Errors
     ///
-    /// Returns [`AeonError::RuntimeShutdown`] when every sender has been
-    /// dropped (the network was torn down).
+    /// Returns [`AeonError::RuntimeShutdown`] once the id was deregistered
+    /// or re-registered (or the network torn down) and the mailbox is
+    /// empty.
     pub fn recv(&self) -> Result<M> {
         self.rx.recv().map_err(|_| AeonError::RuntimeShutdown)
     }
@@ -399,6 +422,212 @@ mod tests {
         assert_eq!(b.recv().unwrap().len(), 10);
         assert_eq!(net.stats().bytes_sent(), 42);
         assert_eq!(net.stats().bytes_received(), 42);
+    }
+
+    /// Runs `body` on a thread of its own and fails, rather than hangs,
+    /// when it is not done in time.
+    fn within(limit: Duration, body: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            body();
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(limit)
+            .expect("the body finished in time (a hang here is a deadlock)");
+    }
+
+    #[test]
+    fn a_served_handler_runs_on_the_sending_thread() {
+        let net: Network<u32> = Network::new();
+        let ran_on = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let seen = Arc::clone(&ran_on);
+        net.serve(srv(1), move |message| {
+            seen.lock().push((message, std::thread::current().id()));
+            true
+        });
+        net.send_from(srv(0), srv(1), 7).unwrap();
+        let other = {
+            let net = net.clone();
+            std::thread::spawn(move || {
+                net.send_from(srv(0), srv(1), 8).unwrap();
+                std::thread::current().id()
+            })
+            .join()
+            .unwrap()
+        };
+        // Delivered by the time `send_from` returned, by whoever sent.
+        assert_eq!(
+            *ran_on.lock(),
+            vec![(7, std::thread::current().id()), (8, other)]
+        );
+        assert_eq!(net.stats().remote_messages(), 2);
+    }
+
+    #[test]
+    fn a_handler_that_refuses_reads_as_an_unknown_server() {
+        let net: Network<u32> = Network::new();
+        net.serve(srv(1), |message| message != 13);
+        net.send_from(srv(0), srv(1), 1).unwrap();
+        assert_eq!(
+            net.send_from(srv(0), srv(1), 13),
+            Err(AeonError::ServerNotFound(srv(1)))
+        );
+        // A refused message was not delivered, so it is not counted as one.
+        assert_eq!(net.stats().remote_messages(), 1);
+    }
+
+    #[test]
+    fn concurrent_senders_arrive_in_per_sender_order() {
+        let net: Network<(u32, u32)> = Network::new();
+        let arrived = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let seen = Arc::clone(&arrived);
+        net.serve(srv(0), move |message| {
+            seen.lock().push(message);
+            true
+        });
+        let senders: Vec<_> = (1..=4u32)
+            .map(|t| {
+                let net = net.clone();
+                std::thread::spawn(move || {
+                    for i in 0..1_000u32 {
+                        net.send_from(srv(t), srv(0), (t, i)).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for sender in senders {
+            sender.join().unwrap();
+        }
+        let arrived = arrived.lock();
+        assert_eq!(arrived.len(), 4_000);
+        for t in 1..=4u32 {
+            let of_t: Vec<u32> = arrived.iter().filter(|m| m.0 == t).map(|m| m.1).collect();
+            assert_eq!(of_t, (0..1_000).collect::<Vec<_>>(), "sender {t}");
+        }
+    }
+
+    #[test]
+    fn a_handler_may_send_while_servers_come_and_go() {
+        // No guard of the transport is held while a handler runs: a handler
+        // that sends takes the table's read guard again, which deadlocks
+        // behind a waiting `register` / `deregister` if the outer `send`
+        // still held its own.
+        within(Duration::from_secs(60), || {
+            let net: Network<u32> = Network::new();
+            let relayed = net.register(srv(2));
+            let relay = net.clone();
+            net.serve(srv(1), move |message| {
+                relay.send_from(srv(1), srv(2), message).is_ok()
+            });
+            let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let storm = {
+                let (net, stop) = (net.clone(), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        drop(net.register(srv(9)));
+                        net.deregister(srv(9));
+                    }
+                })
+            };
+            for i in 0..20_000u32 {
+                net.send_from(srv(0), srv(1), i).unwrap();
+                assert_eq!(relayed.try_recv().unwrap(), Some(i));
+            }
+            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+            storm.join().unwrap();
+        });
+    }
+
+    #[test]
+    fn a_handler_may_deregister_itself() {
+        within(Duration::from_secs(30), || {
+            let net: Network<u32> = Network::new();
+            let own = net.clone();
+            net.serve(srv(1), move |_| {
+                own.deregister(srv(1));
+                true
+            });
+            net.send_from(srv(0), srv(1), 1).unwrap();
+            assert!(net.send_from(srv(0), srv(1), 2).is_err());
+        });
+    }
+
+    #[test]
+    fn deregister_drops_the_handler() {
+        /// Serves `id` with a handler that owns some state; the state is
+        /// alive exactly as long as the handler is.
+        fn serve_with_state(net: &Network<u32>, id: ServerId) -> std::sync::Weak<()> {
+            let state = Arc::new(());
+            let weak = Arc::downgrade(&state);
+            net.serve(id, move |_| Arc::strong_count(&state) > 0);
+            weak
+        }
+        let net: Network<u32> = Network::new();
+        let state = serve_with_state(&net, srv(1));
+        assert!(state.upgrade().is_some(), "the handler keeps its state");
+        net.deregister(srv(1));
+        assert!(
+            state.upgrade().is_none(),
+            "a deregistered handler is dropped"
+        );
+        // So is one that is replaced.
+        let state = serve_with_state(&net, srv(1));
+        let _mailbox = net.register(srv(1));
+        assert!(state.upgrade().is_none(), "a replaced handler is dropped");
+    }
+
+    #[test]
+    fn a_handler_is_dropped_outside_the_transport_s_guard() {
+        // What a handler captured may do anything when it is dropped — join
+        // threads that are sending, or send, as here: under the table's
+        // write guard that would deadlock.
+        struct SendsWhenDropped(Network<u32>);
+        impl Drop for SendsWhenDropped {
+            fn drop(&mut self) {
+                let _ = self.0.send_from(srv(1), srv(2), 0);
+            }
+        }
+        within(Duration::from_secs(30), || {
+            let net: Network<u32> = Network::new();
+            let farewells = net.register(srv(2));
+            for replace in [false, true] {
+                let state = SendsWhenDropped(net.clone());
+                net.serve(srv(1), move |_| state.0.servers().len() > 1);
+                if replace {
+                    net.serve(srv(1), |_| true);
+                } else {
+                    net.deregister(srv(1));
+                }
+                assert_eq!(farewells.try_recv().unwrap(), Some(0));
+            }
+        });
+    }
+
+    #[test]
+    fn a_dropped_endpoint_is_an_unknown_server() {
+        let net: Network<u32> = Network::new();
+        let a = net.register(srv(0));
+        drop(net.register(srv(1)));
+        assert_eq!(a.send(srv(1), 1), Err(AeonError::ServerNotFound(srv(1))));
+    }
+
+    #[test]
+    fn a_deregistered_endpoint_drains_then_reports_shutdown() {
+        let net: Network<u32> = Network::new();
+        let a = net.register(srv(0));
+        a.send(srv(0), 1).unwrap();
+        assert_eq!(a.recv_timeout(Duration::from_millis(5)).unwrap(), Some(1));
+        assert_eq!(a.recv_timeout(Duration::from_millis(5)).unwrap(), None);
+        a.send(srv(0), 2).unwrap();
+        net.deregister(srv(0));
+        assert_eq!(a.recv().unwrap(), 2);
+        assert_eq!(a.recv(), Err(AeonError::RuntimeShutdown));
+        assert_eq!(a.try_recv(), Err(AeonError::RuntimeShutdown));
+        assert_eq!(
+            a.recv_timeout(Duration::from_millis(5)),
+            Err(AeonError::RuntimeShutdown)
+        );
     }
 
     mod tcp {
@@ -653,6 +882,113 @@ mod tests {
             // Refused sends are the only drops; nothing accepted was lost.
             assert_eq!(net_a.stats().frames_dropped(), refused);
             assert_eq!(net_b.stats().frames_dropped(), 0);
+            net_a.shutdown_transport();
+            net_b.shutdown_transport();
+        }
+
+        #[test]
+        fn a_served_handler_runs_on_the_connection_s_reader_thread() {
+            let (net_a, net_b) = tcp_pair();
+            let (ran, ran_on) = std::sync::mpsc::channel();
+            let ran = parking_lot::Mutex::new(ran);
+            net_b.serve(srv(1), move |message: Ping| {
+                let thread = std::thread::current();
+                let _ = ran
+                    .lock()
+                    .send((message.0, thread.id(), thread.name().map(String::from)));
+                true
+            });
+            // Across the socket: the reader of that connection.
+            net_a
+                .send_from(srv(0), srv(1), Ping(1, Vec::new()))
+                .unwrap();
+            let (message, thread, name) = ran_on.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(message, 1);
+            assert_ne!(thread, std::thread::current().id());
+            assert!(
+                name.as_deref()
+                    .is_some_and(|n| n.starts_with("aeon-tcp-reader")),
+                "delivered on {name:?}"
+            );
+            // A self-send never reaches a socket: the sender's own thread.
+            net_b
+                .send_from(srv(1), srv(1), Ping(2, Vec::new()))
+                .unwrap();
+            let (message, thread, _) = ran_on.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!((message, thread), (2, std::thread::current().id()));
+            net_a.shutdown_transport();
+            net_b.shutdown_transport();
+        }
+
+        #[test]
+        fn concurrent_senders_arrive_in_per_sender_order() {
+            let receiver = tcp_network();
+            let arrived = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let seen = Arc::clone(&arrived);
+            receiver.serve(srv(0), move |message: Ping| {
+                seen.lock().push(message.0);
+                true
+            });
+            let senders: Vec<_> = (1..=4u64)
+                .map(|t| {
+                    let net = tcp_network();
+                    net.add_peer(srv(0), receiver.local_addr().unwrap());
+                    std::thread::spawn(move || {
+                        for i in 0..1_000u64 {
+                            let message = || Ping(t * 10_000 + i, Vec::new());
+                            while let Err(e) = net.send_from(srv(t as u32), srv(0), message()) {
+                                assert_eq!(e, AeonError::SendQueueFull { peer: srv(0) });
+                                std::thread::yield_now();
+                            }
+                        }
+                        net
+                    })
+                })
+                .collect();
+            let senders: Vec<_> = senders.into_iter().map(|s| s.join().unwrap()).collect();
+            let deadline = std::time::Instant::now() + Duration::from_secs(20);
+            while arrived.lock().len() < 4_000 && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let arrived = arrived.lock().clone();
+            assert_eq!(arrived.len(), 4_000);
+            for t in 1..=4u64 {
+                let of_t: Vec<u64> = arrived
+                    .iter()
+                    .filter(|m| **m / 10_000 == t)
+                    .map(|m| m % 10_000)
+                    .collect();
+                assert_eq!(of_t, (0..1_000).collect::<Vec<_>>(), "sender {t}");
+            }
+            for net in senders.iter().chain([&receiver]) {
+                net.shutdown_transport();
+            }
+        }
+
+        #[test]
+        fn a_frame_for_a_dropped_endpoint_is_counted() {
+            let (net_a, net_b) = tcp_pair();
+            drop(net_b.register(srv(1)));
+            let live = net_b.register(srv(2));
+            net_a.add_peer(srv(2), net_b.local_addr().unwrap());
+            net_a
+                .send_from(srv(0), srv(1), Ping(1, Vec::new()))
+                .unwrap();
+            net_a
+                .send_from(srv(0), srv(2), Ping(2, Vec::new()))
+                .unwrap();
+            // Same connection, in order: the first frame was looked at by
+            // the time the second arrives.
+            assert_eq!(
+                live.recv_timeout(Duration::from_secs(5)).unwrap(),
+                Some(Ping(2, Vec::new()))
+            );
+            assert_eq!(net_b.stats().frames_dropped(), 1);
+            // In the same process it is the sender who is told.
+            assert_eq!(
+                net_b.send_from(srv(2), srv(1), Ping(3, Vec::new())),
+                Err(AeonError::ServerNotFound(srv(1)))
+            );
             net_a.shutdown_transport();
             net_b.shutdown_transport();
         }

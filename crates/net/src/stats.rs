@@ -51,7 +51,7 @@ impl NetworkStats {
     /// Records an encoded frame the transport itself failed to deliver:
     /// bounded send-queue overflow, frames a retiring writer still held,
     /// or a received frame the reader had to throw away (payload that does
-    /// not decode, destination with no inbox here).  Distinct from [`record_dropped`](Self::record_dropped),
+    /// not decode, destination with no sink here or refused by it).  Distinct from [`record_dropped`](Self::record_dropped),
     /// which counts *injected* drops (faults, severed links) — a nonzero
     /// frame-drop counter on a healthy deployment signals backpressure or
     /// connection churn, not chaos testing.

@@ -1,10 +1,7 @@
-//! The original in-process transport: one crossbeam channel per server.
+//! The in-process transport: `send` calls the receiver's sink.
 
-use super::{SendReceipt, Transport};
+use super::{SendReceipt, Sink, Sinks, Transport};
 use aeon_types::{AeonError, Result, ServerId};
-use crossbeam::channel::{self, Receiver, Sender};
-use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -15,19 +12,19 @@ pub type MessageSizer<M> = Arc<dyn Fn(&M) -> u64 + Send + Sync>;
 
 /// In-process, channel-based transport connecting simulated servers.
 ///
-/// Delivery is a synchronous hand-off into the destination's unbounded
-/// channel — messages are moved, never serialised.  When a [`MessageSizer`]
-/// is configured the transport still *measures* what each message would
-/// have cost on the wire, so `NetworkStats` byte counters stay meaningful.
+/// Delivery is a call of the destination's sink on the sender's thread —
+/// messages are moved, never serialised.  When a [`MessageSizer`] is
+/// configured the transport still *measures* what each message would have
+/// cost on the wire, so `NetworkStats` byte counters stay meaningful.
 pub struct ChannelTransport<M> {
-    inboxes: RwLock<HashMap<ServerId, Sender<M>>>,
+    sinks: Sinks<M>,
     sizer: Option<MessageSizer<M>>,
 }
 
 impl<M> fmt::Debug for ChannelTransport<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ChannelTransport")
-            .field("servers", &self.inboxes.read().len())
+            .field("servers", &self.sinks.ids().len())
             .field("sized", &self.sizer.is_some())
             .finish()
     }
@@ -43,7 +40,7 @@ impl<M> ChannelTransport<M> {
     /// Creates an empty transport that reports zero bytes per message.
     pub fn new() -> Self {
         Self {
-            inboxes: RwLock::new(HashMap::new()),
+            sinks: Sinks::new(),
             sizer: None,
         }
     }
@@ -52,29 +49,26 @@ impl<M> ChannelTransport<M> {
     /// size with `sizer`.
     pub fn with_sizer(sizer: MessageSizer<M>) -> Self {
         Self {
-            inboxes: RwLock::new(HashMap::new()),
+            sinks: Sinks::new(),
             sizer: Some(sizer),
         }
     }
 }
 
 impl<M: Send + 'static> Transport<M> for ChannelTransport<M> {
-    fn register(&self, id: ServerId) -> Receiver<M> {
-        let (tx, rx) = channel::unbounded();
-        self.inboxes.write().insert(id, tx);
-        rx
+    fn register(&self, id: ServerId, sink: Sink<M>) {
+        self.sinks.insert(id, sink);
     }
 
     fn deregister(&self, id: ServerId) {
-        self.inboxes.write().remove(&id);
+        self.sinks.remove(id);
     }
 
     fn send(&self, _from: ServerId, to: ServerId, message: M) -> Result<SendReceipt> {
         let bytes = self.sizer.as_ref().map_or(0, |s| s(&message));
-        let inboxes = self.inboxes.read();
-        let tx = inboxes.get(&to).ok_or(AeonError::ServerNotFound(to))?;
-        tx.send(message)
-            .map_err(|_| AeonError::ServerNotFound(to))?;
+        if self.sinks.deliver(to, message) != Some(true) {
+            return Err(AeonError::ServerNotFound(to));
+        }
         Ok(SendReceipt {
             bytes,
             delivered_locally: true,
@@ -82,7 +76,7 @@ impl<M: Send + 'static> Transport<M> for ChannelTransport<M> {
     }
 
     fn servers(&self) -> Vec<ServerId> {
-        let mut ids: Vec<ServerId> = self.inboxes.read().keys().copied().collect();
+        let mut ids = self.sinks.ids();
         ids.sort();
         ids
     }

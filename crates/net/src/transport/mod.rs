@@ -3,9 +3,9 @@
 //! The [`Transport`] trait abstracts how a typed message travels from one
 //! server to another.  Two implementations ship with the crate:
 //!
-//! * [`ChannelTransport`] — the original in-process transport: one crossbeam
-//!   channel per registered server, zero-copy delivery.  Used by the
-//!   concurrent runtime, the single-process cluster, and every unit test.
+//! * [`ChannelTransport`] — the in-process transport: a message is moved,
+//!   never serialised, to the receiver by a function call.  Used by the
+//!   single-process cluster and every unit test.
 //! * [`TcpTransport`] — a real socket transport over `std::net`:
 //!   length-prefixed frames, an acceptor/reader loop per process, per-peer
 //!   writer threads, and reconnect-on-send with bounded retry.  Used when a
@@ -14,6 +14,27 @@
 //! [`Network`](crate::Network) layers fault injection (severed links) and
 //! [`NetworkStats`](crate::NetworkStats) on top, so both transports share
 //! identical semantics for everything above the wire.
+//!
+//! ## Delivery
+//!
+//! A server is a [`Sink`]: the function [`Transport::register`] is given for
+//! its id.  A transport *calls* it with each message — there is no inbox and
+//! no thread between the wire and the receiver:
+//!
+//! * [`ChannelTransport`] calls it on the **sender's thread**, inside `send`;
+//! * [`TcpTransport`] calls it on the **reader thread** of the connection the
+//!   frame arrived on (`aeon-tcp-reader`), and on the sender's thread for a
+//!   self-send, which never touches a socket.
+//!
+//! Either way messages of one sender to one id are delivered one at a time,
+//! in the order they were sent.  Two rules follow.  A transport holds **no
+//! guard while it calls a sink** (it clones the sink out of its table first),
+//! so a sink may send, register and deregister.  And a sink **must not
+//! wait**: it runs on a thread that has other things to do — the sender's
+//! own work, or every later frame of the connection — so it hands anything
+//! that can block to a thread of its own and returns.  A mailbox is the
+//! smallest such sink: [`Network::register`](crate::Network::register)
+//! pushes into an unbounded channel and gives the caller the receiving end.
 
 mod channel;
 mod tcp;
@@ -23,10 +44,51 @@ pub use tcp::{TcpTransport, TcpTransportConfig};
 
 use crate::stats::NetworkStats;
 use aeon_types::{Result, ServerId};
-use crossbeam::channel::Receiver;
+use parking_lot::RwLock;
+use std::collections::HashMap;
 use std::fmt;
 use std::net::SocketAddr;
 use std::sync::Arc;
+
+/// What a transport delivers the messages of one server id to.  It returns
+/// whether it took the message: one it refuses counts as undeliverable, as
+/// if the id were not registered.  See the module docs for the threads it
+/// is called on and what it may do there.
+pub type Sink<M> = Arc<dyn Fn(M) -> bool + Send + Sync>;
+
+/// The sinks registered with one transport, and the one place any of them
+/// is called.
+pub(crate) struct Sinks<M>(RwLock<HashMap<ServerId, Sink<M>>>);
+
+impl<M> Sinks<M> {
+    pub(crate) fn new() -> Self {
+        Self(RwLock::new(HashMap::new()))
+    }
+
+    pub(crate) fn insert(&self, id: ServerId, sink: Sink<M>) {
+        // The sink it replaces is dropped once the guard is gone: dropping
+        // it may run the destructor of whatever it captured.
+        let replaced = self.0.write().insert(id, sink);
+        drop(replaced);
+    }
+
+    pub(crate) fn remove(&self, id: ServerId) {
+        let removed = self.0.write().remove(&id);
+        drop(removed);
+    }
+
+    pub(crate) fn ids(&self) -> Vec<ServerId> {
+        self.0.read().keys().copied().collect()
+    }
+
+    /// Hands `message` to the sink of `to` on the calling thread, with no
+    /// guard held: `None` when `to` has no sink here, otherwise whether the
+    /// sink took it.
+    pub(crate) fn deliver(&self, to: ServerId, message: M) -> Option<bool> {
+        let sink = self.0.read().get(&to).cloned()?;
+        Some(sink(message))
+    }
+}
 
 /// Outcome of a successful [`Transport::send`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +96,7 @@ pub struct SendReceipt {
     /// Encoded size of the message on the wire (0 when the transport has no
     /// codec, e.g. a channel transport without a sizer).
     pub bytes: u64,
-    /// `true` when the message was handed to a local inbox synchronously
+    /// `true` when the message was handed to a local sink synchronously
     /// (channel delivery, or a TCP self-send short-circuit).  The caller
     /// records received-bytes immediately in that case; otherwise the
     /// receiving process's reader loop records them.
@@ -47,13 +109,12 @@ pub struct SendReceipt {
 /// of a [`Network`](crate::Network), so all methods take `&self` and must be
 /// thread-safe.
 pub trait Transport<M: Send + 'static>: Send + Sync + fmt::Debug {
-    /// Registers a local inbox for `id` and returns its receiving half.
-    /// Re-registering an id replaces the previous inbox (used when a
-    /// crashed server restarts).
-    fn register(&self, id: ServerId) -> Receiver<M>;
+    /// Registers `sink` as the local receiver of `id`.  Re-registering an
+    /// id replaces the previous sink (used when a crashed server restarts).
+    fn register(&self, id: ServerId, sink: Sink<M>);
 
-    /// Removes the local inbox for `id`; subsequent sends to it fail with
-    /// `ServerNotFound` (unless the id is a known remote peer).
+    /// Removes (and drops) the local sink of `id`; subsequent sends to it
+    /// fail with `ServerNotFound` (unless the id is a known remote peer).
     fn deregister(&self, id: ServerId);
 
     /// Delivers `message` from `from` to `to`.
@@ -61,11 +122,12 @@ pub trait Transport<M: Send + 'static>: Send + Sync + fmt::Debug {
     /// # Errors
     ///
     /// Returns [`AeonError::ServerNotFound`](aeon_types::AeonError) when the
-    /// destination is neither locally registered nor a known peer.
+    /// destination is neither locally registered nor a known peer, or when
+    /// its local sink refused the message.
     fn send(&self, from: ServerId, to: ServerId, message: M) -> Result<SendReceipt>;
 
     /// The ids this transport can currently deliver to (locally registered
-    /// inboxes plus, for socket transports, known remote peers), sorted.
+    /// sinks plus, for socket transports, known remote peers), sorted.
     fn servers(&self) -> Vec<ServerId>;
 
     /// Gives the transport a stats sink so asynchronous receive paths (TCP

@@ -19,11 +19,14 @@
 //! * One **acceptor** per transport blocks in `accept()` and starts a
 //!   **reader** per inbound connection.
 //! * A **reader** blocks in `read()`, straight into its reassembly buffer,
-//!   parses every complete frame, decodes the payload and delivers it to
-//!   the locally registered inbox named by `to`.  A frame that does not
-//!   decode, or is addressed to an id with no inbox here (the peer map may
-//!   be ahead of local registration during elasticity), is counted in
-//!   `frames_dropped`; an out-of-range length kills the connection.
+//!   parses every complete frame, decodes the payload and calls the locally
+//!   registered sink named by `to` with it — on this thread, so the frames
+//!   of one connection are handled one at a time and in order, and a sink
+//!   that waited would hold up every frame behind it.  A frame that does
+//!   not decode, is addressed to an id with no sink here (the peer map may
+//!   be ahead of local registration during elasticity) or is refused by its
+//!   sink is counted in `frames_dropped`; an out-of-range length kills the
+//!   connection.
 //! * One **writer** per remote peer blocks on its bounded queue and owns
 //!   the outbound connection.  [`TcpTransport::send`] builds the frame in
 //!   the buffer it is sent from and enqueues it (a full queue is
@@ -47,10 +50,10 @@
 //! closed and no thread of the transport is left.
 //!
 //! Self-sends (a server messaging an id registered in the same process)
-//! short-circuit into the inbox but still pay for encoding, so byte
-//! counters remain honest.
+//! short-circuit into the sink, on the sender's thread, but still pay for
+//! encoding, so byte counters remain honest.
 
-use super::{SendReceipt, Transport, WireMessage};
+use super::{SendReceipt, Sink, Sinks, Transport, WireMessage};
 use crate::stats::NetworkStats;
 use aeon_types::{AeonError, Result, ServerId};
 use crossbeam::channel::{self, Receiver, Sender};
@@ -148,7 +151,7 @@ struct Lifecycle {
 
 struct TcpShared<M> {
     local_addr: SocketAddr,
-    inboxes: RwLock<HashMap<ServerId, Sender<M>>>,
+    sinks: Sinks<M>,
     peers: RwLock<HashMap<ServerId, SocketAddr>>,
     /// Outbound frame queues, one writer thread per live entry.
     writers: Mutex<HashMap<ServerId, Sender<Vec<u8>>>>,
@@ -287,7 +290,7 @@ impl<M: WireMessage> TcpTransport<M> {
             .map_err(|e| AeonError::Config(format!("local_addr: {e}")))?;
         let shared = Arc::new(TcpShared {
             local_addr,
-            inboxes: RwLock::new(HashMap::new()),
+            sinks: Sinks::new(),
             peers: RwLock::new(config.peers),
             writers: Mutex::new(HashMap::new()),
             stats: RwLock::new(None),
@@ -373,27 +376,26 @@ impl<M: WireMessage> TcpTransport<M> {
 }
 
 impl<M: WireMessage> Transport<M> for TcpTransport<M> {
-    fn register(&self, id: ServerId) -> Receiver<M> {
-        let (tx, rx) = channel::unbounded();
-        self.shared.inboxes.write().insert(id, tx);
-        rx
+    fn register(&self, id: ServerId, sink: Sink<M>) {
+        self.shared.sinks.insert(id, sink);
     }
 
     fn deregister(&self, id: ServerId) {
-        self.shared.inboxes.write().remove(&id);
+        self.shared.sinks.remove(id);
     }
 
     fn send(&self, from: ServerId, to: ServerId, message: M) -> Result<SendReceipt> {
         let frame = Self::frame(from, to, &message)?;
         let bytes = frame.len() as u64;
         // Self-send (or loopback co-located id): deliver without a socket.
-        if let Some(tx) = self.shared.inboxes.read().get(&to) {
-            tx.send(message)
-                .map_err(|_| AeonError::ServerNotFound(to))?;
-            return Ok(SendReceipt {
+        if let Some(taken) = self.shared.sinks.deliver(to, message) {
+            let receipt = SendReceipt {
                 bytes,
                 delivered_locally: true,
-            });
+            };
+            return taken
+                .then_some(receipt)
+                .ok_or(AeonError::ServerNotFound(to));
         }
         let addr = self
             .shared
@@ -410,7 +412,7 @@ impl<M: WireMessage> Transport<M> for TcpTransport<M> {
     }
 
     fn servers(&self) -> Vec<ServerId> {
-        let mut ids: Vec<ServerId> = self.shared.inboxes.read().keys().copied().collect();
+        let mut ids = self.shared.sinks.ids();
         ids.extend(self.shared.peers.read().keys().copied());
         ids.sort();
         ids.dedup();
@@ -581,8 +583,8 @@ fn read_loop<M: WireMessage>(conn: Tracked<M>) {
     }
 }
 
-/// Decodes one payload into the inbox of `to`; a frame that cannot be
-/// delivered is counted, never silently skipped.
+/// Decodes one payload and hands it to the sink of `to`; a frame that
+/// cannot be delivered is counted, never silently skipped.
 fn deliver<M: WireMessage>(shared: &TcpShared<M>, to: ServerId, payload: &[u8]) {
     let Ok(message) = M::decode_wire(payload) else {
         shared.record_frame_dropped();
@@ -591,11 +593,7 @@ fn deliver<M: WireMessage>(shared: &TcpShared<M>, to: ServerId, payload: &[u8]) 
     if let Some(stats) = shared.stats.read().as_ref() {
         stats.record_received((HEADER + payload.len()) as u64);
     }
-    let delivered = match shared.inboxes.read().get(&to) {
-        Some(inbox) => inbox.send(message).is_ok(),
-        None => false,
-    };
-    if !delivered {
+    if shared.sinks.deliver(to, message) != Some(true) {
         shared.record_frame_dropped();
     }
 }
