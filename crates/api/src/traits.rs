@@ -194,7 +194,8 @@ pub trait Deployment: Send + Sync {
     }
 
     /// Aggregate event-executor counters (submissions, completions,
-    /// batching, fast-path hits, spill activity), when the backend runs a
+    /// batching, fast-path hits, threads started for announced blocking
+    /// waits), when the backend runs a
     /// worker pool.  `None` on backends without one (the deterministic
     /// simulator executes inline); the cluster reports the sum over its
     /// nodes.  Feeds the `aeond` metrics exposition.

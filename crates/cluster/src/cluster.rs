@@ -139,13 +139,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Caps the spill workers each node's blocking escape hatch may keep
-    /// alive at once.
-    pub fn max_spill_workers(mut self, n: usize) -> Self {
-        self.executor.max_spill_workers = n;
-        self
-    }
-
     /// Caps how many queued same-context messages one node-executor dequeue
     /// may drain as a batch (`1` disables batching; clamped to at least 1).
     pub fn batch_max(mut self, n: usize) -> Self {
@@ -1388,8 +1381,8 @@ impl Cluster {
             .collect()
     }
 
-    /// Per-server counters of the nodes' worker pools (queue depth, spill
-    /// activity, caught panics).
+    /// Per-server counters of the nodes' worker pools (queue depth, threads
+    /// started for announced blocking waits, caught panics).
     pub fn executor_stats(&self) -> BTreeMap<ServerId, ExecutorStats> {
         self.inner
             .nodes

@@ -13,24 +13,40 @@
 //!   body, remote calls), `Migrate` (exclusive access), `Install` (the class
 //!   factory, the replay), `FreezeReq` (one activation per member) — goes to
 //!   the node's sharded worker pool through `offload`, an unbounded push
-//!   that does not block.  The pool is fixed-size (a thread per blocking
-//!   message does not scale); tasks are sharded by the context they
-//!   concern, and the pool's spill escape hatch keeps the node live when
-//!   every resident worker is parked on a remote call or a lock held by a
-//!   yet-unscheduled message (see `aeon_runtime::executor`).  The arms that
-//!   run in line only flip a map and send an acknowledgement: `Host`
+//!   that does not block; tasks are sharded by the context they concern.
+//!   The arms that run in line only flip a map and send an
+//!   acknowledgement: `Host`
 //!   (insert the object; its class factory, the one piece of application
 //!   code reached from here, runs under the panic boundary), `Prepare` /
 //!   `Stop` (open a buffer), `Release` / `ThawReq` (releasing a lock never
 //!   blocks), `CallReply` / `DirAck` (complete a waiting caller),
 //!   `FreezeReq`'s registration, `MetricsReq` (read counters), `Shutdown`.
+//! * **A pool worker waits only inside `block_in_place`; a sequencer wait
+//!   holds no worker.**  The pool is fixed-size (a thread per blocking
+//!   message does not scale), so a worker must not sit on a wait whose end
+//!   needs a task queued behind it.  `Act` takes its sequencer with
+//!   [`ContextLock::activate_or_defer`]: granted now, the worker goes on
+//!   to execute the event — in place when the target is installed here;
+//!   held, the `Act` leaves a grant in the lock's queue and the worker is
+//!   free.  The grant runs on whichever thread releases the sequencer (a
+//!   worker finishing an event, or this `dispatch`'s `Release` arm on a
+//!   sender's thread) and only offloads the continuation.  Every other
+//!   wait of a worker — a remote call's reply, a contended activation in
+//!   `enter` / `FreezeReq` / `Migrate`, a reader's turn at an object
+//!   another reader's frame holds (`lock_object`), the nap for an
+//!   in-flight `Install` — is announced with
+//!   `ShardedExecutor::block_in_place`, which hands the rest of the
+//!   worker's batch back to the queue and keeps `workers` threads running
+//!   the queues beside it (see `aeon_runtime::executor`): the holder it
+//!   waits for may be an event whose granted continuation is still queued.
+//!   An uncontended activation or object lock announces nothing.
 //! * **No guard is held across a send** ([`NodeShared::send`]): the
 //!   receiver's handler runs inside the send and may come straight back
 //!   here.
 //! * **`dispatch` is entered from many threads at once** — it always was,
-//!   from pool workers (`handle_act` for a local target, `handle_install`'s
-//!   replay) beside the receive loop this design removed: everything it
-//!   touches is a lock-protected map or an atomic.
+//!   from pool workers (`handle_act` for a target on its way here,
+//!   `handle_install`'s replay) beside the receive loop this design
+//!   removed: everything it touches is a lock-protected map or an atomic.
 //! * **Recursion is bounded by the protocol**, not by load.  The longest
 //!   chain is a worker's `Done` → the gateway's arm → a sub-event's `submit`
 //!   → `route` → this `dispatch` → `offload`, where it ends.  A forwarded
@@ -62,7 +78,7 @@ use aeon_types::{
     codec, AccessMode, AeonError, Args, ClientId, ContextId, EventId, Result, ServerId, Value,
 };
 use crossbeam::channel::{bounded, Sender};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -210,7 +226,9 @@ impl NodeShared {
     }
 
     fn poison_all(&self) {
-        for hosted in self.contexts.read().values() {
+        // Collected first: poisoning answers deferred `Act`s, which send.
+        let hosted: Vec<Arc<HostedContext>> = self.contexts.read().values().cloned().collect();
+        for hosted in hosted {
             hosted.lock.poison();
         }
         self.root_lock.poison();
@@ -240,10 +258,21 @@ impl NodeShared {
         let _ = self.network.send_from(self.id, to, message);
     }
 
+    /// Activates `lock` for `event` on a pool worker, announcing the wait
+    /// to the pool when there is one to make.
+    fn activate(&self, lock: &ContextLock, event: EventId, mode: AccessMode) -> Result<()> {
+        if lock.try_activate(event, mode)? {
+            return Ok(());
+        }
+        self.executor.block_in_place(|| lock.activate(event, mode))
+    }
+
     fn record_hold(&self, event: EventId, context: ContextId) {
         self.held.lock().entry(event).or_default().push(context);
     }
 
+    /// Releases what `event` holds here.  The grants this runs only
+    /// offload (see [`handle_act`]), so the map's read guard may stay.
     fn release_event(&self, event: EventId) {
         let contexts = self.held.lock().remove(&event).unwrap_or_default();
         let map = self.contexts.read();
@@ -326,7 +355,7 @@ impl NodeShared {
                     // than the configured grace period.
                     let nap = (deadline - now).min(Duration::from_millis(10));
                     self.install_wait_retries.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(nap);
+                    self.executor.block_in_place(|| std::thread::sleep(nap));
                 }
                 Ok(_) => return Ok(None),
                 Err(e) => return Err(e),
@@ -599,30 +628,51 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
     }
 }
 
-/// Sequences the event at the dominator (`ACT`), then forwards it to the
-/// target server for execution (`EXEC`).
+/// Sequences the event at the dominator (`ACT`), then executes it
+/// (`EXEC`) — on this thread when the target is installed here, else at the
+/// target's server.  A held sequencer keeps no worker: the `Act` waits in
+/// the lock's queue as a grant, which whoever releases the sequencer runs
+/// and which only hands the rest back to the pool, keyed by the sequencer
+/// (it may run inside `dispatch`, where nothing may wait).  A poisoned
+/// grant answers the gateway at once.
 fn handle_act(shared: &Arc<NodeShared>, event: EventDescriptor, sequencer: ContextId) {
-    let activation = if sequencer == virtual_root() {
-        shared.root_lock.activate(event.id, event.mode)
+    let (id, corr) = (event.id, event.corr);
+    let hosted;
+    let lock = if sequencer == virtual_root() {
+        &shared.root_lock
+    } else if let Some(local) = shared.local(sequencer) {
+        hosted = local;
+        &hosted.lock
     } else {
-        match shared.local(sequencer) {
-            Some(hosted) => hosted.lock.activate(event.id, event.mode),
-            None => Err(AeonError::ContextNotFound(sequencer)),
-        }
+        let error = AeonError::ContextNotFound(sequencer);
+        return shared.send(gateway_id(), failed(corr, id, error));
     };
-    if let Err(error) = activation {
-        shared.send(
-            gateway_id(),
-            ClusterMessage::Done {
-                corr: event.corr,
-                event: event.id,
-                result: Err(error),
-                sub_events: Vec::new(),
-            },
-        );
-        return;
+    let mode = event.mode;
+    // Shared with the grant, which is dropped unused when the sequencer is
+    // granted now, so that the descriptor is moved on, not copied.
+    let event = Arc::new(event);
+    let later = Arc::clone(&event);
+    let node = Arc::clone(shared);
+    let granted_now = lock.activate_or_defer(id, mode, move |granted| match granted {
+        Ok(()) => {
+            let worker = Arc::clone(&node);
+            node.offload(sequencer, move || sequenced(&worker, later, sequencer));
+        }
+        Err(error) => node.send(gateway_id(), failed(corr, id, error)),
+    });
+    if granted_now {
+        sequenced(shared, event, sequencer);
     }
+}
+
+/// The rest of `ACT` once the event holds its sequencer.
+fn sequenced(shared: &Arc<NodeShared>, event: Arc<EventDescriptor>, sequencer: ContextId) {
+    let event = Arc::unwrap_or_clone(event);
     shared.record_hold(event.id, sequencer);
+    let held = Some((shared.id, sequencer));
+    if shared.local(event.target).is_some() {
+        return handle_exec(shared, event, held, Footprint::Sequenced);
+    }
     let target_server = shared
         .forwarded(event.target)
         .or_else(|| shared.directory.placement_of(event.target).ok());
@@ -630,9 +680,10 @@ fn handle_act(shared: &Arc<NodeShared>, event: EventDescriptor, sequencer: Conte
         Some(server) => {
             let exec = ClusterMessage::Exec {
                 event,
-                sequencer: Some((shared.id, sequencer)),
+                sequencer: held,
             };
             if server == shared.id {
+                // Mapped here, not installed yet: `dispatch` buffers it.
                 dispatch(shared, exec);
             } else {
                 shared.send(server, exec);
@@ -640,16 +691,19 @@ fn handle_act(shared: &Arc<NodeShared>, event: EventDescriptor, sequencer: Conte
         }
         None => {
             shared.release_event(event.id);
-            shared.send(
-                gateway_id(),
-                ClusterMessage::Done {
-                    corr: event.corr,
-                    event: event.id,
-                    result: Err(AeonError::ContextNotFound(event.target)),
-                    sub_events: Vec::new(),
-                },
-            );
+            let error = AeonError::ContextNotFound(event.target);
+            shared.send(gateway_id(), failed(event.corr, event.id, error));
         }
+    }
+}
+
+/// The `Done` of an event that failed before it executed.
+fn failed(corr: u64, event: EventId, error: AeonError) -> ClusterMessage {
+    ClusterMessage::Done {
+        corr,
+        event,
+        result: Err(error),
+        sub_events: Vec::new(),
     }
 }
 
@@ -761,14 +815,14 @@ fn handle_freeze(
     let outcome = (|| -> Result<()> {
         for member in &members {
             if member.context == virtual_root() {
-                shared.root_lock.activate(freeze, AccessMode::Exclusive)?;
+                shared.activate(&shared.root_lock, freeze, AccessMode::Exclusive)?;
                 shared.record_hold(freeze, member.context);
                 continue;
             }
             let hosted = shared
                 .local(member.context)
                 .ok_or(AeonError::ContextNotFound(member.context))?;
-            hosted.lock.activate(freeze, AccessMode::Exclusive)?;
+            shared.activate(&hosted.lock, freeze, AccessMode::Exclusive)?;
             shared.record_hold(freeze, member.context);
             let mut object = hosted.object.lock();
             if let Some(state) = &member.restore {
@@ -826,7 +880,7 @@ fn handle_migrate(shared: &Arc<NodeShared>, corr: u64, context: ContextId, to: S
     // The migration behaves like an exclusive event on the context: it waits
     // for in-flight events to drain and keeps new ones out.
     let migration_event = EventId::new(shared.directory.next_raw());
-    if let Err(error) = hosted.lock.activate(migration_event, AccessMode::Exclusive) {
+    if let Err(error) = shared.activate(&hosted.lock, migration_event, AccessMode::Exclusive) {
         shared.send(
             gateway_id(),
             ClusterMessage::InstallAck {
@@ -933,12 +987,22 @@ impl ContextHost for NodeHost<'_> {
     fn enter(&mut self, event: &EventMeta, target: ContextId) -> Result<Entered> {
         match self.node.locate(target)? {
             Some(hosted) => {
-                hosted.lock.activate(event.id, event.mode)?;
+                self.node.activate(&hosted.lock, event.id, event.mode)?;
                 self.node.record_hold(event.id, target);
                 Ok(Entered::Local(hosted))
             }
             None => Ok(Entered::Remote),
         }
+    }
+
+    fn lock_object<'o>(
+        &self,
+        hosted: &'o dyn HostedObject,
+    ) -> MutexGuard<'o, Box<dyn ContextObject>> {
+        let object = hosted.object();
+        object
+            .try_lock()
+            .unwrap_or_else(|| self.node.executor.block_in_place(|| object.lock()))
     }
 
     fn remote_call(
@@ -979,7 +1043,10 @@ impl ContextHost for NodeHost<'_> {
                 corr,
             },
         );
-        match rx.recv_timeout(CALL_TIMEOUT) {
+        match node
+            .executor
+            .block_in_place(|| rx.recv_timeout(CALL_TIMEOUT))
+        {
             Ok(outcome) => {
                 // Locks taken while serving the call are held whatever it
                 // returned.

@@ -3,7 +3,7 @@
 //! Application code written against `dyn Deployment` does not care which
 //! substrate executes it; [`deploy`] makes the choice a configuration value
 //! instead of a type.  A [`DeployConfig`] names the backend and the knobs
-//! every backend understands (server count, worker pool size, spill cap,
+//! every backend understands (server count, worker pool size, batching,
 //! class constraints), and the returned `Box<dyn Deployment>` is whatever
 //! the config selected:
 //!
@@ -86,9 +86,6 @@ pub struct DeployConfig {
     /// default (available parallelism).  Ignored by the single-threaded
     /// simulator.
     pub worker_threads: Option<usize>,
-    /// Cap on the spill workers of the blocking escape hatch.  `None`
-    /// keeps the backend default.  Ignored by the simulator.
-    pub max_spill_workers: Option<usize>,
     /// Cap on same-context batching per worker dequeue.  `None` keeps the
     /// backend default.  Ignored by the simulator.
     pub batch_max: Option<usize>,
@@ -115,7 +112,6 @@ impl Default for DeployConfig {
             backend: Backend::default(),
             servers: 1,
             worker_threads: None,
-            max_spill_workers: None,
             batch_max: None,
             readonly_fast_path: None,
             class_graph: None,
@@ -160,14 +156,6 @@ impl DeployConfig {
     #[must_use]
     pub fn worker_threads(mut self, threads: usize) -> Self {
         self.worker_threads = Some(threads);
-        self
-    }
-
-    /// Caps the spill workers of the blocking escape hatch (ignored by the
-    /// simulator).
-    #[must_use]
-    pub fn max_spill_workers(mut self, max: usize) -> Self {
-        self.max_spill_workers = Some(max);
         self
     }
 
@@ -253,9 +241,6 @@ pub fn deploy(config: DeployConfig) -> Result<Box<dyn Deployment>> {
             if let Some(threads) = config.worker_threads {
                 builder = builder.worker_threads(threads);
             }
-            if let Some(max) = config.max_spill_workers {
-                builder = builder.max_spill_workers(max);
-            }
             if let Some(max) = config.batch_max {
                 builder = builder.batch_max(max);
             }
@@ -274,9 +259,6 @@ pub fn deploy(config: DeployConfig) -> Result<Box<dyn Deployment>> {
                 .analysis(config.analysis);
             if let Some(threads) = config.worker_threads {
                 builder = builder.worker_threads(threads);
-            }
-            if let Some(max) = config.max_spill_workers {
-                builder = builder.max_spill_workers(max);
             }
             if let Some(max) = config.batch_max {
                 builder = builder.batch_max(max);
@@ -432,7 +414,6 @@ mod tests {
             DeployConfig::runtime()
                 .servers(1)
                 .worker_threads(2)
-                .max_spill_workers(8)
                 .batch_max(16)
                 .readonly_fast_path(false),
         )

@@ -18,15 +18,21 @@
 //!   machine's available parallelism) scan the shards starting from a
 //!   per-worker home offset, so under load each worker tends to drain its
 //!   own shards (cache affinity) but no queue is ever starved.
-//! * **Blocking escape hatch** — a task may block mid-execution (an event
-//!   waiting for a context activation, a cluster worker waiting for a
-//!   remote call reply).  A monitor thread watches for the stall signature
-//!   — queued work, zero idle workers, and no completions since the last
-//!   tick — and spawns short-lived *spill* workers that drain the queues
-//!   until they are empty and then exit.  This bounds resident threads
-//!   while guaranteeing progress when every resident worker is parked on a
-//!   dependency that itself needs a worker to resolve (the classic fixed
-//!   pool deadlock).
+//! * **Blocking: announce it** — a task about to wait for something that
+//!   may need another queued task to happen first (a cluster worker's
+//!   remote call, a contended activation) makes the wait inside
+//!   [`ShardedExecutor::block_in_place`].  While `k` of the pool's threads
+//!   are in there, the pool keeps at least `workers` threads outside: the
+//!   thread that announces wakes a resting thread, or starts one, when no
+//!   other would be left to run the queues.  A thread that finds no work
+//!   while more than `workers` others run them rests where submitters do
+//!   not wake it, and retires once it has rested a park timeout with no
+//!   announced wait taking it back.  The announcing thread also puts the
+//!   tasks of its batch that have not started back at the front of their
+//!   queue, since the task it waits for may be one of them.  Nothing watches for stalls, so
+//!   there is no detection delay — and a task that blocks *without*
+//!   announcing it simply holds its worker, like any long task.
+//!   `shutdown` joins every thread the pool started.
 //!
 //! Workers run each task under `catch_unwind`, so a panicking task can
 //! never kill a pool thread; panics are counted in [`ExecutorStats`].
@@ -34,14 +40,29 @@
 //! with a proper error) catch it closer to the application code.
 
 use parking_lot::{Condvar, Mutex};
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// A unit of work accepted by the pool.
 pub type Task = Box<dyn FnOnce() + Send + 'static>;
+
+/// How long an idle thread parks before it looks again — and a surplus one
+/// rests before it retires.
+const PARK_TIMEOUT: Duration = Duration::from_millis(100);
+
+thread_local! {
+    /// The pool the current thread works for (the address of its
+    /// `ExecutorInner`), or 0: off the pool, and inside `block_in_place`.
+    static POOL: Cell<usize> = const { Cell::new(0) };
+    /// The key and the not yet started tasks of the batch this pool thread
+    /// is running.
+    static BATCH: RefCell<(u64, VecDeque<Task>)> = const { RefCell::new((0, VecDeque::new())) };
+}
 
 /// Configuration of a [`ShardedExecutor`].
 #[derive(Debug, Clone)]
@@ -52,12 +73,6 @@ pub struct ExecutorConfig {
     /// `0` means "derive from the pool size" (4 × workers), so the shard
     /// count tracks the pool unless set explicitly.
     pub shards: usize,
-    /// Upper bound on concurrently live spill workers (the blocking escape
-    /// hatch).  Setting this too low can reintroduce the fixed-pool
-    /// deadlock under extreme blocking; the default is generous.
-    pub max_spill_workers: usize,
-    /// How often the monitor checks for the stall signature.
-    pub stall_check_interval: Duration,
     /// Maximum number of same-key tasks a worker drains from a shard in
     /// one dequeue (per-activation event batching).  The extra tasks run
     /// back-to-back on the same worker, so a hot context amortises one
@@ -74,8 +89,6 @@ impl Default for ExecutorConfig {
         Self {
             workers,
             shards: 0,
-            max_spill_workers: 256,
-            stall_check_interval: Duration::from_millis(1),
             batch_max: 8,
         }
     }
@@ -105,9 +118,10 @@ pub struct ExecutorStats {
     pub completed: u64,
     /// Tasks currently sitting in the injection queues.
     pub queued: u64,
-    /// Total spill workers spawned by the blocking escape hatch.
+    /// Threads [`ShardedExecutor::block_in_place`] started so that
+    /// `workers` threads stayed outside it.
     pub spill_spawned: u64,
-    /// Spill workers currently alive.
+    /// Threads alive beyond the resident workers.
     pub spill_live: usize,
     /// Tasks that panicked (caught by the worker; the pool survived).
     pub panics: u64,
@@ -121,20 +135,41 @@ pub struct ExecutorStats {
     pub fast_path: u64,
 }
 
+/// The pool's threads, counted under one mutex so that "wake or start one"
+/// and "rest or retire" decide on the same numbers.
+#[derive(Debug, Default)]
+struct Threads {
+    /// Threads running the worker loop, resident or started later.
+    live: usize,
+    /// Threads of `live` inside `block_in_place`.
+    blocked: usize,
+    /// Threads of `live` resting (surplus, parked on `rest_cv`), less those
+    /// already woken to run again.
+    resting: usize,
+    /// Wake-ups handed to resting threads and not yet taken by one.
+    woken: usize,
+    /// Every thread started and not yet seen finished.
+    handles: Vec<JoinHandle<()>>,
+}
+
+impl Threads {
+    /// Threads that run the queues: neither blocked nor resting.
+    fn runners(&self) -> usize {
+        self.live - self.blocked - self.resting
+    }
+}
+
 struct ExecutorInner {
     name: String,
     config: ExecutorConfig,
     /// Each queued task keeps its routing key so a dequeue can extract the
     /// other tasks of the same key (context) from the shard in one go.
     shards: Vec<Mutex<VecDeque<(u64, Task)>>>,
-    /// Tasks queued across all shards (fast path for workers and monitor).
+    /// Tasks queued across all shards (fast path for parking workers).
     queued: AtomicU64,
-    /// Workers currently parked waiting for work.
-    idle: AtomicUsize,
     submitted: AtomicU64,
     completed: AtomicU64,
     spill_spawned: AtomicU64,
-    spill_live: AtomicUsize,
     panics: AtomicU64,
     batched: AtomicU64,
     fast_path: AtomicU64,
@@ -143,19 +178,37 @@ struct ExecutorInner {
     /// re-check `queued` under it before parking, so wakeups are not lost.
     sleep_lock: Mutex<()>,
     sleep_cv: Condvar,
-    /// Monitor coordination (separate so worker wakeups do not thrash it).
-    monitor_lock: Mutex<()>,
-    monitor_cv: Condvar,
+    threads: Mutex<Threads>,
+    /// Where surplus threads rest: only `block_in_place` wakes them.
+    rest_cv: Condvar,
 }
 
 impl ExecutorInner {
+    /// The value of [`POOL`] on this pool's threads.
+    fn marker(self: &Arc<Self>) -> usize {
+        Arc::as_ptr(self) as usize
+    }
+
+    /// Starts the pool thread numbered `index`; homes spread over the
+    /// shard space.
+    fn spawn_thread(self: &Arc<Self>, index: usize) -> std::io::Result<JoinHandle<()>> {
+        let home = index * self.shards.len() / self.config.workers % self.shards.len();
+        let inner = Arc::clone(self);
+        std::thread::Builder::new()
+            .name(format!("{}-worker-{index}", self.name))
+            .spawn(move || {
+                POOL.with(|pool| pool.set(inner.marker()));
+                inner.worker_loop(home);
+            })
+    }
+
     /// Pops the oldest task of the first non-empty shard, scanning from
     /// `home` so distinct workers prefer distinct shards, and drains up to
     /// `batch_max - 1` queued tasks with the same key behind it (in their
     /// submission order, leaving other keys' relative order untouched).
     /// Per-key FIFO is preserved: the batch is exactly the key's queued
     /// prefix in this shard, executed back-to-back by one worker.
-    fn next_batch(&self, home: usize) -> Option<Vec<Task>> {
+    fn next_batch(&self, home: usize) -> Option<(u64, VecDeque<Task>)> {
         let n = self.shards.len();
         let max = self.config.batch_max.max(1);
         for i in 0..n {
@@ -164,12 +217,12 @@ impl ExecutorInner {
             let Some((key, task)) = queue.pop_front() else {
                 continue;
             };
-            let mut batch = vec![task];
+            let mut batch = VecDeque::from([task]);
             let mut index = 0;
             while batch.len() < max && index < queue.len() {
                 if queue[index].0 == key {
                     let (_, follower) = queue.remove(index).expect("index is in range");
-                    batch.push(follower);
+                    batch.push_back(follower);
                 } else {
                     index += 1;
                 }
@@ -180,9 +233,37 @@ impl ExecutorInner {
                 self.batched
                     .fetch_add(batch.len() as u64 - 1, Ordering::Relaxed);
             }
-            return Some(batch);
+            return Some((key, batch));
         }
         None
+    }
+
+    /// Puts the tasks of a batch that have not started back at the front of
+    /// their shard, in order: the thread that took them is about to wait —
+    /// perhaps for one of them.
+    fn hand_back(&self, key: u64, rest: VecDeque<Task>) {
+        if rest.is_empty() {
+            return;
+        }
+        let n = rest.len() as u64;
+        self.queued.fetch_add(n, Ordering::SeqCst);
+        self.batched.fetch_sub(n, Ordering::Relaxed);
+        {
+            let mut queue = self.shards[self.shard_of(key)].lock();
+            for task in rest.into_iter().rev() {
+                queue.push_front((key, task));
+            }
+        }
+        if self.shutdown.load(Ordering::SeqCst) {
+            self.drain_queues();
+            return;
+        }
+        let _guard = self.sleep_lock.lock();
+        self.sleep_cv.notify_one();
+    }
+
+    fn shard_of(&self, key: u64) -> usize {
+        (key % self.shards.len() as u64) as usize
     }
 
     fn run_task(&self, task: Task) {
@@ -192,105 +273,83 @@ impl ExecutorInner {
         self.completed.fetch_add(1, Ordering::SeqCst);
     }
 
-    fn worker_loop(self: &Arc<Self>, home: usize) {
+    fn worker_loop(&self, home: usize) {
         while !self.shutdown.load(Ordering::SeqCst) {
-            match self.next_batch(home) {
-                Some(batch) => {
-                    for task in batch {
-                        self.run_task(task);
-                    }
+            if let Some(batch) = self.next_batch(home) {
+                BATCH.with(|rest| *rest.borrow_mut() = batch);
+                while let Some(task) = BATCH.with(|rest| rest.borrow_mut().1.pop_front()) {
+                    self.run_task(task);
                 }
-                None => {
-                    let mut guard = self.sleep_lock.lock();
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    // Re-check under the sleep lock: a submitter that
-                    // enqueued after our scan notifies under this lock.
-                    if self.queued.load(Ordering::SeqCst) > 0 {
-                        continue;
-                    }
-                    self.idle.fetch_add(1, Ordering::SeqCst);
-                    self.sleep_cv
-                        .wait_for(&mut guard, Duration::from_millis(100));
-                    self.idle.fetch_sub(1, Ordering::SeqCst);
-                }
+                continue;
             }
-        }
-    }
-
-    /// A spill worker drains the queues and exits as soon as they are
-    /// empty; it never parks.
-    fn spill_loop(self: &Arc<Self>) {
-        while !self.shutdown.load(Ordering::SeqCst) {
-            match self.next_batch(0) {
-                Some(batch) => {
-                    for task in batch {
-                        self.run_task(task);
-                    }
-                }
-                None => break,
+            match self.rest_if_surplus() {
+                Some(true) => return,
+                Some(false) => continue,
+                None => {}
             }
-        }
-        self.spill_live.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Watches for the stall signature (queued work, nobody idle, no
-    /// completions since the previous tick) and spawns spill workers.
-    ///
-    /// Successive spawns with no progress in between back off
-    /// exponentially (1, 2, 4, … stalled ticks, capped), so ordinary
-    /// blocking bursts (e.g. every resident worker inside a
-    /// multi-millisecond remote call) cost a handful of spill threads
-    /// rather than one per tick, while genuine dependency chains still
-    /// get rescued step by step.
-    fn monitor_loop(self: &Arc<Self>) {
-        const MAX_BACKOFF_TICKS: u32 = 32;
-        let mut last_completed = u64::MAX;
-        let mut stalled_ticks = 0u32;
-        let mut spawn_after = 1u32;
-        loop {
-            {
-                let mut guard = self.monitor_lock.lock();
-                if self.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                self.monitor_cv
-                    .wait_for(&mut guard, self.config.stall_check_interval);
-            }
+            let mut guard = self.sleep_lock.lock();
             if self.shutdown.load(Ordering::SeqCst) {
                 return;
             }
-            if self.queued.load(Ordering::SeqCst) == 0 {
-                last_completed = u64::MAX;
-                stalled_ticks = 0;
-                spawn_after = 1;
+            // Re-check under the sleep lock: a submitter that enqueued
+            // after our scan notifies under this lock.
+            if self.queued.load(Ordering::SeqCst) > 0 {
                 continue;
             }
-            let completed = self.completed.load(Ordering::SeqCst);
-            let stalled = self.idle.load(Ordering::SeqCst) == 0 && completed == last_completed;
-            last_completed = completed;
-            if !stalled {
-                stalled_ticks = 0;
-                spawn_after = 1;
-                continue;
+            self.sleep_cv.wait_for(&mut guard, PARK_TIMEOUT);
+        }
+    }
+
+    /// Called by a thread that found no work: when more than `workers`
+    /// others run the queues, it rests — where submitters, which wake
+    /// only runners, do not reach it — until an announced wait takes it
+    /// back (`Some(false)`) or a park timeout passes and it retires
+    /// (`Some(true)`).  `None`: it is needed as a runner.
+    fn rest_if_surplus(&self) -> Option<bool> {
+        let mut threads = self.threads.lock();
+        if threads.runners() <= self.config.workers {
+            return None;
+        }
+        threads.resting += 1;
+        let deadline = std::time::Instant::now() + PARK_TIMEOUT;
+        loop {
+            if threads.woken > 0 {
+                threads.woken -= 1;
+                return Some(false);
             }
-            stalled_ticks += 1;
-            if stalled_ticks >= spawn_after
-                && self.spill_live.load(Ordering::SeqCst) < self.config.max_spill_workers
-            {
-                stalled_ticks = 0;
-                spawn_after = spawn_after.saturating_mul(2).min(MAX_BACKOFF_TICKS);
-                self.spill_live.fetch_add(1, Ordering::SeqCst);
-                self.spill_spawned.fetch_add(1, Ordering::Relaxed);
-                let inner = Arc::clone(self);
-                let spawned = std::thread::Builder::new()
-                    .name(format!("{}-spill", self.name))
-                    .spawn(move || inner.spill_loop());
-                if spawned.is_err() {
-                    self.spill_live.fetch_sub(1, Ordering::SeqCst);
-                }
+            let now = std::time::Instant::now();
+            if now >= deadline || self.shutdown.load(Ordering::SeqCst) {
+                threads.resting -= 1;
+                threads.live -= 1;
+                return Some(true);
             }
+            self.rest_cv.wait_for(&mut threads, deadline - now);
+        }
+    }
+
+    /// Counts the calling thread as blocked and, should that leave fewer
+    /// than `workers` threads to run the queues, wakes a resting thread or
+    /// starts one.
+    fn enter_blocking(self: &Arc<Self>) {
+        let mut threads = self.threads.lock();
+        threads.blocked += 1;
+        if threads.runners() >= self.config.workers || self.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        if threads.resting > 0 {
+            threads.resting -= 1;
+            threads.woken += 1;
+            self.rest_cv.notify_one();
+            return;
+        }
+        let index = self.config.workers + self.spill_spawned.load(Ordering::Relaxed) as usize;
+        // Without a thread the wait still happens; the queues then wait
+        // for a blocker to return, as on any saturated pool.
+        if let Ok(handle) = self.spawn_thread(index) {
+            self.spill_spawned.fetch_add(1, Ordering::Relaxed);
+            threads.live += 1;
+            threads.handles.retain(|handle| !handle.is_finished());
+            threads.handles.push(handle);
         }
     }
 
@@ -319,15 +378,25 @@ impl std::fmt::Debug for ExecutorInner {
     }
 }
 
+/// Leaves `block_in_place` — also when its closure unwinds: the thread
+/// counts as running again and is marked as this pool's once more.
+struct Unblock<'a>(&'a Arc<ExecutorInner>);
+
+impl Drop for Unblock<'_> {
+    fn drop(&mut self) {
+        self.0.threads.lock().blocked -= 1;
+        POOL.with(|pool| pool.set(self.0.marker()));
+    }
+}
+
 /// A fixed-size worker pool over sharded FIFO injection queues.
 ///
-/// Dropping the executor shuts it down (queued tasks are dropped, resident
-/// workers are joined), so an owner does not leak threads when it goes
-/// away without an explicit shutdown.
+/// Dropping the executor shuts it down (queued tasks are dropped, every
+/// thread it started is joined), so an owner does not leak threads when it
+/// goes away without an explicit shutdown.
 #[derive(Debug)]
 pub struct ShardedExecutor {
     inner: Arc<ExecutorInner>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl ShardedExecutor {
@@ -337,7 +406,6 @@ impl ShardedExecutor {
     /// rejected by the owning builder with a proper error); a zero
     /// `shards` derives the shard count from the pool size.
     pub fn new(name: impl Into<String>, config: ExecutorConfig) -> Self {
-        let name = name.into();
         let workers = config.workers.max(1);
         let shards = if config.shards == 0 {
             workers.saturating_mul(4)
@@ -345,7 +413,7 @@ impl ShardedExecutor {
             config.shards
         };
         let inner = Arc::new(ExecutorInner {
-            name: name.clone(),
+            name: name.into(),
             config: ExecutorConfig {
                 workers,
                 shards,
@@ -353,45 +421,30 @@ impl ShardedExecutor {
             },
             shards: (0..shards).map(|_| Mutex::new(VecDeque::new())).collect(),
             queued: AtomicU64::new(0),
-            idle: AtomicUsize::new(0),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             spill_spawned: AtomicU64::new(0),
-            spill_live: AtomicUsize::new(0),
             panics: AtomicU64::new(0),
             batched: AtomicU64::new(0),
             fast_path: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             sleep_lock: Mutex::new(()),
             sleep_cv: Condvar::new(),
-            monitor_lock: Mutex::new(()),
-            monitor_cv: Condvar::new(),
+            threads: Mutex::new(Threads {
+                live: workers,
+                ..Threads::default()
+            }),
+            rest_cv: Condvar::new(),
         });
-        let mut threads = Vec::with_capacity(workers + 1);
-        for worker in 0..workers {
-            let inner = Arc::clone(&inner);
-            // Spread worker homes across the shard space.
-            let home = worker * shards / workers;
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("{name}-worker-{worker}"))
-                    .spawn(move || inner.worker_loop(home))
-                    .expect("spawning a pool worker succeeds"),
-            );
-        }
-        {
-            let inner = Arc::clone(&inner);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("{name}-monitor"))
-                    .spawn(move || inner.monitor_loop())
-                    .expect("spawning the pool monitor succeeds"),
-            );
-        }
-        Self {
-            inner,
-            threads: Mutex::new(threads),
-        }
+        let handles = (0..workers)
+            .map(|worker| {
+                inner
+                    .spawn_thread(worker)
+                    .expect("spawning a pool worker succeeds")
+            })
+            .collect();
+        inner.threads.lock().handles = handles;
+        Self { inner }
     }
 
     /// Number of resident workers.
@@ -406,7 +459,7 @@ impl ShardedExecutor {
         if self.inner.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let shard = (key % self.inner.shards.len() as u64) as usize;
+        let shard = self.inner.shard_of(key);
         // Count before pushing so a concurrent pop (which decrements)
         // can never observe the task ahead of its increment.
         self.inner.queued.fetch_add(1, Ordering::SeqCst);
@@ -426,6 +479,26 @@ impl ShardedExecutor {
         // nothing" and "park" re-checks and cannot miss this task.
         let _guard = self.inner.sleep_lock.lock();
         self.inner.sleep_cv.notify_one();
+    }
+
+    /// Runs `f`, a wait that may need one of this pool's queued tasks to
+    /// run first, announcing it: on a thread of this pool, the tasks of
+    /// the current batch that have not started go back to the front of
+    /// their queue, the pool counts the thread as blocked for the duration
+    /// and starts another when fewer than `workers` would be left to run
+    /// the queues (the surplus retires after idling a park timeout).  Off
+    /// the pool — a client thread, another pool's worker, a nested call —
+    /// it just runs `f`.
+    pub fn block_in_place<R>(&self, f: impl FnOnce() -> R) -> R {
+        if POOL.with(Cell::get) != self.inner.marker() {
+            return f();
+        }
+        let (key, rest) = BATCH.with(|rest| std::mem::take(&mut *rest.borrow_mut()));
+        self.inner.hand_back(key, rest);
+        self.inner.enter_blocking();
+        POOL.with(|pool| pool.set(0));
+        let _unblock = Unblock(&self.inner);
+        f()
     }
 
     /// Queued (not yet dequeued) task counts grouped by routing key.
@@ -449,6 +522,7 @@ impl ShardedExecutor {
 
     /// Current counters.
     pub fn stats(&self) -> ExecutorStats {
+        let live = self.inner.threads.lock().live;
         ExecutorStats {
             workers: self.inner.config.workers,
             shards: self.inner.shards.len(),
@@ -456,7 +530,7 @@ impl ShardedExecutor {
             completed: self.inner.completed.load(Ordering::SeqCst),
             queued: self.inner.queued.load(Ordering::SeqCst),
             spill_spawned: self.inner.spill_spawned.load(Ordering::Relaxed),
-            spill_live: self.inner.spill_live.load(Ordering::SeqCst),
+            spill_live: live.saturating_sub(self.inner.config.workers),
             panics: self.inner.panics.load(Ordering::Relaxed),
             batched: self.inner.batched.load(Ordering::Relaxed),
             fast_path: self.inner.fast_path.load(Ordering::Relaxed),
@@ -471,11 +545,11 @@ impl ShardedExecutor {
         self.inner.fast_path.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Stops the pool: queued tasks are dropped, resident workers and the
-    /// monitor are joined; live spill workers exit on their own as soon as
-    /// they observe the flag.  Tasks already executing run to completion
-    /// first, so callers that poison blocking primitives should do so
-    /// *before* shutting the pool down.
+    /// Stops the pool: queued tasks are dropped and every thread the pool
+    /// started is joined.  Tasks already executing run to completion first,
+    /// so callers that poison blocking primitives should do so *before*
+    /// shutting the pool down — and never call this from one of its
+    /// threads.
     pub fn shutdown(&self) {
         if self.inner.shutdown.swap(true, Ordering::SeqCst) {
             return;
@@ -486,16 +560,16 @@ impl ShardedExecutor {
             let _guard = self.inner.sleep_lock.lock();
             self.inner.sleep_cv.notify_all();
         }
-        {
-            let _guard = self.inner.monitor_lock.lock();
-            self.inner.monitor_cv.notify_all();
-        }
-        let threads = {
-            let mut threads = self.threads.lock();
-            std::mem::take(&mut *threads)
+        // No thread is started once the flag is up (`enter_blocking`
+        // checks it under this same mutex), so this is all of them; the
+        // resting ones leave as soon as they see the flag.
+        let handles = {
+            let mut threads = self.inner.threads.lock();
+            self.inner.rest_cv.notify_all();
+            std::mem::take(&mut threads.handles)
         };
-        for thread in threads {
-            let _ = thread.join();
+        for handle in handles {
+            let _ = handle.join();
         }
     }
 }
@@ -567,25 +641,120 @@ mod tests {
     }
 
     #[test]
-    fn spill_workers_rescue_blocked_pool() {
-        // Pool of 1; the first task blocks until a second task (which
-        // needs the escape hatch to run) unblocks it.
-        let pool = small_pool(1);
+    fn block_in_place_keeps_a_pool_of_one_live() {
+        // Pool of 1; the first task blocks until a second task — queued
+        // behind it on the same pool — unblocks it.  Announcing the wait
+        // starts the thread that runs the second task, at once.
+        let pool = Arc::new(small_pool(1));
         let (tx, rx) = mpsc::channel::<()>();
+        let p = Arc::clone(&pool);
         pool.submit(0, move || {
-            rx.recv_timeout(Duration::from_secs(10))
-                .expect("the rescue task must run despite the blocked pool");
+            p.block_in_place(|| rx.recv_timeout(Duration::from_secs(10)))
+                .expect("the second task must run beside the blocked one");
         });
-        std::thread::sleep(Duration::from_millis(20));
         pool.submit(1, move || {
             let _ = tx.send(());
         });
         let deadline = Instant::now() + Duration::from_secs(10);
         while pool.stats().completed < 2 {
-            assert!(Instant::now() < deadline, "escape hatch never fired");
+            assert!(Instant::now() < deadline, "the blocked pool never moved");
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert!(pool.stats().spill_spawned >= 1);
+        assert_eq!(pool.stats().spill_spawned, 1);
+        // Off the pool, `block_in_place` is just the call.
+        assert_eq!(pool.block_in_place(|| 7), 7);
+        assert_eq!(pool.stats().spill_spawned, 1);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_blocked_task_hands_the_rest_of_its_batch_back() {
+        // One worker, held by a task on another key while `waiter` and
+        // `signal` queue on key 1: it then takes both as one batch.  The
+        // waiter waits for the signal behind it, which must be handed back
+        // to the queue for the thread started beside it to run.
+        let pool = Arc::new(small_pool(1));
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        pool.submit(0, move || gate_rx.recv().unwrap());
+        std::thread::sleep(Duration::from_millis(20));
+        let (tx, rx) = mpsc::channel::<()>();
+        let p = Arc::clone(&pool);
+        pool.submit(1, move || {
+            p.block_in_place(|| rx.recv_timeout(Duration::from_secs(10)))
+                .expect("the signal behind the waiter in its batch never ran");
+        });
+        pool.submit(1, move || tx.send(()).unwrap());
+        gate_tx.send(()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while pool.stats().completed < 3 {
+            assert!(Instant::now() < deadline, "the batch stayed wedged");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The signal ran as a task of its own, not as a batch follower.
+        assert_eq!(pool.stats().batched, 0);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn an_announced_wait_takes_a_resting_thread_back() {
+        // Two blocking waits in a row on a pool of one: the thread started
+        // for the first rests when it returns, and the second wakes it
+        // instead of starting another.
+        let pool = Arc::new(small_pool(1));
+        for round in 0..2 {
+            let (tx, rx) = mpsc::channel::<()>();
+            let p = Arc::clone(&pool);
+            pool.submit(0, move || {
+                p.block_in_place(|| rx.recv_timeout(Duration::from_secs(10)))
+                    .unwrap();
+            });
+            pool.submit(1, move || tx.send(()).unwrap());
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while pool.stats().completed < 2 * (round + 1) {
+                assert!(Instant::now() < deadline, "round {round} stalled");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        assert_eq!(pool.stats().spill_spawned, 1);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_surplus_thread_retires_after_its_blocker_returns() {
+        let pool = Arc::new(small_pool(1));
+        assert_eq!(
+            (pool.stats().spill_spawned, pool.stats().spill_live),
+            (0, 0)
+        );
+        let (tx, rx) = mpsc::channel::<()>();
+        let (entered_tx, entered_rx) = mpsc::channel::<()>();
+        let p = Arc::clone(&pool);
+        pool.submit(0, move || {
+            p.block_in_place(|| {
+                // A nested announcement counts nothing more.
+                p.block_in_place(|| entered_tx.send(()).unwrap());
+                rx.recv_timeout(Duration::from_secs(10))
+            })
+            .unwrap();
+        });
+        entered_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        let stats = pool.stats();
+        assert_eq!((stats.spill_spawned, stats.spill_live), (1, 1));
+        tx.send(()).unwrap();
+        // Two threads idle now, one of them surplus: it goes after one
+        // park timeout, and it is the only one that goes.
+        let deadline = Instant::now() + PARK_TIMEOUT * 20;
+        while pool.stats().spill_live > 0 {
+            assert!(Instant::now() < deadline, "the surplus thread stayed");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        std::thread::sleep(PARK_TIMEOUT * 3);
+        assert_eq!(pool.stats().spill_live, 0);
+        assert_eq!(pool.stats().spill_spawned, 1);
+        // The pool still serves, with its one resident thread.
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        pool.submit(3, move || done_tx.send(()).unwrap());
+        done_rx.recv_timeout(Duration::from_secs(10)).unwrap();
         pool.shutdown();
     }
 
@@ -598,8 +767,8 @@ mod tests {
         pool.submit(0, move || {
             d.store(1, Ordering::SeqCst);
         });
-        // Wait for *both* tasks to complete (the second may run on a spill
-        // worker while the panic backtrace is still being printed).
+        // Wait for *both* tasks to complete (the second runs once the
+        // panic backtrace has been printed).
         let deadline = Instant::now() + Duration::from_secs(10);
         while pool.stats().completed < 2 {
             assert!(Instant::now() < deadline, "worker died after a panic");
@@ -622,7 +791,8 @@ mod tests {
 
     #[test]
     fn same_key_tasks_batch_under_one_dequeue() {
-        // One worker, monitor effectively off: block the worker on shard 0,
+        // One worker: block it on shard 0 (unannounced, so nothing runs
+        // beside it),
         // queue interleaved tasks of two keys that share shard 1, then
         // release.  The worker must drain each key's run as one batch (all
         // key-1 tasks before any key-5 task despite interleaved submission)
@@ -631,7 +801,6 @@ mod tests {
             "test-pool",
             ExecutorConfig {
                 workers: 1,
-                stall_check_interval: Duration::from_secs(300),
                 ..ExecutorConfig::default()
             },
         );
@@ -665,7 +834,6 @@ mod tests {
             ExecutorConfig {
                 workers: 1,
                 batch_max: 1,
-                stall_check_interval: Duration::from_secs(300),
                 ..ExecutorConfig::default()
             },
         );
@@ -693,14 +861,12 @@ mod tests {
 
     #[test]
     fn shutdown_drops_queued_tasks_and_joins() {
-        // One worker and a monitor that never fires during the test, so
-        // the queued follower cannot be rescued by a spill worker: it
-        // must be dropped by shutdown's drain.
+        // One worker, blocked without announcing it, so the queued
+        // follower cannot run: it must be dropped by shutdown's drain.
         let pool = ShardedExecutor::new(
             "test-pool",
             ExecutorConfig {
                 workers: 1,
-                stall_check_interval: Duration::from_secs(300),
                 ..ExecutorConfig::default()
             },
         );

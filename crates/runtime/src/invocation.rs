@@ -21,7 +21,7 @@
 use crate::context::ContextObject;
 use aeon_ownership::ClassGraph;
 use aeon_types::{AccessMode, AeonError, Args, ClientId, ContextId, EventId, Result, Value};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -214,6 +214,18 @@ pub trait ContextHost {
     /// context lives on another server.
     fn enter(&mut self, event: &EventMeta, target: ContextId) -> Result<Entered>;
 
+    /// Locks the object [`ContextHost::enter`] handed back.  Read-only
+    /// events share an activation and take turns here, so this can wait for
+    /// another reader's method frame — on the cluster, one that is itself
+    /// waiting for a remote call; the cluster's host announces that wait to
+    /// its pool.
+    fn lock_object<'o>(
+        &self,
+        hosted: &'o dyn HostedObject,
+    ) -> MutexGuard<'o, Box<dyn ContextObject>> {
+        hosted.object().lock()
+    }
+
     /// Serves a call to a context [`ContextHost::enter`] reported as
     /// remote; returns the callee's value and the sub-events it dispatched.
     /// `caller` is `None` for a forwarded top-level invocation.  Hosts
@@ -392,7 +404,7 @@ impl<'h> EventBody<'h> {
         let dispatched = self.sub_events.len();
         let result = match self.host.enter(&self.event, target)? {
             Entered::Local(hosted) => {
-                let mut object = hosted.object().lock();
+                let mut object = self.host.lock_object(&*hosted);
                 self.execute(&mut **object, target, method, args)
             }
             // The certificate was granted for a target hosted here; the

@@ -12,11 +12,44 @@
 //! The dominator of an event's target uses the same lock as a sequencer; it
 //! is held for the whole duration of the event, which is how two events that
 //! could reach shared descendants are prevented from interleaving.
+//!
+//! A waiter either blocks its thread ([`ContextLock::activate`]) or leaves a
+//! grant behind and returns ([`ContextLock::activate_or_defer`]) — the
+//! cluster's sequencer does the latter, so a queued `Act` holds no worker.
+//! Both kinds wait in the same queue and are granted by the same loop, run
+//! by whoever frees the context (a `release`): FIFO order, read sharing and
+//! starvation freedom do not depend on the kind.  A deferred waiter's grant
+//! is called by that releasing thread *after* it dropped the lock's mutex,
+//! so the grant may activate or release this very lock; `poison` answers
+//! each deferred waiter with an error, once.
 
 use aeon_types::{AccessMode, AeonError, ContextId, EventId, Result};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::time::Duration;
+
+/// What a deferred waiter leaves in the queue: called exactly once, with
+/// `Ok` when its event is activated or `Err` when the lock is poisoned
+/// first.
+type Grant = Box<dyn FnOnce(Result<()>) + Send>;
+
+/// An activation request in the queue.
+struct Waiter {
+    event: EventId,
+    mode: AccessMode,
+    /// `None` for a thread blocked in [`ContextLock::activate`].
+    grant: Option<Grant>,
+}
+
+impl std::fmt::Debug for Waiter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Waiter")
+            .field("event", &self.event)
+            .field("mode", &self.mode)
+            .field("deferred", &self.grant.is_some())
+            .finish()
+    }
+}
 
 /// State protected by the lock's mutex.
 #[derive(Debug, Default)]
@@ -24,10 +57,58 @@ struct LockState {
     /// Events currently holding the context (the paper's `activatedSet`).
     activated: Vec<(EventId, AccessMode)>,
     /// Events waiting to be activated, in arrival order
-    /// (the paper's `toActivateQueue`).
-    queue: VecDeque<(EventId, AccessMode)>,
+    /// (the paper's `toActivateQueue`).  Its head is never compatible
+    /// with `activated`: every change that could make it so grants it.
+    queue: VecDeque<Waiter>,
     /// Set when the hosting runtime shuts down; waiters give up.
     poisoned: bool,
+}
+
+impl LockState {
+    fn holds(&self, event: EventId) -> bool {
+        self.activated.iter().any(|(e, _)| *e == event)
+    }
+
+    fn admits(&self, mode: AccessMode) -> bool {
+        mode.compatible_with(self.activated.iter().map(|(_, m)| m))
+    }
+
+    /// Activates `event` if that needs no wait — it holds the context
+    /// already (re-entrant acquisition along another ownership path), or
+    /// nobody is queued ahead and `mode` fits — and says whether it did.
+    fn activate_now(&mut self, event: EventId, mode: AccessMode) -> Result<bool> {
+        if self.holds(event) {
+            return Ok(true);
+        }
+        if self.poisoned {
+            return Err(aborted(event));
+        }
+        if self.queue.is_empty() && self.admits(mode) {
+            self.activated.push((event, mode));
+            return Ok(true);
+        }
+        Ok(false)
+    }
+
+    /// Grants from the head of the queue while compatible, in strict FIFO
+    /// order, and returns the grants of the deferred waiters among them
+    /// (to be called once the mutex is dropped).
+    fn grant_from_head(&mut self) -> Vec<Grant> {
+        let mut grants = Vec::new();
+        while !self.poisoned && self.queue.front().is_some_and(|w| self.admits(w.mode)) {
+            let waiter = self.queue.pop_front().expect("the head was just seen");
+            self.activated.push((waiter.event, waiter.mode));
+            grants.extend(waiter.grant);
+        }
+        grants
+    }
+}
+
+fn aborted(event: EventId) -> AeonError {
+    AeonError::EventAborted {
+        event,
+        reason: "runtime shut down while waiting for activation".into(),
+    }
 }
 
 /// The activation lock of a single context.
@@ -65,54 +146,93 @@ impl ContextLock {
     /// runtime shutdown while waiting.
     pub fn activate(&self, event: EventId, mode: AccessMode) -> Result<()> {
         let mut state = self.state.lock();
-        if state.activated.iter().any(|(e, _)| *e == event) {
+        if state.activate_now(event, mode)? {
             return Ok(());
         }
-        state.queue.push_back((event, mode));
+        state.queue.push_back(Waiter {
+            event,
+            mode,
+            grant: None,
+        });
         loop {
-            if state.poisoned {
-                // Remove our queue entry before giving up.
-                state.queue.retain(|(e, _)| *e != event);
-                return Err(AeonError::EventAborted {
-                    event,
-                    reason: "runtime shut down while waiting for activation".into(),
-                });
-            }
-            // Grant from the head of the queue while compatible; strict FIFO
-            // order gives starvation freedom.
-            while let Some(&(head, head_mode)) = state.queue.front() {
-                let compatible = head_mode.compatible_with(state.activated.iter().map(|(_, m)| m));
-                if compatible {
-                    state.queue.pop_front();
-                    state.activated.push((head, head_mode));
-                } else {
-                    break;
-                }
-            }
-            if state.activated.iter().any(|(e, _)| *e == event) {
-                // Wake other waiters: several read-only events may have been
-                // activated in the same pass.
-                self.changed.notify_all();
+            self.changed.wait(&mut state);
+            if state.holds(event) {
                 return Ok(());
             }
-            self.changed.wait(&mut state);
+            if state.poisoned {
+                state.queue.retain(|w| w.event != event);
+                return Err(aborted(event));
+            }
         }
     }
 
-    /// Releases the context for `event` (the event terminated in every
-    /// context).  Releasing a context the event does not hold is a no-op.
-    pub fn release(&self, event: EventId) {
+    /// Activates `event` now if no wait is needed (`true`), and otherwise
+    /// queues it and returns `false` without blocking.  The caller of a
+    /// `true` continues on its own thread and `grant` is dropped unused.
+    /// After a `false`, `grant` is called exactly once: with `Ok` by the
+    /// `release` that activates the event, or with `Err`
+    /// ([`AeonError::EventAborted`]) when the lock is — or already was —
+    /// poisoned.  It runs on that thread with the lock's mutex dropped, so
+    /// it must not wait; it may use this lock.
+    pub fn activate_or_defer(
+        &self,
+        event: EventId,
+        mode: AccessMode,
+        grant: impl FnOnce(Result<()>) + Send + 'static,
+    ) -> bool {
         let mut state = self.state.lock();
-        let before = state.activated.len();
-        state.activated.retain(|(e, _)| *e != event);
-        if state.activated.len() != before {
+        match state.activate_now(event, mode) {
+            Ok(now) => {
+                if !now {
+                    state.queue.push_back(Waiter {
+                        event,
+                        mode,
+                        grant: Some(Box::new(grant)),
+                    });
+                }
+                now
+            }
+            Err(error) => {
+                drop(state);
+                grant(Err(error));
+                false
+            }
+        }
+    }
+
+    /// Activates `event` only if that needs no wait, and says whether it
+    /// did; nothing is queued otherwise.  For callers that announce a wait
+    /// before making it (a cluster worker's contended activation).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AeonError::EventAborted`] when the lock is poisoned.
+    pub fn try_activate(&self, event: EventId, mode: AccessMode) -> Result<bool> {
+        self.state.lock().activate_now(event, mode)
+    }
+
+    /// Releases the context for `event` (the event terminated in every
+    /// context) and grants the waiters this lets in.  Releasing a context
+    /// the event does not hold is a no-op.
+    pub fn release(&self, event: EventId) {
+        let grants = {
+            let mut state = self.state.lock();
+            let before = state.activated.len();
+            state.activated.retain(|(e, _)| *e != event);
+            if state.activated.len() == before {
+                return;
+            }
             self.changed.notify_all();
+            state.grant_from_head()
+        };
+        for grant in grants {
+            grant(Ok(()));
         }
     }
 
     /// Returns whether `event` currently holds the context.
     pub fn is_activated(&self, event: EventId) -> bool {
-        self.state.lock().activated.iter().any(|(e, _)| *e == event)
+        self.state.lock().holds(event)
     }
 
     /// Number of events currently holding the context.
@@ -126,11 +246,24 @@ impl ContextLock {
     }
 
     /// Poisons the lock: all current and future waiters fail with
-    /// [`AeonError::EventAborted`].  Used on runtime shutdown.
+    /// [`AeonError::EventAborted`] — blocked ones wake up with it, deferred
+    /// ones are answered with it here.  Used on runtime shutdown.
     pub fn poison(&self) {
-        let mut state = self.state.lock();
-        state.poisoned = true;
-        self.changed.notify_all();
+        let deferred: VecDeque<Waiter> = {
+            let mut state = self.state.lock();
+            state.poisoned = true;
+            self.changed.notify_all();
+            let (deferred, blocked) = std::mem::take(&mut state.queue)
+                .into_iter()
+                .partition(|w| w.grant.is_some());
+            state.queue = blocked;
+            deferred
+        };
+        for waiter in deferred {
+            if let Some(grant) = waiter.grant {
+                grant(Err(aborted(waiter.event)));
+            }
+        }
     }
 
     /// Test helper: waits until the activated set becomes empty or the
@@ -278,5 +411,265 @@ mod tests {
         assert!(!lock.wait_idle(Duration::from_millis(10)));
         lock.release(ev(1));
         assert!(lock.wait_idle(Duration::from_millis(1)));
+    }
+
+    /// Records what each deferred waiter was answered with, in call order.
+    type Answers = Arc<Mutex<Vec<(u64, bool)>>>;
+
+    fn defer(lock: &ContextLock, n: u64, mode: AccessMode, answers: &Answers) -> bool {
+        let answers = Arc::clone(answers);
+        lock.activate_or_defer(ev(n), mode, move |granted| {
+            answers.lock().push((n, granted.is_ok()));
+        })
+    }
+
+    /// Blocks a thread in `activate` and returns once it is queued, holds
+    /// the context, or was turned away.
+    fn block(lock: &Arc<ContextLock>, n: u64, mode: AccessMode) -> thread::JoinHandle<Result<()>> {
+        let queued = lock.queued_count();
+        let l = Arc::clone(lock);
+        let waiter = thread::spawn(move || l.activate(ev(n), mode));
+        while lock.queued_count() == queued && !lock.is_activated(ev(n)) && !waiter.is_finished() {
+            thread::yield_now();
+        }
+        waiter
+    }
+
+    #[test]
+    fn deferred_and_blocking_waiters_are_granted_in_arrival_order() {
+        let lock = Arc::new(ContextLock::new(ContextId::new(1)));
+        let answers = Answers::default();
+        assert!(defer(&lock, 1, AccessMode::Exclusive, &answers));
+        assert!(!defer(&lock, 2, AccessMode::ReadOnly, &answers));
+        let reader = block(&lock, 3, AccessMode::ReadOnly);
+        assert!(!defer(&lock, 4, AccessMode::Exclusive, &answers));
+        let late_reader = block(&lock, 5, AccessMode::ReadOnly);
+        assert_eq!(lock.queued_count(), 4);
+        assert!(answers.lock().is_empty(), "a grant before any release");
+
+        // Readers 2 (deferred) and 3 (blocked) share; writer 4 waits and
+        // reader 5 may not overtake it.
+        lock.release(ev(1));
+        reader.join().unwrap().unwrap();
+        assert_eq!(*answers.lock(), vec![(2, true)]);
+        assert!(lock.is_activated(ev(2)) && lock.is_activated(ev(3)));
+        assert!(!lock.is_activated(ev(4)) && !lock.is_activated(ev(5)));
+        lock.release(ev(2));
+        assert!(!lock.is_activated(ev(4)));
+        lock.release(ev(3));
+        assert_eq!(*answers.lock(), vec![(2, true), (4, true)]);
+        assert_eq!(lock.activated_count(), 1);
+        lock.release(ev(4));
+        late_reader.join().unwrap().unwrap();
+        assert!(lock.is_activated(ev(5)));
+        lock.release(ev(5));
+        assert_eq!((lock.activated_count(), lock.queued_count()), (0, 0));
+    }
+
+    #[test]
+    fn a_grant_runs_without_the_locks_mutex_held() {
+        let lock = Arc::new(ContextLock::new(ContextId::new(1)));
+        lock.activate(ev(1), AccessMode::Exclusive).unwrap();
+        let l = Arc::clone(&lock);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let queued = lock.activate_or_defer(ev(2), AccessMode::Exclusive, move |granted| {
+            granted.unwrap();
+            // Both take the mutex: a grant called under it would deadlock.
+            l.release(ev(2));
+            l.activate(ev(3), AccessMode::Exclusive).unwrap();
+            tx.send(l.is_activated(ev(3))).unwrap();
+        });
+        assert!(!queued);
+        lock.release(ev(1));
+        assert_eq!(rx.try_recv(), Ok(true), "the grant ran inside `release`");
+        assert!(!lock.is_activated(ev(2)));
+        lock.release(ev(3));
+        assert_eq!(lock.activated_count(), 0);
+    }
+
+    #[test]
+    fn poison_answers_each_deferred_waiter_once() {
+        let lock = Arc::new(ContextLock::new(ContextId::new(1)));
+        let answers = Answers::default();
+        lock.activate(ev(1), AccessMode::Exclusive).unwrap();
+        assert!(!defer(&lock, 2, AccessMode::Exclusive, &answers));
+        let blocked = block(&lock, 3, AccessMode::ReadOnly);
+        assert!(!defer(&lock, 4, AccessMode::ReadOnly, &answers));
+        lock.poison();
+        assert_eq!(*answers.lock(), vec![(2, false), (4, false)]);
+        assert!(matches!(
+            blocked.join().unwrap(),
+            Err(AeonError::EventAborted { .. })
+        ));
+        // Nothing answers them again: not a second poison, not a release.
+        lock.poison();
+        lock.release(ev(1));
+        assert_eq!(answers.lock().len(), 2);
+        assert_eq!(lock.queued_count(), 0);
+        // A later arrival is answered at once.
+        assert!(!defer(&lock, 5, AccessMode::ReadOnly, &answers));
+        assert_eq!(answers.lock().last(), Some(&(5, false)));
+        assert!(lock.try_activate(ev(6), AccessMode::ReadOnly).is_err());
+    }
+
+    #[test]
+    fn try_activate_queues_nothing() {
+        let lock = ContextLock::new(ContextId::new(1));
+        assert_eq!(lock.try_activate(ev(1), AccessMode::ReadOnly), Ok(true));
+        assert_eq!(lock.try_activate(ev(2), AccessMode::ReadOnly), Ok(true));
+        assert_eq!(lock.try_activate(ev(3), AccessMode::Exclusive), Ok(false));
+        assert_eq!(lock.try_activate(ev(1), AccessMode::ReadOnly), Ok(true));
+        assert_eq!((lock.activated_count(), lock.queued_count()), (2, 0));
+    }
+
+    /// splitmix64: the property below draws its interleavings from it.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// The lock's rules written as plainly as possible: what `activated`
+    /// and the deferred answers must be after each step.
+    #[derive(Default)]
+    struct Model {
+        activated: Vec<(EventId, AccessMode)>,
+        queue: VecDeque<(u64, AccessMode, bool)>,
+        answers: Vec<(u64, bool)>,
+        /// Blocked threads the poison found in the queue.
+        turned_away: Vec<u64>,
+        poisoned: bool,
+    }
+
+    impl Model {
+        fn fits(&self, mode: AccessMode) -> bool {
+            match mode {
+                AccessMode::Exclusive => self.activated.is_empty(),
+                AccessMode::ReadOnly => self.activated.iter().all(|(_, m)| m.is_read_only()),
+            }
+        }
+
+        fn grant(&mut self) {
+            while let Some(&(n, mode, deferred)) = self.queue.front() {
+                if self.poisoned || !self.fits(mode) {
+                    break;
+                }
+                self.queue.pop_front();
+                self.activated.push((ev(n), mode));
+                if deferred {
+                    self.answers.push((n, true));
+                }
+            }
+        }
+    }
+
+    /// Releases `event` as its holder would: a blocked thread returns from
+    /// `activate` first.
+    fn release(
+        lock: &ContextLock,
+        event: EventId,
+        blocked: &mut Vec<(u64, thread::JoinHandle<Result<()>>)>,
+        case: u64,
+    ) {
+        if let Some(at) = blocked.iter().position(|(n, _)| ev(*n) == event) {
+            let answer = blocked.swap_remove(at).1.join().unwrap();
+            assert!(answer.is_ok(), "case {case}: {event:?} got {answer:?}");
+        }
+        lock.release(event);
+    }
+
+    /// Random interleavings of blocking and deferred arrivals, releases and
+    /// a poison, checked after every step against [`Model`]: the lock never
+    /// holds incompatible modes, grants in arrival order (readers sharing),
+    /// answers every deferred waiter once, and every blocked thread ends
+    /// with the answer the model gives it.  64 cases in a debug build,
+    /// 5 000 optimised (CI runs both).
+    #[test]
+    fn random_interleavings_stay_compatible_and_grant_in_arrival_order() {
+        let cases = if cfg!(debug_assertions) { 64 } else { 5_000 };
+        for case in 0..cases {
+            let mut rng = Rng(case);
+            let lock = Arc::new(ContextLock::new(ContextId::new(1)));
+            let answers = Answers::default();
+            let mut model = Model::default();
+            let mut blocked = Vec::new();
+            for n in 0..(8 + rng.below(16)) {
+                match rng.below(20) {
+                    0 => {
+                        lock.poison();
+                        model.poisoned = true;
+                        for (n, _, deferred) in std::mem::take(&mut model.queue) {
+                            if deferred {
+                                model.answers.push((n, false));
+                            } else {
+                                model.turned_away.push(n);
+                            }
+                        }
+                    }
+                    1..=9 if !model.activated.is_empty() => {
+                        let pick = rng.below(model.activated.len() as u64) as usize;
+                        let (event, _) = model.activated.remove(pick);
+                        release(&lock, event, &mut blocked, case);
+                        model.grant();
+                    }
+                    _ => {
+                        let mode = if rng.below(2) == 0 {
+                            AccessMode::ReadOnly
+                        } else {
+                            AccessMode::Exclusive
+                        };
+                        let deferred = rng.below(2) == 0;
+                        let now = !model.poisoned && model.queue.is_empty() && model.fits(mode);
+                        if now {
+                            model.activated.push((ev(n), mode));
+                        } else if model.poisoned {
+                            if deferred {
+                                model.answers.push((n, false));
+                            }
+                        } else {
+                            model.queue.push_back((n, mode, deferred));
+                        }
+                        if deferred {
+                            assert_eq!(defer(&lock, n, mode, &answers), now, "case {case}");
+                        } else {
+                            let waiter = block(&lock, n, mode);
+                            if model.poisoned {
+                                assert!(waiter.join().unwrap().is_err(), "case {case}");
+                            } else {
+                                blocked.push((n, waiter));
+                            }
+                        }
+                    }
+                }
+                let state = lock.state.lock();
+                assert_eq!(state.activated, model.activated, "case {case}, step {n}");
+                let exclusive = state.activated.iter().filter(|(_, m)| !m.is_read_only());
+                assert!(
+                    exclusive.count() == 0 || state.activated.len() == 1,
+                    "case {case}: incompatible holders {:?}",
+                    state.activated
+                );
+                drop(state);
+                assert_eq!(*answers.lock(), model.answers, "case {case}, step {n}");
+            }
+            // Drain: release holders until every blocked thread has its
+            // answer — granted, or turned away by the poison.
+            while let Some((event, _)) = model.activated.pop() {
+                release(&lock, event, &mut blocked, case);
+                model.grant();
+            }
+            assert!(model.poisoned || model.queue.is_empty(), "case {case}");
+            for (n, waiter) in blocked {
+                assert!(model.turned_away.contains(&n), "case {case}: {n}");
+                assert!(waiter.join().unwrap().is_err(), "case {case}: {n}");
+            }
+            assert_eq!(*answers.lock(), model.answers, "case {case}");
+        }
     }
 }

@@ -16,6 +16,23 @@
 //! the creator's thread for a sub-event.  Order is never decided by the
 //! thread or the pool's queues, only by the FIFO queues of the context
 //! locks.
+//!
+//! Waits here block their thread — `RuntimeHost::sequence` and `enter` call
+//! [`ContextLock::activate`] — and need neither a deferred grant nor
+//! `ShardedExecutor::block_in_place`, because no runtime wait can depend on
+//! a task still queued in the pool: every holder of a runtime lock is a
+//! thread that is *running* — a pool worker inside `run_event` /
+//! `run_fast_batch`, a blocking caller, or the caller of `migrate_context`
+//! / `restore_snapshot` / `with_frozen_subtree` — and it releases without
+//! waiting for anything queued, since the sub-events an event dispatches
+//! run only after its release, on the thread that ran it.  (A task queued
+//! behind a waiting one in its batch holds nothing either, and a reader
+//! waiting for the object another reader's frame holds waits for a running
+//! frame.)  Locks are taken dominator first, then owner before owned, so
+//! the holders cannot wait on each other in a cycle either.  The cluster
+//! differs: its sequencer is held by an `Act` whose continuation may still
+//! be queued, and a worker waits on remote calls; see `aeon_cluster`'s
+//! `node.rs`.
 
 use crate::context::{ContextFactory, ContextObject, ContextSlot};
 use crate::event::{EventHandle, EventOutcome, EventRequest};
@@ -54,7 +71,7 @@ pub struct RuntimeConfig {
     /// time (default: [`AnalysisMode::Enforce`]).
     pub analysis: AnalysisMode,
     /// Worker-pool configuration for event execution (pool size, shard
-    /// count, blocking escape hatch).
+    /// count, batching).
     pub executor: ExecutorConfig,
     /// Whether analyzer-certified read-only events (declared `ro` with an
     /// empty `calls []` summary) take the fast path: no dominator
@@ -113,13 +130,6 @@ impl RuntimeBuilder {
     /// own thread, so this bounds pool events, not callers.
     pub fn worker_threads(mut self, n: usize) -> Self {
         self.config.executor.workers = n;
-        self
-    }
-
-    /// Caps the spill workers the blocking escape hatch may keep alive at
-    /// once.
-    pub fn max_spill_workers(mut self, n: usize) -> Self {
-        self.config.executor.max_spill_workers = n;
         self
     }
 
@@ -1155,8 +1165,9 @@ impl AeonRuntime {
         self.inner.events_in_flight.load(Ordering::SeqCst)
     }
 
-    /// Counters of the event worker pool (queue depth, spill activity,
-    /// caught panics).
+    /// Counters of the event worker pool (queue depth, batching, caught
+    /// panics; the runtime never announces a blocking wait, so its pool
+    /// starts no thread beyond its workers).
     pub fn executor_stats(&self) -> ExecutorStats {
         self.inner.executor.stats()
     }
@@ -1165,7 +1176,7 @@ impl AeonRuntime {
     /// on context locks are aborted, the worker pool is stopped (queued
     /// events resolve their handles as disconnected), and no event is
     /// executing any more when this returns — wherever it ran: on a pool
-    /// worker, a spill worker, or the thread of a blocking caller
+    /// worker or on the thread of a blocking caller
     /// ([`AeonClient::call_with_mode`]).
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
@@ -1183,12 +1194,11 @@ impl AeonRuntime {
             RuntimeInner::fail_fast_queue(slot);
         }
         // Events the pool's join does not cover run on threads the runtime
-        // does not own (blocking callers, detached spill workers).  Each
-        // holds the in-flight gauge; none can be waiting on a context any
-        // more, so what is left is method bodies running to their end.  A
-        // caller that passed the shutdown check a moment ago and enters
-        // now finds every lock poisoned and leaves without running a
-        // method.
+        // does not own: blocking callers.  Each holds the in-flight gauge;
+        // none can be waiting on a context any more, so what is left is
+        // method bodies running to their end.  A caller that passed the
+        // shutdown check a moment ago and enters now finds every lock
+        // poisoned and leaves without running a method.
         while self.events_in_flight() > 0 {
             std::thread::sleep(Duration::from_micros(100));
         }

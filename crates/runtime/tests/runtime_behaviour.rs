@@ -1142,7 +1142,6 @@ fn server_metrics_attribute_queue_depth_to_the_hosting_server() {
     let runtime = AeonRuntime::builder()
         .servers(2)
         .worker_threads(1)
-        .max_spill_workers(0)
         .build()
         .unwrap();
     let servers = runtime.servers();

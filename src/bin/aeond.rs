@@ -201,7 +201,7 @@ fn render_executor_stats(w: &mut PromWriter, stats: &ExecutorStats) {
         ),
         (
             "aeon_executor_spill_live",
-            "Live spill worker threads.",
+            "Pool threads alive beyond the resident workers (started for blocking waits).",
             stats.spill_live as u64,
         ),
     ];
@@ -222,7 +222,7 @@ fn render_executor_stats(w: &mut PromWriter, stats: &ExecutorStats) {
         ),
         (
             "aeon_executor_spill_spawned_total",
-            "Spill workers spawned.",
+            "Pool threads started because a worker announced a blocking wait.",
             stats.spill_spawned,
         ),
         (

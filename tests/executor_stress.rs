@@ -326,15 +326,35 @@ fn panicking_method_resolves_cluster_handle_with_error() {
 #[test]
 fn cluster_pool_smaller_than_offered_concurrency() {
     // 8 fanout roots spread over 2 nodes, children deliberately placed on
-    // the *other* node so every fanout blocks its worker on remote calls;
-    // 2 resident workers per node << 64 offered events, so progress
-    // depends on queueing plus the spill escape hatch.
+    // the *other* node so every fanout waits on remote calls; 1 or 2
+    // resident workers per node << 64 offered events.  Progress depends on
+    // queueing, on `Act`s that wait for their sequencer as grants rather
+    // than as parked workers, and on each remote-call wait being announced
+    // to the pool, which keeps its resident count of threads running the
+    // queues — a node's worker waits on the other node's, and vice versa.
+    // Under a watchdog: a wedged pool would otherwise only surface when
+    // the remote calls time out, after 30 s.
+    for workers in [1, 2] {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            offered_concurrency_above_the_pool(workers);
+            let _ = done.send(());
+        });
+        if let Err(error) = finished.recv_timeout(Duration::from_secs(20)) {
+            // `Timeout`: the pools wedged; `Disconnected`: the scenario
+            // panicked (its message is above).
+            panic!("worker_threads({workers}): {error:?}");
+        }
+    }
+}
+
+fn offered_concurrency_above_the_pool(workers: usize) {
     let callers = 8usize;
     let children_per_caller = 2usize;
     let rounds = 8usize;
     let cluster = Cluster::builder()
         .servers(2)
-        .worker_threads(2)
+        .worker_threads(workers)
         .build()
         .unwrap();
     let servers = cluster.servers();
@@ -399,7 +419,7 @@ fn cluster_pool_smaller_than_offered_concurrency() {
     let stats = cluster.executor_stats();
     assert_eq!(stats.len(), 2);
     for stat in stats.values() {
-        assert_eq!(stat.panics, 0);
+        assert_eq!((stat.panics, stat.workers), (0, workers));
     }
     // The install-wait retry gauge is wired through (zero here: no
     // migrations raced this run).
