@@ -22,6 +22,7 @@
 //! a call summary; `"calls": []` declares "calls nothing".
 
 use aeon_ownership::{ClassGraph, MethodRef};
+use aeon_types::codec::MAX_DEPTH;
 use aeon_types::{AeonError, Result};
 
 /// Escapes and quotes a string as a JSON string literal.
@@ -98,6 +99,7 @@ pub fn from_json(text: &str) -> Result<ClassGraph> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = parser.value()?;
     parser.skip_ws();
@@ -136,6 +138,9 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Objects and arrays open around `pos`.  The parser recurses once per
+    /// level, so it stops at [`MAX_DEPTH`] instead of overflowing its stack.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -171,8 +176,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => Ok(Json::Str(self.string()?)),
             b't' | b'f' | b'n' => self.keyword(),
             b'-' | b'0'..=b'9' => self.number(),
@@ -181,6 +186,20 @@ impl Parser<'_> {
                 other as char, self.pos
             ))),
         }
+    }
+
+    /// Runs `body` one nesting level down.
+    fn nested(&mut self, body: fn(&mut Self) -> Result<Json>) -> Result<Json> {
+        if self.depth == MAX_DEPTH {
+            return Err(bad(format!(
+                "nested deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let out = body(self);
+        self.depth -= 1;
+        out
     }
 
     fn object(&mut self) -> Result<Json> {
@@ -479,6 +498,24 @@ mod tests {
         ] {
             let err = from_json(text).unwrap_err();
             assert!(matches!(err, AeonError::Codec(_)), "{text:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        // Runs on a default 2 MiB test thread; unbounded, a file of
+        // 200 000 '[' aborts the process.
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let err = from_json(&arrays(MAX_DEPTH)).unwrap_err();
+        assert!(err.to_string().contains("missing top-level"), "{err}");
+        for text in [
+            arrays(MAX_DEPTH + 1),
+            "[".repeat(200_000),
+            "{\"k\":".repeat(200_000),
+        ] {
+            let err = from_json(&text).unwrap_err();
+            assert!(matches!(err, AeonError::Codec(_)), "{err}");
+            assert!(err.to_string().contains("nested deeper than 512"), "{err}");
         }
     }
 }

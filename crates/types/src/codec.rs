@@ -433,14 +433,30 @@ impl Wire for AccessMode {
     }
 }
 
+/// Written like a `Vec<Value>`; a list of at most one value is read without
+/// building one.
 impl Wire for Args {
     fn put(&self, w: &mut impl Sink) {
-        put_all(w, self.iter().as_slice());
+        put_all(w, self.as_slice());
     }
 
     fn get(r: &mut WireReader<'_>) -> Result<Self> {
-        Wire::get(r).map(Args::new)
+        Ok(match r.count()? {
+            0 => Args::empty(),
+            1 => Args::from([Wire::get(r)?]),
+            count => Args::new(get_all(r, count)?),
+        })
     }
+}
+
+/// Reads the `count` elements [`put_all`] wrote after the count, into a
+/// `Vec` of exactly that capacity.
+fn get_all<T: Wire>(r: &mut WireReader<'_>, count: usize) -> Result<Vec<T>> {
+    let mut items = Vec::with_capacity(count);
+    for _ in 0..count {
+        items.push(T::get(r)?);
+    }
+    Ok(items)
 }
 
 impl<T: Wire> Wire for Vec<T> {
@@ -450,11 +466,7 @@ impl<T: Wire> Wire for Vec<T> {
 
     fn get(r: &mut WireReader<'_>) -> Result<Self> {
         let count = r.count()?;
-        let mut items = Vec::with_capacity(count);
-        for _ in 0..count {
-            items.push(T::get(r)?);
-        }
-        Ok(items)
+        get_all(r, count)
     }
 }
 
@@ -780,6 +792,8 @@ mod tests {
             let err = decode(&[VERSION, container, 0xff, 0xff, 0xff, 0xff, 0]).unwrap_err();
             assert!(err.to_string().contains("announced"), "{err}");
         }
+        let err = get_framed::<Args>(VERSION, &[VERSION, 0xff, 0xff, 0xff, 0xff, 0]).unwrap_err();
+        assert!(err.to_string().contains("announced"), "{err}");
         // The largest count the bytes behind it can back is accepted.
         let two_nulls = [VERSION, tag::LIST, 0, 0, 0, 2, tag::NULL, tag::NULL];
         assert_eq!(
@@ -853,6 +867,23 @@ mod tests {
         })
     }
 
+    /// `values` through the array constructor that `args!` expands to.
+    fn args_from_array(values: &[Value]) -> Args {
+        fn array<const N: usize>(values: &[Value]) -> Args {
+            Args::from(<[Value; N]>::try_from(values.to_vec()).expect("N values"))
+        }
+        match values.len() {
+            0 => array::<0>(values),
+            1 => array::<1>(values),
+            2 => array::<2>(values),
+            3 => array::<3>(values),
+            4 => array::<4>(values),
+            5 => array::<5>(values),
+            6 => array::<6>(values),
+            n => panic!("no array constructor for {n} values"),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(
             if cfg!(debug_assertions) { 64 } else { 5_000 }
@@ -873,6 +904,32 @@ mod tests {
         #[test]
         fn encoded_len_matches_encode(v in arb_value()) {
             prop_assert_eq!(encoded_len(&v), encode(&v).len());
+        }
+
+        #[test]
+        fn args_agree_with_a_vec_model(model in proptest::collection::vec(arb_value(), 0..7)) {
+            let mut framed = Vec::new();
+            put_framed(VERSION, &Args::new(model.clone()), &mut framed);
+            let built = [
+                Args::new(model.clone()),
+                model.iter().cloned().collect(),
+                args_from_array(&model),
+                get_framed::<Args>(VERSION, &framed).unwrap(),
+            ];
+            let shorter = Args::new(model[..model.len().saturating_sub(1)].to_vec());
+            let debug = format!("Args({model:?})");
+            for args in &built {
+                prop_assert_eq!(args.len(), model.len());
+                prop_assert_eq!(args.is_empty(), model.is_empty());
+                for idx in 0..=model.len() {
+                    prop_assert_eq!(args.get(idx), model.get(idx));
+                }
+                prop_assert!(args.iter().eq(&model));
+                prop_assert_eq!(args.clone().into_inner(), model.clone());
+                prop_assert!(built.iter().all(|other| other == args));
+                prop_assert_eq!(*args == shorter, model.is_empty());
+                prop_assert_eq!(format!("{args:?}"), debug.clone());
+            }
         }
     }
 }
