@@ -135,7 +135,7 @@ impl ListSet {
 
     fn collect_values(&mut self, _args: &Args, inv: &mut Invocation<'_>) -> Result<Value> {
         match self.head {
-            None => Ok(Value::List(Vec::new())),
+            None => Ok(Value::List(Box::default())),
             Some(head) => inv.call(head, "collect", args![]),
         }
     }
@@ -288,7 +288,7 @@ impl ListNode {
                 values.extend(rest);
             }
         }
-        Ok(Value::List(values))
+        Ok(Value::from(values))
     }
 
     fn snapshot_state(&self) -> Value {
@@ -387,7 +387,7 @@ impl SearchTree {
 
     fn in_order(&mut self, _args: &Args, inv: &mut Invocation<'_>) -> Result<Value> {
         match self.root {
-            None => Ok(Value::List(Vec::new())),
+            None => Ok(Value::List(Box::default())),
             Some(root) => inv.call(root, "in_order", args![]),
         }
     }
@@ -500,7 +500,7 @@ impl TreeNode {
                 values.extend(r);
             }
         }
-        Ok(Value::List(values))
+        Ok(Value::from(values))
     }
 
     fn snapshot_state(&self) -> Value {

@@ -387,6 +387,11 @@ pub enum ClusterMessage {
     Shutdown,
 }
 
+// Every event in flight is held as one of these, so a field that grows them
+// should be a deliberate choice (measured with a 24-byte `Value`: 96 / 120).
+const _: () = assert!(std::mem::size_of::<EventDescriptor>() <= 96);
+const _: () = assert!(std::mem::size_of::<ClusterMessage>() <= 120);
+
 impl ClusterMessage {
     /// The context whose hosting decides which node handles this message,
     /// for the messages a node forwards or buffers while that context

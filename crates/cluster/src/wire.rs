@@ -49,7 +49,8 @@
 //! operation or reply, an error, a value), a buffer that ends early, a
 //! flag byte other than 0 or 1, a string that is not UTF-8, a histogram
 //! bucket out of range, a `usize` too wide for the host, an element count
-//! larger than the bytes that remain (checked before anything is reserved),
+//! whose elements cannot fit in the bytes that remain at their type's
+//! `Wire::MIN_LEN` each (checked before anything is reserved),
 //! a `Value` nested deeper than `codec::MAX_DEPTH`, and bytes left over
 //! after the message — each as `AeonError::Codec`, never a panic.  Every
 //! variant, including structured errors inside `Result` fields, survives
@@ -151,6 +152,7 @@ mod tests {
     use super::*;
     use crate::message::{gateway_id, virtual_root};
     use aeon_runtime::SubEvent;
+    use aeon_types::codec::{ByteCount, Wire};
     use aeon_types::{
         AccessMode, AeonError, Args, ClientId, ContextId, EventId, LatencyHistogram, ServerId,
         Value,
@@ -206,7 +208,7 @@ mod tests {
     fn samples() -> Vec<ClusterMessage> {
         let state = Value::map([
             ("balance", Value::from(10i64)),
-            ("tags", Value::List(vec![Value::Bytes(vec![0xff, 0x00])])),
+            ("tags", Value::from(vec![Value::from(vec![0xffu8, 0x00])])),
         ]);
         vec![
             ClusterMessage::Host {
@@ -386,6 +388,48 @@ mod tests {
         }
     }
 
+    /// Whether `T::MIN_LEN` is at most what `value` encodes to: were it
+    /// more, an honest count of `T`s would be refused.
+    fn within_min_len<T: Wire>(value: &T) -> bool {
+        let mut len = ByteCount::default();
+        value.put(&mut len);
+        T::MIN_LEN <= len.0
+    }
+
+    #[test]
+    fn no_counted_element_is_shorter_than_its_min_len() {
+        for message in &samples() {
+            assert!(within_min_len(message), "{message:?}");
+            let fits = match message {
+                ClusterMessage::Act { event, .. }
+                | ClusterMessage::Exec { event, .. }
+                | ClusterMessage::ExecCertified { event } => {
+                    within_min_len(event) && event.args.iter().all(within_min_len)
+                }
+                ClusterMessage::CallReply {
+                    participants,
+                    sub_events,
+                    ..
+                } => {
+                    participants.iter().all(within_min_len) && sub_events.iter().all(within_min_len)
+                }
+                ClusterMessage::Done { sub_events, .. } => sub_events.iter().all(within_min_len),
+                ClusterMessage::DirAck {
+                    reply: Ok(DirReply::Contexts(contexts)),
+                    ..
+                } => contexts.iter().all(within_min_len),
+                ClusterMessage::FreezeReq { members, .. } => members.iter().all(within_min_len),
+                ClusterMessage::FreezeAck {
+                    result: Ok(captured),
+                    ..
+                } => captured.iter().all(within_min_len),
+                ClusterMessage::MetricsAck { metrics, .. } => within_min_len(&**metrics),
+                _ => true,
+            };
+            assert!(fits, "{message:?}");
+        }
+    }
+
     fn errors() -> Vec<AeonError> {
         vec![
             AeonError::ContextNotFound(cx(1)),
@@ -476,7 +520,7 @@ mod tests {
         refusal(&[0xde, 0xad, 0xbe, 0xef]);
         // A well-formed `Value` is not a message, and it starts with the
         // version byte the old tree format used: the refusal names it.
-        let old = codec::encode(&Value::List(vec![Value::Str("Shutdown".into())]));
+        let old = codec::encode(&Value::from(vec!["Shutdown"]));
         assert!(refusal(&old).contains("version 1"), "{}", refusal(&old));
         assert!(refusal(&framed(&[200])).contains("unknown ClusterMessage tag 200"));
         // `Shutdown` has no fields: one more byte is trailing.
@@ -536,14 +580,14 @@ mod tests {
             any::<bool>().prop_map(Value::Bool),
             any::<i64>().prop_map(Value::Int),
             (-1.0e9f64..1.0e9).prop_map(Value::Float),
-            "[a-z]{0,12}".prop_map(Value::Str),
-            proptest::collection::vec(any::<u8>(), 0..16).prop_map(Value::Bytes),
+            "[a-z]{0,12}".prop_map(Value::from),
+            proptest::collection::vec(any::<u8>(), 0..16).prop_map(Value::from),
             any::<u64>().prop_map(|n| Value::ContextRef(ContextId::new(n))),
         ];
         leaf.prop_recursive(3, 24, 4, |inner| {
             prop_oneof![
-                proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::List),
-                proptest::collection::btree_map("[a-z]{1,6}", inner, 0..4).prop_map(Value::Map),
+                proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::from),
+                proptest::collection::btree_map("[a-z]{1,6}", inner, 0..4).prop_map(Value::map),
             ]
         })
     }
@@ -630,6 +674,7 @@ mod tests {
             participants in proptest::collection::vec(any::<u32>(), 0..4),
             corr in any::<u64>(),
         ) {
+            prop_assert!(sub_events.iter().all(within_min_len));
             roundtrip(&ClusterMessage::Done {
                 corr,
                 event: evt(corr),

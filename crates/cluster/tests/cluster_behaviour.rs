@@ -449,14 +449,7 @@ fn crashed_server_contexts_can_be_restored_elsewhere() {
         drop(kv);
         Value::map([
             ("class", Value::from("Item")),
-            (
-                "map",
-                Value::Map(
-                    [("gold".to_string(), Value::from(42i64))]
-                        .into_iter()
-                        .collect(),
-                ),
-            ),
+            ("map", Value::map([("gold", Value::from(42i64))])),
         ])
     };
 

@@ -153,7 +153,7 @@ impl crate::method_table::ContextClass for KvContext {
     fn snapshot(&self) -> Value {
         Value::map([
             ("class", Value::from(self.class.clone())),
-            ("map", Value::Map(self.map.clone())),
+            ("map", Value::Map(Box::new(self.map.clone()))),
         ])
     }
 

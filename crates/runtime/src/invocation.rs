@@ -455,12 +455,19 @@ impl<'h> EventBody<'h> {
         // other error, and the host's owner releases as usual.  (State
         // changes applied before the panic are the application's
         // responsibility, as with any aborted unwind.)
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut invocation = Invocation::new(self, target);
             object.handle(method, args, &mut invocation)
         }))
         .unwrap_or_else(|payload| Err(AeonError::from_panic(payload)));
         self.call_stack.pop();
+        // `Args::get_*` cannot name the method it serves; this is the method.
+        // A nested call's error was named by its own frame and keeps it.
+        if let Err(AeonError::BadArguments { method: name, .. }) = &mut outcome {
+            if name.is_empty() {
+                *name = method.to_string();
+            }
+        }
         outcome
     }
 

@@ -11,7 +11,8 @@
 //!   against the counter;
 //! * a [`WireReader`] hands bytes back out of a borrowed frame and is the
 //!   one place that refuses hostile input: a short buffer, an element count
-//!   larger than the bytes behind it, a value nested deeper than
+//!   whose elements could not fit in the bytes behind it (each is at least
+//!   its type's [`Wire::MIN_LEN`]), a value nested deeper than
 //!   [`MAX_DEPTH`], trailing bytes — each an [`AeonError::Codec`], never a
 //!   panic and never an allocation sized by the sender;
 //! * [`Wire`] says how one type is written and read.  It is implemented
@@ -214,14 +215,17 @@ impl<'a> WireReader<'a> {
         Ok(self.take(N)?.try_into().expect("take returned N bytes"))
     }
 
-    /// A `u32` element count.  Every element occupies at least one byte, so
-    /// a count larger than what remains is a lie and is refused before
-    /// anything is reserved for it: the one allocation rule of the decoder.
-    fn count(&mut self) -> Result<usize> {
+    /// A `u32` count of `T`s.  Every element occupies at least
+    /// [`Wire::MIN_LEN`] bytes (and at least one, so a count of empty
+    /// elements is bounded too), so a count whose elements cannot fit in what
+    /// remains is a lie and is refused before anything is reserved for it:
+    /// the one allocation rule of the decoder.
+    fn count<T: Wire>(&mut self) -> Result<usize> {
         let count = u32::get(self)? as usize;
-        if count > self.remaining() {
+        let needed = count.saturating_mul(T::MIN_LEN.max(1));
+        if needed > self.remaining() {
             return Err(AeonError::Codec(format!(
-                "{count} elements announced, only {} bytes remaining",
+                "{count} elements announced, only {} bytes remaining for {needed}",
                 self.remaining()
             )));
         }
@@ -250,6 +254,13 @@ impl<'a> WireReader<'a> {
 
 /// A type with a byte representation: `get` reads back what `put` wrote.
 pub trait Wire: Sized {
+    /// A lower bound on the bytes `put` writes for any value of the type.  A
+    /// decoder refuses a count of elements that could not fit in the frame
+    /// at this size each, so it must never exceed a real encoding — it may
+    /// understate.  A fixed-width leaf states its width, a struct the sum of
+    /// its fields, an enum its one tag byte.
+    const MIN_LEN: usize = 1;
+
     /// Writes `self`.
     fn put(&self, w: &mut impl Sink);
 
@@ -269,6 +280,11 @@ fn put_len(w: &mut impl Sink, len: usize) {
 fn put_run(w: &mut impl Sink, bytes: &[u8]) {
     put_len(w, bytes.len());
     w.put_slice(bytes);
+}
+
+/// Checks a UTF-8 run: the one place a string is validated.
+fn utf8(run: &[u8]) -> Result<&str> {
+    std::str::from_utf8(run).map_err(|e| AeonError::Codec(e.to_string()))
 }
 
 /// What `Vec<T>` reads: a `u32` count and the elements.
@@ -293,7 +309,7 @@ impl Wire for Value {
             }
             Value::Str(s) => {
                 w.put_u8(tag::STR);
-                s.put(w);
+                put_run(w, s.as_bytes());
             }
             Value::Bytes(b) => {
                 w.put_u8(tag::BYTES);
@@ -305,12 +321,12 @@ impl Wire for Value {
             }
             Value::List(items) => {
                 w.put_u8(tag::LIST);
-                items.put(w);
+                put_all(w, items);
             }
             Value::Map(map) => {
                 w.put_u8(tag::MAP);
                 put_len(w, map.len());
-                for (k, v) in map {
+                for (k, v) in map.iter() {
                     k.put(w);
                     v.put(w);
                 }
@@ -318,6 +334,9 @@ impl Wire for Value {
         }
     }
 
+    /// Each heap variant is read straight into its box: a string or a byte
+    /// string is one block copied from the frame, a list one block of
+    /// exactly its length, a map its nodes and one block for the box.
     fn get(r: &mut WireReader<'_>) -> Result<Self> {
         Ok(match u8::get(r)? {
             tag::NULL => Value::Null,
@@ -325,17 +344,19 @@ impl Wire for Value {
             tag::BOOL_TRUE => Value::Bool(true),
             tag::INT => Value::Int(Wire::get(r)?),
             tag::FLOAT => Value::Float(Wire::get(r)?),
-            tag::STR => Value::Str(Wire::get(r)?),
-            tag::BYTES => Value::Bytes(r.run()?.to_vec()),
+            tag::STR => Value::Str(utf8(r.run()?)?.into()),
+            tag::BYTES => Value::Bytes(r.run()?.into()),
             tag::CONTEXT_REF => Value::ContextRef(Wire::get(r)?),
-            tag::LIST => Value::List(r.nested(Wire::get)?),
+            // `get_all` fills a `Vec` of exactly the count, so boxing it
+            // does not reallocate.
+            tag::LIST => Value::List(r.nested(Vec::get)?.into_boxed_slice()),
             tag::MAP => r.nested(|r| {
                 let mut map = BTreeMap::new();
-                for _ in 0..r.count()? {
+                for _ in 0..r.count::<(String, Value)>()? {
                     let key = String::get(r)?;
                     map.insert(key, Wire::get(r)?);
                 }
-                Ok(Value::Map(map))
+                Ok(Value::Map(Box::new(map)))
             })?,
             other => return Err(AeonError::Codec(format!("unknown tag {other}"))),
         })
@@ -345,6 +366,8 @@ impl Wire for Value {
 macro_rules! wire_numbers {
     ($($number:ty),*) => {$(
         impl Wire for $number {
+            const MIN_LEN: usize = std::mem::size_of::<$number>();
+
             fn put(&self, w: &mut impl Sink) {
                 w.put_slice(&self.to_be_bytes());
             }
@@ -358,6 +381,8 @@ macro_rules! wire_numbers {
 wire_numbers!(u8, u32, u64, i64, f64);
 
 impl Wire for usize {
+    const MIN_LEN: usize = u64::MIN_LEN;
+
     fn put(&self, w: &mut impl Sink) {
         (*self as u64).put(w);
     }
@@ -384,6 +409,8 @@ impl Wire for bool {
 }
 
 impl Wire for () {
+    const MIN_LEN: usize = 0;
+
     fn put(&self, _: &mut impl Sink) {}
 
     fn get(_: &mut WireReader<'_>) -> Result<Self> {
@@ -392,21 +419,22 @@ impl Wire for () {
 }
 
 impl Wire for String {
+    const MIN_LEN: usize = u32::MIN_LEN;
+
     fn put(&self, w: &mut impl Sink) {
         put_run(w, self.as_bytes());
     }
 
     fn get(r: &mut WireReader<'_>) -> Result<Self> {
-        match std::str::from_utf8(r.run()?) {
-            Ok(s) => Ok(s.to_owned()),
-            Err(e) => Err(AeonError::Codec(e.to_string())),
-        }
+        utf8(r.run()?).map(str::to_owned)
     }
 }
 
 macro_rules! wire_ids {
-    ($($id:ident),*) => {$(
+    ($($id:ident: $raw:ty),*) => {$(
         impl Wire for $id {
+            const MIN_LEN: usize = <$raw as Wire>::MIN_LEN;
+
             fn put(&self, w: &mut impl Sink) {
                 self.raw().put(w);
             }
@@ -417,7 +445,7 @@ macro_rules! wire_ids {
         }
     )*};
 }
-wire_ids!(ContextId, EventId, ServerId, ClientId);
+wire_ids!(ContextId: u64, EventId: u64, ServerId: u32, ClientId: u64);
 
 impl Wire for AccessMode {
     fn put(&self, w: &mut impl Sink) {
@@ -436,12 +464,14 @@ impl Wire for AccessMode {
 /// Written like a `Vec<Value>`; a list of at most one value is read without
 /// building one.
 impl Wire for Args {
+    const MIN_LEN: usize = u32::MIN_LEN;
+
     fn put(&self, w: &mut impl Sink) {
         put_all(w, self.as_slice());
     }
 
     fn get(r: &mut WireReader<'_>) -> Result<Self> {
-        Ok(match r.count()? {
+        Ok(match r.count::<Value>()? {
             0 => Args::empty(),
             1 => Args::from([Wire::get(r)?]),
             count => Args::new(get_all(r, count)?),
@@ -460,12 +490,14 @@ fn get_all<T: Wire>(r: &mut WireReader<'_>, count: usize) -> Result<Vec<T>> {
 }
 
 impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = u32::MIN_LEN;
+
     fn put(&self, w: &mut impl Sink) {
         put_all(w, self);
     }
 
     fn get(r: &mut WireReader<'_>) -> Result<Self> {
-        let count = r.count()?;
+        let count = r.count::<T>()?;
         get_all(r, count)
     }
 }
@@ -506,6 +538,8 @@ impl<T: Wire> Wire for Result<T> {
 }
 
 impl<T: Wire> Wire for Box<T> {
+    const MIN_LEN: usize = T::MIN_LEN;
+
     fn put(&self, w: &mut impl Sink) {
         (**self).put(w);
     }
@@ -518,6 +552,8 @@ impl<T: Wire> Wire for Box<T> {
 macro_rules! wire_tuples {
     ($(($($item:ident . $index:tt),+))*) => {$(
         impl<$($item: Wire),+> Wire for ($($item,)+) {
+            const MIN_LEN: usize = 0 $(+ $item::MIN_LEN)+;
+
             fn put(&self, w: &mut impl Sink) {
                 $(self.$index.put(w);)+
             }
@@ -560,6 +596,14 @@ impl Wire for LatencyHistogram {
     }
 }
 
+/// The [`Wire::MIN_LEN`] of the field that `field` borrows, so that the
+/// [`wire!`](crate::wire) macro, which names a struct's fields but not their
+/// types, can sum them.
+#[doc(hidden)]
+pub const fn field_min_len<S, T: Wire>(_field: fn(&S) -> &T) -> usize {
+    T::MIN_LEN
+}
+
 /// Implements [`Wire`](crate::codec::Wire) for a struct or an enum from one
 /// list of its fields, which drives both directions: `put` writes them in
 /// the order listed and `get` reads them back in that order.
@@ -567,7 +611,8 @@ impl Wire for LatencyHistogram {
 /// An enum variant is written as the `u8` tag stated beside it, then its
 /// fields.  Tags are part of the format: they are explicit so that adding
 /// or reordering variants cannot renumber the others, and a tag that is
-/// retired must not be reused.  Leaving a field or a variant out does not
+/// retired must not be reused.  A struct's [`Wire::MIN_LEN`] is the sum of
+/// its fields', an enum's the one tag byte.  Leaving a field or a variant out does not
 /// compile.
 ///
 /// ```
@@ -595,6 +640,8 @@ macro_rules! wire {
     };
     (struct $name:ident { $($field:ident),* $(,)? }) => {
         impl $crate::codec::Wire for $name {
+            const MIN_LEN: usize = 0 $(+ $crate::codec::field_min_len(|s: &Self| &s.$field))*;
+
             fn put(&self, w: &mut impl $crate::codec::Sink) {
                 $($crate::codec::Wire::put(&self.$field, w);)*
             }
@@ -682,8 +729,8 @@ mod tests {
         roundtrip(&Value::Int(-12345));
         roundtrip(&Value::Int(i64::MAX));
         roundtrip(&Value::Float(3.25));
-        roundtrip(&Value::Str("hello world".into()));
-        roundtrip(&Value::Bytes(vec![0, 1, 2, 255]));
+        roundtrip(&Value::from("hello world"));
+        roundtrip(&Value::from(vec![0u8, 1, 2, 255]));
         roundtrip(&Value::ContextRef(ContextId::new(u64::MAX)));
     }
 
@@ -697,7 +744,7 @@ mod tests {
             ("gold", Value::from(100i64)),
             (
                 "inventory",
-                Value::List(vec![
+                Value::from(vec![
                     Value::map([("sword", Value::Bool(true))]),
                     Value::Null,
                 ]),
@@ -731,11 +778,11 @@ mod tests {
 
     #[test]
     fn empty_containers_round_trip() {
-        roundtrip(&Value::List(Vec::new()));
-        roundtrip(&Value::Map(BTreeMap::new()));
-        roundtrip(&Value::Str(String::new()));
-        roundtrip(&Value::Bytes(Vec::new()));
-        roundtrip(&Value::map([("empty", Value::List(Vec::new()))]));
+        roundtrip(&Value::List(Box::default()));
+        roundtrip(&Value::Map(Box::default()));
+        roundtrip(&Value::Str(Box::default()));
+        roundtrip(&Value::Bytes(Box::default()));
+        roundtrip(&Value::map([("empty", Value::List(Box::default()))]));
     }
 
     #[test]
@@ -744,10 +791,10 @@ mod tests {
         // decodable as Str).
         let payload = vec![0xff, 0xfe, 0x80, 0xc0, 0x00, 0xf5];
         assert!(String::from_utf8(payload.clone()).is_err());
-        roundtrip(&Value::Bytes(payload.clone()));
+        roundtrip(&Value::from(payload.clone()));
 
         // A Str frame whose body is not UTF-8 is rejected, not mangled.
-        let mut forged = encode(&Value::Bytes(payload)).to_vec();
+        let mut forged = encode(&Value::from(payload)).to_vec();
         forged[1] = tag::STR;
         assert!(matches!(decode(&forged), Err(AeonError::Codec(_))));
     }
@@ -757,7 +804,7 @@ mod tests {
         let mut v = Value::Int(0);
         for depth in 0..256 {
             v = if depth % 2 == 0 {
-                Value::List(vec![v])
+                Value::from(vec![v])
             } else {
                 Value::map([("d", v)])
             };
@@ -798,8 +845,60 @@ mod tests {
         let two_nulls = [VERSION, tag::LIST, 0, 0, 0, 2, tag::NULL, tag::NULL];
         assert_eq!(
             decode(&two_nulls).unwrap(),
-            Value::List(vec![Value::Null; 2])
+            Value::from(vec![Value::Null; 2])
         );
+    }
+
+    #[test]
+    fn a_count_whose_elements_cannot_fit_is_refused_before_reserving() {
+        // 2^20 context ids announced with 2^20 bytes behind them would have
+        // reserved 8 MiB from a 1 MiB frame under a one-byte-per-element rule.
+        let mut frame = (1u32 << 20).to_be_bytes().to_vec();
+        frame.resize(4 + (1 << 20), 0);
+        let err = Vec::<ContextId>::get(&mut WireReader::new(&frame)).unwrap_err();
+        assert!(
+            err.to_string().contains("1048576 elements announced"),
+            "{err}"
+        );
+        // Eight bytes behind each, the same count is read.
+        frame.resize(4 + (8 << 20), 0);
+        let ids = Vec::<ContextId>::get(&mut WireReader::new(&frame)).unwrap();
+        assert_eq!(ids.len(), 1 << 20);
+    }
+
+    #[test]
+    fn min_len_is_the_fixed_width_or_the_sum_of_the_parts() {
+        assert_eq!(
+            [
+                u8::MIN_LEN,
+                u32::MIN_LEN,
+                u64::MIN_LEN,
+                usize::MIN_LEN,
+                bool::MIN_LEN
+            ],
+            [1, 4, 8, 8, 1]
+        );
+        assert_eq!(
+            [ServerId::MIN_LEN, ContextId::MIN_LEN, <()>::MIN_LEN],
+            [4, 8, 0]
+        );
+        assert_eq!(
+            [String::MIN_LEN, Args::MIN_LEN, Vec::<u64>::MIN_LEN],
+            [4, 4, 4]
+        );
+        assert_eq!(
+            [Value::MIN_LEN, AeonError::MIN_LEN, Option::<u64>::MIN_LEN],
+            [1, 1, 1]
+        );
+        assert_eq!(<(ServerId, ContextId, String)>::MIN_LEN, 16);
+        assert_eq!(Box::<u64>::MIN_LEN, 8);
+    }
+
+    /// What `value.put` writes.
+    fn encoded<T: Wire>(value: &T) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        value.put(&mut bytes);
+        bytes
     }
 
     #[test]
@@ -836,11 +935,11 @@ mod tests {
             Value::Bool(true),
             Value::Int(i64::MIN),
             Value::Float(f64::NAN),
-            Value::Str("ünïcode".into()),
-            Value::Bytes(vec![0xff; 17]),
+            Value::from("ünïcode"),
+            Value::from(vec![0xffu8; 17]),
             Value::ContextRef(ContextId::new(0)),
-            Value::List(Vec::new()),
-            Value::Map(BTreeMap::new()),
+            Value::List(Box::default()),
+            Value::Map(Box::default()),
             Value::map([("k", Value::from(vec![Value::Null, Value::Bool(false)]))]),
         ] {
             assert_eq!(encoded_len(&v), encode(&v).len(), "value: {v:?}");
@@ -855,14 +954,14 @@ mod tests {
             any::<f64>()
                 .prop_filter("finite", |f| f.is_finite())
                 .prop_map(Value::Float),
-            "[a-z]{0,16}".prop_map(Value::Str),
-            proptest::collection::vec(any::<u8>(), 0..32).prop_map(Value::Bytes),
+            "[a-z]{0,16}".prop_map(Value::from),
+            proptest::collection::vec(any::<u8>(), 0..32).prop_map(Value::from),
             any::<u64>().prop_map(|r| Value::ContextRef(ContextId::new(r))),
         ];
         leaf.prop_recursive(3, 64, 8, |inner| {
             prop_oneof![
-                proptest::collection::vec(inner.clone(), 0..8).prop_map(Value::List),
-                proptest::collection::btree_map("[a-z]{1,8}", inner, 0..8).prop_map(Value::Map),
+                proptest::collection::vec(inner.clone(), 0..8).prop_map(Value::from),
+                proptest::collection::btree_map("[a-z]{1,8}", inner, 0..8).prop_map(Value::map),
             ]
         })
     }
@@ -904,6 +1003,15 @@ mod tests {
         #[test]
         fn encoded_len_matches_encode(v in arb_value()) {
             prop_assert_eq!(encoded_len(&v), encode(&v).len());
+        }
+
+        /// A minimum length above a real encoding would refuse an honest
+        /// count of such elements.
+        #[test]
+        fn min_len_never_exceeds_an_encoding(v in arb_value(), key in "[a-z]{0,8}") {
+            prop_assert!(Value::MIN_LEN <= encoded(&v).len());
+            let entry = (key, v);
+            prop_assert!(<(String, Value)>::MIN_LEN <= encoded(&entry).len());
         }
 
         #[test]

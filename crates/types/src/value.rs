@@ -7,6 +7,15 @@
 //! deliberately small but expressive enough for the two paper applications
 //! (game, TPC-C) and for serialising context state during migration and
 //! checkpointing.
+//!
+//! # Cost model
+//!
+//! A [`Value`] is 24 bytes.  The scalars and context references live inline;
+//! a string, a byte string or a list owns one heap block of exactly its
+//! length, and a map owns one more block for the box that holds the
+//! `BTreeMap` (plus the map's own nodes).  So a three-value list is one
+//! block of 72 bytes.  An [`Args`] is 24 bytes too — the size of a `Vec` —
+//! with at most one value inline and longer lists in one exact-size block.
 
 use crate::error::{AeonError, Result};
 use crate::ids::ContextId;
@@ -27,17 +36,21 @@ pub enum Value {
     /// 64-bit float.
     Float(f64),
     /// UTF-8 string.
-    Str(String),
+    Str(Box<str>),
     /// Raw bytes.
-    Bytes(Vec<u8>),
+    Bytes(Box<[u8]>),
     /// Reference to another context (how `contextclass`-typed fields are
     /// expressed at runtime).
     ContextRef(ContextId),
     /// Ordered list of values.
-    List(Vec<Value>),
+    List(Box<[Value]>),
     /// String-keyed map of values (used for struct-like state snapshots).
-    Map(BTreeMap<String, Value>),
+    /// Boxed, so that a `Value` stays 24 bytes.
+    Map(Box<BTreeMap<String, Value>>),
 }
+
+const _: () = assert!(std::mem::size_of::<Value>() == 24);
+const _: () = assert!(std::mem::size_of::<Option<Value>>() == 24);
 
 impl Value {
     /// Returns the value as a boolean, if it is one.
@@ -128,7 +141,9 @@ impl Value {
         I: IntoIterator<Item = (K, Value)>,
         K: Into<String>,
     {
-        Value::Map(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+        Value::Map(Box::new(
+            pairs.into_iter().map(|(k, v)| (k.into(), v)).collect(),
+        ))
     }
 
     /// Looks up a key in a map value.
@@ -203,17 +218,17 @@ impl From<f64> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+        Value::Str(v.into())
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(v.into_boxed_str())
     }
 }
 impl From<Vec<u8>> for Value {
     fn from(v: Vec<u8>) -> Self {
-        Value::Bytes(v)
+        Value::Bytes(v.into_boxed_slice())
     }
 }
 impl From<ContextId> for Value {
@@ -241,8 +256,7 @@ impl From<()> for Value {
 ///   cloning or decoding such a list allocates nothing for the list itself;
 /// * two or more values cost one block of exactly their size.
 ///
-/// An `Args` is 32 bytes, the size of one [`Value`] and 8 more than a
-/// `Vec<Value>`, so a holder of many multi-value lists pays 8 B per list.
+/// An `Args` is 24 bytes, the size of one [`Value`] and of a `Vec<Value>`.
 /// Equality and `{:?}` depend only on the values, never on which
 /// constructor built the list.
 #[derive(Clone, Serialize, Deserialize, Default)]
@@ -308,35 +322,35 @@ impl Args {
     pub fn get_i64(&self, idx: usize) -> Result<i64> {
         self.get(idx)
             .and_then(Value::as_i64)
-            .ok_or_else(|| bad_arg(idx, "int"))
+            .ok_or_else(|| bad_arg(idx, "an int"))
     }
 
     /// Returns the argument at `idx` as a float.
     pub fn get_f64(&self, idx: usize) -> Result<f64> {
         self.get(idx)
             .and_then(Value::as_f64)
-            .ok_or_else(|| bad_arg(idx, "float"))
+            .ok_or_else(|| bad_arg(idx, "a float"))
     }
 
     /// Returns the argument at `idx` as a boolean.
     pub fn get_bool(&self, idx: usize) -> Result<bool> {
         self.get(idx)
             .and_then(Value::as_bool)
-            .ok_or_else(|| bad_arg(idx, "bool"))
+            .ok_or_else(|| bad_arg(idx, "a bool"))
     }
 
     /// Returns the argument at `idx` as a string slice.
     pub fn get_str(&self, idx: usize) -> Result<&str> {
         self.get(idx)
             .and_then(Value::as_str)
-            .ok_or_else(|| bad_arg(idx, "string"))
+            .ok_or_else(|| bad_arg(idx, "a string"))
     }
 
     /// Returns the argument at `idx` as a context reference.
     pub fn get_context(&self, idx: usize) -> Result<ContextId> {
         self.get(idx)
             .and_then(Value::as_context)
-            .ok_or_else(|| bad_arg(idx, "context reference"))
+            .ok_or_else(|| bad_arg(idx, "a context reference"))
     }
 
     /// Iterates over the arguments.
@@ -409,10 +423,13 @@ impl<'a> IntoIterator for &'a Args {
     }
 }
 
+/// The error leaves `method` empty: an argument list does not know which
+/// method it was passed to, and the interpreter that ran the method fills
+/// the name in.
 fn bad_arg(idx: usize, expected: &str) -> AeonError {
     AeonError::BadArguments {
         method: String::new(),
-        reason: format!("argument {idx} missing or not a {expected}"),
+        reason: format!("argument {idx} missing or not {expected}"),
     }
 }
 
@@ -510,10 +527,10 @@ mod tests {
             Value::Null,
             Value::Bool(false),
             Value::Int(0),
-            Value::Str(String::new()),
-            Value::List(vec![]),
-            Value::Map(BTreeMap::new()),
-            Value::Bytes(vec![]),
+            Value::from(""),
+            Value::List(Box::default()),
+            Value::Map(Box::default()),
+            Value::Bytes(Box::default()),
         ] {
             assert!(!v.to_string().is_empty());
         }

@@ -129,6 +129,27 @@ fn unknown_methods_yield_unknown_method_on_every_backend() {
 }
 
 #[test]
+fn bad_arguments_name_their_method_on_every_backend() {
+    on_every_backend(|deployment| {
+        let backend = deployment.backend_name();
+        let world = deploy_game(deployment, 1, 1).unwrap();
+        let err = deployment
+            .session()
+            .call(world.players[0][0], "get_gold", args!["x"])
+            .unwrap_err();
+        assert!(
+            matches!(&err, AeonError::BadArguments { method, .. } if method == "get_gold"),
+            "backend {backend}: {err:?}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "bad arguments for method get_gold: argument 0 missing or not an int",
+            "backend {backend}"
+        );
+    });
+}
+
+#[test]
 fn writes_from_readonly_events_are_rejected_on_every_backend() {
     on_every_backend(|deployment| {
         let backend = deployment.backend_name();
