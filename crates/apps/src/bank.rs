@@ -54,7 +54,10 @@ impl Account {
     }
 
     fn add(&mut self, args: &Args, _inv: &mut Invocation<'_>) -> Result<Value> {
-        self.balance += args.get_i64(0)?;
+        let amount = args.get_i64(0)?;
+        self.balance = self.balance.checked_add(amount).ok_or_else(|| {
+            AeonError::overflow(format_args!("balance {} + {amount}", self.balance))
+        })?;
         Ok(Value::from(self.balance))
     }
 
@@ -92,8 +95,8 @@ impl Branch {
     fn transfer(&mut self, args: &Args, inv: &mut Invocation<'_>) -> Result<Value> {
         let from = args.get_context(0)?;
         let to = args.get_context(1)?;
-        let amount = args.get_i64(2)?;
-        inv.call(from, "add", args![-amount])?;
+        let (amount, withdrawal) = amount_and_withdrawal(args)?;
+        inv.call(from, "add", args![withdrawal])?;
         inv.call(to, "add", args![amount])?;
         Ok(Value::Null)
     }
@@ -103,8 +106,8 @@ impl Branch {
     fn transfer_async(&mut self, args: &Args, inv: &mut Invocation<'_>) -> Result<Value> {
         let from = args.get_context(0)?;
         let to = args.get_context(1)?;
-        let amount = args.get_i64(2)?;
-        inv.call(from, "add", args![-amount])?;
+        let (amount, withdrawal) = amount_and_withdrawal(args)?;
+        inv.call(from, "add", args![withdrawal])?;
         inv.call_async(to, "add", args![amount])?;
         Ok(Value::Null)
     }
@@ -128,6 +131,17 @@ impl Branch {
                 .collect(),
         ))
     }
+}
+
+/// The amount of a transfer (argument 2) and its negation, the withdrawal.
+/// An amount with no negation (`i64::MIN`) is refused before either leg
+/// runs.
+fn amount_and_withdrawal(args: &Args) -> Result<(i64, i64)> {
+    let amount = args.get_i64(2)?;
+    let withdrawal = amount
+        .checked_neg()
+        .ok_or_else(|| AeonError::overflow(format_args!("the withdrawal -({amount})")))?;
+    Ok((amount, withdrawal))
 }
 
 context_class! {

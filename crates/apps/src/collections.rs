@@ -135,7 +135,7 @@ impl ListSet {
 
     fn collect_values(&mut self, _args: &Args, inv: &mut Invocation<'_>) -> Result<Value> {
         match self.head {
-            None => Ok(Value::List(Box::default())),
+            None => Ok(Value::List(Default::default())),
             Some(head) => inv.call(head, "collect", args![]),
         }
     }
@@ -285,7 +285,7 @@ impl ListNode {
         let mut values = vec![Value::from(self.key)];
         if let Some(next) = self.next {
             if let Value::List(rest) = inv.call(next, "collect", args![])? {
-                values.extend(rest);
+                values.extend(rest.into_vec());
             }
         }
         Ok(Value::from(values))
@@ -387,7 +387,7 @@ impl SearchTree {
 
     fn in_order(&mut self, _args: &Args, inv: &mut Invocation<'_>) -> Result<Value> {
         match self.root {
-            None => Ok(Value::List(Box::default())),
+            None => Ok(Value::List(Default::default())),
             Some(root) => inv.call(root, "in_order", args![]),
         }
     }
@@ -491,13 +491,13 @@ impl TreeNode {
         let mut values = Vec::new();
         if let Some(left) = self.left {
             if let Value::List(l) = inv.call(left, "in_order", args![])? {
-                values.extend(l);
+                values.extend(l.into_vec());
             }
         }
         values.push(Value::from(self.key));
         if let Some(right) = self.right {
             if let Value::List(r) = inv.call(right, "in_order", args![])? {
-                values.extend(r);
+                values.extend(r.into_vec());
             }
         }
         Ok(Value::from(values))

@@ -125,6 +125,9 @@ impl Player {
 
     fn get_gold(&mut self, args: &Args, inv: &mut Invocation<'_>) -> Result<Value> {
         let amount = args.get_i64(0)?;
+        let withdrawal = amount
+            .checked_neg()
+            .ok_or_else(|| AeonError::overflow(format_args!("the withdrawal -({amount})")))?;
         let mine = self
             .gold_mine
             .ok_or_else(|| AeonError::app("player has no mine"))?;
@@ -135,7 +138,7 @@ impl Player {
         if available < amount {
             return Ok(Value::Bool(false));
         }
-        inv.call(mine, "incr", args!["gold", -amount])?;
+        inv.call(mine, "incr", args!["gold", withdrawal])?;
         inv.call(treasure, "incr", args!["gold", amount])?;
         Ok(Value::Bool(true))
     }

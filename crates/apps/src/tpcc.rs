@@ -80,6 +80,14 @@ impl TransactionKind {
 // Contextclasses.
 // ---------------------------------------------------------------------------
 
+/// `current + by`, or the overflow error naming `what`, so that a context
+/// refuses the argument with its state unchanged.
+fn add_checked(what: &str, current: i64, by: i64) -> Result<i64> {
+    current
+        .checked_add(by)
+        .ok_or_else(|| AeonError::overflow(format_args!("{what} {current} + {by}")))
+}
+
 /// The warehouse context: year-to-date totals and the (fixed) item/stock
 /// catalogue, which does not need elasticity and therefore lives inside the
 /// warehouse context as the paper does.
@@ -100,7 +108,7 @@ impl Warehouse {
     }
 
     fn add_ytd(&mut self, args: &Args, _inv: &mut Invocation<'_>) -> Result<Value> {
-        self.ytd += args.get_i64(0)?;
+        self.ytd = add_checked("ytd", self.ytd, args.get_i64(0)?)?;
         Ok(Value::from(self.ytd))
     }
 
@@ -115,10 +123,14 @@ impl Warehouse {
             .stock
             .get_mut(&item)
             .ok_or_else(|| AeonError::app(format!("unknown item {item}")))?;
-        if *entry < qty {
-            *entry += 91; // TPC-C restock rule
-        }
-        *entry -= qty;
+        let restocked = if *entry < qty {
+            add_checked("stock", *entry, 91)? // TPC-C restock rule
+        } else {
+            *entry
+        };
+        *entry = restocked
+            .checked_sub(qty)
+            .ok_or_else(|| AeonError::overflow(format_args!("stock {restocked} - {qty}")))?;
         Ok(Value::from(*entry))
     }
 
@@ -157,7 +169,7 @@ pub struct District {
 
 impl District {
     fn add_ytd(&mut self, args: &Args, _inv: &mut Invocation<'_>) -> Result<Value> {
-        self.ytd += args.get_i64(0)?;
+        self.ytd = add_checked("ytd", self.ytd, args.get_i64(0)?)?;
         Ok(Value::from(self.ytd))
     }
 
@@ -213,7 +225,9 @@ pub struct Customer {
 impl Customer {
     fn pay(&mut self, args: &Args, _inv: &mut Invocation<'_>) -> Result<Value> {
         let amount = args.get_i64(0)?;
-        self.balance -= amount;
+        self.balance = self.balance.checked_sub(amount).ok_or_else(|| {
+            AeonError::overflow(format_args!("balance {} - {amount}", self.balance))
+        })?;
         self.payments += 1;
         Ok(Value::from(self.balance))
     }

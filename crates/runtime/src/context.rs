@@ -3,7 +3,7 @@
 use crate::event::{EventOutcome, EventRequest};
 use crate::invocation::Invocation;
 use crate::locks::ContextLock;
-use aeon_types::{Args, ContextId, Result, Value};
+use aeon_types::{AeonError, Args, ContextId, Result, Value};
 use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
@@ -113,12 +113,24 @@ impl KvContext {
         Ok(self.map.insert(key, value).unwrap_or(Value::Null))
     }
 
+    /// `incr(key, by = 1)`: a key it holds is updated in place, so only a
+    /// new key costs an allocation.  A value that is not an integer counts
+    /// as 0.
     fn incr(&mut self, args: &Args, _inv: &mut Invocation<'_>) -> Result<Value> {
-        let key = args.get_str(0)?.to_string();
-        let by = args.get_i64(1).unwrap_or(1);
-        let current = self.map.get(&key).and_then(Value::as_i64).unwrap_or(0);
-        let next = current + by;
-        self.map.insert(key, Value::from(next));
+        let key = args.get_str(0)?;
+        let by = match args.get(1) {
+            None => 1,
+            Some(_) => args.get_i64(1)?,
+        };
+        let Some(value) = self.map.get_mut(key) else {
+            self.map.insert(key.to_string(), Value::from(by));
+            return Ok(Value::from(by));
+        };
+        let current = value.as_i64().unwrap_or(0);
+        let next = current
+            .checked_add(by)
+            .ok_or_else(|| AeonError::overflow(format_args!("{key} {current} + {by}")))?;
+        *value = Value::from(next);
         Ok(Value::from(next))
     }
 

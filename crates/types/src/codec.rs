@@ -29,6 +29,7 @@ use crate::access::AccessMode;
 use crate::error::{AeonError, Result};
 use crate::ids::{ClientId, ContextId, EventId, ServerId};
 use crate::metrics::LatencyHistogram;
+use crate::thin::ThinList;
 use crate::value::{Args, Value};
 use bytes::Bytes;
 use std::collections::BTreeMap;
@@ -334,9 +335,10 @@ impl Wire for Value {
         }
     }
 
-    /// Each heap variant is read straight into its box: a string or a byte
-    /// string is one block copied from the frame, a list one block of
-    /// exactly its length, a map its nodes and one block for the box.
+    /// Each heap variant is read straight into its block: a string or a
+    /// byte string is one block copied from the frame, a list one block of
+    /// exactly its length that its values are decoded into, a map its nodes
+    /// and one block for the box.
     fn get(r: &mut WireReader<'_>) -> Result<Self> {
         Ok(match u8::get(r)? {
             tag::NULL => Value::Null,
@@ -347,9 +349,7 @@ impl Wire for Value {
             tag::STR => Value::Str(utf8(r.run()?)?.into()),
             tag::BYTES => Value::Bytes(r.run()?.into()),
             tag::CONTEXT_REF => Value::ContextRef(Wire::get(r)?),
-            // `get_all` fills a `Vec` of exactly the count, so boxing it
-            // does not reallocate.
-            tag::LIST => Value::List(r.nested(Vec::get)?.into_boxed_slice()),
+            tag::LIST => Value::List(r.nested(get_list)?),
             tag::MAP => r.nested(|r| {
                 let mut map = BTreeMap::new();
                 for _ in 0..r.count::<(String, Value)>()? {
@@ -462,7 +462,7 @@ impl Wire for AccessMode {
 }
 
 /// Written like a `Vec<Value>`; a list of at most one value is read without
-/// building one.
+/// a block, a longer one straight into its block.
 impl Wire for Args {
     const MIN_LEN: usize = u32::MIN_LEN;
 
@@ -474,19 +474,23 @@ impl Wire for Args {
         Ok(match r.count::<Value>()? {
             0 => Args::empty(),
             1 => Args::from([Wire::get(r)?]),
-            count => Args::new(get_all(r, count)?),
+            count => Args::from(get_values(r, count)?),
         })
     }
 }
 
-/// Reads the `count` elements [`put_all`] wrote after the count, into a
-/// `Vec` of exactly that capacity.
-fn get_all<T: Wire>(r: &mut WireReader<'_>, count: usize) -> Result<Vec<T>> {
-    let mut items = Vec::with_capacity(count);
-    for _ in 0..count {
-        items.push(T::get(r)?);
-    }
-    Ok(items)
+/// Reads a `u32` count and that many values into one block of exactly that
+/// length.
+fn get_list(r: &mut WireReader<'_>) -> Result<ThinList> {
+    let count = r.count::<Value>()?;
+    get_values(r, count)
+}
+
+/// Reads the `count` values [`put_all`] wrote after the count into one
+/// block; a value that fails to decode drops the ones before it and frees
+/// the block.
+fn get_values(r: &mut WireReader<'_>, count: usize) -> Result<ThinList> {
+    ThinList::try_from_fn(count, || Wire::get(r))
 }
 
 impl<T: Wire> Wire for Vec<T> {
@@ -498,7 +502,11 @@ impl<T: Wire> Wire for Vec<T> {
 
     fn get(r: &mut WireReader<'_>) -> Result<Self> {
         let count = r.count::<T>()?;
-        get_all(r, count)
+        let mut items = Vec::with_capacity(count);
+        for _ in 0..count {
+            items.push(T::get(r)?);
+        }
+        Ok(items)
     }
 }
 
@@ -778,11 +786,11 @@ mod tests {
 
     #[test]
     fn empty_containers_round_trip() {
-        roundtrip(&Value::List(Box::default()));
+        roundtrip(&Value::List(Default::default()));
         roundtrip(&Value::Map(Box::default()));
-        roundtrip(&Value::Str(Box::default()));
-        roundtrip(&Value::Bytes(Box::default()));
-        roundtrip(&Value::map([("empty", Value::List(Box::default()))]));
+        roundtrip(&Value::Str(Default::default()));
+        roundtrip(&Value::Bytes(Default::default()));
+        roundtrip(&Value::map([("empty", Value::List(Default::default()))]));
     }
 
     #[test]
@@ -938,7 +946,7 @@ mod tests {
             Value::from("ünïcode"),
             Value::from(vec![0xffu8; 17]),
             Value::ContextRef(ContextId::new(0)),
-            Value::List(Box::default()),
+            Value::List(Default::default()),
             Value::Map(Box::default()),
             Value::map([("k", Value::from(vec![Value::Null, Value::Bool(false)]))]),
         ] {

@@ -182,6 +182,18 @@ impl AeonError {
         AeonError::Internal(msg.to_string())
     }
 
+    /// Creates an [`AeonError::BadArguments`] for an integer argument that
+    /// would take `what` out of the range of an `i64`: a contextclass checks
+    /// its arithmetic on client-supplied integers and refuses before it
+    /// changes anything, in debug and release builds alike.  The method is
+    /// left empty; the interpreter that ran the method fills it in.
+    pub fn overflow(what: impl fmt::Display) -> Self {
+        AeonError::BadArguments {
+            method: String::new(),
+            reason: format!("{what} overflows an i64"),
+        }
+    }
+
     /// Creates an [`AeonError::OwnershipViolation`] with no class-level
     /// detail (the runtime hot path, which only knows the context ids).
     pub fn ownership(caller: ContextId, callee: ContextId) -> Self {
@@ -264,6 +276,10 @@ mod tests {
     fn helpers_build_expected_variants() {
         assert!(matches!(AeonError::app("x"), AeonError::Application(_)));
         assert!(matches!(AeonError::internal("x"), AeonError::Internal(_)));
+        assert_eq!(
+            AeonError::overflow("1 + 2").to_string(),
+            "bad arguments for method : 1 + 2 overflows an i64"
+        );
     }
 
     #[test]

@@ -24,6 +24,7 @@ pub mod history;
 pub mod ids;
 pub mod metrics;
 pub mod promtext;
+mod thin;
 pub mod time;
 pub mod value;
 
@@ -34,5 +35,6 @@ pub use ids::{
     ClassName, ClientId, ContextId, EventId, IdGenerator, MethodName, SequenceNo, ServerId,
 };
 pub use metrics::{LatencyHistogram, NetworkStatsSnapshot, ServerMetrics};
+pub use thin::{ThinBytes, ThinList, ThinStr};
 pub use time::{SimDuration, SimTime};
 pub use value::{Args, Value};

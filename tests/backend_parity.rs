@@ -149,6 +149,50 @@ fn bad_arguments_name_their_method_on_every_backend() {
     });
 }
 
+/// A client's integer goes through checked arithmetic, in debug and
+/// release builds alike: an `incr` that would overflow, or whose step is
+/// not an integer, is refused and the stored value stays.  A missing step
+/// is 1.
+#[test]
+fn incr_refuses_an_overflow_and_a_bad_step_on_every_backend() {
+    on_every_backend(|deployment| {
+        let backend = deployment.backend_name();
+        let world = deploy_game(deployment, 1, 1).unwrap();
+        let session = deployment.session();
+        let item = world.treasures[0];
+        let gold = || session.call_readonly(item, "get", args!["gold"]).unwrap();
+        session.call(item, "set", args!["gold", i64::MAX]).unwrap();
+        let err = session.call(item, "incr", args!["gold", 1i64]).unwrap_err();
+        assert!(
+            matches!(&err, AeonError::BadArguments { method, reason }
+                if method == "incr" && reason.ends_with("overflows an i64")),
+            "backend {backend}: {err:?}"
+        );
+        let err = session
+            .call(item, "incr", args!["gold", "one"])
+            .unwrap_err();
+        assert!(
+            matches!(&err, AeonError::BadArguments { method, .. } if method == "incr"),
+            "backend {backend}: {err:?}"
+        );
+        assert_eq!(gold(), Value::from(i64::MAX), "backend {backend}");
+        session.call(item, "set", args!["gold", 5i64]).unwrap();
+        assert_eq!(
+            session.call(item, "incr", args!["gold"]).unwrap(),
+            Value::from(6i64),
+            "backend {backend}"
+        );
+        let err = session
+            .call(world.players[0][0], "get_gold", args![i64::MIN])
+            .unwrap_err();
+        assert!(
+            matches!(&err, AeonError::BadArguments { method, .. } if method == "get_gold"),
+            "backend {backend}: {err:?}"
+        );
+        assert_eq!(gold(), Value::from(6i64), "backend {backend}");
+    });
+}
+
 #[test]
 fn writes_from_readonly_events_are_rejected_on_every_backend() {
     on_every_backend(|deployment| {
@@ -1102,6 +1146,48 @@ mod snapshot_freeze {
             assert_eq!(
                 session.call_readonly(world.bank, "audit", args![]).unwrap(),
                 Value::from(expected),
+                "backend {backend}"
+            );
+        });
+    }
+
+    /// A transfer of `i64::MIN` has no withdrawal to make (its negation
+    /// overflows): it is refused before either leg runs, by both transfer
+    /// methods, and so is a deposit that would overflow a balance.  The
+    /// bank still holds exactly its money.
+    #[test]
+    fn overflowing_transfers_are_refused_before_either_leg_on_every_backend() {
+        on_every_bank_backend(|deployment| {
+            let backend = deployment.backend_name();
+            let config = BankWorldConfig::default();
+            let world = deploy_bank(&*deployment, &config).unwrap();
+            let session = deployment.session();
+            let (from, to) = (world.accounts_of[0][0], world.accounts_of[0][1]);
+            for method in ["transfer", "transfer_async"] {
+                let err = session
+                    .call(world.branches[0], method, args![from, to, i64::MIN])
+                    .unwrap_err();
+                assert!(
+                    matches!(&err, AeonError::BadArguments { method: m, reason }
+                        if m == method && reason.ends_with("overflows an i64")),
+                    "backend {backend}: {err:?}"
+                );
+            }
+            let err = session.call(to, "add", args![i64::MAX]).unwrap_err();
+            assert!(
+                matches!(&err, AeonError::BadArguments { method, .. } if method == "add"),
+                "backend {backend}: {err:?}"
+            );
+            for account in [from, to] {
+                assert_eq!(
+                    session.call_readonly(account, "read", args![]).unwrap(),
+                    Value::from(config.initial_balance),
+                    "backend {backend}"
+                );
+            }
+            assert_eq!(
+                session.call_readonly(world.bank, "audit", args![]).unwrap(),
+                Value::from(world.expected_total(&config)),
                 "backend {backend}"
             );
         });
