@@ -12,7 +12,7 @@
 //! same here): a node's pool worker completing an event (`Done`), the
 //! caller of a control operation whose acknowledgement came back before it
 //! could park, a transport reader over TCP.  Every arm completes a waiting
-//! caller through its channel or sends; none waits.  The `Done` arm submits
+//! caller through its reply or sends; none waits.  The `Done` arm submits
 //! the event's sub-events, i.e. routes and sends from inside a handler —
 //! which is why [`ClusterInner::send`] must never run under a guard.  The
 //! handler holds the cluster weakly: a cluster is owned by its `Cluster` /
@@ -28,6 +28,7 @@ use aeon_net::{
     ChannelTransport, MessageSizer, Network, NetworkStats, TcpTransport, TcpTransportConfig,
 };
 use aeon_ownership::{ClassGraph, ControlPlane, Dominator, OwnershipGraph};
+use aeon_runtime::reply::{reply, Replier, Reply, WaitError};
 use aeon_runtime::{
     AnalysisMode, CertifiedReads, ContextFactory, ContextObject, ExecutorConfig, ExecutorStats,
     Footprint, Placement, Snapshot,
@@ -36,7 +37,6 @@ use aeon_types::{
     AccessMode, AeonError, Args, ClientId, ContextId, EventId, Result, ServerId, ServerMetrics,
     SharedHistorySink, Value,
 };
-use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::SocketAddr;
@@ -277,8 +277,8 @@ impl ClusterBuilder {
 }
 
 /// A routed event awaiting its `Done`: the issuing client (inherited by the
-/// event's sub-events) and the handle's completion channel.
-type PendingEvent = (Option<ClientId>, Sender<Result<Value>>);
+/// event's sub-events) and the sending half of the handle's reply.
+type PendingEvent = (Option<ClientId>, Replier<Result<Value>>);
 
 struct ClusterInner {
     directory: Arc<Directory>,
@@ -303,7 +303,7 @@ struct ClusterInner {
     /// Event completions waiting to be routed back to client handles.
     pending_events: Mutex<HashMap<u64, PendingEvent>>,
     /// Control acknowledgements (host, prepare, stop, install).
-    pending_control: Mutex<HashMap<u64, Sender<ClusterMessage>>>,
+    pending_control: Mutex<HashMap<u64, Replier<ClusterMessage>>>,
     corr: AtomicU64,
     shutdown: AtomicBool,
 }
@@ -401,6 +401,13 @@ impl ClusterInner {
         }
         self.network.deregister(gateway_id());
         self.network.shutdown_transport();
+        // Nothing is left to answer what is still pending — an event queued
+        // at a node whose pool dropped it, a control message in flight.
+        // Dropping the repliers closes those replies: an event handle reads
+        // that as `RuntimeShutdown`, a control round trip likewise.
+        let events = std::mem::take(&mut *self.pending_events.lock());
+        let control = std::mem::take(&mut *self.pending_control.lock());
+        drop((events, control));
     }
 
     fn next_corr(&self) -> u64 {
@@ -432,15 +439,16 @@ impl ClusterInner {
             | ClusterMessage::Migrate { context, .. } => Some(*context),
             _ => None,
         };
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = reply();
         self.pending_control.lock().insert(corr, tx);
         if let Err(e) = self.send(to, message) {
             self.pending_control.lock().remove(&corr);
             return Err(e);
         }
-        match rx.recv_timeout(CONTROL_TIMEOUT) {
+        match rx.wait_timeout(CONTROL_TIMEOUT) {
             Ok(ack) => Ok(ack),
-            Err(_) => {
+            Err(WaitError::Closed) => Err(AeonError::RuntimeShutdown),
+            Err(WaitError::Timeout) => {
                 self.pending_control.lock().remove(&corr);
                 Err(match context {
                     Some(context) => AeonError::MigrationFailed {
@@ -538,7 +546,7 @@ impl ClusterInner {
         }
         let event = EventId::new(self.directory.next_raw());
         let corr = self.next_corr();
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = reply();
         self.pending_events.lock().insert(corr, (client, tx));
         let descriptor = EventDescriptor {
             id: event,
@@ -559,7 +567,7 @@ impl ClusterInner {
             self.pending_events.lock().remove(&corr);
             return Err(e);
         }
-        Ok(ClusterEventHandle { event, rx })
+        Ok(ClusterEventHandle { event, reply: rx })
     }
 
     /// How the gateway admits `event`: certified when it is a read of a
@@ -680,7 +688,7 @@ fn gateway_handle(inner: &ClusterInner, message: ClusterMessage) {
 #[derive(Debug)]
 pub struct ClusterEventHandle {
     event: EventId,
-    rx: Receiver<Result<Value>>,
+    reply: Reply<Result<Value>>,
 }
 
 impl ClusterEventHandle {
@@ -696,6 +704,8 @@ impl ClusterEventHandle {
     /// * The error returned by the application method, if any.
     /// * [`AeonError::EventAborted`] when no completion arrives within the
     ///   cluster's event timeout (e.g. the hosting server crashed).
+    /// * [`AeonError::RuntimeShutdown`] when the cluster shut down before
+    ///   the event completed.
     pub fn wait(self) -> Result<Value> {
         self.wait_timeout(EVENT_TIMEOUT)
     }
@@ -706,9 +716,10 @@ impl ClusterEventHandle {
     ///
     /// Same conditions as [`ClusterEventHandle::wait`].
     pub fn wait_timeout(self, timeout: Duration) -> Result<Value> {
-        match self.rx.recv_timeout(timeout) {
+        match self.reply.wait_timeout(timeout) {
             Ok(result) => result,
-            Err(_) => Err(AeonError::EventAborted {
+            Err(WaitError::Closed) => Err(AeonError::RuntimeShutdown),
+            Err(WaitError::Timeout) => Err(AeonError::EventAborted {
                 event: self.event,
                 reason: "no completion received before the timeout".into(),
             }),

@@ -33,11 +33,11 @@
 use crate::message::{gateway_id, ClusterMessage, DirOp, DirReply};
 use aeon_net::Network;
 use aeon_ownership::{ClassGraph, ControlPlane, DominatorMode};
+use aeon_runtime::reply::{reply, Replier};
 use aeon_runtime::{ContextFactory, ContextObject};
 use aeon_types::{
     AeonError, ClassName, ContextId, IdGenerator, Result, ServerId, SharedHistorySink,
 };
-use crossbeam::channel::{self, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -53,7 +53,7 @@ const REMOTE_ID_BASE: u64 = 1 << 63;
 struct Remote {
     node: ServerId,
     network: Network<ClusterMessage>,
-    pending: Mutex<HashMap<u64, Sender<Result<DirReply>>>>,
+    pending: Mutex<HashMap<u64, Replier<Result<DirReply>>>>,
 }
 
 enum Backend {
@@ -146,7 +146,7 @@ impl Directory {
     /// [`ClusterMessage::DirAck`] (delivered via [`Self::complete_dir_reply`]).
     fn rpc(&self, remote: &Remote, op: DirOp) -> Result<DirReply> {
         let corr = self.ids.next_raw();
-        let (tx, rx) = channel::bounded(1);
+        let (tx, rx) = reply();
         remote.pending.lock().insert(corr, tx);
         let request = ClusterMessage::DirReq {
             corr,
@@ -157,7 +157,7 @@ impl Directory {
             remote.pending.lock().remove(&corr);
             return Err(err);
         }
-        match rx.recv_timeout(DIR_RPC_TIMEOUT) {
+        match rx.wait_timeout(DIR_RPC_TIMEOUT) {
             Ok(reply) => reply,
             Err(_) => {
                 remote.pending.lock().remove(&corr);

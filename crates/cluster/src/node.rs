@@ -70,6 +70,7 @@ use crate::message::{
     gateway_id, virtual_root, ClusterMessage, EventDescriptor, FreezeMember, NodeMetrics,
 };
 use aeon_net::Network;
+use aeon_runtime::reply::{reply, Replier, WaitError};
 use aeon_runtime::{
     ContextHost, ContextLock, ContextObject, Entered, EventBody, EventMeta, ExecutorConfig,
     ExecutorStats, Footprint, HostedObject, ShardedExecutor, SubEvent,
@@ -77,7 +78,6 @@ use aeon_runtime::{
 use aeon_types::{
     codec, AccessMode, AeonError, Args, ClientId, ContextId, EventId, Result, ServerId, Value,
 };
-use crossbeam::channel::{bounded, Sender};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -135,7 +135,7 @@ pub(crate) struct NodeShared {
     /// Locks held on this node, per event (released on `Release`).
     held: Mutex<HashMap<EventId, Vec<ContextId>>>,
     /// Workers waiting for replies to remote calls, by correlation token.
-    pending_calls: Mutex<HashMap<u64, Sender<CallOutcome>>>,
+    pending_calls: Mutex<HashMap<u64, Replier<CallOutcome>>>,
     corr: AtomicU64,
     /// Contexts migrated away: requests are forwarded to the new host
     /// (the paper's stale-context-map forwarding, §5.2).
@@ -233,15 +233,9 @@ impl NodeShared {
         }
         self.root_lock.poison();
         // Workers blocked on remote calls would otherwise sit out the full
-        // call timeout; fail their calls immediately.
-        let waiters: Vec<(u64, Sender<CallOutcome>)> = self.pending_calls.lock().drain().collect();
-        for (_, reply) in waiters {
-            let _ = reply.send(CallOutcome {
-                result: Err(AeonError::RuntimeShutdown),
-                participants: Vec::new(),
-                sub_events: Vec::new(),
-            });
-        }
+        // call timeout; closing their replies fails the calls immediately.
+        let waiters = std::mem::take(&mut *self.pending_calls.lock());
+        drop(waiters);
     }
 
     /// Sends `message` to `to`.  The receiver's handler may run inside this
@@ -1019,7 +1013,7 @@ impl ContextHost for NodeHost<'_> {
             None => node.directory.placement_of(target)?,
         };
         let corr = node.corr.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = reply();
         node.pending_calls.lock().insert(corr, tx);
         // Re-check liveness after registering: a crash/shutdown drains
         // `pending_calls` to wake blocked workers, and an insert that
@@ -1045,7 +1039,7 @@ impl ContextHost for NodeHost<'_> {
         );
         match node
             .executor
-            .block_in_place(|| rx.recv_timeout(CALL_TIMEOUT))
+            .block_in_place(|| rx.wait_timeout(CALL_TIMEOUT))
         {
             Ok(outcome) => {
                 // Locks taken while serving the call are held whatever it
@@ -1053,7 +1047,8 @@ impl ContextHost for NodeHost<'_> {
                 self.participants.extend(outcome.participants);
                 outcome.result.map(|value| (value, outcome.sub_events))
             }
-            Err(_) => {
+            Err(WaitError::Closed) => Err(AeonError::RuntimeShutdown),
+            Err(WaitError::Timeout) => {
                 node.pending_calls.lock().remove(&corr);
                 Err(AeonError::EventAborted {
                     event: event.id,

@@ -3,8 +3,8 @@
 use crate::event::{EventOutcome, EventRequest};
 use crate::invocation::Invocation;
 use crate::locks::ContextLock;
+use crate::reply::Replier;
 use aeon_types::{AeonError, Args, ContextId, Result, Value};
-use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -184,8 +184,8 @@ impl crate::method_table::ContextClass for KvContext {
 /// `RuntimeInner::drain_fast_queue`).
 #[derive(Default)]
 pub(crate) struct FastQueue {
-    /// Events waiting for the next drain, with their completion senders.
-    pub(crate) queue: VecDeque<(EventRequest, Sender<EventOutcome>)>,
+    /// Events waiting for the next drain, with their repliers.
+    pub(crate) queue: VecDeque<(EventRequest, Replier<EventOutcome>)>,
     /// Whether a drain task for this slot is queued or running on the
     /// executor.  At most one drain at a time preserves submission order.
     pub(crate) draining: bool,

@@ -1,7 +1,7 @@
 //! Event descriptors and completion handles.
 
+use crate::reply::{reply, Replier, Reply, WaitError};
 use aeon_types::{AccessMode, AeonError, Args, ClientId, ContextId, EventId, Result, Value};
-use crossbeam::channel::{bounded, Receiver, Sender};
 use std::time::{Duration, Instant};
 
 /// A client request to execute `method` on `target` as an atomic event.
@@ -50,19 +50,19 @@ pub struct EventOutcome {
 pub struct EventHandle {
     event: EventId,
     submitted: Instant,
-    receiver: Receiver<EventOutcome>,
+    reply: Reply<EventOutcome>,
 }
 
 impl EventHandle {
-    /// Creates the `(completion sender, handle)` pair for an event.
-    pub(crate) fn new(event: EventId) -> (Sender<EventOutcome>, EventHandle) {
-        let (tx, rx) = bounded(1);
+    /// Creates the `(replier, handle)` pair for an event.
+    pub(crate) fn new(event: EventId) -> (Replier<EventOutcome>, EventHandle) {
+        let (tx, rx) = reply();
         (
             tx,
             EventHandle {
                 event,
                 submitted: Instant::now(),
-                receiver: rx,
+                reply: rx,
             },
         )
     }
@@ -95,7 +95,7 @@ impl EventHandle {
     /// Returns [`AeonError::RuntimeShutdown`] if the runtime was torn down
     /// before completion.
     pub fn wait_outcome(self) -> Result<EventOutcome> {
-        self.receiver.recv().map_err(|_| AeonError::RuntimeShutdown)
+        self.reply.wait().map_err(|_| AeonError::RuntimeShutdown)
     }
 
     /// Waits up to `timeout` for the event; `Ok(None)` on timeout.
@@ -105,12 +105,10 @@ impl EventHandle {
     /// Returns [`AeonError::RuntimeShutdown`] if the runtime was torn down
     /// before completion.
     pub fn wait_timeout(self, timeout: Duration) -> Result<Option<EventOutcome>> {
-        match self.receiver.recv_timeout(timeout) {
+        match self.reply.wait_timeout(timeout) {
             Ok(outcome) => Ok(Some(outcome)),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Ok(None),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                Err(AeonError::RuntimeShutdown)
-            }
+            Err(WaitError::Timeout) => Ok(None),
+            Err(WaitError::Closed) => Err(AeonError::RuntimeShutdown),
         }
     }
 }

@@ -353,8 +353,8 @@ impl ExecutorInner {
         }
     }
 
-    /// Drops every queued task (their completion channels disconnect,
-    /// resolving any waiting handles as shut down).
+    /// Drops every queued task (the replies they carry close, resolving
+    /// any waiting handles as shut down).
     fn drain_queues(&self) {
         for shard in &self.shards {
             let dropped = {
@@ -454,7 +454,7 @@ impl ShardedExecutor {
 
     /// Submits a task routed by `key` (same key ⇒ same shard ⇒ FIFO
     /// dequeue order).  Tasks submitted after shutdown are dropped, which
-    /// resolves any completion channel they carry as disconnected.
+    /// closes any reply they carry.
     pub fn submit(&self, key: u64, task: impl FnOnce() + Send + 'static) {
         if self.inner.shutdown.load(Ordering::SeqCst) {
             return;
@@ -469,8 +469,8 @@ impl ShardedExecutor {
         self.inner.submitted.fetch_add(1, Ordering::Relaxed);
         // Close the race with a concurrent shutdown(): its drain may have
         // run between our entry check and the push, in which case nobody
-        // will ever pop this task and its completion channel would leak
-        // (hanging the waiting handle instead of disconnecting it).
+        // will ever pop this task and its reply would leak (hanging the
+        // waiting handle instead of closing it).
         if self.inner.shutdown.load(Ordering::SeqCst) {
             self.inner.drain_queues();
             return;

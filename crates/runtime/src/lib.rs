@@ -56,6 +56,7 @@ pub mod executor;
 pub mod invocation;
 pub mod locks;
 pub mod method_table;
+pub mod reply;
 pub mod runtime;
 pub mod snapshot;
 pub mod stats;

@@ -42,6 +42,7 @@ use crate::invocation::{
     HostedObject, SubEvent,
 };
 use crate::locks::ContextLock;
+use crate::reply::Replier;
 use crate::snapshot::Snapshot;
 use crate::stats::RuntimeStats;
 use aeon_analyzer::AnalysisMode;
@@ -50,7 +51,6 @@ use aeon_types::{
     codec, AccessMode, AeonError, Args, ClientId, ContextId, EventId, IdGenerator, Result,
     ServerId, ServerMetrics, SharedHistorySink, Value,
 };
-use crossbeam::channel::Sender;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -445,7 +445,7 @@ impl RuntimeInner {
                 Self::fail_fast_queue(slot);
                 return;
             }
-            let (batch, senders): (Vec<EventRequest>, Vec<Sender<EventOutcome>>) = {
+            let (batch, senders): (Vec<EventRequest>, Vec<Replier<EventOutcome>>) = {
                 let mut fast = slot.fast.lock();
                 if fast.queue.is_empty() {
                     fast.draining = false;
@@ -460,8 +460,8 @@ impl RuntimeInner {
         }
     }
 
-    /// Drops every queued fast-path sender so the pending handles resolve
-    /// as disconnected ([`AeonError::RuntimeShutdown`]), matching what the
+    /// Drops every queued fast-path replier so the pending handles resolve
+    /// as closed ([`AeonError::RuntimeShutdown`]), matching what the
     /// executor's shutdown drain does to queued slow-path events.
     fn fail_fast_queue(slot: &ContextSlot) {
         let mut fast = slot.fast.lock();
@@ -1174,7 +1174,7 @@ impl AeonRuntime {
 
     /// Shuts the runtime down: subsequent submissions fail, events blocked
     /// on context locks are aborted, the worker pool is stopped (queued
-    /// events resolve their handles as disconnected), and no event is
+    /// events resolve their handles as closed), and no event is
     /// executing any more when this returns — wherever it ran: on a pool
     /// worker or on the thread of a blocking caller
     /// ([`AeonClient::call_with_mode`]).
@@ -1187,9 +1187,8 @@ impl AeonRuntime {
         // Poisoning first unblocks any executing event, so joining the
         // pool cannot hang on a lock waiter.
         self.inner.executor.shutdown();
-        // Fast-path queues hold their completion senders outside the
-        // executor; sweep them so pending certified events resolve as
-        // disconnected too.
+        // Fast-path queues hold their repliers outside the executor; sweep
+        // them so pending certified events resolve as closed too.
         for slot in self.inner.contexts.read().values() {
             RuntimeInner::fail_fast_queue(slot);
         }

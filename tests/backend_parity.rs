@@ -42,39 +42,30 @@ fn register_game_factories(deployment: &dyn Deployment) {
 /// Runs `scenario` against all three backends, labelling failures with the
 /// backend name.
 fn on_every_backend(scenario: impl Fn(&dyn Deployment)) {
-    let runtime = AeonRuntime::builder()
-        .servers(2)
-        .class_graph(game_class_graph())
-        .build()
-        .unwrap();
-    scenario(&runtime);
-    runtime.shutdown();
+    on_every_backend_with(
+        |config| config.servers(2).class_graph(game_class_graph()),
+        scenario,
+    );
+}
 
-    let cluster = Cluster::builder()
-        .servers(2)
-        .class_graph(game_class_graph())
-        .build()
-        .unwrap();
-    scenario(&cluster);
-    cluster.shutdown();
-
-    // The same cluster again, but with every message crossing a real TCP
-    // socket on loopback instead of an in-process channel.
-    let tcp = Cluster::builder()
-        .servers(2)
-        .transport(ClusterTransport::TcpLoopback)
-        .class_graph(game_class_graph())
-        .build()
-        .unwrap();
-    scenario(&tcp);
-    tcp.shutdown();
-
-    let sim = SimDeployment::builder()
-        .servers(2)
-        .class_graph(game_class_graph())
-        .build()
-        .unwrap();
-    scenario(&sim);
+/// Runs `scenario` against the runtime, the cluster — over in-process
+/// channels, then with every message crossing a real TCP socket on
+/// loopback — and the simulator, each deployed from the config `configure`
+/// makes of its backend's.
+fn on_every_backend_with(
+    configure: impl Fn(DeployConfig) -> DeployConfig,
+    scenario: impl Fn(&dyn Deployment),
+) {
+    for config in [
+        DeployConfig::runtime(),
+        DeployConfig::cluster(),
+        DeployConfig::cluster().transport(ClusterTransport::TcpLoopback),
+        DeployConfig::sim(),
+    ] {
+        let deployment = aeon::deploy(configure(config)).unwrap();
+        scenario(&*deployment);
+        deployment.shutdown();
+    }
 }
 
 #[test]
@@ -922,6 +913,86 @@ fn eventually(read: impl Fn() -> Value, what: &str) -> Value {
         assert!(std::time::Instant::now() < deadline, "timed out: {what}");
         std::thread::yield_now();
     }
+}
+
+/// Naps in `nap` for the given milliseconds, raising `started` first.
+struct Napper {
+    started: std::sync::Arc<std::sync::atomic::AtomicBool>,
+}
+
+impl ContextObject for Napper {
+    fn class_name(&self) -> &str {
+        "Napper"
+    }
+
+    fn handle(&mut self, method: &str, args: &Args, _inv: &mut Invocation<'_>) -> Result<Value> {
+        match method {
+            "nap" => {
+                self.started
+                    .store(true, std::sync::atomic::Ordering::SeqCst);
+                let millis = u64::try_from(args.get_i64(0)?).unwrap_or(0);
+                std::thread::sleep(std::time::Duration::from_millis(millis));
+                Ok(Value::Null)
+            }
+            other => Err(AeonError::UnknownMethod {
+                class: "Napper".into(),
+                method: other.into(),
+            }),
+        }
+    }
+}
+
+/// An event still queued at its server when the deployment shuts down is
+/// answered with `RuntimeShutdown` at once.  One server with one worker:
+/// event A occupies the worker, event B waits behind it on another root
+/// context, and the deployment shuts down while a session is still held.
+/// The cluster used to leave B to its handle's time-out (60 s for `wait`);
+/// the simulator runs both at submission.
+#[test]
+fn shutdown_answers_an_event_still_queued_on_every_backend() {
+    use std::time::{Duration, Instant};
+    on_every_backend_with(
+        |config| config.servers(1).worker_threads(1),
+        |deployment| {
+            let backend = deployment.backend_name();
+            let started = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let napper = deployment
+                .create_context(
+                    Box::new(Napper {
+                        started: std::sync::Arc::clone(&started),
+                    }),
+                    Placement::Auto,
+                )
+                .unwrap();
+            let item = deployment
+                .create_context(Box::new(KvContext::new("Item")), Placement::Auto)
+                .unwrap();
+            let session = deployment.session();
+            let a = session.submit_event(napper, "nap", args![200]).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !started.load(std::sync::atomic::Ordering::SeqCst) {
+                assert!(Instant::now() < deadline, "backend {backend}: A never ran");
+                std::thread::yield_now();
+            }
+            let b = session.submit_event(item, "incr", args!["n", 1]).unwrap();
+            deployment.shutdown();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let waiter = std::thread::spawn(move || {
+                let _ = tx.send(b.wait());
+            });
+            let result = rx.recv_timeout(Duration::from_secs(1)).unwrap_or_else(|_| {
+                panic!("backend {backend}: B is unanswered 1 s after shutdown returned")
+            });
+            waiter.join().unwrap();
+            let expected = if backend == "sim" {
+                Ok(Value::from(1i64))
+            } else {
+                Err(AeonError::RuntimeShutdown)
+            };
+            assert_eq!(result, expected, "backend {backend}");
+            drop((a, session));
+        },
+    );
 }
 
 #[test]
