@@ -94,7 +94,6 @@ pub struct ClusterBuilder {
     analysis: AnalysisMode,
     executor: ExecutorConfig,
     transport: ClusterTransport,
-    readonly_fast_path: bool,
 }
 
 impl Default for ClusterBuilder {
@@ -112,7 +111,6 @@ impl ClusterBuilder {
             analysis: AnalysisMode::default(),
             executor: ExecutorConfig::default(),
             transport: ClusterTransport::default(),
-            readonly_fast_path: true,
         }
     }
 
@@ -133,26 +131,9 @@ impl ClusterBuilder {
 
     /// Sets the number of resident pool workers each node executes
     /// blocking messages on (default: the machine's available
-    /// parallelism); the shard count is derived from it.
+    /// parallelism).
     pub fn worker_threads(mut self, n: usize) -> Self {
         self.executor.workers = n;
-        self
-    }
-
-    /// Caps how many queued same-context messages one node-executor dequeue
-    /// may drain as a batch (`1` disables batching; clamped to at least 1).
-    pub fn batch_max(mut self, n: usize) -> Self {
-        self.executor.batch_max = n.max(1);
-        self
-    }
-
-    /// Enables or disables the analyzer-certified read-only fast path at
-    /// the gateway (default: enabled).  Certified events (`ro` with an
-    /// empty `calls []` summary) are routed straight to their target's
-    /// server as [`ClusterMessage::ExecCertified`], skipping the dominator
-    /// activation round trip; the node holds them to their target.
-    pub fn readonly_fast_path(mut self, enabled: bool) -> Self {
-        self.readonly_fast_path = enabled;
         self
     }
 
@@ -194,7 +175,7 @@ impl ClusterBuilder {
             classes.check()?;
             aeon_analyzer::enforce(classes, self.analysis)?;
         }
-        let certified = CertifiedReads::new(self.class_graph.as_ref(), self.readonly_fast_path);
+        let certified = CertifiedReads::new(self.class_graph.as_ref());
         let directory = Arc::new(Directory::new(self.class_graph));
         let (mode, network, mesh_peers): (Mode, Network<ClusterMessage>, Vec<ServerId>) =
             match &self.transport {
@@ -1405,7 +1386,7 @@ impl Cluster {
 
     /// Number of events the gateway routed on the certified read-only fast
     /// path (straight to the target's server, no dominator activation
-    /// round trip); see [`ClusterBuilder::readonly_fast_path`].
+    /// round trip, as [`ClusterMessage::ExecCertified`]).
     pub fn fast_path_events(&self) -> u64 {
         self.inner.fast_path.load(Ordering::Relaxed)
     }

@@ -72,8 +72,8 @@ use crate::message::{
 use aeon_net::Network;
 use aeon_runtime::reply::{reply, Replier, WaitError};
 use aeon_runtime::{
-    ContextHost, ContextLock, ContextObject, Entered, EventBody, EventMeta, ExecutorConfig,
-    ExecutorStats, Footprint, HostedObject, ShardedExecutor, SubEvent,
+    ContextHost, ContextLock, ContextObject, ContextSlot, Entered, EventBody, EventMeta,
+    ExecutorConfig, ExecutorStats, Footprint, HostedObject, ShardedExecutor, SubEvent,
 };
 use aeon_types::{
     codec, AccessMode, AeonError, Args, ClientId, ContextId, EventId, Result, ServerId, Value,
@@ -91,29 +91,6 @@ const CALL_TIMEOUT: Duration = Duration::from_secs(30);
 /// but has not been installed yet (it may be in flight from a migration).
 const INSTALL_GRACE: Duration = Duration::from_millis(2_000);
 
-/// A context hosted by a node: its protocol lock and its application object.
-pub(crate) struct HostedContext {
-    pub(crate) class: String,
-    pub(crate) lock: ContextLock,
-    pub(crate) object: Mutex<Box<dyn ContextObject>>,
-}
-
-impl HostedObject for HostedContext {
-    fn object(&self) -> &Mutex<Box<dyn ContextObject>> {
-        &self.object
-    }
-}
-
-impl HostedContext {
-    fn new(id: ContextId, class: String, object: Box<dyn ContextObject>) -> Arc<Self> {
-        Arc::new(Self {
-            class,
-            lock: ContextLock::new(id),
-            object: Mutex::new(object),
-        })
-    }
-}
-
 /// Payload routed back to a worker waiting on a remote call.
 struct CallOutcome {
     result: Result<Value>,
@@ -129,7 +106,7 @@ pub(crate) struct NodeShared {
     executor: ShardedExecutor,
     directory: Arc<Directory>,
     network: Network<ClusterMessage>,
-    contexts: RwLock<HashMap<ContextId, Arc<HostedContext>>>,
+    contexts: RwLock<HashMap<ContextId, Arc<ContextSlot>>>,
     /// Sequencer lock used when an event has no concrete dominator.
     root_lock: ContextLock,
     /// Locks held on this node, per event (released on `Release`).
@@ -227,7 +204,7 @@ impl NodeShared {
 
     fn poison_all(&self) {
         // Collected first: poisoning answers deferred `Act`s, which send.
-        let hosted: Vec<Arc<HostedContext>> = self.contexts.read().values().cloned().collect();
+        let hosted: Vec<Arc<ContextSlot>> = self.contexts.read().values().cloned().collect();
         for hosted in hosted {
             hosted.lock.poison();
         }
@@ -288,10 +265,10 @@ impl NodeShared {
         }
     }
 
-    fn install(&self, context: ContextId, class: String, object: Box<dyn ContextObject>) {
+    fn install(&self, context: ContextId, object: Box<dyn ContextObject>) {
         self.contexts
             .write()
-            .insert(context, HostedContext::new(context, class, object));
+            .insert(context, ContextSlot::new(context, object));
     }
 
     /// Rebuilds an object of `class` from `state` with the registered
@@ -304,7 +281,7 @@ impl NodeShared {
         Some(built.map_err(AeonError::from_panic))
     }
 
-    fn local(&self, context: ContextId) -> Option<Arc<HostedContext>> {
+    fn local(&self, context: ContextId) -> Option<Arc<ContextSlot>> {
         self.contexts.read().get(&context).cloned()
     }
 
@@ -317,7 +294,7 @@ impl NodeShared {
     /// The local entry of `target`, or `None` when it lives on another
     /// server.  A context mapped here but not installed yet (migration in
     /// flight) is waited for up to [`INSTALL_GRACE`].
-    fn locate(&self, target: ContextId) -> Result<Option<Arc<HostedContext>>> {
+    fn locate(&self, target: ContextId) -> Result<Option<Arc<ContextSlot>>> {
         if let Some(hosted) = self.local(target) {
             return Ok(Some(hosted));
         }
@@ -468,7 +445,7 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
                     )))
                 }),
             };
-            let result = object.map(|object| shared.install(context, class, object));
+            let result = object.map(|object| shared.install(context, object));
             shared.send(
                 gateway_id(),
                 ClusterMessage::HostAck {
@@ -926,7 +903,7 @@ fn handle_install(
     let bytes = codec::encoded_len(&state) as u64;
     let result = match shared.rebuild(&class, &state) {
         Some(object) => object.map(|object| {
-            shared.install(context, class, object);
+            shared.install(context, object);
             bytes
         }),
         None => Err(AeonError::MigrationFailed {
@@ -1076,7 +1053,7 @@ impl ContextHost for NodeHost<'_> {
         // created it, exactly like the in-process runtime.  The plane
         // placed it with its owner; say where it actually landed, which
         // differs while the owner is mid-migration.
-        self.node.install(id, class, object);
+        self.node.install(id, object);
         self.node.directory.set_placement(id, self.node.id)?;
         Ok(id)
     }

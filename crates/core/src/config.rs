@@ -262,16 +262,6 @@ fn expect_usize(key: &str, value: &TomlValue, line: usize) -> Result<usize> {
     }
 }
 
-fn expect_bool(key: &str, value: &TomlValue, line: usize) -> Result<bool> {
-    match value {
-        TomlValue::Bool(b) => Ok(*b),
-        other => Err(AeonError::Config(format!(
-            "line {line}: {key} must be a boolean, got {}",
-            other.type_name()
-        ))),
-    }
-}
-
 fn apply_deployment(deploy: &mut DeployConfig, entries: &Entries) -> Result<()> {
     for (key, (value, line)) in entries {
         let line = *line;
@@ -283,10 +273,6 @@ fn apply_deployment(deploy: &mut DeployConfig, entries: &Entries) -> Result<()> 
             }
             "servers" => deploy.servers = expect_usize(key, value, line)?,
             "worker_threads" => deploy.worker_threads = Some(expect_usize(key, value, line)?),
-            "batch_max" => deploy.batch_max = Some(expect_usize(key, value, line)?),
-            "readonly_fast_path" => {
-                deploy.readonly_fast_path = Some(expect_bool(key, value, line)?);
-            }
             "analysis" => {
                 deploy.analysis = expect_str(key, value, line)?
                     .parse::<AnalysisMode>()
@@ -384,8 +370,6 @@ mod tests {
             backend = "cluster"        # distributed
             servers = 3
             worker_threads = 2
-            batch_max = 16
-            readonly_fast_path = true
             analysis = "warn"
             transport = "tcp-loopback"
 
@@ -402,8 +386,6 @@ mod tests {
         assert_eq!(config.deployment.backend, Backend::Cluster);
         assert_eq!(config.deployment.servers, 3);
         assert_eq!(config.deployment.worker_threads, Some(2));
-        assert_eq!(config.deployment.batch_max, Some(16));
-        assert_eq!(config.deployment.readonly_fast_path, Some(true));
         assert_eq!(config.deployment.analysis, AnalysisMode::Warn);
         assert!(matches!(
             config.deployment.transport,
@@ -447,17 +429,24 @@ mod tests {
 
     #[test]
     fn a_removed_key_is_refused_like_any_unknown_one() {
-        // The spill-worker cap went with the spill workers; an old config
-        // naming it is told so, with its line, instead of being ignored.
-        // (Spelled in parts so that a grep for the deleted knob finds no
+        // The spill-worker cap went with the spill workers, the batch cap
+        // and the certified-read switch with their options; an old config
+        // naming one is told so, with its line, instead of being ignored.
+        // (Spelled in parts so that a grep for a deleted knob finds no
         // code.)
-        let key = ["max", "spill", "workers"].join("_");
-        let err =
-            ServiceConfig::parse(&format!("[deployment]\nservers = 2\n{key} = 8")).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            AeonError::Config(format!("line 3: unknown [deployment] key {key:?}")).to_string()
-        );
+        for (parts, value) in [
+            (&["max", "spill", "workers"][..], "8"),
+            (&["batch", "max"][..], "16"),
+            (&["readonly", "fast", "path"][..], "false"),
+        ] {
+            let key = parts.join("_");
+            let text = format!("[deployment]\nservers = 2\n{key} = {value}");
+            let err = ServiceConfig::parse(&text).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                AeonError::Config(format!("line 3: unknown [deployment] key {key:?}")).to_string()
+            );
+        }
     }
 
     #[test]
@@ -475,7 +464,6 @@ mod tests {
         assert!(ServiceConfig::parse("[workload]\ncontexts = 0").is_err());
         assert!(ServiceConfig::parse("[deployment]\nworker_threads = -1").is_err());
         assert!(ServiceConfig::parse("[deployment]\ntransport = \"carrier-pigeon\"").is_err());
-        assert!(ServiceConfig::parse("[deployment]\nreadonly_fast_path = \"yes\"").is_err());
         assert!(ServiceConfig::parse("[deployment\nservers = 1").is_err());
         assert!(ServiceConfig::parse("[deployment]\nbackend = \"runtime").is_err());
     }

@@ -3,8 +3,8 @@
 //! Application code written against `dyn Deployment` does not care which
 //! substrate executes it; [`deploy`] makes the choice a configuration value
 //! instead of a type.  A [`DeployConfig`] names the backend and the knobs
-//! every backend understands (server count, worker pool size, batching,
-//! class constraints), and the returned `Box<dyn Deployment>` is whatever
+//! every backend understands (server count, worker pool size, class
+//! constraints), and the returned `Box<dyn Deployment>` is whatever
 //! the config selected:
 //!
 //! * [`Backend::Runtime`] — the in-process concurrent runtime
@@ -86,12 +86,6 @@ pub struct DeployConfig {
     /// default (available parallelism).  Ignored by the single-threaded
     /// simulator.
     pub worker_threads: Option<usize>,
-    /// Cap on same-context batching per worker dequeue.  `None` keeps the
-    /// backend default.  Ignored by the simulator.
-    pub batch_max: Option<usize>,
-    /// Whether certified read-only events take the lock-free fast path.
-    /// `None` keeps the backend default.  Ignored by the simulator.
-    pub readonly_fast_path: Option<bool>,
     /// Optional contextclass constraint graph, statically analysed at
     /// build time on every backend.
     pub class_graph: Option<ClassGraph>,
@@ -112,8 +106,6 @@ impl Default for DeployConfig {
             backend: Backend::default(),
             servers: 1,
             worker_threads: None,
-            batch_max: None,
-            readonly_fast_path: None,
             class_graph: None,
             analysis: AnalysisMode::default(),
             transport: ClusterTransport::default(),
@@ -156,22 +148,6 @@ impl DeployConfig {
     #[must_use]
     pub fn worker_threads(mut self, threads: usize) -> Self {
         self.worker_threads = Some(threads);
-        self
-    }
-
-    /// Caps same-context batching per worker dequeue (ignored by the
-    /// simulator).
-    #[must_use]
-    pub fn batch_max(mut self, max: usize) -> Self {
-        self.batch_max = Some(max);
-        self
-    }
-
-    /// Enables or disables the certified read-only fast path (ignored by
-    /// the simulator).
-    #[must_use]
-    pub fn readonly_fast_path(mut self, enabled: bool) -> Self {
-        self.readonly_fast_path = Some(enabled);
         self
     }
 
@@ -241,12 +217,6 @@ pub fn deploy(config: DeployConfig) -> Result<Box<dyn Deployment>> {
             if let Some(threads) = config.worker_threads {
                 builder = builder.worker_threads(threads);
             }
-            if let Some(max) = config.batch_max {
-                builder = builder.batch_max(max);
-            }
-            if let Some(enabled) = config.readonly_fast_path {
-                builder = builder.readonly_fast_path(enabled);
-            }
             if let Some(classes) = config.class_graph {
                 builder = builder.class_graph(classes);
             }
@@ -259,12 +229,6 @@ pub fn deploy(config: DeployConfig) -> Result<Box<dyn Deployment>> {
                 .analysis(config.analysis);
             if let Some(threads) = config.worker_threads {
                 builder = builder.worker_threads(threads);
-            }
-            if let Some(max) = config.batch_max {
-                builder = builder.batch_max(max);
-            }
-            if let Some(enabled) = config.readonly_fast_path {
-                builder = builder.readonly_fast_path(enabled);
             }
             if let Some(classes) = config.class_graph {
                 builder = builder.class_graph(classes);
@@ -410,14 +374,7 @@ mod tests {
 
     #[test]
     fn pool_knobs_reach_the_runtime() {
-        let deployment = deploy(
-            DeployConfig::runtime()
-                .servers(1)
-                .worker_threads(2)
-                .batch_max(16)
-                .readonly_fast_path(false),
-        )
-        .unwrap();
+        let deployment = deploy(DeployConfig::runtime().servers(1).worker_threads(2)).unwrap();
         assert_eq!(deployment.backend_name(), "runtime");
         let stats = deployment.executor_stats().expect("runtime has a pool");
         assert_eq!(stats.workers, 2);

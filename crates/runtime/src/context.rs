@@ -1,12 +1,10 @@
 //! Context objects: the user-visible unit of state and behaviour.
 
-use crate::event::{EventOutcome, EventRequest};
-use crate::invocation::Invocation;
+use crate::invocation::{HostedObject, Invocation};
 use crate::locks::ContextLock;
-use crate::reply::Replier;
 use aeon_types::{AeonError, Args, ContextId, Result, Value};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -179,41 +177,37 @@ impl crate::method_table::ContextClass for KvContext {
     }
 }
 
-/// Pending certified read-only fast-path events of one context, drained in
-/// batches under a single shared activation (see
-/// `RuntimeInner::drain_fast_queue`).
-#[derive(Default)]
-pub(crate) struct FastQueue {
-    /// Events waiting for the next drain, with their repliers.
-    pub(crate) queue: VecDeque<(EventRequest, Replier<EventOutcome>)>,
-    /// Whether a drain task for this slot is queued or running on the
-    /// executor.  At most one drain at a time preserves submission order.
-    pub(crate) draining: bool,
-}
-
-/// Runtime bookkeeping for a hosted context.
-pub(crate) struct ContextSlot {
-    pub(crate) id: ContextId,
-    pub(crate) class: String,
+/// A hosted context: its protocol lock and its application object.  The
+/// runtime's object table holds one per context, and so does each cluster
+/// node for the contexts installed on it.
+pub struct ContextSlot {
+    /// The context's id.
+    pub id: ContextId,
+    /// Its contextclass, fixed when the slot is built.
+    pub class: String,
     /// The protocol-level lock (activation queue + activated set).
-    pub(crate) lock: ContextLock,
+    pub lock: ContextLock,
     /// The application object.  Accessed only by events holding the
     /// protocol lock on this context.
-    pub(crate) object: Mutex<Box<dyn ContextObject>>,
-    /// Certified read-only events queued for the fast path.
-    pub(crate) fast: Mutex<FastQueue>,
+    pub object: Mutex<Box<dyn ContextObject>>,
 }
 
 impl ContextSlot {
-    pub(crate) fn new(id: ContextId, object: Box<dyn ContextObject>) -> Arc<Self> {
+    /// A slot for `object`, hosted as `id`.
+    pub fn new(id: ContextId, object: Box<dyn ContextObject>) -> Arc<Self> {
         let class = object.class_name().to_string();
         Arc::new(Self {
             id,
             class,
             lock: ContextLock::new(id),
             object: Mutex::new(object),
-            fast: Mutex::new(FastQueue::default()),
         })
+    }
+}
+
+impl HostedObject for ContextSlot {
+    fn object(&self) -> &Mutex<Box<dyn ContextObject>> {
+        &self.object
     }
 }
 

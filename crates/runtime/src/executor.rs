@@ -64,44 +64,38 @@ thread_local! {
     static BATCH: RefCell<(u64, VecDeque<Task>)> = const { RefCell::new((0, VecDeque::new())) };
 }
 
+/// Injection queues per resident worker.  Tasks are routed by
+/// `key % shards`, so same-key tasks share a queue and keep FIFO order.
+const SHARDS_PER_WORKER: usize = 4;
+
+/// Most same-key tasks a worker drains from a shard in one dequeue
+/// (per-context event batching).  The extra tasks run back-to-back on the
+/// same worker, so a hot context amortises one wakeup and scan over up to
+/// this many events while per-key FIFO order is preserved.
+const BATCH_MAX: usize = 8;
+
 /// Configuration of a [`ShardedExecutor`].
 #[derive(Debug, Clone)]
 pub struct ExecutorConfig {
-    /// Number of resident worker threads.
+    /// Number of resident worker threads; the pool has
+    /// `SHARDS_PER_WORKER` injection queues per worker.
     pub workers: usize,
-    /// Number of injection queues; tasks are routed by `key % shards`.
-    /// `0` means "derive from the pool size" (4 × workers), so the shard
-    /// count tracks the pool unless set explicitly.
-    pub shards: usize,
-    /// Maximum number of same-key tasks a worker drains from a shard in
-    /// one dequeue (per-activation event batching).  The extra tasks run
-    /// back-to-back on the same worker, so a hot context amortises one
-    /// wakeup/scan over up to `batch_max` events while per-key FIFO order
-    /// is preserved.  `1` disables batching.
-    pub batch_max: usize,
 }
 
 impl Default for ExecutorConfig {
     fn default() -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4);
-        Self {
-            workers,
-            shards: 0,
-            batch_max: 8,
-        }
+        Self::with_workers(
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(4),
+        )
     }
 }
 
 impl ExecutorConfig {
-    /// A configuration with `workers` resident workers and an
-    /// automatically derived shard count.
+    /// A configuration with `workers` resident workers.
     pub fn with_workers(workers: usize) -> Self {
-        Self {
-            workers,
-            ..Self::default()
-        }
+        Self { workers }
     }
 }
 
@@ -161,7 +155,8 @@ impl Threads {
 
 struct ExecutorInner {
     name: String,
-    config: ExecutorConfig,
+    /// Number of resident workers.
+    workers: usize,
     /// Each queued task keeps its routing key so a dequeue can extract the
     /// other tasks of the same key (context) from the shard in one go.
     shards: Vec<Mutex<VecDeque<(u64, Task)>>>,
@@ -192,7 +187,7 @@ impl ExecutorInner {
     /// Starts the pool thread numbered `index`; homes spread over the
     /// shard space.
     fn spawn_thread(self: &Arc<Self>, index: usize) -> std::io::Result<JoinHandle<()>> {
-        let home = index * self.shards.len() / self.config.workers % self.shards.len();
+        let home = index * self.shards.len() / self.workers % self.shards.len();
         let inner = Arc::clone(self);
         std::thread::Builder::new()
             .name(format!("{}-worker-{index}", self.name))
@@ -204,13 +199,12 @@ impl ExecutorInner {
 
     /// Pops the oldest task of the first non-empty shard, scanning from
     /// `home` so distinct workers prefer distinct shards, and drains up to
-    /// `batch_max - 1` queued tasks with the same key behind it (in their
+    /// `BATCH_MAX - 1` queued tasks with the same key behind it (in their
     /// submission order, leaving other keys' relative order untouched).
     /// Per-key FIFO is preserved: the batch is exactly the key's queued
     /// prefix in this shard, executed back-to-back by one worker.
     fn next_batch(&self, home: usize) -> Option<(u64, VecDeque<Task>)> {
         let n = self.shards.len();
-        let max = self.config.batch_max.max(1);
         for i in 0..n {
             let shard = &self.shards[(home + i) % n];
             let mut queue = shard.lock();
@@ -219,7 +213,7 @@ impl ExecutorInner {
             };
             let mut batch = VecDeque::from([task]);
             let mut index = 0;
-            while batch.len() < max && index < queue.len() {
+            while batch.len() < BATCH_MAX && index < queue.len() {
                 if queue[index].0 == key {
                     let (_, follower) = queue.remove(index).expect("index is in range");
                     batch.push_back(follower);
@@ -307,7 +301,7 @@ impl ExecutorInner {
     /// (`Some(true)`).  `None`: it is needed as a runner.
     fn rest_if_surplus(&self) -> Option<bool> {
         let mut threads = self.threads.lock();
-        if threads.runners() <= self.config.workers {
+        if threads.runners() <= self.workers {
             return None;
         }
         threads.resting += 1;
@@ -333,7 +327,7 @@ impl ExecutorInner {
     fn enter_blocking(self: &Arc<Self>) {
         let mut threads = self.threads.lock();
         threads.blocked += 1;
-        if threads.runners() >= self.config.workers || self.shutdown.load(Ordering::SeqCst) {
+        if threads.runners() >= self.workers || self.shutdown.load(Ordering::SeqCst) {
             return;
         }
         if threads.resting > 0 {
@@ -342,7 +336,7 @@ impl ExecutorInner {
             self.rest_cv.notify_one();
             return;
         }
-        let index = self.config.workers + self.spill_spawned.load(Ordering::Relaxed) as usize;
+        let index = self.workers + self.spill_spawned.load(Ordering::Relaxed) as usize;
         // Without a thread the wait still happens; the queues then wait
         // for a blocker to return, as on any saturated pool.
         if let Ok(handle) = self.spawn_thread(index) {
@@ -372,7 +366,7 @@ impl std::fmt::Debug for ExecutorInner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExecutorInner")
             .field("name", &self.name)
-            .field("workers", &self.config.workers)
+            .field("workers", &self.workers)
             .field("shards", &self.shards.len())
             .finish_non_exhaustive()
     }
@@ -403,22 +397,13 @@ impl ShardedExecutor {
     /// Starts a pool named `name` (thread names derive from it).
     ///
     /// A zero `workers` is promoted to one (misconfiguration should be
-    /// rejected by the owning builder with a proper error); a zero
-    /// `shards` derives the shard count from the pool size.
+    /// rejected by the owning builder with a proper error).
     pub fn new(name: impl Into<String>, config: ExecutorConfig) -> Self {
         let workers = config.workers.max(1);
-        let shards = if config.shards == 0 {
-            workers.saturating_mul(4)
-        } else {
-            config.shards
-        };
+        let shards = workers.saturating_mul(SHARDS_PER_WORKER);
         let inner = Arc::new(ExecutorInner {
             name: name.into(),
-            config: ExecutorConfig {
-                workers,
-                shards,
-                ..config
-            },
+            workers,
             shards: (0..shards).map(|_| Mutex::new(VecDeque::new())).collect(),
             queued: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
@@ -449,7 +434,7 @@ impl ShardedExecutor {
 
     /// Number of resident workers.
     pub fn worker_count(&self) -> usize {
-        self.inner.config.workers
+        self.inner.workers
     }
 
     /// Submits a task routed by `key` (same key ⇒ same shard ⇒ FIFO
@@ -524,13 +509,13 @@ impl ShardedExecutor {
     pub fn stats(&self) -> ExecutorStats {
         let live = self.inner.threads.lock().live;
         ExecutorStats {
-            workers: self.inner.config.workers,
+            workers: self.inner.workers,
             shards: self.inner.shards.len(),
             submitted: self.inner.submitted.load(Ordering::Relaxed),
             completed: self.inner.completed.load(Ordering::SeqCst),
             queued: self.inner.queued.load(Ordering::SeqCst),
             spill_spawned: self.inner.spill_spawned.load(Ordering::Relaxed),
-            spill_live: live.saturating_sub(self.inner.config.workers),
+            spill_live: live.saturating_sub(self.inner.workers),
             panics: self.inner.panics.load(Ordering::Relaxed),
             batched: self.inner.batched.load(Ordering::Relaxed),
             fast_path: self.inner.fast_path.load(Ordering::Relaxed),
@@ -797,13 +782,7 @@ mod tests {
         // release.  The worker must drain each key's run as one batch (all
         // key-1 tasks before any key-5 task despite interleaved submission)
         // and count the saved dequeues.
-        let pool = ShardedExecutor::new(
-            "test-pool",
-            ExecutorConfig {
-                workers: 1,
-                ..ExecutorConfig::default()
-            },
-        );
+        let pool = small_pool(1);
         assert_eq!(pool.stats().shards, 4);
         let (tx, rx) = mpsc::channel::<()>();
         pool.submit(0, move || {
@@ -828,48 +807,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_max_one_disables_batching() {
-        let pool = ShardedExecutor::new(
-            "test-pool",
-            ExecutorConfig {
-                workers: 1,
-                batch_max: 1,
-                ..ExecutorConfig::default()
-            },
-        );
-        let (tx, rx) = mpsc::channel::<()>();
-        pool.submit(0, move || {
-            let _ = rx.recv_timeout(Duration::from_secs(10));
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        let counter = Arc::new(Counter::new(0));
-        for _ in 0..5 {
-            let counter = Arc::clone(&counter);
-            pool.submit(1, move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        tx.send(()).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while pool.stats().completed < 6 {
-            assert!(Instant::now() < deadline, "tasks stalled");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(pool.stats().batched, 0);
-        pool.shutdown();
-    }
-
-    #[test]
     fn shutdown_drops_queued_tasks_and_joins() {
         // One worker, blocked without announcing it, so the queued
         // follower cannot run: it must be dropped by shutdown's drain.
-        let pool = ShardedExecutor::new(
-            "test-pool",
-            ExecutorConfig {
-                workers: 1,
-                ..ExecutorConfig::default()
-            },
-        );
+        let pool = small_pool(1);
         let (tx, rx) = mpsc::channel::<()>();
         pool.submit(0, move || {
             let _ = rx.recv_timeout(Duration::from_secs(10));

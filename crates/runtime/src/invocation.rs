@@ -142,17 +142,15 @@ pub enum Footprint {
 /// The methods admitted to the read-only fast path, keyed by class name:
 /// `ro` methods whose declared call summary the analyzer certified as empty
 /// (see [`aeon_analyzer::certified_readonly`]).  Fixed when a deployment is
-/// built; empty when no class graph is installed or the fast path is
-/// disabled.
+/// built; empty when no class graph is installed.
 #[derive(Debug, Clone, Default)]
 pub struct CertifiedReads(HashMap<String, HashSet<String>>);
 
 impl CertifiedReads {
-    /// The admission set of `classes`, or the empty set when `enabled` is
-    /// false.
-    pub fn new(classes: Option<&ClassGraph>, enabled: bool) -> Self {
+    /// The admission set of `classes`.
+    pub fn new(classes: Option<&ClassGraph>) -> Self {
         let mut certified: HashMap<String, HashSet<String>> = HashMap::new();
-        if let Some(classes) = classes.filter(|_| enabled) {
+        if let Some(classes) = classes {
             for m in aeon_analyzer::certified_readonly(classes) {
                 certified.entry(m.class).or_default().insert(m.method);
             }
@@ -342,20 +340,6 @@ impl<'h> EventBody<'h> {
         args: &Args,
     ) -> BodyOutcome {
         let result = self.invoke(caller, target, method, args);
-        self.finish(result)
-    }
-
-    /// Like [`EventBody::run`] for a top-level method whose target the host
-    /// has already activated and locked (one acquisition shared by a batch
-    /// of certified reads).
-    pub fn run_entered(
-        mut self,
-        object: &mut dyn ContextObject,
-        target: ContextId,
-        method: &str,
-        args: &Args,
-    ) -> BodyOutcome {
-        let result = self.execute(object, target, method, args);
         self.finish(result)
     }
 

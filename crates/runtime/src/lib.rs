@@ -62,7 +62,7 @@ pub mod snapshot;
 pub mod stats;
 
 pub use aeon_analyzer::AnalysisMode;
-pub use context::{ContextFactory, ContextObject, KvContext};
+pub use context::{ContextFactory, ContextObject, ContextSlot, KvContext};
 pub use event::{EventHandle, EventOutcome, EventRequest};
 pub use executor::{ExecutorConfig, ExecutorStats, ShardedExecutor};
 pub use invocation::{

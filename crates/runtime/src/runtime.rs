@@ -9,23 +9,22 @@
 //! `may_call`), each dropped before the event waits on a context lock or
 //! runs contextclass code.
 //!
-//! An event executes in one place — `RuntimeInner::run_event`, or
-//! `run_fast_batch` for certified reads — on whichever thread brings it
-//! there: a pool worker for a submitted event (`AeonClient::submit`), the
-//! client's own thread for a blocking call (`AeonClient::call_with_mode`),
-//! the creator's thread for a sub-event.  Order is never decided by the
-//! thread or the pool's queues, only by the FIFO queues of the context
-//! locks.
+//! An event executes in one place — `RuntimeInner::run_event`, certified
+//! reads included — on whichever thread brings it there: a pool worker for
+//! a submitted event (`AeonClient::submit`), the client's own thread for a
+//! blocking call (`AeonClient::call_with_mode`), the creator's thread for a
+//! sub-event.  Order is never decided by the thread or the pool's queues,
+//! only by the FIFO queues of the context locks.
 //!
 //! Waits here block their thread — `RuntimeHost::sequence` and `enter` call
 //! [`ContextLock::activate`] — and need neither a deferred grant nor
 //! `ShardedExecutor::block_in_place`, because no runtime wait can depend on
 //! a task still queued in the pool: every holder of a runtime lock is a
-//! thread that is *running* — a pool worker inside `run_event` /
-//! `run_fast_batch`, a blocking caller, or the caller of `migrate_context`
-//! / `restore_snapshot` / `with_frozen_subtree` — and it releases without
-//! waiting for anything queued, since the sub-events an event dispatches
-//! run only after its release, on the thread that ran it.  (A task queued
+//! thread that is *running* — a pool worker inside `run_event`, a blocking
+//! caller, or the caller of `migrate_context` / `restore_snapshot` /
+//! `with_frozen_subtree` — and it releases without waiting for anything
+//! queued, since the sub-events an event dispatches run only after its
+//! release, on the thread that ran it.  (A task queued
 //! behind a waiting one in its batch holds nothing either, and a reader
 //! waiting for the object another reader's frame holds waits for a running
 //! frame.)  Locks are taken dominator first, then owner before owned, so
@@ -38,11 +37,9 @@ use crate::context::{ContextFactory, ContextObject, ContextSlot};
 use crate::event::{EventHandle, EventOutcome, EventRequest};
 use crate::executor::{ExecutorConfig, ExecutorStats, ShardedExecutor};
 use crate::invocation::{
-    BodyOutcome, CertifiedReads, ContextHost, Entered, EventBody, EventMeta, Footprint,
-    HostedObject, SubEvent,
+    BodyOutcome, CertifiedReads, ContextHost, Entered, EventBody, EventMeta, Footprint, SubEvent,
 };
 use crate::locks::ContextLock;
-use crate::reply::Replier;
 use crate::snapshot::Snapshot;
 use crate::stats::RuntimeStats;
 use aeon_analyzer::AnalysisMode;
@@ -70,15 +67,8 @@ pub struct RuntimeConfig {
     /// How the static analysis pipeline treats the class graph at build
     /// time (default: [`AnalysisMode::Enforce`]).
     pub analysis: AnalysisMode,
-    /// Worker-pool configuration for event execution (pool size, shard
-    /// count, batching).
+    /// Worker-pool configuration for event execution.
     pub executor: ExecutorConfig,
-    /// Whether analyzer-certified read-only events (declared `ro` with an
-    /// empty `calls []` summary) take the fast path: no dominator
-    /// sequencing, a shared activation of the target alone, and batched
-    /// execution under one lock acquisition.  Requires a class graph to
-    /// have any effect.
-    pub readonly_fast_path: bool,
 }
 
 impl Default for RuntimeConfig {
@@ -88,7 +78,6 @@ impl Default for RuntimeConfig {
             class_graph: None,
             analysis: AnalysisMode::default(),
             executor: ExecutorConfig::default(),
-            readonly_fast_path: true,
         }
     }
 }
@@ -133,25 +122,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Caps how many queued same-context events one executor dequeue — and,
-    /// on the read-only fast path, one activation/lock acquisition — may
-    /// drain as a batch.  `1` disables batching; values are clamped to at
-    /// least 1.
-    pub fn batch_max(mut self, n: usize) -> Self {
-        self.config.executor.batch_max = n.max(1);
-        self
-    }
-
-    /// Enables or disables the analyzer-certified read-only fast path
-    /// (default: enabled).  Certified events skip dominator sequencing and
-    /// execute under a shared activation of the target alone; disable to
-    /// force every event through the fully sequenced slow path (e.g. for
-    /// A/B benchmarking).
-    pub fn readonly_fast_path(mut self, enabled: bool) -> Self {
-        self.config.readonly_fast_path = enabled;
-        self
-    }
-
     /// Builds the runtime.
     ///
     /// # Errors
@@ -174,10 +144,7 @@ impl RuntimeBuilder {
             classes.check()?;
             aeon_analyzer::enforce(classes, self.config.analysis)?;
         }
-        let certified = CertifiedReads::new(
-            self.config.class_graph.as_ref(),
-            self.config.readonly_fast_path,
-        );
+        let certified = CertifiedReads::new(self.config.class_graph.as_ref());
         let executor = ShardedExecutor::new("aeon-runtime", self.config.executor.clone());
         let inner = Arc::new(RuntimeInner {
             executor,
@@ -210,7 +177,8 @@ pub(crate) struct RuntimeInner {
     /// The sharded worker pool that executes events (no thread is spawned
     /// per event; see `crate::executor`).
     executor: ShardedExecutor,
-    /// Methods admitted to the read-only fast path.
+    /// Methods admitted to the read-only fast path: unsequenced, with the
+    /// target as their whole footprint.
     certified: CertifiedReads,
     pub(crate) config: RuntimeConfig,
     /// Ownership network, placement and roster.  The per-event path only
@@ -322,8 +290,8 @@ impl RuntimeInner {
     }
 
     /// Runs an event (and, recursively, the sub-events it dispatches) on the
-    /// current thread.
-    fn run_event(self: &Arc<Self>, request: EventRequest) -> EventOutcome {
+    /// current thread.  `footprint` is how the event was admitted.
+    fn run_event(self: &Arc<Self>, request: EventRequest, footprint: Footprint) -> EventOutcome {
         let started = Instant::now();
         // Held until the *whole causal chain* (the event plus every
         // sub-event it dispatched) has finished: drain and elasticity
@@ -334,9 +302,19 @@ impl RuntimeInner {
         let mut host = RuntimeHost::new(self);
         // Sequence the event at the dominator of its target (Algorithm 2,
         // `to execute` + `dispatchEvent`), then execute at the target
-        // (`scheduleNext` / `execute`).
-        let outcome = match host.sequence(&event, request.target) {
-            Ok(()) => EventBody::new(&mut host, event, Footprint::Sequenced).run(
+        // (`scheduleNext` / `execute`).  A certified read skips the
+        // sequencer: its footprint is its target alone, held to that by
+        // [`Footprint::Certified`], and a single-lock footprint cannot take
+        // part in a hold-and-wait cycle.
+        let sequenced = match footprint {
+            Footprint::Sequenced => host.sequence(&event, request.target),
+            Footprint::Certified => {
+                self.executor.note_fast_path();
+                Ok(())
+            }
+        };
+        let outcome = match sequenced {
+            Ok(()) => EventBody::new(&mut host, event, footprint).run(
                 None,
                 request.target,
                 &request.method,
@@ -391,150 +369,21 @@ impl RuntimeInner {
             if let Some(sink) = self.sink() {
                 sink.invoked(sub_request.id);
             }
-            let _ = self.run_event(sub_request);
+            let _ = self.run_event(sub_request, Footprint::Sequenced);
         }
     }
 
     /// Hands the event to the worker pool, sharded by target context so
     /// events on the same context keep submission-order affinity.
-    fn spawn_event(self: &Arc<Self>, request: EventRequest) -> EventHandle {
+    fn spawn_event(self: &Arc<Self>, request: EventRequest, footprint: Footprint) -> EventHandle {
         let (tx, handle) = EventHandle::new(request.id);
         let inner = Arc::clone(self);
         let key = request.target.raw();
         self.executor.submit(key, move || {
-            let outcome = inner.run_event(request);
+            let outcome = inner.run_event(request, footprint);
             let _ = tx.send(outcome);
         });
         handle
-    }
-
-    /// Enqueues a certified read-only event on its target's fast queue and
-    /// schedules a drain task unless one is already queued or running.
-    fn spawn_fast_event(
-        self: &Arc<Self>,
-        slot: Arc<ContextSlot>,
-        request: EventRequest,
-    ) -> EventHandle {
-        let (tx, handle) = EventHandle::new(request.id);
-        let spawn_drain = {
-            let mut fast = slot.fast.lock();
-            fast.queue.push_back((request, tx));
-            !std::mem::replace(&mut fast.draining, true)
-        };
-        if spawn_drain {
-            let inner = Arc::clone(self);
-            let drain_slot = Arc::clone(&slot);
-            self.executor
-                .submit(slot.id.raw(), move || inner.drain_fast_queue(&drain_slot));
-        }
-        // A shutdown racing the enqueue may already have swept the fast
-        // queues (and the executor drops post-shutdown submissions), so
-        // sweep again: the handle must not hang on a stranded sender.
-        if self.is_shutdown() {
-            Self::fail_fast_queue(&slot);
-        }
-        handle
-    }
-
-    /// Runs batches of certified read-only events for one context until its
-    /// fast queue is empty.
-    fn drain_fast_queue(self: &Arc<Self>, slot: &Arc<ContextSlot>) {
-        let batch_max = self.config.executor.batch_max.max(1);
-        loop {
-            if self.is_shutdown() {
-                Self::fail_fast_queue(slot);
-                return;
-            }
-            let (batch, senders): (Vec<EventRequest>, Vec<Replier<EventOutcome>>) = {
-                let mut fast = slot.fast.lock();
-                if fast.queue.is_empty() {
-                    fast.draining = false;
-                    return;
-                }
-                let n = fast.queue.len().min(batch_max);
-                fast.queue.drain(..n).unzip()
-            };
-            for (tx, outcome) in senders.into_iter().zip(self.run_fast_batch(slot, batch)) {
-                let _ = tx.send(outcome);
-            }
-        }
-    }
-
-    /// Drops every queued fast-path replier so the pending handles resolve
-    /// as closed ([`AeonError::RuntimeShutdown`]), matching what the
-    /// executor's shutdown drain does to queued slow-path events.
-    fn fail_fast_queue(slot: &ContextSlot) {
-        let mut fast = slot.fast.lock();
-        fast.draining = false;
-        fast.queue.clear();
-    }
-
-    /// Executes one batch of certified read-only events on `slot` under a
-    /// single shared activation and a single object-lock acquisition.
-    ///
-    /// Skipping dominator sequencing is sound because every event in the
-    /// batch was certified to touch only this context (empty `calls []`
-    /// summary, enforced by [`Footprint::Certified`]): a single-lock
-    /// footprint cannot participate in a hold-and-wait cycle.  Sharing the
-    /// lead event's activation across the batch is indistinguishable from
-    /// activating each event separately — read-only events never conflict
-    /// with one another.
-    ///
-    /// Returns one outcome per request, in order; the caller is whichever
-    /// thread has the batch in hand — the drain task for submitted events,
-    /// the client's own thread for a blocking call (a batch of one).
-    fn run_fast_batch(
-        self: &Arc<Self>,
-        slot: &ContextSlot,
-        batch: Vec<EventRequest>,
-    ) -> Vec<EventOutcome> {
-        let _in_flight = InFlightGuard::enter(&self.events_in_flight);
-        let lead = batch[0].id;
-        let executed: Vec<(BodyOutcome, Duration)> =
-            match slot.lock.activate(lead, AccessMode::ReadOnly) {
-                Err(e) => batch
-                    .iter()
-                    .map(|_| (BodyOutcome::failed(e.clone()), Duration::ZERO))
-                    .collect(),
-                Ok(()) => {
-                    // A certified body never enters a second context, so the
-                    // host acquires nothing that would need releasing.
-                    let mut host = RuntimeHost::new(self);
-                    let mut object = slot.object.lock();
-                    let executed = batch
-                        .iter()
-                        .map(|request| {
-                            let started = Instant::now();
-                            let outcome =
-                                EventBody::new(&mut host, request.meta(), Footprint::Certified)
-                                    .run_entered(
-                                        &mut **object,
-                                        request.target,
-                                        &request.method,
-                                        &request.args,
-                                    );
-                            self.stats.record_method_call(false);
-                            self.executor.note_fast_path();
-                            (outcome, started.elapsed())
-                        })
-                        .collect();
-                    drop(object);
-                    slot.lock.release(lead);
-                    executed
-                }
-            };
-        batch
-            .iter()
-            .zip(executed)
-            .map(|(request, (outcome, latency))| {
-                self.complete_event(request, outcome.result.is_ok(), latency, outcome.sub_events);
-                EventOutcome {
-                    event: request.id,
-                    result: outcome.result,
-                    latency,
-                }
-            })
-            .collect()
     }
 }
 
@@ -598,12 +447,6 @@ impl<'a> RuntimeHost<'a> {
             self.inner.global_root.release(event);
             self.holds_global_root = false;
         }
-    }
-}
-
-impl HostedObject for ContextSlot {
-    fn object(&self) -> &Mutex<Box<dyn ContextObject>> {
-        &self.object
     }
 }
 
@@ -1187,11 +1030,6 @@ impl AeonRuntime {
         // Poisoning first unblocks any executing event, so joining the
         // pool cannot hang on a lock waiter.
         self.inner.executor.shutdown();
-        // Fast-path queues hold their repliers outside the executor; sweep
-        // them so pending certified events resolve as closed too.
-        for slot in self.inner.contexts.read().values() {
-            RuntimeInner::fail_fast_queue(slot);
-        }
         // Events the pool's join does not cover run on threads the runtime
         // does not own: blocking callers.  Each holds the in-flight gauge;
         // none can be waiting on a context any more, so what is left is
@@ -1233,8 +1071,7 @@ impl AeonClient {
     /// When the class graph certifies the method for the fast path (`ro`
     /// with an empty `calls []` summary), the event skips dominator
     /// sequencing and executes under a shared activation of the target
-    /// alone, batched with other certified events on the same context; see
-    /// [`RuntimeBuilder::readonly_fast_path`].
+    /// alone.
     ///
     /// # Errors
     ///
@@ -1265,11 +1102,8 @@ impl AeonClient {
         args: Args,
         mode: AccessMode,
     ) -> Result<EventHandle> {
-        let (slot, request, footprint) = self.admit(target, method, args, mode)?;
-        Ok(match footprint {
-            Footprint::Certified => self.inner.spawn_fast_event(slot, request),
-            Footprint::Sequenced => self.inner.spawn_event(request),
-        })
+        let (request, footprint) = self.admit(target, method, args, mode)?;
+        Ok(self.inner.spawn_event(request, footprint))
     }
 
     /// Executes an event **on the calling thread** and returns its result:
@@ -1293,17 +1127,8 @@ impl AeonClient {
         args: Args,
         mode: AccessMode,
     ) -> Result<Value> {
-        let (slot, request, footprint) = self.admit(target, method, args, mode)?;
-        match footprint {
-            Footprint::Certified => {
-                let mut outcomes = self.inner.run_fast_batch(&slot, vec![request]);
-                outcomes
-                    .pop()
-                    .expect("a batch of one yields one outcome")
-                    .result
-            }
-            Footprint::Sequenced => self.inner.run_event(request).result,
-        }
+        let (request, footprint) = self.admit(target, method, args, mode)?;
+        self.inner.run_event(request, footprint).result
     }
 
     /// What happens to every client event before anything executes it: the
@@ -1315,7 +1140,7 @@ impl AeonClient {
         method: &str,
         args: Args,
         mode: AccessMode,
-    ) -> Result<(Arc<ContextSlot>, EventRequest, Footprint)> {
+    ) -> Result<(EventRequest, Footprint)> {
         if self.inner.is_shutdown() {
             return Err(AeonError::RuntimeShutdown);
         }
@@ -1334,7 +1159,7 @@ impl AeonClient {
             sink.invoked(request.id);
         }
         let footprint = self.inner.certified.admit(&slot.class, method, mode);
-        Ok((slot, request, footprint))
+        Ok((request, footprint))
     }
 }
 

@@ -1024,12 +1024,8 @@ fn certified_readonly_events_take_the_fast_path() {
 }
 
 #[test]
-fn fast_path_can_be_disabled() {
-    let runtime = AeonRuntime::builder()
-        .class_graph(counter_classes())
-        .readonly_fast_path(false)
-        .build()
-        .unwrap();
+fn without_a_class_graph_no_read_is_certified() {
+    let runtime = AeonRuntime::builder().build().unwrap();
     let counter = runtime
         .create_context(Box::new(KvContext::new("Counter")), Placement::Auto)
         .unwrap();

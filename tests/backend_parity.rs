@@ -1539,40 +1539,38 @@ mod readonly_fast_path {
         }
     }
 
+    /// Without a class graph nothing is certified: every read is sequenced
+    /// at its dominator, and returns what the certified read returns.
     #[test]
-    fn disabling_the_fast_path_preserves_results() {
+    fn reads_without_a_class_graph_agree_with_certified_ones() {
         let config = BankWorldConfig::default();
-        let runtime = AeonRuntime::builder()
+        let read_all = |deployment: &dyn Deployment| {
+            let world = deploy_bank(deployment, &config).unwrap();
+            let session = deployment.session();
+            let reads: Vec<Value> = world
+                .accounts
+                .iter()
+                .map(|account| session.call_readonly(*account, "read", args![]).unwrap())
+                .collect();
+            assert_eq!(reads.len(), world.accounts.len());
+            reads
+        };
+        let certified = AeonRuntime::builder()
             .servers(2)
             .class_graph(bank_class_graph())
-            .readonly_fast_path(false)
             .build()
             .unwrap();
-        let world = deploy_bank(&runtime, &config).unwrap();
-        let session = Deployment::session(&runtime);
-        for account in &world.accounts {
-            assert_eq!(
-                session.call_readonly(*account, "read", args![]).unwrap(),
-                Value::from(config.initial_balance)
-            );
-        }
+        let expected = read_all(&certified);
+        assert_eq!(certified.executor_stats().fast_path, expected.len() as u64);
+        certified.shutdown();
+
+        let runtime = AeonRuntime::builder().servers(2).build().unwrap();
+        assert_eq!(read_all(&runtime), expected, "runtime");
         assert_eq!(runtime.executor_stats().fast_path, 0);
         runtime.shutdown();
 
-        let cluster = Cluster::builder()
-            .servers(2)
-            .class_graph(bank_class_graph())
-            .readonly_fast_path(false)
-            .build()
-            .unwrap();
-        let world = deploy_bank(&cluster, &config).unwrap();
-        let session = Deployment::session(&cluster);
-        for account in &world.accounts {
-            assert_eq!(
-                session.call_readonly(*account, "read", args![]).unwrap(),
-                Value::from(config.initial_balance)
-            );
-        }
+        let cluster = Cluster::builder().servers(2).build().unwrap();
+        assert_eq!(read_all(&cluster), expected, "cluster");
         assert_eq!(cluster.fast_path_events(), 0);
         cluster.shutdown();
     }
