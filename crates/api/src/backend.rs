@@ -8,7 +8,7 @@ use crate::handle::EventHandle;
 use crate::traits::{Deployment, Session};
 use aeon_ownership::OwnershipGraph;
 use aeon_runtime::{
-    AeonClient, AeonRuntime, ContextFactory, ContextObject, ExecutorStats, Placement, Snapshot,
+    AeonClient, AeonRuntime, ContextFactory, ContextObject, ExecutorStats, Placement,
 };
 use aeon_types::{
     AccessMode, Args, ClientId, ContextId, Result, ServerId, ServerMetrics, SharedHistorySink,
@@ -123,14 +123,6 @@ impl Deployment for AeonRuntime {
 
     fn contexts_on(&self, server: ServerId) -> Vec<ContextId> {
         AeonRuntime::contexts_on(self, server)
-    }
-
-    fn snapshot_context(&self, root: ContextId) -> Result<Snapshot> {
-        AeonRuntime::snapshot_context(self, root)
-    }
-
-    fn restore_snapshot(&self, snapshot: &Snapshot) -> Result<()> {
-        AeonRuntime::restore_snapshot(self, snapshot)
     }
 
     fn install_history_sink(&self, sink: SharedHistorySink) {

@@ -2,10 +2,13 @@
 
 use crate::handle::EventHandle;
 use aeon_ownership::OwnershipGraph;
-use aeon_runtime::{ContextFactory, ContextObject, ExecutorStats, Placement, Snapshot};
+use aeon_runtime::{
+    ContextFactory, ContextObject, ExecutorStats, Placement, Snapshot, RESTORE_METHOD,
+    SNAPSHOT_METHOD,
+};
 use aeon_types::{
-    AccessMode, Args, ClientId, ContextId, NetworkStatsSnapshot, Result, ServerId, ServerMetrics,
-    SharedHistorySink, Value,
+    args, AccessMode, AeonError, Args, ClientId, ContextId, NetworkStatsSnapshot, Result, ServerId,
+    ServerMetrics, SharedHistorySink, Value,
 };
 
 /// A client session on a deployment: the entry point for submitting
@@ -234,22 +237,59 @@ pub trait Deployment: Send + Sync {
     /// Contexts currently mapped to `server`.
     fn contexts_on(&self, server: ServerId) -> Vec<ContextId>;
 
-    /// Takes a snapshot of `root` and all its descendants.
+    /// Takes a consistent snapshot of `root` and all its descendants
+    /// (§5.3): one read-only event on `root` running the interpreter's
+    /// reserved [`SNAPSHOT_METHOD`], so it is admitted, sequenced at the
+    /// dominator of `root`, executed and recorded like any other event and
+    /// captures every member at one cut.  Contexts whose
+    /// `ContextObject::snapshot` is `Null` are left out.
     ///
     /// # Errors
     ///
-    /// Returns [`aeon_types::AeonError::ContextNotFound`] when `root` is
-    /// unknown.
-    fn snapshot_context(&self, root: ContextId) -> Result<Snapshot>;
+    /// * [`AeonError::ContextNotFound`] when `root` is unknown, and the
+    ///   other errors of submitting an event.
+    /// * [`AeonError::SnapshotFailed`] naming `root` when the event fails,
+    ///   e.g. because a member's server crashed; it holds no lock after.
+    fn snapshot_context(&self, root: ContextId) -> Result<Snapshot> {
+        let cut = self
+            .session()
+            .submit_readonly_event(root, SNAPSHOT_METHOD, args![])?;
+        Snapshot::from_value(&cut.wait().map_err(|e| cut_failed(root, e))?)
+    }
 
-    /// Restores context states from a snapshot previously produced by
-    /// [`Deployment::snapshot_context`].
+    /// Restores the states of a snapshot taken by
+    /// [`Deployment::snapshot_context`] in place, through
+    /// `ContextObject::restore` (no class factory is needed): one exclusive
+    /// event on the snapshot's root running the reserved
+    /// [`RESTORE_METHOD`], which enters every member of the subtree before
+    /// it writes any, so concurrent events see every member before the
+    /// restore or every member after it.  An entry that has left the
+    /// subtree since the capture is restored afterwards by an exclusive
+    /// event of its own.
     ///
     /// # Errors
     ///
-    /// Returns [`aeon_types::AeonError::ContextNotFound`] if a snapshotted
-    /// context no longer exists.
-    fn restore_snapshot(&self, snapshot: &Snapshot) -> Result<()>;
+    /// * [`AeonError::ContextNotFound`] when the root, or an entry outside
+    ///   the subtree, is unknown.
+    /// * [`AeonError::SnapshotFailed`] when a restore event fails; a member
+    ///   of the subtree that vanished fails it before any state changed.
+    fn restore_snapshot(&self, snapshot: &Snapshot) -> Result<()> {
+        let session = self.session();
+        let restore = |root: ContextId, snapshot: &Snapshot| {
+            let event = session.submit_event(root, RESTORE_METHOD, args![snapshot.to_value()])?;
+            event.wait().map_err(|e| cut_failed(root, e))
+        };
+        let restored = restore(snapshot.root(), snapshot)?;
+        let restored = restored.as_list().unwrap_or_default();
+        for (id, entry) in snapshot.entries() {
+            if !restored.contains(&Value::from(*id)) {
+                let mut single = Snapshot::new(*id);
+                single.insert(*id, entry.class.clone(), entry.state.clone());
+                restore(*id, &single)?;
+            }
+        }
+        Ok(())
+    }
 
     /// Installs a live history sink: from now on the backend reports every
     /// event's invocation and response points and every context access
@@ -278,4 +318,12 @@ pub trait Deployment: Send + Sync {
     /// Shuts the deployment down: subsequent submissions fail and blocked
     /// events are aborted.
     fn shutdown(&self);
+}
+
+/// The error of a snapshot or restore event on `root` that failed.
+fn cut_failed(root: ContextId, error: AeonError) -> AeonError {
+    AeonError::SnapshotFailed {
+        context: root,
+        reason: error.to_string(),
+    }
 }

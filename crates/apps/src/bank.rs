@@ -5,7 +5,7 @@
 //! (multi-ownership, §3 of the paper), which forces events on those
 //! branches to be sequenced at the bank-level dominator while events on
 //! non-sharing branches keep their own sequencers.  That mix is exactly
-//! what the coordinated snapshot freeze has to quiesce, so this workload
+//! what a consistent snapshot has to cut through, so this workload
 //! is the backbone of the chaos-serializability suite and the
 //! backend-parity snapshot tests.
 //!
@@ -288,8 +288,7 @@ pub fn deploy_bank(deployment: &dyn Deployment, config: &BankWorldConfig) -> Res
 
 /// Sum of the account balances captured in a snapshot of (part of) a bank
 /// subtree.  On a consistent cut this equals the deployment's
-/// [`BankWorld::expected_total`]; the snapshot-freeze tests assert exactly
-/// that.
+/// [`BankWorld::expected_total`]; the snapshot tests assert exactly that.
 pub fn captured_account_total(snapshot: &Snapshot) -> i64 {
     snapshot
         .entries()

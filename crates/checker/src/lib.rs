@@ -35,16 +35,15 @@
 //!   lets the checker catch a torn (non-atomic) snapshot as a conflict
 //!   cycle through the snapshot event.
 //!
-//! # The distributed freeze protocol being verified
+//! # The snapshot being verified
 //!
-//! The cluster's `snapshot_context`/`restore_snapshot` run a coordinated
-//! subtree freeze (`FreezeReq`/`FreezeAck`/`ThawReq`): the freeze event
-//! first takes the root's dominator sequencer exclusively (quiescing every
-//! in-flight event that could reach shared members), then exclusively
-//! activates the members owner-before-owned across their hosting nodes,
-//! capturing or restoring each at activation while *all* locks stay held,
-//! and finally thaws every contacted node — also on failure, so a node
-//! crash mid-freeze leaves no stranded locks.  The chaos suite
+//! A deployment's `snapshot_context` / `restore_snapshot` is an ordinary
+//! event on the subtree's root (`aeon_api::Deployment`): sequenced at the
+//! root's dominator like any event, it enters the members owner before
+//! owned across their hosting servers — a restore enters every member
+//! before it writes any — and holds every lock until it ends, when the
+//! usual release reaches every server it touched, also when a member's
+//! server crashed.  The chaos suite
 //! (`tests/chaos_serializability.rs`) drives randomized workloads with
 //! snapshot/crash/restore/migration injected mid-run, feeds the recorded
 //! history to [`check_strict_serializability`], and demonstrates that a

@@ -3,7 +3,7 @@
 use crate::cluster::{Cluster, ClusterClient};
 use aeon_api::{Deployment, EventHandle, Session};
 use aeon_ownership::OwnershipGraph;
-use aeon_runtime::{ContextFactory, ContextObject, ExecutorStats, Placement, Snapshot};
+use aeon_runtime::{ContextFactory, ContextObject, ExecutorStats, Placement};
 use aeon_types::{
     AccessMode, Args, ClientId, ContextId, NetworkStatsSnapshot, Result, ServerId, ServerMetrics,
     SharedHistorySink, Value,
@@ -128,14 +128,6 @@ impl Deployment for Cluster {
 
     fn contexts_on(&self, server: ServerId) -> Vec<ContextId> {
         Cluster::contexts_on(self, server)
-    }
-
-    fn snapshot_context(&self, root: ContextId) -> Result<Snapshot> {
-        Cluster::snapshot_context(self, root)
-    }
-
-    fn restore_snapshot(&self, snapshot: &Snapshot) -> Result<()> {
-        Cluster::restore_snapshot(self, snapshot)
     }
 
     fn install_history_sink(&self, sink: SharedHistorySink) {

@@ -4,7 +4,9 @@
 //! The gateway plays two of the paper's roles at once: the *client library*
 //! (it knows the context mapping and routes each event to the server hosting
 //! the dominator of its target, §5.1) and the *eManager driver* for
-//! migrations (§5.2).  It never touches context state.
+//! migrations (§5.2).  It never touches context state, and a snapshot or a
+//! restore is no protocol of its own: `aeon_api::Deployment` submits each
+//! as an event, which the gateway routes like any other.
 //!
 //! The gateway has no thread of its own either.  It serves its id on the
 //! network with [`gateway_handle`], which therefore runs on whichever thread
@@ -21,7 +23,7 @@
 //! and leaves nothing behind.
 
 use crate::directory::Directory;
-use crate::message::{gateway_id, virtual_root, ClusterMessage, EventDescriptor, FreezeMember};
+use crate::message::{gateway_id, virtual_root, ClusterMessage, EventDescriptor};
 use crate::node::{spawn_node, NodeShared};
 use crate::wire::message_wire_len;
 use aeon_net::{
@@ -31,14 +33,14 @@ use aeon_ownership::{ClassGraph, ControlPlane, Dominator, OwnershipGraph};
 use aeon_runtime::reply::{reply, Replier, Reply, WaitError};
 use aeon_runtime::{
     AnalysisMode, CertifiedReads, ContextFactory, ContextObject, ExecutorConfig, ExecutorStats,
-    Footprint, Placement, Snapshot,
+    Footprint, Placement,
 };
 use aeon_types::{
     AccessMode, AeonError, Args, ClientId, ContextId, EventId, Result, ServerId, ServerMetrics,
     SharedHistorySink, Value,
 };
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -412,7 +414,7 @@ impl ClusterInner {
         message: ClusterMessage,
     ) -> Result<ClusterMessage> {
         // What a time-out is reported about: the context the message
-        // concerns, or the server when it concerns none (freeze, metrics).
+        // concerns, or the server when it concerns none (metrics).
         let context = match &message {
             ClusterMessage::Host { context, .. }
             | ClusterMessage::Prepare { context, .. }
@@ -440,76 +442,6 @@ impl ClusterInner {
                 })
             }
         }
-    }
-
-    /// Sends one [`ClusterMessage::FreezeReq`] and awaits its
-    /// acknowledgement.  `frozen` collects every server that may hold
-    /// freeze locks; the server is recorded *before* sending, so even a
-    /// request that times out gets its server thawed by the caller.
-    fn freeze_round_trip(
-        &self,
-        server: ServerId,
-        freeze: EventId,
-        members: Vec<FreezeMember>,
-        capture: bool,
-        frozen: &mut Vec<ServerId>,
-    ) -> Result<Vec<(ContextId, String, Value)>> {
-        if !frozen.contains(&server) {
-            frozen.push(server);
-        }
-        let corr = self.next_corr();
-        let ack = self.control_round_trip(
-            server,
-            corr,
-            ClusterMessage::FreezeReq {
-                corr,
-                freeze,
-                members,
-                capture,
-            },
-        )?;
-        match ack {
-            ClusterMessage::FreezeAck { result, .. } => result,
-            _ => Err(AeonError::internal(
-                "unexpected acknowledgement to a freeze request",
-            )),
-        }
-    }
-
-    /// Freezes `members` in order, batching consecutive same-server
-    /// members into one [`ClusterMessage::FreezeReq`]; the sequential
-    /// round trips preserve the global acquisition order.  Returns the
-    /// captured entries when `capture` is set.
-    fn freeze_runs(
-        &self,
-        freeze: EventId,
-        members: impl Iterator<Item = FreezeMember>,
-        capture: bool,
-        frozen: &mut Vec<ServerId>,
-    ) -> Result<Vec<(ContextId, String, Value)>> {
-        let mut entries = Vec::new();
-        let mut run: Vec<FreezeMember> = Vec::new();
-        let mut run_server: Option<ServerId> = None;
-        for member in members {
-            let server = self.plane().read().placement_of(member.context)?;
-            if run_server != Some(server) {
-                if let Some(prev) = run_server {
-                    entries.extend(self.freeze_round_trip(
-                        prev,
-                        freeze,
-                        std::mem::take(&mut run),
-                        capture,
-                        frozen,
-                    )?);
-                }
-                run_server = Some(server);
-            }
-            run.push(member);
-        }
-        if let Some(server) = run_server {
-            entries.extend(self.freeze_round_trip(server, freeze, run, capture, frozen)?);
-        }
-        Ok(entries)
     }
 
     /// Routes an event to the server hosting the dominator of its target
@@ -597,7 +529,7 @@ impl ClusterInner {
     }
 }
 
-/// Where an event (or a subtree freeze) targeting `target` is sequenced, if
+/// Where an event targeting `target` is sequenced, if
 /// that is not `target`'s own lock: its dominator on the server hosting it,
 /// or — when no concrete dominator exists — the virtual root, which lives
 /// on the lowest-id online server.  `None` when `target` is its own
@@ -654,7 +586,6 @@ fn gateway_handle(inner: &ClusterInner, message: ClusterMessage) {
         | ClusterMessage::PrepareAck { corr, .. }
         | ClusterMessage::StopAck { corr, .. }
         | ClusterMessage::InstallAck { corr, .. }
-        | ClusterMessage::FreezeAck { corr, .. }
         | ClusterMessage::MetricsAck { corr, .. } => {
             let entry = inner.pending_control.lock().remove(&corr);
             if let Some(tx) = entry {
@@ -1024,169 +955,6 @@ impl Cluster {
             } => Err(err),
             _ => Err(AeonError::ServerNotFound(server)),
         }
-    }
-
-    /// Takes a crash-consistent snapshot of `context` and all its
-    /// descendants using the coordinated freeze protocol:
-    ///
-    /// 1. **Sequence** — a freeze event exclusively activates the
-    ///    dominator's sequencer lock on its hosting node
-    ///    ([`ClusterMessage::FreezeReq`] with the sequencer as sole
-    ///    member), draining every in-flight event that could reach shared
-    ///    state in the subtree.
-    /// 2. **Freeze & capture** — every member is exclusively activated in
-    ///    owner-before-owned order (consecutive same-server members batch
-    ///    into one `FreezeReq`) and its state captured at activation; all
-    ///    locks stay held, so the captures form one logical cut that some
-    ///    serial execution could have produced.
-    /// 3. **Thaw** — every contacted server receives a
-    ///    [`ClusterMessage::ThawReq`] releasing the freeze event's locks —
-    ///    on success *and* on failure, so a mid-freeze crash of one node
-    ///    never strands locks on the others.
-    ///
-    /// Contexts whose snapshot is `Null` are skipped (the paper's opt-out
-    /// convention).
-    ///
-    /// # Errors
-    ///
-    /// * [`AeonError::ContextNotFound`] when `context` is unknown.
-    /// * [`AeonError::SnapshotFailed`] when a member is unreachable (e.g.
-    ///   its server crashed mid-freeze); already-frozen members have been
-    ///   thawed.
-    pub fn snapshot_context(&self, context: ContextId) -> Result<Snapshot> {
-        let members = self.subtree_members(context)?;
-        let entries = self.freeze_subtree(context, &members, true, &[])?;
-        let mut snapshot = Snapshot::new(context);
-        for (id, class, state) in entries {
-            if !state.is_null() {
-                snapshot.insert(id, class, state);
-            }
-        }
-        Ok(snapshot)
-    }
-
-    /// `root` and all its descendants, owner before owned.
-    fn subtree_members(&self, root: ContextId) -> Result<Vec<ContextId>> {
-        self.inner.plane().read().graph().subtree_topological(root)
-    }
-
-    /// Establishes a coordinated freeze of `root`'s subtree — sequencer
-    /// first, then every member in the given owner-before-owned order —
-    /// captures the frozen cut when asked, then (second phase, only once
-    /// *every* member is frozen and validated) applies the `apply` states
-    /// under the held locks, and **always** thaws every contacted server
-    /// before returning, so no lock outlives the call even on partial
-    /// failure.  Because nothing is written until the whole freeze is
-    /// established, a member that is missing or unreachable fails the
-    /// operation before any state changed.
-    fn freeze_subtree(
-        &self,
-        root: ContextId,
-        members: &[ContextId],
-        capture: bool,
-        apply: &[(ContextId, Value)],
-    ) -> Result<Vec<(ContextId, String, Value)>> {
-        let freeze = EventId::new(self.inner.directory.next_raw());
-        let sink = self.inner.directory.history_sink();
-        if let Some(sink) = &sink {
-            sink.invoked(freeze);
-        }
-        let mut frozen: Vec<ServerId> = Vec::new();
-        let result = (|| -> Result<Vec<(ContextId, String, Value)>> {
-            // The freeze is sequenced exactly like an exclusive event
-            // targeting `root` (whose own lock is the first member frozen).
-            let sequencer = sequencer_of(&self.inner.plane().read(), root)?;
-            if let Some((server, sequencer)) = sequencer {
-                self.inner.freeze_round_trip(
-                    server,
-                    freeze,
-                    vec![FreezeMember::freeze(sequencer)],
-                    false,
-                    &mut frozen,
-                )?;
-            }
-            let entries = self.inner.freeze_runs(
-                freeze,
-                members.iter().map(|m| FreezeMember::freeze(*m)),
-                capture,
-                &mut frozen,
-            )?;
-            if !apply.is_empty() {
-                // Apply phase: the freeze event already holds every lock
-                // (activation is idempotent per event), so these requests
-                // apply immediately.
-                self.inner.freeze_runs(
-                    freeze,
-                    apply
-                        .iter()
-                        .map(|(context, state)| FreezeMember::restore(*context, state.clone())),
-                    false,
-                    &mut frozen,
-                )?;
-            }
-            Ok(entries)
-        })()
-        .map_err(|e| AeonError::SnapshotFailed {
-            context: root,
-            reason: e.to_string(),
-        });
-        for server in &frozen {
-            let _ = self.inner.send(*server, ClusterMessage::ThawReq { freeze });
-        }
-        if let Some(sink) = &sink {
-            sink.responded(freeze);
-        }
-        result
-    }
-
-    /// Restores context states from a snapshot previously produced by
-    /// [`Cluster::snapshot_context`].  Contexts must still be hosted; their
-    /// state is replaced in place through `ContextObject::restore` on the
-    /// hosting server, so no class factory is required — the same contract
-    /// as the in-process runtime and the simulator.  (Re-hosting a context
-    /// that was lost to a crash goes through
-    /// [`Cluster::restore_context`] instead, which does need a factory.)
-    ///
-    /// The restore runs under the same coordinated subtree freeze as the
-    /// snapshot, in two phases: first every member is frozen and validated
-    /// (nothing is written yet — a missing or unreachable member fails the
-    /// restore with the live state untouched), then the snapshot states
-    /// are applied under the held locks.  Concurrent events therefore
-    /// observe either the pre-restore or the post-restore state of *every*
-    /// member, never a mix.
-    ///
-    /// # Errors
-    ///
-    /// * [`AeonError::ContextNotFound`] if a snapshotted context no longer
-    ///   exists.
-    /// * [`AeonError::SnapshotFailed`] when a hosting server does not
-    ///   answer; already-frozen members have been thawed.  If the failure
-    ///   happens during the apply phase itself (a server dying *after* the
-    ///   full freeze was established), the restore may be partially
-    ///   applied — re-run it once the deployment recovered.
-    pub fn restore_snapshot(&self, snapshot: &Snapshot) -> Result<()> {
-        for (id, _) in snapshot.entries() {
-            // Fail with the documented error before freezing anything when
-            // an entry vanished.
-            self.placement_of(*id)?;
-        }
-        let root = snapshot.root();
-        let mut members = self.subtree_members(root)?;
-        // Entries that left the subtree since the capture (ownership
-        // edits) are frozen after the subtree members and restored with
-        // them.
-        let member_set: BTreeSet<ContextId> = members.iter().copied().collect();
-        for (id, _) in snapshot.entries() {
-            if !member_set.contains(id) {
-                members.push(*id);
-            }
-        }
-        let apply: Vec<(ContextId, Value)> = snapshot
-            .entries()
-            .map(|(id, entry)| (*id, entry.state.clone()))
-            .collect();
-        self.freeze_subtree(root, &members, false, &apply)
-            .map(|_| ())
     }
 
     /// Adds a server to the cluster and returns its id (scale-out).

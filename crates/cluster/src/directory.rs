@@ -209,6 +209,11 @@ impl Directory {
                 .read()
                 .children_of(parent, class.as_deref())
                 .map(DirReply::Contexts),
+            DirOp::Subtree(root) => plane
+                .read()
+                .graph()
+                .subtree_topological(root)
+                .map(DirReply::Contexts),
             DirOp::AddEdge(owner, owned) => plane
                 .write()
                 .add_edge(owner, owned)
@@ -318,6 +323,18 @@ impl Directory {
         match self.serve_dir_op(op)? {
             DirReply::Contexts(ids) => Ok(ids),
             other => Err(reply_mismatch("ChildrenOf", &other)),
+        }
+    }
+
+    /// `root` and everything it (transitively) owns, owner before owned.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AeonError::ContextNotFound`] when `root` is unknown.
+    pub fn subtree(&self, root: ContextId) -> Result<Vec<ContextId>> {
+        match self.serve_dir_op(DirOp::Subtree(root))? {
+            DirReply::Contexts(ids) => Ok(ids),
+            other => Err(reply_mismatch("Subtree", &other)),
         }
     }
 
@@ -470,6 +487,10 @@ mod tests {
             })
             .unwrap(),
             DirReply::Contexts(vec![child])
+        );
+        assert_eq!(
+            dir.serve_dir_op(DirOp::Subtree(room)).unwrap(),
+            DirReply::Contexts(vec![room, child])
         );
         assert!(dir.serve_dir_op(DirOp::RemoveEdge(room, child)).is_ok());
     }

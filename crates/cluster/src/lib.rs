@@ -60,7 +60,6 @@ mod wire;
 pub use cluster::{Cluster, ClusterBuilder, ClusterClient, ClusterEventHandle, ClusterTransport};
 pub use directory::Directory;
 pub use message::{
-    gateway_id, virtual_root, ClusterMessage, DirOp, DirReply, EventDescriptor, FreezeMember,
-    NodeMetrics,
+    gateway_id, virtual_root, ClusterMessage, DirOp, DirReply, EventDescriptor, NodeMetrics,
 };
 pub use remote::{run_node, NodeProcessConfig};

@@ -63,35 +63,6 @@ pub struct NodeMetrics {
     pub latency: aeon_types::LatencyHistogram,
 }
 
-/// One member of a coordinated subtree freeze
-/// ([`ClusterMessage::FreezeReq`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FreezeMember {
-    /// The context (or [`virtual_root`]) to freeze.
-    pub context: ContextId,
-    /// When set, state to install through `ContextObject::restore` once the
-    /// member is frozen (the coordinated restore path).
-    pub restore: Option<Value>,
-}
-
-impl FreezeMember {
-    /// A member that is only frozen (and possibly captured).
-    pub fn freeze(context: ContextId) -> Self {
-        Self {
-            context,
-            restore: None,
-        }
-    }
-
-    /// A member whose state is replaced once frozen.
-    pub fn restore(context: ContextId, state: Value) -> Self {
-        Self {
-            context,
-            restore: Some(state),
-        }
-    }
-}
-
 /// A control-plane (directory) operation a node asks the gateway to
 /// perform on its behalf, shipped in a [`ClusterMessage::DirReq`].
 ///
@@ -116,6 +87,8 @@ pub enum DirOp {
         /// Optional class filter.
         class: Option<String>,
     },
+    /// A context and everything it (transitively) owns, owner before owned.
+    Subtree(ContextId),
     /// Add an ownership edge (class constraints are checked at the
     /// authority).
     AddEdge(ContextId, ContextId),
@@ -143,7 +116,7 @@ pub enum DirReply {
     Server(ServerId),
     /// A context id ([`DirOp::CreateOwned`]).
     Context(ContextId),
-    /// A list of context ids ([`DirOp::ChildrenOf`]).
+    /// A list of context ids ([`DirOp::ChildrenOf`], [`DirOp::Subtree`]).
     Contexts(Vec<ContextId>),
     /// A class name ([`DirOp::ClassOf`]).
     Class(String),
@@ -336,38 +309,6 @@ pub enum ClusterMessage {
         /// Number of bytes of serialised state moved, or the failure.
         result: Result<u64>,
     },
-    /// Gateway → server: exclusively activate `freeze` on each member in
-    /// order, optionally capturing or replacing its state, and keep every
-    /// lock held until the matching [`ClusterMessage::ThawReq`].  The
-    /// coordinated-freeze leg of the distributed snapshot/restore protocol;
-    /// member order follows the ownership DAG (owners before owned).
-    FreezeReq {
-        /// Correlation token echoed in [`ClusterMessage::FreezeAck`].
-        corr: u64,
-        /// The freeze event holding the member locks.
-        freeze: EventId,
-        /// Members to freeze, in acquisition order.  [`virtual_root`]
-        /// freezes the node's virtual-root sequencer lock.
-        members: Vec<FreezeMember>,
-        /// Capture each member's state into the acknowledgement.
-        capture: bool,
-    },
-    /// Server → gateway: every member of the [`ClusterMessage::FreezeReq`]
-    /// is frozen (locks held) and, when requested, captured.
-    FreezeAck {
-        /// Correlation token.
-        corr: u64,
-        /// Captured `(context, class, state)` triples in request order
-        /// (empty without capture), or the failure.  On failure the node
-        /// has already released its own holds.
-        result: Result<Vec<(ContextId, String, Value)>>,
-    },
-    /// Gateway → server: release every lock held by `freeze` (normal end of
-    /// a coordinated snapshot/restore, or cleanup after a partial failure).
-    ThawReq {
-        /// The freeze event to release.
-        freeze: EventId,
-    },
     /// Gateway → server: report your current load (context count, queue
     /// depth, event counters) for the elasticity control plane.
     MetricsReq {
@@ -479,22 +420,6 @@ impl fmt::Debug for ClusterMessage {
                     metrics.server, metrics.context_count
                 )
             }
-            ClusterMessage::FreezeReq {
-                freeze,
-                members,
-                capture,
-                ..
-            } => {
-                write!(
-                    f,
-                    "FreezeReq(freeze={freeze}, members={}, capture={capture})",
-                    members.len()
-                )
-            }
-            ClusterMessage::FreezeAck { corr, result } => {
-                write!(f, "FreezeAck(corr={corr}, ok={})", result.is_ok())
-            }
-            ClusterMessage::ThawReq { freeze } => write!(f, "ThawReq({freeze})"),
             ClusterMessage::Shutdown => write!(f, "Shutdown"),
         }
     }

@@ -11,16 +11,14 @@
 //! * **`dispatch` never waits.**  Every arm that can — `Act` (the sequencer
 //!   lock), `Exec` / `ExecCertified` / `Call` (activation locks, the method
 //!   body, remote calls), `Migrate` (exclusive access), `Install` (the class
-//!   factory, the replay), `FreezeReq` (one activation per member) — goes to
-//!   the node's sharded worker pool through `offload`, an unbounded push
-//!   that does not block; tasks are sharded by the context they concern.
-//!   The arms that run in line only flip a map and send an
-//!   acknowledgement: `Host`
-//!   (insert the object; its class factory, the one piece of application
-//!   code reached from here, runs under the panic boundary), `Prepare` /
-//!   `Stop` (open a buffer), `Release` / `ThawReq` (releasing a lock never
-//!   blocks), `CallReply` / `DirAck` (complete a waiting caller),
-//!   `FreezeReq`'s registration, `MetricsReq` (read counters), `Shutdown`.
+//!   factory, the replay) — goes to the node's sharded worker pool through
+//!   `offload`, an unbounded push that does not block; tasks are sharded by
+//!   the context they concern.  The arms that run in line only flip a map
+//!   and send an acknowledgement: `Host` (insert the object; its class
+//!   factory, the one piece of application code reached from here, runs
+//!   under the panic boundary), `Prepare` / `Stop` (open a buffer),
+//!   `Release` (releasing a lock never blocks), `CallReply` / `DirAck`
+//!   (complete a waiting caller), `MetricsReq` (read counters), `Shutdown`.
 //! * **A pool worker waits only inside `block_in_place`; a sequencer wait
 //!   holds no worker.**  The pool is fixed-size (a thread per blocking
 //!   message does not scale), so a worker must not sit on a wait whose end
@@ -32,7 +30,7 @@
 //!   worker finishing an event, or this `dispatch`'s `Release` arm on a
 //!   sender's thread) and only offloads the continuation.  Every other
 //!   wait of a worker — a remote call's reply, a contended activation in
-//!   `enter` / `FreezeReq` / `Migrate`, a reader's turn at an object
+//!   `enter` / `Migrate`, a reader's turn at an object
 //!   another reader's frame holds (`lock_object`), the nap for an
 //!   in-flight `Install` — is announced with
 //!   `ShardedExecutor::block_in_place`, which hands the rest of the
@@ -63,12 +61,13 @@
 //! `Call` handlers run the shared interpreter (`aeon_runtime::EventBody`)
 //! over [`NodeHost`], which only answers where a context lives (`locate`,
 //! with its wait for an in-flight `Install`), takes and records its
-//! activation, and carries a call to another server and back.
+//! activation, and carries a call to another server and back.  A snapshot
+//! or a restore is such an event too: its root's server calls every member
+//! on the others, and `Release` fan-out ends it like any event, so a node
+//! has no message of its own for either.
 
 use crate::directory::Directory;
-use crate::message::{
-    gateway_id, virtual_root, ClusterMessage, EventDescriptor, FreezeMember, NodeMetrics,
-};
+use crate::message::{gateway_id, virtual_root, ClusterMessage, EventDescriptor, NodeMetrics};
 use aeon_net::Network;
 use aeon_runtime::reply::{reply, Replier, WaitError};
 use aeon_runtime::{
@@ -79,7 +78,7 @@ use aeon_types::{
     codec, AccessMode, AeonError, Args, ClientId, ContextId, EventId, Result, ServerId, Value,
 };
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -123,16 +122,6 @@ pub(crate) struct NodeShared {
     /// Contexts announced by `Prepare` but not yet installed: requests are
     /// buffered and replayed after `Install`.
     installing: Mutex<HashMap<ContextId, Vec<ClusterMessage>>>,
-    /// Coordinated freezes on this node, registered inline when the
-    /// `FreezeReq` arrives (before its handler can even be scheduled) and
-    /// removed when the handler finishes.  The flag flips to `true` when a
-    /// `ThawReq` arrives while the freeze is still being established (the
-    /// gateway gave up, e.g. after a control timeout): the handler then
-    /// releases its own locks at the end, since no further thaw is coming
-    /// for anything it acquired after the early thaw.  One mutex guards
-    /// the whole lifecycle, so the thaw's check and the handler's
-    /// completion cannot interleave into a stranded lock.
-    active_freezes: Mutex<BTreeMap<EventId, bool>>,
     events_executed: AtomicU64,
     /// Cumulative wall-clock microseconds spent executing events whose
     /// target lives here (feeds the per-server latency metric).
@@ -225,7 +214,8 @@ impl NodeShared {
     fn send(&self, to: ServerId, message: ClusterMessage) {
         // A failed send means the destination crashed or was removed; the
         // waiting party times out and surfaces an EventAborted error, which
-        // is the behaviour we want under fault injection.
+        // is the behaviour we want under fault injection.  (A remote call
+        // sends its `Call` itself and fails at once instead.)
         let _ = self.network.send_from(self.id, to, message);
     }
 
@@ -393,7 +383,6 @@ pub(crate) fn spawn_node(
         forwarding: RwLock::new(HashMap::new()),
         stopped: Mutex::new(HashMap::new()),
         installing: Mutex::new(HashMap::new()),
-        active_freezes: Mutex::new(BTreeMap::new()),
         events_executed: AtomicU64::new(0),
         exec_micros: AtomicU64::new(0),
         exec_latency: Mutex::new(aeon_types::LatencyHistogram::new()),
@@ -542,35 +531,6 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
                 handle_install(&worker, corr, context, class, state)
             });
         }
-        ClusterMessage::FreezeReq {
-            corr,
-            freeze,
-            members,
-            capture,
-        } => {
-            // Registered before the handler is queued, so a ThawReq that
-            // overtakes a not-yet-started freeze still finds it and leaves
-            // the release-your-own-locks marker.
-            shared.active_freezes.lock().insert(freeze, false);
-            let key = members.first().map(|m| m.context).unwrap_or(virtual_root());
-            let worker = Arc::clone(shared);
-            shared.offload(key, move || {
-                handle_freeze(&worker, corr, freeze, members, capture)
-            });
-        }
-        ClusterMessage::ThawReq { freeze } => {
-            // Handled inline: releasing never blocks.  The flag is flipped
-            // BEFORE releasing: locks the handler acquires after this point
-            // are then released by the handler itself (it observes the
-            // flag at the end), and locks acquired before are released by
-            // release_event below — flipping after releasing would leave a
-            // window where the handler completes in between and its
-            // later-acquired locks are never released.
-            if let Some(thawed) = shared.active_freezes.lock().get_mut(&freeze) {
-                *thawed = true;
-            }
-            shared.release_event(freeze);
-        }
         ClusterMessage::MetricsReq { corr } => {
             // Answered inline: the report only reads counters, it cannot
             // block, so it never competes with event execution for the pool.
@@ -593,7 +553,6 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
         | ClusterMessage::PrepareAck { .. }
         | ClusterMessage::StopAck { .. }
         | ClusterMessage::InstallAck { .. }
-        | ClusterMessage::FreezeAck { .. }
         | ClusterMessage::MetricsAck { .. }
         | ClusterMessage::Done { .. } => {}
     }
@@ -769,71 +728,6 @@ fn handle_call(
     );
 }
 
-/// Establishes this node's share of a coordinated subtree freeze: every
-/// member is activated exclusively by the freeze event *in request order*
-/// (the gateway sends members owner-before-owned, which makes the global
-/// acquisition order deadlock-free against in-flight events), its state is
-/// captured and/or replaced at the frozen cut, and the locks stay held
-/// until the gateway's [`ClusterMessage::ThawReq`].
-fn handle_freeze(
-    shared: &Arc<NodeShared>,
-    corr: u64,
-    freeze: EventId,
-    members: Vec<FreezeMember>,
-    capture: bool,
-) {
-    let mut entries = Vec::new();
-    let outcome = (|| -> Result<()> {
-        for member in &members {
-            if member.context == virtual_root() {
-                shared.activate(&shared.root_lock, freeze, AccessMode::Exclusive)?;
-                shared.record_hold(freeze, member.context);
-                continue;
-            }
-            let hosted = shared
-                .local(member.context)
-                .ok_or(AeonError::ContextNotFound(member.context))?;
-            shared.activate(&hosted.lock, freeze, AccessMode::Exclusive)?;
-            shared.record_hold(freeze, member.context);
-            let mut object = hosted.object.lock();
-            if let Some(state) = &member.restore {
-                shared.record_access(freeze, member.context, AccessMode::Exclusive);
-                object.restore(state);
-            }
-            if capture {
-                shared.record_access(freeze, member.context, AccessMode::ReadOnly);
-                entries.push((member.context, hosted.class.clone(), object.snapshot()));
-            }
-        }
-        Ok(())
-    })();
-    let thawed = shared
-        .active_freezes
-        .lock()
-        .remove(&freeze)
-        .unwrap_or(false);
-    let result = if thawed {
-        // The gateway abandoned this freeze while we were establishing it;
-        // whatever the thaw did not catch is released here.
-        shared.release_event(freeze);
-        Err(AeonError::EventAborted {
-            event: freeze,
-            reason: "freeze thawed before it was established".into(),
-        })
-    } else {
-        match outcome {
-            Ok(()) => Ok(entries),
-            Err(error) => {
-                // A member is missing or the node is shutting down: release
-                // this node's own holds so nothing stays locked, then report.
-                shared.release_event(freeze);
-                Err(error)
-            }
-        }
-    };
-    shared.send(gateway_id(), ClusterMessage::FreezeAck { corr, result });
-}
-
 /// Migration step IV on the source server: wait for exclusive access, ship
 /// the serialised state, and start forwarding.
 fn handle_migrate(shared: &Arc<NodeShared>, corr: u64, context: ContextId, to: ServerId) {
@@ -868,10 +762,9 @@ fn handle_migrate(shared: &Arc<NodeShared>, corr: u64, context: ContextId, to: S
     };
     shared.contexts.write().remove(&context);
     // The old lock is now orphaned: anyone who cloned the hosted entry
-    // before the removal (an event or a subtree freeze racing with this
-    // migration) must fail fast instead of blocking forever on a lock
-    // whose exclusive holder never releases — or, worse, capturing the
-    // stale pre-migration state.
+    // before the removal (an event racing with this migration) must fail
+    // fast instead of blocking forever on a lock whose exclusive holder
+    // never releases — or, worse, capturing the stale pre-migration state.
     hosted.lock.poison();
     shared.forwarding.write().insert(context, to);
     shared.send(
@@ -1000,20 +893,22 @@ impl ContextHost for NodeHost<'_> {
             node.pending_calls.lock().remove(&corr);
             return Err(AeonError::RuntimeShutdown);
         }
-        node.send(
-            server,
-            ClusterMessage::Call {
-                event: event.id,
-                mode: event.mode,
-                client: event.client,
-                caller: caller.unwrap_or(target),
-                target,
-                method: method.to_string(),
-                args: args.clone(),
-                reply_to: node.id,
-                corr,
-            },
-        );
+        let call = ClusterMessage::Call {
+            event: event.id,
+            mode: event.mode,
+            client: event.client,
+            caller: caller.unwrap_or(target),
+            target,
+            method: method.to_string(),
+            args: args.clone(),
+            reply_to: node.id,
+            corr,
+        };
+        // A server that is gone fails the call now, not after the timeout.
+        if let Err(error) = node.network.send_from(node.id, server, call) {
+            node.pending_calls.lock().remove(&corr);
+            return Err(error);
+        }
         match node
             .executor
             .block_in_place(|| rx.wait_timeout(CALL_TIMEOUT))
@@ -1068,5 +963,9 @@ impl ContextHost for NodeHost<'_> {
 
     fn children(&self, parent: ContextId, class: Option<&str>) -> Result<Vec<ContextId>> {
         self.node.directory.children_of(parent, class)
+    }
+
+    fn subtree(&self, root: ContextId) -> Result<Vec<ContextId>> {
+        self.node.directory.subtree(root)
     }
 }

@@ -58,7 +58,7 @@
 //! processes with no semantic drift from the in-process channel
 //! deployment.
 
-use crate::message::{ClusterMessage, DirOp, DirReply, EventDescriptor, FreezeMember, NodeMetrics};
+use crate::message::{ClusterMessage, DirOp, DirReply, EventDescriptor, NodeMetrics};
 use aeon_net::WireMessage;
 use aeon_types::{codec, wire, Result};
 
@@ -95,7 +95,6 @@ impl WireMessage for ClusterMessage {
 }
 
 wire! { struct EventDescriptor { id, client, corr, target, method, args, mode } }
-wire! { struct FreezeMember { context, restore } }
 wire! { struct NodeMetrics {
     server, context_count, queue_depth, events_executed, exec_micros, latency,
 } }
@@ -109,6 +108,7 @@ wire! { enum DirOp {
     5 => AddEdge(owner, owned),
     6 => RemoveEdge(owner, owned),
     7 => CreateOwned { owner, class },
+    8 => Subtree(context),
 } }
 
 wire! { enum DirReply {
@@ -139,9 +139,6 @@ wire! { enum ClusterMessage {
     15 => Migrate { corr, context, to },
     16 => Install { corr, context, class, state, from },
     17 => InstallAck { corr, context, result },
-    18 => FreezeReq { corr, freeze, members, capture },
-    19 => FreezeAck { corr, result },
-    20 => ThawReq { freeze },
     21 => MetricsReq { corr },
     22 => MetricsAck { corr, metrics },
     23 => Shutdown,
@@ -244,6 +241,11 @@ mod tests {
                     class: Some("Player".into()),
                 },
             },
+            ClusterMessage::DirReq {
+                corr: 4,
+                from: srv(1),
+                op: DirOp::Subtree(cx(5)),
+            },
             ClusterMessage::DirAck {
                 corr: 3,
                 reply: Ok(DirReply::Contexts(vec![cx(1), cx(2)])),
@@ -339,27 +341,6 @@ mod tests {
                     reason: "no factory".into(),
                 }),
             },
-            ClusterMessage::FreezeReq {
-                corr: 17,
-                freeze: evt(88),
-                members: vec![
-                    FreezeMember::freeze(virtual_root()),
-                    FreezeMember::restore(cx(4), Value::Null),
-                ],
-                capture: true,
-            },
-            ClusterMessage::FreezeAck {
-                corr: 17,
-                result: Ok(vec![(cx(4), "Room".into(), Value::from(3i64))]),
-            },
-            ClusterMessage::FreezeAck {
-                corr: 17,
-                result: Err(AeonError::SnapshotFailed {
-                    context: cx(4),
-                    reason: "member busy".into(),
-                }),
-            },
-            ClusterMessage::ThawReq { freeze: evt(88) },
             ClusterMessage::MetricsReq { corr: 18 },
             ClusterMessage::MetricsAck {
                 corr: 18,
@@ -418,11 +399,6 @@ mod tests {
                     reply: Ok(DirReply::Contexts(contexts)),
                     ..
                 } => contexts.iter().all(within_min_len),
-                ClusterMessage::FreezeReq { members, .. } => members.iter().all(within_min_len),
-                ClusterMessage::FreezeAck {
-                    result: Ok(captured),
-                    ..
-                } => captured.iter().all(within_min_len),
                 ClusterMessage::MetricsAck { metrics, .. } => within_min_len(&**metrics),
                 _ => true,
             };
@@ -525,8 +501,8 @@ mod tests {
         assert!(refusal(&framed(&[200])).contains("unknown ClusterMessage tag 200"));
         // `Shutdown` has no fields: one more byte is trailing.
         assert!(refusal(&framed(&[23, 0])).contains("trailing"));
-        // `ThawReq` needs eight bytes of event id.
-        refusal(&framed(&[20, 0, 0, 0]));
+        // `Release` needs eight bytes of event id.
+        refusal(&framed(&[9, 0, 0, 0]));
         // `Exec`'s `client` flag must be 0 or 1.
         let exec = [&[5][..], &9u64.to_be_bytes(), &[7]].concat();
         assert!(refusal(&framed(&exec)).contains("flag byte 7"));
@@ -553,11 +529,9 @@ mod tests {
         let sub_events = [&[10][..], &corr, &corr, &[1, 0], &max].concat();
         // `CallReply { corr, result: Ok(Null), participants: <u32::MAX> }`.
         let participants = [&[8][..], &corr, &[1, 0], &max].concat();
-        // `FreezeReq { corr, freeze, members: <u32::MAX> }`.
-        let members = [&[18][..], &corr, &corr, &max].concat();
         // `ExecCertified { id, client: None, corr, target, method: "", args: <u32::MAX> }`.
         let args = [&[6][..], &corr, &[0], &corr, &corr, &[0; 4], &max].concat();
-        for payload in [sub_events, participants, members, args] {
+        for payload in [sub_events, participants, args] {
             let why = refusal(&framed(&payload));
             assert!(why.contains("4294967295 elements announced"), "{why}");
         }

@@ -139,6 +139,34 @@ fn synchronous_calls_cross_servers() {
     cluster.shutdown();
 }
 
+/// Regression test: a remote call to a crashed server waited out the node's
+/// 30 s call timeout, although the transport refuses the send at once.
+#[test]
+fn a_remote_call_to_a_crashed_server_fails_at_once() {
+    let cluster = Cluster::builder().servers(2).build().unwrap();
+    let servers = cluster.servers();
+    let parent = cluster
+        .create_context(Box::new(Aggregator), Placement::Server(servers[0]))
+        .unwrap();
+    let child = cluster
+        .create_context(
+            Box::new(KvContext::new("Item")),
+            Placement::Server(servers[1]),
+        )
+        .unwrap();
+    cluster.add_ownership(parent, child).unwrap();
+    cluster.crash_server(servers[1]).unwrap();
+    let started = Instant::now();
+    let result = cluster.client().call_readonly(parent, "sum", args![]);
+    assert_eq!(result, Err(AeonError::ServerNotFound(servers[1])));
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "the call failed only after {:?}",
+        started.elapsed()
+    );
+    cluster.shutdown();
+}
+
 #[test]
 fn async_calls_and_sub_events_work_across_servers() {
     let cluster = Cluster::builder().servers(2).build().unwrap();

@@ -280,18 +280,17 @@ impl EManager {
     /// it to cloud storage under `snapshot/<name>` (§5.3).  Returns the
     /// number of contexts captured.
     ///
-    /// Every backend captures the subtree as one frozen cut (the cluster
-    /// runs the dominator-sequenced `FreezeReq`/`FreezeAck`/`ThawReq`
-    /// protocol), so a checkpoint taken under load is crash-consistent: it
-    /// restores to a state some serial execution of the workload could
-    /// have produced, never a torn mix of member states.
+    /// Every backend captures the subtree as one cut (a dominator-sequenced
+    /// event on `root`), so a checkpoint taken under load is
+    /// crash-consistent: it restores to a state some serial execution of
+    /// the workload could have produced, never a torn mix of member states.
     ///
     /// # Errors
     ///
     /// Propagates snapshot and storage failures (including
     /// [`aeon_types::AeonError::SnapshotFailed`] when a member's server
-    /// crashes mid-freeze — the deployment thaws the surviving members
-    /// before returning, so the checkpoint can simply be retried).
+    /// crashes mid-snapshot — the failed event releases the surviving
+    /// members like any other, so the checkpoint can simply be retried).
     pub fn checkpoint(&self, name: &str, root: ContextId) -> Result<usize> {
         let snapshot = self.deployment.snapshot_context(root)?;
         let key = format!("{}{}", aeon_storage::keys::SNAPSHOT_PREFIX, name);

@@ -441,8 +441,8 @@ impl OwnershipGraph {
     /// (transitively) owns, with ties broken by context id so the order is
     /// deterministic.
     ///
-    /// This is the acquisition order used by coordinated subtree freezes
-    /// (snapshot / restore): because method calls only travel *down*
+    /// This is the order in which a snapshot or restore event enters the
+    /// members of its subtree: because method calls only travel *down*
     /// ownership edges, acquiring member locks owner-before-owned can never
     /// deadlock against an in-flight event that already holds a member.
     ///

@@ -17,13 +17,30 @@
 //! inside an event: synchronous calls, `async` calls, `event` dispatch, and
 //! ownership-graph mutation (creating child contexts, adding/removing
 //! owners).
+//!
+//! The interpreter also serves two reserved methods, [`SNAPSHOT_METHOD`] and
+//! [`RESTORE_METHOD`], before any context object sees the call, so no
+//! contextclass can declare them.  A consistent snapshot of a subtree
+//! (§5.3) and its restore are thereby ordinary events on the subtree's
+//! root: every backend sequences, executes and records them the way it
+//! does any other event.
 
 use crate::context::ContextObject;
+use crate::snapshot::Snapshot;
 use aeon_ownership::ClassGraph;
 use aeon_types::{AccessMode, AeonError, Args, ClientId, ContextId, EventId, Result, Value};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
+
+/// The reserved method of a snapshot event (read-only, on the root of the
+/// subtree): returns the [`Snapshot`] of the subtree as a [`Value`].
+pub const SNAPSHOT_METHOD: &str = "@snapshot";
+
+/// The reserved method of a restore event (exclusive, on the root of the
+/// subtree, with a [`Snapshot`] as its one argument): returns the list of
+/// the contexts it restored.
+pub const RESTORE_METHOD: &str = "@restore";
 
 /// A deferred (`async`) method call, executed after the synchronous part of
 /// the event finishes but before the event terminates.
@@ -263,6 +280,9 @@ pub trait ContextHost {
     /// Direct children of `parent`, optionally filtered by class name.
     fn children(&self, parent: ContextId, class: Option<&str>) -> Result<Vec<ContextId>>;
 
+    /// `root` and everything it (transitively) owns, owner before owned.
+    fn subtree(&self, root: ContextId) -> Result<Vec<ContextId>>;
+
     /// Debug-build sanitizer hook: `caller_method` (executing in `caller`)
     /// called or scheduled `target_method` on `target`.
     fn record_call_edge(
@@ -387,6 +407,9 @@ impl<'h> EventBody<'h> {
         }
         let dispatched = self.sub_events.len();
         let result = match self.host.enter(&self.event, target)? {
+            Entered::Local(hosted) if method == SNAPSHOT_METHOD || method == RESTORE_METHOD => {
+                self.serve_reserved(caller, target, hosted, method, args)
+            }
             Entered::Local(hosted) => {
                 let mut object = self.host.lock_object(&*hosted);
                 self.execute(&mut **object, target, method, args)
@@ -453,6 +476,97 @@ impl<'h> EventBody<'h> {
             }
         }
         outcome
+    }
+
+    /// Serves a reserved method on `target`, which this event has entered.
+    /// As the event's top-level method, `target` is the root of a cut: its
+    /// subtree is listed through the host owner before owned — the order
+    /// that keeps entering it deadlock-free against events in flight — and
+    /// every other member is entered by a call from the root, wherever it
+    /// lives.  A snapshot captures each member as it enters it; a restore
+    /// enters every member first and writes only then, so a member that
+    /// vanished fails it before any state changed.  Called from the root,
+    /// `target` is one member: captured, written (`args[0]` is its state),
+    /// or for a restore without arguments only entered.
+    fn serve_reserved(
+        &mut self,
+        caller: Option<ContextId>,
+        target: ContextId,
+        hosted: Arc<dyn HostedObject>,
+        method: &str,
+        args: &Args,
+    ) -> Result<Value> {
+        let restore = method == RESTORE_METHOD;
+        if restore && self.event.mode.is_read_only() {
+            return Err(AeonError::ReadOnlyViolation {
+                context: target,
+                method: method.to_string(),
+            });
+        }
+        if caller.is_some() {
+            return self.serve_member(target, &*hosted, restore, args.get(0));
+        }
+        // A cut enters many contexts, which a certified event may not.
+        self.check_footprint(target, target, method)?;
+        let members = self.host.subtree(target)?;
+        let at = |body: &mut Self, member: ContextId, state: Option<&Value>| {
+            if member == target {
+                return body.serve_member(target, &*hosted, restore, state);
+            }
+            let args = state.map_or_else(Args::empty, |state| Args::new(vec![state.clone()]));
+            body.invoke(Some(target), member, method, &args)
+        };
+        if !restore {
+            let mut snapshot = Snapshot::new(target);
+            for member in members {
+                if let Some([class, state]) = at(self, member, None)?.as_list() {
+                    let class = class.as_str().unwrap_or_default();
+                    snapshot.insert(member, class, state.clone());
+                }
+            }
+            return Ok(snapshot.to_value());
+        }
+        let snapshot = Snapshot::from_value(args.get(0).unwrap_or(&Value::Null))?;
+        for member in &members {
+            at(self, *member, None)?;
+        }
+        let mut restored = Vec::new();
+        for member in members {
+            if let Some(entry) = snapshot.get(member) {
+                at(self, member, Some(&entry.state))?;
+                restored.push(member);
+            }
+        }
+        Ok(Value::from(restored))
+    }
+
+    /// One member's share of a cut: its `[class, state]` (`Null` when the
+    /// context opts out of snapshots), or `state` written into it.
+    fn serve_member(
+        &self,
+        target: ContextId,
+        hosted: &dyn HostedObject,
+        restore: bool,
+        state: Option<&Value>,
+    ) -> Result<Value> {
+        if restore && state.is_none() {
+            return Ok(Value::Null);
+        }
+        let mut object = self.host.lock_object(hosted);
+        self.host.record_access(&self.event, target);
+        // `snapshot` and `restore` are application code, behind the same
+        // panic boundary as a method.
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match state {
+            Some(state) if restore => {
+                object.restore(state);
+                Value::Null
+            }
+            _ => match object.snapshot() {
+                Value::Null => Value::Null,
+                state => Value::from(vec![Value::from(object.class_name()), state]),
+            },
+        }))
+        .map_err(AeonError::from_panic)
     }
 
     /// Calls may only go along (transitive) ownership edges (§3).  In
@@ -781,6 +895,8 @@ mod tests {
         remote_calls: Vec<(Option<ContextId>, ContextId, String)>,
         entered: Vec<ContextId>,
         mutations: Vec<&'static str>,
+        /// What `subtree` lists (the root alone when empty).
+        subtree: Vec<ContextId>,
     }
 
     impl FakeHost {
@@ -855,6 +971,13 @@ mod tests {
 
         fn children(&self, _parent: ContextId, _class: Option<&str>) -> Result<Vec<ContextId>> {
             Ok(Vec::new())
+        }
+
+        fn subtree(&self, root: ContextId) -> Result<Vec<ContextId>> {
+            if self.subtree.is_empty() {
+                return Ok(vec![root]);
+            }
+            Ok(self.subtree.clone())
         }
     }
 
@@ -1094,5 +1217,52 @@ mod tests {
         );
         body.add_ownership(cx(1), cx(2)).unwrap();
         assert_eq!(host.mutations, ["add_ownership"]);
+    }
+
+    #[test]
+    fn a_cut_captures_every_member_and_a_restore_enters_all_before_it_writes() {
+        let mut host = FakeHost::default();
+        for raw in 1..=2 {
+            let kv = crate::KvContext::with_entries("Kv", [("n", Value::from(raw as i64))]);
+            let object: Box<dyn ContextObject> = Box::new(kv);
+            host.objects.insert(cx(raw), Arc::new(Mutex::new(object)));
+        }
+        host.remote.insert(cx(3));
+        host.subtree = vec![cx(1), cx(2), cx(3)];
+        let (ro, ex) = (AccessMode::ReadOnly, AccessMode::Exclusive);
+        let cut = |host: &mut FakeHost, mode, method, args: &Args| {
+            EventBody::new(host, event(mode), Footprint::Sequenced)
+                .run(None, cx(1), method, args)
+                .result
+        };
+        let captured = cut(&mut host, ro, SNAPSHOT_METHOD, &args![]).unwrap();
+        let snapshot = Snapshot::from_value(&captured).unwrap();
+        assert_eq!(snapshot.len(), 2, "the remote member answered no state");
+        let remote = [(Some(cx(1)), cx(3), SNAPSHOT_METHOD.to_string())];
+        assert_eq!(host.remote_calls, remote);
+        let certified = EventBody::new(&mut host, event(ro), Footprint::Certified);
+        let err = certified.run(None, cx(1), SNAPSHOT_METHOD, &args![]).result;
+        assert!(err.unwrap_err().to_string().contains("calls []"));
+
+        cut(&mut host, ex, "set", &args!["n", 99]).unwrap();
+        let restore = args![snapshot.to_value()];
+        let refused = cut(&mut host, ro, RESTORE_METHOD, &restore);
+        assert!(matches!(refused, Err(AeonError::ReadOnlyViolation { .. })));
+        // A member that vanished fails the restore before anything is written.
+        host.subtree = vec![cx(1), cx(2), cx(4)];
+        let vanished = cut(&mut host, ex, RESTORE_METHOD, &restore);
+        assert_eq!(vanished, Err(AeonError::ContextNotFound(cx(4))));
+        assert_eq!(
+            cut(&mut host, ro, "get", &args!["n"]),
+            Ok(Value::from(99i64))
+        );
+
+        host.subtree = vec![cx(1), cx(2)];
+        let restored = cut(&mut host, ex, RESTORE_METHOD, &restore);
+        assert_eq!(restored, Ok(Value::from(vec![cx(1), cx(2)])));
+        assert_eq!(
+            cut(&mut host, ro, "get", &args!["n"]),
+            Ok(Value::from(1i64))
+        );
     }
 }

@@ -67,7 +67,7 @@ pub use event::{EventHandle, EventOutcome, EventRequest};
 pub use executor::{ExecutorConfig, ExecutorStats, ShardedExecutor};
 pub use invocation::{
     BodyOutcome, CertifiedReads, ContextHost, Entered, EventBody, EventMeta, Footprint,
-    HostedObject, Invocation, InvocationHost, SubEvent,
+    HostedObject, Invocation, InvocationHost, SubEvent, RESTORE_METHOD, SNAPSHOT_METHOD,
 };
 pub use locks::ContextLock;
 pub use method_table::{

@@ -1,5 +1,8 @@
-//! The public runtime: context hosting, event submission, elasticity
-//! primitives (server management and context migration), and snapshots.
+//! The public runtime: context hosting, event submission, and elasticity
+//! primitives (server management and context migration).  A snapshot and
+//! a restore are events like any other (the interpreter's reserved
+//! methods, submitted by `aeon-api`'s `Deployment`), so nothing here is
+//! specific to them.
 //!
 //! The ownership network, the context→server mapping and the server roster
 //! are one [`ControlPlane`] behind one `RwLock`; this module adds what is
@@ -21,10 +24,9 @@
 //! `ShardedExecutor::block_in_place`, because no runtime wait can depend on
 //! a task still queued in the pool: every holder of a runtime lock is a
 //! thread that is *running* — a pool worker inside `run_event`, a blocking
-//! caller, or the caller of `migrate_context` / `restore_snapshot` /
-//! `with_frozen_subtree` — and it releases without waiting for anything
-//! queued, since the sub-events an event dispatches run only after its
-//! release, on the thread that ran it.  (A task queued
+//! caller, or the caller of `migrate_context` — and it releases without
+//! waiting for anything queued, since the sub-events an event dispatches
+//! run only after its release, on the thread that ran it.  (A task queued
 //! behind a waiting one in its batch holds nothing either, and a reader
 //! waiting for the object another reader's frame holds waits for a running
 //! frame.)  Locks are taken dominator first, then owner before owned, so
@@ -40,7 +42,6 @@ use crate::invocation::{
     BodyOutcome, CertifiedReads, ContextHost, Entered, EventBody, EventMeta, Footprint, SubEvent,
 };
 use crate::locks::ContextLock;
-use crate::snapshot::Snapshot;
 use crate::stats::RuntimeStats;
 use aeon_analyzer::AnalysisMode;
 use aeon_ownership::{ClassGraph, ControlPlane, Dominator, DominatorMode, OwnershipGraph};
@@ -161,7 +162,6 @@ impl RuntimeBuilder {
             events_in_flight: AtomicU64::new(0),
             stats: RuntimeStats::default(),
             shutdown: AtomicBool::new(false),
-            paused: Mutex::new(Vec::new()),
             history: RwLock::new(None),
             summary_violations: Mutex::new(std::collections::BTreeSet::new()),
         });
@@ -195,10 +195,6 @@ pub(crate) struct RuntimeInner {
     events_in_flight: AtomicU64,
     pub(crate) stats: RuntimeStats,
     shutdown: AtomicBool,
-    /// Contexts paused for migration (step II of the protocol): events
-    /// targeting them are still accepted but their execution is delayed by
-    /// the context lock, which the migration holds exclusively.
-    paused: Mutex<Vec<ContextId>>,
     /// Optional live history sink: when installed, every event's
     /// invocation/response points and every context access are reported to
     /// it (see `aeon_types::HistorySink` for the timestamping contract).
@@ -490,6 +486,10 @@ impl ContextHost for RuntimeHost<'_> {
         self.inner.plane.read().children_of(parent, class)
     }
 
+    fn subtree(&self, root: ContextId) -> Result<Vec<ContextId>> {
+        self.inner.plane.read().graph().subtree_topological(root)
+    }
+
     fn record_call_edge(
         &self,
         caller: ContextId,
@@ -520,7 +520,7 @@ impl Drop for InFlightGuard<'_> {
 }
 
 /// The AEON runtime: hosts contexts, executes events, and exposes the
-/// elasticity primitives (server management, migration, snapshots) that the
+/// elasticity primitives (server management, migration) that the
 /// elasticity manager builds upon.
 ///
 /// Cloning the handle is cheap and all clones drive the same runtime.
@@ -817,7 +817,6 @@ impl AeonRuntime {
         // the context's queue, guaranteeing no event is mid-flight in the
         // context when the state moves.
         let migration_event = EventId::new(self.inner.ids.next_raw());
-        self.inner.paused.lock().push(context);
         slot.lock.activate(migration_event, AccessMode::Exclusive)?;
         let moved = {
             let mut object = slot.object.lock();
@@ -834,152 +833,9 @@ impl AeonRuntime {
         // waited for the context.
         let placed = self.inner.plane.write().set_placement(context, to_server);
         slot.lock.release(migration_event);
-        self.inner.paused.lock().retain(|c| *c != context);
         placed?;
         self.inner.stats.record_migration(moved);
         Ok(moved)
-    }
-
-    /// Contexts currently paused for migration.
-    pub fn migrating_contexts(&self) -> Vec<ContextId> {
-        self.inner.paused.lock().clone()
-    }
-
-    /// Takes a consistent snapshot of `root` and all its descendants
-    /// (§5.3).  The snapshot is sequenced like an exclusive event targeting
-    /// `root` and captures every member while the whole subtree is frozen
-    /// (all member locks held simultaneously), so the result is a state
-    /// some serial execution of the workload could have produced.
-    ///
-    /// Contexts whose [`ContextObject::snapshot`] returns `Null` are skipped
-    /// (the paper's opt-out convention).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AeonError::ContextNotFound`] when `root` is unknown.
-    pub fn snapshot_context(&self, root: ContextId) -> Result<Snapshot> {
-        let mut snapshot = Snapshot::new(root);
-        self.with_frozen_subtree(root, AccessMode::ReadOnly, |id, class, object| {
-            let state = object.snapshot();
-            if !state.is_null() {
-                snapshot.insert(id, class.to_string(), state);
-            }
-            Ok(())
-        })?;
-        Ok(snapshot)
-    }
-
-    /// Restores context states from a snapshot previously produced by
-    /// [`AeonRuntime::snapshot_context`].  Contexts must still exist; their
-    /// state is replaced via [`ContextObject::restore`] while the whole
-    /// subtree is frozen (the same dominator-sequenced exclusive freeze a
-    /// snapshot uses), so concurrent events observe either the pre-restore
-    /// or the post-restore state of *every* member, never a mix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AeonError::ContextNotFound`] if a snapshotted context no
-    /// longer exists.
-    pub fn restore_snapshot(&self, snapshot: &Snapshot) -> Result<()> {
-        for (id, _) in snapshot.entries() {
-            // Fail before freezing anything when an entry vanished.
-            self.inner.context_slot(*id)?;
-        }
-        let mut restored: std::collections::BTreeSet<ContextId> = std::collections::BTreeSet::new();
-        self.with_frozen_subtree(snapshot.root(), AccessMode::Exclusive, |id, _, object| {
-            if let Some(entry) = snapshot.get(id) {
-                object.restore(&entry.state);
-                restored.insert(id);
-            }
-            Ok(())
-        })?;
-        // Entries that left the subtree since the capture (ownership edits)
-        // are restored individually under a brief exclusive activation.
-        for (id, entry) in snapshot.entries() {
-            if restored.contains(id) {
-                continue;
-            }
-            let slot = self.inner.context_slot(*id)?;
-            let event = EventId::new(self.inner.ids.next_raw());
-            let sink = self.inner.sink();
-            if let Some(sink) = &sink {
-                sink.invoked(event);
-            }
-            slot.lock.activate(event, AccessMode::Exclusive)?;
-            {
-                let mut object = slot.object.lock();
-                if let Some(sink) = &sink {
-                    sink.accessed(event, *id, AccessMode::Exclusive);
-                }
-                object.restore(&entry.state);
-            }
-            slot.lock.release(event);
-            if let Some(sink) = &sink {
-                sink.responded(event);
-            }
-        }
-        Ok(())
-    }
-
-    /// Freezes the subtree rooted at `root` — sequencing at the dominator
-    /// exactly like an exclusive event targeting `root`, then exclusively
-    /// activating every member in owner-before-owned order and holding all
-    /// the locks — and runs `visit` on each member at the frozen cut.
-    /// Member accesses are reported to the history sink with `recorded_as`
-    /// (reads for snapshot captures, writes for restores).
-    fn with_frozen_subtree(
-        &self,
-        root: ContextId,
-        recorded_as: AccessMode,
-        mut visit: impl FnMut(ContextId, &str, &mut Box<dyn ContextObject>) -> Result<()>,
-    ) -> Result<()> {
-        let event = EventId::new(self.inner.ids.next_raw());
-        let sink = self.inner.sink();
-        if let Some(sink) = &sink {
-            sink.invoked(event);
-        }
-        let dominator = self.inner.plane.read().dominator_of(root)?;
-        let mut held: Vec<Arc<ContextSlot>> = Vec::new();
-        let mut holds_root = false;
-        match dominator {
-            Dominator::Context(dom) if dom != root => {
-                let slot = self.inner.context_slot(dom)?;
-                slot.lock.activate(event, AccessMode::Exclusive)?;
-                held.push(slot);
-            }
-            Dominator::GlobalRoot => {
-                self.inner
-                    .global_root
-                    .activate(event, AccessMode::Exclusive)?;
-                holds_root = true;
-            }
-            _ => {}
-        }
-        let members = self.inner.plane.read().graph().subtree_topological(root)?;
-        let result = (|| -> Result<()> {
-            for id in members {
-                let slot = self.inner.context_slot(id)?;
-                slot.lock.activate(event, AccessMode::Exclusive)?;
-                held.push(slot.clone());
-                let mut object = slot.object.lock();
-                if let Some(sink) = &sink {
-                    sink.accessed(event, id, recorded_as);
-                }
-                visit(id, &slot.class, &mut object)?;
-                drop(object);
-            }
-            Ok(())
-        })();
-        while let Some(slot) = held.pop() {
-            slot.lock.release(event);
-        }
-        if holds_root {
-            self.inner.global_root.release(event);
-        }
-        if let Some(sink) = &sink {
-            sink.responded(event);
-        }
-        result
     }
 
     /// Runtime-wide statistics.

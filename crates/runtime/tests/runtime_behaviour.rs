@@ -2,7 +2,7 @@
 //! enforcement, read-only concurrency, sub-events, async calls, migration
 //! and snapshots.
 
-use aeon_api::Session;
+use aeon_api::{Deployment, Session};
 use aeon_ownership::{ClassGraph, Dominator};
 use aeon_runtime::{AeonRuntime, ContextObject, Invocation, KvContext, Placement};
 use aeon_types::{args, AeonError, Args, ContextId, Result, Value};

@@ -31,7 +31,7 @@ use aeon_api::{Deployment, EventHandle, Session};
 use aeon_ownership::{ClassGraph, ControlPlane, Dominator, DominatorMode, OwnershipGraph};
 use aeon_runtime::{
     AnalysisMode, ContextFactory, ContextHost, ContextObject, Entered, EventBody, EventMeta,
-    Footprint, Placement, Snapshot,
+    Footprint, Placement,
 };
 use aeon_types::{
     codec, AccessMode, AeonError, Args, ClientId, ContextId, EventId, IdGenerator, Result,
@@ -472,6 +472,10 @@ impl ContextHost for SimHost<'_> {
     fn children(&self, parent: ContextId, class: Option<&str>) -> Result<Vec<ContextId>> {
         self.state.plane.children_of(parent, class)
     }
+
+    fn subtree(&self, root: ContextId) -> Result<Vec<ContextId>> {
+        self.state.plane.graph().subtree_topological(root)
+    }
 }
 
 /// The deterministic virtual-time deployment: the third execution backend
@@ -787,73 +791,6 @@ impl Deployment for SimDeployment {
 
     fn contexts_on(&self, server: ServerId) -> Vec<ContextId> {
         self.inner.lock().plane.contexts_on(server)
-    }
-
-    fn snapshot_context(&self, root: ContextId) -> Result<Snapshot> {
-        let state = self.inner.lock();
-        // The engine lock makes any capture a frozen cut; the members are
-        // still visited owner-before-owned and recorded as one read set,
-        // matching the other backends' snapshot semantics.
-        let members = state.plane.graph().subtree_topological(root)?;
-        let event = EventId::new(state.ids.next_raw());
-        if let Some(sink) = &state.history {
-            sink.invoked(event);
-        }
-        let mut snapshot = Snapshot::new(root);
-        let result = (|| -> Result<()> {
-            for member in members {
-                let slot = state
-                    .contexts
-                    .get(&member)
-                    .ok_or(AeonError::ContextNotFound(member))?;
-                let object = slot.object.lock();
-                if let Some(sink) = &state.history {
-                    sink.accessed(event, member, AccessMode::ReadOnly);
-                }
-                let captured = object.snapshot();
-                if !captured.is_null() {
-                    snapshot.insert(member, slot.class.clone(), captured);
-                }
-            }
-            Ok(())
-        })();
-        if let Some(sink) = &state.history {
-            sink.responded(event);
-        }
-        result.map(|()| snapshot)
-    }
-
-    fn restore_snapshot(&self, snapshot: &Snapshot) -> Result<()> {
-        let state = self.inner.lock();
-        for (id, _) in snapshot.entries() {
-            // Fail before mutating anything when an entry vanished — the
-            // same all-or-nothing contract as the runtime and the cluster.
-            if !state.contexts.contains_key(id) {
-                return Err(AeonError::ContextNotFound(*id));
-            }
-        }
-        let event = EventId::new(state.ids.next_raw());
-        if let Some(sink) = &state.history {
-            sink.invoked(event);
-        }
-        let result = (|| -> Result<()> {
-            for (id, entry) in snapshot.entries() {
-                let slot = state
-                    .contexts
-                    .get(id)
-                    .ok_or(AeonError::ContextNotFound(*id))?;
-                let mut object = slot.object.lock();
-                if let Some(sink) = &state.history {
-                    sink.accessed(event, *id, AccessMode::Exclusive);
-                }
-                object.restore(&entry.state);
-            }
-            Ok(())
-        })();
-        if let Some(sink) = &state.history {
-            sink.responded(event);
-        }
-        result
     }
 
     fn restore_context(

@@ -61,8 +61,8 @@ pub enum AeonError {
     MigrationInProgress(ContextId),
     /// A migration step failed.
     MigrationFailed { context: ContextId, reason: String },
-    /// A coordinated snapshot (or snapshot restore) of a context subtree
-    /// failed; any members frozen before the failure have been thawed.
+    /// A snapshot (or snapshot restore) event on the root of a context
+    /// subtree failed; like any failed event it holds no lock after.
     SnapshotFailed { context: ContextId, reason: String },
     /// The runtime has been shut down.
     RuntimeShutdown,

@@ -375,6 +375,56 @@ fn snapshot_restore_round_trips_on_every_backend() {
     });
 }
 
+/// An entry that left the subtree between the capture and the restore is
+/// still restored — after the subtree, by an exclusive event of its own —
+/// and the members that stayed are back at the cut.
+#[test]
+fn a_restore_reaches_an_entry_that_left_the_subtree_on_every_backend() {
+    on_every_backend_with(
+        |config| config.servers(2),
+        |deployment| {
+            let backend = deployment.backend_name();
+            let servers = deployment.servers();
+            let room = deployment
+                .create_context(
+                    Box::new(KvContext::new("Room")),
+                    Placement::Server(servers[0]),
+                )
+                .unwrap();
+            let kept = deployment
+                .create_owned_context(Box::new(KvContext::new("Item")), &[room])
+                .unwrap();
+            // On the other server, so the cluster's cut reaches it remotely.
+            let leaver = deployment
+                .create_context(
+                    Box::new(KvContext::new("Item")),
+                    Placement::Server(servers[1]),
+                )
+                .unwrap();
+            deployment.add_ownership(room, leaver).unwrap();
+            let session = deployment.session();
+            let members = [room, kept, leaver];
+            for member in members {
+                session.call(member, "set", args!["n", 1]).unwrap();
+            }
+            let snapshot = deployment.snapshot_context(room).unwrap();
+            assert_eq!(snapshot.len(), 3, "backend {backend}");
+            for member in members {
+                session.call(member, "set", args!["n", 2]).unwrap();
+            }
+            deployment.remove_ownership(room, leaver).unwrap();
+            deployment.restore_snapshot(&snapshot).unwrap();
+            for member in members {
+                assert_eq!(
+                    session.call_readonly(member, "get", args!["n"]).unwrap(),
+                    Value::from(1i64),
+                    "backend {backend}: {member} is back at the cut"
+                );
+            }
+        },
+    );
+}
+
 #[test]
 fn migration_preserves_state_on_every_backend() {
     on_every_backend(|deployment| {
