@@ -85,10 +85,6 @@ impl Deployment for AeonRuntime {
         Box::new(self.client())
     }
 
-    fn migrate_context(&self, context: ContextId, to_server: ServerId) -> Result<u64> {
-        AeonRuntime::migrate_context(self, context, to_server)
-    }
-
     fn add_server(&self) -> ServerId {
         AeonRuntime::add_server(self)
     }

@@ -3,8 +3,8 @@
 use crate::handle::EventHandle;
 use aeon_ownership::OwnershipGraph;
 use aeon_runtime::{
-    ContextFactory, ContextObject, ExecutorStats, Placement, Snapshot, RESTORE_METHOD,
-    SNAPSHOT_METHOD,
+    ContextFactory, ContextObject, ExecutorStats, Placement, Snapshot, MIGRATE_METHOD,
+    RESTORE_METHOD, SNAPSHOT_METHOD,
 };
 use aeon_types::{
     args, AccessMode, AeonError, Args, ClientId, ContextId, NetworkStatsSnapshot, Result, ServerId,
@@ -151,16 +151,38 @@ pub trait Deployment: Send + Sync {
     /// Opens a client session for submitting events.
     fn session(&self) -> Box<dyn Session>;
 
-    /// Migrates `context` to `to_server` without violating consistency and
-    /// returns the number of bytes of serialised state moved.
+    /// Migrates `context` to `to_server` without violating consistency
+    /// (§5.2) and returns the number of bytes of serialised state moved: one
+    /// exclusive event on `context` running the interpreter's reserved
+    /// [`MIGRATE_METHOD`], so it is admitted, sequenced at the dominator of
+    /// `context`, recorded and released like any other event on it.  Events
+    /// queued behind it continue at the new host; none fails because of the
+    /// move.  A context already on `to_server` is left alone (`Ok(0)`).
     ///
     /// # Errors
     ///
-    /// * [`aeon_types::AeonError::ContextNotFound`] /
-    ///   [`aeon_types::AeonError::ServerNotFound`] for unknown ids.
-    /// * [`aeon_types::AeonError::MigrationFailed`] when a protocol step
-    ///   fails.
-    fn migrate_context(&self, context: ContextId, to_server: ServerId) -> Result<u64>;
+    /// * [`AeonError::ServerNotFound`] when `to_server` is offline and
+    ///   [`AeonError::ContextNotFound`] when `context` is unknown, both
+    ///   before anything is submitted.
+    /// * [`AeonError::MigrationFailed`] when the context cannot be rebuilt
+    ///   on another server (no class factory), and whatever else fails the
+    ///   event (e.g. a panicking class factory, [`AeonError::Panicked`]);
+    ///   the context stays where it was.
+    fn migrate_context(&self, context: ContextId, to_server: ServerId) -> Result<u64> {
+        if !self.servers().contains(&to_server) {
+            return Err(AeonError::ServerNotFound(to_server));
+        }
+        if self.placement_of(context)? == to_server {
+            return Ok(0);
+        }
+        let moved = self
+            .session()
+            .call(context, MIGRATE_METHOD, args![to_server.raw()])?;
+        Ok(moved
+            .as_i64()
+            .and_then(|n| u64::try_from(n).ok())
+            .unwrap_or(0))
+    }
 
     /// Adds a server to the deployment (scale-out) and returns its id.
     fn add_server(&self) -> ServerId;

@@ -69,10 +69,6 @@ impl Deployment for Cluster {
         Box::new(self.client())
     }
 
-    fn migrate_context(&self, context: ContextId, to_server: ServerId) -> Result<u64> {
-        Cluster::migrate_context(self, context, to_server)
-    }
-
     fn add_server(&self) -> ServerId {
         Cluster::add_server(self)
     }

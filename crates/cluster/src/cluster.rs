@@ -1,12 +1,12 @@
 //! The cluster gateway: builds the deployment, accepts client events, and
-//! drives the elasticity/migration protocol.
+//! manages the servers.
 //!
-//! The gateway plays two of the paper's roles at once: the *client library*
-//! (it knows the context mapping and routes each event to the server hosting
-//! the dominator of its target, §5.1) and the *eManager driver* for
-//! migrations (§5.2).  It never touches context state, and a snapshot or a
-//! restore is no protocol of its own: `aeon_api::Deployment` submits each
-//! as an event, which the gateway routes like any other.
+//! The gateway is the paper's *client library*: it knows the context
+//! mapping and routes each event to the server hosting the dominator of its
+//! target (§5.1).  It never touches context state, and a snapshot, a
+//! restore or a migration is no protocol of its own: `aeon_api::Deployment`
+//! submits each as an event, which the gateway routes like any other (the
+//! node that runs a migration moves the context; see `node.rs`).
 //!
 //! The gateway has no thread of its own either.  It serves its id on the
 //! network with [`gateway_handle`], which therefore runs on whichever thread
@@ -47,7 +47,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Default time the gateway waits for a control acknowledgement
-/// (hosting a context, each migration step).
+/// (hosting a context, a metrics report).
 const CONTROL_TIMEOUT: Duration = Duration::from_secs(10);
 /// Default time a client waits for an event to complete.
 const EVENT_TIMEOUT: Duration = Duration::from_secs(60);
@@ -285,7 +285,7 @@ struct ClusterInner {
     nodes: Mutex<BTreeMap<ServerId, Arc<NodeShared>>>,
     /// Event completions waiting to be routed back to client handles.
     pending_events: Mutex<HashMap<u64, PendingEvent>>,
-    /// Control acknowledgements (host, prepare, stop, install).
+    /// Control acknowledgements (host, metrics).
     pending_control: Mutex<HashMap<u64, Replier<ClusterMessage>>>,
     corr: AtomicU64,
     shutdown: AtomicBool,
@@ -416,10 +416,7 @@ impl ClusterInner {
         // What a time-out is reported about: the context the message
         // concerns, or the server when it concerns none (metrics).
         let context = match &message {
-            ClusterMessage::Host { context, .. }
-            | ClusterMessage::Prepare { context, .. }
-            | ClusterMessage::Stop { context, .. }
-            | ClusterMessage::Migrate { context, .. } => Some(*context),
+            ClusterMessage::Host { context, .. } => Some(*context),
             _ => None,
         };
         let (tx, rx) = reply();
@@ -582,11 +579,7 @@ fn gateway_handle(inner: &ClusterInner, message: ClusterMessage) {
             let reply = inner.directory.serve_dir_op(op);
             let _ = inner.send(from, ClusterMessage::DirAck { corr, reply });
         }
-        ClusterMessage::HostAck { corr, .. }
-        | ClusterMessage::PrepareAck { corr, .. }
-        | ClusterMessage::StopAck { corr, .. }
-        | ClusterMessage::InstallAck { corr, .. }
-        | ClusterMessage::MetricsAck { corr, .. } => {
+        ClusterMessage::HostAck { corr, .. } | ClusterMessage::MetricsAck { corr, .. } => {
             let entry = inner.pending_control.lock().remove(&corr);
             if let Some(tx) = entry {
                 let _ = tx.send(message);
@@ -821,6 +814,7 @@ impl Cluster {
                 class,
                 state,
                 escrow,
+                reply_to: gateway_id(),
             },
         );
         let outcome = match ack {
@@ -837,59 +831,6 @@ impl Cluster {
             let _ = self.inner.plane().write().forget(id);
         }
         outcome
-    }
-
-    /// Migrates `context` to `to` using the five-step protocol of §5.2 and
-    /// returns the number of bytes of serialised state moved.
-    ///
-    /// # Errors
-    ///
-    /// * [`AeonError::ContextNotFound`] / [`AeonError::ServerNotFound`] for
-    ///   unknown ids.
-    /// * [`AeonError::MigrationFailed`] when no factory is registered for
-    ///   the context's class or a protocol step times out.
-    pub fn migrate_context(&self, context: ContextId, to: ServerId) -> Result<u64> {
-        let (from, class) = {
-            let plane = self.inner.plane().read();
-            if !plane.is_online(to) {
-                return Err(AeonError::ServerNotFound(to));
-            }
-            let from = plane.placement_of(context)?;
-            if from == to {
-                return Ok(0);
-            }
-            (from, plane.class_of(context)?.to_string())
-        };
-        if self.inner.directory.factory_for(&class).is_none() {
-            return Err(AeonError::MigrationFailed {
-                context,
-                reason: format!("no factory registered for class {class}"),
-            });
-        }
-        // Step I: prepare the destination.
-        let corr = self.inner.next_corr();
-        self.inner
-            .control_round_trip(to, corr, ClusterMessage::Prepare { corr, context })?;
-        // Step II: stop the source from accepting new events for the context.
-        let corr = self.inner.next_corr();
-        self.inner
-            .control_round_trip(from, corr, ClusterMessage::Stop { corr, context, to })?;
-        // Step III: update the mapping; new requests now route to `to`.
-        self.inner.plane().write().set_placement(context, to)?;
-        // Steps IV/V: ship the state and wait for the installation ack.
-        let corr = self.inner.next_corr();
-        let ack = self.inner.control_round_trip(
-            from,
-            corr,
-            ClusterMessage::Migrate { corr, context, to },
-        )?;
-        match ack {
-            ClusterMessage::InstallAck { result, .. } => result,
-            _ => Err(AeonError::MigrationFailed {
-                context,
-                reason: "unexpected acknowledgement".into(),
-            }),
-        }
     }
 
     /// Re-hosts a context from externally held state (e.g. a checkpoint)
@@ -923,7 +864,6 @@ impl Cluster {
                     reason: format!("no factory registered for class {class}"),
                 })?;
         let object = factory(state);
-        self.inner.plane().write().set_placement(context, server)?;
         let escrow = self.inner.directory.escrow_put(object);
         let corr = self.inner.next_corr();
         let ack = self.inner.control_round_trip(
@@ -935,11 +875,15 @@ impl Cluster {
                 class,
                 state: state.clone(),
                 escrow,
+                reply_to: gateway_id(),
             },
         );
         let _ = self.inner.directory.escrow_take(escrow);
         match ack? {
             ClusterMessage::HostAck { result: Ok(()), .. } => {
+                // Placed once installed: nothing is routed to a server that
+                // cannot serve it yet.
+                self.inner.plane().write().set_placement(context, server)?;
                 // A re-host is recorded as a single-write event: everything
                 // the context does afterwards happens-after this install.
                 if let Some(sink) = self.inner.directory.history_sink() {
@@ -1129,18 +1073,6 @@ impl Cluster {
             .collect()
     }
 
-    /// Per-server count of worker naps spent waiting for a migrated-in
-    /// context to be installed (each nap is one retry of the install-wait
-    /// loop, capped to the remaining grace deadline).
-    pub fn install_wait_retries(&self) -> BTreeMap<ServerId, u64> {
-        self.inner
-            .nodes
-            .lock()
-            .iter()
-            .map(|(id, node)| (*id, node.install_wait_retries()))
-            .collect()
-    }
-
     /// Per-server counters of the nodes' worker pools (queue depth, threads
     /// started for announced blocking waits, caught panics).
     pub fn executor_stats(&self) -> BTreeMap<ServerId, ExecutorStats> {
@@ -1262,6 +1194,7 @@ mod tests {
             class: "Item".into(),
             state: Value::Null,
             escrow: u64::MAX,
+            reply_to: gateway_id(),
         };
         let ack = inner.control_round_trip(cluster.servers()[0], corr, host);
         let Ok(ClusterMessage::HostAck { result, .. }) = ack else {

@@ -6,7 +6,9 @@
 //! `aeon-net`, which is how the paper's C++/Mace prototype is structured:
 //!
 //! * context **state** lives on exactly one server at a time and moves only
-//!   through the five-step migration protocol of §5.2;
+//!   by a migration (§5.2), which is an exclusive event on the context:
+//!   sequenced like any other, it ships the state and hands every event
+//!   queued on the context over to its new server;
 //! * every event is **sequenced at the dominator** of its target (an `ACT`
 //!   message to the dominator's server), then **executed at its target**
 //!   (an `EXEC` message), with method calls to remotely hosted contexts

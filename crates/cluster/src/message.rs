@@ -2,9 +2,11 @@
 //!
 //! The cluster runs on the pluggable transport substrate of `aeon-net`;
 //! every protocol step of §4 (sequencing at the dominator, execution at the
-//! target, remote method calls, lock release) and §5 (the five-step
-//! migration protocol) is a message here, so the distributed deployment
-//! exercises the same message flow as the paper's prototype.  Every variant
+//! target, remote method calls, lock release) is a message here, so the
+//! distributed deployment exercises the same message flow as the paper's
+//! prototype.  A migration (§5.2) is an event of that protocol; the only
+//! message of its own is the `Host` that carries the state to its
+//! destination, the one that also hosts a new context.  Every variant
 //! has a byte representation (see `crate::wire`), so the same protocol runs
 //! unchanged over in-process channels and over TCP between real OS
 //! processes.
@@ -125,25 +127,31 @@ pub enum DirReply {
 /// A message of the cluster protocol.
 #[derive(PartialEq)]
 pub enum ClusterMessage {
-    /// Gateway → server: host a newly created context.
+    /// Gateway → server: host a newly created (or re-hosted) context;
+    /// server → server: host a context migrating in.
     Host {
         /// Correlation token echoed in [`ClusterMessage::HostAck`].
         corr: u64,
-        /// Id of the new context.
+        /// Id of the context.
         context: ContextId,
         /// Contextclass name.
         class: String,
-        /// Snapshot of the object's initial state; a node in another
-        /// process rebuilds the object from it with the class factory.
+        /// Snapshot of the object's state; the receiver rebuilds the object
+        /// from it with the class factory unless the escrow holds it.
         state: Value,
-        /// Escrow token: when gateway and node share a process, the
-        /// original object is parked in the directory's escrow under this
-        /// token and moved (not rebuilt), preserving the zero-serialisation
-        /// channel semantics — and letting factory-less tests keep working.
+        /// Escrow token: when the gateway creates a context in the nodes'
+        /// process, the original object is parked in the directory's escrow
+        /// under this token and moved (not rebuilt), preserving the
+        /// zero-serialisation channel semantics — and letting factory-less
+        /// tests keep working.  A migration parks nothing.
         escrow: u64,
+        /// Where the [`ClusterMessage::HostAck`] goes: the gateway, or the
+        /// node the context migrates from.
+        reply_to: ServerId,
     },
-    /// Server → gateway: the context is installed (or hosting failed, e.g.
-    /// no factory is registered for the class on that node's process).
+    /// Server → the sender of a [`ClusterMessage::Host`]: the context is
+    /// installed (or hosting failed, e.g. no factory is registered for the
+    /// class on that node's process, or it panicked).
     HostAck {
         /// Correlation token.
         corr: u64,
@@ -246,69 +254,6 @@ pub enum ClusterMessage {
         /// Sub-events to submit now that the creator terminated.
         sub_events: Vec<SubEvent>,
     },
-    /// Migration step I: eManager/gateway → destination server.
-    Prepare {
-        /// Correlation token.
-        corr: u64,
-        /// Context about to arrive.
-        context: ContextId,
-    },
-    /// Destination server → gateway: ready to buffer requests for `context`.
-    PrepareAck {
-        /// Correlation token.
-        corr: u64,
-        /// The context.
-        context: ContextId,
-    },
-    /// Migration step II: gateway → source server: stop accepting events for
-    /// `context`.
-    Stop {
-        /// Correlation token.
-        corr: u64,
-        /// The migrating context.
-        context: ContextId,
-        /// Destination (used to forward late events).
-        to: ServerId,
-    },
-    /// Source server → gateway: no new events will be accepted.
-    StopAck {
-        /// Correlation token.
-        corr: u64,
-        /// The context.
-        context: ContextId,
-    },
-    /// Migration steps III/IV: gateway → source server: serialise and ship
-    /// the context.
-    Migrate {
-        /// Correlation token.
-        corr: u64,
-        /// The migrating context.
-        context: ContextId,
-        /// Destination server.
-        to: ServerId,
-    },
-    /// Source server → destination server: the serialised context state.
-    Install {
-        /// Correlation token.
-        corr: u64,
-        /// The migrating context.
-        context: ContextId,
-        /// Contextclass name (selects the factory).
-        class: String,
-        /// Serialised state (the context's snapshot).
-        state: Value,
-        /// The source server.
-        from: ServerId,
-    },
-    /// Migration step V: destination server → gateway: migration finished.
-    InstallAck {
-        /// Correlation token.
-        corr: u64,
-        /// The migrated context.
-        context: ContextId,
-        /// Number of bytes of serialised state moved, or the failure.
-        result: Result<u64>,
-    },
     /// Gateway → server: report your current load (context count, queue
     /// depth, event counters) for the elasticity control plane.
     MetricsReq {
@@ -337,9 +282,9 @@ const _: () = assert!(std::mem::size_of::<ClusterMessage>() <= 120);
 
 impl ClusterMessage {
     /// The context whose hosting decides which node handles this message,
-    /// for the messages a node forwards or buffers while that context
-    /// migrates (`None` for an `Act` on the virtual root, which every node
-    /// sequences locally).
+    /// for the messages a node forwards after that context migrated away
+    /// (`None` for an `Act` on the virtual root, which every node sequences
+    /// locally).
     pub(crate) fn routed_context(&self) -> Option<ContextId> {
         match self {
             ClusterMessage::Act { sequencer, .. } => {
@@ -396,21 +341,6 @@ impl fmt::Debug for ClusterMessage {
             ClusterMessage::Release { event } => write!(f, "Release({event})"),
             ClusterMessage::Done { event, result, .. } => {
                 write!(f, "Done(event={event}, ok={})", result.is_ok())
-            }
-            ClusterMessage::Prepare { context, .. } => write!(f, "Prepare({context})"),
-            ClusterMessage::PrepareAck { context, .. } => write!(f, "PrepareAck({context})"),
-            ClusterMessage::Stop { context, to, .. } => write!(f, "Stop({context} -> {to})"),
-            ClusterMessage::StopAck { context, .. } => write!(f, "StopAck({context})"),
-            ClusterMessage::Migrate { context, to, .. } => {
-                write!(f, "Migrate({context} -> {to})")
-            }
-            ClusterMessage::Install { context, from, .. } => {
-                write!(f, "Install({context} from {from})")
-            }
-            ClusterMessage::InstallAck {
-                context, result, ..
-            } => {
-                write!(f, "InstallAck({context}, ok={})", result.is_ok())
             }
             ClusterMessage::MetricsReq { corr } => write!(f, "MetricsReq(corr={corr})"),
             ClusterMessage::MetricsAck { metrics, .. } => {

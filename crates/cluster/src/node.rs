@@ -1,5 +1,5 @@
-//! A cluster server node: hosts context state, executes its share of every
-//! event, and participates in the migration protocol.
+//! A cluster server node: hosts context state and executes its share of
+//! every event — a migration included, which is an event like any other.
 //!
 //! A node has no thread of its own that receives.  It *serves* its id on the
 //! network ([`aeon_net::Network::serve`]): [`dispatch`] is called with each
@@ -10,15 +10,15 @@
 //!
 //! * **`dispatch` never waits.**  Every arm that can — `Act` (the sequencer
 //!   lock), `Exec` / `ExecCertified` / `Call` (activation locks, the method
-//!   body, remote calls), `Migrate` (exclusive access), `Install` (the class
-//!   factory, the replay) — goes to the node's sharded worker pool through
+//!   body, remote calls) — goes to the node's sharded worker pool through
 //!   `offload`, an unbounded push that does not block; tasks are sharded by
 //!   the context they concern.  The arms that run in line only flip a map
-//!   and send an acknowledgement: `Host` (insert the object; its class
-//!   factory, the one piece of application code reached from here, runs
-//!   under the panic boundary), `Prepare` / `Stop` (open a buffer),
-//!   `Release` (releasing a lock never blocks), `CallReply` / `DirAck`
-//!   (complete a waiting caller), `MetricsReq` (read counters), `Shutdown`.
+//!   and send an acknowledgement: `Host` (insert the object, for a new
+//!   context or one migrating in; its class factory, the one piece of
+//!   application code reached from here, runs under the panic boundary),
+//!   `Release` (releasing a lock never blocks), `CallReply` / `HostAck` /
+//!   `DirAck` (complete a waiting caller), `MetricsReq` (read counters),
+//!   `Shutdown`.
 //! * **A pool worker waits only inside `block_in_place`; a sequencer wait
 //!   holds no worker.**  The pool is fixed-size (a thread per blocking
 //!   message does not scale), so a worker must not sit on a wait whose end
@@ -29,10 +29,9 @@
 //!   free.  The grant runs on whichever thread releases the sequencer (a
 //!   worker finishing an event, or this `dispatch`'s `Release` arm on a
 //!   sender's thread) and only offloads the continuation.  Every other
-//!   wait of a worker — a remote call's reply, a contended activation in
-//!   `enter` / `Migrate`, a reader's turn at an object
-//!   another reader's frame holds (`lock_object`), the nap for an
-//!   in-flight `Install` — is announced with
+//!   wait of a worker — a remote call's reply or a migration's `HostAck`, a
+//!   contended activation in `enter`, a reader's turn at an object another
+//!   reader's frame holds (`lock_object`) — is announced with
 //!   `ShardedExecutor::block_in_place`, which hands the rest of the
 //!   worker's batch back to the queue and keeps `workers` threads running
 //!   the queues beside it (see `aeon_runtime::executor`): the holder it
@@ -41,16 +40,27 @@
 //! * **No guard is held across a send** ([`NodeShared::send`]): the
 //!   receiver's handler runs inside the send and may come straight back
 //!   here.
-//! * **`dispatch` is entered from many threads at once** — it always was,
-//!   from pool workers (`handle_act` for a target on its way here,
-//!   `handle_install`'s replay) beside the receive loop this design
-//!   removed: everything it touches is a lock-protected map or an atomic.
+//! * **`dispatch` is entered from many threads at once** — from senders,
+//!   readers and pool workers (an `Act` re-dispatched after its sequencer
+//!   moved): everything it touches is a lock-protected map or an atomic.
 //! * **Recursion is bounded by the protocol**, not by load.  The longest
 //!   chain is a worker's `Done` → the gateway's arm → a sub-event's `submit`
 //!   → `route` → this `dispatch` → `offload`, where it ends.  A forwarded
 //!   request is a nested `dispatch` per hop; the hops follow the context's
-//!   moves forward in time and `Prepare` drops the pointer of a context
-//!   that returns, so a chain visits a server at most once.
+//!   moves forward in time and a `Host` drops the pointer of a context that
+//!   returns, so a chain visits a server at most once.
+//!
+//! **A migration is an exclusive event on the context** (the interpreter's
+//! reserved `@migrate`): sequenced at its dominator and holding the
+//! context's lock like any writer, its worker ships the state in a `Host`
+//! to the destination and waits for the `HostAck` (`NodeHost::migrate`).
+//! Then it moves the placement, leaves a forwarding pointer and removes the
+//! slot, and [`ContextLock::mark_moved`] tells every waiter still queued on
+//! it that the context moved: a nested activation or a `Call` looks the
+//! context up again and reaches it with a remote call, a certified read is
+//! forwarded whole, and a deferred `Act` is re-dispatched to the
+//! sequencer's new host in its queue order.  Nothing waiting fails, and
+//! nothing is buffered.
 //!
 //! A node is owned by whoever spawned it: its handler holds the only
 //! long-lived `Arc` besides the spawner's, so the node is gone once it is
@@ -59,12 +69,11 @@
 //!
 //! What an event may do while it executes is not decided here: `Exec` and
 //! `Call` handlers run the shared interpreter (`aeon_runtime::EventBody`)
-//! over [`NodeHost`], which only answers where a context lives (`locate`,
-//! with its wait for an in-flight `Install`), takes and records its
-//! activation, and carries a call to another server and back.  A snapshot
-//! or a restore is such an event too: its root's server calls every member
-//! on the others, and `Release` fan-out ends it like any event, so a node
-//! has no message of its own for either.
+//! over [`NodeHost`], which only answers where a context lives, takes and
+//! records its activation, carries a call to another server and back, and
+//! moves a context.  A snapshot or a restore is such an event too: its
+//! root's server calls every member on the others, and `Release` fan-out
+//! ends it like any event, so a node has no message of its own for either.
 
 use crate::directory::Directory;
 use crate::message::{gateway_id, virtual_root, ClusterMessage, EventDescriptor, NodeMetrics};
@@ -75,7 +84,7 @@ use aeon_runtime::{
     ExecutorConfig, ExecutorStats, Footprint, HostedObject, ShardedExecutor, SubEvent,
 };
 use aeon_types::{
-    codec, AccessMode, AeonError, Args, ClientId, ContextId, EventId, Result, ServerId, Value,
+    AccessMode, AeonError, Args, ClientId, ContextId, EventId, Result, ServerId, Value,
 };
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{BTreeSet, HashMap};
@@ -86,11 +95,12 @@ use std::time::Duration;
 /// How long a node waits for the reply to a remote synchronous call before
 /// aborting the event.
 const CALL_TIMEOUT: Duration = Duration::from_secs(30);
-/// How long a node retries locating a context that the mapping says is local
-/// but has not been installed yet (it may be in flight from a migration).
-const INSTALL_GRACE: Duration = Duration::from_millis(2_000);
+/// The escrow token of a `Host` that parks no object: a migrating context is
+/// always rebuilt from its state by the class factory.
+const NO_ESCROW: u64 = u64::MAX;
 
-/// Payload routed back to a worker waiting on a remote call.
+/// Payload routed back to a worker waiting on a remote call (or on the
+/// `HostAck` of a migration, which carries only a result).
 struct CallOutcome {
     result: Result<Value>,
     participants: Vec<ServerId>,
@@ -110,18 +120,13 @@ pub(crate) struct NodeShared {
     root_lock: ContextLock,
     /// Locks held on this node, per event (released on `Release`).
     held: Mutex<HashMap<EventId, Vec<ContextId>>>,
-    /// Workers waiting for replies to remote calls, by correlation token.
+    /// Workers waiting for replies to remote calls and migrations, by
+    /// correlation token.
     pending_calls: Mutex<HashMap<u64, Replier<CallOutcome>>>,
     corr: AtomicU64,
     /// Contexts migrated away: requests are forwarded to the new host
     /// (the paper's stale-context-map forwarding, §5.2).
     forwarding: RwLock<HashMap<ContextId, ServerId>>,
-    /// Contexts in the stop window of a migration: requests are buffered and
-    /// forwarded once the migration completes.
-    stopped: Mutex<HashMap<ContextId, Vec<ClusterMessage>>>,
-    /// Contexts announced by `Prepare` but not yet installed: requests are
-    /// buffered and replayed after `Install`.
-    installing: Mutex<HashMap<ContextId, Vec<ClusterMessage>>>,
     events_executed: AtomicU64,
     /// Cumulative wall-clock microseconds spent executing events whose
     /// target lives here (feeds the per-server latency metric).
@@ -129,9 +134,6 @@ pub(crate) struct NodeShared {
     /// Distribution of per-event execution times (feeds the p50/p99
     /// columns of the per-server metric report).
     exec_latency: Mutex<aeon_types::LatencyHistogram>,
-    /// Times a worker slept waiting for a migrated-in context to be
-    /// installed (the wait-for-install retry loop in [`NodeShared::locate`]).
-    install_wait_retries: AtomicU64,
     running: AtomicBool,
     /// Set, and announced, when the node stops; `wait_stopped` blocks on it.
     halted: (Mutex<bool>, Condvar),
@@ -155,11 +157,6 @@ impl NodeShared {
     /// Number of contexts currently installed on this node.
     pub(crate) fn hosted_contexts(&self) -> usize {
         self.contexts.read().len()
-    }
-
-    /// Times a worker slept waiting for a migrated-in context.
-    pub(crate) fn install_wait_retries(&self) -> u64 {
-        self.install_wait_retries.load(Ordering::Relaxed)
     }
 
     /// Counters of this node's worker pool.
@@ -281,47 +278,15 @@ impl NodeShared {
         self.forwarding.read().get(&context).copied()
     }
 
-    /// The local entry of `target`, or `None` when it lives on another
-    /// server.  A context mapped here but not installed yet (migration in
-    /// flight) is waited for up to [`INSTALL_GRACE`].
-    fn locate(&self, target: ContextId) -> Result<Option<Arc<ContextSlot>>> {
-        if let Some(hosted) = self.local(target) {
-            return Ok(Some(hosted));
-        }
-        // Not local: where does the mapping say it lives?
-        let deadline = std::time::Instant::now() + INSTALL_GRACE;
-        loop {
-            if self
-                .forwarded(target)
-                .is_some_and(|server| server != self.id)
-            {
-                return Ok(None);
-            }
-            if !self.running.load(Ordering::SeqCst) {
-                return Err(AeonError::RuntimeShutdown);
-            }
-            match self.directory.placement_of(target) {
-                Ok(server) if server == self.id => {
-                    // Mapped here but not installed yet (migration in
-                    // flight); wait briefly for the Install to land.
-                    if let Some(hosted) = self.local(target) {
-                        return Ok(Some(hosted));
-                    }
-                    let now = std::time::Instant::now();
-                    if now >= deadline {
-                        return Err(AeonError::MigrationInProgress(target));
-                    }
-                    // Never sleep past the deadline: a full fixed-interval
-                    // nap could overshoot it and stall the worker longer
-                    // than the configured grace period.
-                    let nap = (deadline - now).min(Duration::from_millis(10));
-                    self.install_wait_retries.fetch_add(1, Ordering::Relaxed);
-                    self.executor.block_in_place(|| std::thread::sleep(nap));
-                }
-                Ok(_) => return Ok(None),
-                Err(e) => return Err(e),
-            }
-        }
+    /// Where `context` is as far as this node knows: its slot here, or the
+    /// server its forwarding pointer names.  The slot is looked for again
+    /// after the pointer: a context that comes back is installed before its
+    /// stale pointer goes, so a look-up racing its return still finds it.
+    fn whereabouts(&self, context: ContextId) -> Option<Result<Arc<ContextSlot>, ServerId>> {
+        let slot = || self.local(context).map(Ok);
+        slot()
+            .or_else(|| self.forwarded(context).map(Err))
+            .or_else(slot)
     }
 
     /// Hands a potentially blocking message handler to the worker pool,
@@ -331,33 +296,56 @@ impl NodeShared {
         self.executor.submit(key.raw(), work);
     }
 
-    /// Routing decision for messages that name a context this node may no
-    /// longer (or not yet) host.  Hands the message back unless it was
-    /// consumed (buffered or forwarded).
-    fn reroute_if_needed(
+    /// Sends `message` — a request answered under the correlation token it
+    /// is built with — to `to`, and waits inside `block_in_place` for the
+    /// answer `dispatch` hands back under that token.  A server that is
+    /// gone fails it at once, a stopped node too, and `timed_out` is the
+    /// error after [`CALL_TIMEOUT`].
+    fn round_trip(
         &self,
-        context: ContextId,
-        message: ClusterMessage,
-    ) -> Option<ClusterMessage> {
-        if let Some(next) = self.forwarded(context) {
-            self.send(next, message);
-            return None;
+        to: ServerId,
+        message: impl FnOnce(u64) -> ClusterMessage,
+        timed_out: impl FnOnce() -> AeonError,
+    ) -> Result<CallOutcome> {
+        let corr = self.corr.fetch_add(1, Ordering::Relaxed);
+        let (tx, rx) = reply();
+        self.pending_calls.lock().insert(corr, tx);
+        // Re-check liveness after registering: a crash/shutdown drains
+        // `pending_calls` to wake blocked workers, and an insert that
+        // races past that drain would otherwise park this worker for the
+        // full timeout (stalling the pool join).
+        if !self.running.load(Ordering::SeqCst) {
+            self.pending_calls.lock().remove(&corr);
+            return Err(AeonError::RuntimeShutdown);
         }
-        {
-            let mut stopped = self.stopped.lock();
-            if let Some(buffer) = stopped.get_mut(&context) {
-                buffer.push(message);
-                return None;
+        if let Err(error) = self.network.send_from(self.id, to, message(corr)) {
+            self.pending_calls.lock().remove(&corr);
+            return Err(error);
+        }
+        // An answer handled inline by the receiver (a `Host` on the channel
+        // transport) is there already: taking it is no wait to announce.
+        let answered = !self.pending_calls.lock().contains_key(&corr);
+        let wait = || rx.wait_timeout(CALL_TIMEOUT);
+        let outcome = if answered {
+            wait()
+        } else {
+            self.executor.block_in_place(wait)
+        };
+        match outcome {
+            Ok(outcome) => Ok(outcome),
+            Err(WaitError::Closed) => Err(AeonError::RuntimeShutdown),
+            Err(WaitError::Timeout) => {
+                self.pending_calls.lock().remove(&corr);
+                Err(timed_out())
             }
         }
-        {
-            let mut installing = self.installing.lock();
-            if let Some(buffer) = installing.get_mut(&context) {
-                buffer.push(message);
-                return None;
-            }
+    }
+
+    /// Hands `outcome` to the worker waiting under `corr`, if it still is.
+    fn complete(&self, corr: u64, outcome: CallOutcome) {
+        if let Some(reply) = self.pending_calls.lock().remove(&corr) {
+            let _ = reply.send(outcome);
         }
-        Some(message)
     }
 }
 
@@ -381,12 +369,9 @@ pub(crate) fn spawn_node(
         pending_calls: Mutex::new(HashMap::new()),
         corr: AtomicU64::new(1),
         forwarding: RwLock::new(HashMap::new()),
-        stopped: Mutex::new(HashMap::new()),
-        installing: Mutex::new(HashMap::new()),
         events_executed: AtomicU64::new(0),
         exec_micros: AtomicU64::new(0),
         exec_latency: Mutex::new(aeon_types::LatencyHistogram::new()),
-        install_wait_retries: AtomicU64::new(0),
         running: AtomicBool::new(true),
         halted: (Mutex::new(false), Condvar::new()),
     });
@@ -405,15 +390,14 @@ pub(crate) fn spawn_node(
 /// Handles one message on the thread that delivered it; see the module docs
 /// for why no arm may wait.
 fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
-    let message = match message.routed_context() {
-        Some(context) if shared.local(context).is_none() => {
-            let Some(message) = shared.reroute_if_needed(context, message) else {
-                return;
-            };
-            message
+    // A context that migrated away: its new host serves the message.
+    if let Some(context) = message.routed_context() {
+        if shared.local(context).is_none() {
+            if let Some(next) = shared.forwarded(context) {
+                return shared.send(next, message);
+            }
         }
-        _ => message,
-    };
+    }
     match message {
         ClusterMessage::Host {
             corr,
@@ -421,11 +405,13 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
             class,
             state,
             escrow,
+            reply_to,
         } => {
-            // Same-process hand-off: the original object was parked in the
+            // Same-process creation: the original object was parked in the
             // directory's escrow and is moved in without serialisation.
-            // Across processes the token misses and the object is rebuilt
-            // from its snapshotted state with the class factory.
+            // Across processes the token misses, and a migrating context
+            // parks nothing: the object is rebuilt from its state with the
+            // class factory.
             let object = match shared.directory.escrow_take(escrow) {
                 Some(object) => Ok(object),
                 None => shared.rebuild(&class, &state).unwrap_or_else(|| {
@@ -434,9 +420,15 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
                     )))
                 }),
             };
-            let result = object.map(|object| shared.install(context, object));
+            let result = object.map(|object| {
+                shared.install(context, object);
+                // A context coming back: the pointer left when it moved
+                // away is stale, and following it would bounce requests
+                // between this node and the last host.
+                shared.forwarding.write().remove(&context);
+            });
             shared.send(
-                gateway_id(),
+                reply_to,
                 ClusterMessage::HostAck {
                     corr,
                     context,
@@ -444,6 +436,14 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
                 },
             );
         }
+        ClusterMessage::HostAck { corr, result, .. } => shared.complete(
+            corr,
+            CallOutcome {
+                result: result.map(|()| Value::Null),
+                participants: Vec::new(),
+                sub_events: Vec::new(),
+            },
+        ),
         ClusterMessage::DirAck { corr, reply } => {
             shared.directory.complete_dir_reply(corr, reply);
         }
@@ -488,49 +488,15 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
             result,
             participants,
             sub_events,
-        } => {
-            if let Some(reply) = shared.pending_calls.lock().remove(&corr) {
-                let _ = reply.send(CallOutcome {
-                    result,
-                    participants,
-                    sub_events,
-                });
-            }
-        }
+        } => shared.complete(
+            corr,
+            CallOutcome {
+                result,
+                participants,
+                sub_events,
+            },
+        ),
         ClusterMessage::Release { event } => shared.release_event(event),
-        ClusterMessage::Prepare { corr, context } => {
-            shared.installing.lock().entry(context).or_default();
-            // The context is coming (back) here: a pointer left from an
-            // earlier move away is stale, and following it would bounce a
-            // request between this node and the source until the install
-            // lands — without end, now that a forward is a nested call.
-            shared.forwarding.write().remove(&context);
-            shared.send(gateway_id(), ClusterMessage::PrepareAck { corr, context });
-        }
-        ClusterMessage::Stop {
-            corr,
-            context,
-            to: _,
-        } => {
-            shared.stopped.lock().entry(context).or_default();
-            shared.send(gateway_id(), ClusterMessage::StopAck { corr, context });
-        }
-        ClusterMessage::Migrate { corr, context, to } => {
-            let worker = Arc::clone(shared);
-            shared.offload(context, move || handle_migrate(&worker, corr, context, to));
-        }
-        ClusterMessage::Install {
-            corr,
-            context,
-            class,
-            state,
-            from: _,
-        } => {
-            let worker = Arc::clone(shared);
-            shared.offload(context, move || {
-                handle_install(&worker, corr, context, class, state)
-            });
-        }
         ClusterMessage::MetricsReq { corr } => {
             // Answered inline: the report only reads counters, it cannot
             // block, so it never competes with event execution for the pool.
@@ -548,11 +514,7 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
         }
         ClusterMessage::Shutdown => shared.stop(),
         // Gateway-only messages are ignored by nodes.
-        ClusterMessage::HostAck { .. }
-        | ClusterMessage::DirReq { .. }
-        | ClusterMessage::PrepareAck { .. }
-        | ClusterMessage::StopAck { .. }
-        | ClusterMessage::InstallAck { .. }
+        ClusterMessage::DirReq { .. }
         | ClusterMessage::MetricsAck { .. }
         | ClusterMessage::Done { .. } => {}
     }
@@ -563,19 +525,28 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
 /// target's server.  A held sequencer keeps no worker: the `Act` waits in
 /// the lock's queue as a grant, which whoever releases the sequencer runs
 /// and which only hands the rest back to the pool, keyed by the sequencer
-/// (it may run inside `dispatch`, where nothing may wait).  A poisoned
-/// grant answers the gateway at once.
+/// (it may run inside `dispatch`, where nothing may wait).  An `Act` whose
+/// sequencer moved away — before it got here, or while its grant waited —
+/// follows the forwarding pointer to the new host; a poisoned grant answers
+/// the gateway at once.
 fn handle_act(shared: &Arc<NodeShared>, event: EventDescriptor, sequencer: ContextId) {
     let (id, corr) = (event.id, event.corr);
     let hosted;
     let lock = if sequencer == virtual_root() {
         &shared.root_lock
-    } else if let Some(local) = shared.local(sequencer) {
-        hosted = local;
-        &hosted.lock
     } else {
-        let error = AeonError::ContextNotFound(sequencer);
-        return shared.send(gateway_id(), failed(corr, id, error));
+        match shared.whereabouts(sequencer) {
+            Some(Ok(local)) => {
+                hosted = local;
+                &hosted.lock
+            }
+            // It moved away after `dispatch` found it here.
+            Some(Err(next)) => return shared.send(next, ClusterMessage::Act { event, sequencer }),
+            None => {
+                let error = AeonError::ContextNotFound(sequencer);
+                return shared.send(gateway_id(), failed(corr, id, error));
+            }
+        }
     };
     let mode = event.mode;
     // Shared with the grant, which is dropped unused when the sequencer is
@@ -587,6 +558,10 @@ fn handle_act(shared: &Arc<NodeShared>, event: EventDescriptor, sequencer: Conte
         Ok(()) => {
             let worker = Arc::clone(&node);
             node.offload(sequencer, move || sequenced(&worker, later, sequencer));
+        }
+        Err(AeonError::MigrationInProgress(_)) => {
+            let event = Arc::unwrap_or_clone(later);
+            dispatch(&node, ClusterMessage::Act { event, sequencer });
         }
         Err(error) => node.send(gateway_id(), failed(corr, id, error)),
     });
@@ -607,18 +582,13 @@ fn sequenced(shared: &Arc<NodeShared>, event: Arc<EventDescriptor>, sequencer: C
         .forwarded(event.target)
         .or_else(|| shared.directory.placement_of(event.target).ok());
     match target_server {
-        Some(server) => {
-            let exec = ClusterMessage::Exec {
+        Some(server) => shared.send(
+            server,
+            ClusterMessage::Exec {
                 event,
                 sequencer: held,
-            };
-            if server == shared.id {
-                // Mapped here, not installed yet: `dispatch` buffers it.
-                dispatch(shared, exec);
-            } else {
-                shared.send(server, exec);
-            }
-        }
+            },
+        ),
         None => {
             shared.release_event(event.id);
             let error = AeonError::ContextNotFound(event.target);
@@ -659,6 +629,16 @@ fn handle_exec(
         &event.method,
         &event.args,
     );
+    // A certified read that found its target gone — it moved while the read
+    // waited, or before it arrived — holds nothing: it is sent after the
+    // context whole, for the new host to admit the same way.
+    if matches!(outcome.result, Err(AeonError::MigrationInProgress(c)) if c == event.target)
+        && footprint == Footprint::Certified
+    {
+        if let Some(next) = host.located {
+            return shared.send(next, ClusterMessage::ExecCertified { event });
+        }
+    }
 
     // Release locks everywhere the event touched, then locally, then at the
     // sequencer (reverse of acquisition order across the cluster).
@@ -728,101 +708,6 @@ fn handle_call(
     );
 }
 
-/// Migration step IV on the source server: wait for exclusive access, ship
-/// the serialised state, and start forwarding.
-fn handle_migrate(shared: &Arc<NodeShared>, corr: u64, context: ContextId, to: ServerId) {
-    let Some(hosted) = shared.local(context) else {
-        shared.send(
-            gateway_id(),
-            ClusterMessage::InstallAck {
-                corr,
-                context,
-                result: Err(AeonError::ContextNotFound(context)),
-            },
-        );
-        return;
-    };
-    // The migration behaves like an exclusive event on the context: it waits
-    // for in-flight events to drain and keeps new ones out.
-    let migration_event = EventId::new(shared.directory.next_raw());
-    if let Err(error) = shared.activate(&hosted.lock, migration_event, AccessMode::Exclusive) {
-        shared.send(
-            gateway_id(),
-            ClusterMessage::InstallAck {
-                corr,
-                context,
-                result: Err(error),
-            },
-        );
-        return;
-    }
-    let (class, state) = {
-        let object = hosted.object.lock();
-        (hosted.class.clone(), object.snapshot())
-    };
-    shared.contexts.write().remove(&context);
-    // The old lock is now orphaned: anyone who cloned the hosted entry
-    // before the removal (an event racing with this migration) must fail
-    // fast instead of blocking forever on a lock whose exclusive holder
-    // never releases — or, worse, capturing the stale pre-migration state.
-    hosted.lock.poison();
-    shared.forwarding.write().insert(context, to);
-    shared.send(
-        to,
-        ClusterMessage::Install {
-            corr,
-            context,
-            class,
-            state,
-            from: shared.id,
-        },
-    );
-    // Forward everything buffered during the stop window.
-    let buffered = shared.stopped.lock().remove(&context).unwrap_or_default();
-    for message in buffered {
-        shared.send(to, message);
-    }
-}
-
-/// Migration step V on the destination server: rebuild the context from its
-/// serialised state and replay buffered requests.
-fn handle_install(
-    shared: &Arc<NodeShared>,
-    corr: u64,
-    context: ContextId,
-    class: String,
-    state: Value,
-) {
-    let bytes = codec::encoded_len(&state) as u64;
-    let result = match shared.rebuild(&class, &state) {
-        Some(object) => object.map(|object| {
-            shared.install(context, object);
-            bytes
-        }),
-        None => Err(AeonError::MigrationFailed {
-            context,
-            reason: format!("no factory registered for class {class}"),
-        }),
-    };
-    // Replay buffered requests (they were addressed to this node already).
-    let buffered = shared
-        .installing
-        .lock()
-        .remove(&context)
-        .unwrap_or_default();
-    for message in buffered {
-        dispatch(shared, message);
-    }
-    shared.send(
-        gateway_id(),
-        ClusterMessage::InstallAck {
-            corr,
-            context,
-            result,
-        },
-    );
-}
-
 /// The cluster node's host of the event interpreter: a context installed
 /// here is entered under its [`ContextLock`]; any other travels to the
 /// hosting server as a [`ClusterMessage::Call`].  Holds are recorded on the
@@ -832,6 +717,8 @@ struct NodeHost<'a> {
     /// Servers (other than this one) holding locks for the event because of
     /// calls issued here.
     participants: BTreeSet<ServerId>,
+    /// Where the context `enter` last reported remote lives.
+    located: Option<ServerId>,
 }
 
 impl<'a> NodeHost<'a> {
@@ -839,6 +726,7 @@ impl<'a> NodeHost<'a> {
         Self {
             node,
             participants: BTreeSet::new(),
+            located: None,
         }
     }
 }
@@ -849,13 +737,33 @@ impl ContextHost for NodeHost<'_> {
     }
 
     fn enter(&mut self, event: &EventMeta, target: ContextId) -> Result<Entered> {
-        match self.node.locate(target)? {
-            Some(hosted) => {
-                self.node.activate(&hosted.lock, event.id, event.mode)?;
-                self.node.record_hold(event.id, target);
-                Ok(Entered::Local(hosted))
+        let node = self.node;
+        loop {
+            let server = match node.whereabouts(target) {
+                Some(Ok(hosted)) => match node.activate(&hosted.lock, event.id, event.mode) {
+                    Ok(()) => {
+                        node.record_hold(event.id, target);
+                        return Ok(Entered::Local(hosted));
+                    }
+                    // It moved while this event waited for it (its slot is
+                    // gone by now): look it up again.
+                    Err(AeonError::MigrationInProgress(moved)) if moved == target => continue,
+                    Err(error) => return Err(error),
+                },
+                Some(Err(server)) => server,
+                None => node.directory.placement_of(target)?,
+            };
+            if server != node.id {
+                self.located = Some(server);
+                return Ok(Entered::Remote);
             }
-            None => Ok(Entered::Remote),
+            // Placed here, yet not found a moment ago: a context is
+            // installed before it is placed, so it has just come back —
+            // unless nothing installed it (a call to this node would come
+            // straight back).
+            if node.local(target).is_none() {
+                return Err(AeonError::ContextNotFound(target));
+            }
         }
     }
 
@@ -878,22 +786,11 @@ impl ContextHost for NodeHost<'_> {
         args: &Args,
     ) -> Result<(Value, Vec<SubEvent>)> {
         let node = self.node;
-        let server = match node.forwarded(target) {
-            Some(server) => server,
-            None => node.directory.placement_of(target)?,
-        };
-        let corr = node.corr.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = reply();
-        node.pending_calls.lock().insert(corr, tx);
-        // Re-check liveness after registering: a crash/shutdown drains
-        // `pending_calls` to wake blocked workers, and an insert that
-        // races past that drain would otherwise park this worker for the
-        // full call timeout (stalling the pool join).
-        if !node.running.load(Ordering::SeqCst) {
-            node.pending_calls.lock().remove(&corr);
-            return Err(AeonError::RuntimeShutdown);
-        }
-        let call = ClusterMessage::Call {
+        let server = self
+            .located
+            .take()
+            .ok_or_else(|| AeonError::internal(format!("{target} was not entered")))?;
+        let call = |corr| ClusterMessage::Call {
             event: event.id,
             mode: event.mode,
             client: event.client,
@@ -904,30 +801,13 @@ impl ContextHost for NodeHost<'_> {
             reply_to: node.id,
             corr,
         };
-        // A server that is gone fails the call now, not after the timeout.
-        if let Err(error) = node.network.send_from(node.id, server, call) {
-            node.pending_calls.lock().remove(&corr);
-            return Err(error);
-        }
-        match node
-            .executor
-            .block_in_place(|| rx.wait_timeout(CALL_TIMEOUT))
-        {
-            Ok(outcome) => {
-                // Locks taken while serving the call are held whatever it
-                // returned.
-                self.participants.extend(outcome.participants);
-                outcome.result.map(|value| (value, outcome.sub_events))
-            }
-            Err(WaitError::Closed) => Err(AeonError::RuntimeShutdown),
-            Err(WaitError::Timeout) => {
-                node.pending_calls.lock().remove(&corr);
-                Err(AeonError::EventAborted {
-                    event: event.id,
-                    reason: format!("remote call to context {target} on {server} timed out"),
-                })
-            }
-        }
+        let outcome = node.round_trip(server, call, || AeonError::EventAborted {
+            event: event.id,
+            reason: format!("remote call to context {target} on {server} timed out"),
+        })?;
+        // Locks taken while serving the call are held whatever it returned.
+        self.participants.extend(outcome.participants);
+        outcome.result.map(|value| (value, outcome.sub_events))
     }
 
     fn record_access(&self, event: &EventMeta, context: ContextId) {
@@ -967,5 +847,50 @@ impl ContextHost for NodeHost<'_> {
 
     fn subtree(&self, root: ContextId) -> Result<Vec<ContextId>> {
         self.node.directory.subtree(root)
+    }
+
+    /// Ships the state to `to` and waits for its `HostAck`; only then does
+    /// the context leave: the placement moves, a forwarding pointer stays
+    /// behind, the slot goes, and every waiter still queued on its lock is
+    /// sent after it.  Until the ack the context stays here, untouched — a
+    /// failed move (no factory, a panicking one) leaves it usable.
+    fn migrate(
+        &mut self,
+        target: ContextId,
+        object: &mut Box<dyn ContextObject>,
+        state: Value,
+        to: ServerId,
+    ) -> Result<()> {
+        let node = self.node;
+        let class = object.class_name().to_string();
+        if node.directory.factory_for(&class).is_none() {
+            return Err(AeonError::MigrationFailed {
+                context: target,
+                reason: format!("no factory registered for class {class}"),
+            });
+        }
+        if to == node.id {
+            return Ok(());
+        }
+        let host = |corr| ClusterMessage::Host {
+            corr,
+            context: target,
+            class,
+            state,
+            escrow: NO_ESCROW,
+            reply_to: node.id,
+        };
+        let acked = node.round_trip(to, host, || AeonError::MigrationFailed {
+            context: target,
+            reason: format!("server {to} did not acknowledge the context's state"),
+        })?;
+        acked.result?;
+        node.directory.set_placement(target, to)?;
+        node.forwarding.write().insert(target, to);
+        let slot = node.contexts.write().remove(&target);
+        if let Some(slot) = slot {
+            slot.lock.mark_moved();
+        }
+        Ok(())
     }
 }

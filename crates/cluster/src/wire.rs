@@ -23,8 +23,9 @@
 //! module ([`ClusterMessage`], [`DirOp`], [`DirReply`]) and the one beside
 //! `AeonError`'s `Wire` impl in `aeon_types::codec`: `tag => Variant`, one
 //! byte each.  Tags are part of the format: a new variant takes a fresh
-//! tag, a retired tag is not reused, and declaration order in `message.rs`
-//! means nothing here.
+//! tag, a retired tag is not reused (0, an older `Host`, and 11–20, the
+//! migration and snapshot-freeze messages, are retired), and declaration
+//! order in `message.rs` means nothing here.
 //!
 //! # Fields
 //!
@@ -121,7 +122,6 @@ wire! { enum DirReply {
 } }
 
 wire! { enum ClusterMessage {
-    0 => Host { corr, context, class, state, escrow },
     1 => HostAck { corr, context, result },
     2 => DirReq { corr, from, op },
     3 => DirAck { corr, reply },
@@ -132,16 +132,10 @@ wire! { enum ClusterMessage {
     8 => CallReply { corr, result, participants, sub_events },
     9 => Release { event },
     10 => Done { corr, event, result, sub_events },
-    11 => Prepare { corr, context },
-    12 => PrepareAck { corr, context },
-    13 => Stop { corr, context, to },
-    14 => StopAck { corr, context },
-    15 => Migrate { corr, context, to },
-    16 => Install { corr, context, class, state, from },
-    17 => InstallAck { corr, context, result },
     21 => MetricsReq { corr },
     22 => MetricsAck { corr, metrics },
     23 => Shutdown,
+    24 => Host { corr, context, class, state, escrow, reply_to },
 } }
 
 #[cfg(test)]
@@ -214,6 +208,7 @@ mod tests {
                 class: "Account".into(),
                 state: state.clone(),
                 escrow: (1 << 63) | 7,
+                reply_to: gateway_id(),
             },
             ClusterMessage::HostAck {
                 corr: 1,
@@ -298,48 +293,6 @@ mod tests {
                 event: evt(9),
                 result: Ok(Value::Null),
                 sub_events: vec![sub(), sub()],
-            },
-            ClusterMessage::Prepare {
-                corr: 13,
-                context: cx(4),
-            },
-            ClusterMessage::PrepareAck {
-                corr: 13,
-                context: cx(4),
-            },
-            ClusterMessage::Stop {
-                corr: 14,
-                context: cx(4),
-                to: srv(2),
-            },
-            ClusterMessage::StopAck {
-                corr: 14,
-                context: cx(4),
-            },
-            ClusterMessage::Migrate {
-                corr: 15,
-                context: cx(4),
-                to: srv(2),
-            },
-            ClusterMessage::Install {
-                corr: 15,
-                context: cx(4),
-                class: "Room".into(),
-                state,
-                from: srv(0),
-            },
-            ClusterMessage::InstallAck {
-                corr: 15,
-                context: cx(4),
-                result: Ok(321),
-            },
-            ClusterMessage::InstallAck {
-                corr: 15,
-                context: cx(4),
-                result: Err(AeonError::MigrationFailed {
-                    context: cx(4),
-                    reason: "no factory".into(),
-                }),
             },
             ClusterMessage::MetricsReq { corr: 18 },
             ClusterMessage::MetricsAck {
@@ -539,9 +492,9 @@ mod tests {
 
     #[test]
     fn a_nested_value_bomb_in_a_state_is_refused_not_a_stack_overflow() {
-        // `Install { corr, context, class: "", state: [[[[… }`: 200 000 list
+        // `Host { corr, context, class: "", state: [[[[… }`: 200 000 list
         // headers, about 1 MB, far below the transport's frame limit.
-        let mut payload = [&[16][..], &[0; 8], &[0; 8], &[0; 4]].concat();
+        let mut payload = [&[24][..], &[0; 8], &[0; 8], &[0; 4]].concat();
         for _ in 0..200_000 {
             payload.extend_from_slice(&[8, 0, 0, 0, 1]);
         }
@@ -605,14 +558,15 @@ mod tests {
             corr in any::<u64>(),
             ctx_raw in any::<u64>(),
         ) {
-            let install = ClusterMessage::Install {
+            let host = ClusterMessage::Host {
                 corr,
                 context: ContextId::new(ctx_raw),
                 class: "Fuzz".into(),
                 state: state.clone(),
-                from: srv(1),
+                escrow: corr,
+                reply_to: srv(1),
             };
-            roundtrip(&install);
+            roundtrip(&host);
             let call = ClusterMessage::Call {
                 event: evt(corr),
                 mode: AccessMode::Exclusive,

@@ -7,7 +7,7 @@
 //! of the process, so nothing else may run beside them.
 #![cfg(target_os = "linux")]
 
-use aeon_api::Session;
+use aeon_api::{Deployment, Session};
 use aeon_cluster::{Cluster, ClusterTransport};
 use aeon_runtime::{AeonRuntime, ContextObject, KvContext, Placement};
 use aeon_types::{args, ContextId, Value};

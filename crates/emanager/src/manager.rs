@@ -213,10 +213,10 @@ impl EManager {
             step: MigrationStep::Prepared,
         };
         record.persist(&self.store)?;
-        // Step II: source stops accepting events targeting the context (each
-        // backend realises the stop window its own way: the runtime parks
-        // queued events on the context lock, the cluster buffers and
-        // forwards).
+        // Step II: source stops accepting events targeting the context.  On
+        // every backend the stop window is the migration event's exclusive
+        // hold on the context (step IV): events queued behind it wait on the
+        // context's lock and continue wherever the context went.
         record.step = MigrationStep::SourceStopped;
         record.persist(&self.store)?;
         // Step III: the mapping now names the destination.

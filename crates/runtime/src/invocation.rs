@@ -18,17 +18,20 @@
 //! ownership-graph mutation (creating child contexts, adding/removing
 //! owners).
 //!
-//! The interpreter also serves two reserved methods, [`SNAPSHOT_METHOD`] and
-//! [`RESTORE_METHOD`], before any context object sees the call, so no
-//! contextclass can declare them.  A consistent snapshot of a subtree
-//! (§5.3) and its restore are thereby ordinary events on the subtree's
-//! root: every backend sequences, executes and records them the way it
-//! does any other event.
+//! The interpreter also serves three reserved methods, [`SNAPSHOT_METHOD`],
+//! [`RESTORE_METHOD`] and [`MIGRATE_METHOD`], before any context object
+//! sees the call, so no contextclass can declare them.  A consistent
+//! snapshot of a subtree (§5.3), its restore and a context's migration
+//! (§5.2) are thereby ordinary events: every backend sequences, executes
+//! and records them the way it does any other event, and supplies only
+//! the move itself ([`ContextHost::migrate`]).
 
 use crate::context::ContextObject;
 use crate::snapshot::Snapshot;
 use aeon_ownership::ClassGraph;
-use aeon_types::{AccessMode, AeonError, Args, ClientId, ContextId, EventId, Result, Value};
+use aeon_types::{
+    codec, AccessMode, AeonError, Args, ClientId, ContextId, EventId, Result, ServerId, Value,
+};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -41,6 +44,11 @@ pub const SNAPSHOT_METHOD: &str = "@snapshot";
 /// subtree, with a [`Snapshot`] as its one argument): returns the list of
 /// the contexts it restored.
 pub const RESTORE_METHOD: &str = "@restore";
+
+/// The reserved method of a migration event (exclusive, on the context,
+/// with the destination server's id as its one argument): returns the
+/// number of bytes of serialised state moved.
+pub const MIGRATE_METHOD: &str = "@migrate";
 
 /// A deferred (`async`) method call, executed after the synchronous part of
 /// the event finishes but before the event terminates.
@@ -283,6 +291,21 @@ pub trait ContextHost {
     /// `root` and everything it (transitively) owns, owner before owned.
     fn subtree(&self, root: ContextId) -> Result<Vec<ContextId>>;
 
+    /// Moves `target` to server `to`: the running event holds it
+    /// exclusively, `object` is its locked object and `state` its snapshot.
+    /// A host without servers rebuilds the object through its class
+    /// factory, if one is registered; a host with them ships `state` and
+    /// hands every waiter still queued on `target` over to the new host.
+    /// Either way the placement names `to` afterwards.  Runs under the
+    /// panic boundary (a class factory is application code).
+    fn migrate(
+        &mut self,
+        target: ContextId,
+        object: &mut Box<dyn ContextObject>,
+        state: Value,
+        to: ServerId,
+    ) -> Result<()>;
+
     /// Debug-build sanitizer hook: `caller_method` (executing in `caller`)
     /// called or scheduled `target_method` on `target`.
     fn record_call_edge(
@@ -409,6 +432,9 @@ impl<'h> EventBody<'h> {
         let result = match self.host.enter(&self.event, target)? {
             Entered::Local(hosted) if method == SNAPSHOT_METHOD || method == RESTORE_METHOD => {
                 self.serve_reserved(caller, target, hosted, method, args)
+            }
+            Entered::Local(hosted) if method == MIGRATE_METHOD => {
+                self.serve_migrate(caller, target, &*hosted, args)
             }
             Entered::Local(hosted) => {
                 let mut object = self.host.lock_object(&*hosted);
@@ -567,6 +593,45 @@ impl<'h> EventBody<'h> {
             },
         }))
         .map_err(AeonError::from_panic)
+    }
+
+    /// Moves `target`, which this exclusive event has entered, to the server
+    /// `args[0]` names: captures its state under the object lock, records
+    /// the access, and leaves the move to the host.  Only an event's
+    /// top-level method moves its target.
+    fn serve_migrate(
+        &mut self,
+        caller: Option<ContextId>,
+        target: ContextId,
+        hosted: &dyn HostedObject,
+        args: &Args,
+    ) -> Result<Value> {
+        if self.event.mode.is_read_only() {
+            return Err(AeonError::ReadOnlyViolation {
+                context: target,
+                method: MIGRATE_METHOD.into(),
+            });
+        }
+        if caller.is_some() {
+            return Err(AeonError::internal(format!(
+                "{MIGRATE_METHOD} moves only the target of the event it is the method of"
+            )));
+        }
+        let to = u32::try_from(args.get_i64(0)?)
+            .map(ServerId::new)
+            .map_err(|_| AeonError::BadArguments {
+                method: MIGRATE_METHOD.into(),
+                reason: "not a server id".into(),
+            })?;
+        let mut object = self.host.lock_object(hosted);
+        self.host.record_access(&self.event, target);
+        let host = &mut *self.host;
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let state = object.snapshot();
+            let moved = Value::from(codec::encoded_len(&state));
+            host.migrate(target, &mut object, state, to).map(|()| moved)
+        }))
+        .unwrap_or_else(|payload| Err(AeonError::from_panic(payload)))
     }
 
     /// Calls may only go along (transitive) ownership edges (§3).  In
@@ -897,6 +962,8 @@ mod tests {
         mutations: Vec<&'static str>,
         /// What `subtree` lists (the root alone when empty).
         subtree: Vec<ContextId>,
+        /// Each move asked for: the context, its captured state, where to.
+        moves: Vec<(ContextId, Value, ServerId)>,
     }
 
     impl FakeHost {
@@ -978,6 +1045,20 @@ mod tests {
                 return Ok(vec![root]);
             }
             Ok(self.subtree.clone())
+        }
+
+        fn migrate(
+            &mut self,
+            target: ContextId,
+            _object: &mut Box<dyn ContextObject>,
+            state: Value,
+            to: ServerId,
+        ) -> Result<()> {
+            if to == ServerId::new(66) {
+                panic!("no server 66");
+            }
+            self.moves.push((target, state, to));
+            Ok(())
         }
     }
 
@@ -1264,5 +1345,39 @@ mod tests {
             cut(&mut host, ro, "get", &args!["n"]),
             Ok(Value::from(1i64))
         );
+    }
+
+    #[test]
+    fn a_migration_moves_only_its_own_exclusive_target_and_counts_its_bytes() {
+        let mut host = FakeHost::default();
+        let kv = crate::KvContext::with_entries("Kv", [("n", Value::from(7i64))]);
+        let state = ContextObject::snapshot(&kv);
+        host.objects.insert(
+            cx(1),
+            Arc::new(Mutex::new(Box::new(kv) as Box<dyn ContextObject>)),
+        );
+        let migrate = |host: &mut FakeHost, mode, to: i64| {
+            EventBody::new(host, event(mode), Footprint::Sequenced)
+                .run(None, cx(1), MIGRATE_METHOD, &args![to])
+                .result
+        };
+        let moved = migrate(&mut host, AccessMode::Exclusive, 2).unwrap();
+        assert_eq!(moved, Value::from(codec::encoded_len(&state) as i64));
+        assert_eq!(host.moves, [(cx(1), state, ServerId::new(2))]);
+
+        let refused = migrate(&mut host, AccessMode::ReadOnly, 2);
+        assert!(matches!(refused, Err(AeonError::ReadOnlyViolation { .. })));
+        let refused = migrate(&mut host, AccessMode::Exclusive, -1);
+        assert!(matches!(refused, Err(AeonError::BadArguments { .. })));
+        let panicked = migrate(&mut host, AccessMode::Exclusive, 66);
+        assert!(matches!(panicked, Err(AeonError::Panicked { .. })));
+        let mut body = EventBody::new(
+            &mut host,
+            event(AccessMode::Exclusive),
+            Footprint::Sequenced,
+        );
+        let nested = body.call(cx(2), cx(1), MIGRATE_METHOD, args![2]);
+        assert!(matches!(nested, Err(AeonError::Internal(_))));
+        assert_eq!(host.moves.len(), 1, "only the first migration moved");
     }
 }

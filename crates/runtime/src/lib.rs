@@ -67,7 +67,8 @@ pub use event::{EventHandle, EventOutcome, EventRequest};
 pub use executor::{ExecutorConfig, ExecutorStats, ShardedExecutor};
 pub use invocation::{
     BodyOutcome, CertifiedReads, ContextHost, Entered, EventBody, EventMeta, Footprint,
-    HostedObject, Invocation, InvocationHost, SubEvent, RESTORE_METHOD, SNAPSHOT_METHOD,
+    HostedObject, Invocation, InvocationHost, SubEvent, MIGRATE_METHOD, RESTORE_METHOD,
+    SNAPSHOT_METHOD,
 };
 pub use locks::ContextLock;
 pub use method_table::{

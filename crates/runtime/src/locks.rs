@@ -20,8 +20,12 @@
 //! by whoever frees the context (a `release`): FIFO order, read sharing and
 //! starvation freedom do not depend on the kind.  A deferred waiter's grant
 //! is called by that releasing thread *after* it dropped the lock's mutex,
-//! so the grant may activate or release this very lock; `poison` answers
-//! each deferred waiter with an error, once.
+//! so the grant may activate or release this very lock.  A lock can also be
+//! *closed* — `poison` (the host shut down) or `mark_moved` (the context
+//! moved to another server) — which answers each waiter with an error,
+//! once, and every later arrival at once: `EventAborted` after a poison,
+//! `MigrationInProgress` after a move, so that a waiter can tell "give up"
+//! from "look for the context again".
 
 use aeon_types::{AccessMode, AeonError, ContextId, EventId, Result};
 use parking_lot::{Condvar, Mutex};
@@ -29,8 +33,7 @@ use std::collections::VecDeque;
 use std::time::Duration;
 
 /// What a deferred waiter leaves in the queue: called exactly once, with
-/// `Ok` when its event is activated or `Err` when the lock is poisoned
-/// first.
+/// `Ok` when its event is activated or `Err` when the lock is closed first.
 type Grant = Box<dyn FnOnce(Result<()>) + Send>;
 
 /// An activation request in the queue.
@@ -60,8 +63,30 @@ struct LockState {
     /// (the paper's `toActivateQueue`).  Its head is never compatible
     /// with `activated`: every change that could make it so grants it.
     queue: VecDeque<Waiter>,
-    /// Set when the hosting runtime shuts down; waiters give up.
-    poisoned: bool,
+    /// Set when the lock turns every waiter away, with the reason.
+    closed: Option<Closed>,
+}
+
+/// Why a lock turns waiters away.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Closed {
+    /// The hosting runtime or node shut down: waiters give up.
+    Poisoned,
+    /// The context moved to another server: waiters look for it there.
+    Moved,
+}
+
+impl Closed {
+    /// What `event`, waiting for `context`, is answered with.
+    fn refusal(self, context: ContextId, event: EventId) -> AeonError {
+        match self {
+            Closed::Poisoned => AeonError::EventAborted {
+                event,
+                reason: "runtime shut down while waiting for activation".into(),
+            },
+            Closed::Moved => AeonError::MigrationInProgress(context),
+        }
+    }
 }
 
 impl LockState {
@@ -76,12 +101,17 @@ impl LockState {
     /// Activates `event` if that needs no wait — it holds the context
     /// already (re-entrant acquisition along another ownership path), or
     /// nobody is queued ahead and `mode` fits — and says whether it did.
-    fn activate_now(&mut self, event: EventId, mode: AccessMode) -> Result<bool> {
+    fn activate_now(
+        &mut self,
+        context: ContextId,
+        event: EventId,
+        mode: AccessMode,
+    ) -> Result<bool> {
         if self.holds(event) {
             return Ok(true);
         }
-        if self.poisoned {
-            return Err(aborted(event));
+        if let Some(closed) = self.closed {
+            return Err(closed.refusal(context, event));
         }
         if self.queue.is_empty() && self.admits(mode) {
             self.activated.push((event, mode));
@@ -95,19 +125,12 @@ impl LockState {
     /// (to be called once the mutex is dropped).
     fn grant_from_head(&mut self) -> Vec<Grant> {
         let mut grants = Vec::new();
-        while !self.poisoned && self.queue.front().is_some_and(|w| self.admits(w.mode)) {
+        while self.closed.is_none() && self.queue.front().is_some_and(|w| self.admits(w.mode)) {
             let waiter = self.queue.pop_front().expect("the head was just seen");
             self.activated.push((waiter.event, waiter.mode));
             grants.extend(waiter.grant);
         }
         grants
-    }
-}
-
-fn aborted(event: EventId) -> AeonError {
-    AeonError::EventAborted {
-        event,
-        reason: "runtime shut down while waiting for activation".into(),
     }
 }
 
@@ -143,10 +166,11 @@ impl ContextLock {
     /// # Errors
     ///
     /// Returns [`AeonError::EventAborted`] when the lock is poisoned by a
-    /// runtime shutdown while waiting.
+    /// runtime shutdown while waiting, and
+    /// [`AeonError::MigrationInProgress`] when the context moved.
     pub fn activate(&self, event: EventId, mode: AccessMode) -> Result<()> {
         let mut state = self.state.lock();
-        if state.activate_now(event, mode)? {
+        if state.activate_now(self.context, event, mode)? {
             return Ok(());
         }
         state.queue.push_back(Waiter {
@@ -159,9 +183,9 @@ impl ContextLock {
             if state.holds(event) {
                 return Ok(());
             }
-            if state.poisoned {
+            if let Some(closed) = state.closed {
                 state.queue.retain(|w| w.event != event);
-                return Err(aborted(event));
+                return Err(closed.refusal(self.context, event));
             }
         }
     }
@@ -170,9 +194,9 @@ impl ContextLock {
     /// queues it and returns `false` without blocking.  The caller of a
     /// `true` continues on its own thread and `grant` is dropped unused.
     /// After a `false`, `grant` is called exactly once: with `Ok` by the
-    /// `release` that activates the event, or with `Err`
-    /// ([`AeonError::EventAborted`]) when the lock is — or already was —
-    /// poisoned.  It runs on that thread with the lock's mutex dropped, so
+    /// `release` that activates the event, or with `Err` when the lock is —
+    /// or already was — closed (see [`ContextLock::activate`] for the
+    /// errors).  It runs on that thread with the lock's mutex dropped, so
     /// it must not wait; it may use this lock.
     pub fn activate_or_defer(
         &self,
@@ -181,7 +205,7 @@ impl ContextLock {
         grant: impl FnOnce(Result<()>) + Send + 'static,
     ) -> bool {
         let mut state = self.state.lock();
-        match state.activate_now(event, mode) {
+        match state.activate_now(self.context, event, mode) {
             Ok(now) => {
                 if !now {
                     state.queue.push_back(Waiter {
@@ -206,9 +230,9 @@ impl ContextLock {
     ///
     /// # Errors
     ///
-    /// Returns [`AeonError::EventAborted`] when the lock is poisoned.
+    /// Those of [`ContextLock::activate`], when the lock is closed.
     pub fn try_activate(&self, event: EventId, mode: AccessMode) -> Result<bool> {
-        self.state.lock().activate_now(event, mode)
+        self.state.lock().activate_now(self.context, event, mode)
     }
 
     /// Releases the context for `event` (the event terminated in every
@@ -249,9 +273,22 @@ impl ContextLock {
     /// [`AeonError::EventAborted`] — blocked ones wake up with it, deferred
     /// ones are answered with it here.  Used on runtime shutdown.
     pub fn poison(&self) {
+        self.close(Closed::Poisoned);
+    }
+
+    /// Closes the lock of a context that moved to another server: all
+    /// current and future waiters are answered
+    /// [`AeonError::MigrationInProgress`] — blocked ones wake up with it,
+    /// deferred ones are answered here, in their queue order — so that each
+    /// looks for the context at its new host instead of failing.
+    pub fn mark_moved(&self) {
+        self.close(Closed::Moved);
+    }
+
+    fn close(&self, why: Closed) {
         let deferred: VecDeque<Waiter> = {
             let mut state = self.state.lock();
-            state.poisoned = true;
+            state.closed = Some(why);
             self.changed.notify_all();
             let (deferred, blocked) = std::mem::take(&mut state.queue)
                 .into_iter()
@@ -261,7 +298,7 @@ impl ContextLock {
         };
         for waiter in deferred {
             if let Some(grant) = waiter.grant {
-                grant(Err(aborted(waiter.event)));
+                grant(Err(why.refusal(self.context, waiter.event)));
             }
         }
     }
@@ -510,6 +547,28 @@ mod tests {
         assert!(!defer(&lock, 5, AccessMode::ReadOnly, &answers));
         assert_eq!(answers.lock().last(), Some(&(5, false)));
         assert!(lock.try_activate(ev(6), AccessMode::ReadOnly).is_err());
+    }
+
+    #[test]
+    fn a_moved_lock_sends_every_waiter_after_its_context() {
+        let lock = Arc::new(ContextLock::new(ContextId::new(1)));
+        let answers = Arc::new(Mutex::new(Vec::new()));
+        lock.activate(ev(1), AccessMode::Exclusive).unwrap();
+        for n in [2, 4] {
+            let answers = Arc::clone(&answers);
+            let queued = lock.activate_or_defer(ev(n), AccessMode::ReadOnly, move |granted| {
+                answers.lock().push((n, granted));
+            });
+            assert!(!queued);
+        }
+        let blocked = block(&lock, 3, AccessMode::Exclusive);
+        lock.mark_moved();
+        let moved = AeonError::MigrationInProgress(ContextId::new(1));
+        let answered = vec![(2, Err(moved.clone())), (4, Err(moved.clone()))];
+        assert_eq!(*answers.lock(), answered);
+        assert_eq!(blocked.join().unwrap(), Err(moved.clone()));
+        assert_eq!(lock.try_activate(ev(5), AccessMode::ReadOnly), Err(moved));
+        assert_eq!(lock.queued_count(), 0);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The public runtime: context hosting, event submission, and elasticity
-//! primitives (server management and context migration).  A snapshot and
-//! a restore are events like any other (the interpreter's reserved
-//! methods, submitted by `aeon-api`'s `Deployment`), so nothing here is
-//! specific to them.
+//! primitives (server management).  A snapshot, a restore and a migration
+//! are events like any other (the interpreter's reserved methods, submitted
+//! by `aeon-api`'s `Deployment`); all the runtime adds for a migration is
+//! `RuntimeHost::migrate`, which rebuilds the object and moves its
+//! placement.
 //!
 //! The ownership network, the context→server mapping and the server roster
 //! are one [`ControlPlane`] behind one `RwLock`; this module adds what is
@@ -23,8 +24,8 @@
 //! [`ContextLock::activate`] — and need neither a deferred grant nor
 //! `ShardedExecutor::block_in_place`, because no runtime wait can depend on
 //! a task still queued in the pool: every holder of a runtime lock is a
-//! thread that is *running* — a pool worker inside `run_event`, a blocking
-//! caller, or the caller of `migrate_context` — and it releases without
+//! thread that is *running* — a pool worker inside `run_event` or a
+//! blocking caller — and it releases without
 //! waiting for anything queued, since the sub-events an event dispatches
 //! run only after its release, on the thread that ran it.  (A task queued
 //! behind a waiting one in its batch holds nothing either, and a reader
@@ -490,6 +491,35 @@ impl ContextHost for RuntimeHost<'_> {
         self.inner.plane.read().graph().subtree_topological(root)
     }
 
+    /// Every context is in this process, so a move re-instantiates the
+    /// object through the class factory when one is registered — what
+    /// happens when the state crosses servers — and changes the placement;
+    /// the slot, its lock and its queue stay.
+    fn migrate(
+        &mut self,
+        target: ContextId,
+        object: &mut Box<dyn ContextObject>,
+        state: Value,
+        to: ServerId,
+    ) -> Result<()> {
+        let factory = self
+            .inner
+            .factories
+            .read()
+            .get(object.class_name())
+            .cloned();
+        if let Some(factory) = factory {
+            *object = factory(&state);
+        }
+        // Refused if the destination went offline since the event was
+        // submitted.
+        self.inner.plane.write().set_placement(target, to)?;
+        self.inner
+            .stats
+            .record_migration(codec::encoded_len(&state) as u64);
+        Ok(())
+    }
+
     fn record_call_edge(
         &self,
         caller: ContextId,
@@ -792,50 +822,6 @@ impl AeonRuntime {
     /// Number of contexts placed on online servers.
     pub fn context_count(&self) -> usize {
         self.inner.plane.read().context_count()
-    }
-
-    /// Migrates `context` to `to_server` without violating consistency: the
-    /// migration behaves like an exclusive event on the context (it waits
-    /// for in-flight events to drain and delays queued ones), serialises the
-    /// context state, re-instantiates it through the registered class
-    /// factory (if any), and atomically updates the placement map.
-    ///
-    /// Returns the number of bytes of serialized state moved.
-    ///
-    /// # Errors
-    ///
-    /// * [`AeonError::ContextNotFound`] / [`AeonError::ServerNotFound`] for
-    ///   unknown ids.
-    /// * [`AeonError::EventAborted`] if the runtime shuts down while the
-    ///   migration waits for the context.
-    pub fn migrate_context(&self, context: ContextId, to_server: ServerId) -> Result<u64> {
-        if !self.inner.plane.read().is_online(to_server) {
-            return Err(AeonError::ServerNotFound(to_server));
-        }
-        let slot = self.inner.context_slot(context)?;
-        // Step II/IV of the protocol: the migration event waits its turn in
-        // the context's queue, guaranteeing no event is mid-flight in the
-        // context when the state moves.
-        let migration_event = EventId::new(self.inner.ids.next_raw());
-        slot.lock.activate(migration_event, AccessMode::Exclusive)?;
-        let moved = {
-            let mut object = slot.object.lock();
-            let state = object.snapshot();
-            let bytes = codec::encoded_len(&state) as u64;
-            // Re-instantiate through the factory when one is registered:
-            // this is what actually happens when the state crosses servers.
-            if let Some(factory) = self.inner.factories.read().get(&slot.class) {
-                *object = factory(&state);
-            }
-            bytes
-        };
-        // Refused only if the destination went offline while the migration
-        // waited for the context.
-        let placed = self.inner.plane.write().set_placement(context, to_server);
-        slot.lock.release(migration_event);
-        placed?;
-        self.inner.stats.record_migration(moved);
-        Ok(moved)
     }
 
     /// Runtime-wide statistics.

@@ -34,8 +34,8 @@ use aeon_runtime::{
     Footprint, Placement,
 };
 use aeon_types::{
-    codec, AccessMode, AeonError, Args, ClientId, ContextId, EventId, IdGenerator, Result,
-    ServerId, ServerMetrics, SharedHistorySink, SimDuration, SimTime, Value,
+    AccessMode, AeonError, Args, ClientId, ContextId, EventId, IdGenerator, Result, ServerId,
+    ServerMetrics, SharedHistorySink, SimDuration, SimTime, Value,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -201,12 +201,6 @@ struct Timeline {
 /// state mutably while the object executes.
 type SharedObject = Arc<Mutex<Box<dyn ContextObject>>>;
 
-/// A context hosted by the deterministic engine.
-struct SimSlot {
-    class: String,
-    object: SharedObject,
-}
-
 /// The whole mutable state of the deterministic deployment, behind one
 /// lock: execution is single-threaded by construction, which is what makes
 /// it deterministic.
@@ -215,7 +209,7 @@ struct SimState {
     /// runtime and the cluster's directory authority hold.
     plane: ControlPlane,
     /// The context objects (the plane knows contexts only by id).
-    contexts: HashMap<ContextId, SimSlot>,
+    contexts: HashMap<ContextId, SharedObject>,
     factories: HashMap<String, ContextFactory>,
     ids: IdGenerator,
     clock: SimTime,
@@ -238,11 +232,11 @@ struct SimState {
 
 impl SimState {
     fn slot(&self, id: ContextId) -> Result<(SharedObject, ServerId)> {
-        let slot = self
+        let object = self
             .contexts
             .get(&id)
             .ok_or(AeonError::ContextNotFound(id))?;
-        Ok((Arc::clone(&slot.object), self.server_of(id)))
+        Ok((Arc::clone(object), self.server_of(id)))
     }
 
     /// The server `id` is placed on (server 0 for a context the plane does
@@ -262,13 +256,12 @@ impl SimState {
         let class = object.class_name().to_string();
         let id = ContextId::new(self.ids.next_raw());
         declare(&mut self.plane, id, &class)?;
-        self.install(id, class, object);
+        self.install(id, object);
         Ok(id)
     }
 
-    fn install(&mut self, id: ContextId, class: String, object: Box<dyn ContextObject>) {
-        let object = Arc::new(Mutex::new(object));
-        self.contexts.insert(id, SimSlot { class, object });
+    fn install(&mut self, id: ContextId, object: Box<dyn ContextObject>) {
+        self.contexts.insert(id, Arc::new(Mutex::new(object)));
     }
 
     /// Charges one event's virtual time through the contended resources:
@@ -476,6 +469,22 @@ impl ContextHost for SimHost<'_> {
     fn subtree(&self, root: ContextId) -> Result<Vec<ContextId>> {
         self.state.plane.graph().subtree_topological(root)
     }
+
+    /// Rebuilds the object through the class factory, when one is
+    /// registered, and places it on `to`; the event already paid for
+    /// entering the context.
+    fn migrate(
+        &mut self,
+        target: ContextId,
+        object: &mut Box<dyn ContextObject>,
+        state: Value,
+        to: ServerId,
+    ) -> Result<()> {
+        if let Some(factory) = self.state.factories.get(object.class_name()) {
+            *object = factory(&state);
+        }
+        self.state.plane.set_placement(target, to)
+    }
 }
 
 /// The deterministic virtual-time deployment: the third execution backend
@@ -533,7 +542,7 @@ impl SimDeployment {
 
     /// The current virtual time.  In the default serial accounting events
     /// run back to back, so it is the sum of the virtual latencies of every
-    /// event (and migration) so far; in contention mode events overlap and
+    /// event (a migration is one) so far; in contention mode events overlap and
     /// it is the makespan, the latest completion time.
     pub fn virtual_now(&self) -> SimTime {
         self.inner.lock().clock
@@ -694,43 +703,6 @@ impl Deployment for SimDeployment {
         Box::new(self.client())
     }
 
-    fn migrate_context(&self, context: ContextId, to_server: ServerId) -> Result<u64> {
-        let mut state = self.inner.lock();
-        if !state.plane.is_online(to_server) {
-            return Err(AeonError::ServerNotFound(to_server));
-        }
-        let slot = state
-            .contexts
-            .get(&context)
-            .ok_or(AeonError::ContextNotFound(context))?;
-        let object = Arc::clone(&slot.object);
-        let class = slot.class.clone();
-        let moved = {
-            let mut object = object.lock();
-            let snapshot = object.snapshot();
-            let bytes = codec::encoded_len(&snapshot) as u64;
-            if let Some(factory) = state.factories.get(&class) {
-                *object = factory(&snapshot);
-            }
-            bytes
-        };
-        state.plane.set_placement(context, to_server)?;
-        // A migration costs one network round trip of virtual time; in
-        // contention mode the context is additionally unavailable for that
-        // round trip, so in-flight load queues behind the move.
-        let hop = state.hop;
-        let blocked_until = state.clock + hop + hop;
-        if let Some(timeline) = &mut state.timeline {
-            timeline
-                .locks
-                .entry(context)
-                .or_default()
-                .block_until(blocked_until);
-        }
-        state.clock += hop + hop;
-        Ok(moved)
-    }
-
     fn add_server(&self) -> ServerId {
         self.inner.lock().plane.add_server()
     }
@@ -822,7 +794,7 @@ impl Deployment for SimDeployment {
             sink.accessed(event, context, AccessMode::Exclusive);
             sink.responded(event);
         }
-        state.install(context, class, object);
+        state.install(context, object);
         state.plane.set_placement(context, server)
     }
 

@@ -51,17 +51,6 @@ impl LockTimeline {
             self.readers_free_at = end;
         }
     }
-
-    /// Delays the next acquisition until at least `until` (used to model a
-    /// context being unavailable during migration).
-    pub fn block_until(&mut self, until: SimTime) {
-        if until > self.writer_free_at {
-            self.writer_free_at = until;
-        }
-        if until > self.readers_free_at {
-            self.readers_free_at = until;
-        }
-    }
 }
 
 /// A server's CPU: `cores` independent execution units, each FIFO.
@@ -139,13 +128,6 @@ mod tests {
         assert_eq!(read(&mut lock, at(4), ms(7)), at(10));
         // A writer then waits for the slowest reader.
         assert_eq!(write(&mut lock, at(5), ms(1)), at(17));
-    }
-
-    #[test]
-    fn block_until_delays_next_acquisition() {
-        let mut lock = LockTimeline::new();
-        lock.block_until(at(50));
-        assert_eq!(write(&mut lock, at(0), ms(1)), at(50));
     }
 
     #[test]

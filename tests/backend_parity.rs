@@ -455,6 +455,190 @@ fn migration_preserves_state_on_every_backend() {
     });
 }
 
+/// Moving a context to the server it already lives on moves nothing, on
+/// every backend: `Ok(0)`, no rebuild through the class factory, and the
+/// state and the placement as they were.
+#[test]
+fn migrating_to_the_current_server_is_a_no_op_on_every_backend() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    on_every_backend(|deployment| {
+        let backend = deployment.backend_name();
+        let rebuilt = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&rebuilt);
+        deployment.register_class_factory(
+            "Room",
+            Arc::new(move |state: &Value| {
+                counter.fetch_add(1, Ordering::SeqCst);
+                let mut room = Room::default();
+                ContextObject::restore(&mut room, state);
+                Box::new(room) as Box<dyn ContextObject>
+            }),
+        );
+        let world = deploy_game(deployment, 1, 1).unwrap();
+        let session = deployment.session();
+        let room = world.rooms[0];
+        session.call(room, "update_time_of_day", args![]).unwrap();
+        let here = deployment.placement_of(room).unwrap();
+        let before = deployment.snapshot_context(room).unwrap();
+        assert_eq!(
+            deployment.migrate_context(room, here),
+            Ok(0),
+            "backend {backend}"
+        );
+        assert_eq!(
+            rebuilt.load(Ordering::SeqCst),
+            0,
+            "backend {backend}: the room was rebuilt"
+        );
+        assert_eq!(
+            deployment.placement_of(room).unwrap(),
+            here,
+            "backend {backend}"
+        );
+        assert_eq!(
+            deployment.snapshot_context(room).unwrap(),
+            before,
+            "backend {backend}"
+        );
+    });
+}
+
+/// Paper claim (§5.2): a context migrates without violating consistency.
+/// Four clients transfer between the accounts of two branches — one account
+/// shared by both, so some transfers are sequenced at the bank — while a
+/// migrator moves the accounts back to back, each to a server it is not
+/// on.  No transfer fails, the books balance, and the recorded history
+/// (migrations included) is strictly serializable.  Moves and transfers
+/// keep pace — neither count gets more than `WINDOW` ahead of the other —
+/// so that the moves overlap the whole load however the threads are
+/// scheduled, and the history the checker reads stays bounded where a move
+/// is cheaper than a transfer (the runtime, the sim).
+#[test]
+fn transfers_under_back_to_back_migrations_neither_fail_nor_tear_on_every_backend() {
+    use aeon_apps::bank::{bank_class_graph, deploy_bank, register_bank_factories};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    const CLIENTS: usize = 4;
+    const TRANSFERS: usize = 500;
+    const WINDOW: usize = 8;
+    /// Waits until `ready` or `done` holds.
+    fn until(ready: impl Fn() -> bool, done: &AtomicBool) {
+        while !ready() && !done.load(Ordering::SeqCst) {
+            std::thread::sleep(std::time::Duration::from_micros(50));
+        }
+    }
+    on_every_backend_with(
+        |config| {
+            config
+                .servers(3)
+                .worker_threads(2)
+                .class_graph(bank_class_graph())
+        },
+        |deployment| {
+            let backend = deployment.backend_name();
+            register_bank_factories(deployment);
+            let recorder = HistoryRecorder::new();
+            deployment.install_history_sink(Arc::new(recorder.clone()));
+            let config = aeon_apps::bank::BankWorldConfig {
+                branches: 2,
+                accounts_per_branch: 4,
+                shared_pairs: 1,
+                shared_accounts: 1,
+                initial_balance: 100,
+            };
+            let world = deploy_bank(deployment, &config).unwrap();
+            let (transferred, moved) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let (clients_done, migrator_done) = (AtomicBool::new(false), AtomicBool::new(false));
+            let load = || transferred.load(Ordering::SeqCst);
+            let moves = || moved.load(Ordering::SeqCst);
+            std::thread::scope(|scope| {
+                let clients: Vec<_> = (0..CLIENTS)
+                    .map(|c| {
+                        let (session, world) = (deployment.session(), &world);
+                        let (transferred, migrator_done) = (&transferred, &migrator_done);
+                        scope.spawn(move || {
+                            for i in 0..TRANSFERS {
+                                until(|| load() < moves() + WINDOW, migrator_done);
+                                let b = (c + i) % world.branches.len();
+                                let accounts = &world.accounts_of[b];
+                                let from = accounts[i % accounts.len()];
+                                let to = accounts[(i + 1) % accounts.len()];
+                                let amount = 1 + (i % 9) as i64;
+                                if let Err(error) = session.call(
+                                    world.branches[b],
+                                    "transfer",
+                                    args![from, to, amount],
+                                ) {
+                                    panic!(
+                                        "backend {backend}: transfer {i} of client {c}: {error}"
+                                    );
+                                }
+                                transferred.fetch_add(1, Ordering::SeqCst);
+                            }
+                        })
+                    })
+                    .collect();
+                let migrator = scope.spawn(|| {
+                    let servers = deployment.servers();
+                    let mut failure = None;
+                    for account in world.accounts.iter().cycle() {
+                        until(|| moves() < load(), &clients_done);
+                        if clients_done.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        let here = deployment.placement_of(*account);
+                        let at = servers.iter().position(|s| Ok(*s) == here);
+                        let to = servers[(at.unwrap_or(0) + 1) % servers.len()];
+                        match deployment.migrate_context(*account, to) {
+                            Ok(bytes) if bytes > 0 => moved.fetch_add(1, Ordering::SeqCst),
+                            other => {
+                                failure = Some(format!("moving {account} to {to}: {other:?}"));
+                                break;
+                            }
+                        };
+                    }
+                    // Clients waiting for a move go on without it.
+                    migrator_done.store(true, Ordering::SeqCst);
+                    failure
+                });
+                // Every client is joined before the migrator is told to stop,
+                // failed or not, and only then is a failure passed on.
+                let clients: Vec<_> = clients.into_iter().map(|c| c.join()).collect();
+                clients_done.store(true, Ordering::SeqCst);
+                if let Some(failure) = migrator.join().unwrap() {
+                    panic!("backend {backend}: {failure}");
+                }
+                for client in clients {
+                    client.unwrap();
+                }
+            });
+            assert!(
+                moves() + WINDOW + CLIENTS >= CLIENTS * TRANSFERS,
+                "backend {backend}: only {} moves beside {} transfers",
+                moves(),
+                load()
+            );
+
+            let audit = deployment
+                .session()
+                .call_readonly(world.bank, "audit", args![])
+                .unwrap();
+            assert_eq!(
+                audit,
+                Value::from(world.expected_total(&config)),
+                "backend {backend}: a transfer was torn"
+            );
+            let history = recorder.history();
+            if let Err(violation) = check_strict_serializability(&history) {
+                panic!("backend {backend}, {} migrations: {violation}", moves());
+            }
+        },
+    );
+}
+
 #[test]
 fn colocation_with_contexts_on_crashed_servers_is_rejected_on_every_backend() {
     on_every_backend(|deployment| {

@@ -11,9 +11,9 @@
 //! per client whose every event dispatches a zero-amount `transfer_async`
 //! as a *sub-event* (a sub-event has no handle; moving nothing, it cannot
 //! unbalance the books unseen).  Beside it a driver snapshots, restores and
-//! migrates accounts.  An event that races a migration may be aborted today
-//! (ROADMAP item 2), exactly as `chaos_serializability` tolerates; nothing
-//! else may fail, and when no transfer failed the audit must balance.
+//! migrates accounts.  A migration is an exclusive event on the account, so
+//! an event that meets one waits for it and continues at the account's new
+//! host: nothing may fail, and the audit must balance.
 
 use aeon::prelude::*;
 use aeon_apps::bank::{deploy_bank, register_bank_factories, BankWorldConfig};
@@ -54,16 +54,6 @@ impl ContextObject for Teller {
     }
 }
 
-/// What an event that raced a migration is answered with today.
-fn is_migration_race(error: &AeonError) -> bool {
-    matches!(
-        error,
-        AeonError::EventAborted { .. }
-            | AeonError::MigrationInProgress(_)
-            | AeonError::ContextNotFound(_)
-    )
-}
-
 fn run(transport: ClusterTransport) {
     let transport = &transport;
     let cluster = Cluster::builder()
@@ -90,13 +80,11 @@ fn run(transport: ClusterTransport) {
         })
         .collect();
 
-    let torn_possible = AtomicBool::new(false);
     let clients_done = AtomicBool::new(false);
     thread::scope(|scope| {
         let clients: Vec<_> = (0..CLIENTS)
             .map(|c| {
                 let (session, world, teller) = (cluster.client(), &world, tellers[c]);
-                let torn_possible = &torn_possible;
                 scope.spawn(move || {
                     for op in 0..OPS_PER_CLIENT {
                         let b = (c + op) % world.branches.len();
@@ -110,8 +98,7 @@ fn run(transport: ClusterTransport) {
                             args![from, to, amount],
                         );
                         if let Err(error) = moved {
-                            assert!(is_migration_race(&error), "{transport:?}: {error}");
-                            torn_possible.store(true, Ordering::SeqCst);
+                            panic!("{transport:?}: a transfer failed: {error}");
                         }
                         // The relay itself touches only the teller; its
                         // sub-event is submitted from the gateway's `Done`
@@ -132,20 +119,17 @@ fn run(transport: ClusterTransport) {
                 round += 1;
                 let account = world.accounts[round % world.accounts.len()];
                 let to = servers[round % servers.len()];
-                migrated += usize::from(cluster.migrate_context(account, to).is_ok());
-                // A freeze that races a migration may fail; one that
-                // succeeds is a consistent cut.
+                cluster.migrate_context(account, to).unwrap();
+                migrated += 1;
                 match round % 3 {
                     0 => {
                         if let Some(snapshot) = &checkpoint {
-                            let _ = cluster.restore_snapshot(snapshot);
+                            cluster.restore_snapshot(snapshot).unwrap();
                         }
                     }
                     _ => {
-                        if let Ok(snapshot) = cluster.snapshot_context(world.bank) {
-                            captured += 1;
-                            checkpoint = Some(snapshot);
-                        }
+                        checkpoint = Some(cluster.snapshot_context(world.bank).unwrap());
+                        captured += 1;
                     }
                 }
                 thread::sleep(Duration::from_millis(2));
@@ -165,13 +149,7 @@ fn run(transport: ClusterTransport) {
         .client()
         .call_readonly(world.bank, "audit", args![])
         .unwrap();
-    if torn_possible.load(Ordering::SeqCst) {
-        // An aborted transfer may have withdrawn without depositing: the
-        // tear is item 2's, and the books are not asserted over it.
-        eprintln!("{transport:?}: a transfer raced a migration; audit {audit:?} not asserted");
-    } else {
-        assert_eq!(audit, Value::from(expected), "{transport:?}");
-    }
+    assert_eq!(audit, Value::from(expected), "{transport:?}");
     cluster.shutdown();
 }
 

@@ -421,9 +421,6 @@ fn offered_concurrency_above_the_pool(workers: usize) {
     for stat in stats.values() {
         assert_eq!((stat.panics, stat.workers), (0, workers));
     }
-    // The install-wait retry gauge is wired through (zero here: no
-    // migrations raced this run).
-    assert_eq!(cluster.install_wait_retries().len(), 2);
     cluster.shutdown();
 }
 
