@@ -19,13 +19,12 @@
 
 use aeon_types::{AccessMode, ContextId, EventId, HistorySink};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Whether an operation observed or modified the context state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// The operation only observed state.
     Read,
@@ -42,7 +41,7 @@ impl OpKind {
 }
 
 /// One recorded access of a context by an event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Operation {
     /// The event performing the access.
     pub event: EventId,
@@ -56,7 +55,7 @@ pub struct Operation {
 }
 
 /// The client-observed span of an event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventSpan {
     /// Logical timestamp taken before the event was submitted.
     pub invoked_at: u64,
@@ -74,7 +73,7 @@ impl EventSpan {
 }
 
 /// A complete recorded execution.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct History {
     /// Per-event spans.
     pub spans: BTreeMap<EventId, EventSpan>,

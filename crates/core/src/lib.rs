@@ -30,7 +30,7 @@
 //!
 //! The remaining crates supply the machinery: [`ownership`] (the ownership
 //! network, dominators and the static contextclass analysis), [`emanager`]
-//! (elasticity policies and the five-step migration protocol), [`checker`]
+//! (elasticity policies and persisted migration intents), [`checker`]
 //! (execution-history recording and strict-serializability checking),
 //! [`storage`] / [`net`] (cloud-storage and networking substrates).
 //!

@@ -2,21 +2,23 @@
 //!
 //! The eManager is a stateless service that
 //!
-//! * maintains the global context → server mapping and the ownership
-//!   network in cloud storage (so a crashed eManager can be replaced without
-//!   losing state),
+//! * works on the deployment's own placement (`placement_of` /
+//!   `contexts_on`) and keeps only what a replacement needs besides — the
+//!   ownership network, checkpoints and migration intents — in cloud
+//!   storage, so a crashed eManager can be replaced without losing state,
 //! * evaluates *elasticity policies* (resource utilisation, server
 //!   contention, SLA) against periodic server metrics and decides when to
 //!   scale out/in and which contexts to migrate,
-//! * drives the five-step migration protocol, persisting every step so an
-//!   interrupted migration can be completed by a newly elected eManager,
+//! * migrates a context as one `migrate_context` call between persisting and
+//!   clearing one intent (`migration/<context>` → destination), so a newly
+//!   elected eManager re-submits the moves its predecessor left in flight,
 //! * exposes the snapshot/checkpoint API (§5.3).
 //!
 //! The manager is backend-agnostic: [`EManager::new`] takes an
 //! `Arc<dyn Deployment>` (see `aeon-api`), so the same policies elastically
 //! scale the in-process runtime, the distributed cluster, and the
-//! deterministic simulator.  Metric collection, scale out/in, and the
-//! migration protocol all go through the `Deployment` control-plane surface
+//! deterministic simulator.  Metric collection, scale out/in, and
+//! migration all go through the `Deployment` control-plane surface
 //! (`server_metrics`, `add_server`/`remove_server`, `migrate_context`,
 //! `snapshot_context`).
 //!
@@ -48,13 +50,9 @@
 //! ```
 
 pub mod manager;
-pub mod mapping;
-pub mod migration;
 pub mod policy;
 
 pub use manager::EManager;
-pub use mapping::ContextMapping;
-pub use migration::{MigrationRecord, MigrationStep};
 pub use policy::{
     ElasticityAction, ElasticityPolicy, ResourceUtilizationPolicy, ServerContentionPolicy,
     ServerMetrics, SlaPolicy,

@@ -1,30 +1,29 @@
 //! The eManager service itself.
 
-use crate::mapping::ContextMapping;
-use crate::migration::{MigrationRecord, MigrationStep};
 use crate::policy::{ElasticityAction, ElasticityPolicy, ServerMetrics};
 use aeon_api::{Deployment, Snapshot};
-use aeon_storage::CloudStore;
+use aeon_storage::{keys, CloudStore};
 use aeon_types::{AeonError, ContextId, Result, ServerId, Value};
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 
-/// The elasticity manager: maintains the context mapping, evaluates
-/// elasticity policies, performs migrations, and exposes snapshots.
+/// The elasticity manager: evaluates elasticity policies, performs
+/// migrations, and exposes snapshots.
 ///
 /// The manager is written entirely against the `aeon-api`
 /// [`Deployment`] trait, so the same elasticity policies drive the
 /// in-process runtime, the distributed cluster, and the deterministic
 /// simulator — pass whichever backend `aeon::deploy` built.
 ///
-/// The eManager itself is stateless in the sense of the paper: everything it
-/// needs to recover (mapping, ownership network, in-flight migrations) lives
-/// in the cloud storage substrate, so [`EManager::recover`] can finish the
-/// work of a crashed predecessor.
+/// The eManager itself is stateless in the sense of the paper: placement
+/// is the deployment's own (`placement_of` / `contexts_on`), and what a
+/// replacement needs besides — the ownership network, checkpoints and the
+/// intent of every migration in flight — lives in the cloud storage
+/// substrate, so [`EManager::recover`] can finish the work of a crashed
+/// predecessor.
 pub struct EManager {
     deployment: Arc<dyn Deployment>,
     store: Arc<dyn CloudStore>,
-    mapping: ContextMapping,
     policies: RwLock<Vec<Box<dyn ElasticityPolicy>>>,
     /// User-provided constraints: contexts that must never be migrated
     /// (the paper's constraint API, e.g. pinned contexts).
@@ -42,14 +41,17 @@ impl std::fmt::Debug for EManager {
     }
 }
 
+/// The storage key of the migration intent for `context`.
+fn intent_key(context: ContextId) -> String {
+    format!("{}{}", keys::MIGRATION_PREFIX, context.raw())
+}
+
 impl EManager {
     /// Creates an eManager for `deployment`, persisting into `store`.
     pub fn new(deployment: Arc<dyn Deployment>, store: impl CloudStore + 'static) -> Self {
-        let store: Arc<dyn CloudStore> = Arc::new(store);
         Self {
             deployment,
-            mapping: ContextMapping::new(store.clone()),
-            store,
+            store: Arc::new(store),
             policies: RwLock::new(Vec::new()),
             pinned: Mutex::new(Vec::new()),
             max_servers: Mutex::new(None),
@@ -78,11 +80,6 @@ impl EManager {
         *self.max_servers.lock() = Some(max);
     }
 
-    /// The context mapping view backed by cloud storage.
-    pub fn mapping(&self) -> &ContextMapping {
-        &self.mapping
-    }
-
     /// Collects the current per-server metrics from the deployment (the
     /// periodic utilisation reports of §5.2; each backend derives them from
     /// what it can observe).
@@ -92,7 +89,8 @@ impl EManager {
 
     /// Evaluates every registered policy against `metrics` and applies the
     /// resulting actions (scale out, rebalance, scale in).  Returns the
-    /// actions that were applied.
+    /// actions that were applied.  A scale-in of a server that hosts a
+    /// pinned context is neither applied nor returned.
     ///
     /// # Errors
     ///
@@ -124,7 +122,13 @@ impl EManager {
                     applied.push(action);
                 }
                 ElasticityAction::ScaleIn { server } => {
-                    if self.deployment.servers().len() > 1 {
+                    let pinned = self.pinned.lock().clone();
+                    let hosts_pinned = self
+                        .deployment
+                        .contexts_on(*server)
+                        .iter()
+                        .any(|c| pinned.contains(c));
+                    if self.deployment.servers().len() > 1 && !hosts_pinned {
                         self.drain_server(*server)?;
                         self.deployment.remove_server(*server)?;
                         applied.push(action);
@@ -171,7 +175,10 @@ impl EManager {
         Ok(())
     }
 
-    /// Migrates every context off `server` (used before scaling in).
+    /// Migrates every context off `server` (used before scaling in),
+    /// pinned ones included: an operator's explicit drain (`aeond`'s
+    /// `/drain`) overrides [`EManager::pin_context`].  [`EManager::tick`]
+    /// never drains a server that hosts a pinned context.
     ///
     /// # Errors
     ///
@@ -192,88 +199,72 @@ impl EManager {
         Ok(())
     }
 
-    /// Runs the five-step migration protocol for one context, persisting
-    /// each step so a replacement eManager can finish it after a crash.
+    /// Migrates one context (§5.2) and returns the bytes of state moved
+    /// (0 when it already lives on `to`).
+    ///
+    /// The move itself is one exclusive event on the context
+    /// ([`Deployment::migrate_context`]).  Around it the manager persists
+    /// one intent, `migration/<context>` → `to`, and clears it when the
+    /// call returns, whether it succeeded or failed; an intent still in
+    /// storage therefore names a move whose eManager crashed before it
+    /// returned, and a replacement finishes it with [`EManager::recover`].
     ///
     /// # Errors
     ///
-    /// * [`AeonError::ContextNotFound`] / [`AeonError::ServerNotFound`] for
-    ///   unknown ids.
-    /// * Storage failures while persisting progress.
-    pub fn migrate(&self, context: ContextId, to: ServerId) -> Result<()> {
-        let from = self.deployment.placement_of(context)?;
-        if from == to {
-            return Ok(());
-        }
-        // Step I: destination prepares a queue for the context.
-        let mut record = MigrationRecord {
-            context,
-            from,
-            to,
-            step: MigrationStep::Prepared,
-        };
-        record.persist(&self.store)?;
-        // Step II: source stops accepting events targeting the context.  On
-        // every backend the stop window is the migration event's exclusive
-        // hold on the context (step IV): events queued behind it wait on the
-        // context's lock and continue wherever the context went.
-        record.step = MigrationStep::SourceStopped;
-        record.persist(&self.store)?;
-        // Step III: the mapping now names the destination.
-        self.mapping.record(context, to)?;
-        record.step = MigrationStep::MappingUpdated;
-        record.persist(&self.store)?;
-        // Step IV: the migrate event drains the queue and moves the state.
-        self.deployment.migrate_context(context, to)?;
-        record.step = MigrationStep::StateMoved;
-        record.persist(&self.store)?;
-        // Step V: destination resumes execution; the record is cleared.
-        record.step = MigrationStep::Completed;
-        record.persist(&self.store)?;
-        MigrationRecord::clear(&self.store, context)?;
-        Ok(())
+    /// The migration's own error ([`AeonError::ContextNotFound`],
+    /// [`AeonError::ServerNotFound`], [`AeonError::MigrationFailed`], …;
+    /// the context stays where it was), or a storage failure.
+    pub fn migrate(&self, context: ContextId, to: ServerId) -> Result<u64> {
+        let key = intent_key(context);
+        self.store.put(&key, Value::from(to.raw()))?;
+        let moved = self.deployment.migrate_context(context, to);
+        self.store.delete(&key)?;
+        moved
     }
 
-    /// Completes migrations left unfinished by a crashed eManager and
-    /// refreshes the mapping from the deployment's placement.
+    /// Finishes the migrations a crashed eManager left in flight: every
+    /// persisted intent is re-submitted to the deployment and cleared after
+    /// its attempt.  Re-submitting is idempotent — a context already on its
+    /// intent's destination is `Ok(0)` — so a move that did complete before
+    /// the crash costs nothing.
     ///
-    /// Returns the number of migrations that were completed.
+    /// Returns each intent's context with the outcome of its attempt, in
+    /// key order.  A failed move is reported there and does not stop the
+    /// others.  A key under the prefix that holds no intent is left alone.
     ///
     /// # Errors
     ///
-    /// Propagates migration and storage failures.
-    pub fn recover(&self) -> Result<usize> {
-        let mut finished = 0;
-        for record in MigrationRecord::load_all(&self.store) {
-            // Re-drive the migration from wherever it stopped; every step is
-            // idempotent.
-            if record.step < MigrationStep::Completed {
-                self.mapping.record(record.context, record.to)?;
-                self.deployment.migrate_context(record.context, record.to)?;
-                finished += 1;
-            }
-            MigrationRecord::clear(&self.store, record.context)?;
+    /// Only storage failures.
+    pub fn recover(&self) -> Result<Vec<(ContextId, Result<u64>)>> {
+        let mut outcomes = Vec::new();
+        for key in self.store.list_prefix(keys::MIGRATION_PREFIX) {
+            let context = key[keys::MIGRATION_PREFIX.len()..]
+                .parse()
+                .map(ContextId::new);
+            let to = self
+                .store
+                .get(&key)
+                .and_then(|value| value.as_i64())
+                .and_then(|raw| u32::try_from(raw).ok())
+                .map(ServerId::new);
+            let (Ok(context), Some(to)) = (context, to) else {
+                continue; // not an intent `migrate` wrote
+            };
+            let outcome = self.deployment.migrate_context(context, to);
+            self.store.delete(&key)?;
+            outcomes.push((context, outcome));
         }
-        // Refresh mapping entries for any context the storage does not know
-        // about yet (e.g. contexts created while the old eManager was down).
-        for server in self.deployment.servers() {
-            for context in self.deployment.contexts_on(server) {
-                self.mapping.record(context, server)?;
-            }
-        }
-        Ok(finished)
+        Ok(outcomes)
     }
 
-    /// Persists the current ownership network next to the mapping (§5.1).
+    /// Persists the current ownership network (§5.1).
     ///
     /// # Errors
     ///
     /// Propagates storage failures.
     pub fn persist_ownership(&self) -> Result<()> {
         let graph = self.deployment.ownership_graph();
-        self.store
-            .put(aeon_storage::keys::OWNERSHIP_KEY, graph.to_value())?;
-        Ok(())
+        self.store.put(keys::OWNERSHIP_KEY, graph.to_value())
     }
 
     /// Takes a consistent snapshot of `root` and its descendants and writes
@@ -293,7 +284,7 @@ impl EManager {
     /// members like any other, so the checkpoint can simply be retried).
     pub fn checkpoint(&self, name: &str, root: ContextId) -> Result<usize> {
         let snapshot = self.deployment.snapshot_context(root)?;
-        let key = format!("{}{}", aeon_storage::keys::SNAPSHOT_PREFIX, name);
+        let key = format!("{}{}", keys::SNAPSHOT_PREFIX, name);
         self.store.put(&key, snapshot.to_value())?;
         Ok(snapshot.len())
     }
@@ -305,20 +296,18 @@ impl EManager {
     /// Returns [`AeonError::Storage`] when the checkpoint does not exist,
     /// plus snapshot restore failures.
     pub fn restore_checkpoint(&self, name: &str) -> Result<()> {
-        let key = format!("{}{}", aeon_storage::keys::SNAPSHOT_PREFIX, name);
-        let record = self
+        let key = format!("{}{}", keys::SNAPSHOT_PREFIX, name);
+        let value = self
             .store
             .get(&key)
             .ok_or_else(|| AeonError::Storage(format!("no checkpoint named {name}")))?;
-        let snapshot = Snapshot::from_value(&record.value)?;
+        let snapshot = Snapshot::from_value(&value)?;
         self.deployment.restore_snapshot(&snapshot)
     }
 
     /// Access to the persisted ownership network, if any.
     pub fn load_ownership(&self) -> Option<Value> {
-        self.store
-            .get(aeon_storage::keys::OWNERSHIP_KEY)
-            .map(|r| r.value)
+        self.store.get(keys::OWNERSHIP_KEY)
     }
 }
 
@@ -398,22 +387,39 @@ mod tests {
         deployment.shutdown();
     }
 
-    #[test]
-    fn migrate_updates_mapping_and_clears_record() {
-        let (deployment, ids) = with_contexts(Backend::Runtime, 2, 2);
-        let manager = EManager::new(deployment.clone(), InMemoryStore::new());
-        let ctx = ids[0];
+    /// The first server other than the one `ctx` lives on.
+    fn elsewhere(deployment: &dyn Deployment, ctx: ContextId) -> ServerId {
         let from = deployment.placement_of(ctx).unwrap();
-        let to = deployment
+        deployment
             .servers()
             .into_iter()
             .find(|s| *s != from)
-            .unwrap();
-        manager.migrate(ctx, to).unwrap();
+            .unwrap()
+    }
+
+    /// Persists the intent a predecessor that crashed mid-move left behind.
+    fn persist_intent(store: &InMemoryStore, ctx: ContextId, to: ServerId) {
+        store.put(&intent_key(ctx), Value::from(to.raw())).unwrap();
+    }
+
+    #[test]
+    fn migrate_moves_the_context_and_clears_its_intent() {
+        let (deployment, ids) = with_contexts(Backend::Runtime, 2, 2);
+        let store = InMemoryStore::new();
+        let manager = EManager::new(deployment.clone(), store.clone());
+        let ctx = ids[0];
+        let to = elsewhere(&*deployment, ctx);
+        assert!(manager.migrate(ctx, to).unwrap() > 0);
         assert_eq!(deployment.placement_of(ctx).unwrap(), to);
-        assert_eq!(manager.mapping().lookup(ctx).unwrap(), to);
         // Migrating to the current location is a no-op.
-        manager.migrate(ctx, to).unwrap();
+        assert_eq!(manager.migrate(ctx, to), Ok(0));
+        // A failed move is returned, and its intent is cleared all the same.
+        assert_eq!(
+            manager.migrate(ctx, ServerId::new(99)),
+            Err(AeonError::ServerNotFound(ServerId::new(99)))
+        );
+        assert_eq!(deployment.placement_of(ctx).unwrap(), to);
+        assert!(store.is_empty());
         deployment.shutdown();
     }
 
@@ -444,33 +450,86 @@ mod tests {
     }
 
     #[test]
+    fn a_scale_in_never_drains_a_pinned_context() {
+        use crate::policy::ResourceUtilizationPolicy;
+
+        let deployment = deploy(Backend::Runtime, 2);
+        let servers = deployment.servers();
+        let pinned = deployment
+            .create_context(
+                Box::new(KvContext::new("Item")),
+                Placement::Server(servers[1]),
+            )
+            .unwrap();
+        let manager = EManager::new(deployment.clone(), InMemoryStore::new());
+        manager.pin_context(pinned);
+        manager.add_policy(Box::new(ResourceUtilizationPolicy::new(0.3, 0.8, 0.05)));
+        // Every server is under `lower`, and the one hosting the pinned
+        // context is the least loaded: the policy asks to release it.
+        let metrics = [(servers[0], 0.2), (servers[1], 0.1)].map(|(server, cpu)| ServerMetrics {
+            server,
+            cpu,
+            ..ServerMetrics::default()
+        });
+        assert_eq!(manager.tick(&metrics).unwrap(), []);
+        assert_eq!(deployment.placement_of(pinned).unwrap(), servers[1]);
+        assert_eq!(deployment.servers().len(), 2);
+        deployment.shutdown();
+    }
+
+    #[test]
     fn recovery_finishes_interrupted_migrations() {
         let (deployment, ids) = with_contexts(Backend::Runtime, 2, 1);
         let store = InMemoryStore::new();
         let ctx = ids[0];
-        let from = deployment.placement_of(ctx).unwrap();
-        let to = deployment
-            .servers()
-            .into_iter()
-            .find(|s| *s != from)
-            .unwrap();
-        // Simulate an eManager that crashed after persisting step II.
-        {
-            let arc_store: Arc<dyn CloudStore> = Arc::new(store.clone());
-            MigrationRecord {
-                context: ctx,
-                from,
-                to,
-                step: MigrationStep::SourceStopped,
-            }
-            .persist(&arc_store)
-            .unwrap();
-        }
-        let manager = EManager::new(deployment.clone(), store);
-        let finished = manager.recover().unwrap();
-        assert_eq!(finished, 1);
+        let to = elsewhere(&*deployment, ctx);
+        persist_intent(&store, ctx, to);
+        let manager = EManager::new(deployment.clone(), store.clone());
+        let outcomes = manager.recover().unwrap();
+        assert!(matches!(outcomes[..], [(c, Ok(moved))] if c == ctx && moved > 0));
         assert_eq!(deployment.placement_of(ctx).unwrap(), to);
-        assert_eq!(manager.mapping().lookup(ctx).unwrap(), to);
+        assert!(store.is_empty());
+        // Nothing is left to recover.
+        assert_eq!(manager.recover().unwrap(), []);
+        deployment.shutdown();
+    }
+
+    #[test]
+    fn recovery_reports_an_intent_that_cannot_finish_and_finishes_the_rest() {
+        let deployment = deploy(Backend::Runtime, 2);
+        deployment.register_class_factory(
+            "Fragile",
+            Arc::new(|_: &Value| -> Box<dyn aeon_api::ContextObject> {
+                panic!("this class cannot be rebuilt")
+            }),
+        );
+        let fragile = deployment
+            .create_context(Box::new(KvContext::new("Fragile")), Placement::Auto)
+            .unwrap();
+        let item = deployment
+            .create_context(Box::new(KvContext::new("Item")), Placement::Auto)
+            .unwrap();
+        let (fragile_home, item_to) = (
+            deployment.placement_of(fragile).unwrap(),
+            elsewhere(&*deployment, item),
+        );
+        let store = InMemoryStore::new();
+        persist_intent(&store, fragile, elsewhere(&*deployment, fragile));
+        persist_intent(&store, item, item_to);
+        let manager = EManager::new(deployment.clone(), store.clone());
+        let outcomes = manager.recover().unwrap();
+        assert_eq!(outcomes.len(), 2);
+        for (context, outcome) in &outcomes {
+            if *context == fragile {
+                assert!(outcome.is_err(), "{outcome:?}");
+            } else {
+                assert_eq!(*context, item);
+                assert!(matches!(outcome, Ok(moved) if *moved > 0), "{outcome:?}");
+            }
+        }
+        assert_eq!(deployment.placement_of(fragile).unwrap(), fragile_home);
+        assert_eq!(deployment.placement_of(item).unwrap(), item_to);
+        assert!(store.is_empty());
         deployment.shutdown();
     }
 

@@ -9,13 +9,12 @@
 //! non-reflexive cycle.
 
 use aeon_types::{AeonError, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A reference to one contextclass method, `Class::method`, as used in
 /// declared call summaries.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MethodRef {
     /// Target contextclass name.
     pub class: String,
@@ -58,7 +57,7 @@ impl fmt::Display for MethodRef {
 /// checker's recorder can classify operations as reads or writes without
 /// instantiating a context, and cross-backend tests can assert that all
 /// deployments agree on which methods are `ro`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MethodInfo {
     /// Method name as dispatched by the runtime.
     pub name: String,
@@ -69,7 +68,6 @@ pub struct MethodInfo {
     /// contexts.  `None` means the method never declared a summary (it is
     /// exempt from call-graph analysis); `Some(vec![])` declares "calls
     /// nothing".
-    #[serde(default)]
     pub calls: Option<Vec<MethodRef>>,
 }
 
@@ -89,13 +87,12 @@ impl MethodInfo {
 /// A constraint `owner ⊒ owned` (added with [`ClassGraph::add_constraint`])
 /// records that instances of class `owner` may directly own / call into
 /// instances of class `owned`, i.e. `owned ≤ owner` in the paper's notation.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClassGraph {
     /// class -> classes it may directly own.
     owns: BTreeMap<String, BTreeSet<String>>,
     /// class -> declared method surface (optional; filled in by the
     /// runtime's declarative method tables).
-    #[serde(default)]
     methods: BTreeMap<String, Vec<MethodInfo>>,
 }
 

@@ -40,7 +40,6 @@
 
 use aeon_types::{AeonError, ContextId, Result, Value};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -194,7 +193,7 @@ impl Clone for Pool {
 /// cycle-checked so the DAG invariant can never be violated at runtime, and
 /// bumps a version counter that stamps the sharing component it touched (see
 /// the module docs for the layout, the guaranteed orders and the stamps).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OwnershipGraph {
     slots: Vec<Slot>,
     /// One union-find node per slot.

@@ -1,77 +1,44 @@
 //! Simulated cloud storage substrate.
 //!
-//! The paper stores the context mapping, the ownership network, ongoing
-//! migration records and context snapshots in an external cloud storage
-//! service (S3-like) so that the eManager can be stateless and recover from
-//! crashes (§5.1, §5.3).  This crate provides that substrate: a versioned
-//! key/value store with compare-and-swap, implemented in memory.
+//! The paper keeps what the eManager must not lose — the ownership network,
+//! in-flight migration intents and context snapshots — in an external cloud
+//! storage service (S3-like), so that the eManager can be stateless and
+//! recover from crashes (§5.1, §5.3).  Placement itself is not stored here:
+//! the deployment's control plane is its one authority.  This crate provides
+//! that substrate: a linearizable key/value store, implemented in memory.
 //!
 //! # Examples
 //!
 //! ```
-//! use aeon_storage::{CloudStore, InMemoryStore};
+//! use aeon_storage::{keys, CloudStore, InMemoryStore};
 //! use aeon_types::Value;
 //!
 //! let store = InMemoryStore::new();
-//! let v1 = store.put("mapping/ctx-1", Value::from("srv-0")).unwrap();
-//! // CAS succeeds only with the current version.
-//! assert!(store.compare_and_swap("mapping/ctx-1", Some(v1), Value::from("srv-2")).is_ok());
-//! assert!(store.compare_and_swap("mapping/ctx-1", Some(v1), Value::from("srv-3")).is_err());
+//! store.put("migration/7", Value::from(2i64)).unwrap();
+//! assert_eq!(store.get("migration/7"), Some(Value::from(2i64)));
+//! assert_eq!(store.list_prefix(keys::MIGRATION_PREFIX), ["migration/7"]);
+//! store.delete("migration/7").unwrap();
+//! assert!(store.is_empty());
 //! ```
 
-use aeon_types::{AeonError, Result, Value};
+use aeon_types::{Result, Value};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Version number attached to every stored record; increases on every write
-/// of that key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct Version(pub u64);
-
-/// A stored record: its value and the version it was written at.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Record {
-    /// The stored value.
-    pub value: Value,
-    /// Version of this write.
-    pub version: Version,
-}
-
-/// The interface the rest of the system programs against.
-///
-/// All operations are linearizable; `compare_and_swap` is the primitive the
-/// eManager uses to guarantee that at most one migration record exists per
-/// context and that a recovering eManager observes a consistent prefix of
-/// the migration steps.
+/// The interface the rest of the system programs against.  Every operation
+/// is linearizable.
 pub trait CloudStore: Send + Sync + std::fmt::Debug {
-    /// Reads the record stored under `key`.
-    fn get(&self, key: &str) -> Option<Record>;
+    /// Reads the value stored under `key`.
+    fn get(&self, key: &str) -> Option<Value>;
 
-    /// Unconditionally writes `value` under `key`, returning the new
-    /// version.
+    /// Unconditionally writes `value` under `key`.
     ///
     /// # Errors
     ///
-    /// Implementations may fail with [`AeonError::Storage`] (e.g. simulated
-    /// outage).
-    fn put(&self, key: &str, value: Value) -> Result<Version>;
-
-    /// Writes `value` under `key` only if the current version matches
-    /// `expected` (`None` = the key must not exist).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AeonError::Storage`] describing the conflict when the
-    /// precondition does not hold.
-    fn compare_and_swap(
-        &self,
-        key: &str,
-        expected: Option<Version>,
-        value: Value,
-    ) -> Result<Version>;
+    /// Implementations may fail with [`aeon_types::AeonError::Storage`]
+    /// (e.g. simulated outage).
+    fn put(&self, key: &str, value: Value) -> Result<()>;
 
     /// Deletes `key`.  Deleting an absent key is a no-op.
     fn delete(&self, key: &str) -> Result<()>;
@@ -86,15 +53,7 @@ pub trait CloudStore: Send + Sync + std::fmt::Debug {
 /// every server plus the eManager, mimicking a shared external service.
 #[derive(Debug, Clone, Default)]
 pub struct InMemoryStore {
-    inner: Arc<Inner>,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    map: Mutex<BTreeMap<String, (Version, Value)>>,
-    version_counter: AtomicU64,
-    reads: AtomicU64,
-    writes: AtomicU64,
+    map: Arc<Mutex<BTreeMap<String, Value>>>,
 }
 
 impl InMemoryStore {
@@ -103,83 +62,34 @@ impl InMemoryStore {
         Self::default()
     }
 
-    /// Number of read operations served (diagnostics).
-    pub fn reads(&self) -> u64 {
-        self.inner.reads.load(Ordering::Relaxed)
-    }
-
-    /// Number of write operations served (diagnostics).
-    pub fn writes(&self) -> u64 {
-        self.inner.writes.load(Ordering::Relaxed)
-    }
-
     /// Number of keys currently stored.
     pub fn len(&self) -> usize {
-        self.inner.map.lock().len()
+        self.map.lock().len()
     }
 
     /// Returns `true` when the store holds no keys.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    fn next_version(&self) -> Version {
-        Version(self.inner.version_counter.fetch_add(1, Ordering::Relaxed) + 1)
-    }
 }
 
 impl CloudStore for InMemoryStore {
-    fn get(&self, key: &str) -> Option<Record> {
-        self.inner.reads.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .map
-            .lock()
-            .get(key)
-            .map(|(version, value)| Record {
-                value: value.clone(),
-                version: *version,
-            })
+    fn get(&self, key: &str) -> Option<Value> {
+        self.map.lock().get(key).cloned()
     }
 
-    fn put(&self, key: &str, value: Value) -> Result<Version> {
-        self.inner.writes.fetch_add(1, Ordering::Relaxed);
-        let version = self.next_version();
-        self.inner
-            .map
-            .lock()
-            .insert(key.to_string(), (version, value));
-        Ok(version)
-    }
-
-    fn compare_and_swap(
-        &self,
-        key: &str,
-        expected: Option<Version>,
-        value: Value,
-    ) -> Result<Version> {
-        self.inner.writes.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.inner.map.lock();
-        let current = map.get(key).map(|(v, _)| *v);
-        if current != expected {
-            return Err(AeonError::Storage(format!(
-                "cas conflict on {key}: expected {expected:?}, found {current:?}"
-            )));
-        }
-        let version = self.next_version();
-        map.insert(key.to_string(), (version, value));
-        Ok(version)
+    fn put(&self, key: &str, value: Value) -> Result<()> {
+        self.map.lock().insert(key.to_string(), value);
+        Ok(())
     }
 
     fn delete(&self, key: &str) -> Result<()> {
-        self.inner.writes.fetch_add(1, Ordering::Relaxed);
-        self.inner.map.lock().remove(key);
+        self.map.lock().remove(key);
         Ok(())
     }
 
     fn list_prefix(&self, prefix: &str) -> Vec<String> {
-        self.inner.reads.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .map
+        self.map
             .lock()
             .keys()
             .filter(|k| k.starts_with(prefix))
@@ -191,13 +101,12 @@ impl CloudStore for InMemoryStore {
 /// Well-known key prefixes used by the framework.  Applications may use any
 /// other prefix.
 pub mod keys {
-    /// Context → server mapping entries (`mapping/<context id>`).
-    pub const MAPPING_PREFIX: &str = "mapping/";
     /// Serialized ownership network.
     pub const OWNERSHIP_KEY: &str = "ownership/graph";
-    /// In-flight migration records (`migration/<context id>`).
+    /// In-flight migration intents (`migration/<context id>` → the
+    /// destination server's id).
     pub const MIGRATION_PREFIX: &str = "migration/";
-    /// Snapshot data (`snapshot/<snapshot id>/<context id>`).
+    /// Checkpoints (`snapshot/<name>`).
     pub const SNAPSHOT_PREFIX: &str = "snapshot/";
 }
 
@@ -209,10 +118,10 @@ mod tests {
     fn get_put_delete_cycle() {
         let store = InMemoryStore::new();
         assert!(store.get("k").is_none());
-        let v1 = store.put("k", Value::from(1i64)).unwrap();
-        let rec = store.get("k").unwrap();
-        assert_eq!(rec.value, Value::from(1i64));
-        assert_eq!(rec.version, v1);
+        store.put("k", Value::from(1i64)).unwrap();
+        assert_eq!(store.get("k"), Some(Value::from(1i64)));
+        store.put("k", Value::from(2i64)).unwrap();
+        assert_eq!(store.get("k"), Some(Value::from(2i64)));
         store.delete("k").unwrap();
         assert!(store.get("k").is_none());
         // Deleting again is a no-op.
@@ -220,52 +129,15 @@ mod tests {
     }
 
     #[test]
-    fn versions_increase_per_write() {
-        let store = InMemoryStore::new();
-        let v1 = store.put("a", Value::Null).unwrap();
-        let v2 = store.put("a", Value::Null).unwrap();
-        let v3 = store.put("b", Value::Null).unwrap();
-        assert!(v1 < v2);
-        assert!(v2 < v3);
-    }
-
-    #[test]
-    fn cas_enforces_expected_version() {
-        let store = InMemoryStore::new();
-        // Create-if-absent.
-        let v1 = store
-            .compare_and_swap("k", None, Value::from(1i64))
-            .unwrap();
-        // A second create-if-absent fails.
-        assert!(store
-            .compare_and_swap("k", None, Value::from(2i64))
-            .is_err());
-        // Update with correct version succeeds; stale version fails.
-        let v2 = store
-            .compare_and_swap("k", Some(v1), Value::from(3i64))
-            .unwrap();
-        assert!(store
-            .compare_and_swap("k", Some(v1), Value::from(4i64))
-            .is_err());
-        assert_eq!(store.get("k").unwrap().version, v2);
-        assert_eq!(store.get("k").unwrap().value, Value::from(3i64));
-        // The error is classified as transient so callers may retry.
-        let err = store
-            .compare_and_swap("k", Some(v1), Value::Null)
-            .unwrap_err();
-        assert!(err.is_transient());
-    }
-
-    #[test]
     fn list_prefix_is_sorted_and_filtered() {
         let store = InMemoryStore::new();
-        store.put("mapping/ctx-2", Value::Null).unwrap();
-        store.put("mapping/ctx-1", Value::Null).unwrap();
-        store.put("migration/ctx-1", Value::Null).unwrap();
-        let keys = store.list_prefix("mapping/");
+        store.put("migration/2", Value::Null).unwrap();
+        store.put("migration/1", Value::Null).unwrap();
+        store.put("snapshot/daily", Value::Null).unwrap();
+        let keys = store.list_prefix(keys::MIGRATION_PREFIX);
         assert_eq!(
             keys,
-            vec!["mapping/ctx-1".to_string(), "mapping/ctx-2".to_string()]
+            vec!["migration/1".to_string(), "migration/2".to_string()]
         );
         assert_eq!(store.list_prefix("nope/").len(), 0);
     }
@@ -275,38 +147,7 @@ mod tests {
         let store = InMemoryStore::new();
         let clone = store.clone();
         store.put("k", Value::from(9i64)).unwrap();
-        assert_eq!(clone.get("k").unwrap().value, Value::from(9i64));
+        assert_eq!(clone.get("k"), Some(Value::from(9i64)));
         assert_eq!(clone.len(), 1);
-    }
-
-    #[test]
-    fn concurrent_cas_admits_exactly_one_winner() {
-        let store = InMemoryStore::new();
-        let base = store.put("counter", Value::from(0i64)).unwrap();
-        let winners: Vec<bool> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..8)
-                .map(|i| {
-                    let store = store.clone();
-                    scope.spawn(move || {
-                        store
-                            .compare_and_swap("counter", Some(base), Value::from(i as i64))
-                            .is_ok()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(winners.iter().filter(|w| **w).count(), 1);
-    }
-
-    #[test]
-    fn read_write_counters() {
-        let store = InMemoryStore::new();
-        store.put("a", Value::Null).unwrap();
-        store.get("a");
-        store.get("b");
-        store.list_prefix("a");
-        assert_eq!(store.writes(), 1);
-        assert_eq!(store.reads(), 3);
     }
 }

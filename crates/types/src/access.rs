@@ -1,6 +1,5 @@
 //! Access modes of events and methods.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Whether an event (or method call) may modify context state.
@@ -9,7 +8,7 @@ use std::fmt;
 /// several of them may be active in the same context concurrently; exclusive
 /// events serialize with everything else (Algorithm 2, line 11 of the
 /// paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AccessMode {
     /// The event may update state; it requires exclusive access
     /// (the paper's `EX`).

@@ -5,44 +5,33 @@
 //! [`ClientId`]) so the different id spaces cannot be confused
 //! (C-NEWTYPE).  All ids are cheap `Copy` wrappers over integers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifier of a context (an instance of a `contextclass`).
 ///
 /// Contexts are the unit of data encapsulation and migration in AEON.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ContextId(u64);
 
 /// Identifier of an event (an atomic, strictly-serializable client request).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct EventId(u64);
 
 /// Identifier of a (possibly simulated) server / virtual machine hosting
 /// contexts.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ServerId(u32);
 
 /// Identifier of a client issuing events against the application.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ClientId(u64);
 
 /// Sequence number assigned by a dominator context when an event is
 /// activated.  Events that conflict are ordered by `(dominator, SequenceNo)`
 /// which is what makes top-down lock acquisition deadlock free (§4 of the
 /// paper).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SequenceNo(u64);
 
 /// The name of a `contextclass` (e.g. `"Room"`, `"Player"`).
@@ -194,18 +183,5 @@ mod tests {
             }
         }
         assert_eq!(all.len(), 1000);
-    }
-
-    #[test]
-    fn ids_implement_serialize() {
-        // The ids are persisted in the cloud-storage substrate, so the serde
-        // derives must exist; this is a compile-time check expressed as a
-        // generic bound.
-        fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-        assert_serde::<ContextId>();
-        assert_serde::<EventId>();
-        assert_serde::<ServerId>();
-        assert_serde::<ClientId>();
-        assert_serde::<SequenceNo>();
     }
 }

@@ -12,7 +12,6 @@
 //! figures plot.
 
 use crate::ids::ServerId;
-use serde::{Deserialize, Serialize};
 
 /// Number of logarithmic buckets in a [`LatencyHistogram`].  Bucket `i`
 /// covers `[2^i, 2^(i+1))` microseconds, so 40 buckets span sub-microsecond
@@ -27,7 +26,7 @@ pub const LATENCY_BUCKETS: usize = 40;
 /// bucket `floor(log2(max(micros, 1)))`, and percentiles report the upper
 /// edge of the bucket holding the requested rank — a deliberate
 /// overestimate, so reported tails are conservative.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyHistogram {
     /// Total recorded samples.
     pub count: u64,
@@ -137,7 +136,7 @@ impl LatencyHistogram {
 /// networking substrate; this plain value type is what crosses API
 /// boundaries — notably `Deployment::network_stats` and the `aeond`
 /// Prometheus exposition — without dragging a dependency on the net crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NetworkStatsSnapshot {
     /// Messages delivered on the sending server.
     pub local_messages: u64,
@@ -159,7 +158,7 @@ pub struct NetworkStatsSnapshot {
 /// The resource utilisations are proxies derived from what each backend can
 /// actually observe (relative context load, executor queue depth, event
 /// latency); on a real cloud deployment they would come from the host OS.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ServerMetrics {
     /// The reporting server.
     pub server: ServerId,

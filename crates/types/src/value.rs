@@ -22,7 +22,6 @@
 use crate::error::{AeonError, Result};
 use crate::ids::ContextId;
 use crate::thin::{ThinBytes, ThinList, ThinStr};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -33,7 +32,7 @@ use std::fmt;
 /// it were copied piecewise, and reading them back straddled those stores:
 /// decoding a one-value argument list took 21 ns instead of 8 (x86-64,
 /// 2 vCPUs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 #[repr(u64)]
 pub enum Value {
     /// Absent / unit value.
@@ -269,7 +268,7 @@ impl From<()> for Value {
 ///
 /// An `Args` is 16 bytes, the size of one [`Value`].  Equality and `{:?}`
 /// depend only on the values, never on which constructor built the list.
-#[derive(Clone, Serialize, Deserialize, Default)]
+#[derive(Clone, Default)]
 pub struct Args(Repr);
 
 /// The three sizes of an argument list.  `Many` always holds at least two

@@ -1,6 +1,7 @@
 //! Live migration: a context keeps serving strictly-serializable events
-//! while the eManager moves it between servers with the five-step protocol,
-//! and a crashed eManager is replaced mid-migration.
+//! while the eManager moves it between servers — each move one exclusive
+//! event, bracketed by a persisted migration intent — and a replacement
+//! eManager re-submits whatever intents its predecessor left in flight.
 //!
 //! Run with `cargo run --example migration`.
 
@@ -34,10 +35,14 @@ fn main() -> Result<()> {
     println!("counter after 300 increments and 6 migrations: {value}");
     assert_eq!(value, Value::from(300i64));
 
-    // A replacement eManager recovers from the persisted mapping.
+    // A replacement eManager re-submits the intents left in storage: none
+    // here, since every `migrate` above returned and cleared its own.
     let replacement = EManager::new(deployment.clone(), store);
-    let finished = replacement.recover()?;
-    println!("replacement eManager completed {finished} in-flight migrations");
+    let outcomes = replacement.recover()?;
+    println!(
+        "replacement eManager found {} in-flight migrations",
+        outcomes.len()
+    );
     println!("context now lives on {}", deployment.placement_of(counter)?);
     deployment.shutdown();
     Ok(())

@@ -48,20 +48,24 @@ fn on_every_backend(scenario: impl Fn(&dyn Deployment)) {
     );
 }
 
-/// Runs `scenario` against the runtime, the cluster — over in-process
-/// channels, then with every message crossing a real TCP socket on
-/// loopback — and the simulator, each deployed from the config `configure`
-/// makes of its backend's.
-fn on_every_backend_with(
-    configure: impl Fn(DeployConfig) -> DeployConfig,
-    scenario: impl Fn(&dyn Deployment),
-) {
-    for config in [
+/// The runtime, the cluster — over in-process channels, then with every
+/// message crossing a real TCP socket on loopback — and the simulator.
+fn every_backend() -> [DeployConfig; 4] {
+    [
         DeployConfig::runtime(),
         DeployConfig::cluster(),
         DeployConfig::cluster().transport(ClusterTransport::TcpLoopback),
         DeployConfig::sim(),
-    ] {
+    ]
+}
+
+/// Runs `scenario` against [`every_backend`], each deployed from the config
+/// `configure` makes of its backend's.
+fn on_every_backend_with(
+    configure: impl Fn(DeployConfig) -> DeployConfig,
+    scenario: impl Fn(&dyn Deployment),
+) {
+    for config in every_backend() {
         let deployment = aeon::deploy(configure(config)).unwrap();
         scenario(&*deployment);
         deployment.shutdown();
@@ -861,10 +865,10 @@ fn refused_creations_leave_the_ownership_graph_untouched_on_every_backend() {
 // ---------------------------------------------------------------------------
 
 /// Runs `scenario` with a shared deployment handle (the shape the
-/// elasticity manager holds) against all three backends.
+/// elasticity manager holds) against [`every_backend`], on two servers.
 fn on_every_backend_shared(scenario: impl Fn(std::sync::Arc<dyn Deployment>)) {
-    for backend in Backend::ALL {
-        let deployment = aeon::deploy_shared(DeployConfig::new(backend).servers(2)).unwrap();
+    for config in every_backend() {
+        let deployment = aeon::deploy_shared(config.servers(2)).unwrap();
         scenario(deployment.clone());
         deployment.shutdown();
     }
@@ -984,11 +988,15 @@ fn emanager_respects_pinned_contexts_on_every_backend() {
     });
 }
 
+/// The intent a predecessor eManager that crashed mid-move left behind:
+/// `migration/<context>` → the destination server's id.
+fn persist_intent(store: &InMemoryStore, ctx: ContextId, to: ServerId) {
+    let key = format!("{}{}", aeon::storage::keys::MIGRATION_PREFIX, ctx.raw());
+    store.put(&key, Value::from(to.raw())).unwrap();
+}
+
 #[test]
 fn emanager_recovers_interrupted_migrations_on_every_backend() {
-    use aeon::emanager::{MigrationRecord, MigrationStep};
-    use aeon::storage::CloudStore;
-
     on_every_backend_shared(|deployment| {
         let backend = deployment.backend_name();
         register_item_factory(deployment.as_ref());
@@ -1001,32 +1009,69 @@ fn emanager_recovers_interrupted_migrations_on_every_backend() {
             .find(|s| *s != from)
             .unwrap();
         let store = InMemoryStore::new();
-        // Simulate a predecessor eManager that crashed after step II.
-        {
-            let arc_store: std::sync::Arc<dyn CloudStore> = std::sync::Arc::new(store.clone());
-            MigrationRecord {
-                context: ctx,
-                from,
-                to,
-                step: MigrationStep::SourceStopped,
-            }
-            .persist(&arc_store)
-            .unwrap();
-        }
-        let replacement = EManager::new(deployment.clone(), store);
-        let finished = replacement.recover().unwrap();
-        assert_eq!(finished, 1, "backend {backend}");
+        persist_intent(&store, ctx, to);
+        let replacement = EManager::new(deployment.clone(), store.clone());
+        let outcomes = replacement.recover().unwrap();
+        assert!(
+            matches!(outcomes[..], [(c, Ok(moved))] if c == ctx && moved > 0),
+            "backend {backend}: {outcomes:?}"
+        );
         assert_eq!(
             deployment.placement_of(ctx).unwrap(),
             to,
             "backend {backend}"
         );
+        assert!(store.is_empty(), "backend {backend}: an intent was left");
+        assert_items_intact(deployment.as_ref(), &items, backend);
+    });
+}
+
+/// A move that fails — here the class factory that would rebuild the
+/// context panics, inside the interpreter's panic boundary on every backend
+/// — is returned by `EManager::migrate`, leaves the context where it was and
+/// serving, and leaves no intent behind to block a later `recover`.
+#[test]
+fn a_failed_emanager_migration_leaves_placement_and_recovery_intact_on_every_backend() {
+    on_every_backend_shared(|deployment| {
+        let backend = deployment.backend_name();
+        deployment.register_class_factory(
+            "Fragile",
+            std::sync::Arc::new(|_: &Value| -> Box<dyn ContextObject> {
+                panic!("this class cannot be rebuilt")
+            }),
+        );
+        let ctx = deployment
+            .create_context(Box::new(KvContext::new("Fragile")), Placement::Auto)
+            .unwrap();
+        let session = deployment.session();
+        session.call(ctx, "set", args!["n", 7]).unwrap();
+        let from = deployment.placement_of(ctx).unwrap();
+        let to = deployment
+            .servers()
+            .into_iter()
+            .find(|s| *s != from)
+            .unwrap();
+        let store = InMemoryStore::new();
+        let manager = EManager::new(deployment.clone(), store.clone());
+        let failed = manager.migrate(ctx, to);
+        assert!(failed.is_err(), "backend {backend}: {failed:?}");
         assert_eq!(
-            replacement.mapping().lookup(ctx).unwrap(),
-            to,
+            deployment.placement_of(ctx).unwrap(),
+            from,
             "backend {backend}"
         );
-        assert_items_intact(deployment.as_ref(), &items, backend);
+        assert_eq!(
+            session.call_readonly(ctx, "get", args!["n"]).unwrap(),
+            Value::from(7i64),
+            "backend {backend}"
+        );
+        assert!(
+            store
+                .list_prefix(aeon::storage::keys::MIGRATION_PREFIX)
+                .is_empty(),
+            "backend {backend}: an intent was left"
+        );
+        assert_eq!(manager.recover(), Ok(vec![]), "backend {backend}");
     });
 }
 
