@@ -86,9 +86,10 @@ impl Deployment for Cluster {
     }
 
     fn executor_stats(&self) -> Option<ExecutorStats> {
-        // Sum the per-node pools into one fleet-wide view; the gateway's
-        // certified read-only fast path doesn't run through any node pool,
-        // so its counter is folded in here.
+        // Sum the per-node pools into one fleet-wide view.  A certified read
+        // runs on its target's node pool like any event, but only the
+        // gateway, which admits it, counts it: its counter is folded in
+        // here.
         let mut total = ExecutorStats::default();
         for stats in Cluster::executor_stats(self).into_values() {
             total.workers += stats.workers;

@@ -23,13 +23,13 @@
 //! and leaves nothing behind.
 
 use crate::directory::Directory;
-use crate::message::{gateway_id, virtual_root, ClusterMessage, EventDescriptor};
+use crate::message::{gateway_id, ClusterMessage, EventDescriptor};
 use crate::node::{spawn_node, NodeShared};
 use crate::wire::message_wire_len;
 use aeon_net::{
     ChannelTransport, MessageSizer, Network, NetworkStats, TcpTransport, TcpTransportConfig,
 };
-use aeon_ownership::{ClassGraph, ControlPlane, Dominator, OwnershipGraph};
+use aeon_ownership::{ClassGraph, ControlPlane, OwnershipGraph, Sequencer};
 use aeon_runtime::reply::{reply, Replier, Reply, WaitError};
 use aeon_runtime::{
     AnalysisMode, CertifiedReads, ContextFactory, ContextObject, ExecutorConfig, ExecutorStats,
@@ -510,39 +510,32 @@ impl ClusterInner {
                 self.fast_path.fetch_add(1, Ordering::Relaxed);
                 (target_server, ClusterMessage::ExecCertified { event })
             } else {
-                match sequencer_of(&plane, event.target)? {
-                    Some((server, sequencer)) => (server, ClusterMessage::Act { event, sequencer }),
-                    None => (
-                        target_server,
-                        ClusterMessage::Exec {
-                            event,
-                            sequencer: None,
-                        },
-                    ),
-                }
+                // The sequencer's server: its dominator's host, or for the
+                // virtual root the lowest-id online server.
+                let sequencer = plane.sequencer_of(event.target)?;
+                let server = match sequencer {
+                    Sequencer::Own => target_server,
+                    Sequencer::Context(dominator) => plane.placement_of(dominator)?,
+                    Sequencer::GlobalRoot => plane
+                        .online_servers()
+                        .into_iter()
+                        .next()
+                        .ok_or_else(|| AeonError::Config("no online servers".into()))?,
+                };
+                let message = match sequencer {
+                    Sequencer::Own => ClusterMessage::Exec {
+                        event,
+                        sequencer: None,
+                    },
+                    _ => ClusterMessage::Act {
+                        sequencer: sequencer.lock(event.target),
+                        event,
+                    },
+                };
+                (server, message)
             }
         };
         self.send(server, message)
-    }
-}
-
-/// Where an event targeting `target` is sequenced, if
-/// that is not `target`'s own lock: its dominator on the server hosting it,
-/// or — when no concrete dominator exists — the virtual root, which lives
-/// on the lowest-id online server.  `None` when `target` is its own
-/// dominator.
-fn sequencer_of(plane: &ControlPlane, target: ContextId) -> Result<Option<(ServerId, ContextId)>> {
-    match plane.dominator_of(target)? {
-        Dominator::Context(dom) if dom != target => Ok(Some((plane.placement_of(dom)?, dom))),
-        Dominator::Context(_) => Ok(None),
-        Dominator::GlobalRoot => {
-            let server = plane
-                .online_servers()
-                .into_iter()
-                .next()
-                .ok_or_else(|| AeonError::Config("no online servers".into()))?;
-            Ok(Some((server, virtual_root())))
-        }
     }
 }
 

@@ -21,9 +21,10 @@ pub fn gateway_id() -> ServerId {
 }
 
 /// Sentinel context id standing for the *virtual root* sequencer used when a
-/// target has no concrete dominator ([`aeon_ownership::Dominator::GlobalRoot`]).
+/// target has no concrete dominator ([`aeon_ownership::Sequencer::GlobalRoot`]):
+/// the id under which every node's core keeps the global root's lock.
 pub fn virtual_root() -> ContextId {
-    ContextId::new(u64::MAX)
+    aeon_ownership::GLOBAL_ROOT
 }
 
 /// Everything a server needs to execute one event.
@@ -281,19 +282,22 @@ const _: () = assert!(std::mem::size_of::<EventDescriptor>() <= 88);
 const _: () = assert!(std::mem::size_of::<ClusterMessage>() <= 120);
 
 impl ClusterMessage {
-    /// The context whose hosting decides which node handles this message,
-    /// for the messages a node forwards after that context migrated away
-    /// (`None` for an `Act` on the virtual root, which every node sequences
-    /// locally).
-    pub(crate) fn routed_context(&self) -> Option<ContextId> {
+    /// The first lock of the unit of work this message brings to a node —
+    /// an `Act`'s sequencer, an `Exec` / `ExecCertified` target, a `Call`'s
+    /// callee — with the event that takes it and the mode it is taken in
+    /// (see `aeon_runtime::ServerCore::start`).
+    pub(crate) fn first_lock(&self) -> Option<(EventId, AccessMode, ContextId)> {
         match self {
-            ClusterMessage::Act { sequencer, .. } => {
-                (*sequencer != virtual_root()).then_some(*sequencer)
-            }
+            ClusterMessage::Act { event, sequencer } => Some((event.id, event.mode, *sequencer)),
             ClusterMessage::Exec { event, .. } | ClusterMessage::ExecCertified { event } => {
-                Some(event.target)
+                Some((event.id, event.mode, event.target))
             }
-            ClusterMessage::Call { target, .. } => Some(*target),
+            ClusterMessage::Call {
+                event,
+                mode,
+                target,
+                ..
+            } => Some((*event, *mode, *target)),
             _ => None,
         }
     }

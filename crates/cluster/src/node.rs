@@ -8,41 +8,43 @@
 //! this or another node) on the channel transport, a connection's reader
 //! thread over TCP.  What makes that safe:
 //!
-//! * **`dispatch` never waits.**  Every arm that can — `Act` (the sequencer
-//!   lock), `Exec` / `ExecCertified` / `Call` (activation locks, the method
-//!   body, remote calls) — goes to the node's sharded worker pool through
-//!   `offload`, an unbounded push that does not block; tasks are sharded by
-//!   the context they concern.  The arms that run in line only flip a map
-//!   and send an acknowledgement: `Host` (insert the object, for a new
+//! * **`dispatch` never waits.**  Every arm that can — `Act`, `Exec`,
+//!   `ExecCertified`, `Call`, each a unit of work (the method body, nested
+//!   activations, remote calls) — goes to the node's sharded worker pool
+//!   through `offload`, an unbounded push that does not block, keyed by the
+//!   context of the work's first lock.  The arms that run in line only flip
+//!   a map and send an acknowledgement: `Host` (insert the object, for a new
 //!   context or one migrating in; its class factory, the one piece of
 //!   application code reached from here, runs under the panic boundary),
 //!   `Release` (releasing a lock never blocks), `CallReply` / `HostAck` /
 //!   `DirAck` (complete a waiting caller), `MetricsReq` (read counters),
 //!   `Shutdown`.
-//! * **A pool worker waits only inside `block_in_place`; a sequencer wait
-//!   holds no worker.**  The pool is fixed-size (a thread per blocking
-//!   message does not scale), so a worker must not sit on a wait whose end
-//!   needs a task queued behind it.  `Act` takes its sequencer with
-//!   [`ContextLock::activate_or_defer`]: granted now, the worker goes on
-//!   to execute the event — in place when the target is installed here;
-//!   held, the `Act` leaves a grant in the lock's queue and the worker is
-//!   free.  The grant runs on whichever thread releases the sequencer (a
-//!   worker finishing an event, or this `dispatch`'s `Release` arm on a
-//!   sender's thread) and only offloads the continuation.  Every other
-//!   wait of a worker — a remote call's reply or a migration's `HostAck`, a
-//!   contended activation in `enter`, a reader's turn at an object another
+//! * **No unit of work waits for its first lock on a worker; a worker
+//!   waits only inside `block_in_place`.**  The pool is fixed-size (a
+//!   thread per blocking message does not scale), so a worker must not sit
+//!   on a wait whose end needs a task queued behind it.  The worker takes
+//!   the work's first lock — an `Act`'s sequencer, an `Exec` /
+//!   `ExecCertified` target, a `Call`'s callee — through the node's
+//!   [`ServerCore`] (`start`): free, it runs the work in place; held, the
+//!   work waits in the lock's queue as a grant and the worker is free.  The
+//!   grant runs on whichever thread releases the lock (a worker finishing
+//!   an event, or this `dispatch`'s `Release` arm on a sender's thread) and
+//!   only offloads the work again, sends it after a context that moved, or
+//!   answers its event when the node stopped.  Every other wait of a worker — a remote
+//!   call's reply or a migration's `HostAck`, a contended activation
+//!   nested in a running body, a reader's turn at an object another
 //!   reader's frame holds (`lock_object`) — is announced with
 //!   `ShardedExecutor::block_in_place`, which hands the rest of the
 //!   worker's batch back to the queue and keeps `workers` threads running
 //!   the queues beside it (see `aeon_runtime::executor`): the holder it
-//!   waits for may be an event whose granted continuation is still queued.
-//!   An uncontended activation or object lock announces nothing.
+//!   waits for may be work whose grant offloaded it, still queued.  An
+//!   uncontended activation or object lock announces nothing.
 //! * **No guard is held across a send** ([`NodeShared::send`]): the
 //!   receiver's handler runs inside the send and may come straight back
 //!   here.
 //! * **`dispatch` is entered from many threads at once** — from senders,
-//!   readers and pool workers (an `Act` re-dispatched after its sequencer
-//!   moved): everything it touches is a lock-protected map or an atomic.
+//!   readers and pool workers (work re-delivered after its context moved):
+//!   everything it touches is a lock-protected map or an atomic.
 //! * **Recursion is bounded by the protocol**, not by load.  The longest
 //!   chain is a worker's `Done` → the gateway's arm → a sub-event's `submit`
 //!   → `route` → this `dispatch` → `offload`, where it ends.  A forwarded
@@ -56,11 +58,11 @@
 //! to the destination and waits for the `HostAck` (`NodeHost::migrate`).
 //! Then it moves the placement, leaves a forwarding pointer and removes the
 //! slot, and [`ContextLock::mark_moved`] tells every waiter still queued on
-//! it that the context moved: a nested activation or a `Call` looks the
-//! context up again and reaches it with a remote call, a certified read is
-//! forwarded whole, and a deferred `Act` is re-dispatched to the
-//! sequencer's new host in its queue order.  Nothing waiting fails, and
-//! nothing is buffered.
+//! it that the context moved: a nested activation looks the context up
+//! again and reaches it with a remote call, and every unit of work whose
+//! grant waited there — an `Act`, an `Exec`, a certified read, a `Call` —
+//! is sent whole after the context, in its queue order.  Nothing waiting
+//! fails, and nothing is buffered.
 //!
 //! A node is owned by whoever spawned it: its handler holds the only
 //! long-lived `Arc` besides the spawner's, so the node is gone once it is
@@ -69,23 +71,21 @@
 //!
 //! What an event may do while it executes is not decided here: `Exec` and
 //! `Call` handlers run the shared interpreter (`aeon_runtime::EventBody`)
-//! over [`NodeHost`], which only answers where a context lives, takes and
-//! records its activation, carries a call to another server and back, and
-//! moves a context.  A snapshot or a restore is such an event too: its
+//! over [`NodeHost`], which only answers where a context lives, takes its
+//! activation through the core, carries a call to another server and back,
+//! and moves a context.  A snapshot or a restore is such an event too: its
 //! root's server calls every member on the others, and `Release` fan-out
 //! ends it like any event, so a node has no message of its own for either.
 
 use crate::directory::Directory;
-use crate::message::{gateway_id, virtual_root, ClusterMessage, EventDescriptor, NodeMetrics};
+use crate::message::{gateway_id, ClusterMessage, EventDescriptor, NodeMetrics};
 use aeon_net::Network;
 use aeon_runtime::reply::{reply, Replier, WaitError};
 use aeon_runtime::{
     ContextHost, ContextLock, ContextObject, ContextSlot, Entered, EventBody, EventMeta,
-    ExecutorConfig, ExecutorStats, Footprint, HostedObject, ShardedExecutor, SubEvent,
+    ExecutorConfig, ExecutorStats, Footprint, HostedObject, ServerCore, ShardedExecutor, SubEvent,
 };
-use aeon_types::{
-    AccessMode, AeonError, Args, ClientId, ContextId, EventId, Result, ServerId, Value,
-};
+use aeon_types::{AeonError, Args, ContextId, Result, ServerId, Value};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -115,11 +115,9 @@ pub(crate) struct NodeShared {
     executor: ShardedExecutor,
     directory: Arc<Directory>,
     network: Network<ClusterMessage>,
-    contexts: RwLock<HashMap<ContextId, Arc<ContextSlot>>>,
-    /// Sequencer lock used when an event has no concrete dominator.
-    root_lock: ContextLock,
-    /// Locks held on this node, per event (released on `Release`).
-    held: Mutex<HashMap<EventId, Vec<ContextId>>>,
+    /// The contexts installed here, the virtual root's lock and the locks
+    /// each event holds here (released on `Release`).
+    core: Arc<ServerCore>,
     /// Workers waiting for replies to remote calls and migrations, by
     /// correlation token.
     pending_calls: Mutex<HashMap<u64, Replier<CallOutcome>>>,
@@ -143,7 +141,7 @@ impl std::fmt::Debug for NodeShared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NodeShared")
             .field("id", &self.id)
-            .field("contexts", &self.contexts.read().len())
+            .field("contexts", &self.core.hosted())
             .finish_non_exhaustive()
     }
 }
@@ -156,7 +154,7 @@ impl NodeShared {
 
     /// Number of contexts currently installed on this node.
     pub(crate) fn hosted_contexts(&self) -> usize {
-        self.contexts.read().len()
+        self.core.hosted()
     }
 
     /// Counters of this node's worker pool.
@@ -189,12 +187,8 @@ impl NodeShared {
     }
 
     fn poison_all(&self) {
-        // Collected first: poisoning answers deferred `Act`s, which send.
-        let hosted: Vec<Arc<ContextSlot>> = self.contexts.read().values().cloned().collect();
-        for hosted in hosted {
-            hosted.lock.poison();
-        }
-        self.root_lock.poison();
+        // Answers every unit of work waiting for a grant here.
+        self.core.poison();
         // Workers blocked on remote calls would otherwise sit out the full
         // call timeout; closing their replies fails the calls immediately.
         let waiters = std::mem::take(&mut *self.pending_calls.lock());
@@ -216,48 +210,6 @@ impl NodeShared {
         let _ = self.network.send_from(self.id, to, message);
     }
 
-    /// Activates `lock` for `event` on a pool worker, announcing the wait
-    /// to the pool when there is one to make.
-    fn activate(&self, lock: &ContextLock, event: EventId, mode: AccessMode) -> Result<()> {
-        if lock.try_activate(event, mode)? {
-            return Ok(());
-        }
-        self.executor.block_in_place(|| lock.activate(event, mode))
-    }
-
-    fn record_hold(&self, event: EventId, context: ContextId) {
-        self.held.lock().entry(event).or_default().push(context);
-    }
-
-    /// Releases what `event` holds here.  The grants this runs only
-    /// offload (see [`handle_act`]), so the map's read guard may stay.
-    fn release_event(&self, event: EventId) {
-        let contexts = self.held.lock().remove(&event).unwrap_or_default();
-        let map = self.contexts.read();
-        for context in contexts.into_iter().rev() {
-            if context == virtual_root() {
-                self.root_lock.release(event);
-            } else if let Some(hosted) = map.get(&context) {
-                hosted.lock.release(event);
-            }
-        }
-    }
-
-    /// Reports a context access to the installed history sink, if any.
-    /// Callers invoke this while holding the context's object lock so the
-    /// per-context record order equals the observed access order.
-    fn record_access(&self, event: EventId, context: ContextId, mode: AccessMode) {
-        if let Some(sink) = self.directory.history_sink() {
-            sink.accessed(event, context, mode);
-        }
-    }
-
-    fn install(&self, context: ContextId, object: Box<dyn ContextObject>) {
-        self.contexts
-            .write()
-            .insert(context, ContextSlot::new(context, object));
-    }
-
     /// Rebuilds an object of `class` from `state` with the registered
     /// factory (`None` without one).  The factory is application code: a
     /// panic in it becomes the error the waiting party is answered with,
@@ -266,10 +218,6 @@ impl NodeShared {
         let factory = self.directory.factory_for(class)?;
         let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| factory(state)));
         Some(built.map_err(AeonError::from_panic))
-    }
-
-    fn local(&self, context: ContextId) -> Option<Arc<ContextSlot>> {
-        self.contexts.read().get(&context).cloned()
     }
 
     /// Where `context` went when it was migrated away from here, copied
@@ -283,17 +231,10 @@ impl NodeShared {
     /// after the pointer: a context that comes back is installed before its
     /// stale pointer goes, so a look-up racing its return still finds it.
     fn whereabouts(&self, context: ContextId) -> Option<Result<Arc<ContextSlot>, ServerId>> {
-        let slot = || self.local(context).map(Ok);
+        let slot = || self.core.slot(context).map(Ok);
         slot()
             .or_else(|| self.forwarded(context).map(Err))
             .or_else(slot)
-    }
-
-    /// Hands a potentially blocking message handler to the worker pool,
-    /// sharded by the context the message concerns so same-context
-    /// messages keep FIFO dequeue affinity.
-    fn offload(&self, key: ContextId, work: impl FnOnce() + Send + 'static) {
-        self.executor.submit(key.raw(), work);
     }
 
     /// Sends `message` — a request answered under the correlation token it
@@ -363,9 +304,7 @@ pub(crate) fn spawn_node(
         executor: ShardedExecutor::new(format!("aeon-node-{id}-pool"), executor),
         directory,
         network: network.clone(),
-        contexts: RwLock::new(HashMap::new()),
-        root_lock: ContextLock::new(virtual_root()),
-        held: Mutex::new(HashMap::new()),
+        core: Arc::default(),
         pending_calls: Mutex::new(HashMap::new()),
         corr: AtomicU64::new(1),
         forwarding: RwLock::new(HashMap::new()),
@@ -390,9 +329,9 @@ pub(crate) fn spawn_node(
 /// Handles one message on the thread that delivered it; see the module docs
 /// for why no arm may wait.
 fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
-    // A context that migrated away: its new host serves the message.
-    if let Some(context) = message.routed_context() {
-        if shared.local(context).is_none() {
+    // Work for a context that migrated away: its new host serves it.
+    if let Some((_, _, context)) = message.first_lock() {
+        if shared.core.slot(context).is_none() {
             if let Some(next) = shared.forwarded(context) {
                 return shared.send(next, message);
             }
@@ -421,7 +360,7 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
                 }),
             };
             let result = object.map(|object| {
-                shared.install(context, object);
+                shared.core.install(context, object);
                 // A context coming back: the pointer left when it moved
                 // away is stale, and following it would bounce requests
                 // between this node and the last host.
@@ -447,41 +386,11 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
         ClusterMessage::DirAck { corr, reply } => {
             shared.directory.complete_dir_reply(corr, reply);
         }
-        ClusterMessage::Act { event, sequencer } => {
-            let worker = Arc::clone(shared);
-            shared.offload(sequencer, move || handle_act(&worker, event, sequencer));
-        }
-        ClusterMessage::Exec { event, sequencer } => {
-            let worker = Arc::clone(shared);
-            let key = event.target;
-            shared.offload(key, move || {
-                handle_exec(&worker, event, sequencer, Footprint::Sequenced)
-            });
-        }
-        ClusterMessage::ExecCertified { event } => {
-            let worker = Arc::clone(shared);
-            let key = event.target;
-            shared.offload(key, move || {
-                handle_exec(&worker, event, None, Footprint::Certified)
-            });
-        }
-        ClusterMessage::Call {
-            event,
-            mode,
-            client,
-            caller,
-            target,
-            method,
-            args,
-            reply_to,
-            corr,
-        } => {
-            let worker = Arc::clone(shared);
-            shared.offload(target, move || {
-                handle_call(
-                    &worker, event, mode, client, caller, target, method, args, reply_to, corr,
-                )
-            });
+        work @ (ClusterMessage::Act { .. }
+        | ClusterMessage::Exec { .. }
+        | ClusterMessage::ExecCertified { .. }
+        | ClusterMessage::Call { .. }) => {
+            offload(shared, work, false);
         }
         ClusterMessage::CallReply {
             corr,
@@ -496,7 +405,7 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
                 sub_events,
             },
         ),
-        ClusterMessage::Release { event } => shared.release_event(event),
+        ClusterMessage::Release { event } => shared.core.release(event),
         ClusterMessage::MetricsReq { corr } => {
             // Answered inline: the report only reads counters, it cannot
             // block, so it never competes with event execution for the pool.
@@ -504,7 +413,7 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
             // held across it.
             let metrics = Box::new(NodeMetrics {
                 server: shared.id,
-                context_count: shared.contexts.read().len(),
+                context_count: shared.core.hosted(),
                 queue_depth: shared.executor.stats().queued,
                 events_executed: shared.events_executed.load(Ordering::Relaxed),
                 exec_micros: shared.exec_micros.load(Ordering::Relaxed),
@@ -520,198 +429,223 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
     }
 }
 
-/// Sequences the event at the dominator (`ACT`), then executes it
-/// (`EXEC`) — on this thread when the target is installed here, else at the
-/// target's server.  A held sequencer keeps no worker: the `Act` waits in
-/// the lock's queue as a grant, which whoever releases the sequencer runs
-/// and which only hands the rest back to the pool, keyed by the sequencer
-/// (it may run inside `dispatch`, where nothing may wait).  An `Act` whose
-/// sequencer moved away — before it got here, or while its grant waited —
-/// follows the forwarding pointer to the new host; a poisoned grant answers
-/// the gateway at once.
-fn handle_act(shared: &Arc<NodeShared>, event: EventDescriptor, sequencer: ContextId) {
-    let (id, corr) = (event.id, event.corr);
-    let hosted;
-    let lock = if sequencer == virtual_root() {
-        &shared.root_lock
-    } else {
-        match shared.whereabouts(sequencer) {
-            Some(Ok(local)) => {
-                hosted = local;
-                &hosted.lock
-            }
-            // It moved away after `dispatch` found it here.
-            Some(Err(next)) => return shared.send(next, ClusterMessage::Act { event, sequencer }),
-            None => {
-                let error = AeonError::ContextNotFound(sequencer);
-                return shared.send(gateway_id(), failed(corr, id, error));
-            }
-        }
-    };
-    let mode = event.mode;
-    // Shared with the grant, which is dropped unused when the sequencer is
-    // granted now, so that the descriptor is moved on, not copied.
-    let event = Arc::new(event);
-    let later = Arc::clone(&event);
+/// Takes the first lock of the unit of work `work` brings
+/// ([`ServerCore::start`]) and returns the work when it holds that lock
+/// now.  Held, the work waits in the lock's queue as a grant, which runs on
+/// the thread that releases the lock — inside `dispatch`, maybe — and only
+/// runs or sends: granted, the work goes back to the pool; told that its
+/// context moved or is not here, it goes after it; refused, its event is
+/// answered.
+fn start(shared: &Arc<NodeShared>, work: ClusterMessage) -> Option<ClusterMessage> {
+    let (event, mode, lock) = work.first_lock()?;
     let node = Arc::clone(shared);
-    let granted_now = lock.activate_or_defer(id, mode, move |granted| match granted {
-        Ok(()) => {
-            let worker = Arc::clone(&node);
-            node.offload(sequencer, move || sequenced(&worker, later, sequencer));
-        }
-        Err(AeonError::MigrationInProgress(_)) => {
-            let event = Arc::unwrap_or_clone(later);
-            dispatch(&node, ClusterMessage::Act { event, sequencer });
-        }
-        Err(error) => node.send(gateway_id(), failed(corr, id, error)),
-    });
-    if granted_now {
-        sequenced(shared, event, sequencer);
-    }
-}
-
-/// The rest of `ACT` once the event holds its sequencer.
-fn sequenced(shared: &Arc<NodeShared>, event: Arc<EventDescriptor>, sequencer: ContextId) {
-    let event = Arc::unwrap_or_clone(event);
-    shared.record_hold(event.id, sequencer);
-    let held = Some((shared.id, sequencer));
-    if shared.local(event.target).is_some() {
-        return handle_exec(shared, event, held, Footprint::Sequenced);
-    }
-    let target_server = shared
-        .forwarded(event.target)
-        .or_else(|| shared.directory.placement_of(event.target).ok());
-    match target_server {
-        Some(server) => shared.send(
-            server,
-            ClusterMessage::Exec {
-                event,
-                sequencer: held,
-            },
-        ),
-        None => {
-            shared.release_event(event.id);
-            let error = AeonError::ContextNotFound(event.target);
-            shared.send(gateway_id(), failed(event.corr, event.id, error));
-        }
-    }
-}
-
-/// The `Done` of an event that failed before it executed.
-fn failed(corr: u64, event: EventId, error: AeonError) -> ClusterMessage {
-    ClusterMessage::Done {
-        corr,
+    shared.core.start(
         event,
-        result: Err(error),
-        sub_events: Vec::new(),
+        mode,
+        lock,
+        work,
+        move |work, granted| match granted {
+            Ok(()) => offload(&node, work, true),
+            Err(AeonError::MigrationInProgress(_) | AeonError::ContextNotFound(_)) => {
+                look_again(&node, work, lock)
+            }
+            Err(error) => answer(&node, work, BTreeSet::new(), Err(error), Vec::new()),
+        },
+    )
+}
+
+/// Hands work to the worker pool, keyed by its first lock's context so
+/// that same-context work keeps FIFO dequeue affinity (and batches).  The
+/// worker takes that lock and runs the work in place when it is free.
+/// Work that `holds` it already — a grant's — is the rest of the task that
+/// took it up, resumed at the front of its queue.
+fn offload(shared: &Arc<NodeShared>, work: ClusterMessage, holds: bool) {
+    let key = work.first_lock().map_or(0, |(_, _, context)| context.raw());
+    let worker = Arc::clone(shared);
+    if holds {
+        return shared.executor.resume(key, move || run(&worker, work));
+    }
+    shared.executor.submit(key, move || {
+        if let Some(work) = start(&worker, work) {
+            run(&worker, work);
+        }
+    });
+}
+
+/// Runs work that holds its first lock, on a pool worker: an `Act`
+/// continues at its target; an `Exec`, a certified read or a `Call` runs
+/// its method here, over [`NodeHost`], and is answered.
+fn run(shared: &Arc<NodeShared>, work: ClusterMessage) {
+    let work = match work {
+        ClusterMessage::Act { event, sequencer } => return sequenced(shared, event, sequencer),
+        work => work,
+    };
+    let started = std::time::Instant::now();
+    let mut host = NodeHost::new(shared);
+    let outcome = match &work {
+        ClusterMessage::Exec { event, .. } | ClusterMessage::ExecCertified { event } => {
+            // A certified read arrives without a sequencer and must not
+            // leave its target.
+            let footprint = match work {
+                ClusterMessage::Exec { .. } => Footprint::Sequenced,
+                _ => Footprint::Certified,
+            };
+            let meta = EventMeta {
+                id: event.id,
+                client: event.client,
+                mode: event.mode,
+            };
+            let body = EventBody::new(&mut host, meta, footprint);
+            body.run(None, event.target, &event.method, &event.args)
+        }
+        ClusterMessage::Call {
+            event,
+            mode,
+            client,
+            caller,
+            target,
+            method,
+            args,
+            ..
+        } => {
+            let meta = EventMeta {
+                id: *event,
+                client: *client,
+                mode: *mode,
+            };
+            // A caller equal to the target marks a top-level invocation
+            // that was forwarded after a migration; there is no ownership
+            // edge to check.
+            let caller = (caller != target).then_some(*caller);
+            let body = EventBody::new(&mut host, meta, Footprint::Sequenced);
+            body.run(caller, *target, method, args)
+        }
+        _ => return,
+    };
+    if !matches!(work, ClusterMessage::Call { .. }) {
+        shared.events_executed.fetch_add(1, Ordering::Relaxed);
+        let elapsed_micros = started.elapsed().as_micros() as u64;
+        shared
+            .exec_micros
+            .fetch_add(elapsed_micros, Ordering::Relaxed);
+        shared.exec_latency.lock().record(elapsed_micros);
+    }
+    let participants = host.participants;
+    answer(
+        shared,
+        work,
+        participants,
+        outcome.result,
+        outcome.sub_events,
+    );
+}
+
+/// Sends `work` after `context`, its first lock's, which is not here: it is
+/// delivered again when the context came back, sent on to the server a
+/// forwarding pointer names, and refused when this node knows of neither.
+fn look_again(shared: &Arc<NodeShared>, work: ClusterMessage, context: ContextId) {
+    match shared.whereabouts(context) {
+        Some(Ok(_)) => offload(shared, work, false),
+        Some(Err(next)) => shared.send(next, work),
+        None => answer(
+            shared,
+            work,
+            BTreeSet::new(),
+            Err(AeonError::ContextNotFound(context)),
+            Vec::new(),
+        ),
     }
 }
 
-/// Executes the event at its target context and completes it.  `footprint`
-/// is how the gateway admitted the event: a certified read arrives without
-/// a sequencer and must not leave its target.
-fn handle_exec(
-    shared: &Arc<NodeShared>,
-    event: EventDescriptor,
-    sequencer: Option<(ServerId, ContextId)>,
-    footprint: Footprint,
+/// Answers the unit of work `work` brought.  A `Call` replies to its caller
+/// with the servers holding locks for the event because of it, this one
+/// included.  Any other releases the event everywhere it holds locks — on
+/// the servers its calls reached, here, then at the sequencer it was sent
+/// with, the reverse of acquisition across the cluster — and reports
+/// `Done` to the gateway.
+fn answer(
+    shared: &NodeShared,
+    work: ClusterMessage,
+    mut participants: BTreeSet<ServerId>,
+    result: Result<Value>,
+    sub_events: Vec<SubEvent>,
 ) {
-    let started = std::time::Instant::now();
-    let meta = EventMeta {
-        id: event.id,
-        client: event.client,
-        mode: event.mode,
+    let (event, sequencer) = match work {
+        ClusterMessage::Call { corr, reply_to, .. } => {
+            participants.insert(shared.id);
+            let participants = participants.into_iter().collect();
+            let reply = ClusterMessage::CallReply {
+                corr,
+                result,
+                participants,
+                sub_events,
+            };
+            return shared.send(reply_to, reply);
+        }
+        ClusterMessage::Exec { event, sequencer } => (event, sequencer),
+        ClusterMessage::Act { event, .. } | ClusterMessage::ExecCertified { event } => {
+            (event, None)
+        }
+        _ => return,
     };
-    let mut host = NodeHost::new(shared);
-    let outcome = EventBody::new(&mut host, meta, footprint).run(
-        None,
-        event.target,
-        &event.method,
-        &event.args,
-    );
-    // A certified read that found its target gone — it moved while the read
-    // waited, or before it arrived — holds nothing: it is sent after the
-    // context whole, for the new host to admit the same way.
-    if matches!(outcome.result, Err(AeonError::MigrationInProgress(c)) if c == event.target)
-        && footprint == Footprint::Certified
-    {
-        if let Some(next) = host.located {
-            return shared.send(next, ClusterMessage::ExecCertified { event });
+    for server in participants {
+        if server != shared.id {
+            shared.send(server, ClusterMessage::Release { event: event.id });
         }
     }
-
-    // Release locks everywhere the event touched, then locally, then at the
-    // sequencer (reverse of acquisition order across the cluster).
-    for server in &host.participants {
-        if *server != shared.id {
-            shared.send(*server, ClusterMessage::Release { event: event.id });
-        }
-    }
-    shared.release_event(event.id);
+    shared.core.release(event.id);
     if let Some((seq_server, _)) = sequencer {
         if seq_server != shared.id {
             shared.send(seq_server, ClusterMessage::Release { event: event.id });
         }
     }
-    shared.events_executed.fetch_add(1, Ordering::Relaxed);
-    let elapsed_micros = started.elapsed().as_micros() as u64;
-    shared
-        .exec_micros
-        .fetch_add(elapsed_micros, Ordering::Relaxed);
-    shared.exec_latency.lock().record(elapsed_micros);
-    shared.send(
-        gateway_id(),
-        ClusterMessage::Done {
-            corr: event.corr,
-            event: event.id,
-            result: outcome.result,
-            sub_events: outcome.sub_events,
-        },
-    );
+    let done = ClusterMessage::Done {
+        corr: event.corr,
+        event: event.id,
+        result,
+        sub_events,
+    };
+    shared.send(gateway_id(), done);
 }
 
-/// Serves a synchronous method call issued by another server on behalf of a
-/// running event.
-#[allow(clippy::too_many_arguments)]
-fn handle_call(
-    shared: &Arc<NodeShared>,
-    event: EventId,
-    mode: AccessMode,
-    client: Option<ClientId>,
-    caller: ContextId,
-    target: ContextId,
-    method: String,
-    args: Args,
-    reply_to: ServerId,
-    corr: u64,
-) {
-    let meta = EventMeta {
-        id: event,
-        client,
-        mode,
+/// The rest of `ACT` once the event holds its sequencer: it executes
+/// (`EXEC`) on this thread when the target is installed here, else at the
+/// target's server.
+fn sequenced(shared: &Arc<NodeShared>, event: EventDescriptor, sequencer: ContextId) {
+    let held = Some((shared.id, sequencer));
+    let target = event.target;
+    if shared.core.slot(target).is_some() {
+        return run(
+            shared,
+            ClusterMessage::Exec {
+                event,
+                sequencer: held,
+            },
+        );
+    }
+    let server = shared
+        .forwarded(target)
+        .or_else(|| shared.directory.placement_of(target).ok());
+    let exec = ClusterMessage::Exec {
+        event,
+        sequencer: held,
     };
-    let mut host = NodeHost::new(shared);
-    // A caller equal to the target marks a top-level invocation that was
-    // forwarded after a migration; there is no ownership edge to check.
-    let caller = if caller == target { None } else { Some(caller) };
-    let outcome =
-        EventBody::new(&mut host, meta, Footprint::Sequenced).run(caller, target, &method, &args);
-    host.participants.insert(shared.id);
-    shared.send(
-        reply_to,
-        ClusterMessage::CallReply {
-            corr,
-            result: outcome.result,
-            participants: host.participants.into_iter().collect(),
-            sub_events: outcome.sub_events,
-        },
-    );
+    match server {
+        Some(server) => shared.send(server, exec),
+        None => answer(
+            shared,
+            exec,
+            BTreeSet::new(),
+            Err(AeonError::ContextNotFound(target)),
+            Vec::new(),
+        ),
+    }
 }
 
 /// The cluster node's host of the event interpreter: a context installed
-/// here is entered under its [`ContextLock`]; any other travels to the
-/// hosting server as a [`ClusterMessage::Call`].  Holds are recorded on the
-/// node (released by `Release` fan-out), not here.
+/// here is entered through the node's [`ServerCore`], which records the
+/// hold (released by `Release` fan-out); any other travels to the hosting
+/// server as a [`ClusterMessage::Call`].
 struct NodeHost<'a> {
     node: &'a NodeShared,
     /// Servers (other than this one) holding locks for the event because of
@@ -736,22 +670,27 @@ impl ContextHost for NodeHost<'_> {
         self.node.directory.may_call(caller, target)
     }
 
+    /// A contended activation waits inside `block_in_place`: its holder
+    /// may be work whose grant offloaded it, still queued on this pool.
     fn enter(&mut self, event: &EventMeta, target: ContextId) -> Result<Entered> {
         let node = self.node;
+        let wait = |lock: &ContextLock| {
+            node.executor
+                .block_in_place(|| lock.activate(event.id, event.mode))
+        };
         loop {
-            let server = match node.whereabouts(target) {
-                Some(Ok(hosted)) => match node.activate(&hosted.lock, event.id, event.mode) {
-                    Ok(()) => {
-                        node.record_hold(event.id, target);
-                        return Ok(Entered::Local(hosted));
-                    }
-                    // It moved while this event waited for it (its slot is
-                    // gone by now): look it up again.
-                    Err(AeonError::MigrationInProgress(moved)) if moved == target => continue,
-                    Err(error) => return Err(error),
+            let server = match node.core.enter(event.id, event.mode, target, wait) {
+                Ok(Some(hosted)) => return Ok(Entered::Local(hosted)),
+                // It moved while this event waited for it (its slot is
+                // gone by now): look it up again.
+                Err(AeonError::MigrationInProgress(moved)) if moved == target => continue,
+                Err(error) => return Err(error),
+                Ok(None) => match node.whereabouts(target) {
+                    // It came back a moment ago.
+                    Some(Ok(_)) => continue,
+                    Some(Err(server)) => server,
+                    None => node.directory.placement_of(target)?,
                 },
-                Some(Err(server)) => server,
-                None => node.directory.placement_of(target)?,
             };
             if server != node.id {
                 self.located = Some(server);
@@ -761,7 +700,7 @@ impl ContextHost for NodeHost<'_> {
             // installed before it is placed, so it has just come back —
             // unless nothing installed it (a call to this node would come
             // straight back).
-            if node.local(target).is_none() {
+            if node.core.slot(target).is_none() {
                 return Err(AeonError::ContextNotFound(target));
             }
         }
@@ -771,10 +710,7 @@ impl ContextHost for NodeHost<'_> {
         &self,
         hosted: &'o dyn HostedObject,
     ) -> MutexGuard<'o, Box<dyn ContextObject>> {
-        let object = hosted.object();
-        object
-            .try_lock()
-            .unwrap_or_else(|| self.node.executor.block_in_place(|| object.lock()))
+        self.node.executor.lock(hosted.object())
     }
 
     fn remote_call(
@@ -811,7 +747,9 @@ impl ContextHost for NodeHost<'_> {
     }
 
     fn record_access(&self, event: &EventMeta, context: ContextId) {
-        self.node.record_access(event.id, context, event.mode);
+        if let Some(sink) = self.node.directory.history_sink() {
+            sink.accessed(event.id, context, event.mode);
+        }
     }
 
     fn create_child(
@@ -828,7 +766,7 @@ impl ContextHost for NodeHost<'_> {
         // created it, exactly like the in-process runtime.  The plane
         // placed it with its owner; say where it actually landed, which
         // differs while the owner is mid-migration.
-        self.node.install(id, object);
+        self.node.core.install(id, object);
         self.node.directory.set_placement(id, self.node.id)?;
         Ok(id)
     }
@@ -887,8 +825,7 @@ impl ContextHost for NodeHost<'_> {
         acked.result?;
         node.directory.set_placement(target, to)?;
         node.forwarding.write().insert(target, to);
-        let slot = node.contexts.write().remove(&target);
-        if let Some(slot) = slot {
+        if let Some(slot) = node.core.remove(target) {
             slot.lock.mark_moved();
         }
         Ok(())

@@ -44,6 +44,34 @@ pub enum Placement {
     WithContext(ContextId),
 }
 
+/// Where an event on a target is sequenced (Algorithm 2's
+/// `dispatchEvent`): the lock every event that could reach the target's
+/// descendants takes first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sequencer {
+    /// The target is its own dominator: its own lock sequences it.
+    Own,
+    /// The lock of this context, the target's dominator.
+    Context(ContextId),
+    /// The global root: no single context dominates the target.
+    GlobalRoot,
+}
+
+/// The id under which a backend keeps the global root's lock.  No context
+/// is ever given it.
+pub const GLOBAL_ROOT: ContextId = ContextId::new(u64::MAX);
+
+impl Sequencer {
+    /// The id of the lock that sequences an event on `target`.
+    pub fn lock(self, target: ContextId) -> ContextId {
+        match self {
+            Sequencer::Own => target,
+            Sequencer::Context(context) => context,
+            Sequencer::GlobalRoot => GLOBAL_ROOT,
+        }
+    }
+}
+
 /// One server of the roster.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Server {
@@ -104,6 +132,20 @@ impl ControlPlane {
     /// Returns [`AeonError::ContextNotFound`] for unknown targets.
     pub fn dominator_of(&self, target: ContextId) -> Result<Dominator> {
         self.resolver.dominator(&self.graph, target)
+    }
+
+    /// Where an event on `target` is sequenced: the one place a dominator
+    /// becomes a sequencer, for every backend.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AeonError::ContextNotFound`] for unknown targets.
+    pub fn sequencer_of(&self, target: ContextId) -> Result<Sequencer> {
+        Ok(match self.dominator_of(target)? {
+            Dominator::Context(dominator) if dominator == target => Sequencer::Own,
+            Dominator::Context(dominator) => Sequencer::Context(dominator),
+            Dominator::GlobalRoot => Sequencer::GlobalRoot,
+        })
     }
 
     /// Whether `caller` may (transitively) call `callee`.
@@ -651,6 +693,32 @@ mod tests {
         // its own again.
         plane.remove_edge(cx(3), cx(4)).unwrap();
         assert_eq!(plane.dominator_of(cx(2)), Ok(Dominator::Context(cx(2))));
+    }
+
+    #[test]
+    fn sequencer_of_names_the_lock_each_dominator_stands_for() {
+        let mut plane = plane_with_servers(1, None);
+        plane.declare_root(cx(1), "Room", Placement::Auto).unwrap();
+        plane.declare_root(cx(5), "Room", Placement::Auto).unwrap();
+        plane.declare_owned(cx(2), "Player", &[cx(1)]).unwrap();
+        plane.declare_owned(cx(3), "Player", &[cx(1)]).unwrap();
+        plane.declare_owned(cx(4), "Item", &[cx(2), cx(3)]).unwrap();
+        assert_eq!(plane.sequencer_of(cx(1)), Ok(Sequencer::Own));
+        assert_eq!(plane.sequencer_of(cx(2)), Ok(Sequencer::Context(cx(1))));
+        // The Item shared across two roots: no context dominates a Player.
+        plane.add_edge(cx(5), cx(4)).unwrap();
+        assert_eq!(plane.sequencer_of(cx(2)), Ok(Sequencer::GlobalRoot));
+        assert_eq!(
+            plane.sequencer_of(cx(9)),
+            Err(AeonError::ContextNotFound(cx(9)))
+        );
+        let locks = [
+            Sequencer::Own,
+            Sequencer::Context(cx(1)),
+            Sequencer::GlobalRoot,
+        ]
+        .map(|sequencer| sequencer.lock(cx(2)));
+        assert_eq!(locks, [cx(2), cx(1), GLOBAL_ROOT]);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod graph;
 pub mod path;
 
 pub use analysis::{ClassGraph, MethodInfo, MethodRef};
-pub use control::{ControlPlane, Placement};
+pub use control::{ControlPlane, Placement, Sequencer, GLOBAL_ROOT};
 pub use dominator::{dominator_of, share_set, Dominator, DominatorMode, DominatorResolver};
 pub use graph::OwnershipGraph;
 pub use path::{all_on_paths, find_path};

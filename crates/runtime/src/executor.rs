@@ -39,7 +39,7 @@
 //! Callers that need to observe the panic (e.g. to resolve an event handle
 //! with a proper error) catch it closer to the application code.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
@@ -51,6 +51,13 @@ use std::time::Duration;
 /// A unit of work accepted by the pool.
 pub type Task = Box<dyn FnOnce() + Send + 'static>;
 
+/// A queued task, and whether it counts in the statistics: a continuation
+/// ([`ShardedExecutor::resume`]) is the rest of a task that counted already.
+struct Job {
+    task: Task,
+    counted: bool,
+}
+
 /// How long an idle thread parks before it looks again — and a surplus one
 /// rests before it retires.
 const PARK_TIMEOUT: Duration = Duration::from_millis(100);
@@ -61,7 +68,7 @@ thread_local! {
     static POOL: Cell<usize> = const { Cell::new(0) };
     /// The key and the not yet started tasks of the batch this pool thread
     /// is running.
-    static BATCH: RefCell<(u64, VecDeque<Task>)> = const { RefCell::new((0, VecDeque::new())) };
+    static BATCH: RefCell<(u64, VecDeque<Job>)> = const { RefCell::new((0, VecDeque::new())) };
 }
 
 /// Injection queues per resident worker.  Tasks are routed by
@@ -159,7 +166,7 @@ struct ExecutorInner {
     workers: usize,
     /// Each queued task keeps its routing key so a dequeue can extract the
     /// other tasks of the same key (context) from the shard in one go.
-    shards: Vec<Mutex<VecDeque<(u64, Task)>>>,
+    shards: Vec<Mutex<VecDeque<(u64, Job)>>>,
     /// Tasks queued across all shards (fast path for parking workers).
     queued: AtomicU64,
     submitted: AtomicU64,
@@ -203,7 +210,7 @@ impl ExecutorInner {
     /// submission order, leaving other keys' relative order untouched).
     /// Per-key FIFO is preserved: the batch is exactly the key's queued
     /// prefix in this shard, executed back-to-back by one worker.
-    fn next_batch(&self, home: usize) -> Option<(u64, VecDeque<Task>)> {
+    fn next_batch(&self, home: usize) -> Option<(u64, VecDeque<Job>)> {
         let n = self.shards.len();
         for i in 0..n {
             let shard = &self.shards[(home + i) % n];
@@ -235,7 +242,7 @@ impl ExecutorInner {
     /// Puts the tasks of a batch that have not started back at the front of
     /// their shard, in order: the thread that took them is about to wait —
     /// perhaps for one of them.
-    fn hand_back(&self, key: u64, rest: VecDeque<Task>) {
+    fn hand_back(&self, key: u64, rest: VecDeque<Job>) {
         if rest.is_empty() {
             return;
         }
@@ -244,8 +251,8 @@ impl ExecutorInner {
         self.batched.fetch_sub(n, Ordering::Relaxed);
         {
             let mut queue = self.shards[self.shard_of(key)].lock();
-            for task in rest.into_iter().rev() {
-                queue.push_front((key, task));
+            for job in rest.into_iter().rev() {
+                queue.push_front((key, job));
             }
         }
         if self.shutdown.load(Ordering::SeqCst) {
@@ -260,11 +267,51 @@ impl ExecutorInner {
         (key % self.shards.len() as u64) as usize
     }
 
-    fn run_task(&self, task: Task) {
-        if std::panic::catch_unwind(AssertUnwindSafe(task)).is_err() {
+    fn run_task(&self, job: Job) {
+        if std::panic::catch_unwind(AssertUnwindSafe(job.task)).is_err() {
             self.panics.fetch_add(1, Ordering::Relaxed);
         }
-        self.completed.fetch_add(1, Ordering::SeqCst);
+        if job.counted {
+            self.completed.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Queues `job` — a submission behind the tasks of its shard, a
+    /// continuation in front of them — and wakes a worker; after shutdown
+    /// it is dropped, which closes any reply it carries.
+    fn push(&self, key: u64, job: Job) {
+        if self.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        if job.counted {
+            self.submitted.fetch_add(1, Ordering::Relaxed);
+        }
+        let shard = self.shard_of(key);
+        // Count before pushing so a concurrent pop (which decrements)
+        // can never observe the task ahead of its increment.
+        self.queued.fetch_add(1, Ordering::SeqCst);
+        {
+            let mut queue = self.shards[shard].lock();
+            // A continuation holds the lock its grant gave it: it goes
+            // first, so that the lock is not held by work waiting in line.
+            if job.counted {
+                queue.push_back((key, job));
+            } else {
+                queue.push_front((key, job));
+            }
+        }
+        // Close the race with a concurrent shutdown(): its drain may have
+        // run between our entry check and the push, in which case nobody
+        // will ever pop this task and its reply would leak (hanging the
+        // waiting handle instead of closing it).
+        if self.shutdown.load(Ordering::SeqCst) {
+            self.drain_queues();
+            return;
+        }
+        // Notify under the sleep lock so a worker between "scan found
+        // nothing" and "park" re-checks and cannot miss this task.
+        let _guard = self.sleep_lock.lock();
+        self.sleep_cv.notify_one();
     }
 
     fn worker_loop(&self, home: usize) {
@@ -441,29 +488,29 @@ impl ShardedExecutor {
     /// dequeue order).  Tasks submitted after shutdown are dropped, which
     /// closes any reply they carry.
     pub fn submit(&self, key: u64, task: impl FnOnce() + Send + 'static) {
-        if self.inner.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let shard = self.inner.shard_of(key);
-        // Count before pushing so a concurrent pop (which decrements)
-        // can never observe the task ahead of its increment.
-        self.inner.queued.fetch_add(1, Ordering::SeqCst);
-        self.inner.shards[shard]
-            .lock()
-            .push_back((key, Box::new(task)));
-        self.inner.submitted.fetch_add(1, Ordering::Relaxed);
-        // Close the race with a concurrent shutdown(): its drain may have
-        // run between our entry check and the push, in which case nobody
-        // will ever pop this task and its reply would leak (hanging the
-        // waiting handle instead of closing it).
-        if self.inner.shutdown.load(Ordering::SeqCst) {
-            self.inner.drain_queues();
-            return;
-        }
-        // Notify under the sleep lock so a worker between "scan found
-        // nothing" and "park" re-checks and cannot miss this task.
-        let _guard = self.inner.sleep_lock.lock();
-        self.inner.sleep_cv.notify_one();
+        let task = Box::new(task);
+        self.inner.push(
+            key,
+            Job {
+                task,
+                counted: true,
+            },
+        );
+    }
+
+    /// Queues `task`, the rest of a task of this pool that stopped to wait
+    /// for a grant, at the front of `key`'s shard: it holds the lock it was
+    /// granted.  It is the same unit of work, so neither `submitted` nor
+    /// `completed` counts it again.
+    pub fn resume(&self, key: u64, task: impl FnOnce() + Send + 'static) {
+        let task = Box::new(task);
+        self.inner.push(
+            key,
+            Job {
+                task,
+                counted: false,
+            },
+        );
     }
 
     /// Runs `f`, a wait that may need one of this pool's queued tasks to
@@ -484,6 +531,15 @@ impl ShardedExecutor {
         POOL.with(|pool| pool.set(0));
         let _unblock = Unblock(&self.inner);
         f()
+    }
+
+    /// Locks `mutex`, announcing the wait ([`ShardedExecutor::block_in_place`])
+    /// when it is contended: its holder may itself wait for a task queued
+    /// on this pool.
+    pub fn lock<'m, T>(&self, mutex: &'m Mutex<T>) -> MutexGuard<'m, T> {
+        mutex
+            .try_lock()
+            .unwrap_or_else(|| self.block_in_place(|| mutex.lock()))
     }
 
     /// Queued (not yet dequeued) task counts grouped by routing key.
@@ -595,6 +651,38 @@ mod tests {
         assert_eq!(stats.submitted, 100);
         assert_eq!(stats.completed, 100);
         assert_eq!(stats.queued, 0);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_resumed_task_goes_first_and_counts_once() {
+        let pool = small_pool(1);
+        let (started_tx, started) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        pool.submit(0, move || {
+            started_tx.send(()).unwrap();
+            released.recv_timeout(Duration::from_secs(10)).unwrap();
+        });
+        started.recv_timeout(Duration::from_secs(10)).unwrap();
+        let order = Arc::new(Mutex::new(Vec::new()));
+        for (name, resumed) in [("submitted", false), ("resumed", true)] {
+            let order = Arc::clone(&order);
+            let task = move || order.lock().push(name);
+            if resumed {
+                pool.resume(0, task);
+            } else {
+                pool.submit(0, task);
+            }
+        }
+        release.send(()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while order.lock().len() < 2 || pool.stats().completed < 2 {
+            assert!(Instant::now() < deadline, "the tasks did not run");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(*order.lock(), ["resumed", "submitted"]);
+        let stats = pool.stats();
+        assert_eq!((stats.submitted, stats.completed, stats.queued), (2, 2, 0));
         pool.shutdown();
     }
 

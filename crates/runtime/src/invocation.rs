@@ -225,9 +225,10 @@ pub enum Entered {
 }
 
 /// What a backend supplies to the interpreter: where contexts live, how
-/// their activations are taken, and the ownership network.  Lock release,
-/// dominator sequencing and everything else about *when* an event may run
-/// stay with the host's owner.
+/// their activations are taken, and the ownership network.  Sequencing,
+/// lock release and everything else about *when* an event may run stay
+/// with the host's owner (on the runtime and the cluster, their
+/// `ServerCore`).
 pub trait ContextHost {
     /// Whether `caller` (transitively) owns `target`.
     fn may_call(&self, caller: ContextId, target: ContextId) -> bool;
@@ -239,9 +240,9 @@ pub trait ContextHost {
 
     /// Locks the object [`ContextHost::enter`] handed back.  Read-only
     /// events share an activation and take turns here, so this can wait for
-    /// another reader's method frame — on the cluster, one that is itself
-    /// waiting for a remote call; the cluster's host announces that wait to
-    /// its pool.
+    /// another reader's method frame — one that may itself be waiting for
+    /// work queued on a pool; the runtime's and the cluster's hosts announce
+    /// that wait to their pools.
     fn lock_object<'o>(
         &self,
         hosted: &'o dyn HostedObject,

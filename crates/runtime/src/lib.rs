@@ -58,6 +58,7 @@ pub mod locks;
 pub mod method_table;
 pub mod reply;
 pub mod runtime;
+pub mod server;
 pub mod snapshot;
 pub mod stats;
 
@@ -75,5 +76,6 @@ pub use method_table::{
     macro_support, ContextClass, Handler, MethodEntry, MethodTable, MethodTableBuilder,
 };
 pub use runtime::{AeonClient, AeonRuntime, Placement, RuntimeBuilder, RuntimeConfig};
+pub use server::ServerCore;
 pub use snapshot::Snapshot;
 pub use stats::RuntimeStats;

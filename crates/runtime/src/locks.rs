@@ -13,49 +13,39 @@
 //! is held for the whole duration of the event, which is how two events that
 //! could reach shared descendants are prevented from interleaving.
 //!
-//! A waiter either blocks its thread ([`ContextLock::activate`]) or leaves a
-//! grant behind and returns ([`ContextLock::activate_or_defer`]) — the
-//! cluster's sequencer does the latter, so a queued `Act` holds no worker.
-//! Both kinds wait in the same queue and are granted by the same loop, run
-//! by whoever frees the context (a `release`): FIFO order, read sharing and
-//! starvation freedom do not depend on the kind.  A deferred waiter's grant
-//! is called by that releasing thread *after* it dropped the lock's mutex,
-//! so the grant may activate or release this very lock.  A lock can also be
+//! Every waiter leaves a grant in the queue ([`ContextLock::activate_or_defer`]),
+//! which is called once, by whoever decides it — the `release` that lets it
+//! in, with the lock's mutex dropped, so the grant may activate or release
+//! this very lock.  The server core (`crate::server`) takes every first lock
+//! of a unit of work that way, so a queued event holds no thread; a nested
+//! activation inside a running body blocks its thread
+//! ([`ContextLock::activate`]) on a grant that wakes it.  One queue, one
+//! granting loop: FIFO order, read sharing and starvation freedom do not
+//! depend on how a waiter waits.  A lock can also be
 //! *closed* — `poison` (the host shut down) or `mark_moved` (the context
 //! moved to another server) — which answers each waiter with an error,
 //! once, and every later arrival at once: `EventAborted` after a poison,
 //! `MigrationInProgress` after a move, so that a waiter can tell "give up"
 //! from "look for the context again".
 
+use crate::reply::reply;
 use aeon_types::{AccessMode, AeonError, ContextId, EventId, Result};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::time::Duration;
 
-/// What a deferred waiter leaves in the queue: called exactly once, with
-/// `Ok` when its event is activated or `Err` when the lock is closed first.
+/// What a waiter leaves in the queue: called exactly once, with `Ok` when
+/// its event is activated or `Err` when the lock is closed first.
 type Grant = Box<dyn FnOnce(Result<()>) + Send>;
 
 /// An activation request in the queue.
 struct Waiter {
     event: EventId,
     mode: AccessMode,
-    /// `None` for a thread blocked in [`ContextLock::activate`].
-    grant: Option<Grant>,
-}
-
-impl std::fmt::Debug for Waiter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Waiter")
-            .field("event", &self.event)
-            .field("mode", &self.mode)
-            .field("deferred", &self.grant.is_some())
-            .finish()
-    }
+    grant: Grant,
 }
 
 /// State protected by the lock's mutex.
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct LockState {
     /// Events currently holding the context (the paper's `activatedSet`).
     activated: Vec<(EventId, AccessMode)>,
@@ -121,25 +111,34 @@ impl LockState {
     }
 
     /// Grants from the head of the queue while compatible, in strict FIFO
-    /// order, and returns the grants of the deferred waiters among them
-    /// (to be called once the mutex is dropped).
+    /// order, and returns their grants (to be called once the mutex is
+    /// dropped).
     fn grant_from_head(&mut self) -> Vec<Grant> {
         let mut grants = Vec::new();
         while self.closed.is_none() && self.queue.front().is_some_and(|w| self.admits(w.mode)) {
             let waiter = self.queue.pop_front().expect("the head was just seen");
             self.activated.push((waiter.event, waiter.mode));
-            grants.extend(waiter.grant);
+            grants.push(waiter.grant);
         }
         grants
     }
 }
 
 /// The activation lock of a single context.
-#[derive(Debug)]
 pub struct ContextLock {
     context: ContextId,
     state: Mutex<LockState>,
-    changed: Condvar,
+}
+
+impl std::fmt::Debug for ContextLock {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let state = self.state.lock();
+        f.debug_struct("ContextLock")
+            .field("context", &self.context)
+            .field("activated", &state.activated)
+            .field("queued", &state.queue.len())
+            .finish()
+    }
 }
 
 impl ContextLock {
@@ -148,13 +147,7 @@ impl ContextLock {
         Self {
             context,
             state: Mutex::new(LockState::default()),
-            changed: Condvar::new(),
         }
-    }
-
-    /// The context this lock belongs to.
-    pub fn context(&self) -> ContextId {
-        self.context
     }
 
     /// Blocks until `event` is activated on this context with `mode`.
@@ -169,64 +162,52 @@ impl ContextLock {
     /// runtime shutdown while waiting, and
     /// [`AeonError::MigrationInProgress`] when the context moved.
     pub fn activate(&self, event: EventId, mode: AccessMode) -> Result<()> {
-        let mut state = self.state.lock();
-        if state.activate_now(self.context, event, mode)? {
-            return Ok(());
-        }
-        state.queue.push_back(Waiter {
-            event,
-            mode,
-            grant: None,
-        });
-        loop {
-            self.changed.wait(&mut state);
-            if state.holds(event) {
-                return Ok(());
-            }
-            if let Some(closed) = state.closed {
-                state.queue.retain(|w| w.event != event);
-                return Err(closed.refusal(self.context, event));
-            }
+        let (tx, rx) = reply();
+        let wake = move |(), granted| {
+            let _ = tx.send(granted);
+        };
+        match self.activate_or_defer(event, mode, (), wake) {
+            Some(()) => Ok(()),
+            // A grant is never dropped uncalled while the lock lives.
+            None => rx
+                .wait()
+                .unwrap_or_else(|_| Err(Closed::Poisoned.refusal(self.context, event))),
         }
     }
 
-    /// Activates `event` now if no wait is needed (`true`), and otherwise
-    /// queues it and returns `false` without blocking.  The caller of a
-    /// `true` continues on its own thread and `grant` is dropped unused.
-    /// After a `false`, `grant` is called exactly once: with `Ok` by the
-    /// `release` that activates the event, or with `Err` when the lock is —
-    /// or already was — closed (see [`ContextLock::activate`] for the
-    /// errors).  It runs on that thread with the lock's mutex dropped, so
-    /// it must not wait; it may use this lock.
-    pub fn activate_or_defer(
+    /// Activates `event` now if no wait is needed and hands `work` back
+    /// (`Some`); otherwise returns `None` without blocking, and `grant` is
+    /// called with `work` exactly once: with `Ok` by the `release` that
+    /// activates the event, or with `Err` when the lock is — or already
+    /// was — closed (see [`ContextLock::activate`] for the errors).  It
+    /// runs on that thread with the lock's mutex dropped, so it must not
+    /// wait; it may use this lock.
+    pub fn activate_or_defer<W: Send + 'static>(
         &self,
         event: EventId,
         mode: AccessMode,
-        grant: impl FnOnce(Result<()>) + Send + 'static,
-    ) -> bool {
+        work: W,
+        grant: impl FnOnce(W, Result<()>) + Send + 'static,
+    ) -> Option<W> {
         let mut state = self.state.lock();
         match state.activate_now(self.context, event, mode) {
-            Ok(now) => {
-                if !now {
-                    state.queue.push_back(Waiter {
-                        event,
-                        mode,
-                        grant: Some(Box::new(grant)),
-                    });
-                }
-                now
+            Ok(true) => Some(work),
+            Ok(false) => {
+                let grant = Box::new(move |granted| grant(work, granted));
+                state.queue.push_back(Waiter { event, mode, grant });
+                None
             }
             Err(error) => {
                 drop(state);
-                grant(Err(error));
-                false
+                grant(work, Err(error));
+                None
             }
         }
     }
 
     /// Activates `event` only if that needs no wait, and says whether it
-    /// did; nothing is queued otherwise.  For callers that announce a wait
-    /// before making it (a cluster worker's contended activation).
+    /// did; nothing is queued otherwise.  For callers that decide how to
+    /// wait only once there is a wait (the server core).
     ///
     /// # Errors
     ///
@@ -246,7 +227,6 @@ impl ContextLock {
             if state.activated.len() == before {
                 return;
             }
-            self.changed.notify_all();
             state.grant_from_head()
         };
         for grant in grants {
@@ -254,64 +234,48 @@ impl ContextLock {
         }
     }
 
-    /// Returns whether `event` currently holds the context.
-    pub fn is_activated(&self, event: EventId) -> bool {
-        self.state.lock().holds(event)
-    }
-
-    /// Number of events currently holding the context.
-    pub fn activated_count(&self) -> usize {
-        self.state.lock().activated.len()
-    }
-
-    /// Number of events waiting for the context.
-    pub fn queued_count(&self) -> usize {
-        self.state.lock().queue.len()
-    }
-
-    /// Poisons the lock: all current and future waiters fail with
-    /// [`AeonError::EventAborted`] — blocked ones wake up with it, deferred
-    /// ones are answered with it here.  Used on runtime shutdown.
+    /// Poisons the lock: every current and future waiter is answered with
+    /// [`AeonError::EventAborted`] (a blocked one wakes up with it).  Used
+    /// when the host shuts down.
     pub fn poison(&self) {
         self.close(Closed::Poisoned);
     }
 
-    /// Closes the lock of a context that moved to another server: all
-    /// current and future waiters are answered
-    /// [`AeonError::MigrationInProgress`] — blocked ones wake up with it,
-    /// deferred ones are answered here, in their queue order — so that each
+    /// Closes the lock of a context that moved to another server: every
+    /// current and future waiter is answered
+    /// [`AeonError::MigrationInProgress`], in queue order, so that each
     /// looks for the context at its new host instead of failing.
     pub fn mark_moved(&self) {
         self.close(Closed::Moved);
     }
 
     fn close(&self, why: Closed) {
-        let deferred: VecDeque<Waiter> = {
+        let waiters = {
             let mut state = self.state.lock();
             state.closed = Some(why);
-            self.changed.notify_all();
-            let (deferred, blocked) = std::mem::take(&mut state.queue)
-                .into_iter()
-                .partition(|w| w.grant.is_some());
-            state.queue = blocked;
-            deferred
+            std::mem::take(&mut state.queue)
         };
-        for waiter in deferred {
-            if let Some(grant) = waiter.grant {
-                grant(Err(why.refusal(self.context, waiter.event)));
-            }
+        for waiter in waiters {
+            (waiter.grant)(Err(why.refusal(self.context, waiter.event)));
         }
     }
+}
 
-    /// Test helper: waits until the activated set becomes empty or the
-    /// timeout elapses; returns whether it emptied.
-    pub fn wait_idle(&self, timeout: Duration) -> bool {
-        let mut state = self.state.lock();
-        if state.activated.is_empty() {
-            return true;
-        }
-        self.changed.wait_for(&mut state, timeout);
-        state.activated.is_empty()
+#[cfg(test)]
+impl ContextLock {
+    /// Whether `event` currently holds the context.
+    pub(crate) fn is_activated(&self, event: EventId) -> bool {
+        self.state.lock().holds(event)
+    }
+
+    /// Number of events currently holding the context.
+    fn activated_count(&self) -> usize {
+        self.state.lock().activated.len()
+    }
+
+    /// Number of events waiting for the context.
+    fn queued_count(&self) -> usize {
+        self.state.lock().queue.len()
     }
 }
 
@@ -321,6 +285,7 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::thread;
+    use std::time::Duration;
 
     fn ev(n: u64) -> EventId {
         EventId::new(n)
@@ -440,24 +405,15 @@ mod tests {
         assert_eq!(lock.queued_count(), 0);
     }
 
-    #[test]
-    fn wait_idle_reports_emptiness() {
-        let lock = ContextLock::new(ContextId::new(1));
-        assert!(lock.wait_idle(Duration::from_millis(1)));
-        lock.activate(ev(1), AccessMode::Exclusive).unwrap();
-        assert!(!lock.wait_idle(Duration::from_millis(10)));
-        lock.release(ev(1));
-        assert!(lock.wait_idle(Duration::from_millis(1)));
-    }
-
     /// Records what each deferred waiter was answered with, in call order.
     type Answers = Arc<Mutex<Vec<(u64, bool)>>>;
 
     fn defer(lock: &ContextLock, n: u64, mode: AccessMode, answers: &Answers) -> bool {
         let answers = Arc::clone(answers);
-        lock.activate_or_defer(ev(n), mode, move |granted| {
+        lock.activate_or_defer(ev(n), mode, n, move |n, granted| {
             answers.lock().push((n, granted.is_ok()));
         })
+        .is_some()
     }
 
     /// Blocks a thread in `activate` and returns once it is queued, holds
@@ -509,14 +465,15 @@ mod tests {
         lock.activate(ev(1), AccessMode::Exclusive).unwrap();
         let l = Arc::clone(&lock);
         let (tx, rx) = std::sync::mpsc::channel();
-        let queued = lock.activate_or_defer(ev(2), AccessMode::Exclusive, move |granted| {
-            granted.unwrap();
-            // Both take the mutex: a grant called under it would deadlock.
-            l.release(ev(2));
-            l.activate(ev(3), AccessMode::Exclusive).unwrap();
-            tx.send(l.is_activated(ev(3))).unwrap();
-        });
-        assert!(!queued);
+        let granted_now =
+            lock.activate_or_defer(ev(2), AccessMode::Exclusive, (), move |(), granted| {
+                granted.unwrap();
+                // Both take the mutex: a grant called under it would deadlock.
+                l.release(ev(2));
+                l.activate(ev(3), AccessMode::Exclusive).unwrap();
+                tx.send(l.is_activated(ev(3))).unwrap();
+            });
+        assert!(granted_now.is_none());
         lock.release(ev(1));
         assert_eq!(rx.try_recv(), Ok(true), "the grant ran inside `release`");
         assert!(!lock.is_activated(ev(2)));
@@ -556,10 +513,11 @@ mod tests {
         lock.activate(ev(1), AccessMode::Exclusive).unwrap();
         for n in [2, 4] {
             let answers = Arc::clone(&answers);
-            let queued = lock.activate_or_defer(ev(n), AccessMode::ReadOnly, move |granted| {
-                answers.lock().push((n, granted));
-            });
-            assert!(!queued);
+            let granted_now =
+                lock.activate_or_defer(ev(n), AccessMode::ReadOnly, n, move |n, granted| {
+                    answers.lock().push((n, granted));
+                });
+            assert!(granted_now.is_none());
         }
         let blocked = block(&lock, 3, AccessMode::Exclusive);
         lock.mark_moved();

@@ -6,51 +6,54 @@
 //! placement.
 //!
 //! The ownership network, the context→server mapping and the server roster
-//! are one [`ControlPlane`] behind one `RwLock`; this module adds what is
-//! the runtime's own — the object table (`ContextSlot`s and their locks),
-//! class factories, the worker pool, statistics and history recording.
-//! Executing an event takes only read guards on the plane (dominator,
-//! `may_call`), each dropped before the event waits on a context lock or
-//! runs contextclass code.
+//! are one [`ControlPlane`] behind one `RwLock`; the object table
+//! (`ContextSlot`s and their locks), the global root and the locks each
+//! event holds are one [`ServerCore`] — the same core every cluster node
+//! runs, here with every context local.  This module adds class factories,
+//! the worker pool, statistics and history recording.  Executing an event
+//! takes only read guards on the plane (sequencer, `may_call`), each
+//! dropped before the event waits on a context lock or runs contextclass
+//! code.
 //!
-//! An event executes in one place — `RuntimeInner::run_event`, certified
-//! reads included — on whichever thread brings it there: a pool worker for
-//! a submitted event (`AeonClient::submit`), the client's own thread for a
+//! An event starts on whichever thread brings it: a pool worker for a
+//! submitted event (`AeonClient::submit`), the client's own thread for a
 //! blocking call (`AeonClient::call_with_mode`), the creator's thread for a
-//! sub-event.  Order is never decided by the thread or the pool's queues,
+//! sub-event.  It takes its first lock — its sequencer, or its target for a
+//! certified read — through [`ServerCore::start`] and runs in place when
+//! that lock is free.  When it is held, the event waits in the lock's queue
+//! as a grant and holds no thread: on a pool worker the grant resumes it on
+//! the pool (`ShardedExecutor::resume`) and the worker is free at once; a
+//! blocking caller waits for the grant itself, so its chain hands nothing
+//! to the pool.  Order is never decided by the thread or the pool's queues,
 //! only by the FIFO queues of the context locks.
 //!
-//! Waits here block their thread — `RuntimeHost::sequence` and `enter` call
-//! [`ContextLock::activate`] — and need neither a deferred grant nor
-//! `ShardedExecutor::block_in_place`, because no runtime wait can depend on
-//! a task still queued in the pool: every holder of a runtime lock is a
-//! thread that is *running* — a pool worker inside `run_event` or a
-//! blocking caller — and it releases without
-//! waiting for anything queued, since the sub-events an event dispatches
-//! run only after its release, on the thread that ran it.  (A task queued
-//! behind a waiting one in its batch holds nothing either, and a reader
-//! waiting for the object another reader's frame holds waits for a running
-//! frame.)  Locks are taken dominator first, then owner before owned, so
-//! the holders cannot wait on each other in a cycle either.  The cluster
-//! differs: its sequencer is held by an `Act` whose continuation may still
-//! be queued, and a worker waits on remote calls; see `aeon_cluster`'s
-//! `node.rs`.
+//! A nested activation inside a running body (`RuntimeHost::enter`) blocks
+//! its thread, and on a pool worker it says so first
+//! (`ShardedExecutor::block_in_place`): the event holding the context may
+//! be one whose grant resumed it on the pool and which is still queued
+//! there, behind the waiting worker.  Locks are taken sequencer first, then
+//! owner before owned, so the holders cannot wait on each other in a cycle.
 
-use crate::context::{ContextFactory, ContextObject, ContextSlot};
+use crate::context::{ContextFactory, ContextObject};
 use crate::event::{EventHandle, EventOutcome, EventRequest};
 use crate::executor::{ExecutorConfig, ExecutorStats, ShardedExecutor};
 use crate::invocation::{
-    BodyOutcome, CertifiedReads, ContextHost, Entered, EventBody, EventMeta, Footprint, SubEvent,
+    BodyOutcome, CertifiedReads, ContextHost, Entered, EventBody, EventMeta, Footprint,
+    HostedObject,
 };
 use crate::locks::ContextLock;
+use crate::reply::{reply, Replier};
+use crate::server::ServerCore;
 use crate::stats::RuntimeStats;
 use aeon_analyzer::AnalysisMode;
-use aeon_ownership::{ClassGraph, ControlPlane, Dominator, DominatorMode, OwnershipGraph};
+use aeon_ownership::{
+    ClassGraph, ControlPlane, Dominator, DominatorMode, OwnershipGraph, Sequencer,
+};
 use aeon_types::{
     codec, AccessMode, AeonError, Args, ClientId, ContextId, EventId, IdGenerator, Result,
     ServerId, ServerMetrics, SharedHistorySink, Value,
 };
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -156,9 +159,8 @@ impl RuntimeBuilder {
                 self.config.class_graph.clone(),
             )),
             config: self.config,
-            contexts: RwLock::new(HashMap::new()),
+            core: Arc::default(),
             factories: RwLock::new(HashMap::new()),
-            global_root: ContextLock::new(ContextId::new(u64::MAX)),
             ids: IdGenerator::starting_at(1),
             events_in_flight: AtomicU64::new(0),
             stats: RuntimeStats::default(),
@@ -186,12 +188,10 @@ pub(crate) struct RuntimeInner {
     /// ever takes read guards, and no guard is held across contextclass
     /// code or a wait on a context lock.
     pub(crate) plane: RwLock<ControlPlane>,
-    /// The context objects (the plane knows contexts only by id).
-    pub(crate) contexts: RwLock<HashMap<ContextId, Arc<ContextSlot>>>,
+    /// The context objects, their locks, the global root and the holds of
+    /// each event: Algorithm 2 with every context local.
+    core: Arc<ServerCore>,
     pub(crate) factories: RwLock<HashMap<String, ContextFactory>>,
-    /// Sequencer used when a target has no concrete dominator
-    /// ([`Dominator::GlobalRoot`]).
-    pub(crate) global_root: ContextLock,
     pub(crate) ids: IdGenerator,
     events_in_flight: AtomicU64,
     pub(crate) stats: RuntimeStats,
@@ -209,7 +209,7 @@ pub(crate) struct RuntimeInner {
 impl std::fmt::Debug for RuntimeInner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RuntimeInner")
-            .field("contexts", &self.contexts.read().len())
+            .field("contexts", &self.core.hosted())
             .field("servers", &self.plane.read().online_servers().len())
             .finish_non_exhaustive()
     }
@@ -220,14 +220,6 @@ impl RuntimeInner {
     /// the registry lock while recording).
     pub(crate) fn sink(&self) -> Option<SharedHistorySink> {
         self.history.read().clone()
-    }
-
-    pub(crate) fn context_slot(&self, id: ContextId) -> Result<Arc<ContextSlot>> {
-        self.contexts
-            .read()
-            .get(&id)
-            .cloned()
-            .ok_or(AeonError::ContextNotFound(id))
     }
 
     /// Debug-build backstop of the static analysis: checks one actual
@@ -276,9 +268,7 @@ impl RuntimeInner {
         let id = ContextId::new(self.ids.next_raw());
         let class = object.class_name();
         declare(&mut self.plane.write(), id, class)?;
-        self.contexts
-            .write()
-            .insert(id, ContextSlot::new(id, object));
+        self.core.install(id, object);
         Ok(id)
     }
 
@@ -286,165 +276,186 @@ impl RuntimeInner {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Runs an event (and, recursively, the sub-events it dispatches) on the
-    /// current thread.  `footprint` is how the event was admitted.
-    fn run_event(self: &Arc<Self>, request: EventRequest, footprint: Footprint) -> EventOutcome {
-        let started = Instant::now();
-        // Held until the *whole causal chain* (the event plus every
-        // sub-event it dispatched) has finished: drain and elasticity
-        // decisions reading the gauge must not see a transient zero while
-        // the chain is still executing.  The guard is also panic-safe.
-        let _in_flight = InFlightGuard::enter(&self.events_in_flight);
-        let event = request.meta();
-        let mut host = RuntimeHost::new(self);
-        // Sequence the event at the dominator of its target (Algorithm 2,
-        // `to execute` + `dispatchEvent`), then execute at the target
-        // (`scheduleNext` / `execute`).  A certified read skips the
-        // sequencer: its footprint is its target alone, held to that by
-        // [`Footprint::Certified`], and a single-lock footprint cannot take
-        // part in a hold-and-wait cycle.
-        let sequenced = match footprint {
-            Footprint::Sequenced => host.sequence(&event, request.target),
-            Footprint::Certified => {
-                self.executor.note_fast_path();
-                Ok(())
-            }
-        };
-        let outcome = match sequenced {
-            Ok(()) => EventBody::new(&mut host, event, footprint).run(
-                None,
-                request.target,
-                &request.method,
-                &request.args,
-            ),
-            Err(e) => BodyOutcome::failed(e),
-        };
-        host.release_all(event.id);
-        for _ in 0..outcome.async_calls {
-            self.stats.record_method_call(true);
+    /// An event about to start on the thread that calls this: a pool
+    /// worker (`reply` is its handle), a blocking caller (`on_caller`), or
+    /// the thread of its creator.
+    fn admitted(
+        self: Arc<Self>,
+        request: EventRequest,
+        footprint: Footprint,
+        reply: Option<Replier<EventOutcome>>,
+        on_caller: bool,
+    ) -> Admitted {
+        self.events_in_flight.fetch_add(1, Ordering::SeqCst);
+        if footprint == Footprint::Certified {
+            self.executor.note_fast_path();
         }
-        let latency = started.elapsed();
-        self.complete_event(
-            &request,
-            outcome.result.is_ok(),
-            latency,
-            outcome.sub_events,
-        );
-        EventOutcome {
-            event: request.id,
-            result: outcome.result,
-            latency,
+        Admitted {
+            inner: self,
+            request,
+            footprint,
+            reply,
+            on_caller,
+            started: Instant::now(),
+        }
+    }
+}
+
+/// An event on its way through the core.  It counts in
+/// [`AeonRuntime::events_in_flight`] until it is dropped — once the
+/// sub-events it dispatched started, each counting itself by then, and
+/// before its outcome goes out — so the gauge spans the whole causal chain,
+/// wherever a part of it waits for a grant (and even if execution panics).
+struct Admitted {
+    inner: Arc<RuntimeInner>,
+    request: EventRequest,
+    /// How the event was admitted.
+    footprint: Footprint,
+    /// The handle of a submitted event; `None` when a thread runs the
+    /// event and takes its result (a blocking caller), or for a sub-event.
+    reply: Option<Replier<EventOutcome>>,
+    /// Whether the causal chain runs on a blocking caller's thread, which
+    /// waits for each grant itself and hands nothing to the pool.
+    on_caller: bool,
+    /// When a thread first took the event up; its latency runs from here.
+    started: Instant,
+}
+
+impl Drop for Admitted {
+    fn drop(&mut self) {
+        self.inner.events_in_flight.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+impl Admitted {
+    /// Takes the event's first lock — its target for a certified read, its
+    /// sequencer otherwise — and runs the event on this thread when that
+    /// lock is free.  Held, a pool worker moves on and the lock's grant
+    /// resumes the event on the pool; a blocking caller waits here for the
+    /// grant, so that its chain hands nothing to the pool.  Returns the
+    /// result, unless a handle takes it.
+    fn run(self) -> Result<Value> {
+        let target = self.request.target;
+        // A certified read's footprint is its target alone, held there by
+        // `Footprint::Certified`; a single-lock footprint takes no part in a
+        // hold-and-wait cycle, so it needs no sequencer.
+        let lock = match self.footprint {
+            Footprint::Certified => Ok(Sequencer::Own),
+            Footprint::Sequenced => self.inner.plane.read().sequencer_of(target),
+        };
+        let lock = match lock {
+            Ok(sequencer) => sequencer.lock(target),
+            Err(error) => return self.finish(BodyOutcome::failed(error)),
+        };
+        let (id, mode) = (self.request.id, self.request.mode);
+        let core = Arc::clone(&self.inner.core);
+        if !self.on_caller {
+            let now = core.start(id, mode, lock, self, Self::resume);
+            return now.map_or(Ok(Value::Null), Self::execute);
+        }
+        let (tx, rx) = reply();
+        let wake = move |(), granted| {
+            let _ = tx.send(granted);
+        };
+        let granted = match core.start(id, mode, lock, (), wake) {
+            Some(()) => Ok(()),
+            None => rx.wait().unwrap_or(Err(AeonError::RuntimeShutdown)),
+        };
+        match granted {
+            Ok(()) => self.execute(),
+            Err(error) => self.finish(BodyOutcome::failed(error)),
         }
     }
 
-    /// The completion tail of every executed event, after its locks are
-    /// released: statistics, the response point (the completion becomes
-    /// observable no earlier than this), then the sub-events it dispatched,
-    /// which run after their creator terminates.
-    fn complete_event(
-        self: &Arc<Self>,
-        request: &EventRequest,
-        ok: bool,
-        latency: Duration,
-        sub_events: Vec<SubEvent>,
-    ) {
-        self.stats
-            .record_event(ok, request.mode.is_read_only(), latency);
-        if let Some(sink) = self.sink() {
-            sink.responded(request.id);
+    /// The grant of a pooled event's held first lock: the event resumes on
+    /// the pool, or fails.
+    fn resume(self, granted: Result<()>) {
+        match granted {
+            Ok(()) => {
+                let (inner, key) = (Arc::clone(&self.inner), self.request.target.raw());
+                inner.executor.resume(key, move || {
+                    let _ = self.execute();
+                });
+            }
+            Err(error) => {
+                let _ = self.finish(BodyOutcome::failed(error));
+            }
         }
-        for sub in sub_events {
-            self.stats.record_sub_event();
-            let sub_request = EventRequest {
-                id: EventId::new(self.ids.next_raw()),
-                client: request.client,
+    }
+
+    /// Executes the event, which holds its first lock, at its target
+    /// (`scheduleNext` / `execute`), and releases everything it took.
+    fn execute(self) -> Result<Value> {
+        let event = self.request.meta();
+        let mut host = RuntimeHost { inner: &self.inner };
+        let outcome = EventBody::new(&mut host, event, self.footprint).run(
+            None,
+            self.request.target,
+            &self.request.method,
+            &self.request.args,
+        );
+        self.inner.core.release(event.id);
+        self.finish(outcome)
+    }
+
+    /// The completion tail of every event, after its locks are released:
+    /// statistics, the response point (the completion becomes observable
+    /// no earlier than this), the sub-events it dispatched — which start
+    /// after their creator terminated, on this thread — and, once the event
+    /// left the gauge, the outcome: to the handle, or as the result
+    /// (`Ok(Null)` once a handle took it).
+    fn finish(mut self, outcome: BodyOutcome) -> Result<Value> {
+        let inner = Arc::clone(&self.inner);
+        for _ in 0..outcome.async_calls {
+            inner.stats.record_method_call(true);
+        }
+        let latency = self.started.elapsed();
+        let read_only = self.request.mode.is_read_only();
+        inner
+            .stats
+            .record_event(outcome.result.is_ok(), read_only, latency);
+        if let Some(sink) = inner.sink() {
+            sink.responded(self.request.id);
+        }
+        for sub in outcome.sub_events {
+            inner.stats.record_sub_event();
+            let request = EventRequest {
+                id: EventId::new(inner.ids.next_raw()),
+                client: self.request.client,
                 target: sub.target,
                 method: sub.method,
                 args: sub.args,
                 mode: sub.mode,
             };
-            if let Some(sink) = self.sink() {
-                sink.invoked(sub_request.id);
+            if let Some(sink) = inner.sink() {
+                sink.invoked(request.id);
             }
-            let _ = self.run_event(sub_request, Footprint::Sequenced);
+            let sub =
+                Arc::clone(&inner).admitted(request, Footprint::Sequenced, None, self.on_caller);
+            let _ = sub.run();
         }
-    }
-
-    /// Hands the event to the worker pool, sharded by target context so
-    /// events on the same context keep submission-order affinity.
-    fn spawn_event(self: &Arc<Self>, request: EventRequest, footprint: Footprint) -> EventHandle {
-        let (tx, handle) = EventHandle::new(request.id);
-        let inner = Arc::clone(self);
-        let key = request.target.raw();
-        self.executor.submit(key, move || {
-            let outcome = inner.run_event(request, footprint);
-            let _ = tx.send(outcome);
-        });
-        handle
+        // Out of the gauge before anyone sees it complete.
+        let (event, reply) = (self.request.id, self.reply.take());
+        drop(self);
+        match reply {
+            Some(reply) => {
+                let result = outcome.result;
+                let _ = reply.send(EventOutcome {
+                    event,
+                    result,
+                    latency,
+                });
+                Ok(Value::Null)
+            }
+            None => outcome.result,
+        }
     }
 }
 
 /// The in-process host of the event interpreter: every context is a local
-/// slot behind a [`ContextLock`], and an event with no concrete dominator is
-/// sequenced at the global root.
+/// slot in the runtime's [`ServerCore`].
 struct RuntimeHost<'a> {
     inner: &'a RuntimeInner,
-    /// Context locks held, in acquisition order (released in reverse).
-    held: Vec<Arc<ContextSlot>>,
-    /// Whether the event holds the global-root sequencer.
-    holds_global_root: bool,
-}
-
-impl<'a> RuntimeHost<'a> {
-    fn new(inner: &'a RuntimeInner) -> Self {
-        Self {
-            inner,
-            held: Vec::new(),
-            holds_global_root: false,
-        }
-    }
-
-    /// Takes the sequencer of an event targeting `target`: the lock of its
-    /// dominator, or the global root when it has none.
-    fn sequence(&mut self, event: &EventMeta, target: ContextId) -> Result<()> {
-        let dominator = self.inner.plane.read().dominator_of(target)?;
-        match dominator {
-            Dominator::Context(dom) => {
-                if dom != target {
-                    let slot = self.inner.context_slot(dom)?;
-                    self.activate(event, slot)?;
-                }
-            }
-            Dominator::GlobalRoot => {
-                self.inner.global_root.activate(event.id, event.mode)?;
-                self.holds_global_root = true;
-            }
-        }
-        Ok(())
-    }
-
-    /// Activates (locks) the slot for `event` unless already held.
-    fn activate(&mut self, event: &EventMeta, slot: Arc<ContextSlot>) -> Result<()> {
-        if self.held.iter().any(|s| s.id == slot.id) {
-            return Ok(());
-        }
-        slot.lock.activate(event.id, event.mode)?;
-        self.held.push(slot);
-        Ok(())
-    }
-
-    /// Releases every held lock in reverse acquisition order ("locks on the
-    /// contexts accessed during an event are released in the reverse order
-    /// on which they are locked", §4).
-    fn release_all(&mut self, event: EventId) {
-        while let Some(slot) = self.held.pop() {
-            slot.lock.release(event);
-        }
-        if self.holds_global_root {
-            self.inner.global_root.release(event);
-            self.holds_global_root = false;
-        }
-    }
 }
 
 impl ContextHost for RuntimeHost<'_> {
@@ -452,11 +463,31 @@ impl ContextHost for RuntimeHost<'_> {
         self.inner.plane.read().may_call(caller, target)
     }
 
+    /// A contended activation waits inside `block_in_place` on a pool
+    /// worker: its holder may be an event whose grant resumed it on the
+    /// pool, still queued there.
     fn enter(&mut self, event: &EventMeta, target: ContextId) -> Result<Entered> {
-        let slot = self.inner.context_slot(target)?;
-        self.activate(event, Arc::clone(&slot))?;
-        self.inner.stats.record_method_call(false);
+        let inner = self.inner;
+        let wait = |lock: &ContextLock| {
+            inner
+                .executor
+                .block_in_place(|| lock.activate(event.id, event.mode))
+        };
+        let slot = inner
+            .core
+            .enter(event.id, event.mode, target, wait)?
+            .ok_or(AeonError::ContextNotFound(target))?;
+        inner.stats.record_method_call(false);
         Ok(Entered::Local(slot))
+    }
+
+    /// A reader's turn at an object another reader's frame holds is
+    /// announced too: that frame may be waiting for a resumed event.
+    fn lock_object<'o>(
+        &self,
+        hosted: &'o dyn HostedObject,
+    ) -> MutexGuard<'o, Box<dyn ContextObject>> {
+        self.inner.executor.lock(hosted.object())
     }
 
     fn record_access(&self, event: &EventMeta, context: ContextId) {
@@ -529,23 +560,6 @@ impl ContextHost for RuntimeHost<'_> {
     ) {
         self.inner
             .record_call_edge(caller, caller_method, target, target_method);
-    }
-}
-
-/// RAII increment of the events-in-flight gauge; decrements on drop (after
-/// the sub-event chain, and even if execution panics).
-struct InFlightGuard<'a>(&'a AtomicU64);
-
-impl<'a> InFlightGuard<'a> {
-    fn enter(gauge: &'a AtomicU64) -> Self {
-        gauge.fetch_add(1, Ordering::SeqCst);
-        Self(gauge)
-    }
-}
-
-impl Drop for InFlightGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -687,9 +701,8 @@ impl AeonRuntime {
     /// Returns [`AeonError::ServerNotFound`] for unknown servers.
     pub fn crash_server(&self, server: ServerId) -> Result<()> {
         let hosted = self.inner.plane.write().mark_crashed(server)?;
-        let mut contexts = self.inner.contexts.write();
         for context in hosted {
-            if let Some(slot) = contexts.remove(&context) {
+            if let Some(slot) = self.inner.core.remove(context) {
                 slot.lock.poison();
             }
         }
@@ -738,10 +751,7 @@ impl AeonRuntime {
             sink.invoked(event);
             sink.accessed(event, context, AccessMode::Exclusive);
         }
-        self.inner
-            .contexts
-            .write()
-            .insert(context, ContextSlot::new(context, object));
+        self.inner.core.install(context, object);
         if let Some(sink) = &sink {
             sink.responded(event);
         }
@@ -865,10 +875,7 @@ impl AeonRuntime {
     /// ([`AeonClient::call_with_mode`]).
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        for slot in self.inner.contexts.read().values() {
-            slot.lock.poison();
-        }
-        self.inner.global_root.poison();
+        self.inner.core.poison();
         // Poisoning first unblocks any executing event, so joining the
         // pool cannot hang on a lock waiter.
         self.inner.executor.shutdown();
@@ -945,7 +952,14 @@ impl AeonClient {
         mode: AccessMode,
     ) -> Result<EventHandle> {
         let (request, footprint) = self.admit(target, method, args, mode)?;
-        Ok(self.inner.spawn_event(request, footprint))
+        // Sharded by target context, so that events on the same context
+        // keep submission-order affinity.
+        let (tx, handle) = EventHandle::new(request.id);
+        let inner = Arc::clone(&self.inner);
+        self.inner.executor.submit(request.target.raw(), move || {
+            let _ = inner.admitted(request, footprint, Some(tx), false).run();
+        });
+        Ok(handle)
     }
 
     /// Executes an event **on the calling thread** and returns its result:
@@ -970,7 +984,8 @@ impl AeonClient {
         mode: AccessMode,
     ) -> Result<Value> {
         let (request, footprint) = self.admit(target, method, args, mode)?;
-        self.inner.run_event(request, footprint).result
+        let inner = Arc::clone(&self.inner);
+        inner.admitted(request, footprint, None, true).run()
     }
 
     /// What happens to every client event before anything executes it: the
@@ -986,7 +1001,8 @@ impl AeonClient {
         if self.inner.is_shutdown() {
             return Err(AeonError::RuntimeShutdown);
         }
-        let slot = self.inner.context_slot(target)?;
+        let slot = self.inner.core.slot(target);
+        let slot = slot.ok_or(AeonError::ContextNotFound(target))?;
         let request = EventRequest {
             id: EventId::new(self.inner.ids.next_raw()),
             client: Some(self.id),

@@ -762,6 +762,82 @@ fn shutdown_aborts_a_caller_blocked_behind_an_exclusive_event() {
     assert_eq!(wedged.join().unwrap().unwrap(), Value::from("unwedged"));
 }
 
+/// An event waiting for its first lock holds no pool thread: with the only
+/// worker free and the gate wedged by a blocking caller, an event submitted
+/// on the gate leaves a grant in the gate's queue, and an unrelated event
+/// completes at once.  The queued event still counts as in flight, and it
+/// runs once the gate is free.
+#[test]
+fn a_queued_event_holds_no_pool_worker() {
+    let (runtime, gate, release, wedged) = runtime_with_a_wedged_caller();
+    let other = runtime
+        .create_context(Box::new(KvContext::new("Item")), Placement::Auto)
+        .unwrap();
+    let client = runtime.client();
+    let queued = client.submit_event(gate, "noop", args![]).unwrap();
+    eventually("the worker took the gate's event up", || {
+        runtime.executor_stats().queued == 0 && runtime.events_in_flight() == 2
+    });
+    let unrelated = client.submit_event(other, "incr", args!["n", 1]).unwrap();
+    let outcome = unrelated.wait_timeout(Duration::from_secs(1)).unwrap();
+    assert_eq!(
+        outcome.map(|outcome| outcome.result),
+        Some(Ok(Value::from(1i64))),
+        "the unrelated event waited behind the queued one"
+    );
+    assert!(!wedged.is_finished(), "the gate is still wedged");
+    assert_eq!(runtime.events_in_flight(), 2);
+    release.send(()).unwrap();
+    assert_eq!(wedged.join().unwrap().unwrap(), Value::from("unwedged"));
+    assert_eq!(queued.wait().unwrap(), Value::Null);
+    eventually("the gauge returns to zero", || {
+        runtime.events_in_flight() == 0
+    });
+    runtime.shutdown();
+}
+
+/// Calls the context its argument names: `noop` there.
+struct Caller;
+
+impl ContextObject for Caller {
+    fn class_name(&self) -> &str {
+        "Caller"
+    }
+
+    fn handle(&mut self, _method: &str, args: &Args, inv: &mut Invocation<'_>) -> Result<Value> {
+        inv.call(args.get_context(0)?, "noop", args![])
+    }
+}
+
+/// A nested activation on the only worker waits for a context whose next
+/// holder is an event resumed on the pool, queued behind that worker: the
+/// wait is announced, so the pool starts a thread that runs the resumed
+/// event, and both complete.
+#[test]
+fn a_nested_wait_behind_a_resumed_event_stays_live() {
+    let (runtime, gate, release, wedged) = runtime_with_a_wedged_caller();
+    let caller = runtime
+        .create_context(Box::new(Caller), Placement::Auto)
+        .unwrap();
+    runtime.add_ownership(caller, gate).unwrap();
+    let client = runtime.client();
+    let resumed = client.submit_event(gate, "noop", args![]).unwrap();
+    eventually("the gate's event waits for a grant", || {
+        runtime.executor_stats().queued == 0 && runtime.events_in_flight() == 2
+    });
+    let nested = client.submit_event(caller, "touch", args![gate]).unwrap();
+    eventually("the caller's event waits for the gate", || {
+        runtime.events_in_flight() == 3
+    });
+    release.send(()).unwrap();
+    assert_eq!(wedged.join().unwrap().unwrap(), Value::from("unwedged"));
+    for handle in [resumed, nested] {
+        let outcome = handle.wait_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(outcome.map(|outcome| outcome.result), Some(Ok(Value::Null)));
+    }
+    runtime.shutdown();
+}
+
 /// `shutdown()` returning means nothing executes any more — also for an
 /// event that runs on a caller's thread: it waits for a caller inside a
 /// slow method to finish it.

@@ -18,9 +18,9 @@
 //! [`ControlPlane`] embedded by value in the engine state — the same type,
 //! and so the same rules and errors, as the runtime and the cluster's
 //! directory authority; the engine adds only its object table, factories
-//! and the virtual clock.  Dominators (the contention timeline's
-//! sequencers) come from the plane's resolver in the default
-//! [`DominatorMode`].
+//! and the virtual clock.  The contention timeline's sequencers come from
+//! `ControlPlane::sequencer_of` in the default [`DominatorMode`], as the
+//! runtime's and the cluster gateway's do.
 //!
 //! The deterministic engine and the distributed cluster thereby bracket the
 //! in-process runtime: same applications, same API, three execution
@@ -28,7 +28,7 @@
 
 use crate::resources::{CpuTimeline, LockTimeline};
 use aeon_api::{Deployment, EventHandle, Session};
-use aeon_ownership::{ClassGraph, ControlPlane, Dominator, DominatorMode, OwnershipGraph};
+use aeon_ownership::{ClassGraph, ControlPlane, DominatorMode, OwnershipGraph};
 use aeon_runtime::{
     AnalysisMode, ContextFactory, ContextHost, ContextObject, Entered, EventBody, EventMeta,
     Footprint, Placement,
@@ -171,7 +171,6 @@ impl SimDeploymentBuilder {
                 interval: self.arrival_interval.unwrap_or(self.service),
                 next_arrival: SimTime::ZERO,
                 locks: HashMap::new(),
-                global_lock: LockTimeline::new(),
                 cpus: HashMap::new(),
             }),
         };
@@ -190,10 +189,9 @@ struct Timeline {
     cores: usize,
     interval: SimDuration,
     next_arrival: SimTime,
+    /// Per context, and under `GLOBAL_ROOT` the sequencer of events whose
+    /// dominator is the unnamed global root (footnote 1, §3).
     locks: HashMap<ContextId, LockTimeline>,
-    /// Sequencer of events whose dominator is the unnamed global root
-    /// (footnote 1, §3): the paper's per-application global sequencer.
-    global_lock: LockTimeline,
     cpus: HashMap<ServerId, CpuTimeline>,
 }
 
@@ -286,16 +284,12 @@ impl SimState {
         let mut now = arrival + hop;
         // Dominator sequencing; an unresolvable dominator (e.g. the target
         // vanished mid-run) falls back to the target's own lock.
-        let sequencer = match self.plane.dominator_of(target) {
-            Ok(Dominator::Context(context)) => Some(context),
-            Ok(Dominator::GlobalRoot) => None,
-            Err(_) => Some(target),
-        };
+        let sequencer = self
+            .plane
+            .sequencer_of(target)
+            .map_or(target, |sequencer| sequencer.lock(target));
         now = {
-            let lock = match sequencer {
-                Some(context) => timeline.locks.entry(context).or_default(),
-                None => &mut timeline.global_lock,
-            };
+            let lock = timeline.locks.entry(sequencer).or_default();
             if readonly {
                 lock.next_shared_start(now)
             } else {
@@ -332,10 +326,7 @@ impl SimState {
         }
         // The sequencer was held for the whole execution.
         {
-            let lock = match sequencer {
-                Some(context) => timeline.locks.entry(context).or_default(),
-                None => &mut timeline.global_lock,
-            };
+            let lock = timeline.locks.entry(sequencer).or_default();
             if readonly {
                 lock.hold_shared_until(now);
             } else {
@@ -603,7 +594,6 @@ impl SimDeployment {
         if let Some(timeline) = &mut state.timeline {
             timeline.next_arrival = SimTime::ZERO;
             timeline.locks.clear();
-            timeline.global_lock = LockTimeline::new();
             timeline.cpus.clear();
         }
     }

@@ -18,11 +18,6 @@ pub struct LockTimeline {
 }
 
 impl LockTimeline {
-    /// Creates a free lock.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Earliest time at or after `now` at which an exclusive acquisition can
     /// start (does not take the lock).
     pub fn next_exclusive_start(&self, now: SimTime) -> SimTime {
@@ -112,7 +107,7 @@ mod tests {
 
     #[test]
     fn exclusive_acquisitions_serialize() {
-        let mut lock = LockTimeline::new();
+        let mut lock = LockTimeline::default();
         assert_eq!(write(&mut lock, at(0), ms(10)), at(0));
         // Second request arriving at t=2 must wait until t=10.
         assert_eq!(write(&mut lock, at(2), ms(5)), at(10));
@@ -121,7 +116,7 @@ mod tests {
 
     #[test]
     fn readers_overlap_but_respect_writers() {
-        let mut lock = LockTimeline::new();
+        let mut lock = LockTimeline::default();
         write(&mut lock, at(0), ms(10));
         // Two readers arriving during the write both start at t=10.
         assert_eq!(read(&mut lock, at(3), ms(5)), at(10));

@@ -23,11 +23,16 @@ use aeon::config::{ServiceConfig, WorkloadConfig};
 use aeon::prelude::*;
 use aeon::runtime::ExecutorStats;
 use aeon::types::promtext::{render_network_stats, render_server_metrics, PromWriter};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::exit;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Most bytes read of one admin request: its request line and headers.
+const MAX_REQUEST_BYTES: u64 = 8 * 1024;
+/// How long one admin request may take to arrive, all of it.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
 
 fn usage() -> ! {
     eprintln!("usage: aeond --config <path>");
@@ -99,7 +104,6 @@ fn main() {
 
     for stream in listener.incoming() {
         let Ok(stream) = stream else { continue };
-        stream.set_read_timeout(Some(Duration::from_secs(5))).ok();
         if let Some(path) = read_request_path(&stream) {
             serve(&stream, &path, deployment.as_ref(), &manager, &cache);
         }
@@ -248,8 +252,14 @@ fn render_executor_stats(w: &mut PromWriter, stats: &ExecutorStats) {
 }
 
 /// Reads the HTTP/1.0 request line and discards headers; returns the path.
+/// The accept loop is single-threaded, so the request is bounded: at most
+/// [`MAX_REQUEST_BYTES`], all of them within [`REQUEST_DEADLINE`].
 fn read_request_path(stream: &TcpStream) -> Option<String> {
-    let mut reader = BufReader::new(stream.try_clone().ok()?);
+    let request = Deadline {
+        stream,
+        at: Instant::now() + REQUEST_DEADLINE,
+    };
+    let mut reader = BufReader::new(request.take(MAX_REQUEST_BYTES));
     let mut line = String::new();
     reader.read_line(&mut line).ok()?;
     let mut parts = line.split_whitespace();
@@ -269,6 +279,25 @@ fn read_request_path(stream: &TcpStream) -> Option<String> {
         }
     }
     Some(path)
+}
+
+/// A stream whose every read times out at one deadline for the whole
+/// request, not a fresh timeout per read.
+struct Deadline<'a> {
+    stream: &'a TcpStream,
+    at: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.at.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        let mut stream = self.stream;
+        stream.set_read_timeout(Some(left))?;
+        stream.read(buf)
+    }
 }
 
 fn respond(mut stream: &TcpStream, status: &str, content_type: &str, body: &str) {

@@ -6,11 +6,13 @@
 //! the whole operability surface over plain HTTP/1.0: `/healthz`,
 //! `/readyz`, `/metrics` (asserting the workload moved the counters and
 //! the latency histogram is well-formed), and finally `/drain`, asserting
-//! the process exits 0.
+//! the process exits 0.  Two more cases hold the admin loop's bound on a
+//! request against clients that never finish theirs.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::process::{Command, Stdio};
+use std::path::PathBuf;
+use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 struct Response {
@@ -62,29 +64,13 @@ fn sample_value(exposition: &str, name: &str) -> Option<f64> {
     })
 }
 
-#[test]
-fn aeond_serves_probes_metrics_and_drains_cleanly() {
-    let dir = std::env::temp_dir().join(format!("aeond-e2e-{}", std::process::id()));
+/// Starts `aeond` on `config`, written to a temporary directory named after
+/// `name`; returns the process, its admin address and the directory.
+fn spawn_aeond(name: &str, config: &str) -> (Child, String, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("aeond-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let config_path = dir.join("aeond.toml");
-    std::fs::write(
-        &config_path,
-        r#"
-            [deployment]
-            backend = "cluster"
-            servers = 2
-            worker_threads = 2
-
-            [admin]
-            listen = "127.0.0.1:0"
-            push_interval_ms = 100
-
-            [workload]
-            contexts = 4
-            events = 25
-        "#,
-    )
-    .expect("write config");
+    std::fs::write(&config_path, config).expect("write config");
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_aeond"))
         .arg("--config")
@@ -110,6 +96,26 @@ fn aeond_serves_probes_metrics_and_drains_cleanly() {
         addr.parse::<std::net::SocketAddr>().is_ok(),
         "unparseable admin address in banner: {banner:?}"
     );
+    (child, addr, dir)
+}
+
+#[test]
+fn aeond_serves_probes_metrics_and_drains_cleanly() {
+    let config = r#"
+        [deployment]
+        backend = "cluster"
+        servers = 2
+        worker_threads = 2
+
+        [admin]
+        listen = "127.0.0.1:0"
+        push_interval_ms = 100
+
+        [workload]
+        contexts = 4
+        events = 25
+    "#;
+    let (mut child, addr, dir) = spawn_aeond("e2e", config);
 
     assert_eq!(http_get(&addr, "/healthz").expect("healthz").status, 200);
     await_ok(&addr, "/readyz", Duration::from_secs(30));
@@ -160,5 +166,65 @@ fn aeond_serves_probes_metrics_and_drains_cleanly() {
     let status = child.wait().expect("wait for aeond");
     assert!(status.success(), "aeond exited with {status}");
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A runtime behind the admin surface, with no workload.
+const QUIET: &str = r#"
+    [deployment]
+    backend = "runtime"
+    servers = 1
+
+    [admin]
+    listen = "127.0.0.1:0"
+"#;
+
+/// Asks `/healthz` and returns how long the answer took.
+fn healthz_takes(addr: &str) -> Duration {
+    let asked = Instant::now();
+    assert_eq!(http_get(addr, "/healthz").expect("healthz").status, 200);
+    asked.elapsed()
+}
+
+/// One client at a time is served, so a request is bounded in size: a
+/// megabyte with no newline, its socket kept open, costs the admin loop
+/// 8 KiB and no wait.
+#[test]
+fn an_endless_request_line_does_not_hold_the_admin_loop() {
+    let (mut child, addr, dir) = spawn_aeond("endless", QUIET);
+    let mut hog = TcpStream::connect(&addr).expect("connect");
+    let hog = std::thread::spawn(move || {
+        let _ = hog.write_all(&vec![b'a'; 1 << 20]);
+        hog
+    });
+    std::thread::sleep(Duration::from_millis(100));
+    let took = healthz_takes(&addr);
+    assert!(took < Duration::from_secs(1), "/healthz took {took:?}");
+    drop(hog.join());
+    child.kill().ok();
+    child.wait().ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// ... and in time: a client that sends one byte a second has five seconds
+/// for its whole request, not five for each byte.
+#[test]
+fn a_trickling_request_does_not_hold_the_admin_loop() {
+    let (mut child, addr, dir) = spawn_aeond("trickle", QUIET);
+    let mut drip = TcpStream::connect(&addr).expect("connect");
+    let drip = std::thread::spawn(move || {
+        for _ in 0..12 {
+            if drip.write_all(b"a").is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_secs(1));
+        }
+    });
+    std::thread::sleep(Duration::from_millis(100));
+    let took = healthz_takes(&addr);
+    assert!(took < Duration::from_secs(7), "/healthz took {took:?}");
+    drip.join().ok();
+    child.kill().ok();
+    child.wait().ok();
     std::fs::remove_dir_all(&dir).ok();
 }

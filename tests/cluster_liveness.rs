@@ -3,11 +3,12 @@
 //! A node's pool is fixed-size, and an event's waits — for its sequencer,
 //! for a context another event holds, for the reply to a remote call — may
 //! end only after a task queued behind them runs.  Two rules keep that from
-//! wedging the pool (`crates/cluster/src/node.rs`): an `Act` whose sequencer
-//! is held leaves a grant in the lock's queue instead of a parked worker,
-//! and every other wait is announced with `block_in_place`, which hands the
-//! rest of the worker's batch back and keeps `workers` threads running the
-//! queues beside it.  Each scenario below
+//! wedging the pool (`crates/cluster/src/node.rs`): a unit of work — an
+//! `Act`, an `Exec`, a certified read, a `Call` — whose first lock is held
+//! leaves a grant in the lock's queue instead of a parked worker, and every
+//! other wait is announced with `block_in_place`, which hands the rest of
+//! the worker's batch back and keeps `workers` threads running the queues
+//! beside it.  Each scenario below
 //! would hang on a pool of one without them, so each runs under a watchdog
 //! (and ten times optimised in CI's hang detector).
 
@@ -268,5 +269,85 @@ fn remote_calls_nested_across_two_pools_of_one_complete() {
         passes.sort_unstable();
         assert_eq!(passes, (1..=8).collect::<Vec<_>>());
         cluster.shutdown();
+    });
+}
+
+/// A context whose `hold` keeps it for 300 ms after saying it started;
+/// `poke` writes nothing, `peek` is a certified read.
+struct Sleeper {
+    started: mpsc::Sender<()>,
+}
+
+impl ContextObject for Sleeper {
+    fn class_name(&self) -> &str {
+        "Sleeper"
+    }
+
+    fn handle(&mut self, method: &str, _args: &Args, _inv: &mut Invocation<'_>) -> Result<Value> {
+        match method {
+            "hold" => {
+                let _ = self.started.send(());
+                std::thread::sleep(Duration::from_millis(300));
+                Ok(Value::from("held"))
+            }
+            "poke" | "peek" => Ok(Value::from(method)),
+            other => Err(AeonError::app(format!("unknown method {other}"))),
+        }
+    }
+
+    fn is_readonly(&self, method: &str) -> bool {
+        method == "peek"
+    }
+}
+
+/// (e) An `Exec` or a certified read that arrives while a method holds its
+/// target waits in the target's queue as a grant, not on a worker: with
+/// two workers, one of them inside the 300 ms `hold`, neither entry makes
+/// the pool start a thread.  (Taking the entry's lock on a worker and
+/// announcing the wait started one, every time.)
+#[test]
+fn a_contended_entry_starts_no_pool_thread() {
+    within("(e) contended entries, two workers", || {
+        let mut classes = ClassGraph::new();
+        classes.declare_method("Sleeper", "hold", false);
+        classes.declare_method("Sleeper", "poke", false);
+        classes.declare_method("Sleeper", "peek", true);
+        classes.declare_calls("Sleeper", "peek", []);
+        for (method, mode) in [
+            ("poke", AccessMode::Exclusive),
+            ("peek", AccessMode::ReadOnly),
+        ] {
+            let cluster = Cluster::builder()
+                .servers(1)
+                .worker_threads(2)
+                .class_graph(classes.clone())
+                .build()
+                .unwrap();
+            let (started_tx, started_rx) = mpsc::channel();
+            let sleeper = Sleeper {
+                started: started_tx,
+            };
+            let target = cluster
+                .create_context(Box::new(sleeper), Placement::Auto)
+                .unwrap();
+            let client = cluster.client();
+            let reads = cluster.fast_path_events();
+            let hold = client
+                .submit(target, "hold", args![], AccessMode::Exclusive)
+                .unwrap();
+            started_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            let before = started(&cluster);
+            let entry = client.submit(target, method, args![], mode).unwrap();
+            assert_eq!(hold.wait().unwrap(), Value::from("held"));
+            assert_eq!(entry.wait().unwrap(), Value::from(method));
+            assert_eq!(
+                started(&cluster),
+                before,
+                "{method}: the entry held a worker"
+            );
+            let certified = cluster.fast_path_events() - reads;
+            assert_eq!(certified, u64::from(mode.is_read_only()), "{method}");
+            cluster.shutdown();
+        }
     });
 }
