@@ -4,7 +4,7 @@
 //! The paper's headline guarantee is that a *static* analysis over
 //! contextclass declarations proves deadlock-free strict serializability
 //! before the program runs.  This crate is that analysis for the
-//! reproduction: a [`Pipeline`] of [`Pass`]es over an
+//! reproduction: [`analyze`] runs five passes over an
 //! [`aeon_ownership::ClassGraph`] — the declarative model assembled from
 //! `add_constraint` calls and the runtime's `context_class!` method tables
 //! (method surfaces, `ro` marks, and per-method `calls [...]`
@@ -33,7 +33,7 @@
 //! calls not covered by the declared summaries — the dynamic sanitizer that
 //! validates the static model.
 //!
-//! The same pipeline backs the `aeon-lint` binary, which lints the built-in
+//! The same analysis backs the `aeon-lint` binary, which lints the built-in
 //! workspace graphs and JSON-encoded [`ClassGraph`] documents (see
 //! [`json`]).
 //!
@@ -60,10 +60,7 @@ pub mod json;
 pub mod passes;
 pub mod report;
 
-pub use passes::{
-    analyze, certified_readonly, transitively_readonly, CallCoverage, ConstraintCycles,
-    DeadlockFreedom, Pass, Pipeline, Reachability, ReadonlySoundness,
-};
+pub use passes::{analyze, certified_readonly, transitively_readonly};
 pub use report::{AnalysisReport, DiagCode, Diagnostic, Severity};
 
 use aeon_ownership::ClassGraph;
@@ -109,7 +106,7 @@ impl fmt::Display for AnalysisMode {
     }
 }
 
-/// Runs the standard pipeline over `classes` under `mode`: the single
+/// Runs [`analyze`] over `classes` under `mode`: the single
 /// helper every deployment entry point calls.
 ///
 /// Warnings always print to stderr (except in [`AnalysisMode::Off`]); error

@@ -1,4 +1,4 @@
-//! The analysis passes and the pipeline that runs them.
+//! The analysis passes.
 //!
 //! Every pass reads the same input — a fully declared
 //! [`ClassGraph`] (constraints from `add_constraint`, method surfaces and
@@ -10,87 +10,33 @@ use crate::report::{AnalysisReport, DiagCode, Diagnostic};
 use aeon_ownership::{ClassGraph, MethodRef};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-/// One analysis pass over a [`ClassGraph`].
-pub trait Pass {
-    /// Short machine-usable pass name.
-    fn name(&self) -> &'static str;
-
-    /// Appends this pass's findings to `report`.
-    fn run(&self, classes: &ClassGraph, report: &mut AnalysisReport);
-}
-
-/// An ordered list of passes.
-#[derive(Default)]
-pub struct Pipeline {
-    passes: Vec<Box<dyn Pass>>,
-}
-
-impl Pipeline {
-    /// An empty pipeline.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The full standard pipeline, in diagnostic-code order.
-    pub fn standard() -> Self {
-        Self::new()
-            .with(ConstraintCycles)
-            .with(CallCoverage)
-            .with(ReadonlySoundness)
-            .with(DeadlockFreedom)
-            .with(Reachability)
-    }
-
-    /// Appends a pass.
-    #[must_use]
-    pub fn with(mut self, pass: impl Pass + 'static) -> Self {
-        self.passes.push(Box::new(pass));
-        self
-    }
-
-    /// The pass names, in run order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
-    }
-
-    /// Runs every pass and returns the accumulated report.
-    pub fn run(&self, classes: &ClassGraph) -> AnalysisReport {
-        let mut report = AnalysisReport::new();
-        for pass in &self.passes {
-            pass.run(classes, &mut report);
-        }
-        report
-    }
-}
-
-/// Runs the standard pipeline over `classes`.
+/// Runs every pass over `classes`, in diagnostic-code order, and returns
+/// the accumulated report.
 pub fn analyze(classes: &ClassGraph) -> AnalysisReport {
-    Pipeline::standard().run(classes)
+    let mut report = AnalysisReport::new();
+    constraint_cycles(classes, &mut report);
+    call_coverage(classes, &mut report);
+    readonly_soundness(classes, &mut report);
+    deadlock_freedom(classes, &mut report);
+    reachability(classes, &mut report);
+    report
 }
 
 /// AEON001: the ownership constraints must be acyclic (reflexive edges
 /// excepted).  Re-renders [`ClassGraph::find_constraint_cycle`] as a
 /// diagnostic so tooling sees it alongside the other passes.
-pub struct ConstraintCycles;
-
-impl Pass for ConstraintCycles {
-    fn name(&self) -> &'static str {
-        "constraint-cycles"
-    }
-
-    fn run(&self, classes: &ClassGraph, report: &mut AnalysisReport) {
-        if let Some(cycle) = classes.find_constraint_cycle() {
-            report.push(Diagnostic::new(
-                DiagCode::OwnershipCycle,
-                cycle.first().cloned(),
-                None,
-                format!(
-                    "ownership constraints are cyclic: {} (only the reflexive \
-                     case is allowed)",
-                    cycle.join(" -> ")
-                ),
-            ));
-        }
+fn constraint_cycles(classes: &ClassGraph, report: &mut AnalysisReport) {
+    if let Some(cycle) = classes.find_constraint_cycle() {
+        report.push(Diagnostic::new(
+            DiagCode::OwnershipCycle,
+            cycle.first().cloned(),
+            None,
+            format!(
+                "ownership constraints are cyclic: {} (only the reflexive \
+                 case is allowed)",
+                cycle.join(" -> ")
+            ),
+        ));
     }
 }
 
@@ -121,74 +67,66 @@ fn resolvable(classes: &ClassGraph, call: &MethodRef) -> bool {
 /// declared class/method (AEON004) and be covered by a chain of ownership
 /// constraints making `B` transitively owned by `A` (AEON002) — otherwise
 /// the call is guaranteed to surface at runtime as an `OwnershipViolation`.
-pub struct CallCoverage;
-
-impl Pass for CallCoverage {
-    fn name(&self) -> &'static str {
-        "call-coverage"
-    }
-
-    fn run(&self, classes: &ClassGraph, report: &mut AnalysisReport) {
-        let mut reach_cache: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
-        let class_names: Vec<String> = classes.classes().map(str::to_string).collect();
-        for class in &class_names {
-            for method in classes.methods_of(class) {
-                let Some(calls) = &method.calls else {
+fn call_coverage(classes: &ClassGraph, report: &mut AnalysisReport) {
+    let mut reach_cache: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
+    let class_names: Vec<String> = classes.classes().map(str::to_string).collect();
+    for class in &class_names {
+        for method in classes.methods_of(class) {
+            let Some(calls) = &method.calls else {
+                continue;
+            };
+            for call in calls {
+                if !classes.contains(&call.class) {
+                    report.push(Diagnostic::new(
+                        DiagCode::UndeclaredTarget,
+                        Some(class.clone()),
+                        Some(method.name.clone()),
+                        format!(
+                            "{class}::{} calls {call}, but class {} is not declared",
+                            method.name, call.class
+                        ),
+                    ));
                     continue;
-                };
-                for call in calls {
-                    if !classes.contains(&call.class) {
-                        report.push(Diagnostic::new(
-                            DiagCode::UndeclaredTarget,
-                            Some(class.clone()),
-                            Some(method.name.clone()),
-                            format!(
-                                "{class}::{} calls {call}, but class {} is not declared",
-                                method.name, call.class
-                            ),
-                        ));
-                        continue;
-                    }
-                    if !classes.methods_of(&call.class).is_empty()
-                        && classes.readonly_method(&call.class, &call.method).is_none()
-                    {
-                        report.push(Diagnostic::new(
-                            DiagCode::UndeclaredTarget,
-                            Some(class.clone()),
-                            Some(method.name.clone()),
-                            format!(
-                                "{class}::{} calls {call}, but class {} declares no \
-                                 method {}",
-                                method.name, call.class, call.method
-                            ),
-                        ));
-                        // The method is missing but the class is known; the
-                        // ownership-coverage check below still applies.
-                    }
-                    // Same-class calls go to sibling instances; the
-                    // instance-level DAG (plus the reflexive-constraint
-                    // runtime checks) covers them, and AEON005 audits the
-                    // recursion.
-                    if call.class == *class {
-                        continue;
-                    }
-                    let reachable = reach_cache
-                        .entry(class.as_str())
-                        .or_insert_with(|| reachable_from(classes, class));
-                    if !reachable.contains(&call.class) {
-                        report.push(Diagnostic::new(
-                            DiagCode::UncoveredCall,
-                            Some(class.clone()),
-                            Some(method.name.clone()),
-                            format!(
-                                "{class}::{} calls {call}, but no ownership constraint \
-                                 chain makes {} owned by {class} (declare \
-                                 add_constraint(\"{class}\", \"{}\") or an \
-                                 intermediate owner)",
-                                method.name, call.class, call.class
-                            ),
-                        ));
-                    }
+                }
+                if !classes.methods_of(&call.class).is_empty()
+                    && classes.readonly_method(&call.class, &call.method).is_none()
+                {
+                    report.push(Diagnostic::new(
+                        DiagCode::UndeclaredTarget,
+                        Some(class.clone()),
+                        Some(method.name.clone()),
+                        format!(
+                            "{class}::{} calls {call}, but class {} declares no \
+                             method {}",
+                            method.name, call.class, call.method
+                        ),
+                    ));
+                    // The method is missing but the class is known; the
+                    // ownership-coverage check below still applies.
+                }
+                // Same-class calls go to sibling instances; the
+                // instance-level DAG (plus the reflexive-constraint
+                // runtime checks) covers them, and AEON005 audits the
+                // recursion.
+                if call.class == *class {
+                    continue;
+                }
+                let reachable = reach_cache
+                    .entry(class.as_str())
+                    .or_insert_with(|| reachable_from(classes, class));
+                if !reachable.contains(&call.class) {
+                    report.push(Diagnostic::new(
+                        DiagCode::UncoveredCall,
+                        Some(class.clone()),
+                        Some(method.name.clone()),
+                        format!(
+                            "{class}::{} calls {call}, but no ownership constraint \
+                             chain makes {} owned by {class} (declare \
+                             add_constraint(\"{class}\", \"{}\") or an \
+                             intermediate owner)",
+                            method.name, call.class, call.class
+                        ),
+                    ));
                 }
             }
         }
@@ -201,64 +139,56 @@ impl Pass for CallCoverage {
 ///
 /// Computed as a fixpoint ("may reach a mutating method") over the call
 /// graph; the diagnostic names the offending path.
-pub struct ReadonlySoundness;
-
-impl Pass for ReadonlySoundness {
-    fn name(&self) -> &'static str {
-        "readonly-soundness"
-    }
-
-    fn run(&self, classes: &ClassGraph, report: &mut AnalysisReport) {
-        let class_names: Vec<String> = classes.classes().map(str::to_string).collect();
-        for class in &class_names {
-            for method in classes.methods_of(class) {
-                if !method.readonly {
+fn readonly_soundness(classes: &ClassGraph, report: &mut AnalysisReport) {
+    let class_names: Vec<String> = classes.classes().map(str::to_string).collect();
+    for class in &class_names {
+        for method in classes.methods_of(class) {
+            if !method.readonly {
+                continue;
+            }
+            // Breadth-first search from the ro method over resolvable
+            // call edges, keeping predecessor links for the path.
+            let start = MethodRef::new(class.clone(), method.name.clone());
+            let mut pred: BTreeMap<MethodRef, MethodRef> = BTreeMap::new();
+            let mut queue: VecDeque<MethodRef> = VecDeque::from([start.clone()]);
+            let mut seen: BTreeSet<MethodRef> = BTreeSet::from([start.clone()]);
+            let mut offender: Option<MethodRef> = None;
+            'search: while let Some(node) = queue.pop_front() {
+                let Some(calls) = classes.calls_of(&node.class, &node.method) else {
                     continue;
-                }
-                // Breadth-first search from the ro method over resolvable
-                // call edges, keeping predecessor links for the path.
-                let start = MethodRef::new(class.clone(), method.name.clone());
-                let mut pred: BTreeMap<MethodRef, MethodRef> = BTreeMap::new();
-                let mut queue: VecDeque<MethodRef> = VecDeque::from([start.clone()]);
-                let mut seen: BTreeSet<MethodRef> = BTreeSet::from([start.clone()]);
-                let mut offender: Option<MethodRef> = None;
-                'search: while let Some(node) = queue.pop_front() {
-                    let Some(calls) = classes.calls_of(&node.class, &node.method) else {
+                };
+                for call in calls {
+                    if !resolvable(classes, call) || !seen.insert(call.clone()) {
                         continue;
-                    };
-                    for call in calls {
-                        if !resolvable(classes, call) || !seen.insert(call.clone()) {
-                            continue;
-                        }
-                        pred.insert(call.clone(), node.clone());
-                        if classes.readonly_method(&call.class, &call.method) == Some(false) {
-                            offender = Some(call.clone());
-                            break 'search;
-                        }
-                        queue.push_back(call.clone());
                     }
-                }
-                if let Some(end) = offender {
-                    let mut path = vec![end.clone()];
-                    let mut cursor = end.clone();
-                    while let Some(prev) = pred.get(&cursor) {
-                        path.push(prev.clone());
-                        cursor = prev.clone();
+                    pred.insert(call.clone(), node.clone());
+                    if classes.readonly_method(&call.class, &call.method) == Some(false) {
+                        offender = Some(call.clone());
+                        break 'search;
                     }
-                    path.reverse();
-                    let rendered: Vec<String> = path.iter().map(MethodRef::to_string).collect();
-                    report.push(Diagnostic::new(
-                        DiagCode::ReadonlyUnsound,
-                        Some(class.clone()),
-                        Some(method.name.clone()),
-                        format!(
-                            "ro method {class}::{} transitively calls mutating method \
-                             {end} ({})",
-                            method.name,
-                            rendered.join(" -> ")
-                        ),
-                    ));
+                    queue.push_back(call.clone());
                 }
+            }
+            if let Some(end) = offender {
+                let mut path = vec![end.clone()];
+                let mut cursor = end.clone();
+                while let Some(prev) = pred.get(&cursor) {
+                    path.push(prev.clone());
+                    cursor = prev.clone();
+                }
+                path.reverse();
+                let rendered: Vec<String> = path.iter().map(MethodRef::to_string).collect();
+                report.push(Diagnostic::new(
+                    DiagCode::ReadonlyUnsound,
+                    Some(class.clone()),
+                    Some(method.name.clone()),
+                    format!(
+                        "ro method {class}::{} transitively calls mutating method \
+                         {end} ({})",
+                        method.name,
+                        rendered.join(" -> ")
+                    ),
+                ));
             }
         }
     }
@@ -273,118 +203,110 @@ impl Pass for ReadonlySoundness {
 /// the paper's inductive-structure exception: recursion that stays inside a
 /// single class which *explicitly* declared the reflexive constraint
 /// (`Node` owns `Node`) descends a chain of distinct instances.
-pub struct DeadlockFreedom;
-
-impl Pass for DeadlockFreedom {
-    fn name(&self) -> &'static str {
-        "deadlock-freedom"
+fn deadlock_freedom(classes: &ClassGraph, report: &mut AnalysisReport) {
+    // Build the method call graph, dropping unresolvable edges (AEON004
+    // reports those) and sanctioned intra-class edges of classes with a
+    // declared reflexive constraint.  Any cycle that remains is a
+    // potential deadlock.
+    let mut nodes: Vec<MethodRef> = Vec::new();
+    let mut edges: BTreeMap<MethodRef, Vec<MethodRef>> = BTreeMap::new();
+    let class_names: Vec<String> = classes.classes().map(str::to_string).collect();
+    for class in &class_names {
+        let reflexive = classes.declares(class, class);
+        for method in classes.methods_of(class) {
+            let node = MethodRef::new(class.clone(), method.name.clone());
+            nodes.push(node.clone());
+            let Some(calls) = &method.calls else {
+                continue;
+            };
+            let outgoing: Vec<MethodRef> = calls
+                .iter()
+                .filter(|call| resolvable(classes, call))
+                .filter(|call| !(reflexive && call.class == *class))
+                .cloned()
+                .collect();
+            edges.insert(node, outgoing);
+        }
     }
 
-    fn run(&self, classes: &ClassGraph, report: &mut AnalysisReport) {
-        // Build the method call graph, dropping unresolvable edges (AEON004
-        // reports those) and sanctioned intra-class edges of classes with a
-        // declared reflexive constraint.  Any cycle that remains is a
-        // potential deadlock.
-        let mut nodes: Vec<MethodRef> = Vec::new();
-        let mut edges: BTreeMap<MethodRef, Vec<MethodRef>> = BTreeMap::new();
-        let class_names: Vec<String> = classes.classes().map(str::to_string).collect();
-        for class in &class_names {
-            let reflexive = classes.declares(class, class);
-            for method in classes.methods_of(class) {
-                let node = MethodRef::new(class.clone(), method.name.clone());
-                nodes.push(node.clone());
-                let Some(calls) = &method.calls else {
-                    continue;
-                };
-                let outgoing: Vec<MethodRef> = calls
-                    .iter()
-                    .filter(|call| resolvable(classes, call))
-                    .filter(|call| !(reflexive && call.class == *class))
-                    .cloned()
-                    .collect();
-                edges.insert(node, outgoing);
-            }
+    // Iterative coloured DFS; every grey-hit is one cycle.  Cycles are
+    // deduplicated by their member set so overlapping traversals don't
+    // repeat a finding.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Colour {
+        White,
+        Grey,
+        Black,
+    }
+    let mut colour: BTreeMap<&MethodRef, Colour> =
+        nodes.iter().map(|n| (n, Colour::White)).collect();
+    let mut reported: BTreeSet<Vec<MethodRef>> = BTreeSet::new();
+    for root in &nodes {
+        if colour[root] != Colour::White {
+            continue;
         }
-
-        // Iterative coloured DFS; every grey-hit is one cycle.  Cycles are
-        // deduplicated by their member set so overlapping traversals don't
-        // repeat a finding.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Colour {
-            White,
-            Grey,
-            Black,
-        }
-        let mut colour: BTreeMap<&MethodRef, Colour> =
-            nodes.iter().map(|n| (n, Colour::White)).collect();
-        let mut reported: BTreeSet<Vec<MethodRef>> = BTreeSet::new();
-        for root in &nodes {
-            if colour[root] != Colour::White {
+        let mut path: Vec<&MethodRef> = vec![root];
+        let mut frames: Vec<(&MethodRef, usize)> = vec![(root, 0)];
+        colour.insert(root, Colour::Grey);
+        while !frames.is_empty() {
+            // The node reference is copied out (it borrows `nodes`, not
+            // the frame), so the stack can be pushed/popped below.
+            let (node, next) = {
+                let frame = frames.last_mut().expect("loop guard");
+                let snapshot = (frame.0, frame.1);
+                frame.1 += 1;
+                snapshot
+            };
+            let outgoing = edges.get(node).map(Vec::as_slice).unwrap_or(&[]);
+            if next >= outgoing.len() {
+                colour.insert(node, Colour::Black);
+                path.pop();
+                frames.pop();
                 continue;
             }
-            let mut path: Vec<&MethodRef> = vec![root];
-            let mut frames: Vec<(&MethodRef, usize)> = vec![(root, 0)];
-            colour.insert(root, Colour::Grey);
-            while !frames.is_empty() {
-                // The node reference is copied out (it borrows `nodes`, not
-                // the frame), so the stack can be pushed/popped below.
-                let (node, next) = {
-                    let frame = frames.last_mut().expect("loop guard");
-                    let snapshot = (frame.0, frame.1);
-                    frame.1 += 1;
-                    snapshot
-                };
-                let outgoing = edges.get(node).map(Vec::as_slice).unwrap_or(&[]);
-                if next >= outgoing.len() {
-                    colour.insert(node, Colour::Black);
-                    path.pop();
-                    frames.pop();
-                    continue;
-                }
-                let target = &outgoing[next];
-                // Edges into classes that never declared a method surface
-                // have no node of their own; they cannot continue a cycle.
-                match colour.get(target).copied().unwrap_or(Colour::Black) {
-                    Colour::Grey => {
-                        let start = path.iter().position(|n| *n == target).unwrap_or(0);
-                        let mut cycle: Vec<MethodRef> =
-                            path[start..].iter().map(|n| (*n).clone()).collect();
-                        let mut key = cycle.clone();
-                        key.sort();
-                        if reported.insert(key) {
-                            cycle.push(target.clone());
-                            let rendered: Vec<String> =
-                                cycle.iter().map(MethodRef::to_string).collect();
-                            let single_class = cycle.iter().all(|n| n.class == cycle[0].class);
-                            let hint = if single_class {
-                                format!(
-                                    "; declare the reflexive constraint \
-                                     add_constraint(\"{0}\", \"{0}\") if instances of \
-                                     {0} intentionally recurse over owned instances",
-                                    cycle[0].class
-                                )
-                            } else {
-                                String::new()
-                            };
-                            report.push(Diagnostic::new(
-                                DiagCode::PotentialDeadlock,
-                                Some(target.class.clone()),
-                                Some(target.method.clone()),
-                                format!(
-                                    "method call cycle {} can re-enter an exclusive \
-                                     activation under dominator sequencing{hint}",
-                                    rendered.join(" -> ")
-                                ),
-                            ));
-                        }
+            let target = &outgoing[next];
+            // Edges into classes that never declared a method surface
+            // have no node of their own; they cannot continue a cycle.
+            match colour.get(target).copied().unwrap_or(Colour::Black) {
+                Colour::Grey => {
+                    let start = path.iter().position(|n| *n == target).unwrap_or(0);
+                    let mut cycle: Vec<MethodRef> =
+                        path[start..].iter().map(|n| (*n).clone()).collect();
+                    let mut key = cycle.clone();
+                    key.sort();
+                    if reported.insert(key) {
+                        cycle.push(target.clone());
+                        let rendered: Vec<String> =
+                            cycle.iter().map(MethodRef::to_string).collect();
+                        let single_class = cycle.iter().all(|n| n.class == cycle[0].class);
+                        let hint = if single_class {
+                            format!(
+                                "; declare the reflexive constraint \
+                                 add_constraint(\"{0}\", \"{0}\") if instances of \
+                                 {0} intentionally recurse over owned instances",
+                                cycle[0].class
+                            )
+                        } else {
+                            String::new()
+                        };
+                        report.push(Diagnostic::new(
+                            DiagCode::PotentialDeadlock,
+                            Some(target.class.clone()),
+                            Some(target.method.clone()),
+                            format!(
+                                "method call cycle {} can re-enter an exclusive \
+                                 activation under dominator sequencing{hint}",
+                                rendered.join(" -> ")
+                            ),
+                        ));
                     }
-                    Colour::White => {
-                        colour.insert(target, Colour::Grey);
-                        path.push(target);
-                        frames.push((target, 0));
-                    }
-                    Colour::Black => {}
                 }
+                Colour::White => {
+                    colour.insert(target, Colour::Grey);
+                    path.push(target);
+                    frames.push((target, 0));
+                }
+                Colour::Black => {}
             }
         }
     }
@@ -394,61 +316,53 @@ impl Pass for DeadlockFreedom {
 /// ownership constraint and no call edge connects to the rest of the graph
 /// is unreachable (AEON007) — usually a typo'd class name in a constraint or
 /// summary — and its declared methods can never execute (AEON006).
-pub struct Reachability;
-
-impl Pass for Reachability {
-    fn name(&self) -> &'static str {
-        "reachability"
+fn reachability(classes: &ClassGraph, report: &mut AnalysisReport) {
+    if classes.len() < 2 {
+        // A single class is trivially the root of its own world.
+        return;
     }
-
-    fn run(&self, classes: &ClassGraph, report: &mut AnalysisReport) {
-        if classes.len() < 2 {
-            // A single class is trivially the root of its own world.
-            return;
-        }
-        let mut touched: BTreeSet<String> = BTreeSet::new();
-        let class_names: Vec<String> = classes.classes().map(str::to_string).collect();
-        for class in &class_names {
-            for owned in classes.owned_by(class) {
-                if owned != class.as_str() {
-                    touched.insert(class.clone());
-                    touched.insert(owned.to_string());
-                }
+    let mut touched: BTreeSet<String> = BTreeSet::new();
+    let class_names: Vec<String> = classes.classes().map(str::to_string).collect();
+    for class in &class_names {
+        for owned in classes.owned_by(class) {
+            if owned != class.as_str() {
+                touched.insert(class.clone());
+                touched.insert(owned.to_string());
             }
-            for method in classes.methods_of(class) {
-                for call in method.calls.iter().flatten() {
-                    touched.insert(class.clone());
-                    if classes.contains(&call.class) {
-                        touched.insert(call.class.clone());
-                    }
+        }
+        for method in classes.methods_of(class) {
+            for call in method.calls.iter().flatten() {
+                touched.insert(class.clone());
+                if classes.contains(&call.class) {
+                    touched.insert(call.class.clone());
                 }
             }
         }
-        for class in &class_names {
-            if touched.contains(class.as_str()) {
-                continue;
-            }
+    }
+    for class in &class_names {
+        if touched.contains(class.as_str()) {
+            continue;
+        }
+        report.push(Diagnostic::new(
+            DiagCode::UnreachableClass,
+            Some(class.clone()),
+            None,
+            format!(
+                "class {class} is unreachable: no ownership constraint or call \
+                 edge connects it to the rest of the graph (typo?)"
+            ),
+        ));
+        for method in classes.methods_of(class) {
             report.push(Diagnostic::new(
-                DiagCode::UnreachableClass,
+                DiagCode::DeadMethod,
                 Some(class.clone()),
-                None,
+                Some(method.name.clone()),
                 format!(
-                    "class {class} is unreachable: no ownership constraint or call \
-                     edge connects it to the rest of the graph (typo?)"
+                    "method {class}::{} can never execute: its class is \
+                     unreachable",
+                    method.name
                 ),
             ));
-            for method in classes.methods_of(class) {
-                report.push(Diagnostic::new(
-                    DiagCode::DeadMethod,
-                    Some(class.clone()),
-                    Some(method.name.clone()),
-                    format!(
-                        "method {class}::{} can never execute: its class is \
-                         unreachable",
-                        method.name
-                    ),
-                ));
-            }
         }
     }
 }
@@ -457,7 +371,7 @@ impl Pass for Reachability {
 /// **transitively** read-only: every method reachable from them over
 /// resolvable declared call edges is itself declared `ro`.
 ///
-/// This is the positive complement of [`ReadonlySoundness`]: that pass
+/// This is the positive complement of the AEON003 pass: that pass
 /// reports `ro` methods that *may* reach a mutating method; this query
 /// returns the `ro` methods for which the same breadth-first fixpoint finds
 /// no such path **and** every edge along the way carries a call summary
@@ -780,25 +694,5 @@ mod tests {
         // Certified methods are always transitively readonly.
         let ro = transitively_readonly(&g);
         assert!(fast.iter().all(|m| ro.contains(m)));
-    }
-
-    #[test]
-    fn pipeline_is_composable() {
-        let pipeline = Pipeline::new().with(ConstraintCycles);
-        assert_eq!(pipeline.pass_names(), vec!["constraint-cycles"]);
-        let mut g = ClassGraph::new();
-        g.declare_calls("A", "m", [MethodRef::new("Missing", "n")]);
-        // Only the cycle pass runs: the AEON004 situation goes unreported.
-        assert!(pipeline.run(&g).is_clean());
-        assert_eq!(
-            Pipeline::standard().pass_names(),
-            vec![
-                "constraint-cycles",
-                "call-coverage",
-                "readonly-soundness",
-                "deadlock-freedom",
-                "reachability"
-            ]
-        );
     }
 }

@@ -26,6 +26,7 @@ use crate::directory::Directory;
 use crate::message::{gateway_id, ClusterMessage, EventDescriptor};
 use crate::node::{spawn_node, NodeShared};
 use crate::wire::message_wire_len;
+use aeon_api::{Deployment, EventHandle, Session};
 use aeon_net::{
     ChannelTransport, MessageSizer, Network, NetworkStats, TcpTransport, TcpTransportConfig,
 };
@@ -36,8 +37,8 @@ use aeon_runtime::{
     Footprint, Placement,
 };
 use aeon_types::{
-    AccessMode, AeonError, Args, ClientId, ContextId, EventId, Result, ServerId, ServerMetrics,
-    SharedHistorySink, Value,
+    AccessMode, AeonError, Args, ClientId, ContextId, EventId, NetworkStatsSnapshot, Result,
+    ServerId, ServerMetrics, SharedHistorySink, Value,
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
@@ -693,7 +694,7 @@ impl ClusterClient {
 /// # Examples
 ///
 /// ```
-/// use aeon_api::Session;
+/// use aeon_api::{Deployment, Session};
 /// use aeon_cluster::Cluster;
 /// use aeon_runtime::{KvContext, Placement};
 /// use aeon_types::{args, Value};
@@ -725,59 +726,6 @@ impl Cluster {
             inner: Arc::clone(&self.inner),
             id: ClientId::new(self.inner.directory.next_raw()),
         }
-    }
-
-    /// Registers the factory used to rebuild contexts of `class` from a
-    /// snapshot during migration or recovery.
-    pub fn register_class_factory(&self, class: impl Into<String>, factory: ContextFactory) {
-        self.inner.directory.register_factory(class, factory);
-    }
-
-    /// Installs a live history sink: the gateway reports every event's
-    /// invocation/response points and the nodes report every context
-    /// access — including snapshot captures and restore writes — to it.
-    /// Replaces any previous sink.
-    pub fn install_history_sink(&self, sink: SharedHistorySink) {
-        self.inner.directory.set_history_sink(sink);
-    }
-
-    /// Creates a root context (no owners) and hosts it according to
-    /// `placement` (the same [`Placement`] policy the in-process runtime
-    /// uses: least-loaded server, a specific server, or co-located with
-    /// another context).
-    ///
-    /// # Errors
-    ///
-    /// * [`AeonError::Config`] when the class is not declared or no server is
-    ///   online.
-    /// * [`AeonError::ServerNotFound`] when the requested server is offline.
-    pub fn create_context(
-        &self,
-        object: Box<dyn ContextObject>,
-        placement: Placement,
-    ) -> Result<ContextId> {
-        self.host_new_context(object, |plane, id, class| {
-            plane.declare_root(id, class, placement)
-        })
-    }
-
-    /// Creates a context owned by `owners` (at least one), hosted next to
-    /// its first owner.
-    ///
-    /// # Errors
-    ///
-    /// * [`AeonError::Config`] when `owners` is empty or the class is not
-    ///   declared.
-    /// * [`AeonError::OwnershipViolation`] when the class constraints forbid
-    ///   the ownership.
-    pub fn create_owned_context(
-        &self,
-        object: Box<dyn ContextObject>,
-        owners: &[ContextId],
-    ) -> Result<ContextId> {
-        self.host_new_context(object, |plane, id, class| {
-            plane.declare_owned(id, class, owners)
-        })
     }
 
     /// Creates a context: `declare` enters it into the control plane under
@@ -826,6 +774,285 @@ impl Cluster {
         outcome
     }
 
+    /// Network traffic statistics (local vs. remote messages).
+    pub fn network_stats(&self) -> &NetworkStats {
+        self.inner.network.stats()
+    }
+
+    /// Per-server count of events whose target executed there.
+    pub fn events_executed(&self) -> BTreeMap<ServerId, u64> {
+        self.inner
+            .nodes
+            .lock()
+            .iter()
+            .map(|(id, node)| (*id, node.events_executed()))
+            .collect()
+    }
+
+    /// Per-server count of hosted contexts (actual state, not the mapping).
+    pub fn hosted_contexts(&self) -> BTreeMap<ServerId, usize> {
+        self.inner
+            .nodes
+            .lock()
+            .iter()
+            .map(|(id, node)| (*id, node.hosted_contexts()))
+            .collect()
+    }
+
+    /// Per-server counters of the nodes' worker pools (queue depth, threads
+    /// started for announced blocking waits, caught panics).
+    pub fn executor_stats(&self) -> BTreeMap<ServerId, ExecutorStats> {
+        self.inner
+            .nodes
+            .lock()
+            .iter()
+            .map(|(id, node)| (*id, node.executor_stats()))
+            .collect()
+    }
+
+    /// Number of events the gateway routed on the certified read-only fast
+    /// path (straight to the target's server, no dominator activation
+    /// round trip, as [`ClusterMessage::ExecCertified`]).
+    pub fn fast_path_events(&self) -> u64 {
+        self.inner.fast_path.load(Ordering::Relaxed)
+    }
+}
+
+impl Deployment for Cluster {
+    fn backend_name(&self) -> &'static str {
+        "cluster"
+    }
+
+    /// Creates a root context (no owners) and hosts it according to
+    /// `placement` (the same [`Placement`] policy the in-process runtime
+    /// uses: least-loaded server, a specific server, or co-located with
+    /// another context).
+    ///
+    /// # Errors
+    ///
+    /// * [`AeonError::Config`] when the class is not declared or no server is
+    ///   online.
+    /// * [`AeonError::ServerNotFound`] when the requested server is offline.
+    fn create_context(
+        &self,
+        object: Box<dyn ContextObject>,
+        placement: Placement,
+    ) -> Result<ContextId> {
+        self.host_new_context(object, |plane, id, class| {
+            plane.declare_root(id, class, placement)
+        })
+    }
+
+    /// Creates a context owned by `owners` (at least one), hosted next to
+    /// its first owner.
+    ///
+    /// # Errors
+    ///
+    /// * [`AeonError::Config`] when `owners` is empty or the class is not
+    ///   declared.
+    /// * [`AeonError::OwnershipViolation`] when the class constraints forbid
+    ///   the ownership.
+    fn create_owned_context(
+        &self,
+        object: Box<dyn ContextObject>,
+        owners: &[ContextId],
+    ) -> Result<ContextId> {
+        self.host_new_context(object, |plane, id, class| {
+            plane.declare_owned(id, class, owners)
+        })
+    }
+
+    /// Registers the factory used to rebuild contexts of `class` from a
+    /// snapshot during migration or recovery.
+    fn register_class_factory(&self, class: &str, factory: ContextFactory) {
+        self.inner.directory.register_factory(class, factory);
+    }
+
+    /// Adds an ownership edge between existing contexts.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as the runtime's `add_ownership`.
+    fn add_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
+        self.inner.plane().write().add_edge(owner, owned)
+    }
+
+    /// Removes an ownership edge.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AeonError::ContextNotFound`] when either context is
+    /// unknown.
+    fn remove_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
+        self.inner.plane().write().remove_edge(owner, owned)
+    }
+
+    /// A snapshot of the ownership network.
+    fn ownership_graph(&self) -> OwnershipGraph {
+        self.inner.plane().read().graph().clone()
+    }
+
+    fn session(&self) -> Box<dyn Session> {
+        Box::new(self.client())
+    }
+
+    /// Adds a server to the cluster and returns its id (scale-out).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [`ClusterTransport::TcpMesh`] cluster: external node
+    /// processes are launched out of band, not by the gateway.
+    fn add_server(&self) -> ServerId {
+        assert!(
+            self.inner.mode != Mode::Mesh,
+            "add_server is not available on a TcpMesh cluster; start another aeon-node process"
+        );
+        self.inner.spawn_server()
+    }
+
+    /// Releases a drained server (scale-in): the node is taken offline, its
+    /// worker pool is stopped and joined, and it is removed from the
+    /// network.
+    ///
+    /// # Errors
+    ///
+    /// * [`AeonError::ServerNotFound`] for unknown or already offline
+    ///   servers.
+    /// * [`AeonError::Config`] when the mapping still places contexts on it
+    ///   — migrate them away first.
+    fn remove_server(&self, server: ServerId) -> Result<()> {
+        self.inner.plane().write().retire_server(server)?;
+        let node = self.inner.nodes.lock().remove(&server);
+        let Some(node) = node else {
+            if self.inner.mode == Mode::Mesh {
+                // External process: ask it to exit and forget the peer.
+                let _ = self.inner.send(server, ClusterMessage::Shutdown);
+                self.inner.network.deregister(server);
+                return Ok(());
+            }
+            return Err(AeonError::ServerNotFound(server));
+        };
+        node.crash();
+        self.inner.detach_server(server);
+        Ok(())
+    }
+
+    /// Current per-server load metrics, collected with a metrics round trip
+    /// to every online node (the distributed analogue of the paper's
+    /// periodic utilisation reports to the eManager).  Nodes that crash
+    /// between the server listing and the round trip are skipped.
+    fn server_metrics(&self) -> Vec<ServerMetrics> {
+        let mut raw = Vec::new();
+        for server in self.servers() {
+            let corr = self.inner.next_corr();
+            if let Ok(ClusterMessage::MetricsAck { metrics, .. }) =
+                self.inner
+                    .control_round_trip(server, corr, ClusterMessage::MetricsReq { corr })
+            {
+                raw.push(metrics);
+            }
+        }
+        let total_contexts: usize = raw.iter().map(|m| m.context_count).sum();
+        raw.into_iter()
+            .map(|m| {
+                let avg_latency_ms = if m.events_executed == 0 {
+                    0.0
+                } else {
+                    m.exec_micros as f64 / m.events_executed as f64 / 1_000.0
+                };
+                ServerMetrics::from_load_with_latency(
+                    m.server,
+                    m.context_count,
+                    total_contexts,
+                    m.queue_depth as usize,
+                    avg_latency_ms,
+                    m.latency,
+                )
+            })
+            .collect()
+    }
+
+    /// Number of contexts mapped to online servers (contexts lost to a
+    /// crash do not count until they are re-hosted).
+    fn context_count(&self) -> usize {
+        self.inner.plane().read().context_count()
+    }
+
+    fn executor_stats(&self) -> Option<ExecutorStats> {
+        // Sum the per-node pools into one fleet-wide view.  A certified read
+        // runs on its target's node pool like any event, but only the
+        // gateway, which admits it, counts it: its counter is folded in
+        // here.
+        let mut total = ExecutorStats::default();
+        for stats in Cluster::executor_stats(self).into_values() {
+            total.workers += stats.workers;
+            total.shards += stats.shards;
+            total.submitted += stats.submitted;
+            total.completed += stats.completed;
+            total.queued += stats.queued;
+            total.spill_spawned += stats.spill_spawned;
+            total.spill_live += stats.spill_live;
+            total.panics += stats.panics;
+            total.batched += stats.batched;
+            total.fast_path += stats.fast_path;
+        }
+        total.fast_path += self.fast_path_events();
+        Some(total)
+    }
+
+    fn network_stats(&self) -> Option<NetworkStatsSnapshot> {
+        Some(Cluster::network_stats(self).snapshot())
+    }
+
+    /// Simulates a server crash: the node stops processing immediately,
+    /// every lock it holds is poisoned, and its contexts become unavailable
+    /// until restored elsewhere with `restore_context`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AeonError::ServerNotFound`] for unknown servers.
+    fn crash_server(&self, server: ServerId) -> Result<()> {
+        if self.inner.mode == Mode::Mesh {
+            return Err(AeonError::Config(
+                "crash injection is not available for external node processes".into(),
+            ));
+        }
+        let node = self.inner.nodes.lock().get(&server).cloned();
+        node.ok_or(AeonError::ServerNotFound(server))?.crash();
+        // The node dropped its objects with the crash; the plane keeps the
+        // contexts' identities for a later re-host.
+        self.inner.plane().write().mark_crashed(server)?;
+        self.inner.detach_server(server);
+        Ok(())
+    }
+
+    /// Ids of all online servers.
+    fn servers(&self) -> Vec<ServerId> {
+        self.inner.plane().read().online_servers()
+    }
+
+    /// The server currently hosting `context` according to the mapping.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AeonError::ContextNotFound`] for unknown contexts.
+    fn placement_of(&self, context: ContextId) -> Result<ServerId> {
+        self.inner.plane().read().placement_of(context)
+    }
+
+    /// Contexts mapped to `server`.
+    fn contexts_on(&self, server: ServerId) -> Vec<ContextId> {
+        self.inner.plane().read().contexts_on(server)
+    }
+
+    /// Installs a live history sink: the gateway reports every event's
+    /// invocation/response points and the nodes report every context
+    /// access — including snapshot captures and restore writes — to it.
+    /// Replaces any previous sink.
+    fn install_history_sink(&self, sink: SharedHistorySink) {
+        self.inner.directory.set_history_sink(sink);
+    }
+
     /// Re-hosts a context from externally held state (e.g. a checkpoint)
     /// after its server crashed.  The context keeps its identity and
     /// ownership edges; only its placement and state change.
@@ -835,12 +1062,7 @@ impl Cluster {
     /// * [`AeonError::ContextNotFound`] when the context was never created.
     /// * [`AeonError::MigrationFailed`] when no factory is registered.
     /// * [`AeonError::ServerNotFound`] when `server` is offline.
-    pub fn restore_context(
-        &self,
-        context: ContextId,
-        state: &Value,
-        server: ServerId,
-    ) -> Result<()> {
+    fn restore_context(&self, context: ContextId, state: &Value, server: ServerId) -> Result<()> {
         let class = {
             let plane = self.inner.plane().read();
             if !plane.is_online(server) {
@@ -894,199 +1116,9 @@ impl Cluster {
         }
     }
 
-    /// Adds a server to the cluster and returns its id (scale-out).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a [`ClusterTransport::TcpMesh`] cluster: external node
-    /// processes are launched out of band, not by the gateway.
-    pub fn add_server(&self) -> ServerId {
-        assert!(
-            self.inner.mode != Mode::Mesh,
-            "add_server is not available on a TcpMesh cluster; start another aeon-node process"
-        );
-        self.inner.spawn_server()
-    }
-
-    /// Releases a drained server (scale-in): the node is taken offline, its
-    /// worker pool is stopped and joined, and it is removed from the
-    /// network.
-    ///
-    /// # Errors
-    ///
-    /// * [`AeonError::ServerNotFound`] for unknown or already offline
-    ///   servers.
-    /// * [`AeonError::Config`] when the mapping still places contexts on it
-    ///   — migrate them away first.
-    pub fn remove_server(&self, server: ServerId) -> Result<()> {
-        self.inner.plane().write().retire_server(server)?;
-        let node = self.inner.nodes.lock().remove(&server);
-        let Some(node) = node else {
-            if self.inner.mode == Mode::Mesh {
-                // External process: ask it to exit and forget the peer.
-                let _ = self.inner.send(server, ClusterMessage::Shutdown);
-                self.inner.network.deregister(server);
-                return Ok(());
-            }
-            return Err(AeonError::ServerNotFound(server));
-        };
-        node.crash();
-        self.inner.detach_server(server);
-        Ok(())
-    }
-
-    /// Current per-server load metrics, collected with a metrics round trip
-    /// to every online node (the distributed analogue of the paper's
-    /// periodic utilisation reports to the eManager).  Nodes that crash
-    /// between the server listing and the round trip are skipped.
-    pub fn server_metrics(&self) -> Vec<ServerMetrics> {
-        let mut raw = Vec::new();
-        for server in self.servers() {
-            let corr = self.inner.next_corr();
-            if let Ok(ClusterMessage::MetricsAck { metrics, .. }) =
-                self.inner
-                    .control_round_trip(server, corr, ClusterMessage::MetricsReq { corr })
-            {
-                raw.push(metrics);
-            }
-        }
-        let total_contexts: usize = raw.iter().map(|m| m.context_count).sum();
-        raw.into_iter()
-            .map(|m| {
-                let avg_latency_ms = if m.events_executed == 0 {
-                    0.0
-                } else {
-                    m.exec_micros as f64 / m.events_executed as f64 / 1_000.0
-                };
-                ServerMetrics::from_load_with_latency(
-                    m.server,
-                    m.context_count,
-                    total_contexts,
-                    m.queue_depth as usize,
-                    avg_latency_ms,
-                    m.latency,
-                )
-            })
-            .collect()
-    }
-
-    /// Simulates a server crash: the node stops processing immediately,
-    /// every lock it holds is poisoned, and its contexts become unavailable
-    /// until restored elsewhere with [`Cluster::restore_context`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AeonError::ServerNotFound`] for unknown servers.
-    pub fn crash_server(&self, server: ServerId) -> Result<()> {
-        if self.inner.mode == Mode::Mesh {
-            return Err(AeonError::Config(
-                "crash injection is not available for external node processes".into(),
-            ));
-        }
-        let node = self.inner.nodes.lock().get(&server).cloned();
-        node.ok_or(AeonError::ServerNotFound(server))?.crash();
-        // The node dropped its objects with the crash; the plane keeps the
-        // contexts' identities for a later re-host.
-        self.inner.plane().write().mark_crashed(server)?;
-        self.inner.detach_server(server);
-        Ok(())
-    }
-
-    /// Ids of all online servers.
-    pub fn servers(&self) -> Vec<ServerId> {
-        self.inner.plane().read().online_servers()
-    }
-
-    /// The server currently hosting `context` according to the mapping.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AeonError::ContextNotFound`] for unknown contexts.
-    pub fn placement_of(&self, context: ContextId) -> Result<ServerId> {
-        self.inner.plane().read().placement_of(context)
-    }
-
-    /// Contexts mapped to `server`.
-    pub fn contexts_on(&self, server: ServerId) -> Vec<ContextId> {
-        self.inner.plane().read().contexts_on(server)
-    }
-
-    /// Number of contexts mapped to online servers (contexts lost to a
-    /// crash do not count until they are re-hosted).
-    pub fn context_count(&self) -> usize {
-        self.inner.plane().read().context_count()
-    }
-
-    /// A snapshot of the ownership network.
-    pub fn ownership_graph(&self) -> OwnershipGraph {
-        self.inner.plane().read().graph().clone()
-    }
-
-    /// Adds an ownership edge between existing contexts.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as the runtime's `add_ownership`.
-    pub fn add_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.inner.plane().write().add_edge(owner, owned)
-    }
-
-    /// Removes an ownership edge.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AeonError::ContextNotFound`] when either context is
-    /// unknown.
-    pub fn remove_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.inner.plane().write().remove_edge(owner, owned)
-    }
-
-    /// Network traffic statistics (local vs. remote messages).
-    pub fn network_stats(&self) -> &NetworkStats {
-        self.inner.network.stats()
-    }
-
-    /// Per-server count of events whose target executed there.
-    pub fn events_executed(&self) -> BTreeMap<ServerId, u64> {
-        self.inner
-            .nodes
-            .lock()
-            .iter()
-            .map(|(id, node)| (*id, node.events_executed()))
-            .collect()
-    }
-
-    /// Per-server count of hosted contexts (actual state, not the mapping).
-    pub fn hosted_contexts(&self) -> BTreeMap<ServerId, usize> {
-        self.inner
-            .nodes
-            .lock()
-            .iter()
-            .map(|(id, node)| (*id, node.hosted_contexts()))
-            .collect()
-    }
-
-    /// Per-server counters of the nodes' worker pools (queue depth, threads
-    /// started for announced blocking waits, caught panics).
-    pub fn executor_stats(&self) -> BTreeMap<ServerId, ExecutorStats> {
-        self.inner
-            .nodes
-            .lock()
-            .iter()
-            .map(|(id, node)| (*id, node.executor_stats()))
-            .collect()
-    }
-
-    /// Number of events the gateway routed on the certified read-only fast
-    /// path (straight to the target's server, no dominator activation
-    /// round trip, as [`ClusterMessage::ExecCertified`]).
-    pub fn fast_path_events(&self) -> u64 {
-        self.inner.fast_path.load(Ordering::Relaxed)
-    }
-
     /// Shuts the cluster down: nodes stop accepting messages, blocked events
     /// are aborted, and every pool and transport thread is joined.
-    pub fn shutdown(&self) {
+    fn shutdown(&self) {
         if self.inner.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
@@ -1097,6 +1129,25 @@ impl Cluster {
             }
         }
         self.inner.teardown();
+    }
+}
+
+impl Session for ClusterClient {
+    fn client_id(&self) -> ClientId {
+        self.id()
+    }
+
+    fn submit_with_mode(
+        &self,
+        target: ContextId,
+        method: &str,
+        args: Args,
+        mode: AccessMode,
+    ) -> Result<EventHandle> {
+        let native = self.submit(target, method, args, mode)?;
+        Ok(EventHandle::pending(native.event_id(), move || {
+            native.wait()
+        }))
     }
 }
 
@@ -1111,8 +1162,54 @@ impl Drop for ClusterInner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aeon_runtime::KvContext;
+    use aeon_types::args;
     use std::net::TcpStream;
     use std::time::Instant;
+
+    #[test]
+    fn cluster_backend_round_trip_through_dyn_deployment() {
+        let cluster = Cluster::builder().servers(2).build().unwrap();
+        let deployment: &dyn Deployment = &cluster;
+        assert_eq!(deployment.backend_name(), "cluster");
+        let ctx = deployment
+            .create_context(Box::new(KvContext::new("Item")), Placement::Auto)
+            .unwrap();
+        let session = deployment.session();
+        session.call(ctx, "set", args!["gold", 9]).unwrap();
+        assert_eq!(
+            session.call_readonly(ctx, "get", args!["gold"]).unwrap(),
+            Value::from(9i64)
+        );
+        deployment.shutdown();
+    }
+
+    #[test]
+    fn cluster_snapshot_restore_round_trip() {
+        let cluster = Cluster::builder().servers(2).build().unwrap();
+        cluster.register_class_factory(
+            "Item",
+            std::sync::Arc::new(|state: &Value| {
+                let mut item = KvContext::new("Item");
+                aeon_runtime::ContextObject::restore(&mut item, state);
+                Box::new(item) as Box<dyn ContextObject>
+            }),
+        );
+        let item = cluster
+            .create_context(Box::new(KvContext::new("Item")), Placement::Auto)
+            .unwrap();
+        let client = cluster.client();
+        client.call(item, "set", args!["gold", 11]).unwrap();
+        let snapshot = cluster.snapshot_context(item).unwrap();
+        assert_eq!(snapshot.len(), 1);
+        client.call(item, "set", args!["gold", 99]).unwrap();
+        cluster.restore_snapshot(&snapshot).unwrap();
+        assert_eq!(
+            client.call_readonly(item, "get", args!["gold"]).unwrap(),
+            Value::from(11i64)
+        );
+        cluster.shutdown();
+    }
 
     /// Regression test: the gateway loop of the time looked at the shutdown
     /// flag only when its 50 ms poll timed out, so every shutdown took that

@@ -32,7 +32,7 @@
 
 use crate::message::{gateway_id, ClusterMessage, DirOp, DirReply};
 use aeon_net::Network;
-use aeon_ownership::{ClassGraph, ControlPlane, DominatorMode};
+use aeon_ownership::{ClassGraph, ControlPlane};
 use aeon_runtime::reply::{reply, Replier};
 use aeon_runtime::{ContextFactory, ContextObject};
 use aeon_types::{
@@ -97,10 +97,7 @@ impl Directory {
     /// Creates an empty directory authority.
     pub fn new(class_graph: Option<ClassGraph>) -> Self {
         Self::with_backend(
-            Backend::Authority(Box::new(RwLock::new(ControlPlane::new(
-                DominatorMode::default(),
-                class_graph,
-            )))),
+            Backend::Authority(Box::new(RwLock::new(ControlPlane::new(class_graph)))),
             1,
         )
     }
@@ -201,6 +198,10 @@ impl Directory {
             DirOp::MayCall(caller, callee) => {
                 Ok(DirReply::Flag(plane.read().may_call(caller, callee)))
             }
+            DirOp::PathOwners(caller, callee) => plane
+                .read()
+                .path_owners(caller, callee)
+                .map(DirReply::Contexts),
             DirOp::ClassOf(context) => plane
                 .read()
                 .class_of(context)
@@ -296,6 +297,20 @@ impl Directory {
             self.serve_dir_op(DirOp::MayCall(caller, callee)),
             Ok(DirReply::Flag(true))
         )
+    }
+
+    /// The owners of `callee` a call from `caller` reaches it through
+    /// ([`ControlPlane::path_owners`]).
+    ///
+    /// # Errors
+    ///
+    /// [`AeonError::OwnershipViolation`] when `caller` may not call
+    /// `callee`, and the error of the RPC on a remote handle.
+    pub fn path_owners(&self, caller: ContextId, callee: ContextId) -> Result<Vec<ContextId>> {
+        match self.serve_dir_op(DirOp::PathOwners(caller, callee))? {
+            DirReply::Contexts(owners) => Ok(owners),
+            other => Err(reply_mismatch("PathOwners", &other)),
+        }
     }
 
     /// The class of a context.

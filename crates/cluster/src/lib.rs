@@ -31,7 +31,7 @@
 //! # Examples
 //!
 //! ```
-//! use aeon_api::Session;
+//! use aeon_api::{Deployment, Session};
 //! use aeon_cluster::Cluster;
 //! use aeon_runtime::{KvContext, Placement};
 //! use aeon_types::{args, Value};
@@ -51,7 +51,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod api;
 mod cluster;
 mod directory;
 mod message;

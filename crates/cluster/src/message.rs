@@ -81,6 +81,9 @@ pub enum DirOp {
     SetPlacement(ContextId, ServerId),
     /// May `caller` (transitively) call `callee`?
     MayCall(ContextId, ContextId),
+    /// The owners of `callee` a call from `caller` reaches it through
+    /// (none for a direct edge; refused when there is no path).
+    PathOwners(ContextId, ContextId),
     /// The contextclass of a context.
     ClassOf(ContextId),
     /// Direct children of `parent`, optionally filtered by class.
@@ -119,7 +122,8 @@ pub enum DirReply {
     Server(ServerId),
     /// A context id ([`DirOp::CreateOwned`]).
     Context(ContextId),
-    /// A list of context ids ([`DirOp::ChildrenOf`], [`DirOp::Subtree`]).
+    /// A list of context ids ([`DirOp::ChildrenOf`], [`DirOp::Subtree`],
+    /// [`DirOp::PathOwners`]).
     Contexts(Vec<ContextId>),
     /// A class name ([`DirOp::ClassOf`]).
     Class(String),

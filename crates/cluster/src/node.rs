@@ -524,7 +524,8 @@ fn run(shared: &Arc<NodeShared>, work: ClusterMessage) {
     };
     if !matches!(work, ClusterMessage::Call { .. }) {
         shared.events_executed.fetch_add(1, Ordering::Relaxed);
-        let elapsed_micros = started.elapsed().as_micros() as u64;
+        // Rounded up: an event that ran took at least a microsecond.
+        let elapsed_micros = started.elapsed().as_nanos().div_ceil(1_000).max(1) as u64;
         shared
             .exec_micros
             .fetch_add(elapsed_micros, Ordering::Relaxed);
@@ -653,6 +654,8 @@ struct NodeHost<'a> {
     participants: BTreeSet<ServerId>,
     /// Where the context `enter` last reported remote lives.
     located: Option<ServerId>,
+    /// Contexts on other servers that calls issued here entered.
+    entered_remote: Vec<ContextId>,
 }
 
 impl<'a> NodeHost<'a> {
@@ -661,6 +664,7 @@ impl<'a> NodeHost<'a> {
             node,
             participants: BTreeSet::new(),
             located: None,
+            entered_remote: Vec::new(),
         }
     }
 }
@@ -668,6 +672,10 @@ impl<'a> NodeHost<'a> {
 impl ContextHost for NodeHost<'_> {
     fn may_call(&self, caller: ContextId, target: ContextId) -> bool {
         self.node.directory.may_call(caller, target)
+    }
+
+    fn path_owners(&self, caller: ContextId, target: ContextId) -> Result<Vec<ContextId>> {
+        self.node.directory.path_owners(caller, target)
     }
 
     /// A contended activation waits inside `block_in_place`: its holder
@@ -704,6 +712,10 @@ impl ContextHost for NodeHost<'_> {
                 return Err(AeonError::ContextNotFound(target));
             }
         }
+    }
+
+    fn holds(&self, event: &EventMeta, context: ContextId) -> bool {
+        self.node.core.holds(event.id, context) || self.entered_remote.contains(&context)
     }
 
     fn lock_object<'o>(
@@ -743,6 +755,9 @@ impl ContextHost for NodeHost<'_> {
         })?;
         // Locks taken while serving the call are held whatever it returned.
         self.participants.extend(outcome.participants);
+        if outcome.result.is_ok() {
+            self.entered_remote.push(target);
+        }
         outcome.result.map(|value| (value, outcome.sub_events))
     }
 

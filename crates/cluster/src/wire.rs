@@ -110,6 +110,7 @@ wire! { enum DirOp {
     6 => RemoveEdge(owner, owned),
     7 => CreateOwned { owner, class },
     8 => Subtree(context),
+    9 => PathOwners(caller, callee),
 } }
 
 wire! { enum DirReply {
@@ -240,6 +241,11 @@ mod tests {
                 corr: 4,
                 from: srv(1),
                 op: DirOp::Subtree(cx(5)),
+            },
+            ClusterMessage::DirReq {
+                corr: 5,
+                from: srv(1),
+                op: DirOp::PathOwners(cx(1), cx(5)),
             },
             ClusterMessage::DirAck {
                 corr: 3,

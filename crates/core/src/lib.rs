@@ -126,9 +126,7 @@ pub mod prelude {
         EManager, ElasticityAction, ElasticityPolicy, ResourceUtilizationPolicy,
         ServerContentionPolicy, ServerMetrics, SlaPolicy,
     };
-    pub use aeon_ownership::{
-        ClassGraph, Dominator, DominatorMode, MethodInfo, MethodRef, OwnershipGraph,
-    };
+    pub use aeon_ownership::{ClassGraph, Dominator, MethodInfo, MethodRef, OwnershipGraph};
     pub use aeon_runtime::{
         context_class, AeonClient, AeonRuntime, ContextClass, ContextObject, Invocation, KvContext,
         MethodTable, Placement, Snapshot,

@@ -714,6 +714,25 @@ mod tests {
             net_b.shutdown_transport();
         }
 
+        /// Regression test: the acceptor started at `bind`, so a frame that
+        /// arrived before the receiver registered reached no sink and was
+        /// dropped (an `aeon-node` binds before it serves its id).
+        #[test]
+        fn a_frame_sent_before_its_receiver_registers_is_delivered_once_it_does() {
+            let (net_a, net_b) = tcp_pair();
+            let a = net_a.register(srv(0));
+            a.send(srv(1), Ping(4, vec![1, 2])).unwrap();
+            std::thread::sleep(Duration::from_millis(200));
+            let b = net_b.register(srv(1));
+            assert_eq!(
+                b.recv_timeout(Duration::from_secs(5)).unwrap(),
+                Some(Ping(4, vec![1, 2]))
+            );
+            assert_eq!(net_b.stats().frames_dropped(), 0);
+            net_a.shutdown_transport();
+            net_b.shutdown_transport();
+        }
+
         #[test]
         fn self_send_short_circuits_but_counts_bytes() {
             let net = tcp_network();

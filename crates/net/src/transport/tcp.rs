@@ -17,7 +17,10 @@
 //! and is woken by it.
 //!
 //! * One **acceptor** per transport blocks in `accept()` and starts a
-//!   **reader** per inbound connection.
+//!   **reader** per inbound connection.  It starts at the first
+//!   [`Transport::register`], not at [`TcpTransport::bind`]: until a
+//!   receiver exists the bound listener queues peers' connections and the
+//!   bytes they send, so nothing that arrives early reaches no sink.
 //! * A **reader** blocks in `read()`, straight into its reassembly buffer,
 //!   parses every complete frame, decodes the payload and calls the locally
 //!   registered sink named by `to` with it — on this thread, so the frames
@@ -141,6 +144,9 @@ struct Lifecycle {
     /// down fails the `read` or `write` its thread is blocked in.
     streams: HashMap<u64, TcpStream>,
     next_stream: u64,
+    /// The bound listener, until the first `register` hands it to the
+    /// acceptor.
+    listener: Option<TcpListener>,
     /// Joined only once the wake-up connection reached it.
     acceptor: Option<JoinHandle<()>>,
     /// Readers and writers; finished ones are reaped when the next starts.
@@ -276,7 +282,8 @@ impl<M: WireMessage> fmt::Debug for TcpTransport<M> {
 }
 
 impl<M: WireMessage> TcpTransport<M> {
-    /// Binds the listener and starts the acceptor thread.
+    /// Binds the listener; the first [`Transport::register`] starts
+    /// accepting on it.
     ///
     /// # Errors
     ///
@@ -298,6 +305,7 @@ impl<M: WireMessage> TcpTransport<M> {
                 running: true,
                 streams: HashMap::new(),
                 next_stream: 0,
+                listener: Some(listener),
                 acceptor: None,
                 threads: Vec::new(),
                 live_writers: 0,
@@ -307,12 +315,6 @@ impl<M: WireMessage> TcpTransport<M> {
             retry_delay: config.retry_delay,
             send_queue: config.send_queue,
         });
-        let accept_shared = Arc::clone(&shared);
-        let acceptor = thread::Builder::new()
-            .name(format!("aeon-tcp-accept-{local_addr}"))
-            .spawn(move || accept_loop(accept_shared, listener))
-            .map_err(|e| AeonError::Config(format!("spawn acceptor: {e}")))?;
-        shared.life.lock().acceptor = Some(acceptor);
         Ok(Self { shared })
     }
 
@@ -378,6 +380,15 @@ impl<M: WireMessage> TcpTransport<M> {
 impl<M: WireMessage> Transport<M> for TcpTransport<M> {
     fn register(&self, id: ServerId, sink: Sink<M>) {
         self.shared.sinks.insert(id, sink);
+        let mut life = self.shared.life.lock();
+        let Some(listener) = life.listener.take().filter(|_| life.running) else {
+            return;
+        };
+        let shared = Arc::clone(&self.shared);
+        let acceptor = thread::Builder::new()
+            .name(format!("aeon-tcp-accept-{}", shared.local_addr))
+            .spawn(move || accept_loop(shared, listener));
+        life.acceptor = acceptor.ok();
     }
 
     fn deregister(&self, id: ServerId) {
@@ -450,6 +461,8 @@ impl<M: WireMessage> Transport<M> for TcpTransport<M> {
         let (streams, acceptor, threads) = {
             let mut life = shared.life.lock();
             shared.wait_while(&mut life, FLUSH_GRACE, |life| life.live_writers > 0);
+            // Never handed to an acceptor: closing it is all there is.
+            life.listener = None;
             (
                 std::mem::take(&mut life.streams),
                 life.acceptor.take().filter(|_| woken.is_ok()),

@@ -26,7 +26,7 @@
 //! | unknown or offline server | [`AeonError::ServerNotFound`] |
 //! | no server online, server not empty | [`AeonError::Config`] |
 
-use crate::{ClassGraph, Dominator, DominatorMode, DominatorResolver, OwnershipGraph};
+use crate::{ClassGraph, Dominator, DominatorResolver, OwnershipGraph};
 use aeon_types::{AeonError, ContextId, Result, ServerId};
 use std::collections::{BTreeMap, HashMap};
 
@@ -96,14 +96,14 @@ pub struct ControlPlane {
 impl ControlPlane {
     /// An empty plane: no contexts, no servers.  When `classes` is given,
     /// context creation and ownership changes are validated against it.
-    pub fn new(mode: DominatorMode, classes: Option<ClassGraph>) -> Self {
+    pub fn new(classes: Option<ClassGraph>) -> Self {
         Self {
             graph: OwnershipGraph::new(),
             classes,
             placement: HashMap::new(),
             servers: BTreeMap::new(),
             next_server: 0,
-            resolver: DominatorResolver::new(mode),
+            resolver: DominatorResolver::default(),
         }
     }
 
@@ -124,8 +124,8 @@ impl ControlPlane {
         self.graph.class_of(context)
     }
 
-    /// The dominator of `target` under the plane's mode (cached until a
-    /// mutation touches the target's sharing component).
+    /// The dominator of `target` (cached until a mutation touches the
+    /// target's sharing component).
     ///
     /// # Errors
     ///
@@ -151,6 +151,17 @@ impl ControlPlane {
     /// Whether `caller` may (transitively) call `callee`.
     pub fn may_call(&self, caller: ContextId, callee: ContextId) -> bool {
         self.graph.may_call(caller, callee)
+    }
+
+    /// The owners of `callee` a call from `caller` reaches it through
+    /// ([`OwnershipGraph::path_owners`]).
+    ///
+    /// # Errors
+    ///
+    /// [`AeonError::OwnershipViolation`] when `caller` may not call
+    /// `callee`.
+    pub fn path_owners(&self, caller: ContextId, callee: ContextId) -> Result<Vec<ContextId>> {
+        self.graph.path_owners(caller, callee)
     }
 
     /// Direct children of `parent`, optionally only those of `class`.
@@ -477,7 +488,7 @@ mod tests {
     }
 
     fn plane_with_servers(servers: usize, classes: Option<ClassGraph>) -> ControlPlane {
-        let mut plane = ControlPlane::new(DominatorMode::default(), classes);
+        let mut plane = ControlPlane::new(classes);
         for _ in 0..servers {
             plane.add_server();
         }
@@ -808,11 +819,9 @@ mod tests {
         /// dominators always answer for the graph as it is now.
         #[test]
         fn plane_stays_coherent_under_random_operations(
-            closure in any::<bool>(),
             constrained in any::<bool>(),
             ops in proptest::collection::vec((0u8..10, 0u64..10, 0u64..10), 1..80),
         ) {
-            let mode = if closure { DominatorMode::Closure } else { DominatorMode::PaperFormula };
             // `Room` owns `Item`, either may own its own kind, `Dragon` is
             // not declared.
             let classes = constrained.then(|| {
@@ -820,7 +829,7 @@ mod tests {
                 classes.add_constraint("Room", "Item");
                 classes
             });
-            let mut plane = ControlPlane::new(mode, classes);
+            let mut plane = ControlPlane::new(classes);
             plane.add_server();
             for (op, a, b) in ops {
                 let before = fingerprint(&plane);
@@ -873,7 +882,7 @@ mod tests {
                 for context in plane.graph.contexts() {
                     prop_assert_eq!(
                         plane.dominator_of(context),
-                        dominator_of(plane.graph(), context, mode),
+                        dominator_of(plane.graph(), context),
                         "stale dominator for {} after op {}", context, op
                     );
                 }

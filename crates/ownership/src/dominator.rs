@@ -20,9 +20,12 @@
 //! so one *expansion* of `C` walks down to `desc(C)`, then up from it:
 //! the first clause is the direct owners of the descendants, the second is
 //! everything else the upward walk meets that is neither below nor above
-//! `C`.  [`DominatorMode::Closure`] repeats that for the members it finds
-//! until nothing new turns up, and the least upper bound of the result is
-//! the dominator.
+//! `C`.  The dominator closes the share relation — it repeats that for the
+//! members it finds until nothing new turns up — and is the least upper
+//! bound of the result.  On the paper's applications the closure is the
+//! one-step formula `lub(share(G,C) ∪ {C})`; where sharing chains are
+//! asymmetric it still gives two targets with overlapping descendant sets
+//! one sequencer, which the one-step formula does not.
 //!
 //! **Pruning lemma.**  For `x ∈ desc(y)`:
 //! `share(x) ⊆ share(y) ∪ {y} ∪ desc(y)`.  First clause: `desc(x) ⊆
@@ -87,22 +90,6 @@ impl Dominator {
             Dominator::GlobalRoot => None,
         }
     }
-}
-
-/// How dominators are derived from the share relation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DominatorMode {
-    /// The one-step formula exactly as written in §3 of the paper:
-    /// `dom(G,C) = lub(share(G,C) ∪ {C})`.
-    PaperFormula,
-    /// Fix-point closure of the share relation before taking the least
-    /// upper bound.  On the paper's applications this coincides with the
-    /// one-step formula, but it remains safe for ownership networks where
-    /// sharing chains are asymmetric (two targets with overlapping
-    /// descendant sets are then guaranteed to resolve to the same
-    /// sequencer).  This is the default.
-    #[default]
-    Closure,
 }
 
 /// The walks of a query, on the slots of `graph`.
@@ -255,23 +242,19 @@ pub fn share_set(graph: &OwnershipGraph, target: ContextId) -> Result<BTreeSet<C
     }))
 }
 
-/// Computes the dominator of `target` using the requested [`DominatorMode`].
+/// Computes the dominator of `target` (see the module docs).
 ///
 /// # Errors
 ///
 /// Returns [`ContextNotFound`](aeon_types::AeonError::ContextNotFound) if
 /// `target` is unknown.
-pub fn dominator_of(
-    graph: &OwnershipGraph,
-    target: ContextId,
-    mode: DominatorMode,
-) -> Result<Dominator> {
-    Ok(resolve(graph, graph.slot_of(target)?, mode).0)
+pub fn dominator_of(graph: &OwnershipGraph, target: ContextId) -> Result<Dominator> {
+    Ok(resolve(graph, graph.slot_of(target)?).0)
 }
 
 /// The dominator of the context in slot `target` and the number of
 /// expansions it took.  A leaf shares nothing and so dominates itself.
-fn resolve(graph: &OwnershipGraph, target: u32, mode: DominatorMode) -> (Dominator, usize) {
+fn resolve(graph: &OwnershipGraph, target: u32) -> (Dominator, usize) {
     if graph.adjacent(target, Dir::Down).is_empty() {
         return (Dominator::Context(graph.id_of(target)), 0);
     }
@@ -285,9 +268,7 @@ fn resolve(graph: &OwnershipGraph, target: u32, mode: DominatorMode) -> (Dominat
             next += 1;
             if scratch.is_maximal(graph, m) {
                 scratch.tops.push(m);
-                if mode == DominatorMode::Closure {
-                    scratch.expand(graph, m);
-                }
+                scratch.expand(graph, m);
             }
         }
         (scratch.least_upper_bound(graph), scratch.expansions)
@@ -308,9 +289,8 @@ fn resolve(graph: &OwnershipGraph, target: u32, mode: DominatorMode) -> (Dominat
 /// to one stamp for everything.)  A resolver follows the history of *one*
 /// graph: the stamps of two graphs that were mutated apart, or of a graph
 /// and an older checkpoint of it, are not comparable.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DominatorResolver {
-    mode: DominatorMode,
     cache: RwLock<Vec<Entry>>,
     /// Queries the cache could not answer.
     #[cfg(test)]
@@ -326,28 +306,7 @@ struct Entry {
     dominator: Dominator,
 }
 
-impl Default for DominatorResolver {
-    fn default() -> Self {
-        Self::new(DominatorMode::default())
-    }
-}
-
 impl DominatorResolver {
-    /// Creates a resolver with the given mode.
-    pub fn new(mode: DominatorMode) -> Self {
-        Self {
-            mode,
-            cache: RwLock::default(),
-            #[cfg(test)]
-            misses: Default::default(),
-        }
-    }
-
-    /// The mode the resolver was configured with.
-    pub fn mode(&self) -> DominatorMode {
-        self.mode
-    }
-
     /// Returns the dominator of `target` in `graph`, consulting the cache.
     ///
     /// # Errors
@@ -370,7 +329,7 @@ impl DominatorResolver {
         #[cfg(test)]
         self.misses
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dominator = resolve(graph, slot, self.mode).0;
+        let dominator = resolve(graph, slot).0;
         let entry = Entry {
             stamp,
             target,
@@ -431,17 +390,15 @@ mod tests {
     #[test]
     fn dominators_of_game_graph() {
         let (g, ids) = game_graph();
-        for mode in [DominatorMode::PaperFormula, DominatorMode::Closure] {
-            let dom = |c| dominator_of(&g, c, mode).unwrap();
-            assert_eq!(dom(ids.player1), Dominator::Context(ids.kings_room));
-            assert_eq!(dom(ids.player2), Dominator::Context(ids.kings_room));
-            assert_eq!(dom(ids.player3), Dominator::Context(ids.armory));
-            assert_eq!(dom(ids.weapons_vault), Dominator::Context(ids.armory));
-            assert_eq!(dom(ids.castle), Dominator::Context(ids.castle));
-            assert_eq!(dom(ids.armory), Dominator::Context(ids.armory));
-            assert_eq!(dom(ids.treasure), Dominator::Context(ids.treasure));
-            assert_eq!(dom(ids.sword), Dominator::Context(ids.sword));
-        }
+        let dom = |c| dominator_of(&g, c).unwrap();
+        assert_eq!(dom(ids.player1), Dominator::Context(ids.kings_room));
+        assert_eq!(dom(ids.player2), Dominator::Context(ids.kings_room));
+        assert_eq!(dom(ids.player3), Dominator::Context(ids.armory));
+        assert_eq!(dom(ids.weapons_vault), Dominator::Context(ids.armory));
+        assert_eq!(dom(ids.castle), Dominator::Context(ids.castle));
+        assert_eq!(dom(ids.armory), Dominator::Context(ids.armory));
+        assert_eq!(dom(ids.treasure), Dominator::Context(ids.treasure));
+        assert_eq!(dom(ids.sword), Dominator::Context(ids.sword));
     }
 
     #[test]
@@ -450,7 +407,7 @@ mod tests {
         // through its own children (players), which it dominates.
         let (g, ids) = game_graph();
         assert_eq!(
-            dominator_of(&g, ids.kings_room, DominatorMode::Closure).unwrap(),
+            dominator_of(&g, ids.kings_room).unwrap(),
             Dominator::Context(ids.kings_room)
         );
     }
@@ -466,20 +423,15 @@ mod tests {
         g.add_context(ctx(3), "Shared").unwrap();
         g.add_edge(ctx(1), ctx(3)).unwrap();
         g.add_edge(ctx(2), ctx(3)).unwrap();
-        assert_eq!(
-            dominator_of(&g, ctx(1), DominatorMode::PaperFormula).unwrap(),
-            Dominator::GlobalRoot
-        );
-        assert_eq!(
-            dominator_of(&g, ctx(2), DominatorMode::Closure).unwrap(),
-            Dominator::GlobalRoot
-        );
+        for root in [ctx(1), ctx(2)] {
+            assert_eq!(dominator_of(&g, root).unwrap(), Dominator::GlobalRoot);
+        }
     }
 
     #[test]
     fn unknown_context_is_an_error() {
         let g = OwnershipGraph::new();
-        assert!(dominator_of(&g, ctx(9), DominatorMode::Closure).is_err());
+        assert!(dominator_of(&g, ctx(9)).is_err());
     }
 
     #[test]
@@ -488,7 +440,7 @@ mod tests {
         //   Q ── P ── A ── X
         //   │     └── B ── X, Y
         //   └── C ── Y
-        // The one-step formula gives dom(A) = P but dom(B) = Q; closure mode
+        // The one-step formula gives dom(A) = P but dom(B) = Q; the closure
         // lifts both to Q so conflicting events always share a sequencer.
         let mut g = OwnershipGraph::new();
         for (i, class) in [
@@ -511,23 +463,12 @@ mod tests {
         g.add_edge(ctx(4), ctx(7)).unwrap(); // B -> Y
         g.add_edge(ctx(5), ctx(7)).unwrap(); // C -> Y
 
-        assert_eq!(
-            dominator_of(&g, ctx(3), DominatorMode::PaperFormula).unwrap(),
-            Dominator::Context(ctx(2))
-        );
-        assert_eq!(
-            dominator_of(&g, ctx(4), DominatorMode::PaperFormula).unwrap(),
-            Dominator::Context(ctx(1))
-        );
-        // Closure mode: both A and B resolve to Q.
-        assert_eq!(
-            dominator_of(&g, ctx(3), DominatorMode::Closure).unwrap(),
-            Dominator::Context(ctx(1))
-        );
-        assert_eq!(
-            dominator_of(&g, ctx(4), DominatorMode::Closure).unwrap(),
-            Dominator::Context(ctx(1))
-        );
+        for target in [ctx(3), ctx(4)] {
+            assert_eq!(
+                dominator_of(&g, target).unwrap(),
+                Dominator::Context(ctx(1))
+            );
+        }
     }
 
     #[test]
@@ -578,7 +519,7 @@ mod tests {
             let before = resolver.misses();
             for target in g.contexts() {
                 let cached = resolver.dominator(g, target).unwrap();
-                assert_eq!(cached, dominator_of(g, target, resolver.mode()).unwrap());
+                assert_eq!(cached, dominator_of(g, target).unwrap());
             }
             resolver.misses() - before
         };
@@ -732,29 +673,21 @@ mod tests {
     }
 
     /// The dominator by definition: `share ∪ {target}` from the §3
-    /// reference, closed by expanding *every* member in closure mode, then
-    /// the set-intersection least upper bound.
-    fn dominator_oracle(
-        graph: &OwnershipGraph,
-        target: ContextId,
-        mode: DominatorMode,
-    ) -> Dominator {
+    /// reference, closed by expanding *every* member, then the
+    /// set-intersection least upper bound.
+    fn dominator_oracle(graph: &OwnershipGraph, target: ContextId) -> Dominator {
         let mut set = BTreeSet::from([target]);
         set.extend(share_set_reference(graph, target));
-        if mode == DominatorMode::Closure {
-            let mut pending: Vec<ContextId> = set.iter().copied().collect();
-            while let Some(member) = pending.pop() {
-                for extra in share_set_reference(graph, member) {
-                    if set.insert(extra) {
-                        pending.push(extra);
-                    }
+        let mut pending: Vec<ContextId> = set.iter().copied().collect();
+        while let Some(member) = pending.pop() {
+            for extra in share_set_reference(graph, member) {
+                if set.insert(extra) {
+                    pending.push(extra);
                 }
             }
         }
         least_upper_bound(graph, &set)
     }
-
-    const MODES: [DominatorMode; 2] = [DominatorMode::PaperFormula, DominatorMode::Closure];
 
     /// `roots` regions, `k` invitation chains of depth `d` dealt round-robin
     /// under them, and one feed every user owns: the celebrity shape, where
@@ -799,36 +732,26 @@ mod tests {
     #[test]
     fn celebrity_feed_resolves_to_the_region_root() {
         let (g, roots, chains, feed) = celebrity(1, 5, 4);
-        for mode in MODES {
-            for user in chains.iter().flatten() {
-                let dom = dominator_of(&g, *user, mode).unwrap();
-                assert_eq!(dom, Dominator::Context(roots[0]));
-                assert_eq!(dom, dominator_oracle(&g, *user, mode));
-            }
-            for own in [feed, roots[0]] {
-                assert_eq!(
-                    dominator_of(&g, own, mode).unwrap(),
-                    Dominator::Context(own)
-                );
-                assert_eq!(dominator_oracle(&g, own, mode), Dominator::Context(own));
-            }
+        for user in chains.iter().flatten() {
+            let dom = dominator_of(&g, *user).unwrap();
+            assert_eq!(dom, Dominator::Context(roots[0]));
+            assert_eq!(dom, dominator_oracle(&g, *user));
+        }
+        for own in [feed, roots[0]] {
+            assert_eq!(dominator_of(&g, own).unwrap(), Dominator::Context(own));
+            assert_eq!(dominator_oracle(&g, own), Dominator::Context(own));
         }
     }
 
     #[test]
     fn celebrity_feed_across_two_roots_needs_the_global_root() {
         let (g, roots, chains, feed) = celebrity(2, 6, 3);
-        for mode in MODES {
-            for target in chains.iter().flatten().chain(&roots) {
-                let dom = dominator_of(&g, *target, mode).unwrap();
-                assert_eq!(dom, Dominator::GlobalRoot);
-                assert_eq!(dom, dominator_oracle(&g, *target, mode));
-            }
-            assert_eq!(
-                dominator_of(&g, feed, mode).unwrap(),
-                Dominator::Context(feed)
-            );
+        for target in chains.iter().flatten().chain(&roots) {
+            let dom = dominator_of(&g, *target).unwrap();
+            assert_eq!(dom, Dominator::GlobalRoot);
+            assert_eq!(dom, dominator_oracle(&g, *target));
         }
+        assert_eq!(dominator_of(&g, feed).unwrap(), Dominator::Context(feed));
     }
 
     #[test]
@@ -840,12 +763,10 @@ mod tests {
                 g.add_edge(ctx(i - 1), ctx(i)).unwrap();
             }
         }
-        for mode in MODES {
-            for user in g.contexts() {
-                let (dom, expansions) = resolve(&g, g.slot_of(user).unwrap(), mode);
-                assert_eq!(dom, Dominator::Context(user));
-                assert!(expansions <= 1);
-            }
+        for user in g.contexts() {
+            let (dom, expansions) = resolve(&g, g.slot_of(user).unwrap());
+            assert_eq!(dom, Dominator::Context(user));
+            assert!(expansions <= 1);
         }
     }
 
@@ -857,7 +778,7 @@ mod tests {
                 let (g, roots, chains, _) = celebrity(1, k, d);
                 for target in [chains[0][0], *chains[0].last().unwrap()] {
                     let target = g.slot_of(target).unwrap();
-                    let (dom, expansions) = resolve(&g, target, DominatorMode::Closure);
+                    let (dom, expansions) = resolve(&g, target);
                     assert_eq!(dom, Dominator::Context(roots[0]));
                     assert!(
                         expansions as u64 <= k + 1,
@@ -888,18 +809,15 @@ mod tests {
         }
 
         /// Expanding only the maxima and counting the least upper bound
-        /// gives the dominator the definition gives, for every target and
-        /// in both modes.
+        /// gives the dominator the definition gives, for every target.
         #[test]
         fn dominator_matches_oracle(g in arb_dag()) {
-            for mode in MODES {
-                for target in g.contexts() {
-                    prop_assert_eq!(
-                        dominator_of(&g, target, mode).unwrap(),
-                        dominator_oracle(&g, target, mode),
-                        "target {} in {:?} mode", target, mode
-                    );
-                }
+            for target in g.contexts() {
+                prop_assert_eq!(
+                    dominator_of(&g, target).unwrap(),
+                    dominator_oracle(&g, target),
+                    "target {}", target
+                );
             }
         }
 
@@ -911,11 +829,9 @@ mod tests {
         /// asks, so its entries are of every age (against the oracle).
         #[test]
         fn resolver_follows_interleaved_mutations(
-            closure in any::<bool>(),
             ops in proptest::collection::vec((0u8..8, 0u64..12, 0u64..12), 1..120),
         ) {
-            let mode = MODES[closure as usize];
-            let (eager, lazy) = (DominatorResolver::new(mode), DominatorResolver::new(mode));
+            let (eager, lazy) = (DominatorResolver::default(), DominatorResolver::default());
             let mut g = OwnershipGraph::new();
             for (op, a, b) in ops {
                 let (a, b) = (ctx(a), ctx(b));
@@ -925,14 +841,14 @@ mod tests {
                     4 => { let _ = g.remove_edge(a, b); }
                     5 => { let _ = g.remove_context(a); }
                     _ => match lazy.dominator(&g, a) {
-                        Ok(dom) => prop_assert_eq!(dom, dominator_oracle(&g, a, mode)),
+                        Ok(dom) => prop_assert_eq!(dom, dominator_oracle(&g, a)),
                         Err(_) => prop_assert!(!g.contains(a)),
                     },
                 }
                 for target in g.contexts() {
                     prop_assert_eq!(
                         eager.dominator(&g, target),
-                        dominator_of(&g, target, mode),
+                        dominator_of(&g, target),
                         "stale dominator for {} after op {}", target, op
                     );
                 }
@@ -948,19 +864,16 @@ mod tests {
         #[test]
         fn dominator_dominates_share_set(g in arb_dag(), target in 0u64..12) {
             let target = ctx(target);
-            for mode in [DominatorMode::PaperFormula, DominatorMode::Closure] {
-                let dom = dominator_of(&g, target, mode).unwrap();
-                if let Dominator::Context(d) = dom {
-                    prop_assert!(d == target || g.is_ancestor(d, target));
-                    for s in share_set(&g, target).unwrap() {
-                        prop_assert!(d == s || g.is_ancestor(d, s),
-                            "dominator {d} must dominate sharing context {s}");
-                    }
+            if let Dominator::Context(d) = dominator_of(&g, target).unwrap() {
+                prop_assert!(d == target || g.is_ancestor(d, target));
+                for s in share_set(&g, target).unwrap() {
+                    prop_assert!(d == s || g.is_ancestor(d, s),
+                        "dominator {d} must dominate sharing context {s}");
                 }
             }
         }
 
-        /// In closure mode, two targets with overlapping descendant sets
+        /// Two targets with overlapping descendant sets
         /// either resolve to the same concrete dominator or at least one of
         /// them resolves to the global root — i.e. conflicting events always
         /// have a common sequencer.
@@ -975,8 +888,8 @@ mod tests {
             let mut db: std::collections::BTreeSet<_> = g.descendants(b).unwrap();
             db.insert(b);
             if da.intersection(&db).next().is_some() {
-                let dom_a = dominator_of(&g, a, DominatorMode::Closure).unwrap();
-                let dom_b = dominator_of(&g, b, DominatorMode::Closure).unwrap();
+                let dom_a = dominator_of(&g, a).unwrap();
+                let dom_b = dominator_of(&g, b).unwrap();
                 let ok = dom_a == dom_b
                     || dom_a == Dominator::GlobalRoot
                     || dom_b == Dominator::GlobalRoot
@@ -999,7 +912,7 @@ mod tests {
             for t in targets {
                 let t = ctx(t);
                 let cached = resolver.dominator(&g, t).unwrap();
-                let fresh = dominator_of(&g, t, DominatorMode::Closure).unwrap();
+                let fresh = dominator_of(&g, t).unwrap();
                 prop_assert_eq!(cached, fresh);
             }
         }

@@ -508,6 +508,37 @@ impl OwnershipGraph {
         caller == callee || self.is_ancestor(caller, callee)
     }
 
+    /// The direct owners of `callee` through which `caller` reaches it,
+    /// ascending: empty when `callee` is `caller` or one of its direct
+    /// children, else those of its owners that `caller` is or transitively
+    /// owns.  A call enters one of them before `callee`, so it takes the
+    /// ownership path top-down (Algorithm 2's `activatePath`).
+    ///
+    /// # Errors
+    ///
+    /// [`AeonError::OwnershipViolation`] when `caller` may not call
+    /// `callee` ([`OwnershipGraph::may_call`]).
+    pub fn path_owners(&self, caller: ContextId, callee: ContextId) -> Result<Vec<ContextId>> {
+        let denied = || AeonError::ownership(caller, callee);
+        let (Some(&above), Some(&below)) = (self.index.get(&caller), self.index.get(&callee))
+        else {
+            return Err(denied());
+        };
+        let owners = self.adjacent(below, Dir::Up);
+        if above == below || self.position(owners, caller).is_ok() {
+            return Ok(Vec::new());
+        }
+        let on_path: Vec<ContextId> = owners
+            .iter()
+            .filter(|owner| self.owns(above, **owner))
+            .map(|owner| self.id_of(*owner))
+            .collect();
+        if on_path.is_empty() {
+            return Err(denied());
+        }
+        Ok(on_path)
+    }
+
     /// Whether the graph is acyclic.  Mutations preserve acyclicity, so this
     /// only returns `false` for graphs deserialised from untrusted input.
     pub fn is_acyclic(&self) -> bool {
@@ -907,6 +938,36 @@ mod tests {
     }
 
     #[test]
+    fn path_owners_are_the_callees_owners_below_the_caller() {
+        let (g, ids) = game_graph();
+        let owners = |caller, callee| g.path_owners(caller, callee);
+        // Direct edges and self-calls open no path.
+        assert_eq!(owners(ids.player1, ids.treasure), Ok(vec![]));
+        assert_eq!(owners(ids.player1, ids.player1), Ok(vec![]));
+        // The castle reaches the treasure through all three of its owners,
+        // the sword only through the armory's two children.
+        assert_eq!(
+            owners(ids.castle, ids.treasure),
+            Ok(vec![ids.kings_room, ids.player1, ids.player2])
+        );
+        assert_eq!(
+            owners(ids.castle, ids.sword),
+            Ok(vec![ids.player3, ids.weapons_vault])
+        );
+        assert_eq!(
+            owners(ids.armory, ids.sword),
+            Ok(vec![ids.player3, ids.weapons_vault])
+        );
+        for (caller, callee) in [(ids.player1, ids.player2), (ids.treasure, ids.player1)] {
+            assert_eq!(
+                owners(caller, callee),
+                Err(AeonError::ownership(caller, callee))
+            );
+        }
+        assert!(owners(ids.castle, ContextId::new(99)).is_err());
+    }
+
+    #[test]
     fn roots_and_topological_order() {
         let (g, ids) = game_graph();
         assert_eq!(g.roots(), vec![ids.castle]);
@@ -1042,7 +1103,7 @@ mod tests {
         let (a, b, c) = (ctx(40_000), ctx(70_001), ctx(12));
         g.add_edge(a, b).unwrap();
         g.add_edge(a, c).unwrap();
-        let dominator = |target| crate::dominator_of(&g, target, Default::default()).unwrap();
+        let dominator = |target| crate::dominator_of(&g, target).unwrap();
         assert_eq!(dominator(a), crate::Dominator::Context(a));
         {
             let pool = g.pool.0.lock();
@@ -1073,7 +1134,7 @@ mod tests {
         assert_eq!(g.pool.0.lock().len(), 2);
         // Later walks, one at a time, reuse what is there.
         for _ in 0..10 {
-            crate::dominator_of(&g, ids.player1, Default::default()).unwrap();
+            crate::dominator_of(&g, ids.player1).unwrap();
             assert!(g.may_call(ids.castle, ids.sword));
         }
         assert_eq!(g.pool.0.lock().len(), 2);
@@ -1096,7 +1157,7 @@ mod tests {
         });
         assert!(g.is_ancestor(ids.castle, ids.sword));
         assert_eq!(
-            crate::dominator_of(&g, ids.player1, Default::default()).unwrap(),
+            crate::dominator_of(&g, ids.player1).unwrap(),
             crate::Dominator::Context(ids.kings_room)
         );
         assert!(g.pool.0.lock()[0].epoch < 100);

@@ -19,9 +19,11 @@
 //!   server roster with every rule over them, the one copy all three
 //!   execution backends hold;
 //! * [`analysis`] — the static, contextclass-level acyclicity analysis that
-//!   the AEON compiler performs before admitting a program;
-//! * [`path`] — top-down path discovery used by `activatePath` in the
-//!   execution protocol (Algorithm 2).
+//!   the AEON compiler performs before admitting a program.
+//!
+//! The path a call takes to a context its caller owns only transitively
+//! (Algorithm 2's `activatePath`) is walked up from the callee, one owner
+//! at a time ([`OwnershipGraph::path_owners`]), by the event interpreter.
 //!
 //! # Examples
 //!
@@ -47,13 +49,11 @@ pub mod analysis;
 pub mod control;
 pub mod dominator;
 pub mod graph;
-pub mod path;
 
 pub use analysis::{ClassGraph, MethodInfo, MethodRef};
 pub use control::{ControlPlane, Placement, Sequencer, GLOBAL_ROOT};
-pub use dominator::{dominator_of, share_set, Dominator, DominatorMode, DominatorResolver};
+pub use dominator::{dominator_of, share_set, Dominator, DominatorResolver};
 pub use graph::OwnershipGraph;
-pub use path::{all_on_paths, find_path};
 
 /// Convenience fixtures used by tests, benchmarks and examples across the
 /// workspace: the game ownership network of Figure 3 of the paper.
@@ -148,7 +148,7 @@ mod tests {
     #[test]
     fn dominators_match_section_3_examples() {
         let (g, ids) = game_graph();
-        let resolver = DominatorResolver::new(DominatorMode::Closure);
+        let resolver = DominatorResolver::default();
         // "dom(G, Player1) is Kings room and dom(G, Sword) is Sword" — §3.
         assert_eq!(
             resolver.dominator(&g, ids.player1).unwrap(),
@@ -158,12 +158,6 @@ mod tests {
         // it is its own dominator ("dom(G, Sword) is Sword" — §3).  Events
         // reaching it from above still serialise against events targeting it
         // directly via its activation queue (the Horse/E3 illustration, §4).
-        assert_eq!(
-            DominatorResolver::new(DominatorMode::PaperFormula)
-                .dominator(&g, ids.sword)
-                .unwrap(),
-            Dominator::Context(ids.sword)
-        );
         assert_eq!(
             resolver.dominator(&g, ids.sword).unwrap(),
             Dominator::Context(ids.sword)

@@ -479,11 +479,6 @@ impl ShardedExecutor {
         Self { inner }
     }
 
-    /// Number of resident workers.
-    pub fn worker_count(&self) -> usize {
-        self.inner.workers
-    }
-
     /// Submits a task routed by `key` (same key ⇒ same shard ⇒ FIFO
     /// dequeue order).  Tasks submitted after shutdown are dropped, which
     /// closes any reply they carry.

@@ -6,25 +6,26 @@
 //! stack with the re-entrance guard, the ownership check on every call, the
 //! read-only check, access recording, the `async` queue and its drain, the
 //! sub-event list, the panic boundary around application code and the
-//! certified-footprint rule.  It is the only [`InvocationHost`] in the
-//! workspace: the in-process runtime, the cluster node and the simulator
-//! each supply a thin [`ContextHost`] — locks and slots, `locate` and remote
-//! calls, virtual-time accounting — so a contextclass program cannot tell
-//! the backends apart by construction rather than by testing.
+//! certified-footprint rule and the top-down path a call takes to a context
+//! it owns only transitively (Algorithm 2's `activatePath`).  It is written
+//! once for the workspace: the in-process runtime, the cluster node and the
+//! simulator each supply a thin [`ContextHost`] — locks and slots, `locate`
+//! and remote calls, virtual-time accounting — so a contextclass program
+//! cannot tell the backends apart by construction rather than by testing.
 //!
-//! The [`Invocation`] handed to context methods is a thin view over the
-//! interpreter that exposes the operations the paper's language offers
-//! inside an event: synchronous calls, `async` calls, `event` dispatch, and
-//! ownership-graph mutation (creating child contexts, adding/removing
-//! owners).
+//! The [`Invocation`] handed to context methods is the interpreter for the
+//! length of one method frame, exposing the operations the paper's
+//! language offers inside an event: synchronous calls, `async` calls,
+//! `event` dispatch, and ownership-graph mutation (creating child contexts,
+//! adding/removing owners).
 //!
-//! The interpreter also serves three reserved methods, [`SNAPSHOT_METHOD`],
-//! [`RESTORE_METHOD`] and [`MIGRATE_METHOD`], before any context object
-//! sees the call, so no contextclass can declare them.  A consistent
-//! snapshot of a subtree (§5.3), its restore and a context's migration
-//! (§5.2) are thereby ordinary events: every backend sequences, executes
-//! and records them the way it does any other event, and supplies only
-//! the move itself ([`ContextHost::migrate`]).
+//! The interpreter also serves four reserved methods, `ENTER_METHOD`,
+//! [`SNAPSHOT_METHOD`], [`RESTORE_METHOD`] and [`MIGRATE_METHOD`], before any
+//! context object sees the call, so no contextclass can declare them.  A
+//! consistent snapshot of a subtree (§5.3), its restore and a context's
+//! migration (§5.2) are thereby ordinary events: every backend sequences,
+//! executes and records them the way it does any other event, and supplies
+//! only the move itself ([`ContextHost::migrate`]).
 
 use crate::context::ContextObject;
 use crate::snapshot::Snapshot;
@@ -44,6 +45,12 @@ pub const SNAPSHOT_METHOD: &str = "@snapshot";
 /// subtree, with a [`Snapshot`] as its one argument): returns the list of
 /// the contexts it restored.
 pub const RESTORE_METHOD: &str = "@restore";
+
+/// The reserved method that only enters its context: a call of it takes
+/// the context's activation for the calling event and returns `Null`.  A
+/// call that skips an ownership level enters the owners between with it,
+/// and a restore its cut's members before it writes any.
+pub(crate) const ENTER_METHOD: &str = "@enter";
 
 /// The reserved method of a migration event (exclusive, on the context,
 /// with the destination server's id as its one argument): returns the
@@ -77,62 +84,6 @@ pub struct SubEvent {
 
 // Sub-events travel in the cluster's `Done` and `CallReply` messages.
 aeon_types::wire! { struct SubEvent { target, method, args, mode } }
-
-/// The capability an [`Invocation`] delegates to; implemented once, by
-/// [`EventBody`].
-pub trait InvocationHost {
-    /// Id of the running event.
-    fn event_id(&self) -> EventId;
-
-    /// Client that issued the event, if any.
-    fn client(&self) -> Option<ClientId>;
-
-    /// Access mode of the running event.
-    fn mode(&self) -> AccessMode;
-
-    /// Performs a synchronous method call from `caller` to `target`.
-    fn call(
-        &mut self,
-        caller: ContextId,
-        target: ContextId,
-        method: &str,
-        args: Args,
-    ) -> Result<Value>;
-
-    /// Schedules an asynchronous method call from `caller` to `target`.
-    fn call_async(
-        &mut self,
-        caller: ContextId,
-        target: ContextId,
-        method: &str,
-        args: Args,
-    ) -> Result<()>;
-
-    /// Dispatches a new event to start after the current one terminates.
-    fn dispatch_event(
-        &mut self,
-        target: ContextId,
-        method: &str,
-        args: Args,
-        mode: AccessMode,
-    ) -> Result<()>;
-
-    /// Creates a new context owned by `owner`.
-    fn create_child(
-        &mut self,
-        owner: ContextId,
-        object: Box<dyn ContextObject>,
-    ) -> Result<ContextId>;
-
-    /// Adds `owner` as an owner of `owned`.
-    fn add_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()>;
-
-    /// Removes `owner` from the owners of `owned`.
-    fn remove_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()>;
-
-    /// Direct children of `parent`, optionally filtered by class name.
-    fn children(&self, parent: ContextId, class: Option<&str>) -> Result<Vec<ContextId>>;
-}
 
 /// Identity of a running event, fixed for its lifetime.
 #[derive(Debug, Clone, Copy)]
@@ -230,13 +181,28 @@ pub enum Entered {
 /// with the host's owner (on the runtime and the cluster, their
 /// `ServerCore`).
 pub trait ContextHost {
-    /// Whether `caller` (transitively) owns `target`.
+    /// Whether `caller` (transitively) owns `target`: an `async` call's
+    /// check at its call site.
     fn may_call(&self, caller: ContextId, target: ContextId) -> bool;
+
+    /// The direct owners of `target` a call from `caller` can reach it
+    /// through, ascending: none when `caller` is `target` or owns it
+    /// directly ([`aeon_ownership::OwnershipGraph::path_owners`]).
+    ///
+    /// # Errors
+    ///
+    /// [`AeonError::OwnershipViolation`] when `caller` does not own
+    /// `target`.
+    fn path_owners(&self, caller: ContextId, target: ContextId) -> Result<Vec<ContextId>>;
 
     /// Takes `target`'s activation for `event` (a no-op when the event
     /// already holds it) and hands back its object, or reports that the
     /// context lives on another server.
     fn enter(&mut self, event: &EventMeta, target: ContextId) -> Result<Entered>;
+
+    /// Whether `event` holds `context`'s activation already: here, or on
+    /// another server by a call made through this host.
+    fn holds(&self, event: &EventMeta, context: ContextId) -> bool;
 
     /// Locks the object [`ContextHost::enter`] handed back.  Read-only
     /// events share an activation and take turns here, so this can wait for
@@ -348,6 +314,13 @@ pub struct EventBody<'h> {
     host: &'h mut dyn ContextHost,
     event: EventMeta,
     footprint: Footprint,
+    state: BodyState,
+}
+
+/// What an event accumulates while it runs.  Each method frame's
+/// [`Invocation`] carries it and hands it back.
+#[derive(Default)]
+struct BodyState {
     /// Contexts (and, in debug builds, the method executing in each)
     /// currently on the synchronous call stack: the re-entrance guard, and
     /// the caller side of the call-summary sanitizer.
@@ -365,9 +338,7 @@ impl<'h> EventBody<'h> {
             host,
             event,
             footprint,
-            call_stack: Vec::new(),
-            pending_async: VecDeque::new(),
-            sub_events: Vec::new(),
+            state: BodyState::default(),
         }
     }
 
@@ -383,13 +354,9 @@ impl<'h> EventBody<'h> {
         method: &str,
         args: &Args,
     ) -> BodyOutcome {
-        let result = self.invoke(caller, target, method, args);
-        self.finish(result)
-    }
-
-    fn finish(mut self, mut result: Result<Value>) -> BodyOutcome {
+        let mut result = self.invoke(caller, target, method, args);
         let mut async_calls = 0;
-        while let Some(call) = self.pending_async.pop_front() {
+        while let Some(call) = self.state.pending_async.pop_front() {
             async_calls += 1;
             let r = self.invoke(Some(call.caller), call.target, &call.method, &call.args);
             if result.is_ok() {
@@ -399,7 +366,7 @@ impl<'h> EventBody<'h> {
             }
         }
         let sub_events = if result.is_ok() {
-            self.sub_events
+            self.state.sub_events
         } else {
             Vec::new()
         };
@@ -418,29 +385,31 @@ impl<'h> EventBody<'h> {
         method: &str,
         args: &Args,
     ) -> Result<Value> {
-        if let Some(caller) = caller {
-            self.check_edge(caller, target, method)?;
-        }
+        let from = match caller {
+            Some(caller) => Some(self.open_path(caller, target, method)?),
+            None => None,
+        };
         // The ownership DAG is acyclic, so a well-formed application never
         // calls back into a context already on the stack.
-        if self.call_stack.iter().any(|(c, _)| *c == target) {
+        if self.state.call_stack.iter().any(|(c, _)| *c == target) {
             return Err(AeonError::internal(format!(
                 "re-entrant call into context {target} within event {}",
                 self.event.id
             )));
         }
-        let dispatched = self.sub_events.len();
+        let dispatched = self.state.sub_events.len();
         let result = match self.host.enter(&self.event, target)? {
-            Entered::Local(hosted) if method == SNAPSHOT_METHOD || method == RESTORE_METHOD => {
-                self.serve_reserved(caller, target, hosted, method, args)
-            }
-            Entered::Local(hosted) if method == MIGRATE_METHOD => {
-                self.serve_migrate(caller, target, &*hosted, args)
-            }
-            Entered::Local(hosted) => {
-                let mut object = self.host.lock_object(&*hosted);
-                self.execute(&mut **object, target, method, args)
-            }
+            Entered::Local(hosted) => match method {
+                ENTER_METHOD => Ok(Value::Null),
+                SNAPSHOT_METHOD | RESTORE_METHOD => {
+                    self.serve_reserved(caller, target, hosted, method, args)
+                }
+                MIGRATE_METHOD => self.serve_migrate(caller, target, &*hosted, args),
+                _ => {
+                    let mut object = self.host.lock_object(&*hosted);
+                    self.execute(&mut **object, target, method, args)
+                }
+            },
             // The certificate was granted for a target hosted here; the
             // server it moved to would serve this as an ordinary call,
             // with nothing holding it to the certified footprint.
@@ -449,16 +418,16 @@ impl<'h> EventBody<'h> {
             }
             Entered::Remote => self
                 .host
-                .remote_call(&self.event, caller, target, method, args)
+                .remote_call(&self.event, from, target, method, args)
                 .map(|(value, sub_events)| {
-                    self.sub_events.extend(sub_events);
+                    self.state.sub_events.extend(sub_events);
                     value
                 }),
         };
         // A failed call dispatches nothing, whether it ran here or on
         // another server (whose reply carries no sub-events on failure).
         if result.is_err() {
-            self.sub_events.truncate(dispatched);
+            self.state.sub_events.truncate(dispatched);
         }
         result
     }
@@ -483,18 +452,29 @@ impl<'h> EventBody<'h> {
         } else {
             String::new()
         };
-        self.call_stack.push((target, frame));
+        self.state.call_stack.push((target, frame));
+        // The method's frame borrows the host and carries the event's state,
+        // which comes back here when the method returns or panics.
+        let mut invocation = Invocation {
+            body: EventBody {
+                host: &mut *self.host,
+                event: self.event,
+                footprint: self.footprint,
+                state: std::mem::take(&mut self.state),
+            },
+            current: target,
+        };
         // A panicking contextclass method must not kill the worker or leave
         // the event's locks activated forever: it fails the call like any
         // other error, and the host's owner releases as usual.  (State
         // changes applied before the panic are the application's
         // responsibility, as with any aborted unwind.)
         let mut outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut invocation = Invocation::new(self, target);
             object.handle(method, args, &mut invocation)
         }))
         .unwrap_or_else(|payload| Err(AeonError::from_panic(payload)));
-        self.call_stack.pop();
+        self.state = invocation.body.state;
+        self.state.call_stack.pop();
         // `Args::get_*` cannot name the method it serves; this is the method.
         // A nested call's error was named by its own frame and keeps it.
         if let Err(AeonError::BadArguments { method: name, .. }) = &mut outcome {
@@ -511,10 +491,10 @@ impl<'h> EventBody<'h> {
     /// that keeps entering it deadlock-free against events in flight — and
     /// every other member is entered by a call from the root, wherever it
     /// lives.  A snapshot captures each member as it enters it; a restore
-    /// enters every member first and writes only then, so a member that
-    /// vanished fails it before any state changed.  Called from the root,
-    /// `target` is one member: captured, written (`args[0]` is its state),
-    /// or for a restore without arguments only entered.
+    /// enters every member first (`ENTER_METHOD`) and writes only then,
+    /// so a member that vanished fails it before any state changed.  Called
+    /// from the root, `target` is one member: captured, or written
+    /// (`args[0]` is its state).
     fn serve_reserved(
         &mut self,
         caller: Option<ContextId>,
@@ -531,14 +511,14 @@ impl<'h> EventBody<'h> {
             });
         }
         if caller.is_some() {
-            return self.serve_member(target, &*hosted, restore, args.get(0));
+            return self.serve_member(target, &*hosted, args.get(0).filter(|_| restore));
         }
         // A cut enters many contexts, which a certified event may not.
         self.check_footprint(target, target, method)?;
         let members = self.host.subtree(target)?;
-        let at = |body: &mut Self, member: ContextId, state: Option<&Value>| {
+        let at = |body: &mut Self, member: ContextId, method: &str, state: Option<&Value>| {
             if member == target {
-                return body.serve_member(target, &*hosted, restore, state);
+                return body.serve_member(target, &*hosted, state);
             }
             let args = state.map_or_else(Args::empty, |state| Args::new(vec![state.clone()]));
             body.invoke(Some(target), member, method, &args)
@@ -546,7 +526,7 @@ impl<'h> EventBody<'h> {
         if !restore {
             let mut snapshot = Snapshot::new(target);
             for member in members {
-                if let Some([class, state]) = at(self, member, None)?.as_list() {
+                if let Some([class, state]) = at(self, member, method, None)?.as_list() {
                     let class = class.as_str().unwrap_or_default();
                     snapshot.insert(member, class, state.clone());
                 }
@@ -554,41 +534,38 @@ impl<'h> EventBody<'h> {
             return Ok(snapshot.to_value());
         }
         let snapshot = Snapshot::from_value(args.get(0).unwrap_or(&Value::Null))?;
-        for member in &members {
-            at(self, *member, None)?;
+        for member in members.iter().filter(|member| **member != target) {
+            at(self, *member, ENTER_METHOD, None)?;
         }
         let mut restored = Vec::new();
         for member in members {
             if let Some(entry) = snapshot.get(member) {
-                at(self, member, Some(&entry.state))?;
+                at(self, member, method, Some(&entry.state))?;
                 restored.push(member);
             }
         }
         Ok(Value::from(restored))
     }
 
-    /// One member's share of a cut: its `[class, state]` (`Null` when the
-    /// context opts out of snapshots), or `state` written into it.
+    /// One member's share of a cut: `state` written into it, or without
+    /// one its `[class, state]` (`Null` when the context opts out of
+    /// snapshots).
     fn serve_member(
         &self,
         target: ContextId,
         hosted: &dyn HostedObject,
-        restore: bool,
         state: Option<&Value>,
     ) -> Result<Value> {
-        if restore && state.is_none() {
-            return Ok(Value::Null);
-        }
         let mut object = self.host.lock_object(hosted);
         self.host.record_access(&self.event, target);
         // `snapshot` and `restore` are application code, behind the same
         // panic boundary as a method.
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match state {
-            Some(state) if restore => {
+            Some(state) => {
                 object.restore(state);
                 Value::Null
             }
-            _ => match object.snapshot() {
+            None => match object.snapshot() {
                 Value::Null => Value::Null,
                 state => Value::from(vec![Value::from(object.class_name()), state]),
             },
@@ -635,24 +612,48 @@ impl<'h> EventBody<'h> {
         .unwrap_or_else(|payload| Err(AeonError::from_panic(payload)))
     }
 
-    /// Calls may only go along (transitive) ownership edges (§3).  In
-    /// debug builds an allowed edge is also reported to the call-summary
+    /// Calls go along (transitive) ownership edges only (§3), and take the
+    /// path of them top-down (Algorithm 2's `activatePath`): unless
+    /// `caller` owns `target` directly or the event already holds one of
+    /// the target's owners below `caller`, the lowest-id such owner is
+    /// entered first, from `caller` — so recursively up to it.  Returns the owner
+    /// the call reaches `target` from (`caller` for a direct edge): a call
+    /// to another server is sent from there, so the serving node sees one
+    /// edge.  A call (not an entry) is also reported to the call-summary
+    /// sanitizer.
+    fn open_path(
+        &mut self,
+        caller: ContextId,
+        target: ContextId,
+        method: &str,
+    ) -> Result<ContextId> {
+        let owners = self.host.path_owners(caller, target)?;
+        if method != ENTER_METHOD {
+            self.report_edge(caller, target, method);
+        }
+        let Some(&lowest) = owners.first() else {
+            return Ok(caller);
+        };
+        if let Some(held) = owners.iter().find(|o| self.host.holds(&self.event, **o)) {
+            return Ok(*held);
+        }
+        self.invoke(Some(caller), lowest, ENTER_METHOD, &Args::empty())?;
+        Ok(lowest)
+    }
+
+    /// In debug builds, reports an allowed call to the call-summary
     /// sanitizer: it belongs to the method executing in `caller` right now
     /// (`async` calls drain with an empty stack, having been reported when
     /// they were scheduled).
-    fn check_edge(&self, caller: ContextId, target: ContextId, method: &str) -> Result<()> {
-        if !self.host.may_call(caller, target) {
-            return Err(AeonError::ownership(caller, target));
-        }
+    fn report_edge(&self, caller: ContextId, target: ContextId, method: &str) {
         if cfg!(debug_assertions) {
-            if let Some((top, top_method)) = self.call_stack.last() {
+            if let Some((top, top_method)) = self.state.call_stack.last() {
                 if *top == caller {
                     self.host
                         .record_call_edge(caller, top_method, target, method);
                 }
             }
         }
-        Ok(())
     }
 
     /// Refuses a call made or scheduled by a certified event.
@@ -665,122 +666,17 @@ impl<'h> EventBody<'h> {
         }
         Ok(())
     }
-
-    /// Refuses ownership-network mutation from a certified event.  Reached
-    /// only if a host consumer bypasses [`Invocation`], which rejects
-    /// mutation from any read-only event first.
-    fn check_mutation(&self, context: ContextId, operation: &str) -> Result<()> {
-        if self.footprint == Footprint::Certified {
-            return Err(AeonError::ReadOnlyViolation {
-                context,
-                method: operation.into(),
-            });
-        }
-        Ok(())
-    }
-}
-
-impl InvocationHost for EventBody<'_> {
-    fn event_id(&self) -> EventId {
-        self.event.id
-    }
-
-    fn client(&self) -> Option<ClientId> {
-        self.event.client
-    }
-
-    fn mode(&self) -> AccessMode {
-        self.event.mode
-    }
-
-    fn call(
-        &mut self,
-        caller: ContextId,
-        target: ContextId,
-        method: &str,
-        args: Args,
-    ) -> Result<Value> {
-        self.check_footprint(caller, target, method)?;
-        self.invoke(Some(caller), target, method, &args)
-    }
-
-    fn call_async(
-        &mut self,
-        caller: ContextId,
-        target: ContextId,
-        method: &str,
-        args: Args,
-    ) -> Result<()> {
-        self.check_footprint(caller, target, method)?;
-        // Checked eagerly so the programming error surfaces at the call
-        // site, and again when the call drains.
-        self.check_edge(caller, target, method)?;
-        self.pending_async.push_back(AsyncCall {
-            caller,
-            target,
-            method: method.to_string(),
-            args,
-        });
-        Ok(())
-    }
-
-    fn dispatch_event(
-        &mut self,
-        target: ContextId,
-        method: &str,
-        args: Args,
-        mode: AccessMode,
-    ) -> Result<()> {
-        self.sub_events.push(SubEvent {
-            target,
-            method: method.to_string(),
-            args,
-            mode,
-        });
-        Ok(())
-    }
-
-    fn create_child(
-        &mut self,
-        owner: ContextId,
-        object: Box<dyn ContextObject>,
-    ) -> Result<ContextId> {
-        self.check_mutation(owner, "create_child")?;
-        self.host.create_child(owner, object)
-    }
-
-    fn add_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.check_mutation(owner, "add_ownership")?;
-        self.host.add_ownership(owner, owned)
-    }
-
-    fn remove_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.check_mutation(owner, "remove_ownership")?;
-        self.host.remove_ownership(owner, owned)
-    }
-
-    fn children(&self, parent: ContextId, class: Option<&str>) -> Result<Vec<ContextId>> {
-        self.host.children(parent, class)
-    }
 }
 
 /// The capability handed to [`ContextObject::handle`]: everything a context
 /// method may do with the rest of the system while an event executes in it.
+/// It is the event's interpreter for the length of the method's frame.
 pub struct Invocation<'a> {
-    host: &'a mut dyn InvocationHost,
+    body: EventBody<'a>,
     current: ContextId,
 }
 
-impl<'a> Invocation<'a> {
-    /// Creates an invocation view for `current` on top of a host engine.
-    ///
-    /// This is called by execution engines (the in-process runtime, the
-    /// distributed cluster); application code only ever receives a ready
-    /// `&mut Invocation`.
-    pub fn new(host: &'a mut dyn InvocationHost, current: ContextId) -> Self {
-        Self { host, current }
-    }
-
+impl Invocation<'_> {
     /// The context currently executing.
     pub fn self_id(&self) -> ContextId {
         self.current
@@ -788,21 +684,23 @@ impl<'a> Invocation<'a> {
 
     /// The id of the running event.
     pub fn event_id(&self) -> EventId {
-        self.host.event_id()
+        self.body.event.id
     }
 
     /// The client that issued the event, if any.
     pub fn client(&self) -> Option<ClientId> {
-        self.host.client()
+        self.body.event.client
     }
 
     /// Whether the running event is read-only.
     pub fn is_read_only(&self) -> bool {
-        self.host.mode().is_read_only()
+        self.body.event.mode.is_read_only()
     }
 
     /// Performs a synchronous method call on a context owned (directly or
-    /// transitively) by the current context, waiting for its result.
+    /// transitively) by the current context, waiting for its result.  A
+    /// call to a context owned only transitively first enters a path of
+    /// owners down to it (Algorithm 2's `activatePath`).
     ///
     /// # Errors
     ///
@@ -810,7 +708,8 @@ impl<'a> Invocation<'a> {
     ///   own `target`.
     /// * Whatever error the callee returns.
     pub fn call(&mut self, target: ContextId, method: &str, args: Args) -> Result<Value> {
-        self.host.call(self.current, target, method, args)
+        self.body.check_footprint(self.current, target, method)?;
+        self.body.invoke(Some(self.current), target, method, &args)
     }
 
     /// Schedules an asynchronous (`async`-decorated) method call on an owned
@@ -821,9 +720,22 @@ impl<'a> Invocation<'a> {
     ///
     /// Returns [`AeonError::OwnershipViolation`] when the current context
     /// does not own `target` (checked eagerly so the programming error
-    /// surfaces at the call site).
+    /// surfaces at the call site, and again when the call drains).
     pub fn call_async(&mut self, target: ContextId, method: &str, args: Args) -> Result<()> {
-        self.host.call_async(self.current, target, method, args)
+        let caller = self.current;
+        self.body.check_footprint(caller, target, method)?;
+        // The path is taken when the call drains.
+        if !self.body.host.may_call(caller, target) {
+            return Err(AeonError::ownership(caller, target));
+        }
+        self.body.report_edge(caller, target, method);
+        self.body.state.pending_async.push_back(AsyncCall {
+            caller,
+            target,
+            method: method.to_string(),
+            args,
+        });
+        Ok(())
     }
 
     /// Dispatches a new event from within this event.  The new event starts
@@ -835,7 +747,8 @@ impl<'a> Invocation<'a> {
     /// Returns [`AeonError::ReadOnlyViolation`] when called from a read-only
     /// event (a read-only event must not cause state changes).
     pub fn dispatch_event(&mut self, target: ContextId, method: &str, args: Args) -> Result<()> {
-        self.dispatch_event_with_mode(target, method, args, AccessMode::Exclusive)
+        self.check_writable(method)?;
+        self.dispatch(target, method, args, AccessMode::Exclusive)
     }
 
     /// Dispatches a new read-only event from within this event.
@@ -845,23 +758,23 @@ impl<'a> Invocation<'a> {
         method: &str,
         args: Args,
     ) -> Result<()> {
-        self.dispatch_event_with_mode(target, method, args, AccessMode::ReadOnly)
+        self.dispatch(target, method, args, AccessMode::ReadOnly)
     }
 
-    fn dispatch_event_with_mode(
+    fn dispatch(
         &mut self,
         target: ContextId,
         method: &str,
         args: Args,
         mode: AccessMode,
     ) -> Result<()> {
-        if self.host.mode().is_read_only() && mode.is_exclusive() {
-            return Err(AeonError::ReadOnlyViolation {
-                context: self.current,
-                method: method.to_string(),
-            });
-        }
-        self.host.dispatch_event(target, method, args, mode)
+        self.body.state.sub_events.push(SubEvent {
+            target,
+            method: method.to_string(),
+            args,
+            mode,
+        });
+        Ok(())
     }
 
     /// Creates a new context owned by the current context and returns its
@@ -875,13 +788,8 @@ impl<'a> Invocation<'a> {
     /// * [`AeonError::OwnershipViolation`] if the class constraints forbid
     ///   this parent/child pair.
     pub fn create_child(&mut self, object: Box<dyn ContextObject>) -> Result<ContextId> {
-        if self.host.mode().is_read_only() {
-            return Err(AeonError::ReadOnlyViolation {
-                context: self.current,
-                method: "create_child".into(),
-            });
-        }
-        self.host.create_child(self.current, object)
+        self.check_writable("create_child")?;
+        self.body.host.create_child(self.current, object)
     }
 
     /// Adds the current context as an owner of `owned` (sharing state).
@@ -892,13 +800,8 @@ impl<'a> Invocation<'a> {
     /// * [`AeonError::CycleDetected`] / [`AeonError::OwnershipViolation`]
     ///   when the edge would violate the DAG or the class constraints.
     pub fn add_ownership(&mut self, owned: ContextId) -> Result<()> {
-        if self.host.mode().is_read_only() {
-            return Err(AeonError::ReadOnlyViolation {
-                context: self.current,
-                method: "add_ownership".into(),
-            });
-        }
-        self.host.add_ownership(self.current, owned)
+        self.check_writable("add_ownership")?;
+        self.body.host.add_ownership(self.current, owned)
     }
 
     /// Removes the current context from the owners of `owned`.
@@ -908,13 +811,8 @@ impl<'a> Invocation<'a> {
     /// * [`AeonError::ReadOnlyViolation`] from read-only events.
     /// * [`AeonError::ContextNotFound`] when `owned` is unknown.
     pub fn remove_ownership(&mut self, owned: ContextId) -> Result<()> {
-        if self.host.mode().is_read_only() {
-            return Err(AeonError::ReadOnlyViolation {
-                context: self.current,
-                method: "remove_ownership".into(),
-            });
-        }
-        self.host.remove_ownership(self.current, owned)
+        self.check_writable("remove_ownership")?;
+        self.body.host.remove_ownership(self.current, owned)
     }
 
     /// The direct children (owned contexts) of the current context,
@@ -927,16 +825,28 @@ impl<'a> Invocation<'a> {
     /// Returns [`AeonError::ContextNotFound`] if the current context has
     /// been removed concurrently.
     pub fn children(&self, class: Option<&str>) -> Result<Vec<ContextId>> {
-        self.host.children(self.current, class)
+        self.body.host.children(self.current, class)
+    }
+
+    /// Refuses `operation` — a change, or a way to cause one — from a
+    /// read-only event, certified or not.
+    fn check_writable(&self, operation: &str) -> Result<()> {
+        if self.is_read_only() {
+            return Err(AeonError::ReadOnlyViolation {
+                context: self.current,
+                method: operation.to_string(),
+            });
+        }
+        Ok(())
     }
 }
 
 impl std::fmt::Debug for Invocation<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Invocation")
-            .field("event", &self.host.event_id())
+            .field("event", &self.body.event.id)
             .field("current", &self.current)
-            .field("mode", &self.host.mode())
+            .field("mode", &self.body.event.mode)
             .finish()
     }
 }
@@ -965,6 +875,8 @@ mod tests {
         subtree: Vec<ContextId>,
         /// Each move asked for: the context, its captured state, where to.
         moves: Vec<(ContextId, Value, ServerId)>,
+        /// What `path_owners` answers for a target (none when absent).
+        owners: HashMap<ContextId, Vec<ContextId>>,
     }
 
     impl FakeHost {
@@ -987,6 +899,10 @@ mod tests {
             true
         }
 
+        fn path_owners(&self, _caller: ContextId, target: ContextId) -> Result<Vec<ContextId>> {
+            Ok(self.owners.get(&target).cloned().unwrap_or_default())
+        }
+
         fn enter(&mut self, _event: &EventMeta, target: ContextId) -> Result<Entered> {
             if self.remote.contains(&target) {
                 return Ok(Entered::Remote);
@@ -996,6 +912,10 @@ mod tests {
                 .get(&target)
                 .map(|object| Entered::Local(Arc::clone(object) as Arc<dyn HostedObject>))
                 .ok_or(AeonError::ContextNotFound(target))
+        }
+
+        fn holds(&self, _event: &EventMeta, context: ContextId) -> bool {
+            self.entered.contains(&context)
         }
 
         fn remote_call(
@@ -1075,7 +995,10 @@ mod tests {
         }
 
         fn is_readonly(&self, method: &str) -> bool {
-            matches!(method, "peek" | "lie_call" | "lie_async" | "ro_dispatch")
+            matches!(
+                method,
+                "peek" | "lie_call" | "lie_async" | "ro_dispatch" | "create" | "own" | "disown"
+            )
         }
 
         fn handle(&mut self, method: &str, args: &Args, inv: &mut Invocation<'_>) -> Result<Value> {
@@ -1125,6 +1048,26 @@ mod tests {
                 "ro_dispatch" => inv
                     .dispatch_readonly_event(args.get_context(0)?, "peek", args![])
                     .map(|()| Value::Null),
+                // Marked `ro`, so that only `Invocation` stands between a
+                // read-only event and the change.
+                "create" => {
+                    let child = Box::new(Probe {
+                        log: Arc::clone(&self.log),
+                    });
+                    inv.create_child(child).map(Value::from)
+                }
+                "own" => inv
+                    .add_ownership(args.get_context(0)?)
+                    .map(|()| Value::Null),
+                "disown" => inv
+                    .remove_ownership(args.get_context(0)?)
+                    .map(|()| Value::Null),
+                // Calls args[0], then args[1], and reports them.
+                "relay_two" => {
+                    let first = inv.call(args.get_context(0)?, "peek", args![])?;
+                    let second = inv.call(args.get_context(1)?, "peek", args![])?;
+                    Ok(Value::from(vec![first, second]))
+                }
                 other => Err(AeonError::UnknownMethod {
                     class: "Probe".into(),
                     method: other.into(),
@@ -1206,7 +1149,7 @@ mod tests {
         );
         let err = body.invoke(None, cx(1), "panic", &args![]).unwrap_err();
         assert!(matches!(&err, AeonError::Panicked { reason } if reason.contains("kaboom")));
-        assert!(body.call_stack.is_empty());
+        assert!(body.state.call_stack.is_empty());
         // The body stays usable: the panic was an ordinary failed call.
         assert_eq!(body.invoke(None, cx(2), "peek", &args![]), Ok(Value::Null));
     }
@@ -1276,15 +1219,17 @@ mod tests {
         assert_eq!(moved.result, Err(AeonError::MigrationInProgress(cx(2))));
         assert!(host.remote_calls.is_empty());
 
-        // `Invocation` rejects mutation from any read-only event; the
-        // footprint still refuses it for a consumer that bypasses it.
-        let mut body = EventBody::new(&mut host, event(AccessMode::ReadOnly), Footprint::Certified);
-        let child = Box::new(Probe {
-            log: Log::default(),
-        });
-        assert!(body.create_child(cx(1), child).is_err());
-        assert!(body.add_ownership(cx(1), cx(2)).is_err());
-        assert!(body.remove_ownership(cx(1), cx(2)).is_err());
+        // Nor does it change the ownership network, even from a method
+        // marked `ro`.
+        host.remote.clear();
+        for operation in ["create", "own", "disown"] {
+            let refused = run(&mut host, AccessMode::ReadOnly, operation, args![cx(2)]);
+            assert!(
+                matches!(refused.result, Err(AeonError::ReadOnlyViolation { .. })),
+                "{operation}: {:?}",
+                refused.result
+            );
+        }
         assert!(host.mutations.is_empty());
 
         // Read-only sub-events never grow the footprint, so they stay
@@ -1292,13 +1237,43 @@ mod tests {
         let outcome = run(&mut host, AccessMode::ReadOnly, "ro_dispatch", args![cx(2)]);
         assert_eq!(outcome.result, Ok(Value::Null));
         assert_eq!(outcome.sub_events.len(), 1);
-        let mut body = EventBody::new(
-            &mut host,
-            event(AccessMode::Exclusive),
-            Footprint::Sequenced,
-        );
-        body.add_ownership(cx(1), cx(2)).unwrap();
+        let owned = run(&mut host, AccessMode::Exclusive, "own", args![cx(2)]);
+        assert_eq!(owned.result, Ok(Value::Null));
         assert_eq!(host.mutations, ["add_ownership"]);
+    }
+
+    #[test]
+    fn a_call_that_skips_a_level_enters_an_owner_first_and_is_sent_from_it() {
+        // 1 owns 2 and 3, which both own 4; 4 owns 5.
+        let (mut host, _log) = FakeHost::with_probes(5);
+        host.owners.insert(cx(4), vec![cx(2), cx(3)]);
+        host.owners.insert(cx(5), vec![cx(4)]);
+        let outcome = run(
+            &mut host,
+            AccessMode::Exclusive,
+            "relay_two",
+            args![cx(5), cx(4)],
+        );
+        assert!(outcome.result.is_ok(), "{:?}", outcome.result);
+        assert_eq!(
+            host.entered,
+            [cx(1), cx(2), cx(4), cx(5), cx(4)],
+            "the lowest owner first, top-down; the second call finds 2 held"
+        );
+
+        // An owner the event already holds opens no path, and a call to
+        // another server is sent from the target's owner.
+        host.entered.clear();
+        host.remote.insert(cx(5));
+        let outcome = run(
+            &mut host,
+            AccessMode::Exclusive,
+            "relay_two",
+            args![cx(3), cx(5)],
+        );
+        assert!(outcome.result.is_ok(), "{:?}", outcome.result);
+        assert_eq!(host.entered, [cx(1), cx(3), cx(4)]);
+        assert_eq!(host.remote_calls, [(Some(cx(4)), cx(5), "peek".into())]);
     }
 
     #[test]
@@ -1377,7 +1352,7 @@ mod tests {
             event(AccessMode::Exclusive),
             Footprint::Sequenced,
         );
-        let nested = body.call(cx(2), cx(1), MIGRATE_METHOD, args![2]);
+        let nested = body.invoke(Some(cx(2)), cx(1), MIGRATE_METHOD, &args![2]);
         assert!(matches!(nested, Err(AeonError::Internal(_))));
         assert_eq!(host.moves.len(), 1, "only the first migration moved");
     }

@@ -12,7 +12,10 @@
 //!    in exclusive or shared (read-only) mode;
 //! 2. the event then executes at its target, locking each context it enters
 //!    (`scheduleNext` / `activatePath`), making synchronous or `async`
-//!    method calls only along ownership edges;
+//!    method calls only along ownership edges.  A call to a context the
+//!    caller owns only transitively first enters an owner of it, recursively
+//!    up to the caller, so the path is locked top-down — unless the event
+//!    already holds an owner of the target;
 //! 3. on completion, every lock is released in reverse acquisition order and
 //!    sub-events dispatched from within the event are submitted.
 //!
@@ -68,8 +71,7 @@ pub use event::{EventHandle, EventOutcome, EventRequest};
 pub use executor::{ExecutorConfig, ExecutorStats, ShardedExecutor};
 pub use invocation::{
     BodyOutcome, CertifiedReads, ContextHost, Entered, EventBody, EventMeta, Footprint,
-    HostedObject, Invocation, InvocationHost, SubEvent, MIGRATE_METHOD, RESTORE_METHOD,
-    SNAPSHOT_METHOD,
+    HostedObject, Invocation, SubEvent, MIGRATE_METHOD, RESTORE_METHOD, SNAPSHOT_METHOD,
 };
 pub use locks::ContextLock;
 pub use method_table::{

@@ -46,9 +46,7 @@ use crate::reply::{reply, Replier};
 use crate::server::ServerCore;
 use crate::stats::RuntimeStats;
 use aeon_analyzer::AnalysisMode;
-use aeon_ownership::{
-    ClassGraph, ControlPlane, Dominator, DominatorMode, OwnershipGraph, Sequencer,
-};
+use aeon_ownership::{ClassGraph, ControlPlane, Dominator, OwnershipGraph, Sequencer};
 use aeon_types::{
     codec, AccessMode, AeonError, Args, ClientId, ContextId, EventId, IdGenerator, Result,
     ServerId, ServerMetrics, SharedHistorySink, Value,
@@ -154,10 +152,7 @@ impl RuntimeBuilder {
         let inner = Arc::new(RuntimeInner {
             executor,
             certified,
-            plane: RwLock::new(ControlPlane::new(
-                DominatorMode::default(),
-                self.config.class_graph.clone(),
-            )),
+            plane: RwLock::new(ControlPlane::new(self.config.class_graph.clone())),
             config: self.config,
             core: Arc::default(),
             factories: RwLock::new(HashMap::new()),
@@ -463,6 +458,10 @@ impl ContextHost for RuntimeHost<'_> {
         self.inner.plane.read().may_call(caller, target)
     }
 
+    fn path_owners(&self, caller: ContextId, target: ContextId) -> Result<Vec<ContextId>> {
+        self.inner.plane.read().path_owners(caller, target)
+    }
+
     /// A contended activation waits inside `block_in_place` on a pool
     /// worker: its holder may be an event whose grant resumed it on the
     /// pool, still queued there.
@@ -479,6 +478,10 @@ impl ContextHost for RuntimeHost<'_> {
             .ok_or(AeonError::ContextNotFound(target))?;
         inner.stats.record_method_call(false);
         Ok(Entered::Local(slot))
+    }
+
+    fn holds(&self, event: &EventMeta, context: ContextId) -> bool {
+        self.inner.core.holds(event.id, context)
     }
 
     /// A reader's turn at an object another reader's frame holds is
@@ -861,8 +864,9 @@ impl AeonRuntime {
     }
 
     /// Counters of the event worker pool (queue depth, batching, caught
-    /// panics; the runtime never announces a blocking wait, so its pool
-    /// starts no thread beyond its workers).
+    /// panics, and the threads it started beside a worker that announced a
+    /// blocking wait — a contended nested activation, or a reader's turn at
+    /// an object another reader's frame holds).
     pub fn executor_stats(&self) -> ExecutorStats {
         self.inner.executor.stats()
     }

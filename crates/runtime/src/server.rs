@@ -181,6 +181,14 @@ impl ServerCore {
         }
     }
 
+    /// Whether `event` holds `context` (or [`GLOBAL_ROOT`]) here.
+    pub fn holds(&self, event: EventId, context: ContextId) -> bool {
+        let holds = self.holds.lock();
+        holds
+            .get(&event)
+            .is_some_and(|held| held.contains(&context))
+    }
+
     fn hold(&self, event: EventId, context: ContextId) {
         let mut holds = self.holds.lock();
         let held = holds.entry(event).or_default();
@@ -286,6 +294,7 @@ mod tests {
         assert!(core.enter(ev(1), EX, cx(2), no_wait).unwrap().is_some());
         assert!(core.enter(ev(1), EX, cx(2), no_wait).unwrap().is_some());
         assert_eq!(core.holds.lock()[&ev(1)], [cx(1), cx(2)]);
+        assert!(core.holds(ev(1), cx(2)) && !core.holds(ev(2), cx(2)));
         assert!(core.enter(ev(1), EX, cx(9), no_wait).unwrap().is_none());
         // One release frees each lock, however often it was entered.
         core.release(ev(1));

@@ -69,7 +69,9 @@ impl RuntimeStats {
         if readonly {
             self.readonly_events.fetch_add(1, Ordering::Relaxed);
         }
-        self.latency.lock().record(latency.as_micros() as u64);
+        // Rounded up: an event that completed took at least a microsecond.
+        let micros = latency.as_nanos().div_ceil(1_000).max(1);
+        self.latency.lock().record(micros as u64);
     }
 
     /// Records a synchronous or asynchronous method call executed within an

@@ -19,8 +19,8 @@
 //! and so the same rules and errors, as the runtime and the cluster's
 //! directory authority; the engine adds only its object table, factories
 //! and the virtual clock.  The contention timeline's sequencers come from
-//! `ControlPlane::sequencer_of` in the default [`DominatorMode`], as the
-//! runtime's and the cluster gateway's do.
+//! `ControlPlane::sequencer_of`, as the runtime's and the cluster gateway's
+//! do.
 //!
 //! The deterministic engine and the distributed cluster thereby bracket the
 //! in-process runtime: same applications, same API, three execution
@@ -28,7 +28,7 @@
 
 use crate::resources::{CpuTimeline, LockTimeline};
 use aeon_api::{Deployment, EventHandle, Session};
-use aeon_ownership::{ClassGraph, ControlPlane, DominatorMode, OwnershipGraph};
+use aeon_ownership::{ClassGraph, ControlPlane, OwnershipGraph};
 use aeon_runtime::{
     AnalysisMode, ContextFactory, ContextHost, ContextObject, Entered, EventBody, EventMeta,
     Footprint, Placement,
@@ -148,7 +148,7 @@ impl SimDeploymentBuilder {
             classes.check()?;
             aeon_analyzer::enforce(classes, self.analysis)?;
         }
-        let mut plane = ControlPlane::new(DominatorMode::default(), self.class_graph);
+        let mut plane = ControlPlane::new(self.class_graph);
         for _ in 0..self.servers {
             plane.add_server();
         }
@@ -418,6 +418,10 @@ impl ContextHost for SimHost<'_> {
         self.state.plane.may_call(caller, target)
     }
 
+    fn path_owners(&self, caller: ContextId, target: ContextId) -> Result<Vec<ContextId>> {
+        self.state.plane.path_owners(caller, target)
+    }
+
     fn enter(&mut self, _event: &EventMeta, target: ContextId) -> Result<Entered> {
         let (object, server) = self.state.slot(target)?;
         if server != self.current_server {
@@ -427,6 +431,10 @@ impl ContextHost for SimHost<'_> {
         self.cost += self.state.service;
         self.trace.push((target, server));
         Ok(Entered::Local(object))
+    }
+
+    fn holds(&self, _event: &EventMeta, context: ContextId) -> bool {
+        self.trace.iter().any(|(entered, _)| *entered == context)
     }
 
     fn record_access(&self, event: &EventMeta, context: ContextId) {

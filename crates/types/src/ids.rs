@@ -27,18 +27,8 @@ pub struct ServerId(u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ClientId(u64);
 
-/// Sequence number assigned by a dominator context when an event is
-/// activated.  Events that conflict are ordered by `(dominator, SequenceNo)`
-/// which is what makes top-down lock acquisition deadlock free (§4 of the
-/// paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SequenceNo(u64);
-
 /// The name of a `contextclass` (e.g. `"Room"`, `"Player"`).
 pub type ClassName = String;
-
-/// The name of an exported context method (e.g. `"get_gold"`).
-pub type MethodName = String;
 
 macro_rules! impl_id {
     ($ty:ident, $raw:ty, $letter:expr) => {
@@ -72,14 +62,6 @@ impl_id!(ContextId, u64, "ctx-");
 impl_id!(EventId, u64, "ev-");
 impl_id!(ServerId, u32, "srv-");
 impl_id!(ClientId, u64, "cli-");
-impl_id!(SequenceNo, u64, "seq-");
-
-impl SequenceNo {
-    /// Returns the next sequence number.
-    pub const fn next(self) -> Self {
-        Self(self.0 + 1)
-    }
-}
 
 /// A process-wide generator of unique identifiers.
 ///
@@ -107,21 +89,6 @@ impl IdGenerator {
     pub fn next_raw(&self) -> u64 {
         self.next.fetch_add(1, Ordering::Relaxed)
     }
-
-    /// Issues a fresh [`ContextId`].
-    pub fn next_context(&self) -> ContextId {
-        ContextId::new(self.next_raw())
-    }
-
-    /// Issues a fresh [`EventId`].
-    pub fn next_event(&self) -> EventId {
-        EventId::new(self.next_raw())
-    }
-
-    /// Issues a fresh [`ClientId`].
-    pub fn next_client(&self) -> ClientId {
-        ClientId::new(self.next_raw())
-    }
 }
 
 #[cfg(test)]
@@ -148,13 +115,7 @@ mod tests {
     #[test]
     fn ids_are_ordered_by_raw_value() {
         assert!(ContextId::new(1) < ContextId::new(2));
-        assert!(SequenceNo::new(5) < SequenceNo::new(6));
-    }
-
-    #[test]
-    fn sequence_number_next_increments() {
-        assert_eq!(SequenceNo::new(0).next(), SequenceNo::new(1));
-        assert_eq!(SequenceNo::new(41).next(), SequenceNo::new(42));
+        assert!(EventId::new(5) < EventId::new(6));
     }
 
     #[test]

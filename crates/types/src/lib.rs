@@ -31,9 +31,7 @@ pub mod value;
 pub use access::AccessMode;
 pub use error::{AeonError, Result};
 pub use history::{HistorySink, SharedHistorySink};
-pub use ids::{
-    ClassName, ClientId, ContextId, EventId, IdGenerator, MethodName, SequenceNo, ServerId,
-};
+pub use ids::{ClassName, ClientId, ContextId, EventId, IdGenerator, ServerId};
 pub use metrics::{LatencyHistogram, NetworkStatsSnapshot, ServerMetrics};
 pub use thin::{ThinBytes, ThinList, ThinStr};
 pub use time::{SimDuration, SimTime};

@@ -23,32 +23,45 @@ fn free_addrs(n: usize) -> Vec<SocketAddr> {
         .collect()
 }
 
-fn spawn_nodes(
-    gateway: SocketAddr,
-    peers: &BTreeMap<ServerId, SocketAddr>,
-) -> Vec<(ServerId, Child)> {
-    let exe = env!("CARGO_BIN_EXE_aeon-node");
-    peers
-        .iter()
-        .map(|(id, addr)| {
-            let mut command = Command::new(exe);
-            command
-                .arg("--id")
-                .arg(id.raw().to_string())
-                .arg("--listen")
-                .arg(addr.to_string())
-                .arg("--gateway")
-                .arg(gateway.to_string());
-            for (peer, peer_addr) in peers {
-                if peer != id {
-                    command
-                        .arg("--peer")
-                        .arg(format!("{}={}", peer.raw(), peer_addr));
-                }
+/// The node processes.  A failed run never sends the `Shutdown` they wait
+/// for, so whatever still runs when the test ends is killed.
+struct Nodes(Vec<(ServerId, Child)>);
+
+impl Drop for Nodes {
+    fn drop(&mut self) {
+        for (_, child) in &mut self.0 {
+            if let Ok(None) = child.try_wait() {
+                let _ = child.kill();
+                let _ = child.wait();
             }
-            (*id, command.spawn().expect("spawn aeon-node"))
-        })
-        .collect()
+        }
+    }
+}
+
+fn spawn_nodes(gateway: SocketAddr, peers: &BTreeMap<ServerId, SocketAddr>) -> Nodes {
+    let exe = env!("CARGO_BIN_EXE_aeon-node");
+    let mut nodes = Nodes(Vec::new());
+    for (id, addr) in peers {
+        let mut command = Command::new(exe);
+        command
+            .arg("--id")
+            .arg(id.raw().to_string())
+            .arg("--listen")
+            .arg(addr.to_string())
+            .arg("--gateway")
+            .arg(gateway.to_string());
+        for (peer, peer_addr) in peers {
+            if peer != id {
+                command
+                    .arg("--peer")
+                    .arg(format!("{}={}", peer.raw(), peer_addr));
+            }
+        }
+        nodes
+            .0
+            .push((*id, command.spawn().expect("spawn aeon-node")));
+    }
+    nodes
 }
 
 #[test]
@@ -58,7 +71,7 @@ fn three_process_cluster_runs_a_workload_and_shuts_down_cleanly() {
     let peers: BTreeMap<ServerId, SocketAddr> = (0..3u32)
         .map(|i| (ServerId::new(i), addrs[i as usize + 1]))
         .collect();
-    let children = spawn_nodes(gateway_addr, &peers);
+    let mut nodes = spawn_nodes(gateway_addr, &peers);
 
     let cluster = Cluster::builder()
         .transport(ClusterTransport::TcpMesh {
@@ -124,7 +137,7 @@ fn three_process_cluster_runs_a_workload_and_shuts_down_cleanly() {
     );
 
     cluster.shutdown();
-    for (id, mut child) in children {
+    for (id, child) in &mut nodes.0 {
         let status = child.wait().expect("node process exit status");
         assert!(status.success(), "node {id} exited with {status}");
     }
