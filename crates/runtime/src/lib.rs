@@ -77,7 +77,9 @@ pub use locks::ContextLock;
 pub use method_table::{
     macro_support, ContextClass, Handler, MethodEntry, MethodTable, MethodTableBuilder,
 };
-pub use runtime::{AeonClient, AeonRuntime, Placement, RuntimeBuilder, RuntimeConfig};
+pub use runtime::{
+    AeonClient, AeonRuntime, EventObserver, Placement, RuntimeBuilder, RuntimeConfig,
+};
 pub use server::ServerCore;
 pub use snapshot::Snapshot;
 pub use stats::RuntimeStats;

@@ -33,6 +33,15 @@
 //! be one whose grant resumed it on the pool and which is still queued
 //! there, behind the waiting worker.  Locks are taken sequencer first, then
 //! owner before owned, so the holders cannot wait on each other in a cycle.
+//!
+//! One hook watches this path from inside: an [`EventObserver`], installed
+//! with [`RuntimeBuilder::observer`], hears each activation
+//! (`RuntimeHost::enter`, re-entries included) and each event's end (the top
+//! of `Admitted::finish`, before its response point and its sub-events).
+//! Its one user is the virtual-time simulator (`aeon-sim`), whose clock it
+//! is; no configuration of the runtime, the cluster or `aeond` sets it.
+//! Unset, each of the two sites costs one branch, and the plane is not read
+//! for it.
 
 use crate::context::{ContextFactory, ContextObject};
 use crate::event::{EventHandle, EventOutcome, EventRequest};
@@ -85,10 +94,32 @@ impl Default for RuntimeConfig {
     }
 }
 
+/// Watches every event of a runtime from inside its path, on the thread
+/// that runs the event.  Installed with [`RuntimeBuilder::observer`]; the
+/// virtual-time simulator (`aeon-sim`) is its one user, and charges virtual
+/// time from these calls.  Both are made with the control plane read-locked,
+/// so an observer must not call back into the runtime.
+pub trait EventObserver: Send + Sync + std::fmt::Debug {
+    /// `event` activated `context`, or re-entered a context it holds.
+    fn entered(&self, plane: &ControlPlane, event: EventId, context: ContextId);
+
+    /// `event` on `target` in `mode` finished, `ok` or not: its locks are
+    /// released, and its response point and its sub-events come next.
+    fn finished(
+        &self,
+        plane: &ControlPlane,
+        event: EventId,
+        target: ContextId,
+        mode: AccessMode,
+        ok: bool,
+    );
+}
+
 /// Builder for [`AeonRuntime`].
 #[derive(Debug, Default)]
 pub struct RuntimeBuilder {
     config: RuntimeConfig,
+    observer: Option<Arc<dyn EventObserver>>,
 }
 
 impl RuntimeBuilder {
@@ -125,6 +156,13 @@ impl RuntimeBuilder {
         self
     }
 
+    /// Installs an [`EventObserver`].  Without one, each of its two call
+    /// sites costs one branch.
+    pub fn observer(mut self, observer: Arc<dyn EventObserver>) -> Self {
+        self.observer = Some(observer);
+        self
+    }
+
     /// Builds the runtime.
     ///
     /// # Errors
@@ -152,6 +190,7 @@ impl RuntimeBuilder {
         let inner = Arc::new(RuntimeInner {
             executor,
             certified,
+            observer: self.observer,
             plane: RwLock::new(ControlPlane::new(self.config.class_graph.clone())),
             config: self.config,
             core: Arc::default(),
@@ -178,6 +217,7 @@ pub(crate) struct RuntimeInner {
     /// Methods admitted to the read-only fast path: unsequenced, with the
     /// target as their whole footprint.
     certified: CertifiedReads,
+    observer: Option<Arc<dyn EventObserver>>,
     pub(crate) config: RuntimeConfig,
     /// Ownership network, placement and roster.  The per-event path only
     /// ever takes read guards, and no guard is held across contextclass
@@ -401,6 +441,12 @@ impl Admitted {
     /// (`Ok(Null)` once a handle took it).
     fn finish(mut self, outcome: BodyOutcome) -> Result<Value> {
         let inner = Arc::clone(&self.inner);
+        if let Some(observer) = &inner.observer {
+            let request = &self.request;
+            let ok = outcome.result.is_ok();
+            let plane = inner.plane.read();
+            observer.finished(&plane, request.id, request.target, request.mode, ok);
+        }
         for _ in 0..outcome.async_calls {
             inner.stats.record_method_call(true);
         }
@@ -476,6 +522,9 @@ impl ContextHost for RuntimeHost<'_> {
             .core
             .enter(event.id, event.mode, target, wait)?
             .ok_or(AeonError::ContextNotFound(target))?;
+        if let Some(observer) = &inner.observer {
+            observer.entered(&inner.plane.read(), event.id, target);
+        }
         inner.stats.record_method_call(false);
         Ok(Entered::Local(slot))
     }
@@ -666,7 +715,9 @@ impl AeonRuntime {
         self.inner.plane.read().graph().clone()
     }
 
-    /// The dominator of `target` under the configured mode.
+    /// The dominator of `target`: the least upper bound of its share set,
+    /// closed under sharing (`aeon_ownership::dominator`), whose lock
+    /// sequences the events on `target`.
     ///
     /// # Errors
     ///

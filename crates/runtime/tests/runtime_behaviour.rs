@@ -3,9 +3,9 @@
 //! and snapshots.
 
 use aeon_api::{Deployment, Session};
-use aeon_ownership::{ClassGraph, Dominator};
-use aeon_runtime::{AeonRuntime, ContextObject, Invocation, KvContext, Placement};
-use aeon_types::{args, AeonError, Args, ContextId, Result, Value};
+use aeon_ownership::{ClassGraph, ControlPlane, Dominator};
+use aeon_runtime::{AeonRuntime, ContextObject, EventObserver, Invocation, KvContext, Placement};
+use aeon_types::{args, AccessMode, AeonError, Args, ContextId, EventId, Result, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -511,6 +511,88 @@ fn sub_events_run_after_their_creator() {
     }
     assert_eq!(value, Value::from(1i64));
     assert_eq!(runtime.stats().sub_events(), 1);
+    runtime.shutdown();
+}
+
+/// Records what an [`EventObserver`] hears, in order.
+#[derive(Debug, Default)]
+struct Log(parking_lot::Mutex<Vec<String>>);
+
+impl EventObserver for Log {
+    fn entered(&self, plane: &ControlPlane, event: EventId, context: ContextId) {
+        let server = plane.placement_of(context).unwrap();
+        self.0
+            .lock()
+            .push(format!("{event} entered {context} on {server}"));
+    }
+
+    fn finished(
+        &self,
+        _plane: &ControlPlane,
+        event: EventId,
+        target: ContextId,
+        mode: AccessMode,
+        ok: bool,
+    ) {
+        self.0
+            .lock()
+            .push(format!("{event} on {target} {mode:?} finished ok={ok}"));
+    }
+}
+
+#[test]
+fn an_observer_hears_each_entry_then_the_end_before_the_sub_events() {
+    struct Spawner {
+        child: ContextId,
+    }
+    impl ContextObject for Spawner {
+        fn class_name(&self) -> &str {
+            "Room"
+        }
+        fn handle(&mut self, method: &str, _: &Args, inv: &mut Invocation<'_>) -> Result<Value> {
+            match method {
+                "go" => {
+                    inv.dispatch_event(self.child, "incr", args!["sub", 1])?;
+                    inv.call(self.child, "get", args!["sub"])
+                }
+                _ => Err(AeonError::app("unknown")),
+            }
+        }
+    }
+    let log = Arc::new(Log::default());
+    let runtime = AeonRuntime::builder()
+        .servers(1)
+        .observer(Arc::clone(&log) as Arc<dyn EventObserver>)
+        .build()
+        .unwrap();
+    let child = runtime
+        .create_context(Box::new(KvContext::new("Item")), Placement::Auto)
+        .unwrap();
+    let spawner = runtime
+        .create_context(Box::new(Spawner { child }), Placement::Auto)
+        .unwrap();
+    runtime.add_ownership(spawner, child).unwrap();
+    let client = runtime.client();
+    client
+        .call_with_mode(spawner, "go", args![], AccessMode::Exclusive)
+        .unwrap();
+    client
+        .call_with_mode(spawner, "stop", args![], AccessMode::Exclusive)
+        .unwrap_err();
+    // Ids: the contexts 1 and 2, the client 3, the events from 4 on.
+    let server = runtime.placement_of(child).unwrap();
+    assert_eq!(
+        *log.0.lock(),
+        [
+            format!("ev-4 entered {spawner} on {server}"),
+            format!("ev-4 entered {child} on {server}"),
+            format!("ev-4 on {spawner} Exclusive finished ok=true"),
+            format!("ev-5 entered {child} on {server}"),
+            format!("ev-5 on {child} Exclusive finished ok=true"),
+            format!("ev-6 entered {spawner} on {server}"),
+            format!("ev-6 on {spawner} Exclusive finished ok=false"),
+        ]
+    );
     runtime.shutdown();
 }
 

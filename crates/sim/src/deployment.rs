@@ -1,40 +1,31 @@
 //! The deterministic virtual-time deployment backend.
 //!
-//! [`SimDeployment`] implements the `aeon-api` `Deployment`/`Session`
-//! traits over a single-threaded, virtual-time execution engine: events
-//! execute inline at submission, one at a time, which makes every run
-//! trivially strictly serializable and bit-for-bit reproducible — the
-//! property the evaluation harness needs.  Each event is charged virtual
-//! time (network hops between the client and the servers it traverses plus
-//! a per-method service time), so workload drivers written against the
-//! unified API can read virtual latency and throughput while executing the
-//! *real* contextclass code under the *real* event rules: events run
-//! through the shared interpreter (`aeon_runtime::EventBody`), and the
-//! engine's host of it only charges the hop/service cost of each context
-//! entered and keeps the `(context, server)` trace the contention timeline
-//! replays.
+//! [`SimDeployment`] is an [`AeonRuntime`] that runs every event on the
+//! caller's thread, plus a virtual clock.  A session runs each event
+//! through [`AeonClient::call_with_mode`]: the event takes its locks in the
+//! runtime's own `ServerCore`, executes the *real* contextclass code through
+//! the shared interpreter, and starts its sub-events on the same thread, so
+//! nothing reaches the runtime's worker pool (the sim builds it with one
+//! thread, which stays idle).  A session holds one sim-wide mutex for each
+//! whole causal chain, so events run one at a time, whatever the number of
+//! callers: every run is serial, and exact for a fixed input — the property
+//! the evaluation harness needs.
 //!
-//! The ownership network, placement map and server roster are a
-//! [`ControlPlane`] embedded by value in the engine state — the same type,
-//! and so the same rules and errors, as the runtime and the cluster's
-//! directory authority; the engine adds only its object table, factories
-//! and the virtual clock.  The contention timeline's sequencers come from
-//! `ControlPlane::sequencer_of`, as the runtime's and the cluster gateway's
-//! do.
-//!
-//! The deterministic engine and the distributed cluster thereby bracket the
-//! in-process runtime: same applications, same API, three execution
-//! substrates.
+//! The clock is the runtime's [`EventObserver`]: it keeps the `(context,
+//! server)` trace of the contexts each event enters and, when the event
+//! finishes, charges it virtual time — network hops between the client and
+//! the servers it crosses plus a per-entry service time, serially or
+//! through the contention timeline.  Hosting, ids, the ownership network,
+//! placement, migration, crash and restore are the runtime's.
 
 use crate::resources::{CpuTimeline, LockTimeline};
 use aeon_api::{Deployment, EventHandle, Session};
 use aeon_ownership::{ClassGraph, ControlPlane, OwnershipGraph};
 use aeon_runtime::{
-    AnalysisMode, ContextFactory, ContextHost, ContextObject, Entered, EventBody, EventMeta,
-    Footprint, Placement,
+    AeonClient, AeonRuntime, AnalysisMode, ContextFactory, ContextObject, EventObserver, Placement,
 };
 use aeon_types::{
-    AccessMode, AeonError, Args, ClientId, ContextId, EventId, IdGenerator, Result, ServerId,
+    AccessMode, AeonError, Args, ClientId, ContextId, EventId, LatencyHistogram, Result, ServerId,
     ServerMetrics, SharedHistorySink, SimDuration, SimTime, Value,
 };
 use parking_lot::Mutex;
@@ -131,358 +122,177 @@ impl SimDeploymentBuilder {
         self
     }
 
-    /// Builds the deployment.
+    /// Builds the deployment: a runtime of `servers` servers with one pool
+    /// thread, observed by the virtual clock.
     ///
     /// # Errors
     ///
-    /// * [`AeonError::Config`] when `servers` is zero.
-    /// * [`AeonError::ClassCycleDetected`] when the class graph's ownership
-    ///   constraints are cyclic.
-    /// * [`AeonError::AnalysisRejected`] when the static analysis pipeline
-    ///   reports error diagnostics and the mode is [`AnalysisMode::Enforce`].
+    /// Those of `RuntimeBuilder::build`: [`AeonError::Config`]
+    /// when `servers` is zero, and the class graph's cycle and static
+    /// analysis errors.
     pub fn build(self) -> Result<SimDeployment> {
-        if self.servers == 0 {
-            return Err(AeonError::Config("at least one server is required".into()));
-        }
-        if let Some(classes) = &self.class_graph {
-            classes.check()?;
-            aeon_analyzer::enforce(classes, self.analysis)?;
-        }
-        let mut plane = ControlPlane::new(self.class_graph);
-        for _ in 0..self.servers {
-            plane.add_server();
-        }
-        let state = SimState {
-            plane,
-            contexts: HashMap::new(),
-            factories: HashMap::new(),
-            ids: IdGenerator::starting_at(1),
-            clock: SimTime::ZERO,
+        let clock = Arc::new(VirtualClock {
             service: self.service,
             hop: self.hop,
-            events_completed: 0,
-            events_failed: 0,
-            total_latency: SimDuration::ZERO,
-            latency: aeon_types::LatencyHistogram::new(),
-            shutdown: false,
-            history: None,
-            timeline: self.contention_cores.map(|cores| Timeline {
-                cores,
-                interval: self.arrival_interval.unwrap_or(self.service),
-                next_arrival: SimTime::ZERO,
-                locks: HashMap::new(),
-                cpus: HashMap::new(),
-            }),
-        };
+            contention: self
+                .contention_cores
+                .map(|cores| (cores, self.arrival_interval.unwrap_or(self.service))),
+            chain: Mutex::new(()),
+            state: Mutex::default(),
+        });
+        let mut runtime = AeonRuntime::builder()
+            .servers(self.servers)
+            .analysis(self.analysis)
+            .worker_threads(1)
+            .observer(Arc::clone(&clock) as Arc<dyn EventObserver>);
+        if let Some(classes) = self.class_graph {
+            runtime = runtime.class_graph(classes);
+        }
         Ok(SimDeployment {
-            inner: Arc::new(Mutex::new(state)),
+            runtime: runtime.build()?,
+            clock,
         })
     }
 }
 
-/// The contended-resource state of the timeline mode: one sequencer/object
-/// lock per context, one FIFO multi-core CPU per server, and an open-loop
-/// arrival cursor.  Events still execute inline (real state, serial
-/// histories); only their virtual-time accounting runs through these
-/// resources.
-struct Timeline {
-    cores: usize,
-    interval: SimDuration,
-    next_arrival: SimTime,
-    /// Per context, and under `GLOBAL_ROOT` the sequencer of events whose
-    /// dominator is the unnamed global root (footnote 1, §3).
-    locks: HashMap<ContextId, LockTimeline>,
-    cpus: HashMap<ServerId, CpuTimeline>,
-}
-
-/// A context object behind its own lock, so handlers can borrow the engine
-/// state mutably while the object executes.
-type SharedObject = Arc<Mutex<Box<dyn ContextObject>>>;
-
-/// The whole mutable state of the deterministic deployment, behind one
-/// lock: execution is single-threaded by construction, which is what makes
-/// it deterministic.
-struct SimState {
-    /// Ownership network, placement and roster — the same type the
-    /// runtime and the cluster's directory authority hold.
-    plane: ControlPlane,
-    /// The context objects (the plane knows contexts only by id).
-    contexts: HashMap<ContextId, SharedObject>,
-    factories: HashMap<String, ContextFactory>,
-    ids: IdGenerator,
-    clock: SimTime,
+/// The virtual clock: the runtime's event observer, and the mutex that
+/// keeps the sim one causal chain at a time.
+#[derive(Debug)]
+struct VirtualClock {
     service: SimDuration,
     hop: SimDuration,
-    events_completed: u64,
-    events_failed: u64,
+    /// Cores per server and arrival gap of the contention timeline (`None`:
+    /// serial accounting).
+    contention: Option<(usize, SimDuration)>,
+    /// Held by a session for a whole causal chain.
+    chain: Mutex<()>,
+    state: Mutex<Clock>,
+}
+
+/// Everything charged since the last reset.
+#[derive(Debug, Default)]
+struct Clock {
+    now: SimTime,
+    completed: u64,
+    failed: u64,
     total_latency: SimDuration,
     /// Distribution of per-event virtual latencies (same buckets as the
     /// live backends, so metric reports are comparable across engines).
-    latency: aeon_types::LatencyHistogram,
-    shutdown: bool,
-    /// Optional live history sink.  The engine is single-threaded, so the
-    /// recorded histories are serial by construction — useful to validate
-    /// recording pipelines against a backend that cannot race.
-    history: Option<SharedHistorySink>,
-    /// Contention timeline (None: legacy serial accounting).
-    timeline: Option<Timeline>,
+    latency: LatencyHistogram,
+    /// The contexts the running event entered, in order, with their
+    /// servers.
+    trace: Vec<(ContextId, ServerId)>,
+    /// The first event that finished in the running chain: its root.
+    root: Option<EventId>,
+    /// The contention timeline's open-loop arrival cursor.
+    next_arrival: SimTime,
+    /// The timeline's locks: per context, and under `GLOBAL_ROOT` the
+    /// sequencer of events whose dominator is the unnamed global root
+    /// (footnote 1, §3).
+    locks: HashMap<ContextId, LockTimeline>,
+    /// The timeline's FIFO multi-core CPU per server.
+    cpus: HashMap<ServerId, CpuTimeline>,
 }
 
-impl SimState {
-    fn slot(&self, id: ContextId) -> Result<(SharedObject, ServerId)> {
-        let object = self
-            .contexts
-            .get(&id)
-            .ok_or(AeonError::ContextNotFound(id))?;
-        Ok((Arc::clone(object), self.server_of(id)))
-    }
-
-    /// The server `id` is placed on (server 0 for a context the plane does
-    /// not know, whose event fails on entry anyway).
-    fn server_of(&self, id: ContextId) -> ServerId {
-        self.plane.placement_of(id).unwrap_or(ServerId::new(0))
-    }
-
-    /// Creates a context: `declare` enters it into the control plane under
-    /// the id it is handed (validating everything first), then the object
-    /// is installed.
-    fn create_context(
-        &mut self,
-        object: Box<dyn ContextObject>,
-        declare: impl FnOnce(&mut ControlPlane, ContextId, &str) -> Result<ServerId>,
-    ) -> Result<ContextId> {
-        let class = object.class_name().to_string();
-        let id = ContextId::new(self.ids.next_raw());
-        declare(&mut self.plane, id, &class)?;
-        self.install(id, object);
-        Ok(id)
-    }
-
-    fn install(&mut self, id: ContextId, object: Box<dyn ContextObject>) {
-        self.contexts.insert(id, Arc::new(Mutex::new(object)));
-    }
-
-    /// Charges one event's virtual time through the contended resources:
-    /// client hop, sequencer acquisition at the target's dominator
-    /// (shared for read-only events), then per touched context a server
-    /// hop when crossing servers, the per-context lock, and FIFO CPU
-    /// service — driven by the trace of the *real* execution.  Returns the
-    /// event latency.
+impl VirtualClock {
+    /// Charges the running event's virtual time through the contended
+    /// resources: client hop, `sequencer` (shared for read-only events),
+    /// then per context entered a server hop when crossing servers, the
+    /// per-context lock, and FIFO CPU service — driven by the trace of the
+    /// *real* execution.  The clock is the makespan.  Returns the latency.
     fn charge_timeline(
-        &mut self,
-        target: ContextId,
-        mode: AccessMode,
-        entry_server: ServerId,
-        trace: &[(ContextId, ServerId)],
+        &self,
+        clock: &mut Clock,
+        (cores, interval): (usize, SimDuration),
+        sequencer: ContextId,
+        readonly: bool,
     ) -> SimDuration {
-        let hop = self.hop;
-        let service = self.service;
-        let readonly = mode.is_read_only();
-        let timeline = self.timeline.as_mut().expect("timeline mode enabled");
-        let arrival = timeline.next_arrival;
-        timeline.next_arrival = arrival + timeline.interval;
-        let mut now = arrival + hop;
-        // Dominator sequencing; an unresolvable dominator (e.g. the target
-        // vanished mid-run) falls back to the target's own lock.
-        let sequencer = self
-            .plane
-            .sequencer_of(target)
-            .map_or(target, |sequencer| sequencer.lock(target));
-        now = {
-            let lock = timeline.locks.entry(sequencer).or_default();
+        let start = |lock: &LockTimeline, now| {
             if readonly {
                 lock.next_shared_start(now)
             } else {
                 lock.next_exclusive_start(now)
             }
         };
-        let mut current_server = trace.first().map_or(entry_server, |(_, server)| *server);
-        for &(context, server) in trace {
-            if server != current_server {
-                now += hop;
-                current_server = server;
-            }
-            let start = {
-                let lock = timeline.locks.entry(context).or_default();
-                if readonly {
-                    lock.next_shared_start(now)
-                } else {
-                    lock.next_exclusive_start(now)
-                }
-            };
-            let cores = timeline.cores;
-            let end = timeline
-                .cpus
-                .entry(server)
-                .or_insert_with(|| CpuTimeline::new(cores))
-                .run(start, service);
-            let lock = timeline.locks.entry(context).or_default();
+        let hold = |lock: &mut LockTimeline, end| {
             if readonly {
                 lock.hold_shared_until(end);
             } else {
                 lock.hold_exclusive_until(end);
             }
-            now = end;
+        };
+        let arrival = clock.next_arrival;
+        clock.next_arrival = arrival + interval;
+        let mut now = start(
+            clock.locks.entry(sequencer).or_default(),
+            arrival + self.hop,
+        );
+        let mut at = clock.trace.first().map(|&(_, server)| server);
+        for &(context, server) in &clock.trace {
+            if Some(server) != at {
+                now += self.hop;
+                at = Some(server);
+            }
+            let begin = start(clock.locks.entry(context).or_default(), now);
+            now = clock
+                .cpus
+                .entry(server)
+                .or_insert_with(|| CpuTimeline::new(cores))
+                .run(begin, self.service);
+            hold(clock.locks.entry(context).or_default(), now);
         }
         // The sequencer was held for the whole execution.
-        {
-            let lock = timeline.locks.entry(sequencer).or_default();
-            if readonly {
-                lock.hold_shared_until(now);
-            } else {
-                lock.hold_exclusive_until(now);
-            }
-        }
-        now += hop;
-        // The clock tracks the makespan: event completions overlap.
-        if now > self.clock {
-            self.clock = now;
-        }
+        hold(clock.locks.entry(sequencer).or_default(), now);
+        now += self.hop;
+        clock.now = clock.now.max(now);
         now - arrival
     }
+}
 
-    /// Runs one event (plus its deferred `async` calls) and charges its
-    /// virtual time; sub-events dispatched from within it run afterwards,
-    /// exactly like on the other backends.
-    fn run_event(
-        &mut self,
-        client: Option<ClientId>,
+impl EventObserver for VirtualClock {
+    fn entered(&self, plane: &ControlPlane, _event: EventId, context: ContextId) {
+        let server = plane.placement_of(context).unwrap_or(ServerId::new(0));
+        self.state.lock().trace.push((context, server));
+    }
+
+    /// Serial accounting charges `hop + Σ service + hop`, a hop more per
+    /// server crossing, and the clock is the sum over events; the timeline
+    /// charges at the event's sequencer as of its end.
+    fn finished(
+        &self,
+        plane: &ControlPlane,
+        event: EventId,
         target: ContextId,
-        method: &str,
-        args: &Args,
         mode: AccessMode,
-    ) -> (EventId, Result<Value>) {
-        let event = EventId::new(self.ids.next_raw());
-        // Submission and execution coincide in the inline engine, so this
-        // is the true invocation point.
-        if let Some(sink) = &self.history {
-            sink.invoked(event);
-        }
-        let entry_server = self.server_of(target);
-        let mut host = SimHost {
-            state: self,
-            current_server: entry_server,
-            cost: SimDuration::ZERO,
-            trace: Vec::new(),
+        ok: bool,
+    ) {
+        let mut clock = self.state.lock();
+        let latency = match self.contention {
+            Some(contention) => {
+                let sequencer = plane
+                    .sequencer_of(target)
+                    .map_or(target, |sequencer| sequencer.lock(target));
+                self.charge_timeline(&mut clock, contention, sequencer, mode.is_read_only())
+            }
+            None => {
+                let trace = &clock.trace;
+                let hops = 2 + trace.windows(2).filter(|w| w[0].1 != w[1].1).count() as u64;
+                let latency = SimDuration::from_micros(
+                    hops * self.hop.as_micros() + trace.len() as u64 * self.service.as_micros(),
+                );
+                clock.now += latency;
+                latency
+            }
         };
-        let meta = EventMeta {
-            id: event,
-            client,
-            mode,
-        };
-        let outcome =
-            EventBody::new(&mut host, meta, Footprint::Sequenced).run(None, target, method, args);
-        let SimHost { cost, trace, .. } = host;
-        let result = outcome.result;
-        let latency = if self.timeline.is_some() {
-            self.charge_timeline(target, mode, entry_server, &trace)
+        clock.trace.clear();
+        clock.total_latency += latency;
+        clock.latency.record(latency.as_micros());
+        if ok {
+            clock.completed += 1;
         } else {
-            // Client -> entry server and reply hops bracket the execution.
-            let latency = self.hop + cost + self.hop;
-            self.clock += latency;
-            latency
-        };
-        self.total_latency += latency;
-        self.latency.record(latency.as_micros());
-        if result.is_ok() {
-            self.events_completed += 1;
-        } else {
-            self.events_failed += 1;
+            clock.failed += 1;
         }
-        // The event terminated; sub-events (below) run after their creator.
-        if let Some(sink) = &self.history {
-            sink.responded(event);
-        }
-        for sub in outcome.sub_events {
-            let _ = self.run_event(client, sub.target, &sub.method, &sub.args, sub.mode);
-        }
-        (event, result)
-    }
-}
-
-/// The simulator's host of the event interpreter: every context is local
-/// and nothing blocks, so entering one only charges virtual time.
-struct SimHost<'a> {
-    state: &'a mut SimState,
-    current_server: ServerId,
-    /// Serial-mode cost so far: a hop per server crossing plus a service
-    /// time per context entered.
-    cost: SimDuration,
-    /// Contexts entered, in order, with their hosting servers — the step
-    /// list the contention timeline replays.
-    trace: Vec<(ContextId, ServerId)>,
-}
-
-impl ContextHost for SimHost<'_> {
-    fn may_call(&self, caller: ContextId, target: ContextId) -> bool {
-        self.state.plane.may_call(caller, target)
-    }
-
-    fn path_owners(&self, caller: ContextId, target: ContextId) -> Result<Vec<ContextId>> {
-        self.state.plane.path_owners(caller, target)
-    }
-
-    fn enter(&mut self, _event: &EventMeta, target: ContextId) -> Result<Entered> {
-        let (object, server) = self.state.slot(target)?;
-        if server != self.current_server {
-            self.cost += self.state.hop;
-            self.current_server = server;
-        }
-        self.cost += self.state.service;
-        self.trace.push((target, server));
-        Ok(Entered::Local(object))
-    }
-
-    fn holds(&self, _event: &EventMeta, context: ContextId) -> bool {
-        self.trace.iter().any(|(entered, _)| *entered == context)
-    }
-
-    fn record_access(&self, event: &EventMeta, context: ContextId) {
-        if let Some(sink) = &self.state.history {
-            sink.accessed(event.id, context, event.mode);
-        }
-    }
-
-    fn create_child(
-        &mut self,
-        owner: ContextId,
-        object: Box<dyn ContextObject>,
-    ) -> Result<ContextId> {
-        self.state.create_context(object, |plane, id, class| {
-            plane.declare_owned(id, class, &[owner])
-        })
-    }
-
-    fn add_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.state.plane.add_edge(owner, owned)
-    }
-
-    fn remove_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.state.plane.remove_edge(owner, owned)
-    }
-
-    fn children(&self, parent: ContextId, class: Option<&str>) -> Result<Vec<ContextId>> {
-        self.state.plane.children_of(parent, class)
-    }
-
-    fn subtree(&self, root: ContextId) -> Result<Vec<ContextId>> {
-        self.state.plane.graph().subtree_topological(root)
-    }
-
-    /// Rebuilds the object through the class factory, when one is
-    /// registered, and places it on `to`; the event already paid for
-    /// entering the context.
-    fn migrate(
-        &mut self,
-        target: ContextId,
-        object: &mut Box<dyn ContextObject>,
-        state: Value,
-        to: ServerId,
-    ) -> Result<()> {
-        if let Some(factory) = self.state.factories.get(object.class_name()) {
-            *object = factory(&state);
-        }
-        self.state.plane.set_placement(target, to)
+        clock.root.get_or_insert(event);
     }
 }
 
@@ -509,19 +319,10 @@ impl ContextHost for SimHost<'_> {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct SimDeployment {
-    inner: Arc<Mutex<SimState>>,
-}
-
-impl std::fmt::Debug for SimDeployment {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.inner.lock();
-        f.debug_struct("SimDeployment")
-            .field("contexts", &state.contexts.len())
-            .field("clock", &state.clock)
-            .finish_non_exhaustive()
-    }
+    runtime: AeonRuntime,
+    clock: Arc<VirtualClock>,
 }
 
 impl SimDeployment {
@@ -532,10 +333,9 @@ impl SimDeployment {
 
     /// Opens a session (concrete type; the trait method boxes it).
     pub fn client(&self) -> SimSession {
-        let id = ClientId::new(self.inner.lock().ids.next_raw());
         SimSession {
-            inner: Arc::clone(&self.inner),
-            id,
+            client: self.runtime.client(),
+            clock: Arc::clone(&self.clock),
         }
     }
 
@@ -544,46 +344,35 @@ impl SimDeployment {
     /// event (a migration is one) so far; in contention mode events overlap and
     /// it is the makespan, the latest completion time.
     pub fn virtual_now(&self) -> SimTime {
-        self.inner.lock().clock
+        self.clock.state.lock().now
     }
 
     /// Number of events that completed successfully.
     pub fn events_completed(&self) -> u64 {
-        self.inner.lock().events_completed
+        self.clock.state.lock().completed
     }
 
     /// Number of events that failed.
     pub fn events_failed(&self) -> u64 {
-        self.inner.lock().events_failed
+        self.clock.state.lock().failed
     }
 
     /// Mean virtual latency per event, or zero before the first event.
     pub fn mean_virtual_latency(&self) -> SimDuration {
-        let state = self.inner.lock();
-        let events = state.events_completed + state.events_failed;
-        SimDuration::from_micros(
-            state
-                .total_latency
-                .as_micros()
-                .checked_div(events)
-                .unwrap_or(0),
-        )
-    }
-
-    /// Whether the contention timeline is enabled.
-    pub fn contention_enabled(&self) -> bool {
-        self.inner.lock().timeline.is_some()
+        let clock = self.clock.state.lock();
+        let events = (clock.completed + clock.failed).max(1);
+        SimDuration::from_micros(clock.total_latency.as_micros() / events)
     }
 
     /// Virtual throughput: completed events over the virtual makespan
     /// ([`SimDeployment::virtual_now`]), in events per virtual second.
     pub fn virtual_throughput(&self) -> f64 {
-        let state = self.inner.lock();
-        let horizon = state.clock.as_secs_f64();
+        let clock = self.clock.state.lock();
+        let horizon = clock.now.as_secs_f64();
         if horizon == 0.0 {
             return 0.0;
         }
-        state.events_completed as f64 / horizon
+        clock.completed as f64 / horizon
     }
 
     /// Rewinds virtual time to zero: clears the clock, event counters,
@@ -593,37 +382,22 @@ impl SimDeployment {
     /// contend with the workload.  Context state and history sinks are
     /// untouched.
     pub fn reset_virtual_time(&self) {
-        let mut state = self.inner.lock();
-        state.clock = SimTime::ZERO;
-        state.events_completed = 0;
-        state.events_failed = 0;
-        state.total_latency = SimDuration::ZERO;
-        state.latency = aeon_types::LatencyHistogram::new();
-        if let Some(timeline) = &mut state.timeline {
-            timeline.next_arrival = SimTime::ZERO;
-            timeline.locks.clear();
-            timeline.cpus.clear();
-        }
+        let _chain = self.clock.chain.lock();
+        *self.clock.state.lock() = Clock::default();
     }
 }
 
-/// A client session on a [`SimDeployment`]; events execute inline at
-/// submission, in submission order.
-#[derive(Clone)]
+/// A client session on a [`SimDeployment`]; events execute at submission,
+/// on the submitting thread, one causal chain at a time.
+#[derive(Debug, Clone)]
 pub struct SimSession {
-    inner: Arc<Mutex<SimState>>,
-    id: ClientId,
-}
-
-impl std::fmt::Debug for SimSession {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimSession").field("id", &self.id).finish()
-    }
+    client: AeonClient,
+    clock: Arc<VirtualClock>,
 }
 
 impl Session for SimSession {
     fn client_id(&self) -> ClientId {
-        self.id
+        self.client.id()
     }
 
     fn submit_with_mode(
@@ -633,18 +407,21 @@ impl Session for SimSession {
         args: Args,
         mode: AccessMode,
     ) -> Result<EventHandle> {
-        let mut state = self.inner.lock();
-        if state.shutdown {
-            return Err(AeonError::RuntimeShutdown);
+        let _chain = self.clock.chain.lock();
+        self.clock.state.lock().root = None;
+        let result = self.client.call_with_mode(target, method, args, mode);
+        match self.clock.state.lock().root.take() {
+            Some(event) => Ok(EventHandle::ready(event, result)),
+            // Refused before it became an event: shutdown, unknown target.
+            None => Err(result
+                .err()
+                .unwrap_or_else(|| AeonError::internal("an event ran without finishing"))),
         }
-        if !state.contexts.contains_key(&target) {
-            return Err(AeonError::ContextNotFound(target));
-        }
-        let (event, result) = state.run_event(Some(self.id), target, method, &args, mode);
-        Ok(EventHandle::ready(event, result))
     }
 }
 
+/// The runtime's control plane, hosting and recovery, with the sim's
+/// sessions and virtual-time metrics.
 impl Deployment for SimDeployment {
     fn backend_name(&self) -> &'static str {
         "sim"
@@ -655,11 +432,7 @@ impl Deployment for SimDeployment {
         object: Box<dyn ContextObject>,
         placement: Placement,
     ) -> Result<ContextId> {
-        self.inner
-            .lock()
-            .create_context(object, |plane, id, class| {
-                plane.declare_root(id, class, placement)
-            })
+        self.runtime.create_context(object, placement)
     }
 
     fn create_owned_context(
@@ -667,34 +440,27 @@ impl Deployment for SimDeployment {
         object: Box<dyn ContextObject>,
         owners: &[ContextId],
     ) -> Result<ContextId> {
-        self.inner
-            .lock()
-            .create_context(object, |plane, id, class| {
-                plane.declare_owned(id, class, owners)
-            })
+        self.runtime.create_owned_context(object, owners)
     }
 
     fn register_class_factory(&self, class: &str, factory: ContextFactory) {
-        self.inner
-            .lock()
-            .factories
-            .insert(class.to_string(), factory);
+        self.runtime.register_class_factory(class, factory);
     }
 
     fn install_history_sink(&self, sink: SharedHistorySink) {
-        self.inner.lock().history = Some(sink);
+        self.runtime.install_history_sink(sink);
     }
 
     fn add_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.inner.lock().plane.add_edge(owner, owned)
+        self.runtime.add_ownership(owner, owned)
     }
 
     fn remove_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.inner.lock().plane.remove_edge(owner, owned)
+        self.runtime.remove_ownership(owner, owned)
     }
 
     fn ownership_graph(&self) -> OwnershipGraph {
-        self.inner.lock().plane.graph().clone()
+        self.runtime.ownership_graph()
     }
 
     fn session(&self) -> Box<dyn Session> {
@@ -702,102 +468,66 @@ impl Deployment for SimDeployment {
     }
 
     fn add_server(&self) -> ServerId {
-        self.inner.lock().plane.add_server()
+        self.runtime.add_server()
     }
 
     fn remove_server(&self, server: ServerId) -> Result<()> {
-        self.inner.lock().plane.retire_server(server)
+        self.runtime.remove_server(server)
     }
 
+    /// Virtual-time metrics: the latency signal is the mean virtual latency
+    /// charged to events so far, and the queue depth is zero because events
+    /// run at submission.
     fn server_metrics(&self) -> Vec<ServerMetrics> {
-        // Virtual-time metrics: the latency signal is the mean virtual
-        // latency charged to events so far, and the queue depth is zero
-        // because the deterministic engine executes events inline.
-        let state = self.inner.lock();
-        let total_contexts = state.plane.context_count();
-        let events = state.events_completed + state.events_failed;
-        let avg_latency_ms = if events == 0 {
-            0.0
-        } else {
-            state.total_latency.as_micros() as f64 / events as f64 / 1_000.0
+        let (avg_latency_ms, histogram) = {
+            let clock = self.clock.state.lock();
+            let events = (clock.completed + clock.failed).max(1);
+            let mean = clock.total_latency.as_micros() as f64 / events as f64;
+            (mean / 1_000.0, clock.latency)
         };
-        state
-            .plane
-            .online_servers()
+        let total_contexts = self.runtime.context_count();
+        self.runtime
+            .servers()
             .into_iter()
             .map(|server| {
-                let hosted = state.plane.contexts_on(server).len();
                 ServerMetrics::from_load_with_latency(
                     server,
-                    hosted,
+                    self.runtime.contexts_on(server).len(),
                     total_contexts,
                     0,
                     avg_latency_ms,
-                    state.latency,
+                    histogram,
                 )
             })
             .collect()
     }
 
     fn context_count(&self) -> usize {
-        self.inner.lock().plane.context_count()
+        self.runtime.context_count()
     }
 
     fn crash_server(&self, server: ServerId) -> Result<()> {
-        let mut state = self.inner.lock();
-        for context in state.plane.mark_crashed(server)? {
-            state.contexts.remove(&context);
-        }
-        Ok(())
+        self.runtime.crash_server(server)
     }
 
     fn servers(&self) -> Vec<ServerId> {
-        self.inner.lock().plane.online_servers()
+        self.runtime.servers()
     }
 
     fn placement_of(&self, context: ContextId) -> Result<ServerId> {
-        self.inner.lock().plane.placement_of(context)
+        self.runtime.placement_of(context)
     }
 
     fn contexts_on(&self, server: ServerId) -> Vec<ContextId> {
-        self.inner.lock().plane.contexts_on(server)
+        self.runtime.contexts_on(server)
     }
 
-    fn restore_context(
-        &self,
-        context: ContextId,
-        state_value: &Value,
-        server: ServerId,
-    ) -> Result<()> {
-        let mut state = self.inner.lock();
-        if !state.plane.is_online(server) {
-            return Err(AeonError::ServerNotFound(server));
-        }
-        let class = state.plane.class_of(context)?.to_string();
-        let factory =
-            state
-                .factories
-                .get(&class)
-                .cloned()
-                .ok_or_else(|| AeonError::MigrationFailed {
-                    context,
-                    reason: format!("no factory registered for class {class}"),
-                })?;
-        let object = factory(state_value);
-        // A re-host is recorded as a single-write event, like the other
-        // backends.
-        if let Some(sink) = &state.history {
-            let event = EventId::new(state.ids.next_raw());
-            sink.invoked(event);
-            sink.accessed(event, context, AccessMode::Exclusive);
-            sink.responded(event);
-        }
-        state.install(context, object);
-        state.plane.set_placement(context, server)
+    fn restore_context(&self, context: ContextId, state: &Value, server: ServerId) -> Result<()> {
+        self.runtime.restore_context(context, state, server)
     }
 
     fn shutdown(&self) {
-        self.inner.lock().shutdown = true;
+        self.runtime.shutdown();
     }
 }
 
@@ -985,7 +715,6 @@ mod tests {
         for _ in 0..5 {
             session.call(item, "incr", args!["n", 1]).unwrap();
         }
-        assert!(sim.contention_enabled());
         assert!(sim.virtual_now() > SimTime::ZERO);
         sim.reset_virtual_time();
         assert_eq!(sim.virtual_now(), SimTime::ZERO);
@@ -996,6 +725,62 @@ mod tests {
             session.call_readonly(item, "get", args!["n"]).unwrap(),
             Value::from(6i64)
         );
+    }
+
+    /// Dispatches a `bump` event to the context it names.
+    struct Fan;
+
+    impl ContextObject for Fan {
+        fn class_name(&self) -> &str {
+            "Fan"
+        }
+
+        fn handle(
+            &mut self,
+            _method: &str,
+            args: &Args,
+            inv: &mut aeon_runtime::Invocation<'_>,
+        ) -> Result<Value> {
+            inv.dispatch_event(args.get_context(0)?, "incr", args!["n", 1])?;
+            Ok(Value::Null)
+        }
+    }
+
+    #[test]
+    fn a_stream_with_sub_events_and_a_migration_hands_nothing_to_the_pool() {
+        let sim = SimDeployment::builder().servers(2).build().unwrap();
+        sim.register_class_factory(
+            "Item",
+            Arc::new(|state: &Value| {
+                let mut item = KvContext::new("Item");
+                ContextObject::restore(&mut item, state);
+                Box::new(item) as Box<dyn ContextObject>
+            }),
+        );
+        let fan = sim.create_context(Box::new(Fan), Placement::Auto).unwrap();
+        let item = sim
+            .create_owned_context(Box::new(KvContext::new("Item")), &[fan])
+            .unwrap();
+        let session = sim.client();
+        for _ in 0..10 {
+            session.call(fan, "fan", args![item]).unwrap();
+        }
+        sim.migrate_context(item, ServerId::new(1)).unwrap();
+        session.call(fan, "fan", args![item]).unwrap();
+        assert_eq!(
+            session.call_readonly(item, "get", args!["n"]).unwrap(),
+            Value::from(11i64)
+        );
+        // 11 fans, 11 sub-events, the migration and the read.
+        assert_eq!(sim.events_completed(), 24);
+        let pool = sim.runtime.executor_stats();
+        assert_eq!((pool.submitted, pool.completed), (0, 0));
+        assert_eq!((pool.workers, pool.spill_spawned), (1, 0));
+        // Dropping the last handles drops the runtime, whose pool joins its
+        // thread: nothing the runtime holds keeps the clock alive.
+        let clock = Arc::clone(&sim.clock);
+        drop((sim, session));
+        assert_eq!(Arc::strong_count(&clock), 1);
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! The deterministic virtual-time backend of the unified `Deployment` API.
 //!
 //! The paper evaluates AEON on EC2.  This crate is the substitute
-//! substrate: [`SimDeployment`] executes the *real* contextclass code,
-//! single-threaded and inline, through the same event interpreter as the
-//! runtime and the cluster, and charges every event virtual time.  Runs are
-//! strictly serializable by construction and exact for a fixed input, so
-//! they reproduce the *shapes* of the paper's figures (where a sequencer
-//! saturates, how throughput follows the servers) — not the absolute EC2
-//! numbers.
+//! substrate: [`SimDeployment`] is the runtime's core on the caller's
+//! thread plus a virtual clock.  Every event runs the *real* contextclass
+//! code through `aeon-runtime`'s own event path — its locks, its control
+//! plane, its interpreter — on the thread that submits it, one causal chain
+//! at a time, and the clock, an observer of that path, charges it virtual
+//! time.  Runs are strictly serializable by construction and exact for a
+//! fixed input, so they reproduce the *shapes* of the paper's figures (where
+//! a sequencer saturates, how throughput follows the servers) — not the
+//! absolute EC2 numbers.
 //!
 //! Two accounting modes:
 //!

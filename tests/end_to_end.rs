@@ -205,3 +205,146 @@ fn sim_game_scale_out_run_is_exact() {
     };
     assert_eq!(run(), run());
 }
+
+/// The readings every sim figure is made of: virtual clock (µs), mean
+/// virtual latency (µs), virtual throughput (its bits), completed and
+/// failed events.
+type SimFigures = (u64, u64, u64, u64, u64);
+
+fn sim_figures(sim: &SimDeployment) -> SimFigures {
+    (
+        sim.virtual_now().as_micros(),
+        sim.mean_virtual_latency().as_micros(),
+        sim.virtual_throughput().to_bits(),
+        sim.events_completed(),
+        sim.events_failed(),
+    )
+}
+
+/// A counter that calls two of the counters it owns, or dispatches events
+/// to them: the `Top → Mid → {X, Y}` world of `skip_level_calls`, with
+/// sub-events.
+struct Node {
+    class: &'static str,
+    n: i64,
+}
+
+impl ContextObject for Node {
+    fn class_name(&self) -> &str {
+        self.class
+    }
+
+    fn handle(&mut self, method: &str, args: &Args, inv: &mut Invocation<'_>) -> Result<Value> {
+        match method {
+            "bump" => {
+                self.n += 1;
+                Ok(Value::from(self.n))
+            }
+            "get" => Ok(Value::from(self.n)),
+            "touch" => {
+                inv.call(args.get_context(0)?, "bump", args![])?;
+                inv.call(args.get_context(1)?, "bump", args![])
+            }
+            "fan" => {
+                inv.call_async(args.get_context(0)?, "bump", args![])?;
+                inv.dispatch_event(args.get_context(1)?, "bump", args![])?;
+                inv.dispatch_event(
+                    args.get_context(0)?,
+                    "touch",
+                    args![args.get_context(1)?, args.get_context(1)?],
+                )?;
+                Ok(Value::Null)
+            }
+            other => Err(AeonError::UnknownMethod {
+                class: self.class.into(),
+                method: other.into(),
+            }),
+        }
+    }
+
+    fn is_readonly(&self, method: &str) -> bool {
+        method == "get"
+    }
+
+    fn snapshot(&self) -> Value {
+        Value::from(self.n)
+    }
+
+    fn restore(&mut self, state: &Value) {
+        self.n = state.as_i64().unwrap_or_default();
+    }
+}
+
+/// The skip-level world on the serial-mode sim: `Mid` and `Y` migrate to a
+/// second server (charged like any event), then calls that skip `Mid`
+/// enter it on their way down, events dispatch sub-events, and a few fail.
+fn skip_level_world_on_serial_sim() -> SimDeployment {
+    let sim = SimDeployment::builder().servers(2).build().unwrap();
+    for class in ["Top", "Mid", "Leaf"] {
+        sim.register_class_factory(
+            class,
+            std::sync::Arc::new(move |state: &Value| {
+                let mut node = Node { class, n: 0 };
+                node.restore(state);
+                Box::new(node) as Box<dyn ContextObject>
+            }),
+        );
+    }
+    let node = |class| Box::new(Node { class, n: 0 }) as Box<dyn ContextObject>;
+    let servers = sim.servers();
+    let top = sim
+        .create_context(node("Top"), Placement::Server(servers[0]))
+        .unwrap();
+    let mid = sim.create_owned_context(node("Mid"), &[top]).unwrap();
+    let x = sim.create_owned_context(node("Leaf"), &[mid]).unwrap();
+    let y = sim.create_owned_context(node("Leaf"), &[mid]).unwrap();
+    for context in [mid, y] {
+        sim.migrate_context(context, servers[1]).unwrap();
+    }
+    let session = sim.client();
+    for round in 0..5 {
+        session.call(mid, "touch", args![x, y]).unwrap();
+        session.call(top, "touch", args![y, x]).unwrap();
+        session.call(top, "fan", args![mid, y]).unwrap();
+        session.call_readonly(x, "get", args![]).unwrap();
+        if round % 2 == 0 {
+            assert!(session.call_readonly(y, "bump", args![]).is_err());
+            assert!(session.call(x, "touch", args![top, y]).is_err());
+        }
+    }
+    sim
+}
+
+/// The sim's figures, captured exactly: a change to how the sim executes
+/// events must leave every virtual reading of these runs as it was.
+#[test]
+fn sim_figures_are_pinned() {
+    let figures = [
+        sim_figures(&game_stream_on_sim(ROOMS, SimDuration::ZERO)),
+        sim_figures(&game_stream_on_sim(1, SimDuration::from_micros(10))),
+        {
+            let sim = SimDeployment::builder()
+                .servers(3)
+                .contention(2)
+                .class_graph(aeon_apps::social_class_graph())
+                .build()
+                .unwrap();
+            let config = aeon_apps::social::SocialConfig::default();
+            let world = aeon_apps::social::deploy_social(&sim, &config).unwrap();
+            let ops = world.plan.request_stream(300, config.seed);
+            sim.reset_virtual_time();
+            aeon_apps::run_social_stream(&sim.client(), &world, &ops).unwrap();
+            sim_figures(&sim)
+        },
+        sim_figures(&skip_level_world_on_serial_sim()),
+    ];
+    assert_eq!(
+        figures,
+        [
+            (16_400, 8_600, 4_671_092_685_310_838_734, 320, 0),
+            (128_400, 63_005, 4_657_698_846_863_260_063, 320, 0),
+            (43_200, 5_622, 4_664_357_512_116_203_975, 300, 0),
+            (28_000, 736, 4_652_741_154_316_185_015, 32, 6),
+        ]
+    );
+}
