@@ -1,33 +1,13 @@
 //! The backend-agnostic deployment API of the AEON reproduction.
 //!
 //! The paper's promise is that one contextclass program runs unchanged on a
-//! single server or on fifty.  This crate turns that promise into a pair of
-//! object-safe traits:
-//!
-//! * [`Deployment`] — the control plane: creating contexts, wiring the
-//!   ownership network, registering class factories, managing servers
-//!   (`add_server`/`remove_server`), observing per-server load
-//!   ([`Deployment::server_metrics`] — the feed elasticity policies run
-//!   on), migrating contexts and taking snapshots;
-//! * [`Session`] — the data plane: submitting strictly-serializable events
-//!   and waiting for their results through a common [`EventHandle`].
-//!
-//! Three execution backends implement the traits:
-//!
-//! * the in-process concurrent runtime (`aeon_runtime::AeonRuntime`,
-//!   implemented here);
-//! * the distributed message-passing cluster (`aeon_cluster::Cluster`,
-//!   implemented in `aeon-cluster`);
-//! * the deterministic virtual-time simulator
-//!   (`aeon_sim::SimDeployment`, implemented in `aeon-sim`).
-//!
-//! Application code written against `&dyn Deployment` (or generically over
-//! `D: Deployment + ?Sized`) is written once and deployed anywhere — the
-//! `aeon-apps` workload drivers are the proof, and so is the elasticity
-//! manager (`aeon-emanager`), which holds an `Arc<dyn Deployment>` and
-//! scales whichever backend it was handed.  The `aeon` facade's
-//! config-driven `aeon::deploy(DeployConfig)` builds any of the three
-//! backends behind the trait.
+//! single server or on fifty.  That promise is the [`Deployment`] /
+//! [`Session`] pair of traits and their one [`EventHandle`], which are
+//! defined in `aeon-runtime` (`ContextObject::handle` takes the runtime's
+//! interpreter, so the traits cannot sit below it) and re-exported here
+//! with the vocabulary a deployment's consumer needs.  The three backends
+//! are `aeon_runtime::AeonRuntime`, `aeon_cluster::Cluster` and
+//! `aeon_sim::SimDeployment`, each with its trait code beside its type.
 //!
 //! # Examples
 //!
@@ -54,14 +34,7 @@
 //! # }
 //! ```
 
-mod backend;
-mod handle;
-mod traits;
-
-pub use handle::EventHandle;
-pub use traits::{Deployment, Session};
-
-// Re-export the vocabulary types a Deployment consumer needs, so application
-// crates can depend on `aeon-api` alone for the common case.
-pub use aeon_runtime::{ContextFactory, ContextObject, Placement, Snapshot};
+pub use aeon_runtime::{
+    ContextFactory, ContextObject, Deployment, EventHandle, Placement, Session, Snapshot,
+};
 pub use aeon_types::{HistorySink, LatencyHistogram, ServerMetrics, SharedHistorySink};

@@ -4,8 +4,8 @@
 //! The gateway is the paper's *client library*: it knows the context
 //! mapping and routes each event to the server hosting the dominator of its
 //! target (§5.1).  It never touches context state, and a snapshot, a
-//! restore or a migration is no protocol of its own: `aeon_api::Deployment`
-//! submits each as an event, which the gateway routes like any other (the
+//! restore or a migration is no protocol of its own: `Deployment` submits
+//! each as an event, which the gateway routes like any other (the
 //! node that runs a migration moves the context; see `node.rs`).
 //!
 //! The gateway has no thread of its own either.  It serves its id on the
@@ -26,15 +26,14 @@ use crate::directory::Directory;
 use crate::message::{gateway_id, ClusterMessage, EventDescriptor};
 use crate::node::{spawn_node, NodeShared};
 use crate::wire::message_wire_len;
-use aeon_api::{Deployment, EventHandle, Session};
 use aeon_net::{
     ChannelTransport, MessageSizer, Network, NetworkStats, TcpTransport, TcpTransportConfig,
 };
 use aeon_ownership::{ClassGraph, ControlPlane, OwnershipGraph, Sequencer};
-use aeon_runtime::reply::{reply, Replier, Reply, WaitError};
+use aeon_runtime::reply::{reply, Replier, WaitError};
 use aeon_runtime::{
-    AnalysisMode, CertifiedReads, ContextFactory, ContextObject, ExecutorConfig, ExecutorStats,
-    Footprint, Placement,
+    AnalysisMode, CertifiedReads, ContextFactory, ContextObject, Deployment, EventHandle,
+    ExecutorConfig, ExecutorStats, Footprint, Placement, Session,
 };
 use aeon_types::{
     AccessMode, AeonError, Args, ClientId, ContextId, EventId, NetworkStatsSnapshot, Result,
@@ -451,13 +450,13 @@ impl ClusterInner {
         method: &str,
         args: Args,
         mode: AccessMode,
-    ) -> Result<ClusterEventHandle> {
+    ) -> Result<EventHandle> {
         if self.shutdown.load(Ordering::SeqCst) {
             return Err(AeonError::RuntimeShutdown);
         }
         let event = EventId::new(self.directory.next_raw());
         let corr = self.next_corr();
-        let (tx, rx) = reply();
+        let (tx, handle) = EventHandle::new(event, Some(EVENT_TIMEOUT));
         self.pending_events.lock().insert(corr, (client, tx));
         let descriptor = EventDescriptor {
             id: event,
@@ -478,7 +477,7 @@ impl ClusterInner {
             self.pending_events.lock().remove(&corr);
             return Err(e);
         }
-        Ok(ClusterEventHandle { event, reply: rx })
+        Ok(handle)
     }
 
     /// How the gateway admits `event`: certified when it is a read of a
@@ -583,49 +582,6 @@ fn gateway_handle(inner: &ClusterInner, message: ClusterMessage) {
     }
 }
 
-/// A handle to an event submitted to the cluster.
-#[derive(Debug)]
-pub struct ClusterEventHandle {
-    event: EventId,
-    reply: Reply<Result<Value>>,
-}
-
-impl ClusterEventHandle {
-    /// The id assigned to the event.
-    pub fn event_id(&self) -> EventId {
-        self.event
-    }
-
-    /// Waits for the event to complete and returns its result.
-    ///
-    /// # Errors
-    ///
-    /// * The error returned by the application method, if any.
-    /// * [`AeonError::EventAborted`] when no completion arrives within the
-    ///   cluster's event timeout (e.g. the hosting server crashed).
-    /// * [`AeonError::RuntimeShutdown`] when the cluster shut down before
-    ///   the event completed.
-    pub fn wait(self) -> Result<Value> {
-        self.wait_timeout(EVENT_TIMEOUT)
-    }
-
-    /// Waits up to `timeout` for the event to complete.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ClusterEventHandle::wait`].
-    pub fn wait_timeout(self, timeout: Duration) -> Result<Value> {
-        match self.reply.wait_timeout(timeout) {
-            Ok(result) => result,
-            Err(WaitError::Closed) => Err(AeonError::RuntimeShutdown),
-            Err(WaitError::Timeout) => Err(AeonError::EventAborted {
-                event: self.event,
-                reason: "no completion received before the timeout".into(),
-            }),
-        }
-    }
-}
-
 /// A client of the cluster: the entry point for submitting events.
 #[derive(Debug, Clone)]
 pub struct ClusterClient {
@@ -633,57 +589,19 @@ pub struct ClusterClient {
     id: ClientId,
 }
 
-impl ClusterClient {
-    /// This client's id.
-    pub fn id(&self) -> ClientId {
+impl Session for ClusterClient {
+    fn client_id(&self) -> ClientId {
         self.id
     }
 
-    /// Submits an event with an explicit access mode: the primitive behind
-    /// [`ClusterClient::submit_event`] and the `aeon-api` `Session`
-    /// implementation.  The `call`/`call_readonly` convenience wrappers
-    /// live on the `Session` trait, not here.
-    ///
-    /// # Errors
-    ///
-    /// * [`AeonError::RuntimeShutdown`] after shutdown.
-    /// * [`AeonError::ContextNotFound`] for unknown targets.
-    pub fn submit(
+    fn submit_with_mode(
         &self,
         target: ContextId,
         method: &str,
         args: Args,
         mode: AccessMode,
-    ) -> Result<ClusterEventHandle> {
+    ) -> Result<EventHandle> {
         self.inner.submit(Some(self.id), target, method, args, mode)
-    }
-
-    /// Submits an exclusive (update) event.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ClusterClient::submit`].
-    pub fn submit_event(
-        &self,
-        target: ContextId,
-        method: &str,
-        args: Args,
-    ) -> Result<ClusterEventHandle> {
-        self.submit(target, method, args, AccessMode::Exclusive)
-    }
-
-    /// Submits a read-only event.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ClusterClient::submit`].
-    pub fn submit_readonly_event(
-        &self,
-        target: ContextId,
-        method: &str,
-        args: Args,
-    ) -> Result<ClusterEventHandle> {
-        self.submit(target, method, args, AccessMode::ReadOnly)
     }
 }
 
@@ -1129,25 +1047,6 @@ impl Deployment for Cluster {
             }
         }
         self.inner.teardown();
-    }
-}
-
-impl Session for ClusterClient {
-    fn client_id(&self) -> ClientId {
-        self.id()
-    }
-
-    fn submit_with_mode(
-        &self,
-        target: ContextId,
-        method: &str,
-        args: Args,
-        mode: AccessMode,
-    ) -> Result<EventHandle> {
-        let native = self.submit(target, method, args, mode)?;
-        Ok(EventHandle::pending(native.event_id(), move || {
-            native.wait()
-        }))
     }
 }
 

@@ -25,8 +25,9 @@
 //! Application code is unchanged between the two deployments: the same
 //! [`aeon_runtime::ContextObject`] implementations run on either, because
 //! both engines drive them through [`aeon_runtime::Invocation`] — and the
-//! cluster implements the `aeon-api` `Deployment`/`Session` traits, so
-//! drivers written against the unified API deploy here without changes.
+//! cluster implements the runtime's [`aeon_runtime::Deployment`] /
+//! [`aeon_runtime::Session`] traits, so drivers written against the unified
+//! API deploy here without changes.
 //!
 //! # Examples
 //!
@@ -58,7 +59,7 @@ mod node;
 mod remote;
 mod wire;
 
-pub use cluster::{Cluster, ClusterBuilder, ClusterClient, ClusterEventHandle, ClusterTransport};
+pub use cluster::{Cluster, ClusterBuilder, ClusterClient, ClusterTransport};
 pub use directory::Directory;
 pub use message::{
     gateway_id, virtual_root, ClusterMessage, DirOp, DirReply, EventDescriptor, NodeMetrics,

@@ -4,8 +4,8 @@
 //! backends in `tests/backend_parity.rs` and `tests/chaos_serializability.rs`
 //! at the workspace root.)
 
-use aeon_api::{Deployment, Session};
-use aeon_cluster::{Cluster, ClusterEventHandle, ClusterTransport};
+use aeon_api::{Deployment, EventHandle, Session};
+use aeon_cluster::{Cluster, ClusterTransport};
 use aeon_ownership::ClassGraph;
 use aeon_runtime::{context_class, ContextObject, Invocation, KvContext, Placement};
 use aeon_types::{args, AeonError, Args, ContextId, Result, Value};
@@ -633,7 +633,7 @@ fn waiter_behind_a_migration(
     cluster: &Cluster,
     gate: &Cell,
     context: ContextId,
-    waiter: impl FnOnce() -> Result<ClusterEventHandle>,
+    waiter: impl FnOnce() -> Result<EventHandle>,
 ) -> Value {
     let settle = Duration::from_millis(100);
     let client = cluster.client();

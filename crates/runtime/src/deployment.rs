@@ -1,11 +1,24 @@
-//! The `Deployment` and `Session` traits.
+//! The backend-agnostic deployment API: the [`Deployment`] and [`Session`]
+//! traits.
+//!
+//! The paper's promise is that one contextclass program runs unchanged on a
+//! single server or on fifty.  [`Deployment`] is the control plane
+//! (contexts, the ownership network, class factories, servers, load
+//! metrics, migration, snapshots); [`Session`] is the data plane
+//! (strictly-serializable events, each resolved through one
+//! [`EventHandle`]).  The traits live here, next to the interpreter their
+//! `ContextObject`s run under, and three backends implement them: this
+//! crate's [`AeonRuntime`](crate::AeonRuntime), `aeon_cluster::Cluster`
+//! and `aeon_sim::SimDeployment`.  A snapshot, a restore and a migration
+//! are provided methods: each is one event running a reserved method of
+//! the interpreter, so no backend implements them.
 
-use crate::handle::EventHandle;
-use aeon_ownership::OwnershipGraph;
-use aeon_runtime::{
+use crate::event::EventHandle;
+use crate::{
     ContextFactory, ContextObject, ExecutorStats, Placement, Snapshot, MIGRATE_METHOD,
     RESTORE_METHOD, SNAPSHOT_METHOD,
 };
+use aeon_ownership::OwnershipGraph;
 use aeon_types::{
     args, AccessMode, AeonError, Args, ClientId, ContextId, NetworkStatsSnapshot, Result, ServerId,
     ServerMetrics, SharedHistorySink, Value,
@@ -31,8 +44,8 @@ pub trait Session: Send + Sync {
     ///
     /// # Errors
     ///
-    /// * [`aeon_types::AeonError::RuntimeShutdown`] after shutdown.
-    /// * [`aeon_types::AeonError::ContextNotFound`] for unknown targets.
+    /// * [`AeonError::RuntimeShutdown`] after shutdown.
+    /// * [`AeonError::ContextNotFound`] for unknown targets.
     fn submit_with_mode(
         &self,
         target: ContextId,
@@ -100,9 +113,10 @@ pub trait Deployment: Send + Sync {
     ///
     /// # Errors
     ///
-    /// * [`aeon_types::AeonError::ServerNotFound`] /
-    ///   [`aeon_types::AeonError::Config`] when the placement is not
-    ///   satisfiable.
+    /// * [`AeonError::Config`] when the class is not declared in the
+    ///   installed class graph.
+    /// * [`AeonError::ServerNotFound`] / [`AeonError::Config`] when the
+    ///   placement is not satisfiable.
     fn create_context(
         &self,
         object: Box<dyn ContextObject>,
@@ -114,9 +128,10 @@ pub trait Deployment: Send + Sync {
     ///
     /// # Errors
     ///
-    /// * [`aeon_types::AeonError::Config`] when `owners` is empty.
-    /// * [`aeon_types::AeonError::OwnershipViolation`] when the class
-    ///   constraints forbid the ownership.
+    /// * [`AeonError::Config`] when `owners` is empty or the class is not
+    ///   declared in the installed class graph.
+    /// * [`AeonError::OwnershipViolation`] when the class constraints
+    ///   forbid the ownership.
     fn create_owned_context(
         &self,
         object: Box<dyn ContextObject>,
@@ -131,18 +146,17 @@ pub trait Deployment: Send + Sync {
     ///
     /// # Errors
     ///
-    /// * [`aeon_types::AeonError::CycleDetected`] when the edge would create
-    ///   a cycle.
-    /// * [`aeon_types::AeonError::OwnershipViolation`] when the class
-    ///   constraints forbid the edge.
+    /// * [`AeonError::CycleDetected`] when the edge would create a cycle.
+    /// * [`AeonError::OwnershipViolation`] when the class constraints
+    ///   forbid the edge.
     fn add_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()>;
 
     /// Removes `owner` from the owners of `owned`.
     ///
     /// # Errors
     ///
-    /// Returns [`aeon_types::AeonError::ContextNotFound`] when either
-    /// context is unknown.
+    /// Returns [`AeonError::ContextNotFound`] when either context is
+    /// unknown.
     fn remove_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()>;
 
     /// A snapshot of the current ownership network.
@@ -193,10 +207,9 @@ pub trait Deployment: Send + Sync {
     ///
     /// # Errors
     ///
-    /// * [`aeon_types::AeonError::ServerNotFound`] for unknown or already
-    ///   offline servers.
-    /// * [`aeon_types::AeonError::Config`] when contexts are still placed on
-    ///   it.
+    /// * [`AeonError::ServerNotFound`] for unknown or already offline
+    ///   servers.
+    /// * [`AeonError::Config`] when contexts are still placed on it.
     fn remove_server(&self, server: ServerId) -> Result<()>;
 
     /// Current per-server load metrics: the control-plane feed elasticity
@@ -206,17 +219,10 @@ pub trait Deployment: Send + Sync {
     /// relative-load proxies in `[0, 1]`.
     fn server_metrics(&self) -> Vec<ServerMetrics>;
 
-    /// Total number of contexts across all online servers.
-    ///
-    /// The default sums [`Deployment::contexts_on`] over
-    /// [`Deployment::servers`]; backends with a cheaper native count
-    /// override it.
-    fn context_count(&self) -> usize {
-        self.servers()
-            .into_iter()
-            .map(|server| self.contexts_on(server).len())
-            .sum()
-    }
+    /// Total number of contexts across all online servers: what
+    /// [`Deployment::contexts_on`] returns summed over
+    /// [`Deployment::servers`], a context lost to a crash not counted.
+    fn context_count(&self) -> usize;
 
     /// Aggregate event-executor counters (submissions, completions,
     /// batching, fast-path hits, threads started for announced blocking
@@ -241,8 +247,7 @@ pub trait Deployment: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`aeon_types::AeonError::ServerNotFound`] for unknown
-    /// servers.
+    /// Returns [`AeonError::ServerNotFound`] for unknown servers.
     fn crash_server(&self, server: ServerId) -> Result<()>;
 
     /// Ids of all online servers.
@@ -252,8 +257,7 @@ pub trait Deployment: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`aeon_types::AeonError::ContextNotFound`] for unknown
-    /// contexts.
+    /// Returns [`AeonError::ContextNotFound`] for unknown contexts.
     fn placement_of(&self, context: ContextId) -> Result<ServerId>;
 
     /// Contexts currently mapped to `server`.
@@ -330,11 +334,10 @@ pub trait Deployment: Send + Sync {
     ///
     /// # Errors
     ///
-    /// * [`aeon_types::AeonError::ContextNotFound`] when the context was
-    ///   never created.
-    /// * [`aeon_types::AeonError::MigrationFailed`] when no factory is
-    ///   registered for its class.
-    /// * [`aeon_types::AeonError::ServerNotFound`] when `server` is offline.
+    /// * [`AeonError::ContextNotFound`] when the context was never created.
+    /// * [`AeonError::MigrationFailed`] when no factory is registered for
+    ///   its class.
+    /// * [`AeonError::ServerNotFound`] when `server` is offline.
     fn restore_context(&self, context: ContextId, state: &Value, server: ServerId) -> Result<()>;
 
     /// Shuts the deployment down: subsequent submissions fail and blocked

@@ -22,10 +22,16 @@
 //! The unit of parallelism is the event: events whose targets do not share
 //! descendants have different dominators and proceed concurrently.
 //!
+//! The backend-agnostic API is here too: the [`Deployment`] and [`Session`]
+//! traits and their one [`EventHandle`] (see [`deployment`]).  The runtime
+//! implements them, and so do `aeon_cluster::Cluster` and
+//! `aeon_sim::SimDeployment`; code written against `&dyn Deployment` runs
+//! unchanged on all three.
+//!
 //! # Examples
 //!
 //! ```
-//! use aeon_runtime::{AeonRuntime, ContextObject, Invocation, Placement};
+//! use aeon_runtime::{AeonRuntime, ContextObject, Deployment, Invocation, Placement, Session};
 //! use aeon_types::{args, Args, Result, Value};
 //!
 //! struct Counter { count: i64 }
@@ -54,6 +60,7 @@
 //! ```
 
 pub mod context;
+pub mod deployment;
 pub mod event;
 pub mod executor;
 pub mod invocation;
@@ -67,7 +74,8 @@ pub mod stats;
 
 pub use aeon_analyzer::AnalysisMode;
 pub use context::{ContextFactory, ContextObject, ContextSlot, KvContext};
-pub use event::{EventHandle, EventOutcome, EventRequest};
+pub use deployment::{Deployment, Session};
+pub use event::{EventHandle, EventRequest};
 pub use executor::{ExecutorConfig, ExecutorStats, ShardedExecutor};
 pub use invocation::{
     BodyOutcome, CertifiedReads, ContextHost, Entered, EventBody, EventMeta, Footprint,

@@ -18,7 +18,9 @@
 //! # Examples
 //!
 //! ```
-//! use aeon_runtime::{context_class, AeonRuntime, ContextClass, Invocation, Placement};
+//! use aeon_runtime::{
+//!     context_class, AeonRuntime, ContextClass, Deployment, Invocation, Placement, Session,
+//! };
 //! use aeon_types::{args, Args, Result, Value};
 //!
 //! #[derive(Default)]
@@ -456,6 +458,7 @@ mod tests {
 
     #[test]
     fn blanket_context_object_dispatches_through_the_table() {
+        use crate::{Deployment, Session};
         let runtime = crate::AeonRuntime::builder().build().unwrap();
         let probe = runtime
             .create_context(Box::new(Probe::default()), crate::Placement::Auto)

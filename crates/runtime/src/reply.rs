@@ -11,9 +11,9 @@
 //!   state, the value and the parked waiter: the `Arc`'s two counts, a
 //!   mutex word, and a state no larger than the value (its tags sit in bit
 //!   patterns the value never uses), so 24 + `size_of::<T>()` bytes.  That
-//!   is 104 B for a runtime `EventOutcome`, 80 B for a cluster event's
-//!   `Result<Value>` and for a directory RPC's answer, 128 B for a remote
-//!   call's outcome and 144 B for a `ClusterMessage` acknowledgement.  A
+//!   is 80 B for an event's `Result<Value>` (an `EventHandle`, on every
+//!   backend) and for a directory RPC's answer, 128 B for a remote call's
+//!   outcome and 144 B for a `ClusterMessage` acknowledgement.  A
 //!   bounded channel of capacity one was two blocks: 640 B of channel plus
 //!   a slot buffer of the value's size.
 //! * **Who wakes whom.**  The receiver looks at the slot before it parks;
@@ -316,15 +316,13 @@ mod tests {
 
     #[test]
     fn each_half_is_a_pointer_and_the_state_costs_nothing_beside_the_value() {
-        use crate::EventOutcome;
+        use aeon_types::{Result, Value};
         use std::mem::size_of;
-        assert_eq!(size_of::<Replier<EventOutcome>>(), 8);
-        assert_eq!(size_of::<Reply<EventOutcome>>(), 8);
-        assert_eq!(size_of::<State<EventOutcome>>(), size_of::<EventOutcome>());
-        assert_eq!(
-            size_of::<Slot<EventOutcome>>(),
-            8 + size_of::<EventOutcome>()
-        );
+        type Outcome = Result<Value>;
+        assert_eq!(size_of::<Replier<Outcome>>(), 8);
+        assert_eq!(size_of::<Reply<Outcome>>(), 8);
+        assert_eq!(size_of::<State<Outcome>>(), size_of::<Outcome>());
+        assert_eq!(size_of::<Slot<Outcome>>(), 8 + size_of::<Outcome>());
     }
 
     /// Many threads at once, each pair racing its own sender, receiver,

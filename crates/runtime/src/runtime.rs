@@ -1,7 +1,8 @@
-//! The public runtime: context hosting, event submission, and elasticity
-//! primitives (server management).  A snapshot, a restore and a migration
-//! are events like any other (the interpreter's reserved methods, submitted
-//! by `aeon-api`'s `Deployment`); all the runtime adds for a migration is
+//! The in-process backend: [`AeonRuntime`]'s control surface is its
+//! [`Deployment`] impl and [`AeonClient`]'s is its [`Session`] impl; only
+//! introspection stays inherent.  A snapshot, a restore and a migration are
+//! events like any other (the interpreter's reserved methods, submitted by
+//! the trait's provided methods); all the runtime adds for a migration is
 //! `RuntimeHost::migrate`, which rebuilds the object and moves its
 //! placement.
 //!
@@ -16,9 +17,9 @@
 //! code.
 //!
 //! An event starts on whichever thread brings it: a pool worker for a
-//! submitted event (`AeonClient::submit`), the client's own thread for a
-//! blocking call (`AeonClient::call_with_mode`), the creator's thread for a
-//! sub-event.  It takes its first lock — its sequencer, or its target for a
+//! submitted event (`Session::submit_with_mode`), the client's own thread
+//! for a blocking call (`AeonClient::call_with_mode`), the creator's thread
+//! for a sub-event.  It takes its first lock — its sequencer, or its target for a
 //! certified read — through [`ServerCore::start`] and runs in place when
 //! that lock is free.  When it is held, the event waits in the lock's queue
 //! as a grant and holds no thread: on a pool worker the grant resumes it on
@@ -44,7 +45,8 @@
 //! for it.
 
 use crate::context::{ContextFactory, ContextObject};
-use crate::event::{EventHandle, EventOutcome, EventRequest};
+use crate::deployment::{Deployment, Session};
+use crate::event::{EventHandle, EventRequest};
 use crate::executor::{ExecutorConfig, ExecutorStats, ShardedExecutor};
 use crate::invocation::{
     BodyOutcome, CertifiedReads, ContextHost, Entered, EventBody, EventMeta, Footprint,
@@ -318,7 +320,7 @@ impl RuntimeInner {
         self: Arc<Self>,
         request: EventRequest,
         footprint: Footprint,
-        reply: Option<Replier<EventOutcome>>,
+        reply: Option<Replier<Result<Value>>>,
         on_caller: bool,
     ) -> Admitted {
         self.events_in_flight.fetch_add(1, Ordering::SeqCst);
@@ -348,7 +350,7 @@ struct Admitted {
     footprint: Footprint,
     /// The handle of a submitted event; `None` when a thread runs the
     /// event and takes its result (a blocking caller), or for a sub-event.
-    reply: Option<Replier<EventOutcome>>,
+    reply: Option<Replier<Result<Value>>>,
     /// Whether the causal chain runs on a blocking caller's thread, which
     /// waits for each grant itself and hands nothing to the pool.
     on_caller: bool,
@@ -476,16 +478,11 @@ impl Admitted {
             let _ = sub.run();
         }
         // Out of the gauge before anyone sees it complete.
-        let (event, reply) = (self.request.id, self.reply.take());
+        let reply = self.reply.take();
         drop(self);
         match reply {
             Some(reply) => {
-                let result = outcome.result;
-                let _ = reply.send(EventOutcome {
-                    event,
-                    result,
-                    latency,
-                });
+                let _ = reply.send(outcome.result);
                 Ok(Value::Null)
             }
             None => outcome.result,
@@ -639,82 +636,6 @@ impl AeonRuntime {
         }
     }
 
-    /// Registers a factory able to rebuild contexts of `class` from a
-    /// snapshot (used by migration and crash recovery).
-    pub fn register_class_factory(&self, class: impl Into<String>, factory: ContextFactory) {
-        self.inner.factories.write().insert(class.into(), factory);
-    }
-
-    /// Installs a live history sink: from now on every event submission,
-    /// completion and context access — including snapshot captures and
-    /// restore writes — is reported to it.  Replaces any previous sink.
-    pub fn install_history_sink(&self, sink: SharedHistorySink) {
-        *self.inner.history.write() = Some(sink);
-    }
-
-    /// Creates a root context (no owners) and returns its id.
-    ///
-    /// # Errors
-    ///
-    /// * [`AeonError::Config`] when the class is not declared in the class
-    ///   graph.
-    /// * [`AeonError::ServerNotFound`] / [`AeonError::Config`] when the
-    ///   requested placement is not satisfiable.
-    pub fn create_context(
-        &self,
-        object: Box<dyn ContextObject>,
-        placement: Placement,
-    ) -> Result<ContextId> {
-        self.inner.create_context(object, |plane, id, class| {
-            plane.declare_root(id, class, placement)
-        })
-    }
-
-    /// Creates a context owned by `owners` (at least one), co-located with
-    /// its first owner.
-    ///
-    /// # Errors
-    ///
-    /// * [`AeonError::Config`] when `owners` is empty or the class is not
-    ///   declared in the class graph.
-    /// * [`AeonError::OwnershipViolation`] when the class constraints forbid
-    ///   the ownership.
-    pub fn create_owned_context(
-        &self,
-        object: Box<dyn ContextObject>,
-        owners: &[ContextId],
-    ) -> Result<ContextId> {
-        self.inner.create_context(object, |plane, id, class| {
-            plane.declare_owned(id, class, owners)
-        })
-    }
-
-    /// Adds `owner` to the owners of `owned`.
-    ///
-    /// # Errors
-    ///
-    /// * [`AeonError::CycleDetected`] when the edge would create a cycle.
-    /// * [`AeonError::OwnershipViolation`] when the class constraints forbid
-    ///   the edge.
-    pub fn add_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.inner.plane.write().add_edge(owner, owned)
-    }
-
-    /// Removes `owner` from the owners of `owned`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AeonError::ContextNotFound`] when either context is
-    /// unknown.
-    pub fn remove_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.inner.plane.write().remove_edge(owner, owned)
-    }
-
-    /// A snapshot of the current ownership network.
-    pub fn ownership_graph(&self) -> OwnershipGraph {
-        self.inner.plane.read().graph().clone()
-    }
-
     /// The dominator of `target`: the least upper bound of its share set,
     /// closed under sharing (`aeon_ownership::dominator`), whose lock
     /// sequences the events on `target`.
@@ -726,99 +647,96 @@ impl AeonRuntime {
         self.inner.plane.read().dominator_of(target)
     }
 
-    /// Adds a new (logical) server and returns its id.
-    pub fn add_server(&self) -> ServerId {
+    /// Runtime-wide statistics.
+    pub fn stats(&self) -> &RuntimeStats {
+        &self.inner.stats
+    }
+
+    /// Call-summary sanitizer findings: actual invoke edges observed at
+    /// runtime that the statically declared `calls [...]` summaries do not
+    /// cover.  Only populated in debug builds (the recording is compiled
+    /// to a no-op in release); always empty when no class graph is
+    /// installed or no summaries are declared.
+    pub fn call_summary_violations(&self) -> Vec<String> {
+        self.inner
+            .summary_violations
+            .lock()
+            .iter()
+            .cloned()
+            .collect()
+    }
+
+    /// Number of events currently executing, counting an event as in
+    /// flight until its whole causal chain (dispatched sub-events
+    /// included) has finished.
+    pub fn events_in_flight(&self) -> u64 {
+        self.inner.events_in_flight.load(Ordering::SeqCst)
+    }
+
+    /// Counters of the event worker pool (queue depth, batching, caught
+    /// panics, and the threads it started beside a worker that announced a
+    /// blocking wait — a contended nested activation, or a reader's turn at
+    /// an object another reader's frame holds).
+    pub fn executor_stats(&self) -> ExecutorStats {
+        self.inner.executor.stats()
+    }
+}
+
+/// The runtime's whole control surface; the contexts are local slots of
+/// its [`ServerCore`] and the servers are logical.
+impl Deployment for AeonRuntime {
+    fn backend_name(&self) -> &'static str {
+        "runtime"
+    }
+
+    fn create_context(
+        &self,
+        object: Box<dyn ContextObject>,
+        placement: Placement,
+    ) -> Result<ContextId> {
+        self.inner.create_context(object, |plane, id, class| {
+            plane.declare_root(id, class, placement)
+        })
+    }
+
+    fn create_owned_context(
+        &self,
+        object: Box<dyn ContextObject>,
+        owners: &[ContextId],
+    ) -> Result<ContextId> {
+        self.inner.create_context(object, |plane, id, class| {
+            plane.declare_owned(id, class, owners)
+        })
+    }
+
+    fn register_class_factory(&self, class: &str, factory: ContextFactory) {
+        self.inner.factories.write().insert(class.into(), factory);
+    }
+
+    fn add_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
+        self.inner.plane.write().add_edge(owner, owned)
+    }
+
+    fn remove_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
+        self.inner.plane.write().remove_edge(owner, owned)
+    }
+
+    fn ownership_graph(&self) -> OwnershipGraph {
+        self.inner.plane.read().graph().clone()
+    }
+
+    fn session(&self) -> Box<dyn Session> {
+        Box::new(self.client())
+    }
+
+    fn add_server(&self) -> ServerId {
         self.inner.plane.write().add_server()
     }
 
-    /// Marks a server offline.  The server must not host any contexts —
-    /// migrate them away first (the elasticity manager does this when
-    /// scaling in).
-    ///
-    /// # Errors
-    ///
-    /// * [`AeonError::ServerNotFound`] for unknown servers.
-    /// * [`AeonError::Config`] when contexts are still placed on it.
-    pub fn remove_server(&self, server: ServerId) -> Result<()> {
+    fn remove_server(&self, server: ServerId) -> Result<()> {
         self.inner.plane.write().retire_server(server)
     }
 
-    /// Simulates a server crash: the server goes offline immediately and
-    /// every context hosted on it becomes unavailable (its lock is poisoned
-    /// and its state is dropped) until restored elsewhere with
-    /// [`AeonRuntime::restore_context`].  The ownership network and the
-    /// placement map keep the contexts' identities, mirroring the
-    /// distributed deployment's crash behaviour.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AeonError::ServerNotFound`] for unknown servers.
-    pub fn crash_server(&self, server: ServerId) -> Result<()> {
-        let hosted = self.inner.plane.write().mark_crashed(server)?;
-        for context in hosted {
-            if let Some(slot) = self.inner.core.remove(context) {
-                slot.lock.poison();
-            }
-        }
-        Ok(())
-    }
-
-    /// Re-hosts a context from externally held state (e.g. a checkpoint)
-    /// after its server crashed.  The context keeps its identity and
-    /// ownership edges; only its placement and state change.
-    ///
-    /// # Errors
-    ///
-    /// * [`AeonError::ContextNotFound`] when the context was never created.
-    /// * [`AeonError::MigrationFailed`] when no factory is registered for
-    ///   its class.
-    /// * [`AeonError::ServerNotFound`] when `server` is offline.
-    pub fn restore_context(
-        &self,
-        context: ContextId,
-        state: &Value,
-        server: ServerId,
-    ) -> Result<()> {
-        let class = {
-            let plane = self.inner.plane.read();
-            if !plane.is_online(server) {
-                return Err(AeonError::ServerNotFound(server));
-            }
-            plane.class_of(context)?.to_string()
-        };
-        let factory = self
-            .inner
-            .factories
-            .read()
-            .get(&class)
-            .cloned()
-            .ok_or_else(|| AeonError::MigrationFailed {
-                context,
-                reason: format!("no factory registered for class {class}"),
-            })?;
-        let object = factory(state);
-        // A re-host is recorded as a single-write event: everything the
-        // context does afterwards happens-after this install.
-        let sink = self.inner.sink();
-        let event = EventId::new(self.inner.ids.next_raw());
-        if let Some(sink) = &sink {
-            sink.invoked(event);
-            sink.accessed(event, context, AccessMode::Exclusive);
-        }
-        self.inner.core.install(context, object);
-        if let Some(sink) = &sink {
-            sink.responded(event);
-        }
-        self.inner.plane.write().set_placement(context, server)
-    }
-
-    /// Ids of all online servers.
-    pub fn servers(&self) -> Vec<ServerId> {
-        self.inner.plane.read().online_servers()
-    }
-
-    /// Current per-server load metrics (the elasticity control-plane feed).
-    ///
     /// CPU/memory/IO are approximated from relative context load since the
     /// logical servers share the host machine; the latency is the
     /// runtime-wide mean event latency.  Queue depth is *per server*: the
@@ -829,7 +747,7 @@ impl AeonRuntime {
     /// policies exist to find.)  Tasks whose context has no placement yet
     /// (racing a create/migrate) are spread round-robin so the fleet-wide
     /// sum stays meaningful.
-    pub fn server_metrics(&self) -> Vec<ServerMetrics> {
+    fn server_metrics(&self) -> Vec<ServerMetrics> {
         let latency = self.stats().latency_summary();
         let histogram = self.stats().latency_histogram();
         let queued = self.inner.executor.queued_by_key();
@@ -869,66 +787,84 @@ impl AeonRuntime {
             .collect()
     }
 
-    /// The server currently hosting `context`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AeonError::ContextNotFound`] for unknown contexts.
-    pub fn placement_of(&self, context: ContextId) -> Result<ServerId> {
-        self.inner.plane.read().placement_of(context)
-    }
-
-    /// All contexts currently placed on `server`.
-    pub fn contexts_on(&self, server: ServerId) -> Vec<ContextId> {
-        self.inner.plane.read().contexts_on(server)
-    }
-
-    /// Number of contexts placed on online servers.
-    pub fn context_count(&self) -> usize {
+    fn context_count(&self) -> usize {
         self.inner.plane.read().context_count()
     }
 
-    /// Runtime-wide statistics.
-    pub fn stats(&self) -> &RuntimeStats {
-        &self.inner.stats
+    fn executor_stats(&self) -> Option<ExecutorStats> {
+        Some(AeonRuntime::executor_stats(self))
     }
 
-    /// Call-summary sanitizer findings: actual invoke edges observed at
-    /// runtime that the statically declared `calls [...]` summaries do not
-    /// cover.  Only populated in debug builds (the recording is compiled
-    /// to a no-op in release); always empty when no class graph is
-    /// installed or no summaries are declared.
-    pub fn call_summary_violations(&self) -> Vec<String> {
-        self.inner
-            .summary_violations
-            .lock()
-            .iter()
+    /// The server goes offline at once and every context hosted on it
+    /// becomes unavailable (its lock is poisoned and its state is dropped);
+    /// the ownership network and the placement map keep the contexts'
+    /// identities, as on the cluster.
+    fn crash_server(&self, server: ServerId) -> Result<()> {
+        let hosted = self.inner.plane.write().mark_crashed(server)?;
+        for context in hosted {
+            if let Some(slot) = self.inner.core.remove(context) {
+                slot.lock.poison();
+            }
+        }
+        Ok(())
+    }
+
+    fn servers(&self) -> Vec<ServerId> {
+        self.inner.plane.read().online_servers()
+    }
+
+    fn placement_of(&self, context: ContextId) -> Result<ServerId> {
+        self.inner.plane.read().placement_of(context)
+    }
+
+    fn contexts_on(&self, server: ServerId) -> Vec<ContextId> {
+        self.inner.plane.read().contexts_on(server)
+    }
+
+    fn install_history_sink(&self, sink: SharedHistorySink) {
+        *self.inner.history.write() = Some(sink);
+    }
+
+    fn restore_context(&self, context: ContextId, state: &Value, server: ServerId) -> Result<()> {
+        let class = {
+            let plane = self.inner.plane.read();
+            if !plane.is_online(server) {
+                return Err(AeonError::ServerNotFound(server));
+            }
+            plane.class_of(context)?.to_string()
+        };
+        let factory = self
+            .inner
+            .factories
+            .read()
+            .get(&class)
             .cloned()
-            .collect()
+            .ok_or_else(|| AeonError::MigrationFailed {
+                context,
+                reason: format!("no factory registered for class {class}"),
+            })?;
+        let object = factory(state);
+        // A re-host is recorded as a single-write event: everything the
+        // context does afterwards happens-after this install.
+        let sink = self.inner.sink();
+        let event = EventId::new(self.inner.ids.next_raw());
+        if let Some(sink) = &sink {
+            sink.invoked(event);
+            sink.accessed(event, context, AccessMode::Exclusive);
+        }
+        self.inner.core.install(context, object);
+        if let Some(sink) = &sink {
+            sink.responded(event);
+        }
+        self.inner.plane.write().set_placement(context, server)
     }
 
-    /// Number of events currently executing, counting an event as in
-    /// flight until its whole causal chain (dispatched sub-events
-    /// included) has finished.
-    pub fn events_in_flight(&self) -> u64 {
-        self.inner.events_in_flight.load(Ordering::SeqCst)
-    }
-
-    /// Counters of the event worker pool (queue depth, batching, caught
-    /// panics, and the threads it started beside a worker that announced a
-    /// blocking wait — a contended nested activation, or a reader's turn at
-    /// an object another reader's frame holds).
-    pub fn executor_stats(&self) -> ExecutorStats {
-        self.inner.executor.stats()
-    }
-
-    /// Shuts the runtime down: subsequent submissions fail, events blocked
-    /// on context locks are aborted, the worker pool is stopped (queued
-    /// events resolve their handles as closed), and no event is
-    /// executing any more when this returns — wherever it ran: on a pool
-    /// worker or on the thread of a blocking caller
+    /// Events blocked on context locks are aborted, the worker pool is
+    /// stopped (queued events resolve their handles as closed), and no
+    /// event is executing any more when this returns — wherever it ran: on
+    /// a pool worker or on the thread of a blocking caller
     /// ([`AeonClient::call_with_mode`]).
-    pub fn shutdown(&self) {
+    fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         self.inner.core.poison();
         // Poisoning first unblocks any executing event, so joining the
@@ -954,73 +890,10 @@ pub struct AeonClient {
 }
 
 impl AeonClient {
-    /// This client's id.
-    pub fn id(&self) -> ClientId {
-        self.id
-    }
-
-    /// Submits an exclusive (update) event and returns a completion handle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AeonError::RuntimeShutdown`] after shutdown and
-    /// [`AeonError::ContextNotFound`] for unknown targets.
-    pub fn submit_event(&self, target: ContextId, method: &str, args: Args) -> Result<EventHandle> {
-        self.submit(target, method, args, AccessMode::Exclusive)
-    }
-
-    /// Submits a read-only event (the paper's `ro` methods); read-only
-    /// events of the same context may execute concurrently.
-    ///
-    /// When the class graph certifies the method for the fast path (`ro`
-    /// with an empty `calls []` summary), the event skips dominator
-    /// sequencing and executes under a shared activation of the target
-    /// alone.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`AeonClient::submit_event`].
-    pub fn submit_readonly_event(
-        &self,
-        target: ContextId,
-        method: &str,
-        args: Args,
-    ) -> Result<EventHandle> {
-        self.submit(target, method, args, AccessMode::ReadOnly)
-    }
-
-    /// Submits an event with an explicit access mode: the primitive behind
-    /// [`AeonClient::submit_event`] and the `aeon-api` `Session`
-    /// implementation.  The event runs on the worker pool; a caller that
-    /// would only `wait()` on the handle should use
-    /// [`AeonClient::call_with_mode`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AeonError::RuntimeShutdown`] after shutdown and
-    /// [`AeonError::ContextNotFound`] for unknown targets.
-    pub fn submit(
-        &self,
-        target: ContextId,
-        method: &str,
-        args: Args,
-        mode: AccessMode,
-    ) -> Result<EventHandle> {
-        let (request, footprint) = self.admit(target, method, args, mode)?;
-        // Sharded by target context, so that events on the same context
-        // keep submission-order affinity.
-        let (tx, handle) = EventHandle::new(request.id);
-        let inner = Arc::clone(&self.inner);
-        self.inner.executor.submit(request.target.raw(), move || {
-            let _ = inner.admitted(request, footprint, Some(tx), false).run();
-        });
-        Ok(handle)
-    }
-
     /// Executes an event **on the calling thread** and returns its result:
-    /// what `submit(..)?.wait()` returns, without the hand-off to the worker
-    /// pool and back (the `aeon-api` `Session::call` / `call_readonly` of
-    /// this backend).  The event is the same event — sequenced at its
+    /// what `submit_with_mode(..)?.wait()` returns, without the hand-off to
+    /// the worker pool and back (this backend's `Session::call` /
+    /// `call_readonly`).  The event is the same event — sequenced at its
     /// dominator or admitted to the certified read-only fast path, recorded,
     /// counted in the statistics and in [`AeonRuntime::events_in_flight`] —
     /// and it takes its turn in the same context-lock queues; only the
@@ -1028,7 +901,7 @@ impl AeonClient {
     ///
     /// # Errors
     ///
-    /// Those of [`AeonClient::submit`], then the event's own:
+    /// Those of `Session::submit_with_mode`, then the event's own:
     /// [`AeonError::EventAborted`] when the runtime shuts down while it
     /// waits for a context, and whatever the method returns.
     pub fn call_with_mode(
@@ -1076,5 +949,38 @@ impl AeonClient {
     }
 }
 
-/// Alias documenting the shape of events dispatched from within events.
-pub use crate::invocation::SubEvent as DispatchedEvent;
+/// A submitted event runs on the worker pool, sharded by its target; a
+/// read the class graph certifies (`ro` with an empty `calls []` summary)
+/// skips dominator sequencing and runs under a shared activation of its
+/// target alone.  A caller that blocks anyway is served on its own thread.
+impl Session for AeonClient {
+    fn client_id(&self) -> ClientId {
+        self.id
+    }
+
+    fn submit_with_mode(
+        &self,
+        target: ContextId,
+        method: &str,
+        args: Args,
+        mode: AccessMode,
+    ) -> Result<EventHandle> {
+        let (request, footprint) = self.admit(target, method, args, mode)?;
+        let (tx, handle) = EventHandle::new(request.id, None);
+        let inner = Arc::clone(&self.inner);
+        // Sharded by target context, so that events on the same context
+        // keep submission-order affinity.
+        self.inner.executor.submit(request.target.raw(), move || {
+            let _ = inner.admitted(request, footprint, Some(tx), false).run();
+        });
+        Ok(handle)
+    }
+
+    fn call(&self, target: ContextId, method: &str, args: Args) -> Result<Value> {
+        self.call_with_mode(target, method, args, AccessMode::Exclusive)
+    }
+
+    fn call_readonly(&self, target: ContextId, method: &str, args: Args) -> Result<Value> {
+        self.call_with_mode(target, method, args, AccessMode::ReadOnly)
+    }
+}

@@ -2,9 +2,9 @@
 //! enforcement, read-only concurrency, sub-events, async calls, migration
 //! and snapshots.
 
-use aeon_api::{Deployment, Session};
 use aeon_ownership::{ClassGraph, ControlPlane, Dominator};
 use aeon_runtime::{AeonRuntime, ContextObject, EventObserver, Invocation, KvContext, Placement};
+use aeon_runtime::{Deployment, Session};
 use aeon_types::{args, AccessMode, AeonError, Args, ContextId, EventId, Result, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -861,10 +861,9 @@ fn a_queued_event_holds_no_pool_worker() {
         runtime.executor_stats().queued == 0 && runtime.events_in_flight() == 2
     });
     let unrelated = client.submit_event(other, "incr", args!["n", 1]).unwrap();
-    let outcome = unrelated.wait_timeout(Duration::from_secs(1)).unwrap();
     assert_eq!(
-        outcome.map(|outcome| outcome.result),
-        Some(Ok(Value::from(1i64))),
+        unrelated.wait_timeout(Duration::from_secs(1)),
+        Ok(Value::from(1i64)),
         "the unrelated event waited behind the queued one"
     );
     assert!(!wedged.is_finished(), "the gate is still wedged");
@@ -914,8 +913,7 @@ fn a_nested_wait_behind_a_resumed_event_stays_live() {
     release.send(()).unwrap();
     assert_eq!(wedged.join().unwrap().unwrap(), Value::from("unwedged"));
     for handle in [resumed, nested] {
-        let outcome = handle.wait_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(outcome.map(|outcome| outcome.result), Some(Ok(Value::Null)));
+        assert_eq!(handle.wait_timeout(Duration::from_secs(5)), Ok(Value::Null));
     }
     runtime.shutdown();
 }

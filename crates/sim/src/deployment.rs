@@ -19,10 +19,10 @@
 //! placement, migration, crash and restore are the runtime's.
 
 use crate::resources::{CpuTimeline, LockTimeline};
-use aeon_api::{Deployment, EventHandle, Session};
 use aeon_ownership::{ClassGraph, ControlPlane, OwnershipGraph};
 use aeon_runtime::{
-    AeonClient, AeonRuntime, AnalysisMode, ContextFactory, ContextObject, EventObserver, Placement,
+    AeonClient, AeonRuntime, AnalysisMode, ContextFactory, ContextObject, Deployment, EventHandle,
+    EventObserver, Placement, Session,
 };
 use aeon_types::{
     AccessMode, AeonError, Args, ClientId, ContextId, EventId, LatencyHistogram, Result, ServerId,
@@ -397,7 +397,7 @@ pub struct SimSession {
 
 impl Session for SimSession {
     fn client_id(&self) -> ClientId {
-        self.client.id()
+        self.client.client_id()
     }
 
     fn submit_with_mode(

@@ -355,6 +355,42 @@ fn a_called_event_is_recorded_like_a_submitted_one_on_every_backend() {
     });
 }
 
+/// The id a handle reports is the id the backend recorded the event under:
+/// an exclusive event, a certified read and a sequenced read each leave one
+/// span, under the handle's id, and every access they made carries it.
+#[test]
+fn a_handle_names_the_event_its_backend_recorded_on_every_backend() {
+    on_every_backend(|deployment| {
+        let backend = deployment.backend_name();
+        let recorder = HistoryRecorder::new();
+        deployment.install_history_sink(std::sync::Arc::new(recorder.clone()));
+        let world = deploy_game(deployment, 1, 1).unwrap();
+        let (room, player) = (world.rooms[0], world.players[0][0]);
+        let session = deployment.session();
+        let submits = [
+            (player, "get_gold", args![7], AccessMode::Exclusive),
+            (room, "nr_players", args![], AccessMode::ReadOnly),
+            (player, "treasure_balance", args![], AccessMode::ReadOnly),
+        ];
+        for (target, method, args, mode) in submits {
+            recorder.reset();
+            let handle = session
+                .submit_with_mode(target, method, args, mode)
+                .unwrap();
+            let event = handle.event_id();
+            handle.wait().unwrap();
+            let history = recorder.history();
+            let recorded: Vec<_> = history.spans.keys().copied().collect();
+            assert_eq!(recorded, [event], "backend {backend}: {method}");
+            let accesses: Vec<_> = history.operations.values().flatten().collect();
+            assert!(!accesses.is_empty(), "backend {backend}: {method}");
+            for op in accesses {
+                assert_eq!(op.event, event, "backend {backend}: {method}");
+            }
+        }
+    });
+}
+
 #[test]
 fn snapshot_restore_round_trips_on_every_backend() {
     on_every_backend(|deployment| {

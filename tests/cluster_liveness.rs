@@ -57,7 +57,9 @@ fn burst(cluster: &Cluster, events: Vec<(ContextId, &str, Args, AccessMode)>) ->
     let client = cluster.client();
     let handles: Vec<_> = events
         .into_iter()
-        .map(|(target, method, args, mode)| client.submit(target, method, args, mode).unwrap())
+        .map(|(target, method, args, mode)| {
+            client.submit_with_mode(target, method, args, mode).unwrap()
+        })
         .collect();
     handles
         .into_iter()
@@ -333,11 +335,13 @@ fn a_contended_entry_starts_no_pool_thread() {
             let client = cluster.client();
             let reads = cluster.fast_path_events();
             let hold = client
-                .submit(target, "hold", args![], AccessMode::Exclusive)
+                .submit_with_mode(target, "hold", args![], AccessMode::Exclusive)
                 .unwrap();
             started_rx.recv_timeout(Duration::from_secs(10)).unwrap();
             let before = started(&cluster);
-            let entry = client.submit(target, method, args![], mode).unwrap();
+            let entry = client
+                .submit_with_mode(target, method, args![], mode)
+                .unwrap();
             assert_eq!(hold.wait().unwrap(), Value::from("held"));
             assert_eq!(entry.wait().unwrap(), Value::from(method));
             assert_eq!(

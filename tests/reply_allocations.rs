@@ -5,10 +5,10 @@
 //! the value and the parked waiter.  A bounded channel of capacity one used
 //! to carry each of them in two: a 640 B channel and a slot buffer of the
 //! value's size.  On the thread that submits events to the runtime, a
-//! `submit` + `wait` of `get_gold` allocated 984 B in 6 blocks per event
-//! with the channel, the largest its 640 B, and allocates 240 B in 4 with
-//! the reply: the method's name (8 B), the API handle's closure (40 B), the
-//! pool task (88 B) and the reply (104 B).
+//! `Session` `submit` + `wait` of `get_gold` allocated 984 B in 6 blocks per
+//! event with the channel, the largest its 640 B, and allocates 192 B in 3
+//! with the reply: the method's name (8 B), the pool task (104 B) and the
+//! reply (80 B), which the one `EventHandle` holds itself.
 //!
 //! The counting allocator is this test binary's `#[global_allocator]`.  It
 //! counts blocks, bytes and the largest block per thread, and — while a
@@ -18,15 +18,12 @@
 
 use aeon::prelude::*;
 use aeon::runtime::reply::reply;
-use aeon::runtime::EventOutcome;
-use aeon::EventId;
 use aeon_apps::bank::{deploy_bank, register_bank_factories, BankWorldConfig};
 use aeon_apps::game::{deploy_game, game_class_graph};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
-use std::time::Duration;
 
 /// A block this large anywhere in the process fails the armed window.
 const LARGE: usize = 512;
@@ -119,25 +116,20 @@ fn large_blocks_anywhere(f: impl FnOnce()) -> (usize, usize) {
 #[test]
 fn a_reply_for_an_event_outcome_is_one_block() {
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-    let (spent, (tx, rx)) = spent_on_this_thread(reply::<EventOutcome>);
+    let (spent, (tx, rx)) = spent_on_this_thread(reply::<Result<Value>>);
     // The `Arc`'s two counts, the mutex word, and the state, which is no
     // larger than the outcome itself.
-    let expected = 16 + 8 + std::mem::size_of::<EventOutcome>();
+    let expected = 16 + 8 + std::mem::size_of::<Result<Value>>();
     assert_eq!((spent.blocks, spent.bytes), (1, expected), "{spent:?}");
-    assert_eq!(expected, 104);
+    assert_eq!(expected, 80);
 
     // Sending, and taking what was sent, allocates nothing more.
-    let outcome = EventOutcome {
-        event: EventId::new(1),
-        result: Ok(Value::from(7i64)),
-        latency: Duration::ZERO,
-    };
     let (spent, got) = spent_on_this_thread(|| {
-        tx.send(outcome).unwrap();
+        tx.send(Ok(Value::from(7i64))).unwrap();
         rx.wait().unwrap()
     });
     assert_eq!(spent.blocks, 0, "{spent:?}");
-    assert_eq!(got.result, Ok(Value::from(7i64)));
+    assert_eq!(got, Ok(Value::from(7i64)));
 }
 
 #[test]
@@ -169,7 +161,9 @@ fn a_runtime_submit_and_wait_allocates_no_large_block_on_the_submitting_thread()
     });
     runtime.shutdown();
     // 984 B per event, one block of them 640 B, with a bounded channel;
-    // 240 B in blocks of at most 104 B with the reply.
+    // 192 B in blocks of at most 104 B with the reply: the method's name,
+    // the pool task and the reply, and nothing between the handle and it.
+    assert_eq!(spent.blocks, 3 * events, "{spent:?}");
     assert!(spent.largest < 256, "{spent:?}");
     assert!(
         spent.bytes <= 300 * events,
