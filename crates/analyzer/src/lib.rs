@@ -24,14 +24,16 @@
 //!
 //! # Deploy-time enforcement
 //!
-//! Every deployment entry point (`RuntimeBuilder`, `ClusterBuilder`,
-//! `SimDeployment`, and `aeon::deploy`) runs [`enforce`] over its class
-//! graph, governed by an [`AnalysisMode`] knob (`off | warn | enforce`,
-//! default `enforce`): error diagnostics become
-//! [`AeonError::AnalysisRejected`] and the deployment is refused.  In debug
-//! builds the runtime additionally records actual invoke edges and flags
-//! calls not covered by the declared summaries — the dynamic sanitizer that
-//! validates the static model.
+//! The analysis is not optional.  Every deployment entry point
+//! (`RuntimeBuilder`, `ClusterBuilder`, and through them `SimDeployment`
+//! and `aeon::deploy`) calls [`enforce`] once over its class graph: error
+//! diagnostics become [`AeonError::AnalysisRejected`] and the deployment is
+//! refused; warnings print to stderr.  In debug builds the runtime
+//! additionally records actual invoke edges and flags calls not covered by
+//! the declared summaries — the dynamic sanitizer that validates the static
+//! model.
+//!
+//! [`AeonError::AnalysisRejected`]: aeon_types::AeonError::AnalysisRejected
 //!
 //! The same analysis backs the `aeon-lint` binary, which lints the built-in
 //! workspace graphs and JSON-encoded [`ClassGraph`] documents (see
@@ -64,86 +66,35 @@ pub use passes::{analyze, certified_readonly, transitively_readonly};
 pub use report::{AnalysisReport, DiagCode, Diagnostic, Severity};
 
 use aeon_ownership::ClassGraph;
-use aeon_types::{AeonError, Result};
-use std::fmt;
-use std::str::FromStr;
+use aeon_types::Result;
 
-/// How deployment entry points react to analysis findings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AnalysisMode {
-    /// Skip the pipeline entirely.
-    Off,
-    /// Run the pipeline, print every diagnostic to stderr, deploy anyway.
-    Warn,
-    /// Run the pipeline; error diagnostics refuse the deployment with
-    /// [`AeonError::AnalysisRejected`] (warnings still print).
-    #[default]
-    Enforce,
-}
-
-impl FromStr for AnalysisMode {
-    type Err = AeonError;
-
-    fn from_str(s: &str) -> Result<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "off" => Ok(AnalysisMode::Off),
-            "warn" => Ok(AnalysisMode::Warn),
-            "enforce" => Ok(AnalysisMode::Enforce),
-            other => Err(AeonError::Config(format!(
-                "unknown analysis mode {other:?} (expected off|warn|enforce)"
-            ))),
-        }
-    }
-}
-
-impl fmt::Display for AnalysisMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AnalysisMode::Off => write!(f, "off"),
-            AnalysisMode::Warn => write!(f, "warn"),
-            AnalysisMode::Enforce => write!(f, "enforce"),
-        }
-    }
-}
-
-/// Runs [`analyze`] over `classes` under `mode`: the single
-/// helper every deployment entry point calls.
-///
-/// Warnings always print to stderr (except in [`AnalysisMode::Off`]); error
-/// diagnostics print in [`AnalysisMode::Warn`] and become
-/// [`AeonError::AnalysisRejected`] in [`AnalysisMode::Enforce`].
+/// The one deploy-time gate every deployment entry point calls: checks
+/// `classes`' ownership constraints for cycles, then runs [`analyze`].
+/// Warnings print to stderr; error diagnostics refuse the deployment.
 ///
 /// # Errors
 ///
-/// Returns [`AeonError::AnalysisRejected`] in `Enforce` mode when any
-/// error-severity diagnostic is reported.
-pub fn enforce(classes: &ClassGraph, mode: AnalysisMode) -> Result<()> {
-    if mode == AnalysisMode::Off {
-        return Ok(());
-    }
+/// * [`AeonError::ClassCycleDetected`] when the ownership constraints are
+///   cyclic.
+/// * [`AeonError::AnalysisRejected`] when any error-severity diagnostic is
+///   reported.
+///
+/// [`AeonError::ClassCycleDetected`]: aeon_types::AeonError::ClassCycleDetected
+/// [`AeonError::AnalysisRejected`]: aeon_types::AeonError::AnalysisRejected
+pub fn enforce(classes: &ClassGraph) -> Result<()> {
+    classes.check()?;
     let report = analyze(classes);
     for warning in report.warnings() {
         eprintln!("aeon-analyzer: {}", warning.render());
     }
-    match report.to_error() {
-        None => Ok(()),
-        Some(error) => match mode {
-            AnalysisMode::Off => unreachable!("handled above"),
-            AnalysisMode::Warn => {
-                for diagnostic in report.errors() {
-                    eprintln!("aeon-analyzer: {}", diagnostic.render());
-                }
-                Ok(())
-            }
-            AnalysisMode::Enforce => Err(error),
-        },
-    }
+    report.to_error().map_or(Ok(()), Err)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use aeon_ownership::MethodRef;
+    use aeon_types::AeonError;
 
     fn broken() -> ClassGraph {
         let mut g = ClassGraph::new();
@@ -154,25 +105,8 @@ mod tests {
     }
 
     #[test]
-    fn mode_parses_and_displays() {
-        assert_eq!("off".parse::<AnalysisMode>().unwrap(), AnalysisMode::Off);
-        assert_eq!("Warn".parse::<AnalysisMode>().unwrap(), AnalysisMode::Warn);
-        assert_eq!(
-            " enforce ".parse::<AnalysisMode>().unwrap(),
-            AnalysisMode::Enforce
-        );
-        assert!(matches!(
-            "strict".parse::<AnalysisMode>(),
-            Err(AeonError::Config(_))
-        ));
-        assert_eq!(AnalysisMode::Enforce.to_string(), "enforce");
-        assert_eq!(AnalysisMode::default(), AnalysisMode::Enforce);
-    }
-
-    #[test]
-    fn enforce_rejects_warn_passes_off_skips() {
-        let g = broken();
-        let err = enforce(&g, AnalysisMode::Enforce).unwrap_err();
+    fn enforce_refuses_a_cycle_and_an_error_diagnostic() {
+        let err = enforce(&broken()).unwrap_err();
         match err {
             AeonError::AnalysisRejected { errors, report } => {
                 assert!(errors >= 1);
@@ -180,7 +114,15 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        enforce(&g, AnalysisMode::Warn).unwrap();
-        enforce(&g, AnalysisMode::Off).unwrap();
+        let mut cyclic = ClassGraph::new();
+        cyclic.add_constraint("A", "B");
+        cyclic.add_constraint("B", "A");
+        assert!(matches!(
+            enforce(&cyclic),
+            Err(AeonError::ClassCycleDetected { .. })
+        ));
+        let mut sound = broken();
+        sound.declare_calls("Account", "evil", []);
+        enforce(&sound).unwrap();
     }
 }

@@ -7,7 +7,7 @@
 //! graph and asserts the pipeline reports the matching `AEONnnn` code —
 //! the same contract `aeon-lint` and deploy-time enforcement rely on.
 
-use aeon_analyzer::{analyze, enforce, AnalysisMode, DiagCode};
+use aeon_analyzer::{analyze, enforce, DiagCode};
 use aeon_ownership::{ClassGraph, MethodRef};
 use aeon_types::AeonError;
 use proptest::prelude::*;
@@ -91,12 +91,10 @@ proptest! {
         prop_assert!(classes.check().is_ok());
     }
 
-    /// Clean graphs pass `enforce` in every mode.
+    /// Clean graphs pass `enforce`.
     #[test]
     fn sound_graphs_pass_enforcement(classes in graph_strategy()) {
-        for mode in [AnalysisMode::Off, AnalysisMode::Warn, AnalysisMode::Enforce] {
-            prop_assert!(enforce(&classes, mode).is_ok());
-        }
+        prop_assert!(enforce(&classes).is_ok());
     }
 
     /// Mutation: a back-edge constraint closes a class-level ownership
@@ -188,8 +186,7 @@ proptest! {
         );
     }
 
-    /// Every mutated graph is refused by `Enforce` mode and waved through
-    /// (with stderr warnings only) by `Warn` and `Off`.
+    /// Every mutated graph is refused by `enforce`.
     #[test]
     fn enforcement_tracks_mutations((n, bits) in (2usize..8, any::<u64>())) {
         let mut classes = sound_graph(n, bits);
@@ -199,10 +196,8 @@ proptest! {
             [MethodRef::new(class(0), mutating(0))],
         );
         prop_assert!(matches!(
-            enforce(&classes, AnalysisMode::Enforce),
+            enforce(&classes),
             Err(AeonError::AnalysisRejected { .. })
         ));
-        prop_assert!(enforce(&classes, AnalysisMode::Warn).is_ok());
-        prop_assert!(enforce(&classes, AnalysisMode::Off).is_ok());
     }
 }

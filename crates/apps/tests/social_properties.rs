@@ -3,11 +3,11 @@
 //! Two generator surfaces get the adversarial treatment: the Zipf sampler
 //! (distribution sanity across the whole exponent range, including the
 //! degenerate `s → 0` uniform case) and the seeded graph generator (every
-//! plan must be a well-formed ownership DAG that deploys cleanly under
-//! `AnalysisMode::Enforce` — the AEON001–005 diagnostics never fire, for
-//! any seed).
+//! plan must be a well-formed ownership DAG that deploys cleanly under the
+//! deploy-time analysis — the AEON001–005 diagnostics never fire, for any
+//! seed).
 
-use aeon_analyzer::{analyze, AnalysisMode};
+use aeon_analyzer::analyze;
 use aeon_apps::social::{
     deploy_social_plan, generate_plan, social_class_graph, SocialConfig, ZipfSampler,
 };
@@ -107,7 +107,7 @@ proptest! {
         }
     }
 
-    /// Every seeded plan deploys under `AnalysisMode::Enforce`: the
+    /// Every seeded plan deploys under the enforced static analysis: the
     /// deploy-time pipeline re-checks the instance ownership network
     /// against the class constraints, so a clean deployment means none of
     /// AEON001–005 fired for this seed.
@@ -128,7 +128,6 @@ proptest! {
         };
         let sim = SimDeployment::builder()
             .servers(2)
-            .analysis(AnalysisMode::Enforce)
             .class_graph(social_class_graph())
             .build()
             .unwrap();

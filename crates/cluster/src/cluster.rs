@@ -32,8 +32,8 @@ use aeon_net::{
 use aeon_ownership::{ClassGraph, ControlPlane, OwnershipGraph, Sequencer};
 use aeon_runtime::reply::{reply, Replier, WaitError};
 use aeon_runtime::{
-    AnalysisMode, CertifiedReads, ContextFactory, ContextObject, Deployment, EventHandle,
-    ExecutorConfig, ExecutorStats, Footprint, Placement, Session,
+    CertifiedReads, ContextFactory, ContextObject, Deployment, EventHandle, ExecutorConfig,
+    ExecutorStats, Footprint, Placement, Session,
 };
 use aeon_types::{
     AccessMode, AeonError, Args, ClientId, ContextId, EventId, NetworkStatsSnapshot, Result,
@@ -93,7 +93,6 @@ enum Mode {
 pub struct ClusterBuilder {
     servers: usize,
     class_graph: Option<ClassGraph>,
-    analysis: AnalysisMode,
     executor: ExecutorConfig,
     transport: ClusterTransport,
 }
@@ -110,7 +109,6 @@ impl ClusterBuilder {
         Self {
             servers: 1,
             class_graph: None,
-            analysis: AnalysisMode::default(),
             executor: ExecutorConfig::default(),
             transport: ClusterTransport::default(),
         }
@@ -139,19 +137,12 @@ impl ClusterBuilder {
         self
     }
 
-    /// Installs a contextclass constraint graph; the static analysis runs at
-    /// build time.
+    /// Installs a contextclass constraint graph: context creation and
+    /// ownership changes are validated against it, and
+    /// [`ClusterBuilder::build`] refuses it unless it passes
+    /// [`aeon_analyzer::enforce`].
     pub fn class_graph(mut self, classes: ClassGraph) -> Self {
         self.class_graph = Some(classes);
-        self
-    }
-
-    /// Sets how [`ClusterBuilder::build`] treats static-analysis findings on
-    /// the class graph: `Off` skips the pipeline, `Warn` prints diagnostics
-    /// and proceeds, `Enforce` (the default) refuses to build on any
-    /// error-severity diagnostic.
-    pub fn analysis(mut self, mode: AnalysisMode) -> Self {
-        self.analysis = mode;
         self
     }
 
@@ -159,11 +150,10 @@ impl ClusterBuilder {
     ///
     /// # Errors
     ///
-    /// * [`AeonError::Config`] when `servers` is zero.
-    /// * [`AeonError::ClassCycleDetected`] when the class graph's ownership
-    ///   constraints are cyclic.
-    /// * [`AeonError::AnalysisRejected`] when the static analysis pipeline
-    ///   reports error diagnostics and the mode is [`AnalysisMode::Enforce`].
+    /// * [`AeonError::Config`] when `servers` or `worker_threads` is zero.
+    /// * Those of [`aeon_analyzer::enforce`] on the class graph:
+    ///   [`AeonError::ClassCycleDetected`] and
+    ///   [`AeonError::AnalysisRejected`].
     pub fn build(self) -> Result<Cluster> {
         if self.servers == 0 && !matches!(self.transport, ClusterTransport::TcpMesh { .. }) {
             return Err(AeonError::Config("at least one server is required".into()));
@@ -174,8 +164,7 @@ impl ClusterBuilder {
             ));
         }
         if let Some(classes) = &self.class_graph {
-            classes.check()?;
-            aeon_analyzer::enforce(classes, self.analysis)?;
+            aeon_analyzer::enforce(classes)?;
         }
         let certified = CertifiedReads::new(self.class_graph.as_ref());
         let directory = Arc::new(Directory::new(self.class_graph));
@@ -649,12 +638,15 @@ impl Cluster {
     /// Creates a context: `declare` enters it into the control plane under
     /// the id it is handed (validating everything first) and names the
     /// server, which is then asked to host the object; if that fails the
-    /// context is forgotten again.
+    /// context is forgotten again.  A shut-down cluster creates nothing.
     fn host_new_context(
         &self,
         object: Box<dyn ContextObject>,
         declare: impl FnOnce(&mut ControlPlane, ContextId, &str) -> Result<ServerId>,
     ) -> Result<ContextId> {
+        if self.inner.shutdown.load(Ordering::SeqCst) {
+            return Err(AeonError::RuntimeShutdown);
+        }
         let class = object.class_name().to_string();
         let id = self.inner.directory.next_context_id();
         let server = declare(&mut self.inner.plane().write(), id, &class)?;
@@ -980,7 +972,11 @@ impl Deployment for Cluster {
     /// * [`AeonError::ContextNotFound`] when the context was never created.
     /// * [`AeonError::MigrationFailed`] when no factory is registered.
     /// * [`AeonError::ServerNotFound`] when `server` is offline.
+    /// * [`AeonError::RuntimeShutdown`] after shutdown.
     fn restore_context(&self, context: ContextId, state: &Value, server: ServerId) -> Result<()> {
+        if self.inner.shutdown.load(Ordering::SeqCst) {
+            return Err(AeonError::RuntimeShutdown);
+        }
         let class = {
             let plane = self.inner.plane().read();
             if !plane.is_online(server) {

@@ -31,7 +31,6 @@
 
 use crate::deploy::{Backend, DeployConfig};
 use aeon_cluster::ClusterTransport;
-use aeon_runtime::AnalysisMode;
 use aeon_types::{AeonError, Result};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -76,8 +75,7 @@ pub struct WorkloadConfig {
 /// the optional built-in workload.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceConfig {
-    /// The deployment to build (backend, servers, pool knobs, analysis
-    /// mode, transport).
+    /// The deployment to build (backend, servers, pool size, transport).
     pub deployment: DeployConfig,
     /// Admin listener and metrics-push settings.
     pub admin: AdminConfig,
@@ -273,11 +271,6 @@ fn apply_deployment(deploy: &mut DeployConfig, entries: &Entries) -> Result<()> 
             }
             "servers" => deploy.servers = expect_usize(key, value, line)?,
             "worker_threads" => deploy.worker_threads = Some(expect_usize(key, value, line)?),
-            "analysis" => {
-                deploy.analysis = expect_str(key, value, line)?
-                    .parse::<AnalysisMode>()
-                    .map_err(|e| AeonError::Config(format!("line {line}: {e}")))?;
-            }
             "transport" => {
                 deploy.transport = match expect_str(key, value, line)?.as_str() {
                     "channel" => ClusterTransport::Channel,
@@ -370,7 +363,6 @@ mod tests {
             backend = "cluster"        # distributed
             servers = 3
             worker_threads = 2
-            analysis = "warn"
             transport = "tcp-loopback"
 
             [admin]
@@ -386,7 +378,6 @@ mod tests {
         assert_eq!(config.deployment.backend, Backend::Cluster);
         assert_eq!(config.deployment.servers, 3);
         assert_eq!(config.deployment.worker_threads, Some(2));
-        assert_eq!(config.deployment.analysis, AnalysisMode::Warn);
         assert!(matches!(
             config.deployment.transport,
             ClusterTransport::TcpLoopback
@@ -430,7 +421,8 @@ mod tests {
     #[test]
     fn a_removed_key_is_refused_like_any_unknown_one() {
         // The spill-worker cap went with the spill workers, the batch cap
-        // and the certified-read switch with their options; an old config
+        // and the certified-read switch with their options, the analysis
+        // mode because the static analysis always enforces; an old config
         // naming one is told so, with its line, instead of being ignored.
         // (Spelled in parts so that a grep for a deleted knob finds no
         // code.)
@@ -438,6 +430,7 @@ mod tests {
             (&["max", "spill", "workers"][..], "8"),
             (&["batch", "max"][..], "16"),
             (&["readonly", "fast", "path"][..], "false"),
+            (&["analysis"][..], "\"warn\""),
         ] {
             let key = parts.join("_");
             let text = format!("[deployment]\nservers = 2\n{key} = {value}");

@@ -21,7 +21,7 @@
 use aeon_api::Deployment;
 use aeon_cluster::{Cluster, ClusterTransport};
 use aeon_ownership::ClassGraph;
-use aeon_runtime::{AeonRuntime, AnalysisMode};
+use aeon_runtime::AeonRuntime;
 use aeon_sim::SimDeployment;
 use aeon_types::{AeonError, Result};
 use std::fmt;
@@ -86,13 +86,9 @@ pub struct DeployConfig {
     /// default (available parallelism).  Ignored by the single-threaded
     /// simulator.
     pub worker_threads: Option<usize>,
-    /// Optional contextclass constraint graph, statically analysed at
-    /// build time on every backend.
+    /// Optional contextclass constraint graph.  Every backend refuses it
+    /// unless it passes `aeon_analyzer::enforce`.
     pub class_graph: Option<ClassGraph>,
-    /// How the static analysis pipeline treats the class graph:
-    /// `off | warn | enforce` (default `enforce` — error diagnostics refuse
-    /// the deployment).
-    pub analysis: AnalysisMode,
     /// Message transport used by [`Backend::Cluster`]: in-process channels
     /// (the default), TCP sockets on loopback, or a TCP mesh of external
     /// `aeon-node` processes.  Ignored by the runtime and the simulator,
@@ -107,7 +103,6 @@ impl Default for DeployConfig {
             servers: 1,
             worker_threads: None,
             class_graph: None,
-            analysis: AnalysisMode::default(),
             transport: ClusterTransport::default(),
         }
     }
@@ -158,14 +153,6 @@ impl DeployConfig {
         self
     }
 
-    /// Sets how the static analysis pipeline treats the class graph
-    /// (`off | warn | enforce`; the default is [`AnalysisMode::Enforce`]).
-    #[must_use]
-    pub fn analysis(mut self, mode: AnalysisMode) -> Self {
-        self.analysis = mode;
-        self
-    }
-
     /// Selects the cluster message transport (ignored by the runtime and
     /// the simulator).
     #[must_use]
@@ -183,8 +170,8 @@ impl DeployConfig {
 /// * [`AeonError::Config`] when `servers` is zero or a knob is invalid.
 /// * [`AeonError::ClassCycleDetected`] when the class graph's ownership
 ///   constraints are cyclic.
-/// * [`AeonError::AnalysisRejected`] when the static analysis pipeline
-///   reports error diagnostics and the mode is [`AnalysisMode::Enforce`].
+/// * [`AeonError::AnalysisRejected`] when the static analysis reports an
+///   error diagnostic on the class graph.
 ///
 /// # Examples
 ///
@@ -211,9 +198,7 @@ impl DeployConfig {
 pub fn deploy(config: DeployConfig) -> Result<Box<dyn Deployment>> {
     match config.backend {
         Backend::Runtime => {
-            let mut builder = AeonRuntime::builder()
-                .servers(config.servers)
-                .analysis(config.analysis);
+            let mut builder = AeonRuntime::builder().servers(config.servers);
             if let Some(threads) = config.worker_threads {
                 builder = builder.worker_threads(threads);
             }
@@ -225,8 +210,7 @@ pub fn deploy(config: DeployConfig) -> Result<Box<dyn Deployment>> {
         Backend::Cluster => {
             let mut builder = Cluster::builder()
                 .servers(config.servers)
-                .transport(config.transport)
-                .analysis(config.analysis);
+                .transport(config.transport);
             if let Some(threads) = config.worker_threads {
                 builder = builder.worker_threads(threads);
             }
@@ -236,9 +220,7 @@ pub fn deploy(config: DeployConfig) -> Result<Box<dyn Deployment>> {
             Ok(Box::new(builder.build()?))
         }
         Backend::Sim => {
-            let mut builder = SimDeployment::builder()
-                .servers(config.servers)
-                .analysis(config.analysis);
+            let mut builder = SimDeployment::builder().servers(config.servers);
             if let Some(classes) = config.class_graph {
                 builder = builder.class_graph(classes);
             }
@@ -338,7 +320,6 @@ mod tests {
     #[test]
     fn enforce_mode_refuses_unsound_graphs_on_every_backend() {
         use aeon_ownership::{ClassGraph, MethodRef};
-        use aeon_runtime::AnalysisMode;
 
         // Account calling back up into Branch is not covered by ownership:
         // AEON002, an error-severity diagnostic.
@@ -358,16 +339,6 @@ mod tests {
                 }
                 Err(other) => panic!("backend {backend}: unexpected {other:?}"),
                 Ok(_) => panic!("backend {backend}: unsound graph deployed"),
-            }
-            // warn and off modes deploy the same graph.
-            for mode in [AnalysisMode::Warn, AnalysisMode::Off] {
-                let deployment = deploy(
-                    DeployConfig::new(backend)
-                        .class_graph(unsound())
-                        .analysis(mode),
-                )
-                .unwrap();
-                deployment.shutdown();
             }
         }
     }

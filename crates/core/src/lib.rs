@@ -118,7 +118,7 @@ pub use deploy::{deploy, deploy_shared, Backend, DeployConfig};
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use crate::deploy::{deploy, deploy_shared, Backend, DeployConfig};
-    pub use aeon_analyzer::{analyze, AnalysisMode, AnalysisReport, DiagCode};
+    pub use aeon_analyzer::{analyze, AnalysisReport, DiagCode};
     pub use aeon_api::{Deployment, EventHandle, Session};
     pub use aeon_checker::{check_strict_serializability, History, HistoryRecorder};
     pub use aeon_cluster::{Cluster, ClusterClient, ClusterTransport, NodeProcessConfig};

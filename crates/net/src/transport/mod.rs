@@ -12,7 +12,7 @@
 //!   cluster runs as N OS processes (`aeon-node`).
 //!
 //! [`Network`](crate::Network) layers fault injection (severed links) and
-//! [`NetworkStats`](crate::NetworkStats) on top, so both transports share
+//! [`crate::NetworkStats`] on top, so both transports share
 //! identical semantics for everything above the wire.
 //!
 //! ## Delivery

@@ -12,7 +12,8 @@
 //! This crate provides:
 //!
 //! * [`OwnershipGraph`] — the runtime context DAG with cycle-checked
-//!   mutation, traversal helpers and persistence to/from [`Value`]s;
+//!   mutation, traversal helpers and persistence to/from
+//!   [`Value`](aeon_types::Value)s;
 //! * [`dominator`] — the `share`/`dom` computation of §3 plus a cached
 //!   resolver;
 //! * [`control`] — the [`ControlPlane`]: graph, context→server mapping and

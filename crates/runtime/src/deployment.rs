@@ -117,6 +117,7 @@ pub trait Deployment: Send + Sync {
     ///   installed class graph.
     /// * [`AeonError::ServerNotFound`] / [`AeonError::Config`] when the
     ///   placement is not satisfiable.
+    /// * [`AeonError::RuntimeShutdown`] after shutdown.
     fn create_context(
         &self,
         object: Box<dyn ContextObject>,
@@ -132,6 +133,7 @@ pub trait Deployment: Send + Sync {
     ///   declared in the installed class graph.
     /// * [`AeonError::OwnershipViolation`] when the class constraints
     ///   forbid the ownership.
+    /// * [`AeonError::RuntimeShutdown`] after shutdown.
     fn create_owned_context(
         &self,
         object: Box<dyn ContextObject>,
@@ -338,9 +340,11 @@ pub trait Deployment: Send + Sync {
     /// * [`AeonError::MigrationFailed`] when no factory is registered for
     ///   its class.
     /// * [`AeonError::ServerNotFound`] when `server` is offline.
+    /// * [`AeonError::RuntimeShutdown`] after shutdown.
     fn restore_context(&self, context: ContextId, state: &Value, server: ServerId) -> Result<()>;
 
-    /// Shuts the deployment down: subsequent submissions fail and blocked
+    /// Shuts the deployment down: subsequent submissions, context creations
+    /// and restores fail with [`AeonError::RuntimeShutdown`], and blocked
     /// events are aborted.
     fn shutdown(&self);
 }

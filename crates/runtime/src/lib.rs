@@ -72,7 +72,6 @@ pub mod server;
 pub mod snapshot;
 pub mod stats;
 
-pub use aeon_analyzer::AnalysisMode;
 pub use context::{ContextFactory, ContextObject, ContextSlot, KvContext};
 pub use deployment::{Deployment, Session};
 pub use event::{EventHandle, EventRequest};
@@ -85,9 +84,7 @@ pub use locks::ContextLock;
 pub use method_table::{
     macro_support, ContextClass, Handler, MethodEntry, MethodTable, MethodTableBuilder,
 };
-pub use runtime::{
-    AeonClient, AeonRuntime, EventObserver, Placement, RuntimeBuilder, RuntimeConfig,
-};
+pub use runtime::{AeonClient, AeonRuntime, EventObserver, Placement, RuntimeBuilder};
 pub use server::ServerCore;
 pub use snapshot::Snapshot;
 pub use stats::RuntimeStats;

@@ -11,9 +11,10 @@
 //! (fed to `aeon-ownership`'s static analysis via
 //! [`MethodTable::declare_in`]) from it.
 //!
-//! Most classes use the [`context_class!`] macro; classes with per-instance
-//! class names (such as [`crate::KvContext`]) implement [`ContextClass`] by
-//! hand and override [`ContextClass::class_name`].
+//! Most classes use the [`context_class!`](crate::context_class) macro;
+//! classes with per-instance class names (such as [`crate::KvContext`])
+//! implement [`ContextClass`] by hand and override
+//! [`ContextClass::class_name`].
 //!
 //! # Examples
 //!
@@ -248,8 +249,9 @@ impl<T> MethodTableBuilder<T> {
 
 /// A contextclass with a declarative method surface.
 ///
-/// Implementing `ContextClass` (usually through [`context_class!`]) yields a
-/// blanket [`ContextObject`] implementation: dispatch, `ro` classification
+/// Implementing `ContextClass` (usually through
+/// [`context_class!`](crate::context_class)) yields a blanket
+/// [`ContextObject`] implementation: dispatch, `ro` classification
 /// and `UnknownMethod` behaviour all come from the class's [`MethodTable`],
 /// so they cannot drift apart and behave identically on every deployment
 /// backend.
@@ -389,8 +391,8 @@ macro_rules! context_class {
     };
 }
 
-/// Types the [`context_class!`] expansion refers to; not part of the public
-/// API surface.
+/// Types the [`context_class!`](crate::context_class) expansion refers to;
+/// not part of the public API surface.
 #[doc(hidden)]
 pub mod macro_support {
     pub use aeon_types::Value;

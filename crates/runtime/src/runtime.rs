@@ -56,7 +56,6 @@ use crate::locks::ContextLock;
 use crate::reply::{reply, Replier};
 use crate::server::ServerCore;
 use crate::stats::RuntimeStats;
-use aeon_analyzer::AnalysisMode;
 use aeon_ownership::{ClassGraph, ControlPlane, Dominator, OwnershipGraph, Sequencer};
 use aeon_types::{
     codec, AccessMode, AeonError, Args, ClientId, ContextId, EventId, IdGenerator, Result,
@@ -69,32 +68,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub use aeon_ownership::Placement;
-
-/// Configuration of the runtime.
-#[derive(Debug, Clone)]
-pub struct RuntimeConfig {
-    /// Number of logical servers to create at startup.
-    pub initial_servers: usize,
-    /// Optional contextclass constraint graph; when present, context
-    /// creation and ownership changes are validated against it.
-    pub class_graph: Option<ClassGraph>,
-    /// How the static analysis pipeline treats the class graph at build
-    /// time (default: [`AnalysisMode::Enforce`]).
-    pub analysis: AnalysisMode,
-    /// Worker-pool configuration for event execution.
-    pub executor: ExecutorConfig,
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        Self {
-            initial_servers: 1,
-            class_graph: None,
-            analysis: AnalysisMode::default(),
-            executor: ExecutorConfig::default(),
-        }
-    }
-}
 
 /// Watches every event of a runtime from inside its path, on the thread
 /// that runs the event.  Installed with [`RuntimeBuilder::observer`]; the
@@ -118,33 +91,38 @@ pub trait EventObserver: Send + Sync + std::fmt::Debug {
 }
 
 /// Builder for [`AeonRuntime`].
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct RuntimeBuilder {
-    config: RuntimeConfig,
+    servers: usize,
+    class_graph: Option<ClassGraph>,
+    executor: ExecutorConfig,
     observer: Option<Arc<dyn EventObserver>>,
 }
 
+impl Default for RuntimeBuilder {
+    fn default() -> Self {
+        Self {
+            servers: 1,
+            class_graph: None,
+            executor: ExecutorConfig::default(),
+            observer: None,
+        }
+    }
+}
+
 impl RuntimeBuilder {
-    /// Sets the number of logical servers created at startup.
+    /// Sets the number of logical servers created at startup (default 1).
     pub fn servers(mut self, n: usize) -> Self {
-        self.config.initial_servers = n;
+        self.servers = n;
         self
     }
 
-    /// Installs a contextclass constraint graph; the static analysis
-    /// pipeline is run by [`RuntimeBuilder::build`] (see
-    /// [`RuntimeBuilder::analysis`]).
+    /// Installs a contextclass constraint graph: context creation and
+    /// ownership changes are validated against it, and
+    /// [`RuntimeBuilder::build`] refuses it unless it passes
+    /// [`aeon_analyzer::enforce`].
     pub fn class_graph(mut self, classes: ClassGraph) -> Self {
-        self.config.class_graph = Some(classes);
-        self
-    }
-
-    /// Sets how [`RuntimeBuilder::build`] treats analysis findings on the
-    /// class graph: `Off` skips the pipeline, `Warn` prints diagnostics and
-    /// proceeds, `Enforce` (the default) refuses to build on any
-    /// error-severity diagnostic.
-    pub fn analysis(mut self, mode: AnalysisMode) -> Self {
-        self.config.analysis = mode;
+        self.class_graph = Some(classes);
         self
     }
 
@@ -154,7 +132,7 @@ impl RuntimeBuilder {
     /// [`AeonClient::call_with_mode`] executes its event on the caller's
     /// own thread, so this bounds pool events, not callers.
     pub fn worker_threads(mut self, n: usize) -> Self {
-        self.config.executor.workers = n;
+        self.executor.workers = n;
         self
     }
 
@@ -169,32 +147,33 @@ impl RuntimeBuilder {
     ///
     /// # Errors
     ///
-    /// * [`AeonError::Config`] when `servers` is zero.
-    /// * [`AeonError::ClassCycleDetected`] when the class graph's
-    ///   ownership constraints are cyclic.
-    /// * [`AeonError::AnalysisRejected`] when the analysis pipeline reports
-    ///   error diagnostics and the mode is [`AnalysisMode::Enforce`].
+    /// * [`AeonError::Config`] when `servers` or `worker_threads` is zero.
+    /// * Those of [`aeon_analyzer::enforce`] on the class graph:
+    ///   [`AeonError::ClassCycleDetected`] and
+    ///   [`AeonError::AnalysisRejected`].
     pub fn build(self) -> Result<AeonRuntime> {
-        if self.config.initial_servers == 0 {
+        if self.servers == 0 {
             return Err(AeonError::Config("at least one server is required".into()));
         }
-        if self.config.executor.workers == 0 {
+        if self.executor.workers == 0 {
             return Err(AeonError::Config(
                 "at least one executor worker is required".into(),
             ));
         }
-        if let Some(classes) = &self.config.class_graph {
-            classes.check()?;
-            aeon_analyzer::enforce(classes, self.config.analysis)?;
+        if let Some(classes) = &self.class_graph {
+            aeon_analyzer::enforce(classes)?;
         }
-        let certified = CertifiedReads::new(self.config.class_graph.as_ref());
-        let executor = ShardedExecutor::new("aeon-runtime", self.config.executor.clone());
+        let certified = CertifiedReads::new(self.class_graph.as_ref());
+        let mut plane = ControlPlane::new(self.class_graph.clone());
+        for _ in 0..self.servers {
+            plane.add_server();
+        }
         let inner = Arc::new(RuntimeInner {
-            executor,
+            executor: ShardedExecutor::new("aeon-runtime", self.executor),
             certified,
             observer: self.observer,
-            plane: RwLock::new(ControlPlane::new(self.config.class_graph.clone())),
-            config: self.config,
+            class_graph: self.class_graph,
+            plane: RwLock::new(plane),
             core: Arc::default(),
             factories: RwLock::new(HashMap::new()),
             ids: IdGenerator::starting_at(1),
@@ -204,9 +183,6 @@ impl RuntimeBuilder {
             history: RwLock::new(None),
             summary_violations: Mutex::new(std::collections::BTreeSet::new()),
         });
-        for _ in 0..inner.config.initial_servers {
-            inner.plane.write().add_server();
-        }
         Ok(AeonRuntime { inner })
     }
 }
@@ -220,7 +196,9 @@ pub(crate) struct RuntimeInner {
     /// target as their whole footprint.
     certified: CertifiedReads,
     observer: Option<Arc<dyn EventObserver>>,
-    pub(crate) config: RuntimeConfig,
+    /// The class graph the debug-build call-summary sanitizer
+    /// ([`RuntimeInner::record_call_edge`]) checks invoke edges against.
+    class_graph: Option<ClassGraph>,
     /// Ownership network, placement and roster.  The per-event path only
     /// ever takes read guards, and no guard is held across contextclass
     /// code or a wait on a context lock.
@@ -270,7 +248,7 @@ impl RuntimeInner {
         target: ContextId,
         target_method: &str,
     ) {
-        let Some(classes) = &self.config.class_graph else {
+        let Some(classes) = &self.class_graph else {
             return;
         };
         let (caller_class, target_class) = {
@@ -296,12 +274,15 @@ impl RuntimeInner {
 
     /// Creates a context: `declare` enters it into the control plane under
     /// the id it is handed (validating everything first), then the object
-    /// is installed.
+    /// is installed.  A shut-down runtime creates nothing.
     fn create_context(
         &self,
         object: Box<dyn ContextObject>,
         declare: impl FnOnce(&mut ControlPlane, ContextId, &str) -> Result<ServerId>,
     ) -> Result<ContextId> {
+        if self.is_shutdown() {
+            return Err(AeonError::RuntimeShutdown);
+        }
         let id = ContextId::new(self.ids.next_raw());
         let class = object.class_name();
         declare(&mut self.plane.write(), id, class)?;
@@ -748,8 +729,12 @@ impl Deployment for AeonRuntime {
     /// (racing a create/migrate) are spread round-robin so the fleet-wide
     /// sum stays meaningful.
     fn server_metrics(&self) -> Vec<ServerMetrics> {
-        let latency = self.stats().latency_summary();
         let histogram = self.stats().latency_histogram();
+        let mean_micros = if histogram.count == 0 {
+            0.0
+        } else {
+            histogram.total_micros as f64 / histogram.count as f64
+        };
         let queued = self.inner.executor.queued_by_key();
         let plane = self.inner.plane.read();
         let servers = plane.online_servers();
@@ -780,7 +765,7 @@ impl Deployment for AeonRuntime {
                     hosted,
                     total_contexts,
                     queue_depth,
-                    latency.mean_micros / 1_000.0,
+                    mean_micros / 1_000.0,
                     histogram,
                 )
             })
@@ -826,6 +811,9 @@ impl Deployment for AeonRuntime {
     }
 
     fn restore_context(&self, context: ContextId, state: &Value, server: ServerId) -> Result<()> {
+        if self.inner.is_shutdown() {
+            return Err(AeonError::RuntimeShutdown);
+        }
         let class = {
             let plane = self.inner.plane.read();
             if !plane.is_online(server) {

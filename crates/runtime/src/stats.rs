@@ -3,46 +3,13 @@
 //!
 //! Latency samples accumulate into the shared
 //! [`aeon_types::LatencyHistogram`], the same fixed-bucket histogram every
-//! backend reports through [`aeon_types::ServerMetrics`], so the runtime's
-//! internal summary and its external metric reports can never disagree on
-//! bucketing.
+//! backend reports through [`aeon_types::ServerMetrics`]; readers take a
+//! copy with [`RuntimeStats::latency_histogram`].
 
 use aeon_types::LatencyHistogram;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// Aggregated latency statistics (microsecond resolution).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct LatencySummary {
-    /// Number of recorded samples.
-    pub count: u64,
-    /// Mean latency in microseconds.
-    pub mean_micros: f64,
-    /// Minimum observed latency in microseconds.
-    pub min_micros: u64,
-    /// Maximum observed latency in microseconds.
-    pub max_micros: u64,
-    /// 50th percentile (approximate, histogram-based).
-    pub p50_micros: u64,
-    /// 99th percentile (approximate, histogram-based).
-    pub p99_micros: u64,
-}
-
-fn summarize(h: &LatencyHistogram) -> LatencySummary {
-    LatencySummary {
-        count: h.count,
-        mean_micros: if h.count == 0 {
-            0.0
-        } else {
-            h.total_micros as f64 / h.count as f64
-        },
-        min_micros: h.min_micros,
-        max_micros: h.max_micros,
-        p50_micros: h.p50_micros(),
-        p99_micros: h.p99_micros(),
-    }
-}
 
 /// Counters collected by the runtime; all methods are thread-safe.
 #[derive(Debug, Default)]
@@ -134,12 +101,7 @@ impl RuntimeStats {
         self.migrated_bytes.load(Ordering::Relaxed)
     }
 
-    /// Latency summary over all completed events.
-    pub fn latency_summary(&self) -> LatencySummary {
-        summarize(&self.latency.lock())
-    }
-
-    /// A copy of the full latency histogram (for metric reports).
+    /// A copy of the latency histogram over all completed events.
     pub fn latency_histogram(&self) -> LatencyHistogram {
         *self.latency.lock()
     }
@@ -170,28 +132,26 @@ mod tests {
     }
 
     #[test]
-    fn latency_summary_is_sane() {
+    fn latency_histogram_is_sane() {
         let stats = RuntimeStats::default();
         for ms in [1u64, 2, 4, 8, 100] {
             stats.record_event(true, false, Duration::from_millis(ms));
         }
-        let s = stats.latency_summary();
-        assert_eq!(s.count, 5);
-        assert_eq!(s.min_micros, 1_000);
-        assert_eq!(s.max_micros, 100_000);
-        assert!(s.mean_micros > 1_000.0 && s.mean_micros < 100_000.0);
-        assert!(s.p50_micros >= 1_000);
-        assert!(s.p99_micros >= s.p50_micros);
-        assert_eq!(stats.latency_histogram().count, 5);
+        let h = stats.latency_histogram();
+        assert_eq!(h.count, 5);
+        assert_eq!(h.min_micros, 1_000);
+        assert_eq!(h.max_micros, 100_000);
+        assert!(h.mean_micros() > 1_000 && h.mean_micros() < 100_000);
+        assert!(h.p50_micros() >= 1_000);
+        assert!(h.p99_micros() >= h.p50_micros());
     }
 
     #[test]
-    fn empty_summary_is_zeroed() {
-        let stats = RuntimeStats::default();
-        let s = stats.latency_summary();
-        assert_eq!(s.count, 0);
-        assert_eq!(s.mean_micros, 0.0);
-        assert_eq!(s.p99_micros, 0);
+    fn empty_histogram_is_zeroed() {
+        let h = RuntimeStats::default().latency_histogram();
+        assert_eq!(h.count, 0);
+        assert_eq!(h.mean_micros(), 0);
+        assert_eq!(h.p99_micros(), 0);
     }
 
     #[test]

@@ -21,8 +21,8 @@
 use crate::resources::{CpuTimeline, LockTimeline};
 use aeon_ownership::{ClassGraph, ControlPlane, OwnershipGraph};
 use aeon_runtime::{
-    AeonClient, AeonRuntime, AnalysisMode, ContextFactory, ContextObject, Deployment, EventHandle,
-    EventObserver, Placement, Session,
+    AeonClient, AeonRuntime, ContextFactory, ContextObject, Deployment, EventHandle, EventObserver,
+    Placement, Session,
 };
 use aeon_types::{
     AccessMode, AeonError, Args, ClientId, ContextId, EventId, LatencyHistogram, Result, ServerId,
@@ -37,7 +37,6 @@ use std::sync::Arc;
 pub struct SimDeploymentBuilder {
     servers: usize,
     class_graph: Option<ClassGraph>,
-    analysis: AnalysisMode,
     service: SimDuration,
     hop: SimDuration,
     contention_cores: Option<usize>,
@@ -49,7 +48,6 @@ impl Default for SimDeploymentBuilder {
         Self {
             servers: 1,
             class_graph: None,
-            analysis: AnalysisMode::default(),
             service: SimDuration::from_micros(100),
             hop: SimDuration::from_micros(200),
             contention_cores: None,
@@ -66,21 +64,12 @@ impl SimDeploymentBuilder {
         self
     }
 
-    /// Installs a contextclass constraint graph; the static analysis runs
-    /// at build time.
+    /// Installs a contextclass constraint graph: the runtime underneath
+    /// validates against it, and [`SimDeploymentBuilder::build`] refuses it
+    /// unless it passes `aeon_analyzer::enforce`.
     #[must_use]
     pub fn class_graph(mut self, classes: ClassGraph) -> Self {
         self.class_graph = Some(classes);
-        self
-    }
-
-    /// Sets how [`SimDeploymentBuilder::build`] treats static-analysis
-    /// findings on the class graph: `Off` skips the pipeline, `Warn` prints
-    /// diagnostics and proceeds, `Enforce` (the default) refuses to build on
-    /// any error-severity diagnostic.
-    #[must_use]
-    pub fn analysis(mut self, mode: AnalysisMode) -> Self {
-        self.analysis = mode;
         self
     }
 
@@ -128,8 +117,8 @@ impl SimDeploymentBuilder {
     /// # Errors
     ///
     /// Those of `RuntimeBuilder::build`: [`AeonError::Config`]
-    /// when `servers` is zero, and the class graph's cycle and static
-    /// analysis errors.
+    /// when `servers` is zero, and those of `aeon_analyzer::enforce` on the
+    /// class graph.
     pub fn build(self) -> Result<SimDeployment> {
         let clock = Arc::new(VirtualClock {
             service: self.service,
@@ -142,7 +131,6 @@ impl SimDeploymentBuilder {
         });
         let mut runtime = AeonRuntime::builder()
             .servers(self.servers)
-            .analysis(self.analysis)
             .worker_threads(1)
             .observer(Arc::clone(&clock) as Arc<dyn EventObserver>);
         if let Some(classes) = self.class_graph {

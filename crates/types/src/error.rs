@@ -33,9 +33,11 @@ pub enum AeonError {
         /// the static analysis rather than the runtime hot path.
         detail: Option<String>,
     },
-    /// The static analysis pipeline rejected the program: one or more
+    /// The static analysis refused the deployment: one or more
     /// error-severity diagnostics (see `aeon-analyzer`) were reported for
-    /// the contextclass graph.
+    /// the contextclass graph.  Every deployment entry point runs the
+    /// analysis on its class graph (`aeon_analyzer::enforce`), and none can
+    /// skip it.
     AnalysisRejected {
         /// Number of error-severity diagnostics.
         errors: usize,

@@ -2,7 +2,8 @@
 //!
 //! The `aeond` service binary exposes its runtime state on `/metrics`;
 //! this module renders [`ServerMetrics`] (per-server gauges plus the
-//! [`LatencyHistogram`] as a native Prometheus histogram) and
+//! [`LatencyHistogram`](crate::LatencyHistogram) as a native Prometheus
+//! histogram) and
 //! [`NetworkStatsSnapshot`] counters into that format.  The rendering
 //! lives next to the metric types so every consumer — the service binary,
 //! tests, future push gateways — agrees on metric names and label

@@ -1,6 +1,6 @@
 //! `aeond` — run an AEON deployment as a long-lived service.
 //!
-//! Loads a TOML [`ServiceConfig`](aeon::config::ServiceConfig), builds the
+//! Loads a TOML [`aeon::config::ServiceConfig`], builds the
 //! configured deployment (`runtime`, `cluster`, or `sim`), and exposes a
 //! minimal HTTP/1.0 admin surface for operators:
 //!

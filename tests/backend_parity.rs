@@ -746,6 +746,53 @@ fn context_count_skips_contexts_lost_to_a_crash_on_every_backend() {
     });
 }
 
+/// After `shutdown()` a deployment creates, hosts and re-hosts nothing: all
+/// three control operations fail with `RuntimeShutdown` and leave the
+/// control plane as it was.  (The runtime and the simulator used to create
+/// and restore anyway; the cluster declared the context, then failed on the
+/// dead node with `ServerNotFound`.)
+#[test]
+fn a_shut_down_deployment_creates_and_restores_nothing_on_every_backend() {
+    on_every_backend(|deployment| {
+        let backend = deployment.backend_name();
+        register_game_factories(deployment);
+        let server = deployment.servers()[0];
+        let room = deployment
+            .create_context(Box::new(Room::default()), Placement::Server(server))
+            .unwrap();
+        let state = ContextObject::snapshot(&Room::default());
+        deployment.shutdown();
+        let edges_before: Vec<_> = deployment.ownership_graph().edges().collect();
+        assert_eq!(
+            deployment
+                .create_context(Box::new(Room::default()), Placement::Auto)
+                .err(),
+            Some(AeonError::RuntimeShutdown),
+            "backend {backend}: create_context"
+        );
+        assert_eq!(
+            deployment
+                .create_owned_context(Box::new(KvContext::new("Item")), &[room])
+                .err(),
+            Some(AeonError::RuntimeShutdown),
+            "backend {backend}: create_owned_context"
+        );
+        assert_eq!(
+            deployment.restore_context(room, &state, server),
+            Err(AeonError::RuntimeShutdown),
+            "backend {backend}: restore_context"
+        );
+        assert_eq!(deployment.context_count(), 1, "backend {backend}");
+        assert_eq!(
+            deployment.placement_of(room),
+            Ok(server),
+            "backend {backend}"
+        );
+        let edges_after: Vec<_> = deployment.ownership_graph().edges().collect();
+        assert_eq!(edges_after, edges_before, "backend {backend}");
+    });
+}
+
 /// A `Player` that creates a child of whatever class it is told to — the
 /// event-time path into context creation.
 struct Spawner;
