@@ -606,19 +606,23 @@ pub fn deploy_social_plan(deployment: &dyn Deployment, plan: SocialPlan) -> Resu
         users.push(user);
         feeds.push(feed);
     }
-    let session = deployment.session();
-    for i in 0..plan.config.users {
-        let followed: Vec<ContextId> = plan.follows[i].iter().map(|&t| feeds[t as usize]).collect();
-        for feed in &followed {
-            deployment.add_ownership(users[i], *feed)?;
+    // Every follow edge goes in before the first `setup` event: the graph
+    // then holds still while they run, so the dominator walk of a region's
+    // first user answers the rest of the region from the resolver's cache.
+    for (user, followed) in users.iter().zip(&plan.follows) {
+        for &t in followed {
+            deployment.add_ownership(*user, feeds[t as usize])?;
         }
+    }
+    let session = deployment.session();
+    for ((user, feed), followed) in users.iter().zip(&feeds).zip(&plan.follows) {
+        let followed = followed
+            .iter()
+            .map(|&t| Value::ContextRef(feeds[t as usize]));
         session.call(
-            users[i],
+            *user,
             "setup",
-            args![
-                feeds[i],
-                Value::List(followed.into_iter().map(Value::ContextRef).collect())
-            ],
+            args![*feed, Value::List(followed.collect())],
         )?;
     }
     Ok(SocialWorld {

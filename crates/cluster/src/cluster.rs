@@ -241,7 +241,7 @@ impl ClusterBuilder {
             }
         } else {
             for _ in 0..self.servers {
-                inner.spawn_server();
+                inner.spawn_server()?;
             }
         }
         Ok(Cluster { inner })
@@ -297,55 +297,83 @@ impl ClusterInner {
         self.directory.plane()
     }
 
-    fn spawn_server(&self) -> ServerId {
+    /// `Ok` until shutdown, [`AeonError::RuntimeShutdown`] from then on:
+    /// the guard of every operation a shut-down cluster refuses.
+    fn running(&self) -> Result<()> {
+        if self.shutdown.load(Ordering::SeqCst) {
+            return Err(AeonError::RuntimeShutdown);
+        }
+        Ok(())
+    }
+
+    /// Starts an in-process node and brings it online.  A shut-down cluster
+    /// starts none, and a failed bind leaves the roster as it was.
+    fn spawn_server(&self) -> Result<ServerId> {
+        self.running()?;
+        let network = self.node_network()?;
         // Known but offline until the node runs: nothing is placed on it
         // before it can answer a `Host`.
         let id = self.plane().write().reserve_server();
-        let network = self.node_network_for(id);
+        self.introduce(id, &network);
         let handle = spawn_node(
             id,
             Arc::clone(&self.directory),
             &network,
             self.executor_config.clone(),
         );
+        // Checked again under the map `teardown` collects the nodes from: a
+        // shutdown that began meanwhile cannot see this node, so it is
+        // stopped here.
+        let mut nodes = self.nodes.lock();
+        if let Err(shut_down) = self.running() {
+            drop(nodes);
+            handle.crash();
+            self.detach_server(id);
+            return Err(shut_down);
+        }
         self.plane().write().register_server(id);
-        self.nodes.lock().insert(id, handle);
-        id
+        nodes.insert(id, handle);
+        Ok(id)
     }
 
-    /// The network a newly spawned in-process node attaches to: the shared
-    /// channel network, or (loopback mode) a fresh TCP listener whose
-    /// address is exchanged with the gateway and every existing node.
-    fn node_network_for(&self, id: ServerId) -> Network<ClusterMessage> {
+    /// The network a new in-process node attaches to: the shared channel
+    /// network, or (loopback mode) one on a fresh TCP listener.
+    fn node_network(&self) -> Result<Network<ClusterMessage>> {
         match self.mode {
-            Mode::Channel => self.network.clone(),
+            Mode::Channel => Ok(self.network.clone()),
             Mode::Loopback => {
                 let listen = SocketAddr::from(([127, 0, 0, 1], 0));
-                let transport = TcpTransport::bind(TcpTransportConfig::new(listen))
-                    .expect("binding a loopback node transport succeeds");
-                let network = Network::with_transport_and_stats(
+                let transport = TcpTransport::bind(TcpTransportConfig::new(listen))?;
+                Ok(Network::with_transport_and_stats(
                     Arc::new(transport),
                     Arc::clone(&self.shared_stats),
-                );
-                let addr = network
-                    .local_addr()
-                    .expect("a loopback transport has a local address");
-                self.network.add_peer(id, addr);
-                if let Some(gateway_addr) = self.network.local_addr() {
-                    network.add_peer(gateway_id(), gateway_addr);
-                }
-                let mut networks = self.node_networks.lock();
-                for (other, other_network) in networks.iter() {
-                    other_network.add_peer(id, addr);
-                    if let Some(other_addr) = other_network.local_addr() {
-                        network.add_peer(*other, other_addr);
-                    }
-                }
-                networks.insert(id, network.clone());
-                network
+                ))
             }
             Mode::Mesh => unreachable!("mesh clusters never spawn in-process nodes"),
         }
+    }
+
+    /// Loopback mode: exchanges the address of node `id`'s `network` with
+    /// the gateway and every existing node.
+    fn introduce(&self, id: ServerId, network: &Network<ClusterMessage>) {
+        if self.mode != Mode::Loopback {
+            return;
+        }
+        let addr = network
+            .local_addr()
+            .expect("a loopback transport has a local address");
+        self.network.add_peer(id, addr);
+        if let Some(gateway_addr) = self.network.local_addr() {
+            network.add_peer(gateway_id(), gateway_addr);
+        }
+        let mut networks = self.node_networks.lock();
+        for (other, other_network) in networks.iter() {
+            other_network.add_peer(id, addr);
+            if let Some(other_addr) = other_network.local_addr() {
+                network.add_peer(*other, other_addr);
+            }
+        }
+        networks.insert(id, network.clone());
     }
 
     /// Takes a stopped in-process node off the network: its id no longer
@@ -440,9 +468,7 @@ impl ClusterInner {
         args: Args,
         mode: AccessMode,
     ) -> Result<EventHandle> {
-        if self.shutdown.load(Ordering::SeqCst) {
-            return Err(AeonError::RuntimeShutdown);
-        }
+        self.running()?;
         let event = EventId::new(self.directory.next_raw());
         let corr = self.next_corr();
         let (tx, handle) = EventHandle::new(event, Some(EVENT_TIMEOUT));
@@ -644,9 +670,7 @@ impl Cluster {
         object: Box<dyn ContextObject>,
         declare: impl FnOnce(&mut ControlPlane, ContextId, &str) -> Result<ServerId>,
     ) -> Result<ContextId> {
-        if self.inner.shutdown.load(Ordering::SeqCst) {
-            return Err(AeonError::RuntimeShutdown);
-        }
+        self.inner.running()?;
         let class = object.class_name().to_string();
         let id = self.inner.directory.next_context_id();
         let server = declare(&mut self.inner.plane().write(), id, &class)?;
@@ -784,6 +808,7 @@ impl Deployment for Cluster {
     ///
     /// Same conditions as the runtime's `add_ownership`.
     fn add_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
+        self.inner.running()?;
         self.inner.plane().write().add_edge(owner, owned)
     }
 
@@ -791,9 +816,10 @@ impl Deployment for Cluster {
     ///
     /// # Errors
     ///
-    /// Returns [`AeonError::ContextNotFound`] when either context is
-    /// unknown.
+    /// * [`AeonError::ContextNotFound`] when either context is unknown.
+    /// * [`AeonError::RuntimeShutdown`] after shutdown.
     fn remove_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
+        self.inner.running()?;
         self.inner.plane().write().remove_edge(owner, owned)
     }
 
@@ -808,15 +834,21 @@ impl Deployment for Cluster {
 
     /// Adds a server to the cluster and returns its id (scale-out).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a [`ClusterTransport::TcpMesh`] cluster: external node
-    /// processes are launched out of band, not by the gateway.
-    fn add_server(&self) -> ServerId {
-        assert!(
-            self.inner.mode != Mode::Mesh,
-            "add_server is not available on a TcpMesh cluster; start another aeon-node process"
-        );
+    /// * [`AeonError::RuntimeShutdown`] after shutdown.
+    /// * [`AeonError::Config`] on a [`ClusterTransport::TcpMesh`] cluster:
+    ///   external node processes are launched out of band, not by the
+    ///   gateway.
+    /// * The bind error when a loopback node's listener cannot bind.
+    fn add_server(&self) -> Result<ServerId> {
+        self.inner.running()?;
+        if self.inner.mode == Mode::Mesh {
+            return Err(AeonError::Config(
+                "add_server is not available on a TcpMesh cluster; start another aeon-node process"
+                    .into(),
+            ));
+        }
         self.inner.spawn_server()
     }
 
@@ -830,7 +862,9 @@ impl Deployment for Cluster {
     ///   servers.
     /// * [`AeonError::Config`] when the mapping still places contexts on it
     ///   — migrate them away first.
+    /// * [`AeonError::RuntimeShutdown`] after shutdown.
     fn remove_server(&self, server: ServerId) -> Result<()> {
+        self.inner.running()?;
         self.inner.plane().write().retire_server(server)?;
         let node = self.inner.nodes.lock().remove(&server);
         let Some(node) = node else {
@@ -920,8 +954,10 @@ impl Deployment for Cluster {
     ///
     /// # Errors
     ///
-    /// Returns [`AeonError::ServerNotFound`] for unknown servers.
+    /// * [`AeonError::ServerNotFound`] for unknown servers.
+    /// * [`AeonError::RuntimeShutdown`] after shutdown.
     fn crash_server(&self, server: ServerId) -> Result<()> {
+        self.inner.running()?;
         if self.inner.mode == Mode::Mesh {
             return Err(AeonError::Config(
                 "crash injection is not available for external node processes".into(),
@@ -974,9 +1010,7 @@ impl Deployment for Cluster {
     /// * [`AeonError::ServerNotFound`] when `server` is offline.
     /// * [`AeonError::RuntimeShutdown`] after shutdown.
     fn restore_context(&self, context: ContextId, state: &Value, server: ServerId) -> Result<()> {
-        if self.inner.shutdown.load(Ordering::SeqCst) {
-            return Err(AeonError::RuntimeShutdown);
-        }
+        self.inner.running()?;
         let class = {
             let plane = self.inner.plane().read();
             if !plane.is_online(server) {

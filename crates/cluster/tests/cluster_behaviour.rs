@@ -523,7 +523,7 @@ fn scale_out_places_new_contexts_on_new_servers() {
             .create_context(Box::new(KvContext::new("Room")), Placement::Auto)
             .unwrap();
     }
-    let new_server = cluster.add_server();
+    let new_server = cluster.add_server().unwrap();
     let fresh = cluster
         .create_context(Box::new(KvContext::new("Room")), Placement::Auto)
         .unwrap();

@@ -94,8 +94,8 @@ impl EManager {
     ///
     /// # Errors
     ///
-    /// Propagates migration and storage failures; successfully applied
-    /// actions are not rolled back.
+    /// Propagates scale-out, migration and storage failures; successfully
+    /// applied actions are not rolled back.
     pub fn tick(&self, metrics: &[ServerMetrics]) -> Result<Vec<ElasticityAction>> {
         let mut applied = Vec::new();
         let decisions: Vec<ElasticityAction> = self
@@ -111,7 +111,7 @@ impl EManager {
                     let current = self.deployment.servers().len();
                     let allowed = limit.saturating_sub(current).min(*count);
                     for _ in 0..allowed {
-                        self.deployment.add_server();
+                        self.deployment.add_server()?;
                     }
                     if allowed > 0 {
                         applied.push(ElasticityAction::ScaleOut { count: allowed });
@@ -430,7 +430,7 @@ mod tests {
         for id in &ids {
             manager.pin_context(*id);
         }
-        deployment.add_server();
+        deployment.add_server().unwrap();
         manager.rebalance_from(deployment.servers()[0]).unwrap();
         // Everything stayed put because every context is pinned.
         assert_eq!(deployment.contexts_on(deployment.servers()[0]).len(), 4);

@@ -115,6 +115,12 @@ impl ControlPlane {
         &self.graph
     }
 
+    /// The class graph creations and ownership changes are checked against,
+    /// if one was given.
+    pub fn classes(&self) -> Option<&ClassGraph> {
+        self.classes.as_ref()
+    }
+
     /// The class of a context.
     ///
     /// # Errors

@@ -47,6 +47,25 @@
 //! over the members that were not deferred — they include every maximum of
 //! the set.
 //!
+//! **Why one walk answers a class.**  Write `S(c)` for the closure of `c`.
+//! If `x ∈ share(y)` and `y ∈ share(x)`, then `S(x) = S(y)`, and so are
+//! their dominators.  A walk therefore answers for more than its target
+//! `t`, and a resolver miss caches the answer for every context it proves
+//! this way:
+//! - *Every expanded member.*  Each was found by expanding a member `m` with
+//!   `S(m) = S(t)`, along a share edge that also holds in reverse.  Either
+//!   it is incomparable to `m` and has a descendant in common with it (the
+//!   second clause both ways), or it is an ancestor of `m` that owns a
+//!   descendant of `m`, and then `m`, which owns something, has its
+//!   children below it (the first clause).  A member below an expanded
+//!   one is never expanded, so no other case arises.
+//! - *Then, to a fixpoint, every other owner of a child of a proven
+//!   context.*  Two owners of one child each own a descendant of the
+//!   other, so the first clause puts each in the other's share set.
+//!
+//! Nothing else is cached: an owner of a proven context, say, has the
+//! proven closure inside its own, but possibly more.
+//!
 //! **Cost model.**  A leaf — what most events target — shares nothing and is
 //! answered from its empty child set.  Any other query runs on the graph
 //! itself: contexts are the graph's slots, adjacency is a slice of slots,
@@ -63,7 +82,10 @@
 //! the walks reach, so a query on a chain inside a large network stays
 //! proportional to the chain.  Through a [`DominatorResolver`] a leaf costs
 //! one id lookup, and a *cached* answer for any other context one id lookup,
-//! one union-find `find` and one array read.
+//! one union-find `find` and one array read.  A miss adds the fill to the
+//! walk: one pass over the children of each proven context and, once per
+//! child, over its owners — all of it below an expanded member, so within
+//! what the expansions visited — and one cache write per proven context.
 
 use crate::graph::{Dir, OwnershipGraph, Scratch};
 use aeon_types::{ContextId, Result};
@@ -222,6 +244,53 @@ impl Scratch {
             _ => Dominator::GlobalRoot,
         }
     }
+
+    /// Runs the closure of `target`, which must own something, and returns
+    /// its least upper bound.
+    fn close(&mut self, graph: &OwnershipGraph, target: u32) -> Dominator {
+        self.start(graph, target);
+        // The members no other member covered when their turn came: the
+        // only ones expanded, and a superset of the maxima of the final set.
+        self.tops.push(target);
+        let mut next = 1;
+        while let Some(&m) = self.members.get(next) {
+            next += 1;
+            if self.is_maximal(graph, m) {
+                self.tops.push(m);
+                self.expand(graph, m);
+            }
+        }
+        self.least_upper_bound(graph)
+    }
+
+    /// After [`Scratch::close`], extends `tops` to every context it can
+    /// prove has the target's closure (see "Why one walk answers a class"):
+    /// the expanded members, then, to a fixpoint, every other owner of a
+    /// child of a proven one.  `tops` doubles as the worklist; a child is
+    /// looked at once, however many proven owners it has.
+    fn prove_class(&mut self, graph: &OwnershipGraph) {
+        let epoch = self.next_epoch();
+        for &top in &self.tops {
+            self.marks[top as usize].seen = epoch;
+        }
+        let mut next = 0;
+        while let Some(&proven) = self.tops.get(next) {
+            next += 1;
+            for &child in graph.adjacent(proven, Dir::Down) {
+                if self.marks[child as usize].above == epoch {
+                    continue;
+                }
+                self.marks[child as usize].above = epoch;
+                for &owner in graph.adjacent(child, Dir::Up) {
+                    let mark = &mut self.marks[owner as usize];
+                    if mark.seen != epoch {
+                        mark.seen = epoch;
+                        self.tops.push(owner);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Computes the share set of `target` per the §3 formula.
@@ -258,37 +327,26 @@ fn resolve(graph: &OwnershipGraph, target: u32) -> (Dominator, usize) {
     if graph.adjacent(target, Dir::Down).is_empty() {
         return (Dominator::Context(graph.id_of(target)), 0);
     }
-    graph.with_scratch(|scratch| {
-        scratch.start(graph, target);
-        // The members no other member covered when their turn came: the
-        // only ones expanded, and a superset of the maxima of the final set.
-        scratch.tops.push(target);
-        let mut next = 1;
-        while let Some(&m) = scratch.members.get(next) {
-            next += 1;
-            if scratch.is_maximal(graph, m) {
-                scratch.tops.push(m);
-                scratch.expand(graph, m);
-            }
-        }
-        (scratch.least_upper_bound(graph), scratch.expansions)
-    })
+    graph.with_scratch(|scratch| (scratch.close(graph, target), scratch.expansions))
 }
 
 /// A caching dominator resolver.
 ///
 /// Dominators are queried on every event dispatch, so the resolver keeps
-/// the answers that took a walk, by slot, with the stamp the target's sharing component had
-/// when each was computed, and serves one exactly as long as that stamp is
-/// still the component's.  A dominator depends only on what its target
-/// reaches along ownership edges in either direction; every mutation stamps
-/// the component it touched and components only ever merge, so they are
-/// supersets of those regions and an unchanged stamp means an unchanged
-/// region — while a mutation elsewhere in the network costs this target
-/// nothing.  (A long-lived graph whose components have all merged is back
-/// to one stamp for everything.)  A resolver follows the history of *one*
-/// graph: the stamps of two graphs that were mutated apart, or of a graph
-/// and an older checkpoint of it, are not comparable.
+/// the answers that took a walk, by slot, with the stamp the target's
+/// sharing component had when each was computed, and serves one exactly as
+/// long as that stamp is still the component's.  A walk's answer is kept
+/// for its target and for every context the walk proves has the target's
+/// closure (see the module docs), so after an edit the first query on a
+/// sharing class answers the rest of it.  A dominator depends only on what
+/// its target reaches along ownership edges in either direction; every
+/// mutation stamps the component it touched and components only ever merge,
+/// so they are supersets of those regions and an unchanged stamp means an
+/// unchanged region — while a mutation elsewhere in the network costs this
+/// target nothing.  (A long-lived graph whose components have all merged is
+/// back to one stamp for everything.)  A resolver follows the history of
+/// *one* graph: the stamps of two graphs that were mutated apart, or of a
+/// graph and an older checkpoint of it, are not comparable.
 #[derive(Debug, Default)]
 pub struct DominatorResolver {
     cache: RwLock<Vec<Entry>>,
@@ -329,19 +387,32 @@ impl DominatorResolver {
         #[cfg(test)]
         self.misses
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dominator = resolve(graph, slot).0;
-        let entry = Entry {
-            stamp,
-            target,
-            dominator,
-        };
-        let mut cache = self.cache.write();
-        if cache.len() <= slot as usize {
-            let empty = Entry { stamp: 0, ..entry };
-            cache.resize(slot as usize + 1, empty);
-        }
-        cache[slot as usize] = entry;
-        Ok(dominator)
+        Ok(graph.with_scratch(|scratch| {
+            let dominator = scratch.close(graph, slot);
+            scratch.prove_class(graph);
+            let class = &scratch.tops;
+            let mut cache = self.cache.write();
+            let end = class.iter().max().map_or(0, |last| *last as usize + 1);
+            if cache.len() < end {
+                let empty = Entry {
+                    stamp: 0,
+                    target,
+                    dominator,
+                };
+                cache.resize(end, empty);
+            }
+            for &member in class {
+                // A member is connected to the target, so it shares the
+                // target's component and stamp.
+                debug_assert_eq!(graph.stamp_of(member), stamp);
+                cache[member as usize] = Entry {
+                    stamp,
+                    target: graph.id_of(member),
+                    dominator,
+                };
+            }
+            dominator
+        }))
     }
 
     /// Number of cached entries that still answer for `graph` (diagnostics /
@@ -371,6 +442,15 @@ mod tests {
     impl DominatorResolver {
         fn misses(&self) -> usize {
             self.misses.load(std::sync::atomic::Ordering::Relaxed)
+        }
+
+        /// The answer the cache holds for `target`, if it still answers,
+        /// without querying (so without filling anything).
+        fn cached(&self, graph: &OwnershipGraph, target: ContextId) -> Option<Dominator> {
+            let slot = graph.slot_of(target).ok()?;
+            let entry = *self.cache.read().get(slot as usize)?;
+            let valid = entry.stamp == graph.stamp_of(slot) && entry.target == target;
+            valid.then_some(entry.dominator)
         }
     }
 
@@ -479,9 +559,17 @@ mod tests {
             resolver.dominator(&g, ids.player1).unwrap(),
             Dominator::Context(ids.kings_room)
         );
-        assert_eq!(resolver.cached_entries(&g), 1);
+        // The walk proves Player2 and the Kings Room share Player1's closure
+        // and caches them too.
+        assert_eq!(resolver.cached_entries(&g), 3);
+        assert_eq!(
+            resolver.dominator(&g, ids.player2).unwrap(),
+            Dominator::Context(ids.kings_room)
+        );
+        assert_eq!(resolver.misses(), 1, "a proven member is a hit");
+        // Player3's walk caches the Weapons Vault with it.
         resolver.dominator(&g, ids.player3).unwrap();
-        assert_eq!((resolver.cached_entries(&g), resolver.misses()), (2, 2));
+        assert_eq!((resolver.cached_entries(&g), resolver.misses()), (5, 2));
         resolver.dominator(&g, ids.player3).unwrap();
         assert_eq!(resolver.misses(), 2, "a repeated query is a hit");
         // The game is one component: a mutation anywhere in it leaves no
@@ -489,7 +577,7 @@ mod tests {
         g.remove_edge(ids.player1, ids.treasure).unwrap();
         assert_eq!(resolver.cached_entries(&g), 0);
         resolver.dominator(&g, ids.player3).unwrap();
-        assert_eq!((resolver.cached_entries(&g), resolver.misses()), (1, 3));
+        assert_eq!((resolver.cached_entries(&g), resolver.misses()), (2, 3));
         // Player1 no longer reaches the Treasure, so it only dominates
         // itself.
         assert_eq!(
@@ -524,8 +612,9 @@ mod tests {
             resolver.misses() - before
         };
         // The items are leaves: answered from their empty child sets,
-        // neither missed nor kept.
-        assert_eq!(query_all(&g), 6);
+        // neither missed nor kept.  A room's walk caches the room only (its
+        // players' closures lack it); the first player's caches both.
+        assert_eq!(query_all(&g), 4);
         assert_eq!((query_all(&g), resolver.cached_entries(&g)), (0, 6));
         // Unsharing room A's item: A's three entries miss (one of its
         // players is a leaf from now on), B's three hit.
@@ -538,7 +627,7 @@ mod tests {
         );
         // A room created on its own, with an item, touches neither.
         add_room(&mut g, 30);
-        assert_eq!((query_all(&g), resolver.cached_entries(&g)), (3, 8));
+        assert_eq!((query_all(&g), resolver.cached_entries(&g)), (2, 8));
         // Removing B's item and creating a context in the freed slot: B
         // misses (stamped at both), A and the new room do not.
         g.remove_context(ctx(23)).unwrap();
@@ -590,6 +679,101 @@ mod tests {
         restored.add_context(ctx(40), "Room").unwrap();
         restored.add_edge(ctx(40), ctx(11)).unwrap();
         check(&restored);
+    }
+
+    /// The social shape: per region, users in invitation chains of three
+    /// (a chain head owned by the region, each further user by its
+    /// inviter), every user owning its own feed; the first user is the
+    /// region's celebrity, whom every other user follows, and follows the
+    /// second user.
+    fn social(regions: u64, users: u64) -> (OwnershipGraph, Vec<(ContextId, Vec<ContextId>)>) {
+        let mut g = OwnershipGraph::new();
+        let mut next = 0;
+        let mut fresh = |g: &mut OwnershipGraph, class: &str| {
+            next += 1;
+            g.add_context(ctx(next), class).unwrap();
+            ctx(next)
+        };
+        let world = (0..regions)
+            .map(|_| {
+                let region = fresh(&mut g, "Region");
+                let mut members: Vec<ContextId> = Vec::new();
+                let mut feeds = Vec::new();
+                for i in 0..users as usize {
+                    let owner = if i % 3 == 0 { region } else { members[i - 1] };
+                    let user = fresh(&mut g, "User");
+                    g.add_edge(owner, user).unwrap();
+                    let feed = fresh(&mut g, "Feed");
+                    g.add_edge(user, feed).unwrap();
+                    members.push(user);
+                    feeds.push(feed);
+                }
+                for (i, user) in members.iter().enumerate() {
+                    let followed = if i == 0 { feeds[1] } else { feeds[0] };
+                    g.add_edge(*user, followed).unwrap();
+                }
+                (region, members)
+            })
+            .collect();
+        (g, world)
+    }
+
+    #[test]
+    fn one_walk_per_region_answers_every_user_of_it() {
+        let (g, world) = social(4, 10);
+        let resolver = DominatorResolver::default();
+        for (region, users) in &world {
+            assert_eq!(
+                resolver.dominator(&g, users[0]).unwrap(),
+                Dominator::Context(*region)
+            );
+        }
+        assert_eq!(resolver.misses(), world.len());
+        for (region, users) in &world {
+            for user in users {
+                // Cached by the one walk: the chain heads were expanded,
+                // the invited users proven through a feed a head owns.
+                assert_eq!(
+                    resolver.cached(&g, *user),
+                    Some(Dominator::Context(*region)),
+                    "user {user}"
+                );
+                assert_eq!(resolver.dominator(&g, *user), dominator_of(&g, *user));
+            }
+            // The region shares nothing with its users' closure.
+            assert_eq!(resolver.cached(&g, *region), None);
+        }
+        assert_eq!(resolver.misses(), world.len());
+        assert_eq!(resolver.cached_entries(&g), 40);
+    }
+
+    #[test]
+    fn an_owner_of_a_proven_context_is_not_proven_by_that() {
+        // P owns D and Z; D owns Z and W; Z and W share X.  dom(Z) = D, but
+        // P owns D's descendant Z, so D's closure holds P: dom(D) = P.
+        let mut g = OwnershipGraph::new();
+        for i in 0..5 {
+            g.add_context(ctx(i), "C").unwrap();
+        }
+        for (owner, owned) in [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4)] {
+            g.add_edge(ctx(owner), ctx(owned)).unwrap();
+        }
+        let resolver = DominatorResolver::default();
+        assert_eq!(
+            resolver.dominator(&g, ctx(2)).unwrap(),
+            Dominator::Context(ctx(1))
+        );
+        assert_eq!(
+            resolver.cached(&g, ctx(3)),
+            Some(Dominator::Context(ctx(1)))
+        );
+        for owner in [ctx(0), ctx(1)] {
+            assert_eq!(resolver.cached(&g, owner), None, "owner {owner}");
+        }
+        assert_eq!(
+            resolver.dominator(&g, ctx(1)).unwrap(),
+            Dominator::Context(ctx(0))
+        );
     }
 
     /// Builds a random DAG by only adding edges from lower ids to higher ids
@@ -859,6 +1043,10 @@ mod tests {
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 64 } else { 5_000 }
+        ))]
+
         /// The dominator (when concrete) is always an ancestor-or-self of
         /// the target and of every context in its share set.
         #[test]
@@ -905,15 +1093,25 @@ mod tests {
             }
         }
 
-        /// The cache never changes answers.
+        /// The cache never changes answers: after each query, every entry
+        /// that still answers — the queried context's and those its walk
+        /// proved to share its closure — equals a fresh walk.
         #[test]
         fn cached_answers_match_uncached(g in arb_dag(), targets in proptest::collection::vec(0u64..12, 1..8)) {
             let resolver = DominatorResolver::default();
             for t in targets {
                 let t = ctx(t);
                 let cached = resolver.dominator(&g, t).unwrap();
-                let fresh = dominator_of(&g, t).unwrap();
-                prop_assert_eq!(cached, fresh);
+                prop_assert_eq!(cached, dominator_of(&g, t).unwrap());
+                for other in g.contexts() {
+                    if let Some(cached) = resolver.cached(&g, other) {
+                        prop_assert_eq!(
+                            cached,
+                            dominator_of(&g, other).unwrap(),
+                            "entry for {} after querying {}", other, t
+                        );
+                    }
+                }
             }
         }
     }

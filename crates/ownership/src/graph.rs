@@ -117,9 +117,11 @@ pub(crate) struct Marks {
     /// Last expansion that found the slot strictly below the expanded
     /// member.
     pub(crate) below: u32,
-    /// Last ancestor walk that reached the slot.
+    /// Last ancestor walk that reached the slot; in a resolver's fill, the
+    /// fill that looked at the slot's owners.
     pub(crate) above: u32,
-    /// Last breadth-first walk that reached the slot.
+    /// Last breadth-first walk that reached the slot; in a resolver's fill,
+    /// the fill that proved the slot.
     pub(crate) seen: u32,
     /// Least-upper-bound passes that reached the slot, counted from the
     /// epoch before the first pass; inside `subtree_topological`, the owners
@@ -143,7 +145,8 @@ pub(crate) struct Scratch {
     /// The target, then the share members in the order found; doubles as
     /// the closure's worklist.
     pub(crate) members: Vec<u32>,
-    /// The members no other member covered when their turn came.
+    /// The members no other member covered when their turn came; after a
+    /// resolver's fill, every context proven to have the target's closure.
     pub(crate) tops: Vec<u32>,
     /// Expansions of the query in progress, for the tests of the cost model.
     pub(crate) expansions: usize,

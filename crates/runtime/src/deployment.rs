@@ -151,14 +151,15 @@ pub trait Deployment: Send + Sync {
     /// * [`AeonError::CycleDetected`] when the edge would create a cycle.
     /// * [`AeonError::OwnershipViolation`] when the class constraints
     ///   forbid the edge.
+    /// * [`AeonError::RuntimeShutdown`] after shutdown.
     fn add_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()>;
 
     /// Removes `owner` from the owners of `owned`.
     ///
     /// # Errors
     ///
-    /// Returns [`AeonError::ContextNotFound`] when either context is
-    /// unknown.
+    /// * [`AeonError::ContextNotFound`] when either context is unknown.
+    /// * [`AeonError::RuntimeShutdown`] after shutdown.
     fn remove_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()>;
 
     /// A snapshot of the current ownership network.
@@ -201,7 +202,15 @@ pub trait Deployment: Send + Sync {
     }
 
     /// Adds a server to the deployment (scale-out) and returns its id.
-    fn add_server(&self) -> ServerId;
+    ///
+    /// # Errors
+    ///
+    /// * [`AeonError::RuntimeShutdown`] after shutdown.
+    /// * [`AeonError::Config`] where the deployment cannot start servers
+    ///   itself (a cluster of external node processes).
+    /// * The transport's error when the new server's endpoint cannot be
+    ///   set up (a loopback cluster that cannot bind another listener).
+    fn add_server(&self) -> Result<ServerId>;
 
     /// Releases a drained server (scale-in).  The server must not host any
     /// contexts — migrate them away first (the elasticity manager's
@@ -212,6 +221,7 @@ pub trait Deployment: Send + Sync {
     /// * [`AeonError::ServerNotFound`] for unknown or already offline
     ///   servers.
     /// * [`AeonError::Config`] when contexts are still placed on it.
+    /// * [`AeonError::RuntimeShutdown`] after shutdown.
     fn remove_server(&self, server: ServerId) -> Result<()>;
 
     /// Current per-server load metrics: the control-plane feed elasticity
@@ -249,7 +259,8 @@ pub trait Deployment: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`AeonError::ServerNotFound`] for unknown servers.
+    /// * [`AeonError::ServerNotFound`] for unknown servers.
+    /// * [`AeonError::RuntimeShutdown`] after shutdown.
     fn crash_server(&self, server: ServerId) -> Result<()>;
 
     /// Ids of all online servers.
@@ -344,8 +355,9 @@ pub trait Deployment: Send + Sync {
     fn restore_context(&self, context: ContextId, state: &Value, server: ServerId) -> Result<()>;
 
     /// Shuts the deployment down: subsequent submissions, context creations
-    /// and restores fail with [`AeonError::RuntimeShutdown`], and blocked
-    /// events are aborted.
+    /// and restores, ownership edits, and adding, removing or crashing a
+    /// server fail with [`AeonError::RuntimeShutdown`] and change nothing,
+    /// and blocked events are aborted.
     fn shutdown(&self);
 }
 

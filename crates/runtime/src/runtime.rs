@@ -164,7 +164,7 @@ impl RuntimeBuilder {
             aeon_analyzer::enforce(classes)?;
         }
         let certified = CertifiedReads::new(self.class_graph.as_ref());
-        let mut plane = ControlPlane::new(self.class_graph.clone());
+        let mut plane = ControlPlane::new(self.class_graph);
         for _ in 0..self.servers {
             plane.add_server();
         }
@@ -172,7 +172,6 @@ impl RuntimeBuilder {
             executor: ShardedExecutor::new("aeon-runtime", self.executor),
             certified,
             observer: self.observer,
-            class_graph: self.class_graph,
             plane: RwLock::new(plane),
             core: Arc::default(),
             factories: RwLock::new(HashMap::new()),
@@ -196,9 +195,6 @@ pub(crate) struct RuntimeInner {
     /// target as their whole footprint.
     certified: CertifiedReads,
     observer: Option<Arc<dyn EventObserver>>,
-    /// The class graph the debug-build call-summary sanitizer
-    /// ([`RuntimeInner::record_call_edge`]) checks invoke edges against.
-    class_graph: Option<ClassGraph>,
     /// Ownership network, placement and roster.  The per-event path only
     /// ever takes read guards, and no guard is held across contextclass
     /// code or a wait on a context lock.
@@ -248,28 +244,31 @@ impl RuntimeInner {
         target: ContextId,
         target_method: &str,
     ) {
-        let Some(classes) = &self.class_graph else {
-            return;
-        };
-        let (caller_class, target_class) = {
+        let violation = {
             let plane = self.plane.read();
-            match (plane.class_of(caller), plane.class_of(target)) {
-                (Ok(a), Ok(b)) => (a.to_string(), b.to_string()),
-                _ => return,
+            let Some(classes) = plane.classes() else {
+                return;
+            };
+            let (Ok(caller_class), Ok(target_class)) =
+                (plane.class_of(caller), plane.class_of(target))
+            else {
+                return;
+            };
+            let Some(summary) = classes.calls_of(caller_class, caller_method) else {
+                return;
+            };
+            let covered = summary
+                .iter()
+                .any(|m| m.class == target_class && m.method == target_method);
+            if covered {
+                return;
             }
-        };
-        let Some(summary) = classes.calls_of(&caller_class, caller_method) else {
-            return;
-        };
-        let covered = summary
-            .iter()
-            .any(|m| m.class == target_class && m.method == target_method);
-        if !covered {
-            self.summary_violations.lock().insert(format!(
+            format!(
                 "{caller_class}::{caller_method} called {target_class}::{target_method}, \
                  which its declared call summary does not cover"
-            ));
-        }
+            )
+        };
+        self.summary_violations.lock().insert(violation);
     }
 
     /// Creates a context: `declare` enters it into the control plane under
@@ -280,9 +279,7 @@ impl RuntimeInner {
         object: Box<dyn ContextObject>,
         declare: impl FnOnce(&mut ControlPlane, ContextId, &str) -> Result<ServerId>,
     ) -> Result<ContextId> {
-        if self.is_shutdown() {
-            return Err(AeonError::RuntimeShutdown);
-        }
+        self.running()?;
         let id = ContextId::new(self.ids.next_raw());
         let class = object.class_name();
         declare(&mut self.plane.write(), id, class)?;
@@ -290,8 +287,13 @@ impl RuntimeInner {
         Ok(id)
     }
 
-    fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+    /// `Ok` until shutdown, [`AeonError::RuntimeShutdown`] from then on:
+    /// the guard of every operation a shut-down runtime refuses.
+    fn running(&self) -> Result<()> {
+        if self.shutdown.load(Ordering::SeqCst) {
+            return Err(AeonError::RuntimeShutdown);
+        }
+        Ok(())
     }
 
     /// An event about to start on the thread that calls this: a pool
@@ -695,10 +697,12 @@ impl Deployment for AeonRuntime {
     }
 
     fn add_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
+        self.inner.running()?;
         self.inner.plane.write().add_edge(owner, owned)
     }
 
     fn remove_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
+        self.inner.running()?;
         self.inner.plane.write().remove_edge(owner, owned)
     }
 
@@ -710,11 +714,13 @@ impl Deployment for AeonRuntime {
         Box::new(self.client())
     }
 
-    fn add_server(&self) -> ServerId {
-        self.inner.plane.write().add_server()
+    fn add_server(&self) -> Result<ServerId> {
+        self.inner.running()?;
+        Ok(self.inner.plane.write().add_server())
     }
 
     fn remove_server(&self, server: ServerId) -> Result<()> {
+        self.inner.running()?;
         self.inner.plane.write().retire_server(server)
     }
 
@@ -785,6 +791,7 @@ impl Deployment for AeonRuntime {
     /// the ownership network and the placement map keep the contexts'
     /// identities, as on the cluster.
     fn crash_server(&self, server: ServerId) -> Result<()> {
+        self.inner.running()?;
         let hosted = self.inner.plane.write().mark_crashed(server)?;
         for context in hosted {
             if let Some(slot) = self.inner.core.remove(context) {
@@ -811,9 +818,7 @@ impl Deployment for AeonRuntime {
     }
 
     fn restore_context(&self, context: ContextId, state: &Value, server: ServerId) -> Result<()> {
-        if self.inner.is_shutdown() {
-            return Err(AeonError::RuntimeShutdown);
-        }
+        self.inner.running()?;
         let class = {
             let plane = self.inner.plane.read();
             if !plane.is_online(server) {
@@ -914,9 +919,7 @@ impl AeonClient {
         args: Args,
         mode: AccessMode,
     ) -> Result<(EventRequest, Footprint)> {
-        if self.inner.is_shutdown() {
-            return Err(AeonError::RuntimeShutdown);
-        }
+        self.inner.running()?;
         let slot = self.inner.core.slot(target);
         let slot = slot.ok_or(AeonError::ContextNotFound(target))?;
         let request = EventRequest {

@@ -768,7 +768,7 @@ fn class_constraints_are_enforced_at_creation() {
 fn server_management_and_placement() {
     let runtime = AeonRuntime::builder().servers(3).build().unwrap();
     assert_eq!(runtime.servers().len(), 3);
-    let new_server = runtime.add_server();
+    let new_server = runtime.add_server().unwrap();
     assert_eq!(runtime.servers().len(), 4);
     // Auto placement balances across servers.
     let mut created = Vec::new();

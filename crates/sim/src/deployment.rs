@@ -455,7 +455,7 @@ impl Deployment for SimDeployment {
         Box::new(self.client())
     }
 
-    fn add_server(&self) -> ServerId {
+    fn add_server(&self) -> Result<ServerId> {
         self.runtime.add_server()
     }
 

@@ -683,7 +683,7 @@ fn transfers_under_back_to_back_migrations_neither_fail_nor_tear_on_every_backen
 fn colocation_with_contexts_on_crashed_servers_is_rejected_on_every_backend() {
     on_every_backend(|deployment| {
         let backend = deployment.backend_name();
-        let spare = deployment.add_server();
+        let spare = deployment.add_server().unwrap();
         let doomed = deployment
             .create_context(Box::new(Room::default()), Placement::Server(spare))
             .unwrap();
@@ -726,7 +726,7 @@ fn colocation_with_contexts_on_crashed_servers_is_rejected_on_every_backend() {
 fn context_count_skips_contexts_lost_to_a_crash_on_every_backend() {
     on_every_backend(|deployment| {
         let backend = deployment.backend_name();
-        let spare = deployment.add_server();
+        let spare = deployment.add_server().unwrap();
         let survivor = deployment.servers()[0];
         for server in [spare, survivor] {
             deployment
@@ -790,6 +790,58 @@ fn a_shut_down_deployment_creates_and_restores_nothing_on_every_backend() {
         );
         let edges_after: Vec<_> = deployment.ownership_graph().edges().collect();
         assert_eq!(edges_after, edges_before, "backend {backend}");
+    });
+}
+
+/// After `shutdown()` a deployment's ownership network and roster hold
+/// still: editing an edge and removing, crashing or adding a server all fail
+/// with `RuntimeShutdown` and change nothing.  (All five used to succeed on
+/// every backend, and the cluster started a node that nothing would stop.)
+#[test]
+fn a_shut_down_deployment_changes_no_edge_and_no_server_on_every_backend() {
+    on_every_backend(|deployment| {
+        let backend = deployment.backend_name();
+        let room = deployment
+            .create_context(Box::new(Room::default()), Placement::Auto)
+            .unwrap();
+        let item = deployment
+            .create_owned_context(Box::new(KvContext::new("Item")), &[room])
+            .unwrap();
+        let player = deployment
+            .create_owned_context(Box::new(Player::default()), &[room])
+            .unwrap();
+        deployment.shutdown();
+        let edges_before: Vec<_> = deployment.ownership_graph().edges().collect();
+        let servers_before = deployment.servers();
+        assert_eq!(
+            deployment.add_ownership(player, item),
+            Err(AeonError::RuntimeShutdown),
+            "backend {backend}: add_ownership"
+        );
+        assert_eq!(
+            deployment.remove_ownership(room, item),
+            Err(AeonError::RuntimeShutdown),
+            "backend {backend}: remove_ownership"
+        );
+        assert_eq!(
+            deployment.remove_server(servers_before[1]),
+            Err(AeonError::RuntimeShutdown),
+            "backend {backend}: remove_server"
+        );
+        assert_eq!(
+            deployment.crash_server(servers_before[1]),
+            Err(AeonError::RuntimeShutdown),
+            "backend {backend}: crash_server"
+        );
+        assert_eq!(
+            deployment.add_server(),
+            Err(AeonError::RuntimeShutdown),
+            "backend {backend}: add_server"
+        );
+        let edges_after: Vec<_> = deployment.ownership_graph().edges().collect();
+        assert_eq!(edges_after, edges_before, "backend {backend}");
+        assert_eq!(deployment.servers(), servers_before, "backend {backend}");
+        assert_eq!(deployment.context_count(), 3, "backend {backend}");
     });
 }
 
@@ -1190,7 +1242,7 @@ fn elasticity_scale_out_works_on_every_backend() {
     on_every_backend(|deployment| {
         let backend = deployment.backend_name();
         let before = deployment.servers().len();
-        let added = deployment.add_server();
+        let added = deployment.add_server().unwrap();
         let after = deployment.servers();
         assert_eq!(after.len(), before + 1, "backend {backend}");
         assert!(after.contains(&added), "backend {backend}");

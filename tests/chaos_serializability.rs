@@ -143,7 +143,9 @@ fn crash_and_recover(cluster: &Cluster, checkpoint: &Snapshot, pause: &Arc<Atomi
         .restore_snapshot(checkpoint)
         .expect("rewinding to the checkpoint succeeds");
     // Scale back out so later migrations have somewhere to go.
-    let _ = cluster.add_server();
+    cluster
+        .add_server()
+        .expect("a running cluster adds a server");
     pause.store(false, Ordering::SeqCst);
 }
 
