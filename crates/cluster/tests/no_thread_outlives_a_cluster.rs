@@ -99,10 +99,11 @@ fn cycle(transport: ClusterTransport, shut_down: bool) -> Weak<()> {
 
 /// Two servers at `worker_threads(2)`, eight callers on each whose two
 /// children live on the other server.
-fn cross_calling_cluster() -> (Cluster, Vec<ContextId>) {
+fn cross_calling_cluster(transport: ClusterTransport) -> (Cluster, Vec<ContextId>) {
     let cluster = Cluster::builder()
         .servers(2)
         .worker_threads(WORKERS)
+        .transport(transport)
         .build()
         .unwrap();
     let servers = cluster.servers();
@@ -125,6 +126,20 @@ fn cross_calling_cluster() -> (Cluster, Vec<ContextId>) {
         callers.push(caller);
     }
     (cluster, callers)
+}
+
+/// 64 `poke`s spread over `callers`, all waited for.
+fn burst(cluster: &Cluster, callers: &[ContextId]) {
+    let client = cluster.client();
+    let burst: Vec<_> = (0..64)
+        .map(|i| {
+            let caller = callers[i % callers.len()];
+            client.submit_event(caller, "poke", args![]).unwrap()
+        })
+        .collect();
+    for handle in burst {
+        handle.wait().unwrap();
+    }
 }
 
 /// `poke` increments each of its children, in order, with a synchronous
@@ -223,19 +238,10 @@ fn a_cluster_starts_only_its_pools_and_leaves_nothing_behind() {
     // calls makes the pools start threads; once it is over, they are back at
     // their workers within a park timeout, and only the pools' own threads
     // ever existed.
-    let (cluster, callers) = cross_calling_cluster();
+    let (cluster, callers) = cross_calling_cluster(ClusterTransport::Channel);
     let resident = before + 2 * WORKERS;
     assert_eq!(settle_at(resident), resident, "{:?}", thread_names());
-    let client = cluster.client();
-    let burst: Vec<_> = (0..64)
-        .map(|i| {
-            let caller = callers[i % callers.len()];
-            client.submit_event(caller, "poke", args![]).unwrap()
-        })
-        .collect();
-    for handle in burst {
-        handle.wait().unwrap();
-    }
+    burst(&cluster, &callers);
     let ended = Instant::now();
     let started: u64 = cluster
         .executor_stats()
@@ -256,6 +262,35 @@ fn a_cluster_starts_only_its_pools_and_leaves_nothing_behind() {
         settled < PARK_TIMEOUT + Duration::from_millis(150),
         "{started} threads took {settled:?} to retire"
     );
+    cluster.shutdown();
+    assert_eq!(settle_at(before), before, "{:?}", thread_names());
+    drop(cluster);
+
+    // The same burst over TCP.  Once it has settled, each transport — a
+    // node's or the gateway's — runs one acceptor and one reader per
+    // inbound connection, and nothing per peer: no writer, and no flusher
+    // once what was sent is written.  The two nodes and the gateway have
+    // all sent to each other, so each of the three is the far end of two
+    // connections.
+    let (cluster, callers) = cross_calling_cluster(ClusterTransport::TcpLoopback);
+    burst(&cluster, &callers);
+    let (transports, inbound) = (3, 2);
+    let resident = before + 2 * WORKERS + transports * (1 + inbound);
+    let ended = Instant::now();
+    while thread_names().len() != resident && ended.elapsed() < Duration::from_secs(5) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let names = thread_names();
+    let of = |prefix: &str| names.iter().filter(|n| n.starts_with(prefix)).count();
+    assert_eq!(of("aeon-tcp-accept"), transports, "{names:?}");
+    assert_eq!(of("aeon-tcp-reader"), transports * inbound, "{names:?}");
+    assert_eq!(
+        of("aeon-tcp-"),
+        transports * (1 + inbound),
+        "a writer or flusher: {names:?}"
+    );
+    assert_eq!(of("aeon-node-"), 2 * WORKERS, "{names:?}");
+    assert_eq!(names.len(), resident, "{names:?}");
     cluster.shutdown();
     assert_eq!(settle_at(before), before, "{:?}", thread_names());
     drop(cluster);

@@ -6,9 +6,11 @@
 //! * [`Transport`] — how typed messages physically move between servers.
 //!   Two implementations ship with the crate: [`ChannelTransport`] (the
 //!   in-process delivery used by all single-process clusters) and
-//!   [`TcpTransport`] (length-prefixed frames over `std::net` sockets with
-//!   per-peer writer threads and reconnect-on-send, used when a cluster
-//!   runs as N real OS processes via the `aeon-node` binary).
+//!   [`TcpTransport`] (length-prefixed frames over `std::net` sockets,
+//!   written by the sending thread itself, with a short-lived flusher per
+//!   peer only to connect or to drain a backlog, and reconnect-on-send;
+//!   used when a cluster runs as N real OS processes via the `aeon-node`
+//!   binary).
 //! * [`Network`] — the façade every component talks to.  It layers fault
 //!   injection (administratively severed links) and [`NetworkStats`]
 //!   (message and byte counters) on top of whichever transport it wraps,
@@ -775,6 +777,34 @@ mod tests {
             net.shutdown_transport();
         }
 
+        #[test]
+        fn a_send_does_not_wait_for_a_connect_in_progress() {
+            // The flusher connects with its bounded retry outside the
+            // peer's mutex, so a send that finds it there queues and
+            // returns.  A refusing port keeps it retrying for seconds.
+            let placeholder = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let dead_addr = placeholder.local_addr().unwrap();
+            drop(placeholder);
+
+            let mut config = TcpTransportConfig::new(loopback());
+            config.connect_retries = 100;
+            config.retry_delay = Duration::from_millis(50);
+            let transport: Arc<dyn Transport<Ping>> = Arc::new(TcpTransport::bind(config).unwrap());
+            let net = Network::with_transport(transport);
+            net.add_peer(srv(1), dead_addr);
+            let a = net.register(srv(0));
+            a.send(srv(1), Ping(0, Vec::new())).unwrap();
+            // Let the flusher get into its retry loop.
+            std::thread::sleep(Duration::from_millis(20));
+            for i in 1..10 {
+                let started = std::time::Instant::now();
+                a.send(srv(1), Ping(i, Vec::new())).unwrap();
+                let took = started.elapsed();
+                assert!(took < Duration::from_secs(1), "send {i} took {took:?}");
+            }
+            net.shutdown_transport();
+        }
+
         /// Two transports that know each other as `srv(0)` and `srv(1)`.
         fn tcp_pair() -> (Network<Ping>, Network<Ping>) {
             let (net_a, net_b) = (tcp_network(), tcp_network());
@@ -941,6 +971,15 @@ mod tests {
 
         #[test]
         fn concurrent_senders_arrive_in_per_sender_order() {
+            // Each sender on a transport of its own, then all four on one
+            // transport, racing for the peer's connection and appending to
+            // its backlog while one of them writes.
+            for share_transport in [false, true] {
+                senders_arrive_in_order(share_transport);
+            }
+        }
+
+        fn senders_arrive_in_order(share_transport: bool) {
             let receiver = tcp_network();
             let arrived = Arc::new(parking_lot::Mutex::new(Vec::new()));
             let seen = Arc::clone(&arrived);
@@ -948,9 +987,14 @@ mod tests {
                 seen.lock().push(message.0);
                 true
             });
+            let shared = tcp_network();
             let senders: Vec<_> = (1..=4u64)
                 .map(|t| {
-                    let net = tcp_network();
+                    let net = if share_transport {
+                        shared.clone()
+                    } else {
+                        tcp_network()
+                    };
                     net.add_peer(srv(0), receiver.local_addr().unwrap());
                     std::thread::spawn(move || {
                         for i in 0..1_000u64 {
@@ -970,16 +1014,20 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(1));
             }
             let arrived = arrived.lock().clone();
-            assert_eq!(arrived.len(), 4_000);
+            assert_eq!(arrived.len(), 4_000, "shared transport: {share_transport}");
             for t in 1..=4u64 {
                 let of_t: Vec<u64> = arrived
                     .iter()
                     .filter(|m| **m / 10_000 == t)
                     .map(|m| m % 10_000)
                     .collect();
-                assert_eq!(of_t, (0..1_000).collect::<Vec<_>>(), "sender {t}");
+                assert_eq!(
+                    of_t,
+                    (0..1_000).collect::<Vec<_>>(),
+                    "sender {t}, shared transport: {share_transport}"
+                );
             }
-            for net in senders.iter().chain([&receiver]) {
+            for net in senders.iter().chain([&receiver, &shared]) {
                 net.shutdown_transport();
             }
         }

@@ -7,9 +7,11 @@
 //!   never serialised, to the receiver by a function call.  Used by the
 //!   single-process cluster and every unit test.
 //! * [`TcpTransport`] — a real socket transport over `std::net`:
-//!   length-prefixed frames, an acceptor/reader loop per process, per-peer
-//!   writer threads, and reconnect-on-send with bounded retry.  Used when a
-//!   cluster runs as N OS processes (`aeon-node`).
+//!   length-prefixed frames, an acceptor/reader loop per process, sends
+//!   written by the sending thread (a flusher per peer runs only to connect
+//!   or to drain what the kernel did not take at once), and
+//!   reconnect-on-send with bounded retry.  Used when a cluster runs as N OS
+//!   processes (`aeon-node`).
 //!
 //! [`Network`](crate::Network) layers fault injection (severed links) and
 //! [`crate::NetworkStats`] on top, so both transports share

@@ -30,27 +30,47 @@
 //!   be ahead of local registration during elasticity) or is refused by its
 //!   sink is counted in `frames_dropped`; an out-of-range length kills the
 //!   connection.
-//! * One **writer** per remote peer blocks on its bounded queue and owns
-//!   the outbound connection.  [`TcpTransport::send`] builds the frame in
-//!   the buffer it is sent from and enqueues it (a full queue is
-//!   [`AeonError::SendQueueFull`], never a blocked sender).  The writer
-//!   connects lazily with bounded retry (absorbing process start-up
-//!   races); when more frames are already waiting it appends them, up to
-//!   64 KiB, and hands the burst to the kernel in one `write`, in queue
-//!   order.  On connection loss it reconnects once, resends from the first
-//!   frame the kernel had not taken whole, and otherwise retires itself
-//!   with every frame it still held counted as dropped; the next send
-//!   spawns a fresh writer (reconnect-on-send).
+//! * **No thread writes for a sender that can write itself.**  Each remote
+//!   peer has one outbox under one mutex: its outbound connection, a
+//!   backlog of whole frames (at most `send_queue` of them; one more is
+//!   [`AeonError::SendQueueFull`], never a blocked sender), how much of the
+//!   first one the kernel already took, and whether someone owns the
+//!   connection.  [`TcpTransport::send`] builds the frame in the buffer it
+//!   is sent from.  When the peer is connected and nothing is queued or
+//!   being written, the sender takes the connection and writes the frame
+//!   with one nonblocking `write`, outside the mutex; otherwise it appends
+//!   the frame to the backlog and returns.  No connect and no blocking
+//!   write ever happen on a sender's thread, and the mutex is held across
+//!   no `write` at all.
+//! * **Combining.**  A sender whose write the kernel took whole looks at
+//!   the backlog before it lets the connection go: frames others appended
+//!   meanwhile go out in its next `write`, all of them in one, until it has
+//!   drained 64 KiB that way.  That is what is left of batching; a lone
+//!   sender that floods one peer pays one `write` per frame.
+//! * A **flusher** is started only to connect (a first send, or one after
+//!   the connection was lost) and to drain what a sender could not write:
+//!   a `WouldBlock`, a partial write, more than the combining bound.  It
+//!   owns the connection in blocking mode, connects with bounded retry
+//!   (absorbing process start-up races), writes the backlog in send order,
+//!   all that is queued at a time in one `write`, and when the backlog is
+//!   empty sets the connection nonblocking again, hands it back and exits.
+//!   At rest a transport runs its acceptor and one reader per inbound
+//!   connection, nothing per peer.  On connection loss the flusher
+//!   reconnects once and resumes at the first frame the kernel had not
+//!   taken whole, so no frame is sent twice; when that fails too every
+//!   frame still queued is counted as dropped, and the next send starts a
+//!   fresh flusher (reconnect-on-send).
 //!
 //! [`Transport::shutdown`] is the only thing that wakes them for anything
-//! but work.  It flips `running` and notifies the condition variable a
-//! writer waits on between connection attempts; disconnects the writers'
-//! queues, so each writes out what `send` had already accepted and exits;
+//! but work.  It flips `running` (no flusher starts after that) and
+//! notifies the condition variable a flusher waits on between connection
+//! attempts; drops the outboxes, which closes every idle connection;
 //! wakes the acceptor with a throw-away connection to its own listener;
-//! closes every socket (readers return from `read`, and a writer stuck on
-//! a peer that stopped reading — given `FLUSH_GRACE` to finish — returns
-//! from `write`); and joins all of them.  When it returns the listener is
-//! closed and no thread of the transport is left.
+//! gives the live flushers `FLUSH_GRACE` to write out what `send` had
+//! already accepted; closes every socket (readers return from `read`, and
+//! a flusher stuck on a peer that stopped reading returns from `write`);
+//! and joins all of them.  When it returns the listener is closed and no
+//! thread of the transport is left.
 //!
 //! Self-sends (a server messaging an id registered in the same process)
 //! short-circuit into the sink, on the sender's thread, but still pay for
@@ -59,13 +79,12 @@
 use super::{SendReceipt, Sink, Sinks, Transport, WireMessage};
 use crate::stats::NetworkStats;
 use aeon_types::{AeonError, Result, ServerId};
-use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -80,15 +99,16 @@ const HEADER: usize = 12;
 /// a single frame is larger).
 const READ_BUF: usize = 16 * 1024;
 
-/// A writer stops appending queued frames to a burst once it is this big.
+/// A sender stops draining what others appended behind its own frame once
+/// it has written this much of it, and leaves the rest to a flusher.
 const BURST_BYTES: usize = 64 * 1024;
 
-/// How long `shutdown` lets writers finish writing what is already queued
+/// How long `shutdown` lets flushers finish writing what is already queued
 /// before it closes their sockets under them.
 const FLUSH_GRACE: Duration = Duration::from_secs(1);
 
 /// Bound on one connection attempt, so a peer that swallows SYNs holds a
-/// writer — and the `shutdown` that joins it — for seconds, not minutes.
+/// flusher — and the `shutdown` that joins it — for seconds, not minutes.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Pause after a failed `accept` (descriptor exhaustion and the like), so a
@@ -104,20 +124,21 @@ pub struct TcpTransportConfig {
     /// Initial peer map (server id → address).  Peers can also be added
     /// later with [`Transport::add_peer`].
     pub peers: HashMap<ServerId, SocketAddr>,
-    /// Connection attempts per writer before it gives up (the *bounded*
+    /// Connection attempts per flusher before it gives up (the *bounded*
     /// part of reconnect-on-send).
     pub connect_retries: u32,
     /// Delay between connection attempts.
     pub retry_delay: Duration,
-    /// Outbound frames buffered per peer; a send that finds the queue full
-    /// fails with [`AeonError::SendQueueFull`] and the frame is counted in
+    /// Outbound frames buffered per peer while it is being connected or a
+    /// backlog is being written; a send that finds that many queued fails
+    /// with [`AeonError::SendQueueFull`] and the frame is counted in
     /// `frames_dropped`.
     pub send_queue: usize,
 }
 
 impl TcpTransportConfig {
     /// A config listening on `listen` with no peers and default retry
-    /// behaviour (40 attempts × 250 ms ≈ 10 s of patience per writer).
+    /// behaviour (40 attempts × 250 ms ≈ 10 s of patience per connection).
     pub fn new(listen: SocketAddr) -> Self {
         Self {
             listen,
@@ -149,21 +170,24 @@ struct Lifecycle {
     listener: Option<TcpListener>,
     /// Joined only once the wake-up connection reached it.
     acceptor: Option<JoinHandle<()>>,
-    /// Readers and writers; finished ones are reaped when the next starts.
+    /// Readers and flushers; finished ones are reaped when the next starts.
     threads: Vec<JoinHandle<()>>,
-    /// Writers that have not exited yet, so `shutdown` can let them flush.
-    live_writers: usize,
+    /// Flushers that have not exited yet, so `shutdown` can let them flush.
+    live_flushers: usize,
 }
 
 struct TcpShared<M> {
     local_addr: SocketAddr,
     sinks: Sinks<M>,
     peers: RwLock<HashMap<ServerId, SocketAddr>>,
-    /// Outbound frame queues, one writer thread per live entry.
-    writers: Mutex<HashMap<ServerId, Sender<Vec<u8>>>>,
-    stats: RwLock<Option<Arc<NetworkStats>>>,
+    /// One outbox per remote peer a frame was sent to: its connection and
+    /// backlog.  No thread belongs to an entry; a flusher runs for one only
+    /// while it connects or drains a backlog.
+    outboxes: RwLock<HashMap<ServerId, SharedOutbox<M>>>,
+    /// Set once, by [`Transport::bind_stats`].
+    stats: OnceLock<Arc<NetworkStats>>,
     life: Mutex<Lifecycle>,
-    /// Notified when `life.running` falls and when a writer exits.
+    /// Notified when `life.running` falls and when a flusher exits.
     life_changed: Condvar,
     connect_retries: u32,
     retry_delay: Duration,
@@ -172,15 +196,15 @@ struct TcpShared<M> {
 
 impl<M> TcpShared<M> {
     fn record_frame_dropped(&self) {
-        if let Some(stats) = self.stats.read().as_ref() {
+        if let Some(stats) = self.stats.get() {
             stats.record_frame_dropped();
         }
     }
 
-    /// Counts `frames` queued frames a writer gave up on, both as lost
+    /// Counts `frames` queued frames the transport gave up on, both as lost
     /// messages and as transport-level frame drops.
     fn record_lost(&self, frames: usize) {
-        if let Some(stats) = self.stats.read().as_ref() {
+        if let Some(stats) = self.stats.get() {
             for _ in 0..frames {
                 stats.record_dropped();
                 stats.record_frame_dropped();
@@ -218,18 +242,101 @@ impl<M> TcpShared<M> {
         life.running
     }
 
-    /// Starts a reader or writer thread that `shutdown` will join.  Once
-    /// the transport is shut down (or when the OS refuses a thread) `body`
-    /// is dropped unrun, which hangs up whatever it owned.
-    fn spawn(&self, name: String, body: impl FnOnce() + Send + 'static) {
+    /// Starts a reader or flusher thread that `shutdown` will join, and
+    /// says whether it did.  Once the transport is shut down (or when the OS
+    /// refuses a thread) `body` is dropped unrun, which hangs up whatever it
+    /// owned.
+    fn spawn(&self, name: String, body: impl FnOnce() + Send + 'static) -> bool {
         let mut life = self.life.lock();
         if !life.running {
-            return;
+            return false;
         }
         life.threads.retain(|thread| !thread.is_finished());
-        if let Ok(thread) = thread::Builder::new().name(name).spawn(body) {
-            life.threads.push(thread);
+        let Ok(thread) = thread::Builder::new().name(name).spawn(body) else {
+            return false;
+        };
+        life.threads.push(thread);
+        true
+    }
+
+    /// The outbox of `to`, made on the first send to it.
+    fn outbox(&self, to: ServerId) -> SharedOutbox<M> {
+        if let Some(outbox) = self.outboxes.read().get(&to) {
+            return Arc::clone(outbox);
         }
+        let mut outboxes = self.outboxes.write();
+        Arc::clone(outboxes.entry(to).or_insert_with(|| {
+            Arc::new(Mutex::new(Outbox {
+                conn: None,
+                backlog: Vec::new(),
+                written: 0,
+                queued: 0,
+                busy: false,
+            }))
+        }))
+    }
+}
+
+/// The outbound side of one remote peer, shared by the senders and the
+/// peer's flusher.  Whoever sets `busy` owns the connection — a sender for
+/// its direct write, or a flusher — and moves it out of here while it
+/// writes; the owner looks at the backlog again under the mutex before it
+/// lets go, so `!busy` implies an empty backlog and a frame appended while
+/// the owner wrote is never stranded.
+struct Outbox<M> {
+    /// The connection while nobody owns it, once a flusher has made one.
+    /// In blocking mode only while a flusher owns it.
+    conn: Option<Tracked<M>>,
+    /// Whole frames accepted and not yet written, back to back, in send
+    /// order.
+    backlog: Vec<u8>,
+    /// Bytes of `backlog` the kernel already took on `conn`.
+    written: usize,
+    /// Frames in `backlog`; `send` refuses one beyond `send_queue`.
+    queued: usize,
+    busy: bool,
+}
+
+type SharedOutbox<M> = Arc<Mutex<Outbox<M>>>;
+
+impl<M> Outbox<M> {
+    fn push(&mut self, frame: &[u8]) {
+        self.backlog.extend_from_slice(frame);
+        self.queued += 1;
+    }
+
+    /// Moves the backlog into `burst` (whose old bytes are gone), leaving
+    /// `burst`'s buffer behind for the next frames, and returns how much of
+    /// it the kernel already took.
+    fn take_backlog(&mut self, burst: &mut Vec<u8>) -> usize {
+        burst.clear();
+        std::mem::swap(burst, &mut self.backlog);
+        self.queued = 0;
+        std::mem::take(&mut self.written)
+    }
+
+    /// Puts what the kernel did not take of `burst` — it took the first
+    /// `taken` bytes — back in front of the backlog, from the first frame
+    /// it did not take whole.  `written` stays at the part of that frame
+    /// that went out when the connection still stands, and is 0 when it is
+    /// lost, so the next connection gets that frame whole.
+    fn requeue(&mut self, burst: &[u8], taken: usize, conn_lost: bool) {
+        let start = resume_at(burst, taken);
+        let rest = &burst[start..];
+        self.written = if conn_lost { 0 } else { taken - start };
+        self.queued += frame_starts(rest).count();
+        self.backlog.splice(0..0, rest.iter().copied());
+    }
+
+    /// Empties the backlog that nothing will write and lets the outbox go;
+    /// returns the number of frames thrown away.  The connection goes too:
+    /// it may end inside a frame.
+    fn abandon(&mut self) -> usize {
+        self.conn = None;
+        self.backlog.clear();
+        self.written = 0;
+        self.busy = false;
+        std::mem::take(&mut self.queued)
     }
 }
 
@@ -299,8 +406,8 @@ impl<M: WireMessage> TcpTransport<M> {
             local_addr,
             sinks: Sinks::new(),
             peers: RwLock::new(config.peers),
-            writers: Mutex::new(HashMap::new()),
-            stats: RwLock::new(None),
+            outboxes: RwLock::new(HashMap::new()),
+            stats: OnceLock::new(),
             life: Mutex::new(Lifecycle {
                 running: true,
                 streams: HashMap::new(),
@@ -308,7 +415,7 @@ impl<M: WireMessage> TcpTransport<M> {
                 listener: Some(listener),
                 acceptor: None,
                 threads: Vec::new(),
-                live_writers: 0,
+                live_flushers: 0,
             }),
             life_changed: Condvar::new(),
             connect_retries: config.connect_retries,
@@ -319,7 +426,7 @@ impl<M: WireMessage> TcpTransport<M> {
     }
 
     /// Encodes one message into a full frame (prefix included), in the
-    /// buffer the writer will send it from.
+    /// buffer it is sent from.
     fn frame(from: ServerId, to: ServerId, message: &M) -> Result<Vec<u8>> {
         // Room for the header and a typical `Exec`/`Done`, so the common
         // frame is one allocation.
@@ -339,41 +446,34 @@ impl<M: WireMessage> TcpTransport<M> {
         Ok(frame)
     }
 
-    /// Hands a frame to the peer's writer, spawning one when missing or
-    /// when the previous writer retired after losing its connection.
+    /// Writes a frame to the peer, or queues it for whoever writes to the
+    /// peer now or for a flusher that connects it.
     ///
-    /// A full send queue is *not* silent: the frame is counted in
+    /// A full backlog is *not* silent: the frame is counted in
     /// `frames_dropped` and the caller gets [`AeonError::SendQueueFull`],
     /// a transient error distinguishable from a dead peer
     /// ([`AeonError::ServerNotFound`]) so callers can retry or shed load
     /// instead of misdiagnosing backpressure as peer loss.
     fn enqueue(&self, to: ServerId, addr: SocketAddr, frame: Vec<u8>) -> Result<()> {
-        let mut frame = frame;
-        for _ in 0..2 {
-            let tx = {
-                let mut writers = self.shared.writers.lock();
-                writers
-                    .entry(to)
-                    .or_insert_with(|| spawn_writer(&self.shared, to, addr))
-                    .clone()
-            };
-            match tx.try_send(frame) {
-                Ok(()) => return Ok(()),
-                Err(channel::TrySendError::Full(_)) => {
-                    self.shared.record_frame_dropped();
-                    return Err(AeonError::SendQueueFull { peer: to });
-                }
-                Err(channel::TrySendError::Disconnected(f)) => {
-                    // The writer retired (connection lost / gave up /
-                    // transport shut down); drop the dead queue and retry
-                    // with a fresh writer.
-                    frame = f;
-                    self.shared.writers.lock().remove(&to);
-                }
-            }
+        let outbox = self.shared.outbox(to);
+        let mut out = outbox.lock();
+        if out.queued >= self.shared.send_queue {
+            drop(out);
+            self.shared.record_frame_dropped();
+            return Err(AeonError::SendQueueFull { peer: to });
         }
-        self.shared.record_frame_dropped();
-        Err(AeonError::ServerNotFound(to))
+        if out.busy {
+            out.push(&frame);
+            return Ok(());
+        }
+        out.busy = true;
+        let Some(conn) = out.conn.take() else {
+            out.push(&frame);
+            drop(out);
+            return start_flusher(&self.shared, outbox, to, addr);
+        };
+        drop(out);
+        write_direct(&self.shared, outbox, to, addr, conn, frame)
     }
 }
 
@@ -431,7 +531,7 @@ impl<M: WireMessage> Transport<M> for TcpTransport<M> {
     }
 
     fn bind_stats(&self, stats: Arc<NetworkStats>) {
-        *self.shared.stats.write() = Some(stats);
+        let _ = self.shared.stats.set(stats);
     }
 
     fn add_peer(&self, id: ServerId, addr: SocketAddr) {
@@ -452,15 +552,16 @@ impl<M: WireMessage> Transport<M> for TcpTransport<M> {
             life.running = false;
         }
         shared.life_changed.notify_all();
-        // A writer exits when its queue is disconnected *and* drained, so
-        // what `send` accepted before this call still goes out.
-        shared.writers.lock().clear();
+        // An idle connection closes with its outbox; a flusher holds on to
+        // its own until it has written what `send` accepted.
+        let outboxes = std::mem::take(&mut *shared.outboxes.write());
+        drop(outboxes);
         // The acceptor re-checks `running` after every `accept`; this
         // throw-away connection is what makes `accept` return.
         let woken = TcpStream::connect_timeout(&wake_addr(shared.local_addr), CONNECT_TIMEOUT);
         let (streams, acceptor, threads) = {
             let mut life = shared.life.lock();
-            shared.wait_while(&mut life, FLUSH_GRACE, |life| life.live_writers > 0);
+            shared.wait_while(&mut life, FLUSH_GRACE, |life| life.live_flushers > 0);
             // Never handed to an acceptor: closing it is all there is.
             life.listener = None;
             (
@@ -603,7 +704,7 @@ fn deliver<M: WireMessage>(shared: &TcpShared<M>, to: ServerId, payload: &[u8]) 
         shared.record_frame_dropped();
         return;
     };
-    if let Some(stats) = shared.stats.read().as_ref() {
+    if let Some(stats) = shared.stats.get() {
         stats.record_received((HEADER + payload.len()) as u64);
     }
     if shared.sinks.deliver(to, message) != Some(true) {
@@ -611,92 +712,156 @@ fn deliver<M: WireMessage>(shared: &TcpShared<M>, to: ServerId, payload: &[u8]) 
     }
 }
 
-/// Spawns the writer thread for `to` and returns its frame queue (already
-/// disconnected when the transport is shut down).
-fn spawn_writer<M: WireMessage>(
+/// The sender's own write of `frame` on the connection it took from the
+/// outbox, then of what others appended meanwhile (combining, up to
+/// `BURST_BYTES`).  It never waits: what the kernel does not take at once is
+/// left to a flusher, and so is a connection that failed.
+fn write_direct<M: WireMessage>(
     shared: &Arc<TcpShared<M>>,
+    outbox: SharedOutbox<M>,
     to: ServerId,
     addr: SocketAddr,
-) -> Sender<Vec<u8>> {
-    let (tx, rx) = channel::bounded::<Vec<u8>>(shared.send_queue);
-    let writer_shared = Arc::clone(shared);
-    shared.spawn(format!("aeon-tcp-writer-{to}"), move || {
-        write_loop(writer_shared, to, addr, rx)
-    });
-    tx
+    conn: Tracked<M>,
+    frame: Vec<u8>,
+) -> Result<()> {
+    let mut burst = frame;
+    let mut combined = 0;
+    loop {
+        let (taken, conn_lost) = match write_some(&conn.stream, &burst) {
+            Ok(taken) => (taken, false),
+            Err(taken) => (taken, true),
+        };
+        let mut out = outbox.lock();
+        if taken == burst.len() {
+            if out.backlog.is_empty() {
+                out.conn = Some(conn);
+                out.busy = false;
+                return Ok(());
+            }
+            if combined < BURST_BYTES {
+                out.take_backlog(&mut burst);
+                combined += burst.len();
+                continue;
+            }
+        } else {
+            out.requeue(&burst, taken, conn_lost);
+        }
+        if !conn_lost {
+            out.conn = Some(conn);
+        }
+        drop(out);
+        return start_flusher(shared, outbox, to, addr);
+    }
 }
 
-fn write_loop<M: WireMessage>(
-    shared: Arc<TcpShared<M>>,
+/// Starts the flusher of an outbox its caller owns.  When none can start
+/// (the transport is shut down) nothing would ever write the backlog: it is
+/// counted lost, and the send that needed the flusher fails like one to an
+/// unknown peer.
+fn start_flusher<M: WireMessage>(
+    shared: &Arc<TcpShared<M>>,
+    outbox: SharedOutbox<M>,
     to: ServerId,
     addr: SocketAddr,
-    rx: Receiver<Vec<u8>>,
-) {
-    shared.life.lock().live_writers += 1;
-    let mut conn = connect_with_retry(&shared, addr);
-    while conn.is_some() {
-        let Ok(mut burst) = rx.recv() else { break };
-        while burst.len() < BURST_BYTES {
-            match rx.try_recv() {
-                Ok(frame) => burst.extend_from_slice(&frame),
-                Err(_) => break,
-            }
+) -> Result<()> {
+    let (flusher_shared, flusher_outbox) = (Arc::clone(shared), Arc::clone(&outbox));
+    if shared.spawn(format!("aeon-tcp-flush-{to}"), move || {
+        flush(flusher_shared, flusher_outbox, addr)
+    }) {
+        return Ok(());
+    }
+    let lost = outbox.lock().abandon();
+    shared.record_lost(lost);
+    Err(AeonError::ServerNotFound(to))
+}
+
+/// A flusher: takes the connection (connecting when there is none), writes
+/// the backlog with blocking writes until it is empty, then hands the
+/// connection back, nonblocking, and exits.  A burst it loses is counted,
+/// with everything still queued behind it, and the outbox is left without
+/// a connection for the next send to start over.
+fn flush<M: WireMessage>(shared: Arc<TcpShared<M>>, outbox: SharedOutbox<M>, addr: SocketAddr) {
+    shared.life.lock().live_flushers += 1;
+    // Out of the outbox first: no connect happens under its mutex.
+    let handed_over = outbox.lock().conn.take();
+    let mut conn = match handed_over {
+        Some(conn) => {
+            let _ = conn.stream.set_nonblocking(false);
+            Some(conn)
         }
-        let lost = write_burst(&shared, addr, &mut conn, &burst);
-        if lost > 0 {
-            shared.record_lost(lost);
+        None => connect_with_retry(&shared, addr),
+    };
+    let mut burst = Vec::new();
+    let mut lost = 0;
+    loop {
+        let mut out = outbox.lock();
+        let Some(owned) = conn.take() else {
+            lost += out.abandon();
+            break;
+        };
+        if out.backlog.is_empty() {
+            let _ = owned.stream.set_nonblocking(true);
+            out.conn = Some(owned);
+            out.busy = false;
             break;
         }
+        let written = out.take_backlog(&mut burst);
+        drop(out);
+        conn = Some(owned);
+        lost += write_burst(&shared, addr, &mut conn, &burst, written);
+        if lost > 0 {
+            conn = None;
+        }
     }
-    // Retire: the next send finds no queue and spawns a fresh writer;
-    // whatever is still buffered here is lost, and counted.
-    shared.writers.lock().remove(&to);
-    while rx.try_recv().is_ok() {
-        shared.record_lost(1);
-    }
-    drop(conn);
-    shared.life.lock().live_writers -= 1;
+    shared.record_lost(lost);
+    shared.life.lock().live_flushers -= 1;
     shared.life_changed.notify_all();
 }
 
-/// Writes `burst` to the peer, reconnecting once (with the bounded retry)
-/// when the connection fails, and returns how many of its frames were
-/// lost.  After a reconnect it resumes at the first frame the kernel had
-/// not taken whole, so no frame is sent twice.
+/// Writes `burst`, of which the kernel already took the first `written`
+/// bytes on `conn`, reconnecting once (with the bounded retry) when the
+/// connection fails, and returns how many of its frames were lost.  After
+/// a reconnect it resumes at the first frame the kernel had not taken
+/// whole, so no frame is sent twice.
 fn write_burst<M: WireMessage>(
     shared: &Arc<TcpShared<M>>,
     addr: SocketAddr,
     conn: &mut Option<Tracked<M>>,
     burst: &[u8],
+    written: usize,
 ) -> usize {
-    let mut rest = burst;
+    let (mut rest, mut written) = (burst, written);
     for attempt in 0..2 {
         if attempt == 1 {
             *conn = connect_with_retry(shared, addr);
         }
         let Some(conn) = conn else { break };
-        match write_counted(&conn.stream, rest) {
-            Ok(()) => return 0,
-            Err(written) => rest = &rest[resume_at(rest, written)..],
+        match write_some(&conn.stream, &rest[written..]) {
+            Ok(taken) if taken == rest.len() - written => return 0,
+            Ok(taken) | Err(taken) => {
+                rest = &rest[resume_at(rest, written + taken)..];
+                written = 0;
+            }
         }
     }
     frame_starts(rest).count()
 }
 
-/// `write_all`, except that a failure reports how many bytes the kernel
-/// had taken before it.  A blocking socket takes a whole burst in one
-/// `write` unless the peer's window is full.
-fn write_counted(mut stream: &TcpStream, bytes: &[u8]) -> std::result::Result<(), usize> {
+/// Writes `bytes` until all are taken, the kernel would block (on a
+/// nonblocking stream) or the connection fails: `Ok` with the bytes taken
+/// while the connection stands, `Err` with those taken before it failed.
+fn write_some(mut stream: &TcpStream, bytes: &[u8]) -> std::result::Result<usize, usize> {
     let mut written = 0;
     while written < bytes.len() {
         match stream.write(&bytes[written..]) {
             Ok(0) => return Err(written),
             Ok(n) => written += n,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
             Err(_) => return Err(written),
         }
     }
-    Ok(())
+    Ok(written)
 }
 
 /// Where sending `burst` resumes after the kernel took its first `written`

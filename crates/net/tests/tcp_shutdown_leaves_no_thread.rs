@@ -56,8 +56,9 @@ fn nothing_outlives_shutdown() {
             a.recv_timeout(Duration::from_secs(5)).unwrap(),
             Some(Byte(8))
         );
-        // Acceptor, reader and writer on each side by now.
-        assert!(threads() >= before + 6);
+        // Acceptor and reader on each side by now (a flusher only while it
+        // connects).
+        assert!(threads() >= before + 4);
 
         net_a.shutdown_transport();
         net_b.shutdown_transport();
