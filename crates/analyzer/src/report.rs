@@ -1,7 +1,7 @@
 //! Diagnostics: stable codes, severities, and the [`AnalysisReport`] the
 //! pass pipeline accumulates into.
 
-use aeon_types::AeonError;
+use aeon_types::{text, AeonError, Value};
 use std::fmt;
 
 /// Severity of one diagnostic.  Only [`Severity::Error`] diagnostics make
@@ -191,28 +191,25 @@ impl AnalysisReport {
             .join("\n")
     }
 
+    /// The report as a list of diagnostic maps: `code`, `severity`,
+    /// `class`, `method` (`null` when absent) and `message`.
+    pub fn to_value(&self) -> Value {
+        let optional = |s: &Option<String>| s.as_deref().map_or(Value::Null, Value::from);
+        let diagnostics = self.diagnostics.iter().map(|d| {
+            Value::map([
+                ("code", Value::from(d.code.code())),
+                ("severity", Value::from(d.severity().to_string())),
+                ("class", optional(&d.class)),
+                ("method", optional(&d.method)),
+                ("message", Value::from(d.message.as_str())),
+            ])
+        });
+        Value::from(diagnostics.collect::<Vec<_>>())
+    }
+
     /// Renders the report as a JSON array of diagnostic objects.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"code\":{},\"severity\":{},\"class\":{},\"method\":{},\"message\":{}}}",
-                crate::json::json_string(d.code.code()),
-                crate::json::json_string(&d.severity().to_string()),
-                d.class
-                    .as_deref()
-                    .map_or_else(|| "null".to_string(), crate::json::json_string),
-                d.method
-                    .as_deref()
-                    .map_or_else(|| "null".to_string(), crate::json::json_string),
-                crate::json::json_string(&d.message),
-            ));
-        }
-        out.push(']');
-        out
+        text::to_json(&self.to_value())
     }
 
     /// Converts the report into the error `enforce`-mode deployment fails

@@ -7,7 +7,7 @@
 //! graph and asserts the pipeline reports the matching `AEONnnn` code —
 //! the same contract `aeon-lint` and deploy-time enforcement rely on.
 
-use aeon_analyzer::{analyze, enforce, DiagCode};
+use aeon_analyzer::{analyze, enforce, json, DiagCode};
 use aeon_ownership::{ClassGraph, MethodRef};
 use aeon_types::AeonError;
 use proptest::prelude::*;
@@ -199,5 +199,58 @@ proptest! {
             enforce(&classes),
             Err(AeonError::AnalysisRejected { .. })
         ));
+    }
+}
+
+/// A valid class-graph document, for the hostile-input properties.
+const DOCUMENT: &str = r#"{"classes": {
+  "Branch": {"owns": ["Account"], "methods": [
+    {"name": "transfer", "readonly": false, "calls": ["Account::add"]},
+    {"name": "ids", "readonly": true, "calls": null}]},
+  "Account": {"owns": [], "methods": [{"name": "add"}, {"name": "\u0067et\t"}]}}}"#;
+
+/// `from_json` reads input from outside the program: it returns a graph or
+/// a `Codec` error, never a panic.
+fn parses_or_refuses(bytes: &[u8]) {
+    match json::from_json(&String::from_utf8_lossy(bytes)) {
+        Ok(_) | Err(AeonError::Codec(_)) => {}
+        Err(other) => panic!("{other:?} for {bytes:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(
+        if cfg!(debug_assertions) { 64 } else { 5_000 }
+    ))]
+
+    #[test]
+    fn json_documents_re_serialise_identically(classes in graph_strategy()) {
+        let text = json::to_json(&classes);
+        let back = json::from_json(&text).unwrap();
+        prop_assert_eq!(&back, &classes);
+        prop_assert_eq!(json::to_json(&back), text);
+    }
+
+    #[test]
+    fn arbitrary_bytes_give_a_graph_or_a_codec_error(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        parses_or_refuses(&bytes);
+    }
+
+    #[test]
+    fn every_truncation_with_any_byte_replaced_gives_a_graph_or_a_codec_error(
+        at in any::<u64>(),
+        byte in any::<u8>(),
+    ) {
+        json::from_json(DOCUMENT).unwrap();
+        for end in 0..=DOCUMENT.len() {
+            let mut bytes = DOCUMENT.as_bytes()[..end].to_vec();
+            parses_or_refuses(&bytes);
+            if end > 0 {
+                bytes[at as usize % end] = byte;
+                parses_or_refuses(&bytes);
+            }
+        }
     }
 }

@@ -24,7 +24,7 @@
 
 use crate::directory::Directory;
 use crate::message::{gateway_id, ClusterMessage, EventDescriptor};
-use crate::node::{spawn_node, NodeShared};
+use crate::node::{spawn_node, NodeShared, NO_ESCROW};
 use crate::wire::message_wire_len;
 use aeon_net::{
     ChannelTransport, MessageSizer, Network, NetworkStats, TcpTransport, TcpTransportConfig,
@@ -899,17 +899,11 @@ impl Deployment for Cluster {
         let total_contexts: usize = raw.iter().map(|m| m.context_count).sum();
         raw.into_iter()
             .map(|m| {
-                let avg_latency_ms = if m.events_executed == 0 {
-                    0.0
-                } else {
-                    m.exec_micros as f64 / m.events_executed as f64 / 1_000.0
-                };
-                ServerMetrics::from_load_with_latency(
+                ServerMetrics::from_load(
                     m.server,
                     m.context_count,
                     total_contexts,
                     m.queue_depth as usize,
-                    avg_latency_ms,
                     m.latency,
                 )
             })
@@ -1007,6 +1001,7 @@ impl Deployment for Cluster {
     ///
     /// * [`AeonError::ContextNotFound`] when the context was never created.
     /// * [`AeonError::MigrationFailed`] when no factory is registered.
+    /// * [`AeonError::Panicked`] when the factory panics on the node.
     /// * [`AeonError::ServerNotFound`] when `server` is offline.
     /// * [`AeonError::RuntimeShutdown`] after shutdown.
     fn restore_context(&self, context: ContextId, state: &Value, server: ServerId) -> Result<()> {
@@ -1018,16 +1013,13 @@ impl Deployment for Cluster {
             }
             plane.class_of(context)?.to_string()
         };
-        let factory =
-            self.inner
-                .directory
-                .factory_for(&class)
-                .ok_or_else(|| AeonError::MigrationFailed {
-                    context,
-                    reason: format!("no factory registered for class {class}"),
-                })?;
-        let object = factory(state);
-        let escrow = self.inner.directory.escrow_put(object);
+        // The node rebuilds the object under its panic boundary.
+        if self.inner.directory.factory_for(&class).is_none() {
+            return Err(AeonError::MigrationFailed {
+                context,
+                reason: format!("no factory registered for class {class}"),
+            });
+        }
         let corr = self.inner.next_corr();
         let ack = self.inner.control_round_trip(
             server,
@@ -1037,11 +1029,10 @@ impl Deployment for Cluster {
                 context,
                 class,
                 state: state.clone(),
-                escrow,
+                escrow: NO_ESCROW,
                 reply_to: gateway_id(),
             },
         );
-        let _ = self.inner.directory.escrow_take(escrow);
         match ack? {
             ClusterMessage::HostAck { result: Ok(()), .. } => {
                 // Placed once installed: nothing is routed to a server that

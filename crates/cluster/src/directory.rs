@@ -20,7 +20,7 @@
 //!   the network.
 //!
 //! The node-facing methods ([`Directory::placement_of`],
-//! [`Directory::may_call`], [`Directory::create_owned`], …) are thin
+//! [`Directory::path_owners`], [`Directory::create_owned`], …) are thin
 //! wrappers that build the op and unpack the reply, so node code is
 //! oblivious to which flavour it holds and neither flavour has a rule of
 //! its own.  Context *state* is never stored here — it lives only on the
@@ -195,9 +195,6 @@ impl Directory {
                 .write()
                 .set_placement(context, server)
                 .map(|()| DirReply::Unit),
-            DirOp::MayCall(caller, callee) => {
-                Ok(DirReply::Flag(plane.read().may_call(caller, callee)))
-            }
             DirOp::PathOwners(caller, callee) => plane
                 .read()
                 .path_owners(caller, callee)
@@ -288,15 +285,6 @@ impl Directory {
     /// unknown context or an unknown or offline server.
     pub fn set_placement(&self, context: ContextId, server: ServerId) -> Result<()> {
         self.unit_op("SetPlacement", DirOp::SetPlacement(context, server))
-    }
-
-    /// Whether `caller` may (transitively) call `callee` (`false` when the
-    /// authority cannot be reached).
-    pub fn may_call(&self, caller: ContextId, callee: ContextId) -> bool {
-        matches!(
-            self.serve_dir_op(DirOp::MayCall(caller, callee)),
-            Ok(DirReply::Flag(true))
-        )
     }
 
     /// The owners of `callee` a call from `caller` reaches it through
@@ -492,8 +480,8 @@ mod tests {
             DirReply::Unit
         );
         assert_eq!(
-            dir.serve_dir_op(DirOp::MayCall(room, child)).unwrap(),
-            DirReply::Flag(true)
+            dir.serve_dir_op(DirOp::PathOwners(room, child)).unwrap(),
+            DirReply::Contexts(Vec::new())
         );
         assert_eq!(
             dir.serve_dir_op(DirOp::ChildrenOf {
@@ -519,7 +507,8 @@ mod tests {
         assert_eq!(dir.class_of(child).unwrap(), "Item");
         assert_eq!(dir.placement_of(child).unwrap(), server);
         assert_eq!(dir.children_of(room, Some("Item")).unwrap(), vec![child]);
-        assert!(dir.may_call(room, child) && !dir.may_call(child, room));
+        assert_eq!(dir.path_owners(room, child).unwrap(), Vec::new());
+        assert!(dir.path_owners(child, room).is_err());
         dir.remove_edge(room, child).unwrap();
         dir.add_edge(room, child).unwrap();
         // A refusal travels back as the plane's error, and declares nothing.

@@ -58,11 +58,8 @@ pub struct NodeMetrics {
     pub context_count: usize,
     /// Tasks queued on the node's worker pool.
     pub queue_depth: u64,
-    /// Events whose target executed on this node.
-    pub events_executed: u64,
-    /// Cumulative wall-clock microseconds spent executing those events.
-    pub exec_micros: u64,
-    /// Distribution of per-event execution times on this node.
+    /// Per-event execution times on this node: their count, total and
+    /// distribution.
     pub latency: aeon_types::LatencyHistogram,
 }
 
@@ -79,8 +76,6 @@ pub enum DirOp {
     PlacementOf(ContextId),
     /// Record (or update) a context's placement.
     SetPlacement(ContextId, ServerId),
-    /// May `caller` (transitively) call `callee`?
-    MayCall(ContextId, ContextId),
     /// The owners of `callee` a call from `caller` reaches it through
     /// (none for a direct edge; refused when there is no path).
     PathOwners(ContextId, ContextId),
@@ -116,8 +111,6 @@ pub enum DirOp {
 pub enum DirReply {
     /// Nothing to report.
     Unit,
-    /// A boolean answer ([`DirOp::MayCall`]).
-    Flag(bool),
     /// A server id ([`DirOp::PlacementOf`]).
     Server(ServerId),
     /// A context id ([`DirOp::CreateOwned`]).
@@ -148,7 +141,7 @@ pub enum ClusterMessage {
         /// process, the original object is parked in the directory's escrow
         /// under this token and moved (not rebuilt), preserving the
         /// zero-serialisation channel semantics — and letting factory-less
-        /// tests keep working.  A migration parks nothing.
+        /// tests keep working.  A migration or a restore parks nothing.
         escrow: u64,
         /// Where the [`ClusterMessage::HostAck`] goes: the gateway, or the
         /// node the context migrates from.

@@ -95,9 +95,9 @@ use std::time::Duration;
 /// How long a node waits for the reply to a remote synchronous call before
 /// aborting the event.
 const CALL_TIMEOUT: Duration = Duration::from_secs(30);
-/// The escrow token of a `Host` that parks no object: a migrating context is
-/// always rebuilt from its state by the class factory.
-const NO_ESCROW: u64 = u64::MAX;
+/// The escrow token of a `Host` that parks no object: a migrating or
+/// restored context is always rebuilt from its state by the class factory.
+pub(crate) const NO_ESCROW: u64 = u64::MAX;
 
 /// Payload routed back to a worker waiting on a remote call (or on the
 /// `HostAck` of a migration, which carries only a result).
@@ -125,12 +125,8 @@ pub(crate) struct NodeShared {
     /// Contexts migrated away: requests are forwarded to the new host
     /// (the paper's stale-context-map forwarding, §5.2).
     forwarding: RwLock<HashMap<ContextId, ServerId>>,
-    events_executed: AtomicU64,
-    /// Cumulative wall-clock microseconds spent executing events whose
-    /// target lives here (feeds the per-server latency metric).
-    exec_micros: AtomicU64,
-    /// Distribution of per-event execution times (feeds the p50/p99
-    /// columns of the per-server metric report).
+    /// Execution times of the events whose target lives here: their count,
+    /// total and distribution are the node's whole latency record.
     exec_latency: Mutex<aeon_types::LatencyHistogram>,
     running: AtomicBool,
     /// Set, and announced, when the node stops; `wait_stopped` blocks on it.
@@ -149,7 +145,7 @@ impl std::fmt::Debug for NodeShared {
 impl NodeShared {
     /// Number of events whose target executed on this node.
     pub(crate) fn events_executed(&self) -> u64 {
-        self.events_executed.load(Ordering::Relaxed)
+        self.exec_latency.lock().count
     }
 
     /// Number of contexts currently installed on this node.
@@ -308,8 +304,6 @@ pub(crate) fn spawn_node(
         pending_calls: Mutex::new(HashMap::new()),
         corr: AtomicU64::new(1),
         forwarding: RwLock::new(HashMap::new()),
-        events_executed: AtomicU64::new(0),
-        exec_micros: AtomicU64::new(0),
         exec_latency: Mutex::new(aeon_types::LatencyHistogram::new()),
         running: AtomicBool::new(true),
         halted: (Mutex::new(false), Condvar::new()),
@@ -415,8 +409,6 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
                 server: shared.id,
                 context_count: shared.core.hosted(),
                 queue_depth: shared.executor.stats().queued,
-                events_executed: shared.events_executed.load(Ordering::Relaxed),
-                exec_micros: shared.exec_micros.load(Ordering::Relaxed),
                 latency: *shared.exec_latency.lock(),
             });
             shared.send(gateway_id(), ClusterMessage::MetricsAck { corr, metrics });
@@ -523,12 +515,8 @@ fn run(shared: &Arc<NodeShared>, work: ClusterMessage) {
         _ => return,
     };
     if !matches!(work, ClusterMessage::Call { .. }) {
-        shared.events_executed.fetch_add(1, Ordering::Relaxed);
         // Rounded up: an event that ran took at least a microsecond.
         let elapsed_micros = started.elapsed().as_nanos().div_ceil(1_000).max(1) as u64;
-        shared
-            .exec_micros
-            .fetch_add(elapsed_micros, Ordering::Relaxed);
         shared.exec_latency.lock().record(elapsed_micros);
     }
     let participants = host.participants;
@@ -670,10 +658,6 @@ impl<'a> NodeHost<'a> {
 }
 
 impl ContextHost for NodeHost<'_> {
-    fn may_call(&self, caller: ContextId, target: ContextId) -> bool {
-        self.node.directory.may_call(caller, target)
-    }
-
     fn path_owners(&self, caller: ContextId, target: ContextId) -> Result<Vec<ContextId>> {
         self.node.directory.path_owners(caller, target)
     }

@@ -97,13 +97,12 @@ impl WireMessage for ClusterMessage {
 
 wire! { struct EventDescriptor { id, client, corr, target, method, args, mode } }
 wire! { struct NodeMetrics {
-    server, context_count, queue_depth, events_executed, exec_micros, latency,
+    server, context_count, queue_depth, latency,
 } }
 
 wire! { enum DirOp {
     0 => PlacementOf(context),
     1 => SetPlacement(context, server),
-    2 => MayCall(caller, callee),
     3 => ClassOf(context),
     4 => ChildrenOf { parent, class },
     5 => AddEdge(owner, owned),
@@ -115,7 +114,6 @@ wire! { enum DirOp {
 
 wire! { enum DirReply {
     0 => Unit,
-    1 => Flag(flag),
     2 => Server(server),
     3 => Context(context),
     4 => Contexts(contexts),
@@ -307,8 +305,6 @@ mod tests {
                     server: srv(1),
                     context_count: 3,
                     queue_depth: 2,
-                    events_executed: 40,
-                    exec_micros: 12345,
                     latency: {
                         let mut h = LatencyHistogram::new();
                         h.record(120);

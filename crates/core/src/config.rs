@@ -6,11 +6,13 @@
 //! refreshes, and an optional built-in workload (used by smoke tests to
 //! make counters move without an external client).
 //!
-//! The parser handles the subset of TOML the config actually uses —
-//! `[section]` headers and `key = value` pairs with string, integer,
-//! float, and boolean values, plus `#` comments — with line-numbered
-//! [`AeonError::Config`] errors.  Keeping it in-tree (rather than pulling a
-//! TOML crate) matches the workspace's no-external-dependencies rule.
+//! The file is the subset of TOML the config actually uses — `[section]`
+//! headers and `key = value` pairs with string (JSON's escapes), integer,
+//! float, and boolean values, plus `#` comments — read by
+//! [`aeon_types::text::toml`], the workspace's one text reader, with
+//! line-numbered [`AeonError::Config`] errors.  Keeping it in-tree (rather
+//! than pulling a TOML crate) matches the workspace's
+//! no-external-dependencies rule.
 //!
 //! # Example
 //!
@@ -31,8 +33,8 @@
 
 use crate::deploy::{Backend, DeployConfig};
 use aeon_cluster::ClusterTransport;
-use aeon_types::{AeonError, Result};
-use std::collections::BTreeMap;
+use aeon_types::text::{self, Section};
+use aeon_types::{AeonError, Result, Value};
 use std::net::SocketAddr;
 use std::time::Duration;
 
@@ -103,7 +105,7 @@ impl ServiceConfig {
     /// [`AeonError::Config`] on syntax errors, unknown sections/keys, or
     /// invalid values; messages carry the offending line number.
     pub fn parse(text: &str) -> Result<Self> {
-        let sections = parse_toml(text)?;
+        let sections = text::toml(text)?;
         let mut config = Self::default();
         for (section, entries) in &sections {
             match section.as_str() {
@@ -121,146 +123,40 @@ impl ServiceConfig {
     }
 }
 
-/// A parsed `key = value` with the line it came from (for error messages).
-#[derive(Debug, Clone, PartialEq)]
-enum TomlValue {
-    Str(String),
-    Int(i64),
-    Float(f64),
-    Bool(bool),
-}
-
-impl TomlValue {
-    fn type_name(&self) -> &'static str {
-        match self {
-            TomlValue::Str(_) => "string",
-            TomlValue::Int(_) => "integer",
-            TomlValue::Float(_) => "float",
-            TomlValue::Bool(_) => "boolean",
-        }
-    }
-}
-
-type Entries = BTreeMap<String, (TomlValue, usize)>;
-
-/// Parses the TOML subset into section → (key → (value, line)).  Keys
-/// before any `[section]` header are rejected — every setting belongs to a
-/// named section.
-fn parse_toml(text: &str) -> Result<BTreeMap<String, Entries>> {
-    let mut sections: BTreeMap<String, Entries> = BTreeMap::new();
-    let mut current: Option<String> = None;
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(name) = line.strip_prefix('[') {
-            let name = name
-                .strip_suffix(']')
-                .ok_or_else(|| AeonError::Config(format!("line {line_no}: unterminated [section")))?
-                .trim();
-            if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-                return Err(AeonError::Config(format!(
-                    "line {line_no}: invalid section name {name:?}"
-                )));
-            }
-            sections.entry(name.to_string()).or_default();
-            current = Some(name.to_string());
-            continue;
-        }
-        let (key, value) = line.split_once('=').ok_or_else(|| {
-            AeonError::Config(format!(
-                "line {line_no}: expected `key = value` or `[section]`"
-            ))
-        })?;
-        let key = key.trim();
-        if key.is_empty() || !key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-            return Err(AeonError::Config(format!(
-                "line {line_no}: invalid key {key:?}"
-            )));
-        }
-        let section = current.clone().ok_or_else(|| {
-            AeonError::Config(format!(
-                "line {line_no}: key {key:?} appears before any [section] header"
-            ))
-        })?;
-        let value = parse_value(value.trim(), line_no)?;
-        let entries = sections.entry(section).or_default();
-        if entries.insert(key.to_string(), (value, line_no)).is_some() {
-            return Err(AeonError::Config(format!(
-                "line {line_no}: duplicate key {key:?}"
-            )));
-        }
-    }
-    Ok(sections)
-}
-
-/// Drops a trailing `#` comment, respecting `#` inside double-quoted
-/// strings.
-fn strip_comment(line: &str) -> &str {
-    let mut in_string = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_string = !in_string,
-            '#' if !in_string => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-fn parse_value(text: &str, line_no: usize) -> Result<TomlValue> {
-    if let Some(rest) = text.strip_prefix('"') {
-        let inner = rest.strip_suffix('"').filter(|s| !s.contains('"'));
-        return match inner {
-            Some(s) => Ok(TomlValue::Str(s.to_string())),
-            None => Err(AeonError::Config(format!(
-                "line {line_no}: malformed string {text}"
-            ))),
-        };
-    }
-    match text {
-        "true" => return Ok(TomlValue::Bool(true)),
-        "false" => return Ok(TomlValue::Bool(false)),
-        _ => {}
-    }
-    let digits: String = text.chars().filter(|c| *c != '_').collect();
-    if let Ok(n) = digits.parse::<i64>() {
-        return Ok(TomlValue::Int(n));
-    }
-    if let Ok(f) = digits.parse::<f64>() {
-        return Ok(TomlValue::Float(f));
-    }
-    Err(AeonError::Config(format!(
-        "line {line_no}: cannot parse value `{text}` (expected a string, integer, float, or boolean)"
-    )))
-}
-
-fn expect_str(key: &str, value: &TomlValue, line: usize) -> Result<String> {
+/// The name of a config value's type, for error messages.
+fn type_name(value: &Value) -> &'static str {
     match value {
-        TomlValue::Str(s) => Ok(s.clone()),
+        Value::Str(_) => "string",
+        Value::Int(_) => "integer",
+        Value::Float(_) => "float",
+        _ => "boolean",
+    }
+}
+
+fn expect_str(key: &str, value: &Value, line: usize) -> Result<String> {
+    match value {
+        Value::Str(s) => Ok(s.to_string()),
         other => Err(AeonError::Config(format!(
             "line {line}: {key} must be a string, got {}",
-            other.type_name()
+            type_name(other)
         ))),
     }
 }
 
-fn expect_usize(key: &str, value: &TomlValue, line: usize) -> Result<usize> {
+fn expect_usize(key: &str, value: &Value, line: usize) -> Result<usize> {
     match value {
-        TomlValue::Int(n) if *n >= 0 => Ok(*n as usize),
-        TomlValue::Int(n) => Err(AeonError::Config(format!(
+        Value::Int(n) if *n >= 0 => Ok(*n as usize),
+        Value::Int(n) => Err(AeonError::Config(format!(
             "line {line}: {key} must be non-negative, got {n}"
         ))),
         other => Err(AeonError::Config(format!(
             "line {line}: {key} must be an integer, got {}",
-            other.type_name()
+            type_name(other)
         ))),
     }
 }
 
-fn apply_deployment(deploy: &mut DeployConfig, entries: &Entries) -> Result<()> {
+fn apply_deployment(deploy: &mut DeployConfig, entries: &Section) -> Result<()> {
     for (key, (value, line)) in entries {
         let line = *line;
         match key.as_str() {
@@ -294,7 +190,7 @@ fn apply_deployment(deploy: &mut DeployConfig, entries: &Entries) -> Result<()> 
     Ok(())
 }
 
-fn apply_admin(admin: &mut AdminConfig, entries: &Entries) -> Result<()> {
+fn apply_admin(admin: &mut AdminConfig, entries: &Section) -> Result<()> {
     for (key, (value, line)) in entries {
         let line = *line;
         match key.as_str() {
@@ -323,7 +219,7 @@ fn apply_admin(admin: &mut AdminConfig, entries: &Entries) -> Result<()> {
     Ok(())
 }
 
-fn parse_workload(entries: &Entries) -> Result<WorkloadConfig> {
+fn parse_workload(entries: &Section) -> Result<WorkloadConfig> {
     let mut workload = WorkloadConfig {
         contexts: 1,
         events: 0,

@@ -368,8 +368,11 @@ impl ClassGraph {
     }
 }
 
-/// Builds the class graph of the paper's game example (Figure 3, left).
-pub fn game_class_graph() -> ClassGraph {
+/// Builds the class graph of the paper's game example (Figure 3, left);
+/// the game's own, with its method tables, is
+/// `aeon_apps::game::game_class_graph`.
+#[cfg(test)]
+fn game_class_graph() -> ClassGraph {
     let mut g = ClassGraph::new();
     g.add_constraint("Building", "Room");
     g.add_constraint("Room", "Player");
@@ -378,8 +381,10 @@ pub fn game_class_graph() -> ClassGraph {
     g
 }
 
-/// Builds the class graph of the TPC-C application (§6.1.2).
-pub fn tpcc_class_graph() -> ClassGraph {
+/// Builds the class graph of the TPC-C application (§6.1.2); the
+/// application's own is `aeon_apps::tpcc::tpcc_class_graph`.
+#[cfg(test)]
+fn tpcc_class_graph() -> ClassGraph {
     let mut g = ClassGraph::new();
     g.add_constraint("WareHouse", "Stock");
     g.add_constraint("WareHouse", "District");

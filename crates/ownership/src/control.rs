@@ -154,11 +154,6 @@ impl ControlPlane {
         })
     }
 
-    /// Whether `caller` may (transitively) call `callee`.
-    pub fn may_call(&self, caller: ContextId, callee: ContextId) -> bool {
-        self.graph.may_call(caller, callee)
-    }
-
     /// The owners of `callee` a call from `caller` reaches it through
     /// ([`OwnershipGraph::path_owners`]).
     ///
@@ -609,7 +604,7 @@ mod tests {
         ));
         assert_eq!(fingerprint(&plane), before);
         plane.remove_edge(cx(1), cx(2)).unwrap();
-        assert!(!plane.may_call(cx(1), cx(2)));
+        assert!(!plane.graph().may_call(cx(1), cx(2)));
     }
 
     #[test]
@@ -702,8 +697,8 @@ mod tests {
         plane.declare_owned(cx(4), "Item", &[cx(2), cx(3)]).unwrap();
         assert_eq!(plane.dominator_of(cx(2)), Ok(Dominator::Context(cx(1))));
         assert_eq!(plane.dominator_of(cx(1)), Ok(Dominator::Context(cx(1))));
-        assert!(plane.may_call(cx(1), cx(4)));
-        assert!(!plane.may_call(cx(4), cx(1)));
+        assert!(plane.graph().may_call(cx(1), cx(4)));
+        assert!(!plane.graph().may_call(cx(4), cx(1)));
         assert_eq!(plane.children_of(cx(1), Some("Player")).unwrap().len(), 2);
         assert_eq!(plane.class_of(cx(4)), Ok("Item"));
         // The cache follows the graph: unshare the Item and Player 2 is on

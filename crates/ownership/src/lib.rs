@@ -56,9 +56,10 @@ pub use control::{ControlPlane, Placement, Sequencer, GLOBAL_ROOT};
 pub use dominator::{dominator_of, share_set, Dominator, DominatorResolver};
 pub use graph::OwnershipGraph;
 
-/// Convenience fixtures used by tests, benchmarks and examples across the
-/// workspace: the game ownership network of Figure 3 of the paper.
-pub mod fixtures {
+/// The game ownership network of Figure 3 of the paper, for this crate's
+/// unit tests.
+#[cfg(test)]
+mod fixtures {
     use crate::OwnershipGraph;
     use aeon_types::ContextId;
 

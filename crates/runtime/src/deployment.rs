@@ -350,6 +350,8 @@ pub trait Deployment: Send + Sync {
     /// * [`AeonError::ContextNotFound`] when the context was never created.
     /// * [`AeonError::MigrationFailed`] when no factory is registered for
     ///   its class.
+    /// * [`AeonError::Panicked`] when the class factory panics: nothing is
+    ///   installed and the placement is unchanged.
     /// * [`AeonError::ServerNotFound`] when `server` is offline.
     /// * [`AeonError::RuntimeShutdown`] after shutdown.
     fn restore_context(&self, context: ContextId, state: &Value, server: ServerId) -> Result<()>;

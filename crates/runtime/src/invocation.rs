@@ -181,10 +181,6 @@ pub enum Entered {
 /// with the host's owner (on the runtime and the cluster, their
 /// `ServerCore`).
 pub trait ContextHost {
-    /// Whether `caller` (transitively) owns `target`: an `async` call's
-    /// check at its call site.
-    fn may_call(&self, caller: ContextId, target: ContextId) -> bool;
-
     /// The direct owners of `target` a call from `caller` can reach it
     /// through, ascending: none when `caller` is `target` or owns it
     /// directly ([`aeon_ownership::OwnershipGraph::path_owners`]).
@@ -725,9 +721,7 @@ impl Invocation<'_> {
         let caller = self.current;
         self.body.check_footprint(caller, target, method)?;
         // The path is taken when the call drains.
-        if !self.body.host.may_call(caller, target) {
-            return Err(AeonError::ownership(caller, target));
-        }
+        self.body.host.path_owners(caller, target)?;
         self.body.report_edge(caller, target, method);
         self.body.state.pending_async.push_back(AsyncCall {
             caller,
@@ -895,10 +889,6 @@ mod tests {
     }
 
     impl ContextHost for FakeHost {
-        fn may_call(&self, _caller: ContextId, _target: ContextId) -> bool {
-            true
-        }
-
         fn path_owners(&self, _caller: ContextId, target: ContextId) -> Result<Vec<ContextId>> {
             Ok(self.owners.get(&target).cloned().unwrap_or_default())
         }

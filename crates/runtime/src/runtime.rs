@@ -12,7 +12,7 @@
 //! event holds are one [`ServerCore`] — the same core every cluster node
 //! runs, here with every context local.  This module adds class factories,
 //! the worker pool, statistics and history recording.  Executing an event
-//! takes only read guards on the plane (sequencer, `may_call`), each
+//! takes only read guards on the plane (sequencer, `path_owners`), each
 //! dropped before the event waits on a context lock or runs contextclass
 //! code.
 //!
@@ -480,10 +480,6 @@ struct RuntimeHost<'a> {
 }
 
 impl ContextHost for RuntimeHost<'_> {
-    fn may_call(&self, caller: ContextId, target: ContextId) -> bool {
-        self.inner.plane.read().may_call(caller, target)
-    }
-
     fn path_owners(&self, caller: ContextId, target: ContextId) -> Result<Vec<ContextId>> {
         self.inner.plane.read().path_owners(caller, target)
     }
@@ -736,11 +732,6 @@ impl Deployment for AeonRuntime {
     /// sum stays meaningful.
     fn server_metrics(&self) -> Vec<ServerMetrics> {
         let histogram = self.stats().latency_histogram();
-        let mean_micros = if histogram.count == 0 {
-            0.0
-        } else {
-            histogram.total_micros as f64 / histogram.count as f64
-        };
         let queued = self.inner.executor.queued_by_key();
         let plane = self.inner.plane.read();
         let servers = plane.online_servers();
@@ -766,14 +757,7 @@ impl Deployment for AeonRuntime {
                 let queue_depth = depth.get(&server).copied().unwrap_or(0)
                     + unplaced / fleet
                     + usize::from(i < unplaced % fleet);
-                ServerMetrics::from_load_with_latency(
-                    server,
-                    hosted,
-                    total_contexts,
-                    queue_depth,
-                    mean_micros / 1_000.0,
-                    histogram,
-                )
+                ServerMetrics::from_load(server, hosted, total_contexts, queue_depth, histogram)
             })
             .collect()
     }
@@ -836,7 +820,10 @@ impl Deployment for AeonRuntime {
                 context,
                 reason: format!("no factory registered for class {class}"),
             })?;
-        let object = factory(state);
+        // The factory is application code: a panic in it fails the restore,
+        // which installs nothing, instead of unwinding into the caller.
+        let object = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| factory(state)))
+            .map_err(AeonError::from_panic)?;
         // A re-host is recorded as a single-write event: everything the
         // context does afterwards happens-after this install.
         let sink = self.inner.sink();

@@ -163,7 +163,6 @@ struct Clock {
     now: SimTime,
     completed: u64,
     failed: u64,
-    total_latency: SimDuration,
     /// Distribution of per-event virtual latencies (same buckets as the
     /// live backends, so metric reports are comparable across engines).
     latency: LatencyHistogram,
@@ -273,7 +272,6 @@ impl EventObserver for VirtualClock {
             }
         };
         clock.trace.clear();
-        clock.total_latency += latency;
         clock.latency.record(latency.as_micros());
         if ok {
             clock.completed += 1;
@@ -347,9 +345,7 @@ impl SimDeployment {
 
     /// Mean virtual latency per event, or zero before the first event.
     pub fn mean_virtual_latency(&self) -> SimDuration {
-        let clock = self.clock.state.lock();
-        let events = (clock.completed + clock.failed).max(1);
-        SimDuration::from_micros(clock.total_latency.as_micros() / events)
+        SimDuration::from_micros(self.clock.state.lock().latency.mean_micros())
     }
 
     /// Virtual throughput: completed events over the virtual makespan
@@ -467,23 +463,17 @@ impl Deployment for SimDeployment {
     /// charged to events so far, and the queue depth is zero because events
     /// run at submission.
     fn server_metrics(&self) -> Vec<ServerMetrics> {
-        let (avg_latency_ms, histogram) = {
-            let clock = self.clock.state.lock();
-            let events = (clock.completed + clock.failed).max(1);
-            let mean = clock.total_latency.as_micros() as f64 / events as f64;
-            (mean / 1_000.0, clock.latency)
-        };
+        let histogram = self.clock.state.lock().latency;
         let total_contexts = self.runtime.context_count();
         self.runtime
             .servers()
             .into_iter()
             .map(|server| {
-                ServerMetrics::from_load_with_latency(
+                ServerMetrics::from_load(
                     server,
                     self.runtime.contexts_on(server).len(),
                     total_contexts,
                     0,
-                    avg_latency_ms,
                     histogram,
                 )
             })

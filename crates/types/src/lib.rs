@@ -24,6 +24,7 @@ pub mod history;
 pub mod ids;
 pub mod metrics;
 pub mod promtext;
+pub mod text;
 mod thin;
 pub mod time;
 pub mod value;

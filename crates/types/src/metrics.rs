@@ -183,20 +183,26 @@ pub struct ServerMetrics {
 impl ServerMetrics {
     /// Builds a report from what every backend can observe: the share of
     /// the fleet's contexts hosted on `server` stands in for resource
-    /// utilisation (`cpu = memory = share`, `io = share / 2`).  All three
-    /// backends derive their reports through this constructor so the proxy
-    /// formula cannot drift between them.
+    /// utilisation (`cpu = memory = share`, `io = share / 2`), and
+    /// `avg_latency_ms` is the mean of `latency` (0 when it is empty).  All
+    /// three backends derive their reports through this constructor so the
+    /// proxy formula cannot drift between them.
     pub fn from_load(
         server: ServerId,
         context_count: usize,
         total_contexts: usize,
         queue_depth: usize,
-        avg_latency_ms: f64,
+        latency: LatencyHistogram,
     ) -> Self {
         let share = if total_contexts == 0 {
             0.0
         } else {
             context_count as f64 / total_contexts as f64
+        };
+        let avg_latency_ms = if latency.count == 0 {
+            0.0
+        } else {
+            latency.total_micros as f64 / latency.count as f64 / 1000.0
         };
         Self {
             server,
@@ -206,29 +212,8 @@ impl ServerMetrics {
             context_count,
             queue_depth,
             avg_latency_ms,
-            latency: LatencyHistogram::new(),
+            latency,
         }
-    }
-
-    /// Same as [`from_load`](Self::from_load) but carrying the full latency
-    /// distribution alongside the derived average.
-    pub fn from_load_with_latency(
-        server: ServerId,
-        context_count: usize,
-        total_contexts: usize,
-        queue_depth: usize,
-        avg_latency_ms: f64,
-        latency: LatencyHistogram,
-    ) -> Self {
-        let mut metrics = Self::from_load(
-            server,
-            context_count,
-            total_contexts,
-            queue_depth,
-            avg_latency_ms,
-        );
-        metrics.latency = latency;
-        metrics
     }
 
     /// Median request latency in milliseconds, from the histogram.
@@ -259,18 +244,21 @@ mod tests {
 
     #[test]
     fn from_load_derives_utilisation_from_context_share() {
-        let m = ServerMetrics::from_load(ServerId::new(1), 3, 4, 7, 2.5);
+        let mut latency = LatencyHistogram::new();
+        latency.record(2_000);
+        latency.record(3_000);
+        let m = ServerMetrics::from_load(ServerId::new(1), 3, 4, 7, latency);
         assert_eq!(m.cpu, 0.75);
         assert_eq!(m.memory, 0.75);
         assert_eq!(m.io, 0.375);
         assert_eq!(m.context_count, 3);
         assert_eq!(m.queue_depth, 7);
         assert_eq!(m.avg_latency_ms, 2.5);
-        // An empty fleet reports zero utilisation, not NaN.
-        assert_eq!(
-            ServerMetrics::from_load(ServerId::new(0), 0, 0, 0, 0.0).cpu,
-            0.0
-        );
+        assert_eq!(m.latency, latency);
+        // An empty fleet reports zero utilisation and no events a zero
+        // latency, not NaN.
+        let idle = ServerMetrics::from_load(ServerId::new(0), 0, 0, 0, LatencyHistogram::new());
+        assert_eq!((idle.cpu, idle.avg_latency_ms), (0.0, 0.0));
     }
 
     #[test]

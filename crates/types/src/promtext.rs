@@ -250,8 +250,12 @@ mod tests {
         latency.record(100); // bucket [64, 128)
         latency.record(100);
         vec![
-            ServerMetrics::from_load_with_latency(ServerId::new(0), 3, 4, 7, 2.5, latency),
-            ServerMetrics::from_load(ServerId::new(1), 1, 4, 0, 0.5),
+            // The rendered average is the field, whatever the histogram.
+            ServerMetrics {
+                avg_latency_ms: 2.5,
+                ..ServerMetrics::from_load(ServerId::new(0), 3, 4, 7, latency)
+            },
+            ServerMetrics::from_load(ServerId::new(1), 1, 4, 0, LatencyHistogram::new()),
         ]
     }
 

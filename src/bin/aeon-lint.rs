@@ -19,6 +19,7 @@
 
 use aeon_analyzer::{analyze, json, AnalysisReport};
 use aeon_ownership::ClassGraph;
+use aeon_types::{text, Value};
 use std::process::ExitCode;
 
 const BUILTINS: [&str; 5] = ["game", "tpcc", "bank", "kv", "collections"];
@@ -130,19 +131,10 @@ fn main() -> ExitCode {
             }
         }
         Format::Json => {
-            let mut out = String::from("{");
-            for (i, (name, report)) in reports.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{}:{}",
-                    json::json_string(name),
-                    report.render_json()
-                ));
-            }
-            out.push('}');
-            println!("{out}");
+            let all = reports
+                .iter()
+                .map(|(name, r)| (name.as_str(), r.to_value()));
+            println!("{}", text::to_json(&Value::map(all)));
         }
     }
     if failed {

@@ -1223,7 +1223,15 @@ fn server_metrics_reflect_load_on_every_backend() {
         );
         let total: usize = metrics.iter().map(|m| m.context_count).sum();
         assert_eq!(total, 5, "backend {backend}");
+        let recorded: u64 = metrics.iter().map(|m| m.latency.count).sum();
+        assert!(recorded >= 5, "backend {backend}: {recorded} events");
         for m in &metrics {
+            // One latency record per server: the average is its histogram's.
+            let mean_ms = match m.latency.count {
+                0 => 0.0,
+                n => m.latency.total_micros as f64 / n as f64 / 1000.0,
+            };
+            assert_eq!(m.avg_latency_ms, mean_ms, "backend {backend}");
             assert!(
                 (0.0..=1.0).contains(&m.cpu),
                 "backend {backend}: cpu out of range"
@@ -1465,6 +1473,34 @@ fn a_panicking_method_fails_its_event_and_nothing_else_on_every_backend() {
             Value::Null,
             "backend {backend}"
         );
+    });
+}
+
+/// A restore runs the class factory, which is application code: a panic in
+/// it fails the restore, not the caller, and changes nothing.
+#[test]
+fn a_panicking_restore_factory_fails_the_restore_and_nothing_else_on_every_backend() {
+    on_every_backend_shared(|deployment| {
+        let backend = deployment.backend_name();
+        let items = seed_items(deployment.as_ref(), 2);
+        deployment.register_class_factory(
+            "Item",
+            std::sync::Arc::new(|_: &Value| panic!("the factory refuses")),
+        );
+        let home = deployment.placement_of(items[0]).unwrap();
+        let other = *deployment.servers().iter().find(|s| **s != home).unwrap();
+        let placements = |d: &dyn Deployment| items.iter().map(|i| d.placement_of(*i)).collect();
+        let before: Vec<_> = placements(deployment.as_ref());
+        let err = deployment
+            .restore_context(items[0], &Value::Null, other)
+            .unwrap_err();
+        assert!(
+            matches!(&err, AeonError::Panicked { reason } if reason == "the factory refuses"),
+            "backend {backend}: {err}"
+        );
+        assert_eq!(placements(deployment.as_ref()), before, "backend {backend}");
+        assert_eq!(deployment.context_count(), 2, "backend {backend}");
+        assert_items_intact(deployment.as_ref(), &items, backend);
     });
 }
 
