@@ -14,9 +14,14 @@
 //! same here): a node's pool worker completing an event (`Done`), the
 //! caller of a control operation whose acknowledgement came back before it
 //! could park, a transport reader over TCP.  Every arm completes a waiting
-//! caller through its reply or sends; none waits.  The `Done` arm submits
-//! the event's sub-events, i.e. routes and sends from inside a handler —
-//! which is why [`ClusterInner::send`] must never run under a guard.  The
+//! caller through its reply or sends; none waits.  What the gateway waits
+//! on — every routed event until its `Done`, every control round trip
+//! (`Host`, `MetricsReq`) until its answer — is one table of pending
+//! requests (`crate::pending`), which `teardown` closes: each of them
+//! reads `RuntimeShutdown` at once, and nothing opens after.  The `Done`
+//! arm submits the event's sub-events, i.e. routes and sends from inside a
+//! handler — which is why [`ClusterInner::send`] must never run under a
+//! guard.  The
 //! handler holds the cluster weakly: a cluster is owned by its `Cluster` /
 //! `ClusterClient` handles alone, and `shutdown` (or dropping the last of
 //! them) deregisters every handler, joins every pool and transport thread,
@@ -25,12 +30,12 @@
 use crate::directory::Directory;
 use crate::message::{gateway_id, ClusterMessage, EventDescriptor};
 use crate::node::{spawn_node, NodeShared, NO_ESCROW};
+use crate::pending::{unexpected, Pending, Waiter};
 use crate::wire::message_wire_len;
 use aeon_net::{
     ChannelTransport, MessageSizer, Network, NetworkStats, TcpTransport, TcpTransportConfig,
 };
 use aeon_ownership::{ClassGraph, ControlPlane, OwnershipGraph, Sequencer};
-use aeon_runtime::reply::{reply, Replier, WaitError};
 use aeon_runtime::{
     CertifiedReads, ContextFactory, ContextObject, Deployment, EventHandle, ExecutorConfig,
     ExecutorStats, Footprint, Placement, Session,
@@ -40,7 +45,7 @@ use aeon_types::{
     ServerId, ServerMetrics, SharedHistorySink, Value,
 };
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -205,6 +210,7 @@ impl ClusterBuilder {
                 }
             };
         let shared_stats = network.stats_handle();
+        let pending = Pending::new(gateway_id(), network.clone());
         let inner = Arc::new(ClusterInner {
             directory,
             network,
@@ -215,9 +221,7 @@ impl ClusterBuilder {
             certified,
             fast_path: AtomicU64::new(0),
             nodes: Mutex::new(BTreeMap::new()),
-            pending_events: Mutex::new(HashMap::new()),
-            pending_control: Mutex::new(HashMap::new()),
-            corr: AtomicU64::new(1),
+            pending,
             shutdown: AtomicBool::new(false),
         });
         let gateway = Arc::downgrade(&inner);
@@ -248,10 +252,6 @@ impl ClusterBuilder {
     }
 }
 
-/// A routed event awaiting its `Done`: the issuing client (inherited by the
-/// event's sub-events) and the sending half of the handle's reply.
-type PendingEvent = (Option<ClientId>, Replier<Result<Value>>);
-
 struct ClusterInner {
     directory: Arc<Directory>,
     network: Network<ClusterMessage>,
@@ -272,11 +272,9 @@ struct ClusterInner {
     /// Events the gateway routed as certified, unsequenced executions.
     fast_path: AtomicU64,
     nodes: Mutex<BTreeMap<ServerId, Arc<NodeShared>>>,
-    /// Event completions waiting to be routed back to client handles.
-    pending_events: Mutex<HashMap<u64, PendingEvent>>,
-    /// Control acknowledgements (host, metrics).
-    pending_control: Mutex<HashMap<u64, Replier<ClusterMessage>>>,
-    corr: AtomicU64,
+    /// What the gateway waits on: routed events (for their `Done`) and
+    /// control round trips (host, metrics).
+    pending: Pending,
     shutdown: AtomicBool,
 }
 
@@ -402,60 +400,16 @@ impl ClusterInner {
         self.network.deregister(gateway_id());
         self.network.shutdown_transport();
         // Nothing is left to answer what is still pending — an event queued
-        // at a node whose pool dropped it, a control message in flight.
-        // Dropping the repliers closes those replies: an event handle reads
-        // that as `RuntimeShutdown`, a control round trip likewise.
-        let events = std::mem::take(&mut *self.pending_events.lock());
-        let control = std::mem::take(&mut *self.pending_control.lock());
-        drop((events, control));
-    }
-
-    fn next_corr(&self) -> u64 {
-        self.corr.fetch_add(1, Ordering::Relaxed)
+        // at a node whose pool dropped it, a control message in flight:
+        // an event handle and a control round trip read `RuntimeShutdown`.
+        self.pending.close();
     }
 
     /// Sends `message` to `to`.  The node's handler may run inside this
     /// call, on this thread, and answer the gateway before it returns:
-    /// **never call it with a guard held** (the plane's, `pending_*`,
-    /// `nodes`).
+    /// **never call it with a guard held** (the plane's, `nodes`).
     fn send(&self, to: ServerId, message: ClusterMessage) -> Result<()> {
         self.network.send_from(gateway_id(), to, message)
-    }
-
-    /// Sends a control message and waits for its acknowledgement, which may
-    /// already be there when the send returns.
-    fn control_round_trip(
-        &self,
-        to: ServerId,
-        corr: u64,
-        message: ClusterMessage,
-    ) -> Result<ClusterMessage> {
-        // What a time-out is reported about: the context the message
-        // concerns, or the server when it concerns none (metrics).
-        let context = match &message {
-            ClusterMessage::Host { context, .. } => Some(*context),
-            _ => None,
-        };
-        let (tx, rx) = reply();
-        self.pending_control.lock().insert(corr, tx);
-        if let Err(e) = self.send(to, message) {
-            self.pending_control.lock().remove(&corr);
-            return Err(e);
-        }
-        match rx.wait_timeout(CONTROL_TIMEOUT) {
-            Ok(ack) => Ok(ack),
-            Err(WaitError::Closed) => Err(AeonError::RuntimeShutdown),
-            Err(WaitError::Timeout) => {
-                self.pending_control.lock().remove(&corr);
-                Err(match context {
-                    Some(context) => AeonError::MigrationFailed {
-                        context,
-                        reason: format!("server {to} did not acknowledge a control message"),
-                    },
-                    None => AeonError::ServerNotFound(to),
-                })
-            }
-        }
     }
 
     /// Routes an event to the server hosting the dominator of its target
@@ -470,9 +424,8 @@ impl ClusterInner {
     ) -> Result<EventHandle> {
         self.running()?;
         let event = EventId::new(self.directory.next_raw());
-        let corr = self.next_corr();
         let (tx, handle) = EventHandle::new(event, Some(EVENT_TIMEOUT));
-        self.pending_events.lock().insert(corr, (client, tx));
+        let corr = self.pending.open(Waiter::Event(client, tx))?;
         let descriptor = EventDescriptor {
             id: event,
             client,
@@ -489,7 +442,7 @@ impl ClusterInner {
         }
         let routing = self.route(descriptor);
         if let Err(e) = routing {
-            self.pending_events.lock().remove(&corr);
+            self.pending.take(corr);
             return Err(e);
         }
         Ok(handle)
@@ -570,11 +523,13 @@ fn gateway_handle(inner: &ClusterInner, message: ClusterMessage) {
             if let Some(sink) = inner.directory.history_sink() {
                 sink.responded(event);
             }
-            let pending = inner.pending_events.lock().remove(&corr);
-            let client = pending.and_then(|(client, tx)| {
-                let _ = tx.send(result);
-                client
-            });
+            let client = match inner.pending.take(corr) {
+                Some(Waiter::Event(client, tx)) => {
+                    let _ = tx.send(result);
+                    client
+                }
+                _ => None,
+            };
             // Sub-events start after their creator terminated (§3), on
             // behalf of the same client.
             for sub in sub_events {
@@ -587,13 +542,7 @@ fn gateway_handle(inner: &ClusterInner, message: ClusterMessage) {
             let reply = inner.directory.serve_dir_op(op);
             let _ = inner.send(from, ClusterMessage::DirAck { corr, reply });
         }
-        ClusterMessage::HostAck { corr, .. } | ClusterMessage::MetricsAck { corr, .. } => {
-            let entry = inner.pending_control.lock().remove(&corr);
-            if let Some(tx) = entry {
-                let _ = tx.send(message);
-            }
-        }
-        _ => {}
+        answer => inner.pending.complete(answer),
     }
 }
 
@@ -679,25 +628,24 @@ impl Cluster {
         // same-process node can move it in without a factory.
         let state = object.snapshot();
         let escrow = self.inner.directory.escrow_put(object);
-        let corr = self.inner.next_corr();
-        let ack = self.inner.control_round_trip(
-            server,
+        let host = |corr| ClusterMessage::Host {
             corr,
-            ClusterMessage::Host {
-                corr,
-                context: id,
-                class,
-                state,
-                escrow,
-                reply_to: gateway_id(),
-            },
-        );
+            context: id,
+            class,
+            state,
+            escrow,
+            reply_to: gateway_id(),
+        };
+        let ack = self
+            .inner
+            .pending
+            .round_trip(server, host, None, CONTROL_TIMEOUT, || {
+                AeonError::ServerNotFound(server)
+            });
         let outcome = match ack {
-            Ok(ClusterMessage::HostAck { result: Ok(()), .. }) => Ok(id),
-            Ok(ClusterMessage::HostAck {
-                result: Err(err), ..
-            }) => Err(err),
-            Ok(_) | Err(_) => Err(AeonError::ServerNotFound(server)),
+            Ok(ClusterMessage::HostAck { result, .. }) => result.map(|()| id),
+            Ok(other) => Err(unexpected(&other)),
+            Err(error) => Err(error),
         };
         // A cross-process node used its factory; drop the unclaimed
         // escrow entry either way so nothing leaks.
@@ -888,11 +836,14 @@ impl Deployment for Cluster {
     fn server_metrics(&self) -> Vec<ServerMetrics> {
         let mut raw = Vec::new();
         for server in self.servers() {
-            let corr = self.inner.next_corr();
-            if let Ok(ClusterMessage::MetricsAck { metrics, .. }) =
-                self.inner
-                    .control_round_trip(server, corr, ClusterMessage::MetricsReq { corr })
-            {
+            let request = |corr| ClusterMessage::MetricsReq { corr };
+            let ack = self
+                .inner
+                .pending
+                .round_trip(server, request, None, CONTROL_TIMEOUT, || {
+                    AeonError::ServerNotFound(server)
+                });
+            if let Ok(ClusterMessage::MetricsAck { metrics, .. }) = ack {
                 raw.push(metrics);
             }
         }
@@ -1020,19 +971,23 @@ impl Deployment for Cluster {
                 reason: format!("no factory registered for class {class}"),
             });
         }
-        let corr = self.inner.next_corr();
-        let ack = self.inner.control_round_trip(
-            server,
+        let host = |corr| ClusterMessage::Host {
             corr,
-            ClusterMessage::Host {
-                corr,
-                context,
-                class,
-                state: state.clone(),
-                escrow: NO_ESCROW,
-                reply_to: gateway_id(),
-            },
-        );
+            context,
+            class,
+            state: state.clone(),
+            escrow: NO_ESCROW,
+            reply_to: gateway_id(),
+        };
+        let ack = self
+            .inner
+            .pending
+            .round_trip(server, host, None, CONTROL_TIMEOUT, || {
+                AeonError::MigrationFailed {
+                    context,
+                    reason: format!("server {server} did not acknowledge a control message"),
+                }
+            });
         match ack? {
             ClusterMessage::HostAck { result: Ok(()), .. } => {
                 // Placed once installed: nothing is routed to a server that
@@ -1051,7 +1006,7 @@ impl Deployment for Cluster {
             ClusterMessage::HostAck {
                 result: Err(err), ..
             } => Err(err),
-            _ => Err(AeonError::ServerNotFound(server)),
+            other => Err(unexpected(&other)),
         }
     }
 
@@ -1194,11 +1149,10 @@ mod tests {
     fn a_factory_that_panics_in_the_host_arm_is_answered_not_unwound() {
         let cluster = Cluster::builder().servers(1).build().unwrap();
         cluster.register_class_factory("Item", Arc::new(|_: &Value| panic!("no such item")));
-        let inner = &cluster.inner;
-        let corr = inner.next_corr();
+        let server = cluster.servers()[0];
         // An escrow token nothing was parked under, as a node in another
         // process sees every `Host`.
-        let host = ClusterMessage::Host {
+        let host = |corr| ClusterMessage::Host {
             corr,
             context: ContextId::new(77),
             class: "Item".into(),
@@ -1206,7 +1160,12 @@ mod tests {
             escrow: u64::MAX,
             reply_to: gateway_id(),
         };
-        let ack = inner.control_round_trip(cluster.servers()[0], corr, host);
+        let ack = cluster
+            .inner
+            .pending
+            .round_trip(server, host, None, CONTROL_TIMEOUT, || {
+                AeonError::ServerNotFound(server)
+            });
         let Ok(ClusterMessage::HostAck { result, .. }) = ack else {
             panic!("no HostAck: {ack:?}");
         };

@@ -14,58 +14,38 @@
 //!   ([`Directory::plane`]); what a *node* may ask is the [`DirOp`]
 //!   vocabulary, answered from the plane by [`Directory::serve_dir_op`];
 //! * a **remote** handle (created by [`Directory::remote`]) lives inside an
-//!   `aeon-node` OS process and proxies the plane: the same
-//!   [`Directory::serve_dir_op`] forwards each [`DirOp`] to the authority as
-//!   a synchronous [`DirReq`]/[`DirAck`](ClusterMessage::DirAck) RPC over
-//!   the network.
+//!   `aeon-node` OS process and holds no plane.  Its node sends each
+//!   [`DirOp`] to the gateway in a [`DirReq`], a round trip through the
+//!   node's table of pending requests like any other (see `node.rs`): the
+//!   wait is announced to the node's pool, and it ends with
+//!   `RuntimeShutdown` the moment the node stops.  The gateway answers it
+//!   with [`Directory::serve_dir_op`] in a [`DirAck`].
 //!
-//! The node-facing methods ([`Directory::placement_of`],
-//! [`Directory::path_owners`], [`Directory::create_owned`], …) are thin
-//! wrappers that build the op and unpack the reply, so node code is
-//! oblivious to which flavour it holds and neither flavour has a rule of
-//! its own.  Context *state* is never stored here — it lives only on the
-//! server currently hosting the context and moves exclusively through the
-//! migration protocol.  Class factories, the escrow, id generation and the
-//! history sink are process-local concerns and stay local on both flavours.
+//! Either way the node unpacks the [`DirReply`] into what its op asks for
+//! (`TryFrom`), so node code is oblivious to which flavour it holds and
+//! neither flavour has a rule of its own.  Context *state* is never stored
+//! here — it lives only on the server currently hosting the context and
+//! moves exclusively through the migration protocol.  Class factories, the
+//! escrow, id generation and the history sink are process-local concerns
+//! and stay local on both flavours; a remote handle issues no ids of its
+//! own (a node's new contexts get theirs at the authority, and a request's
+//! token comes from its sender's table).
 //!
-//! [`DirReq`]: ClusterMessage::DirReq
+//! [`DirReq`]: crate::ClusterMessage::DirReq
+//! [`DirAck`]: crate::ClusterMessage::DirAck
 
-use crate::message::{gateway_id, ClusterMessage, DirOp, DirReply};
-use aeon_net::Network;
+use crate::message::{DirOp, DirReply};
 use aeon_ownership::{ClassGraph, ControlPlane};
-use aeon_runtime::reply::{reply, Replier};
 use aeon_runtime::{ContextFactory, ContextObject};
-use aeon_types::{
-    AeonError, ClassName, ContextId, IdGenerator, Result, ServerId, SharedHistorySink,
-};
+use aeon_types::{ClassName, ContextId, IdGenerator, Result, SharedHistorySink};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::time::Duration;
 
-/// How long a remote directory handle waits for the authority's answer.
-const DIR_RPC_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Remote handles allocate ids in a namespace disjoint from the
-/// authority's: bit 63 set, node id in bits 40..63, local counter below.
-const REMOTE_ID_BASE: u64 = 1 << 63;
-
-/// A node-process proxy that answers queries by RPC to the authority.
-struct Remote {
-    node: ServerId,
-    network: Network<ClusterMessage>,
-    pending: Mutex<HashMap<u64, Replier<Result<DirReply>>>>,
-}
-
-enum Backend {
-    /// The authoritative control-plane state (eManager + cloud storage);
-    /// boxed so that the handles, of which there is one per node, stay small.
-    Authority(Box<RwLock<ControlPlane>>),
-    Remote(Remote),
-}
-
-/// Shared control-plane state of a cluster (authority or remote proxy).
+/// Shared control-plane state of a cluster (authority or remote handle).
 pub struct Directory {
-    backend: Backend,
+    /// The authoritative control-plane state (eManager + cloud storage);
+    /// `None` on a remote handle.
+    plane: Option<RwLock<ControlPlane>>,
     factories: RwLock<HashMap<ClassName, ContextFactory>>,
     ids: IdGenerator,
     /// Objects parked between `create_context` and the node's `Host`
@@ -80,49 +60,38 @@ pub struct Directory {
 
 impl std::fmt::Debug for Directory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.backend {
-            Backend::Authority(plane) => f
-                .debug_struct("Directory")
-                .field("contexts", &plane.read().graph().len())
-                .finish_non_exhaustive(),
-            Backend::Remote(remote) => f
-                .debug_struct("Directory")
-                .field("remote_of", &remote.node)
-                .finish_non_exhaustive(),
-        }
+        let contexts = self.plane.as_ref().map(|plane| plane.read().graph().len());
+        f.debug_struct("Directory")
+            .field("contexts", &contexts)
+            .finish_non_exhaustive()
     }
 }
 
 impl Directory {
     /// Creates an empty directory authority.
     pub fn new(class_graph: Option<ClassGraph>) -> Self {
-        Self::with_backend(
-            Backend::Authority(Box::new(RwLock::new(ControlPlane::new(class_graph)))),
-            1,
-        )
+        Self::with_plane(Some(RwLock::new(ControlPlane::new(class_graph))))
     }
 
-    /// Creates a remote directory handle for node `node`, forwarding
-    /// control-plane queries to the authority over `network`.
-    pub fn remote(node: ServerId, network: Network<ClusterMessage>) -> Self {
-        Self::with_backend(
-            Backend::Remote(Remote {
-                node,
-                network,
-                pending: Mutex::new(HashMap::new()),
-            }),
-            REMOTE_ID_BASE | (u64::from(node.raw()) << 40),
-        )
+    /// Creates the remote directory handle of a node process, whose node
+    /// asks the authority over the network.
+    pub fn remote() -> Self {
+        Self::with_plane(None)
     }
 
-    fn with_backend(backend: Backend, first_id: u64) -> Self {
+    fn with_plane(plane: Option<RwLock<ControlPlane>>) -> Self {
         Self {
-            backend,
+            plane,
             factories: RwLock::new(HashMap::new()),
-            ids: IdGenerator::starting_at(first_id),
+            ids: IdGenerator::starting_at(1),
             escrow: Mutex::new(HashMap::new()),
             history: RwLock::new(None),
         }
+    }
+
+    /// Whether this is the authority, which answers a [`DirOp`] itself.
+    pub(crate) fn is_authority(&self) -> bool {
+        self.plane.is_some()
     }
 
     /// The authority's control plane, for the gateway: it reads and changes
@@ -133,62 +102,26 @@ impl Directory {
     /// Panics on a remote handle — only node processes hold one, and they
     /// never run gateway code.
     pub(crate) fn plane(&self) -> &RwLock<ControlPlane> {
-        match &self.backend {
-            Backend::Authority(plane) => plane,
-            Backend::Remote(_) => panic!("the gateway's directory is the authority"),
-        }
+        self.plane
+            .as_ref()
+            .expect("the gateway's directory is the authority")
     }
 
-    /// Sends `op` to the authority and blocks for the matching
-    /// [`ClusterMessage::DirAck`] (delivered via [`Self::complete_dir_reply`]).
-    fn rpc(&self, remote: &Remote, op: DirOp) -> Result<DirReply> {
-        let corr = self.ids.next_raw();
-        let (tx, rx) = reply();
-        remote.pending.lock().insert(corr, tx);
-        let request = ClusterMessage::DirReq {
-            corr,
-            from: remote.node,
-            op,
-        };
-        if let Err(err) = remote.network.send_from(remote.node, gateway_id(), request) {
-            remote.pending.lock().remove(&corr);
-            return Err(err);
-        }
-        match rx.wait_timeout(DIR_RPC_TIMEOUT) {
-            Ok(reply) => reply,
-            Err(_) => {
-                remote.pending.lock().remove(&corr);
-                Err(AeonError::Internal(
-                    "directory rpc to the authority timed out".into(),
-                ))
-            }
-        }
-    }
-
-    /// Routes a [`ClusterMessage::DirAck`] back to the thread blocked in
-    /// [`Self::rpc`].  No-op on the authority (which never issues RPCs).
-    pub(crate) fn complete_dir_reply(&self, corr: u64, reply: Result<DirReply>) {
-        if let Backend::Remote(remote) = &self.backend {
-            if let Some(tx) = remote.pending.lock().remove(&corr) {
-                let _ = tx.send(reply);
-            }
-        }
-    }
-
-    /// Answers one [`DirOp`]: from the plane at the authority (the gateway's
-    /// handler calls this for every [`ClusterMessage::DirReq`] a node sends,
-    /// and in-process nodes reach it through the wrappers below), by RPC to
-    /// the authority on a remote handle.  Queries take a read guard on the
-    /// plane, changes a write guard, each for the one plane call only.
+    /// Answers one [`DirOp`] from the authority's plane: the gateway's
+    /// handler calls this for every [`DirReq`](crate::ClusterMessage::DirReq) a node
+    /// sends, and an in-process node for every op it asks.  Queries take a
+    /// read guard on the plane, changes a write guard, each for the one
+    /// plane call only.
     ///
     /// # Errors
     ///
-    /// Propagates the error of the control-plane operation or of the RPC.
+    /// Propagates the error of the control-plane operation.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a remote handle, like [`Directory::plane`].
     pub(crate) fn serve_dir_op(&self, op: DirOp) -> Result<DirReply> {
-        let plane = match &self.backend {
-            Backend::Authority(plane) => plane,
-            Backend::Remote(remote) => return self.rpc(remote, op),
-        };
+        let plane = self.plane();
         match op {
             DirOp::PlacementOf(context) => plane.read().placement_of(context).map(DirReply::Server),
             DirOp::SetPlacement(context, server) => plane
@@ -199,10 +132,6 @@ impl Directory {
                 .read()
                 .path_owners(caller, callee)
                 .map(DirReply::Contexts),
-            DirOp::ClassOf(context) => plane
-                .read()
-                .class_of(context)
-                .map(|class| DirReply::Class(class.to_string())),
             DirOp::ChildrenOf { parent, class } => plane
                 .read()
                 .children_of(parent, class.as_deref())
@@ -243,8 +172,7 @@ impl Directory {
         ContextId::new(self.ids.next_raw())
     }
 
-    /// Allocates a fresh raw id (used for events, correlation tokens and
-    /// clients).
+    /// Allocates a fresh raw id (used for events and clients).
     pub fn next_raw(&self) -> u64 {
         self.ids.next_raw()
     }
@@ -263,132 +191,6 @@ impl Directory {
         self.escrow.lock().remove(&token)
     }
 
-    // -- what a node may ask (one `DirOp` each) -----------------------------
-
-    /// The server currently recorded as hosting `context`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AeonError::ContextNotFound`] for unknown contexts.
-    pub fn placement_of(&self, context: ContextId) -> Result<ServerId> {
-        match self.serve_dir_op(DirOp::PlacementOf(context))? {
-            DirReply::Server(server) => Ok(server),
-            other => Err(reply_mismatch("PlacementOf", &other)),
-        }
-    }
-
-    /// Moves the placement of a context to an online server.
-    ///
-    /// # Errors
-    ///
-    /// [`AeonError::ContextNotFound`] / [`AeonError::ServerNotFound`] for an
-    /// unknown context or an unknown or offline server.
-    pub fn set_placement(&self, context: ContextId, server: ServerId) -> Result<()> {
-        self.unit_op("SetPlacement", DirOp::SetPlacement(context, server))
-    }
-
-    /// The owners of `callee` a call from `caller` reaches it through
-    /// ([`ControlPlane::path_owners`]).
-    ///
-    /// # Errors
-    ///
-    /// [`AeonError::OwnershipViolation`] when `caller` may not call
-    /// `callee`, and the error of the RPC on a remote handle.
-    pub fn path_owners(&self, caller: ContextId, callee: ContextId) -> Result<Vec<ContextId>> {
-        match self.serve_dir_op(DirOp::PathOwners(caller, callee))? {
-            DirReply::Contexts(owners) => Ok(owners),
-            other => Err(reply_mismatch("PathOwners", &other)),
-        }
-    }
-
-    /// The class of a context.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AeonError::ContextNotFound`] for unknown contexts.
-    pub fn class_of(&self, context: ContextId) -> Result<String> {
-        match self.serve_dir_op(DirOp::ClassOf(context))? {
-            DirReply::Class(class) => Ok(class),
-            other => Err(reply_mismatch("ClassOf", &other)),
-        }
-    }
-
-    /// Direct children of `parent`, optionally filtered by class.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AeonError::ContextNotFound`] when `parent` is unknown.
-    pub fn children_of(&self, parent: ContextId, class: Option<&str>) -> Result<Vec<ContextId>> {
-        let op = DirOp::ChildrenOf {
-            parent,
-            class: class.map(str::to_string),
-        };
-        match self.serve_dir_op(op)? {
-            DirReply::Contexts(ids) => Ok(ids),
-            other => Err(reply_mismatch("ChildrenOf", &other)),
-        }
-    }
-
-    /// `root` and everything it (transitively) owns, owner before owned.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AeonError::ContextNotFound`] when `root` is unknown.
-    pub fn subtree(&self, root: ContextId) -> Result<Vec<ContextId>> {
-        match self.serve_dir_op(DirOp::Subtree(root))? {
-            DirReply::Contexts(ids) => Ok(ids),
-            other => Err(reply_mismatch("Subtree", &other)),
-        }
-    }
-
-    /// Declares a new context of class `class` owned by `owner`, under a
-    /// freshly allocated id, placed next to `owner` — the control-plane half
-    /// of creating an owned child at event time.  The caller installs the
-    /// object and then confirms where with [`Directory::set_placement`].
-    ///
-    /// # Errors
-    ///
-    /// The errors of [`ControlPlane::declare_owned`]; nothing is declared
-    /// when it refuses.
-    pub fn create_owned(&self, owner: ContextId, class: &str) -> Result<ContextId> {
-        let op = DirOp::CreateOwned {
-            owner,
-            class: class.to_string(),
-        };
-        match self.serve_dir_op(op)? {
-            DirReply::Context(id) => Ok(id),
-            other => Err(reply_mismatch("CreateOwned", &other)),
-        }
-    }
-
-    /// Adds an ownership edge after validating the class constraints.
-    ///
-    /// # Errors
-    ///
-    /// * [`AeonError::OwnershipViolation`] when the class constraints forbid
-    ///   the pair.
-    /// * [`AeonError::CycleDetected`] when the edge would create a cycle.
-    pub fn add_edge(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.unit_op("AddEdge", DirOp::AddEdge(owner, owned))
-    }
-
-    /// Removes an ownership edge.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AeonError::ContextNotFound`] when either endpoint is
-    /// unknown.
-    pub fn remove_edge(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.unit_op("RemoveEdge", DirOp::RemoveEdge(owner, owned))
-    }
-
-    fn unit_op(&self, name: &str, op: DirOp) -> Result<()> {
-        match self.serve_dir_op(op)? {
-            DirReply::Unit => Ok(()),
-            other => Err(reply_mismatch(name, &other)),
-        }
-    }
-
     // -- factories ----------------------------------------------------------
 
     /// Registers the factory used to rebuild contexts of `class` from their
@@ -403,18 +205,12 @@ impl Directory {
     }
 }
 
-fn reply_mismatch(op: &str, got: &DirReply) -> AeonError {
-    AeonError::Internal(format!(
-        "directory {op} rpc returned mismatched reply {got:?}"
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use aeon_ownership::Placement;
     use aeon_runtime::KvContext;
-    use aeon_types::Value;
+    use aeon_types::{AeonError, ServerId, Value};
     use std::sync::Arc;
 
     /// An authority with one online server hosting one `Room` root.
@@ -461,10 +257,6 @@ mod tests {
             dir.serve_dir_op(DirOp::PlacementOf(room)).unwrap(),
             DirReply::Server(server)
         );
-        assert_eq!(
-            dir.serve_dir_op(DirOp::ClassOf(room)).unwrap(),
-            DirReply::Class("Room".into())
-        );
         let created = dir
             .serve_dir_op(DirOp::CreateOwned {
                 owner: room,
@@ -498,27 +290,49 @@ mod tests {
         assert!(dir.serve_dir_op(DirOp::RemoveEdge(room, child)).is_ok());
     }
 
+    /// What a node asks: the op, answered by the authority and unpacked.
+    fn ask<T: TryFrom<DirReply, Error = AeonError>>(dir: &Directory, op: DirOp) -> Result<T> {
+        dir.serve_dir_op(op).and_then(T::try_from)
+    }
+
     #[test]
     fn node_facing_wrappers_unpack_the_authoritys_replies() {
         let mut classes = ClassGraph::new();
         classes.add_constraint("Room", "Item");
         let (dir, server, room) = authority_with_room(Some(classes));
-        let child = dir.create_owned(room, "Item").unwrap();
-        assert_eq!(dir.class_of(child).unwrap(), "Item");
-        assert_eq!(dir.placement_of(child).unwrap(), server);
-        assert_eq!(dir.children_of(room, Some("Item")).unwrap(), vec![child]);
-        assert_eq!(dir.path_owners(room, child).unwrap(), Vec::new());
-        assert!(dir.path_owners(child, room).is_err());
-        dir.remove_edge(room, child).unwrap();
-        dir.add_edge(room, child).unwrap();
+        let create = |owner, class: &str| {
+            let class = class.to_string();
+            ask::<ContextId>(&dir, DirOp::CreateOwned { owner, class })
+        };
+        let child = create(room, "Item").unwrap();
+        assert_eq!(
+            ask::<ServerId>(&dir, DirOp::PlacementOf(child)).unwrap(),
+            server
+        );
+        let children = DirOp::ChildrenOf {
+            parent: room,
+            class: Some("Item".into()),
+        };
+        assert_eq!(ask::<Vec<ContextId>>(&dir, children).unwrap(), vec![child]);
+        let owners =
+            |caller, callee| ask::<Vec<ContextId>>(&dir, DirOp::PathOwners(caller, callee));
+        assert_eq!(owners(room, child).unwrap(), Vec::new());
+        assert!(owners(child, room).is_err());
+        ask::<()>(&dir, DirOp::RemoveEdge(room, child)).unwrap();
+        ask::<()>(&dir, DirOp::AddEdge(room, child)).unwrap();
+        // A reply of another kind than the op asks for is refused.
+        assert!(matches!(
+            ask::<ServerId>(&dir, DirOp::Subtree(room)),
+            Err(AeonError::Internal(_))
+        ));
         // A refusal travels back as the plane's error, and declares nothing.
         let contexts = dir.plane().read().graph().len();
         assert!(matches!(
-            dir.create_owned(child, "Room"),
+            create(child, "Room"),
             Err(AeonError::OwnershipViolation { .. })
         ));
         assert!(matches!(
-            dir.set_placement(child, ServerId::new(9)),
+            ask::<()>(&dir, DirOp::SetPlacement(child, ServerId::new(9))),
             Err(AeonError::ServerNotFound(_))
         ));
         assert_eq!(dir.plane().read().graph().len(), contexts);

@@ -56,6 +56,7 @@ mod cluster;
 mod directory;
 mod message;
 mod node;
+mod pending;
 mod remote;
 mod wire;
 

@@ -10,9 +10,17 @@
 //! has a byte representation (see `crate::wire`), so the same protocol runs
 //! unchanged over in-process channels and over TCP between real OS
 //! processes.
+//!
+//! A request that waits for an answer carries a `corr` token from its
+//! sender's table (`crate::pending`), and the answer echoes it:
+//! `Host` → `HostAck`, `Call` → `CallReply`, `MetricsReq` → `MetricsAck`,
+//! `DirReq` → `DirAck` (`ClusterMessage::answers` reads it), and an
+//! event's [`EventDescriptor`] → its `Done`.
 
 use aeon_runtime::SubEvent;
-use aeon_types::{AccessMode, Args, ClientId, ContextId, EventId, Result, ServerId, Value};
+use aeon_types::{
+    AccessMode, AeonError, Args, ClientId, ContextId, EventId, Result, ServerId, Value,
+};
 use std::fmt;
 
 /// The server id used by the cluster gateway (client entry point).
@@ -66,10 +74,10 @@ pub struct NodeMetrics {
 /// A control-plane (directory) operation a node asks the gateway to
 /// perform on its behalf, shipped in a [`ClusterMessage::DirReq`].
 ///
-/// When gateway and node share one process the node's `Directory` handle
-/// answers these directly; across processes they become a synchronous RPC
-/// to the authority — the paper's "query the eManager / read the mapping
-/// from cloud storage" (§5.1).
+/// When gateway and node share one process the node answers these from
+/// the authority directly; across processes each is a round trip from the
+/// node to the gateway, which answers it at the authority — the paper's
+/// "query the eManager / read the mapping from cloud storage" (§5.1).
 #[derive(Debug, Clone, PartialEq)]
 pub enum DirOp {
     /// Which server hosts this context?
@@ -79,8 +87,6 @@ pub enum DirOp {
     /// The owners of `callee` a call from `caller` reaches it through
     /// (none for a direct edge; refused when there is no path).
     PathOwners(ContextId, ContextId),
-    /// The contextclass of a context.
-    ClassOf(ContextId),
     /// Direct children of `parent`, optionally filtered by class.
     ChildrenOf {
         /// The parent context.
@@ -118,8 +124,33 @@ pub enum DirReply {
     /// A list of context ids ([`DirOp::ChildrenOf`], [`DirOp::Subtree`],
     /// [`DirOp::PathOwners`]).
     Contexts(Vec<ContextId>),
-    /// A class name ([`DirOp::ClassOf`]).
-    Class(String),
+}
+
+/// A [`DirReply`] unpacks into what its op asks for: `()`, a [`ServerId`],
+/// a [`ContextId`] or a list of them.  Any other reply is an
+/// [`AeonError::Internal`]: the authority broke the protocol.
+macro_rules! unpack_dir_reply {
+    ($($into:ty: $reply:pat => $value:expr;)*) => {$(
+        impl TryFrom<DirReply> for $into {
+            type Error = AeonError;
+
+            fn try_from(reply: DirReply) -> Result<Self> {
+                match reply {
+                    $reply => Ok($value),
+                    other => Err(AeonError::internal(format!(
+                        "unexpected directory reply {other:?}"
+                    ))),
+                }
+            }
+        }
+    )*};
+}
+
+unpack_dir_reply! {
+    (): DirReply::Unit => ();
+    ServerId: DirReply::Server(server) => server;
+    ContextId: DirReply::Context(context) => context;
+    Vec<ContextId>: DirReply::Contexts(contexts) => contexts;
 }
 
 /// A message of the cluster protocol.
@@ -295,6 +326,19 @@ impl ClusterMessage {
                 target,
                 ..
             } => Some((*event, *mode, *target)),
+            _ => None,
+        }
+    }
+
+    /// The token of the request this message answers — a `HostAck`, a
+    /// `CallReply`, a `MetricsAck` or a `DirAck` — under which the
+    /// requester's table waits for it (see `crate::pending`).
+    pub(crate) fn answers(&self) -> Option<u64> {
+        match self {
+            ClusterMessage::HostAck { corr, .. }
+            | ClusterMessage::CallReply { corr, .. }
+            | ClusterMessage::MetricsAck { corr, .. }
+            | ClusterMessage::DirAck { corr, .. } => Some(*corr),
             _ => None,
         }
     }

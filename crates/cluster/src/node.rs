@@ -17,8 +17,8 @@
 //!   context or one migrating in; its class factory, the one piece of
 //!   application code reached from here, runs under the panic boundary),
 //!   `Release` (releasing a lock never blocks), `CallReply` / `HostAck` /
-//!   `DirAck` (complete a waiting caller), `MetricsReq` (read counters),
-//!   `Shutdown`.
+//!   `DirAck` (complete a waiting round trip), `MetricsReq` (read
+//!   counters), `Shutdown`.
 //! * **No unit of work waits for its first lock on a worker; a worker
 //!   waits only inside `block_in_place`.**  The pool is fixed-size (a
 //!   thread per blocking message does not scale), so a worker must not sit
@@ -30,15 +30,16 @@
 //!   grant runs on whichever thread releases the lock (a worker finishing
 //!   an event, or this `dispatch`'s `Release` arm on a sender's thread) and
 //!   only offloads the work again, sends it after a context that moved, or
-//!   answers its event when the node stopped.  Every other wait of a worker — a remote
-//!   call's reply or a migration's `HostAck`, a contended activation
-//!   nested in a running body, a reader's turn at an object another
-//!   reader's frame holds (`lock_object`) — is announced with
+//!   answers its event when the node stopped.  Every other wait of a
+//!   worker — a round trip (below), a contended activation nested in a
+//!   running body, a reader's turn at an object another reader's frame
+//!   holds (`lock_object`) — is announced with
 //!   `ShardedExecutor::block_in_place`, which hands the rest of the
 //!   worker's batch back to the queue and keeps `workers` threads running
 //!   the queues beside it (see `aeon_runtime::executor`): the holder it
 //!   waits for may be work whose grant offloaded it, still queued.  An
-//!   uncontended activation or object lock announces nothing.
+//!   uncontended activation or object lock announces nothing, and nor does
+//!   a round trip whose answer came back inside its send.
 //! * **No guard is held across a send** ([`NodeShared::send`]): the
 //!   receiver's handler runs inside the send and may come straight back
 //!   here.
@@ -51,6 +52,16 @@
 //!   request is a nested `dispatch` per hop; the hops follow the context's
 //!   moves forward in time and a `Host` drops the pointer of a context that
 //!   returns, so a chain visits a server at most once.
+//!
+//! **Every request a worker waits on is a round trip through the node's
+//! table** (`crate::pending`): a remote call's `Call`, a migration's
+//! `Host`, and in a node process (a remote [`Directory`]) every
+//! control-plane op's `DirReq` to the gateway ([`NodeShared::ask`]).  The
+//! request carries a token the table opened, and `dispatch` hands the
+//! answer — `CallReply`, `HostAck`, `DirAck` — back under it in one arm.
+//! Stopping the node closes the table: every such wait reads
+//! `RuntimeShutdown` at once, so no worker sits out a time-out while the
+//! pool is joined, and no round trip opens after.
 //!
 //! **A migration is an exclusive event on the context** (the interpreter's
 //! reserved `@migrate`): sequenced at its dominator and holding the
@@ -78,9 +89,9 @@
 //! ends it like any event, so a node has no message of its own for either.
 
 use crate::directory::Directory;
-use crate::message::{gateway_id, ClusterMessage, EventDescriptor, NodeMetrics};
+use crate::message::{gateway_id, ClusterMessage, DirOp, DirReply, EventDescriptor, NodeMetrics};
+use crate::pending::{unexpected, Pending};
 use aeon_net::Network;
-use aeon_runtime::reply::{reply, Replier, WaitError};
 use aeon_runtime::{
     ContextHost, ContextLock, ContextObject, ContextSlot, Entered, EventBody, EventMeta,
     ExecutorConfig, ExecutorStats, Footprint, HostedObject, ServerCore, ShardedExecutor, SubEvent,
@@ -88,24 +99,18 @@ use aeon_runtime::{
 use aeon_types::{AeonError, Args, ContextId, Result, ServerId, Value};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// How long a node waits for the reply to a remote synchronous call before
-/// aborting the event.
+/// aborting the event, and for a migration's `HostAck`.
 const CALL_TIMEOUT: Duration = Duration::from_secs(30);
+/// How long a node process waits for the authority's answer to a [`DirOp`].
+const DIR_RPC_TIMEOUT: Duration = Duration::from_secs(10);
 /// The escrow token of a `Host` that parks no object: a migrating or
 /// restored context is always rebuilt from its state by the class factory.
 pub(crate) const NO_ESCROW: u64 = u64::MAX;
-
-/// Payload routed back to a worker waiting on a remote call (or on the
-/// `HostAck` of a migration, which carries only a result).
-struct CallOutcome {
-    result: Result<Value>,
-    participants: Vec<ServerId>,
-    sub_events: Vec<SubEvent>,
-}
 
 /// A node: the state its message handler and its worker threads share.
 pub(crate) struct NodeShared {
@@ -118,10 +123,9 @@ pub(crate) struct NodeShared {
     /// The contexts installed here, the virtual root's lock and the locks
     /// each event holds here (released on `Release`).
     core: Arc<ServerCore>,
-    /// Workers waiting for replies to remote calls and migrations, by
-    /// correlation token.
-    pending_calls: Mutex<HashMap<u64, Replier<CallOutcome>>>,
-    corr: AtomicU64,
+    /// The requests this node's workers wait on: remote calls, migrations'
+    /// `Host`s and (in a node process) control-plane ops.
+    pending: Pending,
     /// Contexts migrated away: requests are forwarded to the new host
     /// (the paper's stale-context-map forwarding, §5.2).
     forwarding: RwLock<HashMap<ContextId, ServerId>>,
@@ -174,21 +178,15 @@ impl NodeShared {
     }
 
     /// Refuses every later message and wakes everything that could keep a
-    /// pool worker parked (lock waiters, remote-call waiters).
+    /// pool worker parked: every unit of work waiting for a grant here is
+    /// answered, and every round trip reads `RuntimeShutdown` instead of
+    /// sitting out its time-out.
     fn stop(&self) {
         self.running.store(false, Ordering::SeqCst);
-        self.poison_all();
+        self.core.poison();
+        self.pending.close();
         *self.halted.0.lock() = true;
         self.halted.1.notify_all();
-    }
-
-    fn poison_all(&self) {
-        // Answers every unit of work waiting for a grant here.
-        self.core.poison();
-        // Workers blocked on remote calls would otherwise sit out the full
-        // call timeout; closing their replies fails the calls immediately.
-        let waiters = std::mem::take(&mut *self.pending_calls.lock());
-        drop(waiters);
     }
 
     /// Sends `message` to `to`.  The receiver's handler may run inside this
@@ -201,8 +199,8 @@ impl NodeShared {
     fn send(&self, to: ServerId, message: ClusterMessage) {
         // A failed send means the destination crashed or was removed; the
         // waiting party times out and surfaces an EventAborted error, which
-        // is the behaviour we want under fault injection.  (A remote call
-        // sends its `Call` itself and fails at once instead.)
+        // is the behaviour we want under fault injection.  (A round trip
+        // sends its request itself and fails at once instead.)
         let _ = self.network.send_from(self.id, to, message);
     }
 
@@ -233,55 +231,28 @@ impl NodeShared {
             .or_else(slot)
     }
 
-    /// Sends `message` — a request answered under the correlation token it
-    /// is built with — to `to`, and waits inside `block_in_place` for the
-    /// answer `dispatch` hands back under that token.  A server that is
-    /// gone fails it at once, a stopped node too, and `timed_out` is the
-    /// error after [`CALL_TIMEOUT`].
-    fn round_trip(
-        &self,
-        to: ServerId,
-        message: impl FnOnce(u64) -> ClusterMessage,
-        timed_out: impl FnOnce() -> AeonError,
-    ) -> Result<CallOutcome> {
-        let corr = self.corr.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = reply();
-        self.pending_calls.lock().insert(corr, tx);
-        // Re-check liveness after registering: a crash/shutdown drains
-        // `pending_calls` to wake blocked workers, and an insert that
-        // races past that drain would otherwise park this worker for the
-        // full timeout (stalling the pool join).
-        if !self.running.load(Ordering::SeqCst) {
-            self.pending_calls.lock().remove(&corr);
-            return Err(AeonError::RuntimeShutdown);
+    /// Answers `op` from the control plane, unpacked into what the op asks
+    /// for: at once when this node shares the authority's process, else
+    /// with a round trip to the gateway, which answers it there.
+    fn ask<T: TryFrom<DirReply, Error = AeonError>>(&self, op: DirOp) -> Result<T> {
+        if self.directory.is_authority() {
+            return self.directory.serve_dir_op(op).and_then(T::try_from);
         }
-        if let Err(error) = self.network.send_from(self.id, to, message(corr)) {
-            self.pending_calls.lock().remove(&corr);
-            return Err(error);
-        }
-        // An answer handled inline by the receiver (a `Host` on the channel
-        // transport) is there already: taking it is no wait to announce.
-        let answered = !self.pending_calls.lock().contains_key(&corr);
-        let wait = || rx.wait_timeout(CALL_TIMEOUT);
-        let outcome = if answered {
-            wait()
-        } else {
-            self.executor.block_in_place(wait)
+        let request = |corr| ClusterMessage::DirReq {
+            corr,
+            from: self.id,
+            op,
         };
-        match outcome {
-            Ok(outcome) => Ok(outcome),
-            Err(WaitError::Closed) => Err(AeonError::RuntimeShutdown),
-            Err(WaitError::Timeout) => {
-                self.pending_calls.lock().remove(&corr);
-                Err(timed_out())
-            }
-        }
-    }
-
-    /// Hands `outcome` to the worker waiting under `corr`, if it still is.
-    fn complete(&self, corr: u64, outcome: CallOutcome) {
-        if let Some(reply) = self.pending_calls.lock().remove(&corr) {
-            let _ = reply.send(outcome);
+        let answer = self.pending.round_trip(
+            gateway_id(),
+            request,
+            Some(&self.executor),
+            DIR_RPC_TIMEOUT,
+            || AeonError::internal("directory rpc to the authority timed out"),
+        )?;
+        match answer {
+            ClusterMessage::DirAck { reply, .. } => reply.and_then(T::try_from),
+            other => Err(unexpected(&other)),
         }
     }
 }
@@ -301,8 +272,7 @@ pub(crate) fn spawn_node(
         directory,
         network: network.clone(),
         core: Arc::default(),
-        pending_calls: Mutex::new(HashMap::new()),
-        corr: AtomicU64::new(1),
+        pending: Pending::new(id, network.clone()),
         forwarding: RwLock::new(HashMap::new()),
         exec_latency: Mutex::new(aeon_types::LatencyHistogram::new()),
         running: AtomicBool::new(true),
@@ -369,36 +339,16 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
                 },
             );
         }
-        ClusterMessage::HostAck { corr, result, .. } => shared.complete(
-            corr,
-            CallOutcome {
-                result: result.map(|()| Value::Null),
-                participants: Vec::new(),
-                sub_events: Vec::new(),
-            },
-        ),
-        ClusterMessage::DirAck { corr, reply } => {
-            shared.directory.complete_dir_reply(corr, reply);
-        }
+        answer @ (ClusterMessage::HostAck { .. }
+        | ClusterMessage::CallReply { .. }
+        | ClusterMessage::MetricsAck { .. }
+        | ClusterMessage::DirAck { .. }) => shared.pending.complete(answer),
         work @ (ClusterMessage::Act { .. }
         | ClusterMessage::Exec { .. }
         | ClusterMessage::ExecCertified { .. }
         | ClusterMessage::Call { .. }) => {
             offload(shared, work, false);
         }
-        ClusterMessage::CallReply {
-            corr,
-            result,
-            participants,
-            sub_events,
-        } => shared.complete(
-            corr,
-            CallOutcome {
-                result,
-                participants,
-                sub_events,
-            },
-        ),
         ClusterMessage::Release { event } => shared.core.release(event),
         ClusterMessage::MetricsReq { corr } => {
             // Answered inline: the report only reads counters, it cannot
@@ -415,9 +365,7 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
         }
         ClusterMessage::Shutdown => shared.stop(),
         // Gateway-only messages are ignored by nodes.
-        ClusterMessage::DirReq { .. }
-        | ClusterMessage::MetricsAck { .. }
-        | ClusterMessage::Done { .. } => {}
+        ClusterMessage::DirReq { .. } | ClusterMessage::Done { .. } => {}
     }
 }
 
@@ -612,22 +560,17 @@ fn sequenced(shared: &Arc<NodeShared>, event: EventDescriptor, sequencer: Contex
             },
         );
     }
-    let server = shared
-        .forwarded(target)
-        .or_else(|| shared.directory.placement_of(target).ok());
+    let server = match shared.forwarded(target) {
+        Some(server) => Ok(server),
+        None => shared.ask(DirOp::PlacementOf(target)),
+    };
     let exec = ClusterMessage::Exec {
         event,
         sequencer: held,
     };
     match server {
-        Some(server) => shared.send(server, exec),
-        None => answer(
-            shared,
-            exec,
-            BTreeSet::new(),
-            Err(AeonError::ContextNotFound(target)),
-            Vec::new(),
-        ),
+        Ok(server) => shared.send(server, exec),
+        Err(error) => answer(shared, exec, BTreeSet::new(), Err(error), Vec::new()),
     }
 }
 
@@ -659,7 +602,7 @@ impl<'a> NodeHost<'a> {
 
 impl ContextHost for NodeHost<'_> {
     fn path_owners(&self, caller: ContextId, target: ContextId) -> Result<Vec<ContextId>> {
-        self.node.directory.path_owners(caller, target)
+        self.node.ask(DirOp::PathOwners(caller, target))
     }
 
     /// A contended activation waits inside `block_in_place`: its holder
@@ -681,7 +624,7 @@ impl ContextHost for NodeHost<'_> {
                     // It came back a moment ago.
                     Some(Ok(_)) => continue,
                     Some(Err(server)) => server,
-                    None => node.directory.placement_of(target)?,
+                    None => node.ask(DirOp::PlacementOf(target))?,
                 },
             };
             if server != node.id {
@@ -733,16 +676,29 @@ impl ContextHost for NodeHost<'_> {
             reply_to: node.id,
             corr,
         };
-        let outcome = node.round_trip(server, call, || AeonError::EventAborted {
-            event: event.id,
-            reason: format!("remote call to context {target} on {server} timed out"),
-        })?;
+        let answer =
+            node.pending
+                .round_trip(server, call, Some(&node.executor), CALL_TIMEOUT, || {
+                    AeonError::EventAborted {
+                        event: event.id,
+                        reason: format!("remote call to context {target} on {server} timed out"),
+                    }
+                })?;
+        let ClusterMessage::CallReply {
+            result,
+            participants,
+            sub_events,
+            ..
+        } = answer
+        else {
+            return Err(unexpected(&answer));
+        };
         // Locks taken while serving the call are held whatever it returned.
-        self.participants.extend(outcome.participants);
-        if outcome.result.is_ok() {
+        self.participants.extend(participants);
+        if result.is_ok() {
             self.entered_remote.push(target);
         }
-        outcome.result.map(|value| (value, outcome.sub_events))
+        result.map(|value| (value, sub_events))
     }
 
     fn record_access(&self, event: &EventMeta, context: ContextId) {
@@ -758,32 +714,33 @@ impl ContextHost for NodeHost<'_> {
     ) -> Result<ContextId> {
         let class = object.class_name().to_string();
         // Control-plane half (class validation, id allocation, context and
-        // edge declaration) runs at the directory authority — one RPC when
-        // this node is a separate OS process.
-        let id = self.node.directory.create_owned(owner, &class)?;
+        // edge declaration) runs at the directory authority — one round
+        // trip when this node is a separate OS process.
+        let id = self.node.ask(DirOp::CreateOwned { owner, class })?;
         // Locality: the child is hosted next to the (local) context that
         // created it, exactly like the in-process runtime.  The plane
         // placed it with its owner; say where it actually landed, which
         // differs while the owner is mid-migration.
         self.node.core.install(id, object);
-        self.node.directory.set_placement(id, self.node.id)?;
+        self.node.ask::<()>(DirOp::SetPlacement(id, self.node.id))?;
         Ok(id)
     }
 
     fn add_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.node.directory.add_edge(owner, owned)
+        self.node.ask(DirOp::AddEdge(owner, owned))
     }
 
     fn remove_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.node.directory.remove_edge(owner, owned)
+        self.node.ask(DirOp::RemoveEdge(owner, owned))
     }
 
     fn children(&self, parent: ContextId, class: Option<&str>) -> Result<Vec<ContextId>> {
-        self.node.directory.children_of(parent, class)
+        let class = class.map(str::to_string);
+        self.node.ask(DirOp::ChildrenOf { parent, class })
     }
 
     fn subtree(&self, root: ContextId) -> Result<Vec<ContextId>> {
-        self.node.directory.subtree(root)
+        self.node.ask(DirOp::Subtree(root))
     }
 
     /// Ships the state to `to` and waits for its `HostAck`; only then does
@@ -817,16 +774,146 @@ impl ContextHost for NodeHost<'_> {
             escrow: NO_ESCROW,
             reply_to: node.id,
         };
-        let acked = node.round_trip(to, host, || AeonError::MigrationFailed {
-            context: target,
-            reason: format!("server {to} did not acknowledge the context's state"),
-        })?;
-        acked.result?;
-        node.directory.set_placement(target, to)?;
+        let answer =
+            node.pending
+                .round_trip(to, host, Some(&node.executor), CALL_TIMEOUT, || {
+                    AeonError::MigrationFailed {
+                        context: target,
+                        reason: format!("server {to} did not acknowledge the context's state"),
+                    }
+                })?;
+        let ClusterMessage::HostAck { result, .. } = answer else {
+            return Err(unexpected(&answer));
+        };
+        result?;
+        node.ask::<()>(DirOp::SetPlacement(target, to))?;
         node.forwarding.write().insert(target, to);
         if let Some(slot) = node.core.remove(target) {
             slot.lock.mark_moved();
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::message::virtual_root;
+    use aeon_net::Endpoint;
+    use aeon_runtime::KvContext;
+    use aeon_types::{args, AccessMode, EventId};
+    use std::time::Instant;
+
+    /// The node of a node process — a remote directory handle, a pool of
+    /// one worker — on a channel network, and the gateway's mailbox, from
+    /// which no `DirReq` is ever answered.
+    fn node_with_a_silent_authority() -> (Arc<NodeShared>, Endpoint<ClusterMessage>) {
+        let network = Network::new();
+        let gateway = network.register(gateway_id());
+        let pool = ExecutorConfig { workers: 1 };
+        let directory = Arc::new(Directory::remote());
+        let node = spawn_node(ServerId::new(0), directory, &network, pool);
+        (node, gateway)
+    }
+
+    fn event(id: u64, target: ContextId, method: &str, args: Args) -> EventDescriptor {
+        EventDescriptor {
+            id: EventId::new(id),
+            client: None,
+            corr: id,
+            target,
+            method: method.into(),
+            args,
+            mode: AccessMode::Exclusive,
+        }
+    }
+
+    /// Sends the node an event sequenced at the virtual root whose target
+    /// it does not host: the worker that holds the root asks the authority
+    /// where the target is, and that `DirReq` reaches the gateway.
+    fn ask_where_an_unhosted_target_is(node: &NodeShared, gateway: &Endpoint<ClusterMessage>) {
+        let act = ClusterMessage::Act {
+            event: event(1, ContextId::new(500), "get", args!["k"]),
+            sequencer: virtual_root(),
+        };
+        gateway.send(node.id, act).unwrap();
+        match next(gateway) {
+            ClusterMessage::DirReq {
+                op: DirOp::PlacementOf(_),
+                ..
+            } => {}
+            other => panic!("expected the placement query, got {other:?}"),
+        }
+    }
+
+    fn next(gateway: &Endpoint<ClusterMessage>) -> ClusterMessage {
+        gateway
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap()
+            .expect("the node sent nothing for 5 s")
+    }
+
+    fn stop(node: &NodeShared, gateway: &Endpoint<ClusterMessage>) -> Duration {
+        let _ = gateway.send(node.id, ClusterMessage::Shutdown);
+        let joined = Instant::now();
+        node.crash();
+        let took = joined.elapsed();
+        gateway.network().deregister(node.id);
+        took
+    }
+
+    /// Regression test: a node process's directory RPC was not in the
+    /// node's table, so a node stopped in its middle left the worker
+    /// waiting out the RPC's 10 s time-out, and its pool join with it.
+    #[test]
+    fn a_node_that_stops_answers_a_directory_rpc_in_flight_at_once() {
+        let (node, gateway) = node_with_a_silent_authority();
+        ask_where_an_unhosted_target_is(&node, &gateway);
+        gateway.send(node.id, ClusterMessage::Shutdown).unwrap();
+        match next(&gateway) {
+            ClusterMessage::Done { event, result, .. } => {
+                assert_eq!(event, EventId::new(1));
+                assert_eq!(result, Err(AeonError::RuntimeShutdown));
+            }
+            other => panic!("expected the event's Done, got {other:?}"),
+        }
+        let took = stop(&node, &gateway);
+        assert!(took < Duration::from_secs(1), "the pool join took {took:?}");
+    }
+
+    /// Regression test: a node process's worker waited for a `DirAck`
+    /// without announcing it, so a pool of one ran nothing else until the
+    /// authority answered or the RPC timed out.
+    #[test]
+    fn a_directory_rpc_in_flight_leaves_the_pool_to_other_work() {
+        let (node, gateway) = node_with_a_silent_authority();
+        let room = ContextId::new(7);
+        let host = ClusterMessage::Host {
+            corr: 1,
+            context: room,
+            class: "Room".into(),
+            state: Value::Null,
+            escrow: node.directory.escrow_put(Box::new(KvContext::new("Room"))),
+            reply_to: gateway_id(),
+        };
+        gateway.send(node.id, host).unwrap();
+        assert!(matches!(
+            next(&gateway),
+            ClusterMessage::HostAck { result: Ok(()), .. }
+        ));
+        ask_where_an_unhosted_target_is(&node, &gateway);
+        let exec = ClusterMessage::Exec {
+            event: event(2, room, "set", args!["k", 1i64]),
+            sequencer: None,
+        };
+        gateway.send(node.id, exec).unwrap();
+        match next(&gateway) {
+            ClusterMessage::Done { event, result, .. } => {
+                assert_eq!(event, EventId::new(2));
+                assert!(result.is_ok(), "{result:?}");
+            }
+            other => panic!("expected the Exec's Done, got {other:?}"),
+        }
+        stop(&node, &gateway);
     }
 }

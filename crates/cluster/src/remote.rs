@@ -3,11 +3,11 @@
 //! The `aeon-node` binary calls [`run_node`] with this process's server id,
 //! its listen address, the gateway's address, and the addresses of its peer
 //! nodes.  The function builds a TCP-backed [`Network`], attaches a
-//! *remote* [`Directory`] handle (control-plane queries become
-//! `DirReq`/`DirAck` RPCs to the gateway, see [`crate::Directory`]), spawns
-//! the ordinary node machinery — the same message handler (here called by
-//! the transport's reader threads) and sharded worker pool used in-process —
-//! and blocks until the gateway sends `Shutdown`.
+//! *remote* [`Directory`] handle (the node asks the control plane with
+//! `DirReq`/`DirAck` round trips to the gateway, see [`crate::Directory`]),
+//! spawns the ordinary node machinery — the same message handler (here
+//! called by the transport's reader threads) and sharded worker pool used
+//! in-process — and blocks until the gateway sends `Shutdown`.
 
 use crate::directory::Directory;
 use crate::message::{gateway_id, ClusterMessage};
@@ -75,7 +75,7 @@ where
     transport_config = transport_config.peer(gateway_id(), config.gateway);
     let transport = TcpTransport::bind(transport_config)?;
     let network: Network<ClusterMessage> = Network::with_transport(Arc::new(transport));
-    let directory = Arc::new(Directory::remote(config.id, network.clone()));
+    let directory = Arc::new(Directory::remote());
     register(&directory);
     let node = spawn_node(config.id, directory, &network, config.executor);
     node.wait_stopped();

@@ -23,9 +23,11 @@
 //! module ([`ClusterMessage`], [`DirOp`], [`DirReply`]) and the one beside
 //! `AeonError`'s `Wire` impl in `aeon_types::codec`: `tag => Variant`, one
 //! byte each.  Tags are part of the format: a new variant takes a fresh
-//! tag, a retired tag is not reused (0, an older `Host`, and 11–20, the
-//! migration and snapshot-freeze messages, are retired), and declaration
-//! order in `message.rs` means nothing here.
+//! tag, a retired tag is not reused, and declaration order in `message.rs`
+//! means nothing here.  Retired: message tags 0 (an older `Host`) and
+//! 11–20 (the migration and snapshot-freeze messages); `DirOp` tags 2
+//! (`MayCall`) and 3 (`ClassOf`); `DirReply` tags 1 (`Flag`) and 5
+//! (`Class`).
 //!
 //! # Fields
 //!
@@ -103,7 +105,6 @@ wire! { struct NodeMetrics {
 wire! { enum DirOp {
     0 => PlacementOf(context),
     1 => SetPlacement(context, server),
-    3 => ClassOf(context),
     4 => ChildrenOf { parent, class },
     5 => AddEdge(owner, owned),
     6 => RemoveEdge(owner, owned),
@@ -117,7 +118,6 @@ wire! { enum DirReply {
     2 => Server(server),
     3 => Context(context),
     4 => Contexts(contexts),
-    5 => Class(class),
 } }
 
 wire! { enum ClusterMessage {
