@@ -18,12 +18,12 @@
 //! one event, so *any* consistent cut of the system conserves the total
 //! balance.  A torn snapshot is precisely a cut that breaks it.
 
+use crate::{register_factories, restored, ClassFactory};
 use aeon_api::Deployment;
 use aeon_ownership::ClassGraph;
-use aeon_runtime::{context_class, ContextClass, ContextObject, Invocation, Placement, Snapshot};
+use aeon_runtime::{context_class, ContextClass, Invocation, Placement, Snapshot};
 use aeon_types::{args, AeonError, Args, ContextId, Result, Value};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Class constraints of the bank, with method metadata declared from the
 /// tables.
@@ -297,26 +297,21 @@ pub fn captured_account_total(snapshot: &Snapshot) -> i64 {
         .sum()
 }
 
+/// The bank's classes, each with the factory that rebuilds it from a
+/// snapshot.
+pub fn bank_factories() -> Vec<ClassFactory> {
+    vec![
+        ("Account", restored::<Account>()),
+        ("Branch", restored::<Branch>()),
+        ("Bank", restored::<Bank>()),
+    ]
+}
+
 /// Registers snapshot factories for the bank classes, so migration and
 /// crash re-hosting work on backends that rebuild objects from serialised
 /// state.
 pub fn register_bank_factories(deployment: &dyn Deployment) {
-    deployment.register_class_factory(
-        "Account",
-        Arc::new(|state: &Value| {
-            let mut account = Account::default();
-            ContextObject::restore(&mut account, state);
-            Box::new(account) as Box<dyn ContextObject>
-        }),
-    );
-    deployment.register_class_factory(
-        "Branch",
-        Arc::new(|_state: &Value| Box::new(Branch) as Box<dyn ContextObject>),
-    );
-    deployment.register_class_factory(
-        "Bank",
-        Arc::new(|_state: &Value| Box::new(Bank) as Box<dyn ContextObject>),
-    );
+    register_factories(deployment, bank_factories());
 }
 
 #[cfg(test)]

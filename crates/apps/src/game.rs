@@ -11,6 +11,7 @@
 //! [`aeon_api::Deployment`], so the same game runs unchanged on the
 //! in-process runtime, the distributed cluster, and the virtual-time sim.
 
+use crate::{restored, ClassFactory};
 use aeon_api::Deployment;
 use aeon_ownership::ClassGraph;
 use aeon_runtime::{context_class, ContextClass, Invocation, KvContext};
@@ -33,6 +34,16 @@ pub fn game_class_graph() -> ClassGraph {
 // ---------------------------------------------------------------------------
 // Contextclasses.
 // ---------------------------------------------------------------------------
+
+/// The game's classes, each with the factory that rebuilds it from a
+/// snapshot (its items are key-value contexts of class `Item`).
+pub fn game_factories() -> Vec<ClassFactory> {
+    vec![
+        ("Building", restored::<Building>()),
+        ("Room", restored::<Room>()),
+        ("Player", restored::<Player>()),
+    ]
+}
 
 /// The `Building` contextclass of Listing 1: owns rooms, can update the time
 /// of day in every room with `async` calls and count players read-only.

@@ -21,6 +21,32 @@ pub use social::{
 };
 pub use tpcc::TransactionKind;
 
+use aeon_api::Deployment;
+use aeon_runtime::{ContextFactory, ContextObject};
+use std::sync::Arc;
+
+/// A contextclass's name and the factory that rebuilds its object from a
+/// snapshot: one entry of an application's factory list
+/// ([`bank::bank_factories`], [`game::game_factories`],
+/// [`social::social_factories`]).
+pub type ClassFactory = (&'static str, ContextFactory);
+
+/// The factory of `T`: a default `T`, restored from the state.
+fn restored<T: ContextObject + Default + 'static>() -> ContextFactory {
+    Arc::new(|state| {
+        let mut object = T::default();
+        object.restore(state);
+        Box::new(object) as Box<dyn ContextObject>
+    })
+}
+
+/// Registers every factory of `factories` with `deployment`.
+fn register_factories(deployment: &dyn Deployment, factories: Vec<ClassFactory>) {
+    for (class, factory) in factories {
+        deployment.register_class_factory(class, factory);
+    }
+}
+
 /// Class graph of a plain key/value deployment: the single `Kv` class
 /// ([`aeon_runtime::KvContext`]'s method table) with no ownership
 /// constraints — the smallest graph `aeon-lint` exercises.

@@ -19,14 +19,14 @@
 //! buffers capped at `feed_capacity` posts, which keeps memory bounded even
 //! at the 10⁶-context scale the `tests/social_scale.rs` suite deploys.
 
+use crate::{register_factories, restored, ClassFactory};
 use aeon_api::{Deployment, Session};
 use aeon_ownership::ClassGraph;
-use aeon_runtime::{context_class, ContextClass, ContextObject, Invocation, Placement};
+use aeon_runtime::{context_class, ContextClass, Invocation, Placement};
 use aeon_types::{args, AeonError, Args, ContextId, Result, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::Arc;
 
 /// Class constraints of the social graph, with method metadata declared
 /// from the tables.  `User` owns `User` (invitation chains) and `Feed`
@@ -673,30 +673,21 @@ pub fn run_social_stream(
     Ok(report)
 }
 
+/// The social network's classes, each with the factory that rebuilds it
+/// from a snapshot.
+pub fn social_factories() -> Vec<ClassFactory> {
+    vec![
+        ("Feed", restored::<Feed>()),
+        ("User", restored::<User>()),
+        ("Region", restored::<Region>()),
+    ]
+}
+
 /// Registers snapshot factories for the social classes, so migration and
 /// crash re-hosting work on backends that rebuild objects from serialised
 /// state.
 pub fn register_social_factories(deployment: &dyn Deployment) {
-    deployment.register_class_factory(
-        "Feed",
-        Arc::new(|state: &Value| {
-            let mut feed = Feed::default();
-            ContextObject::restore(&mut feed, state);
-            Box::new(feed) as Box<dyn ContextObject>
-        }),
-    );
-    deployment.register_class_factory(
-        "User",
-        Arc::new(|state: &Value| {
-            let mut user = User::default();
-            ContextObject::restore(&mut user, state);
-            Box::new(user) as Box<dyn ContextObject>
-        }),
-    );
-    deployment.register_class_factory(
-        "Region",
-        Arc::new(|_state: &Value| Box::new(Region) as Box<dyn ContextObject>),
-    );
+    register_factories(deployment, social_factories());
 }
 
 #[cfg(test)]

@@ -16,9 +16,9 @@
 //! could park, a transport reader over TCP.  Every arm completes a waiting
 //! caller through its reply or sends; none waits.  What the gateway waits
 //! on — every routed event until its `Done`, every control round trip
-//! (`Host`, `MetricsReq`) until its answer — is one table of pending
-//! requests (`crate::pending`), which `teardown` closes: each of them
-//! reads `RuntimeShutdown` at once, and nothing opens after.  The `Done`
+//! (a node process's `Host`, `MetricsReq`) until its answer — is one table
+//! of pending requests (`crate::pending`), which `teardown` closes: each of
+//! them reads `RuntimeShutdown` at once, and nothing opens after.  The `Done`
 //! arm submits the event's sub-events, i.e. routes and sends from inside a
 //! handler — which is why [`ClusterInner::send`] must never run under a
 //! guard.  The
@@ -26,10 +26,18 @@
 //! `ClusterClient` handles alone, and `shutdown` (or dropping the last of
 //! them) deregisters every handler, joins every pool and transport thread,
 //! and leaves nothing behind.
+//!
+//! A new context, or one restored from its state, is hosted by one step,
+//! `ClusterInner::host`.  A node in the gateway's own process is *called*:
+//! it is handed a new context's object whole, or rebuilds a restored one
+//! with its class factory, and no message is sent.  A node process
+//! (`TcpMesh`) is sent a `Host` carrying class and state, and builds the
+//! object there with its own factory.  Everything else the gateway does to
+//! a node — route an event, ask for metrics, stop it — is a message.
 
 use crate::directory::Directory;
 use crate::message::{gateway_id, ClusterMessage, EventDescriptor};
-use crate::node::{spawn_node, NodeShared, NO_ESCROW};
+use crate::node::{spawn_node, NodeShared};
 use crate::pending::{unexpected, Pending, Waiter};
 use crate::wire::message_wire_len;
 use aeon_net::{
@@ -405,6 +413,39 @@ impl ClusterInner {
         self.pending.close();
     }
 
+    /// Hosts `context` on `server`: a node in this process is handed the
+    /// object, a node process is sent a `Host` with the state and answers
+    /// with its `HostAck`.  No guard is held across either.
+    fn host(&self, server: ServerId, context: ContextId, hosted: Hosted<'_>) -> Result<()> {
+        let node = self.nodes.lock().get(&server).cloned();
+        if let Some(node) = node {
+            return node.host(context, || match hosted {
+                Hosted::New(object) => Ok(object),
+                Hosted::Restored(class, state) => node.rebuild(class, state),
+            });
+        }
+        let (class, state) = match hosted {
+            Hosted::New(object) => (object.class_name().to_string(), object.snapshot()),
+            Hosted::Restored(class, state) => (class.to_string(), state.clone()),
+        };
+        let host = |corr| ClusterMessage::Host {
+            corr,
+            context,
+            class,
+            state,
+            reply_to: gateway_id(),
+        };
+        let ack = self
+            .pending
+            .round_trip(server, host, None, CONTROL_TIMEOUT, || {
+                AeonError::ServerNotFound(server)
+            })?;
+        match ack {
+            ClusterMessage::HostAck { result, .. } => result,
+            other => Err(unexpected(&other)),
+        }
+    }
+
     /// Sends `message` to `to`.  The node's handler may run inside this
     /// call, on this thread, and answer the gateway before it returns:
     /// **never call it with a guard held** (the plane's, `nodes`).
@@ -505,6 +546,14 @@ impl ClusterInner {
         };
         self.send(server, message)
     }
+}
+
+/// What [`ClusterInner::host`] installs.
+enum Hosted<'a> {
+    /// A new context's object.
+    New(Box<dyn ContextObject>),
+    /// A context's class and captured state, rebuilt by its class factory.
+    Restored(&'a str, &'a Value),
 }
 
 /// Handles one message addressed to the gateway, on the thread that
@@ -612,48 +661,21 @@ impl Cluster {
 
     /// Creates a context: `declare` enters it into the control plane under
     /// the id it is handed (validating everything first) and names the
-    /// server, which is then asked to host the object; if that fails the
-    /// context is forgotten again.  A shut-down cluster creates nothing.
+    /// server, which then hosts the object; if that fails the context is
+    /// forgotten again.  A shut-down cluster creates nothing.
     fn host_new_context(
         &self,
         object: Box<dyn ContextObject>,
         declare: impl FnOnce(&mut ControlPlane, ContextId, &str) -> Result<ServerId>,
     ) -> Result<ContextId> {
         self.inner.running()?;
-        let class = object.class_name().to_string();
         let id = self.inner.directory.next_context_id();
-        let server = declare(&mut self.inner.plane().write(), id, &class)?;
-        // The snapshot travels on the wire (a node in another process
-        // rebuilds from it); the object itself is parked in escrow so a
-        // same-process node can move it in without a factory.
-        let state = object.snapshot();
-        let escrow = self.inner.directory.escrow_put(object);
-        let host = |corr| ClusterMessage::Host {
-            corr,
-            context: id,
-            class,
-            state,
-            escrow,
-            reply_to: gateway_id(),
-        };
-        let ack = self
-            .inner
-            .pending
-            .round_trip(server, host, None, CONTROL_TIMEOUT, || {
-                AeonError::ServerNotFound(server)
-            });
-        let outcome = match ack {
-            Ok(ClusterMessage::HostAck { result, .. }) => result.map(|()| id),
-            Ok(other) => Err(unexpected(&other)),
-            Err(error) => Err(error),
-        };
-        // A cross-process node used its factory; drop the unclaimed
-        // escrow entry either way so nothing leaks.
-        let _ = self.inner.directory.escrow_take(escrow);
-        if outcome.is_err() {
+        let server = declare(&mut self.inner.plane().write(), id, object.class_name())?;
+        let hosted = self.inner.host(server, id, Hosted::New(object));
+        if hosted.is_err() {
             let _ = self.inner.plane().write().forget(id);
         }
-        outcome
+        hosted.map(|()| id)
     }
 
     /// Network traffic statistics (local vs. remote messages).
@@ -971,43 +993,20 @@ impl Deployment for Cluster {
                 reason: format!("no factory registered for class {class}"),
             });
         }
-        let host = |corr| ClusterMessage::Host {
-            corr,
-            context,
-            class,
-            state: state.clone(),
-            escrow: NO_ESCROW,
-            reply_to: gateway_id(),
-        };
-        let ack = self
-            .inner
-            .pending
-            .round_trip(server, host, None, CONTROL_TIMEOUT, || {
-                AeonError::MigrationFailed {
-                    context,
-                    reason: format!("server {server} did not acknowledge a control message"),
-                }
-            });
-        match ack? {
-            ClusterMessage::HostAck { result: Ok(()), .. } => {
-                // Placed once installed: nothing is routed to a server that
-                // cannot serve it yet.
-                self.inner.plane().write().set_placement(context, server)?;
-                // A re-host is recorded as a single-write event: everything
-                // the context does afterwards happens-after this install.
-                if let Some(sink) = self.inner.directory.history_sink() {
-                    let event = EventId::new(self.inner.directory.next_raw());
-                    sink.invoked(event);
-                    sink.accessed(event, context, AccessMode::Exclusive);
-                    sink.responded(event);
-                }
-                Ok(())
-            }
-            ClusterMessage::HostAck {
-                result: Err(err), ..
-            } => Err(err),
-            other => Err(unexpected(&other)),
+        self.inner
+            .host(server, context, Hosted::Restored(&class, state))?;
+        // Placed once installed: nothing is routed to a server that cannot
+        // serve it yet.
+        self.inner.plane().write().set_placement(context, server)?;
+        // A re-host is recorded as a single-write event: everything the
+        // context does afterwards happens-after this install.
+        if let Some(sink) = self.inner.directory.history_sink() {
+            let event = EventId::new(self.inner.directory.next_raw());
+            sink.invoked(event);
+            sink.accessed(event, context, AccessMode::Exclusive);
+            sink.responded(event);
         }
+        Ok(())
     }
 
     /// Shuts the cluster down: nodes stop accepting messages, blocked events
@@ -1150,14 +1149,11 @@ mod tests {
         let cluster = Cluster::builder().servers(1).build().unwrap();
         cluster.register_class_factory("Item", Arc::new(|_: &Value| panic!("no such item")));
         let server = cluster.servers()[0];
-        // An escrow token nothing was parked under, as a node in another
-        // process sees every `Host`.
         let host = |corr| ClusterMessage::Host {
             corr,
             context: ContextId::new(77),
             class: "Item".into(),
             state: Value::Null,
-            escrow: u64::MAX,
             reply_to: gateway_id(),
         };
         let ack = cluster
@@ -1174,6 +1170,56 @@ mod tests {
             Err(AeonError::Panicked {
                 reason: "no such item".into()
             })
+        );
+        cluster.shutdown();
+    }
+
+    /// Work that reaches a node its context has left is sent on by that
+    /// node's worker, after the forwarding pointer: the new host runs it
+    /// and answers its `Done`.
+    #[test]
+    fn an_exec_delivered_where_its_context_was_runs_at_its_new_host() {
+        let cluster = Cluster::builder().servers(2).build().unwrap();
+        cluster.register_class_factory(
+            "Item",
+            Arc::new(|state: &Value| {
+                let mut item = KvContext::new("Item");
+                aeon_runtime::ContextObject::restore(&mut item, state);
+                Box::new(item) as Box<dyn ContextObject>
+            }),
+        );
+        let [from, to] = cluster.servers()[..] else {
+            panic!("two servers");
+        };
+        let item = cluster
+            .create_context(Box::new(KvContext::new("Item")), Placement::Server(from))
+            .unwrap();
+        cluster.migrate_context(item, to).unwrap();
+        let executed = cluster.events_executed();
+        let id = EventId::new(cluster.inner.directory.next_raw());
+        let (tx, handle) = EventHandle::new(id, Some(CONTROL_TIMEOUT));
+        let corr = cluster.inner.pending.open(Waiter::Event(None, tx)).unwrap();
+        let event = EventDescriptor {
+            id,
+            client: None,
+            corr,
+            target: item,
+            method: "set".into(),
+            args: args!["gold", 5i64],
+            mode: AccessMode::Exclusive,
+        };
+        let exec = ClusterMessage::Exec {
+            event,
+            sequencer: None,
+        };
+        cluster.inner.send(from, exec).unwrap();
+        assert!(handle.wait().is_ok());
+        let now = cluster.events_executed();
+        assert_eq!((now[&from], now[&to]), (executed[&from], executed[&to] + 1));
+        let client = cluster.client();
+        assert_eq!(
+            client.call_readonly(item, "get", args!["gold"]).unwrap(),
+            Value::from(5i64)
         );
         cluster.shutdown();
     }

@@ -25,9 +25,9 @@
 //! (`TryFrom`), so node code is oblivious to which flavour it holds and
 //! neither flavour has a rule of its own.  Context *state* is never stored
 //! here — it lives only on the server currently hosting the context and
-//! moves exclusively through the migration protocol.  Class factories, the
-//! escrow, id generation and the history sink are process-local concerns
-//! and stay local on both flavours; a remote handle issues no ids of its
+//! moves exclusively through the migration protocol.  Class factories, id
+//! generation and the history sink are process-local concerns and stay
+//! local on both flavours; a remote handle issues no ids of its
 //! own (a node's new contexts get theirs at the authority, and a request's
 //! token comes from its sender's table).
 //!
@@ -36,9 +36,9 @@
 
 use crate::message::{DirOp, DirReply};
 use aeon_ownership::{ClassGraph, ControlPlane};
-use aeon_runtime::{ContextFactory, ContextObject};
+use aeon_runtime::ContextFactory;
 use aeon_types::{ClassName, ContextId, IdGenerator, Result, SharedHistorySink};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::HashMap;
 
 /// Shared control-plane state of a cluster (authority or remote handle).
@@ -48,10 +48,6 @@ pub struct Directory {
     plane: Option<RwLock<ControlPlane>>,
     factories: RwLock<HashMap<ClassName, ContextFactory>>,
     ids: IdGenerator,
-    /// Objects parked between `create_context` and the node's `Host`
-    /// handler when gateway and node share a process: the token travels on
-    /// the wire, the object is moved through here without serialisation.
-    escrow: Mutex<HashMap<u64, Box<dyn ContextObject>>>,
     /// Optional live history sink, shared by the gateway (event spans) and
     /// every node (context accesses); in a real deployment each host would
     /// hold its own handle to the same collector service.
@@ -84,7 +80,6 @@ impl Directory {
             plane,
             factories: RwLock::new(HashMap::new()),
             ids: IdGenerator::starting_at(1),
-            escrow: Mutex::new(HashMap::new()),
             history: RwLock::new(None),
         }
     }
@@ -177,20 +172,6 @@ impl Directory {
         self.ids.next_raw()
     }
 
-    // -- escrow -------------------------------------------------------------
-
-    /// Parks an object for same-process hand-off and returns its token.
-    pub(crate) fn escrow_put(&self, object: Box<dyn ContextObject>) -> u64 {
-        let token = self.ids.next_raw();
-        self.escrow.lock().insert(token, object);
-        token
-    }
-
-    /// Claims a parked object, if the token was escrowed in this process.
-    pub(crate) fn escrow_take(&self, token: u64) -> Option<Box<dyn ContextObject>> {
-        self.escrow.lock().remove(&token)
-    }
-
     // -- factories ----------------------------------------------------------
 
     /// Registers the factory used to rebuild contexts of `class` from their
@@ -238,16 +219,6 @@ mod tests {
             }),
         );
         assert!(dir.factory_for("Item").is_some());
-    }
-
-    #[test]
-    fn escrow_moves_objects_by_token() {
-        let dir = Directory::new(None);
-        let token = dir.escrow_put(Box::new(KvContext::new("Item")));
-        assert!(dir.escrow_take(token + 1).is_none());
-        let object = dir.escrow_take(token).expect("escrowed object");
-        assert_eq!(object.class_name(), "Item");
-        assert!(dir.escrow_take(token).is_none(), "take is one-shot");
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! distributed deployment exercises the same message flow as the paper's
 //! prototype.  A migration (§5.2) is an event of that protocol; the only
 //! message of its own is the `Host` that carries the state to its
-//! destination, the one that also hosts a new context.  Every variant
+//! destination, the one the gateway also sends a node process to host a
+//! new or restored context (a node in the gateway's own process is handed
+//! its object by a call, not a message).  Every variant
 //! has a byte representation (see `crate::wire`), so the same protocol runs
 //! unchanged over in-process channels and over TCP between real OS
 //! processes.
@@ -156,8 +158,8 @@ unpack_dir_reply! {
 /// A message of the cluster protocol.
 #[derive(PartialEq)]
 pub enum ClusterMessage {
-    /// Gateway → server: host a newly created (or re-hosted) context;
-    /// server → server: host a context migrating in.
+    /// Gateway → node process: host a newly created (or re-hosted)
+    /// context; server → server: host a context migrating in.
     Host {
         /// Correlation token echoed in [`ClusterMessage::HostAck`].
         corr: u64,
@@ -166,14 +168,8 @@ pub enum ClusterMessage {
         /// Contextclass name.
         class: String,
         /// Snapshot of the object's state; the receiver rebuilds the object
-        /// from it with the class factory unless the escrow holds it.
+        /// from it with the class factory.
         state: Value,
-        /// Escrow token: when the gateway creates a context in the nodes'
-        /// process, the original object is parked in the directory's escrow
-        /// under this token and moved (not rebuilt), preserving the
-        /// zero-serialisation channel semantics — and letting factory-less
-        /// tests keep working.  A migration or a restore parks nothing.
-        escrow: u64,
         /// Where the [`ClusterMessage::HostAck`] goes: the gateway, or the
         /// node the context migrates from.
         reply_to: ServerId,

@@ -13,12 +13,12 @@
 //!   activations, remote calls) — goes to the node's sharded worker pool
 //!   through `offload`, an unbounded push that does not block, keyed by the
 //!   context of the work's first lock.  The arms that run in line only flip
-//!   a map and send an acknowledgement: `Host` (insert the object, for a new
-//!   context or one migrating in; its class factory, the one piece of
-//!   application code reached from here, runs under the panic boundary),
-//!   `Release` (releasing a lock never blocks), `CallReply` / `HostAck` /
-//!   `DirAck` (complete a waiting round trip), `MetricsReq` (read
-//!   counters), `Shutdown`.
+//!   a map and send an acknowledgement: `Host` (rebuild the object from its
+//!   state with the class factory, the one piece of application code
+//!   reached from here, under the panic boundary, and install it through
+//!   [`NodeShared::host`]), `Release` (releasing a lock never blocks),
+//!   `CallReply` / `HostAck` / `DirAck` (complete a waiting round trip),
+//!   `MetricsReq` (read counters), `Shutdown`.
 //! * **No unit of work waits for its first lock on a worker; a worker
 //!   waits only inside `block_in_place`.**  The pool is fixed-size (a
 //!   thread per blocking message does not scale), so a worker must not sit
@@ -48,10 +48,19 @@
 //!   everything it touches is a lock-protected map or an atomic.
 //! * **Recursion is bounded by the protocol**, not by load.  The longest
 //!   chain is a worker's `Done` → the gateway's arm → a sub-event's `submit`
-//!   → `route` → this `dispatch` → `offload`, where it ends.  A forwarded
-//!   request is a nested `dispatch` per hop; the hops follow the context's
-//!   moves forward in time and a `Host` drops the pointer of a context that
-//!   returns, so a chain visits a server at most once.
+//!   → `route` → this `dispatch` → `offload`, where it ends.  Work for a
+//!   context that left is forwarded by a worker of the node it reached
+//!   (its first lock is not hosted there: `look_again`), one pool hop per
+//!   server; the hops follow the context's moves forward in time and
+//!   hosting drops the pointer of a context that returns, so a chain visits
+//!   a server at most once.
+//!
+//! **Hosting is one step, [`NodeShared::host`]**: it refuses a stopped node,
+//! installs the object and drops a stale forwarding pointer.  The `Host`
+//! arm ends in it — a context migrating in, or one the gateway creates or
+//! restores on a node process — and so does the gateway's direct call for
+//! a node in its own process, which hands over a new context's object
+//! whole or lets the node rebuild a restored one.
 //!
 //! **Every request a worker waits on is a round trip through the node's
 //! table** (`crate::pending`): a remote call's `Call`, a migration's
@@ -108,9 +117,6 @@ use std::time::Duration;
 const CALL_TIMEOUT: Duration = Duration::from_secs(30);
 /// How long a node process waits for the authority's answer to a [`DirOp`].
 const DIR_RPC_TIMEOUT: Duration = Duration::from_secs(10);
-/// The escrow token of a `Host` that parks no object: a migrating or
-/// restored context is always rebuilt from its state by the class factory.
-pub(crate) const NO_ESCROW: u64 = u64::MAX;
 
 /// A node: the state its message handler and its worker threads share.
 pub(crate) struct NodeShared {
@@ -205,13 +211,36 @@ impl NodeShared {
     }
 
     /// Rebuilds an object of `class` from `state` with the registered
-    /// factory (`None` without one).  The factory is application code: a
-    /// panic in it becomes the error the waiting party is answered with,
-    /// instead of unwinding into whoever delivered the message.
-    fn rebuild(&self, class: &str, state: &Value) -> Option<Result<Box<dyn ContextObject>>> {
-        let factory = self.directory.factory_for(class)?;
+    /// factory.  The factory is application code: a panic in it becomes the
+    /// error the waiting party is answered with, instead of unwinding into
+    /// whoever delivered the message.
+    pub(crate) fn rebuild(&self, class: &str, state: &Value) -> Result<Box<dyn ContextObject>> {
+        let factory = self.directory.factory_for(class).ok_or_else(|| {
+            AeonError::Config(format!(
+                "no factory registered for contextclass {class} on this node"
+            ))
+        })?;
         let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| factory(state)));
-        Some(built.map_err(AeonError::from_panic))
+        built.map_err(AeonError::from_panic)
+    }
+
+    /// Hosts `context` here with the object `object` hands over — a new
+    /// context's, or one rebuilt from its state.  A stopped node hosts
+    /// nothing and reads as gone, like a send to it.
+    pub(crate) fn host(
+        &self,
+        context: ContextId,
+        object: impl FnOnce() -> Result<Box<dyn ContextObject>>,
+    ) -> Result<()> {
+        if !self.running.load(Ordering::SeqCst) {
+            return Err(AeonError::ServerNotFound(self.id));
+        }
+        self.core.install(context, object()?);
+        // A context coming back: the pointer left when it moved away is
+        // stale, and following it would bounce requests between this node
+        // and the last host.
+        self.forwarding.write().remove(&context);
+        Ok(())
     }
 
     /// Where `context` went when it was migrated away from here, copied
@@ -293,43 +322,15 @@ pub(crate) fn spawn_node(
 /// Handles one message on the thread that delivered it; see the module docs
 /// for why no arm may wait.
 fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
-    // Work for a context that migrated away: its new host serves it.
-    if let Some((_, _, context)) = message.first_lock() {
-        if shared.core.slot(context).is_none() {
-            if let Some(next) = shared.forwarded(context) {
-                return shared.send(next, message);
-            }
-        }
-    }
     match message {
         ClusterMessage::Host {
             corr,
             context,
             class,
             state,
-            escrow,
             reply_to,
         } => {
-            // Same-process creation: the original object was parked in the
-            // directory's escrow and is moved in without serialisation.
-            // Across processes the token misses, and a migrating context
-            // parks nothing: the object is rebuilt from its state with the
-            // class factory.
-            let object = match shared.directory.escrow_take(escrow) {
-                Some(object) => Ok(object),
-                None => shared.rebuild(&class, &state).unwrap_or_else(|| {
-                    Err(AeonError::Config(format!(
-                        "no factory registered for contextclass {class} on this node"
-                    )))
-                }),
-            };
-            let result = object.map(|object| {
-                shared.core.install(context, object);
-                // A context coming back: the pointer left when it moved
-                // away is stale, and following it would bounce requests
-                // between this node and the last host.
-                shared.forwarding.write().remove(&context);
-            });
+            let result = shared.host(context, || shared.rebuild(&class, &state));
             shared.send(
                 reply_to,
                 ClusterMessage::HostAck {
@@ -583,8 +584,6 @@ struct NodeHost<'a> {
     /// Servers (other than this one) holding locks for the event because of
     /// calls issued here.
     participants: BTreeSet<ServerId>,
-    /// Where the context `enter` last reported remote lives.
-    located: Option<ServerId>,
     /// Contexts on other servers that calls issued here entered.
     entered_remote: Vec<ContextId>,
 }
@@ -594,7 +593,6 @@ impl<'a> NodeHost<'a> {
         Self {
             node,
             participants: BTreeSet::new(),
-            located: None,
             entered_remote: Vec::new(),
         }
     }
@@ -628,8 +626,7 @@ impl ContextHost for NodeHost<'_> {
                 },
             };
             if server != node.id {
-                self.located = Some(server);
-                return Ok(Entered::Remote);
+                return Ok(Entered::Remote(server));
             }
             // Placed here, yet not found a moment ago: a context is
             // installed before it is placed, so it has just come back —
@@ -655,16 +652,13 @@ impl ContextHost for NodeHost<'_> {
     fn remote_call(
         &mut self,
         event: &EventMeta,
+        server: ServerId,
         caller: Option<ContextId>,
         target: ContextId,
         method: &str,
         args: &Args,
     ) -> Result<(Value, Vec<SubEvent>)> {
         let node = self.node;
-        let server = self
-            .located
-            .take()
-            .ok_or_else(|| AeonError::internal(format!("{target} was not entered")))?;
         let call = |corr| ClusterMessage::Call {
             event: event.id,
             mode: event.mode,
@@ -771,7 +765,6 @@ impl ContextHost for NodeHost<'_> {
             context: target,
             class,
             state,
-            escrow: NO_ESCROW,
             reply_to: node.id,
         };
         let answer =
@@ -888,19 +881,8 @@ mod tests {
     fn a_directory_rpc_in_flight_leaves_the_pool_to_other_work() {
         let (node, gateway) = node_with_a_silent_authority();
         let room = ContextId::new(7);
-        let host = ClusterMessage::Host {
-            corr: 1,
-            context: room,
-            class: "Room".into(),
-            state: Value::Null,
-            escrow: node.directory.escrow_put(Box::new(KvContext::new("Room"))),
-            reply_to: gateway_id(),
-        };
-        gateway.send(node.id, host).unwrap();
-        assert!(matches!(
-            next(&gateway),
-            ClusterMessage::HostAck { result: Ok(()), .. }
-        ));
+        node.host(room, || Ok(Box::new(KvContext::new("Room"))))
+            .unwrap();
         ask_where_an_unhosted_target_is(&node, &gateway);
         let exec = ClusterMessage::Exec {
             event: event(2, room, "set", args!["k", 1i64]),

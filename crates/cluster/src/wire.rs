@@ -24,8 +24,9 @@
 //! `AeonError`'s `Wire` impl in `aeon_types::codec`: `tag => Variant`, one
 //! byte each.  Tags are part of the format: a new variant takes a fresh
 //! tag, a retired tag is not reused, and declaration order in `message.rs`
-//! means nothing here.  Retired: message tags 0 (an older `Host`) and
-//! 11–20 (the migration and snapshot-freeze messages); `DirOp` tags 2
+//! means nothing here.  Retired: message tags 0 and 24 (older `Host`s, the
+//! last with an escrow token) and 11–20 (the migration and snapshot-freeze
+//! messages); `DirOp` tags 2
 //! (`MayCall`) and 3 (`ClassOf`); `DirReply` tags 1 (`Flag`) and 5
 //! (`Class`).
 //!
@@ -134,7 +135,7 @@ wire! { enum ClusterMessage {
     21 => MetricsReq { corr },
     22 => MetricsAck { corr, metrics },
     23 => Shutdown,
-    24 => Host { corr, context, class, state, escrow, reply_to },
+    25 => Host { corr, context, class, state, reply_to },
 } }
 
 #[cfg(test)]
@@ -206,7 +207,6 @@ mod tests {
                 context: cx(2),
                 class: "Account".into(),
                 state: state.clone(),
-                escrow: (1 << 63) | 7,
                 reply_to: gateway_id(),
             },
             ClusterMessage::HostAck {
@@ -496,7 +496,7 @@ mod tests {
     fn a_nested_value_bomb_in_a_state_is_refused_not_a_stack_overflow() {
         // `Host { corr, context, class: "", state: [[[[… }`: 200 000 list
         // headers, about 1 MB, far below the transport's frame limit.
-        let mut payload = [&[24][..], &[0; 8], &[0; 8], &[0; 4]].concat();
+        let mut payload = [&[25][..], &[0; 8], &[0; 8], &[0; 4]].concat();
         for _ in 0..200_000 {
             payload.extend_from_slice(&[8, 0, 0, 0, 1]);
         }
@@ -565,7 +565,6 @@ mod tests {
                 context: ContextId::new(ctx_raw),
                 class: "Fuzz".into(),
                 state: state.clone(),
-                escrow: corr,
                 reply_to: srv(1),
             };
             roundtrip(&host);

@@ -730,3 +730,89 @@ fn an_act_queued_on_a_moving_sequencer_is_sequenced_at_its_new_host() {
         cluster.shutdown();
     }
 }
+
+/// A node in the gateway's process is handed a new context's object, or
+/// rebuilds a restored one, by a call: creating and restoring send nothing.
+#[test]
+fn hosting_on_a_node_in_the_gateways_process_sends_no_message() {
+    for transport in [ClusterTransport::Channel, ClusterTransport::TcpLoopback] {
+        let cluster = Cluster::builder()
+            .servers(2)
+            .transport(transport.clone())
+            .build()
+            .unwrap();
+        cluster.register_class_factory("Item", kv_factory());
+        let servers = cluster.servers();
+        let before = cluster.network_stats().snapshot();
+        let root = cluster
+            .create_context(
+                Box::new(KvContext::new("Item")),
+                Placement::Server(servers[0]),
+            )
+            .unwrap();
+        let owned = cluster
+            .create_owned_context(Box::new(KvContext::new("Item")), &[root])
+            .unwrap();
+        let gold = Value::map([("gold", Value::from(7i64))]);
+        let state = Value::map([("class", Value::from("Item")), ("map", gold)]);
+        cluster.restore_context(owned, &state, servers[1]).unwrap();
+        assert_eq!(cluster.network_stats().snapshot(), before, "{transport:?}");
+        assert_eq!(cluster.placement_of(owned), Ok(servers[1]));
+        let client = cluster.client();
+        assert_eq!(
+            client.call_readonly(owned, "get", args!["gold"]).unwrap(),
+            Value::from(7i64),
+            "{transport:?}"
+        );
+        cluster.shutdown();
+    }
+}
+
+/// A create that races the crash of its server, or the cluster's shutdown,
+/// either hosts its context — placed where it was declared — or fails and
+/// leaves no trace in the ownership network.
+#[test]
+fn a_create_racing_a_crash_or_a_shutdown_is_placed_or_forgotten() {
+    for transport in [ClusterTransport::Channel, ClusterTransport::TcpLoopback] {
+        for crash in [true, false] {
+            for round in 0..200 {
+                let cluster = Cluster::builder()
+                    .servers(1)
+                    .worker_threads(1)
+                    .transport(transport.clone())
+                    .build()
+                    .unwrap();
+                let server = cluster.servers()[0];
+                // Released together, then the create is held back a little
+                // less each round and the stop a little more, so the rounds
+                // sweep the create's whole path.
+                let start = std::sync::Barrier::new(2);
+                let hold_back = |rounds: usize| {
+                    start.wait();
+                    for _ in 0..rounds * 100 {
+                        std::hint::spin_loop();
+                    }
+                };
+                let created = std::thread::scope(|scope| {
+                    let create = scope.spawn(|| {
+                        hold_back(100usize.saturating_sub(round));
+                        cluster.create_context(Box::new(KvContext::new("Item")), Placement::Auto)
+                    });
+                    hold_back(round.saturating_sub(100));
+                    if crash {
+                        cluster.crash_server(server).unwrap();
+                    } else {
+                        cluster.shutdown();
+                    }
+                    create.join().unwrap()
+                });
+                let case = format!("{transport:?}, crash: {crash}, round {round}: {created:?}");
+                match created {
+                    Ok(context) => assert_eq!(cluster.placement_of(context), Ok(server), "{case}"),
+                    Err(_) => assert_eq!(cluster.ownership_graph().len(), 0, "{case}"),
+                }
+                cluster.shutdown();
+            }
+        }
+    }
+}

@@ -618,6 +618,29 @@ mod tests {
         deployment.shutdown();
     }
 
+    /// Regression test: every sim server reported the sim-wide latency, so
+    /// the SLA policy blamed the highest-id server whatever the load.
+    #[test]
+    fn sla_policy_rebalances_away_from_the_loaded_sim_server() {
+        let (deployment, contexts) = with_contexts(Backend::Sim, 2, 4);
+        let loaded = deployment.servers()[0];
+        let session = deployment.session();
+        for context in contexts {
+            if deployment.placement_of(context) == Ok(loaded) {
+                session.call(context, "set", args!["k", 1]).unwrap();
+            }
+        }
+        let manager = EManager::new(deployment.clone(), InMemoryStore::new());
+        // Below the sim's 0.5 ms per event (two 200 µs hops, 100 µs service).
+        manager.add_policy(Box::new(SlaPolicy::new(0.25).with_step(1)));
+        let actions = manager.tick(&manager.collect_metrics()).unwrap();
+        assert!(
+            actions.contains(&ElasticityAction::Rebalance { from: loaded }),
+            "{actions:?}"
+        );
+        deployment.shutdown();
+    }
+
     #[test]
     fn sla_policy_drives_scale_out_via_tick() {
         let (deployment, _) = with_contexts(Backend::Runtime, 1, 2);

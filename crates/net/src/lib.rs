@@ -11,11 +11,10 @@
 //!   peer only to connect or to drain a backlog, and reconnect-on-send;
 //!   used when a cluster runs as N real OS processes via the `aeon-node`
 //!   binary).
-//! * [`Network`] — the façade every component talks to.  It layers fault
-//!   injection (administratively severed links) and [`NetworkStats`]
-//!   (message and byte counters) on top of whichever transport it wraps,
-//!   so the semantics above the wire are identical for channels and
-//!   sockets.
+//! * [`Network`] — the façade every component talks to.  It layers
+//!   [`NetworkStats`] (message and byte counters) on top of whichever
+//!   transport it wraps, so the semantics above the wire are identical for
+//!   channels and sockets.
 //! * A server attaches with [`Network::serve`]: it gives the network a
 //!   handler, and each message addressed to it is *delivered to the
 //!   handler* — called on the sender's thread by the channel transport, on
@@ -60,27 +59,23 @@ pub use transport::{
 
 use aeon_types::{AeonError, Result, ServerId};
 use crossbeam::channel::{self, Receiver, TryRecvError};
-use parking_lot::RwLock;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Shared state of a network: the transport plus the fault-injection and
-/// statistics layers common to every transport.
+/// Shared state of a network: the transport plus the statistics common to
+/// every transport.
 #[derive(Debug)]
 struct Shared<M: Send + 'static> {
     transport: Arc<dyn Transport<M>>,
-    /// Links administratively taken down (fault injection); messages from
-    /// `from` to `to` are silently dropped when `(from, to)` is present.
-    severed: RwLock<std::collections::HashSet<(ServerId, ServerId)>>,
     stats: Arc<NetworkStats>,
 }
 
 /// A network connecting (possibly simulated) servers over a pluggable
 /// [`Transport`].
 ///
-/// Cloning the network is cheap: all clones share the same transport,
-/// fault-injection table, and statistics.
+/// Cloning the network is cheap: all clones share the same transport and
+/// statistics.
 #[derive(Debug)]
 pub struct Network<M: Send + 'static> {
     shared: Arc<Shared<M>>,
@@ -121,11 +116,7 @@ impl<M: Send + 'static> Network<M> {
     ) -> Self {
         transport.bind_stats(Arc::clone(&stats));
         Self {
-            shared: Arc::new(Shared {
-                transport,
-                severed: RwLock::new(std::collections::HashSet::new()),
-                stats,
-            }),
+            shared: Arc::new(Shared { transport, stats }),
         }
     }
 
@@ -152,16 +143,9 @@ impl<M: Send + 'static> Network<M> {
     }
 
     /// Removes a server from the routing table and drops its handler;
-    /// subsequent sends to it fail
-    /// with [`AeonError::ServerNotFound`].  Any severed-link entries that
-    /// mention the server are cleaned up too, so a later re-registration
-    /// (a restarted server) does not inherit stale fault injection.
+    /// subsequent sends to it fail with [`AeonError::ServerNotFound`].
     pub fn deregister(&self, id: ServerId) {
         self.shared.transport.deregister(id);
-        self.shared
-            .severed
-            .write()
-            .retain(|(from, to)| *from != id && *to != id);
     }
 
     /// Returns the ids of all currently reachable servers.
@@ -180,28 +164,12 @@ impl<M: Send + 'static> Network<M> {
     /// Returns [`AeonError::ServerNotFound`] when the destination is not
     /// registered (or has been deregistered, or its mailbox was dropped).
     pub fn send_from(&self, from: ServerId, to: ServerId, message: M) -> Result<()> {
-        if self.shared.severed.read().contains(&(from, to)) {
-            // Fault injection: the message is lost on the wire.
-            self.shared.stats.record_dropped();
-            return Ok(());
-        }
         let receipt = self.shared.transport.send(from, to, message)?;
         self.shared.stats.record_sent(from == to, receipt.bytes);
         if receipt.delivered_locally {
             self.shared.stats.record_received(receipt.bytes);
         }
         Ok(())
-    }
-
-    /// Severs the directed link `from -> to`; messages are silently dropped
-    /// until [`Network::heal_link`] is called.
-    pub fn sever_link(&self, from: ServerId, to: ServerId) {
-        self.shared.severed.write().insert((from, to));
-    }
-
-    /// Restores a previously severed link.
-    pub fn heal_link(&self, from: ServerId, to: ServerId) {
-        self.shared.severed.write().remove(&(from, to));
     }
 
     /// Traffic statistics accumulated since creation.
@@ -342,41 +310,6 @@ mod tests {
         net.deregister(srv(1));
         assert!(a.send(srv(1), 1).is_err());
         assert_eq!(net.servers(), vec![srv(0)]);
-    }
-
-    #[test]
-    fn severed_links_drop_messages_and_heal() {
-        let net: Network<u32> = Network::new();
-        let a = net.register(srv(0));
-        let b = net.register(srv(1));
-        net.sever_link(srv(0), srv(1));
-        a.send(srv(1), 1).unwrap();
-        assert_eq!(b.try_recv().unwrap(), None);
-        assert_eq!(net.stats().dropped_messages(), 1);
-        net.heal_link(srv(0), srv(1));
-        a.send(srv(1), 2).unwrap();
-        assert_eq!(b.recv().unwrap(), 2);
-    }
-
-    #[test]
-    fn deregister_clears_stale_severed_links() {
-        // Regression test: a restarted (re-registered) server id must not
-        // inherit fault injection that targeted its previous incarnation.
-        let net: Network<u32> = Network::new();
-        let a = net.register(srv(0));
-        let _b = net.register(srv(1));
-        net.sever_link(srv(0), srv(1));
-        net.sever_link(srv(1), srv(0));
-        net.sever_link(srv(0), srv(2));
-        net.deregister(srv(1));
-        let b = net.register(srv(1));
-        a.send(srv(1), 5).unwrap();
-        assert_eq!(b.recv().unwrap(), 5);
-        b.send(srv(0), 6).unwrap();
-        assert_eq!(a.recv().unwrap(), 6);
-        assert_eq!(net.stats().dropped_messages(), 0);
-        // Links not involving the deregistered id are untouched.
-        assert!(net.shared.severed.read().contains(&(srv(0), srv(2))));
     }
 
     #[test]

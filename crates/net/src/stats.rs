@@ -43,7 +43,8 @@ impl NetworkStats {
         self.bytes_received.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Records a message dropped by fault injection (or a torn-down link).
+    /// Records a message the network accepted but gave up on: a frame still
+    /// queued for a peer when the transport abandoned its backlog.
     pub fn record_dropped(&self) {
         self.dropped.fetch_add(1, Ordering::Relaxed);
     }
@@ -51,10 +52,11 @@ impl NetworkStats {
     /// Records an encoded frame the transport itself failed to deliver:
     /// bounded send-queue overflow, frames a retiring writer still held,
     /// or a received frame the reader had to throw away (payload that does
-    /// not decode, destination with no sink here or refused by it).  Distinct from [`record_dropped`](Self::record_dropped),
-    /// which counts *injected* drops (faults, severed links) — a nonzero
-    /// frame-drop counter on a healthy deployment signals backpressure or
-    /// connection churn, not chaos testing.
+    /// not decode, destination with no sink here or refused by it).  A frame
+    /// whose message was accepted and then abandoned counts here and in
+    /// [`record_dropped`](Self::record_dropped) too; a nonzero frame-drop
+    /// counter on a healthy deployment signals backpressure or connection
+    /// churn.
     pub fn record_frame_dropped(&self) {
         self.frames_dropped.fetch_add(1, Ordering::Relaxed);
     }
@@ -69,7 +71,7 @@ impl NetworkStats {
         self.remote.load(Ordering::Relaxed)
     }
 
-    /// Messages dropped by severed links.
+    /// Messages the network accepted and then lost (an abandoned backlog).
     pub fn dropped_messages(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }

@@ -13,9 +13,9 @@
 //!   reconnect-on-send with bounded retry.  Used when a cluster runs as N OS
 //!   processes (`aeon-node`).
 //!
-//! [`Network`](crate::Network) layers fault injection (severed links) and
-//! [`crate::NetworkStats`] on top, so both transports share
-//! identical semantics for everything above the wire.
+//! [`Network`](crate::Network) layers [`crate::NetworkStats`] on top, so
+//! both transports share identical semantics for everything above the
+//! wire.
 //!
 //! ## Delivery
 //!

@@ -171,8 +171,9 @@ impl HostedObject for Mutex<Box<dyn ContextObject>> {
 pub enum Entered {
     /// Hosted here; the event now holds its activation.
     Local(Arc<dyn HostedObject>),
-    /// Hosted elsewhere; reach it with [`ContextHost::remote_call`].
-    Remote,
+    /// Hosted on this server elsewhere; reach it there with
+    /// [`ContextHost::remote_call`].
+    Remote(ServerId),
 }
 
 /// What a backend supplies to the interpreter: where contexts live, how
@@ -213,18 +214,20 @@ pub trait ContextHost {
     }
 
     /// Serves a call to a context [`ContextHost::enter`] reported as
-    /// remote; returns the callee's value and the sub-events it dispatched.
-    /// `caller` is `None` for a forwarded top-level invocation.  Hosts
-    /// whose contexts are all local keep the default.
+    /// remote, on the `server` it named; returns the callee's value and the
+    /// sub-events it dispatched.  `caller` is `None` for a forwarded
+    /// top-level invocation.  Hosts whose contexts are all local keep the
+    /// default.
     fn remote_call(
         &mut self,
         event: &EventMeta,
+        server: ServerId,
         caller: Option<ContextId>,
         target: ContextId,
         method: &str,
         args: &Args,
     ) -> Result<(Value, Vec<SubEvent>)> {
-        let _ = (event, caller, method, args);
+        let _ = (event, server, caller, method, args);
         Err(AeonError::internal(format!(
             "context {target} was reported remote by a host without remote contexts"
         )))
@@ -409,12 +412,12 @@ impl<'h> EventBody<'h> {
             // The certificate was granted for a target hosted here; the
             // server it moved to would serve this as an ordinary call,
             // with nothing holding it to the certified footprint.
-            Entered::Remote if self.footprint == Footprint::Certified => {
+            Entered::Remote(_) if self.footprint == Footprint::Certified => {
                 Err(AeonError::MigrationInProgress(target))
             }
-            Entered::Remote => self
+            Entered::Remote(server) => self
                 .host
-                .remote_call(&self.event, from, target, method, args)
+                .remote_call(&self.event, server, from, target, method, args)
                 .map(|(value, sub_events)| {
                     self.state.sub_events.extend(sub_events);
                     value
@@ -856,6 +859,9 @@ mod tests {
 
     type Log = Arc<Mutex<Vec<String>>>;
 
+    /// The server every context listed in `FakeHost::remote` lives on.
+    const REMOTE: ServerId = ServerId::new(1);
+
     /// All contexts local (except those listed in `remote`), no locks, and
     /// a record of what the interpreter asked for.
     #[derive(Default)]
@@ -895,7 +901,7 @@ mod tests {
 
         fn enter(&mut self, _event: &EventMeta, target: ContextId) -> Result<Entered> {
             if self.remote.contains(&target) {
-                return Ok(Entered::Remote);
+                return Ok(Entered::Remote(REMOTE));
             }
             self.entered.push(target);
             self.objects
@@ -911,11 +917,13 @@ mod tests {
         fn remote_call(
             &mut self,
             _event: &EventMeta,
+            server: ServerId,
             caller: Option<ContextId>,
             target: ContextId,
             method: &str,
             _args: &Args,
         ) -> Result<(Value, Vec<SubEvent>)> {
+            assert_eq!(server, REMOTE, "the call goes where `enter` found it");
             self.remote_calls.push((caller, target, method.to_string()));
             let dispatched = SubEvent {
                 target,

@@ -317,6 +317,7 @@ impl RuntimeInner {
             reply,
             on_caller,
             started: Instant::now(),
+            server: None,
         }
     }
 }
@@ -339,6 +340,9 @@ struct Admitted {
     on_caller: bool,
     /// When a thread first took the event up; its latency runs from here.
     started: Instant,
+    /// The server hosting the target when the event was admitted, which
+    /// its latency is recorded under too.
+    server: Option<ServerId>,
 }
 
 impl Drop for Admitted {
@@ -354,14 +358,18 @@ impl Admitted {
     /// resumes the event on the pool; a blocking caller waits here for the
     /// grant, so that its chain hands nothing to the pool.  Returns the
     /// result, unless a handle takes it.
-    fn run(self) -> Result<Value> {
+    fn run(mut self) -> Result<Value> {
         let target = self.request.target;
-        // A certified read's footprint is its target alone, held there by
-        // `Footprint::Certified`; a single-lock footprint takes no part in a
-        // hold-and-wait cycle, so it needs no sequencer.
-        let lock = match self.footprint {
-            Footprint::Certified => Ok(Sequencer::Own),
-            Footprint::Sequenced => self.inner.plane.read().sequencer_of(target),
+        let lock = {
+            let plane = self.inner.plane.read();
+            self.server = plane.placement_of(target).ok();
+            // A certified read's footprint is its target alone, held there
+            // by `Footprint::Certified`; a single-lock footprint takes no
+            // part in a hold-and-wait cycle, so it needs no sequencer.
+            match self.footprint {
+                Footprint::Certified => Ok(Sequencer::Own),
+                Footprint::Sequenced => plane.sequencer_of(target),
+            }
         };
         let lock = match lock {
             Ok(sequencer) => sequencer.lock(target),
@@ -437,9 +445,8 @@ impl Admitted {
         }
         let latency = self.started.elapsed();
         let read_only = self.request.mode.is_read_only();
-        inner
-            .stats
-            .record_event(outcome.result.is_ok(), read_only, latency);
+        let (ok, server) = (outcome.result.is_ok(), self.server);
+        inner.stats.record_event(ok, read_only, latency, server);
         if let Some(sink) = inner.sink() {
             sink.responded(self.request.id);
         }
@@ -721,8 +728,8 @@ impl Deployment for AeonRuntime {
     }
 
     /// CPU/memory/IO are approximated from relative context load since the
-    /// logical servers share the host machine; the latency is the
-    /// runtime-wide mean event latency.  Queue depth is *per server*: the
+    /// logical servers share the host machine; a server's latency is that
+    /// of the events whose target it hosts.  Queue depth is *per server*: the
     /// process-wide worker pool keys every queued task by its target
     /// context, so each task is attributed to the server hosting that
     /// context.  (An even split was used here once — it made every server
@@ -731,7 +738,6 @@ impl Deployment for AeonRuntime {
     /// (racing a create/migrate) are spread round-robin so the fleet-wide
     /// sum stays meaningful.
     fn server_metrics(&self) -> Vec<ServerMetrics> {
-        let histogram = self.stats().latency_histogram();
         let queued = self.inner.executor.queued_by_key();
         let plane = self.inner.plane.read();
         let servers = plane.online_servers();
@@ -757,7 +763,8 @@ impl Deployment for AeonRuntime {
                 let queue_depth = depth.get(&server).copied().unwrap_or(0)
                     + unplaced / fleet
                     + usize::from(i < unplaced % fleet);
-                ServerMetrics::from_load(server, hosted, total_contexts, queue_depth, histogram)
+                let latency = self.stats().server_latency(server);
+                ServerMetrics::from_load(server, hosted, total_contexts, queue_depth, latency)
             })
             .collect()
     }

@@ -3,11 +3,14 @@
 //!
 //! Latency samples accumulate into the shared
 //! [`aeon_types::LatencyHistogram`], the same fixed-bucket histogram every
-//! backend reports through [`aeon_types::ServerMetrics`]; readers take a
-//! copy with [`RuntimeStats::latency_histogram`].
+//! backend reports through [`aeon_types::ServerMetrics`], one per server
+//! over the events whose target it hosts: readers take a copy of one with
+//! [`RuntimeStats::server_latency`], or of all merged with
+//! [`RuntimeStats::latency_histogram`].
 
-use aeon_types::LatencyHistogram;
+use aeon_types::{LatencyHistogram, ServerId};
 use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -22,12 +25,21 @@ pub struct RuntimeStats {
     sub_events: AtomicU64,
     migrations: AtomicU64,
     migrated_bytes: AtomicU64,
-    latency: Mutex<LatencyHistogram>,
+    /// Event latencies under the server hosting the event's target (`None`
+    /// when it had no placement).
+    latency: Mutex<HashMap<Option<ServerId>, LatencyHistogram>>,
 }
 
 impl RuntimeStats {
-    /// Records a completed event (success or failure) and its latency.
-    pub fn record_event(&self, success: bool, readonly: bool, latency: Duration) {
+    /// Records a completed event (success or failure) and its latency,
+    /// under `server`, the one hosting its target, if known.
+    pub fn record_event(
+        &self,
+        success: bool,
+        readonly: bool,
+        latency: Duration,
+        server: Option<ServerId>,
+    ) {
         if success {
             self.events_completed.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -38,7 +50,8 @@ impl RuntimeStats {
         }
         // Rounded up: an event that completed took at least a microsecond.
         let micros = latency.as_nanos().div_ceil(1_000).max(1);
-        self.latency.lock().record(micros as u64);
+        let mut latency = self.latency.lock();
+        latency.entry(server).or_default().record(micros as u64);
     }
 
     /// Records a synchronous or asynchronous method call executed within an
@@ -103,7 +116,18 @@ impl RuntimeStats {
 
     /// A copy of the latency histogram over all completed events.
     pub fn latency_histogram(&self) -> LatencyHistogram {
-        *self.latency.lock()
+        let mut all = LatencyHistogram::new();
+        for histogram in self.latency.lock().values() {
+            all.merge(histogram);
+        }
+        all
+    }
+
+    /// A copy of the latency histogram over the completed events whose
+    /// target `server` hosted.
+    pub fn server_latency(&self, server: ServerId) -> LatencyHistogram {
+        let latency = self.latency.lock();
+        latency.get(&Some(server)).copied().unwrap_or_default()
     }
 }
 
@@ -114,9 +138,9 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let stats = RuntimeStats::default();
-        stats.record_event(true, false, Duration::from_millis(1));
-        stats.record_event(true, true, Duration::from_millis(2));
-        stats.record_event(false, false, Duration::from_millis(3));
+        stats.record_event(true, false, Duration::from_millis(1), None);
+        stats.record_event(true, true, Duration::from_millis(2), None);
+        stats.record_event(false, false, Duration::from_millis(3), None);
         stats.record_method_call(false);
         stats.record_method_call(true);
         stats.record_sub_event();
@@ -135,7 +159,7 @@ mod tests {
     fn latency_histogram_is_sane() {
         let stats = RuntimeStats::default();
         for ms in [1u64, 2, 4, 8, 100] {
-            stats.record_event(true, false, Duration::from_millis(ms));
+            stats.record_event(true, false, Duration::from_millis(ms), None);
         }
         let h = stats.latency_histogram();
         assert_eq!(h.count, 5);

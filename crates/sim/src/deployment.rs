@@ -166,6 +166,8 @@ struct Clock {
     /// Distribution of per-event virtual latencies (same buckets as the
     /// live backends, so metric reports are comparable across engines).
     latency: LatencyHistogram,
+    /// The same latencies, each under the server hosting its event's target.
+    server_latency: HashMap<ServerId, LatencyHistogram>,
     /// The contexts the running event entered, in order, with their
     /// servers.
     trace: Vec<(ContextId, ServerId)>,
@@ -273,6 +275,10 @@ impl EventObserver for VirtualClock {
         };
         clock.trace.clear();
         clock.latency.record(latency.as_micros());
+        if let Ok(server) = plane.placement_of(target) {
+            let histogram = clock.server_latency.entry(server).or_default();
+            histogram.record(latency.as_micros());
+        }
         if ok {
             clock.completed += 1;
         } else {
@@ -459,11 +465,11 @@ impl Deployment for SimDeployment {
         self.runtime.remove_server(server)
     }
 
-    /// Virtual-time metrics: the latency signal is the mean virtual latency
-    /// charged to events so far, and the queue depth is zero because events
-    /// run at submission.
+    /// Virtual-time metrics: a server's latency is the virtual latency
+    /// charged so far to the events whose target it hosts, and the queue
+    /// depth is zero because events run at submission.
     fn server_metrics(&self) -> Vec<ServerMetrics> {
-        let histogram = self.clock.state.lock().latency;
+        let latency = self.clock.state.lock().server_latency.clone();
         let total_contexts = self.runtime.context_count();
         self.runtime
             .servers()
@@ -474,7 +480,7 @@ impl Deployment for SimDeployment {
                     self.runtime.contexts_on(server).len(),
                     total_contexts,
                     0,
-                    histogram,
+                    latency.get(&server).copied().unwrap_or_default(),
                 )
             })
             .collect()

@@ -142,7 +142,8 @@ pub struct NetworkStatsSnapshot {
     pub local_messages: u64,
     /// Messages delivered across servers.
     pub remote_messages: u64,
-    /// Messages dropped by fault injection or severed links.
+    /// Messages the network accepted and then lost (an abandoned send
+    /// backlog).
     pub dropped_messages: u64,
     /// Encoded frames dropped by the transport itself (bounded send queue
     /// overflow, writer retirement mid-reconnect).

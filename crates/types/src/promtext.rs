@@ -203,7 +203,7 @@ pub fn render_network_stats(w: &mut PromWriter, net: &NetworkStatsSnapshot) {
     );
     w.family(
         "aeon_network_dropped_messages_total",
-        "Messages dropped by fault injection or severed links.",
+        "Messages the network accepted and then lost (an abandoned send backlog).",
         "counter",
     );
     w.sample(

@@ -19,16 +19,19 @@
 //! acknowledgements go.
 //!
 //! The binary registers contextclass factories for the classes shipped with
-//! the workspace (key-value contexts, the bank demo, the game demo) so the
-//! gateway can host, migrate, and restore those contexts here.  Embedders
+//! the workspace (key-value contexts, the bank, the game and the social
+//! network, each application's own list) so the gateway can host, migrate,
+//! and restore those contexts here: a node process is where a context the
+//! gateway creates meets its class factory.  Embedders
 //! with their own classes write their own `main` against
 //! [`aeon::cluster::run_node`].
 
 use aeon::cluster::{run_node, Directory, NodeProcessConfig};
 use aeon::runtime::{ContextObject, ExecutorConfig, KvContext};
 use aeon::types::{ServerId, Value};
-use aeon_apps::bank::{Account, Bank, Branch};
-use aeon_apps::game::{Building, Player, Room};
+use aeon_apps::bank::bank_factories;
+use aeon_apps::game::game_factories;
+use aeon_apps::social::social_factories;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::process::exit;
@@ -88,8 +91,9 @@ fn parse_args() -> Args {
     args
 }
 
-/// Factories for the contextclasses shipped with the workspace, plus a
-/// generic key-value factory for every class named with `--kv-class`.
+/// Factories for the contextclasses shipped with the workspace — each
+/// application's own list — plus a generic key-value factory for `Item`,
+/// `Counter` and every class named with `--kv-class`.
 fn register_builtin_factories(directory: &Directory, kv_classes: &[String]) {
     for class in ["Item", "Counter"]
         .into_iter()
@@ -106,42 +110,10 @@ fn register_builtin_factories(directory: &Directory, kv_classes: &[String]) {
             }),
         );
     }
-    directory.register_factory(
-        "Account",
-        Arc::new(|state: &Value| {
-            let mut account = Account::default();
-            ContextObject::restore(&mut account, state);
-            Box::new(account) as Box<dyn ContextObject>
-        }),
-    );
-    directory.register_factory(
-        "Branch",
-        Arc::new(|_: &Value| Box::new(Branch) as Box<dyn ContextObject>),
-    );
-    directory.register_factory(
-        "Bank",
-        Arc::new(|_: &Value| Box::new(Bank) as Box<dyn ContextObject>),
-    );
-    directory.register_factory(
-        "Building",
-        Arc::new(|_: &Value| Box::new(Building) as Box<dyn ContextObject>),
-    );
-    directory.register_factory(
-        "Room",
-        Arc::new(|state: &Value| {
-            let mut room = Room::default();
-            ContextObject::restore(&mut room, state);
-            Box::new(room) as Box<dyn ContextObject>
-        }),
-    );
-    directory.register_factory(
-        "Player",
-        Arc::new(|state: &Value| {
-            let mut player = Player::default();
-            ContextObject::restore(&mut player, state);
-            Box::new(player) as Box<dyn ContextObject>
-        }),
-    );
+    let apps = [bank_factories(), game_factories(), social_factories()];
+    for (class, factory) in apps.into_iter().flatten() {
+        directory.register_factory(class, factory);
+    }
 }
 
 fn main() {

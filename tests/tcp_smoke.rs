@@ -2,7 +2,8 @@
 //!
 //! Spawns three `aeon-node` binaries on loopback, attaches a gateway
 //! `Cluster` over `ClusterTransport::TcpMesh`, runs a short workload that
-//! exercises the wire (hosting, events, migration, snapshot/restore), and
+//! exercises the wire (hosting, events, migration, snapshot/restore, a
+//! re-host from state, a class no node has a factory for), and
 //! asserts every process exits cleanly on shutdown.
 
 use aeon::cluster::{Cluster, ClusterTransport};
@@ -127,6 +128,29 @@ fn three_process_cluster_runs_a_workload_and_shuts_down_cleanly() {
         client.call_readonly(items[1], "get", args!["n"]).unwrap(),
         Value::from(1i64)
     );
+
+    // A context re-hosted from its state on another node process.
+    let snapshot = cluster.snapshot_context(items[2]).unwrap();
+    let (_, captured) = snapshot.entries().next().expect("one context");
+    client.call(items[2], "set", args!["n", 55i64]).unwrap();
+    cluster
+        .restore_context(items[2], &captured.state, servers[0])
+        .expect("restore context on node process");
+    assert_eq!(cluster.placement_of(items[2]).unwrap(), servers[0]);
+    assert_eq!(
+        client.call_readonly(items[2], "get", args!["n"]).unwrap(),
+        Value::from(2i64)
+    );
+
+    // A class no node process has a factory for is refused there, and
+    // the gateway forgets the context it declared.
+    let contexts = cluster.context_count();
+    let refused = cluster.create_context(Box::new(KvContext::new("Unknown")), Placement::Auto);
+    assert!(
+        matches!(refused, Err(AeonError::Config(_))),
+        "a class without a factory: {refused:?}"
+    );
+    assert_eq!(cluster.context_count(), contexts);
 
     // Bytes actually moved through sockets.
     let stats = cluster.network_stats();

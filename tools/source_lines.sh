@@ -7,12 +7,20 @@
 #
 #   tools/source_lines.sh                 every crate, plus a total
 #   tools/source_lines.sh runtime sim     only the named crates, plus a total
+#   tools/source_lines.sh --files cluster each file of the named crates (of
+#                                         every crate without names), plus
+#                                         a total
 #
 # It relies on rustfmt's layout: a test module opens with `mod <name> {` on
 # the line after `#[cfg(test)]` and closes with `}` at the same indentation.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+per_file=0
+if [ "${1:-}" = "--files" ]; then
+    per_file=1
+    shift
+fi
 if [ "$#" -gt 0 ]; then
     crates=("$@")
 else
@@ -22,9 +30,11 @@ else
     done
 fi
 
-count_crate() {
-    find "crates/$1/src" -name '*.rs' -print0 | sort -z | xargs -0 awk '
-        FNR == 1 { pending = 0; skipping = 0 }
+# Counts the files named on the command line: their sum, or with
+# `-v per_file=1` one `file lines` row each.
+count_files() {
+    awk -v per_file="$per_file" '
+        FNR == 1 { pending = 0; skipping = 0; order[++files] = FILENAME }
         skipping {
             if ($0 == close_line) skipping = 0
             next
@@ -38,20 +48,40 @@ count_crate() {
                 skipping = 1
                 next
             }
-            n++    # the attribute sat on a single item, which counts
+            n[FILENAME]++    # the attribute sat on a single item, which counts
         }
         /^[[:space:]]*$/ { next }
         /^[[:space:]]*\/\// { next }
-        { n++ }
-        END { print n + 0 }
-    '
+        { n[FILENAME]++ }
+        END {
+            for (i = 1; i <= files; i++) {
+                if (per_file) printf "%-40s %8d\n", order[i], n[order[i]]
+                sum += n[order[i]]
+            }
+            if (!per_file) print sum + 0
+        }
+    ' "$@"
 }
 
 total=0
-printf '%-12s %8s\n' crate lines
+if [ "$per_file" -eq 1 ]; then
+    printf '%-40s %8s\n' file lines
+else
+    printf '%-12s %8s\n' crate lines
+fi
 for crate in "${crates[@]}"; do
-    lines=$(count_crate "$crate")
+    mapfile -t files < <(find "crates/$crate/src" -name '*.rs' | sort)
+    if [ "$per_file" -eq 1 ]; then
+        count_files "${files[@]}"
+        lines=$(per_file=0 count_files "${files[@]}")
+    else
+        lines=$(count_files "${files[@]}")
+        printf '%-12s %8d\n' "$crate" "$lines"
+    fi
     total=$((total + lines))
-    printf '%-12s %8d\n' "$crate" "$lines"
 done
-printf '%-12s %8d\n' total "$total"
+if [ "$per_file" -eq 1 ]; then
+    printf '%-40s %8d\n' total "$total"
+else
+    printf '%-12s %8d\n' total "$total"
+fi
