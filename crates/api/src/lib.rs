@@ -7,7 +7,11 @@
 //! interpreter, so the traits cannot sit below it) and re-exported here
 //! with the vocabulary a deployment's consumer needs.  The three backends
 //! are `aeon_runtime::AeonRuntime`, `aeon_cluster::Cluster` and
-//! `aeon_sim::SimDeployment`, each with its trait code beside its type.
+//! `aeon_sim::SimDeployment`.  Each supplies its control state and its
+//! hosting step and the operations that differ between backends (sessions,
+//! metrics, servers, shutdown); the control methods over that state —
+//! plane queries, edge edits, create, restore, snapshot, migration — are
+//! written once, in the trait.
 //!
 //! # Examples
 //!

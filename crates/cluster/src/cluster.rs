@@ -27,15 +27,18 @@
 //! them) deregisters every handler, joins every pool and transport thread,
 //! and leaves nothing behind.
 //!
-//! A new context, or one restored from its state, is hosted by one step,
-//! `ClusterInner::host`.  A node in the gateway's own process is *called*:
+//! The control surface is the `Deployment` trait's: the plane queries, the
+//! edge edits, create and restore are written once there, over the
+//! deployment's one `ControlState` — which the gateway and every node in
+//! its process share — and over this backend's hosting hook,
+//! `Deployment::host`.  A node in the gateway's own process is *called*:
 //! it is handed a new context's object whole, or rebuilds a restored one
-//! with its class factory, and no message is sent.  A node process
+//! with the class factory, and no message is sent.  A node process
 //! (`TcpMesh`) is sent a `Host` carrying class and state, and builds the
 //! object there with its own factory.  Everything else the gateway does to
 //! a node — route an event, ask for metrics, stop it — is a message.
 
-use crate::directory::Directory;
+use crate::directory::{serve_dir_op, Directory};
 use crate::message::{gateway_id, ClusterMessage, EventDescriptor};
 use crate::node::{spawn_node, NodeShared};
 use crate::pending::{unexpected, Pending, Waiter};
@@ -43,19 +46,19 @@ use crate::wire::message_wire_len;
 use aeon_net::{
     ChannelTransport, MessageSizer, Network, NetworkStats, TcpTransport, TcpTransportConfig,
 };
-use aeon_ownership::{ClassGraph, ControlPlane, OwnershipGraph, Sequencer};
+use aeon_ownership::{ClassGraph, ControlPlane, Sequencer};
 use aeon_runtime::{
-    CertifiedReads, ContextFactory, ContextObject, Deployment, EventHandle, ExecutorConfig,
-    ExecutorStats, Footprint, Placement, Session,
+    CertifiedReads, ControlState, Deployment, EventHandle, ExecutorConfig, ExecutorStats,
+    Footprint, Hosted, Session,
 };
 use aeon_types::{
     AccessMode, AeonError, Args, ClientId, ContextId, EventId, NetworkStatsSnapshot, Result,
-    ServerId, ServerMetrics, SharedHistorySink, Value,
+    ServerId, ServerMetrics,
 };
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -180,7 +183,7 @@ impl ClusterBuilder {
             aeon_analyzer::enforce(classes)?;
         }
         let certified = CertifiedReads::new(self.class_graph.as_ref());
-        let directory = Arc::new(Directory::new(self.class_graph));
+        let control = Arc::new(ControlState::new(ControlPlane::new(self.class_graph)));
         let (mode, network, mesh_peers): (Mode, Network<ClusterMessage>, Vec<ServerId>) =
             match &self.transport {
                 ClusterTransport::Channel => {
@@ -220,7 +223,7 @@ impl ClusterBuilder {
         let shared_stats = network.stats_handle();
         let pending = Pending::new(gateway_id(), network.clone());
         let inner = Arc::new(ClusterInner {
-            directory,
+            control,
             network,
             mode,
             shared_stats,
@@ -230,7 +233,6 @@ impl ClusterBuilder {
             fast_path: AtomicU64::new(0),
             nodes: Mutex::new(BTreeMap::new()),
             pending,
-            shutdown: AtomicBool::new(false),
         });
         let gateway = Arc::downgrade(&inner);
         inner.network.serve(gateway_id(), move |message| {
@@ -246,10 +248,10 @@ impl ClusterBuilder {
             true
         });
         if inner.mode == Mode::Mesh {
-            // The server set is the external process mesh; the directory
-            // only needs to know the roster.
+            // The server set is the external process mesh; the plane only
+            // needs to know the roster.
             for server in mesh_peers {
-                inner.plane().write().register_server(server);
+                inner.control.plane().write().register_server(server);
             }
         } else {
             for _ in 0..self.servers {
@@ -261,7 +263,9 @@ impl ClusterBuilder {
 }
 
 struct ClusterInner {
-    directory: Arc<Directory>,
+    /// The deployment's control state, shared with every in-process node.
+    /// No guard on its plane is held across a round trip to a node.
+    control: Arc<ControlState>,
     network: Network<ClusterMessage>,
     /// Which transport family this cluster runs on.
     mode: Mode,
@@ -283,47 +287,30 @@ struct ClusterInner {
     /// What the gateway waits on: routed events (for their `Done`) and
     /// control round trips (host, metrics).
     pending: Pending,
-    shutdown: AtomicBool,
 }
 
 impl std::fmt::Debug for ClusterInner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterInner")
             .field("servers", &self.nodes.lock().len())
-            .field("contexts", &self.plane().read().context_count())
+            .field("contexts", &self.control.plane().read().context_count())
             .finish_non_exhaustive()
     }
 }
 
 impl ClusterInner {
-    /// The control plane (the directory authority's), which the gateway
-    /// reads and changes directly.  No guard on it is held across a round
-    /// trip to a node.
-    fn plane(&self) -> &RwLock<ControlPlane> {
-        self.directory.plane()
-    }
-
-    /// `Ok` until shutdown, [`AeonError::RuntimeShutdown`] from then on:
-    /// the guard of every operation a shut-down cluster refuses.
-    fn running(&self) -> Result<()> {
-        if self.shutdown.load(Ordering::SeqCst) {
-            return Err(AeonError::RuntimeShutdown);
-        }
-        Ok(())
-    }
-
     /// Starts an in-process node and brings it online.  A shut-down cluster
     /// starts none, and a failed bind leaves the roster as it was.
     fn spawn_server(&self) -> Result<ServerId> {
-        self.running()?;
+        self.control.running()?;
         let network = self.node_network()?;
         // Known but offline until the node runs: nothing is placed on it
         // before it can answer a `Host`.
-        let id = self.plane().write().reserve_server();
+        let id = self.control.plane().write().reserve_server();
         self.introduce(id, &network);
         let handle = spawn_node(
             id,
-            Arc::clone(&self.directory),
+            Directory::Shared(Arc::clone(&self.control)),
             &network,
             self.executor_config.clone(),
         );
@@ -331,13 +318,13 @@ impl ClusterInner {
         // shutdown that began meanwhile cannot see this node, so it is
         // stopped here.
         let mut nodes = self.nodes.lock();
-        if let Err(shut_down) = self.running() {
+        if let Err(shut_down) = self.control.running() {
             drop(nodes);
             handle.crash();
             self.detach_server(id);
             return Err(shut_down);
         }
-        self.plane().write().register_server(id);
+        self.control.plane().write().register_server(id);
         nodes.insert(id, handle);
         Ok(id)
     }
@@ -413,39 +400,6 @@ impl ClusterInner {
         self.pending.close();
     }
 
-    /// Hosts `context` on `server`: a node in this process is handed the
-    /// object, a node process is sent a `Host` with the state and answers
-    /// with its `HostAck`.  No guard is held across either.
-    fn host(&self, server: ServerId, context: ContextId, hosted: Hosted<'_>) -> Result<()> {
-        let node = self.nodes.lock().get(&server).cloned();
-        if let Some(node) = node {
-            return node.host(context, || match hosted {
-                Hosted::New(object) => Ok(object),
-                Hosted::Restored(class, state) => node.rebuild(class, state),
-            });
-        }
-        let (class, state) = match hosted {
-            Hosted::New(object) => (object.class_name().to_string(), object.snapshot()),
-            Hosted::Restored(class, state) => (class.to_string(), state.clone()),
-        };
-        let host = |corr| ClusterMessage::Host {
-            corr,
-            context,
-            class,
-            state,
-            reply_to: gateway_id(),
-        };
-        let ack = self
-            .pending
-            .round_trip(server, host, None, CONTROL_TIMEOUT, || {
-                AeonError::ServerNotFound(server)
-            })?;
-        match ack {
-            ClusterMessage::HostAck { result, .. } => result,
-            other => Err(unexpected(&other)),
-        }
-    }
-
     /// Sends `message` to `to`.  The node's handler may run inside this
     /// call, on this thread, and answer the gateway before it returns:
     /// **never call it with a guard held** (the plane's, `nodes`).
@@ -463,8 +417,8 @@ impl ClusterInner {
         args: Args,
         mode: AccessMode,
     ) -> Result<EventHandle> {
-        self.running()?;
-        let event = EventId::new(self.directory.next_raw());
+        self.control.running()?;
+        let event = EventId::new(self.control.next_raw());
         let (tx, handle) = EventHandle::new(event, Some(EVENT_TIMEOUT));
         let corr = self.pending.open(Waiter::Event(client, tx))?;
         let descriptor = EventDescriptor {
@@ -478,7 +432,7 @@ impl ClusterInner {
         };
         // Recorded before the event is routed, so the invocation timestamp
         // can never be later than the true submission point.
-        if let Some(sink) = self.directory.history_sink() {
+        if let Some(sink) = self.control.sink() {
             sink.invoked(event);
         }
         let routing = self.route(descriptor);
@@ -506,7 +460,7 @@ impl ClusterInner {
         // The routing decision is made under one read guard, released
         // before anything is sent.
         let (server, message) = {
-            let plane = self.plane().read();
+            let plane = self.control.plane().read();
             let target_server = plane.placement_of(event.target)?;
             if self.admit(&plane, &event) == Footprint::Certified {
                 // Certified read-only fast path: the event's lock footprint
@@ -548,14 +502,6 @@ impl ClusterInner {
     }
 }
 
-/// What [`ClusterInner::host`] installs.
-enum Hosted<'a> {
-    /// A new context's object.
-    New(Box<dyn ContextObject>),
-    /// A context's class and captured state, rebuilt by its class factory.
-    Restored(&'a str, &'a Value),
-}
-
 /// Handles one message addressed to the gateway, on the thread that
 /// delivered it; no arm waits (see the module docs).
 fn gateway_handle(inner: &ClusterInner, message: ClusterMessage) {
@@ -569,7 +515,7 @@ fn gateway_handle(inner: &ClusterInner, message: ClusterMessage) {
             // Recorded before the completion is handed to the client,
             // so anything submitted after the client observes the
             // result is ordered after this event in real time.
-            if let Some(sink) = inner.directory.history_sink() {
+            if let Some(sink) = inner.control.sink() {
                 sink.responded(event);
             }
             let client = match inner.pending.take(corr) {
@@ -586,9 +532,9 @@ fn gateway_handle(inner: &ClusterInner, message: ClusterMessage) {
             }
         }
         ClusterMessage::DirReq { corr, from, op } => {
-            // Control-plane RPC from a node process: serve it at the
-            // directory authority and send the answer straight back.
-            let reply = inner.directory.serve_dir_op(op);
+            // Control-plane RPC from a node process: serve it from the
+            // plane and send the answer straight back.
+            let reply = serve_dir_op(&inner.control, op);
             let _ = inner.send(from, ClusterMessage::DirAck { corr, reply });
         }
         answer => inner.pending.complete(answer),
@@ -655,27 +601,8 @@ impl Cluster {
     pub fn client(&self) -> ClusterClient {
         ClusterClient {
             inner: Arc::clone(&self.inner),
-            id: ClientId::new(self.inner.directory.next_raw()),
+            id: ClientId::new(self.inner.control.next_raw()),
         }
-    }
-
-    /// Creates a context: `declare` enters it into the control plane under
-    /// the id it is handed (validating everything first) and names the
-    /// server, which then hosts the object; if that fails the context is
-    /// forgotten again.  A shut-down cluster creates nothing.
-    fn host_new_context(
-        &self,
-        object: Box<dyn ContextObject>,
-        declare: impl FnOnce(&mut ControlPlane, ContextId, &str) -> Result<ServerId>,
-    ) -> Result<ContextId> {
-        self.inner.running()?;
-        let id = self.inner.directory.next_context_id();
-        let server = declare(&mut self.inner.plane().write(), id, object.class_name())?;
-        let hosted = self.inner.host(server, id, Hosted::New(object));
-        if hosted.is_err() {
-            let _ = self.inner.plane().write().forget(id);
-        }
-        hosted.map(|()| id)
     }
 
     /// Network traffic statistics (local vs. remote messages).
@@ -722,80 +649,52 @@ impl Cluster {
     }
 }
 
+/// The gateway's side of the control surface: every other control method
+/// is the trait's own, over the shared control state and `host`.
 impl Deployment for Cluster {
     fn backend_name(&self) -> &'static str {
         "cluster"
     }
 
-    /// Creates a root context (no owners) and hosts it according to
-    /// `placement` (the same [`Placement`] policy the in-process runtime
-    /// uses: least-loaded server, a specific server, or co-located with
-    /// another context).
-    ///
-    /// # Errors
-    ///
-    /// * [`AeonError::Config`] when the class is not declared or no server is
-    ///   online.
-    /// * [`AeonError::ServerNotFound`] when the requested server is offline.
-    fn create_context(
-        &self,
-        object: Box<dyn ContextObject>,
-        placement: Placement,
-    ) -> Result<ContextId> {
-        self.host_new_context(object, |plane, id, class| {
-            plane.declare_root(id, class, placement)
-        })
+    fn control(&self) -> &ControlState {
+        &self.inner.control
     }
 
-    /// Creates a context owned by `owners` (at least one), hosted next to
-    /// its first owner.
-    ///
-    /// # Errors
-    ///
-    /// * [`AeonError::Config`] when `owners` is empty or the class is not
-    ///   declared.
-    /// * [`AeonError::OwnershipViolation`] when the class constraints forbid
-    ///   the ownership.
-    fn create_owned_context(
-        &self,
-        object: Box<dyn ContextObject>,
-        owners: &[ContextId],
-    ) -> Result<ContextId> {
-        self.host_new_context(object, |plane, id, class| {
-            plane.declare_owned(id, class, owners)
-        })
-    }
-
-    /// Registers the factory used to rebuild contexts of `class` from a
-    /// snapshot during migration or recovery.
-    fn register_class_factory(&self, class: &str, factory: ContextFactory) {
-        self.inner.directory.register_factory(class, factory);
-    }
-
-    /// Adds an ownership edge between existing contexts.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as the runtime's `add_ownership`.
-    fn add_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.inner.running()?;
-        self.inner.plane().write().add_edge(owner, owned)
-    }
-
-    /// Removes an ownership edge.
-    ///
-    /// # Errors
-    ///
-    /// * [`AeonError::ContextNotFound`] when either context is unknown.
-    /// * [`AeonError::RuntimeShutdown`] after shutdown.
-    fn remove_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.inner.running()?;
-        self.inner.plane().write().remove_edge(owner, owned)
-    }
-
-    /// A snapshot of the ownership network.
-    fn ownership_graph(&self) -> OwnershipGraph {
-        self.inner.plane().read().graph().clone()
+    /// A node in this process is handed the object, or rebuilds it from the
+    /// state under its panic boundary; a node process is sent a `Host` with
+    /// class and state and answers with its `HostAck`.  No guard is held
+    /// across either.
+    fn host(&self, server: ServerId, context: ContextId, hosted: Hosted<'_>) -> Result<()> {
+        let node = self.inner.nodes.lock().get(&server).cloned();
+        if let Some(node) = node {
+            return node.host(context, || match hosted {
+                Hosted::New(object) => Ok(object),
+                Hosted::Restored(class, state) => {
+                    self.inner.control.factories().rebuild(class, state)
+                }
+            });
+        }
+        let (class, state) = match hosted {
+            Hosted::New(object) => (object.class_name().to_string(), object.snapshot()),
+            Hosted::Restored(class, state) => (class.to_string(), state.clone()),
+        };
+        let host = |corr| ClusterMessage::Host {
+            corr,
+            context,
+            class,
+            state,
+            reply_to: gateway_id(),
+        };
+        let ack = self
+            .inner
+            .pending
+            .round_trip(server, host, None, CONTROL_TIMEOUT, || {
+                AeonError::ServerNotFound(server)
+            })?;
+        match ack {
+            ClusterMessage::HostAck { result, .. } => result,
+            other => Err(unexpected(&other)),
+        }
     }
 
     fn session(&self) -> Box<dyn Session> {
@@ -812,7 +711,7 @@ impl Deployment for Cluster {
     ///   gateway.
     /// * The bind error when a loopback node's listener cannot bind.
     fn add_server(&self) -> Result<ServerId> {
-        self.inner.running()?;
+        self.inner.control.running()?;
         if self.inner.mode == Mode::Mesh {
             return Err(AeonError::Config(
                 "add_server is not available on a TcpMesh cluster; start another aeon-node process"
@@ -834,8 +733,8 @@ impl Deployment for Cluster {
     ///   — migrate them away first.
     /// * [`AeonError::RuntimeShutdown`] after shutdown.
     fn remove_server(&self, server: ServerId) -> Result<()> {
-        self.inner.running()?;
-        self.inner.plane().write().retire_server(server)?;
+        self.inner.control.running()?;
+        self.inner.control.plane().write().retire_server(server)?;
         let node = self.inner.nodes.lock().remove(&server);
         let Some(node) = node else {
             if self.inner.mode == Mode::Mesh {
@@ -883,12 +782,6 @@ impl Deployment for Cluster {
             .collect()
     }
 
-    /// Number of contexts mapped to online servers (contexts lost to a
-    /// crash do not count until they are re-hosted).
-    fn context_count(&self) -> usize {
-        self.inner.plane().read().context_count()
-    }
-
     fn executor_stats(&self) -> Option<ExecutorStats> {
         // Sum the per-node pools into one fleet-wide view.  A certified read
         // runs on its target's node pool like any event, but only the
@@ -924,7 +817,7 @@ impl Deployment for Cluster {
     /// * [`AeonError::ServerNotFound`] for unknown servers.
     /// * [`AeonError::RuntimeShutdown`] after shutdown.
     fn crash_server(&self, server: ServerId) -> Result<()> {
-        self.inner.running()?;
+        self.inner.control.running()?;
         if self.inner.mode == Mode::Mesh {
             return Err(AeonError::Config(
                 "crash injection is not available for external node processes".into(),
@@ -934,85 +827,15 @@ impl Deployment for Cluster {
         node.ok_or(AeonError::ServerNotFound(server))?.crash();
         // The node dropped its objects with the crash; the plane keeps the
         // contexts' identities for a later re-host.
-        self.inner.plane().write().mark_crashed(server)?;
+        self.inner.control.plane().write().mark_crashed(server)?;
         self.inner.detach_server(server);
-        Ok(())
-    }
-
-    /// Ids of all online servers.
-    fn servers(&self) -> Vec<ServerId> {
-        self.inner.plane().read().online_servers()
-    }
-
-    /// The server currently hosting `context` according to the mapping.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AeonError::ContextNotFound`] for unknown contexts.
-    fn placement_of(&self, context: ContextId) -> Result<ServerId> {
-        self.inner.plane().read().placement_of(context)
-    }
-
-    /// Contexts mapped to `server`.
-    fn contexts_on(&self, server: ServerId) -> Vec<ContextId> {
-        self.inner.plane().read().contexts_on(server)
-    }
-
-    /// Installs a live history sink: the gateway reports every event's
-    /// invocation/response points and the nodes report every context
-    /// access — including snapshot captures and restore writes — to it.
-    /// Replaces any previous sink.
-    fn install_history_sink(&self, sink: SharedHistorySink) {
-        self.inner.directory.set_history_sink(sink);
-    }
-
-    /// Re-hosts a context from externally held state (e.g. a checkpoint)
-    /// after its server crashed.  The context keeps its identity and
-    /// ownership edges; only its placement and state change.
-    ///
-    /// # Errors
-    ///
-    /// * [`AeonError::ContextNotFound`] when the context was never created.
-    /// * [`AeonError::MigrationFailed`] when no factory is registered.
-    /// * [`AeonError::Panicked`] when the factory panics on the node.
-    /// * [`AeonError::ServerNotFound`] when `server` is offline.
-    /// * [`AeonError::RuntimeShutdown`] after shutdown.
-    fn restore_context(&self, context: ContextId, state: &Value, server: ServerId) -> Result<()> {
-        self.inner.running()?;
-        let class = {
-            let plane = self.inner.plane().read();
-            if !plane.is_online(server) {
-                return Err(AeonError::ServerNotFound(server));
-            }
-            plane.class_of(context)?.to_string()
-        };
-        // The node rebuilds the object under its panic boundary.
-        if self.inner.directory.factory_for(&class).is_none() {
-            return Err(AeonError::MigrationFailed {
-                context,
-                reason: format!("no factory registered for class {class}"),
-            });
-        }
-        self.inner
-            .host(server, context, Hosted::Restored(&class, state))?;
-        // Placed once installed: nothing is routed to a server that cannot
-        // serve it yet.
-        self.inner.plane().write().set_placement(context, server)?;
-        // A re-host is recorded as a single-write event: everything the
-        // context does afterwards happens-after this install.
-        if let Some(sink) = self.inner.directory.history_sink() {
-            let event = EventId::new(self.inner.directory.next_raw());
-            sink.invoked(event);
-            sink.accessed(event, context, AccessMode::Exclusive);
-            sink.responded(event);
-        }
         Ok(())
     }
 
     /// Shuts the cluster down: nodes stop accepting messages, blocked events
     /// are aborted, and every pool and transport thread is joined.
     fn shutdown(&self) {
-        if self.inner.shutdown.swap(true, Ordering::SeqCst) {
+        if self.inner.control.shut_down() {
             return;
         }
         if self.inner.mode == Mode::Mesh {
@@ -1027,7 +850,7 @@ impl Deployment for Cluster {
 
 impl Drop for ClusterInner {
     fn drop(&mut self) {
-        if !self.shutdown.swap(true, Ordering::SeqCst) {
+        if !self.control.shut_down() {
             self.teardown();
         }
     }
@@ -1036,8 +859,8 @@ impl Drop for ClusterInner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aeon_runtime::KvContext;
-    use aeon_types::args;
+    use aeon_runtime::{ContextObject, KvContext, Placement};
+    use aeon_types::{args, Value};
     use std::net::TcpStream;
     use std::time::Instant;
 
@@ -1065,7 +888,7 @@ mod tests {
             "Item",
             std::sync::Arc::new(|state: &Value| {
                 let mut item = KvContext::new("Item");
-                aeon_runtime::ContextObject::restore(&mut item, state);
+                ContextObject::restore(&mut item, state);
                 Box::new(item) as Box<dyn ContextObject>
             }),
         );
@@ -1184,7 +1007,7 @@ mod tests {
             "Item",
             Arc::new(|state: &Value| {
                 let mut item = KvContext::new("Item");
-                aeon_runtime::ContextObject::restore(&mut item, state);
+                ContextObject::restore(&mut item, state);
                 Box::new(item) as Box<dyn ContextObject>
             }),
         );
@@ -1196,7 +1019,7 @@ mod tests {
             .unwrap();
         cluster.migrate_context(item, to).unwrap();
         let executed = cluster.events_executed();
-        let id = EventId::new(cluster.inner.directory.next_raw());
+        let id = EventId::new(cluster.inner.control.next_raw());
         let (tx, handle) = EventHandle::new(id, Some(CONTROL_TIMEOUT));
         let corr = cluster.inner.pending.open(Waiter::Event(None, tx)).unwrap();
         let event = EventDescriptor {

@@ -16,8 +16,10 @@
 //! * locks are released cluster-wide with `RELEASE` messages once the event
 //!   terminates everywhere;
 //! * the **context mapping** (which server hosts which context) and the
-//!   ownership network are kept by a shared [`Directory`], standing in for
-//!   the paper's eManager plus cloud storage (§5.1);
+//!   ownership network are kept in the deployment's one
+//!   [`aeon_runtime::ControlState`], standing in for the paper's eManager
+//!   plus cloud storage (§5.1): the gateway and every in-process node share
+//!   it, and a node process asks the gateway over the wire;
 //! * servers can be added at runtime, crashed (fault injection), and
 //!   contexts migrated or restored from checkpoints without violating the
 //!   consistency of in-flight events.
@@ -61,7 +63,6 @@ mod remote;
 mod wire;
 
 pub use cluster::{Cluster, ClusterBuilder, ClusterClient, ClusterTransport};
-pub use directory::Directory;
 pub use message::{
     gateway_id, virtual_root, ClusterMessage, DirOp, DirReply, EventDescriptor, NodeMetrics,
 };

@@ -58,9 +58,11 @@
 //! **Hosting is one step, [`NodeShared::host`]**: it refuses a stopped node,
 //! installs the object and drops a stale forwarding pointer.  The `Host`
 //! arm ends in it — a context migrating in, or one the gateway creates or
-//! restores on a node process — and so does the gateway's direct call for
-//! a node in its own process, which hands over a new context's object
-//! whole or lets the node rebuild a restored one.
+//! restores on a node process — and so does the gateway's hosting hook
+//! (`Deployment::host`) for a node in its own process, which hands over a
+//! new context's object whole or lets the node rebuild a restored one.
+//! Such a node shares the gateway's control state; a node process holds a
+//! remote [`Directory`]: its own class factories.
 //!
 //! **Every request a worker waits on is a round trip through the node's
 //! table** (`crate::pending`): a remote call's `Call`, a migration's
@@ -97,7 +99,7 @@
 //! root's server calls every member on the others, and `Release` fan-out
 //! ends it like any event, so a node has no message of its own for either.
 
-use crate::directory::Directory;
+use crate::directory::{serve_dir_op, Directory};
 use crate::message::{gateway_id, ClusterMessage, DirOp, DirReply, EventDescriptor, NodeMetrics};
 use crate::pending::{unexpected, Pending};
 use aeon_net::Network;
@@ -124,7 +126,8 @@ pub(crate) struct NodeShared {
     /// The node's worker pool: every potentially blocking message is
     /// executed here, sharded by the context it concerns.
     executor: ShardedExecutor,
-    directory: Arc<Directory>,
+    /// Its class factories and history sink, and how it asks the plane.
+    directory: Directory,
     network: Network<ClusterMessage>,
     /// The contexts installed here, the virtual root's lock and the locks
     /// each event holds here (released on `Release`).
@@ -210,20 +213,6 @@ impl NodeShared {
         let _ = self.network.send_from(self.id, to, message);
     }
 
-    /// Rebuilds an object of `class` from `state` with the registered
-    /// factory.  The factory is application code: a panic in it becomes the
-    /// error the waiting party is answered with, instead of unwinding into
-    /// whoever delivered the message.
-    pub(crate) fn rebuild(&self, class: &str, state: &Value) -> Result<Box<dyn ContextObject>> {
-        let factory = self.directory.factory_for(class).ok_or_else(|| {
-            AeonError::Config(format!(
-                "no factory registered for contextclass {class} on this node"
-            ))
-        })?;
-        let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| factory(state)));
-        built.map_err(AeonError::from_panic)
-    }
-
     /// Hosts `context` here with the object `object` hands over — a new
     /// context's, or one rebuilt from its state.  A stopped node hosts
     /// nothing and reads as gone, like a send to it.
@@ -261,11 +250,11 @@ impl NodeShared {
     }
 
     /// Answers `op` from the control plane, unpacked into what the op asks
-    /// for: at once when this node shares the authority's process, else
-    /// with a round trip to the gateway, which answers it there.
+    /// for: at once when this node shares the gateway's process, else with
+    /// a round trip to the gateway, which answers it there.
     fn ask<T: TryFrom<DirReply, Error = AeonError>>(&self, op: DirOp) -> Result<T> {
-        if self.directory.is_authority() {
-            return self.directory.serve_dir_op(op).and_then(T::try_from);
+        if let Directory::Shared(control) = &self.directory {
+            return serve_dir_op(control, op).and_then(T::try_from);
         }
         let request = |corr| ClusterMessage::DirReq {
             corr,
@@ -291,7 +280,7 @@ impl NodeShared {
 /// what lets go of it.
 pub(crate) fn spawn_node(
     id: ServerId,
-    directory: Arc<Directory>,
+    directory: Directory,
     network: &Network<ClusterMessage>,
     executor: ExecutorConfig,
 ) -> Arc<NodeShared> {
@@ -330,7 +319,8 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
             state,
             reply_to,
         } => {
-            let result = shared.host(context, || shared.rebuild(&class, &state));
+            let factories = shared.directory.factories();
+            let result = shared.host(context, || factories.rebuild(&class, &state));
             shared.send(
                 reply_to,
                 ClusterMessage::HostAck {
@@ -696,7 +686,7 @@ impl ContextHost for NodeHost<'_> {
     }
 
     fn record_access(&self, event: &EventMeta, context: ContextId) {
-        if let Some(sink) = self.node.directory.history_sink() {
+        if let Some(sink) = self.node.directory.sink() {
             sink.accessed(event.id, context, event.mode);
         }
     }
@@ -708,7 +698,7 @@ impl ContextHost for NodeHost<'_> {
     ) -> Result<ContextId> {
         let class = object.class_name().to_string();
         // Control-plane half (class validation, id allocation, context and
-        // edge declaration) runs at the directory authority — one round
+        // edge declaration) runs at the gateway's control state — one round
         // trip when this node is a separate OS process.
         let id = self.node.ask(DirOp::CreateOwned { owner, class })?;
         // Locality: the child is hosted next to the (local) context that
@@ -751,7 +741,7 @@ impl ContextHost for NodeHost<'_> {
     ) -> Result<()> {
         let node = self.node;
         let class = object.class_name().to_string();
-        if node.directory.factory_for(&class).is_none() {
+        if node.directory.factories().get(&class).is_none() {
             return Err(AeonError::MigrationFailed {
                 context: target,
                 reason: format!("no factory registered for class {class}"),
@@ -797,14 +787,14 @@ mod tests {
     use aeon_types::{args, AccessMode, EventId};
     use std::time::Instant;
 
-    /// The node of a node process — a remote directory handle, a pool of
-    /// one worker — on a channel network, and the gateway's mailbox, from
-    /// which no `DirReq` is ever answered.
+    /// The node of a node process — a remote directory, a pool of one
+    /// worker — on a channel network, and the gateway's mailbox, from which
+    /// no `DirReq` is ever answered.
     fn node_with_a_silent_authority() -> (Arc<NodeShared>, Endpoint<ClusterMessage>) {
         let network = Network::new();
         let gateway = network.register(gateway_id());
         let pool = ExecutorConfig { workers: 1 };
-        let directory = Arc::new(Directory::remote());
+        let directory = Directory::Remote(Default::default());
         let node = spawn_node(ServerId::new(0), directory, &network, pool);
         (node, gateway)
     }

@@ -2,18 +2,18 @@
 //!
 //! The `aeon-node` binary calls [`run_node`] with this process's server id,
 //! its listen address, the gateway's address, and the addresses of its peer
-//! nodes.  The function builds a TCP-backed [`Network`], attaches a
-//! *remote* [`Directory`] handle (the node asks the control plane with
-//! `DirReq`/`DirAck` round trips to the gateway, see [`crate::Directory`]),
-//! spawns the ordinary node machinery — the same message handler (here
-//! called by the transport's reader threads) and sharded worker pool used
-//! in-process — and blocks until the gateway sends `Shutdown`.
+//! nodes.  The function builds a TCP-backed [`Network`], gives the node
+//! its own [`ClassFactories`] (it asks the control plane everything else
+//! with `DirReq`/`DirAck` round trips to the gateway), spawns the ordinary
+//! node machinery — the same message handler (here called by the
+//! transport's reader threads) and sharded worker pool used in-process —
+//! and blocks until the gateway sends `Shutdown`.
 
 use crate::directory::Directory;
 use crate::message::{gateway_id, ClusterMessage};
 use crate::node::spawn_node;
 use aeon_net::{Network, TcpTransport, TcpTransportConfig};
-use aeon_runtime::ExecutorConfig;
+use aeon_runtime::{ClassFactories, ExecutorConfig};
 use aeon_types::{Result, ServerId};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -56,17 +56,16 @@ impl NodeProcessConfig {
 }
 
 /// Runs one cluster server node in this process until the gateway shuts it
-/// down.  `register` is called with the node's (remote) directory handle
-/// before any message is processed — use it to register the contextclass
-/// factories this node needs to host contexts
-/// ([`Directory::register_factory`]).
+/// down.  `register` is called with the node's class factories before any
+/// message is processed — register there the contextclasses this node
+/// needs to host contexts ([`ClassFactories::register`]).
 ///
 /// # Errors
 ///
 /// Returns an error when the listen address cannot be bound.
 pub fn run_node<F>(config: NodeProcessConfig, register: F) -> Result<()>
 where
-    F: FnOnce(&Directory),
+    F: FnOnce(&ClassFactories),
 {
     let mut transport_config = TcpTransportConfig::new(config.listen);
     for (id, addr) in &config.peers {
@@ -75,8 +74,9 @@ where
     transport_config = transport_config.peer(gateway_id(), config.gateway);
     let transport = TcpTransport::bind(transport_config)?;
     let network: Network<ClusterMessage> = Network::with_transport(Arc::new(transport));
-    let directory = Arc::new(Directory::remote());
-    register(&directory);
+    let factories = ClassFactories::default();
+    register(&factories);
+    let directory = Directory::Remote(factories);
     let node = spawn_node(config.id, directory, &network, config.executor);
     node.wait_stopped();
     // Joins the pool from this thread, then lets go of the handler (which

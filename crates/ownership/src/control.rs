@@ -457,6 +457,12 @@ impl ControlPlane {
         out
     }
 
+    /// Number of contexts placed on `server`: what
+    /// [`ControlPlane::contexts_on`] lists, read from the kept count.
+    pub fn hosted_on(&self, server: ServerId) -> usize {
+        self.servers.get(&server).map_or(0, |known| known.hosted)
+    }
+
     /// Number of contexts placed on online servers (contexts lost to a
     /// crash do not count until they are re-hosted).
     pub fn context_count(&self) -> usize {
@@ -871,6 +877,7 @@ mod tests {
                 };
                 for (id, known) in &plane.servers {
                     prop_assert_eq!(known.hosted, recount(id), "count of {}", id);
+                    prop_assert_eq!(plane.hosted_on(*id), plane.contexts_on(*id).len());
                 }
                 let online = plane.online_servers();
                 prop_assert_eq!(

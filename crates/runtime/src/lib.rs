@@ -73,7 +73,7 @@ pub mod snapshot;
 pub mod stats;
 
 pub use context::{ContextFactory, ContextObject, ContextSlot, KvContext};
-pub use deployment::{Deployment, Session};
+pub use deployment::{ClassFactories, ControlState, Deployment, Hosted, Session};
 pub use event::{EventHandle, EventRequest};
 pub use executor::{ExecutorConfig, ExecutorStats, ShardedExecutor};
 pub use invocation::{

@@ -6,15 +6,18 @@
 //! `RuntimeHost::migrate`, which rebuilds the object and moves its
 //! placement.
 //!
-//! The ownership network, the context→server mapping and the server roster
-//! are one [`ControlPlane`] behind one `RwLock`; the object table
-//! (`ContextSlot`s and their locks), the global root and the locks each
-//! event holds are one [`ServerCore`] — the same core every cluster node
-//! runs, here with every context local.  This module adds class factories,
-//! the worker pool, statistics and history recording.  Executing an event
-//! takes only read guards on the plane (sequencer, `path_owners`), each
-//! dropped before the event waits on a context lock or runs contextclass
-//! code.
+//! The ownership network, the context→server mapping, the server roster,
+//! the class factories, the ids, the history sink and the shutdown flag are
+//! one [`ControlState`], over which the `Deployment` trait writes every
+//! control method it provides; the object table (`ContextSlot`s and their
+//! locks), the global root and the locks each event holds are one
+//! [`ServerCore`] — the same core every cluster node runs, here with every
+//! context local.  This module adds the worker pool, statistics, history
+//! recording of events, and the trait's two hooks: `control`, and `host`,
+//! which installs into the core (a restored context rebuilt by its class
+//! factory first, under the panic boundary).  Executing an event takes only
+//! read guards on the plane (sequencer, `path_owners`), each dropped before
+//! the event waits on a context lock or runs contextclass code.
 //!
 //! An event starts on whichever thread brings it: a pool worker for a
 //! submitted event (`Session::submit_with_mode`), the client's own thread
@@ -44,8 +47,8 @@
 //! Unset, each of the two sites costs one branch, and the plane is not read
 //! for it.
 
-use crate::context::{ContextFactory, ContextObject};
-use crate::deployment::{Deployment, Session};
+use crate::context::ContextObject;
+use crate::deployment::{ControlState, Deployment, Hosted, Session};
 use crate::event::{EventHandle, EventRequest};
 use crate::executor::{ExecutorConfig, ExecutorStats, ShardedExecutor};
 use crate::invocation::{
@@ -56,14 +59,14 @@ use crate::locks::ContextLock;
 use crate::reply::{reply, Replier};
 use crate::server::ServerCore;
 use crate::stats::RuntimeStats;
-use aeon_ownership::{ClassGraph, ControlPlane, Dominator, OwnershipGraph, Sequencer};
+use aeon_ownership::{ClassGraph, ControlPlane, Dominator, Sequencer};
 use aeon_types::{
-    codec, AccessMode, AeonError, Args, ClientId, ContextId, EventId, IdGenerator, Result,
-    ServerId, ServerMetrics, SharedHistorySink, Value,
+    codec, AccessMode, AeonError, Args, ClientId, ContextId, EventId, Result, ServerId,
+    ServerMetrics, Value,
 };
-use parking_lot::{Mutex, MutexGuard, RwLock};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use parking_lot::{Mutex, MutexGuard};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -172,14 +175,10 @@ impl RuntimeBuilder {
             executor: ShardedExecutor::new("aeon-runtime", self.executor),
             certified,
             observer: self.observer,
-            plane: RwLock::new(plane),
+            control: ControlState::new(plane),
             core: Arc::default(),
-            factories: RwLock::new(HashMap::new()),
-            ids: IdGenerator::starting_at(1),
             events_in_flight: AtomicU64::new(0),
             stats: RuntimeStats::default(),
-            shutdown: AtomicBool::new(false),
-            history: RwLock::new(None),
             summary_violations: Mutex::new(std::collections::BTreeSet::new()),
         });
         Ok(AeonRuntime { inner })
@@ -195,22 +194,14 @@ pub(crate) struct RuntimeInner {
     /// target as their whole footprint.
     certified: CertifiedReads,
     observer: Option<Arc<dyn EventObserver>>,
-    /// Ownership network, placement and roster.  The per-event path only
-    /// ever takes read guards, and no guard is held across contextclass
-    /// code or a wait on a context lock.
-    pub(crate) plane: RwLock<ControlPlane>,
+    /// The plane, factories, ids, history sink and shutdown flag.  The
+    /// per-event path only ever takes read guards on the plane.
+    control: ControlState,
     /// The context objects, their locks, the global root and the holds of
     /// each event: Algorithm 2 with every context local.
     core: Arc<ServerCore>,
-    pub(crate) factories: RwLock<HashMap<String, ContextFactory>>,
-    pub(crate) ids: IdGenerator,
     events_in_flight: AtomicU64,
-    pub(crate) stats: RuntimeStats,
-    shutdown: AtomicBool,
-    /// Optional live history sink: when installed, every event's
-    /// invocation/response points and every context access are reported to
-    /// it (see `aeon_types::HistorySink` for the timestamping contract).
-    history: RwLock<Option<SharedHistorySink>>,
+    stats: RuntimeStats,
     /// Debug-build call-summary sanitizer output: human-readable records of
     /// actual invoke edges that the statically declared `calls [...]`
     /// summaries do not cover (deduplicated).
@@ -221,23 +212,20 @@ impl std::fmt::Debug for RuntimeInner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RuntimeInner")
             .field("contexts", &self.core.hosted())
-            .field("servers", &self.plane.read().online_servers().len())
+            .field(
+                "servers",
+                &self.control.plane().read().online_servers().len(),
+            )
             .finish_non_exhaustive()
     }
 }
 
 impl RuntimeInner {
-    /// The installed history sink, if any (cloned out so hooks never hold
-    /// the registry lock while recording).
-    pub(crate) fn sink(&self) -> Option<SharedHistorySink> {
-        self.history.read().clone()
-    }
-
     /// Debug-build backstop of the static analysis: checks one actual
     /// invoke edge against the caller method's declared `calls [...]`
     /// summary and records a violation when the summary exists but does
     /// not cover the edge.  Methods without a summary are unchecked.
-    pub(crate) fn record_call_edge(
+    fn record_call_edge(
         &self,
         caller: ContextId,
         caller_method: &str,
@@ -245,7 +233,7 @@ impl RuntimeInner {
         target_method: &str,
     ) {
         let violation = {
-            let plane = self.plane.read();
+            let plane = self.control.plane().read();
             let Some(classes) = plane.classes() else {
                 return;
             };
@@ -269,31 +257,6 @@ impl RuntimeInner {
             )
         };
         self.summary_violations.lock().insert(violation);
-    }
-
-    /// Creates a context: `declare` enters it into the control plane under
-    /// the id it is handed (validating everything first), then the object
-    /// is installed.  A shut-down runtime creates nothing.
-    fn create_context(
-        &self,
-        object: Box<dyn ContextObject>,
-        declare: impl FnOnce(&mut ControlPlane, ContextId, &str) -> Result<ServerId>,
-    ) -> Result<ContextId> {
-        self.running()?;
-        let id = ContextId::new(self.ids.next_raw());
-        let class = object.class_name();
-        declare(&mut self.plane.write(), id, class)?;
-        self.core.install(id, object);
-        Ok(id)
-    }
-
-    /// `Ok` until shutdown, [`AeonError::RuntimeShutdown`] from then on:
-    /// the guard of every operation a shut-down runtime refuses.
-    fn running(&self) -> Result<()> {
-        if self.shutdown.load(Ordering::SeqCst) {
-            return Err(AeonError::RuntimeShutdown);
-        }
-        Ok(())
     }
 
     /// An event about to start on the thread that calls this: a pool
@@ -361,7 +324,7 @@ impl Admitted {
     fn run(mut self) -> Result<Value> {
         let target = self.request.target;
         let lock = {
-            let plane = self.inner.plane.read();
+            let plane = self.inner.control.plane().read();
             self.server = plane.placement_of(target).ok();
             // A certified read's footprint is its target alone, held there
             // by `Footprint::Certified`; a single-lock footprint takes no
@@ -437,7 +400,7 @@ impl Admitted {
         if let Some(observer) = &inner.observer {
             let request = &self.request;
             let ok = outcome.result.is_ok();
-            let plane = inner.plane.read();
+            let plane = inner.control.plane().read();
             observer.finished(&plane, request.id, request.target, request.mode, ok);
         }
         for _ in 0..outcome.async_calls {
@@ -447,20 +410,20 @@ impl Admitted {
         let read_only = self.request.mode.is_read_only();
         let (ok, server) = (outcome.result.is_ok(), self.server);
         inner.stats.record_event(ok, read_only, latency, server);
-        if let Some(sink) = inner.sink() {
+        if let Some(sink) = inner.control.sink() {
             sink.responded(self.request.id);
         }
         for sub in outcome.sub_events {
             inner.stats.record_sub_event();
             let request = EventRequest {
-                id: EventId::new(inner.ids.next_raw()),
+                id: EventId::new(inner.control.next_raw()),
                 client: self.request.client,
                 target: sub.target,
                 method: sub.method,
                 args: sub.args,
                 mode: sub.mode,
             };
-            if let Some(sink) = inner.sink() {
+            if let Some(sink) = inner.control.sink() {
                 sink.invoked(request.id);
             }
             let sub =
@@ -483,12 +446,16 @@ impl Admitted {
 /// The in-process host of the event interpreter: every context is a local
 /// slot in the runtime's [`ServerCore`].
 struct RuntimeHost<'a> {
-    inner: &'a RuntimeInner,
+    inner: &'a Arc<RuntimeInner>,
 }
 
 impl ContextHost for RuntimeHost<'_> {
     fn path_owners(&self, caller: ContextId, target: ContextId) -> Result<Vec<ContextId>> {
-        self.inner.plane.read().path_owners(caller, target)
+        self.inner
+            .control
+            .plane()
+            .read()
+            .path_owners(caller, target)
     }
 
     /// A contended activation waits inside `block_in_place` on a pool
@@ -506,7 +473,7 @@ impl ContextHost for RuntimeHost<'_> {
             .enter(event.id, event.mode, target, wait)?
             .ok_or(AeonError::ContextNotFound(target))?;
         if let Some(observer) = &inner.observer {
-            observer.entered(&inner.plane.read(), event.id, target);
+            observer.entered(&inner.control.plane().read(), event.id, target);
         }
         inner.stats.record_method_call(false);
         Ok(Entered::Local(slot))
@@ -526,7 +493,7 @@ impl ContextHost for RuntimeHost<'_> {
     }
 
     fn record_access(&self, event: &EventMeta, context: ContextId) {
-        if let Some(sink) = self.inner.sink() {
+        if let Some(sink) = self.inner.control.sink() {
             sink.accessed(event.id, context, event.mode);
         }
     }
@@ -536,25 +503,27 @@ impl ContextHost for RuntimeHost<'_> {
         owner: ContextId,
         object: Box<dyn ContextObject>,
     ) -> Result<ContextId> {
-        self.inner.create_context(object, |plane, id, class| {
-            plane.declare_owned(id, class, &[owner])
-        })
+        let runtime = AeonRuntime {
+            inner: Arc::clone(self.inner),
+        };
+        runtime.create_owned_context(object, &[owner])
     }
 
     fn add_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.inner.plane.write().add_edge(owner, owned)
+        self.inner.control.plane().write().add_edge(owner, owned)
     }
 
     fn remove_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.inner.plane.write().remove_edge(owner, owned)
+        self.inner.control.plane().write().remove_edge(owner, owned)
     }
 
     fn children(&self, parent: ContextId, class: Option<&str>) -> Result<Vec<ContextId>> {
-        self.inner.plane.read().children_of(parent, class)
+        self.inner.control.plane().read().children_of(parent, class)
     }
 
     fn subtree(&self, root: ContextId) -> Result<Vec<ContextId>> {
-        self.inner.plane.read().graph().subtree_topological(root)
+        let plane = self.inner.control.plane().read();
+        plane.graph().subtree_topological(root)
     }
 
     /// Every context is in this process, so a move re-instantiates the
@@ -568,18 +537,17 @@ impl ContextHost for RuntimeHost<'_> {
         state: Value,
         to: ServerId,
     ) -> Result<()> {
-        let factory = self
-            .inner
-            .factories
-            .read()
-            .get(object.class_name())
-            .cloned();
+        let factory = self.inner.control.factories().get(object.class_name());
         if let Some(factory) = factory {
             *object = factory(&state);
         }
         // Refused if the destination went offline since the event was
         // submitted.
-        self.inner.plane.write().set_placement(target, to)?;
+        self.inner
+            .control
+            .plane()
+            .write()
+            .set_placement(target, to)?;
         self.inner
             .stats
             .record_migration(codec::encoded_len(&state) as u64);
@@ -618,7 +586,7 @@ impl AeonRuntime {
     pub fn client(&self) -> AeonClient {
         AeonClient {
             inner: Arc::clone(&self.inner),
-            id: ClientId::new(self.inner.ids.next_raw()),
+            id: ClientId::new(self.inner.control.next_raw()),
         }
     }
 
@@ -630,7 +598,7 @@ impl AeonRuntime {
     ///
     /// Returns [`AeonError::ContextNotFound`] when `target` is unknown.
     pub fn dominator_of(&self, target: ContextId) -> Result<Dominator> {
-        self.inner.plane.read().dominator_of(target)
+        self.inner.control.plane().read().dominator_of(target)
     }
 
     /// Runtime-wide statistics.
@@ -668,49 +636,27 @@ impl AeonRuntime {
     }
 }
 
-/// The runtime's whole control surface; the contexts are local slots of
-/// its [`ServerCore`] and the servers are logical.
+/// The runtime's side of the control surface; the contexts are local
+/// slots of its [`ServerCore`] and the servers are logical.
 impl Deployment for AeonRuntime {
     fn backend_name(&self) -> &'static str {
         "runtime"
     }
 
-    fn create_context(
-        &self,
-        object: Box<dyn ContextObject>,
-        placement: Placement,
-    ) -> Result<ContextId> {
-        self.inner.create_context(object, |plane, id, class| {
-            plane.declare_root(id, class, placement)
-        })
+    fn control(&self) -> &ControlState {
+        &self.inner.control
     }
 
-    fn create_owned_context(
-        &self,
-        object: Box<dyn ContextObject>,
-        owners: &[ContextId],
-    ) -> Result<ContextId> {
-        self.inner.create_context(object, |plane, id, class| {
-            plane.declare_owned(id, class, owners)
-        })
-    }
-
-    fn register_class_factory(&self, class: &str, factory: ContextFactory) {
-        self.inner.factories.write().insert(class.into(), factory);
-    }
-
-    fn add_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.inner.running()?;
-        self.inner.plane.write().add_edge(owner, owned)
-    }
-
-    fn remove_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.inner.running()?;
-        self.inner.plane.write().remove_edge(owner, owned)
-    }
-
-    fn ownership_graph(&self) -> OwnershipGraph {
-        self.inner.plane.read().graph().clone()
+    /// Every server is in this process: the object goes into the core.
+    fn host(&self, _server: ServerId, context: ContextId, hosted: Hosted<'_>) -> Result<()> {
+        let object = match hosted {
+            Hosted::New(object) => object,
+            Hosted::Restored(class, state) => {
+                self.inner.control.factories().rebuild(class, state)?
+            }
+        };
+        self.inner.core.install(context, object);
+        Ok(())
     }
 
     fn session(&self) -> Box<dyn Session> {
@@ -718,13 +664,13 @@ impl Deployment for AeonRuntime {
     }
 
     fn add_server(&self) -> Result<ServerId> {
-        self.inner.running()?;
-        Ok(self.inner.plane.write().add_server())
+        self.inner.control.running()?;
+        Ok(self.inner.control.plane().write().add_server())
     }
 
     fn remove_server(&self, server: ServerId) -> Result<()> {
-        self.inner.running()?;
-        self.inner.plane.write().retire_server(server)
+        self.inner.control.running()?;
+        self.inner.control.plane().write().retire_server(server)
     }
 
     /// CPU/memory/IO are approximated from relative context load since the
@@ -739,7 +685,7 @@ impl Deployment for AeonRuntime {
     /// sum stays meaningful.
     fn server_metrics(&self) -> Vec<ServerMetrics> {
         let queued = self.inner.executor.queued_by_key();
-        let plane = self.inner.plane.read();
+        let plane = self.inner.control.plane().read();
         let servers = plane.online_servers();
         let total_contexts = plane.context_count();
         let mut depth: BTreeMap<ServerId, usize> = servers.iter().map(|s| (*s, 0usize)).collect();
@@ -759,7 +705,7 @@ impl Deployment for AeonRuntime {
             .into_iter()
             .enumerate()
             .map(|(i, server)| {
-                let hosted = plane.contexts_on(server).len();
+                let hosted = plane.hosted_on(server);
                 let queue_depth = depth.get(&server).copied().unwrap_or(0)
                     + unplaced / fleet
                     + usize::from(i < unplaced % fleet);
@@ -767,10 +713,6 @@ impl Deployment for AeonRuntime {
                 ServerMetrics::from_load(server, hosted, total_contexts, queue_depth, latency)
             })
             .collect()
-    }
-
-    fn context_count(&self) -> usize {
-        self.inner.plane.read().context_count()
     }
 
     fn executor_stats(&self) -> Option<ExecutorStats> {
@@ -782,8 +724,8 @@ impl Deployment for AeonRuntime {
     /// the ownership network and the placement map keep the contexts'
     /// identities, as on the cluster.
     fn crash_server(&self, server: ServerId) -> Result<()> {
-        self.inner.running()?;
-        let hosted = self.inner.plane.write().mark_crashed(server)?;
+        self.inner.control.running()?;
+        let hosted = self.inner.control.plane().write().mark_crashed(server)?;
         for context in hosted {
             if let Some(slot) = self.inner.core.remove(context) {
                 slot.lock.poison();
@@ -792,67 +734,13 @@ impl Deployment for AeonRuntime {
         Ok(())
     }
 
-    fn servers(&self) -> Vec<ServerId> {
-        self.inner.plane.read().online_servers()
-    }
-
-    fn placement_of(&self, context: ContextId) -> Result<ServerId> {
-        self.inner.plane.read().placement_of(context)
-    }
-
-    fn contexts_on(&self, server: ServerId) -> Vec<ContextId> {
-        self.inner.plane.read().contexts_on(server)
-    }
-
-    fn install_history_sink(&self, sink: SharedHistorySink) {
-        *self.inner.history.write() = Some(sink);
-    }
-
-    fn restore_context(&self, context: ContextId, state: &Value, server: ServerId) -> Result<()> {
-        self.inner.running()?;
-        let class = {
-            let plane = self.inner.plane.read();
-            if !plane.is_online(server) {
-                return Err(AeonError::ServerNotFound(server));
-            }
-            plane.class_of(context)?.to_string()
-        };
-        let factory = self
-            .inner
-            .factories
-            .read()
-            .get(&class)
-            .cloned()
-            .ok_or_else(|| AeonError::MigrationFailed {
-                context,
-                reason: format!("no factory registered for class {class}"),
-            })?;
-        // The factory is application code: a panic in it fails the restore,
-        // which installs nothing, instead of unwinding into the caller.
-        let object = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| factory(state)))
-            .map_err(AeonError::from_panic)?;
-        // A re-host is recorded as a single-write event: everything the
-        // context does afterwards happens-after this install.
-        let sink = self.inner.sink();
-        let event = EventId::new(self.inner.ids.next_raw());
-        if let Some(sink) = &sink {
-            sink.invoked(event);
-            sink.accessed(event, context, AccessMode::Exclusive);
-        }
-        self.inner.core.install(context, object);
-        if let Some(sink) = &sink {
-            sink.responded(event);
-        }
-        self.inner.plane.write().set_placement(context, server)
-    }
-
     /// Events blocked on context locks are aborted, the worker pool is
     /// stopped (queued events resolve their handles as closed), and no
     /// event is executing any more when this returns — wherever it ran: on
     /// a pool worker or on the thread of a blocking caller
     /// ([`AeonClient::call_with_mode`]).
     fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        self.inner.control.shut_down();
         self.inner.core.poison();
         // Poisoning first unblocks any executing event, so joining the
         // pool cannot hang on a lock waiter.
@@ -913,11 +801,11 @@ impl AeonClient {
         args: Args,
         mode: AccessMode,
     ) -> Result<(EventRequest, Footprint)> {
-        self.inner.running()?;
+        self.inner.control.running()?;
         let slot = self.inner.core.slot(target);
         let slot = slot.ok_or(AeonError::ContextNotFound(target))?;
         let request = EventRequest {
-            id: EventId::new(self.inner.ids.next_raw()),
+            id: EventId::new(self.inner.control.next_raw()),
             client: Some(self.id),
             target,
             method: method.to_string(),
@@ -926,7 +814,7 @@ impl AeonClient {
         };
         // Recorded before the event is enqueued or run, so the invocation
         // timestamp can never be later than the true submission point.
-        if let Some(sink) = self.inner.sink() {
+        if let Some(sink) = self.inner.control.sink() {
             sink.invoked(request.id);
         }
         let footprint = self.inner.certified.admit(&slot.class, method, mode);

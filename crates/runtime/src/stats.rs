@@ -10,7 +10,6 @@
 
 use aeon_types::{LatencyHistogram, ServerId};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -25,9 +24,15 @@ pub struct RuntimeStats {
     sub_events: AtomicU64,
     migrations: AtomicU64,
     migrated_bytes: AtomicU64,
-    /// Event latencies under the server hosting the event's target (`None`
-    /// when it had no placement).
-    latency: Mutex<HashMap<Option<ServerId>, LatencyHistogram>>,
+    /// Event latencies: at 0 those of events whose target had no
+    /// placement, at `raw + 1` those under server `raw` — the runtime's
+    /// server ids are dense from 0.
+    latency: Mutex<Vec<LatencyHistogram>>,
+}
+
+/// Where the latencies of events under `server` are kept.
+fn slot(server: Option<ServerId>) -> usize {
+    server.map_or(0, |server| server.raw() as usize + 1)
 }
 
 impl RuntimeStats {
@@ -50,8 +55,11 @@ impl RuntimeStats {
         }
         // Rounded up: an event that completed took at least a microsecond.
         let micros = latency.as_nanos().div_ceil(1_000).max(1);
-        let mut latency = self.latency.lock();
-        latency.entry(server).or_default().record(micros as u64);
+        let (mut latency, at) = (self.latency.lock(), slot(server));
+        if latency.len() <= at {
+            latency.resize_with(at + 1, LatencyHistogram::default);
+        }
+        latency[at].record(micros as u64);
     }
 
     /// Records a synchronous or asynchronous method call executed within an
@@ -117,7 +125,7 @@ impl RuntimeStats {
     /// A copy of the latency histogram over all completed events.
     pub fn latency_histogram(&self) -> LatencyHistogram {
         let mut all = LatencyHistogram::new();
-        for histogram in self.latency.lock().values() {
+        for histogram in self.latency.lock().iter() {
             all.merge(histogram);
         }
         all
@@ -127,7 +135,7 @@ impl RuntimeStats {
     /// target `server` hosted.
     pub fn server_latency(&self, server: ServerId) -> LatencyHistogram {
         let latency = self.latency.lock();
-        latency.get(&Some(server)).copied().unwrap_or_default()
+        latency.get(slot(Some(server))).copied().unwrap_or_default()
     }
 }
 

@@ -16,17 +16,19 @@
 //! finishes, charges it virtual time — network hops between the client and
 //! the servers it crosses plus a per-entry service time, serially or
 //! through the contention timeline.  Hosting, ids, the ownership network,
-//! placement, migration, crash and restore are the runtime's.
+//! placement, migration, crash and restore are the runtime's: the sim's
+//! `Deployment` impl forwards the two backend hooks (the runtime's control
+//! state and hosting step) and the server and shutdown operations, and
+//! writes only its name, its sessions and its metrics.
 
 use crate::resources::{CpuTimeline, LockTimeline};
-use aeon_ownership::{ClassGraph, ControlPlane, OwnershipGraph};
+use aeon_ownership::{ClassGraph, ControlPlane};
 use aeon_runtime::{
-    AeonClient, AeonRuntime, ContextFactory, ContextObject, Deployment, EventHandle, EventObserver,
-    Placement, Session,
+    AeonClient, AeonRuntime, ControlState, Deployment, EventHandle, EventObserver, Hosted, Session,
 };
 use aeon_types::{
     AccessMode, AeonError, Args, ClientId, ContextId, EventId, LatencyHistogram, Result, ServerId,
-    ServerMetrics, SharedHistorySink, SimDuration, SimTime, Value,
+    ServerMetrics, SimDuration, SimTime,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -410,47 +412,20 @@ impl Session for SimSession {
     }
 }
 
-/// The runtime's control plane, hosting and recovery, with the sim's
-/// sessions and virtual-time metrics.
+/// The runtime's control state, hosting, servers and shutdown, with the
+/// sim's sessions and virtual-time metrics; every other control method is
+/// the trait's own, over these.
 impl Deployment for SimDeployment {
     fn backend_name(&self) -> &'static str {
         "sim"
     }
 
-    fn create_context(
-        &self,
-        object: Box<dyn ContextObject>,
-        placement: Placement,
-    ) -> Result<ContextId> {
-        self.runtime.create_context(object, placement)
+    fn control(&self) -> &ControlState {
+        self.runtime.control()
     }
 
-    fn create_owned_context(
-        &self,
-        object: Box<dyn ContextObject>,
-        owners: &[ContextId],
-    ) -> Result<ContextId> {
-        self.runtime.create_owned_context(object, owners)
-    }
-
-    fn register_class_factory(&self, class: &str, factory: ContextFactory) {
-        self.runtime.register_class_factory(class, factory);
-    }
-
-    fn install_history_sink(&self, sink: SharedHistorySink) {
-        self.runtime.install_history_sink(sink);
-    }
-
-    fn add_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.runtime.add_ownership(owner, owned)
-    }
-
-    fn remove_ownership(&self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.runtime.remove_ownership(owner, owned)
-    }
-
-    fn ownership_graph(&self) -> OwnershipGraph {
-        self.runtime.ownership_graph()
+    fn host(&self, server: ServerId, context: ContextId, hosted: Hosted<'_>) -> Result<()> {
+        self.runtime.host(server, context, hosted)
     }
 
     fn session(&self) -> Box<dyn Session> {
@@ -470,14 +445,15 @@ impl Deployment for SimDeployment {
     /// depth is zero because events run at submission.
     fn server_metrics(&self) -> Vec<ServerMetrics> {
         let latency = self.clock.state.lock().server_latency.clone();
-        let total_contexts = self.runtime.context_count();
-        self.runtime
-            .servers()
+        let plane = self.control().plane().read();
+        let total_contexts = plane.context_count();
+        plane
+            .online_servers()
             .into_iter()
             .map(|server| {
                 ServerMetrics::from_load(
                     server,
-                    self.runtime.contexts_on(server).len(),
+                    plane.hosted_on(server),
                     total_contexts,
                     0,
                     latency.get(&server).copied().unwrap_or_default(),
@@ -486,28 +462,8 @@ impl Deployment for SimDeployment {
             .collect()
     }
 
-    fn context_count(&self) -> usize {
-        self.runtime.context_count()
-    }
-
     fn crash_server(&self, server: ServerId) -> Result<()> {
         self.runtime.crash_server(server)
-    }
-
-    fn servers(&self) -> Vec<ServerId> {
-        self.runtime.servers()
-    }
-
-    fn placement_of(&self, context: ContextId) -> Result<ServerId> {
-        self.runtime.placement_of(context)
-    }
-
-    fn contexts_on(&self, server: ServerId) -> Vec<ContextId> {
-        self.runtime.contexts_on(server)
-    }
-
-    fn restore_context(&self, context: ContextId, state: &Value, server: ServerId) -> Result<()> {
-        self.runtime.restore_context(context, state, server)
     }
 
     fn shutdown(&self) {
@@ -518,8 +474,8 @@ impl Deployment for SimDeployment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aeon_runtime::KvContext;
-    use aeon_types::args;
+    use aeon_runtime::{ContextObject, KvContext, Placement};
+    use aeon_types::{args, Value};
 
     #[test]
     fn events_execute_inline_and_charge_virtual_time() {

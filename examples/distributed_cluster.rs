@@ -43,12 +43,12 @@ fn node_main(args: &[String]) -> Result<()> {
             addr.parse().expect("peer addr"),
         );
     }
-    run_node(config, |directory| {
+    run_node(config, |factories| {
         // Factories let this process rebuild contexts from serialised
         // state: initial hosting, migration, and restore all arrive as
         // class name + captured state over the wire.
         for class in ["Room", "Item"] {
-            directory.register_factory(
+            factories.register(
                 class,
                 Arc::new(move |state: &Value| {
                     let mut kv = KvContext::new(class);

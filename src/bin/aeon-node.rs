@@ -26,8 +26,8 @@
 //! with their own classes write their own `main` against
 //! [`aeon::cluster::run_node`].
 
-use aeon::cluster::{run_node, Directory, NodeProcessConfig};
-use aeon::runtime::{ContextObject, ExecutorConfig, KvContext};
+use aeon::cluster::{run_node, NodeProcessConfig};
+use aeon::runtime::{ClassFactories, ContextObject, ExecutorConfig, KvContext};
 use aeon::types::{ServerId, Value};
 use aeon_apps::bank::bank_factories;
 use aeon_apps::game::game_factories;
@@ -94,14 +94,14 @@ fn parse_args() -> Args {
 /// Factories for the contextclasses shipped with the workspace — each
 /// application's own list — plus a generic key-value factory for `Item`,
 /// `Counter` and every class named with `--kv-class`.
-fn register_builtin_factories(directory: &Directory, kv_classes: &[String]) {
+fn register_builtin_factories(factories: &ClassFactories, kv_classes: &[String]) {
     for class in ["Item", "Counter"]
         .into_iter()
         .map(str::to_string)
         .chain(kv_classes.iter().cloned())
     {
         let name = class.clone();
-        directory.register_factory(
+        factories.register(
             class,
             Arc::new(move |state: &Value| {
                 let mut kv = KvContext::new(name.clone());
@@ -112,7 +112,7 @@ fn register_builtin_factories(directory: &Directory, kv_classes: &[String]) {
     }
     let apps = [bank_factories(), game_factories(), social_factories()];
     for (class, factory) in apps.into_iter().flatten() {
-        directory.register_factory(class, factory);
+        factories.register(class, factory);
     }
 }
 
@@ -133,8 +133,8 @@ fn main() {
         executor,
     };
     eprintln!("aeon-node {id}: listening on {listen}, gateway {gateway}");
-    match run_node(config, |directory| {
-        register_builtin_factories(directory, &args.kv_classes);
+    match run_node(config, |factories| {
+        register_builtin_factories(factories, &args.kv_classes);
     }) {
         Ok(()) => eprintln!("aeon-node {id}: shut down cleanly"),
         Err(err) => {

@@ -992,6 +992,150 @@ fn refused_creations_leave_the_ownership_graph_untouched_on_every_backend() {
     });
 }
 
+/// A restore is refused with one error per cause, checked in the order
+/// shutdown, destination, context, factory — and a refused restore moves
+/// no placement, counts no context, touches no edge and records nothing.
+#[test]
+fn refused_restores_have_one_error_per_cause_on_every_backend() {
+    on_every_backend_with(
+        |config| config.servers(2),
+        |deployment| {
+            let backend = deployment.backend_name();
+            let [home, spare] = deployment.servers()[..] else {
+                panic!("backend {backend}: two servers");
+            };
+            register_item_factory(deployment);
+            let room = deployment
+                .create_context(Box::new(KvContext::new("Room")), Placement::Server(home))
+                .unwrap();
+            let item = deployment
+                .create_owned_context(Box::new(KvContext::new("Item")), &[room])
+                .unwrap();
+            deployment.remove_server(spare).unwrap();
+            let recorder = HistoryRecorder::new();
+            deployment.install_history_sink(std::sync::Arc::new(recorder.clone()));
+            let unknown = ContextId::new(u64::MAX - 1);
+            let (absent, state) = (ServerId::new(99), Value::Null);
+            let refusals = [
+                (
+                    "unknown context",
+                    unknown,
+                    home,
+                    AeonError::ContextNotFound(unknown),
+                ),
+                (
+                    "unknown server",
+                    item,
+                    absent,
+                    AeonError::ServerNotFound(absent),
+                ),
+                (
+                    "offline server",
+                    item,
+                    spare,
+                    AeonError::ServerNotFound(spare),
+                ),
+                // The destination is checked before the context.
+                (
+                    "both unknown",
+                    unknown,
+                    absent,
+                    AeonError::ServerNotFound(absent),
+                ),
+            ];
+            let placements = || (deployment.placement_of(room), deployment.placement_of(item));
+            let before = (placements(), deployment.context_count());
+            let graph = deployment.ownership_graph();
+            let check = |cause: &str, err: AeonError, expected: &dyn Fn(&AeonError) -> bool| {
+                assert!(expected(&err), "backend {backend}, {cause}: {err:?}");
+                assert_eq!(
+                    (placements(), deployment.context_count()),
+                    before,
+                    "backend {backend}, {cause}"
+                );
+                let after = deployment.ownership_graph();
+                assert_eq!(
+                    (after.edges().collect::<Vec<_>>(), after.version()),
+                    (graph.edges().collect::<Vec<_>>(), graph.version()),
+                    "backend {backend}, {cause}"
+                );
+                assert!(recorder.history().is_empty(), "backend {backend}, {cause}");
+            };
+            for (cause, context, server, error) in refusals {
+                let err = deployment
+                    .restore_context(context, &state, server)
+                    .unwrap_err();
+                check(cause, err, &|err| *err == error);
+            }
+            // "Room" has no factory: the context cannot be rebuilt.
+            let err = deployment.restore_context(room, &state, home).unwrap_err();
+            check(
+                "no factory",
+                err,
+                &|err| matches!(err, AeonError::MigrationFailed { context, .. } if *context == room),
+            );
+            // A factory that panics fails the restore after every check.
+            deployment.register_class_factory(
+                "Room",
+                std::sync::Arc::new(|_: &Value| panic!("the factory refuses")),
+            );
+            let err = deployment.restore_context(room, &state, home).unwrap_err();
+            let panicked = |err: &AeonError| matches!(err, AeonError::Panicked { .. });
+            check("panicking factory", err, &panicked);
+        },
+    );
+}
+
+/// A restore after a crash is recorded once, as one exclusive write of the
+/// context, ordered before the access of the next event on it; the history
+/// is strictly serializable.
+#[test]
+fn a_successful_restore_is_recorded_once_on_every_backend() {
+    on_every_backend_with(
+        |config| config.servers(2),
+        |deployment| {
+            let backend = deployment.backend_name();
+            let [survivor, doomed] = deployment.servers()[..] else {
+                panic!("backend {backend}: two servers");
+            };
+            register_item_factory(deployment);
+            let item = deployment
+                .create_context(Box::new(KvContext::new("Item")), Placement::Server(doomed))
+                .unwrap();
+            let session = deployment.session();
+            session.call(item, "set", args!["gold", 3]).unwrap();
+            let snapshot = deployment.snapshot_context(item).unwrap();
+            deployment.crash_server(doomed).unwrap();
+            let recorder = HistoryRecorder::new();
+            deployment.install_history_sink(std::sync::Arc::new(recorder.clone()));
+            let state = &snapshot.get(item).unwrap().state;
+            deployment.restore_context(item, state, survivor).unwrap();
+            let gold = session.call_readonly(item, "get", args!["gold"]).unwrap();
+            assert_eq!(gold, Value::from(3i64), "backend {backend}");
+            let history = recorder.history();
+            assert_eq!(history.event_count(), 2, "backend {backend}: {history:?}");
+            let accesses = &history.operations[&item];
+            let kinds: Vec<_> = accesses.iter().map(|op| op.kind).collect();
+            assert_eq!(
+                kinds,
+                [aeon::checker::OpKind::Write, aeon::checker::OpKind::Read],
+                "backend {backend}"
+            );
+            let (restore, read) = (accesses[0], accesses[1]);
+            assert_ne!(restore.event, read.event, "backend {backend}");
+            assert!(restore.at < read.at, "backend {backend}");
+            let span = history.spans[&restore.event];
+            assert!(
+                span.invoked_at < restore.at && Some(restore.at) < span.responded_at,
+                "backend {backend}: the restore's access lies outside its span"
+            );
+            if let Err(violation) = check_strict_serializability(&history) {
+                panic!("backend {backend}: {violation}");
+            }
+        },
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Elasticity parity: the eManager holds an `Arc<dyn Deployment>`, so every
 // elasticity scenario (policy-driven scale-out, drain, pins, crash
