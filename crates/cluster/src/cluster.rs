@@ -35,12 +35,24 @@
 //! it is handed a new context's object whole, or rebuilds a restored one
 //! with the class factory, and no message is sent.  A node process
 //! (`TcpMesh`) is sent a `Host` carrying class and state, and builds the
-//! object there with its own factory.  Everything else the gateway does to
-//! a node — route an event, ask for metrics, stop it — is a message.
+//! object there with its own factory.
+//!
+//! A blocking `call` / `call_readonly` is `submit` + `wait()` with one step
+//! fewer.  It is admitted like any event — running check, event id,
+//! `pending` entry, history `invoked`, the routing decision under one read
+//! guard — and only the last step of `submit` differs: when the server the
+//! work goes to first (the sequencer's, or the target's for an `Exec` /
+//! `ExecCertified`) is a node in this process, the client's thread serves
+//! the work there itself (`node::serve`: its first lock, the method, the
+//! `Release` fan-out, the `Done`) instead of sending it to the node's pool,
+//! so the handle's `wait()` finds its answer set.  A node process
+//! (`TcpMesh`, empty `nodes`) is sent the work as before.  Everything else
+//! the gateway does to a node — route a submitted event or a sub-event,
+//! ask for metrics, stop it — is a message.
 
 use crate::directory::{serve_dir_op, Directory};
 use crate::message::{gateway_id, ClusterMessage, EventDescriptor};
-use crate::node::{spawn_node, NodeShared};
+use crate::node::{self, spawn_node, NodeShared};
 use crate::pending::{unexpected, Pending, Waiter};
 use crate::wire::message_wire_len;
 use aeon_net::{
@@ -53,14 +65,14 @@ use aeon_runtime::{
 };
 use aeon_types::{
     AccessMode, AeonError, Args, ClientId, ContextId, EventId, NetworkStatsSnapshot, Result,
-    ServerId, ServerMetrics,
+    ServerId, ServerMetrics, Value,
 };
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Default time the gateway waits for a control acknowledgement
 /// (hosting a context, a metrics report).
@@ -408,7 +420,11 @@ impl ClusterInner {
     }
 
     /// Routes an event to the server hosting the dominator of its target
-    /// (Algorithm 2, `to execute`).
+    /// (Algorithm 2, `to execute`).  A `caller` that waits for the event
+    /// until its deadline serves it itself when that server is a node in
+    /// this process ([`node::serve`]): no hand-off to the node's pool and
+    /// back.  Anyone else — a client that submits, the `Done` arm's
+    /// sub-events — sends it.
     fn submit(
         &self,
         client: Option<ClientId>,
@@ -416,6 +432,7 @@ impl ClusterInner {
         method: &str,
         args: Args,
         mode: AccessMode,
+        caller: Option<Instant>,
     ) -> Result<EventHandle> {
         self.control.running()?;
         let event = EventId::new(self.control.next_raw());
@@ -435,12 +452,34 @@ impl ClusterInner {
         if let Some(sink) = self.control.sink() {
             sink.invoked(event);
         }
-        let routing = self.route(descriptor);
-        if let Err(e) = routing {
+        let delivered = self.route(descriptor).and_then(|(server, work)| {
+            let node = caller.and_then(|_| self.nodes.lock().get(&server).cloned());
+            match (node, caller) {
+                (Some(node), Some(deadline)) => node::serve(&node, work, deadline),
+                _ => self.send(server, work),
+            }
+        });
+        if let Err(e) = delivered {
             self.pending.take(corr);
             return Err(e);
         }
         Ok(handle)
+    }
+
+    /// `submit` + `wait()` for a client that blocks on the event anyway,
+    /// served on its own thread where `submit` allows it; `EVENT_TIMEOUT`
+    /// bounds the whole call, a wait for the first lock included.
+    fn call(
+        &self,
+        client: ClientId,
+        target: ContextId,
+        method: &str,
+        args: Args,
+        mode: AccessMode,
+    ) -> Result<Value> {
+        let deadline = Instant::now() + EVENT_TIMEOUT;
+        let handle = self.submit(Some(client), target, method, args, mode, Some(deadline))?;
+        handle.wait_timeout(deadline.saturating_duration_since(Instant::now()))
     }
 
     /// How the gateway admits `event`: certified when it is a read of a
@@ -456,49 +495,46 @@ impl ClusterInner {
         }
     }
 
-    fn route(&self, event: EventDescriptor) -> Result<()> {
-        // The routing decision is made under one read guard, released
-        // before anything is sent.
-        let (server, message) = {
-            let plane = self.control.plane().read();
-            let target_server = plane.placement_of(event.target)?;
-            if self.admit(&plane, &event) == Footprint::Certified {
-                // Certified read-only fast path: the event's lock footprint
-                // is provably the single target context, so no dominator
-                // sequencing is needed — route it straight to the target's
-                // server, skipping the Act round trip.  The node still takes
-                // the target's activation in shared mode, so the read
-                // serializes against writers exactly as before, and holds
-                // the event to that footprint.
-                self.fast_path.fetch_add(1, Ordering::Relaxed);
-                (target_server, ClusterMessage::ExecCertified { event })
-            } else {
-                // The sequencer's server: its dominator's host, or for the
-                // virtual root the lowest-id online server.
-                let sequencer = plane.sequencer_of(event.target)?;
-                let server = match sequencer {
-                    Sequencer::Own => target_server,
-                    Sequencer::Context(dominator) => plane.placement_of(dominator)?,
-                    Sequencer::GlobalRoot => plane
-                        .online_servers()
-                        .into_iter()
-                        .next()
-                        .ok_or_else(|| AeonError::Config("no online servers".into()))?,
-                };
-                let message = match sequencer {
-                    Sequencer::Own => ClusterMessage::Exec {
-                        event,
-                        sequencer: None,
-                    },
-                    _ => ClusterMessage::Act {
-                        sequencer: sequencer.lock(event.target),
-                        event,
-                    },
-                };
-                (server, message)
-            }
+    /// The server `event` goes to first and the unit of work it brings
+    /// there, decided under one read guard of the plane, which is released
+    /// before the work is sent or served.
+    fn route(&self, event: EventDescriptor) -> Result<(ServerId, ClusterMessage)> {
+        let plane = self.control.plane().read();
+        let target_server = plane.placement_of(event.target)?;
+        if self.admit(&plane, &event) == Footprint::Certified {
+            // Certified read-only fast path: the event's lock footprint is
+            // provably the single target context, so no dominator
+            // sequencing is needed — route it straight to the target's
+            // server, skipping the Act round trip.  The node still takes
+            // the target's activation in shared mode, so the read
+            // serializes against writers exactly as before, and holds the
+            // event to that footprint.
+            self.fast_path.fetch_add(1, Ordering::Relaxed);
+            return Ok((target_server, ClusterMessage::ExecCertified { event }));
+        }
+        // The sequencer's server: its dominator's host, or for the virtual
+        // root the lowest-id online server.
+        let sequencer = plane.sequencer_of(event.target)?;
+        let server = match sequencer {
+            Sequencer::Own => target_server,
+            Sequencer::Context(dominator) => plane.placement_of(dominator)?,
+            Sequencer::GlobalRoot => plane
+                .online_servers()
+                .into_iter()
+                .next()
+                .ok_or_else(|| AeonError::Config("no online servers".into()))?,
         };
-        self.send(server, message)
+        let message = match sequencer {
+            Sequencer::Own => ClusterMessage::Exec {
+                event,
+                sequencer: None,
+            },
+            _ => ClusterMessage::Act {
+                sequencer: sequencer.lock(event.target),
+                event,
+            },
+        };
+        Ok((server, message))
     }
 }
 
@@ -528,7 +564,7 @@ fn gateway_handle(inner: &ClusterInner, message: ClusterMessage) {
             // Sub-events start after their creator terminated (§3), on
             // behalf of the same client.
             for sub in sub_events {
-                let _ = inner.submit(client, sub.target, &sub.method, sub.args, sub.mode);
+                let _ = inner.submit(client, sub.target, &sub.method, sub.args, sub.mode, None);
             }
         }
         ClusterMessage::DirReq { corr, from, op } => {
@@ -560,7 +596,18 @@ impl Session for ClusterClient {
         args: Args,
         mode: AccessMode,
     ) -> Result<EventHandle> {
-        self.inner.submit(Some(self.id), target, method, args, mode)
+        self.inner
+            .submit(Some(self.id), target, method, args, mode, None)
+    }
+
+    fn call(&self, target: ContextId, method: &str, args: Args) -> Result<Value> {
+        self.inner
+            .call(self.id, target, method, args, AccessMode::Exclusive)
+    }
+
+    fn call_readonly(&self, target: ContextId, method: &str, args: Args) -> Result<Value> {
+        self.inner
+            .call(self.id, target, method, args, AccessMode::ReadOnly)
     }
 }
 
@@ -860,9 +907,8 @@ impl Drop for ClusterInner {
 mod tests {
     use super::*;
     use aeon_runtime::{ContextObject, KvContext, Placement};
-    use aeon_types::{args, Value};
+    use aeon_types::args;
     use std::net::TcpStream;
-    use std::time::Instant;
 
     #[test]
     fn cluster_backend_round_trip_through_dyn_deployment() {

@@ -19,6 +19,20 @@
 //!   [`NodeShared::host`]), `Release` (releasing a lock never blocks),
 //!   `CallReply` / `HostAck` / `DirAck` (complete a waiting round trip),
 //!   `MetricsReq` (read counters), `Shutdown`.
+//! * **A unit of work runs on a pool worker, or on the blocking caller
+//!   that waits for it.**  Whatever a message brings goes to the pool.  A
+//!   client's blocking `call` whose first server is a node in the
+//!   gateway's own process (any transport) sends nothing: the gateway
+//!   hands the work to [`serve`] on the client's thread, which takes the
+//!   first lock through the same `start` and runs and answers the work
+//!   exactly as a worker would, so no pool hand-off and no wake-up of the
+//!   caller stand between the call and its `Done`.  Such a caller holds
+//!   nothing, so it may wait: a held first lock is waited for in the
+//!   lock's FIFO queue, and the grant hands the work to the caller (to the
+//!   pool once the caller's deadline passed); a refused or moved one the
+//!   grant answers or sends on itself, as it does for pool work.  Only a
+//!   blocking caller runs work in line; what a handler delivers — a
+//!   sub-event the gateway's `Done` arm submits included — is offloaded.
 //! * **No unit of work waits for its first lock on a worker; a worker
 //!   waits only inside `block_in_place`.**  The pool is fixed-size (a
 //!   thread per blocking message does not scale), so a worker must not sit
@@ -27,10 +41,11 @@
 //!   `ExecCertified` target, a `Call`'s callee — through the node's
 //!   [`ServerCore`] (`start`): free, it runs the work in place; held, the
 //!   work waits in the lock's queue as a grant and the worker is free.  The
-//!   grant runs on whichever thread releases the lock (a worker finishing
-//!   an event, or this `dispatch`'s `Release` arm on a sender's thread) and
-//!   only offloads the work again, sends it after a context that moved, or
-//!   answers its event when the node stopped.  Every other wait of a
+//!   grant runs on whichever thread releases the lock (a worker or a
+//!   blocking caller finishing an event, or this `dispatch`'s `Release` arm
+//!   on a sender's thread) and only offloads the work again (or hands it to
+//!   its blocking caller), sends it after a context that moved, or answers
+//!   its event when the node stopped.  Every other wait of a
 //!   worker — a round trip (below), a contended activation nested in a
 //!   running body, a reader's turn at an object another reader's frame
 //!   holds (`lock_object`) — is announced with
@@ -103,6 +118,7 @@ use crate::directory::{serve_dir_op, Directory};
 use crate::message::{gateway_id, ClusterMessage, DirOp, DirReply, EventDescriptor, NodeMetrics};
 use crate::pending::{unexpected, Pending};
 use aeon_net::Network;
+use aeon_runtime::reply::{reply, Replier};
 use aeon_runtime::{
     ContextHost, ContextLock, ContextObject, ContextSlot, Entered, EventBody, EventMeta,
     ExecutorConfig, ExecutorStats, Footprint, HostedObject, ServerCore, ShardedExecutor, SubEvent,
@@ -112,7 +128,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How long a node waits for the reply to a remote synchronous call before
 /// aborting the event, and for a migration's `HostAck`.
@@ -364,10 +380,15 @@ fn dispatch(shared: &Arc<NodeShared>, message: ClusterMessage) {
 /// ([`ServerCore::start`]) and returns the work when it holds that lock
 /// now.  Held, the work waits in the lock's queue as a grant, which runs on
 /// the thread that releases the lock — inside `dispatch`, maybe — and only
-/// runs or sends: granted, the work goes back to the pool; told that its
-/// context moved or is not here, it goes after it; refused, its event is
-/// answered.
-fn start(shared: &Arc<NodeShared>, work: ClusterMessage) -> Option<ClusterMessage> {
+/// hands on or sends: granted, the work goes to the blocking `caller` that
+/// waits for it, or (there is none, or it gave up) back to the pool; told
+/// that its context moved or is not here, it goes after it; refused, its
+/// event is answered.
+fn start(
+    shared: &Arc<NodeShared>,
+    work: ClusterMessage,
+    caller: Option<Replier<ClusterMessage>>,
+) -> Option<ClusterMessage> {
     let (event, mode, lock) = work.first_lock()?;
     let node = Arc::clone(shared);
     shared.core.start(
@@ -376,13 +397,56 @@ fn start(shared: &Arc<NodeShared>, work: ClusterMessage) -> Option<ClusterMessag
         lock,
         work,
         move |work, granted| match granted {
-            Ok(()) => offload(&node, work, true),
+            Ok(()) => {
+                let unclaimed = match caller {
+                    Some(caller) => caller.send(work).err(),
+                    None => Some(work),
+                };
+                if let Some(work) = unclaimed {
+                    offload(&node, work, true);
+                }
+            }
             Err(AeonError::MigrationInProgress(_) | AeonError::ContextNotFound(_)) => {
                 look_again(&node, work, lock)
             }
             Err(error) => answer(&node, work, BTreeSet::new(), Err(error), Vec::new()),
         },
     )
+}
+
+/// Serves the unit of work a blocking caller brings on the caller's own
+/// thread, exactly as a worker would: `start` takes its first lock — a held
+/// one is waited for in the lock's queue, until `deadline` — and then the
+/// work runs and is answered here, so that the event's `Done` is on its
+/// way to the gateway when this returns.  Whatever the grant does not hand
+/// over, it answers or sends on itself, as it does for pool work; and work
+/// granted after the deadline goes to the pool.  A caller holds nothing,
+/// so it may wait; a handler never calls this.
+///
+/// # Errors
+///
+/// [`AeonError::ServerNotFound`] for a stopped node, as a send to it is;
+/// the work is not taken up then.
+pub(crate) fn serve(
+    shared: &Arc<NodeShared>,
+    work: ClusterMessage,
+    deadline: Instant,
+) -> Result<()> {
+    if !shared.running.load(Ordering::SeqCst) {
+        return Err(AeonError::ServerNotFound(shared.id));
+    }
+    let (tx, rx) = reply();
+    let held = match start(shared, work, Some(tx)) {
+        Some(work) => Ok(work),
+        None => {
+            let wait = || rx.wait_timeout(deadline.saturating_duration_since(Instant::now()));
+            shared.executor.block_in_place(wait)
+        }
+    };
+    if let Ok(work) = held {
+        run(shared, work);
+    }
+    Ok(())
 }
 
 /// Hands work to the worker pool, keyed by its first lock's context so
@@ -397,7 +461,7 @@ fn offload(shared: &Arc<NodeShared>, work: ClusterMessage, holds: bool) {
         return shared.executor.resume(key, move || run(&worker, work));
     }
     shared.executor.submit(key, move || {
-        if let Some(work) = start(&worker, work) {
+        if let Some(work) = start(&worker, work, None) {
             run(&worker, work);
         }
     });
@@ -785,7 +849,6 @@ mod tests {
     use aeon_net::Endpoint;
     use aeon_runtime::KvContext;
     use aeon_types::{args, AccessMode, EventId};
-    use std::time::Instant;
 
     /// The node of a node process — a remote directory, a pool of one
     /// worker — on a channel network, and the gateway's mailbox, from which

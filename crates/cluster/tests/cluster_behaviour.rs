@@ -816,3 +816,52 @@ fn a_create_racing_a_crash_or_a_shutdown_is_placed_or_forgotten() {
         }
     }
 }
+
+/// A blocking call whose sequencer a long event holds waits for its grant
+/// on the caller's own thread; a crash of the node, or the cluster's
+/// shutdown, answers it at once instead of leaving it parked.
+#[test]
+fn a_caller_waiting_for_its_grant_is_answered_when_the_cluster_stops() {
+    for transport in [ClusterTransport::Channel, ClusterTransport::TcpLoopback] {
+        for crash in [true, false] {
+            let (cluster, gate) = cell_cluster(transport.clone(), false);
+            let cell = cluster
+                .create_context(gate.sibling(), Placement::Auto)
+                .unwrap();
+            let server = cluster.placement_of(cell).unwrap();
+            let client = cluster.client();
+            let hold = client.submit_event(cell, "hold", args![]).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !gate.holding.load(Ordering::SeqCst) {
+                assert!(Instant::now() < deadline, "the hold never started");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let case = format!("{transport:?}, crash: {crash}");
+            std::thread::scope(|scope| {
+                let (called, answered) = std::sync::mpsc::channel();
+                scope.spawn(move || called.send(client.call(cell, "add", args![1i64])));
+                // No public hook shows a lock's queue: give the call a
+                // moment to queue behind the hold.
+                std::thread::sleep(Duration::from_millis(100));
+                // Stopping joins the node's pool, which waits for the hold
+                // until the gate opens below.
+                let stop = scope.spawn(|| {
+                    if crash {
+                        cluster.crash_server(server).unwrap();
+                    } else {
+                        cluster.shutdown();
+                    }
+                });
+                let result = answered.recv_timeout(Duration::from_secs(1));
+                gate.gate.store(true, Ordering::SeqCst);
+                stop.join().unwrap();
+                match result {
+                    Ok(Err(AeonError::EventAborted { .. } | AeonError::RuntimeShutdown)) => {}
+                    other => panic!("{case}: the waiting call read {other:?}"),
+                }
+            });
+            let _ = hold.wait();
+            cluster.shutdown();
+        }
+    }
+}

@@ -367,7 +367,10 @@ mod tests {
         let ctx = cluster
             .create_context(Box::new(KvContext::new("Item")), Placement::Auto)
             .unwrap();
-        session.call(ctx, "incr", args!["n", 1]).unwrap();
+        // Submitted, not called: a blocking call is served on the caller's
+        // thread and never reaches a node's pool.
+        let handle = session.submit_event(ctx, "incr", args!["n", 1]).unwrap();
+        handle.wait().unwrap();
         let stats = cluster.executor_stats().expect("cluster nodes have pools");
         assert!(stats.workers > 0);
         assert!(stats.submitted > 0);

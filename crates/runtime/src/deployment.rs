@@ -170,8 +170,9 @@ pub enum Hosted<'a> {
 /// backend may override `call` / `call_readonly` when it can serve a caller
 /// that blocks anyway more cheaply than `submit` + `wait` — the in-process
 /// runtime executes the event on the calling thread instead of handing it
-/// to its worker pool — but results and errors must equal the default's
-/// (`backend_parity` holds every backend to that).
+/// to its worker pool, and so does the cluster when the event's first
+/// server is a node in the gateway's process — but results and errors must
+/// equal the default's (`backend_parity` holds every backend to that).
 pub trait Session: Send + Sync {
     /// The id the backend assigned to this client.
     fn client_id(&self) -> ClientId;
@@ -215,7 +216,9 @@ pub trait Session: Send + Sync {
         self.submit_with_mode(target, method, args, AccessMode::ReadOnly)
     }
 
-    /// Submits an exclusive event and waits for its result.
+    /// Submits an exclusive event and waits for its result.  A backend may
+    /// run the event on the calling thread, which then waits for the
+    /// event's locks itself; the event is the same, and so is its result.
     ///
     /// # Errors
     ///
@@ -224,7 +227,8 @@ pub trait Session: Send + Sync {
         self.submit_event(target, method, args)?.wait()
     }
 
-    /// Submits a read-only event and waits for its result.
+    /// Submits a read-only event and waits for its result.  A backend may
+    /// run the event on the calling thread, as for [`Session::call`].
     ///
     /// # Errors
     ///

@@ -3,8 +3,9 @@
 //! than the pool, event-lifecycle accounting (the in-flight gauge spans
 //! the whole causal chain), panicking contextclass methods resolving
 //! handles with a proper error on both execution backends, and blocking
-//! `call`s on the runtime, which execute on the calling thread beside the
-//! pool's `submit_*` events.
+//! `call`s — on the runtime, and on a node of the cluster in the gateway's
+//! process — which execute on the calling thread beside the pool's
+//! `submit_*` events.
 
 use aeon::prelude::*;
 use aeon_apps::bank::{bank_class_graph, Account};
@@ -770,4 +771,180 @@ fn a_blocking_call_is_cheaper_than_submit_then_wait() {
         submitted[samples / 2]
     );
     runtime.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Blocking calls on the cluster: a node in the gateway's process is served
+// on the caller's thread.  Named `cluster_blocking_call*`, so that the hang
+// detector can loop them: a lost grant parks a client thread.
+// ---------------------------------------------------------------------------
+
+const IN_PROCESS: [ClusterTransport; 2] =
+    [ClusterTransport::Channel, ClusterTransport::TcpLoopback];
+
+/// `blocking_calls_hand_nothing_to_the_pool` on two nodes with pools of
+/// one: each counter is its own sequencer, so sequencer and target share a
+/// server.  No node's pool may be handed a call — its submission and spill
+/// counters stay where they were — and no increment may be lost.
+#[test]
+fn cluster_blocking_calls_hand_nothing_to_a_pool() {
+    let threads = 8usize;
+    let calls = 100usize;
+    for transport in IN_PROCESS {
+        let cluster = Cluster::builder()
+            .servers(2)
+            .worker_threads(1)
+            .transport(transport.clone())
+            .build()
+            .unwrap();
+        let counters: Vec<ContextId> = (0..=threads)
+            .map(|_| {
+                cluster
+                    .create_context(Box::new(KvContext::new("Counter")), Placement::Auto)
+                    .unwrap()
+            })
+            .collect();
+        let (&shared, private) = counters.split_first().unwrap();
+        let pools = |cluster: &Cluster| -> Vec<(u64, u64)> {
+            let stats = cluster.executor_stats().into_values();
+            stats.map(|s| (s.submitted, s.spill_spawned)).collect()
+        };
+        let before = pools(&cluster);
+
+        let targets = std::iter::repeat_n(shared, threads).chain(private.iter().copied());
+        let clients: Vec<_> = targets
+            .map(|target| {
+                let client = cluster.client();
+                std::thread::spawn(move || {
+                    for _ in 0..calls {
+                        client.call(target, "incr", args!["n", 1]).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for client in clients {
+            client.join().unwrap();
+        }
+
+        assert_eq!(
+            pools(&cluster),
+            before,
+            "{transport:?}: a call was handed off"
+        );
+        let client = cluster.client();
+        let read = |target| client.call_readonly(target, "get", args!["n"]).unwrap();
+        assert_eq!(read(shared), Value::from((threads * calls) as i64));
+        for target in private {
+            assert_eq!(read(*target), Value::from(calls as i64), "{transport:?}");
+        }
+        cluster.shutdown();
+    }
+}
+
+/// `submitted_and_called_events_share_one_sequencer` on the cluster: the
+/// room's lock queue orders caller-thread and pool events alike.
+#[test]
+fn cluster_blocking_calls_and_submitted_events_share_one_sequencer() {
+    let per_thread = 48usize;
+    for transport in IN_PROCESS {
+        let cluster = Cluster::builder()
+            .servers(2)
+            .worker_threads(2)
+            .class_graph(game_class_graph())
+            .transport(transport.clone())
+            .build()
+            .unwrap();
+        let recorder = HistoryRecorder::new();
+        cluster.install_history_sink(Arc::new(recorder.clone()));
+        let world = deploy_game(&cluster, 1, 8).unwrap();
+        recorder.reset();
+
+        let clients: Vec<_> = world.players[0]
+            .iter()
+            .enumerate()
+            .map(|(t, &player)| {
+                let client = cluster.client();
+                std::thread::spawn(move || {
+                    if t % 2 == 0 {
+                        for _ in 0..per_thread {
+                            let got = client.call(player, "get_gold", args![1]).unwrap();
+                            assert_eq!(got, Value::Bool(true));
+                        }
+                        return;
+                    }
+                    let mut window = std::collections::VecDeque::new();
+                    for _ in 0..per_thread {
+                        if window.len() == 16 {
+                            let oldest: aeon::runtime::EventHandle = window.pop_front().unwrap();
+                            assert_eq!(oldest.wait().unwrap(), Value::Bool(true));
+                        }
+                        let handle = client.submit_event(player, "get_gold", args![1]).unwrap();
+                        window.push_back(handle);
+                    }
+                    for handle in window {
+                        assert_eq!(handle.wait().unwrap(), Value::Bool(true));
+                    }
+                })
+            })
+            .collect();
+        for client in clients {
+            client.join().unwrap();
+        }
+
+        let client = cluster.client();
+        assert_eq!(
+            client
+                .call_readonly(world.treasures[0], "get", args!["gold"])
+                .unwrap(),
+            Value::from((8 * per_thread) as i64),
+            "{transport:?}: gold was lost or minted"
+        );
+        let history = recorder.history();
+        assert!(history.event_count() >= 8 * per_thread);
+        if let Err(violation) = check_strict_serializability(&history) {
+            panic!("{transport:?}: mixed called/submitted history: {violation}");
+        }
+        cluster.shutdown();
+    }
+}
+
+/// `a_blocking_call_is_cheaper_than_submit_then_wait` on the channel
+/// cluster: served on the caller's thread, a `call` skips the node's pool
+/// and the wake-up of the caller.
+#[cfg(not(debug_assertions))]
+#[test]
+fn cluster_blocking_call_is_cheaper_than_submit_then_wait() {
+    let samples = 300usize;
+    let cluster = Cluster::builder()
+        .servers(2)
+        .worker_threads(2)
+        .build()
+        .unwrap();
+    let ctx = cluster
+        .create_context(Box::new(KvContext::new("Counter")), Placement::Auto)
+        .unwrap();
+    let client = cluster.client();
+    let mut called = Vec::with_capacity(samples);
+    let mut submitted = Vec::with_capacity(samples);
+    for _ in 0..samples {
+        let start = Instant::now();
+        client.call(ctx, "incr", args!["n", 1]).unwrap();
+        called.push(start.elapsed());
+        let start = Instant::now();
+        client
+            .submit_event(ctx, "incr", args!["n", 1])
+            .unwrap()
+            .wait()
+            .unwrap();
+        submitted.push(start.elapsed());
+    }
+    called.sort();
+    submitted.sort();
+    assert!(
+        2 * called[samples / 2] < submitted[samples / 2],
+        "median call {:?} is not below half the median submit+wait {:?}",
+        called[samples / 2],
+        submitted[samples / 2]
+    );
+    cluster.shutdown();
 }
