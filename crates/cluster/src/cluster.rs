@@ -37,20 +37,22 @@
 //! (`TcpMesh`) is sent a `Host` carrying class and state, and builds the
 //! object there with its own factory.
 //!
-//! A blocking `call` / `call_readonly` is `submit` + `wait()` with one step
-//! fewer.  It is admitted like any event — running check, event id,
-//! `pending` entry, history `invoked`, the routing decision under one read
-//! guard — and only the last step of `submit` differs: when the server the
-//! work goes to first (the sequencer's, or the target's for an `Exec` /
-//! `ExecCertified`) is a node in this process, the client's thread serves
-//! the work there itself (`node::serve`: its first lock, the method, the
-//! `Release` fan-out, the `Done`) instead of sending it to the node's pool,
-//! so the handle's `wait()` finds its answer set.  A node process
-//! (`TcpMesh`, empty `nodes`) is sent the work as before.  Everything else
-//! the gateway does to a node — route a submitted event or a sub-event,
-//! ask for metrics, stop it — is a message.
+//! A blocking call (`Session::call_with_mode`, which `call`,
+//! `call_readonly`, a migration, a snapshot and a restore go through) is
+//! `submit` + `wait()` with one step fewer.  It is admitted like any event
+//! — running check, event id, `pending` entry, history `invoked`, the
+//! routing decision under one read guard — and only the last step of
+//! `submit` differs: when the server the work goes to first (the
+//! sequencer's, or the target's for an `Exec` / `ExecCertified`) is a node
+//! in this process, the client's thread serves the work there itself
+//! (`node::serve`: its first lock, the method, the `Release` fan-out, the
+//! `Done`) instead of sending it to the node's pool, so the handle's
+//! `wait()` finds its answer set.  A node process (`TcpMesh`, empty
+//! `nodes`) is sent the work as before.  Everything else the gateway does
+//! to a node — route a submitted event or a sub-event, ask for metrics,
+//! stop it — is a message.
 
-use crate::directory::{serve_dir_op, Directory};
+use crate::directory::Directory;
 use crate::message::{gateway_id, ClusterMessage, EventDescriptor};
 use crate::node::{self, spawn_node, NodeShared};
 use crate::pending::{unexpected, Pending, Waiter};
@@ -466,22 +468,6 @@ impl ClusterInner {
         Ok(handle)
     }
 
-    /// `submit` + `wait()` for a client that blocks on the event anyway,
-    /// served on its own thread where `submit` allows it; `EVENT_TIMEOUT`
-    /// bounds the whole call, a wait for the first lock included.
-    fn call(
-        &self,
-        client: ClientId,
-        target: ContextId,
-        method: &str,
-        args: Args,
-        mode: AccessMode,
-    ) -> Result<Value> {
-        let deadline = Instant::now() + EVENT_TIMEOUT;
-        let handle = self.submit(Some(client), target, method, args, mode, Some(deadline))?;
-        handle.wait_timeout(deadline.saturating_duration_since(Instant::now()))
-    }
-
     /// How the gateway admits `event`: certified when it is a read of a
     /// method the analyzer certified (`ro` with an empty `calls []`
     /// summary), sequenced otherwise.
@@ -568,9 +554,9 @@ fn gateway_handle(inner: &ClusterInner, message: ClusterMessage) {
             }
         }
         ClusterMessage::DirReq { corr, from, op } => {
-            // Control-plane RPC from a node process: serve it from the
+            // Control-plane RPC from a node process: answer it from the
             // plane and send the answer straight back.
-            let reply = serve_dir_op(&inner.control, op);
+            let reply = inner.control.answer(op);
             let _ = inner.send(from, ClusterMessage::DirAck { corr, reply });
         }
         answer => inner.pending.complete(answer),
@@ -600,14 +586,21 @@ impl Session for ClusterClient {
             .submit(Some(self.id), target, method, args, mode, None)
     }
 
-    fn call(&self, target: ContextId, method: &str, args: Args) -> Result<Value> {
-        self.inner
-            .call(self.id, target, method, args, AccessMode::Exclusive)
-    }
-
-    fn call_readonly(&self, target: ContextId, method: &str, args: Args) -> Result<Value> {
-        self.inner
-            .call(self.id, target, method, args, AccessMode::ReadOnly)
+    /// `submit` + `wait()`, served on the caller's thread where `submit`
+    /// allows it; `EVENT_TIMEOUT` bounds the whole call, a wait for the
+    /// first lock included.
+    fn call_with_mode(
+        &self,
+        target: ContextId,
+        method: &str,
+        args: Args,
+        mode: AccessMode,
+    ) -> Result<Value> {
+        let deadline = Instant::now() + EVENT_TIMEOUT;
+        let handle =
+            self.inner
+                .submit(Some(self.id), target, method, args, mode, Some(deadline))?;
+        handle.wait_timeout(deadline.saturating_duration_since(Instant::now()))
     }
 }
 

@@ -62,8 +62,7 @@ mod pending;
 mod remote;
 mod wire;
 
+pub use aeon_runtime::{DirOp, DirReply};
 pub use cluster::{Cluster, ClusterBuilder, ClusterClient, ClusterTransport};
-pub use message::{
-    gateway_id, virtual_root, ClusterMessage, DirOp, DirReply, EventDescriptor, NodeMetrics,
-};
+pub use message::{gateway_id, virtual_root, ClusterMessage, EventDescriptor, NodeMetrics};
 pub use remote::{run_node, NodeProcessConfig};

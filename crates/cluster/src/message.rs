@@ -19,10 +19,8 @@
 //! `DirReq` → `DirAck` (`ClusterMessage::answers` reads it), and an
 //! event's [`EventDescriptor`] → its `Done`.
 
-use aeon_runtime::SubEvent;
-use aeon_types::{
-    AccessMode, AeonError, Args, ClientId, ContextId, EventId, Result, ServerId, Value,
-};
+use aeon_runtime::{DirOp, DirReply, SubEvent};
+use aeon_types::{AccessMode, Args, ClientId, ContextId, EventId, Result, ServerId, Value};
 use std::fmt;
 
 /// The server id used by the cluster gateway (client entry point).
@@ -71,88 +69,6 @@ pub struct NodeMetrics {
     /// Per-event execution times on this node: their count, total and
     /// distribution.
     pub latency: aeon_types::LatencyHistogram,
-}
-
-/// A control-plane (directory) operation a node asks the gateway to
-/// perform on its behalf, shipped in a [`ClusterMessage::DirReq`].
-///
-/// When gateway and node share one process the node answers these from
-/// the authority directly; across processes each is a round trip from the
-/// node to the gateway, which answers it at the authority — the paper's
-/// "query the eManager / read the mapping from cloud storage" (§5.1).
-#[derive(Debug, Clone, PartialEq)]
-pub enum DirOp {
-    /// Which server hosts this context?
-    PlacementOf(ContextId),
-    /// Record (or update) a context's placement.
-    SetPlacement(ContextId, ServerId),
-    /// The owners of `callee` a call from `caller` reaches it through
-    /// (none for a direct edge; refused when there is no path).
-    PathOwners(ContextId, ContextId),
-    /// Direct children of `parent`, optionally filtered by class.
-    ChildrenOf {
-        /// The parent context.
-        parent: ContextId,
-        /// Optional class filter.
-        class: Option<String>,
-    },
-    /// A context and everything it (transitively) owns, owner before owned.
-    Subtree(ContextId),
-    /// Add an ownership edge (class constraints are checked at the
-    /// authority).
-    AddEdge(ContextId, ContextId),
-    /// Remove an ownership edge.
-    RemoveEdge(ContextId, ContextId),
-    /// Atomically validate class constraints, allocate an id, declare the
-    /// context, and add the `owner → child` edge (the control-plane half
-    /// of `create_child`; the caller installs state and placement after).
-    CreateOwned {
-        /// The owning context.
-        owner: ContextId,
-        /// Class of the new child.
-        class: String,
-    },
-}
-
-/// The payload of a successful [`ClusterMessage::DirAck`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum DirReply {
-    /// Nothing to report.
-    Unit,
-    /// A server id ([`DirOp::PlacementOf`]).
-    Server(ServerId),
-    /// A context id ([`DirOp::CreateOwned`]).
-    Context(ContextId),
-    /// A list of context ids ([`DirOp::ChildrenOf`], [`DirOp::Subtree`],
-    /// [`DirOp::PathOwners`]).
-    Contexts(Vec<ContextId>),
-}
-
-/// A [`DirReply`] unpacks into what its op asks for: `()`, a [`ServerId`],
-/// a [`ContextId`] or a list of them.  Any other reply is an
-/// [`AeonError::Internal`]: the authority broke the protocol.
-macro_rules! unpack_dir_reply {
-    ($($into:ty: $reply:pat => $value:expr;)*) => {$(
-        impl TryFrom<DirReply> for $into {
-            type Error = AeonError;
-
-            fn try_from(reply: DirReply) -> Result<Self> {
-                match reply {
-                    $reply => Ok($value),
-                    other => Err(AeonError::internal(format!(
-                        "unexpected directory reply {other:?}"
-                    ))),
-                }
-            }
-        }
-    )*};
-}
-
-unpack_dir_reply! {
-    (): DirReply::Unit => ();
-    ServerId: DirReply::Server(server) => server;
-    ContextId: DirReply::Context(context) => context;
-    Vec<ContextId>: DirReply::Contexts(contexts) => contexts;
 }
 
 /// A message of the cluster protocol.

@@ -110,18 +110,21 @@
 //! `Call` handlers run the shared interpreter (`aeon_runtime::EventBody`)
 //! over [`NodeHost`], which only answers where a context lives, takes its
 //! activation through the core, carries a call to another server and back,
-//! and moves a context.  A snapshot or a restore is such an event too: its
-//! root's server calls every member on the others, and `Release` fan-out
-//! ends it like any event, so a node has no message of its own for either.
+//! and moves a context.  Every question the interpreter asks the plane is
+//! a `DirOp` the node passes to [`NodeShared::ask`] — the vocabulary, and
+//! the answer, of every backend's host.  A snapshot or a restore is such
+//! an event too: its root's server calls every member on the others, and
+//! `Release` fan-out ends it like any event, so a node has no message of
+//! its own for either.
 
-use crate::directory::{serve_dir_op, Directory};
-use crate::message::{gateway_id, ClusterMessage, DirOp, DirReply, EventDescriptor, NodeMetrics};
+use crate::directory::Directory;
+use crate::message::{gateway_id, ClusterMessage, EventDescriptor, NodeMetrics};
 use crate::pending::{unexpected, Pending};
 use aeon_net::Network;
 use aeon_runtime::reply::{reply, Replier};
 use aeon_runtime::{
-    ContextHost, ContextLock, ContextObject, ContextSlot, Entered, EventBody, EventMeta,
-    ExecutorConfig, ExecutorStats, Footprint, HostedObject, ServerCore, ShardedExecutor, SubEvent,
+    ContextHost, ContextLock, ContextObject, ContextSlot, DirOp, DirReply, Entered, EventBody,
+    EventMeta, ExecutorConfig, ExecutorStats, Footprint, ServerCore, ShardedExecutor, SubEvent,
 };
 use aeon_types::{AeonError, Args, ContextId, Result, ServerId, Value};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
@@ -265,12 +268,14 @@ impl NodeShared {
             .or_else(slot)
     }
 
-    /// Answers `op` from the control plane, unpacked into what the op asks
-    /// for: at once when this node shares the gateway's process, else with
-    /// a round trip to the gateway, which answers it there.
-    fn ask<T: TryFrom<DirReply, Error = AeonError>>(&self, op: DirOp) -> Result<T> {
+    /// Answers `op` from the control plane: at once when this node shares
+    /// the gateway's process, else with a round trip to the gateway, which
+    /// answers it there.  Either way it is [`ControlState::answer`].
+    ///
+    /// [`ControlState::answer`]: aeon_runtime::ControlState::answer
+    fn ask(&self, op: DirOp) -> Result<DirReply> {
         if let Directory::Shared(control) = &self.directory {
-            return serve_dir_op(control, op).and_then(T::try_from);
+            return control.answer(op);
         }
         let request = |corr| ClusterMessage::DirReq {
             corr,
@@ -285,7 +290,7 @@ impl NodeShared {
             || AeonError::internal("directory rpc to the authority timed out"),
         )?;
         match answer {
-            ClusterMessage::DirAck { reply, .. } => reply.and_then(T::try_from),
+            ClusterMessage::DirAck { reply, .. } => reply,
             other => Err(unexpected(&other)),
         }
     }
@@ -617,7 +622,9 @@ fn sequenced(shared: &Arc<NodeShared>, event: EventDescriptor, sequencer: Contex
     }
     let server = match shared.forwarded(target) {
         Some(server) => Ok(server),
-        None => shared.ask(DirOp::PlacementOf(target)),
+        None => shared
+            .ask(DirOp::PlacementOf(target))
+            .and_then(ServerId::try_from),
     };
     let exec = ClusterMessage::Exec {
         event,
@@ -653,8 +660,8 @@ impl<'a> NodeHost<'a> {
 }
 
 impl ContextHost for NodeHost<'_> {
-    fn path_owners(&self, caller: ContextId, target: ContextId) -> Result<Vec<ContextId>> {
-        self.node.ask(DirOp::PathOwners(caller, target))
+    fn ask(&self, op: DirOp) -> Result<DirReply> {
+        self.node.ask(op)
     }
 
     /// A contended activation waits inside `block_in_place`: its holder
@@ -676,7 +683,7 @@ impl ContextHost for NodeHost<'_> {
                     // It came back a moment ago.
                     Some(Ok(_)) => continue,
                     Some(Err(server)) => server,
-                    None => node.ask(DirOp::PlacementOf(target))?,
+                    None => node.ask(DirOp::PlacementOf(target))?.try_into()?,
                 },
             };
             if server != node.id {
@@ -696,11 +703,8 @@ impl ContextHost for NodeHost<'_> {
         self.node.core.holds(event.id, context) || self.entered_remote.contains(&context)
     }
 
-    fn lock_object<'o>(
-        &self,
-        hosted: &'o dyn HostedObject,
-    ) -> MutexGuard<'o, Box<dyn ContextObject>> {
-        self.node.executor.lock(hosted.object())
+    fn lock_object<'o>(&self, slot: &'o ContextSlot) -> MutexGuard<'o, Box<dyn ContextObject>> {
+        self.node.executor.lock(&slot.object)
     }
 
     fn remote_call(
@@ -764,31 +768,17 @@ impl ContextHost for NodeHost<'_> {
         // Control-plane half (class validation, id allocation, context and
         // edge declaration) runs at the gateway's control state — one round
         // trip when this node is a separate OS process.
-        let id = self.node.ask(DirOp::CreateOwned { owner, class })?;
+        let id = self
+            .node
+            .ask(DirOp::CreateOwned { owner, class })?
+            .try_into()?;
         // Locality: the child is hosted next to the (local) context that
         // created it, exactly like the in-process runtime.  The plane
         // placed it with its owner; say where it actually landed, which
         // differs while the owner is mid-migration.
         self.node.core.install(id, object);
-        self.node.ask::<()>(DirOp::SetPlacement(id, self.node.id))?;
+        <()>::try_from(self.node.ask(DirOp::SetPlacement(id, self.node.id))?)?;
         Ok(id)
-    }
-
-    fn add_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.node.ask(DirOp::AddEdge(owner, owned))
-    }
-
-    fn remove_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.node.ask(DirOp::RemoveEdge(owner, owned))
-    }
-
-    fn children(&self, parent: ContextId, class: Option<&str>) -> Result<Vec<ContextId>> {
-        let class = class.map(str::to_string);
-        self.node.ask(DirOp::ChildrenOf { parent, class })
-    }
-
-    fn subtree(&self, root: ContextId) -> Result<Vec<ContextId>> {
-        self.node.ask(DirOp::Subtree(root))
     }
 
     /// Ships the state to `to` and waits for its `HostAck`; only then does
@@ -833,7 +823,7 @@ impl ContextHost for NodeHost<'_> {
             return Err(unexpected(&answer));
         };
         result?;
-        node.ask::<()>(DirOp::SetPlacement(target, to))?;
+        <()>::try_from(node.ask(DirOp::SetPlacement(target, to))?)?;
         node.forwarding.write().insert(target, to);
         if let Some(slot) = node.core.remove(target) {
             slot.lock.mark_moved();

@@ -19,16 +19,17 @@
 //!
 //! # Tags
 //!
-//! The tag table is the three `wire! { enum … }` lists at the end of this
-//! module ([`ClusterMessage`], [`DirOp`], [`DirReply`]) and the one beside
+//! The tag table is the `wire! { enum … }` list of [`ClusterMessage`] at
+//! the end of this module, and three lists elsewhere: the ones of
+//! [`DirOp`](aeon_runtime::DirOp) and [`DirReply`](aeon_runtime::DirReply),
+//! which sit beside their types in `aeon_runtime::deployment` (the orphan
+//! rule puts the impls there, as for `SubEvent`), and the one beside
 //! `AeonError`'s `Wire` impl in `aeon_types::codec`: `tag => Variant`, one
-//! byte each.  Tags are part of the format: a new variant takes a fresh
-//! tag, a retired tag is not reused, and declaration order in `message.rs`
-//! means nothing here.  Retired: message tags 0 and 24 (older `Host`s, the
-//! last with an escrow token) and 11–20 (the migration and snapshot-freeze
-//! messages); `DirOp` tags 2
-//! (`MayCall`) and 3 (`ClassOf`); `DirReply` tags 1 (`Flag`) and 5
-//! (`Class`).
+//! byte each.  Tags are part of the format: a new variant takes a fresh tag, a retired tag is not
+//! reused, and declaration order means nothing here.  Retired: message tags
+//! 0 and 24 (older `Host`s, the last with an escrow token) and 11–20 (the
+//! migration and snapshot-freeze messages); `DirOp` tags 2 (`MayCall`) and
+//! 3 (`ClassOf`); `DirReply` tags 1 (`Flag`) and 5 (`Class`).
 //!
 //! # Fields
 //!
@@ -62,7 +63,7 @@
 //! processes with no semantic drift from the in-process channel
 //! deployment.
 
-use crate::message::{ClusterMessage, DirOp, DirReply, EventDescriptor, NodeMetrics};
+use crate::message::{ClusterMessage, EventDescriptor, NodeMetrics};
 use aeon_net::WireMessage;
 use aeon_types::{codec, wire, Result};
 
@@ -103,24 +104,6 @@ wire! { struct NodeMetrics {
     server, context_count, queue_depth, latency,
 } }
 
-wire! { enum DirOp {
-    0 => PlacementOf(context),
-    1 => SetPlacement(context, server),
-    4 => ChildrenOf { parent, class },
-    5 => AddEdge(owner, owned),
-    6 => RemoveEdge(owner, owned),
-    7 => CreateOwned { owner, class },
-    8 => Subtree(context),
-    9 => PathOwners(caller, callee),
-} }
-
-wire! { enum DirReply {
-    0 => Unit,
-    2 => Server(server),
-    3 => Context(context),
-    4 => Contexts(contexts),
-} }
-
 wire! { enum ClusterMessage {
     1 => HostAck { corr, context, result },
     2 => DirReq { corr, from, op },
@@ -142,7 +125,7 @@ wire! { enum ClusterMessage {
 mod tests {
     use super::*;
     use crate::message::{gateway_id, virtual_root};
-    use aeon_runtime::SubEvent;
+    use aeon_runtime::{DirOp, DirReply, SubEvent};
     use aeon_types::codec::{ByteCount, Wire};
     use aeon_types::{
         AccessMode, AeonError, Args, ClientId, ContextId, EventId, LatencyHistogram, ServerId,

@@ -1,6 +1,6 @@
 //! Context objects: the user-visible unit of state and behaviour.
 
-use crate::invocation::{HostedObject, Invocation};
+use crate::invocation::Invocation;
 use crate::locks::ContextLock;
 use aeon_types::{AeonError, Args, ContextId, Result, Value};
 use parking_lot::Mutex;
@@ -202,12 +202,6 @@ impl ContextSlot {
             lock: ContextLock::new(id),
             object: Mutex::new(object),
         })
-    }
-}
-
-impl HostedObject for ContextSlot {
-    fn object(&self) -> &Mutex<Box<dyn ContextObject>> {
-        &self.object
     }
 }
 

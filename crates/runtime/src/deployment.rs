@@ -112,7 +112,139 @@ impl ControlState {
     pub fn shut_down(&self) -> bool {
         self.shutdown.swap(true, Ordering::SeqCst)
     }
+
+    /// Answers one [`DirOp`] from the plane: what every host's
+    /// [`ContextHost::ask`](crate::ContextHost::ask) comes down to, here or
+    /// — for a cluster's node process — at the gateway.  Queries take a
+    /// read guard on the plane, changes a write guard, each for the one
+    /// plane call only.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the error of the control-plane operation.
+    pub fn answer(&self, op: DirOp) -> Result<DirReply> {
+        let (plane, contexts, unit) = (&self.plane, DirReply::Contexts, |()| DirReply::Unit);
+        match op {
+            DirOp::PlacementOf(context) => plane.read().placement_of(context).map(DirReply::Server),
+            DirOp::SetPlacement(context, to) => plane.write().set_placement(context, to).map(unit),
+            DirOp::PathOwners(from, to) => plane.read().path_owners(from, to).map(contexts),
+            DirOp::ChildrenOf { parent, class } => {
+                let children = plane.read().children_of(parent, class.as_deref());
+                children.map(contexts)
+            }
+            DirOp::Subtree(root) => plane.read().graph().subtree_topological(root).map(contexts),
+            DirOp::AddEdge(owner, owned) => plane.write().add_edge(owner, owned).map(unit),
+            DirOp::RemoveEdge(owner, owned) => plane.write().remove_edge(owner, owned).map(unit),
+            DirOp::CreateOwned { owner, class } => {
+                let id = ContextId::new(self.next_raw());
+                plane.write().declare_owned(id, &class, &[owner])?;
+                Ok(DirReply::Context(id))
+            }
+        }
+    }
 }
+
+/// A question to the control plane, or a change of it, that a host asks
+/// while it runs an event: the one vocabulary every backend's
+/// [`ContextHost::ask`](crate::ContextHost::ask) speaks, answered by
+/// [`ControlState::answer`].  A cluster's node process ships it to the
+/// gateway, so it has a byte representation (listed below): the paper's
+/// "query the eManager / read the mapping from cloud storage" (§5.1).
+#[derive(Debug, Clone, PartialEq)]
+pub enum DirOp {
+    /// Which server hosts this context?
+    PlacementOf(ContextId),
+    /// Record (or update) a context's placement.
+    SetPlacement(ContextId, ServerId),
+    /// The owners of `callee` a call from `caller` reaches it through
+    /// (none for a direct edge; refused when there is no path).
+    PathOwners(ContextId, ContextId),
+    /// Direct children of `parent`, optionally filtered by class.
+    ChildrenOf {
+        /// The parent context.
+        parent: ContextId,
+        /// Optional class filter.
+        class: Option<String>,
+    },
+    /// A context and everything it (transitively) owns, owner before owned.
+    Subtree(ContextId),
+    /// Add an ownership edge (class constraints are checked by the plane).
+    AddEdge(ContextId, ContextId),
+    /// Remove an ownership edge.
+    RemoveEdge(ContextId, ContextId),
+    /// Atomically validate class constraints, allocate an id, declare the
+    /// context, and add the `owner → child` edge (the control-plane half
+    /// of creating a child; the caller installs state and placement after).
+    CreateOwned {
+        /// The owning context.
+        owner: ContextId,
+        /// Class of the new child.
+        class: String,
+    },
+}
+
+/// What [`ControlState::answer`] returns for a [`DirOp`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum DirReply {
+    /// Nothing to report.
+    Unit,
+    /// A server id ([`DirOp::PlacementOf`]).
+    Server(ServerId),
+    /// A context id ([`DirOp::CreateOwned`]).
+    Context(ContextId),
+    /// A list of context ids ([`DirOp::ChildrenOf`], [`DirOp::Subtree`],
+    /// [`DirOp::PathOwners`]).
+    Contexts(Vec<ContextId>),
+}
+
+/// A [`DirReply`] unpacks into what its op asks for: `()`, a [`ServerId`],
+/// a [`ContextId`] or a list of them.  Any other reply is an
+/// [`AeonError::Internal`]: whoever answered broke the protocol.
+macro_rules! unpack_dir_reply {
+    ($($into:ty: $reply:pat => $value:expr;)*) => {$(
+        impl TryFrom<DirReply> for $into {
+            type Error = AeonError;
+
+            fn try_from(reply: DirReply) -> Result<Self> {
+                match reply {
+                    $reply => Ok($value),
+                    other => Err(AeonError::internal(format!(
+                        "unexpected directory reply {other:?}"
+                    ))),
+                }
+            }
+        }
+    )*};
+}
+
+unpack_dir_reply! {
+    (): DirReply::Unit => ();
+    ServerId: DirReply::Server(server) => server;
+    ContextId: DirReply::Context(context) => context;
+    Vec<ContextId>: DirReply::Contexts(contexts) => contexts;
+}
+
+// A node process asks in the cluster's `DirReq` and is answered in its
+// `DirAck`; the tags are part of that wire format (see aeon-cluster's
+// `wire` module).  Retired: `DirOp` 2 (`MayCall`) and 3 (`ClassOf`),
+// `DirReply` 1 (`Flag`) and 5 (`Class`).
+aeon_types::wire! { enum DirOp {
+    0 => PlacementOf(context),
+    1 => SetPlacement(context, server),
+    4 => ChildrenOf { parent, class },
+    5 => AddEdge(owner, owned),
+    6 => RemoveEdge(owner, owned),
+    7 => CreateOwned { owner, class },
+    8 => Subtree(context),
+    9 => PathOwners(caller, callee),
+} }
+
+aeon_types::wire! { enum DirReply {
+    0 => Unit,
+    2 => Server(server),
+    3 => Context(context),
+    4 => Contexts(contexts),
+} }
 
 /// The class factories of one process: what rebuilds a context of a class
 /// from its state (migration, crash recovery, hosting in a node process).
@@ -164,15 +296,16 @@ pub enum Hosted<'a> {
 /// A client session on a deployment: the entry point for submitting
 /// strictly-serializable events.
 ///
-/// Implementations provide only [`Session::submit_with_mode`]; the
+/// Implementations provide [`Session::submit_with_mode`]; the blocking
+/// [`Session::call_with_mode`] defaults to it plus `wait`, and the
 /// `submit_event` / `submit_readonly_event` / `call` / `call_readonly`
-/// convenience wrappers are default methods expressed through it.  A
-/// backend may override `call` / `call_readonly` when it can serve a caller
-/// that blocks anyway more cheaply than `submit` + `wait` — the in-process
-/// runtime executes the event on the calling thread instead of handing it
-/// to its worker pool, and so does the cluster when the event's first
-/// server is a node in the gateway's process — but results and errors must
-/// equal the default's (`backend_parity` holds every backend to that).
+/// convenience wrappers, which no backend overrides, are default methods
+/// over these two.  A backend may override `call_with_mode` when it can serve a caller that blocks anyway
+/// more cheaply than `submit` + `wait` — the in-process runtime executes
+/// the event on the calling thread instead of handing it to its worker
+/// pool, and so does the cluster when the event's first server is a node in
+/// the gateway's process — but results and errors must equal the default's
+/// (`backend_parity` holds every backend to that).
 pub trait Session: Send + Sync {
     /// The id the backend assigned to this client.
     fn client_id(&self) -> ClientId;
@@ -216,25 +349,41 @@ pub trait Session: Send + Sync {
         self.submit_with_mode(target, method, args, AccessMode::ReadOnly)
     }
 
-    /// Submits an exclusive event and waits for its result.  A backend may
-    /// run the event on the calling thread, which then waits for the
-    /// event's locks itself; the event is the same, and so is its result.
+    /// Submits an event with an explicit access mode and waits for its
+    /// result: `submit_with_mode(..)?.wait()`.  A backend may run the event
+    /// on the calling thread, which then waits for the event's locks
+    /// itself; the event is the same — sequenced, recorded and counted like
+    /// a submitted one — and so is its result.
     ///
     /// # Errors
     ///
     /// Propagates submission and execution errors.
-    fn call(&self, target: ContextId, method: &str, args: Args) -> Result<Value> {
-        self.submit_event(target, method, args)?.wait()
+    fn call_with_mode(
+        &self,
+        target: ContextId,
+        method: &str,
+        args: Args,
+        mode: AccessMode,
+    ) -> Result<Value> {
+        self.submit_with_mode(target, method, args, mode)?.wait()
     }
 
-    /// Submits a read-only event and waits for its result.  A backend may
-    /// run the event on the calling thread, as for [`Session::call`].
+    /// Submits an exclusive event and waits for its result.
     ///
     /// # Errors
     ///
-    /// Propagates submission and execution errors.
+    /// Same conditions as [`Session::call_with_mode`].
+    fn call(&self, target: ContextId, method: &str, args: Args) -> Result<Value> {
+        self.call_with_mode(target, method, args, AccessMode::Exclusive)
+    }
+
+    /// Submits a read-only event and waits for its result.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Session::call_with_mode`].
     fn call_readonly(&self, target: ContextId, method: &str, args: Args) -> Result<Value> {
-        self.submit_readonly_event(target, method, args)?.wait()
+        self.call_with_mode(target, method, args, AccessMode::ReadOnly)
     }
 }
 
@@ -473,17 +622,25 @@ pub trait Deployment: Send + Sync {
     /// captures every member at one cut.  Contexts whose
     /// `ContextObject::snapshot` is `Null` are left out.
     ///
+    /// The event is the session's blocking call
+    /// ([`Session::call_with_mode`]), which a backend may serve on the
+    /// caller's thread.
+    ///
     /// # Errors
     ///
-    /// * [`AeonError::ContextNotFound`] when `root` is unknown, and the
-    ///   other errors of submitting an event.
-    /// * [`AeonError::SnapshotFailed`] naming `root` when the event fails,
-    ///   e.g. because a member's server crashed; it holds no lock after.
+    /// * [`AeonError::RuntimeShutdown`] after shutdown and
+    ///   [`AeonError::ContextNotFound`] when `root` is unknown, both
+    ///   checked before the event.
+    /// * [`AeonError::SnapshotFailed`] naming `root` for whatever the event
+    ///   returns instead of a cut, e.g. because a member's server crashed;
+    ///   it holds no lock after.  That includes the event's refusal when
+    ///   `root`'s own server crashed (before or after the check: a lost
+    ///   context keeps its placement until restored).
     fn snapshot_context(&self, root: ContextId) -> Result<Snapshot> {
-        let cut = self
-            .session()
-            .submit_readonly_event(root, SNAPSHOT_METHOD, args![])?;
-        Snapshot::from_value(&cut.wait().map_err(|e| cut_failed(root, e))?)
+        self.control().running()?;
+        self.placement_of(root)?;
+        let cut = self.session().call_readonly(root, SNAPSHOT_METHOD, args![]);
+        Snapshot::from_value(&cut.map_err(|e| cut_failed(root, e))?)
     }
 
     /// Restores the states of a snapshot taken by
@@ -494,19 +651,26 @@ pub trait Deployment: Send + Sync {
     /// it writes any, so concurrent events see every member before the
     /// restore or every member after it.  An entry that has left the
     /// subtree since the capture is restored afterwards by an exclusive
-    /// event of its own.
+    /// event of its own.  Each event is a blocking call, as for
+    /// [`Deployment::snapshot_context`].
     ///
     /// # Errors
     ///
-    /// * [`AeonError::ContextNotFound`] when the root, or an entry outside
-    ///   the subtree, is unknown.
-    /// * [`AeonError::SnapshotFailed`] when a restore event fails; a member
-    ///   of the subtree that vanished fails it before any state changed.
+    /// * [`AeonError::RuntimeShutdown`] after shutdown and
+    ///   [`AeonError::ContextNotFound`] when the root, or an entry outside
+    ///   the subtree, is unknown, each checked before its event.
+    /// * [`AeonError::SnapshotFailed`] naming the event's root for whatever
+    ///   a restore event returns instead of success — its root's server
+    ///   crashed included; a member of the subtree that vanished fails it
+    ///   before any state changed.
     fn restore_snapshot(&self, snapshot: &Snapshot) -> Result<()> {
         let session = self.session();
         let restore = |root: ContextId, snapshot: &Snapshot| {
-            let event = session.submit_event(root, RESTORE_METHOD, args![snapshot.to_value()])?;
-            event.wait().map_err(|e| cut_failed(root, e))
+            self.control().running()?;
+            self.placement_of(root)?;
+            let state = args![snapshot.to_value()];
+            let restored = session.call(root, RESTORE_METHOD, state);
+            restored.map_err(|e| cut_failed(root, e))
         };
         let restored = restore(snapshot.root(), snapshot)?;
         let restored = restored.as_list().unwrap_or_default();
@@ -625,7 +789,107 @@ fn cut_failed(root: ContextId, error: AeonError) -> AeonError {
 mod tests {
     use super::*;
     use crate::KvContext;
+    use aeon_ownership::ClassGraph;
     use std::sync::Arc;
+
+    /// A control state with one online server hosting one `Room` root.
+    fn authority_with_room(class_graph: Option<ClassGraph>) -> (ControlState, ServerId, ContextId) {
+        let dir = ControlState::new(ControlPlane::new(class_graph));
+        let room = ContextId::new(dir.next_raw());
+        let server = {
+            let mut plane = dir.plane().write();
+            plane.add_server();
+            plane.declare_root(room, "Room", Placement::Auto).unwrap()
+        };
+        (dir, server, room)
+    }
+
+    #[test]
+    fn answer_serves_control_plane_queries() {
+        let (dir, server, room) = authority_with_room(None);
+        assert_eq!(
+            dir.answer(DirOp::PlacementOf(room)).unwrap(),
+            DirReply::Server(server)
+        );
+        let created = dir
+            .answer(DirOp::CreateOwned {
+                owner: room,
+                class: "Item".into(),
+            })
+            .unwrap();
+        let DirReply::Context(child) = created else {
+            panic!("expected Context reply, got {created:?}");
+        };
+        assert_eq!(
+            dir.answer(DirOp::SetPlacement(child, server)).unwrap(),
+            DirReply::Unit
+        );
+        assert_eq!(
+            dir.answer(DirOp::PathOwners(room, child)).unwrap(),
+            DirReply::Contexts(Vec::new())
+        );
+        assert_eq!(
+            dir.answer(DirOp::ChildrenOf {
+                parent: room,
+                class: None
+            })
+            .unwrap(),
+            DirReply::Contexts(vec![child])
+        );
+        assert_eq!(
+            dir.answer(DirOp::Subtree(room)).unwrap(),
+            DirReply::Contexts(vec![room, child])
+        );
+        assert!(dir.answer(DirOp::RemoveEdge(room, child)).is_ok());
+    }
+
+    /// What a host asks: the op, answered by the authority and unpacked.
+    fn ask<T: TryFrom<DirReply, Error = AeonError>>(dir: &ControlState, op: DirOp) -> Result<T> {
+        dir.answer(op).and_then(T::try_from)
+    }
+
+    #[test]
+    fn host_facing_replies_unpack_into_what_the_op_asks_for() {
+        let mut classes = ClassGraph::new();
+        classes.add_constraint("Room", "Item");
+        let (dir, server, room) = authority_with_room(Some(classes));
+        let create = |owner, class: &str| {
+            let class = class.to_string();
+            ask::<ContextId>(&dir, DirOp::CreateOwned { owner, class })
+        };
+        let child = create(room, "Item").unwrap();
+        assert_eq!(
+            ask::<ServerId>(&dir, DirOp::PlacementOf(child)).unwrap(),
+            server
+        );
+        let children = DirOp::ChildrenOf {
+            parent: room,
+            class: Some("Item".into()),
+        };
+        assert_eq!(ask::<Vec<ContextId>>(&dir, children).unwrap(), vec![child]);
+        let owners =
+            |caller, callee| ask::<Vec<ContextId>>(&dir, DirOp::PathOwners(caller, callee));
+        assert_eq!(owners(room, child).unwrap(), Vec::new());
+        assert!(owners(child, room).is_err());
+        ask::<()>(&dir, DirOp::RemoveEdge(room, child)).unwrap();
+        ask::<()>(&dir, DirOp::AddEdge(room, child)).unwrap();
+        // A reply of another kind than the op asks for is refused.
+        assert!(matches!(
+            ask::<ServerId>(&dir, DirOp::Subtree(room)),
+            Err(AeonError::Internal(_))
+        ));
+        // A refusal travels back as the plane's error, and declares nothing.
+        let contexts = dir.plane().read().graph().len();
+        assert!(matches!(
+            create(child, "Room"),
+            Err(AeonError::OwnershipViolation { .. })
+        ));
+        assert!(matches!(
+            ask::<()>(&dir, DirOp::SetPlacement(child, ServerId::new(9))),
+            Err(AeonError::ServerNotFound(_))
+        ));
+        assert_eq!(dir.plane().read().graph().len(), contexts);
+    }
 
     #[test]
     fn class_factories_rebuild_what_is_registered_and_refuse_the_rest() {

@@ -8,10 +8,15 @@
 //! sub-event list, the panic boundary around application code and the
 //! certified-footprint rule and the top-down path a call takes to a context
 //! it owns only transitively (Algorithm 2's `activatePath`).  It is written
-//! once for the workspace: the in-process runtime, the cluster node and the
-//! simulator each supply a thin [`ContextHost`] — locks and slots, `locate`
-//! and remote calls, virtual-time accounting — so a contextclass program
-//! cannot tell the backends apart by construction rather than by testing.
+//! once for the workspace: the in-process runtime (which the simulator
+//! runs on) and the cluster node each supply a thin [`ContextHost`] —
+//! activations and slots, remote calls, the move of a migration — so a
+//! contextclass program cannot tell the backends apart by construction
+//! rather than by testing.  What the interpreter asks the control plane (a
+//! call's path of owners, a cut's members, children, edge edits) is one
+//! [`DirOp`] to [`ContextHost::ask`], answered on every backend by the one
+//! `ControlState::answer`; a local context is a [`ContextSlot`] on every
+//! backend.
 //!
 //! The [`Invocation`] handed to context methods is the interpreter for the
 //! length of one method frame, exposing the operations the paper's
@@ -27,13 +32,14 @@
 //! executes and records them the way it does any other event, and supplies
 //! only the move itself ([`ContextHost::migrate`]).
 
-use crate::context::ContextObject;
+use crate::context::{ContextObject, ContextSlot};
+use crate::deployment::{DirOp, DirReply};
 use crate::snapshot::Snapshot;
 use aeon_ownership::ClassGraph;
 use aeon_types::{
     codec, AccessMode, AeonError, Args, ClientId, ContextId, EventId, Result, ServerId, Value,
 };
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::MutexGuard;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -154,43 +160,33 @@ impl CertifiedReads {
     }
 }
 
-/// A locally hosted context as the interpreter sees it: the application
-/// object behind its lock.
-pub trait HostedObject {
-    /// The application object.
-    fn object(&self) -> &Mutex<Box<dyn ContextObject>>;
-}
-
-impl HostedObject for Mutex<Box<dyn ContextObject>> {
-    fn object(&self) -> &Mutex<Box<dyn ContextObject>> {
-        self
-    }
-}
-
 /// Where [`ContextHost::enter`] found the target.
 pub enum Entered {
     /// Hosted here; the event now holds its activation.
-    Local(Arc<dyn HostedObject>),
+    Local(Arc<ContextSlot>),
     /// Hosted on this server elsewhere; reach it there with
     /// [`ContextHost::remote_call`].
     Remote(ServerId),
 }
 
 /// What a backend supplies to the interpreter: where contexts live, how
-/// their activations are taken, and the ownership network.  Sequencing,
-/// lock release and everything else about *when* an event may run stay
-/// with the host's owner (on the runtime and the cluster, their
+/// their activations are taken, and its way to the control plane.
+/// Sequencing, lock release and everything else about *when* an event may
+/// run stay with the host's owner (on the runtime and the cluster, their
 /// `ServerCore`).
 pub trait ContextHost {
-    /// The direct owners of `target` a call from `caller` can reach it
-    /// through, ascending: none when `caller` is `target` or owns it
-    /// directly ([`aeon_ownership::OwnershipGraph::path_owners`]).
+    /// Answers `op` from the deployment's control plane — its ownership
+    /// network and placement — with [`ControlState::answer`], here or where
+    /// the plane is.  The interpreter asks for a call's path of owners
+    /// ([`DirOp::PathOwners`]), a cut's members ([`DirOp::Subtree`]), a
+    /// context's children and a method's edge edits.
     ///
     /// # Errors
     ///
-    /// [`AeonError::OwnershipViolation`] when `caller` does not own
-    /// `target`.
-    fn path_owners(&self, caller: ContextId, target: ContextId) -> Result<Vec<ContextId>>;
+    /// The plane's refusal of `op`, or why the plane could not be asked.
+    ///
+    /// [`ControlState::answer`]: crate::ControlState::answer
+    fn ask(&self, op: DirOp) -> Result<DirReply>;
 
     /// Takes `target`'s activation for `event` (a no-op when the event
     /// already holds it) and hands back its object, or reports that the
@@ -206,12 +202,7 @@ pub trait ContextHost {
     /// another reader's method frame — one that may itself be waiting for
     /// work queued on a pool; the runtime's and the cluster's hosts announce
     /// that wait to their pools.
-    fn lock_object<'o>(
-        &self,
-        hosted: &'o dyn HostedObject,
-    ) -> MutexGuard<'o, Box<dyn ContextObject>> {
-        hosted.object().lock()
-    }
+    fn lock_object<'o>(&self, slot: &'o ContextSlot) -> MutexGuard<'o, Box<dyn ContextObject>>;
 
     /// Serves a call to a context [`ContextHost::enter`] reported as
     /// remote, on the `server` it named; returns the callee's value and the
@@ -244,18 +235,6 @@ pub trait ContextHost {
         owner: ContextId,
         object: Box<dyn ContextObject>,
     ) -> Result<ContextId>;
-
-    /// Adds `owner` as an owner of `owned`.
-    fn add_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()>;
-
-    /// Removes `owner` from the owners of `owned`.
-    fn remove_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()>;
-
-    /// Direct children of `parent`, optionally filtered by class name.
-    fn children(&self, parent: ContextId, class: Option<&str>) -> Result<Vec<ContextId>>;
-
-    /// `root` and everything it (transitively) owns, owner before owned.
-    fn subtree(&self, root: ContextId) -> Result<Vec<ContextId>>;
 
     /// Moves `target` to server `to`: the running event holds it
     /// exclusively, `object` is its locked object and `state` its snapshot.
@@ -376,6 +355,11 @@ impl<'h> EventBody<'h> {
         }
     }
 
+    /// Asks the host's control plane `op`, unpacked into what it asks for.
+    fn ask<T: TryFrom<DirReply, Error = AeonError>>(&self, op: DirOp) -> Result<T> {
+        self.host.ask(op).and_then(T::try_from)
+    }
+
     /// Invokes `method` on `target`, wherever it lives.
     fn invoke(
         &mut self,
@@ -403,9 +387,9 @@ impl<'h> EventBody<'h> {
                 SNAPSHOT_METHOD | RESTORE_METHOD => {
                     self.serve_reserved(caller, target, hosted, method, args)
                 }
-                MIGRATE_METHOD => self.serve_migrate(caller, target, &*hosted, args),
+                MIGRATE_METHOD => self.serve_migrate(caller, target, &hosted, args),
                 _ => {
-                    let mut object = self.host.lock_object(&*hosted);
+                    let mut object = self.host.lock_object(&hosted);
                     self.execute(&mut **object, target, method, args)
                 }
             },
@@ -498,7 +482,7 @@ impl<'h> EventBody<'h> {
         &mut self,
         caller: Option<ContextId>,
         target: ContextId,
-        hosted: Arc<dyn HostedObject>,
+        hosted: Arc<ContextSlot>,
         method: &str,
         args: &Args,
     ) -> Result<Value> {
@@ -510,14 +494,14 @@ impl<'h> EventBody<'h> {
             });
         }
         if caller.is_some() {
-            return self.serve_member(target, &*hosted, args.get(0).filter(|_| restore));
+            return self.serve_member(target, &hosted, args.get(0).filter(|_| restore));
         }
         // A cut enters many contexts, which a certified event may not.
         self.check_footprint(target, target, method)?;
-        let members = self.host.subtree(target)?;
+        let members: Vec<ContextId> = self.ask(DirOp::Subtree(target))?;
         let at = |body: &mut Self, member: ContextId, method: &str, state: Option<&Value>| {
             if member == target {
-                return body.serve_member(target, &*hosted, state);
+                return body.serve_member(target, &hosted, state);
             }
             let args = state.map_or_else(Args::empty, |state| Args::new(vec![state.clone()]));
             body.invoke(Some(target), member, method, &args)
@@ -552,7 +536,7 @@ impl<'h> EventBody<'h> {
     fn serve_member(
         &self,
         target: ContextId,
-        hosted: &dyn HostedObject,
+        hosted: &ContextSlot,
         state: Option<&Value>,
     ) -> Result<Value> {
         let mut object = self.host.lock_object(hosted);
@@ -580,7 +564,7 @@ impl<'h> EventBody<'h> {
         &mut self,
         caller: Option<ContextId>,
         target: ContextId,
-        hosted: &dyn HostedObject,
+        hosted: &ContextSlot,
         args: &Args,
     ) -> Result<Value> {
         if self.event.mode.is_read_only() {
@@ -626,7 +610,7 @@ impl<'h> EventBody<'h> {
         target: ContextId,
         method: &str,
     ) -> Result<ContextId> {
-        let owners = self.host.path_owners(caller, target)?;
+        let owners: Vec<ContextId> = self.ask(DirOp::PathOwners(caller, target))?;
         if method != ENTER_METHOD {
             self.report_edge(caller, target, method);
         }
@@ -724,7 +708,8 @@ impl Invocation<'_> {
         let caller = self.current;
         self.body.check_footprint(caller, target, method)?;
         // The path is taken when the call drains.
-        self.body.host.path_owners(caller, target)?;
+        self.body
+            .ask::<Vec<ContextId>>(DirOp::PathOwners(caller, target))?;
         self.body.report_edge(caller, target, method);
         self.body.state.pending_async.push_back(AsyncCall {
             caller,
@@ -798,7 +783,7 @@ impl Invocation<'_> {
     ///   when the edge would violate the DAG or the class constraints.
     pub fn add_ownership(&mut self, owned: ContextId) -> Result<()> {
         self.check_writable("add_ownership")?;
-        self.body.host.add_ownership(self.current, owned)
+        self.body.ask(DirOp::AddEdge(self.current, owned))
     }
 
     /// Removes the current context from the owners of `owned`.
@@ -809,7 +794,7 @@ impl Invocation<'_> {
     /// * [`AeonError::ContextNotFound`] when `owned` is unknown.
     pub fn remove_ownership(&mut self, owned: ContextId) -> Result<()> {
         self.check_writable("remove_ownership")?;
-        self.body.host.remove_ownership(self.current, owned)
+        self.body.ask(DirOp::RemoveEdge(self.current, owned))
     }
 
     /// The direct children (owned contexts) of the current context,
@@ -822,7 +807,11 @@ impl Invocation<'_> {
     /// Returns [`AeonError::ContextNotFound`] if the current context has
     /// been removed concurrently.
     pub fn children(&self, class: Option<&str>) -> Result<Vec<ContextId>> {
-        self.body.host.children(self.current, class)
+        let class = class.map(str::to_string);
+        self.body.ask(DirOp::ChildrenOf {
+            parent: self.current,
+            class,
+        })
     }
 
     /// Refuses `operation` — a change, or a way to cause one — from a
@@ -856,6 +845,7 @@ mod tests {
 
     use super::*;
     use aeon_types::args;
+    use parking_lot::Mutex;
 
     type Log = Arc<Mutex<Vec<String>>>;
 
@@ -866,16 +856,16 @@ mod tests {
     /// a record of what the interpreter asked for.
     #[derive(Default)]
     struct FakeHost {
-        objects: HashMap<ContextId, Arc<Mutex<Box<dyn ContextObject>>>>,
+        objects: HashMap<ContextId, Arc<ContextSlot>>,
         remote: HashSet<ContextId>,
         remote_calls: Vec<(Option<ContextId>, ContextId, String)>,
         entered: Vec<ContextId>,
-        mutations: Vec<&'static str>,
-        /// What `subtree` lists (the root alone when empty).
+        mutations: Mutex<Vec<&'static str>>,
+        /// What `DirOp::Subtree` lists (the root alone when empty).
         subtree: Vec<ContextId>,
         /// Each move asked for: the context, its captured state, where to.
         moves: Vec<(ContextId, Value, ServerId)>,
-        /// What `path_owners` answers for a target (none when absent).
+        /// What `DirOp::PathOwners` answers for a target (none when absent).
         owners: HashMap<ContextId, Vec<ContextId>>,
     }
 
@@ -888,15 +878,30 @@ mod tests {
                     log: Arc::clone(&log),
                 };
                 host.objects
-                    .insert(cx(raw), Arc::new(Mutex::new(Box::new(probe))));
+                    .insert(cx(raw), ContextSlot::new(cx(raw), Box::new(probe)));
             }
             (host, log)
         }
     }
 
     impl ContextHost for FakeHost {
-        fn path_owners(&self, _caller: ContextId, target: ContextId) -> Result<Vec<ContextId>> {
-            Ok(self.owners.get(&target).cloned().unwrap_or_default())
+        fn ask(&self, op: DirOp) -> Result<DirReply> {
+            let mutation = match op {
+                DirOp::PathOwners(_, target) => {
+                    let owners = self.owners.get(&target).cloned();
+                    return Ok(DirReply::Contexts(owners.unwrap_or_default()));
+                }
+                DirOp::Subtree(root) if self.subtree.is_empty() => {
+                    return Ok(DirReply::Contexts(vec![root]));
+                }
+                DirOp::Subtree(_) => return Ok(DirReply::Contexts(self.subtree.clone())),
+                DirOp::ChildrenOf { .. } => return Ok(DirReply::Contexts(Vec::new())),
+                DirOp::AddEdge(..) => "add_ownership",
+                DirOp::RemoveEdge(..) => "remove_ownership",
+                other => panic!("the interpreter never asks {other:?}"),
+            };
+            self.mutations.lock().push(mutation);
+            Ok(DirReply::Unit)
         }
 
         fn enter(&mut self, _event: &EventMeta, target: ContextId) -> Result<Entered> {
@@ -906,12 +911,16 @@ mod tests {
             self.entered.push(target);
             self.objects
                 .get(&target)
-                .map(|object| Entered::Local(Arc::clone(object) as Arc<dyn HostedObject>))
+                .map(|slot| Entered::Local(Arc::clone(slot)))
                 .ok_or(AeonError::ContextNotFound(target))
         }
 
         fn holds(&self, _event: &EventMeta, context: ContextId) -> bool {
             self.entered.contains(&context)
+        }
+
+        fn lock_object<'o>(&self, slot: &'o ContextSlot) -> MutexGuard<'o, Box<dyn ContextObject>> {
+            slot.object.lock()
         }
 
         fn remote_call(
@@ -941,29 +950,8 @@ mod tests {
             _owner: ContextId,
             _object: Box<dyn ContextObject>,
         ) -> Result<ContextId> {
-            self.mutations.push("create_child");
+            self.mutations.lock().push("create_child");
             Ok(cx(99))
-        }
-
-        fn add_ownership(&mut self, _owner: ContextId, _owned: ContextId) -> Result<()> {
-            self.mutations.push("add_ownership");
-            Ok(())
-        }
-
-        fn remove_ownership(&mut self, _owner: ContextId, _owned: ContextId) -> Result<()> {
-            self.mutations.push("remove_ownership");
-            Ok(())
-        }
-
-        fn children(&self, _parent: ContextId, _class: Option<&str>) -> Result<Vec<ContextId>> {
-            Ok(Vec::new())
-        }
-
-        fn subtree(&self, root: ContextId) -> Result<Vec<ContextId>> {
-            if self.subtree.is_empty() {
-                return Ok(vec![root]);
-            }
-            Ok(self.subtree.clone())
         }
 
         fn migrate(
@@ -1228,7 +1216,7 @@ mod tests {
                 refused.result
             );
         }
-        assert!(host.mutations.is_empty());
+        assert!(host.mutations.lock().is_empty());
 
         // Read-only sub-events never grow the footprint, so they stay
         // available; the same mutations pass on a sequenced event.
@@ -1237,7 +1225,7 @@ mod tests {
         assert_eq!(outcome.sub_events.len(), 1);
         let owned = run(&mut host, AccessMode::Exclusive, "own", args![cx(2)]);
         assert_eq!(owned.result, Ok(Value::Null));
-        assert_eq!(host.mutations, ["add_ownership"]);
+        assert_eq!(*host.mutations.lock(), ["add_ownership"]);
     }
 
     #[test]
@@ -1279,8 +1267,8 @@ mod tests {
         let mut host = FakeHost::default();
         for raw in 1..=2 {
             let kv = crate::KvContext::with_entries("Kv", [("n", Value::from(raw as i64))]);
-            let object: Box<dyn ContextObject> = Box::new(kv);
-            host.objects.insert(cx(raw), Arc::new(Mutex::new(object)));
+            host.objects
+                .insert(cx(raw), ContextSlot::new(cx(raw), Box::new(kv)));
         }
         host.remote.insert(cx(3));
         host.subtree = vec![cx(1), cx(2), cx(3)];
@@ -1326,10 +1314,8 @@ mod tests {
         let mut host = FakeHost::default();
         let kv = crate::KvContext::with_entries("Kv", [("n", Value::from(7i64))]);
         let state = ContextObject::snapshot(&kv);
-        host.objects.insert(
-            cx(1),
-            Arc::new(Mutex::new(Box::new(kv) as Box<dyn ContextObject>)),
-        );
+        host.objects
+            .insert(cx(1), ContextSlot::new(cx(1), Box::new(kv)));
         let migrate = |host: &mut FakeHost, mode, to: i64| {
             EventBody::new(host, event(mode), Footprint::Sequenced)
                 .run(None, cx(1), MIGRATE_METHOD, &args![to])

@@ -73,12 +73,12 @@ pub mod snapshot;
 pub mod stats;
 
 pub use context::{ContextFactory, ContextObject, ContextSlot, KvContext};
-pub use deployment::{ClassFactories, ControlState, Deployment, Hosted, Session};
+pub use deployment::{ClassFactories, ControlState, Deployment, DirOp, DirReply, Hosted, Session};
 pub use event::{EventHandle, EventRequest};
 pub use executor::{ExecutorConfig, ExecutorStats, ShardedExecutor};
 pub use invocation::{
-    BodyOutcome, CertifiedReads, ContextHost, Entered, EventBody, EventMeta, Footprint,
-    HostedObject, Invocation, SubEvent, MIGRATE_METHOD, RESTORE_METHOD, SNAPSHOT_METHOD,
+    BodyOutcome, CertifiedReads, ContextHost, Entered, EventBody, EventMeta, Footprint, Invocation,
+    SubEvent, MIGRATE_METHOD, RESTORE_METHOD, SNAPSHOT_METHOD,
 };
 pub use locks::ContextLock;
 pub use method_table::{

@@ -15,16 +15,19 @@
 //! context local.  This module adds the worker pool, statistics, history
 //! recording of events, and the trait's two hooks: `control`, and `host`,
 //! which installs into the core (a restored context rebuilt by its class
-//! factory first, under the panic boundary).  Executing an event takes only
-//! read guards on the plane (sequencer, `path_owners`), each dropped before
+//! factory first, under the panic boundary).  Every question an event asks
+//! the plane (`ContextHost::ask`: a call's path of owners, a cut's members,
+//! children, edge edits) is [`ControlState::answer`], the function a
+//! cluster's gateway answers a node process with.  A guard on the plane is
+//! held for one such answer, or one sequencer look-up, and dropped before
 //! the event waits on a context lock or runs contextclass code.
 //!
 //! An event starts on whichever thread brings it: a pool worker for a
 //! submitted event (`Session::submit_with_mode`), the client's own thread
-//! for a blocking call (`AeonClient::call_with_mode`), the creator's thread
-//! for a sub-event.  It takes its first lock — its sequencer, or its target for a
-//! certified read — through [`ServerCore::start`] and runs in place when
-//! that lock is free.  When it is held, the event waits in the lock's queue
+//! for a blocking call (`Session::call_with_mode`, which this backend
+//! overrides), the creator's thread for a sub-event.  It takes its first
+//! lock — its sequencer, or its target for a certified read — through
+//! [`ServerCore::start`] and runs in place when that lock is free.  When it is held, the event waits in the lock's queue
 //! as a grant and holds no thread: on a pool worker the grant resumes it on
 //! the pool (`ShardedExecutor::resume`) and the worker is free at once; a
 //! blocking caller waits for the grant itself, so its chain hands nothing
@@ -47,13 +50,12 @@
 //! Unset, each of the two sites costs one branch, and the plane is not read
 //! for it.
 
-use crate::context::ContextObject;
-use crate::deployment::{ControlState, Deployment, Hosted, Session};
+use crate::context::{ContextObject, ContextSlot};
+use crate::deployment::{ControlState, Deployment, DirOp, DirReply, Hosted, Session};
 use crate::event::{EventHandle, EventRequest};
 use crate::executor::{ExecutorConfig, ExecutorStats, ShardedExecutor};
 use crate::invocation::{
     BodyOutcome, CertifiedReads, ContextHost, Entered, EventBody, EventMeta, Footprint,
-    HostedObject,
 };
 use crate::locks::ContextLock;
 use crate::reply::{reply, Replier};
@@ -132,7 +134,7 @@ impl RuntimeBuilder {
     /// Sets the number of resident event-executor workers (default: the
     /// machine's available parallelism); the shard count scales with it.
     /// The pool executes the events clients *submit*; a blocking
-    /// [`AeonClient::call_with_mode`] executes its event on the caller's
+    /// [`Session::call_with_mode`] executes its event on the caller's
     /// own thread, so this bounds pool events, not callers.
     pub fn worker_threads(mut self, n: usize) -> Self {
         self.executor.workers = n;
@@ -450,12 +452,8 @@ struct RuntimeHost<'a> {
 }
 
 impl ContextHost for RuntimeHost<'_> {
-    fn path_owners(&self, caller: ContextId, target: ContextId) -> Result<Vec<ContextId>> {
-        self.inner
-            .control
-            .plane()
-            .read()
-            .path_owners(caller, target)
+    fn ask(&self, op: DirOp) -> Result<DirReply> {
+        self.inner.control.answer(op)
     }
 
     /// A contended activation waits inside `block_in_place` on a pool
@@ -485,11 +483,8 @@ impl ContextHost for RuntimeHost<'_> {
 
     /// A reader's turn at an object another reader's frame holds is
     /// announced too: that frame may be waiting for a resumed event.
-    fn lock_object<'o>(
-        &self,
-        hosted: &'o dyn HostedObject,
-    ) -> MutexGuard<'o, Box<dyn ContextObject>> {
-        self.inner.executor.lock(hosted.object())
+    fn lock_object<'o>(&self, slot: &'o ContextSlot) -> MutexGuard<'o, Box<dyn ContextObject>> {
+        self.inner.executor.lock(&slot.object)
     }
 
     fn record_access(&self, event: &EventMeta, context: ContextId) {
@@ -507,23 +502,6 @@ impl ContextHost for RuntimeHost<'_> {
             inner: Arc::clone(self.inner),
         };
         runtime.create_owned_context(object, &[owner])
-    }
-
-    fn add_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.inner.control.plane().write().add_edge(owner, owned)
-    }
-
-    fn remove_ownership(&mut self, owner: ContextId, owned: ContextId) -> Result<()> {
-        self.inner.control.plane().write().remove_edge(owner, owned)
-    }
-
-    fn children(&self, parent: ContextId, class: Option<&str>) -> Result<Vec<ContextId>> {
-        self.inner.control.plane().read().children_of(parent, class)
-    }
-
-    fn subtree(&self, root: ContextId) -> Result<Vec<ContextId>> {
-        let plane = self.inner.control.plane().read();
-        plane.graph().subtree_topological(root)
     }
 
     /// Every context is in this process, so a move re-instantiates the
@@ -738,7 +716,7 @@ impl Deployment for AeonRuntime {
     /// stopped (queued events resolve their handles as closed), and no
     /// event is executing any more when this returns — wherever it ran: on
     /// a pool worker or on the thread of a blocking caller
-    /// ([`AeonClient::call_with_mode`]).
+    /// ([`Session::call_with_mode`]).
     fn shutdown(&self) {
         self.inner.control.shut_down();
         self.inner.core.poison();
@@ -765,32 +743,6 @@ pub struct AeonClient {
 }
 
 impl AeonClient {
-    /// Executes an event **on the calling thread** and returns its result:
-    /// what `submit_with_mode(..)?.wait()` returns, without the hand-off to
-    /// the worker pool and back (this backend's `Session::call` /
-    /// `call_readonly`).  The event is the same event — sequenced at its
-    /// dominator or admitted to the certified read-only fast path, recorded,
-    /// counted in the statistics and in [`AeonRuntime::events_in_flight`] —
-    /// and it takes its turn in the same context-lock queues; only the
-    /// thread that waits there and then runs the method differs.
-    ///
-    /// # Errors
-    ///
-    /// Those of `Session::submit_with_mode`, then the event's own:
-    /// [`AeonError::EventAborted`] when the runtime shuts down while it
-    /// waits for a context, and whatever the method returns.
-    pub fn call_with_mode(
-        &self,
-        target: ContextId,
-        method: &str,
-        args: Args,
-        mode: AccessMode,
-    ) -> Result<Value> {
-        let (request, footprint) = self.admit(target, method, args, mode)?;
-        let inner = Arc::clone(&self.inner);
-        inner.admitted(request, footprint, None, true).run()
-    }
-
     /// What happens to every client event before anything executes it: the
     /// shutdown check, the target lookup, the request under a fresh id, its
     /// invocation point, and the choice of path.
@@ -849,11 +801,24 @@ impl Session for AeonClient {
         Ok(handle)
     }
 
-    fn call(&self, target: ContextId, method: &str, args: Args) -> Result<Value> {
-        self.call_with_mode(target, method, args, AccessMode::Exclusive)
-    }
-
-    fn call_readonly(&self, target: ContextId, method: &str, args: Args) -> Result<Value> {
-        self.call_with_mode(target, method, args, AccessMode::ReadOnly)
+    /// Executes the event **on the calling thread**: what
+    /// `submit_with_mode(..)?.wait()` returns, without the hand-off to the
+    /// worker pool and back.  The event is the same event — sequenced at
+    /// its dominator or admitted to the certified read-only fast path,
+    /// recorded, counted in the statistics and in
+    /// [`AeonRuntime::events_in_flight`] — and it takes its turn in the
+    /// same context-lock queues; only the thread that waits there and then
+    /// runs the method differs.  A shutdown while it waits for a context
+    /// aborts it with [`AeonError::EventAborted`].
+    fn call_with_mode(
+        &self,
+        target: ContextId,
+        method: &str,
+        args: Args,
+        mode: AccessMode,
+    ) -> Result<Value> {
+        let (request, footprint) = self.admit(target, method, args, mode)?;
+        let inner = Arc::clone(&self.inner);
+        inner.admitted(request, footprint, None, true).run()
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! [`SimDeployment`] is an [`AeonRuntime`] that runs every event on the
 //! caller's thread, plus a virtual clock.  A session runs each event
-//! through [`AeonClient::call_with_mode`]: the event takes its locks in the
+//! through its [`AeonClient`]'s [`Session::call_with_mode`], which the
+//! runtime serves on the calling thread: the event takes its locks in the
 //! runtime's own `ServerCore`, executes the *real* contextclass code through
 //! the shared interpreter, and starts its sub-events on the same thread, so
 //! nothing reaches the runtime's worker pool (the sim builds it with one

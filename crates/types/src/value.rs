@@ -124,26 +124,6 @@ impl Value {
         matches!(self, Value::Null)
     }
 
-    /// Collects every [`ContextId`] referenced (transitively) by this value.
-    ///
-    /// The runtime uses this to derive the directly-owned relation from a
-    /// context's state: per §3 of the paper, a context `C` is directly owned
-    /// by `C'` when any field of `C'` references `C`.
-    pub fn referenced_contexts(&self) -> Vec<ContextId> {
-        let mut out = Vec::new();
-        self.collect_refs(&mut out);
-        out
-    }
-
-    fn collect_refs(&self, out: &mut Vec<ContextId>) {
-        match self {
-            Value::ContextRef(c) => out.push(*c),
-            Value::List(items) => items.iter().for_each(|v| v.collect_refs(out)),
-            Value::Map(map) => map.values().for_each(|v| v.collect_refs(out)),
-            _ => {}
-        }
-    }
-
     /// Builds a map value from `(key, value)` pairs.
     pub fn map<I, K>(pairs: I) -> Value
     where
@@ -492,24 +472,6 @@ mod tests {
         assert_eq!(Value::Bool(true).as_i64(), None);
         assert_eq!(Value::Null.as_str(), None);
         assert_eq!(Value::Int(3).as_f64(), Some(3.0));
-    }
-
-    #[test]
-    fn referenced_contexts_walks_nested_structures() {
-        let v = Value::map([
-            (
-                "items",
-                Value::from(vec![ContextId::new(1), ContextId::new(2)]),
-            ),
-            ("owner", Value::from(ContextId::new(3))),
-            ("name", Value::from("castle")),
-        ]);
-        let mut refs = v.referenced_contexts();
-        refs.sort();
-        assert_eq!(
-            refs,
-            vec![ContextId::new(1), ContextId::new(2), ContextId::new(3)]
-        );
     }
 
     #[test]

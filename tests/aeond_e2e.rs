@@ -76,39 +76,64 @@ fn sample_total(exposition: &str, name: &str) -> f64 {
         .sum()
 }
 
+/// A running `aeond`, its admin address and its temporary directory.
+/// Dropped — at the end of a test, or as a failed assertion unwinds it — it
+/// kills and reaps the process if it still runs, so that no orphan holds
+/// the test's stderr open, and removes the directory.
+struct Aeond {
+    child: Child,
+    addr: String,
+    dir: PathBuf,
+}
+
+impl Drop for Aeond {
+    fn drop(&mut self) {
+        if let Ok(None) = self.child.try_wait() {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+        std::fs::remove_dir_all(&self.dir).ok();
+    }
+}
+
 /// Starts `aeond` on `config`, written to a temporary directory named after
-/// `name`; returns the process, its admin address and the directory.
-fn spawn_aeond(name: &str, config: &str) -> (Child, String, PathBuf) {
+/// `name`.
+fn spawn_aeond(name: &str, config: &str) -> Aeond {
     let dir = std::env::temp_dir().join(format!("aeond-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let config_path = dir.join("aeond.toml");
     std::fs::write(&config_path, config).expect("write config");
 
-    let mut child = Command::new(env!("CARGO_BIN_EXE_aeond"))
+    let child = Command::new(env!("CARGO_BIN_EXE_aeond"))
         .arg("--config")
         .arg(&config_path)
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
         .spawn()
         .expect("spawn aeond");
+    let mut aeond = Aeond {
+        child,
+        addr: String::new(),
+        dir,
+    };
 
     // The first stdout line announces the bound admin address.
-    let stdout = child.stdout.take().expect("captured stdout");
+    let stdout = aeond.child.stdout.take().expect("captured stdout");
     let mut banner = String::new();
     BufReader::new(stdout)
         .read_line(&mut banner)
         .expect("read startup banner");
-    let addr = banner
+    aeond.addr = banner
         .rsplit(' ')
         .next()
         .map(str::trim)
         .expect("address in startup banner")
         .to_string();
     assert!(
-        addr.parse::<std::net::SocketAddr>().is_ok(),
+        aeond.addr.parse::<std::net::SocketAddr>().is_ok(),
         "unparseable admin address in banner: {banner:?}"
     );
-    (child, addr, dir)
+    aeond
 }
 
 #[test]
@@ -127,7 +152,8 @@ fn aeond_serves_probes_metrics_and_drains_cleanly() {
         contexts = 4
         events = 25
     "#;
-    let (mut child, addr, dir) = spawn_aeond("e2e", config);
+    let mut aeond = spawn_aeond("e2e", config);
+    let addr = aeond.addr.clone();
 
     assert_eq!(http_get(&addr, "/healthz").expect("healthz").status, 200);
     await_ok(&addr, "/readyz", Duration::from_secs(30));
@@ -176,10 +202,8 @@ fn aeond_serves_probes_metrics_and_drains_cleanly() {
     // Graceful drain: 200, then a clean exit.
     let drain = http_get(&addr, "/drain").expect("drain");
     assert_eq!(drain.status, 200, "drain body: {}", drain.body);
-    let status = child.wait().expect("wait for aeond");
+    let status = aeond.child.wait().expect("wait for aeond");
     assert!(status.success(), "aeond exited with {status}");
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A runtime behind the admin surface, with no workload.
@@ -204,27 +228,26 @@ fn healthz_takes(addr: &str) -> Duration {
 /// 8 KiB and no wait.
 #[test]
 fn an_endless_request_line_does_not_hold_the_admin_loop() {
-    let (mut child, addr, dir) = spawn_aeond("endless", QUIET);
-    let mut hog = TcpStream::connect(&addr).expect("connect");
+    let aeond = spawn_aeond("endless", QUIET);
+    let addr = &aeond.addr;
+    let mut hog = TcpStream::connect(addr).expect("connect");
     let hog = std::thread::spawn(move || {
         let _ = hog.write_all(&vec![b'a'; 1 << 20]);
         hog
     });
     std::thread::sleep(Duration::from_millis(100));
-    let took = healthz_takes(&addr);
+    let took = healthz_takes(addr);
     assert!(took < Duration::from_secs(1), "/healthz took {took:?}");
     drop(hog.join());
-    child.kill().ok();
-    child.wait().ok();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// ... and in time: a client that sends one byte a second has five seconds
 /// for its whole request, not five for each byte.
 #[test]
 fn a_trickling_request_does_not_hold_the_admin_loop() {
-    let (mut child, addr, dir) = spawn_aeond("trickle", QUIET);
-    let mut drip = TcpStream::connect(&addr).expect("connect");
+    let aeond = spawn_aeond("trickle", QUIET);
+    let addr = &aeond.addr;
+    let mut drip = TcpStream::connect(addr).expect("connect");
     let drip = std::thread::spawn(move || {
         for _ in 0..12 {
             if drip.write_all(b"a").is_err() {
@@ -234,10 +257,7 @@ fn a_trickling_request_does_not_hold_the_admin_loop() {
         }
     });
     std::thread::sleep(Duration::from_millis(100));
-    let took = healthz_takes(&addr);
+    let took = healthz_takes(addr);
     assert!(took < Duration::from_secs(7), "/healthz took {took:?}");
     drip.join().ok();
-    child.kill().ok();
-    child.wait().ok();
-    std::fs::remove_dir_all(&dir).ok();
 }

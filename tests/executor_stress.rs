@@ -4,8 +4,8 @@
 //! the whole causal chain), panicking contextclass methods resolving
 //! handles with a proper error on both execution backends, and blocking
 //! `call`s — on the runtime, and on a node of the cluster in the gateway's
-//! process — which execute on the calling thread beside the pool's
-//! `submit_*` events.
+//! process, snapshots and restores included — which execute on the calling
+//! thread beside the pool's `submit_*` events.
 
 use aeon::prelude::*;
 use aeon_apps::bank::{bank_class_graph, Account};
@@ -782,6 +782,13 @@ fn a_blocking_call_is_cheaper_than_submit_then_wait() {
 const IN_PROCESS: [ClusterTransport; 2] =
     [ClusterTransport::Channel, ClusterTransport::TcpLoopback];
 
+/// Each node pool's `(submitted, spill_spawned)`: what a hand-off to a pool
+/// moves.
+fn pool_counters(cluster: &Cluster) -> Vec<(u64, u64)> {
+    let stats = cluster.executor_stats().into_values();
+    stats.map(|s| (s.submitted, s.spill_spawned)).collect()
+}
+
 /// `blocking_calls_hand_nothing_to_the_pool` on two nodes with pools of
 /// one: each counter is its own sequencer, so sequencer and target share a
 /// server.  No node's pool may be handed a call — its submission and spill
@@ -805,11 +812,7 @@ fn cluster_blocking_calls_hand_nothing_to_a_pool() {
             })
             .collect();
         let (&shared, private) = counters.split_first().unwrap();
-        let pools = |cluster: &Cluster| -> Vec<(u64, u64)> {
-            let stats = cluster.executor_stats().into_values();
-            stats.map(|s| (s.submitted, s.spill_spawned)).collect()
-        };
-        let before = pools(&cluster);
+        let before = pool_counters(&cluster);
 
         let targets = std::iter::repeat_n(shared, threads).chain(private.iter().copied());
         let clients: Vec<_> = targets
@@ -827,7 +830,7 @@ fn cluster_blocking_calls_hand_nothing_to_a_pool() {
         }
 
         assert_eq!(
-            pools(&cluster),
+            pool_counters(&cluster),
             before,
             "{transport:?}: a call was handed off"
         );
@@ -836,6 +839,57 @@ fn cluster_blocking_calls_hand_nothing_to_a_pool() {
         assert_eq!(read(shared), Value::from((threads * calls) as i64));
         for target in private {
             assert_eq!(read(*target), Value::from(calls as i64), "{transport:?}");
+        }
+        cluster.shutdown();
+    }
+}
+
+/// A snapshot and a restore are blocking calls too: a subtree hosted on one
+/// node in the gateway's process is captured, and restored, on the
+/// caller's thread, and no node's pool is handed either event.  The
+/// restore brings back the captured states.
+#[test]
+fn cluster_blocking_snapshot_and_restore_hand_nothing_to_a_pool() {
+    for transport in IN_PROCESS {
+        let cluster = Cluster::builder()
+            .servers(2)
+            .worker_threads(1)
+            .transport(transport.clone())
+            .build()
+            .unwrap();
+        let room = cluster
+            .create_context(Box::new(KvContext::new("Room")), Placement::Auto)
+            .unwrap();
+        let items: Vec<ContextId> = (0..3i64)
+            .map(|n| {
+                let item = KvContext::with_entries("Item", [("n", Value::from(n))]);
+                cluster
+                    .create_owned_context(Box::new(item), &[room])
+                    .unwrap()
+            })
+            .collect();
+        let server = cluster.placement_of(room).unwrap();
+        for item in &items {
+            assert_eq!(cluster.placement_of(*item).unwrap(), server);
+        }
+        let client = cluster.client();
+        let before = pool_counters(&cluster);
+
+        let snapshot = cluster.snapshot_context(room).unwrap();
+        assert_eq!(snapshot.len(), 1 + items.len(), "{transport:?}");
+        for item in &items {
+            client.call(*item, "set", args!["n", 99]).unwrap();
+        }
+        cluster.restore_snapshot(&snapshot).unwrap();
+
+        assert_eq!(
+            pool_counters(&cluster),
+            before,
+            "{transport:?}: a snapshot or a restore was handed off"
+        );
+        for (n, item) in items.iter().enumerate() {
+            let read = client.call_readonly(*item, "get", args!["n"]).unwrap();
+            assert_eq!(read, Value::from(n as i64), "{transport:?}");
         }
         cluster.shutdown();
     }
