@@ -62,8 +62,8 @@ use aeon_net::{
 };
 use aeon_ownership::{ClassGraph, ControlPlane, Sequencer};
 use aeon_runtime::{
-    CertifiedReads, ControlState, Deployment, EventHandle, ExecutorConfig, ExecutorStats,
-    Footprint, Hosted, Session,
+    ControlState, Deployment, EventHandle, ExecutorConfig, ExecutorStats, Footprint, Hosted,
+    Session,
 };
 use aeon_types::{
     AccessMode, AeonError, Args, ClientId, ContextId, EventId, NetworkStatsSnapshot, Result,
@@ -72,7 +72,6 @@ use aeon_types::{
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -180,12 +179,17 @@ impl ClusterBuilder {
     ///
     /// # Errors
     ///
-    /// * [`AeonError::Config`] when `servers` or `worker_threads` is zero.
+    /// * [`AeonError::Config`] when `servers` or `worker_threads` is zero,
+    ///   or a [`ClusterTransport::TcpMesh`] names no peer.
     /// * Those of [`aeon_analyzer::enforce`] on the class graph:
     ///   [`AeonError::ClassCycleDetected`] and
     ///   [`AeonError::AnalysisRejected`].
     pub fn build(self) -> Result<Cluster> {
-        if self.servers == 0 && !matches!(self.transport, ClusterTransport::TcpMesh { .. }) {
+        let servers = match &self.transport {
+            ClusterTransport::TcpMesh { peers, .. } => peers.len(),
+            _ => self.servers,
+        };
+        if servers == 0 {
             return Err(AeonError::Config("at least one server is required".into()));
         }
         if self.executor.workers == 0 {
@@ -196,7 +200,6 @@ impl ClusterBuilder {
         if let Some(classes) = &self.class_graph {
             aeon_analyzer::enforce(classes)?;
         }
-        let certified = CertifiedReads::new(self.class_graph.as_ref());
         let control = Arc::new(ControlState::new(ControlPlane::new(self.class_graph)));
         let (mode, network, mesh_peers): (Mode, Network<ClusterMessage>, Vec<ServerId>) =
             match &self.transport {
@@ -243,8 +246,6 @@ impl ClusterBuilder {
             shared_stats,
             node_networks: Mutex::new(BTreeMap::new()),
             executor_config: self.executor,
-            certified,
-            fast_path: AtomicU64::new(0),
             nodes: Mutex::new(BTreeMap::new()),
             pending,
         });
@@ -293,10 +294,6 @@ struct ClusterInner {
     /// Worker-pool configuration applied to every node (including ones
     /// added later by scale-out).
     executor_config: ExecutorConfig,
-    /// Methods admitted to the read-only fast path.
-    certified: CertifiedReads,
-    /// Events the gateway routed as certified, unsequenced executions.
-    fast_path: AtomicU64,
     nodes: Mutex<BTreeMap<ServerId, Arc<NodeShared>>>,
     /// What the gateway waits on: routed events (for their `Done`) and
     /// control round trips (host, metrics).
@@ -468,26 +465,15 @@ impl ClusterInner {
         Ok(handle)
     }
 
-    /// How the gateway admits `event`: certified when it is a read of a
-    /// method the analyzer certified (`ro` with an empty `calls []`
-    /// summary), sequenced otherwise.
-    fn admit(&self, plane: &ControlPlane, event: &EventDescriptor) -> Footprint {
-        if self.certified.is_empty() || !event.mode.is_read_only() {
-            return Footprint::Sequenced;
-        }
-        match plane.class_of(event.target) {
-            Ok(class) => self.certified.admit(class, &event.method, event.mode),
-            Err(_) => Footprint::Sequenced,
-        }
-    }
-
     /// The server `event` goes to first and the unit of work it brings
     /// there, decided under one read guard of the plane, which is released
-    /// before the work is sent or served.
+    /// before the work is sent or served.  The deployment's admission
+    /// ([`ControlState::admit`]) chooses the path.
     fn route(&self, event: EventDescriptor) -> Result<(ServerId, ClusterMessage)> {
         let plane = self.control.plane().read();
         let target_server = plane.placement_of(event.target)?;
-        if self.admit(&plane, &event) == Footprint::Certified {
+        let class = || plane.class_of(event.target).ok();
+        if self.control.admit(class, &event.method, event.mode) == Footprint::Certified {
             // Certified read-only fast path: the event's lock footprint is
             // provably the single target context, so no dominator
             // sequencing is needed — route it straight to the target's
@@ -495,7 +481,6 @@ impl ClusterInner {
             // the target's activation in shared mode, so the read
             // serializes against writers exactly as before, and holds the
             // event to that footprint.
-            self.fast_path.fetch_add(1, Ordering::Relaxed);
             return Ok((target_server, ClusterMessage::ExecCertified { event }));
         }
         // The sequencer's server: its dominator's host, or for the virtual
@@ -683,9 +668,10 @@ impl Cluster {
 
     /// Number of events the gateway routed on the certified read-only fast
     /// path (straight to the target's server, no dominator activation
-    /// round trip, as [`ClusterMessage::ExecCertified`]).
+    /// round trip, as [`ClusterMessage::ExecCertified`]):
+    /// [`ControlState::fast_path_events`].
     pub fn fast_path_events(&self) -> u64 {
-        self.inner.fast_path.load(Ordering::Relaxed)
+        self.inner.control.fast_path_events()
     }
 }
 
@@ -824,10 +810,13 @@ impl Deployment for Cluster {
 
     fn executor_stats(&self) -> Option<ExecutorStats> {
         // Sum the per-node pools into one fleet-wide view.  A certified read
-        // runs on its target's node pool like any event, but only the
-        // gateway, which admits it, counts it: its counter is folded in
-        // here.
-        let mut total = ExecutorStats::default();
+        // runs on its target's node pool like any event, but no pool counts
+        // it: the deployment's admission does, and its count is the
+        // fleet's `fast_path`.
+        let mut total = ExecutorStats {
+            fast_path: self.fast_path_events(),
+            ..ExecutorStats::default()
+        };
         for stats in Cluster::executor_stats(self).into_values() {
             total.workers += stats.workers;
             total.shards += stats.shards;
@@ -838,9 +827,7 @@ impl Deployment for Cluster {
             total.spill_live += stats.spill_live;
             total.panics += stats.panics;
             total.batched += stats.batched;
-            total.fast_path += stats.fast_path;
         }
-        total.fast_path += self.fast_path_events();
         Some(total)
     }
 
@@ -1084,6 +1071,36 @@ mod tests {
             Value::from(5i64)
         );
         cluster.shutdown();
+    }
+
+    /// A mesh without peers could host nothing: it is refused as an empty
+    /// cluster of any other transport is, before anything is bound.
+    #[test]
+    fn a_cluster_without_servers_is_refused_on_every_transport() {
+        let free = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let listen = free.local_addr().unwrap();
+        drop(free);
+        let mesh = ClusterTransport::TcpMesh {
+            listen,
+            peers: BTreeMap::new(),
+        };
+        for (transport, servers) in [
+            (ClusterTransport::Channel, 0),
+            (ClusterTransport::TcpLoopback, 0),
+            (mesh, 3),
+        ] {
+            let label = format!("{transport:?}");
+            let built = Cluster::builder()
+                .servers(servers)
+                .transport(transport)
+                .build();
+            assert_eq!(
+                built.map(|_| ()),
+                Err(AeonError::Config("at least one server is required".into())),
+                "{label}"
+            );
+        }
+        std::net::TcpListener::bind(listen).expect("the refused mesh bound nothing");
     }
 
     /// Regression test: a crashed loopback node kept its listener, readers

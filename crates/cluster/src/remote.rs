@@ -14,7 +14,7 @@ use crate::message::{gateway_id, ClusterMessage};
 use crate::node::spawn_node;
 use aeon_net::{Network, TcpTransport, TcpTransportConfig};
 use aeon_runtime::{ClassFactories, ExecutorConfig};
-use aeon_types::{Result, ServerId};
+use aeon_types::{AeonError, Result, ServerId};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -62,11 +62,18 @@ impl NodeProcessConfig {
 ///
 /// # Errors
 ///
-/// Returns an error when the listen address cannot be bound.
+/// * [`AeonError::Config`] when `config.executor` has zero workers, before
+///   anything is bound.
+/// * The bind error when the listen address cannot be bound.
 pub fn run_node<F>(config: NodeProcessConfig, register: F) -> Result<()>
 where
     F: FnOnce(&ClassFactories),
 {
+    if config.executor.workers == 0 {
+        return Err(AeonError::Config(
+            "at least one pool worker per node is required".into(),
+        ));
+    }
     let mut transport_config = TcpTransportConfig::new(config.listen);
     for (id, addr) in &config.peers {
         transport_config = transport_config.peer(*id, *addr);
@@ -85,4 +92,32 @@ where
     network.deregister(config.id);
     network.shutdown_transport();
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A node process without a worker is refused as the builders refuse
+    /// one, and binds nothing: its listen address stays free.
+    #[test]
+    fn a_node_without_workers_is_refused_before_it_binds() {
+        let free = TcpListener::bind("127.0.0.1:0").unwrap();
+        let listen = free.local_addr().unwrap();
+        drop(free);
+        let gateway = SocketAddr::from(([127, 0, 0, 1], 9));
+        let mut config = NodeProcessConfig::new(ServerId::new(0), listen, gateway);
+        config.executor = ExecutorConfig::with_workers(0);
+        let mut registered = false;
+        let refused = run_node(config, |_| registered = true);
+        assert_eq!(
+            refused,
+            Err(AeonError::Config(
+                "at least one pool worker per node is required".into()
+            ))
+        );
+        assert!(!registered, "no factory is registered for a refused node");
+        TcpListener::bind(listen).expect("the refused node bound nothing");
+    }
 }

@@ -15,6 +15,11 @@
 //! the ownership network for every client and host (§5.1).  Here that is a
 //! [`ControlState`]: the [`ControlPlane`] behind one `RwLock`, the class
 //! factories, the id generator, the history sink and the shutdown flag.
+//! It also admits every event: the set of certified reads, built once from
+//! the plane's class graph, decides with [`ControlState::admit`] whether an
+//! event is sequenced at its dominator or takes the read-only fast path,
+//! and counts the events it admits to that path — the one count every
+//! backend's `executor_stats` reports.
 //! A backend supplies two hooks — [`Deployment::control`], its state, and
 //! [`Deployment::host`], the one step that installs a new or restored
 //! context on a server — and what really differs: its name, sessions,
@@ -26,8 +31,8 @@
 
 use crate::event::EventHandle;
 use crate::{
-    ContextFactory, ContextObject, ExecutorStats, Placement, Snapshot, MIGRATE_METHOD,
-    RESTORE_METHOD, SNAPSHOT_METHOD,
+    CertifiedReads, ContextFactory, ContextObject, ExecutorStats, Footprint, Placement, Snapshot,
+    MIGRATE_METHOD, RESTORE_METHOD, SNAPSHOT_METHOD,
 };
 use aeon_ownership::{ControlPlane, OwnershipGraph};
 use aeon_types::{
@@ -36,16 +41,19 @@ use aeon_types::{
 };
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// The control state of a deployment in one process — what the paper's
 /// eManager keeps for every client and host: the [`ControlPlane`]
-/// (ownership network, placement, roster) behind one `RwLock`, the class
-/// factories, the id generator for contexts, events and clients, the
+/// (ownership network, placement, roster) behind one `RwLock`, the certified
+/// reads of its class graph and the count of events admitted as one, the
+/// class factories, the id generator for contexts, events and clients, the
 /// history sink and the shutdown flag.  The runtime holds one; a cluster's
 /// gateway and its in-process nodes share one.
 pub struct ControlState {
     plane: RwLock<ControlPlane>,
+    certified: CertifiedReads,
+    fast_path: AtomicU64,
     factories: ClassFactories,
     ids: IdGenerator,
     history: RwLock<Option<SharedHistorySink>>,
@@ -62,9 +70,12 @@ impl std::fmt::Debug for ControlState {
 }
 
 impl ControlState {
-    /// The state of a running deployment over `plane`.
+    /// The state of a running deployment over `plane`; its class graph, if
+    /// any, fixes the certified reads.
     pub fn new(plane: ControlPlane) -> Self {
         Self {
+            certified: CertifiedReads::new(plane.classes()),
+            fast_path: AtomicU64::new(0),
             plane: RwLock::new(plane),
             factories: ClassFactories::default(),
             ids: IdGenerator::starting_at(1),
@@ -111,6 +122,35 @@ impl ControlState {
     /// Marks the deployment shut down, and says whether it was already.
     pub fn shut_down(&self) -> bool {
         self.shutdown.swap(true, Ordering::SeqCst)
+    }
+
+    /// How an event running `method` in `mode` is admitted, and counted
+    /// among the fast path's events when it is certified: a read of a
+    /// method the analyzer certified (`ro` with an empty `calls []`
+    /// summary) for `class`, its target's class, skips dominator sequencing;
+    /// anything else is sequenced.  `class` is asked only for a read, and
+    /// only when some method is certified; `None` (an unknown target) is
+    /// sequenced.
+    pub fn admit<'c>(
+        &self,
+        class: impl FnOnce() -> Option<&'c str>,
+        method: &str,
+        mode: AccessMode,
+    ) -> Footprint {
+        if self.certified.is_empty() || !mode.is_read_only() {
+            return Footprint::Sequenced;
+        }
+        if !class().is_some_and(|class| self.certified.contains(class, method)) {
+            return Footprint::Sequenced;
+        }
+        self.fast_path.fetch_add(1, Ordering::Relaxed);
+        Footprint::Certified
+    }
+
+    /// The number of events [`ControlState::admit`] admitted to the
+    /// read-only fast path.
+    pub fn fast_path_events(&self) -> u64 {
+        self.fast_path.load(Ordering::Relaxed)
     }
 
     /// Answers one [`DirOp`] from the plane: what every host's
@@ -889,6 +929,43 @@ mod tests {
             Err(AeonError::ServerNotFound(_))
         ));
         assert_eq!(dir.plane().read().graph().len(), contexts);
+    }
+
+    #[test]
+    fn admission_certifies_only_certified_reads_and_counts_them() {
+        let mut classes = ClassGraph::new();
+        classes.add_constraint("Room", "Item");
+        classes.declare_method("Item", "get", true);
+        classes.declare_calls("Item", "get", []);
+        classes.declare_method("Item", "sum", true);
+        let (dir, _, _) = authority_with_room(Some(classes));
+        let item = || Some("Item");
+        assert_eq!(
+            dir.admit(item, "get", AccessMode::Exclusive),
+            Footprint::Sequenced
+        );
+        assert_eq!(
+            dir.admit(item, "sum", AccessMode::ReadOnly),
+            Footprint::Sequenced
+        );
+        assert_eq!(
+            dir.admit(|| None, "get", AccessMode::ReadOnly),
+            Footprint::Sequenced
+        );
+        assert_eq!(dir.fast_path_events(), 0);
+        assert_eq!(
+            dir.admit(item, "get", AccessMode::ReadOnly),
+            Footprint::Certified
+        );
+        assert_eq!(dir.fast_path_events(), 1);
+        // Without a class graph nothing is certified, and no class is asked.
+        let (bare, _, _) = authority_with_room(None);
+        let unasked = || -> Option<&str> { panic!("the class was asked") };
+        assert_eq!(
+            bare.admit(unasked, "get", AccessMode::ReadOnly),
+            Footprint::Sequenced
+        );
+        assert_eq!(bare.fast_path_events(), 0);
     }
 
     #[test]

@@ -130,9 +130,12 @@ pub struct ExecutorStats {
     /// task of every dequeue is not counted, so this is the number of
     /// shard scans and worker wakeups saved by batching).
     pub batched: u64,
-    /// Events served by the certified read-only fast path (recorded by the
-    /// owning backend via [`ShardedExecutor::note_fast_path`]; the pool
-    /// itself never increments it).
+    /// Events admitted to the certified read-only fast path.  The pool
+    /// does not count them and reports 0: a deployment's `executor_stats`
+    /// fills in its [`ControlState::fast_path_events`], where they are
+    /// admitted.
+    ///
+    /// [`ControlState::fast_path_events`]: crate::ControlState::fast_path_events
     pub fast_path: u64,
 }
 
@@ -174,7 +177,6 @@ struct ExecutorInner {
     spill_spawned: AtomicU64,
     panics: AtomicU64,
     batched: AtomicU64,
-    fast_path: AtomicU64,
     shutdown: AtomicBool,
     /// Sleep coordination: submitters notify under this mutex, workers
     /// re-check `queued` under it before parking, so wakeups are not lost.
@@ -458,7 +460,6 @@ impl ShardedExecutor {
             spill_spawned: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             batched: AtomicU64::new(0),
-            fast_path: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             sleep_lock: Mutex::new(()),
             sleep_cv: Condvar::new(),
@@ -569,16 +570,8 @@ impl ShardedExecutor {
             spill_live: live.saturating_sub(self.inner.workers),
             panics: self.inner.panics.load(Ordering::Relaxed),
             batched: self.inner.batched.load(Ordering::Relaxed),
-            fast_path: self.inner.fast_path.load(Ordering::Relaxed),
+            fast_path: 0,
         }
-    }
-
-    /// Records one event served by the certified read-only fast path.  The
-    /// pool only carries the counter (so fast-path observability travels
-    /// with the rest of the executor stats); the owning backend decides
-    /// what qualifies.
-    pub fn note_fast_path(&self) {
-        self.inner.fast_path.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Stops the pool: queued tasks are dropped and every thread the pool

@@ -116,15 +116,17 @@ pub enum Footprint {
     /// writer could deadlock.  An attempted call therefore means the
     /// declared summary lied, and it surfaces as a hard error instead of a
     /// lock acquisition.  Read-only sub-event dispatch stays available:
-    /// sub-events start as fresh, fully sequenced events after their
-    /// creator terminates, so they never grow this event's footprint.
+    /// sub-events start as fresh events after their creator terminates,
+    /// each admitted like a client's, so they never grow this event's
+    /// footprint.
     Certified,
 }
 
 /// The methods admitted to the read-only fast path, keyed by class name:
 /// `ro` methods whose declared call summary the analyzer certified as empty
 /// (see [`aeon_analyzer::certified_readonly`]).  Fixed when a deployment is
-/// built; empty when no class graph is installed.
+/// built, as part of its [`ControlState`](crate::ControlState); empty when
+/// no class graph is installed.
 #[derive(Debug, Clone, Default)]
 pub struct CertifiedReads(HashMap<String, HashSet<String>>);
 
@@ -145,18 +147,11 @@ impl CertifiedReads {
         self.0.is_empty()
     }
 
-    /// How an event running `method` of `class` in `mode` is admitted.
-    pub fn admit(&self, class: &str, method: &str, mode: AccessMode) -> Footprint {
-        let certified = mode.is_read_only()
-            && self
-                .0
-                .get(class)
-                .is_some_and(|methods| methods.contains(method));
-        if certified {
-            Footprint::Certified
-        } else {
-            Footprint::Sequenced
-        }
+    /// Whether `method` of `class` is admitted, when it is read.
+    pub fn contains(&self, class: &str, method: &str) -> bool {
+        self.0
+            .get(class)
+            .is_some_and(|methods| methods.contains(method))
     }
 }
 
@@ -272,8 +267,6 @@ pub struct BodyOutcome {
     /// Sub-events to start now that the creator terminated; empty unless
     /// `result` is `Ok` — a failed event dispatches nothing.
     pub sub_events: Vec<SubEvent>,
-    /// Number of `async` calls drained.
-    pub async_calls: u64,
 }
 
 impl BodyOutcome {
@@ -282,7 +275,6 @@ impl BodyOutcome {
         Self {
             result: Err(error),
             sub_events: Vec::new(),
-            async_calls: 0,
         }
     }
 }
@@ -333,9 +325,7 @@ impl<'h> EventBody<'h> {
         args: &Args,
     ) -> BodyOutcome {
         let mut result = self.invoke(caller, target, method, args);
-        let mut async_calls = 0;
         while let Some(call) = self.state.pending_async.pop_front() {
-            async_calls += 1;
             let r = self.invoke(Some(call.caller), call.target, &call.method, &call.args);
             if result.is_ok() {
                 if let Err(e) = r {
@@ -348,11 +338,7 @@ impl<'h> EventBody<'h> {
         } else {
             Vec::new()
         };
-        BodyOutcome {
-            result,
-            sub_events,
-            async_calls,
-        }
+        BodyOutcome { result, sub_events }
     }
 
     /// Asks the host's control plane `op`, unpacked into what it asks for.
@@ -721,8 +707,12 @@ impl Invocation<'_> {
     }
 
     /// Dispatches a new event from within this event.  The new event starts
-    /// only after the current event has terminated and is sequenced like any
-    /// client event.
+    /// only after the current event has terminated, on behalf of the same
+    /// client, and is admitted like any client event: sequenced at its
+    /// dominator or, for a read the class graph certifies, on the read-only
+    /// fast path.  A deployment that has shut down refuses it, as the
+    /// in-process runtime refuses one whose target it no longer hosts; a
+    /// refused sub-event does not run, and its error goes nowhere.
     ///
     /// # Errors
     ///
@@ -733,7 +723,8 @@ impl Invocation<'_> {
         self.dispatch(target, method, args, AccessMode::Exclusive)
     }
 
-    /// Dispatches a new read-only event from within this event.
+    /// Dispatches a new read-only event from within this event, admitted
+    /// as [`Invocation::dispatch_event`] says.
     pub fn dispatch_readonly_event(
         &mut self,
         target: ContextId,
@@ -1091,7 +1082,11 @@ mod tests {
             ["top-level done", "async-1", "async-2"],
             "every async call runs, in order, after the synchronous part"
         );
-        assert_eq!(outcome.async_calls, 4);
+        assert_eq!(
+            host.entered,
+            [cx(1), cx(2), cx(2), cx(2), cx(2)],
+            "each of the four async calls drained, the failing ones too"
+        );
         assert_eq!(outcome.result, Err(AeonError::app("first")));
     }
 

@@ -70,7 +70,6 @@ pub mod reply;
 pub mod runtime;
 pub mod server;
 pub mod snapshot;
-pub mod stats;
 
 pub use context::{ContextFactory, ContextObject, ContextSlot, KvContext};
 pub use deployment::{ClassFactories, ControlState, Deployment, DirOp, DirReply, Hosted, Session};
@@ -87,4 +86,3 @@ pub use method_table::{
 pub use runtime::{AeonClient, AeonRuntime, EventObserver, Placement, RuntimeBuilder};
 pub use server::ServerCore;
 pub use snapshot::Snapshot;
-pub use stats::RuntimeStats;

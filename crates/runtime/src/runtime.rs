@@ -7,12 +7,13 @@
 //! placement.
 //!
 //! The ownership network, the context→server mapping, the server roster,
-//! the class factories, the ids, the history sink and the shutdown flag are
-//! one [`ControlState`], over which the `Deployment` trait writes every
+//! the certified reads, the class factories, the ids, the history sink and
+//! the shutdown flag are one [`ControlState`], over which the `Deployment` trait writes every
 //! control method it provides; the object table (`ContextSlot`s and their
 //! locks), the global root and the locks each event holds are one
 //! [`ServerCore`] — the same core every cluster node runs, here with every
-//! context local.  This module adds the worker pool, statistics, history
+//! context local.  This module adds the worker pool, the per-server
+//! latency histograms that [`Deployment::server_metrics`] reports, history
 //! recording of events, and the trait's two hooks: `control`, and `host`,
 //! which installs into the core (a restored context rebuilt by its class
 //! factory first, under the panic boundary).  Every question an event asks
@@ -21,6 +22,15 @@
 //! cluster's gateway answers a node process with.  A guard on the plane is
 //! held for one such answer, or one sequencer look-up, and dropped before
 //! the event waits on a context lock or runs contextclass code.
+//!
+//! Every event is admitted by one step, `RuntimeInner::admit`, whoever
+//! brings it — a client's submit, a blocking call, or a sub-event its
+//! creator dispatched: the shutdown check, the target lookup, a fresh id,
+//! its invocation point, and [`ControlState::admit`]'s choice of path.  So a
+//! certified read sent as a sub-event takes the fast path, as on the
+//! cluster, and a sub-event sent after shutdown or to a context no longer
+//! hosted is refused there, before its invocation is recorded: it never
+//! runs.
 //!
 //! An event starts on whichever thread brings it: a pool worker for a
 //! submitted event (`Session::submit_with_mode`), the client's own thread
@@ -54,16 +64,13 @@ use crate::context::{ContextObject, ContextSlot};
 use crate::deployment::{ControlState, Deployment, DirOp, DirReply, Hosted, Session};
 use crate::event::{EventHandle, EventRequest};
 use crate::executor::{ExecutorConfig, ExecutorStats, ShardedExecutor};
-use crate::invocation::{
-    BodyOutcome, CertifiedReads, ContextHost, Entered, EventBody, EventMeta, Footprint,
-};
+use crate::invocation::{BodyOutcome, ContextHost, Entered, EventBody, EventMeta, Footprint};
 use crate::locks::ContextLock;
 use crate::reply::{reply, Replier};
 use crate::server::ServerCore;
-use crate::stats::RuntimeStats;
 use aeon_ownership::{ClassGraph, ControlPlane, Dominator, Sequencer};
 use aeon_types::{
-    codec, AccessMode, AeonError, Args, ClientId, ContextId, EventId, Result, ServerId,
+    AccessMode, AeonError, Args, ClientId, ContextId, EventId, LatencyHistogram, Result, ServerId,
     ServerMetrics, Value,
 };
 use parking_lot::{Mutex, MutexGuard};
@@ -168,46 +175,50 @@ impl RuntimeBuilder {
         if let Some(classes) = &self.class_graph {
             aeon_analyzer::enforce(classes)?;
         }
-        let certified = CertifiedReads::new(self.class_graph.as_ref());
         let mut plane = ControlPlane::new(self.class_graph);
         for _ in 0..self.servers {
             plane.add_server();
         }
         let inner = Arc::new(RuntimeInner {
             executor: ShardedExecutor::new("aeon-runtime", self.executor),
-            certified,
-            observer: self.observer,
-            control: ControlState::new(plane),
             core: Arc::default(),
-            events_in_flight: AtomicU64::new(0),
-            stats: RuntimeStats::default(),
+            observer: self.observer,
             summary_violations: Mutex::new(std::collections::BTreeSet::new()),
+            control: ControlState::new(plane),
+            events_in_flight: AtomicU64::new(0),
+            latency: Mutex::default(),
         });
         Ok(AeonRuntime { inner })
     }
 }
 
-/// Shared interior of the runtime.
+/// Shared interior of the runtime, laid out in declaration order from a
+/// cache line of its own: the handles every event reads come first, on a
+/// line apart from the words every event writes — the `Arc`'s counts before
+/// it, the plane's lock, the id counter, the gauge and the histograms after
+/// it.  Sharing a line with those cost two client threads' blocking calls
+/// ≈ 13 % on a 2-vCPU host.
+#[repr(C, align(64))]
 pub(crate) struct RuntimeInner {
     /// The sharded worker pool that executes events (no thread is spawned
     /// per event; see `crate::executor`).
     executor: ShardedExecutor,
-    /// Methods admitted to the read-only fast path: unsequenced, with the
-    /// target as their whole footprint.
-    certified: CertifiedReads,
-    observer: Option<Arc<dyn EventObserver>>,
-    /// The plane, factories, ids, history sink and shutdown flag.  The
-    /// per-event path only ever takes read guards on the plane.
-    control: ControlState,
     /// The context objects, their locks, the global root and the holds of
     /// each event: Algorithm 2 with every context local.
     core: Arc<ServerCore>,
-    events_in_flight: AtomicU64,
-    stats: RuntimeStats,
+    observer: Option<Arc<dyn EventObserver>>,
     /// Debug-build call-summary sanitizer output: human-readable records of
     /// actual invoke edges that the statically declared `calls [...]`
     /// summaries do not cover (deduplicated).
     summary_violations: Mutex<std::collections::BTreeSet<String>>,
+    /// The plane, the certified reads, factories, ids, history sink and
+    /// shutdown flag.  The per-event path only ever takes read guards on
+    /// the plane.
+    control: ControlState,
+    events_in_flight: AtomicU64,
+    /// The latencies of the events whose target each server hosted, at
+    /// `ServerId::raw()` — the runtime's server ids are dense from 0.
+    latency: Mutex<Vec<LatencyHistogram>>,
 }
 
 impl std::fmt::Debug for RuntimeInner {
@@ -261,6 +272,39 @@ impl RuntimeInner {
         self.summary_violations.lock().insert(violation);
     }
 
+    /// What happens to every event before anything executes it — a
+    /// client's, a blocking caller's or a sub-event of `client`'s: the
+    /// shutdown check, the target lookup, the request under a fresh id, its
+    /// invocation point, and the choice of path.
+    fn admit(
+        &self,
+        client: Option<ClientId>,
+        target: ContextId,
+        method: String,
+        args: Args,
+        mode: AccessMode,
+    ) -> Result<(EventRequest, Footprint)> {
+        self.control.running()?;
+        let slot = self.core.slot(target);
+        let slot = slot.ok_or(AeonError::ContextNotFound(target))?;
+        let request = EventRequest {
+            id: EventId::new(self.control.next_raw()),
+            client,
+            target,
+            method,
+            args,
+            mode,
+        };
+        // Recorded before the event is enqueued or run, so the invocation
+        // timestamp can never be later than the true submission point.
+        if let Some(sink) = self.control.sink() {
+            sink.invoked(request.id);
+        }
+        let class = || Some(slot.class.as_str());
+        let footprint = self.control.admit(class, &request.method, mode);
+        Ok((request, footprint))
+    }
+
     /// An event about to start on the thread that calls this: a pool
     /// worker (`reply` is its handle), a blocking caller (`on_caller`), or
     /// the thread of its creator.
@@ -272,9 +316,6 @@ impl RuntimeInner {
         on_caller: bool,
     ) -> Admitted {
         self.events_in_flight.fetch_add(1, Ordering::SeqCst);
-        if footprint == Footprint::Certified {
-            self.executor.note_fast_path();
-        }
         Admitted {
             inner: self,
             request,
@@ -392,11 +433,13 @@ impl Admitted {
     }
 
     /// The completion tail of every event, after its locks are released:
-    /// statistics, the response point (the completion becomes observable
-    /// no earlier than this), the sub-events it dispatched — which start
+    /// its latency, the response point (the completion becomes observable
+    /// no earlier than this), the sub-events it dispatched — each admitted
+    /// like a client's event, on behalf of the same client, and started
     /// after their creator terminated, on this thread — and, once the event
     /// left the gauge, the outcome: to the handle, or as the result
-    /// (`Ok(Null)` once a handle took it).
+    /// (`Ok(Null)` once a handle took it).  A sub-event admission refuses
+    /// is dropped.
     fn finish(mut self, outcome: BodyOutcome) -> Result<Value> {
         let inner = Arc::clone(&self.inner);
         if let Some(observer) = &inner.observer {
@@ -405,32 +448,26 @@ impl Admitted {
             let plane = inner.control.plane().read();
             observer.finished(&plane, request.id, request.target, request.mode, ok);
         }
-        for _ in 0..outcome.async_calls {
-            inner.stats.record_method_call(true);
+        if let Some(server) = self.server {
+            // Rounded up: an event that completed took at least a
+            // microsecond.
+            let micros = self.started.elapsed().as_nanos().div_ceil(1_000).max(1);
+            let (mut latency, at) = (inner.latency.lock(), server.raw() as usize);
+            if latency.len() <= at {
+                latency.resize_with(at + 1, LatencyHistogram::default);
+            }
+            latency[at].record(micros as u64);
         }
-        let latency = self.started.elapsed();
-        let read_only = self.request.mode.is_read_only();
-        let (ok, server) = (outcome.result.is_ok(), self.server);
-        inner.stats.record_event(ok, read_only, latency, server);
         if let Some(sink) = inner.control.sink() {
             sink.responded(self.request.id);
         }
+        let client = self.request.client;
         for sub in outcome.sub_events {
-            inner.stats.record_sub_event();
-            let request = EventRequest {
-                id: EventId::new(inner.control.next_raw()),
-                client: self.request.client,
-                target: sub.target,
-                method: sub.method,
-                args: sub.args,
-                mode: sub.mode,
-            };
-            if let Some(sink) = inner.control.sink() {
-                sink.invoked(request.id);
+            let admitted = inner.admit(client, sub.target, sub.method, sub.args, sub.mode);
+            if let Ok((request, footprint)) = admitted {
+                let sub = Arc::clone(&inner).admitted(request, footprint, None, self.on_caller);
+                let _ = sub.run();
             }
-            let sub =
-                Arc::clone(&inner).admitted(request, Footprint::Sequenced, None, self.on_caller);
-            let _ = sub.run();
         }
         // Out of the gauge before anyone sees it complete.
         let reply = self.reply.take();
@@ -473,7 +510,6 @@ impl ContextHost for RuntimeHost<'_> {
         if let Some(observer) = &inner.observer {
             observer.entered(&inner.control.plane().read(), event.id, target);
         }
-        inner.stats.record_method_call(false);
         Ok(Entered::Local(slot))
     }
 
@@ -521,15 +557,7 @@ impl ContextHost for RuntimeHost<'_> {
         }
         // Refused if the destination went offline since the event was
         // submitted.
-        self.inner
-            .control
-            .plane()
-            .write()
-            .set_placement(target, to)?;
-        self.inner
-            .stats
-            .record_migration(codec::encoded_len(&state) as u64);
-        Ok(())
+        self.inner.control.plane().write().set_placement(target, to)
     }
 
     fn record_call_edge(
@@ -579,11 +607,6 @@ impl AeonRuntime {
         self.inner.control.plane().read().dominator_of(target)
     }
 
-    /// Runtime-wide statistics.
-    pub fn stats(&self) -> &RuntimeStats {
-        &self.inner.stats
-    }
-
     /// Call-summary sanitizer findings: actual invoke edges observed at
     /// runtime that the statically declared `calls [...]` summaries do not
     /// cover.  Only populated in debug builds (the recording is compiled
@@ -608,9 +631,14 @@ impl AeonRuntime {
     /// Counters of the event worker pool (queue depth, batching, caught
     /// panics, and the threads it started beside a worker that announced a
     /// blocking wait — a contended nested activation, or a reader's turn at
-    /// an object another reader's frame holds).
+    /// an object another reader's frame holds), with the events admitted
+    /// to the certified read-only fast path.
     pub fn executor_stats(&self) -> ExecutorStats {
-        self.inner.executor.stats()
+        let fast_path = self.inner.control.fast_path_events();
+        ExecutorStats {
+            fast_path,
+            ..self.inner.executor.stats()
+        }
     }
 }
 
@@ -663,6 +691,7 @@ impl Deployment for AeonRuntime {
     /// sum stays meaningful.
     fn server_metrics(&self) -> Vec<ServerMetrics> {
         let queued = self.inner.executor.queued_by_key();
+        let latency = self.inner.latency.lock().clone();
         let plane = self.inner.control.plane().read();
         let servers = plane.online_servers();
         let total_contexts = plane.context_count();
@@ -687,7 +716,8 @@ impl Deployment for AeonRuntime {
                 let queue_depth = depth.get(&server).copied().unwrap_or(0)
                     + unplaced / fleet
                     + usize::from(i < unplaced % fleet);
-                let latency = self.stats().server_latency(server);
+                let latency = latency.get(server.raw() as usize).copied();
+                let latency = latency.unwrap_or_default();
                 ServerMetrics::from_load(server, hosted, total_contexts, queue_depth, latency)
             })
             .collect()
@@ -742,38 +772,6 @@ pub struct AeonClient {
     id: ClientId,
 }
 
-impl AeonClient {
-    /// What happens to every client event before anything executes it: the
-    /// shutdown check, the target lookup, the request under a fresh id, its
-    /// invocation point, and the choice of path.
-    fn admit(
-        &self,
-        target: ContextId,
-        method: &str,
-        args: Args,
-        mode: AccessMode,
-    ) -> Result<(EventRequest, Footprint)> {
-        self.inner.control.running()?;
-        let slot = self.inner.core.slot(target);
-        let slot = slot.ok_or(AeonError::ContextNotFound(target))?;
-        let request = EventRequest {
-            id: EventId::new(self.inner.control.next_raw()),
-            client: Some(self.id),
-            target,
-            method: method.to_string(),
-            args,
-            mode,
-        };
-        // Recorded before the event is enqueued or run, so the invocation
-        // timestamp can never be later than the true submission point.
-        if let Some(sink) = self.inner.control.sink() {
-            sink.invoked(request.id);
-        }
-        let footprint = self.inner.certified.admit(&slot.class, method, mode);
-        Ok((request, footprint))
-    }
-}
-
 /// A submitted event runs on the worker pool, sharded by its target; a
 /// read the class graph certifies (`ro` with an empty `calls []` summary)
 /// skips dominator sequencing and runs under a shared activation of its
@@ -790,7 +788,10 @@ impl Session for AeonClient {
         args: Args,
         mode: AccessMode,
     ) -> Result<EventHandle> {
-        let (request, footprint) = self.admit(target, method, args, mode)?;
+        let admitted = self
+            .inner
+            .admit(Some(self.id), target, method.into(), args, mode);
+        let (request, footprint) = admitted?;
         let (tx, handle) = EventHandle::new(request.id, None);
         let inner = Arc::clone(&self.inner);
         // Sharded by target context, so that events on the same context
@@ -805,7 +806,7 @@ impl Session for AeonClient {
     /// `submit_with_mode(..)?.wait()` returns, without the hand-off to the
     /// worker pool and back.  The event is the same event — sequenced at
     /// its dominator or admitted to the certified read-only fast path,
-    /// recorded, counted in the statistics and in
+    /// recorded, counted in the server's latency and in
     /// [`AeonRuntime::events_in_flight`] — and it takes its turn in the
     /// same context-lock queues; only the thread that waits there and then
     /// runs the method differs.  A shutdown while it waits for a context
@@ -817,7 +818,10 @@ impl Session for AeonClient {
         args: Args,
         mode: AccessMode,
     ) -> Result<Value> {
-        let (request, footprint) = self.admit(target, method, args, mode)?;
+        let admitted = self
+            .inner
+            .admit(Some(self.id), target, method.into(), args, mode);
+        let (request, footprint) = admitted?;
         let inner = Arc::clone(&self.inner);
         inner.admitted(request, footprint, None, true).run()
     }

@@ -239,9 +239,11 @@ fn concurrent_transfers_preserve_conservation_invariant() {
     // Strict serializability stress test: concurrent get_gold events move
     // gold between contexts; the total amount of gold must be conserved and
     // equal to the sequential outcome.
+    let log = Arc::new(Log::default());
     let runtime = AeonRuntime::builder()
         .servers(4)
         .class_graph(game_classes())
+        .observer(Arc::clone(&log) as Arc<dyn EventObserver>)
         .build()
         .unwrap();
     let (_room, players, treasure) = build_room(&runtime, 4);
@@ -272,7 +274,7 @@ fn concurrent_transfers_preserve_conservation_invariant() {
         let remaining = client.call_readonly(player, "balance", args![]).unwrap();
         assert_eq!(remaining, Value::from(total_moved));
     }
-    assert_eq!(runtime.stats().events_failed(), 0);
+    assert_eq!(log.finished("ok=false"), 0, "no event failed");
     runtime.shutdown();
 }
 
@@ -382,7 +384,12 @@ fn readonly_events_share_a_context_concurrently() {
     // NOTE: two read-only events still serialise on the object mutex inside
     // the context, but they hold the context lock simultaneously, which is
     // what this test observes through the activation counters.
-    let runtime = AeonRuntime::builder().servers(1).build().unwrap();
+    let log = Arc::new(Log::default());
+    let runtime = AeonRuntime::builder()
+        .servers(1)
+        .observer(Arc::clone(&log) as Arc<dyn EventObserver>)
+        .build()
+        .unwrap();
     let concurrent = Arc::new(AtomicUsize::new(0));
     let max_concurrent = Arc::new(AtomicUsize::new(0));
     let reader = runtime
@@ -405,7 +412,7 @@ fn readonly_events_share_a_context_concurrently() {
     for h in handles {
         h.wait().unwrap();
     }
-    assert_eq!(runtime.stats().readonly_events(), 4);
+    assert_eq!(log.finished("ReadOnly finished ok=true"), 4);
     runtime.shutdown();
 }
 
@@ -433,7 +440,12 @@ fn async_calls_complete_within_the_event() {
             }
         }
     }
-    let runtime = AeonRuntime::builder().servers(2).build().unwrap();
+    let log = Arc::new(Log::default());
+    let runtime = AeonRuntime::builder()
+        .servers(2)
+        .observer(Arc::clone(&log) as Arc<dyn EventObserver>)
+        .build()
+        .unwrap();
     let building = runtime
         .create_context(Box::new(Building), Placement::Auto)
         .unwrap();
@@ -447,6 +459,15 @@ fn async_calls_complete_within_the_event() {
     }
     let client = runtime.client();
     client.call(building, "update_time", args![]).unwrap();
+    // The event entered the building, then each room once, by its five
+    // `async` calls, before it finished.
+    let heard = log.0.lock().clone();
+    assert_eq!(heard.len(), 7, "{heard:?}");
+    assert!(heard[0].contains(&format!("entered {building} ")));
+    for (line, room) in heard[1..6].iter().zip(&rooms) {
+        assert!(line.contains(&format!("entered {room} ")), "{heard:?}");
+    }
+    assert!(heard[6].ends_with("finished ok=true"), "{heard:?}");
     // All async updates are visible after the event completed.
     for room in rooms {
         assert_eq!(
@@ -454,7 +475,6 @@ fn async_calls_complete_within_the_event() {
             Value::from(1i64)
         );
     }
-    assert_eq!(runtime.stats().async_calls(), 5);
     runtime.shutdown();
 }
 
@@ -494,7 +514,11 @@ fn sub_events_run_after_their_creator() {
         .unwrap();
     runtime.add_ownership(spawner, child).unwrap();
     let client = runtime.client();
+    let timed = events_timed(&runtime);
     let during = client.call(spawner, "go", args![]).unwrap();
+    // The creator and its one sub-event, which ran on this thread before
+    // the call returned.
+    assert_eq!(events_timed(&runtime), timed + 2);
     assert_eq!(
         during,
         Value::Null,
@@ -510,13 +534,90 @@ fn sub_events_run_after_their_creator() {
         std::thread::sleep(Duration::from_millis(5));
     }
     assert_eq!(value, Value::from(1i64));
-    assert_eq!(runtime.stats().sub_events(), 1);
+    runtime.shutdown();
+}
+
+/// A sub-event is admitted like a client's event: one whose target is no
+/// longer hosted — its server crashed — is refused at admission, so it
+/// neither runs nor reaches the history, and its creator still succeeds.
+#[test]
+fn a_sub_event_to_a_context_no_longer_hosted_is_refused_unrecorded() {
+    #[derive(Default)]
+    struct Invoked(parking_lot::Mutex<Vec<EventId>>);
+    impl aeon_types::HistorySink for Invoked {
+        fn invoked(&self, event: EventId) {
+            self.0.lock().push(event);
+        }
+        fn responded(&self, _: EventId) {}
+        fn accessed(&self, _: EventId, _: ContextId, _: AccessMode) {}
+    }
+    struct Spawner {
+        child: ContextId,
+    }
+    impl ContextObject for Spawner {
+        fn class_name(&self) -> &str {
+            "Room"
+        }
+        fn handle(&mut self, method: &str, _: &Args, inv: &mut Invocation<'_>) -> Result<Value> {
+            match method {
+                "go" => inv.dispatch_event(self.child, "incr", args!["sub", 1])?,
+                _ => return Err(AeonError::app("unknown")),
+            }
+            Ok(Value::Null)
+        }
+    }
+    let log = Arc::new(Log::default());
+    let runtime = AeonRuntime::builder()
+        .servers(2)
+        .observer(Arc::clone(&log) as Arc<dyn EventObserver>)
+        .build()
+        .unwrap();
+    let [here, there] = runtime.servers()[..] else {
+        panic!("two servers");
+    };
+    let item = Box::new(KvContext::new("Item"));
+    let child = runtime
+        .create_context(item, Placement::Server(there))
+        .unwrap();
+    let spawner = Box::new(Spawner { child });
+    let spawner = runtime
+        .create_context(spawner, Placement::Server(here))
+        .unwrap();
+    runtime.crash_server(there).unwrap();
+    let invoked = Arc::new(Invoked::default());
+    runtime.install_history_sink(Arc::clone(&invoked) as aeon_types::SharedHistorySink);
+    let client = runtime.client();
+    assert_eq!(client.call(spawner, "go", args![]), Ok(Value::Null));
+    assert_eq!(invoked.0.lock().len(), 1, "only the creator was invoked");
+    assert_eq!(log.finished("finished ok=true"), 1, "only the creator ran");
+    assert_eq!(log.finished("ok=false"), 0);
     runtime.shutdown();
 }
 
 /// Records what an [`EventObserver`] hears, in order.
 #[derive(Debug, Default)]
 struct Log(parking_lot::Mutex<Vec<String>>);
+
+impl Log {
+    /// How many events finished with a line ending in `end`.
+    fn finished(&self, end: &str) -> usize {
+        self.0
+            .lock()
+            .iter()
+            .filter(|line| line.ends_with(end))
+            .count()
+    }
+}
+
+/// How many events the runtime timed: the latency counts of
+/// `server_metrics`, summed over the servers.
+fn events_timed(runtime: &AeonRuntime) -> u64 {
+    runtime
+        .server_metrics()
+        .iter()
+        .map(|m| m.latency.count)
+        .sum()
+}
 
 impl EventObserver for Log {
     fn entered(&self, plane: &ControlPlane, event: EventId, context: ContextId) {
@@ -679,7 +780,8 @@ fn migration_preserves_state_and_placement() {
         client.call_readonly(item, "get", args!["gold"]).unwrap(),
         Value::from(77i64)
     );
-    assert_eq!(runtime.stats().migrations(), 1);
+    assert_eq!(runtime.contexts_on(to), [item]);
+    assert!(runtime.contexts_on(from).is_empty());
     runtime.shutdown();
 }
 
@@ -982,10 +1084,12 @@ fn latency_statistics_are_recorded() {
     for _ in 0..10 {
         client.call(kv, "incr", args!["n", 1]).unwrap();
     }
-    let latency = runtime.stats().latency_histogram();
-    assert_eq!(latency.count, 10);
-    assert!(latency.total_micros > 0);
-    assert_eq!(runtime.stats().events_completed(), 10);
+    let [metrics] = &runtime.server_metrics()[..] else {
+        panic!("one server");
+    };
+    assert_eq!(metrics.latency.count, 10);
+    assert!(metrics.latency.total_micros > 0);
+    assert!(metrics.avg_latency_ms > 0.0);
     runtime.shutdown();
 }
 
@@ -1011,7 +1115,12 @@ fn panicking_method_fails_the_event_without_killing_the_pool() {
             }
         }
     }
-    let runtime = AeonRuntime::builder().worker_threads(1).build().unwrap();
+    let log = Arc::new(Log::default());
+    let runtime = AeonRuntime::builder()
+        .worker_threads(1)
+        .observer(Arc::clone(&log) as Arc<dyn EventObserver>)
+        .build()
+        .unwrap();
     let bomb = runtime
         .create_context(Box::new(Bomb), Placement::Auto)
         .unwrap();
@@ -1027,7 +1136,7 @@ fn panicking_method_fails_the_event_without_killing_the_pool() {
         Value::from(7i64)
     );
     assert_eq!(runtime.events_in_flight(), 0);
-    assert_eq!(runtime.stats().events_failed(), 1);
+    assert_eq!(log.finished("ok=false"), 1);
     assert_eq!(runtime.executor_stats().panics, 0);
     runtime.shutdown();
 }

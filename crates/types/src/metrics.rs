@@ -293,6 +293,16 @@ mod tests {
     }
 
     #[test]
+    fn histogram_percentiles_are_monotone_in_quantile() {
+        let mut h = LatencyHistogram::default();
+        for i in 1..=1000u64 {
+            h.record(i);
+        }
+        assert!(h.percentile(0.5) <= h.percentile(0.9));
+        assert!(h.percentile(0.9) <= h.percentile(0.99));
+    }
+
+    #[test]
     fn merge_combines_counts_and_extremes() {
         let mut a = LatencyHistogram::new();
         a.record(10);

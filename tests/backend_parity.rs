@@ -2134,6 +2134,112 @@ mod readonly_fast_path {
         }
     }
 
+    /// `Asker::ask` sends `Teller::tell`, a read the class graph certifies
+    /// (`ro`, `calls []`), as a sub-event.  A sub-event is admitted like a
+    /// client's event, so the read takes the fast path on every live
+    /// backend, and reads the same there.
+    #[test]
+    fn a_certified_read_dispatched_as_a_sub_event_takes_the_fast_path_on_every_live_backend() {
+        type Heard = std::sync::Arc<std::sync::Mutex<Vec<Value>>>;
+        struct Asker {
+            teller: Option<ContextId>,
+        }
+        impl ContextObject for Asker {
+            fn class_name(&self) -> &str {
+                "Asker"
+            }
+            fn handle(
+                &mut self,
+                method: &str,
+                args: &Args,
+                inv: &mut Invocation<'_>,
+            ) -> Result<Value> {
+                match method {
+                    "adopt" => self.teller = Some(args.get_context(0)?),
+                    "ask" => {
+                        let teller = self.teller.ok_or_else(|| AeonError::app("no teller"))?;
+                        inv.dispatch_readonly_event(teller, "tell", args![])?;
+                    }
+                    other => return Err(AeonError::app(format!("no method {other}"))),
+                }
+                Ok(Value::Null)
+            }
+        }
+        /// Tells its gold, and notes what it told where the test sees it.
+        struct Teller {
+            heard: Heard,
+        }
+        impl ContextObject for Teller {
+            fn class_name(&self) -> &str {
+                "Teller"
+            }
+            fn is_readonly(&self, method: &str) -> bool {
+                method == "tell"
+            }
+            fn handle(&mut self, method: &str, _: &Args, _: &mut Invocation<'_>) -> Result<Value> {
+                if method != "tell" {
+                    return Err(AeonError::app(format!("no method {method}")));
+                }
+                let told = Value::from(12i64);
+                self.heard.lock().unwrap().push(told.clone());
+                Ok(told)
+            }
+        }
+        let classes = || {
+            let mut classes = ClassGraph::new();
+            classes.add_constraint("Asker", "Teller");
+            classes.declare_method("Asker", "adopt", false);
+            classes.declare_method("Asker", "ask", false);
+            classes.declare_method("Teller", "tell", true);
+            classes.declare_calls("Teller", "tell", []);
+            classes
+        };
+        // What the sub-event read, and how far it moved the fast-path count.
+        let scenario = |deployment: &dyn Deployment| {
+            let heard = Heard::default();
+            let asker = deployment
+                .create_context(Box::new(Asker { teller: None }), Placement::Auto)
+                .unwrap();
+            let teller = Box::new(Teller {
+                heard: Heard::clone(&heard),
+            });
+            let teller = deployment.create_owned_context(teller, &[asker]).unwrap();
+            let session = deployment.session();
+            session.call(asker, "adopt", args![teller]).unwrap();
+            let fast_path = || deployment.executor_stats().unwrap().fast_path;
+            let before = fast_path();
+            session.call(asker, "ask", args![]).unwrap();
+            // The sub-event starts after its creator, on the cluster after
+            // the creator's answer.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while heard.lock().unwrap().is_empty() && std::time::Instant::now() < deadline {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            let heard = heard.lock().unwrap().clone();
+            (heard, fast_path() - before)
+        };
+
+        let runtime = AeonRuntime::builder()
+            .class_graph(classes())
+            .build()
+            .unwrap();
+        let expected = (vec![Value::from(12i64)], 1);
+        assert_eq!(scenario(&runtime), expected, "runtime");
+        runtime.shutdown();
+
+        for transport in [ClusterTransport::Channel, ClusterTransport::TcpLoopback] {
+            let label = format!("cluster {transport:?}");
+            let cluster = Cluster::builder()
+                .servers(2)
+                .transport(transport)
+                .class_graph(classes())
+                .build()
+                .unwrap();
+            assert_eq!(scenario(&cluster), expected, "{label}");
+            cluster.shutdown();
+        }
+    }
+
     /// Without a class graph nothing is certified: every read is sequenced
     /// at its dominator, and returns what the certified read returns.
     #[test]

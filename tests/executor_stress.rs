@@ -271,7 +271,11 @@ fn panicking_method_resolves_runtime_handle_with_error() {
         .create_context(Box::new(PanickyContext), Placement::Auto)
         .unwrap();
     let client = runtime.client();
-    let failed = runtime.stats().events_failed();
+    let timed = || -> u64 {
+        let metrics = runtime.server_metrics();
+        metrics.iter().map(|m| m.latency.count).sum()
+    };
+    let before = timed();
     let err = client
         .submit_event(ctx, "boom", args![])
         .unwrap()
@@ -281,7 +285,8 @@ fn panicking_method_resolves_runtime_handle_with_error() {
         matches!(err, AeonError::Panicked { ref reason } if reason.contains("deliberate")),
         "expected a Panicked error, got: {err:?}"
     );
-    assert_eq!(runtime.stats().events_failed(), failed + 1);
+    // The failed event went through the completion tail: it was timed.
+    assert_eq!(timed(), before + 1);
     // The context lock was released by the unwind path: the context stays
     // usable and the pool worker survived.
     let ok = client

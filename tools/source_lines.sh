@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Non-test source lines per crate: every line of `crates/<crate>/src/**/*.rs`
-# that is not inside a `#[cfg(test)] mod … { … }` block, not blank and not a
+# that is not part of a `#[cfg(test)]` item, not blank and not a
 # comment-only line (`//`, `///`, `//!`).  This is the counting rule the
 # simplification PRs quote in CHANGES.md; run it at the parent commit and at
-# the change to reproduce their tables.
+# the change to reproduce their tables.  `tools/source_lines_selftest.sh`
+# pins the rule on a fixture crate.
 #
 #   tools/source_lines.sh                 every crate, plus a total
 #   tools/source_lines.sh runtime sim     only the named crates, plus a total
@@ -11,8 +12,11 @@
 #                                         every crate without names), plus
 #                                         a total
 #
-# It relies on rustfmt's layout: a test module opens with `mod <name> {` on
-# the line after `#[cfg(test)]` and closes with `}` at the same indentation.
+# It relies on rustfmt's layout: `#[cfg(test)]` stands on its own line,
+# above any other attribute of its item.  An item whose first line opens a
+# block (`mod tests {`, `impl … {`, `fn … {`) is skipped up to the `}` at
+# the same indentation; any other item (a field, a statement, a `use`) up
+# to the first line that ends in `;` or `,`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,19 +40,19 @@ count_files() {
     awk -v per_file="$per_file" '
         FNR == 1 { pending = 0; skipping = 0; order[++files] = FILENAME }
         skipping {
-            if ($0 == close_line) skipping = 0
+            if (close_line == "" ? $0 ~ /[;,][[:space:]]*$/ : $0 == close_line) skipping = 0
             next
         }
         /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { pending = 1; next }
         pending {
+            if ($0 ~ /^[[:space:]]*#\[/) next    # another attribute of the item
             pending = 0
-            if ($0 ~ /^[[:space:]]*(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+ \{[[:space:]]*$/) {
-                match($0, /^[[:space:]]*/)
-                close_line = substr($0, 1, RLENGTH) "}"
-                skipping = 1
-                next
-            }
-            n[FILENAME]++    # the attribute sat on a single item, which counts
+            match($0, /^[[:space:]]*/)
+            close_line = ""
+            if ($0 ~ /\{[[:space:]]*$/) close_line = substr($0, 1, RLENGTH) "}"
+            else if ($0 ~ /[;,][[:space:]]*$/) next    # a one-line item
+            skipping = 1
+            next
         }
         /^[[:space:]]*$/ { next }
         /^[[:space:]]*\/\// { next }
